@@ -8,7 +8,7 @@
 use crate::{NodeId, Rank};
 
 /// How consecutive ranks are laid out over nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// Ranks 0..k on node 0, k..2k on node 1, ... (MPICH default for
     /// `-ppn`): the layout the paper's Figure 4 assumes.
@@ -18,7 +18,7 @@ pub enum Placement {
 }
 
 /// An immutable mapping of `nranks` ranks onto `nnodes` nodes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProcessMap {
     node_of: Vec<NodeId>,
     ranks_on: Vec<Vec<Rank>>,

@@ -103,7 +103,7 @@ pub struct TimingReport {
 }
 
 /// Scheduling of consecutive rounds within a chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Pipeline {
     /// Round `r+1` starts only after round `r` finished completely (a
     /// single aggregation buffer; the model the paper's prototype uses).
@@ -117,7 +117,7 @@ pub enum Pipeline {
 
 /// Shape of the shuffle exchange (the paper's "coordinates I/O accesses
 /// in intra-node and inter-node layer").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Exchange {
     /// Every rank messages the aggregator directly (flat alltoallv).
     #[default]

@@ -66,6 +66,7 @@ pub use exec_sim::{
 pub use memory::ProcMemory;
 pub use multitenant::{
     run_multitenant, run_multitenant_adaptive, JobOutcome, MultiTenantReport, TenantJob,
+    TenantSession,
 };
 pub use placement::PlacementDiag;
 pub use plan::{

@@ -23,7 +23,8 @@
 //!
 //! Interference metrics per job:
 //! * **slowdown** — the job's span on the shared machine divided by
-//!   its elapsed time when simulated alone on the same nodes;
+//!   its elapsed time when simulated alone on the same nodes (the *solo
+//!   baseline*, memoised per [`TenantSession`]);
 //! * **OST busy-overlap** — the fraction of the job's OST service time
 //!   during which at least one *other* job was also being served by
 //!   some OST (how much of its storage work was contended).
@@ -56,8 +57,10 @@ pub const PID_TENANTS: u64 = 4;
 pub struct TenantJob {
     /// Job name (trace lanes, metric labels, reports).
     pub label: String,
-    /// The planned collective (pure data; any strategy).
-    pub plan: CollectivePlan,
+    /// The planned collective (pure data; any strategy). Shared, so
+    /// placing one planned job many times never copies the plan, and
+    /// its address identifies it in a [`TenantSession`]'s memo.
+    pub plan: Arc<CollectivePlan>,
     /// The job's process placement over its *local* nodes
     /// `0..map.nnodes()`; shifted onto the shared machine by
     /// [`node_offset`](Self::node_offset) at lowering time.
@@ -76,10 +79,14 @@ pub struct TenantJob {
 impl TenantJob {
     /// A job at node offset 0, arriving at time 0, with serial rounds
     /// and a direct exchange.
-    pub fn new(label: impl Into<String>, plan: CollectivePlan, map: ProcessMap) -> Self {
+    pub fn new(
+        label: impl Into<String>,
+        plan: impl Into<Arc<CollectivePlan>>,
+        map: ProcessMap,
+    ) -> Self {
         Self {
             label: label.into(),
-            plan,
+            plan: plan.into(),
             map,
             node_offset: 0,
             start: SimDuration::ZERO,
@@ -168,6 +175,128 @@ struct JobLowered {
     act_hi: usize,
 }
 
+/// Every input of a solo baseline's result; the machine is fixed per
+/// session. `plan` is the address of the job's `Arc`'d plan — the entry
+/// keeps a clone of that `Arc`, so the address cannot be reused while
+/// the entry lives. `start` is absent on purpose: a job alone runs
+/// from zero.
+#[derive(PartialEq, Eq, Hash)]
+struct SoloKey {
+    plan: usize,
+    map: ProcessMap,
+    node_offset: usize,
+    pipeline: Pipeline,
+    exchange: Exchange,
+    engine: SharePolicy,
+}
+
+impl SoloKey {
+    fn of(job: &TenantJob, engine: SharePolicy) -> Self {
+        SoloKey {
+            plan: Arc::as_ptr(&job.plan) as usize,
+            map: job.map.clone(),
+            node_offset: job.node_offset,
+            pipeline: job.pipeline,
+            exchange: job.exchange,
+            engine,
+        }
+    }
+}
+
+/// A sequence of multi-tenant runs on one machine that shares their
+/// solo baselines.
+///
+/// A job's baseline — the fault-free elapsed time of the job alone on
+/// its nodes — depends only on its plan, process map, node offset,
+/// pipeline, exchange and the engine, so the session simulates it once
+/// per distinct combination and answers repeats from a memo of one
+/// [`SimDuration`] each. Plans are keyed by the address of
+/// [`TenantJob::plan`]: two jobs share an entry only when they share
+/// the `Arc` *and* every other input. A caller that re-runs a growing
+/// resident set (the batch scheduler) therefore pays one shared
+/// simulation per run; [`run_multitenant`] is a run on a fresh session.
+pub struct TenantSession<'a> {
+    spec: &'a ClusterSpec,
+    solo: HashMap<SoloKey, (Arc<CollectivePlan>, SimDuration)>,
+}
+
+impl<'a> TenantSession<'a> {
+    /// An empty session on `spec`.
+    pub fn new(spec: &'a ClusterSpec) -> Self {
+        TenantSession {
+            spec,
+            solo: HashMap::new(),
+        }
+    }
+
+    /// [`run_multitenant`] on this session's machine and memo.
+    pub fn run(
+        &mut self,
+        jobs: &[TenantJob],
+        faults: Option<&FaultSpec>,
+        obs: Observe<'_>,
+    ) -> MultiTenantReport {
+        run_session(self, jobs, faults, AdaptivePolicy::Off, obs)
+    }
+
+    /// [`run_multitenant_adaptive`] on this session's machine and memo.
+    pub fn run_adaptive(
+        &mut self,
+        jobs: &[TenantJob],
+        faults: Option<&FaultSpec>,
+        policy: AdaptivePolicy,
+        obs: Observe<'_>,
+    ) -> MultiTenantReport {
+        run_session(self, jobs, faults, policy, obs)
+    }
+
+    /// The job's solo baseline under `engine`: simulated on first use,
+    /// answered from the memo afterwards.
+    fn solo_elapsed(&mut self, job: &TenantJob, engine: SharePolicy) -> SimDuration {
+        if let Some(&(_, elapsed)) = self.solo.get(&SoloKey::of(job, engine)) {
+            return elapsed;
+        }
+        let elapsed = self.simulate_solo(job, engine);
+        self.seed_solo(job, engine, elapsed);
+        elapsed
+    }
+
+    /// Simulate the job's solo baseline without consulting or filling
+    /// the memo: the same job, alone, on the same nodes of the same
+    /// machine, fault-free (the baseline isolates *tenancy*). Takes
+    /// `&self` so callers can fan baselines across threads and then
+    /// [`seed_solo`](Self::seed_solo) the results in a fixed order.
+    pub fn simulate_solo(&self, job: &TenantJob, engine: SharePolicy) -> SimDuration {
+        simulate_inner(
+            &job.plan,
+            &job.map.with_node_offset(job.node_offset),
+            self.spec,
+            job.pipeline,
+            job.exchange,
+            Observe {
+                engine,
+                ..Observe::default()
+            },
+            None,
+        )
+        .report
+        .elapsed
+    }
+
+    /// Record `elapsed` as the job's solo baseline under `engine`. It
+    /// must be what [`simulate_solo`](Self::simulate_solo) returned for
+    /// the same job and engine.
+    pub fn seed_solo(&mut self, job: &TenantJob, engine: SharePolicy, elapsed: SimDuration) {
+        self.solo
+            .insert(SoloKey::of(job, engine), (Arc::clone(&job.plan), elapsed));
+    }
+
+    /// Solo baselines simulated so far (memo entries; hits add none).
+    pub fn baseline_sims(&self) -> u64 {
+        self.solo.len() as u64
+    }
+}
+
 /// Run `jobs` concurrently on one shared machine.
 ///
 /// All jobs are lowered into a single DES over one `Fabric` and one
@@ -179,6 +308,9 @@ struct JobLowered {
 /// shock) go through [`simulate_faulted`](crate::simulate_faulted)
 /// instead, which re-plans a single job.
 ///
+/// Runs on a fresh [`TenantSession`]; hold a session instead when the
+/// same placed jobs recur across runs.
+///
 /// # Panics
 /// Panics if `jobs` is empty or any job's partition
 /// (`node_offset + map.nnodes()`) exceeds the machine's node count.
@@ -188,7 +320,7 @@ pub fn run_multitenant(
     faults: Option<&FaultSpec>,
     obs: Observe<'_>,
 ) -> MultiTenantReport {
-    run_multitenant_adaptive(jobs, spec, faults, AdaptivePolicy::Off, obs)
+    TenantSession::new(spec).run(jobs, faults, obs)
 }
 
 /// Probe pass of the closed-loop multi-tenant controller: lower every
@@ -262,6 +394,18 @@ pub fn run_multitenant_adaptive(
     policy: AdaptivePolicy,
     obs: Observe<'_>,
 ) -> MultiTenantReport {
+    TenantSession::new(spec).run_adaptive(jobs, faults, policy, obs)
+}
+
+/// The one multi-tenant runner behind every entry point.
+fn run_session(
+    session: &mut TenantSession<'_>,
+    jobs: &[TenantJob],
+    faults: Option<&FaultSpec>,
+    policy: AdaptivePolicy,
+    obs: Observe<'_>,
+) -> MultiTenantReport {
+    let spec = session.spec;
     assert!(
         !jobs.is_empty(),
         "a multi-tenant run needs at least one job"
@@ -306,7 +450,6 @@ pub fn run_multitenant_adaptive(
     // Lower every job behind its arrival gate, remembering which
     // activity-id range it created.
     let mut lowered: Vec<JobLowered> = Vec::with_capacity(jobs.len());
-    let mut shifted_maps: Vec<ProcessMap> = Vec::with_capacity(jobs.len());
     let mut job_adaptive: Vec<AdaptiveOutcome> = Vec::with_capacity(jobs.len());
     let mut all_replans: Vec<ReplanMark> = Vec::new();
     for (ji, job) in jobs.iter().enumerate() {
@@ -358,6 +501,8 @@ pub fn run_multitenant_adaptive(
                 },
                 None,
             );
+            // The clean run *is* this job's solo baseline.
+            session.seed_solo(job, obs.engine, clean.report.elapsed);
             let horizon = clean.report.elapsed.as_nanos();
             let signals = SignalSnapshot::sample(fspec, spec.io_servers, horizon, 0.0);
             adapt.severity = signals.severity();
@@ -422,7 +567,6 @@ pub fn run_multitenant_adaptive(
             act_lo,
             act_hi: sim.activity_count(),
         });
-        shifted_maps.push(tmap);
     }
 
     drop(build_scope);
@@ -446,11 +590,10 @@ pub fn run_multitenant_adaptive(
             if !ost_ids.contains(&rec.resource) {
                 continue;
             }
+            // The jobs' activity ranges are disjoint and ascending.
             let idx = rec.activity.index();
-            if let Some(ji) = lowered
-                .iter()
-                .position(|l| idx >= l.act_lo && idx < l.act_hi)
-            {
+            let ji = lowered.partition_point(|l| l.act_hi <= idx);
+            if lowered.get(ji).is_some_and(|l| idx >= l.act_lo) {
                 let start = rec.start.saturating_since(SimTime::ZERO).as_nanos();
                 let end = rec.end.saturating_since(SimTime::ZERO).as_nanos();
                 if end > start {
@@ -502,22 +645,7 @@ pub fn run_multitenant_adaptive(
             engine: report.engine_profile(),
             metrics,
         };
-        // Solo baseline: the same job, alone, on the same nodes of the
-        // same machine (fault-free — the baseline isolates *tenancy*).
-        let solo_elapsed = simulate_inner(
-            &job.plan,
-            &shifted_maps[ji],
-            spec,
-            job.pipeline,
-            job.exchange,
-            Observe {
-                engine: obs.engine,
-                ..Observe::default()
-            },
-            None,
-        )
-        .report
-        .elapsed;
+        let solo_elapsed = session.solo_elapsed(job, obs.engine);
         let slowdown = if solo_elapsed.is_zero() {
             1.0
         } else {

@@ -10,18 +10,22 @@
 //! * K jobs on disjoint files each deliver exactly the file bytes
 //!   their solo run delivers (tenancy perturbs *time*, never *data*);
 //! * a seeded multi-tenant run replays deterministically, trace bytes
-//!   included.
+//!   included;
+//! * a `TenantSession` that has already answered other runs returns
+//!   exactly what a fresh `run_multitenant` call returns — the solo
+//!   memo never changes a result, only how often it is simulated.
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
 use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
 use mcio_core::{
     exec_fn, mcio, run_multitenant, simulate_observed, twophase, CollectiveConfig, CollectivePlan,
-    CollectiveRequest, Extent, ProcMemory, Rw, Strategy, TenantJob,
+    CollectiveRequest, Extent, ProcMemory, Rw, Strategy, TenantJob, TenantSession,
 };
-use mcio_des::SimDuration;
+use mcio_des::{SharePolicy, SimDuration};
 use mcio_pfs::SparseFile;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const KIB: u64 = 1024;
 
@@ -241,4 +245,126 @@ proptest! {
         prop_assert_eq!(a.makespan, b.makespan);
         prop_assert_eq!(&a.trace, &b.trace, "trace bytes must replay identically");
     }
+
+    /// A warm session ≡ a fresh call. Three runs draw tenants from one
+    /// pool of shared plans — the same plan at several offsets, starts
+    /// and pipelines, within a run and across runs, under both engines —
+    /// so the memo is hit, missed and asked for near-identical keys; the
+    /// whole report (solo baselines, slowdowns, overlaps, trace bytes)
+    /// must still match.
+    #[test]
+    fn warm_session_matches_fresh_runs(
+        runs in prop::collection::vec(
+            prop::collection::vec(
+                (
+                    0usize..3,
+                    0usize..3,
+                    prop::sample::select(vec![0u64, 120, 400]),
+                    any::<bool>(),
+                    any::<bool>(),
+                ),
+                1..5,
+            ),
+            3,
+        ),
+        fair in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let nranks = 8usize;
+        let ppn = 2usize;
+        let bs = 32 * KIB;
+        let nnodes = nranks / ppn;
+        let cluster = ClusterSpec::small(3 * nnodes, 2);
+        let pool: Vec<(Arc<CollectivePlan>, ProcessMap)> = [
+            (Strategy::MemoryConscious, Shape::Strided),
+            (Strategy::TwoPhase, Shape::Contiguous),
+            (Strategy::MemoryConscious, Shape::Nested),
+        ]
+        .into_iter()
+        .zip(0u64..)
+        .map(|((strategy, shape), pi)| {
+            let req = build_request(shape, nranks, bs, 3, pi * 64 * 1024 * KIB);
+            let map = ProcessMap::block_ppn(nranks, ppn);
+            let mem = ProcMemory::normal(nranks, 4 * bs, 0.3, seed + pi);
+            let cfg = CollectiveConfig::with_buffer(4 * bs);
+            (plan_for(strategy, &req, &map, &mem, &cfg).into(), map)
+        })
+        .collect();
+
+        let mut session = TenantSession::new(&cluster);
+        for (ri, picks) in runs.iter().enumerate() {
+            let jobs: Vec<TenantJob> = picks
+                .iter()
+                .enumerate()
+                .map(|(ji, &(pi, slot, start_us, double, two_level))| {
+                    let (plan, map) = &pool[pi];
+                    TenantJob::new(format!("job{ji}"), Arc::clone(plan), map.clone())
+                        .node_offset(slot * nnodes)
+                        .start(SimDuration::from_micros(start_us))
+                        .pipeline(if double { Pipeline::DoubleBuffered } else { Pipeline::Serial })
+                        .exchange(if two_level { Exchange::TwoLevel } else { Exchange::Direct })
+                })
+                .collect();
+            // Alternate engines so one plan is baselined under both.
+            let engine = if fair ^ (ri % 2 == 1) {
+                SharePolicy::FairShare
+            } else {
+                SharePolicy::Fifo
+            };
+            let obs = || Observe { trace: true, engine, ..Observe::default() };
+            let warm = session.run(&jobs, None, obs());
+            let fresh = run_multitenant(&jobs, &cluster, None, obs());
+            prop_assert_eq!(&warm, &fresh, "run {} diverged on a warm session", ri);
+        }
+    }
+}
+
+/// Sharing a plan is not sharing a baseline: the memo key also carries
+/// the placement and the execution mode.
+#[test]
+fn shared_plan_at_other_offset_or_pipeline_is_its_own_memo_entry() {
+    let nranks = 8usize;
+    let bs = 32 * KIB;
+    let req = build_request(Shape::Strided, nranks, bs, 3, 0);
+    let map = ProcessMap::block_ppn(nranks, 2);
+    let mem = ProcMemory::uniform(nranks, 4 * bs);
+    let cfg = CollectiveConfig::with_buffer(4 * bs);
+    // Node 5 is a straggler, so the two placements really differ.
+    let cluster = ClusterSpec::small(8, 2).with_straggler(5, 0.25);
+    let plan = Arc::new(plan_for(Strategy::MemoryConscious, &req, &map, &mem, &cfg));
+    let at = |offset: usize, pipeline: Pipeline| {
+        TenantJob::new("j", Arc::clone(&plan), map.clone())
+            .node_offset(offset)
+            .pipeline(pipeline)
+    };
+    let jobs = [
+        at(0, Pipeline::Serial),
+        at(4, Pipeline::Serial),
+        at(0, Pipeline::DoubleBuffered),
+    ];
+
+    let mut session = TenantSession::new(&cluster);
+    let report = session.run(&jobs, None, Observe::default());
+    assert_eq!(session.baseline_sims(), 3, "three keys, three baselines");
+    for (job, outcome) in jobs.iter().zip(&report.jobs) {
+        let alone = run_multitenant(
+            std::slice::from_ref(job),
+            &cluster,
+            None,
+            Observe::default(),
+        );
+        assert_eq!(outcome.solo_elapsed, alone.jobs[0].report.elapsed);
+    }
+    assert_ne!(
+        report.jobs[0].solo_elapsed, report.jobs[1].solo_elapsed,
+        "the straggler partition is slower alone"
+    );
+
+    // The same three again are all hits; a copy of the plan is a new
+    // identity and is simulated again.
+    session.run(&jobs, None, Observe::default());
+    assert_eq!(session.baseline_sims(), 3);
+    let copy = TenantJob::new("copy", CollectivePlan::clone(&plan), map.clone());
+    session.run(&[copy], None, Observe::default());
+    assert_eq!(session.baseline_sims(), 4);
 }

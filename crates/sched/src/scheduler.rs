@@ -5,9 +5,12 @@
 //! Dispatching a job onto a busy machine must answer *how long will it
 //! run next to the current residents?* — the scheduler answers by
 //! **committing**: it re-simulates the resident jobs plus the newcomer
-//! in one shared fabric+PFS DES ([`mcio_core::run_multitenant`]), each
+//! in one shared fabric+PFS DES (a [`TenantSession`] run), each
 //! resident restarted at its real dispatch time, and takes the
-//! newcomer's span from that run. Only the *newcomer's* runtime is
+//! newcomer's span from that run. The session holds every solo
+//! baseline the stream has needed so far, so a commit costs that one
+//! shared simulation plus a baseline only for a `(job, node offset)`
+//! placement it has not seen. Only the *newcomer's* runtime is
 //! adopted; every resident keeps the end time fixed at its own commit.
 //! That is the model's fidelity boundary — a newcomer slows itself
 //! down through contention but does not retroactively stretch jobs
@@ -25,7 +28,7 @@ use crate::policy::{priority_key, Policy};
 use crate::trace::{build_tenant, JobTrace};
 use crate::PID_SCHED;
 use mcio_core::exec_sim::Observe;
-use mcio_core::{run_multitenant, TenantJob};
+use mcio_core::{MultiTenantReport, TenantJob, TenantSession};
 use mcio_des::SimDuration;
 use mcio_obs::{Registry, TraceCollector};
 use std::sync::Arc;
@@ -160,6 +163,13 @@ pub struct Schedule {
     pub dispatch_order: Vec<usize>,
     /// Backfill audit records (empty unless the policy is backfill).
     pub reservations: Vec<Reservation>,
+    /// Shared commit simulations run, rejected backfill probes and
+    /// admission deferrals included. Not part of `mcio.schedule.v1`.
+    pub commits: u64,
+    /// Solo baselines actually simulated (the session's memo misses):
+    /// one per distinct `(job, node offset, engine)` the stream placed.
+    /// Not part of `mcio.schedule.v1`.
+    pub baseline_sims: u64,
     /// Chrome-trace JSON of the pid-6 scheduler lanes, when requested.
     pub trace: Option<String>,
 }
@@ -236,9 +246,18 @@ struct Commit {
     ost_overlap: f64,
 }
 
+/// How a commit's tenant set is simulated: on the stream's session in
+/// [`run_schedule`], on a fresh one per commit in the reference path.
+#[doc(hidden)]
+pub type CommitFn<'a> =
+    dyn FnMut(&mut TenantSession<'_>, &[TenantJob], Observe<'_>) -> MultiTenantReport + 'a;
+
 struct Loop<'a> {
     trace: &'a JobTrace,
     cfg: &'a SchedConfig,
+    session: TenantSession<'a>,
+    commit: &'a mut CommitFn<'a>,
+    commits: u64,
     templates: Vec<TenantJob>,
     solo_ns: Vec<u64>,
     free: Vec<bool>,
@@ -259,7 +278,8 @@ impl Loop<'_> {
     /// the interference prediction is read back through the live
     /// `tenant.slowdown` / `tenant.ost_overlap_frac` gauges the run
     /// records — the same signal path every other consumer uses.
-    fn commit_run(&self, new_idx: usize, new_offset: usize, now: u64) -> Commit {
+    fn commit_run(&mut self, new_idx: usize, new_offset: usize, now: u64) -> Commit {
+        self.commits += 1;
         let job = &self.trace.jobs[new_idx];
         let t0 = self
             .running
@@ -284,10 +304,9 @@ impl Loop<'_> {
                 .start(SimDuration::from_nanos(now - t0)),
         );
         let reg = self.cfg.admission.then(Registry::shared);
-        let report = run_multitenant(
+        let report = (self.commit)(
+            &mut self.session,
             &tenants,
-            &self.trace.machine,
-            None,
             Observe {
                 registry: reg.as_ref(),
                 engine: job.engine,
@@ -520,31 +539,48 @@ pub fn run_schedule(
     cfg: &SchedConfig,
     registry: Option<&Arc<Registry>>,
 ) -> Schedule {
+    run_schedule_with(trace, cfg, registry, &mut |session, tenants, obs| {
+        session.run(tenants, None, obs)
+    })
+}
+
+/// [`run_schedule`] with the simulation of each commit's tenant set
+/// supplied by the caller, who is handed the stream's session. A test
+/// seam: the property suite commits on a fresh session each time and
+/// requires the same bytes; it selects nothing a user can reach.
+#[doc(hidden)]
+pub fn run_schedule_with<'a>(
+    trace: &'a JobTrace,
+    cfg: &'a SchedConfig,
+    registry: Option<&Arc<Registry>>,
+    commit: &'a mut CommitFn<'a>,
+) -> Schedule {
     let n = trace.jobs.len();
     assert!(n > 0, "trace has at least one job (parser-enforced)");
 
-    // Solo baselines in parallel, index-ordered: the only concurrency
-    // in the scheduler, so worker count can never reorder anything.
-    let prepared: Vec<(TenantJob, u64)> = mcio_sweep::run_indexed(cfg.jobs, n, |i| {
-        let job = &trace.jobs[i];
-        let template = build_tenant(job, i);
-        let solo = run_multitenant(
-            std::slice::from_ref(&template),
-            &trace.machine,
-            None,
-            Observe {
-                engine: job.engine,
-                ..Observe::default()
-            },
-        );
-        let solo_ns = solo.jobs[0].report.elapsed.as_nanos().max(1);
-        (template, solo_ns)
+    // Plan every job and simulate its solo baseline in parallel — the
+    // only concurrency in the scheduler — then seed the session's memo
+    // in index order, so worker count can never reorder anything.
+    let mut session = TenantSession::new(&trace.machine);
+    let prepared = mcio_sweep::run_indexed(cfg.jobs, n, |i| {
+        let template = build_tenant(&trace.jobs[i], i);
+        let solo = session.simulate_solo(&template, trace.jobs[i].engine);
+        (template, solo)
     });
-    let (templates, solo_ns): (Vec<_>, Vec<_>) = prepared.into_iter().unzip();
+    let mut templates: Vec<TenantJob> = Vec::with_capacity(n);
+    let mut solo_ns: Vec<u64> = Vec::with_capacity(n);
+    for ((template, solo), job) in prepared.into_iter().zip(&trace.jobs) {
+        session.seed_solo(&template, job.engine, solo);
+        solo_ns.push(solo.as_nanos().max(1));
+        templates.push(template);
+    }
 
     let mut lp = Loop {
         trace,
         cfg,
+        session,
+        commit,
+        commits: 0,
         templates,
         solo_ns,
         free: vec![true; trace.machine.nodes],
@@ -705,9 +741,21 @@ pub fn run_schedule(
         );
         reg.describe("sched.queue_depth_max", "jobs", "Peak pending-queue depth");
         reg.describe("sched.wait_ns", "ns", "Per-job queue wait");
+        reg.describe(
+            "sched.commits",
+            "count",
+            "Shared commit simulations, rejected probes included",
+        );
+        reg.describe(
+            "sched.baseline_sims",
+            "count",
+            "Solo baselines simulated (session memo misses)",
+        );
         reg.inc("sched.dispatches", labels, n as u64);
         reg.inc("sched.backfills", labels, lp.backfills);
         reg.inc("sched.admission_deferrals", labels, lp.admission_deferrals);
+        reg.inc("sched.commits", labels, lp.commits);
+        reg.inc("sched.baseline_sims", labels, lp.session.baseline_sims());
         reg.set_gauge("sched.makespan_ns", labels, makespan_ns as f64);
         reg.max_gauge("sched.queue_depth_max", labels, max_queue_depth as f64);
         for j in &jobs {
@@ -732,6 +780,8 @@ pub fn run_schedule(
         events,
         dispatch_order: lp.dispatch_order,
         reservations: lp.reservations,
+        commits: lp.commits,
+        baseline_sims: lp.session.baseline_sims(),
         trace: chrome,
     }
 }
@@ -860,8 +910,17 @@ mod tests {
     fn sched_metrics_reach_the_registry() {
         let trace = tiny_trace();
         let reg = Registry::shared();
-        run_schedule(&trace, &SchedConfig::default(), Some(&reg));
+        let s = run_schedule(&trace, &SchedConfig::default(), Some(&reg));
         let snap = reg.snapshot();
+        let counter = |name: &str| {
+            let c = snap.counters.iter().find(|c| c.name == name);
+            c.unwrap_or_else(|| panic!("{name} recorded")).value
+        };
+        // Three FCFS commits, each placing its job at offset 0, where
+        // the prepare pass had already baselined it.
+        assert_eq!((s.commits, s.baseline_sims), (3, 3));
+        assert_eq!(counter("sched.commits"), s.commits);
+        assert_eq!(counter("sched.baseline_sims"), s.baseline_sims);
         let dispatched = snap
             .counters
             .iter()

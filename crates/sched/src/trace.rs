@@ -204,6 +204,15 @@ fn parse_job(rest: &str, line_no: usize, default_engine: SharePolicy) -> Result<
     if job.ranks == 0 || job.ppn == 0 {
         return Err(format!("line {line_no}: ranks and ppn must be positive"));
     }
+    if job.buffer == 0 {
+        return Err(format!("line {line_no}: buffer must be positive"));
+    }
+    if !job.stddev.is_finite() || job.stddev < 0.0 {
+        return Err(format!(
+            "line {line_no}: stddev must be finite and non-negative, got `{}`",
+            job.stddev
+        ));
+    }
     Ok(job)
 }
 
@@ -273,6 +282,15 @@ impl JobTrace {
                     job.name,
                     job.nodes(),
                     machine.nodes
+                ));
+            }
+            // One rank per core is all the machine can host; this also
+            // bounds every per-rank allocation planning makes.
+            let hosts = machine.nodes.saturating_mul(machine.node.cores);
+            if job.ranks > hosts {
+                return Err(format!(
+                    "line {line_no}: job `{}` has {} ranks but the machine hosts at most {hosts}",
+                    job.name, job.ranks
                 ));
             }
             jobs.push(job);
@@ -510,6 +528,27 @@ job b arrival=250us prio=3 ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K stra
             ("machine small:8x2\njob a\nengine fair", "must precede job"),
             ("machine small:2x2\njob a ranks=8 ppn=2", "machine has 2"),
             (
+                "machine small:8x2\njob a buffer=0",
+                "buffer must be positive",
+            ),
+            (
+                "machine small:8x2\njob a ranks=18446744073709551615 ppn=18446744073709551615",
+                "hosts at most 16",
+            ),
+            (
+                "machine small:8x2\njob a ranks=17 ppn=4",
+                "hosts at most 16",
+            ),
+            (
+                "machine small:8x2\njob a stddev=nan",
+                "stddev must be finite",
+            ),
+            (
+                "machine small:8x2\njob a stddev=inf",
+                "stddev must be finite",
+            ),
+            ("machine small:8x2\njob a stddev=-1", "non-negative"),
+            (
                 "machine small:8x2\njob a arrival=5us\njob b arrival=1us",
                 "non-decreasing",
             ),
@@ -519,6 +558,7 @@ job b arrival=250us prio=3 ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K stra
                 err.contains(needle),
                 "`{text}` → `{err}` (wanted `{needle}`)"
             );
+            assert_eq!(err.lines().count(), 1, "one-line error: `{err}`");
         }
     }
 

@@ -13,10 +13,15 @@
 //!   every event, under every policy;
 //! * the seeded trace generator replays byte-identically;
 //! * the rendered document is byte-identical at `--jobs 1` vs
-//!   `--jobs 8` (the precompute fan-out cannot leak into the output).
+//!   `--jobs 8` (the precompute fan-out cannot leak into the output);
+//! * the stream-long solo memo changes no byte: committing every
+//!   tenant set on a fresh session yields the same schedule.
 
+use mcio_core::run_multitenant;
+use mcio_sched::scheduler::run_schedule_with;
 use mcio_sched::{render_schedule, run_schedule, JobTrace, Policy, SchedConfig};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const MACHINE: &str = "small:8x2";
 
@@ -125,6 +130,90 @@ proptest! {
             ));
             prop_assert_eq!(solo, fanned, "policy {}", policy.label());
         }
+    }
+
+    /// `synthetic(seed, n)` is the `n`-job prefix of the seed's stream.
+    /// On every prefix the session-long memo must be invisible: the
+    /// reference commits each tenant set through `run_multitenant`,
+    /// i.e. on a fresh session that re-simulates every baseline.
+    #[test]
+    fn memoised_commits_match_a_fresh_session_per_commit(
+        seed in any::<u64>(),
+        n in 2usize..8,
+        admission in any::<bool>(),
+    ) {
+        let trace = stream(seed, n);
+        for policy in Policy::ALL {
+            let cfg = SchedConfig { policy, admission, ..SchedConfig::default() };
+            let memoised = run_schedule(&trace, &cfg, None);
+            let reference = run_schedule_with(&trace, &cfg, None, &mut |_, tenants, obs| {
+                run_multitenant(tenants, &trace.machine, None, obs)
+            });
+            prop_assert_eq!(
+                render_schedule(&memoised),
+                render_schedule(&reference),
+                "policy {}", policy.label()
+            );
+            prop_assert_eq!(&memoised.events, &reference.events);
+            prop_assert_eq!(&memoised.reservations, &reference.reservations);
+            prop_assert_eq!(memoised.commits, reference.commits);
+        }
+    }
+}
+
+/// `scheduler_suite`'s bundled 202-job stream (private to that binary):
+/// `big` holds half the machine, `wide` blocks the queue, 200 shorts.
+fn bundled_stream() -> JobTrace {
+    let mut text = String::from(
+        "machine small:32x2\n\
+         job big arrival=0 ranks=32 ppn=2 per_proc=2M segments=2 buffer=128K\n\
+         job wide arrival=50us prio=9 ranks=64 ppn=2 per_proc=256K segments=1 buffer=128K\n",
+    );
+    for i in 0..200 {
+        text.push_str(&format!(
+            "job s{i:03} arrival={}us ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K\n",
+            100 + i * 50
+        ));
+    }
+    JobTrace::parse(&text).expect("bundled stream parses")
+}
+
+/// One commit, one simulation: on the bundled stream the baselines
+/// actually simulated are exactly the distinct `(job, node offset)`
+/// placements the stream produced — every repeat was a memo hit. The
+/// placements are counted independently, from the tenant sets the
+/// commits were handed (plus each job's offset-0 prepare baseline).
+#[test]
+fn bundled_stream_simulates_one_baseline_per_distinct_placement() {
+    let trace = bundled_stream();
+    // (policy, commits, baselines, tenants over all commits); the
+    // counts move only when the simulated schedule itself does
+    // (`BENCH_scheduler_suite.json`). The last column is what a fresh
+    // session per commit would have baselined instead.
+    for (policy, commits, baselines, per_commit) in [
+        (Policy::Fcfs, 202, 375, 1_302),
+        (Policy::Backfill, 540, 679, 2_767),
+    ] {
+        let mut placements: BTreeSet<(String, usize)> =
+            trace.jobs.iter().map(|j| (j.name.clone(), 0)).collect();
+        let mut tenant_sims = 0u64;
+        let s = run_schedule_with(&trace, &cfg(policy), None, &mut |session, tenants, obs| {
+            tenant_sims += tenants.len() as u64;
+            placements.extend(tenants.iter().map(|t| (t.label.clone(), t.node_offset)));
+            session.run(tenants, None, obs)
+        });
+        assert_eq!(
+            s.baseline_sims,
+            placements.len() as u64,
+            "{}",
+            policy.label()
+        );
+        assert_eq!(
+            (s.commits, s.baseline_sims, tenant_sims),
+            (commits, baselines, per_commit),
+            "{}",
+            policy.label()
+        );
     }
 }
 
