@@ -17,7 +17,7 @@
 
 use crate::request::CollectiveRequest;
 use mcio_cluster::{NodeId, ProcessMap, Rank};
-use mcio_pfs::extent::coalesce;
+use mcio_pfs::extent::union_sorted;
 use mcio_pfs::Extent;
 
 /// One disjoint aggregation group.
@@ -107,12 +107,11 @@ fn finish_group(
         .flat_map(|&n| map.ranks_on(n).iter().copied())
         .collect();
     ranks.sort_unstable();
-    let region = coalesce(
-        ranks
-            .iter()
-            .flat_map(|&r| req.ranks[r.0].extents.iter().copied())
-            .collect(),
-    );
+    let runs: Vec<&[Extent]> = ranks
+        .iter()
+        .map(|&r| req.ranks[r.0].extents.as_slice())
+        .collect();
+    let region = union_sorted(&runs);
     AggregationGroup {
         index,
         nodes: nodes.to_vec(),
@@ -126,6 +125,7 @@ fn finish_group(
 mod tests {
     use super::*;
     use mcio_cluster::Placement;
+    use mcio_pfs::extent::coalesce;
     use mcio_pfs::Rw;
 
     /// Serial layout: rank r writes [r·100, r·100+100).

@@ -23,8 +23,9 @@ use crate::ptree::PartitionTree;
 use crate::request::{CollectiveRequest, RankRequest};
 use crate::twophase::build_window;
 use mcio_cluster::{ProcessMap, Rank};
-use mcio_pfs::extent::{coalesce, subtract};
+use mcio_pfs::extent::{bytes_in_sorted, overlaps_sorted, subtract, union_sorted};
 use mcio_pfs::Extent;
+use std::borrow::Cow;
 
 /// Build a memory-conscious plan.
 ///
@@ -61,6 +62,7 @@ pub fn plan(
     assert_eq!(req.nranks(), map.nranks(), "request/topology rank mismatch");
     assert_eq!(req.nranks(), mem.nranks(), "request/memory rank mismatch");
     cfg.validate().expect("invalid collective configuration");
+    debug_assert!(req.is_sorted_disjoint(), "rank extents out of order");
 
     let groups = group::divide(req, map, cfg.msg_group);
     let mut group_plans = Vec::with_capacity(groups.len());
@@ -72,18 +74,14 @@ pub fn plan(
     // same data for a given file position).
     let mut claimed: Vec<Extent> = Vec::new();
     for g in &groups {
-        let region = subtract(&g.region, &claimed);
-        // Requested bytes within an extent, restricted to this group's
-        // region (already coalesced, so binary search would work; linear
-        // scan is fine at these sizes).
-        let bytes_region = region.clone();
-        let bytes_in = move |e: &Extent| -> u64 {
-            bytes_region
-                .iter()
-                .filter_map(|x| x.intersect(e))
-                .map(|x| x.len)
-                .sum()
+        // This group's share: its region minus what is claimed. Sorted
+        // and coalesced, like both operands.
+        let region: Cow<[Extent]> = if claimed.is_empty() {
+            Cow::Borrowed(&g.region)
+        } else {
+            Cow::Owned(subtract(&g.region, &claimed))
         };
+        let bytes_in = |e: &Extent| bytes_in_sorted(&region, e);
         let hull = match (region.first(), region.last()) {
             (Some(f), Some(l)) => Extent::from_bounds(f.offset, l.end()),
             _ => Extent::EMPTY,
@@ -98,8 +96,9 @@ pub fn plan(
         // shuffle the group's own data (regions of different groups may
         // interleave in offset space) — and to this group's unclaimed
         // region, so overlapped bytes flow through exactly one group.
+        // The members' masked lists unite to exactly `region`, which is
+        // therefore the cover every window's I/O extents are cut from.
         let masked = mask_request(req, &g.ranks, &claimed);
-        claimed = coalesce(claimed.into_iter().chain(region).collect());
 
         let ntimes = aggregators.iter().map(|a| a.rounds()).max().unwrap_or(0);
         let mut rounds = Vec::with_capacity(ntimes);
@@ -111,13 +110,21 @@ pub fn plan(
                     continue;
                 }
                 let window = Extent::from_bounds(win_start, (win_start + a.buffer).min(a.fd.end()));
-                build_window(masked.ranks.iter(), masked.rw, a.rank, window, &mut round);
+                build_window(
+                    masked.iter().map(Cow::as_ref),
+                    &region,
+                    req.rw,
+                    a.rank,
+                    window,
+                    &mut round,
+                );
             }
             if !round.is_empty() {
                 rounds.push(round);
             }
         }
 
+        claimed = union_sorted(&[&claimed, &region]);
         group_plans.push(GroupPlan {
             ranks: g.ranks.clone(),
             aggregators,
@@ -152,34 +159,33 @@ pub fn plan(
     }
 }
 
-/// The view of `req` restricted to `members` (in member order — which
-/// is rank order, since `members` is sorted), with member extents
-/// losing the bytes in `claimed` (owned by an earlier group). Only the
-/// group's own ranks are materialized: copying all ranks per group is
-/// quadratic in the rank count at per-node group sizes, and the window
-/// builder never looks beyond the group anyway.
-fn mask_request(
-    req: &CollectiveRequest,
+/// The requests of `members` (in member order — which is rank order,
+/// since `members` is sorted), each losing the bytes in `claimed`
+/// (owned by an earlier group). A member that holds none of them — every
+/// member, for patterns whose ranks do not overlap — is borrowed as it
+/// is; only the others are subtracted into lists of their own. Only the
+/// group's own ranks appear: visiting all ranks per group is quadratic
+/// in the rank count at per-node group sizes, and the window builder
+/// never looks beyond the group anyway.
+fn mask_request<'a>(
+    req: &'a CollectiveRequest,
     members: &[Rank],
     claimed: &[Extent],
-) -> CollectiveRequest {
-    CollectiveRequest {
-        rw: req.rw,
-        ranks: members
-            .iter()
-            .map(|&m| {
-                let rr = &req.ranks[m.0];
-                if claimed.is_empty() {
-                    rr.clone()
-                } else {
-                    RankRequest {
-                        rank: rr.rank,
-                        extents: subtract(&rr.extents, claimed),
-                    }
-                }
-            })
-            .collect(),
-    }
+) -> Vec<Cow<'a, RankRequest>> {
+    members
+        .iter()
+        .map(|&m| {
+            let rr = &req.ranks[m.0];
+            if overlaps_sorted(&rr.extents, claimed) {
+                Cow::Owned(RankRequest {
+                    rank: rr.rank,
+                    extents: subtract(&rr.extents, claimed),
+                })
+            } else {
+                Cow::Borrowed(rr)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -184,7 +184,7 @@ fn pick_host(
     let mut candidate_hosts: Vec<NodeId> = group
         .ranks
         .iter()
-        .filter(|&&r| req.ranks[r.0].bytes_in(fd) > 0)
+        .filter(|&&r| req.ranks[r.0].touches(fd))
         .map(|&r| map.node_of(r))
         .collect();
     candidate_hosts.sort_unstable();
@@ -262,6 +262,7 @@ mod tests {
     use super::*;
     use crate::group;
     use mcio_cluster::Placement;
+    use mcio_pfs::extent::bytes_in_sorted;
     use mcio_pfs::{Extent, Rw};
 
     /// 4 ranks on 2 nodes, serial 100-byte chunks.
@@ -276,14 +277,7 @@ mod tests {
     }
 
     fn build_tree(g: &AggregationGroup, msg_ind: u64) -> PartitionTree {
-        let region = g.region.clone();
-        let bytes_in = move |e: &Extent| {
-            region
-                .iter()
-                .filter_map(|x| x.intersect(e))
-                .map(|x| x.len)
-                .sum()
-        };
+        let bytes_in = |e: &Extent| bytes_in_sorted(&g.region, e);
         PartitionTree::build(g.hull(), msg_ind, &bytes_in)
     }
 

@@ -11,7 +11,7 @@ use crate::config::Strategy;
 use crate::request::CollectiveRequest;
 use mcio_cluster::{ProcessMap, Rank};
 use mcio_des::OnlineStats;
-use mcio_pfs::extent::{coalesce, total_bytes};
+use mcio_pfs::extent::{is_sorted_disjoint, total_bytes, union_sorted};
 use mcio_pfs::{Extent, Rw};
 use std::collections::BTreeMap;
 
@@ -110,8 +110,9 @@ pub struct AggregatorAssignment {
 }
 
 impl AggregatorAssignment {
-    /// Rounds this aggregator needs: `ceil(data-covered window span /
-    /// buffer)` over its file domain.
+    /// Rounds this aggregator needs: `ceil(fd.len / buffer)`. Windows
+    /// tile the whole file domain, holes included; a window with no
+    /// requested byte in it simply gets no I/O op.
     pub fn rounds(&self) -> usize {
         if self.fd.is_empty() || self.buffer == 0 {
             0
@@ -314,17 +315,25 @@ impl CollectivePlan {
     /// 3. Round windows never exceed the aggregator's buffer.
     /// 4. Message endpoints agree with the plan direction.
     pub fn check(&self, req: &CollectiveRequest) -> Result<(), String> {
-        // (1) Coverage.
-        let mut all_io: Vec<Extent> = Vec::new();
-        for g in &self.groups {
-            for r in &g.rounds {
+        // (1) Coverage. `IoOp::extents` is coalesced, so each op's list
+        // is a sorted run; one that is not is reported rather than fed
+        // to the merge.
+        let mut io_runs: Vec<&[Extent]> = Vec::new();
+        for (gi, g) in self.groups.iter().enumerate() {
+            for (ri, r) in g.rounds.iter().enumerate() {
                 for io in &r.ios {
-                    all_io.extend(io.extents.iter().copied());
+                    if !is_sorted_disjoint(&io.extents) {
+                        return Err(format!(
+                            "group {gi} round {ri} agg {}: I/O extents overlap or are out of order: {:?}",
+                            io.agg, io.extents
+                        ));
+                    }
+                    io_runs.push(&io.extents);
                 }
             }
         }
-        let io_total = total_bytes(&all_io);
-        let io_cover = coalesce(all_io);
+        let io_total: u64 = io_runs.iter().map(|run| total_bytes(run)).sum();
+        let io_cover = union_sorted(&io_runs);
         let req_cover = req.coverage();
         if io_cover != req_cover {
             return Err(format!(

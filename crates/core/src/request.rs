@@ -6,7 +6,10 @@
 //! whole job's view of one collective read or write call.
 
 use mcio_cluster::Rank;
-use mcio_pfs::extent::{coalesce, total_bytes};
+use mcio_pfs::extent::{
+    bytes_in_sorted, clip_sorted, coalesce, is_sorted_disjoint, total_bytes, touches_sorted,
+    union_sorted,
+};
 use mcio_pfs::{Extent, Rw};
 use mcio_simpi::FileView;
 
@@ -61,24 +64,20 @@ impl RankRequest {
     /// Bytes this rank requests inside `window`. `O(log n + k)` in the
     /// extent count `n` and overlap count `k` (the extents are sorted).
     pub fn bytes_in(&self, window: &Extent) -> u64 {
-        self.overlapping(window).map(|e| e.len).sum()
+        bytes_in_sorted(&self.extents, window)
     }
 
-    /// The rank's extents clipped to `window`, in offset order.
+    /// The rank's extents clipped to `window`, in offset order: the
+    /// overlapping slice, copied once.
     pub fn extents_in(&self, window: &Extent) -> Vec<Extent> {
-        self.overlapping(window).collect()
+        clip_sorted(&self.extents, window)
     }
 
-    /// Iterator over the clipped intersections with `window`, found by
-    /// binary search (the extents are sorted and disjoint).
-    fn overlapping<'a>(&'a self, window: &'a Extent) -> impl Iterator<Item = Extent> + 'a {
-        // First extent that could overlap: the last one starting at or
-        // before `window.offset` may still reach into the window.
-        let start = self.extents.partition_point(|e| e.end() <= window.offset);
-        self.extents[start..]
-            .iter()
-            .take_while(|e| e.offset < window.end())
-            .filter_map(|e| e.intersect(window))
+    /// True when the rank requests at least one byte inside `window`.
+    /// `O(log n)`: the question placement and the rank filters ask,
+    /// which needs no byte count.
+    pub fn touches(&self, window: &Extent) -> bool {
+        touches_sorted(&self.extents, window)
     }
 }
 
@@ -139,19 +138,23 @@ impl CollectiveRequest {
     /// All extents of all ranks, coalesced: the exact requested file
     /// region (may have holes, unlike [`CollectiveRequest::hull`]).
     pub fn coverage(&self) -> Vec<Extent> {
-        coalesce(
-            self.ranks
-                .iter()
-                .flat_map(|r| r.extents.iter().copied())
-                .collect(),
-        )
+        let runs: Vec<&[Extent]> = self.ranks.iter().map(|r| r.extents.as_slice()).collect();
+        union_sorted(&runs)
+    }
+
+    /// True when every rank's list is sorted and disjoint — what
+    /// [`RankRequest::new`] establishes and the planners' merges and
+    /// binary searches rely on. `extents` is a public field, so a list
+    /// built literally can break it.
+    pub fn is_sorted_disjoint(&self) -> bool {
+        self.ranks.iter().all(|r| is_sorted_disjoint(&r.extents))
     }
 
     /// Ranks with data inside `window`.
     pub fn ranks_in(&self, window: &Extent) -> Vec<Rank> {
         self.ranks
             .iter()
-            .filter(|r| r.bytes_in(window) > 0)
+            .filter(|r| r.touches(window))
             .map(|r| r.rank)
             .collect()
     }
@@ -193,6 +196,33 @@ mod tests {
         );
     }
 
+    /// Every window over a small file, which takes in the empty window,
+    /// the window inside one extent, the one ending exactly on an extent
+    /// boundary and the ones past either end: the sliced queries equal
+    /// their scan-everything definitions.
+    #[test]
+    fn windowed_queries_match_a_full_scan() {
+        let r = RankRequest::new(
+            Rank(0),
+            vec![
+                Extent::new(3, 4),
+                Extent::new(10, 1),
+                Extent::new(12, 8),
+                Extent::new(30, 5),
+            ],
+        );
+        for offset in 0..40 {
+            for len in 0..40 {
+                let w = Extent::new(offset, len);
+                let scan: Vec<Extent> = r.extents.iter().filter_map(|e| e.intersect(&w)).collect();
+                let bytes: u64 = scan.iter().map(|e| e.len).sum();
+                assert_eq!(r.bytes_in(&w), bytes, "{w}");
+                assert_eq!(r.touches(&w), bytes > 0, "{w}");
+                assert_eq!(r.extents_in(&w), scan, "{w}");
+            }
+        }
+    }
+
     #[test]
     fn from_view_strided() {
         let ft = Datatype::resized(Datatype::bytes(4), 16);
@@ -223,6 +253,14 @@ mod tests {
             vec![Extent::new(0, 20), Extent::new(40, 10)]
         );
         assert_eq!(req.ranks_in(&Extent::new(5, 10)), vec![Rank(0), Rank(1)]);
+        assert!(req.is_sorted_disjoint());
+    }
+
+    #[test]
+    fn literal_lists_can_break_the_invariant() {
+        let mut req = CollectiveRequest::new(Rw::Write, vec![vec![Extent::new(0, 10)]]);
+        req.ranks[0].extents = vec![Extent::new(20, 5), Extent::new(0, 5)];
+        assert!(!req.is_sorted_disjoint());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::plan::{
 };
 use crate::request::CollectiveRequest;
 use mcio_cluster::{NodeId, ProcessMap, Rank};
-use mcio_pfs::extent::coalesce;
+use mcio_pfs::extent::{clip_sorted, total_bytes};
 use mcio_pfs::{Extent, Rw};
 
 /// Build a two-phase plan.
@@ -55,6 +55,7 @@ pub fn plan(
     assert_eq!(req.nranks(), map.nranks(), "request/topology rank mismatch");
     assert_eq!(req.nranks(), mem.nranks(), "request/memory rank mismatch");
     cfg.validate().expect("invalid collective configuration");
+    debug_assert!(req.is_sorted_disjoint(), "rank extents out of order");
 
     let hull = req.hull();
     let all_ranks: Vec<Rank> = (0..req.nranks()).map(Rank).collect();
@@ -99,38 +100,50 @@ pub fn plan(
         });
     }
 
-    // One pass over the ranks charges each extent to the file domains and
-    // round windows it touches. Domains tile the hull contiguously, so an
-    // extent's domain range is a closed index interval — no per-domain
-    // rank scan, which is quadratic in the rank count and unusable at the
+    // One pass over the ranks charges each rank to the file domains and
+    // round windows it touches. Domains tile the hull and windows tile
+    // each domain, so a rank's sorted list crosses them in file order:
+    // from the window holding the cursor, one binary search over the rest
+    // of the list finds where the next window takes over — two divisions
+    // per window touched, not per extent, and no per-domain rank scan,
+    // which is quadratic in the rank count and unusable at the
     // exascale_2018 machine's 10^6 ranks.
     let mut window_ranks: Vec<Vec<Vec<u32>>> = aggregators
         .iter()
         .map(|a| vec![Vec::new(); a.rounds()])
         .collect();
     for (ri, rr) in req.ranks.iter().enumerate() {
-        for e in &rr.extents {
-            if e.is_empty() {
+        let mut rest: &[Extent] = &rr.extents;
+        // Everything before `at` is charged; `at` lies inside `rest[0]`
+        // when that extent straddles a window edge.
+        let mut at = hull.offset;
+        while let Some(head) = rest.first() {
+            at = at.max(head.offset);
+            if at >= head.end() {
+                rest = &rest[1..];
                 continue;
             }
-            let a_lo = ((e.offset - hull.offset) / fd_size) as usize;
-            let a_hi = (((e.end() - 1 - hull.offset) / fd_size) as usize).min(naggs - 1);
-            for ai in a_lo..=a_hi {
-                let (fd, buffer) = (aggregators[ai].fd, aggregators[ai].buffer);
-                let Some(clip) = e.intersect(&fd) else {
-                    continue;
-                };
-                aggregators[ai].data_bytes += clip.len;
-                let r_lo = ((clip.offset - fd.offset) / buffer) as usize;
-                let r_hi = ((clip.end() - 1 - fd.offset) / buffer) as usize;
-                for bucket in &mut window_ranks[ai][r_lo..=r_hi] {
-                    if bucket.last() != Some(&(ri as u32)) {
-                        bucket.push(ri as u32);
-                    }
-                }
-            }
+            let ai = ((at - hull.offset) / fd_size) as usize;
+            let a = &mut aggregators[ai];
+            let r = (at - a.fd.offset) / a.buffer;
+            let win_end = (a.fd.offset + r * a.buffer)
+                .saturating_add(a.buffer)
+                .min(a.fd.end());
+            // The extents that start inside this window; only the last
+            // can run past its end.
+            let run = &rest[..rest.partition_point(|e| e.offset < win_end)];
+            let over = run[run.len() - 1].end().saturating_sub(win_end);
+            a.data_bytes += total_bytes(run) - (at - head.offset) - over;
+            window_ranks[ai][r as usize].push(ri as u32);
+            // A straddler stays at the head, for the window after this.
+            rest = &rest[run.len() - usize::from(over > 0)..];
+            at = win_end;
         }
     }
+
+    // The exact requested region, united once: every window's I/O
+    // extents are its clip.
+    let cover = req.coverage();
 
     // ROMIO's ntimes: the global number of rounds is the maximum any
     // aggregator needs.
@@ -154,6 +167,7 @@ pub fn plan(
             };
             build_window(
                 candidates.iter().map(|&ri| &req.ranks[ri as usize]),
+                &cover,
                 req.rw,
                 a.rank,
                 window,
@@ -183,27 +197,32 @@ pub fn plan(
 /// in rank order (message order is part of the plan's identity); ranks
 /// with no data inside `window` are skipped, so passing a superset of
 /// the touching ranks is fine.
+///
+/// `cover` is the coalesced union of everything `ranks` can yield. The
+/// I/O op's extents are the coalesced union of the messages' extents,
+/// i.e. of the ranks' lists each clipped to `window`; clipping
+/// distributes over union, so that is `cover` clipped to `window` —
+/// one slice copy, nothing collected or sorted per window.
 pub(crate) fn build_window<'a>(
     ranks: impl Iterator<Item = &'a crate::request::RankRequest>,
+    cover: &[Extent],
     rw: Rw,
     agg: Rank,
     window: Extent,
     round: &mut Round,
 ) {
-    let mut all_extents: Vec<Extent> = Vec::new();
     for rr in ranks {
         let extents = rr.extents_in(&window);
         if extents.is_empty() {
             continue;
         }
-        all_extents.extend(extents.iter().copied());
         let (src, dst) = match rw {
             Rw::Write => (rr.rank, agg),
             Rw::Read => (agg, rr.rank),
         };
         round.messages.push(Message { src, dst, extents });
     }
-    let extents = coalesce(all_extents);
+    let extents = clip_sorted(cover, &window);
     if !extents.is_empty() {
         round.ios.push(IoOp {
             agg,

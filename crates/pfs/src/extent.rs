@@ -120,6 +120,10 @@ impl Ord for Extent {
 
 /// Sort extents and merge overlapping/adjacent ones, dropping empties.
 /// The result is the canonical minimal disjoint cover of the input.
+///
+/// For input in no particular order. Lists that are already sorted and
+/// disjoint — every per-rank list, every result of this module — are
+/// united by [`union_sorted`], which merges instead of sorting.
 pub fn coalesce(mut extents: Vec<Extent>) -> Vec<Extent> {
     extents.retain(|e| !e.is_empty());
     extents.sort();
@@ -146,10 +150,163 @@ pub fn total_bytes(extents: &[Extent]) -> u64 {
     extents.iter().map(|e| e.len).sum()
 }
 
-/// Clip every extent in `extents` against `window`, keeping order and
-/// dropping non-overlapping pieces.
-pub fn clip_all(extents: &[Extent], window: &Extent) -> Vec<Extent> {
-    extents.iter().filter_map(|e| e.intersect(window)).collect()
+// ------------------------------------------------------------------
+// Sorted-run kernels. A *sorted run* is a list in offset order whose
+// extents share no byte ([`is_sorted_disjoint`]): what flattening a
+// datatype yields, what [`coalesce`] returns, and what every kernel
+// below both requires and returns. The order is what lets them merge,
+// binary-search and slice where unordered input needs a sort or a scan.
+// ------------------------------------------------------------------
+
+/// True when `extents` is a sorted run: in offset order, none reaching
+/// past the start of the next. Adjacent and zero-length extents pass.
+pub fn is_sorted_disjoint(extents: &[Extent]) -> bool {
+    extents.windows(2).all(|w| w[0].end() <= w[1].offset)
+}
+
+/// The union of sorted runs: exactly `coalesce` of their concatenation,
+/// without concatenating or sorting.
+///
+/// A balanced tree of two-way merges, evaluated depth first. Every
+/// merge coalesces as it goes, so lists that interleave into dense
+/// regions (ranks that are neighbours in a block decomposition) shrink
+/// level by level and the upper levels cost next to nothing; when
+/// nothing coalesces the cost is the `n log k` moves of any k-way
+/// merge, with at most one partial result alive per level.
+pub fn union_sorted(runs: &[&[Extent]]) -> Vec<Extent> {
+    let mut out = union_tree(runs);
+    out.shrink_to_fit();
+    out
+}
+
+fn union_tree(runs: &[&[Extent]]) -> Vec<Extent> {
+    match runs {
+        [] => Vec::new(),
+        [a] => union_pair(a, &[]),
+        [a, b] => union_pair(a, b),
+        _ => {
+            let (left, right) = runs.split_at(runs.len() / 2);
+            union_pair(&union_tree(left), &union_tree(right))
+        }
+    }
+}
+
+/// [`union_sorted`] of two runs: a two-pointer merge.
+fn union_pair(a: &[Extent], b: &[Extent]) -> Vec<Extent> {
+    debug_assert!(is_sorted_disjoint(a) && is_sorted_disjoint(b));
+    // Room for the case where nothing coalesces: growing mid-merge costs
+    // more than the slack, which the caller trims off the final result.
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    // The extent being grown, kept out of `out` until a gap closes it
+    // (empty only until the first non-empty extent arrives).
+    let mut cur = Extent::EMPTY;
+    let mut absorb = |e: Extent| {
+        if !cur.is_empty() && e.offset <= cur.end() {
+            cur.len = cur.len.max(e.end() - cur.offset);
+        } else if !e.is_empty() {
+            if !cur.is_empty() {
+                out.push(cur);
+            }
+            cur = e;
+        }
+    };
+    let (mut a, mut b) = (a, b);
+    while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+        if x.offset <= y.offset {
+            absorb(x);
+            a = &a[1..];
+        } else {
+            absorb(y);
+            b = &b[1..];
+        }
+    }
+    a.iter().chain(b).copied().for_each(&mut absorb);
+    if !cur.is_empty() {
+        out.push(cur);
+    }
+    out
+}
+
+/// Index range of the extents of a sorted run that can overlap
+/// `window`: two binary searches.
+fn overlap_range(extents: &[Extent], window: &Extent) -> std::ops::Range<usize> {
+    if window.is_empty() {
+        return 0..0;
+    }
+    let start = extents.partition_point(|e| e.end() <= window.offset);
+    let end = start + extents[start..].partition_point(|e| e.offset < window.end());
+    // Only the slice handed back is checked: a scan of the whole run
+    // would turn a logarithmic query linear in debug builds.
+    debug_assert!(is_sorted_disjoint(&extents[start..end]));
+    start..end
+}
+
+/// A sorted run clipped to `window` — `filter_map(intersect)` over the
+/// run, in `O(log n)` plus one copy of the overlapping slice at its
+/// final size: only its first and last extent can need clipping.
+pub fn clip_sorted(extents: &[Extent], window: &Extent) -> Vec<Extent> {
+    let mut out = extents[overlap_range(extents, window)].to_vec();
+    if let Some(first) = out.first_mut() {
+        let start = first.offset.max(window.offset);
+        *first = Extent::from_bounds(start, first.end());
+    }
+    if let Some(last) = out.last_mut() {
+        last.len = last.end().min(window.end()) - last.offset;
+    }
+    // A sorted run may hold zero-length extents, which overlap nothing.
+    out.retain(|e| !e.is_empty());
+    out
+}
+
+/// Bytes of a sorted run that fall inside `window`.
+pub fn bytes_in_sorted(extents: &[Extent], window: &Extent) -> u64 {
+    let hit = &extents[overlap_range(extents, window)];
+    let (Some(first), Some(last)) = (hit.first(), hit.last()) else {
+        return 0;
+    };
+    let before = window.offset.saturating_sub(first.offset);
+    let after = last.end().saturating_sub(window.end());
+    total_bytes(hit) - before - after
+}
+
+/// True when a sorted run has at least one byte inside `window`, in
+/// `O(log n)`.
+pub fn touches_sorted(extents: &[Extent], window: &Extent) -> bool {
+    extents[overlap_range(extents, window)]
+        .iter()
+        .any(|e| !e.is_empty())
+}
+
+/// True when two sorted runs share at least one byte. Each run in turn
+/// skips everything that ends before the other's head, so disjoint runs
+/// cost `O(log d)` per skip of `d` extents — a short run is checked
+/// against a long one without walking it, and two runs that interleave
+/// one for one still cost `O(n)`.
+pub fn overlaps_sorted(a: &[Extent], b: &[Extent]) -> bool {
+    debug_assert!(is_sorted_disjoint(a) && is_sorted_disjoint(b));
+    let (mut a, mut b) = (a, b);
+    while let (Some(x), Some(y)) = (a.first(), b.first()) {
+        if x.end() <= y.offset || x.is_empty() {
+            a = skip_ending_by(a, y.offset.max(x.end()));
+        } else if y.end() <= x.offset || y.is_empty() {
+            b = skip_ending_by(b, x.offset.max(y.end()));
+        } else {
+            return true;
+        }
+    }
+    false
+}
+
+/// The rest of a sorted run after its leading extents that end at or
+/// before `pos`, found by galloping: probe 1, 2, 4, … extents ahead,
+/// then binary-search the last stride.
+fn skip_ending_by(run: &[Extent], pos: u64) -> &[Extent] {
+    let mut hi = 1;
+    while hi < run.len() && run[hi - 1].end() <= pos {
+        hi *= 2;
+    }
+    let (lo, hi) = (hi / 2, hi.min(run.len()));
+    &run[lo + run[lo..hi].partition_point(|e| e.end() <= pos)..]
 }
 
 /// The parts of `extents` not covered by `minus`. Both inputs must be
@@ -284,8 +441,50 @@ mod tests {
         let v = vec![Extent::new(0, 10), Extent::new(20, 10), Extent::new(40, 5)];
         let w = Extent::new(5, 20);
         assert_eq!(
-            clip_all(&v, &w),
+            clip_sorted(&v, &w),
             vec![Extent::new(5, 5), Extent::new(20, 5)]
+        );
+        assert_eq!(bytes_in_sorted(&v, &w), 10);
+        assert!(touches_sorted(&v, &w));
+        // A window inside one extent clips it at both ends.
+        let inner = Extent::new(22, 3);
+        assert_eq!(clip_sorted(&v, &inner), vec![inner]);
+        assert_eq!(bytes_in_sorted(&v, &inner), 3);
+        // A window in a gap, and an empty window inside an extent.
+        for w in [Extent::new(10, 10), Extent::new(25, 0)] {
+            assert_eq!(clip_sorted(&v, &w), vec![]);
+            assert_eq!(bytes_in_sorted(&v, &w), 0);
+            assert!(!touches_sorted(&v, &w));
+        }
+    }
+
+    #[test]
+    fn sorted_disjoint_predicate() {
+        assert!(is_sorted_disjoint(&[]));
+        // Adjacent and zero-length extents share no byte.
+        assert!(is_sorted_disjoint(&[
+            Extent::new(0, 5),
+            Extent::new(5, 0),
+            Extent::new(5, 5)
+        ]));
+        assert!(!is_sorted_disjoint(&[Extent::new(0, 6), Extent::new(5, 5)]));
+        assert!(!is_sorted_disjoint(&[Extent::new(5, 5), Extent::new(0, 5)]));
+    }
+
+    #[test]
+    fn union_merges_runs_without_sorting() {
+        let a = [Extent::new(0, 10), Extent::new(30, 5)];
+        let b = [Extent::new(10, 5), Extent::new(32, 10)];
+        let c = [Extent::new(60, 0), Extent::new(100, 1)];
+        assert_eq!(
+            union_sorted(&[&a, &b, &[], &c]),
+            vec![Extent::new(0, 15), Extent::new(30, 12), Extent::new(100, 1)]
+        );
+        assert_eq!(union_sorted(&[]), vec![]);
+        // A single run is canonicalised too.
+        assert_eq!(
+            union_sorted(&[&[Extent::new(0, 5), Extent::new(5, 5)]]),
+            vec![Extent::new(0, 10)]
         );
     }
 

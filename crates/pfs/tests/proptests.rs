@@ -1,8 +1,31 @@
-//! Property-based tests of the PFS substrate: striping round-trips and
-//! sparse-file equivalence with a flat byte-vector model.
+//! Property-based tests of the PFS substrate: striping round-trips,
+//! sparse-file equivalence with a flat byte-vector model, and the
+//! sorted-run extent kernels against their sort- and scan-based
+//! definitions.
 
+use mcio_pfs::extent::{
+    bytes_in_sorted, clip_sorted, coalesce, is_sorted_disjoint, overlaps_sorted, touches_sorted,
+    union_sorted,
+};
 use mcio_pfs::{Extent, SparseFile, StripeLayout};
 use proptest::prelude::*;
+
+/// A sorted run built from `(gap, len)` steps. Gap 0 puts an extent
+/// right against its predecessor, len 0 makes it zero-length; the small
+/// ranges the tests draw from make runs collide all the time — equal
+/// extents in several runs, one run ending exactly where another
+/// starts.
+fn run_of(steps: &[(u64, u64)]) -> Vec<Extent> {
+    let mut pos = 0;
+    steps
+        .iter()
+        .map(|&(gap, len)| {
+            let e = Extent::new(pos + gap, len);
+            pos = e.end();
+            e
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -79,5 +102,57 @@ proptest! {
         let got = file.read_vec(probe, probe_len);
         let want = &model[probe as usize..probe as usize + probe_len];
         prop_assert_eq!(got.as_slice(), want);
+    }
+
+    /// `union_sorted` is `coalesce` of the concatenation: empty runs,
+    /// zero-length extents, adjacency within and across runs, and the
+    /// same run twice.
+    #[test]
+    fn union_sorted_is_coalesce_of_the_concatenation(
+        lists in proptest::collection::vec(
+            proptest::collection::vec((0u64..4, 0u64..5), 0..12),
+            0..7,
+        ),
+        repeat in 0usize..7,
+    ) {
+        let mut runs: Vec<Vec<Extent>> = lists.iter().map(|steps| run_of(steps)).collect();
+        if let Some(again) = runs.get(repeat).cloned() {
+            runs.push(again);
+        }
+        for run in &runs {
+            prop_assert!(is_sorted_disjoint(run));
+        }
+        let refs: Vec<&[Extent]> = runs.iter().map(Vec::as_slice).collect();
+        prop_assert_eq!(union_sorted(&refs), coalesce(runs.concat()));
+    }
+
+    /// The window kernels agree with a scan of the whole run, for
+    /// windows of every kind: empty, inside one extent, ending on an
+    /// extent boundary, past either end.
+    #[test]
+    fn window_kernels_match_a_full_scan(
+        steps in proptest::collection::vec((0u64..4, 0u64..5), 0..12),
+        offset in 0u64..50,
+        len in 0u64..50,
+    ) {
+        let run = run_of(&steps);
+        let window = Extent::new(offset, len);
+        let scan: Vec<Extent> = run.iter().filter_map(|e| e.intersect(&window)).collect();
+        let bytes: u64 = scan.iter().map(|e| e.len).sum();
+        prop_assert_eq!(bytes_in_sorted(&run, &window), bytes);
+        prop_assert_eq!(touches_sorted(&run, &window), bytes > 0);
+        prop_assert_eq!(clip_sorted(&run, &window), scan);
+    }
+
+    /// `overlaps_sorted` is "some pair intersects".
+    #[test]
+    fn overlaps_sorted_matches_all_pairs(
+        a in proptest::collection::vec((0u64..6, 0u64..4), 0..10),
+        b in proptest::collection::vec((0u64..6, 0u64..4), 0..10),
+    ) {
+        let (a, b) = (run_of(&a), run_of(&b));
+        let any_pair = a.iter().any(|x| b.iter().any(|y| x.overlaps(y)));
+        prop_assert_eq!(overlaps_sorted(&a, &b), any_pair);
+        prop_assert_eq!(overlaps_sorted(&b, &a), any_pair);
     }
 }
