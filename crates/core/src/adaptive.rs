@@ -19,7 +19,7 @@
 //! 3. **Re-place** — aggregators sitting on memory-shocked nodes are
 //!    demoted through the same three-tier failover machinery a crash
 //!    uses, but scored with a contention-aware budget
-//!    ([`select_contended_replacement`]): shocked nodes lose budget,
+//!    ([`contended_budget`]): shocked nodes lose budget,
 //!    crowded nodes are penalized.
 //! 4. **Re-split / defer** — remaining rounds are re-split at exact
 //!    chunk boundaries (plan `check()` preserved), and rounds whose
@@ -35,10 +35,10 @@
 //! exactly the static code path — outputs are byte-identical to
 //! pre-adaptive builds.
 
-use crate::exec_sim::RoundWindow;
-use crate::memory::ProcMemory;
+use crate::exec_sim::{FaultGate, JobMarks, ReplanMark, RoundWindow};
 use crate::plan::{CollectivePlan, GroupPlan};
-use mcio_cluster::{NodeId, ProcessMap, Rank};
+use mcio_cluster::{ProcessMap, Rank};
+use mcio_des::SimTime;
 use mcio_faults::FaultSpec;
 
 /// How eagerly the controller re-plans. The knob trades reaction speed
@@ -259,41 +259,46 @@ pub(crate) fn contention_stretch(
     faulted: &[RoundWindow],
     offset_ns: u64,
 ) -> f64 {
-    let mut degraded_windows: Vec<(u64, u64)> = Vec::new();
-    for ost in 0..nosts {
-        for w in fspec.ost_windows(ost) {
-            if w.rate < 1.0 {
-                degraded_windows.push((w.start.as_nanos(), w.end.as_nanos()));
-            }
-        }
-    }
-    let mut ratios: Vec<f64> = Vec::new();
-    for fw in faulted {
-        let Some(cw) = clean
-            .iter()
-            .find(|c| c.group == fw.group && c.round == fw.round)
-        else {
-            continue;
-        };
-        let cdur = cw.end_ns.saturating_sub(cw.start_ns);
-        let fdur = fw.end_ns.saturating_sub(fw.start_ns);
-        if cdur == 0 || fdur == 0 {
-            continue;
-        }
-        let (fstart, fend) = (fw.start_ns + offset_ns, fw.end_ns + offset_ns);
-        if degraded_windows
-            .iter()
-            .any(|&(s, e)| s < fend && e > fstart)
-        {
-            continue;
-        }
-        ratios.push(fdur as f64 / cdur as f64);
-    }
+    let degraded = degraded_windows(fspec, nosts);
+    let mut ratios: Vec<f64> = probed_slots(clean, faulted)
+        .filter(|&(fw, _, _)| {
+            let (fstart, fend) = (fw.start_ns + offset_ns, fw.end_ns + offset_ns);
+            !degraded.iter().any(|&(s, e)| s < fend && e > fstart)
+        })
+        .map(|(_, cdur, fdur)| fdur as f64 / cdur as f64)
+        .collect();
     if ratios.is_empty() {
         return 1.0;
     }
     ratios.sort_by(|a, b| a.partial_cmp(b).expect("duration ratios are finite"));
     ratios[ratios.len() / 2].max(1.0)
+}
+
+/// The `(start_ns, end_ns)` of every OST window of `fspec` that serves
+/// below nominal rate, in OST order.
+fn degraded_windows(fspec: &FaultSpec, nosts: usize) -> Vec<(u64, u64)> {
+    (0..nosts)
+        .flat_map(|ost| fspec.ost_windows(ost))
+        .filter(|w| w.rate < 1.0)
+        .map(|w| (w.start.as_nanos(), w.end.as_nanos()))
+        .collect()
+}
+
+/// Each faulted probe slot that also ran in the clean probe, with its
+/// clean and faulted durations; slots either probe saw as empty are
+/// skipped.
+fn probed_slots<'w>(
+    clean: &'w [RoundWindow],
+    faulted: &'w [RoundWindow],
+) -> impl Iterator<Item = (&'w RoundWindow, u64, u64)> {
+    faulted.iter().filter_map(|fw| {
+        let cw = clean
+            .iter()
+            .find(|c| c.group == fw.group && c.round == fw.round)?;
+        let cdur = cw.end_ns.saturating_sub(cw.start_ns);
+        let fdur = fw.end_ns.saturating_sub(fw.start_ns);
+        (cdur != 0 && fdur != 0).then_some((fw, cdur, fdur))
+    })
 }
 
 /// Decide which round slots to defer past a degraded OST window.
@@ -317,32 +322,13 @@ pub(crate) fn plan_deferrals(
     offset_ns: u64,
     dur_scale: f64,
 ) -> Vec<DeferDecision> {
-    let mut degraded_windows: Vec<(u64, u64)> = Vec::new();
-    for ost in 0..nosts {
-        for w in fspec.ost_windows(ost) {
-            if w.rate < 1.0 {
-                degraded_windows.push((w.start.as_nanos(), w.end.as_nanos()));
-            }
-        }
-    }
-    if degraded_windows.is_empty() {
+    let degraded = degraded_windows(fspec, nosts);
+    if degraded.is_empty() {
         return Vec::new();
     }
-    degraded_windows.sort_unstable();
 
     let mut out = Vec::new();
-    for fw in faulted {
-        let Some(cw) = clean
-            .iter()
-            .find(|c| c.group == fw.group && c.round == fw.round)
-        else {
-            continue;
-        };
-        let raw_cdur = cw.end_ns.saturating_sub(cw.start_ns);
-        let fdur = fw.end_ns.saturating_sub(fw.start_ns);
-        if raw_cdur == 0 || fdur == 0 {
-            continue;
-        }
+    for (fw, raw_cdur, fdur) in probed_slots(clean, faulted) {
         // The contended-but-clean estimate of the slot's duration.
         let cdur = (raw_cdur as f64 * dur_scale.max(1.0)) as u64;
         let stretch = fdur as f64 / cdur.max(1) as f64;
@@ -351,7 +337,7 @@ pub(crate) fn plan_deferrals(
         }
         let (fstart, fend) = (fw.start_ns + offset_ns, fw.end_ns + offset_ns);
         // Latest exit among degraded windows the stretched slot overlaps.
-        let exit = degraded_windows
+        let exit = degraded
             .iter()
             .filter(|&&(s, e)| s < fend && e > fstart)
             .map(|&(_, e)| e)
@@ -377,54 +363,74 @@ pub(crate) fn plan_deferrals(
     out
 }
 
-/// Contention-aware replacement selection for an adaptive demotion:
-/// the three-tier search of [`crate::exec_faults`]'s failover path,
-/// but scored with an *effective* budget — shocked nodes lose the
-/// shocked fraction, and nodes already hosting aggregators of the
-/// group are penalized so demotions spread instead of piling up.
-/// Integer scoring keeps the choice byte-deterministic.
-pub(crate) fn select_contended_replacement(
-    g: &GroupPlan,
-    map: &ProcessMap,
-    mem: &ProcMemory,
-    down: NodeId,
-    signals: &SignalSnapshot,
-) -> Option<(Rank, u64)> {
-    let aggs_on = |node: NodeId| {
-        g.aggregators
+/// Actuate deferral decisions on one job: each becomes a controller
+/// release gate plus a pid-5 `defer` mark, unless the slot is already
+/// gated. `prefix` and `job` namespace a tenant's gate labels and mark
+/// args (empty and `None` for a job on its own). Returns how many
+/// deferrals were installed.
+pub(crate) fn gate_deferrals(
+    decisions: Vec<DeferDecision>,
+    prefix: &str,
+    job: Option<&str>,
+    marks: &mut JobMarks,
+) -> usize {
+    let mut installed = 0;
+    for d in decisions {
+        if marks
+            .gates
+            .iter()
+            .any(|gt| gt.group == d.group && gt.round == d.round)
+        {
+            continue;
+        }
+        let gname = d.group.map_or_else(|| "all".into(), |g| g.to_string());
+        let label = format!("{prefix}defer.g{gname}.r{}", d.round);
+        marks.gates.push(FaultGate {
+            group: d.group,
+            round: d.round,
+            from: SimTime::from_nanos(d.from_ns),
+            release: SimTime::from_nanos(d.release_ns),
+            label: label.clone(),
+            adaptive: true,
+        });
+        installed += 1;
+        let job_arg = job.map(|j| ("job".to_string(), j.to_string()));
+        marks.replans.push(ReplanMark {
+            name: label,
+            cat: "defer",
+            start_ns: d.from_ns,
+            dur_ns: d.release_ns.saturating_sub(d.from_ns).max(1),
+            slot: None,
+            args: job_arg
+                .into_iter()
+                .chain([("stretch".into(), format!("{:.6}", d.stretch))])
+                .collect(),
+        });
+    }
+    installed
+}
+
+/// The contention-aware score of an adaptive demotion, for the
+/// three-tier search of [`crate::exec_faults`]'s failover path: an
+/// *effective* budget — shocked nodes lose the shocked fraction, and
+/// nodes already hosting aggregators of the group are penalized so
+/// demotions spread instead of piling up. Integer scoring keeps the
+/// choice byte-deterministic.
+pub(crate) fn contended_budget<'a>(
+    g: &'a GroupPlan,
+    map: &'a ProcessMap,
+    signals: &'a SignalSnapshot,
+) -> impl Fn(Rank, u64) -> u64 + 'a {
+    move |r, budget| {
+        let node = map.node_of(r);
+        let aggs_on_node = g
+            .aggregators
             .iter()
             .filter(|a| map.node_of(a.rank) == node)
-            .count() as u64
-    };
-    let effective = |r: Rank, budget: u64| {
-        let node = map.node_of(r);
+            .count() as u64;
         let keep = 1.0 - signals.shock_frac(node.0).clamp(0.0, 1.0);
-        let kept = (budget as f64 * keep) as u64;
-        kept / (1 + aggs_on(node))
-    };
-    let fresh = g
-        .ranks
-        .iter()
-        .copied()
-        .filter(|&r| map.node_of(r) != down)
-        .filter(|&r| !g.aggregators.iter().any(|a| a.rank == r))
-        .max_by_key(|&r| (effective(r, mem.budget(r)), std::cmp::Reverse(r.0)));
-    if let Some(r) = fresh {
-        return Some((r, mem.budget(r).max(1)));
+        (budget as f64 * keep) as u64 / (1 + aggs_on_node)
     }
-    if let Some(a) = g
-        .aggregators
-        .iter()
-        .filter(|a| map.node_of(a.rank) != down)
-        .max_by_key(|a| (effective(a.rank, a.buffer), std::cmp::Reverse(a.rank.0)))
-    {
-        return Some((a.rank, a.buffer));
-    }
-    (0..map.nranks())
-        .map(Rank)
-        .filter(|&r| map.node_of(r) != down)
-        .max_by_key(|&r| (effective(r, mem.budget(r)), std::cmp::Reverse(r.0)))
-        .map(|r| (r, mem.budget(r).max(1)))
 }
 
 /// The coarsest I/O granularity the plan actually uses: the largest
@@ -667,6 +673,7 @@ mod tests {
     #[test]
     fn observed_granularity_is_the_largest_window() {
         use crate::config::CollectiveConfig;
+        use crate::memory::ProcMemory;
         use crate::request::CollectiveRequest;
         use mcio_cluster::{Placement, ProcessMap};
         use mcio_pfs::Extent;

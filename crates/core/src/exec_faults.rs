@@ -46,13 +46,13 @@
 //! produce byte-identical traces and reports.
 
 use crate::adaptive::{
-    observed_granularity, plan_deferrals, select_contended_replacement, AdaptiveOutcome,
+    contended_budget, gate_deferrals, observed_granularity, plan_deferrals, AdaptiveOutcome,
     AdaptivePolicy, SignalSnapshot,
 };
 use crate::config::Strategy;
 use crate::exec_sim::{
-    simulate_inner, Exchange, FaultGate, FaultInjection, Observe, Pipeline, ReplanMark,
-    RoundWindow, SimRun, TimingReport,
+    simulate_inner, Exchange, FaultGate, JobMarks, Observe, Pipeline, ReplanMark, RoundWindow,
+    SimRun, TimingReport,
 };
 use crate::memory::ProcMemory;
 use crate::plan::{AggregatorAssignment, CollectivePlan, GroupPlan, IoOp, Round, SyncMode};
@@ -156,9 +156,7 @@ pub fn simulate_adaptive(
     let adaptive = !policy.is_off() && !fspec.is_empty() && plan.strategy != Strategy::TwoPhase;
 
     let mut xplan = plan.clone();
-    let mut gates: Vec<FaultGate> = Vec::new();
-    let mut degraded: Vec<(Option<usize>, usize)> = Vec::new();
-    let mut replans: Vec<ReplanMark> = Vec::new();
+    let mut marks = JobMarks::default();
     let mut completed = true;
     let mut failovers = 0usize;
     let mut adaptive_out = AdaptiveOutcome {
@@ -170,22 +168,20 @@ pub fn simulate_adaptive(
     // absolute windows of every round slot, i.e. which rounds were
     // still in flight when each structural event struck, and the
     // degraded timeline the controller compares against nominal.
+    let unobserved = Observe {
+        engine: obs.engine,
+        ..Observe::default()
+    };
     let pass1 = (structural || adaptive).then(|| {
-        let probe = FaultInjection {
-            spec: Some(fspec),
-            ..FaultInjection::default()
-        };
         simulate_inner(
             plan,
             map,
             spec,
             pipeline,
             exchange,
-            Observe {
-                engine: obs.engine,
-                ..Observe::default()
-            },
-            Some(&probe),
+            unobserved,
+            Some(fspec),
+            JobMarks::default(),
         )
     });
 
@@ -201,53 +197,38 @@ pub fn simulate_adaptive(
                     .map(|a| a.rank)
                     .filter(|&r| map.node_of(r) == NodeId(host))
                     .collect();
+                let gkey = group_key(plan.sync, gi);
                 for cr in crashed {
                     let affected =
-                        affected_rounds(g, plan.rw, cr, &pass1.windows, plan.sync, gi, at_ns);
-                    if affected.is_empty() {
+                        rounds_after(g, plan.rw, cr, &pass1.windows, gkey, at_ns, Edge::End);
+                    let Some(&first) = affected.first() else {
                         continue;
-                    }
+                    };
                     if plan.strategy == Strategy::TwoPhase {
                         // No failover path in the baseline.
                         completed = false;
                         continue;
                     }
-                    let Some((repl, repl_buffer)) = select_replacement(g, map, mem, NodeId(host))
+                    let Some((repl, repl_buffer)) =
+                        select_replacement(g, map, mem, NodeId(host), |_, budget| budget)
                     else {
                         completed = false;
                         continue;
                     };
-                    if !g.aggregators.iter().any(|a| a.rank == repl) {
-                        let (fd, data_bytes) = g
-                            .aggregators
-                            .iter()
-                            .find(|a| a.rank == cr)
-                            .map(|a| (a.fd, a.data_bytes))
-                            .unwrap_or((Extent::EMPTY, 0));
-                        g.aggregators.push(AggregatorAssignment {
-                            rank: repl,
-                            fd,
-                            buffer: repl_buffer,
-                            data_bytes,
-                        });
-                    }
                     failovers += 1;
-                    let gkey = group_key(plan.sync, gi);
-                    let first = *affected.first().expect("non-empty");
-                    if !gates.iter().any(|gt| gt.group == gkey && gt.round == first) {
-                        gates.push(FaultGate {
-                            group: gkey,
-                            round: first,
-                            from: at,
-                            release: at + FAILOVER_LATENCY,
-                            label: format!("failover.g{gi}.r{first}"),
-                            adaptive: false,
-                        });
-                    }
+                    let gate = FaultGate {
+                        group: gkey,
+                        round: first,
+                        from: at,
+                        release: at + FAILOVER_LATENCY,
+                        label: format!("failover.g{gi}.r{first}"),
+                        adaptive: false,
+                    };
+                    install_replacement(g, cr, (repl, repl_buffer), &mut marks.gates, gate);
                     for r in affected {
                         retarget_round(&mut g.rounds[r], plan.rw, cr, repl);
                         for appended in split_oversized(g, r, repl, repl_buffer, plan.rw) {
-                            degraded.push((gkey, appended));
+                            marks.degraded.push((gkey, appended));
                         }
                     }
                 }
@@ -271,11 +252,9 @@ pub fn simulate_adaptive(
             spec,
             pipeline,
             exchange,
-            Observe {
-                engine: obs.engine,
-                ..Observe::default()
-            },
+            unobserved,
             None,
+            JobMarks::default(),
         );
         let horizon = clean.report.elapsed.as_nanos();
         let signals = SignalSnapshot::sample(fspec, spec.io_servers, horizon, 0.0);
@@ -293,7 +272,7 @@ pub fn simulate_adaptive(
             let tuned = retune_from_signals(base, &signals, policy);
             if tuned.msg_group < base.msg_group {
                 adaptive_out.retuned = Some((base.msg_group, tuned.msg_group));
-                replans.push(ReplanMark {
+                marks.replans.push(ReplanMark {
                     name: "retune.msg_group".into(),
                     cat: "retune",
                     start_ns: 0,
@@ -324,48 +303,33 @@ pub fn simulate_adaptive(
                         .map(|a| a.rank)
                         .filter(|&r| map.node_of(r) == NodeId(node))
                         .collect();
+                    let gkey = group_key(plan.sync, gi);
                     for agg in shocked {
                         let affected =
-                            future_rounds(g, plan.rw, agg, &pass1.windows, plan.sync, gi, at_ns);
-                        if affected.is_empty() {
+                            rounds_after(g, plan.rw, agg, &pass1.windows, gkey, at_ns, Edge::Start);
+                        let Some(&first) = affected.first() else {
                             continue;
-                        }
+                        };
+                        let score = contended_budget(g, map, &signals);
                         let Some((repl, repl_buffer)) =
-                            select_contended_replacement(g, map, mem, NodeId(node), &signals)
+                            select_replacement(g, map, mem, NodeId(node), score)
                         else {
                             continue;
                         };
                         if repl == agg {
                             continue;
                         }
-                        if !g.aggregators.iter().any(|a| a.rank == repl) {
-                            let (fd, data_bytes) = g
-                                .aggregators
-                                .iter()
-                                .find(|a| a.rank == agg)
-                                .map(|a| (a.fd, a.data_bytes))
-                                .unwrap_or((Extent::EMPTY, 0));
-                            g.aggregators.push(AggregatorAssignment {
-                                rank: repl,
-                                fd,
-                                buffer: repl_buffer,
-                                data_bytes,
-                            });
-                        }
                         adaptive_out.demotions += 1;
-                        let gkey = group_key(plan.sync, gi);
-                        let first = *affected.first().expect("non-empty");
-                        if !gates.iter().any(|gt| gt.group == gkey && gt.round == first) {
-                            gates.push(FaultGate {
-                                group: gkey,
-                                round: first,
-                                from: at,
-                                release: at + FAILOVER_LATENCY,
-                                label: format!("replan.g{gi}.r{first}"),
-                                adaptive: true,
-                            });
-                        }
-                        replans.push(ReplanMark {
+                        let gate = FaultGate {
+                            group: gkey,
+                            round: first,
+                            from: at,
+                            release: at + FAILOVER_LATENCY,
+                            label: format!("replan.g{gi}.r{first}"),
+                            adaptive: true,
+                        };
+                        install_replacement(g, agg, (repl, repl_buffer), &mut marks.gates, gate);
+                        marks.replans.push(ReplanMark {
                             name: format!("demote.g{gi}.r{first}"),
                             cat: "demote",
                             start_ns: at_ns,
@@ -383,7 +347,7 @@ pub fn simulate_adaptive(
                             retarget_round(&mut g.rounds[r], plan.rw, agg, repl);
                             for appended in split_oversized(g, r, repl, limit, plan.rw) {
                                 adaptive_out.resplits += 1;
-                                replans.push(ReplanMark {
+                                marks.replans.push(ReplanMark {
                                     name: format!("resplit.g{gi}.r{appended}"),
                                     cat: "resplit",
                                     start_ns: 0,
@@ -400,7 +364,7 @@ pub fn simulate_adaptive(
             // (3) Defer rounds past degraded OST windows when the probe
             // says waiting beats crawling (timing-only: no plan bytes
             // change).
-            for d in plan_deferrals(
+            let decisions = plan_deferrals(
                 fspec,
                 policy,
                 spec.io_servers,
@@ -408,32 +372,8 @@ pub fn simulate_adaptive(
                 &pass1.windows,
                 0,
                 1.0,
-            ) {
-                if gates
-                    .iter()
-                    .any(|gt| gt.group == d.group && gt.round == d.round)
-                {
-                    continue;
-                }
-                let gname = d.group.map_or_else(|| "all".into(), |g| g.to_string());
-                gates.push(FaultGate {
-                    group: d.group,
-                    round: d.round,
-                    from: SimTime::from_nanos(d.from_ns),
-                    release: SimTime::from_nanos(d.release_ns),
-                    label: format!("defer.g{gname}.r{}", d.round),
-                    adaptive: true,
-                });
-                adaptive_out.deferrals += 1;
-                replans.push(ReplanMark {
-                    name: format!("defer.g{gname}.r{}", d.round),
-                    cat: "defer",
-                    start_ns: d.from_ns,
-                    dur_ns: d.release_ns.saturating_sub(d.from_ns).max(1),
-                    slot: None,
-                    args: vec![("stretch".into(), format!("{:.6}", d.stretch))],
-                });
-            }
+            );
+            adaptive_out.deferrals = gate_deferrals(decisions, "", None, &mut marks);
         }
     }
 
@@ -457,13 +397,11 @@ pub fn simulate_adaptive(
                         (a.rank, eff.max(1))
                     })
                     .collect();
+                let gkey = group_key(plan.sync, gi);
                 for (agg, effective) in shocked {
-                    let affected =
-                        affected_rounds(g, plan.rw, agg, &pass1.windows, plan.sync, gi, at_ns);
-                    let gkey = group_key(plan.sync, gi);
-                    for r in affected {
+                    for r in rounds_after(g, plan.rw, agg, &pass1.windows, gkey, at_ns, Edge::End) {
                         for appended in split_oversized(g, r, agg, effective, plan.rw) {
-                            degraded.push((gkey, appended));
+                            marks.degraded.push((gkey, appended));
                         }
                     }
                 }
@@ -473,20 +411,23 @@ pub fn simulate_adaptive(
 
     // Pass 2 (or the only pass): the transformed plan under the full
     // injection, observed as the caller asked.
-    let injection = FaultInjection {
-        spec: Some(fspec),
-        gates,
-        degraded,
-        replans,
-    };
-    let run: SimRun = simulate_inner(&xplan, map, spec, pipeline, exchange, obs, Some(&injection));
+    let degraded_rounds = marks.degraded.len();
+    let run: SimRun = simulate_inner(
+        &xplan,
+        map,
+        spec,
+        pipeline,
+        exchange,
+        obs,
+        Some(fspec),
+        marks,
+    );
     let retries: u64 = run
         .retry_marks
         .iter()
         .map(|m| u64::from(m.attempts.saturating_sub(1)))
         .sum();
     let retry_exhausted = run.retry_marks.iter().filter(|m| m.exhausted).count() as u64;
-    let degraded_rounds = injection.degraded.len();
 
     if let Some(reg) = obs.registry {
         let strat = [("strategy", plan.strategy.label())];
@@ -584,57 +525,29 @@ fn group_key(sync: SyncMode, gi: usize) -> Option<usize> {
     }
 }
 
-/// Rounds of `g` that involve aggregator `agg` and were still in flight
-/// (or not yet started) at `at_ns`, per the pass-1 windows. Rounds with
-/// no recorded window (e.g. created by an earlier transform) count as
-/// affected.
-fn affected_rounds(
-    g: &GroupPlan,
-    rw: Rw,
-    agg: Rank,
-    windows: &[RoundWindow],
-    sync: SyncMode,
-    gi: usize,
-    at_ns: u64,
-) -> Vec<usize> {
-    let gkey = group_key(sync, gi);
-    (0..g.rounds.len())
-        .filter(|&r| {
-            let round = &g.rounds[r];
-            let involves = round.ios.iter().any(|io| io.agg == agg)
-                || round.messages.iter().any(|m| match rw {
-                    Rw::Write => m.dst == agg,
-                    Rw::Read => m.src == agg,
-                });
-            if !involves {
-                return false;
-            }
-            let end = windows
-                .iter()
-                .filter(|w| w.round == r && (w.group == gkey || w.group.is_none()))
-                .map(|w| w.end_ns)
-                .max()
-                .unwrap_or(u64::MAX);
-            end > at_ns
-        })
-        .collect()
+/// Which edge of a round's pass-1 window must lie after an event for
+/// the round to still count.
+#[derive(Clone, Copy)]
+enum Edge {
+    /// Its end: the round was still in flight, or had not started.
+    End,
+    /// Its start: the round had not started and can still change
+    /// aggregator cleanly (the adaptive demotion path).
+    Start,
 }
 
-/// Rounds of `g` that involve aggregator `agg` and had not *started*
-/// yet at `at_ns`, per the pass-1 windows — the adaptive demotion path
-/// only re-targets rounds that can still change aggregator cleanly.
-/// Rounds with no recorded window (created by an earlier transform,
-/// executed at the end of the chain) count as future.
-fn future_rounds(
+/// Rounds of `g` that involve aggregator `agg` and whose pass-1 window
+/// `edge` lies after `at_ns`. Rounds with no recorded window (created
+/// by an earlier transform, executed at the end of the chain) count.
+fn rounds_after(
     g: &GroupPlan,
     rw: Rw,
     agg: Rank,
     windows: &[RoundWindow],
-    sync: SyncMode,
-    gi: usize,
+    gkey: Option<usize>,
     at_ns: u64,
+    edge: Edge,
 ) -> Vec<usize> {
-    let gkey = group_key(sync, gi);
     (0..g.rounds.len())
         .filter(|&r| {
             let round = &g.rounds[r];
@@ -646,39 +559,44 @@ fn future_rounds(
             if !involves {
                 return false;
             }
-            let start = windows
+            let slots = windows
                 .iter()
-                .filter(|w| w.round == r && (w.group == gkey || w.group.is_none()))
-                .map(|w| w.start_ns)
-                .min()
-                .unwrap_or(u64::MAX);
-            start > at_ns
+                .filter(|w| w.round == r && (w.group == gkey || w.group.is_none()));
+            let edge_ns = match edge {
+                Edge::End => slots.map(|w| w.end_ns).max(),
+                Edge::Start => slots.map(|w| w.start_ns).min(),
+            };
+            edge_ns.unwrap_or(u64::MAX) > at_ns
         })
         .collect()
 }
 
 /// Memory-aware replacement selection, mirroring the planner's placement
-/// scoring: prefer a non-aggregator member rank off the crashed node
-/// with the largest memory budget (lowest rank breaks ties); fall back
-/// to an existing aggregator of the group off the node (reusing its
-/// buffer); as a last resort *borrow* any off-node rank of the job —
-/// node-aligned groups can be confined to the crashed node, and a
+/// scoring: prefer a non-aggregator member rank off the `down` node
+/// with the best score (lowest rank breaks ties); fall back to an
+/// existing aggregator of the group off the node (reusing its buffer);
+/// as a last resort *borrow* any off-node rank of the job —
+/// node-aligned groups can be confined to the down node, and a
 /// borrowed aggregator on a healthy node is what keeps the collective
-/// alive. `None` only when every rank of the job lives on the crashed
-/// node.
+/// alive. `score(rank, budget)` ranks the candidates: a crash failover
+/// scores by the budget itself, an adaptive demotion by
+/// [`contended_budget`]. `None` only when every rank of the job lives
+/// on the down node.
 fn select_replacement(
     g: &GroupPlan,
     map: &ProcessMap,
     mem: &ProcMemory,
     down: NodeId,
+    score: impl Fn(Rank, u64) -> u64,
 ) -> Option<(Rank, u64)> {
+    let by_budget = |&r: &Rank| (score(r, mem.budget(r)), std::cmp::Reverse(r.0));
     let fresh = g
         .ranks
         .iter()
         .copied()
         .filter(|&r| map.node_of(r) != down)
         .filter(|&r| !g.aggregators.iter().any(|a| a.rank == r))
-        .max_by_key(|&r| (mem.budget(r), std::cmp::Reverse(r.0)));
+        .max_by_key(by_budget);
     if let Some(r) = fresh {
         return Some((r, mem.budget(r).max(1)));
     }
@@ -686,15 +604,47 @@ fn select_replacement(
         .aggregators
         .iter()
         .filter(|a| map.node_of(a.rank) != down)
-        .max_by_key(|a| (a.buffer, std::cmp::Reverse(a.rank.0)))
+        .max_by_key(|a| (score(a.rank, a.buffer), std::cmp::Reverse(a.rank.0)))
     {
         return Some((a.rank, a.buffer));
     }
     (0..map.nranks())
         .map(Rank)
         .filter(|&r| map.node_of(r) != down)
-        .max_by_key(|&r| (mem.budget(r), std::cmp::Reverse(r.0)))
+        .max_by_key(by_budget)
         .map(|r| (r, mem.budget(r).max(1)))
+}
+
+/// Make `repl` an aggregator of `g` in `from`'s place, inheriting its
+/// file domain, unless it already is one, and hold the first re-routed
+/// round behind `gate` unless that slot is already gated.
+fn install_replacement(
+    g: &mut GroupPlan,
+    from: Rank,
+    (repl, buffer): (Rank, u64),
+    gates: &mut Vec<FaultGate>,
+    gate: FaultGate,
+) {
+    if !g.aggregators.iter().any(|a| a.rank == repl) {
+        let (fd, data_bytes) = g
+            .aggregators
+            .iter()
+            .find(|a| a.rank == from)
+            .map(|a| (a.fd, a.data_bytes))
+            .unwrap_or((Extent::EMPTY, 0));
+        g.aggregators.push(AggregatorAssignment {
+            rank: repl,
+            fd,
+            buffer,
+            data_bytes,
+        });
+    }
+    if !gates
+        .iter()
+        .any(|gt| gt.group == gate.group && gt.round == gate.round)
+    {
+        gates.push(gate);
+    }
 }
 
 /// Re-point every aggregator-side endpoint of `round` from `from` to

@@ -16,6 +16,12 @@
 //!
 //! The result is the collective's makespan, reported as aggregate
 //! bandwidth the way the paper's figures are (total bytes / elapsed).
+//!
+//! There is one executor, `execute`: it lowers any number of jobs into
+//! one simulation, runs it and attributes the result per job. A solo
+//! run is its one-job case, [`crate::multitenant`] passes several jobs,
+//! and [`crate::exec_faults`] passes a transformed plan with its gates
+//! (DESIGN.md §9).
 
 use crate::plan::{CollectivePlan, Round, SyncMode};
 use mcio_cluster::spec::ClusterSpec;
@@ -183,19 +189,62 @@ pub(crate) struct ReplanMark {
     pub args: Vec<(String, String)>,
 }
 
-/// Everything `simulate_inner` needs to inject a fault plan: the spec
-/// (OST perturbations + transient process), the failover gates, and the
-/// rounds created or re-shaped by graceful degradation (trace-marked).
+/// What the fault and adaptive transforms attach to one job of an
+/// execution: its release gates, the rounds graceful degradation
+/// created or re-shaped (trace-marked), and the controller's decisions.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct FaultInjection<'f> {
-    /// The fault plan (OST windows, transient failures, event markers).
-    pub spec: Option<&'f FaultSpec>,
-    /// Failover gates keyed by (group, round).
+pub(crate) struct JobMarks {
+    /// Release gates keyed by (group, round).
     pub gates: Vec<FaultGate>,
     /// (group, round) slots produced by degradation re-rounding.
     pub degraded: Vec<(Option<usize>, usize)>,
     /// Closed-loop controller decisions (pid-5 "replan" lanes).
     pub replans: Vec<ReplanMark>,
+}
+
+/// What a job's [`TimingReport::elapsed`] measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Elapsed {
+    /// The machine's makespan (a collective simulated on its own).
+    Makespan,
+    /// The job's span: arrival to the end of its last round slot.
+    Span,
+}
+
+/// One job of an [`execute`] call.
+pub(crate) struct ExecJob<'a> {
+    /// The planned collective.
+    pub plan: &'a CollectivePlan,
+    /// Process placement on the machine's nodes (any node offset
+    /// already applied).
+    pub map: &'a ProcessMap,
+    /// Round pipelining mode.
+    pub pipeline: Pipeline,
+    /// Exchange shape.
+    pub exchange: Exchange,
+    /// Arrival time: a release-gated activity holds back every chain's
+    /// first round (none is created for an arrival at zero).
+    pub start: SimDuration,
+    /// Namespace of every activity label and pid-2 lane name of the
+    /// job (`j{n}.` among several tenants, empty for one job, which
+    /// keeps its labels the historical solo ones).
+    pub prefix: String,
+    /// What the job's report calls `elapsed`.
+    pub elapsed: Elapsed,
+    /// Gates, degraded slots and controller decisions of the job.
+    pub marks: JobMarks,
+}
+
+/// One job's share of an [`Executed`] run.
+pub(crate) struct JobRun {
+    /// The job's timing report (busy maxima and engine counters are
+    /// machine-wide).
+    pub report: TimingReport,
+    /// Absolute round-slot windows (fault analysis input).
+    pub windows: Vec<RoundWindow>,
+    /// End of the job's last round slot (at least its arrival),
+    /// nanoseconds.
+    pub end_ns: u64,
 }
 
 /// Internal result of one lowered-and-run simulation.
@@ -222,16 +271,8 @@ pub fn simulate_two_level(
     map: &ProcessMap,
     spec: &ClusterSpec,
 ) -> TimingReport {
-    simulate_inner(
-        plan,
-        map,
-        spec,
-        Pipeline::Serial,
-        Exchange::TwoLevel,
-        Observe::default(),
-        None,
-    )
-    .report
+    let obs = Observe::default();
+    simulate_observed(plan, map, spec, Pipeline::Serial, Exchange::TwoLevel, obs).0
 }
 
 /// Simulate and return a Chrome-trace JSON timeline (open in Perfetto /
@@ -244,19 +285,13 @@ pub fn trace_plan(
     map: &ProcessMap,
     spec: &ClusterSpec,
 ) -> (TimingReport, String) {
-    let run = simulate_inner(
-        plan,
-        map,
-        spec,
-        Pipeline::Serial,
-        Exchange::Direct,
-        Observe {
-            trace: true,
-            ..Observe::default()
-        },
-        None,
-    );
-    (run.report, run.trace.expect("trace was requested"))
+    let obs = Observe {
+        trace: true,
+        ..Observe::default()
+    };
+    let (report, trace) =
+        simulate_observed(plan, map, spec, Pipeline::Serial, Exchange::Direct, obs);
+    (report, trace.expect("trace was requested"))
 }
 
 /// Simulate with an explicit round-pipelining mode.
@@ -266,16 +301,8 @@ pub fn simulate_opts(
     spec: &ClusterSpec,
     pipeline: Pipeline,
 ) -> TimingReport {
-    simulate_inner(
-        plan,
-        map,
-        spec,
-        pipeline,
-        Exchange::Direct,
-        Observe::default(),
-        None,
-    )
-    .report
+    let obs = Observe::default();
+    simulate_observed(plan, map, spec, pipeline, Exchange::Direct, obs).0
 }
 
 /// What to capture while simulating, beyond the [`TimingReport`].
@@ -309,10 +336,21 @@ pub fn simulate_observed(
     exchange: Exchange,
     obs: Observe<'_>,
 ) -> (TimingReport, Option<String>) {
-    let run = simulate_inner(plan, map, spec, pipeline, exchange, obs, None);
+    let run = simulate_inner(
+        plan,
+        map,
+        spec,
+        pipeline,
+        exchange,
+        obs,
+        None,
+        JobMarks::default(),
+    );
     (run.report, run.trace)
 }
 
+/// One plan on its own machine: the N = 1 [`execute`] call, plus the
+/// solo registry samples (no `job` label).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_inner(
     plan: &CollectivePlan,
@@ -321,11 +359,85 @@ pub(crate) fn simulate_inner(
     pipeline: Pipeline,
     exchange: Exchange,
     obs: Observe<'_>,
-    faults: Option<&FaultInjection<'_>>,
+    faults: Option<&FaultSpec>,
+    marks: JobMarks,
 ) -> SimRun {
+    let job = [ExecJob {
+        plan,
+        map,
+        pipeline,
+        exchange,
+        start: SimDuration::ZERO,
+        prefix: String::new(),
+        elapsed: Elapsed::Makespan,
+        marks,
+    }];
+    let mut ex = execute(spec, &job, faults, obs);
+    let trace = ex.trace_json(|_| {});
+    let JobRun {
+        report, windows, ..
+    } = ex.runs.pop().expect("one job in, one run out");
+    if let Some(reg) = obs.registry {
+        plan.record_into(reg);
+        record_run(reg, plan.strategy.label(), None, &report);
+    }
+    SimRun {
+        report,
+        trace,
+        windows,
+        retry_marks: ex.retry_marks,
+    }
+}
+
+/// One job as lowered into the shared simulation.
+struct Lowered {
+    meta: Vec<SlotMeta>,
+    /// `groups[ci]` is the plan group chain `ci` serves.
+    groups: Vec<Option<usize>>,
+    /// Activity ids the job created (its start gate, release gates,
+    /// messages, PFS requests and joins) — the ownership key for
+    /// attributing service records to jobs.
+    acts: std::ops::Range<usize>,
+}
+
+/// A finished [`execute`] call: per-job results plus what the trace
+/// and the tenant metrics read back from the one DES run.
+pub(crate) struct Executed<'a> {
+    /// One run per job, in job order.
+    pub runs: Vec<JobRun>,
+    /// Completion of the last activity of any job.
+    pub makespan: SimDuration,
+    /// Retry chains the PFS expanded (empty without armed faults).
+    pub retry_marks: Vec<RetryMark>,
+    jobs: &'a [ExecJob<'a>],
+    faults: Option<&'a FaultSpec>,
+    obs: Observe<'a>,
+    des: mcio_des::RunReport,
+    pfs: Pfs,
+    lowered: Vec<Lowered>,
+}
+
+/// The executor: lower `jobs` into one DES over one fabric and one PFS
+/// of `spec`'s machine, run it, and attribute the result per job.
+///
+/// Every execution path is a call of this function — a solo run is one
+/// job arriving at zero, a multi-tenant run is several, a fault or
+/// controller transform is the `marks` it hands each job, and `faults`
+/// arms the machine-level injection (OST windows, transient request
+/// failures) on the shared PFS. Service records are kept when the
+/// trace is wanted or when there is more than one job to tell apart.
+///
+/// # Panics
+/// Panics if a job's process map needs more nodes than the machine has.
+pub(crate) fn execute<'a>(
+    spec: &ClusterSpec,
+    jobs: &'a [ExecJob<'a>],
+    faults: Option<&'a FaultSpec>,
+    obs: Observe<'a>,
+) -> Executed<'a> {
     let build_scope = obs.prof.map(|p| p.scope("build-activity-graph"));
     let mut sim = Simulation::with_policy(obs.engine);
-    if obs.trace {
+    if obs.trace || jobs.len() > 1 {
         sim.enable_trace();
     }
     let fabric = Fabric::build(&mut sim, spec);
@@ -333,179 +445,237 @@ pub(crate) fn simulate_inner(
     if let Some(reg) = obs.registry {
         pfs.set_registry(Arc::clone(reg));
     }
-    if let Some(fspec) = faults.and_then(|f| f.spec) {
+    if let Some(fspec) = faults {
         pfs.apply_faults(&mut sim, fspec);
     }
-    assert!(
-        map.nnodes() <= fabric.nnodes(),
-        "process map uses more nodes than the cluster has"
-    );
 
-    // Failover gates: a round slot hit by a crash may not start before
-    // the re-coordination window closes. One release-gated activity per
-    // (group, round) the fault transform flagged.
-    let mut gate_acts: std::collections::HashMap<(Option<usize>, usize), ActivityId> =
-        std::collections::HashMap::new();
-    if let Some(f) = faults {
-        for gate in &f.gates {
-            let act = sim.add_activity(Activity::new(gate.label.clone()).release_at(gate.release));
-            gate_acts.insert((gate.group, gate.round), act);
-        }
+    let mut lowered: Vec<Lowered> = Vec::with_capacity(jobs.len());
+    for job in jobs {
+        assert!(
+            job.map.nnodes() <= fabric.nnodes(),
+            "{}process map uses {} nodes but the machine has {}",
+            job.prefix,
+            job.map.nnodes(),
+            fabric.nnodes()
+        );
+        let act_lo = sim.activity_count();
+        let start_gate = (!job.start.is_zero()).then(|| {
+            sim.add_activity(
+                Activity::new(format!("{}start", job.prefix)).release_at(SimTime::ZERO + job.start),
+            )
+        });
+        // A gated round slot may not start before its gate releases
+        // (failover re-coordination, controller deferral/demotion).
+        let gate_acts: std::collections::HashMap<(Option<usize>, usize), ActivityId> = job
+            .marks
+            .gates
+            .iter()
+            .map(|gate| {
+                let act =
+                    sim.add_activity(Activity::new(gate.label.clone()).release_at(gate.release));
+                ((gate.group, gate.round), act)
+            })
+            .collect();
+        let (meta, groups) = lower_plan(&mut sim, &fabric, &pfs, job, &gate_acts, start_gate);
+        lowered.push(Lowered {
+            meta,
+            groups,
+            acts: act_lo..sim.activity_count(),
+        });
     }
-
-    let (round_meta, chain_groups) = lower_plan(
-        &mut sim, &fabric, &pfs, plan, map, pipeline, exchange, &gate_acts, None, "",
-    );
-
-    let activities = sim.activity_count();
     drop(build_scope);
+
     let run_scope = obs.prof.map(|p| p.scope("des-run"));
-    let report = sim.run().expect("collective plan DAG is acyclic");
+    let des = sim.run().expect("collective plan DAG is acyclic");
     drop(run_scope);
     let retry_marks = pfs.take_retry_marks();
-
+    let makespan = des.makespan().saturating_since(SimTime::ZERO);
     let (membus_busy_max, nic_busy_max, ost_busy_max, ost_busy_total) =
-        busy_maxima(&report, &fabric, &pfs);
+        busy_maxima(&des, &fabric, &pfs);
 
-    let Attribution {
-        exchange_time,
-        io_time,
-        rounds: round_phases,
-        windows,
-        agg_io,
-    } = attribute_phases(plan.rw, &report, &round_meta, &chain_groups);
-
-    let bytes: u64 = plan.groups.iter().map(|g| g.io_bytes()).sum();
-    let elapsed = report.makespan().saturating_since(SimTime::ZERO);
-    let bandwidth_mibs = if elapsed.is_zero() {
-        0.0
-    } else {
-        bytes as f64 / (1024.0 * 1024.0) / elapsed.as_secs_f64()
-    };
-    let (exchange_fraction, io_fraction) = phase_fractions(exchange_time, io_time);
-    let metrics = RunMetrics {
-        exchange_fraction,
-        io_fraction,
-        rounds: round_phases,
-        agg_io,
-    };
+    let runs = jobs
+        .iter()
+        .zip(&lowered)
+        .map(|(job, l)| {
+            let Attribution {
+                exchange_time,
+                io_time,
+                rounds,
+                windows,
+                agg_io,
+            } = attribute_phases(job.plan.rw, &des, &l.meta, &l.groups);
+            let start_ns = job.start.as_nanos();
+            let end_ns = windows
+                .iter()
+                .map(|w| w.end_ns)
+                .max()
+                .unwrap_or(start_ns)
+                .max(start_ns);
+            let elapsed = match job.elapsed {
+                Elapsed::Makespan => makespan,
+                Elapsed::Span => SimDuration::from_nanos(end_ns - start_ns),
+            };
+            let bytes: u64 = job.plan.groups.iter().map(|g| g.io_bytes()).sum();
+            let bandwidth_mibs = if elapsed.is_zero() {
+                0.0
+            } else {
+                bytes as f64 / (1024.0 * 1024.0) / elapsed.as_secs_f64()
+            };
+            let (exchange_fraction, io_fraction) = phase_fractions(exchange_time, io_time);
+            let report = TimingReport {
+                elapsed,
+                exchange_time,
+                io_time,
+                bytes,
+                bandwidth_mibs,
+                membus_busy_max,
+                nic_busy_max,
+                ost_busy_max,
+                ost_busy_total,
+                activities: l.acts.len(),
+                engine: des.engine_profile(),
+                metrics: RunMetrics {
+                    exchange_fraction,
+                    io_fraction,
+                    rounds,
+                    agg_io,
+                },
+            };
+            JobRun {
+                report,
+                windows,
+                end_ns,
+            }
+        })
+        .collect();
 
     if let Some(reg) = obs.registry {
-        plan.record_into(reg);
-        report.record_into(reg);
+        des.record_into(reg);
         pfs.record_imbalance();
-        record_run(
-            reg,
-            plan.strategy.label(),
-            None,
-            elapsed,
-            bytes,
-            bandwidth_mibs,
-            &metrics,
-        );
+    }
+    Executed {
+        runs,
+        makespan,
+        retry_marks,
+        jobs,
+        faults,
+        obs,
+        des,
+        pfs,
+        lowered,
+    }
+}
+
+impl Executed<'_> {
+    /// Deterministic engine counters of the one shared DES run.
+    pub(crate) fn engine(&self) -> mcio_des::EngineProfile {
+        self.des.engine_profile()
     }
 
-    // Unified trace: resource service lanes (pid 1) plus the logical
-    // round-phase lanes (pid 2), one thread per chain.
-    let trace_json = if obs.trace {
-        let _emit_scope = obs.prof.map(|p| p.scope("trace-emit"));
-        let tc = TraceCollector::new();
-        report.trace_into(&tc, 1);
-        tc.name_process(2, "plan.rounds");
-        emit_round_spans(
-            &tc,
-            &report,
-            plan.rw,
-            &round_meta,
-            &chain_groups,
-            &metrics.rounds,
-            0,
-            "",
-        );
-        // Fault lanes (pid 3): injected events, failover gates,
-        // degradation re-rounds, and per-OST retry/backoff chains. The
-        // "inject" category is descriptive only; the resilience
-        // categories (retry/backoff/failover/degraded) feed the fifth
-        // critical-path bucket in `mcio-analyze`.
-        // An all-empty injection (no events, no gates, no degradation,
-        // no retries) is skipped entirely so a faulted run with an empty
-        // plan produces a trace byte-identical to a fault-free run.
-        if let Some(f) = faults.filter(|f| {
-            f.spec.is_some_and(|s| !s.is_empty())
-                || !f.gates.is_empty()
-                || !f.degraded.is_empty()
-                || !retry_marks.is_empty()
-        }) {
-            trace_faults(&tc, f, &report, &windows, &retry_marks, elapsed.as_nanos());
+    /// Per-job OST service intervals `(start_ns, end_ns)`: every service
+    /// record on an OST resource belongs to exactly one job, found by
+    /// its activity-id range. Empty when no service records were kept.
+    pub(crate) fn ost_service(&self) -> Vec<Vec<(u64, u64)>> {
+        let mut per_job = vec![Vec::new(); self.jobs.len()];
+        let Some(records) = self.des.trace() else {
+            return per_job;
+        };
+        let ost_ids: std::collections::HashSet<_> = (0..self.pfs.ost_count())
+            .map(|o| self.pfs.ost_resource(mcio_pfs::OstId(o)))
+            .collect();
+        for rec in records.iter().filter(|r| ost_ids.contains(&r.resource)) {
+            // The jobs' activity ranges are disjoint and ascending.
+            let idx = rec.activity.index();
+            let ji = self.lowered.partition_point(|l| l.acts.end <= idx);
+            if self.lowered.get(ji).is_some_and(|l| l.acts.contains(&idx)) {
+                let start = rec.start.saturating_since(SimTime::ZERO).as_nanos();
+                let end = rec.end.saturating_since(SimTime::ZERO).as_nanos();
+                if end > start {
+                    per_job[ji].push((start, end));
+                }
+            }
         }
-        // Replan lanes (pid 5): closed-loop controller decisions.
-        // Emitted only when the controller actually acted, so an
-        // `AdaptivePolicy::Off` run stays byte-identical.
-        if let Some(f) = faults.filter(|f| !f.replans.is_empty()) {
-            trace_replan(&tc, &f.replans, &windows, elapsed.as_nanos());
-        }
-        Some(tc.chrome_trace_json())
-    } else {
-        None
-    };
+        per_job
+    }
 
-    SimRun {
-        report: TimingReport {
-            elapsed,
-            exchange_time,
-            io_time,
-            bytes,
-            bandwidth_mibs,
-            membus_busy_max,
-            nic_busy_max,
-            ost_busy_max,
-            ost_busy_total,
-            activities,
-            engine: report.engine_profile(),
-            metrics,
-        },
-        trace: trace_json,
-        windows,
-        retry_marks,
+    /// The unified Chrome trace, when [`Observe::trace`] asked for it:
+    /// resource service lanes (pid 1), the jobs' round-phase lanes
+    /// (pid 2, one thread per chain, stacked in job order), fault lanes
+    /// (pid 3) and replan lanes (pid 5). `extra` appends the caller's
+    /// own lanes before the JSON is rendered.
+    pub(crate) fn trace_json(&self, extra: impl FnOnce(&TraceCollector)) -> Option<String> {
+        if !self.obs.trace {
+            return None;
+        }
+        let _emit_scope = self.obs.prof.map(|p| p.scope("trace-emit"));
+        let tc = TraceCollector::new();
+        self.des.trace_into(&tc, 1);
+        tc.name_process(2, "plan.rounds");
+        let mut tid_base = 0u64;
+        for ((job, l), run) in self.jobs.iter().zip(&self.lowered).zip(&self.runs) {
+            emit_round_spans(&tc, job, l, run, tid_base);
+            tid_base += l.groups.len() as u64;
+        }
+        // The "inject" category is descriptive only; the resilience
+        // categories (retry/backoff/failover/degraded) feed the fifth
+        // critical-path bucket in `mcio-analyze`. A run that injected
+        // and absorbed nothing emits no fault lanes at all, so an empty
+        // fault plan keeps the trace byte-identical to a fault-free run.
+        if self.faults.is_some_and(|s| !s.is_empty())
+            || !self.retry_marks.is_empty()
+            || self
+                .jobs
+                .iter()
+                .any(|j| !j.marks.gates.is_empty() || !j.marks.degraded.is_empty())
+        {
+            trace_faults(&tc, self);
+        }
+        // Emitted only when a controller actually acted, so an
+        // `AdaptivePolicy::Off` run stays byte-identical.
+        if self.jobs.iter().any(|j| !j.marks.replans.is_empty()) {
+            trace_replan(&tc, self);
+        }
+        extra(&tc);
+        Some(tc.chrome_trace_json())
     }
 }
 
 /// Per-slot metadata for phase attribution: the activities the slot's
 /// first phase waited on, its messages and its I/O completions (also
 /// grouped per aggregator).
-pub(crate) struct SlotMeta {
-    pub(crate) chain: usize,
-    pub(crate) round: usize,
-    pub(crate) first_deps: Vec<ActivityId>,
-    pub(crate) msgs: Vec<ActivityId>,
-    pub(crate) ios: Vec<ActivityId>,
-    pub(crate) agg_ios: Vec<(Rank, Vec<ActivityId>)>,
+struct SlotMeta {
+    chain: usize,
+    round: usize,
+    first_deps: Vec<ActivityId>,
+    msgs: Vec<ActivityId>,
+    ios: Vec<ActivityId>,
+    agg_ios: Vec<(Rank, Vec<ActivityId>)>,
 }
 
-/// Lower a whole plan into `sim`: build the round chains (global sync
+/// Lower one job's plan into `sim`: build the round chains (global sync
 /// zips every group into one chain; per-group sync gives each group its
 /// own), wire the pipelining dependencies, and add the per-slot joins.
 ///
-/// `prefix` namespaces every activity label this plan creates (the
-/// multi-tenant runner passes `j{n}.` so traces and analysis can
-/// attribute work to its job; the solo executors pass `""`, which keeps
-/// their labels byte-identical to the historical ones). `start_gate`
-/// delays every chain's first round — the job's arrival time. Returns
-/// the slot metadata plus `chain_groups` (`chain_groups[ci]` is the
-/// plan group chain `ci` serves; `None` = all groups, global sync).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn lower_plan(
+/// `job.prefix` namespaces every activity label the plan creates and
+/// `start_gate` delays every chain's first round (the job's arrival).
+/// Returns the slot metadata plus `chain_groups` (`chain_groups[ci]` is
+/// the plan group chain `ci` serves; `None` = all groups, global sync).
+fn lower_plan(
     sim: &mut Simulation,
     fabric: &Fabric,
     pfs: &Pfs,
-    plan: &CollectivePlan,
-    map: &ProcessMap,
-    pipeline: Pipeline,
-    exchange: Exchange,
+    job: &ExecJob<'_>,
     gate_acts: &std::collections::HashMap<(Option<usize>, usize), ActivityId>,
     start_gate: Option<ActivityId>,
-    prefix: &str,
 ) -> (Vec<SlotMeta>, Vec<Option<usize>>) {
+    let &ExecJob {
+        plan,
+        map,
+        pipeline,
+        exchange,
+        ref prefix,
+        ..
+    } = job;
     // Chains of round-slots: Global sync zips all groups into one chain;
     // PerGroup gives each group its own. `chain_groups[ci]` remembers
     // which plan group chain `ci` serves (`None` = all groups, under
@@ -623,7 +793,7 @@ pub(crate) fn lower_plan(
 /// Busy-time maxima over the machine's resources: the busiest memory
 /// bus, the busiest NIC direction, the busiest OST, and the summed OST
 /// busy time.
-pub(crate) fn busy_maxima(
+fn busy_maxima(
     report: &mcio_des::RunReport,
     fabric: &Fabric,
     pfs: &Pfs,
@@ -651,25 +821,25 @@ pub(crate) fn busy_maxima(
 }
 
 /// Phase attribution of one lowered plan after the simulation ran.
-pub(crate) struct Attribution {
+struct Attribution {
     /// Attribution-sum exchange time over the plan's chains.
-    pub(crate) exchange_time: SimDuration,
+    exchange_time: SimDuration,
     /// Attribution-sum file-access time over the plan's chains.
-    pub(crate) io_time: SimDuration,
+    io_time: SimDuration,
     /// Per round-slot phase durations, chain-major.
-    pub(crate) rounds: Vec<RoundPhase>,
+    rounds: Vec<RoundPhase>,
     /// Absolute executed window of every slot.
-    pub(crate) windows: Vec<RoundWindow>,
+    windows: Vec<RoundWindow>,
     /// Per-aggregator file-access time (first request start → last
     /// done, summed over rounds), keyed by rank index.
-    pub(crate) agg_io: Vec<(usize, SimDuration)>,
+    agg_io: Vec<(usize, SimDuration)>,
 }
 
 /// Attribute each round slot's executed window to its exchange and I/O
 /// phases: messages span [start, last message done]; I/O spans the rest
 /// of the round. Reads do I/O first, so the roles of the two interval
 /// ends swap.
-pub(crate) fn attribute_phases(
+fn attribute_phases(
     rw: Rw,
     report: &mcio_des::RunReport,
     round_meta: &[SlotMeta],
@@ -747,7 +917,7 @@ pub(crate) fn attribute_phases(
 
 /// Normalize an attribution sum into `(exchange_fraction, io_fraction)`
 /// (both zero when nothing was attributed).
-pub(crate) fn phase_fractions(exchange_time: SimDuration, io_time: SimDuration) -> (f64, f64) {
+fn phase_fractions(exchange_time: SimDuration, io_time: SimDuration) -> (f64, f64) {
     let attributed = exchange_time + io_time;
     if attributed.is_zero() {
         (0.0, 0.0)
@@ -764,15 +934,7 @@ pub(crate) fn phase_fractions(exchange_time: SimDuration, io_time: SimDuration) 
 /// registry. `job` appends a `job` label to every sample so concurrent
 /// tenants stay distinguishable; solo runs pass `None` and keep the
 /// historical label set.
-pub(crate) fn record_run(
-    reg: &Registry,
-    strategy: &str,
-    job: Option<&str>,
-    elapsed: SimDuration,
-    bytes: u64,
-    bandwidth_mibs: f64,
-    metrics: &RunMetrics,
-) {
+pub(crate) fn record_run(reg: &Registry, strategy: &str, job: Option<&str>, report: &TimingReport) {
     reg.describe(
         "run.elapsed_ns",
         "ns",
@@ -809,9 +971,10 @@ pub(crate) fn record_run(
     if let Some(j) = job {
         labels.push(("job", j));
     }
-    reg.set_gauge("run.elapsed_ns", &labels, elapsed.as_nanos() as f64);
-    reg.inc("run.bytes", &labels, bytes);
-    reg.set_gauge("run.bandwidth_mibs", &labels, bandwidth_mibs);
+    let metrics = &report.metrics;
+    reg.set_gauge("run.elapsed_ns", &labels, report.elapsed.as_nanos() as f64);
+    reg.inc("run.bytes", &labels, report.bytes);
+    reg.set_gauge("run.bandwidth_mibs", &labels, report.bandwidth_mibs);
     reg.set_gauge("run.exchange_frac", &labels, metrics.exchange_fraction);
     reg.set_gauge("run.io_frac", &labels, metrics.io_fraction);
     for p in &metrics.rounds {
@@ -828,30 +991,25 @@ pub(crate) fn record_run(
     }
 }
 
-/// Emit the pid-2 `plan.rounds` spans of one lowered plan: one lane per
-/// chain at `tid_base + chain`, named
-/// `{lane_prefix}chain{c} (group g)`. The solo executors pass
-/// `tid_base = 0, lane_prefix = ""`; the multi-tenant runner stacks the
-/// jobs' chains into disjoint tid ranges and prefixes the lanes with
-/// the job label so `mcio-analyze` can attribute them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn emit_round_spans(
+/// Emit the pid-2 `plan.rounds` spans of one lowered job: one lane per
+/// chain at `tid_base + chain`, named `{prefix}chain{c} (group g)`. The
+/// executor stacks the jobs' chains into disjoint tid ranges; the job
+/// prefix on the lane lets `mcio-analyze` attribute them.
+fn emit_round_spans(
     tc: &TraceCollector,
-    report: &mcio_des::RunReport,
-    rw: Rw,
-    round_meta: &[SlotMeta],
-    chain_groups: &[Option<usize>],
-    rounds: &[RoundPhase],
+    job: &ExecJob<'_>,
+    lowered: &Lowered,
+    run: &JobRun,
     tid_base: u64,
-    lane_prefix: &str,
 ) {
     let mut named_chains = std::collections::BTreeSet::new();
-    for (meta, phase) in round_meta.iter().zip(rounds) {
+    let slots = run.report.metrics.rounds.iter().zip(&run.windows);
+    for (meta, (phase, window)) in lowered.meta.iter().zip(slots) {
         // Per-group span metadata: which plan group this chain
         // serves ("all" when global sync zips every group into one
         // chain) and how many aggregators work the slot. Critical-
         // path reconstruction in `mcio-analyze` keys on these args.
-        let group = match chain_groups.get(meta.chain).copied().flatten() {
+        let group = match lowered.groups.get(meta.chain).copied().flatten() {
             Some(gi) => gi.to_string(),
             None => "all".to_string(),
         };
@@ -867,18 +1025,11 @@ pub(crate) fn emit_round_spans(
             tc.name_thread(
                 2,
                 tid,
-                &format!("{lane_prefix}chain{} (group {group})", meta.chain),
+                &format!("{}chain{} (group {group})", job.prefix, meta.chain),
             );
         }
-        let t0 = meta
-            .first_deps
-            .iter()
-            .map(|&d| report.finish_time(d))
-            .max()
-            .unwrap_or(SimTime::ZERO)
-            .saturating_since(SimTime::ZERO)
-            .as_nanos();
-        let (ex_start, io_start) = match rw {
+        let t0 = window.start_ns;
+        let (ex_start, io_start) = match job.plan.rw {
             Rw::Write => (t0, t0 + phase.exchange.as_nanos()),
             Rw::Read => (t0 + phase.io.as_nanos(), t0),
         };
@@ -919,74 +1070,40 @@ pub(crate) fn emit_round_spans(
 ///   `degraded`.
 /// * tid `3 + ost` — retry/backoff chains per OST: the failed service
 ///   attempts (`retry`) and the waits between them (`backoff`).
-pub(crate) fn trace_faults(
-    tc: &TraceCollector,
-    f: &FaultInjection<'_>,
-    report: &mcio_des::RunReport,
-    windows: &[RoundWindow],
-    retry_marks: &[RetryMark],
-    elapsed_ns: u64,
-) {
+fn trace_faults(tc: &TraceCollector, ex: &Executed<'_>) {
+    let elapsed_ns = ex.makespan.as_nanos();
     tc.name_process(3, "faults");
     tc.name_thread(3, 0, "injected");
     tc.name_thread(3, 1, "failover");
     tc.name_thread(3, 2, "degraded");
-    if let Some(spec) = f.spec {
-        for ev in &spec.events {
-            match *ev {
-                FaultEvent::OstSlow {
-                    ost, from, until, ..
-                } => {
-                    let start = from.saturating_since(SimTime::ZERO).as_nanos();
-                    let end = until
-                        .saturating_since(SimTime::ZERO)
-                        .as_nanos()
-                        .min(elapsed_ns);
-                    if end > start {
-                        tc.span(
-                            &format!("ost{ost}.slow"),
-                            "inject",
-                            3,
-                            0,
-                            start,
-                            end - start,
-                        );
-                    }
-                }
-                FaultEvent::OstStall { ost, from, until } => {
-                    let start = from.saturating_since(SimTime::ZERO).as_nanos();
-                    let end = until
-                        .saturating_since(SimTime::ZERO)
-                        .as_nanos()
-                        .min(elapsed_ns);
-                    if end > start {
-                        tc.span(
-                            &format!("ost{ost}.stall"),
-                            "inject",
-                            3,
-                            0,
-                            start,
-                            end - start,
-                        );
-                    }
-                }
-                FaultEvent::ReqTransientFail { .. } => {}
-                FaultEvent::MemShock { node, at, .. } => {
-                    let at = at.saturating_since(SimTime::ZERO).as_nanos();
-                    if at < elapsed_ns {
-                        tc.span(&format!("node{node}.mem_shock"), "inject", 3, 0, at, 1);
-                    }
-                }
-                FaultEvent::AggCrash { host, at } => {
-                    let at = at.saturating_since(SimTime::ZERO).as_nanos();
-                    if at < elapsed_ns {
-                        tc.span(&format!("host{host}.agg_crash"), "inject", 3, 0, at, 1);
-                    }
-                }
+    // An instantaneous event is a 1 ns marker; everything is clipped to
+    // the run.
+    let instant = SimDuration::from_nanos(1);
+    for ev in ex.faults.iter().flat_map(|spec| &spec.events) {
+        let (name, from, until) = match *ev {
+            FaultEvent::OstSlow {
+                ost, from, until, ..
+            } => (format!("ost{ost}.slow"), from, until),
+            FaultEvent::OstStall { ost, from, until } => (format!("ost{ost}.stall"), from, until),
+            FaultEvent::ReqTransientFail { .. } => continue,
+            FaultEvent::MemShock { node, at, .. } => {
+                (format!("node{node}.mem_shock"), at, at + instant)
             }
+            FaultEvent::AggCrash { host, at } => {
+                (format!("host{host}.agg_crash"), at, at + instant)
+            }
+        };
+        let start = from.saturating_since(SimTime::ZERO).as_nanos();
+        let end = until
+            .saturating_since(SimTime::ZERO)
+            .as_nanos()
+            .min(elapsed_ns);
+        if end > start {
+            tc.span(&name, "inject", 3, 0, start, end - start);
         }
     }
-    for gate in f.gates.iter().filter(|g| !g.adaptive) {
+    let failover_gates = ex.jobs.iter().flat_map(|j| &j.marks.gates);
+    for gate in failover_gates.filter(|g| !g.adaptive) {
         let start = gate.from.saturating_since(SimTime::ZERO).as_nanos();
         let end = gate
             .release
@@ -997,25 +1114,28 @@ pub(crate) fn trace_faults(
             tc.span(&gate.label, "failover", 3, 1, start, end - start);
         }
     }
-    for &(group, round) in &f.degraded {
-        if let Some(w) = windows
-            .iter()
-            .find(|w| w.group == group && w.round == round)
-        {
-            if w.end_ns > w.start_ns {
-                tc.span(
-                    &format!("r{round}.degraded"),
-                    "degraded",
-                    3,
-                    2,
-                    w.start_ns,
-                    w.end_ns - w.start_ns,
-                );
+    for (job, run) in ex.jobs.iter().zip(&ex.runs) {
+        for &(group, round) in &job.marks.degraded {
+            if let Some(w) = run
+                .windows
+                .iter()
+                .find(|w| w.group == group && w.round == round)
+            {
+                if w.end_ns > w.start_ns {
+                    tc.span(
+                        &format!("r{round}.degraded"),
+                        "degraded",
+                        3,
+                        2,
+                        w.start_ns,
+                        w.end_ns - w.start_ns,
+                    );
+                }
             }
         }
     }
     let mut named_osts = std::collections::BTreeSet::new();
-    for mark in retry_marks {
+    for mark in &ex.retry_marks {
         let tid = 3 + mark.ost as u64;
         if named_osts.insert(mark.ost) {
             tc.name_thread(3, tid, &format!("ost{}.retries", mark.ost));
@@ -1023,7 +1143,8 @@ pub(crate) fn trace_faults(
         // Service records of the retry chain, in submission order: the
         // first `attempts - 1` stages are the failed tries; the gaps
         // between consecutive stages are the backoff waits.
-        let recs: Vec<_> = report
+        let recs: Vec<_> = ex
+            .des
             .trace()
             .unwrap_or(&[])
             .iter()
@@ -1052,15 +1173,16 @@ pub(crate) fn trace_faults(
 /// decision. Slot-anchored marks snap to the executed round window so
 /// the span shows when the re-planned round actually ran; marks whose
 /// slot never executed are dropped (nothing to attribute).
-pub(crate) fn trace_replan(
-    tc: &TraceCollector,
-    replans: &[ReplanMark],
-    windows: &[RoundWindow],
-    elapsed_ns: u64,
-) {
+fn trace_replan(tc: &TraceCollector, ex: &Executed<'_>) {
+    let elapsed_ns = ex.makespan.as_nanos();
     tc.name_process(5, "replan");
     let mut named = std::collections::BTreeSet::new();
-    for mark in replans {
+    let marks = ex
+        .jobs
+        .iter()
+        .zip(&ex.runs)
+        .flat_map(|(job, run)| job.marks.replans.iter().map(move |m| (m, &run.windows)));
+    for (mark, windows) in marks {
         let tid = match mark.cat {
             "retune" => 0,
             "defer" => 1,
@@ -1121,78 +1243,49 @@ enum Leg {
     },
 }
 
-/// Expand a write round's transfers into per-aggregator leg chains.
+/// Expand a round's transfers into per-aggregator leg chains. The
+/// aggregator is a transfer's destination on writes and its source on
+/// reads; `Wire.src` names the node of the other endpoint. Two-level
+/// merges the contributions per (aggregator, peer node): a write
+/// combines at the node leader before the wire, a read scatters from
+/// it after.
 fn exchange_transfers(
     round: &Round,
     map: &ProcessMap,
     exchange: Exchange,
-) -> std::collections::BTreeMap<mcio_cluster::Rank, Vec<Vec<Leg>>> {
-    let mut out: std::collections::BTreeMap<mcio_cluster::Rank, Vec<Vec<Leg>>> =
+    rw: Rw,
+) -> std::collections::BTreeMap<Rank, Vec<Vec<Leg>>> {
+    let ends = |(src, dst): (Rank, Rank)| match rw {
+        Rw::Write => (dst, map.node_of(src)),
+        Rw::Read => (src, map.node_of(dst)),
+    };
+    let mut out: std::collections::BTreeMap<Rank, Vec<Vec<Leg>>> =
         std::collections::BTreeMap::new();
     match exchange {
         Exchange::Direct => {
-            for ((src, dst), bytes) in round.transfers() {
-                out.entry(dst).or_default().push(vec![Leg::Wire {
-                    src: map.node_of(src),
-                    bytes,
-                }]);
+            for (pair, bytes) in round.transfers() {
+                let (agg, src) = ends(pair);
+                out.entry(agg)
+                    .or_default()
+                    .push(vec![Leg::Wire { src, bytes }]);
             }
         }
         Exchange::TwoLevel => {
-            // Merge contributions per (source node, aggregator).
-            let mut per_node: std::collections::BTreeMap<
-                (mcio_cluster::NodeId, mcio_cluster::Rank),
-                u64,
-            > = std::collections::BTreeMap::new();
-            for ((src, dst), bytes) in round.transfers() {
-                *per_node.entry((map.node_of(src), dst)).or_insert(0) += bytes;
-            }
-            for ((node, dst), bytes) in per_node {
-                let chain = if node == map.node_of(dst) {
-                    // Already on the aggregator's node: plain local copy.
-                    vec![Leg::Wire { src: node, bytes }]
-                } else {
-                    vec![Leg::Combine { node, bytes }, Leg::Wire { src: node, bytes }]
-                };
-                out.entry(dst).or_default().push(chain);
-            }
-        }
-    }
-    out
-}
-
-/// Expand a read round's distribution into per-aggregator leg chains
-/// (`Wire.src` names the destination node; `Combine` is the on-node
-/// scatter after the wire).
-fn exchange_transfers_read(
-    round: &Round,
-    map: &ProcessMap,
-    exchange: Exchange,
-) -> std::collections::BTreeMap<mcio_cluster::Rank, Vec<Vec<Leg>>> {
-    let mut out: std::collections::BTreeMap<mcio_cluster::Rank, Vec<Vec<Leg>>> =
-        std::collections::BTreeMap::new();
-    match exchange {
-        Exchange::Direct => {
-            for ((src, dst), bytes) in round.transfers() {
-                out.entry(src).or_default().push(vec![Leg::Wire {
-                    src: map.node_of(dst),
-                    bytes,
-                }]);
-            }
-        }
-        Exchange::TwoLevel => {
-            let mut per_node: std::collections::BTreeMap<
-                (mcio_cluster::Rank, mcio_cluster::NodeId),
-                u64,
-            > = std::collections::BTreeMap::new();
-            for ((src, dst), bytes) in round.transfers() {
-                *per_node.entry((src, map.node_of(dst))).or_insert(0) += bytes;
+            let mut per_node: std::collections::BTreeMap<(Rank, mcio_cluster::NodeId), u64> =
+                std::collections::BTreeMap::new();
+            for (pair, bytes) in round.transfers() {
+                *per_node.entry(ends(pair)).or_insert(0) += bytes;
             }
             for ((agg, node), bytes) in per_node {
+                let wire = Leg::Wire { src: node, bytes };
                 let chain = if node == map.node_of(agg) {
-                    vec![Leg::Wire { src: node, bytes }]
+                    // Already on the aggregator's node: plain local copy.
+                    vec![wire]
                 } else {
-                    vec![Leg::Wire { src: node, bytes }, Leg::Combine { node, bytes }]
+                    match rw {
+                        Rw::Write => vec![Leg::Combine { node, bytes }, wire],
+                        Rw::Read => vec![wire, Leg::Combine { node, bytes }],
+                    }
                 };
                 out.entry(agg).or_default().push(chain);
             }
@@ -1239,7 +1332,7 @@ fn lower_round(
             // Exchange, then I/O.
             let mut msgs_to_agg: std::collections::BTreeMap<mcio_cluster::Rank, Vec<ActivityId>> =
                 std::collections::BTreeMap::new();
-            for (dst, chains) in exchange_transfers(round, map, exchange) {
+            for (dst, chains) in exchange_transfers(round, map, exchange, rw) {
                 for chain in chains {
                     let mut prev: Option<ActivityId> = None;
                     for leg in chain {
@@ -1299,8 +1392,6 @@ fn lower_round(
         }
         Rw::Read => {
             // I/O first, then distribution.
-            let mut io_of_agg: std::collections::BTreeMap<mcio_cluster::Rank, Vec<ActivityId>> =
-                std::collections::BTreeMap::new();
             for io in &round.ios {
                 let deps: Vec<ActivityId> = first_deps.to_vec();
                 let node = map.node_of(io.agg);
@@ -1314,12 +1405,11 @@ fn lower_round(
                         *e,
                         &deps,
                     );
-                    io_of_agg.entry(io.agg).or_default().push(done);
                     agg_io_map.entry(io.agg).or_default().push(done);
                     io_acts.push(done);
                 }
             }
-            for (agg, chains) in exchange_transfers_read(round, map, exchange) {
+            for (agg, chains) in exchange_transfers(round, map, exchange, rw) {
                 for chain in chains {
                     let mut prev: Option<ActivityId> = None;
                     for leg in chain {
@@ -1347,7 +1437,7 @@ fn lower_round(
                             None => {
                                 // The aggregator must have read its window
                                 // first.
-                                match io_of_agg.get(&agg) {
+                                match agg_io_map.get(&agg) {
                                     Some(ios) => {
                                         for &io in ios {
                                             sim.add_dep(io, a);

@@ -3,11 +3,12 @@
 //!
 //! The paper tunes collective I/O on a dedicated testbed, but a real
 //! extreme-scale machine runs many collective jobs against one shared
-//! parallel file system. This module lowers every job's plan into a
-//! *single* discrete-event simulation over one shared [`Fabric`] and
-//! [`Pfs`], so cross-job contention on OSTs, NICs and memory buses
-//! falls out of the existing resource model instead of being modeled
-//! separately:
+//! parallel file system. This module hands every job's plan to the one
+//! executor ([`crate::exec_sim`]), which lowers them into a *single*
+//! discrete-event simulation over one shared
+//! [`Fabric`](mcio_cluster::Fabric) and [`Pfs`](mcio_pfs::Pfs), so
+//! cross-job contention on OSTs, NICs and memory buses falls out of the
+//! existing resource model instead of being modeled separately:
 //!
 //! * each job owns a node partition via [`TenantJob::node_offset`]
 //!   (partitions may overlap — two jobs can share nodes);
@@ -29,20 +30,20 @@
 //!   during which at least one *other* job was also being served by
 //!   some OST (how much of its storage work was contended).
 
-use crate::adaptive::{plan_deferrals, AdaptiveOutcome, AdaptivePolicy, SignalSnapshot};
+use crate::adaptive::{
+    contention_stretch, gate_deferrals, plan_deferrals, AdaptiveOutcome, AdaptivePolicy,
+    SignalSnapshot,
+};
 use crate::config::Strategy;
 use crate::exec_sim::{
-    attribute_phases, busy_maxima, emit_round_spans, lower_plan, phase_fractions, record_run,
-    simulate_inner, trace_faults, trace_replan, Attribution, Exchange, FaultInjection, Observe,
-    Pipeline, ReplanMark, RoundWindow, RunMetrics, TimingReport,
+    execute, record_run, simulate_inner, Elapsed, Exchange, ExecJob, JobMarks, Observe, Pipeline,
+    RoundWindow, SimRun, TimingReport,
 };
 use crate::plan::CollectivePlan;
 use mcio_cluster::spec::ClusterSpec;
-use mcio_cluster::{Fabric, ProcessMap};
-use mcio_des::{Activity, SharePolicy, SimDuration, SimTime, Simulation};
+use mcio_cluster::ProcessMap;
+use mcio_des::{SharePolicy, SimDuration};
 use mcio_faults::FaultSpec;
-use mcio_obs::TraceCollector;
-use mcio_pfs::{OstId, Pfs};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -164,17 +165,6 @@ pub struct MultiTenantReport {
     pub engine: mcio_des::EngineProfile,
 }
 
-/// Per-job bookkeeping of the shared lowering.
-struct JobLowered {
-    meta: Vec<crate::exec_sim::SlotMeta>,
-    groups: Vec<Option<usize>>,
-    /// Activity-id range `[act_lo, act_hi)` this job created (its start
-    /// gate, messages, PFS requests and joins) — the ownership key for
-    /// attributing service records to jobs.
-    act_lo: usize,
-    act_hi: usize,
-}
-
 /// Every input of a solo baseline's result; the machine is fixed per
 /// session. `plan` is the address of the job's `Arc`'d plan — the entry
 /// keeps a clone of that `Arc`, so the address cannot be reused while
@@ -267,6 +257,12 @@ impl<'a> TenantSession<'a> {
     /// `&self` so callers can fan baselines across threads and then
     /// [`seed_solo`](Self::seed_solo) the results in a fixed order.
     pub fn simulate_solo(&self, job: &TenantJob, engine: SharePolicy) -> SimDuration {
+        self.solo_run(job, engine).report.elapsed
+    }
+
+    /// The run behind [`simulate_solo`](Self::simulate_solo), round
+    /// windows included: the deferral planner's nominal timeline.
+    fn solo_run(&self, job: &TenantJob, engine: SharePolicy) -> SimRun {
         simulate_inner(
             &job.plan,
             &job.map.with_node_offset(job.node_offset),
@@ -278,9 +274,8 @@ impl<'a> TenantSession<'a> {
                 ..Observe::default()
             },
             None,
+            JobMarks::default(),
         )
-        .report
-        .elapsed
     }
 
     /// Record `elapsed` as the job's solo baseline under `engine`. It
@@ -301,7 +296,8 @@ impl<'a> TenantSession<'a> {
 ///
 /// All jobs are lowered into a single DES over one `Fabric` and one
 /// `Pfs`; contention on shared OSTs, NICs and memory buses emerges
-/// from the FIFO resource model. `faults` is a machine-level fault
+/// from the resource model of the engine [`Observe::engine`] selects
+/// (FIFO slot queues or fair sharing). `faults` is a machine-level fault
 /// plan (OST slowdowns/stalls, transient request failures) applied to
 /// the shared PFS — every job sees it, exactly like a real storage
 /// degradation. Structural per-job faults (aggregator crash, memory
@@ -323,55 +319,25 @@ pub fn run_multitenant(
     TenantSession::new(spec).run(jobs, faults, obs)
 }
 
-/// Probe pass of the closed-loop multi-tenant controller: lower every
-/// job into a shared DES exactly as the static runner would — faults
-/// armed, no gates, no trace — run it, and return each job's absolute
-/// round windows. Feeding the deferral planner *shared* windows rather
-/// than solo-probe windows is what makes it contention-aware: on a
-/// busy machine a round starts far later than its solo probe predicts,
-/// and a gate computed from solo times would release before the round
-/// was ever going to run.
+/// Probe pass of the closed-loop multi-tenant controller: execute the
+/// jobs exactly as the static runner would — faults armed, no gates,
+/// unobserved — and return each job's absolute round windows. Feeding
+/// the deferral planner *shared* windows rather than solo-probe windows
+/// is what makes it contention-aware: on a busy machine a round starts
+/// far later than its solo probe predicts, and a gate computed from
+/// solo times would release before the round was ever going to run.
 fn probe_shared_windows(
-    jobs: &[TenantJob],
     spec: &ClusterSpec,
+    jobs: &[ExecJob<'_>],
     faults: &FaultSpec,
     engine: SharePolicy,
 ) -> Vec<Vec<RoundWindow>> {
-    let mut sim = Simulation::with_policy(engine);
-    let fabric = Fabric::build(&mut sim, spec);
-    let mut pfs = Pfs::build(&mut sim, spec);
-    pfs.apply_faults(&mut sim, faults);
-    let no_gates: HashMap<(Option<usize>, usize), mcio_des::ActivityId> = HashMap::new();
-    let mut lowered: Vec<(Vec<crate::exec_sim::SlotMeta>, Vec<Option<usize>>)> =
-        Vec::with_capacity(jobs.len());
-    for (ji, job) in jobs.iter().enumerate() {
-        let tmap = job.map.with_node_offset(job.node_offset);
-        let prefix = format!("j{ji}.");
-        let start_gate = if job.start.is_zero() {
-            None
-        } else {
-            Some(sim.add_activity(
-                Activity::new(format!("{prefix}start")).release_at(SimTime::ZERO + job.start),
-            ))
-        };
-        lowered.push(lower_plan(
-            &mut sim,
-            &fabric,
-            &pfs,
-            &job.plan,
-            &tmap,
-            job.pipeline,
-            job.exchange,
-            &no_gates,
-            start_gate,
-            &prefix,
-        ));
-    }
-    let report = sim.run().expect("multi-tenant DAG is acyclic");
-    jobs.iter()
-        .zip(&lowered)
-        .map(|(job, (meta, groups))| attribute_phases(job.plan.rw, &report, meta, groups).windows)
-        .collect()
+    let unobserved = Observe {
+        engine,
+        ..Observe::default()
+    };
+    let probe = execute(spec, jobs, Some(faults), unobserved);
+    probe.runs.into_iter().map(|run| run.windows).collect()
 }
 
 /// [`run_multitenant`] with the closed-loop controller enabled for the
@@ -397,7 +363,8 @@ pub fn run_multitenant_adaptive(
     TenantSession::new(spec).run_adaptive(jobs, faults, policy, obs)
 }
 
-/// The one multi-tenant runner behind every entry point.
+/// The one multi-tenant runner behind every entry point: controller
+/// gates, then the shared executor, then the tenant metrics and lanes.
 fn run_session(
     session: &mut TenantSession<'_>,
     jobs: &[TenantJob],
@@ -415,236 +382,85 @@ fn run_session(
         !policy.is_off() && faults.is_some_and(|f| !f.is_empty()) && strategy != Strategy::TwoPhase
     };
 
-    let build_scope = obs.prof.map(|p| p.scope("build-activity-graph"));
-    let mut sim = Simulation::with_policy(obs.engine);
-    // The OST-overlap metric needs service records, so multi-job runs
-    // always trace the DES (the Chrome JSON is still only rendered on
-    // request). Single-job runs keep the solo code path bit-for-bit.
-    if obs.trace || multi {
-        sim.enable_trace();
-    }
-    let fabric = Fabric::build(&mut sim, spec);
-    let mut pfs = Pfs::build(&mut sim, spec);
-    if let Some(reg) = obs.registry {
-        pfs.set_registry(Arc::clone(reg));
-    }
-    if let Some(fspec) = faults {
-        pfs.apply_faults(&mut sim, fspec);
-    }
-
-    // Closed-loop probe: when any job's controller will act, run the
-    // whole shared, degraded machine once without gates to learn where
-    // every round actually lands under contention.
-    let shared_probe: Vec<Vec<RoundWindow>> =
-        if jobs.iter().any(|j| controller_ran(j.plan.strategy)) {
-            probe_shared_windows(
-                jobs,
-                spec,
-                faults.expect("controller_ran implies faults"),
-                obs.engine,
-            )
-        } else {
-            Vec::new()
-        };
-
-    // Lower every job behind its arrival gate, remembering which
-    // activity-id range it created.
-    let mut lowered: Vec<JobLowered> = Vec::with_capacity(jobs.len());
-    let mut job_adaptive: Vec<AdaptiveOutcome> = Vec::with_capacity(jobs.len());
-    let mut all_replans: Vec<ReplanMark> = Vec::new();
-    for (ji, job) in jobs.iter().enumerate() {
-        let tmap = job.map.with_node_offset(job.node_offset);
-        assert!(
-            tmap.nnodes() <= fabric.nnodes(),
-            "job {} needs nodes {}..{} but the machine has {}",
-            job.label,
-            job.node_offset,
-            tmap.nnodes(),
-            fabric.nnodes()
-        );
-        let prefix = if multi {
-            format!("j{ji}.")
-        } else {
-            String::new()
-        };
-        let act_lo = sim.activity_count();
-        let start_gate = if job.start.is_zero() {
-            None
-        } else {
-            Some(sim.add_activity(
-                Activity::new(format!("{prefix}start")).release_at(SimTime::ZERO + job.start),
-            ))
-        };
-        // Closed-loop deferral: the shared probe says where this job's
-        // rounds land on the live, degraded, contended machine; the
-        // solo clean run says how long each round takes at nominal
-        // rate. Rounds the comparison condemns to crawling through a
-        // degraded OST window are held behind a release gate in the
-        // shared DES. The probe ignores the gates it motivates — a
-        // mistimed gate only costs idle time, never correctness.
-        let mut gate_acts: HashMap<(Option<usize>, usize), mcio_des::ActivityId> = HashMap::new();
-        let mut adapt = AdaptiveOutcome {
+    let maps: Vec<ProcessMap> = jobs
+        .iter()
+        .map(|job| job.map.with_node_offset(job.node_offset))
+        .collect();
+    let mut exec_jobs: Vec<ExecJob<'_>> = jobs
+        .iter()
+        .zip(&maps)
+        .enumerate()
+        .map(|(ji, (job, map))| ExecJob {
+            plan: &job.plan,
+            map,
+            pipeline: job.pipeline,
+            exchange: job.exchange,
+            start: job.start,
+            prefix: if multi {
+                format!("j{ji}.")
+            } else {
+                String::new()
+            },
+            elapsed: Elapsed::Span,
+            marks: JobMarks::default(),
+        })
+        .collect();
+    let mut job_adaptive = vec![
+        AdaptiveOutcome {
             policy,
             ..AdaptiveOutcome::default()
         };
-        if controller_ran(job.plan.strategy) {
-            let fspec = faults.expect("controller_ran implies faults");
-            let clean = simulate_inner(
-                &job.plan,
-                &tmap,
-                spec,
-                job.pipeline,
-                job.exchange,
-                Observe {
-                    engine: obs.engine,
-                    ..Observe::default()
-                },
-                None,
-            );
+        jobs.len()
+    ];
+
+    // Closed-loop deferral. When any job's controller will act, the
+    // whole shared, degraded machine is run once without gates to learn
+    // where every round actually lands under contention; each such
+    // job's solo clean run says how long a round takes at nominal rate.
+    // Rounds the comparison condemns to crawling through a degraded OST
+    // window are held behind a release gate in the shared DES. The probe
+    // ignores the gates it motivates — a mistimed gate only costs idle
+    // time, never correctness.
+    if jobs.iter().any(|j| controller_ran(j.plan.strategy)) {
+        let fspec = faults.expect("controller_ran implies faults");
+        let shared_probe = probe_shared_windows(spec, &exec_jobs, fspec, obs.engine);
+        for (ji, job) in jobs.iter().enumerate() {
+            if !controller_ran(job.plan.strategy) {
+                continue;
+            }
             // The clean run *is* this job's solo baseline.
+            let clean = session.solo_run(job, obs.engine);
             session.seed_solo(job, obs.engine, clean.report.elapsed);
             let horizon = clean.report.elapsed.as_nanos();
             let signals = SignalSnapshot::sample(fspec, spec.io_servers, horizon, 0.0);
+            let adapt = &mut job_adaptive[ji];
             adapt.severity = signals.severity();
             if adapt.severity > policy.dead_band() {
                 // The shared-probe windows are already absolute (the
                 // job's arrival gate is inside the probe), so no
                 // offset; tenancy queueing is factored out of the
                 // defer-vs-crawl comparison by the contention scale.
-                let scale = crate::adaptive::contention_stretch(
-                    fspec,
-                    spec.io_servers,
-                    &clean.windows,
-                    &shared_probe[ji],
-                    0,
-                );
-                for d in plan_deferrals(
-                    fspec,
-                    policy,
-                    spec.io_servers,
-                    &clean.windows,
-                    &shared_probe[ji],
-                    0,
-                    scale,
-                ) {
-                    let gname = d.group.map_or_else(|| "all".into(), |g| g.to_string());
-                    let label = format!("{prefix}defer.g{gname}.r{}", d.round);
-                    let act = sim.add_activity(
-                        Activity::new(label.clone()).release_at(SimTime::from_nanos(d.release_ns)),
-                    );
-                    gate_acts.insert((d.group, d.round), act);
-                    adapt.deferrals += 1;
-                    all_replans.push(ReplanMark {
-                        name: label,
-                        cat: "defer",
-                        start_ns: d.from_ns,
-                        dur_ns: d.release_ns.saturating_sub(d.from_ns).max(1),
-                        slot: None,
-                        args: vec![
-                            ("job".into(), job.label.clone()),
-                            ("stretch".into(), format!("{:.6}", d.stretch)),
-                        ],
-                    });
-                }
-            }
-        }
-        let (meta, groups) = lower_plan(
-            &mut sim,
-            &fabric,
-            &pfs,
-            &job.plan,
-            &tmap,
-            job.pipeline,
-            job.exchange,
-            &gate_acts,
-            start_gate,
-            &prefix,
-        );
-        job_adaptive.push(adapt);
-        lowered.push(JobLowered {
-            meta,
-            groups,
-            act_lo,
-            act_hi: sim.activity_count(),
-        });
-    }
-
-    drop(build_scope);
-    let run_scope = obs.prof.map(|p| p.scope("des-run"));
-    let report = sim.run().expect("multi-tenant DAG is acyclic");
-    drop(run_scope);
-    let retry_marks = pfs.take_retry_marks();
-    let makespan = report.makespan().saturating_since(SimTime::ZERO);
-    let (membus_busy_max, nic_busy_max, ost_busy_max, ost_busy_total) =
-        busy_maxima(&report, &fabric, &pfs);
-
-    // Per-job OST service intervals (for the busy-overlap metric):
-    // every service record on an OST resource belongs to exactly one
-    // job, found by its activity-id range.
-    let mut per_job_ost: Vec<Vec<(u64, u64)>> = vec![Vec::new(); jobs.len()];
-    if multi {
-        let ost_ids: std::collections::HashSet<_> = (0..pfs.ost_count())
-            .map(|o| pfs.ost_resource(OstId(o)))
-            .collect();
-        for rec in report.trace().unwrap_or(&[]) {
-            if !ost_ids.contains(&rec.resource) {
-                continue;
-            }
-            // The jobs' activity ranges are disjoint and ascending.
-            let idx = rec.activity.index();
-            let ji = lowered.partition_point(|l| l.act_hi <= idx);
-            if lowered.get(ji).is_some_and(|l| idx >= l.act_lo) {
-                let start = rec.start.saturating_since(SimTime::ZERO).as_nanos();
-                let end = rec.end.saturating_since(SimTime::ZERO).as_nanos();
-                if end > start {
-                    per_job_ost[ji].push((start, end));
-                }
+                let probed = &shared_probe[ji];
+                let nosts = spec.io_servers;
+                let scale = contention_stretch(fspec, nosts, &clean.windows, probed, 0);
+                let decisions =
+                    plan_deferrals(fspec, policy, nosts, &clean.windows, probed, 0, scale);
+                let ExecJob { prefix, marks, .. } = &mut exec_jobs[ji];
+                adapt.deferrals = gate_deferrals(decisions, prefix, Some(&job.label), marks);
             }
         }
     }
-    let merged_ost: Vec<Vec<(u64, u64)>> = per_job_ost.into_iter().map(merge_intervals).collect();
 
-    // Per-job attribution, solo baseline and outcome.
-    let mut attributions: Vec<Attribution> = Vec::with_capacity(jobs.len());
+    let ex = execute(spec, &exec_jobs, faults, obs);
+    let makespan = ex.makespan;
+
+    // Per-job outcome: span, solo baseline, and how much of the job's
+    // OST service time overlapped some other job's.
+    let merged_ost: Vec<Vec<(u64, u64)>> =
+        ex.ost_service().into_iter().map(merge_intervals).collect();
     let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
-    for (ji, (job, l)) in jobs.iter().zip(&lowered).enumerate() {
-        let att = attribute_phases(job.plan.rw, &report, &l.meta, &l.groups);
-        let start_ns = job.start.as_nanos();
-        let end_ns = att
-            .windows
-            .iter()
-            .map(|w| w.end_ns)
-            .max()
-            .unwrap_or(start_ns)
-            .max(start_ns);
-        let span = SimDuration::from_nanos(end_ns - start_ns);
-        let bytes: u64 = job.plan.groups.iter().map(|g| g.io_bytes()).sum();
-        let bandwidth_mibs = if span.is_zero() {
-            0.0
-        } else {
-            bytes as f64 / (1024.0 * 1024.0) / span.as_secs_f64()
-        };
-        let (exchange_fraction, io_fraction) = phase_fractions(att.exchange_time, att.io_time);
-        let metrics = RunMetrics {
-            exchange_fraction,
-            io_fraction,
-            rounds: att.rounds.clone(),
-            agg_io: att.agg_io.clone(),
-        };
-        let timing = TimingReport {
-            elapsed: span,
-            exchange_time: att.exchange_time,
-            io_time: att.io_time,
-            bytes,
-            bandwidth_mibs,
-            membus_busy_max,
-            nic_busy_max,
-            ost_busy_max,
-            ost_busy_total,
-            activities: l.act_hi - l.act_lo,
-            engine: report.engine_profile(),
-            metrics,
-        };
+    for (ji, (job, run)) in jobs.iter().zip(&ex.runs).enumerate() {
+        let span = run.report.elapsed;
         let solo_elapsed = session.solo_elapsed(job, obs.engine);
         let slowdown = if solo_elapsed.is_zero() {
             1.0
@@ -665,13 +481,12 @@ fn run_session(
         } else {
             intersect_len(&merged_ost[ji], &others) as f64 / own as f64
         };
-        attributions.push(att);
         outcomes.push(JobOutcome {
             label: job.label.clone(),
             strategy: job.plan.strategy,
-            report: timing,
-            start_ns,
-            end_ns,
+            report: run.report.clone(),
+            start_ns: job.start.as_nanos(),
+            end_ns: run.end_ns,
             solo_elapsed,
             slowdown,
             ost_overlap,
@@ -680,18 +495,13 @@ fn run_session(
     }
 
     if let Some(reg) = obs.registry {
-        report.record_into(reg);
-        pfs.record_imbalance();
         for (job, outcome) in jobs.iter().zip(&outcomes) {
             job.plan.record_into(reg);
             record_run(
                 reg,
                 job.plan.strategy.label(),
-                if multi { Some(&job.label) } else { None },
-                outcome.report.elapsed,
-                outcome.report.bytes,
-                outcome.report.bandwidth_mibs,
-                &outcome.report.metrics,
+                multi.then_some(job.label.as_str()),
+                &outcome.report,
             );
         }
         reg.describe("tenant.jobs", "count", "Concurrent jobs in the run");
@@ -759,40 +569,7 @@ fn run_session(
         }
     }
 
-    let trace = if obs.trace {
-        let _emit_scope = obs.prof.map(|p| p.scope("trace-emit"));
-        let tc = TraceCollector::new();
-        report.trace_into(&tc, 1);
-        tc.name_process(2, "plan.rounds");
-        let mut tid_base = 0u64;
-        for (ji, (job, l)) in jobs.iter().zip(&lowered).enumerate() {
-            let lane_prefix = if multi {
-                format!("j{ji}.")
-            } else {
-                String::new()
-            };
-            emit_round_spans(
-                &tc,
-                &report,
-                job.plan.rw,
-                &l.meta,
-                &l.groups,
-                &attributions[ji].rounds,
-                tid_base,
-                &lane_prefix,
-            );
-            tid_base += l.groups.len() as u64;
-        }
-        if faults.is_some_and(|s| !s.is_empty()) || !retry_marks.is_empty() {
-            let inj = FaultInjection {
-                spec: faults,
-                ..FaultInjection::default()
-            };
-            trace_faults(&tc, &inj, &report, &[], &retry_marks, makespan.as_nanos());
-        }
-        if !all_replans.is_empty() {
-            trace_replan(&tc, &all_replans, &[], makespan.as_nanos());
-        }
+    let trace = ex.trace_json(|tc| {
         if multi {
             tc.name_process(PID_TENANTS, "tenants");
             for (ji, outcome) in outcomes.iter().enumerate() {
@@ -815,16 +592,13 @@ fn run_session(
                 );
             }
         }
-        Some(tc.chrome_trace_json())
-    } else {
-        None
-    };
+    });
 
     MultiTenantReport {
         jobs: outcomes,
         makespan,
         trace,
-        engine: report.engine_profile(),
+        engine: ex.engine(),
     }
 }
 

@@ -4,6 +4,7 @@
 use crate::activity::{Activity, ActivityId, ActivityState};
 use crate::resource::{Bandwidth, Job, Resource, ResourceId, ResourceUsage, SharePolicy};
 use crate::time::{SimDuration, SimTime};
+use mcio_obs::trace::escape_json;
 use mcio_obs::{Histogram, Registry, TraceCollector};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -825,18 +826,6 @@ pub fn resource_class(name: &str) -> String {
     }
 }
 
-/// Minimal JSON string escaping for labels.
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => vec![' '],
-            c => vec![c],
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1055,7 +1044,7 @@ mod tests {
         sim.enable_trace();
         let r = sim.add_resource("r", bw(100.0));
         let a = sim.add_activity(Activity::new("first").stage(r, 100, SimDuration::ZERO));
-        let b = sim.add_activity(Activity::new("second").stage(r, 100, SimDuration::ZERO));
+        let b = sim.add_activity(Activity::new("sec\tond\n").stage(r, 100, SimDuration::ZERO));
         let rep = sim.run().unwrap();
         let trace = rep.trace().expect("tracing enabled");
         assert_eq!(trace.len(), 2);
@@ -1064,12 +1053,18 @@ mod tests {
         assert_eq!(trace[1].activity, b);
         assert_eq!(trace[1].start.as_secs_f64(), 1.0);
         assert_eq!(trace[1].end.as_secs_f64(), 2.0);
-        // Chrome trace renders both events with their labels.
+        // Chrome trace renders both events with their labels, control
+        // characters included.
         let json = rep.chrome_trace_json();
-        assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"first\""));
-        assert!(json.contains("\"second\""));
         assert!(json.contains("\"ph\":\"X\""));
+        let doc = mcio_obs::json::parse(&json).expect("trace is JSON");
+        let names: Vec<_> = doc
+            .as_array()
+            .expect("an array of events")
+            .iter()
+            .map(|ev| ev.get("name").and_then(|n| n.as_str()))
+            .collect();
+        assert_eq!(names, [Some("first"), Some("sec\tond\n")]);
     }
 
     #[test]

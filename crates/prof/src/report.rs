@@ -18,6 +18,7 @@ use crate::alloc;
 use crate::profiler::{PhaseRow, Prof};
 use mcio_des::EngineProfile;
 use mcio_obs::json::{self, JsonValue};
+use mcio_obs::trace::escape_json;
 
 /// The schema stamp of the sidecar document.
 pub const PROF_SCHEMA: &str = "mcio.prof.v1";
@@ -161,7 +162,7 @@ impl ProfReport {
         let mut out = String::from("{\n  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
             out.push_str("    {\"label\": \"");
-            out.push_str(&escape(&c.label));
+            out.push_str(&escape_json(&c.label));
             out.push_str("\", ");
             render_engine(&mut out, &c.engine);
             out.push('}');
@@ -192,7 +193,7 @@ impl ProfReport {
             out.push_str(&format!(
                 "    {{\"path\": \"{}\", \"count\": {}, \"inclusive_ns\": {}, \
                  \"exclusive_ns\": {}, \"alloc_bytes\": {}, \"allocs\": {}}}{}\n",
-                escape(&p.path),
+                escape_json(&p.path),
                 p.count,
                 p.inclusive_ns,
                 p.exclusive_ns,
@@ -441,7 +442,7 @@ fn render_engine(out: &mut String, e: &EngineProfile) {
         if i > 0 {
             out.push_str(", ");
         }
-        out.push_str(&format!("\"{}\": {depth}", escape(class)));
+        out.push_str(&format!("\"{}\": {depth}", escape_json(class)));
     }
     out.push('}');
 }
@@ -474,18 +475,6 @@ fn parse_engine(v: &JsonValue) -> Result<EngineProfile, String> {
         resources: num("resources")?,
         class_max_queue,
     })
-}
-
-/// Minimal JSON string escaping for labels and paths.
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if c.is_control() => vec![' '],
-            c => vec![c],
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -558,7 +547,8 @@ mod tests {
 
     #[test]
     fn round_trips_through_json() {
-        let r = sample();
+        let mut r = sample();
+        r.cells[0].label.push_str("\twith\ncontrols");
         let text = r.render();
         let back = ProfReport::from_json(&text).expect("parses");
         assert_eq!(back.cells, r.cells);
