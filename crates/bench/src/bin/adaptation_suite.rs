@@ -27,9 +27,10 @@
 //! `BENCH_adaptation_trace.json`) for `mcio-analyze` attribution, and
 //! an untraced re-run pins byte-determinism of the document fragment.
 //!
-//! Violated assertions print one line and exit 1; unknown flags exit
-//! 2; `--jobs 0` exits 1.
+//! Violated assertions print one line and exit 1; flags and usage
+//! errors are `mcio_bench::cli::ADAPTATION_SUITE`'s.
 
+use mcio_bench::cli;
 use mcio_bench::mtspec::{self, JobSpec, MtSpec};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
@@ -39,12 +40,9 @@ use mcio_core::{
     CollectivePlan, CollectiveRequest, Extent, MultiTenantReport, ProcMemory, Rw, Strategy,
     TenantJob,
 };
-use mcio_des::SimDuration;
 use mcio_faults::FaultSpec;
 use mcio_pfs::SparseFile;
-use mcio_workloads::Ior;
 use std::fmt::Write as _;
-use std::process::exit;
 
 const POLICIES: [AdaptivePolicy; 3] = [
     AdaptivePolicy::Off,
@@ -53,9 +51,6 @@ const POLICIES: [AdaptivePolicy; 3] = [
 ];
 /// Tenant counts of the shared-machine section.
 const TENANTS: [usize; 4] = [1, 2, 4, 8];
-/// Nodes per tenant partition (matches the contention suite).
-const NODES_PER_JOB: usize = 4;
-const KIB: u64 = 1024;
 const MIB: u64 = 1 << 20;
 
 /// The degraded-OST row the tenant and overlap sections run under: two
@@ -67,8 +62,7 @@ const DEGRADED_ROW: &str =
     "seed 11\nost_slow(0, 40.0, 0ns..400ms)\nost_slow(1, 40.0, 0ns..400ms)\n";
 
 fn fail(msg: &str) -> ! {
-    eprintln!("adaptation_suite: FAILED: {msg}");
-    exit(1);
+    cli::fail("adaptation_suite", 1, &format!("FAILED: {msg}"))
 }
 
 /// The solo fault matrix: progressively degraded rows on one machine.
@@ -219,46 +213,6 @@ fn run_solo_cell(case: &SoloCase, fault: &str, text: &str, policy: AdaptivePolic
     }
 }
 
-/// The 8-job roster and its specs: the contention-suite shape, all
-/// memory-conscious. A cell with T tenants runs the first T jobs.
-fn roster_specs() -> Vec<JobSpec> {
-    (0..8u64)
-        .map(|ji| JobSpec {
-            name: format!("job{ji}"),
-            ranks: 8,
-            ppn: 2,
-            node_offset: ji as usize * NODES_PER_JOB,
-            start: SimDuration::from_micros(ji * 250),
-            per_proc: 2048 * KIB,
-            segments: 2,
-            buffer: 32 * KIB,
-            stddev: 0.5,
-            seed: 0xC0DE + ji,
-            strategy: Strategy::MemoryConscious,
-            base: ji * (1 << 30),
-            ..JobSpec::default()
-        })
-        .collect()
-}
-
-/// Rebuild a roster job's request (shifted onto its file region) so
-/// the written bytes can be checked against the workload oracle.
-fn request_of(job: &JobSpec) -> CollectiveRequest {
-    let req = Ior::paper(job.ranks, job.per_proc, job.segments).request(Rw::Write);
-    CollectiveRequest::new(
-        req.rw,
-        req.ranks
-            .iter()
-            .map(|r| {
-                r.extents
-                    .iter()
-                    .map(|e| Extent::new(e.offset + job.base, e.len))
-                    .collect()
-            })
-            .collect(),
-    )
-}
-
 fn mean_slowdown(mt: &MultiTenantReport) -> f64 {
     mt.jobs.iter().map(|j| j.slowdown).sum::<f64>() / mt.jobs.len().max(1) as f64
 }
@@ -291,7 +245,7 @@ fn run_tenant_cell(
     for (ji, j) in mt.jobs.iter().enumerate() {
         // Byte-correctness, every cell: the machine state and the
         // controller perturb time, never the bytes a job's plan writes.
-        let req = request_of(&specs[ji]);
+        let req = specs[ji].desc.request(specs[ji].base);
         let mut file = SparseFile::new();
         if exec_fn::execute_write(&jobs[ji].plan, &mut file).is_err()
             || exec_fn::verify_write(&req, &file).is_err()
@@ -399,46 +353,10 @@ fn run_overlap_cell(spec: &MtSpec, jobs: &[TenantJob], policy: AdaptivePolicy) -
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_adaptation_suite.json".to_string();
-    let mut trace_path = "BENCH_adaptation_trace.json".to_string();
-    let mut jobs = 1usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| match it.next() {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("adaptation_suite: flag {flag} needs a value");
-                exit(2);
-            }
-        };
-        match a.as_str() {
-            "--out" => out_path = value("--out"),
-            "--trace" => trace_path = value("--trace"),
-            "--jobs" => {
-                let raw = value("--jobs");
-                jobs = match raw.parse() {
-                    Ok(j) if j >= 1 => j,
-                    _ => {
-                        eprintln!(
-                            "adaptation_suite: --jobs must be a positive integer, got `{raw}`"
-                        );
-                        exit(1);
-                    }
-                }
-            }
-            "--help" => {
-                println!(
-                    "usage: adaptation_suite [--out REPORT.json] [--trace TRACE.json] [--jobs N]"
-                );
-                exit(0);
-            }
-            other => {
-                eprintln!("adaptation_suite: unknown argument `{other}`");
-                exit(2);
-            }
-        }
-    }
+    let m = cli::parse_or_exit(&cli::ADAPTATION_SUITE);
+    let jobs = m.num("jobs") as usize;
+    let out_path = m.get("out").expect("--out has a default");
+    let trace_path = m.get("trace").expect("--trace has a default");
 
     // --- solo section -------------------------------------------------
     let case = solo_case();
@@ -451,7 +369,7 @@ fn main() {
     });
 
     // --- tenant section -----------------------------------------------
-    let specs = roster_specs();
+    let specs = mtspec::contention_roster(Strategy::MemoryConscious);
     let roster: Vec<TenantJob> = specs.iter().map(mtspec::build_tenant).collect();
     let fspec = FaultSpec::parse(DEGRADED_ROW).unwrap_or_else(|e| fail(&format!("row: {e}")));
     if let Err(e) = fspec.validate_osts(ClusterSpec::small(32, 2).io_servers) {
@@ -540,14 +458,7 @@ fn main() {
     if !trace.contains("\"replan\"") {
         fail("traced 8-tenant aggressive cell carries no replan lanes");
     }
-    if let Err(e) = std::fs::write(&trace_path, &trace) {
-        eprintln!("adaptation_suite: cannot write {trace_path}: {e}");
-        exit(1);
-    }
-
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("adaptation_suite: cannot write {out_path}: {e}");
-        exit(1);
-    }
+    cli::write_or_exit(m.ctx(), "", trace_path, &trace);
+    cli::write_or_exit(m.ctx(), "", out_path, &doc);
     println!("\nadaptation matrix ok; wrote {out_path} and {trace_path}");
 }

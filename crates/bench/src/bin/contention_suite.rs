@@ -23,51 +23,27 @@
 //! rounds keep its interference cost at or below the baseline's as
 //! the machine fills up.
 //!
-//! Violated assertions print one line and exit 1; unknown flags exit
-//! 2; `--jobs 0` exits 1.
+//! Violated assertions print one line and exit 1; flags and usage
+//! errors are `mcio_bench::cli::CONTENTION_SUITE`'s.
 
-use mcio_bench::mtspec::{self, JobSpec};
+use mcio_bench::cli;
+use mcio_bench::mtspec;
 use mcio_cluster::spec::ClusterSpec;
 use mcio_core::exec_sim::Observe;
 use mcio_core::{run_multitenant, MultiTenantReport, Strategy, TenantJob};
-use mcio_des::SimDuration;
 use std::fmt::Write as _;
-use std::process::exit;
 
 /// Tenant counts of the sweep (the 8-tenant cell fills the machine).
 const TENANTS: [usize; 4] = [1, 2, 4, 8];
-/// Nodes per tenant partition.
-const NODES_PER_JOB: usize = 4;
-const KIB: u64 = 1024;
 
 fn fail(msg: &str) -> ! {
-    eprintln!("contention_suite: FAILED: {msg}");
-    exit(1);
+    cli::fail("contention_suite", 1, &format!("FAILED: {msg}"))
 }
 
-/// The full 8-job roster for one strategy. A cell with T tenants runs
-/// the first T jobs, so smaller cells are strict prefixes — the same
-/// job always has the same plan, partition, file region and arrival.
+/// The shared 8-job roster, planned for one strategy.
 fn roster(strategy: Strategy) -> Vec<TenantJob> {
-    (0..8u64)
-        .map(|ji| {
-            mtspec::build_tenant(&JobSpec {
-                name: format!("job{ji}"),
-                ranks: 8,
-                ppn: 2,
-                node_offset: ji as usize * NODES_PER_JOB,
-                start: SimDuration::from_micros(ji * 250),
-                per_proc: 2048 * KIB,
-                segments: 2,
-                buffer: 32 * KIB,
-                stddev: 0.5,
-                seed: 0xC0DE + ji,
-                strategy,
-                base: ji * (1 << 30),
-                ..JobSpec::default()
-            })
-        })
-        .collect()
+    let specs = mtspec::contention_roster(strategy);
+    specs.iter().map(mtspec::build_tenant).collect()
 }
 
 /// One cell's contribution to the canonical-order loop: its document
@@ -169,42 +145,9 @@ fn run_cell(tenants: usize, strategy: Strategy, jobs: &[TenantJob]) -> CellOutco
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_contention_suite.json".to_string();
-    let mut jobs = 1usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| match it.next() {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("contention_suite: flag {flag} needs a value");
-                exit(2);
-            }
-        };
-        match a.as_str() {
-            "--out" => out_path = value("--out"),
-            "--jobs" => {
-                let raw = value("--jobs");
-                jobs = match raw.parse() {
-                    Ok(j) if j >= 1 => j,
-                    _ => {
-                        eprintln!(
-                            "contention_suite: --jobs must be a positive integer, got `{raw}`"
-                        );
-                        exit(1);
-                    }
-                }
-            }
-            "--help" => {
-                println!("usage: contention_suite [--out REPORT.json] [--jobs N]");
-                exit(0);
-            }
-            other => {
-                eprintln!("contention_suite: unknown argument `{other}`");
-                exit(2);
-            }
-        }
-    }
+    let m = cli::parse_or_exit(&cli::CONTENTION_SUITE);
+    let jobs = m.num("jobs") as usize;
+    let out_path = m.get("out").expect("--out has a default");
 
     let tp_roster = roster(Strategy::TwoPhase);
     let mc_roster = roster(Strategy::MemoryConscious);
@@ -274,9 +217,6 @@ fn main() {
         fail("multi-tenant run is not deterministic: re-run fragment differs");
     }
 
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("contention_suite: cannot write {out_path}: {e}");
-        exit(1);
-    }
+    cli::write_or_exit(m.ctx(), "", out_path, &doc);
     println!("\ncontention matrix ok; wrote {out_path}");
 }

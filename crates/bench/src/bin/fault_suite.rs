@@ -22,9 +22,10 @@
 //! Writes the memory-conscious `agg_crash` trace (the interesting one:
 //! pid-3 fault lanes populated) to `--out FILE` (default
 //! `BENCH_fault_suite_trace.json`) so CI can upload it as an artifact.
-//! Any violated assertion prints one line and exits 1; unknown flags
-//! exit 2; `--jobs 0` exits 1.
+//! Any violated assertion prints one line and exits 1; flags and usage
+//! errors are `mcio_bench::cli::FAULT_SUITE`'s.
 
+use mcio_bench::cli;
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
 use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
@@ -34,7 +35,6 @@ use mcio_core::{
 };
 use mcio_faults::FaultSpec;
 use mcio_pfs::SparseFile;
-use std::process::exit;
 
 const MIB: u64 = 1 << 20;
 const RANKS: usize = 16;
@@ -66,8 +66,7 @@ fn fault_matrix(host: usize) -> Vec<(&'static str, String)> {
 }
 
 fn fail(msg: &str) -> ! {
-    eprintln!("fault_suite: FAILED: {msg}");
-    exit(1);
+    cli::fail("fault_suite", 1, &format!("FAILED: {msg}"))
 }
 
 fn written_bytes(plan: &CollectivePlan, len: u64) -> Result<Vec<u8>, String> {
@@ -182,40 +181,9 @@ fn run_cell(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_fault_suite_trace.json".to_string();
-    let mut jobs = 1usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| match it.next() {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("fault_suite: flag {flag} needs a value");
-                exit(2);
-            }
-        };
-        match a.as_str() {
-            "--out" => out_path = value("--out"),
-            "--jobs" => {
-                let raw = value("--jobs");
-                jobs = match raw.parse() {
-                    Ok(j) if j >= 1 => j,
-                    _ => {
-                        eprintln!("fault_suite: --jobs must be a positive integer, got `{raw}`");
-                        exit(1);
-                    }
-                }
-            }
-            "--help" => {
-                println!("usage: fault_suite [--out TRACE.json] [--jobs N]");
-                exit(0);
-            }
-            other => {
-                eprintln!("fault_suite: unknown argument `{other}`");
-                exit(2);
-            }
-        }
-    }
+    let m = cli::parse_or_exit(&cli::FAULT_SUITE);
+    let jobs = m.num("jobs") as usize;
+    let out_path = m.get("out").expect("--out has a default");
 
     let req = CollectiveRequest::new(
         Rw::Write,
@@ -308,9 +276,6 @@ fn main() {
         fail("faulted run is not deterministic: traces differ between identical runs");
     }
 
-    if let Err(e) = std::fs::write(&out_path, &first) {
-        eprintln!("fault_suite: cannot write {out_path}: {e}");
-        exit(1);
-    }
+    cli::write_or_exit(m.ctx(), "", out_path, &first);
     println!("fault matrix ok; wrote {out_path}");
 }

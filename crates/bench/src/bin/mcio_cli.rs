@@ -9,87 +9,40 @@
 //! mcio_cli --trace run.trace.json && mcio_cli analyze --trace run.trace.json
 //! ```
 //!
-//! Run flags (all optional; defaults in parentheses):
-//! `--workload ior|collperf|checkpoint` (ior), `--ranks N` (120),
-//! `--ppn N` (12), `--per-proc BYTES` (32M), `--segments N` (8),
-//! `--scale N` collperf dimension divisor (4), `--buffer BYTES` (16M),
-//! `--stddev F` (0.35), `--seed N` (42), `--rw read|write` (write),
-//! `--machine testbed|exascale|small` (testbed),
-//! `--pipeline serial|double` (serial), `--two-level`,
-//! `--strategy two-phase|mc` (mc) which plan the observed run executes,
-//! `--engine fifo|fair` (fifo) which DES resource discipline serves
-//! shared resources (fixed service slots vs amortized processor
-//! sharing — byte-identical whenever nothing is shared),
-//! `--trace FILE` (write a unified Chrome-trace JSON of the observed
-//! run: resource service lanes plus logical round phases; open in
-//! Perfetto), `--metrics FILE` (export the run's metric registry —
-//! machine config, workload shape, planner decisions, per-resource
-//! utilization, wait-time histograms, per-phase timings),
-//! `--metrics-format json|csv|prom` (json), `--faults FILE` (inject a
-//! deterministic fault plan — see `docs/robustness.md` for the DSL —
-//! and run both strategies through the resilient executor; the trace
-//! gains the pid-3 fault lanes and the report a completion verdict),
-//! `--adaptive off|conservative|aggressive` (off; with `--faults`,
-//! run the closed-loop controller that re-tunes, defers, and
-//! re-places between rounds — the trace gains the pid-5 replan lanes
-//! and `analyze` a replan-attribution section).
+//! Every command, flag, default and one-line description lives in the
+//! flag table (`mcio_bench::cli::MCIO_CLI`); `mcio_cli --help` and
+//! `mcio_cli COMMAND --help` print it. What the table cannot say:
 //!
-//! The `analyze` subcommand consumes a `--trace` file and reports the
-//! critical path (network-shuffle / OST-I/O / memory-wait / idle),
-//! top-K longest round chains, per-aggregator I/O pressure, straggler
-//! findings, and resource-class service percentiles:
-//! `mcio_cli analyze --trace FILE [--report text|json] [--top N]`.
-//! Adding `--timeline FILE` also writes the fixed-interval utilization
-//! time-series (`mcio.timeline.v1`) for every resource class, OST, and
-//! tenant lane: `[--timeline-format json|csv] [--bucket-ns N]`.
+//! * `run` (the default — bare flags select it) plans the job both
+//!   ways and prints both bandwidths; its job flags are the keys of
+//!   `mcio_workloads::JobDesc` under their CLI spelling, so a value is
+//!   checked by the same code as in a spec or trace file. One *extra*
+//!   observed run of `--strategy` feeds `--trace` (resource lanes plus
+//!   round phases), `--metrics` (machine, workload shape, planner
+//!   decisions, utilization, wait histograms, phase timings) and
+//!   `--prof`. With `--faults` both strategies run through the
+//!   resilient executor (pid-3 fault lanes, a completion verdict per
+//!   strategy) and `--adaptive` closes the loop between rounds (pid-5
+//!   replan lanes, an `adaptive` summary line).
+//! * `analyze` partitions elapsed time *exactly* into network-shuffle /
+//!   OST-I/O / memory-wait / retry-degraded / idle and adds round
+//!   chains, aggregator pressure, stragglers and service percentiles;
+//!   its `--timeline` notice goes to stderr so `--report json` stdout
+//!   stays one JSON document.
+//! * `diff` takes two Chrome traces, two `mcio.perf_suite.v1` documents
+//!   or two `mcio.analyze.v1` reports and prints one line per change;
+//!   identical runs print nothing and exit 0.
+//! * `sweep`, `multitenant` and `schedule` write byte-stable documents
+//!   (`mcio.sweep.v1`, `mcio.multitenant.v1`, `mcio.schedule.v1`): the
+//!   same bytes at any `--jobs` value, with or without `--prof`, whose
+//!   `mcio.prof.v1` sidecar is byte-stable only in its deterministic
+//!   section (`prof --det` prints exactly that, the CI diffing target).
 //!
-//! The `diff` subcommand compares two runs and prints one line per
-//! change — critical-path bucket deltas, utilization-timeline deltas,
-//! straggler-set changes — so a regression names its cause. Inputs may
-//! be two Chrome traces, two `mcio.perf_suite.v1` documents, or two
-//! `mcio.analyze.v1` reports; identical runs print nothing and exit 0:
-//! `mcio_cli diff A B`.
-//!
-//! The `sweep` subcommand fans a buffer × pipeline × strategy grid
-//! across worker threads with a shared plan cache and writes a
-//! byte-deterministic `mcio.sweep.v1` JSON document:
-//! `mcio_cli sweep [--jobs N] [--out FILE] [--ranks N] [--ppn N]
-//! [--seed N]` — same output bytes at any `--jobs` value.
-//!
-//! The `multitenant` subcommand runs N jobs from a spec file (see
-//! `docs/multitenancy.md`) concurrently on one shared machine and
-//! emits the byte-stable `mcio.multitenant.v1` document with per-job
-//! slowdown and OST-overlap interference metrics:
-//! `mcio_cli multitenant --spec FILE [--out FILE] [--trace FILE]`.
-//!
-//! The `schedule` subcommand replays a job-arrival trace (the
-//! `mcio.jobtrace.v1` DSL — see `docs/scheduling.md`) through the
-//! queue scheduler: jobs wait for free nodes, dispatch under
-//! `--policy fcfs|backfill|priority` (FCFS; conservative backfill;
-//! priority-with-aging), optionally gated by `--admission` (defer
-//! dispatches whose predicted interference exceeds the slowdown /
-//! OST-overlap budgets, read live from the tenant gauges), and emits
-//! the byte-stable `mcio.schedule.v1` document with per-job wait /
-//! turnaround / slowdown and stream makespan:
-//! `mcio_cli schedule --trace FILE [--policy P] [--admission]
-//! [--out FILE] [--jobs N] [--chrome FILE] [--metrics FILE]` —
-//! same output bytes at any `--jobs` value; `--chrome` adds the pid-6
-//! scheduler lanes `analyze` renders as the scheduler section.
-//!
-//! `run`, `sweep`, and `multitenant` all take `--prof FILE`: profile
-//! the *simulator itself* and write the `mcio.prof.v1` sidecar — the
-//! deterministic section (engine counters per cell) is byte-identical
-//! across runs and `--jobs` values; the host section (wall-clock phase
-//! table, events/sec, plan-cache timing, worker utilization) is not.
-//! The primary output document is byte-identical with or without
-//! `--prof`. The `prof` subcommand pretty-prints a sidecar —
-//! `mcio_cli prof FILE [--top N] [--det]` — where `--det` emits only
-//! the canonical deterministic section (the CI diffing target).
-//!
-//! Unknown flags or subcommands exit 2; unreadable/unwritable files
-//! and `--jobs 0` exit 1. Nothing panics on bad input.
+//! Exit codes are those of `mcio_bench::cli`: usage errors 2, file
+//! errors and `--jobs 0` exit 1, nothing panics on bad input.
 
 use mcio_analyze::{CriticalPath, RunDiff, TraceModel};
+use mcio_bench::cli::{self, emit_doc, fail, read_or_exit, write_or_exit, Matches, ProfSidecar};
 use mcio_bench::perf::Record;
 use mcio_bench::{format_bytes, improvement_pct};
 use mcio_cluster::spec::ClusterSpec;
@@ -97,225 +50,56 @@ use mcio_cluster::ProcessMap;
 use mcio_core::exec_sim::{simulate_observed, Exchange, Observe, Pipeline};
 use mcio_core::hints::parse_bytes;
 use mcio_core::{
-    mcio as mc, simulate_adaptive, twophase, AdaptivePolicy, CollectiveConfig, CollectiveRequest,
-    FaultOutcome, PlanCache, ProcMemory, Rw, Strategy,
+    mcio as mc, simulate_adaptive, twophase, AdaptivePolicy, CollectiveConfig, FaultOutcome,
+    PlanCache, ProcMemory, Rw, Strategy,
 };
 use mcio_faults::FaultSpec;
 use mcio_obs::{MetricsFormat, Registry};
-use mcio_prof::{DetCell, PlanCacheStats, Prof, ProfReport, WorkerRow};
+use mcio_prof::{DetCell, PlanCacheStats, ProfReport};
 use mcio_sched::{render_schedule, run_schedule, JobTrace, Policy, SchedConfig};
-use mcio_workloads::{science, CollPerf, Ior};
-use std::collections::HashMap;
-use std::process::exit;
+use mcio_workloads::{Ior, JobDesc};
 use std::sync::Arc;
 
-/// Flags that take a value in run mode.
-const RUN_OPTS: &[&str] = &[
-    "workload",
-    "ranks",
-    "ppn",
-    "per-proc",
-    "segments",
-    "scale",
-    "buffer",
-    "stddev",
-    "seed",
-    "rw",
-    "machine",
-    "pipeline",
-    "strategy",
-    "trace",
-    "metrics",
-    "metrics-format",
-    "faults",
-    "adaptive",
-    "prof",
-    "engine",
-];
-/// Boolean flags in run mode.
-const RUN_FLAGS: &[&str] = &["two-level", "help"];
-/// Flags that take a value in analyze mode.
-const ANALYZE_OPTS: &[&str] = &[
-    "trace",
-    "report",
-    "top",
-    "timeline",
-    "timeline-format",
-    "bucket-ns",
-];
-/// Boolean flags in analyze mode.
-const ANALYZE_FLAGS: &[&str] = &["help"];
-/// Flags that take a value in diff mode (none today; inputs are
-/// positional).
-const DIFF_OPTS: &[&str] = &[];
-/// Boolean flags in diff mode.
-const DIFF_FLAGS: &[&str] = &["help"];
-/// Flags that take a value in sweep mode.
-const SWEEP_OPTS: &[&str] = &["jobs", "out", "ranks", "ppn", "seed", "prof"];
-/// Boolean flags in sweep mode.
-const SWEEP_FLAGS: &[&str] = &["help"];
-/// Flags that take a value in multitenant mode.
-const MT_OPTS: &[&str] = &["spec", "out", "trace", "prof"];
-/// Boolean flags in multitenant mode.
-const MT_FLAGS: &[&str] = &["help"];
-/// Flags that take a value in prof mode (the input file is positional).
-const PROF_OPTS: &[&str] = &["top"];
-/// Boolean flags in prof mode.
-const PROF_FLAGS: &[&str] = &["help", "det"];
-/// Flags that take a value in schedule mode.
-const SCHED_OPTS: &[&str] = &["trace", "policy", "out", "jobs", "chrome", "metrics"];
-/// Boolean flags in schedule mode.
-const SCHED_FLAGS: &[&str] = &["help", "admission"];
-
-/// Parse `--key value` / `--flag` argument lists against an explicit
-/// whitelist. Anything else is a usage error: exit 2.
-fn parse_args(
-    args: &[String],
-    value_keys: &[&str],
-    bool_keys: &[&str],
-    context: &str,
-) -> (HashMap<String, String>, Vec<String>) {
-    let mut opts: HashMap<String, String> = HashMap::new();
-    let mut flags: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let Some(key) = a.strip_prefix("--") else {
-            eprintln!("mcio_cli {context}: unexpected argument `{a}` (flags start with --)");
-            exit(2);
-        };
-        if bool_keys.contains(&key) {
-            flags.push(key.to_string());
-        } else if value_keys.contains(&key) {
-            match it.next() {
-                Some(v) => {
-                    opts.insert(key.to_string(), v.clone());
-                }
-                None => {
-                    eprintln!("mcio_cli {context}: flag --{key} needs a value");
-                    exit(2);
-                }
-            }
-        } else {
-            eprintln!("mcio_cli {context}: unknown flag --{key} (run with --help for usage)");
-            exit(2);
-        }
-    }
-    (opts, flags)
-}
-
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("analyze") => {
-            args.remove(0);
-            run_analyze(&args);
-        }
-        Some("sweep") => {
-            args.remove(0);
-            run_sweep(&args);
-        }
-        Some("multitenant") => {
-            args.remove(0);
-            run_multitenant_cmd(&args);
-        }
-        Some("diff") => {
-            args.remove(0);
-            run_diff(&args);
-        }
-        Some("prof") => {
-            args.remove(0);
-            run_prof(&args);
-        }
-        Some("schedule") => {
-            args.remove(0);
-            run_schedule_cmd(&args);
-        }
-        Some(first) if !first.starts_with("--") => {
-            eprintln!(
-                "mcio_cli: unknown subcommand `{first}` (expected `analyze`, `sweep`, \
-                 `multitenant`, `diff`, `prof`, `schedule`, or run flags)"
-            );
-            exit(2);
-        }
-        _ => run_sim(&args),
+    let m = cli::dispatch("mcio_cli", cli::MCIO_CLI);
+    match m.ctx() {
+        "mcio_cli analyze" => run_analyze(&m),
+        "mcio_cli diff" => run_diff(&m),
+        "mcio_cli sweep" => run_sweep(&m),
+        "mcio_cli multitenant" => run_multitenant_cmd(&m),
+        "mcio_cli prof" => run_prof(&m),
+        "mcio_cli schedule" => run_schedule_cmd(&m),
+        "mcio_cli run" => run_sim(&m),
+        other => unreachable!("`{other}` is in the flag table but has no runner"),
     }
 }
 
-/// `mcio_cli analyze --trace FILE [--report text|json] [--top N]
-/// [--timeline FILE [--timeline-format json|csv] [--bucket-ns N]]`
-fn run_analyze(args: &[String]) {
-    let (opts, flags) = parse_args(args, ANALYZE_OPTS, ANALYZE_FLAGS, "analyze");
-    if flags.iter().any(|f| f == "help") {
-        println!(
-            "usage: mcio_cli analyze --trace FILE [--report text|json] [--top N] \
-             [--timeline FILE [--timeline-format json|csv] [--bucket-ns N]]"
-        );
-        exit(0);
-    }
-    let Some(path) = opts.get("trace") else {
-        eprintln!("mcio_cli analyze: --trace FILE is required");
-        exit(2);
-    };
-    let top: usize = match opts.get("top").map(String::as_str).unwrap_or("5").parse() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("mcio_cli analyze: --top: {e}");
-            exit(2);
-        }
-    };
-    let report = opts.get("report").map(String::as_str).unwrap_or("text");
-    if !matches!(report, "text" | "json") {
-        eprintln!("mcio_cli analyze: --report must be text|json, got `{report}`");
-        exit(2);
-    }
-    let tl_format = opts
-        .get("timeline-format")
-        .map(String::as_str)
-        .unwrap_or("json");
-    if !matches!(tl_format, "json" | "csv") {
-        eprintln!("mcio_cli analyze: --timeline-format must be json|csv, got `{tl_format}`");
-        exit(2);
-    }
-    let bucket_override: Option<u64> = opts.get("bucket-ns").map(|raw| match raw.parse() {
-        Ok(n) if n >= 1 => n,
-        _ => {
-            eprintln!("mcio_cli analyze: --bucket-ns must be a positive integer, got `{raw}`");
-            exit(2);
-        }
-    });
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("mcio_cli analyze: cannot read {path}: {e}");
-            exit(1);
-        }
-    };
-    let model = match TraceModel::from_chrome_json(&text) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("mcio_cli analyze: {path} is not a chrome trace: {e}");
-            exit(1);
-        }
-    };
-    if let Some(tl_path) = opts.get("timeline") {
-        let bucket_ns =
-            bucket_override.unwrap_or_else(|| mcio_analyze::default_bucket_ns(model.makespan_ns()));
+/// `mcio_cli analyze`: the report to stdout, the optional timeline to
+/// its file.
+fn run_analyze(m: &Matches) {
+    let ctx = m.ctx();
+    let path = m.require("trace");
+    let text = read_or_exit(ctx, "", path);
+    let model = TraceModel::from_chrome_json(&text)
+        .unwrap_or_else(|e| fail(ctx, 1, &format!("{path} is not a chrome trace: {e}")));
+    if let Some(tl_path) = m.get("timeline") {
+        let bucket_ns = match m.get("bucket-ns") {
+            Some(_) => m.num("bucket-ns"),
+            None => mcio_analyze::default_bucket_ns(model.makespan_ns()),
+        };
         let tl = mcio_analyze::timeline(&model, bucket_ns);
-        let body = match tl_format {
-            "csv" => tl.to_csv(),
+        let body = match m.get("timeline-format") {
+            Some("csv") => tl.to_csv(),
             _ => tl.to_json(),
         };
-        if let Err(e) = std::fs::write(tl_path, body) {
-            eprintln!("mcio_cli analyze: cannot write timeline to {tl_path}: {e}");
-            exit(1);
-        }
+        write_or_exit(ctx, "timeline", tl_path, &body);
         // Status goes to stderr so `--report json` stdout stays a pure
         // JSON document.
-        eprintln!("mcio_cli analyze: timeline written to {tl_path}");
+        eprintln!("{ctx}: timeline written to {tl_path}");
     }
-    let analysis = mcio_analyze::analyze(&model, top);
-    match report {
-        "json" => print!("{}", analysis.to_json()),
+    let analysis = mcio_analyze::analyze(&model, m.num("top") as usize);
+    match m.get("report") {
+        Some("json") => print!("{}", analysis.to_json()),
         _ => print!("{}", analysis.to_text()),
     }
 }
@@ -343,51 +127,33 @@ impl DiffDoc {
 /// Read one diff input, sniffing its kind: a JSON array is a Chrome
 /// trace; a JSON object is dispatched on its `schema` stamp. Every
 /// failure is a one-line exit 1.
-fn load_diff_doc(path: &str) -> DiffDoc {
+fn load_diff_doc(ctx: &str, path: &str) -> DiffDoc {
     use mcio_obs::json::{self, JsonValue};
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("mcio_cli diff: cannot read {path}: {e}");
-            exit(1);
-        }
-    };
+    let bad = |msg: String| -> ! { fail(ctx, 1, &msg) };
+    let text = read_or_exit(ctx, "", path);
     if text.trim_start().starts_with('[') {
-        match TraceModel::from_chrome_json(&text) {
-            Ok(m) => return DiffDoc::Trace(Box::new(m)),
-            Err(e) => {
-                eprintln!("mcio_cli diff: {path} is not a chrome trace: {e}");
-                exit(1);
-            }
-        }
+        return match TraceModel::from_chrome_json(&text) {
+            Ok(m) => DiffDoc::Trace(Box::new(m)),
+            Err(e) => bad(format!("{path} is not a chrome trace: {e}")),
+        };
     }
-    let doc = match json::parse(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("mcio_cli diff: {path} is not valid JSON: {e}");
-            exit(1);
-        }
-    };
+    let doc = json::parse(&text).unwrap_or_else(|e| bad(format!("{path} is not valid JSON: {e}")));
     match doc.get("schema").and_then(JsonValue::as_str) {
         Some("mcio.perf_suite.v1") => match mcio_bench::perf::parse_records(&text) {
             Ok(records) => DiffDoc::Perf(records),
-            Err(e) => {
-                eprintln!("mcio_cli diff: {path}: {e}");
-                exit(1);
-            }
+            Err(e) => bad(format!("{path}: {e}")),
         },
         Some("mcio.analyze.v1") => {
             let num = |v: &JsonValue, key: &str| -> u64 {
-                v.get(key).and_then(JsonValue::as_f64).unwrap_or_else(|| {
-                    eprintln!("mcio_cli diff: {path}: analyze report is missing `{key}`");
-                    exit(1);
-                }) as u64
+                v.get(key)
+                    .and_then(JsonValue::as_f64)
+                    .unwrap_or_else(|| bad(format!("{path}: analyze report is missing `{key}`")))
+                    as u64
             };
             let elapsed_ns = num(&doc, "elapsed_ns");
-            let Some(cp) = doc.get("critical_path") else {
-                eprintln!("mcio_cli diff: {path}: analyze report is missing `critical_path`");
-                exit(1);
-            };
+            let cp = doc.get("critical_path").unwrap_or_else(|| {
+                bad(format!("{path}: analyze report is missing `critical_path`"))
+            });
             DiffDoc::Analyze {
                 elapsed_ns,
                 cp: CriticalPath {
@@ -400,17 +166,13 @@ fn load_diff_doc(path: &str) -> DiffDoc {
                 },
             }
         }
-        Some(other) => {
-            eprintln!(
-                "mcio_cli diff: {path}: unsupported schema `{other}` (expected a chrome trace, \
-                 mcio.perf_suite.v1, or mcio.analyze.v1)"
-            );
-            exit(1);
-        }
-        None => {
-            eprintln!("mcio_cli diff: {path}: not a chrome trace and carries no `schema` stamp");
-            exit(1);
-        }
+        Some(other) => bad(format!(
+            "{path}: unsupported schema `{other}` (expected a chrome trace, \
+             mcio.perf_suite.v1, or mcio.analyze.v1)"
+        )),
+        None => bad(format!(
+            "{path}: not a chrome trace and carries no `schema` stamp"
+        )),
     }
 }
 
@@ -421,23 +183,20 @@ fn load_diff_doc(path: &str) -> DiffDoc {
 /// through every lens (critical-path buckets, utilization timelines,
 /// straggler sets); perf_suite documents diff per (scenario, strategy)
 /// cell; analyze reports diff elapsed time and critical-path buckets.
-fn run_diff(args: &[String]) {
-    let (inputs, flag_args): (Vec<String>, Vec<String>) =
-        args.iter().cloned().partition(|a| !a.starts_with("--"));
-    let (_, flags) = parse_args(&flag_args, DIFF_OPTS, DIFF_FLAGS, "diff");
-    if flags.iter().any(|f| f == "help") {
-        println!("usage: mcio_cli diff A B   (two traces, perf_suite, or analyze documents)");
-        exit(0);
-    }
-    let [a_path, b_path] = inputs.as_slice() else {
-        eprintln!(
-            "mcio_cli diff: expected exactly two input files, got {}",
-            inputs.len()
+fn run_diff(m: &Matches) {
+    let ctx = m.ctx();
+    let [a_path, b_path] = m.positionals.as_slice() else {
+        fail(
+            ctx,
+            2,
+            &format!(
+                "expected exactly two input files, got {}",
+                m.positionals.len()
+            ),
         );
-        exit(2);
     };
-    let a = load_diff_doc(a_path);
-    let b = load_diff_doc(b_path);
+    let a = load_diff_doc(ctx, a_path);
+    let b = load_diff_doc(ctx, b_path);
     match (&a, &b) {
         (DiffDoc::Trace(ma), DiffDoc::Trace(mb)) => {
             print!("{}", mcio_analyze::diff_models(ma, mb).to_text());
@@ -470,86 +229,45 @@ fn run_diff(args: &[String]) {
             };
             print!("{}", d.to_text());
         }
-        _ => {
-            eprintln!(
-                "mcio_cli diff: cannot compare {a_path} ({}) against {b_path} ({})",
+        _ => fail(
+            ctx,
+            1,
+            &format!(
+                "cannot compare {a_path} ({}) against {b_path} ({})",
                 a.kind(),
                 b.kind()
-            );
-            exit(1);
-        }
+            ),
+        ),
     }
 }
 
-/// `mcio_cli prof FILE [--top N] [--det]` — pretty-print a
-/// `mcio.prof.v1` sidecar written by `run`/`sweep`/`multitenant`
-/// `--prof` or `perf_suite --prof`.
-///
-/// Default output: the deterministic totals, the host headlines
-/// (wall time, events/sec, allocator peak when counted), and the
-/// top-N phases by exclusive wall time. `--det` instead emits only
-/// the canonical deterministic section — byte-identical across runs
-/// and `--jobs` values, so CI can `diff` two invocations directly.
-fn run_prof(args: &[String]) {
-    // Split positional inputs from flags, keeping each value flag's
-    // operand with the flag (`--top 3` is not a positional "3").
-    let mut inputs = Vec::new();
-    let mut flag_args = Vec::new();
-    let mut it = args.iter().cloned().peekable();
-    while let Some(a) = it.next() {
-        if a.starts_with("--") {
-            let takes_value = PROF_OPTS.contains(&a.trim_start_matches("--"));
-            flag_args.push(a);
-            if takes_value {
-                if let Some(v) = it.next() {
-                    flag_args.push(v);
-                }
-            }
-        } else {
-            inputs.push(a);
-        }
-    }
-    let (opts, flags) = parse_args(&flag_args, PROF_OPTS, PROF_FLAGS, "prof");
-    if flags.iter().any(|f| f == "help") {
-        println!("usage: mcio_cli prof FILE [--top N] [--det]");
-        exit(0);
-    }
-    let [path] = inputs.as_slice() else {
-        eprintln!(
-            "mcio_cli prof: expected exactly one mcio.prof.v1 file, got {}",
-            inputs.len()
+/// `mcio_cli prof FILE` — pretty-print a `mcio.prof.v1` sidecar written
+/// by `run`/`sweep`/`multitenant` `--prof` or `perf_suite --prof`: the
+/// deterministic totals, the host headlines (wall time, events/sec,
+/// allocator peak when counted) and the top phases by exclusive wall
+/// time — or, with `--det`, only the canonical deterministic section.
+fn run_prof(m: &Matches) {
+    let ctx = m.ctx();
+    let [path] = m.positionals.as_slice() else {
+        fail(
+            ctx,
+            2,
+            &format!(
+                "expected exactly one mcio.prof.v1 file, got {}",
+                m.positionals.len()
+            ),
         );
-        exit(2);
     };
-    let top: usize = match opts.get("top").map(String::as_str).unwrap_or("10").parse() {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("mcio_cli prof: --top: {e}");
-            exit(2);
-        }
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("mcio_cli prof: cannot read {path}: {e}");
-            exit(1);
-        }
-    };
-    let report = match ProfReport::from_json(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("mcio_cli prof: {path}: {e}");
-            exit(1);
-        }
-    };
-    if flags.iter().any(|f| f == "det") {
+    let report = ProfReport::from_json(&read_or_exit(ctx, "", path))
+        .unwrap_or_else(|e| fail(ctx, 1, &format!("{path}: {e}")));
+    if m.on("det") {
         println!("{}", report.deterministic_json());
     } else {
-        print!("{}", report.render_pretty(top));
+        print!("{}", report.render_pretty(m.num("top") as usize));
     }
 }
 
-/// `mcio_cli sweep [--jobs N] [--out FILE] [--ranks N] [--ppn N] [--seed N]`
+/// `mcio_cli sweep`
 ///
 /// Fans a fixed buffer × pipeline × strategy grid over an IOR-shaped
 /// workload across N worker threads, memoizing plans in a shared
@@ -559,39 +277,17 @@ fn run_prof(args: &[String]) {
 /// any `--jobs` value. Cache statistics go to stdout only — under
 /// parallel execution concurrent first sights can both count as misses,
 /// so the totals are not byte-stable and must stay out of the document.
-fn run_sweep(args: &[String]) {
-    let (opts, flags) = parse_args(args, SWEEP_OPTS, SWEEP_FLAGS, "sweep");
-    if flags.iter().any(|f| f == "help") {
-        println!(
-            "usage: mcio_cli sweep [--jobs N] [--out FILE] [--ranks N] [--ppn N] [--seed N] \
-             [--prof FILE]"
-        );
-        exit(0);
-    }
-    let get = |k: &str, d: &str| opts.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let jobs: usize = {
-        let raw = get("jobs", "1");
-        match raw.parse() {
-            Ok(j) if j >= 1 => j,
-            _ => {
-                eprintln!("mcio_cli sweep: --jobs must be a positive integer, got `{raw}`");
-                exit(1);
-            }
-        }
-    };
-    let num = |k: &str, d: &str| -> u64 {
-        get(k, d).parse().unwrap_or_else(|e| {
-            eprintln!("mcio_cli sweep: --{k}: {e}");
-            exit(2);
-        })
-    };
-    let ranks = num("ranks", "64") as usize;
-    let ppn = num("ppn", "8") as usize;
-    let seed = num("seed", "42");
-    let out_path = get("out", "MCIO_sweep.json");
+fn run_sweep(m: &Matches) {
+    let ctx = m.ctx();
+    let jobs = m.num("jobs") as usize;
+    let (ranks, ppn, seed) = (
+        m.num("ranks") as usize,
+        m.num("ppn") as usize,
+        m.num("seed"),
+    );
+    let out_path = m.get("out").expect("--out has a default");
     if ranks == 0 || ppn == 0 {
-        eprintln!("mcio_cli sweep: --ranks and --ppn must be positive");
-        exit(1);
+        fail(ctx, 1, "--ranks and --ppn must be positive");
     }
 
     let grid = mcio_sweep::SweepSpec::new()
@@ -607,12 +303,7 @@ fn run_sweep(args: &[String]) {
         spec.nodes = map.nnodes();
     }
     let cache = PlanCache::shared();
-    let want_prof = opts.get("prof");
-    let prof = if want_prof.is_some() {
-        Prof::enabled()
-    } else {
-        Prof::disabled()
-    };
+    let sidecar = ProfSidecar::new(m.get("prof"));
 
     struct SweepRecord {
         key: String,
@@ -635,7 +326,7 @@ fn run_sweep(args: &[String]) {
         };
         let mem = ProcMemory::normal(ranks, buffer, 0.35, seed);
         let cfg = CollectiveConfig::with_buffer(buffer).mem_min(buffer / 2);
-        let plan_scope = prof.scope("plan");
+        let plan_scope = sidecar.prof().scope("plan");
         let plan = cache.get_or_plan(strategy, &req, &map, &mem, &cfg);
         drop(plan_scope);
         // Same simulation as `simulate_opts`, with the profiler handle
@@ -650,7 +341,7 @@ fn run_sweep(args: &[String]) {
             Observe {
                 registry: None,
                 trace: false,
-                prof: want_prof.map(|_| &prof),
+                prof: sidecar.observe(),
                 ..Observe::default()
             },
         );
@@ -678,10 +369,7 @@ fn run_sweep(args: &[String]) {
         ));
     }
     doc.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("mcio_cli sweep: cannot write {out_path}: {e}");
-        exit(1);
-    }
+    write_or_exit(ctx, "", out_path, &doc);
     for r in &records {
         println!(
             "{:<40} elapsed {:>10.3} ms  {:>9.1} MiB/s  ({} aggs, {} rounds)",
@@ -700,45 +388,27 @@ fn run_sweep(args: &[String]) {
     );
     println!("wrote {out_path}");
 
-    if let Some(path) = want_prof {
-        // Cells in grid-point order — the sweep merge already
-        // canonicalized it, so the deterministic section is identical
-        // at any --jobs value.
-        let cells = records
-            .iter()
-            .map(|r| DetCell {
-                label: r.key.clone(),
-                engine: r.engine.clone(),
-            })
-            .collect();
-        let rows = workers
-            .iter()
-            .map(|w| WorkerRow {
-                worker: w.worker as u64,
-                busy_ns: w.busy_ns,
-                tasks: w.tasks,
-            })
-            .collect();
-        let report = ProfReport::build(
-            &prof,
-            cells,
-            Some(PlanCacheStats {
-                hits: cache.hits(),
-                misses: cache.misses(),
-                distinct_plans: cache.len() as u64,
-                plan_wall_ns: cache.plan_wall_ns(),
-            }),
-            rows,
-        );
-        if let Err(e) = std::fs::write(path, report.render()) {
-            eprintln!("mcio_cli sweep: cannot write {path}: {e}");
-            exit(1);
-        }
+    // Cells in grid-point order — the sweep merge already canonicalized
+    // it.
+    let cells = records
+        .iter()
+        .map(|r| DetCell {
+            label: r.key.clone(),
+            engine: r.engine.clone(),
+        })
+        .collect();
+    let cache_stats = PlanCacheStats {
+        hits: cache.hits(),
+        misses: cache.misses(),
+        distinct_plans: cache.len() as u64,
+        plan_wall_ns: cache.plan_wall_ns(),
+    };
+    if let Some(path) = sidecar.write(ctx, cells, Some(cache_stats), &workers) {
         println!("profile written to {path}");
     }
 }
 
-/// `mcio_cli multitenant --spec FILE [--out FILE] [--trace FILE]`
+/// `mcio_cli multitenant`
 ///
 /// Runs every job of a multi-tenant spec (see `docs/multitenancy.md`
 /// for the DSL) concurrently on the shared machine and emits the
@@ -746,40 +416,14 @@ fn run_sweep(args: &[String]) {
 /// to stdout otherwise. `--trace FILE` additionally writes the unified
 /// Chrome trace (per-job round lanes plus the pid-4 tenant windows
 /// `mcio_cli analyze` attributes into self vs. cross-job contention).
-fn run_multitenant_cmd(args: &[String]) {
-    let (opts, flags) = parse_args(args, MT_OPTS, MT_FLAGS, "multitenant");
-    if flags.iter().any(|f| f == "help") {
-        println!(
-            "usage: mcio_cli multitenant --spec FILE [--out FILE] [--trace FILE] [--prof FILE]"
-        );
-        exit(0);
-    }
-    let Some(spec_path) = opts.get("spec") else {
-        eprintln!("mcio_cli multitenant: --spec FILE is required");
-        exit(2);
-    };
-    let text = match std::fs::read_to_string(spec_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("mcio_cli multitenant: cannot read {spec_path}: {e}");
-            exit(1);
-        }
-    };
-    let spec = match mcio_bench::mtspec::MtSpec::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("mcio_cli multitenant: {spec_path}: {e}");
-            exit(1);
-        }
-    };
+fn run_multitenant_cmd(m: &Matches) {
+    let ctx = m.ctx();
+    let spec_path = m.require("spec");
+    let spec = mcio_bench::mtspec::MtSpec::parse(&read_or_exit(ctx, "", spec_path))
+        .unwrap_or_else(|e| fail(ctx, 1, &format!("{spec_path}: {e}")));
     let jobs = spec.build_jobs();
-    let want_trace = opts.get("trace");
-    let want_prof = opts.get("prof");
-    let prof = if want_prof.is_some() {
-        Prof::enabled()
-    } else {
-        Prof::disabled()
-    };
+    let want_trace = m.get("trace");
+    let sidecar = ProfSidecar::new(m.get("prof"));
     let mt = mcio_core::run_multitenant(
         &jobs,
         &spec.machine,
@@ -787,294 +431,148 @@ fn run_multitenant_cmd(args: &[String]) {
         Observe {
             registry: None,
             trace: want_trace.is_some(),
-            prof: want_prof.map(|_| &prof),
+            prof: sidecar.observe(),
             ..Observe::default()
         },
     );
-    if let Some(path) = want_prof {
-        // One cell: the whole multi-tenant machine is a single shared
-        // DES run.
-        let report = ProfReport::build(
-            &prof,
-            vec![DetCell {
-                label: "multitenant".to_string(),
-                engine: mt.engine.clone(),
-            }],
-            None,
-            Vec::new(),
-        );
-        if let Err(e) = std::fs::write(path, report.render()) {
-            eprintln!("mcio_cli multitenant: cannot write {path}: {e}");
-            exit(1);
-        }
-        eprintln!("mcio_cli multitenant: profile written to {path}");
+    // One cell: the whole multi-tenant machine is a single shared DES
+    // run.
+    let cell = DetCell {
+        label: "multitenant".to_string(),
+        engine: mt.engine.clone(),
+    };
+    if let Some(path) = sidecar.write(ctx, vec![cell], None, &[]) {
+        eprintln!("{ctx}: profile written to {path}");
     }
     if let Some(path) = want_trace {
         let json = mt.trace.as_deref().expect("trace was requested");
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("mcio_cli multitenant: cannot write trace to {path}: {e}");
-            exit(1);
-        }
+        write_or_exit(ctx, "trace", path, json);
     }
     let doc = mcio_bench::mtspec::render_run(&spec.machine.name, &mt);
-    match opts.get("out") {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &doc) {
-                eprintln!("mcio_cli multitenant: cannot write {path}: {e}");
-                exit(1);
-            }
-            for j in &mt.jobs {
-                println!(
-                    "{:<12} {:<17} window {:>10.3} ms  slowdown {:>6.3}x  ost-overlap {:>5.3}",
-                    j.label,
-                    j.strategy.label(),
-                    (j.end_ns - j.start_ns) as f64 / 1e6,
-                    j.slowdown,
-                    j.ost_overlap,
-                );
-            }
-            println!("wrote {path}");
+    emit_doc(ctx, m.get("out"), &doc, || {
+        for j in &mt.jobs {
+            println!(
+                "{:<12} {:<17} window {:>10.3} ms  slowdown {:>6.3}x  ost-overlap {:>5.3}",
+                j.label,
+                j.strategy.label(),
+                (j.end_ns - j.start_ns) as f64 / 1e6,
+                j.slowdown,
+                j.ost_overlap,
+            );
         }
-        None => print!("{doc}"),
-    }
+    });
 }
 
-/// `mcio_cli schedule --trace FILE [--policy fcfs|backfill|priority]
-/// [--admission] [--out FILE] [--jobs N] [--chrome FILE]
-/// [--metrics FILE]`
+/// `mcio_cli schedule`
 ///
 /// Replays a `mcio.jobtrace.v1` job stream through the queue
 /// scheduler and emits the byte-stable `mcio.schedule.v1` document —
 /// to `--out` when given, to stdout otherwise. `--jobs` only fans the
 /// solo-baseline precompute; the document bytes never depend on it.
-fn run_schedule_cmd(args: &[String]) {
-    let (opts, flags) = parse_args(args, SCHED_OPTS, SCHED_FLAGS, "schedule");
-    if flags.iter().any(|f| f == "help") {
-        println!(
-            "usage: mcio_cli schedule --trace FILE [--policy fcfs|backfill|priority] \
-             [--admission] [--out FILE] [--jobs N] [--chrome FILE] [--metrics FILE]"
-        );
-        exit(0);
-    }
-    let Some(path) = opts.get("trace") else {
-        eprintln!("mcio_cli schedule: --trace FILE is required");
-        exit(2);
-    };
-    let policy = {
-        let raw = opts.get("policy").map(String::as_str).unwrap_or("fcfs");
-        Policy::parse(raw).unwrap_or_else(|| {
-            eprintln!("mcio_cli schedule: --policy must be fcfs|backfill|priority, got `{raw}`");
-            exit(2);
-        })
-    };
-    let jobs: usize = {
-        let raw = opts.get("jobs").map(String::as_str).unwrap_or("1");
-        match raw.parse() {
-            Ok(j) if j >= 1 => j,
-            _ => {
-                eprintln!("mcio_cli schedule: --jobs must be a positive integer, got `{raw}`");
-                exit(1);
-            }
-        }
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("mcio_cli schedule: cannot read {path}: {e}");
-            exit(1);
-        }
-    };
-    let trace = match JobTrace::parse(&text) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("mcio_cli schedule: {path}: {e}");
-            exit(1);
-        }
-    };
+fn run_schedule_cmd(m: &Matches) {
+    let ctx = m.ctx();
+    let path = m.require("trace");
+    let policy = Policy::parse(m.get("policy").expect("--policy has a default"))
+        .expect("checked by the flag table");
+    let trace = JobTrace::parse(&read_or_exit(ctx, "", path))
+        .unwrap_or_else(|e| fail(ctx, 1, &format!("{path}: {e}")));
     let cfg = SchedConfig {
         policy,
-        admission: flags.iter().any(|f| f == "admission"),
-        jobs,
-        collect_trace: opts.contains_key("chrome"),
+        admission: m.on("admission"),
+        jobs: m.num("jobs") as usize,
+        collect_trace: m.get("chrome").is_some(),
     };
-    let registry = opts.get("metrics").map(|_| Registry::shared());
+    let registry = m.get("metrics").map(|_| Registry::shared());
     let s = run_schedule(&trace, &cfg, registry.as_ref());
-    if let Some(chrome_path) = opts.get("chrome") {
+    if let Some(chrome_path) = m.get("chrome") {
         let json = s.trace.as_deref().expect("trace was requested");
-        if let Err(e) = std::fs::write(chrome_path, json) {
-            eprintln!("mcio_cli schedule: cannot write trace to {chrome_path}: {e}");
-            exit(1);
-        }
-        eprintln!("mcio_cli schedule: scheduler trace written to {chrome_path}");
+        write_or_exit(ctx, "trace", chrome_path, json);
+        eprintln!("{ctx}: scheduler trace written to {chrome_path}");
     }
-    if let Some(metrics_path) = opts.get("metrics") {
-        let registry = registry.as_ref().expect("metrics registry was created");
+    if let (Some(metrics_path), Some(registry)) = (m.get("metrics"), &registry) {
         let fmt = MetricsFormat::parse("json").expect("json is a metrics format");
-        if let Err(e) = std::fs::write(metrics_path, fmt.render(&registry.snapshot())) {
-            eprintln!("mcio_cli schedule: cannot write metrics to {metrics_path}: {e}");
-            exit(1);
-        }
-        eprintln!("mcio_cli schedule: metrics written to {metrics_path}");
+        let body = fmt.render(&registry.snapshot());
+        write_or_exit(ctx, "metrics", metrics_path, &body);
+        eprintln!("{ctx}: metrics written to {metrics_path}");
     }
-    let doc = render_schedule(&s);
-    match opts.get("out") {
-        Some(out_path) => {
-            if let Err(e) = std::fs::write(out_path, &doc) {
-                eprintln!("mcio_cli schedule: cannot write {out_path}: {e}");
-                exit(1);
-            }
-            for j in &s.jobs {
-                println!(
-                    "{:<12} wait {:>10.3} ms  turnaround {:>10.3} ms  slowdown {:>7.3}x  \
-                     {:>2} nodes{}",
-                    j.name,
-                    j.wait_ns as f64 / 1e6,
-                    j.turnaround_ns as f64 / 1e6,
-                    j.slowdown,
-                    j.nodes,
-                    if j.backfilled { "  [backfill]" } else { "" },
-                );
-            }
+    emit_doc(ctx, m.get("out"), &render_schedule(&s), || {
+        for j in &s.jobs {
             println!(
-                "policy {}: makespan {:.3} ms, p50 slowdown {:.3}, p99 slowdown {:.3}, \
-                 {} backfills, {} deferrals",
-                s.policy.label(),
-                s.makespan_ns as f64 / 1e6,
-                s.p50_slowdown,
-                s.p99_slowdown,
-                s.backfills,
-                s.admission_deferrals,
+                "{:<12} wait {:>10.3} ms  turnaround {:>10.3} ms  slowdown {:>7.3}x  \
+                 {:>2} nodes{}",
+                j.name,
+                j.wait_ns as f64 / 1e6,
+                j.turnaround_ns as f64 / 1e6,
+                j.slowdown,
+                j.nodes,
+                if j.backfilled { "  [backfill]" } else { "" },
             );
-            println!("wrote {out_path}");
         }
-        None => print!("{doc}"),
-    }
+        println!(
+            "policy {}: makespan {:.3} ms, p50 slowdown {:.3}, p99 slowdown {:.3}, \
+             {} backfills, {} deferrals",
+            s.policy.label(),
+            s.makespan_ns as f64 / 1e6,
+            s.p50_slowdown,
+            s.p99_slowdown,
+            s.backfills,
+            s.admission_deferrals,
+        );
+    });
 }
 
-fn run_sim(args: &[String]) {
-    let (opts, flags) = parse_args(args, RUN_OPTS, RUN_FLAGS, "run");
-    if flags.iter().any(|f| f == "help") {
-        // Keep the subcommand list in sync with the README's CLI table
-        // — crates/bench/tests/help_sync.rs diffs the two.
-        println!(
-            "usage: mcio_cli [SUBCOMMAND] [FLAGS]\n\
-             \n\
-             subcommands:\n\
-             \x20 (none)       run one collective, both strategies\n\
-             \x20 analyze      critical-path + straggler report from a trace\n\
-             \x20 diff         differential run attribution between two runs\n\
-             \x20 sweep        parallel deterministic parameter grid\n\
-             \x20 multitenant  N concurrent jobs on one shared machine\n\
-             \x20 prof         pretty-print a mcio.prof.v1 profile sidecar\n\
-             \x20 schedule     replay a job-arrival trace through the queue scheduler\n\
-             \n\
-             run flags: --workload ior|collperf|checkpoint, --ranks N, --ppn N,\n\
-             \x20 --per-proc BYTES, --segments N, --scale N, --buffer BYTES,\n\
-             \x20 --stddev F, --seed N, --rw read|write, --machine testbed|exascale|small,\n\
-             \x20 --pipeline serial|double, --two-level, --strategy two-phase|mc,\n\
-             \x20 --trace FILE, --metrics FILE, --metrics-format json|csv|prom,\n\
-             \x20 --faults FILE, --adaptive off|conservative|aggressive, --prof FILE,\n\
-             \x20 --engine fifo|fair\n\
-             \n\
-             each subcommand takes --help for its own flags; see the module docs\n\
-             at the top of crates/bench/src/bin/mcio_cli.rs for details"
-        );
-        exit(0);
+/// The job flags of `run`: [`JobDesc`] keys, `_` spelled `-`.
+const JOB_FLAGS: [&str; 12] = [
+    "workload", "ranks", "ppn", "per-proc", "segments", "scale", "buffer", "stddev", "seed", "rw",
+    "pipeline", "strategy",
+];
+
+/// `mcio_cli run` (and bare flags).
+fn run_sim(m: &Matches) {
+    let ctx = m.ctx();
+    let mut desc = JobDesc::default();
+    for flag in JOB_FLAGS {
+        let value = m.get(flag).expect("job flags have defaults");
+        if let Err(e) = desc.set(&flag.replace('-', "_"), value) {
+            fail(ctx, 2, &format!("--{flag}: {e}"));
+        }
     }
+    if m.on("two-level") {
+        desc.exchange = Exchange::TwoLevel;
+    }
+    if let Err(e) = desc.validate() {
+        fail(ctx, 2, &e);
+    }
+    let (pipeline, exchange) = (desc.pipeline, desc.exchange);
+    let policy = AdaptivePolicy::parse(m.get("adaptive").expect("--adaptive has a default"))
+        .expect("checked by the flag table");
+    let engine = mcio_des::SharePolicy::parse(m.get("engine").expect("--engine has a default"))
+        .expect("checked by the flag table");
+    let fmt = MetricsFormat::parse(m.get("metrics-format").expect("has a default"))
+        .expect("checked by the flag table");
 
-    let get = |k: &str, d: &str| opts.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let bytes = |k: &str, d: &str| -> u64 {
-        parse_bytes(&get(k, d)).unwrap_or_else(|e| {
-            eprintln!("--{k}: {e}");
-            exit(2);
-        })
-    };
-    let num = |k: &str, d: &str| -> u64 {
-        get(k, d).parse().unwrap_or_else(|e| {
-            eprintln!("--{k}: {e}");
-            exit(2);
-        })
-    };
-
-    let ranks = num("ranks", "120") as usize;
-    let ppn = num("ppn", "12") as usize;
-    let buffer = bytes("buffer", "16M");
-    let per_proc = bytes("per-proc", "32M");
-    let stddev: f64 = get("stddev", "0.35").parse().unwrap_or(0.35);
-    let seed = num("seed", "42");
-    let rw = match get("rw", "write").as_str() {
-        "read" => Rw::Read,
-        "write" => Rw::Write,
-        other => {
-            eprintln!("--rw must be read|write, got `{other}`");
-            exit(2);
-        }
-    };
-    let pipeline = match get("pipeline", "serial").as_str() {
-        "serial" => Pipeline::Serial,
-        "double" => Pipeline::DoubleBuffered,
-        other => {
-            eprintln!("--pipeline must be serial|double, got `{other}`");
-            exit(2);
-        }
-    };
-    let observe_mc = match get("strategy", "mc").as_str() {
-        "mc" | "memory-conscious" => true,
-        "two-phase" | "tp" => false,
-        other => {
-            eprintln!("--strategy must be two-phase|mc, got `{other}`");
-            exit(2);
-        }
-    };
-
-    let map = ProcessMap::block_ppn(ranks, ppn);
-    let mut spec = match get("machine", "testbed").as_str() {
-        "testbed" => ClusterSpec::ttu_testbed(),
-        "exascale" => ClusterSpec::exascale_2018(),
-        "small" => ClusterSpec::small(map.nnodes(), ppn),
-        other => {
-            eprintln!("--machine must be testbed|exascale|small, got `{other}`");
-            exit(2);
-        }
+    let map = desc.map();
+    let mut spec = match m.get("machine") {
+        Some("testbed") => ClusterSpec::ttu_testbed(),
+        Some("exascale") => ClusterSpec::exascale_2018(),
+        _ => ClusterSpec::small(map.nnodes(), desc.ppn),
     };
     if spec.nodes < map.nnodes() {
         spec.nodes = map.nnodes();
     }
-
-    let req: CollectiveRequest = match get("workload", "ior").as_str() {
-        "ior" => Ior::paper(ranks, per_proc, num("segments", "8")).request(rw),
-        "collperf" => {
-            let cp = CollPerf::paper(ranks, num("scale", "4"));
-            cp.request(rw)
-        }
-        "checkpoint" => {
-            let sizes: Vec<u64> = (0..ranks as u64)
-                .map(|r| per_proc / 2 + (r * 977) % per_proc)
-                .collect();
-            science::checkpoint(rw, 4096, &sizes)
-        }
-        other => {
-            eprintln!("--workload must be ior|collperf|checkpoint, got `{other}`");
-            exit(2);
-        }
-    };
-
-    let per_node = (req.total_bytes() / map.nnodes().max(1) as u64).max(1);
-    let cfg = CollectiveConfig::with_buffer(buffer)
-        .nah(2)
-        .msg_group(per_node)
-        .msg_ind((per_node / 2).max(1))
-        .mem_min(buffer / 2);
-    let env = ProcMemory::normal(ranks, buffer, stddev, seed);
+    let req = desc.request(0);
+    let cfg = desc.config(&req);
+    let env = desc.memory();
 
     println!(
-        "{} {} x {} ranks ({} nodes), {} total, buffer {} (stddev {stddev}), machine {}",
-        get("workload", "ior"),
-        rw.name(),
-        ranks,
+        "{} {} x {} ranks ({} nodes), {} total, buffer {} (stddev {}), machine {}",
+        m.get("workload").expect("has a default"),
+        desc.rw.name(),
+        desc.ranks,
         map.nnodes(),
         format_bytes(req.total_bytes()),
-        format_bytes(buffer),
+        format_bytes(desc.buffer),
+        desc.stddev,
         spec.name,
     );
 
@@ -1082,72 +580,27 @@ fn run_sim(args: &[String]) {
     // malformed specs exit 1 with a one-line reason. The parser can't
     // know the machine, so OST targets are checked here against the
     // resolved spec.
-    let fault_spec: Option<FaultSpec> = opts.get("faults").map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("mcio_cli: cannot read faults {path}: {e}");
-            exit(1);
-        });
-        let fspec = FaultSpec::parse(&text).unwrap_or_else(|e| {
-            eprintln!("mcio_cli: faults {path}: {e}");
-            exit(1);
-        });
-        if let Err(e) = fspec.validate_osts(spec.io_servers) {
-            eprintln!("mcio_cli: faults {path}: {e}");
-            exit(1);
-        }
-        fspec
+    let fault_spec: Option<FaultSpec> = m.get("faults").map(|path| {
+        FaultSpec::parse(&read_or_exit(ctx, "faults", path))
+            .and_then(|fspec| fspec.validate_osts(spec.io_servers).map(|()| fspec))
+            .unwrap_or_else(|e| fail(ctx, 1, &format!("faults {path}: {e}")))
     });
 
-    let policy = {
-        let raw = get("adaptive", "off");
-        AdaptivePolicy::parse(&raw).unwrap_or_else(|| {
-            eprintln!("--adaptive must be off|conservative|aggressive, got `{raw}`");
-            exit(2);
-        })
-    };
-
-    let engine = {
-        let raw = get("engine", "fifo");
-        mcio_des::SharePolicy::parse(&raw).unwrap_or_else(|| {
-            eprintln!("--engine must be fifo|fair, got `{raw}`");
-            exit(2);
-        })
-    };
-
-    let two_level = flags.iter().any(|f| f == "two-level");
-    let exchange = if two_level {
-        Exchange::TwoLevel
-    } else {
-        Exchange::Direct
-    };
     let run = |plan: &mcio_core::CollectivePlan| {
         // Same (pipeline, exchange) pairing as simulate_two_level /
         // simulate_opts, with the selected DES engine threaded through.
-        let (pl, ex) = if two_level {
-            (Pipeline::Serial, Exchange::TwoLevel)
-        } else {
-            (pipeline, Exchange::Direct)
+        let (pl, ex) = match exchange {
+            Exchange::TwoLevel => (Pipeline::Serial, Exchange::TwoLevel),
+            Exchange::Direct => (pipeline, Exchange::Direct),
         };
-        simulate_observed(
-            plan,
-            &map,
-            &spec,
-            pl,
-            ex,
-            Observe {
-                engine,
-                ..Observe::default()
-            },
-        )
-        .0
+        let observe = Observe {
+            engine,
+            ..Observe::default()
+        };
+        simulate_observed(plan, &map, &spec, pl, ex, observe).0
     };
-    let want_prof = opts.get("prof");
-    let prof = if want_prof.is_some() {
-        Prof::enabled()
-    } else {
-        Prof::disabled()
-    };
-    let plan_scope = prof.scope("plan");
+    let sidecar = ProfSidecar::new(m.get("prof"));
+    let plan_scope = sidecar.prof().scope("plan");
     let tp_plan = twophase::plan(&req, &map, &env, &cfg);
     let mc_plan = mc::plan(&req, &map, &env, &cfg);
     drop(plan_scope);
@@ -1237,20 +690,11 @@ fn run_sim(args: &[String]) {
     // strategy (--strategy, default memory-conscious) produces the
     // metrics registry, the unified Chrome trace, and/or the
     // `mcio.prof.v1` simulator profile.
-    let want_metrics = opts.get("metrics");
-    let want_trace = opts.get("trace");
-    if want_metrics.is_some() || want_trace.is_some() || want_prof.is_some() {
-        let fmt = match MetricsFormat::parse(&get("metrics-format", "json")) {
-            Some(f) => f,
-            None => {
-                eprintln!("--metrics-format must be json|csv|prom");
-                exit(2);
-            }
-        };
-        let (label, obs_plan) = if observe_mc {
-            ("memory-conscious", &mc_plan)
-        } else {
-            ("two-phase", &tp_plan)
+    let (want_metrics, want_trace) = (m.get("metrics"), m.get("trace"));
+    if want_metrics.is_some() || want_trace.is_some() || sidecar.observe().is_some() {
+        let (label, obs_plan) = match desc.strategy {
+            Strategy::MemoryConscious => ("memory-conscious", &mc_plan),
+            Strategy::TwoPhase => ("two-phase", &tp_plan),
         };
         let registry = Arc::new(Registry::new());
         spec.record_into(&registry);
@@ -1258,7 +702,7 @@ fn run_sim(args: &[String]) {
         let observe = Observe {
             registry: want_metrics.map(|_| &registry),
             trace: want_trace.is_some(),
-            prof: want_prof.map(|_| &prof),
+            prof: sidecar.observe(),
             engine,
         };
         let (obs_timing, trace_json) = match &fault_spec {
@@ -1271,34 +715,23 @@ fn run_sim(args: &[String]) {
             None => simulate_observed(obs_plan, &map, &spec, pipeline, exchange, observe),
         };
         if let Some(path) = want_metrics {
-            if let Err(e) = std::fs::write(path, fmt.render(&registry.snapshot())) {
-                eprintln!("mcio_cli: cannot write metrics to {path}: {e}");
-                exit(1);
-            }
+            write_or_exit(ctx, "metrics", path, &fmt.render(&registry.snapshot()));
             println!("{label} metrics written to {path}");
         }
         if let Some(path) = want_trace {
-            let json = trace_json.expect("trace was requested");
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("mcio_cli: cannot write trace to {path}: {e}");
-                exit(1);
-            }
+            write_or_exit(
+                ctx,
+                "trace",
+                path,
+                &trace_json.expect("trace was requested"),
+            );
             println!("{label} timeline written to {path} (open in Perfetto)");
         }
-        if let Some(path) = want_prof {
-            let report = ProfReport::build(
-                &prof,
-                vec![DetCell {
-                    label: format!("run/{label}"),
-                    engine: obs_timing.engine.clone(),
-                }],
-                None,
-                Vec::new(),
-            );
-            if let Err(e) = std::fs::write(path, report.render()) {
-                eprintln!("mcio_cli: cannot write profile to {path}: {e}");
-                exit(1);
-            }
+        let cell = DetCell {
+            label: format!("run/{label}"),
+            engine: obs_timing.engine.clone(),
+        };
+        if let Some(path) = sidecar.write(ctx, vec![cell], None, &[]) {
             println!("{label} profile written to {path}");
         }
     }

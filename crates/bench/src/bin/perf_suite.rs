@@ -21,8 +21,7 @@
 //! critical-path bucket whose growth explains most of the slowdown
 //! (e.g. `cause: ost_io +1.2 ms (+12.0%)`) and — when the re-traced
 //! cell shows one — the straggling chain/aggregator/OST driving it.
-//! Unknown flags exit 2; unreadable baselines, unwritable outputs, or
-//! `--jobs 0` exit 1.
+//! Flags and exit codes come from `mcio_bench::cli::PERF_SUITE`.
 //!
 //! Two host-side sidecars profile the *simulator itself* (neither is
 //! ever `--check`-gated, and `BENCH_perf_suite.json` stays
@@ -41,85 +40,38 @@
 //! and the `mcio.exascale.v1` document (to `--out` when given); the
 //! document carries host wall-clock data, so it is never `--check`-gated.
 
+use mcio_bench::cli::{self, emit_doc, fail, read_or_exit, write_or_exit, ProfSidecar};
 use mcio_bench::perf::{
     cell_stragglers, parse_records, regressions_detailed, render_exascale, render_records,
     render_wallclock, run_exascale, run_suite_jobs, run_suite_prof,
 };
-use mcio_prof::{DetCell, Prof, ProfReport, WorkerRow};
-use std::process::exit;
+use mcio_prof::DetCell;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_perf_suite.json".to_string();
-    let mut out_given = false;
-    let mut check_path: Option<String> = None;
-    let mut prof_path: Option<String> = None;
-    let mut wallclock_path: Option<String> = None;
-    let mut tolerance = 0.05f64;
-    let mut jobs = 1usize;
-    let mut exascale = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| match it.next() {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("perf_suite: flag {flag} needs a value");
-                exit(2);
-            }
-        };
-        match a.as_str() {
-            "--out" => {
-                out_path = value("--out");
-                out_given = true;
-            }
-            "--exascale" => exascale = true,
-            "--check" => check_path = Some(value("--check")),
-            "--prof" => prof_path = Some(value("--prof")),
-            "--wallclock" => wallclock_path = Some(value("--wallclock")),
-            "--tolerance" => {
-                let raw = value("--tolerance");
-                tolerance = match raw.parse() {
-                    Ok(t) if (0.0..10.0).contains(&t) => t,
-                    _ => {
-                        eprintln!(
-                            "perf_suite: --tolerance must be a fraction in [0, 10), got `{raw}`"
-                        );
-                        exit(2);
-                    }
-                }
-            }
-            "--jobs" => {
-                let raw = value("--jobs");
-                jobs = match raw.parse() {
-                    Ok(j) if j >= 1 => j,
-                    _ => {
-                        eprintln!("perf_suite: --jobs must be a positive integer, got `{raw}`");
-                        exit(1);
-                    }
-                }
-            }
-            "--help" => {
-                println!(
-                    "usage: perf_suite [--out FILE] [--jobs N] [--check BASELINE.json] \
-                     [--tolerance FRAC] [--prof FILE] [--wallclock FILE]\n       \
-                     perf_suite --exascale [--out FILE]"
-                );
-                exit(0);
-            }
-            other => {
-                eprintln!("perf_suite: unknown argument `{other}`");
-                exit(2);
-            }
-        }
-    }
+    let m = cli::parse_or_exit(&cli::PERF_SUITE);
+    let ctx = m.ctx();
+    let jobs = m.num("jobs") as usize;
+    let raw = m.get("tolerance").expect("--tolerance has a default");
+    let tolerance: f64 = match raw.parse() {
+        Ok(t) if (0.0..10.0).contains(&t) => t,
+        _ => fail(
+            ctx,
+            2,
+            &format!("--tolerance must be a fraction in [0, 10), got `{raw}`"),
+        ),
+    };
+    let (check_path, wallclock_path) = (m.get("check"), m.get("wallclock"));
 
-    if exascale {
+    if m.on("exascale") {
         // The exascale scenario is its own mode: untraced, never
         // `--check`-gated (its document is host data), never mixed
         // into `BENCH_perf_suite.json`.
-        if check_path.is_some() || prof_path.is_some() || wallclock_path.is_some() {
-            eprintln!("perf_suite: --exascale does not combine with --check/--prof/--wallclock");
-            exit(2);
+        if check_path.is_some() || m.get("prof").is_some() || wallclock_path.is_some() {
+            fail(
+                ctx,
+                2,
+                "--exascale does not combine with --check/--prof/--wallclock",
+            );
         }
         let cells = run_exascale();
         for c in &cells {
@@ -135,38 +87,19 @@ fn main() {
                 c.sim_wall_ns as f64 / 1e9,
             );
         }
-        let doc = render_exascale(&cells);
-        if out_given {
-            if let Err(e) = std::fs::write(&out_path, &doc) {
-                eprintln!("perf_suite: cannot write {out_path}: {e}");
-                exit(1);
-            }
-            println!("wrote {out_path}");
-        } else {
-            print!("{doc}");
-        }
+        emit_doc(ctx, m.get("out"), &render_exascale(&cells), || {});
         return;
     }
 
-    let baseline = check_path.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("perf_suite: cannot read baseline {path}: {e}");
-            exit(1);
-        });
-        parse_records(&text).unwrap_or_else(|e| {
-            eprintln!("perf_suite: baseline {path}: {e}");
-            exit(1);
-        })
+    let baseline = check_path.map(|path| {
+        parse_records(&read_or_exit(ctx, "baseline", path))
+            .unwrap_or_else(|e| fail(ctx, 1, &format!("baseline {path}: {e}")))
     });
 
-    let want_host_data = prof_path.is_some() || wallclock_path.is_some();
-    let prof = if prof_path.is_some() {
-        Prof::enabled()
-    } else {
-        Prof::disabled()
-    };
-    let (records, cell_profs, workers) = if want_host_data {
-        run_suite_prof(jobs, &prof)
+    let sidecar = ProfSidecar::new(m.get("prof"));
+    let (records, cell_profs, workers) = if sidecar.observe().is_some() || wallclock_path.is_some()
+    {
+        run_suite_prof(jobs, sidecar.prof())
     } else {
         (run_suite_jobs(jobs), Vec::new(), Vec::new())
     };
@@ -182,40 +115,22 @@ fn main() {
         );
     }
 
-    if let Err(e) = std::fs::write(&out_path, render_records(&records)) {
-        eprintln!("perf_suite: cannot write {out_path}: {e}");
-        exit(1);
-    }
+    let out_path = m.get("out").unwrap_or("BENCH_perf_suite.json");
+    write_or_exit(ctx, "", out_path, &render_records(&records));
     println!("wrote {out_path}");
 
-    if let Some(path) = &wallclock_path {
-        if let Err(e) = std::fs::write(path, render_wallclock(&cell_profs)) {
-            eprintln!("perf_suite: cannot write {path}: {e}");
-            exit(1);
-        }
+    if let Some(path) = wallclock_path {
+        write_or_exit(ctx, "", path, &render_wallclock(&cell_profs));
         println!("wrote {path}");
     }
-    if let Some(path) = &prof_path {
-        let cells = cell_profs
-            .iter()
-            .map(|c| DetCell {
-                label: format!("{}/{}", c.scenario, c.strategy),
-                engine: c.engine.clone(),
-            })
-            .collect();
-        let rows = workers
-            .iter()
-            .map(|w| WorkerRow {
-                worker: w.worker as u64,
-                busy_ns: w.busy_ns,
-                tasks: w.tasks,
-            })
-            .collect();
-        let report = ProfReport::build(&prof, cells, None, rows);
-        if let Err(e) = std::fs::write(path, report.render()) {
-            eprintln!("perf_suite: cannot write {path}: {e}");
-            exit(1);
-        }
+    let cells = cell_profs
+        .iter()
+        .map(|c| DetCell {
+            label: format!("{}/{}", c.scenario, c.strategy),
+            engine: c.engine.clone(),
+        })
+        .collect();
+    if let Some(path) = sidecar.write(ctx, cells, None, &workers) {
         println!("wrote {path}");
     }
 
@@ -229,14 +144,14 @@ fn main() {
             );
         } else {
             for b in &bad {
-                eprintln!("perf_suite: REGRESSION {}", b.message);
+                eprintln!("{ctx}: REGRESSION {}", b.message);
                 // Name who inflated the bucket: re-run the offending
                 // cell traced and report its top straggler, if any.
                 if let Some(s) = cell_stragglers(&b.scenario, &b.strategy).first() {
-                    eprintln!("perf_suite:   driven by {}", s.describe());
+                    eprintln!("{ctx}:   driven by {}", s.describe());
                 }
             }
-            exit(1);
+            std::process::exit(1);
         }
     }
 }

@@ -29,12 +29,13 @@
 //! the bundled trace, so only the order/audit/permutation invariants
 //! are enforced there.
 //!
-//! Violated assertions print one line and exit 1; unknown flags exit
-//! 2; `--jobs 0` and unreadable/malformed traces exit 1.
+//! Violated assertions and unreadable/malformed traces print one line
+//! and exit 1; flags and usage errors are
+//! `mcio_bench::cli::SCHEDULER_SUITE`'s.
 
+use mcio_bench::cli;
 use mcio_sched::{render_schedule, run_schedule, JobTrace, Policy, SchedConfig, Schedule};
 use std::fmt::Write as _;
-use std::process::exit;
 
 /// Makespan cap per policy on the bundled trace, nanoseconds.
 /// Measured ~1.65 s (fcfs, priority) / ~1.46 s (backfill) simulated;
@@ -47,8 +48,7 @@ const MAKESPAN_CAP_NS: u64 = 6_000_000_000;
 const P99_SLOWDOWN_CAP: f64 = 400.0;
 
 fn fail(msg: &str) -> ! {
-    eprintln!("scheduler_suite: FAILED: {msg}");
-    exit(1);
+    cli::fail("scheduler_suite", 1, &format!("FAILED: {msg}"))
 }
 
 /// The bundled mixed-size stream: `big` holds half the machine for a
@@ -159,65 +159,14 @@ fn report(trace: &JobTrace, cells: &[(Policy, Schedule)]) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_scheduler_suite.json".to_string();
-    let mut jobs = 1usize;
-    let mut trace_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| match it.next() {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("scheduler_suite: flag {flag} needs a value");
-                exit(2);
-            }
-        };
-        match a.as_str() {
-            "--out" => out_path = value("--out"),
-            "--trace" => trace_path = Some(value("--trace")),
-            "--jobs" => {
-                let raw = value("--jobs");
-                jobs = match raw.parse() {
-                    Ok(j) if j >= 1 => j,
-                    _ => {
-                        eprintln!(
-                            "scheduler_suite: --jobs must be a positive integer, got `{raw}`"
-                        );
-                        exit(1);
-                    }
-                }
-            }
-            "--help" => {
-                println!(
-                    "usage: scheduler_suite [--trace JOBTRACE] [--out REPORT.json] [--jobs N]"
-                );
-                exit(0);
-            }
-            other => {
-                eprintln!("scheduler_suite: unknown argument `{other}`");
-                exit(2);
-            }
-        }
-    }
+    let m = cli::parse_or_exit(&cli::SCHEDULER_SUITE);
+    let jobs = m.num("jobs") as usize;
+    let out_path = m.get("out").expect("--out has a default");
 
-    let fixture_mode = trace_path.is_some();
-    let trace = match &trace_path {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("scheduler_suite: cannot read {path}: {e}");
-                    exit(1);
-                }
-            };
-            match JobTrace::parse(&text) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("scheduler_suite: {path}: {e}");
-                    exit(1);
-                }
-            }
-        }
+    let fixture_mode = m.get("trace").is_some();
+    let trace = match m.get("trace") {
+        Some(path) => JobTrace::parse(&cli::read_or_exit(m.ctx(), "", path))
+            .unwrap_or_else(|e| cli::fail(m.ctx(), 1, &format!("{path}: {e}"))),
         None => bundled_trace(),
     };
 
@@ -301,9 +250,6 @@ fn main() {
         doc.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }
     doc.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&out_path, &doc) {
-        eprintln!("scheduler_suite: cannot write {out_path}: {e}");
-        exit(1);
-    }
+    cli::write_or_exit(m.ctx(), "", out_path, &doc);
     println!("\nscheduler suite ok; wrote {out_path}");
 }

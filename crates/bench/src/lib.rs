@@ -17,6 +17,7 @@
 //! the *shape* — who wins, by what factor, where the gap widens — is the
 //! reproduction target).
 
+pub mod cli;
 pub mod mtspec;
 pub mod perf;
 
@@ -84,18 +85,10 @@ impl Harness {
         (uniform, normal)
     }
 
-    /// The paper-style knobs for a workload: aggregation groups close at
-    /// node boundaries around one node's worth of data (Figure 4's
-    /// "group one = compute node one"), `N_ah = 2` aggregators per host,
-    /// `Msg_ind` half a group (two file domains per group before
-    /// placement), and `Mem_min` at half the nominal buffer.
+    /// The paper-style knobs for a workload on this placement:
+    /// [`CollectiveConfig::paper`], the recipe every front end shares.
     pub fn config_for(&self, req: &CollectiveRequest, buf: u64) -> CollectiveConfig {
-        let per_node = (req.total_bytes() / self.map.nnodes().max(1) as u64).max(1);
-        CollectiveConfig::with_buffer(buf)
-            .nah(2)
-            .msg_group(per_node)
-            .msg_ind((per_node / 2).max(1))
-            .mem_min(buf / 2)
+        CollectiveConfig::paper(req.total_bytes(), self.map.nnodes(), buf)
     }
 
     /// Workload-independent default knobs (tests only; the figure

@@ -16,13 +16,13 @@
 //! (`\` continuations are not supported — the example wraps only for
 //! rustdoc width; a real `job` directive is one line.)
 //!
-//! Every `job` key is optional. Defaults: `ranks=8 ppn=2 node_offset=0
-//! start=0 workload=ior per_proc=2M segments=4 scale=4 buffer=1M
-//! stddev=0.3 seed=42 strategy=mc rw=write pipeline=serial
-//! exchange=direct base=0`. `base` shifts every extent of the job's
-//! request, giving each tenant its own region of the flat PFS offset
-//! space — its "file". `fault` lines are concatenated (in order) and
-//! parsed with the robustness DSL of `mcio-faults`.
+//! Every `job` key is optional. The 13 job-description keys and their
+//! defaults are [`JobDesc`]'s (the table in `mcio_workloads::job`,
+//! shared with the job-trace DSL and `mcio_cli run`); this DSL adds
+//! `node_offset=0`, `start=0` and `base=0`. `base` shifts every extent
+//! of the job's request, giving each tenant its own region of the flat
+//! PFS offset space — its "file". `fault` lines are concatenated (in
+//! order) and parsed with the robustness DSL of `mcio-faults`.
 //!
 //! [`render_run`] serializes a [`MultiTenantReport`] as the
 //! `mcio.multitenant.v1` JSON document: manual string building,
@@ -30,80 +30,28 @@
 //! the outcome, so any worker-thread fan-out reproduces them exactly.
 
 use mcio_cluster::spec::ClusterSpec;
-use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{Exchange, Pipeline};
 use mcio_core::hints::parse_bytes;
-use mcio_core::{
-    mcio, twophase, CollectiveConfig, CollectiveRequest, Extent, JobOutcome, MultiTenantReport,
-    ProcMemory, Rw, Strategy, TenantJob,
-};
+use mcio_core::{JobOutcome, MultiTenantReport, Strategy, TenantJob};
 use mcio_des::SimDuration;
 use mcio_faults::FaultSpec;
 use mcio_obs::trace::escape_json;
-use mcio_workloads::{science, CollPerf, Ior};
+use mcio_workloads::JobDesc;
 use std::fmt::Write as _;
 
-/// One parsed `job` directive (all knobs resolved to concrete values).
-#[derive(Debug, Clone, PartialEq)]
+/// One parsed `job` directive: the shared job description plus where
+/// and when this tenant runs.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct JobSpec {
     /// Job name (unique within the spec).
     pub name: String,
-    /// Ranks in the job.
-    pub ranks: usize,
-    /// Ranks per node.
-    pub ppn: usize,
     /// First machine node of the job's partition.
     pub node_offset: usize,
     /// Arrival time.
     pub start: SimDuration,
-    /// Workload shape: `ior`, `collperf` or `checkpoint`.
-    pub workload: String,
-    /// Per-process bytes (ior/checkpoint).
-    pub per_proc: u64,
-    /// IOR segment count.
-    pub segments: u64,
-    /// CollPerf dimension divisor.
-    pub scale: u64,
-    /// Nominal aggregator buffer.
-    pub buffer: u64,
-    /// Relative stddev of the per-process memory draw.
-    pub stddev: f64,
-    /// Memory-draw seed.
-    pub seed: u64,
-    /// Planning strategy.
-    pub strategy: Strategy,
-    /// Read or write.
-    pub rw: Rw,
-    /// Round pipelining.
-    pub pipeline: Pipeline,
-    /// Exchange shape.
-    pub exchange: Exchange,
     /// Byte offset added to every extent — the job's file region.
     pub base: u64,
-}
-
-impl Default for JobSpec {
-    fn default() -> Self {
-        JobSpec {
-            name: String::new(),
-            ranks: 8,
-            ppn: 2,
-            node_offset: 0,
-            start: SimDuration::ZERO,
-            workload: "ior".to_string(),
-            per_proc: 2 << 20,
-            segments: 4,
-            scale: 4,
-            buffer: 1 << 20,
-            stddev: 0.3,
-            seed: 42,
-            strategy: Strategy::MemoryConscious,
-            rw: Rw::Write,
-            pipeline: Pipeline::Serial,
-            exchange: Exchange::Direct,
-            base: 0,
-        }
-    }
+    /// Workload, placement, memory draw and strategy.
+    pub desc: JobDesc,
 }
 
 /// A parsed multi-tenant spec: machine, jobs, optional fault plan.
@@ -137,88 +85,19 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
     Ok(SimDuration::from_nanos(n.saturating_mul(mul)))
 }
 
-fn parse_machine(value: &str) -> Result<ClusterSpec, String> {
-    ClusterSpec::parse_compact(value)
-}
-
-fn parse_job(rest: &str, line_no: usize) -> Result<JobSpec, String> {
-    let mut words = rest.split_whitespace();
-    let name = words
-        .next()
-        .ok_or_else(|| format!("line {line_no}: job directive needs a name"))?;
-    let mut job = JobSpec {
-        name: name.to_string(),
-        ..JobSpec::default()
-    };
-    for word in words {
-        let (key, value) = word
-            .split_once('=')
-            .ok_or_else(|| format!("line {line_no}: expected key=value, got `{word}`"))?;
-        let ctx = |e: String| format!("line {line_no}: {key}: {e}");
+fn parse_job(rest: &str) -> Result<JobSpec, String> {
+    let mut job = JobSpec::default();
+    let (name, desc) = JobDesc::parse_line(rest, |key, value| {
         match key {
-            "ranks" => job.ranks = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "ppn" => job.ppn = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "node_offset" => job.node_offset = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "start" => job.start = parse_duration(value).map_err(ctx)?,
-            "workload" => match value {
-                "ior" | "collperf" | "checkpoint" => job.workload = value.to_string(),
-                other => {
-                    return Err(ctx(format!(
-                        "workload must be ior|collperf|checkpoint, got `{other}`"
-                    )))
-                }
-            },
-            "per_proc" => job.per_proc = parse_bytes(value).map_err(ctx)?,
-            "segments" => job.segments = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "scale" => job.scale = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "buffer" => job.buffer = parse_bytes(value).map_err(ctx)?,
-            "stddev" => job.stddev = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "seed" => job.seed = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "strategy" => {
-                job.strategy = match value {
-                    "mc" | "memory-conscious" => Strategy::MemoryConscious,
-                    "tp" | "two-phase" => Strategy::TwoPhase,
-                    other => {
-                        return Err(ctx(format!("strategy must be two-phase|mc, got `{other}`")))
-                    }
-                }
-            }
-            "rw" => {
-                job.rw = match value {
-                    "read" => Rw::Read,
-                    "write" => Rw::Write,
-                    other => return Err(ctx(format!("rw must be read|write, got `{other}`"))),
-                }
-            }
-            "pipeline" => {
-                job.pipeline = match value {
-                    "serial" => Pipeline::Serial,
-                    "double" => Pipeline::DoubleBuffered,
-                    other => {
-                        return Err(ctx(format!(
-                            "pipeline must be serial|double, got `{other}`"
-                        )))
-                    }
-                }
-            }
-            "exchange" => {
-                job.exchange = match value {
-                    "direct" => Exchange::Direct,
-                    "two-level" => Exchange::TwoLevel,
-                    other => {
-                        return Err(ctx(format!(
-                            "exchange must be direct|two-level, got `{other}`"
-                        )))
-                    }
-                }
-            }
-            "base" => job.base = parse_bytes(value).map_err(ctx)?,
-            other => return Err(format!("line {line_no}: unknown job key `{other}`")),
+            "node_offset" => job.node_offset = value.parse().map_err(|e| format!("{e}"))?,
+            "start" => job.start = parse_duration(value)?,
+            "base" => job.base = parse_bytes(value)?,
+            _ => return Ok(false),
         }
-    }
-    if job.ranks == 0 || job.ppn == 0 {
-        return Err(format!("line {line_no}: ranks and ppn must be positive"));
-    }
+        Ok(true)
+    })?;
+    job.name = name.to_string();
+    job.desc = desc;
     Ok(job)
 }
 
@@ -227,6 +106,7 @@ impl MtSpec {
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut machine: Option<ClusterSpec> = None;
         let mut jobs: Vec<JobSpec> = Vec::new();
+        let mut job_lines: Vec<usize> = Vec::new();
         let mut fault_lines: Vec<&str> = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let line_no = i + 1;
@@ -240,14 +120,15 @@ impl MtSpec {
                     if machine.is_some() {
                         return Err(format!("line {line_no}: duplicate machine directive"));
                     }
-                    machine = Some(parse_machine(rest.trim())?);
+                    machine = Some(ClusterSpec::parse_compact(rest.trim())?);
                 }
                 "job" => {
-                    let job = parse_job(rest, line_no)?;
+                    let job = parse_job(rest).map_err(|e| format!("line {line_no}: {e}"))?;
                     if jobs.iter().any(|j| j.name == job.name) {
                         return Err(format!("line {line_no}: duplicate job name `{}`", job.name));
                     }
                     jobs.push(job);
+                    job_lines.push(line_no);
                 }
                 "fault" => fault_lines.push(rest.trim()),
                 other => return Err(format!("line {line_no}: unknown directive `{other}`")),
@@ -268,24 +149,24 @@ impl MtSpec {
                 .map_err(|e| format!("faults: {e}"))?;
             Some(f)
         };
-        let spec = MtSpec {
+        // Likewise the jobs: the machine may be declared after them.
+        for (job, line_no) in jobs.iter().zip(&job_lines) {
+            let end = job.node_offset.saturating_add(job.desc.nodes());
+            if end > machine.nodes {
+                return Err(format!(
+                    "job `{}` needs nodes {}..{end} but the machine has {}",
+                    job.name, job.node_offset, machine.nodes
+                ));
+            }
+            job.desc
+                .check_hosts(&job.name, machine.nodes, machine.node.cores)
+                .map_err(|e| format!("line {line_no}: {e}"))?;
+        }
+        Ok(MtSpec {
             machine,
             jobs,
             faults,
-        };
-        for job in &spec.jobs {
-            let nnodes = job.ranks.div_ceil(job.ppn);
-            if job.node_offset + nnodes > spec.machine.nodes {
-                return Err(format!(
-                    "job `{}` needs nodes {}..{} but the machine has {}",
-                    job.name,
-                    job.node_offset,
-                    job.node_offset + nnodes,
-                    spec.machine.nodes
-                ));
-            }
-        }
-        Ok(spec)
+        })
     }
 
     /// Plan every job and build the [`TenantJob`] list for
@@ -295,55 +176,38 @@ impl MtSpec {
     }
 }
 
-/// The job's request, shifted onto its file region at `base`.
-fn build_request(job: &JobSpec) -> CollectiveRequest {
-    let req = match job.workload.as_str() {
-        "collperf" => CollPerf::paper(job.ranks, job.scale).request(job.rw),
-        "checkpoint" => {
-            let sizes: Vec<u64> = (0..job.ranks as u64)
-                .map(|r| job.per_proc / 2 + (r * 977) % job.per_proc.max(1))
-                .collect();
-            science::checkpoint(job.rw, 4096, &sizes)
-        }
-        _ => Ior::paper(job.ranks, job.per_proc, job.segments).request(job.rw),
-    };
-    if job.base == 0 {
-        return req;
-    }
-    CollectiveRequest::new(
-        req.rw,
-        req.ranks
-            .iter()
-            .map(|r| {
-                r.extents
-                    .iter()
-                    .map(|e| Extent::new(e.offset + job.base, e.len))
-                    .collect()
-            })
-            .collect(),
-    )
-}
-
 /// Plan one job spec into a ready [`TenantJob`].
 pub fn build_tenant(job: &JobSpec) -> TenantJob {
-    let req = build_request(job);
-    let map = ProcessMap::block_ppn(job.ranks, job.ppn);
-    let mem = ProcMemory::normal(job.ranks, job.buffer, job.stddev, job.seed);
-    let per_node = (req.total_bytes() / map.nnodes().max(1) as u64).max(1);
-    let cfg = CollectiveConfig::with_buffer(job.buffer)
-        .nah(2)
-        .msg_group(per_node)
-        .msg_ind((per_node / 2).max(1))
-        .mem_min(job.buffer / 2);
-    let plan = match job.strategy {
-        Strategy::TwoPhase => twophase::plan(&req, &map, &mem, &cfg),
-        Strategy::MemoryConscious => mcio::plan(&req, &map, &mem, &cfg),
-    };
-    TenantJob::new(job.name.clone(), plan, map)
+    job.desc
+        .tenant(&job.name, job.base)
         .node_offset(job.node_offset)
         .start(job.start)
-        .pipeline(job.pipeline)
-        .exchange(job.exchange)
+}
+
+/// The eight-tenant roster of `contention_suite` and
+/// `adaptation_suite`: IOR writers of 8 ranks on exclusive 4-node
+/// partitions of a 32-node machine, each with its own file region,
+/// arrivals staggered 250 µs apart. A cell with T tenants runs the
+/// first T jobs, so smaller cells are strict prefixes — the same job
+/// always has the same plan, partition, file region and arrival.
+pub fn contention_roster(strategy: Strategy) -> Vec<JobSpec> {
+    (0..8u64)
+        .map(|ji| JobSpec {
+            name: format!("job{ji}"),
+            node_offset: ji as usize * 4,
+            start: SimDuration::from_micros(ji * 250),
+            base: ji << 30,
+            desc: JobDesc {
+                per_proc: 2 << 20,
+                segments: 2,
+                buffer: 32 << 10,
+                stddev: 0.5,
+                seed: 0xC0DE + ji,
+                strategy,
+                ..JobDesc::default()
+            },
+        })
+        .collect()
 }
 
 /// One job's outcome as a `mcio.multitenant.v1` JSON object (no
@@ -404,13 +268,17 @@ job b ranks=8 ppn=2 node_offset=4 start=250us per_proc=256K segments=2 buffer=25
         assert!(spec.faults.is_none());
         let a = &spec.jobs[0];
         assert_eq!(a.name, "a");
-        assert_eq!(a.strategy, Strategy::MemoryConscious, "default strategy");
-        assert_eq!(a.workload, "ior", "default workload");
+        assert_eq!(
+            a.desc.strategy,
+            Strategy::MemoryConscious,
+            "default strategy"
+        );
+        assert_eq!(a.desc.workload, "ior", "default workload");
         let b = &spec.jobs[1];
         assert_eq!(b.node_offset, 4);
         assert_eq!(b.start, SimDuration::from_micros(250));
         assert_eq!(b.base, 1 << 30);
-        assert_eq!(b.strategy, Strategy::TwoPhase);
+        assert_eq!(b.desc.strategy, Strategy::TwoPhase);
     }
 
     #[test]
@@ -441,12 +309,34 @@ job b ranks=8 ppn=2 node_offset=4 start=250us per_proc=256K segments=2 buffer=25
                 "machine small:2x2\njob a ranks=8 ppn=2 node_offset=1",
                 "machine has 2",
             ),
+            (
+                "machine small:8x2\njob a buffer=0",
+                "line 2: buffer must be positive",
+            ),
+            (
+                "machine small:8x2\njob a stddev=nan",
+                "line 2: stddev must be finite",
+            ),
+            (
+                "machine small:8x2\njob a stddev=inf",
+                "line 2: stddev must be finite",
+            ),
+            ("machine small:8x2\njob a stddev=-1", "non-negative"),
+            (
+                "job a ranks=64 ppn=64\nmachine small:2x2",
+                "line 1: job `a` has 64 ranks but the machine hosts at most 4",
+            ),
+            (
+                "machine small:8x2\njob a workload=checkpoint per_proc=0",
+                "needs a positive per_proc",
+            ),
         ] {
             let err = MtSpec::parse(text).expect_err(text);
             assert!(
                 err.contains(needle),
                 "`{text}` → `{err}` (wanted `{needle}`)"
             );
+            assert_eq!(err.lines().count(), 1, "one-line error: `{err}`");
         }
     }
 

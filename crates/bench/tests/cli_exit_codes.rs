@@ -797,3 +797,94 @@ fn faults_valid_spec_reports_outcomes_and_exits_0() {
     assert!(text.contains("1 event(s)"), "{text}");
     assert!(text.contains("seed 11"), "{text}");
 }
+
+/// A run-mode value error: exit 2, one `mcio_cli run:` line, no panic.
+fn assert_run_usage_error(args: &[&str], needle: &str) {
+    let out = run(args);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    assert!(err.starts_with("mcio_cli run: "), "{args:?}: {err}");
+    assert!(err.contains(needle), "{args:?}: {err}");
+    assert_eq!(err.trim().lines().count(), 1, "one-line error, got: {err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.stdout.is_empty(), "rejected before any output");
+}
+
+#[test]
+fn run_zero_ppn_exits_2() {
+    assert_run_usage_error(&["--ppn", "0"], "ranks and ppn must be positive");
+}
+
+#[test]
+fn run_zero_ranks_exits_2() {
+    assert_run_usage_error(&["--ranks", "0"], "ranks and ppn must be positive");
+}
+
+#[test]
+fn run_zero_buffer_exits_2() {
+    assert_run_usage_error(&["--buffer", "0"], "buffer must be positive");
+}
+
+#[test]
+fn run_checkpoint_with_zero_per_proc_exits_2() {
+    assert_run_usage_error(
+        &["--workload", "checkpoint", "--per-proc", "0"],
+        "needs a positive per_proc",
+    );
+}
+
+#[test]
+fn run_garbage_stddev_is_an_error_not_the_default() {
+    assert_run_usage_error(&["--stddev", "abc"], "--stddev: invalid float literal");
+}
+
+#[test]
+fn run_nan_stddev_exits_2() {
+    assert_run_usage_error(&["--stddev", "nan"], "stddev must be finite");
+}
+
+#[test]
+fn run_negative_stddev_exits_2() {
+    assert_run_usage_error(&["--stddev", "-1"], "non-negative");
+}
+
+#[test]
+fn run_bad_metrics_format_is_rejected_without_metrics() {
+    assert_run_usage_error(
+        &["--metrics-format", "xml"],
+        "--metrics-format must be json|csv|prom",
+    );
+}
+
+#[test]
+fn run_bad_workload_names_the_flag_and_the_vocabulary() {
+    assert_run_usage_error(
+        &["--workload", "hpl"],
+        "--workload: workload must be ior|collperf|checkpoint, got `hpl`",
+    );
+}
+
+/// `run` names the default command: the same bytes as bare flags.
+#[test]
+fn run_word_selects_the_default_command() {
+    let bare = run(TINY);
+    let mut args = vec!["run"];
+    args.extend_from_slice(TINY);
+    let named = run(&args);
+    assert_eq!(named.status.code(), Some(0), "{}", stderr(&named));
+    assert_eq!(named.stdout, bare.stdout);
+    assert!(String::from_utf8_lossy(&named.stdout).contains("memory-conscious:"));
+}
+
+#[test]
+fn multitenant_zero_buffer_exits_1_with_one_line_error() {
+    let path = tmp("mt_zero_buffer.mtspec");
+    std::fs::write(&path, "machine small:8x2\njob a buffer=0\n").unwrap();
+    let out = run(&["multitenant", "--spec", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("line 2: buffer must be positive"), "{err}");
+    assert_eq!(err.trim().lines().count(), 1, "one-line error, got: {err}");
+    assert!(!err.contains("panicked"), "{err}");
+}

@@ -1,89 +1,56 @@
-//! Keep `mcio_cli --help` and the README's CLI subcommand table in
-//! sync: every subcommand row in the README must appear in the help
-//! output with the same one-line description, and every subcommand the
-//! help lists must have a README row. A new subcommand therefore fails
-//! this test until both places know about it.
+//! The README's CLI table is the flag table's rendering, byte for
+//! byte, and every command prints its own table under `--help` — so a
+//! new flag or command fails here until the README knows about it.
 
-use std::process::Command;
+use mcio_bench::cli::{self, Command, MCIO_CLI};
 
-/// Parse the README's `| subcommand | what it does | key flags |`
-/// table into (subcommand, description) pairs. The run row is listed
-/// as `*(none)*`.
-fn readme_rows() -> Vec<(String, String)> {
-    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
-        .expect("README.md is readable from crates/bench");
-    let mut rows = Vec::new();
-    let mut in_table = false;
-    for line in readme.lines() {
-        if line.starts_with("| subcommand |") {
-            in_table = true;
-            continue;
-        }
-        if in_table {
-            if !line.starts_with('|') {
-                break;
-            }
-            let cells: Vec<&str> = line.trim_matches('|').split('|').collect();
-            if cells.len() < 2 || cells[0].trim().starts_with("---") {
-                continue;
-            }
-            let name = cells[0]
-                .trim()
-                .trim_matches('`')
-                .replace("*(none)*", "(none)");
-            rows.push((name, cells[1].trim().to_string()));
-        }
-    }
-    assert!(
-        rows.len() >= 5,
-        "README subcommand table not found or too short: {rows:?}"
-    );
-    rows
+fn help_of(exe: &str, args: &[&str]) -> String {
+    let out = std::process::Command::new(exe)
+        .args(args)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(0), "{exe} {args:?}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 #[test]
-fn top_level_help_matches_readme_cli_table() {
-    let out = Command::new(env!("CARGO_BIN_EXE_mcio_cli"))
-        .arg("--help")
-        .output()
-        .expect("spawn mcio_cli");
-    assert_eq!(out.status.code(), Some(0));
-    let help = String::from_utf8_lossy(&out.stdout).into_owned();
-
-    for (name, description) in readme_rows() {
-        assert!(
-            help.contains(&name),
-            "README lists subcommand `{name}` but `mcio_cli --help` does not mention it:\n{help}"
-        );
-        assert!(
-            help.contains(&description),
-            "README describes `{name}` as \"{description}\" but the help text disagrees:\n{help}"
-        );
-    }
-
-    // The reverse direction: every subcommand named in the help's
-    // `subcommands:` block must have a README row.
-    let readme_names: Vec<String> = readme_rows().into_iter().map(|(n, _)| n).collect();
-    let mut in_block = false;
-    for line in help.lines() {
-        if line.trim() == "subcommands:" {
-            in_block = true;
-            continue;
-        }
-        if in_block {
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                break;
-            }
-            let name = trimmed.split_whitespace().next().unwrap().to_string();
-            assert!(
-                readme_names.contains(&name),
-                "help lists subcommand `{name}` missing from the README CLI table"
-            );
-        }
-    }
+fn readme_cli_table_is_the_flag_tables_rendering() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+        .expect("README.md is readable from crates/bench");
+    let table = cli::readme_table(MCIO_CLI);
     assert!(
-        in_block,
-        "help output lost its `subcommands:` block:\n{help}"
+        readme.contains(&table),
+        "README.md's CLI table is stale; replace it with this rendering:\n{table}"
     );
+}
+
+#[test]
+fn every_command_prints_its_table_under_help() {
+    let mcio_cli = env!("CARGO_BIN_EXE_mcio_cli");
+    for c in MCIO_CLI {
+        assert_eq!(help_of(mcio_cli, &[c.word(), "--help"]), c.help());
+    }
+    let top = help_of(mcio_cli, &["--help"]);
+    for c in MCIO_CLI {
+        let row = format!("  {:<12} {}\n", c.word(), c.summary);
+        assert!(top.contains(&row), "{top}");
+    }
+    assert!(top.ends_with(&MCIO_CLI[0].help()), "bare flags are `run`");
+
+    let suites: [(&str, Command); 5] = [
+        (env!("CARGO_BIN_EXE_perf_suite"), cli::PERF_SUITE),
+        (env!("CARGO_BIN_EXE_fault_suite"), cli::FAULT_SUITE),
+        (
+            env!("CARGO_BIN_EXE_contention_suite"),
+            cli::CONTENTION_SUITE,
+        ),
+        (
+            env!("CARGO_BIN_EXE_adaptation_suite"),
+            cli::ADAPTATION_SUITE,
+        ),
+        (env!("CARGO_BIN_EXE_scheduler_suite"), cli::SCHEDULER_SUITE),
+    ];
+    for (exe, table) in suites {
+        assert_eq!(help_of(exe, &["--help"]), table.help());
+    }
 }

@@ -28,8 +28,9 @@ fn fixture() -> MtSpec {
 /// (shifted onto its file region) so the written bytes can be checked
 /// against the workload oracle.
 fn request_of(job: &JobSpec) -> CollectiveRequest {
-    assert_eq!(job.workload, "ior", "fixture uses ior jobs");
-    let req = Ior::paper(job.ranks, job.per_proc, job.segments).request(Rw::Write);
+    let d = &job.desc;
+    assert_eq!(d.workload, "ior", "fixture uses ior jobs");
+    let req = Ior::paper(d.ranks, d.per_proc, d.segments).request(Rw::Write);
     CollectiveRequest::new(
         req.rw,
         req.ranks
@@ -49,7 +50,7 @@ fn fixture_partitions_really_overlap() {
     let spec = fixture();
     assert_eq!(spec.jobs.len(), 2);
     let range = |j: &JobSpec| {
-        let nnodes = j.ranks.div_ceil(j.ppn);
+        let nnodes = j.desc.ranks.div_ceil(j.desc.ppn);
         (j.node_offset, j.node_offset + nnodes)
     };
     let (a_lo, a_hi) = range(&spec.jobs[0]);

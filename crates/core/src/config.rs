@@ -89,6 +89,21 @@ impl CollectiveConfig {
         }
     }
 
+    /// The paper's §4 recipe for a collective of `total_bytes` on
+    /// `nnodes` nodes with nominal buffer `buffer`: aggregation groups
+    /// close at node boundaries around one node's worth of data
+    /// (Figure 4's "group one = compute node one"), `N_ah = 2`
+    /// aggregators per host, `Msg_ind` half a group (two file domains
+    /// per group before placement), and `Mem_min` at half the buffer.
+    pub fn paper(total_bytes: u64, nnodes: usize, buffer: u64) -> Self {
+        let per_node = (total_bytes / nnodes.max(1) as u64).max(1);
+        Self::with_buffer(buffer)
+            .nah(2)
+            .msg_group(per_node)
+            .msg_ind((per_node / 2).max(1))
+            .mem_min(buffer / 2)
+    }
+
     /// Builder-style override of `N_ah`.
     pub fn nah(mut self, nah: usize) -> Self {
         self.nah = nah;

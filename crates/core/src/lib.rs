@@ -76,5 +76,5 @@ pub use plan_cache::{plan_key, PlanCache};
 pub use request::{CollectiveRequest, RankRequest};
 
 // Re-export the vocabulary types callers need constantly.
-pub use mcio_cluster::{NodeId, Rank};
+pub use mcio_cluster::{NodeId, ProcessMap, Rank};
 pub use mcio_pfs::{Extent, Rw};

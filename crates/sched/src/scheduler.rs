@@ -359,7 +359,7 @@ impl Loop<'_> {
     fn dispatch(&mut self, qi: usize, offset: usize, commit: Commit, now: u64, backfilled: bool) {
         let idx = self.pending.remove(qi);
         let job = &self.trace.jobs[idx];
-        let nodes = job.nodes();
+        let nodes = job.desc.nodes();
         self.allocate(offset, nodes, false);
         let end_ns = now + commit.run_ns;
         self.running.push(Running {
@@ -406,7 +406,7 @@ impl Loop<'_> {
 
     fn dispatch_fcfs(&mut self, now: u64) {
         while let Some(&head) = self.pending.first() {
-            let need = self.trace.jobs[head].nodes();
+            let need = self.trace.jobs[head].desc.nodes();
             let Some(offset) = first_fit(&self.free, need) else {
                 break;
             };
@@ -426,7 +426,7 @@ impl Loop<'_> {
             let Some(&head) = self.pending.first() else {
                 return;
             };
-            let head_need = self.trace.jobs[head].nodes();
+            let head_need = self.trace.jobs[head].desc.nodes();
             if let Some(offset) = first_fit(&self.free, head_need) {
                 let commit = self.commit_run(head, offset, now);
                 if !self.admits(&commit) {
@@ -442,7 +442,7 @@ impl Loop<'_> {
             let mut jumped = false;
             for qi in 1..self.pending.len() {
                 let cand = self.pending[qi];
-                let need = self.trace.jobs[cand].nodes();
+                let need = self.trace.jobs[cand].desc.nodes();
                 let Some(offset) = first_fit(&self.free, need) else {
                     continue;
                 };
@@ -507,7 +507,7 @@ impl Loop<'_> {
                 })
                 .expect("queue non-empty");
             let top = self.pending[top_qi];
-            let need = self.trace.jobs[top].nodes();
+            let need = self.trace.jobs[top].desc.nodes();
             // Strict blocking: nobody passes a top job that doesn't fit,
             // otherwise aging would never pay out.
             let Some(offset) = first_fit(&self.free, need) else {

@@ -12,14 +12,14 @@
 //! job b arrival=250us prio=3 ranks=16 ppn=2 strategy=two-phase engine=fair
 //! ```
 //!
-//! Every `job` key is optional; defaults match the multi-tenant spec
-//! DSL (`ranks=8 ppn=2 workload=ior per_proc=2M segments=4 scale=4
-//! buffer=1M stddev=0.3 seed=42 strategy=mc rw=write pipeline=serial
-//! exchange=direct`), plus `arrival=0`, `prio=0` and `engine` falling
-//! back to the trace-level default. Arrivals must be non-decreasing —
-//! a trace is a replay log, not a job bag. There is no `node_offset`,
-//! `start` or `base` key: placement, dispatch time and the per-job
-//! file region are the *scheduler's* outputs, not trace inputs.
+//! Every `job` key is optional. The 13 job-description keys and their
+//! defaults are [`JobDesc`]'s (the table in `mcio_workloads::job`,
+//! shared with the multi-tenant spec DSL and `mcio_cli run`); this DSL
+//! adds `arrival=0`, `prio=0` and `engine`, which falls back to the
+//! trace-level default. Arrivals must be non-decreasing — a trace is a
+//! replay log, not a job bag. There is no `node_offset`, `start` or
+//! `base` key: placement, dispatch time and the per-job file region
+//! are the *scheduler's* outputs, not trace inputs.
 //!
 //! [`JobTrace::serialize`] emits the canonical form — fixed key order,
 //! bare nanoseconds/bytes, `{:.6}` floats — so
@@ -28,15 +28,10 @@
 //! `tests/format_roundtrip.rs`).
 
 use mcio_cluster::spec::ClusterSpec;
-use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{Exchange, Pipeline};
-use mcio_core::hints::parse_bytes;
-use mcio_core::{
-    mcio, twophase, CollectiveConfig, CollectiveRequest, Extent, ProcMemory, Rw, Strategy,
-    TenantJob,
-};
+use mcio_core::{Strategy, TenantJob};
 use mcio_des::{SharePolicy, SimDuration};
 use mcio_faults::parse_duration;
+use mcio_workloads::JobDesc;
 use std::fmt::Write as _;
 
 /// One job arrival of a stream: everything the scheduler needs to
@@ -50,62 +45,20 @@ pub struct TraceJob {
     /// Priority level; higher dispatches earlier under the priority
     /// policy, ignored by FCFS and backfill.
     pub prio: u64,
-    /// Ranks in the job.
-    pub ranks: usize,
-    /// Ranks per node; `ranks.div_ceil(ppn)` is the node demand.
-    pub ppn: usize,
-    /// Workload shape: `ior`, `collperf` or `checkpoint`.
-    pub workload: String,
-    /// Per-process bytes (ior/checkpoint).
-    pub per_proc: u64,
-    /// IOR segment count.
-    pub segments: u64,
-    /// CollPerf dimension divisor.
-    pub scale: u64,
-    /// Nominal aggregator buffer.
-    pub buffer: u64,
-    /// Relative stddev of the per-process memory draw.
-    pub stddev: f64,
-    /// Memory-draw seed.
-    pub seed: u64,
-    /// Planning strategy.
-    pub strategy: Strategy,
-    /// Read or write.
-    pub rw: Rw,
-    /// Round pipelining.
-    pub pipeline: Pipeline,
-    /// Exchange shape.
-    pub exchange: Exchange,
     /// DES share policy for this job's commit and solo simulations.
     pub engine: SharePolicy,
+    /// Workload, placement, memory draw and strategy.
+    pub desc: JobDesc,
 }
 
-impl TraceJob {
-    /// The job's machine-node demand.
-    pub fn nodes(&self) -> usize {
-        self.ranks.div_ceil(self.ppn)
-    }
-}
-
-fn default_job(engine: SharePolicy) -> TraceJob {
-    TraceJob {
-        name: String::new(),
-        arrival: SimDuration::ZERO,
-        prio: 0,
-        ranks: 8,
-        ppn: 2,
-        workload: "ior".to_string(),
-        per_proc: 2 << 20,
-        segments: 4,
-        scale: 4,
-        buffer: 1 << 20,
-        stddev: 0.3,
-        seed: 42,
-        strategy: Strategy::MemoryConscious,
-        rw: Rw::Write,
-        pipeline: Pipeline::Serial,
-        exchange: Exchange::Direct,
-        engine,
+/// Read-only bridge for `benchmark/` (which a code PR may not edit): it
+/// reads `job.ranks` and `job.seed` on the pre-[`JobDesc`] field
+/// layout. New code names `job.desc`; a benchmark-only PR can drop
+/// this impl.
+impl std::ops::Deref for TraceJob {
+    type Target = JobDesc;
+    fn deref(&self) -> &JobDesc {
+        &self.desc
     }
 }
 
@@ -123,97 +76,27 @@ pub struct JobTrace {
     pub jobs: Vec<TraceJob>,
 }
 
-fn parse_job(rest: &str, line_no: usize, default_engine: SharePolicy) -> Result<TraceJob, String> {
-    let mut words = rest.split_whitespace();
-    let name = words
-        .next()
-        .ok_or_else(|| format!("line {line_no}: job directive needs a name"))?;
-    let mut job = TraceJob {
-        name: name.to_string(),
-        ..default_job(default_engine)
-    };
-    for word in words {
-        let (key, value) = word
-            .split_once('=')
-            .ok_or_else(|| format!("line {line_no}: expected key=value, got `{word}`"))?;
-        let ctx = |e: String| format!("line {line_no}: {key}: {e}");
+fn parse_job(rest: &str, default_engine: SharePolicy) -> Result<TraceJob, String> {
+    let (mut arrival, mut prio, mut engine) = (SimDuration::ZERO, 0, default_engine);
+    let (name, desc) = JobDesc::parse_line(rest, |key, value| {
         match key {
-            "arrival" => job.arrival = parse_duration(value).map_err(ctx)?,
-            "prio" => job.prio = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "ranks" => job.ranks = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "ppn" => job.ppn = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "workload" => match value {
-                "ior" | "collperf" | "checkpoint" => job.workload = value.to_string(),
-                other => {
-                    return Err(ctx(format!(
-                        "workload must be ior|collperf|checkpoint, got `{other}`"
-                    )))
-                }
-            },
-            "per_proc" => job.per_proc = parse_bytes(value).map_err(ctx)?,
-            "segments" => job.segments = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "scale" => job.scale = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "buffer" => job.buffer = parse_bytes(value).map_err(ctx)?,
-            "stddev" => job.stddev = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "seed" => job.seed = value.parse().map_err(|e| ctx(format!("{e}")))?,
-            "strategy" => {
-                job.strategy = match value {
-                    "mc" | "memory-conscious" => Strategy::MemoryConscious,
-                    "tp" | "two-phase" => Strategy::TwoPhase,
-                    other => {
-                        return Err(ctx(format!("strategy must be two-phase|mc, got `{other}`")))
-                    }
-                }
-            }
-            "rw" => {
-                job.rw = match value {
-                    "read" => Rw::Read,
-                    "write" => Rw::Write,
-                    other => return Err(ctx(format!("rw must be read|write, got `{other}`"))),
-                }
-            }
-            "pipeline" => {
-                job.pipeline = match value {
-                    "serial" => Pipeline::Serial,
-                    "double" => Pipeline::DoubleBuffered,
-                    other => {
-                        return Err(ctx(format!(
-                            "pipeline must be serial|double, got `{other}`"
-                        )))
-                    }
-                }
-            }
-            "exchange" => {
-                job.exchange = match value {
-                    "direct" => Exchange::Direct,
-                    "two-level" => Exchange::TwoLevel,
-                    other => {
-                        return Err(ctx(format!(
-                            "exchange must be direct|two-level, got `{other}`"
-                        )))
-                    }
-                }
-            }
+            "arrival" => arrival = parse_duration(value)?,
+            "prio" => prio = value.parse().map_err(|e| format!("{e}"))?,
             "engine" => {
-                job.engine = SharePolicy::parse(value)
-                    .ok_or_else(|| ctx(format!("engine must be fifo|fair, got `{value}`")))?
+                engine = SharePolicy::parse(value)
+                    .ok_or_else(|| format!("engine must be fifo|fair, got `{value}`"))?
             }
-            other => return Err(format!("line {line_no}: unknown job key `{other}`")),
+            _ => return Ok(false),
         }
-    }
-    if job.ranks == 0 || job.ppn == 0 {
-        return Err(format!("line {line_no}: ranks and ppn must be positive"));
-    }
-    if job.buffer == 0 {
-        return Err(format!("line {line_no}: buffer must be positive"));
-    }
-    if !job.stddev.is_finite() || job.stddev < 0.0 {
-        return Err(format!(
-            "line {line_no}: stddev must be finite and non-negative, got `{}`",
-            job.stddev
-        ));
-    }
-    Ok(job)
+        Ok(true)
+    })?;
+    Ok(TraceJob {
+        name: name.to_string(),
+        arrival,
+        prio,
+        engine,
+        desc,
+    })
 }
 
 impl JobTrace {
@@ -264,7 +147,8 @@ impl JobTrace {
         let (machine_label, machine) = machine.ok_or("trace needs a machine directive")?;
         let default_engine = default_engine.unwrap_or(SharePolicy::Fifo);
         for (line_no, rest) in &job_lines {
-            let job = parse_job(rest, *line_no, default_engine)?;
+            let job =
+                parse_job(rest, default_engine).map_err(|e| format!("line {line_no}: {e}"))?;
             if jobs.iter().any(|j| j.name == job.name) {
                 return Err(format!("line {line_no}: duplicate job name `{}`", job.name));
             }
@@ -276,23 +160,17 @@ impl JobTrace {
                     ));
                 }
             }
-            if job.nodes() > machine.nodes {
+            if job.desc.nodes() > machine.nodes {
                 return Err(format!(
                     "line {line_no}: job `{}` needs {} nodes but the machine has {}",
                     job.name,
-                    job.nodes(),
+                    job.desc.nodes(),
                     machine.nodes
                 ));
             }
-            // One rank per core is all the machine can host; this also
-            // bounds every per-rank allocation planning makes.
-            let hosts = machine.nodes.saturating_mul(machine.node.cores);
-            if job.ranks > hosts {
-                return Err(format!(
-                    "line {line_no}: job `{}` has {} ranks but the machine hosts at most {hosts}",
-                    job.name, job.ranks
-                ));
-            }
+            job.desc
+                .check_hosts(&job.name, machine.nodes, machine.node.cores)
+                .map_err(|e| format!("line {line_no}: {e}"))?;
             jobs.push(job);
         }
         if jobs.is_empty() {
@@ -313,43 +191,13 @@ impl JobTrace {
         let _ = writeln!(out, "machine {}", self.machine_label);
         let _ = writeln!(out, "engine {}", self.default_engine.label());
         for job in &self.jobs {
-            let strategy = match job.strategy {
-                Strategy::MemoryConscious => "mc",
-                Strategy::TwoPhase => "two-phase",
-            };
-            let rw = match job.rw {
-                Rw::Read => "read",
-                Rw::Write => "write",
-            };
-            let pipeline = match job.pipeline {
-                Pipeline::Serial => "serial",
-                Pipeline::DoubleBuffered => "double",
-            };
-            let exchange = match job.exchange {
-                Exchange::Direct => "direct",
-                Exchange::TwoLevel => "two-level",
-            };
             let _ = writeln!(
                 out,
-                "job {} arrival={}ns prio={} ranks={} ppn={} workload={} per_proc={} \
-                 segments={} scale={} buffer={} stddev={:.6} seed={} strategy={} rw={} \
-                 pipeline={} exchange={} engine={}",
+                "job {} arrival={}ns prio={} {} engine={}",
                 job.name,
                 job.arrival.as_nanos(),
                 job.prio,
-                job.ranks,
-                job.ppn,
-                job.workload,
-                job.per_proc,
-                job.segments,
-                job.scale,
-                job.buffer,
-                job.stddev,
-                job.seed,
-                strategy,
-                rw,
-                pipeline,
-                exchange,
+                job.desc,
                 job.engine.label(),
             );
         }
@@ -393,14 +241,17 @@ impl JobTrace {
                 name: format!("g{i:04}"),
                 arrival: SimDuration::from_nanos(arrival_ns),
                 prio: splitmix64(&mut state) % 10,
-                ranks,
-                ppn,
-                per_proc,
-                segments: 1 + splitmix64(&mut state) % 2,
-                buffer: 64 * 1024,
-                seed: splitmix64(&mut state),
-                strategy,
-                ..default_job(SharePolicy::Fifo)
+                engine: SharePolicy::Fifo,
+                desc: JobDesc {
+                    ranks,
+                    ppn,
+                    per_proc,
+                    segments: 1 + splitmix64(&mut state) % 2,
+                    buffer: 64 * 1024,
+                    seed: splitmix64(&mut state),
+                    strategy,
+                    ..JobDesc::default()
+                },
             });
         }
         Ok(JobTrace {
@@ -422,59 +273,12 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The job's request, shifted onto its private file region.
-fn build_request(job: &TraceJob, base: u64) -> CollectiveRequest {
-    use mcio_workloads::{science, CollPerf, Ior};
-    let req = match job.workload.as_str() {
-        "collperf" => CollPerf::paper(job.ranks, job.scale).request(job.rw),
-        "checkpoint" => {
-            let sizes: Vec<u64> = (0..job.ranks as u64)
-                .map(|r| job.per_proc / 2 + (r * 977) % job.per_proc.max(1))
-                .collect();
-            science::checkpoint(job.rw, 4096, &sizes)
-        }
-        _ => Ior::paper(job.ranks, job.per_proc, job.segments).request(job.rw),
-    };
-    if base == 0 {
-        return req;
-    }
-    CollectiveRequest::new(
-        req.rw,
-        req.ranks
-            .iter()
-            .map(|r| {
-                r.extents
-                    .iter()
-                    .map(|e| Extent::new(e.offset + base, e.len))
-                    .collect()
-            })
-            .collect(),
-    )
-}
-
 /// Plan a trace job into a [`TenantJob`] template at node offset 0,
 /// start 0 — placement and dispatch time are set by the scheduler at
 /// commit. `idx` is the job's trace position; it fixes the job's file
-/// region at `idx * 1 GiB` so streams never share extents by accident
-/// (the planning recipe otherwise mirrors the multi-tenant spec DSL).
+/// region at `idx * 1 GiB` so streams never share extents by accident.
 pub fn build_tenant(job: &TraceJob, idx: usize) -> TenantJob {
-    let base = (idx as u64) << 30;
-    let req = build_request(job, base);
-    let map = ProcessMap::block_ppn(job.ranks, job.ppn);
-    let mem = ProcMemory::normal(job.ranks, job.buffer, job.stddev, job.seed);
-    let per_node = (req.total_bytes() / map.nnodes().max(1) as u64).max(1);
-    let cfg = CollectiveConfig::with_buffer(job.buffer)
-        .nah(2)
-        .msg_group(per_node)
-        .msg_ind((per_node / 2).max(1))
-        .mem_min(job.buffer / 2);
-    let plan = match job.strategy {
-        Strategy::TwoPhase => twophase::plan(&req, &map, &mem, &cfg),
-        Strategy::MemoryConscious => mcio::plan(&req, &map, &mem, &cfg),
-    };
-    TenantJob::new(job.name.clone(), plan, map)
-        .pipeline(job.pipeline)
-        .exchange(job.exchange)
+    job.desc.tenant(&job.name, (idx as u64) << 30)
 }
 
 #[cfg(test)]
@@ -496,12 +300,12 @@ job b arrival=250us prio=3 ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K stra
         assert_eq!(trace.machine_label, "small:8x2");
         assert_eq!(trace.jobs.len(), 2);
         let a = &trace.jobs[0];
-        assert_eq!((a.prio, a.nodes()), (0, 2));
+        assert_eq!((a.prio, a.desc.nodes()), (0, 2));
         assert_eq!(a.engine, SharePolicy::Fifo, "trace default engine");
         let b = &trace.jobs[1];
         assert_eq!(b.arrival, SimDuration::from_micros(250));
         assert_eq!(b.prio, 3);
-        assert_eq!(b.strategy, Strategy::TwoPhase);
+        assert_eq!(b.desc.strategy, Strategy::TwoPhase);
         assert_eq!(b.engine, SharePolicy::FairShare);
     }
 
@@ -581,7 +385,7 @@ job b arrival=250us prio=3 ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K stra
         let c = JobTrace::synthetic("small:8x2", 8, 12).expect("generates");
         assert_ne!(a.serialize(), c.serialize(), "different seed differs");
         assert!(a.jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-        assert!(a.jobs.iter().all(|j| j.nodes() <= 8));
+        assert!(a.jobs.iter().all(|j| j.desc.nodes() <= 8));
         // The generator's own output is a valid canonical document.
         let re = JobTrace::parse(&a.serialize()).expect("re-parses");
         assert_eq!(re.jobs, a.jobs);

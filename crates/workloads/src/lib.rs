@@ -11,16 +11,21 @@
 //!   variable record sizes, BTIO-style nested strides.
 //! * [`synthetic`] — serial chunks, random noncontiguous bursts, and
 //!   other shapes used by tests and ablations.
+//!
+//! [`job`] describes a whole job — workload, placement, memory draw,
+//! strategy — once, for the spec DSLs and the CLI above this crate.
 
 #![warn(missing_docs)]
 
 pub mod collperf;
 pub mod ior;
+pub mod job;
 pub mod science;
 pub mod synthetic;
 
 pub use collperf::CollPerf;
 pub use ior::{Ior, IorLayout};
+pub use job::{JobDesc, Workload};
 
 /// Record the shape of a generated request as `workload.*` metrics:
 /// rank/extent/byte totals, the per-extent size histogram, and the file

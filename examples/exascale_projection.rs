@@ -54,12 +54,7 @@ fn main() {
         let buf = (mem_per_core / 2).min(64 * MIB);
         let env = ProcMemory::normal(nranks, buf, 0.35, 4);
         let req = ior.request(Rw::Write);
-        let per_node = (req.total_bytes() / map.nnodes() as u64).max(1);
-        let cfg = CollectiveConfig::with_buffer(buf)
-            .nah(2)
-            .msg_group(per_node)
-            .msg_ind((per_node / 2).max(1))
-            .mem_min(buf / 2);
+        let cfg = CollectiveConfig::paper(req.total_bytes(), map.nnodes(), buf);
 
         let tp = simulate(&twophase::plan(&req, &map, &env, &cfg), &map, &spec);
         let mcp = simulate(&mc::plan(&req, &map, &env, &cfg), &map, &spec);

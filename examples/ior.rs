@@ -34,12 +34,7 @@ fn main() {
 
     let buf = 16 * MIB;
     let env = ProcMemory::normal(nranks, buf, 0.35, 2026);
-    let per_node = ior.file_bytes() / 10;
-    let cfg = CollectiveConfig::with_buffer(buf)
-        .nah(2)
-        .msg_group(per_node)
-        .msg_ind(per_node / 2)
-        .mem_min(buf / 2);
+    let cfg = CollectiveConfig::paper(ior.file_bytes(), map.nnodes(), buf);
 
     for rw in [Rw::Write, Rw::Read] {
         let req = ior.request(rw);
