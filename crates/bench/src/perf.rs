@@ -751,6 +751,60 @@ mod tests {
         assert_eq!(render_records(&parsed), rendered);
     }
 
+    /// The two host-data documents carry wall-clock, so no run can be a
+    /// golden; a literal input pins their bytes instead.
+    #[test]
+    fn host_data_documents_render_fixed_bytes() {
+        let engine = mcio_des::EngineProfile {
+            events_fired: 3000,
+            events_cancelled: 7,
+            heap_high_water: 11,
+            ..Default::default()
+        };
+        let cells = [
+            CellProf {
+                scenario: "fig6".into(),
+                strategy: "two-phase".into(),
+                wall_ns: 2_000_000,
+                engine: engine.clone(),
+            },
+            CellProf {
+                scenario: "fig6".into(),
+                strategy: "memory-conscious".into(),
+                wall_ns: 0,
+                engine: engine.clone(),
+            },
+        ];
+        assert_eq!(
+            render_wallclock(&cells),
+            "{\n  \"schema\": \"mcio.perf_wallclock.v1\",\n  \"cells\": [\n    \
+             {\"scenario\": \"fig6\", \"strategy\": \"two-phase\", \"wall_ns\": 2000000, \
+             \"events_fired\": 3000, \"events_per_sec\": 1500000.000},\n    \
+             {\"scenario\": \"fig6\", \"strategy\": \"memory-conscious\", \"wall_ns\": 0, \
+             \"events_fired\": 3000, \"events_per_sec\": 0.000}\n  ]\n}\n"
+        );
+        let exa = [ExaCell {
+            strategy: "memory-conscious".into(),
+            engine: "fair",
+            elapsed_ns: 123,
+            plan_wall_ns: 5,
+            sim_wall_ns: 4_000_000,
+            prof: engine,
+        }];
+        assert_eq!(
+            render_exascale(&exa),
+            "{\n  \"schema\": \"mcio.exascale.v1\",\n  \"cells\": [\n    \
+             {\"strategy\": \"memory-conscious\", \"engine\": \"fair\", \"elapsed_ns\": 123, \
+             \"events_fired\": 3000, \"events_cancelled\": 7, \"heap_high_water\": 11, \
+             \"plan_wall_ns\": 5, \"sim_wall_ns\": 4000000, \"events_per_sec\": 750000.000}\n  \
+             ]\n}\n"
+        );
+        assert_eq!(
+            render_wallclock(&[]),
+            "{\n  \"schema\": \"mcio.perf_wallclock.v1\",\n  \"cells\": [\n  ]\n}\n"
+        );
+    }
+
     #[test]
     fn bad_schema_is_rejected() {
         assert!(parse_records("{\"schema\": \"other\", \"records\": []}").is_err());

@@ -454,6 +454,62 @@ mod tests {
         assert!(prom.contains("m_ns_sum{ost=\"1\"} 50"), "{prom}");
     }
 
+    /// The corners no run reaches — an empty histogram, a fractional
+    /// gauge, label text that needs escaping — pinned byte for byte.
+    #[test]
+    fn literal_snapshot_renders_fixed_bytes() {
+        use crate::registry::{CounterSample, GaugeSample, HistogramSample, MetricMeta};
+        let meta = MetricMeta {
+            unit: "ns".into(),
+            help: "a \"b\"".into(),
+        };
+        let labels = vec![
+            ("k".to_string(), "a\\b\n".to_string()),
+            ("z".to_string(), "1".to_string()),
+        ];
+        let hist = |count, min, max, buckets| HistogramSample {
+            name: "h".into(),
+            labels: Vec::new(),
+            count,
+            sum: 12.0,
+            min,
+            max,
+            buckets,
+            meta: meta.clone(),
+        };
+        let snap = Snapshot {
+            counters: vec![CounterSample {
+                name: "c".into(),
+                labels,
+                value: 7,
+                meta: meta.clone(),
+            }],
+            gauges: vec![GaugeSample {
+                name: "g".into(),
+                labels: Vec::new(),
+                value: 0.25,
+                meta: MetricMeta::default(),
+            }],
+            histograms: vec![
+                hist(0, None, None, Vec::new()),
+                hist(2, Some(4), Some(8), vec![(7, 1), (15, 1)]),
+            ],
+        };
+        assert_eq!(
+            to_json(&snap),
+            "{\n  \"counters\": [\n    \
+             {\"name\":\"c\",\"labels\":{\"k\":\"a\\\\b\\n\",\"z\":\"1\"},\"value\":7,\
+             \"unit\":\"ns\",\"help\":\"a \\\"b\\\"\"}\n  ],\n  \"gauges\": [\n    \
+             {\"name\":\"g\",\"labels\":{},\"value\":0.25,\"unit\":\"\",\"help\":\"\"}\n  ],\n  \
+             \"histograms\": [\n    \
+             {\"name\":\"h\",\"labels\":{},\"count\":0,\"sum\":12,\"min\":null,\"max\":null,\
+             \"buckets\":[],\"unit\":\"ns\",\"help\":\"a \\\"b\\\"\"},\n    \
+             {\"name\":\"h\",\"labels\":{},\"count\":2,\"sum\":12,\"min\":4,\"max\":8,\
+             \"buckets\":[{\"le\":7,\"count\":1},{\"le\":15,\"count\":1}],\
+             \"unit\":\"ns\",\"help\":\"a \\\"b\\\"\"}\n  ]\n}\n"
+        );
+    }
+
     #[test]
     fn empty_snapshot_exports() {
         let snap = Snapshot::default();

@@ -558,6 +558,93 @@ mod tests {
         assert_eq!(back.render(), text, "render is a fixed point");
     }
 
+    /// The host section is wall-clock, so no run can be a golden; a
+    /// literal report pins the whole document's bytes instead —
+    /// top-level keys in column 0, both optional host keys present,
+    /// then both absent.
+    #[test]
+    fn literal_report_renders_fixed_bytes() {
+        let mut r = ProfReport {
+            cells: vec![DetCell {
+                label: "a\"b".into(),
+                engine: EngineProfile {
+                    events_scheduled: 5,
+                    events_fired: 4,
+                    events_cancelled: 1,
+                    heap_high_water: 3,
+                    ready_high_water: 2,
+                    activities: 6,
+                    resources: 7,
+                    class_max_queue: vec![("membus".into(), 1), ("ost".into(), 2)],
+                },
+            }],
+            host: HostSection {
+                wall_ns: 1000,
+                events_per_sec: 1234.5,
+                phases: vec![PhaseRow {
+                    path: "plan/des-run".into(),
+                    count: 2,
+                    inclusive_ns: 30,
+                    exclusive_ns: 20,
+                    alloc_bytes: 64,
+                    allocs: 3,
+                }],
+                alloc: AllocReport {
+                    enabled: true,
+                    total_allocs: 9,
+                    total_bytes: 512,
+                    peak_bytes: 256,
+                },
+                plan_cache: Some(PlanCacheStats {
+                    hits: 3,
+                    misses: 2,
+                    distinct_plans: 2,
+                    plan_wall_ns: 77,
+                }),
+                workers: vec![WorkerRow {
+                    worker: 0,
+                    busy_ns: 999,
+                    tasks: 2,
+                }],
+            },
+        };
+        let engine = "\"events_scheduled\": 5, \"events_fired\": 4, \"events_cancelled\": 1, \
+                      \"heap_high_water\": 3, \"ready_high_water\": 2, \"activities\": 6, \
+                      \"resources\": 7, \"class_max_queue\": {\"membus\": 1, \"ost\": 2}";
+        let det = format!(
+            "{{\n  \"cells\": [\n    {{\"label\": \"a\\\"b\", {engine}}}\n  ],\n  \
+             \"total\": {{{engine}}}\n}}"
+        );
+        assert_eq!(r.deterministic_json(), det);
+        assert_eq!(
+            r.render(),
+            format!(
+                "{{\n\"schema\": \"mcio.prof.v1\",\n\"deterministic\": {det},\n\"host\": {{\n  \
+                 \"wall_ns\": 1000,\n  \"events_per_sec\": 1234.500,\n  \"phases\": [\n    \
+                 {{\"path\": \"plan/des-run\", \"count\": 2, \"inclusive_ns\": 30, \
+                 \"exclusive_ns\": 20, \"alloc_bytes\": 64, \"allocs\": 3}}\n  ],\n  \
+                 \"alloc\": {{\"enabled\": true, \"total_allocs\": 9, \"total_bytes\": 512, \
+                 \"peak_bytes\": 256}},\n  \"plan_cache\": {{\"hits\": 3, \"misses\": 2, \
+                 \"distinct_plans\": 2, \"plan_wall_ns\": 77}},\n  \"workers\": [\n    \
+                 {{\"worker\": 0, \"busy_ns\": 999, \"tasks\": 2}}\n  ]\n}}\n}}\n"
+            )
+        );
+        r.cells.clear();
+        r.host.phases.clear();
+        r.host.plan_cache = None;
+        r.host.workers.clear();
+        assert_eq!(
+            r.render(),
+            "{\n\"schema\": \"mcio.prof.v1\",\n\"deterministic\": {\n  \"cells\": [\n  ],\n  \
+             \"total\": {\"events_scheduled\": 0, \"events_fired\": 0, \"events_cancelled\": 0, \
+             \"heap_high_water\": 0, \"ready_high_water\": 0, \"activities\": 0, \
+             \"resources\": 0, \"class_max_queue\": {}}\n},\n\"host\": {\n  \
+             \"wall_ns\": 1000,\n  \"events_per_sec\": 1234.500,\n  \"phases\": [\n  ],\n  \
+             \"alloc\": {\"enabled\": true, \"total_allocs\": 9, \"total_bytes\": 512, \
+             \"peak_bytes\": 256}\n}\n}\n"
+        );
+    }
+
     #[test]
     fn deterministic_json_ignores_host_data() {
         let a = sample();
