@@ -20,7 +20,8 @@
 //! deterministic.
 
 use crate::critical_path::{chain_summaries, span_aggregator, PhaseKind};
-use crate::trace_model::{merge_intervals, ResourceClass, TraceModel, PID_RESOURCES, PID_ROUNDS};
+use crate::trace_model::{ResourceClass, TraceModel, PID_RESOURCES, PID_ROUNDS};
+use mcio_obs::intervals::merge_intervals;
 
 /// What kind of entity straggled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

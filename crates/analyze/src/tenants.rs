@@ -19,7 +19,8 @@
 //! Traces from solo runs carry no pid-4 lanes and yield an empty
 //! attribution, so every existing report is byte-identical.
 
-use crate::trace_model::{merge_intervals, TraceModel, PID_RESOURCES, PID_ROUNDS, PID_TENANTS};
+use crate::trace_model::{TraceModel, PID_RESOURCES, PID_ROUNDS, PID_TENANTS};
+use mcio_obs::intervals::{intersect_len, merge_intervals, total_len};
 
 /// One job's interference attribution, extracted from the trace alone.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,29 +93,6 @@ fn clip(intervals: &[(u64, u64)], lo: u64, hi: u64) -> Vec<(u64, u64)> {
         .filter(|&&(s, e)| e > lo && s < hi)
         .map(|&(s, e)| (s.max(lo), e.min(hi)))
         .collect()
-}
-
-/// Total length of a disjoint interval set.
-fn total_len(intervals: &[(u64, u64)]) -> u64 {
-    intervals.iter().map(|(s, e)| e - s).sum()
-}
-
-/// Length of the intersection of two sorted disjoint interval sets.
-fn intersect_len(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
-    let (mut i, mut j, mut len) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if lo < hi {
-            len += hi - lo;
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    len
 }
 
 /// Attribute every tenant window in `model` into self / cross / idle.

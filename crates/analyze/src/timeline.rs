@@ -16,7 +16,8 @@
 //! integers only, deterministic series order (classes, then OST lanes
 //! in lane order, then tenants in job order), no floats, no wall-clock.
 
-use crate::trace_model::{merge_intervals, ResourceClass, TraceModel, PID_RESOURCES};
+use crate::trace_model::{ResourceClass, TraceModel, PID_RESOURCES};
+use mcio_obs::intervals::merge_intervals;
 use mcio_obs::json::{self, JsonValue};
 use mcio_obs::Registry;
 use std::fmt::Write as _;

@@ -7,6 +7,7 @@
 //! the serialization step) or parsed back from a trace file, so
 //! `mcio_cli analyze --trace FILE` sees exactly what Perfetto would.
 
+use mcio_obs::intervals::merge_intervals;
 use mcio_obs::json::{self, JsonValue};
 use mcio_obs::{Span, TraceCollector};
 use std::collections::BTreeMap;
@@ -258,19 +259,6 @@ impl TraceModel {
             .collect();
         merge_intervals(intervals)
     }
-}
-
-/// Sort and merge half-open intervals into a disjoint union.
-pub(crate) fn merge_intervals(mut intervals: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    intervals.sort_unstable();
-    let mut merged: Vec<(u64, u64)> = Vec::with_capacity(intervals.len());
-    for (a, b) in intervals {
-        match merged.last_mut() {
-            Some((_, end)) if a <= *end => *end = (*end).max(b),
-            _ => merged.push((a, b)),
-        }
-    }
-    merged
 }
 
 #[cfg(test)]

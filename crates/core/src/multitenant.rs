@@ -44,6 +44,7 @@ use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
 use mcio_des::{SharePolicy, SimDuration};
 use mcio_faults::FaultSpec;
+use mcio_obs::intervals::{intersect_len, merge_intervals, total_len};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -599,57 +600,5 @@ fn run_session(
         makespan,
         trace,
         engine: ex.engine(),
-    }
-}
-
-/// Merge possibly-overlapping intervals into a sorted disjoint set.
-fn merge_intervals(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    v.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(v.len());
-    for (s, e) in v {
-        match out.last_mut() {
-            Some(last) if s <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((s, e)),
-        }
-    }
-    out
-}
-
-/// Total length of a disjoint, sorted interval set.
-fn total_len(v: &[(u64, u64)]) -> u64 {
-    v.iter().map(|(s, e)| e - s).sum()
-}
-
-/// Length of the intersection of two disjoint, sorted interval sets.
-fn intersect_len(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
-    let (mut i, mut j, mut acc) = (0usize, 0usize, 0u64);
-    while i < a.len() && j < b.len() {
-        let lo = a[i].0.max(b[j].0);
-        let hi = a[i].1.min(b[j].1);
-        if hi > lo {
-            acc += hi - lo;
-        }
-        if a[i].1 <= b[j].1 {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    acc
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn interval_helpers() {
-        let merged = merge_intervals(vec![(5, 9), (0, 3), (2, 4), (9, 12)]);
-        assert_eq!(merged, vec![(0, 4), (5, 12)]);
-        assert_eq!(total_len(&merged), 11);
-        assert_eq!(intersect_len(&[(0, 10)], &[(5, 15)]), 5);
-        assert_eq!(intersect_len(&[(0, 2), (4, 6)], &[(1, 5)]), 2);
-        assert_eq!(intersect_len(&[(0, 2)], &[(2, 4)]), 0);
-        assert_eq!(intersect_len(&[], &[(0, 4)]), 0);
     }
 }

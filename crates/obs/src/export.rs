@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 /// Render a float without trailing noise: integers print bare
 /// (`3` not `3.0`), everything else uses shortest round-trip form.
-fn fmt_num(v: f64) -> String {
+pub(crate) fn fmt_num(v: f64) -> String {
     if v.fract() == 0.0 && v.abs() < 1e15 {
         format!("{}", v as i64)
     } else {

@@ -25,8 +25,10 @@
 
 #![warn(missing_docs)]
 
+pub mod doc;
 pub mod export;
 pub mod histogram;
+pub mod intervals;
 pub mod json;
 pub mod registry;
 pub mod trace;

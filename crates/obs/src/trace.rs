@@ -8,6 +8,7 @@
 //! time, matching `mcio_des::SimTime::as_nanos()`; the exporter converts
 //! to the microsecond floats the trace format expects.
 
+use std::fmt::Write as _;
 use std::sync::Mutex;
 
 /// One closed interval on a lane.
@@ -238,6 +239,13 @@ fn format_us(ns: u64) -> String {
 /// Escape a string for embedding in a JSON string literal.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_json_into(&mut out, s);
+    out
+}
+
+/// [`escape_json`] appended to `out` — the form the document writer
+/// uses, so escaping a field never allocates.
+pub fn escape_json_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -245,11 +253,12 @@ pub fn escape_json(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]
