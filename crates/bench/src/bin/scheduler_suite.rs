@@ -34,7 +34,10 @@
 //! `mcio_bench::cli::SCHEDULER_SUITE`'s.
 
 use mcio_bench::cli;
-use mcio_sched::{render_schedule, run_schedule, JobTrace, Policy, SchedConfig, Schedule};
+use mcio_obs::doc::Writer;
+use mcio_sched::{
+    render_schedule, run_schedule, write_schedule, JobTrace, Policy, SchedConfig, Schedule,
+};
 use std::fmt::Write as _;
 
 /// Makespan cap per policy on the bundled trace, nanoseconds.
@@ -233,23 +236,11 @@ fn main() {
         return;
     }
 
-    let mut doc = String::from("{\n  \"schema\": \"mcio.scheduler_suite.v1\",\n");
-    let _ = writeln!(doc, "  \"machine\": \"{}\",", trace.machine_label);
-    let _ = writeln!(doc, "  \"jobs\": {},", trace.jobs.len());
-    doc.push_str("  \"cells\": [\n");
-    for (i, (_, s)) in cells.iter().enumerate() {
-        // Indent each embedded mcio.schedule.v1 document one level.
-        let embedded = render_schedule(s);
-        let indented = embedded
-            .trim_end()
-            .lines()
-            .map(|l| format!("    {l}"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        doc.push_str(&indented);
-        doc.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    doc.push_str("  ]\n}\n");
-    cli::write_or_exit(m.ctx(), "", out_path, &doc);
+    let mut doc = Writer::document();
+    doc.schema("mcio.scheduler_suite.v1");
+    doc.text("machine", &trace.machine_label);
+    doc.uint("jobs", trace.jobs.len() as u64);
+    doc.blocks("cells", &cells, |w, (_, s)| write_schedule(w, s));
+    cli::write_or_exit(m.ctx(), "", out_path, &doc.finish());
     println!("\nscheduler suite ok; wrote {out_path}");
 }

@@ -1,60 +1,61 @@
 //! The byte-stable `mcio.schedule.v1` document.
 //!
-//! [`render_schedule`] builds the JSON by hand — fixed key order,
-//! `{:.6}` floats, no map iteration — so the bytes are a pure function
-//! of the [`Schedule`] and any worker-thread fan-out reproduces them
-//! exactly. [`parse_schedule`] reads one back through the strict JSON
-//! parser of `mcio-obs`, taking only the keys it knows and ignoring
-//! unknown top-level keys, the same forward-compatibility convention
+//! [`write_schedule`] lays a [`Schedule`] out through the one document
+//! writer of `mcio-obs` — fixed key order, `{:.6}` floats, no map
+//! iteration — so the bytes are a pure function of the schedule and any
+//! worker-thread fan-out reproduces them exactly; [`render_schedule`]
+//! is that block as a document of its own. [`parse_schedule`] reads one
+//! back through the typed reader, taking only the keys it knows and
+//! ignoring unknown ones, the same forward-compatibility convention
 //! `mcio.analyze.v1` follows.
 
 use crate::scheduler::Schedule;
-use mcio_obs::json::{self, JsonValue};
-use mcio_obs::trace::escape_json;
-use std::fmt::Write as _;
+use mcio_obs::doc::{Reader, Writer};
+use mcio_obs::json;
+
+/// The schema stamp of a schedule document.
+const SCHEMA: &str = "mcio.schedule.v1";
+
+/// Write the members of an `mcio.schedule.v1` object into the block
+/// `w` is positioned in: the root of a document, or one cell of
+/// `mcio.scheduler_suite.v1`.
+pub fn write_schedule(w: &mut Writer, s: &Schedule) {
+    w.schema(SCHEMA);
+    w.text("machine", &s.machine);
+    w.uint("machine_nodes", s.machine_nodes as u64);
+    w.text("policy", s.policy.label());
+    w.flag("admission", s.admission);
+    w.uint("jobs", s.jobs.len() as u64);
+    w.uint("makespan_ns", s.makespan_ns);
+    w.uint("mean_wait_ns", s.mean_wait_ns);
+    w.float("p50_slowdown", s.p50_slowdown, 6);
+    w.float("p99_slowdown", s.p99_slowdown, 6);
+    w.uint("dispatches", s.dispatches);
+    w.uint("backfills", s.backfills);
+    w.uint("admission_deferrals", s.admission_deferrals);
+    w.uint("max_queue_depth", s.max_queue_depth as u64);
+    w.rows("per_job", &s.jobs, |r, j| {
+        r.text("job", &j.name);
+        r.uint("arrival_ns", j.arrival_ns);
+        r.uint("dispatch_ns", j.dispatch_ns);
+        r.uint("end_ns", j.end_ns);
+        r.uint("wait_ns", j.wait_ns);
+        r.uint("turnaround_ns", j.turnaround_ns);
+        r.uint("run_ns", j.run_ns);
+        r.uint("solo_ns", j.solo_ns);
+        r.float("slowdown", j.slowdown, 6);
+        r.uint("nodes", j.nodes as u64);
+        r.uint("node_offset", j.node_offset as u64);
+        r.uint("deferrals", j.deferrals);
+        r.flag("backfilled", j.backfilled);
+    });
+}
 
 /// Render the canonical `mcio.schedule.v1` document.
 pub fn render_schedule(s: &Schedule) -> String {
-    let mut out = String::from("{\n  \"schema\": \"mcio.schedule.v1\",\n");
-    let _ = writeln!(out, "  \"machine\": \"{}\",", escape_json(&s.machine));
-    let _ = writeln!(out, "  \"machine_nodes\": {},", s.machine_nodes);
-    let _ = writeln!(out, "  \"policy\": \"{}\",", s.policy.label());
-    let _ = writeln!(out, "  \"admission\": {},", s.admission);
-    let _ = writeln!(out, "  \"jobs\": {},", s.jobs.len());
-    let _ = writeln!(out, "  \"makespan_ns\": {},", s.makespan_ns);
-    let _ = writeln!(out, "  \"mean_wait_ns\": {},", s.mean_wait_ns);
-    let _ = writeln!(out, "  \"p50_slowdown\": {:.6},", s.p50_slowdown);
-    let _ = writeln!(out, "  \"p99_slowdown\": {:.6},", s.p99_slowdown);
-    let _ = writeln!(out, "  \"dispatches\": {},", s.dispatches);
-    let _ = writeln!(out, "  \"backfills\": {},", s.backfills);
-    let _ = writeln!(out, "  \"admission_deferrals\": {},", s.admission_deferrals);
-    let _ = writeln!(out, "  \"max_queue_depth\": {},", s.max_queue_depth);
-    out.push_str("  \"per_job\": [\n");
-    for (i, j) in s.jobs.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"job\": \"{}\", \"arrival_ns\": {}, \"dispatch_ns\": {}, \"end_ns\": {}, \
-             \"wait_ns\": {}, \"turnaround_ns\": {}, \"run_ns\": {}, \"solo_ns\": {}, \
-             \"slowdown\": {:.6}, \"nodes\": {}, \"node_offset\": {}, \"deferrals\": {}, \
-             \"backfilled\": {}}}",
-            escape_json(&j.name),
-            j.arrival_ns,
-            j.dispatch_ns,
-            j.end_ns,
-            j.wait_ns,
-            j.turnaround_ns,
-            j.run_ns,
-            j.solo_ns,
-            j.slowdown,
-            j.nodes,
-            j.node_offset,
-            j.deferrals,
-            j.backfilled,
-        );
-        out.push_str(if i + 1 < s.jobs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let mut w = Writer::document();
+    write_schedule(&mut w, s);
+    w.finish()
 }
 
 /// One `per_job` row of a parsed document.
@@ -106,68 +107,38 @@ pub struct ScheduleDoc {
     pub per_job: Vec<ScheduleDocJob>,
 }
 
-fn req_str(v: &JsonValue, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string `{key}`"))
-}
-
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .map(|f| f as u64)
-        .ok_or_else(|| format!("missing or non-numeric `{key}`"))
-}
-
-fn req_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric `{key}`"))
-}
-
 /// Parse an `mcio.schedule.v1` document. Unknown keys are ignored so
 /// later schema additions keep old readers working.
 pub fn parse_schedule(text: &str) -> Result<ScheduleDoc, String> {
     let root = json::parse(text).map_err(|e| e.to_string())?;
-    let schema = req_str(&root, "schema")?;
-    if schema != "mcio.schedule.v1" {
-        return Err(format!(
-            "not an mcio.schedule.v1 document (schema `{schema}`)"
-        ));
-    }
-    let admission = match root.get("admission") {
-        Some(JsonValue::Bool(b)) => *b,
-        _ => return Err("missing or non-boolean `admission`".to_string()),
-    };
-    let mut per_job = Vec::new();
-    let rows = root
-        .get("per_job")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing `per_job` array")?;
-    for row in rows {
-        per_job.push(ScheduleDocJob {
-            job: req_str(row, "job")?,
-            arrival_ns: req_u64(row, "arrival_ns")?,
-            dispatch_ns: req_u64(row, "dispatch_ns")?,
-            end_ns: req_u64(row, "end_ns")?,
-            wait_ns: req_u64(row, "wait_ns")?,
-            turnaround_ns: req_u64(row, "turnaround_ns")?,
-            slowdown: req_f64(row, "slowdown")?,
-        });
-    }
+    let root = Reader::new(&root, "schedule");
+    root.schema(&[SCHEMA])?;
+    let per_job = root
+        .rows("per_job")?
+        .map(|row| {
+            Ok(ScheduleDocJob {
+                job: row.text("job")?.to_string(),
+                arrival_ns: row.uint("arrival_ns")?,
+                dispatch_ns: row.uint("dispatch_ns")?,
+                end_ns: row.uint("end_ns")?,
+                wait_ns: row.uint("wait_ns")?,
+                turnaround_ns: row.uint("turnaround_ns")?,
+                slowdown: row.float("slowdown")?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
     Ok(ScheduleDoc {
-        machine: req_str(&root, "machine")?,
-        policy: req_str(&root, "policy")?,
-        admission,
-        makespan_ns: req_u64(&root, "makespan_ns")?,
-        mean_wait_ns: req_u64(&root, "mean_wait_ns")?,
-        p50_slowdown: req_f64(&root, "p50_slowdown")?,
-        p99_slowdown: req_f64(&root, "p99_slowdown")?,
-        dispatches: req_u64(&root, "dispatches")?,
-        backfills: req_u64(&root, "backfills")?,
-        admission_deferrals: req_u64(&root, "admission_deferrals")?,
-        max_queue_depth: req_u64(&root, "max_queue_depth")?,
+        machine: root.text("machine")?.to_string(),
+        policy: root.text("policy")?.to_string(),
+        admission: root.flag("admission")?,
+        makespan_ns: root.uint("makespan_ns")?,
+        mean_wait_ns: root.uint("mean_wait_ns")?,
+        p50_slowdown: root.float("p50_slowdown")?,
+        p99_slowdown: root.float("p99_slowdown")?,
+        dispatches: root.uint("dispatches")?,
+        backfills: root.uint("backfills")?,
+        admission_deferrals: root.uint("admission_deferrals")?,
+        max_queue_depth: root.uint("max_queue_depth")?,
         per_job,
     })
 }
@@ -215,6 +186,17 @@ mod tests {
         let a = parse_schedule(&doc).expect("original parses");
         let b = parse_schedule(&extended).expect("extended still parses");
         assert_eq!(a, b, "unknown keys change nothing");
+    }
+
+    #[test]
+    fn integer_fields_must_be_integers() {
+        let doc = rendered();
+        for bad in ["-5", "1.5", "1e300"] {
+            let broken = doc.replacen("\"dispatches\": 2", &format!("\"dispatches\": {bad}"), 1);
+            let err = parse_schedule(&broken).expect_err(bad);
+            assert!(err.contains("`dispatches`"), "{bad}: {err}");
+            assert!(!err.contains('\n'), "{err}");
+        }
     }
 
     #[test]

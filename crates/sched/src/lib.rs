@@ -39,7 +39,7 @@ pub mod trace;
 /// deferrals.
 pub const PID_SCHED: u64 = 6;
 
-pub use doc::{parse_schedule, render_schedule, ScheduleDoc};
+pub use doc::{parse_schedule, render_schedule, write_schedule, ScheduleDoc};
 pub use policy::{Policy, AGING_QUANTUM_NS};
 pub use scheduler::{run_schedule, JobResult, Reservation, SchedConfig, SchedEvent, Schedule};
 pub use trace::{JobTrace, TraceJob};
