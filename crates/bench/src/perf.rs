@@ -15,9 +15,13 @@ use mcio_cluster::spec::ClusterSpec;
 use mcio_core::exec_sim::{simulate_observed, Exchange, Observe, Pipeline};
 use mcio_core::{mcio, twophase, CollectiveRequest, Rw, Strategy};
 use mcio_des::SharePolicy;
-use mcio_obs::json::{self, JsonValue};
+use mcio_obs::doc::{Reader, Writer};
+use mcio_obs::json;
 
 const MIB: u64 = 1 << 20;
+
+/// The schema stamp of the perf-suite document.
+pub const PERF_SCHEMA: &str = "mcio.perf_suite.v1";
 
 /// One entry of the fixed scenario matrix.
 pub struct Scenario {
@@ -206,33 +210,33 @@ pub fn run_exascale() -> Vec<ExaCell> {
 /// deterministic; the wall-clock fields (and therefore the whole
 /// document) are host data — print, don't diff.
 pub fn render_exascale(cells: &[ExaCell]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"mcio.exascale.v1\",\n  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let eps = if c.sim_wall_ns == 0 {
-            0.0
-        } else {
-            c.prof.events_fired as f64 / (c.sim_wall_ns as f64 / 1e9)
-        };
-        out.push_str(&format!(
-            "\n    {{\"strategy\": \"{}\", \"engine\": \"{}\", \"elapsed_ns\": {}, \
-             \"events_fired\": {}, \"events_cancelled\": {}, \"heap_high_water\": {}, \
-             \"plan_wall_ns\": {}, \"sim_wall_ns\": {}, \"events_per_sec\": {:.3}}}",
-            c.strategy,
-            c.engine,
-            c.elapsed_ns,
-            c.prof.events_fired,
-            c.prof.events_cancelled,
-            c.prof.heap_high_water,
-            c.plan_wall_ns,
-            c.sim_wall_ns,
-            eps,
-        ));
+    let mut w = Writer::document();
+    w.schema("mcio.exascale.v1");
+    w.rows("cells", cells, |r, c| {
+        r.text("strategy", &c.strategy);
+        r.text("engine", c.engine);
+        r.uint("elapsed_ns", c.elapsed_ns);
+        r.uint("events_fired", c.prof.events_fired);
+        r.uint("events_cancelled", c.prof.events_cancelled);
+        r.uint("heap_high_water", c.prof.heap_high_water);
+        r.uint("plan_wall_ns", c.plan_wall_ns);
+        r.uint("sim_wall_ns", c.sim_wall_ns);
+        r.float(
+            "events_per_sec",
+            events_per_sec(c.prof.events_fired, c.sim_wall_ns),
+            3,
+        );
+    });
+    w.finish()
+}
+
+/// Events per wall-clock second; 0 when no wall time was recorded.
+fn events_per_sec(events: u64, wall_ns: u64) -> f64 {
+    if wall_ns == 0 {
+        0.0
+    } else {
+        events as f64 / (wall_ns as f64 / 1e9)
     }
-    out.push_str("\n  ]\n}\n");
-    out
 }
 
 /// One (scenario, strategy) measurement.
@@ -414,24 +418,20 @@ pub fn run_suite_prof(
 /// Host data — byte-UNSTABLE across runs; never `--check`-gated or
 /// diffed (only `events_fired` is deterministic).
 pub fn render_wallclock(cells: &[CellProf]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"mcio.perf_wallclock.v1\",\n  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let eps = if c.wall_ns == 0 {
-            0.0
-        } else {
-            c.engine.events_fired as f64 / (c.wall_ns as f64 / 1e9)
-        };
-        out.push_str(&format!(
-            "\n    {{\"scenario\": \"{}\", \"strategy\": \"{}\", \"wall_ns\": {}, \
-             \"events_fired\": {}, \"events_per_sec\": {:.3}}}",
-            c.scenario, c.strategy, c.wall_ns, c.engine.events_fired, eps,
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let mut w = Writer::document();
+    w.schema("mcio.perf_wallclock.v1");
+    w.rows("cells", cells, |r, c| {
+        r.text("scenario", &c.scenario);
+        r.text("strategy", &c.strategy);
+        r.uint("wall_ns", c.wall_ns);
+        r.uint("events_fired", c.engine.events_fired);
+        r.float(
+            "events_per_sec",
+            events_per_sec(c.engine.events_fired, c.wall_ns),
+            3,
+        );
+    });
+    w.finish()
 }
 
 /// Run the whole matrix (scenario-major, two-phase before
@@ -443,93 +443,54 @@ pub fn run_suite() -> Vec<Record> {
 /// Render records as the `mcio.perf_suite.v1` JSON document.
 /// Fractions are fixed to six decimals so the bytes are reproducible.
 pub fn render_records(records: &[Record]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"mcio.perf_suite.v1\",\n  \"records\": [");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let cp = &r.critical_path;
-        out.push_str(&format!(
-            "\n    {{\"scenario\": \"{}\", \"strategy\": \"{}\", \"elapsed_ns\": {}, \
-             \"exchange_fraction\": {:.6}, \"io_fraction\": {:.6}, \
-             \"critical_path\": {{\"network_shuffle_ns\": {}, \"ost_io_ns\": {}, \
-             \"memory_wait_ns\": {}, \"retry_degraded_ns\": {}, \"idle_ns\": {}}}}}",
-            r.scenario,
-            r.strategy,
-            r.elapsed_ns,
-            r.exchange_fraction,
-            r.io_fraction,
-            cp.network_shuffle_ns,
-            cp.ost_io_ns,
-            cp.memory_wait_ns,
-            cp.retry_degraded_ns,
-            cp.idle_ns,
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let mut w = Writer::document();
+    w.schema(PERF_SCHEMA);
+    w.rows("records", records, |r, rec| {
+        r.text("scenario", &rec.scenario);
+        r.text("strategy", &rec.strategy);
+        r.uint("elapsed_ns", rec.elapsed_ns);
+        r.float("exchange_fraction", rec.exchange_fraction, 6);
+        r.float("io_fraction", rec.io_fraction, 6);
+        r.inline("critical_path", |cp| {
+            cp.uint("network_shuffle_ns", rec.critical_path.network_shuffle_ns);
+            cp.uint("ost_io_ns", rec.critical_path.ost_io_ns);
+            cp.uint("memory_wait_ns", rec.critical_path.memory_wait_ns);
+            cp.uint("retry_degraded_ns", rec.critical_path.retry_degraded_ns);
+            cp.uint("idle_ns", rec.critical_path.idle_ns);
+        });
+    });
+    w.finish()
 }
 
 /// Parse a `mcio.perf_suite.v1` document back into records.
 pub fn parse_records(input: &str) -> Result<Vec<Record>, String> {
     let doc = json::parse(input).map_err(|e| e.to_string())?;
-    match doc.get("schema").and_then(JsonValue::as_str) {
-        Some("mcio.perf_suite.v1") => {}
-        Some(other) => {
-            return Err(format!(
-                "baseline schema is \"{other}\", expected \"mcio.perf_suite.v1\""
-            ))
-        }
-        None => {
-            return Err(
-                "baseline has no \"schema\" field, expected \"mcio.perf_suite.v1\"".to_string(),
-            )
-        }
-    }
-    let arr = doc
-        .get("records")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing records array")?;
-    let num = |v: &JsonValue, k: &str| -> Result<f64, String> {
-        v.get(k)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("record missing numeric field `{k}`"))
-    };
-    let mut out = Vec::with_capacity(arr.len());
-    for v in arr {
-        let cp = v
-            .get("critical_path")
-            .ok_or("record missing critical_path")?;
-        out.push(Record {
-            scenario: v
-                .get("scenario")
-                .and_then(JsonValue::as_str)
-                .ok_or("record missing scenario")?
-                .to_string(),
-            strategy: v
-                .get("strategy")
-                .and_then(JsonValue::as_str)
-                .ok_or("record missing strategy")?
-                .to_string(),
-            elapsed_ns: num(v, "elapsed_ns")? as u64,
-            exchange_fraction: num(v, "exchange_fraction")?,
-            io_fraction: num(v, "io_fraction")?,
-            critical_path: CriticalPath {
-                elapsed_ns: num(v, "elapsed_ns")? as u64,
-                network_shuffle_ns: num(cp, "network_shuffle_ns")? as u64,
-                ost_io_ns: num(cp, "ost_io_ns")? as u64,
-                memory_wait_ns: num(cp, "memory_wait_ns")? as u64,
-                // Absent in pre-fault baselines; those attributed no
-                // time to the retry/degraded bucket.
-                retry_degraded_ns: cp
-                    .get("retry_degraded_ns")
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0) as u64,
-                idle_ns: num(cp, "idle_ns")? as u64,
-            },
-        });
-    }
-    Ok(out)
+    let doc = Reader::new(&doc, "baseline");
+    doc.schema(&[PERF_SCHEMA])?;
+    let records = doc
+        .rows("records")?
+        .map(|r| {
+            let cp = r.child("critical_path")?;
+            Ok(Record {
+                scenario: r.text("scenario")?.to_string(),
+                strategy: r.text("strategy")?.to_string(),
+                elapsed_ns: r.uint("elapsed_ns")?,
+                exchange_fraction: r.float("exchange_fraction")?,
+                io_fraction: r.float("io_fraction")?,
+                critical_path: CriticalPath {
+                    elapsed_ns: r.uint("elapsed_ns")?,
+                    network_shuffle_ns: cp.uint("network_shuffle_ns")?,
+                    ost_io_ns: cp.uint("ost_io_ns")?,
+                    memory_wait_ns: cp.uint("memory_wait_ns")?,
+                    // Absent in pre-fault baselines; those attributed no
+                    // time to the retry/degraded bucket.
+                    retry_degraded_ns: cp.uint_or("retry_degraded_ns", 0)?,
+                    idle_ns: cp.uint("idle_ns")?,
+                },
+            })
+        })
+        .collect();
+    records
 }
 
 /// The five critical-path buckets of a record, as `(label, ns)` in
@@ -821,6 +782,26 @@ mod tests {
             let err = parse_records(doc).unwrap_err();
             assert!(!err.contains('\n'), "multi-line schema error: {err:?}");
             assert!(err.contains("mcio.perf_suite.v1"), "{err}");
+        }
+    }
+
+    #[test]
+    fn integer_fields_must_be_integers() {
+        let doc = render_records(&[record("fig6", "two-phase", 1_000_000)]);
+        for bad in ["-5", "1.5", "1e300"] {
+            for key in ["elapsed_ns", "ost_io_ns", "retry_degraded_ns"] {
+                let value = match key {
+                    "elapsed_ns" => "1000000",
+                    "ost_io_ns" => "500000",
+                    _ => "0",
+                };
+                let from = format!("\"{key}\": {value}");
+                assert!(doc.contains(&from), "{doc}");
+                let err = parse_records(&doc.replacen(&from, &format!("\"{key}\": {bad}"), 1))
+                    .expect_err(bad);
+                assert!(err.contains(&format!("`{key}`")), "{bad}: {err}");
+                assert!(!err.contains('\n'), "{err}");
+            }
         }
     }
 
