@@ -17,10 +17,14 @@
 //! in lane order, then tenants in job order), no floats, no wall-clock.
 
 use crate::trace_model::{ResourceClass, TraceModel, PID_RESOURCES};
+use mcio_obs::doc::{Reader, Writer};
 use mcio_obs::intervals::merge_intervals;
-use mcio_obs::json::{self, JsonValue};
+use mcio_obs::json;
 use mcio_obs::Registry;
 use std::fmt::Write as _;
+
+/// The schema stamp of the timeline document.
+const TIMELINE_SCHEMA: &str = "mcio.timeline.v1";
 
 /// What one utilization series aggregates over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -240,32 +244,18 @@ impl Timeline {
 
     /// Render the byte-stable `mcio.timeline.v1` JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"mcio.timeline.v1\",\n");
-        let _ = writeln!(out, "  \"elapsed_ns\": {},", self.elapsed_ns);
-        let _ = writeln!(out, "  \"bucket_ns\": {},", self.bucket_ns);
-        let _ = writeln!(out, "  \"buckets\": {},", self.buckets);
-        out.push_str("  \"series\": [");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"key\": \"{}\", \"kind\": \"{}\", \"total_busy_ns\": {}, \"busy_ns\": [",
-                mcio_obs::trace::escape_json(&s.key),
-                s.kind.label(),
-                s.total_busy_ns
-            );
-            for (j, v) in s.busy_ns.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let mut w = Writer::document();
+        w.schema(TIMELINE_SCHEMA);
+        w.uint("elapsed_ns", self.elapsed_ns);
+        w.uint("bucket_ns", self.bucket_ns);
+        w.uint("buckets", self.buckets as u64);
+        w.rows("series", &self.series, |r, s| {
+            r.text("key", &s.key);
+            r.text("kind", s.kind.label());
+            r.uint("total_busy_ns", s.total_busy_ns);
+            r.uints("busy_ns", s.busy_ns.iter().copied());
+        });
+        w.finish()
     }
 
     /// Render as flat CSV: `series,kind,bucket,start_ns,busy_ns`, one
@@ -288,66 +278,31 @@ impl Timeline {
         out
     }
 
-    /// Parse a `mcio.timeline.v1` document back. Unknown top-level keys
-    /// are accepted and ignored (the house re-parse convention).
+    /// Parse a `mcio.timeline.v1` document back. Unknown keys are
+    /// accepted and ignored (the house re-parse convention).
     pub fn from_json(input: &str) -> Result<Self, String> {
         let doc = json::parse(input).map_err(|e| format!("timeline is not valid JSON: {e}"))?;
-        match doc.get("schema").and_then(JsonValue::as_str) {
-            Some("mcio.timeline.v1") => {}
-            Some(other) => {
-                return Err(format!(
-                    "timeline schema is \"{other}\", expected \"mcio.timeline.v1\""
-                ))
-            }
-            None => {
-                return Err(
-                    "timeline has no \"schema\" field, expected \"mcio.timeline.v1\"".to_string(),
-                )
-            }
-        }
-        let num = |k: &str| -> Result<u64, String> {
-            doc.get(k)
-                .and_then(JsonValue::as_f64)
-                .map(|v| v as u64)
-                .ok_or_else(|| format!("timeline missing numeric field `{k}`"))
-        };
-        let mut tl = Timeline {
-            elapsed_ns: num("elapsed_ns")?,
-            bucket_ns: num("bucket_ns")?.max(1),
-            buckets: num("buckets")? as usize,
-            series: Vec::new(),
-        };
-        let arr = doc
-            .get("series")
-            .and_then(JsonValue::as_array)
-            .ok_or("timeline missing series array")?;
-        for v in arr {
-            let key = v
-                .get("key")
-                .and_then(JsonValue::as_str)
-                .ok_or("series missing key")?
-                .to_string();
-            let kind = v
-                .get("kind")
-                .and_then(JsonValue::as_str)
-                .and_then(SeriesKind::parse)
-                .ok_or("series missing kind")?;
-            let busy_ns: Vec<u64> = v
-                .get("busy_ns")
-                .and_then(JsonValue::as_array)
-                .ok_or("series missing busy_ns")?
-                .iter()
-                .map(|b| b.as_f64().map(|f| f as u64).ok_or("non-numeric bucket"))
-                .collect::<Result<_, _>>()?;
-            let total_busy_ns = busy_ns.iter().sum();
-            tl.series.push(Series {
-                key,
-                kind,
-                busy_ns,
-                total_busy_ns,
-            });
-        }
-        Ok(tl)
+        let doc = Reader::new(&doc, "timeline");
+        doc.schema(&[TIMELINE_SCHEMA])?;
+        let series = doc
+            .rows("series")?
+            .map(|s| {
+                let busy_ns = s.uints("busy_ns")?;
+                Ok(Series {
+                    key: s.text("key")?.to_string(),
+                    kind: SeriesKind::parse(s.text("kind")?)
+                        .ok_or("timeline: `kind` is not class, ost or tenant")?,
+                    total_busy_ns: busy_ns.iter().sum(),
+                    busy_ns,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Timeline {
+            elapsed_ns: doc.uint("elapsed_ns")?,
+            bucket_ns: doc.uint("bucket_ns")?.max(1),
+            buckets: doc.uint("buckets")? as usize,
+            series,
+        })
     }
 
     /// Record the timeline into a metrics registry:
@@ -452,6 +407,23 @@ mod tests {
         let err = Timeline::from_json("{\"schema\": \"mcio.sweep.v1\"}").unwrap_err();
         assert!(err.contains("mcio.timeline.v1"), "{err}");
         assert!(!err.contains('\n'), "{err}");
+    }
+
+    #[test]
+    fn integer_fields_must_be_integers() {
+        let doc = timeline(&model(), 250).to_json();
+        for bad in ["-5", "1.5", "1e300"] {
+            for (key, prefix, value) in [
+                ("elapsed_ns", "\"elapsed_ns\": ", "1000"),
+                ("busy_ns", "\"busy_ns\": [", "250"),
+            ] {
+                let (from, to) = (format!("{prefix}{value}"), format!("{prefix}{bad}"));
+                assert!(doc.contains(&from), "{doc}");
+                let err = Timeline::from_json(&doc.replacen(&from, &to, 1)).expect_err(bad);
+                assert!(err.contains(&format!("`{key}`")), "{bad}: {err}");
+                assert!(!err.contains('\n'), "{err}");
+            }
+        }
     }
 
     #[test]
