@@ -29,6 +29,7 @@
 //! sum to the elapsed time **exactly**.
 
 use crate::trace_model::{ResourceClass, TraceModel, PID_RESOURCES, PID_ROUNDS};
+use mcio_obs::doc::{Reader, Writer};
 
 /// Kind of one logical round phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +96,30 @@ impl CriticalPath {
             .max_by_key(|&&(ns, _)| ns)
             .map(|&(_, label)| label)
             .unwrap_or("idle")
+    }
+
+    /// Write the five buckets as `network_shuffle_ns` … `idle_ns` members
+    /// of the object `w` is positioned in — the form `mcio.analyze.v1`
+    /// and `mcio.perf_suite.v1` share.
+    pub fn write_buckets(&self, w: &mut Writer) {
+        w.uint("network_shuffle_ns", self.network_shuffle_ns);
+        w.uint("ost_io_ns", self.ost_io_ns);
+        w.uint("memory_wait_ns", self.memory_wait_ns);
+        w.uint("retry_degraded_ns", self.retry_degraded_ns);
+        w.uint("idle_ns", self.idle_ns);
+    }
+
+    /// Read [`CriticalPath::write_buckets`] back. `retry_degraded_ns`
+    /// is absent in pre-fault documents, which attributed no time to it.
+    pub fn read_buckets(elapsed_ns: u64, r: Reader<'_>) -> Result<Self, String> {
+        Ok(CriticalPath {
+            elapsed_ns,
+            network_shuffle_ns: r.uint("network_shuffle_ns")?,
+            ost_io_ns: r.uint("ost_io_ns")?,
+            memory_wait_ns: r.uint("memory_wait_ns")?,
+            retry_degraded_ns: r.uint_or("retry_degraded_ns", 0)?,
+            idle_ns: r.uint("idle_ns")?,
+        })
     }
 
     /// Fraction of elapsed time in a bucket (0 when the run is empty).

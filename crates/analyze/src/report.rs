@@ -14,7 +14,7 @@ use crate::sched::{sched_section, SchedSection};
 use crate::stragglers::{stragglers, Straggler};
 use crate::tenants::{tenant_paths, TenantPath};
 use crate::trace_model::{ResourceClass, TraceModel, PID_RESOURCES};
-use mcio_obs::trace::escape_json;
+use mcio_obs::doc::Writer;
 use mcio_obs::Histogram;
 use std::fmt::Write as _;
 
@@ -137,184 +137,99 @@ impl Analysis {
     /// Render as a self-describing JSON object. The five
     /// `critical_path` buckets sum to `elapsed_ns` exactly.
     pub fn to_json(&self) -> String {
-        let cp = &self.critical_path;
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{ANALYZE_SCHEMA}\",");
-        let _ = writeln!(out, "  \"elapsed_ns\": {},", self.elapsed_ns);
-        let _ = writeln!(out, "  \"critical_path\": {{");
-        let _ = writeln!(
-            out,
-            "    \"network_shuffle_ns\": {},",
-            cp.network_shuffle_ns
-        );
-        let _ = writeln!(out, "    \"ost_io_ns\": {},", cp.ost_io_ns);
-        let _ = writeln!(out, "    \"memory_wait_ns\": {},", cp.memory_wait_ns);
-        let _ = writeln!(out, "    \"retry_degraded_ns\": {},", cp.retry_degraded_ns);
-        let _ = writeln!(out, "    \"idle_ns\": {},", cp.idle_ns);
-        let _ = writeln!(out, "    \"attributed_ns\": {},", cp.attributed_ns());
-        let _ = writeln!(out, "    \"bottleneck\": \"{}\"", cp.bottleneck());
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(
-            out,
-            "  \"phase_totals\": {{\"exchange_ns\": {}, \"io_ns\": {}}},",
-            self.phase_totals.exchange_ns, self.phase_totals.io_ns
-        );
-        out.push_str("  \"chains\": [");
-        for (i, c) in self.chains.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"chain\": {}, \"group\": \"{}\", \"start_ns\": {}, \"end_ns\": {}, \
-                 \"exchange_ns\": {}, \"io_ns\": {}, \"idle_ns\": {}, \"rounds\": {}, \
-                 \"critical\": {}}}",
-                c.chain,
-                escape_json(&c.group),
-                c.start_ns,
-                c.end_ns,
-                c.exchange_ns,
-                c.io_ns,
-                c.idle_ns,
-                c.rounds,
-                c.critical
-            );
-        }
-        out.push_str("\n  ],\n  \"aggregators\": [");
-        for (i, a) in self.aggregators.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"agg\": {}, \"io_busy_ns\": {}, \"io_requests\": {}, \
-                 \"msg_busy_ns\": {}, \"msgs\": {}}}",
-                a.agg, a.io_busy_ns, a.io_requests, a.msg_busy_ns, a.msgs
-            );
-        }
-        out.push_str("\n  ],\n  \"resource_classes\": [");
-        for (i, s) in self.class_stats.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"class\": \"{}\", \"busy_ns\": {}, \"spans\": {}, \
-                 \"p50_ns\": {:.1}, \"p95_ns\": {:.1}, \"p99_ns\": {:.1}}}",
-                s.class, s.busy_ns, s.spans, s.p50_ns, s.p95_ns, s.p99_ns
-            );
-        }
+        let mut w = Writer::document();
+        w.schema(ANALYZE_SCHEMA);
+        w.uint("elapsed_ns", self.elapsed_ns);
+        w.block("critical_path", |w| {
+            self.critical_path.write_buckets(w);
+            w.uint("attributed_ns", self.critical_path.attributed_ns());
+            w.text("bottleneck", self.critical_path.bottleneck());
+        });
+        w.inline("phase_totals", |w| {
+            w.uint("exchange_ns", self.phase_totals.exchange_ns);
+            w.uint("io_ns", self.phase_totals.io_ns);
+        });
+        w.rows("chains", &self.chains, |r, c| {
+            r.uint("chain", c.chain);
+            r.text("group", &c.group);
+            r.uint("start_ns", c.start_ns);
+            r.uint("end_ns", c.end_ns);
+            r.uint("exchange_ns", c.exchange_ns);
+            r.uint("io_ns", c.io_ns);
+            r.uint("idle_ns", c.idle_ns);
+            r.uint("rounds", c.rounds as u64);
+            r.flag("critical", c.critical);
+        });
+        w.rows("aggregators", &self.aggregators, |r, a| {
+            r.uint("agg", a.agg);
+            r.uint("io_busy_ns", a.io_busy_ns);
+            r.uint("io_requests", a.io_requests);
+            r.uint("msg_busy_ns", a.msg_busy_ns);
+            r.uint("msgs", a.msgs);
+        });
+        w.rows("resource_classes", &self.class_stats, |r, s| {
+            r.text("class", s.class);
+            r.uint("busy_ns", s.busy_ns);
+            r.uint("spans", s.spans);
+            r.float("p50_ns", s.p50_ns, 1);
+            r.float("p95_ns", s.p95_ns, 1);
+            r.float("p99_ns", s.p99_ns, 1);
+        });
         if !self.tenants.is_empty() {
-            out.push_str("\n  ],\n  \"tenants\": [");
-            for (i, t) in self.tenants.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let opt = |v: Option<f64>| match v {
-                    Some(x) => format!("{x:.6}"),
-                    None => "null".to_string(),
-                };
-                let lane = match &t.critical_lane {
-                    Some(l) => format!("\"{}\"", escape_json(l)),
-                    None => "null".to_string(),
-                };
-                let _ = write!(
-                    out,
-                    "\n    {{\"tid\": {}, \"job\": \"{}\", \"strategy\": \"{}\", \
-                     \"start_ns\": {}, \"end_ns\": {}, \"self_ns\": {}, \"cross_ns\": {}, \
-                     \"idle_ns\": {}, \"slowdown\": {}, \"ost_overlap\": {}, \
-                     \"critical_lane\": {}}}",
-                    t.tid,
-                    escape_json(&t.job),
-                    escape_json(&t.strategy),
-                    t.start_ns,
-                    t.end_ns,
-                    t.self_ns,
-                    t.cross_ns,
-                    t.idle_ns,
-                    opt(t.slowdown),
-                    opt(t.ost_overlap),
-                    lane
-                );
-            }
+            w.rows("tenants", &self.tenants, |r, t| {
+                r.uint("tid", t.tid);
+                r.text("job", &t.job);
+                r.text("strategy", &t.strategy);
+                r.uint("start_ns", t.start_ns);
+                r.uint("end_ns", t.end_ns);
+                r.uint("self_ns", t.self_ns);
+                r.uint("cross_ns", t.cross_ns);
+                r.uint("idle_ns", t.idle_ns);
+                r.opt("slowdown", t.slowdown, |r, k, v| r.float(k, v, 6));
+                r.opt("ost_overlap", t.ost_overlap, |r, k, v| r.float(k, v, 6));
+                r.opt("critical_lane", t.critical_lane.as_deref(), Writer::text);
+            });
         }
         if !self.stragglers.is_empty() {
-            out.push_str("\n  ],\n  \"stragglers\": [");
-            for (i, s) in self.stragglers.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "\n    {{\"kind\": \"{}\", \"name\": \"{}\", \"duration_ns\": {}, \
-                     \"peer_median_ns\": {}, \"score\": {:.3}, \"bucket\": \"{}\", \
-                     \"rounds\": [{}]}}",
-                    s.kind.label(),
-                    escape_json(&s.name),
-                    s.duration_ns,
-                    s.peer_median_ns,
-                    s.score,
-                    s.bucket,
-                    s.rounds
-                        .iter()
-                        .map(|r| r.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                );
-            }
+            w.rows("stragglers", &self.stragglers, |r, s| {
+                r.text("kind", s.kind.label());
+                r.text("name", &s.name);
+                r.uint("duration_ns", s.duration_ns);
+                r.uint("peer_median_ns", s.peer_median_ns);
+                r.float("score", s.score, 3);
+                r.text("bucket", s.bucket);
+                r.uints("rounds", s.rounds.iter().copied());
+            });
         }
         if !self.replans.is_empty() {
-            out.push_str("\n  ],\n  \"replans\": [");
-            for (i, r) in self.replans.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let args: Vec<String> = r
-                    .args
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\": \"{}\"", escape_json(k), escape_json(v)))
-                    .collect();
-                let _ = write!(
-                    out,
-                    "\n    {{\"actuator\": \"{}\", \"name\": \"{}\", \"start_ns\": {}, \
-                     \"dur_ns\": {}, \"args\": {{{}}}}}",
-                    escape_json(&r.actuator),
-                    escape_json(&r.name),
-                    r.start_ns,
-                    r.dur_ns,
-                    args.join(", ")
-                );
-            }
+            w.rows("replans", &self.replans, |r, a| {
+                r.text("actuator", &a.actuator);
+                r.text("name", &a.name);
+                r.uint("start_ns", a.start_ns);
+                r.uint("dur_ns", a.dur_ns);
+                r.inline("args", |args| {
+                    for (k, v) in &a.args {
+                        args.text(k, v);
+                    }
+                });
+            });
         }
         if let Some(sc) = &self.sched {
-            // Object section, so it owns the closing brace of the
-            // document when present.
-            out.push_str("\n  ],\n  \"sched\": {\n");
-            let _ = writeln!(out, "    \"max_queue_depth\": {},", sc.max_queue_depth);
-            let _ = writeln!(out, "    \"backfills\": {},", sc.backfills);
-            let _ = writeln!(out, "    \"admission_defers\": {},", sc.admission_defers);
-            out.push_str("    \"dispatches\": [");
-            for (i, d) in sc.dispatches.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "\n      {{\"job\": \"{}\", \"start_ns\": {}, \"dur_ns\": {}, \
-                     \"nodes\": {}, \"wait_ns\": {}, \"backfill\": {}}}",
-                    escape_json(&d.job),
-                    d.start_ns,
-                    d.dur_ns,
-                    d.nodes,
-                    d.wait_ns,
-                    d.backfill
-                );
-            }
-            out.push_str("\n    ]\n  }\n}\n");
-        } else {
-            out.push_str("\n  ]\n}\n");
+            w.block("sched", |w| {
+                w.uint("max_queue_depth", sc.max_queue_depth);
+                w.uint("backfills", sc.backfills);
+                w.uint("admission_defers", sc.admission_defers);
+                w.rows("dispatches", &sc.dispatches, |r, d| {
+                    r.text("job", &d.job);
+                    r.uint("start_ns", d.start_ns);
+                    r.uint("dur_ns", d.dur_ns);
+                    r.uint("nodes", d.nodes);
+                    r.uint("wait_ns", d.wait_ns);
+                    r.flag("backfill", d.backfill);
+                });
+            });
         }
-        out
+        w.finish()
     }
 
     /// Render the terminal report (top-K chains and aggregators).

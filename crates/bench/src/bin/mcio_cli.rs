@@ -41,9 +41,10 @@
 //! Exit codes are those of `mcio_bench::cli`: usage errors 2, file
 //! errors and `--jobs 0` exit 1, nothing panics on bad input.
 
+use mcio_analyze::report::ANALYZE_SCHEMA;
 use mcio_analyze::{CriticalPath, RunDiff, TraceModel};
 use mcio_bench::cli::{self, emit_doc, fail, read_or_exit, write_or_exit, Matches, ProfSidecar};
-use mcio_bench::perf::Record;
+use mcio_bench::perf::{parse_records, Record, PERF_SCHEMA};
 use mcio_bench::{format_bytes, improvement_pct};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
@@ -54,6 +55,7 @@ use mcio_core::{
     PlanCache, ProcMemory, Rw, Strategy,
 };
 use mcio_faults::FaultSpec;
+use mcio_obs::doc::{Reader, Writer};
 use mcio_obs::{MetricsFormat, Registry};
 use mcio_prof::{DetCell, PlanCacheStats, ProfReport};
 use mcio_sched::{render_schedule, run_schedule, JobTrace, Policy, SchedConfig};
@@ -128,7 +130,6 @@ impl DiffDoc {
 /// trace; a JSON object is dispatched on its `schema` stamp. Every
 /// failure is a one-line exit 1.
 fn load_diff_doc(ctx: &str, path: &str) -> DiffDoc {
-    use mcio_obs::json::{self, JsonValue};
     let bad = |msg: String| -> ! { fail(ctx, 1, &msg) };
     let text = read_or_exit(ctx, "", path);
     if text.trim_start().starts_with('[') {
@@ -137,43 +138,22 @@ fn load_diff_doc(ctx: &str, path: &str) -> DiffDoc {
             Err(e) => bad(format!("{path} is not a chrome trace: {e}")),
         };
     }
-    let doc = json::parse(&text).unwrap_or_else(|e| bad(format!("{path} is not valid JSON: {e}")));
-    match doc.get("schema").and_then(JsonValue::as_str) {
-        Some("mcio.perf_suite.v1") => match mcio_bench::perf::parse_records(&text) {
-            Ok(records) => DiffDoc::Perf(records),
-            Err(e) => bad(format!("{path}: {e}")),
-        },
-        Some("mcio.analyze.v1") => {
-            let num = |v: &JsonValue, key: &str| -> u64 {
-                v.get(key)
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or_else(|| bad(format!("{path}: analyze report is missing `{key}`")))
-                    as u64
-            };
-            let elapsed_ns = num(&doc, "elapsed_ns");
-            let cp = doc.get("critical_path").unwrap_or_else(|| {
-                bad(format!("{path}: analyze report is missing `critical_path`"))
-            });
-            DiffDoc::Analyze {
-                elapsed_ns,
-                cp: CriticalPath {
-                    elapsed_ns,
-                    network_shuffle_ns: num(cp, "network_shuffle_ns"),
-                    ost_io_ns: num(cp, "ost_io_ns"),
-                    memory_wait_ns: num(cp, "memory_wait_ns"),
-                    retry_degraded_ns: num(cp, "retry_degraded_ns"),
-                    idle_ns: num(cp, "idle_ns"),
-                },
+    let doc = mcio_obs::json::parse(&text)
+        .unwrap_or_else(|e| bad(format!("{path} is not valid JSON: {e}")));
+    let doc = Reader::new(&doc, path);
+    let loaded = doc
+        .schema(&[PERF_SCHEMA, ANALYZE_SCHEMA])
+        .and_then(|schema| {
+            if schema == PERF_SCHEMA {
+                return parse_records(&text)
+                    .map(DiffDoc::Perf)
+                    .map_err(|e| format!("{path}: {e}"));
             }
-        }
-        Some(other) => bad(format!(
-            "{path}: unsupported schema `{other}` (expected a chrome trace, \
-             mcio.perf_suite.v1, or mcio.analyze.v1)"
-        )),
-        None => bad(format!(
-            "{path}: not a chrome trace and carries no `schema` stamp"
-        )),
-    }
+            let elapsed_ns = doc.uint("elapsed_ns")?;
+            let cp = CriticalPath::read_buckets(elapsed_ns, doc.child("critical_path")?)?;
+            Ok(DiffDoc::Analyze { elapsed_ns, cp })
+        });
+    loaded.unwrap_or_else(|e| bad(e))
 }
 
 /// `mcio_cli diff A B` — differential run attribution.
@@ -355,21 +335,16 @@ fn run_sweep(m: &Matches) {
         }
     });
 
-    let mut doc = String::from("{\n  \"schema\": \"mcio.sweep.v1\",\n  \"points\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{\"key\": \"{}\", \"elapsed_ns\": {}, \"bandwidth_mibs\": {:.6}, \
-             \"aggregators\": {}, \"rounds\": {}}}{}\n",
-            r.key,
-            r.elapsed_ns,
-            r.bandwidth_mibs,
-            r.naggs,
-            r.rounds,
-            if i + 1 < records.len() { "," } else { "" },
-        ));
-    }
-    doc.push_str("  ]\n}\n");
-    write_or_exit(ctx, "", out_path, &doc);
+    let mut doc = Writer::document();
+    doc.schema("mcio.sweep.v1");
+    doc.rows("points", &records, |r, p| {
+        r.text("key", &p.key);
+        r.uint("elapsed_ns", p.elapsed_ns);
+        r.float("bandwidth_mibs", p.bandwidth_mibs, 6);
+        r.uint("aggregators", p.naggs as u64);
+        r.uint("rounds", p.rounds as u64);
+    });
+    write_or_exit(ctx, "", out_path, &doc.finish());
     for r in &records {
         println!(
             "{:<40} elapsed {:>10.3} ms  {:>9.1} MiB/s  ({} aggs, {} rounds)",

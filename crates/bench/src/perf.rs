@@ -451,13 +451,7 @@ pub fn render_records(records: &[Record]) -> String {
         r.uint("elapsed_ns", rec.elapsed_ns);
         r.float("exchange_fraction", rec.exchange_fraction, 6);
         r.float("io_fraction", rec.io_fraction, 6);
-        r.inline("critical_path", |cp| {
-            cp.uint("network_shuffle_ns", rec.critical_path.network_shuffle_ns);
-            cp.uint("ost_io_ns", rec.critical_path.ost_io_ns);
-            cp.uint("memory_wait_ns", rec.critical_path.memory_wait_ns);
-            cp.uint("retry_degraded_ns", rec.critical_path.retry_degraded_ns);
-            cp.uint("idle_ns", rec.critical_path.idle_ns);
-        });
+        r.inline("critical_path", |cp| rec.critical_path.write_buckets(cp));
     });
     w.finish()
 }
@@ -470,23 +464,14 @@ pub fn parse_records(input: &str) -> Result<Vec<Record>, String> {
     let records = doc
         .rows("records")?
         .map(|r| {
-            let cp = r.child("critical_path")?;
+            let elapsed_ns = r.uint("elapsed_ns")?;
             Ok(Record {
                 scenario: r.text("scenario")?.to_string(),
                 strategy: r.text("strategy")?.to_string(),
-                elapsed_ns: r.uint("elapsed_ns")?,
+                elapsed_ns,
                 exchange_fraction: r.float("exchange_fraction")?,
                 io_fraction: r.float("io_fraction")?,
-                critical_path: CriticalPath {
-                    elapsed_ns: r.uint("elapsed_ns")?,
-                    network_shuffle_ns: cp.uint("network_shuffle_ns")?,
-                    ost_io_ns: cp.uint("ost_io_ns")?,
-                    memory_wait_ns: cp.uint("memory_wait_ns")?,
-                    // Absent in pre-fault baselines; those attributed no
-                    // time to the retry/degraded bucket.
-                    retry_degraded_ns: cp.uint_or("retry_degraded_ns", 0)?,
-                    idle_ns: cp.uint("idle_ns")?,
-                },
+                critical_path: CriticalPath::read_buckets(elapsed_ns, r.child("critical_path")?)?,
             })
         })
         .collect();

@@ -415,6 +415,28 @@ fn diff_analyze_reports_and_ignores_unknown_keys() {
     );
 }
 
+/// A corrupt analyze report is an error, not a confident diff of
+/// whatever `-5 as u64` happens to be.
+#[test]
+fn diff_analyze_report_with_negative_integer_exits_1() {
+    let fixture = format!(
+        "{}/tests/fixtures/docs/analyze.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let good = std::fs::read_to_string(&fixture).expect("golden exists");
+    let corrupt = good.replacen("\"elapsed_ns\": 8556197", "\"elapsed_ns\": -5", 1);
+    assert_ne!(good, corrupt, "corruption must land");
+    let path = tmp("diff_negative.json");
+    std::fs::write(&path, corrupt).unwrap();
+    let out = run(&["diff", &fixture, path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("`elapsed_ns`"), "{err}");
+    assert_eq!(err.trim().lines().count(), 1, "one-line error, got: {err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
 #[test]
 fn analyze_timeline_writes_schema_stamped_json() {
     let trace = write_tiny_trace("tl_trace.json", &[]);
