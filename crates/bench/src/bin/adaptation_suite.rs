@@ -36,13 +36,13 @@ use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
 use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
 use mcio_core::{
-    exec_fn, mcio, run_multitenant_adaptive, simulate_adaptive, AdaptivePolicy, CollectiveConfig,
-    CollectivePlan, CollectiveRequest, Extent, MultiTenantReport, ProcMemory, Rw, Strategy,
-    TenantJob,
+    exec_fn, mcio, run_multitenant_adaptive, simulate_adaptive, AdaptiveOutcome, AdaptivePolicy,
+    CollectiveConfig, CollectivePlan, CollectiveRequest, Extent, MultiTenantReport, ProcMemory, Rw,
+    Strategy, TenantJob,
 };
 use mcio_faults::FaultSpec;
+use mcio_obs::doc::Writer;
 use mcio_pfs::SparseFile;
-use std::fmt::Write as _;
 
 const POLICIES: [AdaptivePolicy; 3] = [
     AdaptivePolicy::Off,
@@ -128,13 +128,69 @@ fn written(plan: &CollectivePlan, len: u64) -> Vec<u8> {
 
 /// One cell's contribution to the canonical-order loop.
 struct CellOutcome {
-    fragment: String,
+    policy: AdaptivePolicy,
+    row: Row,
     line: String,
     errors: Vec<String>,
     mean_slowdown: f64,
 }
 
-fn run_solo_cell(case: &SoloCase, fault: &str, text: &str, policy: AdaptivePolicy) -> CellOutcome {
+/// What a cell's document row is written from.
+enum Row {
+    /// A solo cell: fault-row name, elapsed, completion, controller
+    /// summary.
+    Solo(&'static str, u64, bool, AdaptiveOutcome),
+    /// A shared-machine cell; `true` for the tenant section, whose rows
+    /// carry the tenant count and one row per job.
+    Shared(MultiTenantReport, bool),
+}
+
+fn write_row(r: &mut Writer, cell: &CellOutcome) {
+    match &cell.row {
+        Row::Solo(fault, elapsed_ns, completed, a) => {
+            r.text("fault", fault);
+            r.text("policy", cell.policy.label());
+            r.uint("elapsed_ns", *elapsed_ns);
+            r.flag("completed", *completed);
+            r.float("severity", a.severity, 6);
+            r.uint("deferrals", a.deferrals as u64);
+            r.uint("demotions", a.demotions as u64);
+            r.uint("resplits", a.resplits as u64);
+            r.opt("msg_group", a.retuned, Writer::pair);
+        }
+        Row::Shared(mt, per_job) => {
+            if *per_job {
+                r.uint("tenants", mt.jobs.len() as u64);
+            }
+            r.text("policy", cell.policy.label());
+            r.uint("makespan_ns", mt.makespan.as_nanos());
+            r.float("mean_slowdown", cell.mean_slowdown, 6);
+            r.uint("deferrals", deferrals(mt) as u64);
+            if *per_job {
+                r.rows("jobs", &mt.jobs, mtspec::write_job);
+            }
+        }
+    }
+}
+
+/// The `mcio.adaptation.v1` document over `sections` (all three for
+/// the artifact, one single-cell section for the determinism check).
+fn document(sections: &[(&str, &[CellOutcome])]) -> String {
+    let mut w = Writer::document();
+    w.schema("mcio.adaptation.v1");
+    w.text("machine", "small-32x2");
+    for (name, cells) in sections {
+        w.rows(name, *cells, write_row);
+    }
+    w.finish()
+}
+
+fn run_solo_cell(
+    case: &SoloCase,
+    fault: &'static str,
+    text: &str,
+    policy: AdaptivePolicy,
+) -> CellOutcome {
     let fspec = FaultSpec::parse(text).unwrap_or_else(|e| fail(&format!("fault row {fault}: {e}")));
     if let Err(e) = fspec.validate_osts(case.spec.io_servers) {
         fail(&format!("fault row {fault}: {e}"));
@@ -175,22 +231,6 @@ fn run_solo_cell(case: &SoloCase, fault: &str, text: &str, policy: AdaptivePolic
         ));
     }
     let a = &out.adaptive;
-    let retuned = match a.retuned {
-        Some((old, new)) => format!("[{old}, {new}]"),
-        None => "null".into(),
-    };
-    let fragment = format!(
-        "    {{\"fault\": \"{fault}\", \"policy\": \"{}\", \"elapsed_ns\": {}, \
-         \"completed\": {}, \"severity\": {:.6}, \"deferrals\": {}, \"demotions\": {}, \
-         \"resplits\": {}, \"msg_group\": {retuned}}}",
-        policy.label(),
-        out.report.elapsed.as_nanos(),
-        out.completed,
-        a.severity,
-        a.deferrals,
-        a.demotions,
-        a.resplits,
-    );
     let line = format!(
         "solo {fault:<15} {:<12} elapsed {:>10.3} ms  severity {:>5.3}  \
          defer {} demote {} resplit {}{}",
@@ -206,7 +246,13 @@ fn run_solo_cell(case: &SoloCase, fault: &str, text: &str, policy: AdaptivePolic
         },
     );
     CellOutcome {
-        fragment,
+        policy,
+        row: Row::Solo(
+            fault,
+            out.report.elapsed.as_nanos(),
+            out.completed,
+            out.adaptive,
+        ),
         line,
         errors,
         mean_slowdown: 0.0,
@@ -229,7 +275,7 @@ fn run_tenant_cell(
     fspec: &FaultSpec,
     trace: bool,
 ) -> (CellOutcome, Option<String>) {
-    let mt = run_multitenant_adaptive(
+    let mut mt = run_multitenant_adaptive(
         &jobs[..tenants],
         &ClusterSpec::small(32, 2),
         Some(fspec),
@@ -274,19 +320,6 @@ fn run_tenant_cell(
             ));
         }
     }
-    let mut fragment = format!(
-        "    {{\"tenants\": {tenants}, \"policy\": \"{}\", \"makespan_ns\": {}, \
-         \"mean_slowdown\": {:.6}, \"deferrals\": {}, \"jobs\": [\n",
-        policy.label(),
-        mt.makespan.as_nanos(),
-        mean_slowdown(&mt),
-        deferrals(&mt),
-    );
-    for (i, job) in mt.jobs.iter().enumerate() {
-        let _ = write!(fragment, "      {}", mtspec::render_job(job));
-        fragment.push_str(if i + 1 < mt.jobs.len() { ",\n" } else { "\n" });
-    }
-    fragment.push_str("    ]}");
     let line = format!(
         "tenants {tenants}  {:<12} makespan {:>10.3} ms  mean slowdown {:>7.3}x  deferrals {}",
         policy.label(),
@@ -294,14 +327,16 @@ fn run_tenant_cell(
         mean_slowdown(&mt),
         deferrals(&mt),
     );
+    let trace = mt.trace.take();
     (
         CellOutcome {
-            fragment,
+            policy,
+            mean_slowdown: mean_slowdown(&mt),
+            row: Row::Shared(mt, true),
             line,
             errors,
-            mean_slowdown: mean_slowdown(&mt),
         },
-        mt.trace,
+        trace,
     )
 }
 
@@ -329,14 +364,6 @@ fn run_overlap_cell(spec: &MtSpec, jobs: &[TenantJob], policy: AdaptivePolicy) -
             ));
         }
     }
-    let fragment = format!(
-        "    {{\"policy\": \"{}\", \"makespan_ns\": {}, \"mean_slowdown\": {:.6}, \
-         \"deferrals\": {}}}",
-        policy.label(),
-        mt.makespan.as_nanos(),
-        mean_slowdown(&mt),
-        deferrals(&mt),
-    );
     let line = format!(
         "overlap    {:<12} makespan {:>10.3} ms  mean slowdown {:>7.3}x  deferrals {}",
         policy.label(),
@@ -345,10 +372,11 @@ fn run_overlap_cell(spec: &MtSpec, jobs: &[TenantJob], policy: AdaptivePolicy) -
         deferrals(&mt),
     );
     CellOutcome {
-        fragment,
+        policy,
+        mean_slowdown: mean_slowdown(&mt),
+        row: Row::Shared(mt, false),
         line,
         errors,
-        mean_slowdown: mean_slowdown(&mt),
     }
 }
 
@@ -392,23 +420,13 @@ fn main() {
     });
 
     // --- canonical-order validation + document ------------------------
-    let mut doc = String::from("{\n  \"schema\": \"mcio.adaptation.v1\",\n");
-    doc.push_str("  \"machine\": \"small-32x2\",\n  \"solo\": [\n");
-    let mut sections = [("solo", &solo), ("tenants", &tenant), ("overlap", &overlap)];
-    for (si, (name, outcomes)) in sections.iter_mut().enumerate() {
-        if si > 0 {
-            let _ = write!(doc, "  ],\n  \"{name}\": [\n");
-        }
-        for (i, outcome) in outcomes.iter().enumerate() {
-            println!("{}", outcome.line);
-            if let Some(e) = outcome.errors.first() {
-                fail(e);
-            }
-            doc.push_str(&outcome.fragment);
-            doc.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
+    for outcome in solo.iter().chain(&tenant).chain(&overlap) {
+        println!("{}", outcome.line);
+        if let Some(e) = outcome.errors.first() {
+            fail(e);
         }
     }
-    doc.push_str("  ]\n}\n");
+    let doc = document(&[("solo", &solo), ("tenants", &tenant), ("overlap", &overlap)]);
 
     // --- the headline gate --------------------------------------------
     // At every tenant count the controller must never degrade the mean
@@ -450,7 +468,8 @@ fn main() {
         &fspec,
         false,
     );
-    if rerun.fragment != tenant[full + 2].fragment {
+    let row = |cell| document(&[("tenants", std::slice::from_ref(cell))]);
+    if row(&rerun) != row(&tenant[full + 2]) {
         fail("adaptive multi-tenant run is not deterministic: re-run fragment differs");
     }
     let (_, trace) = run_tenant_cell(8, AdaptivePolicy::Aggressive, &specs, &roster, &fspec, true);

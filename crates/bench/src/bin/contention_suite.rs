@@ -31,7 +31,7 @@ use mcio_bench::mtspec;
 use mcio_cluster::spec::ClusterSpec;
 use mcio_core::exec_sim::Observe;
 use mcio_core::{run_multitenant, MultiTenantReport, Strategy, TenantJob};
-use std::fmt::Write as _;
+use mcio_obs::doc::Writer;
 
 /// Tenant counts of the sweep (the 8-tenant cell fills the machine).
 const TENANTS: [usize; 4] = [1, 2, 4, 8];
@@ -46,32 +46,30 @@ fn roster(strategy: Strategy) -> Vec<TenantJob> {
     specs.iter().map(mtspec::build_tenant).collect()
 }
 
-/// One cell's contribution to the canonical-order loop: its document
-/// fragment, summary line, contract violations and mean slowdown.
+/// One cell's contribution to the canonical-order loop: the run its
+/// document row is written from, its summary line, contract violations
+/// and mean slowdown.
 struct CellOutcome {
-    fragment: String,
+    strategy: Strategy,
+    mt: MultiTenantReport,
     line: String,
     errors: Vec<String>,
     mean_slowdown: f64,
 }
 
-fn render_cell(tenants: usize, strategy: Strategy, mt: &MultiTenantReport) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "    {{\"tenants\": {}, \"strategy\": \"{}\", \"makespan_ns\": {}, \
-         \"mean_slowdown\": {:.6}, \"jobs\": [",
-        tenants,
-        strategy.label(),
-        mt.makespan.as_nanos(),
-        mean_slowdown(mt),
-    );
-    for (i, job) in mt.jobs.iter().enumerate() {
-        let _ = write!(out, "      {}", mtspec::render_job(job));
-        out.push_str(if i + 1 < mt.jobs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("    ]}");
-    out
+/// The `mcio.multitenant.v1` cell-matrix document over `cells`.
+fn document<'a>(cells: impl IntoIterator<Item = &'a CellOutcome>) -> String {
+    let mut w = Writer::document();
+    w.schema(mtspec::MULTITENANT_SCHEMA);
+    w.text("machine", "small-32x2");
+    w.rows("cells", cells, |r, c| {
+        r.uint("tenants", c.mt.jobs.len() as u64);
+        r.text("strategy", c.strategy.label());
+        r.uint("makespan_ns", c.mt.makespan.as_nanos());
+        r.float("mean_slowdown", c.mean_slowdown, 6);
+        r.rows("jobs", &c.mt.jobs, mtspec::write_job);
+    });
+    w.finish()
 }
 
 fn mean_slowdown(mt: &MultiTenantReport) -> f64 {
@@ -137,10 +135,11 @@ fn run_cell(tenants: usize, strategy: Strategy, jobs: &[TenantJob]) -> CellOutco
         max_overlap,
     );
     CellOutcome {
-        fragment: render_cell(tenants, strategy, &mt),
+        strategy,
+        mean_slowdown: mean_slowdown(&mt),
+        mt,
         line,
         errors,
-        mean_slowdown: mean_slowdown(&mt),
     }
 }
 
@@ -169,17 +168,12 @@ fn main() {
         run_cell(tenants, strategy, roster)
     });
 
-    let mut doc = String::from("{\n  \"schema\": \"mcio.multitenant.v1\",\n");
-    doc.push_str("  \"machine\": \"small-32x2\",\n  \"cells\": [\n");
-    for (i, outcome) in outcomes.iter().enumerate() {
+    for outcome in &outcomes {
         println!("{}", outcome.line);
         if let Some(e) = outcome.errors.first() {
             fail(e);
         }
-        doc.push_str(&outcome.fragment);
-        doc.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
     }
-    doc.push_str("  ]\n}\n");
 
     // The graceful-degradation story, per tenant count: how much mean
     // slowdown each strategy accumulates as the machine fills up. At
@@ -211,12 +205,12 @@ fn main() {
     }
 
     // Byte-determinism: re-running a cell must reproduce its document
-    // fragment exactly.
+    // row exactly.
     let rerun = run_cell(8, Strategy::MemoryConscious, &mc_roster);
-    if rerun.fragment != outcomes.last().expect("cells are non-empty").fragment {
+    if document([&rerun]) != document(outcomes.last()) {
         fail("multi-tenant run is not deterministic: re-run fragment differs");
     }
 
-    cli::write_or_exit(m.ctx(), "", out_path, &doc);
+    cli::write_or_exit(m.ctx(), "", out_path, &document(&outcomes));
     println!("\ncontention matrix ok; wrote {out_path}");
 }

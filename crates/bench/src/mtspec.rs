@@ -25,18 +25,22 @@
 //! order) and parsed with the robustness DSL of `mcio-faults`.
 //!
 //! [`render_run`] serializes a [`MultiTenantReport`] as the
-//! `mcio.multitenant.v1` JSON document: manual string building,
-//! `{:.6}` floats, no map iteration — the bytes are a pure function of
-//! the outcome, so any worker-thread fan-out reproduces them exactly.
+//! `mcio.multitenant.v1` JSON document through the one document writer
+//! (`mcio_obs::doc`): fixed key order, `{:.6}` floats, no map
+//! iteration — the bytes are a pure function of the outcome, so any
+//! worker-thread fan-out reproduces them exactly.
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_core::hints::parse_bytes;
 use mcio_core::{JobOutcome, MultiTenantReport, Strategy, TenantJob};
 use mcio_des::SimDuration;
 use mcio_faults::FaultSpec;
-use mcio_obs::trace::escape_json;
+use mcio_obs::doc::Writer;
 use mcio_workloads::JobDesc;
-use std::fmt::Write as _;
+
+/// The schema stamp of the multi-tenant document (a whole run here, a
+/// cell matrix in `contention_suite`).
+pub const MULTITENANT_SCHEMA: &str = "mcio.multitenant.v1";
 
 /// One parsed `job` directive: the shared job description plus where
 /// and when this tenant runs.
@@ -210,40 +214,31 @@ pub fn contention_roster(strategy: Strategy) -> Vec<JobSpec> {
         .collect()
 }
 
-/// One job's outcome as a `mcio.multitenant.v1` JSON object (no
-/// trailing newline). Shared by the CLI document and the
-/// `contention_suite` cells so the two renderings can never drift.
-pub fn render_job(o: &JobOutcome) -> String {
-    format!(
-        "{{\"job\": \"{}\", \"strategy\": \"{}\", \"start_ns\": {}, \"end_ns\": {}, \
-         \"elapsed_ns\": {}, \"solo_ns\": {}, \"slowdown\": {:.6}, \"ost_overlap\": {:.6}, \
-         \"bandwidth_mibs\": {:.6}}}",
-        escape_json(&o.label),
-        o.strategy.label(),
-        o.start_ns,
-        o.end_ns,
-        o.report.elapsed.as_nanos(),
-        o.solo_elapsed.as_nanos(),
-        o.slowdown,
-        o.ost_overlap,
-        o.report.bandwidth_mibs,
-    )
+/// One job's outcome as the members of a `mcio.multitenant.v1` job
+/// row. Shared by the CLI document and the `contention_suite` /
+/// `adaptation_suite` cells so the renderings can never drift.
+pub fn write_job(r: &mut Writer, o: &JobOutcome) {
+    r.text("job", &o.label);
+    r.text("strategy", o.strategy.label());
+    r.uint("start_ns", o.start_ns);
+    r.uint("end_ns", o.end_ns);
+    r.uint("elapsed_ns", o.report.elapsed.as_nanos());
+    r.uint("solo_ns", o.solo_elapsed.as_nanos());
+    r.float("slowdown", o.slowdown, 6);
+    r.float("ost_overlap", o.ost_overlap, 6);
+    r.float("bandwidth_mibs", o.report.bandwidth_mibs, 6);
 }
 
 /// Render a whole run as the byte-stable `mcio.multitenant.v1`
 /// document.
 pub fn render_run(machine: &str, mt: &MultiTenantReport) -> String {
-    let mut out = String::from("{\n  \"schema\": \"mcio.multitenant.v1\",\n");
-    let _ = writeln!(out, "  \"machine\": \"{}\",", escape_json(machine));
-    let _ = writeln!(out, "  \"tenants\": {},", mt.jobs.len());
-    let _ = writeln!(out, "  \"makespan_ns\": {},", mt.makespan.as_nanos());
-    out.push_str("  \"jobs\": [\n");
-    for (i, job) in mt.jobs.iter().enumerate() {
-        let _ = write!(out, "    {}", render_job(job));
-        out.push_str(if i + 1 < mt.jobs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let mut w = Writer::document();
+    w.schema(MULTITENANT_SCHEMA);
+    w.text("machine", machine);
+    w.uint("tenants", mt.jobs.len() as u64);
+    w.uint("makespan_ns", mt.makespan.as_nanos());
+    w.rows("jobs", &mt.jobs, write_job);
+    w.finish()
 }
 
 #[cfg(test)]
