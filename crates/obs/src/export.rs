@@ -6,8 +6,8 @@
 //! plots of the paper figures, and the Prometheus format lets a real
 //! scrape endpoint serve sim metrics unchanged.
 
-use crate::registry::Snapshot;
-use crate::trace::escape_json;
+use crate::doc::Writer;
+use crate::registry::{MetricMeta, Snapshot};
 use std::fmt::Write as _;
 
 /// Render a float without trailing noise: integers print bare
@@ -20,82 +20,46 @@ pub(crate) fn fmt_num(v: f64) -> String {
     }
 }
 
-fn labels_json(labels: &[(String, String)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
-    }
-    out.push('}');
-    out
+/// The members every sample row starts with: name and label set.
+fn identity(r: &mut Writer, name: &str, labels: &[(String, String)]) {
+    r.text("name", name);
+    r.inline("labels", |l| labels.iter().for_each(|(k, v)| l.text(k, v)));
+}
+
+/// The members every sample row ends with: registered unit and help.
+fn meta(r: &mut Writer, meta: &MetricMeta) {
+    r.text("unit", &meta.unit);
+    r.text("help", &meta.help);
 }
 
 /// Serialize a snapshot as a JSON object with `counters`, `gauges`, and
 /// `histograms` arrays. Every sample carries its name, labels, unit,
 /// and help text, so dumps are self-describing.
 pub fn to_json(snap: &Snapshot) -> String {
-    let mut out = String::from("{\n  \"counters\": [");
-    for (i, c) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"name\":\"{}\",\"labels\":{},\"value\":{},\"unit\":\"{}\",\"help\":\"{}\"}}",
-            escape_json(&c.name),
-            labels_json(&c.labels),
-            c.value,
-            escape_json(&c.meta.unit),
-            escape_json(&c.meta.help),
-        );
-    }
-    out.push_str("\n  ],\n  \"gauges\": [");
-    for (i, g) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"name\":\"{}\",\"labels\":{},\"value\":{},\"unit\":\"{}\",\"help\":\"{}\"}}",
-            escape_json(&g.name),
-            labels_json(&g.labels),
-            fmt_num(g.value),
-            escape_json(&g.meta.unit),
-            escape_json(&g.meta.help),
-        );
-    }
-    out.push_str("\n  ],\n  \"histograms\": [");
-    for (i, h) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut buckets = String::from("[");
-        for (j, (bound, count)) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                buckets.push(',');
-            }
-            let _ = write!(buckets, "{{\"le\":{bound},\"count\":{count}}}");
-        }
-        buckets.push(']');
-        let _ = write!(
-            out,
-            "\n    {{\"name\":\"{}\",\"labels\":{},\"count\":{},\"sum\":{},\
-             \"min\":{},\"max\":{},\"buckets\":{},\"unit\":\"{}\",\"help\":\"{}\"}}",
-            escape_json(&h.name),
-            labels_json(&h.labels),
-            h.count,
-            fmt_num(h.sum),
-            h.min.map_or("null".to_string(), |m| m.to_string()),
-            h.max.map_or("null".to_string(), |m| m.to_string()),
-            buckets,
-            escape_json(&h.meta.unit),
-            escape_json(&h.meta.help),
-        );
-    }
-    out.push_str("\n  ]\n}\n");
-    out
+    let mut w = Writer::tight();
+    w.rows("counters", &snap.counters, |r, c| {
+        identity(r, &c.name, &c.labels);
+        r.uint("value", c.value);
+        meta(r, &c.meta);
+    });
+    w.rows("gauges", &snap.gauges, |r, g| {
+        identity(r, &g.name, &g.labels);
+        r.num("value", g.value);
+        meta(r, &g.meta);
+    });
+    w.rows("histograms", &snap.histograms, |r, h| {
+        identity(r, &h.name, &h.labels);
+        r.uint("count", h.count);
+        r.num("sum", h.sum);
+        r.opt("min", h.min, Writer::uint);
+        r.opt("max", h.max, Writer::uint);
+        r.inline_rows("buckets", &h.buckets, |b, &(bound, count)| {
+            b.uint("le", bound);
+            b.uint("count", count);
+        });
+        meta(r, &h.meta);
+    });
+    w.finish()
 }
 
 fn csv_field(s: &str) -> String {
