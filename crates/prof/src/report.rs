@@ -17,8 +17,8 @@
 use crate::alloc;
 use crate::profiler::{PhaseRow, Prof};
 use mcio_des::EngineProfile;
-use mcio_obs::json::{self, JsonValue};
-use mcio_obs::trace::escape_json;
+use mcio_obs::doc::{Reader, Writer};
+use mcio_obs::json;
 
 /// The schema stamp of the sidecar document.
 pub const PROF_SCHEMA: &str = "mcio.prof.v1";
@@ -156,186 +156,134 @@ impl ProfReport {
         total
     }
 
+    /// The members of the `deterministic` section: one row per cell and
+    /// the folded total.
+    fn write_deterministic(&self, w: &mut Writer) {
+        w.rows("cells", &self.cells, |r, c| {
+            r.text("label", &c.label);
+            write_engine(r, &c.engine);
+        });
+        w.inline("total", |t| write_engine(t, &self.total()));
+    }
+
     /// Render the `deterministic` section alone, canonical bytes — the
-    /// diffing target for CI and the determinism tests.
+    /// diffing target for CI and the determinism tests. No trailing
+    /// newline: `mcio_cli prof --det` prints it as one line-terminated
+    /// value.
     pub fn deterministic_json(&self) -> String {
-        let mut out = String::from("{\n  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str("    {\"label\": \"");
-            out.push_str(&escape_json(&c.label));
-            out.push_str("\", ");
-            render_engine(&mut out, &c.engine);
-            out.push('}');
-            if i + 1 < self.cells.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n  \"total\": {");
-        render_engine(&mut out, &self.total());
-        out.push_str("}\n}");
+        let mut w = Writer::document();
+        self.write_deterministic(&mut w);
+        let mut out = w.finish();
+        out.pop();
         out
     }
 
     /// Render the full document.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\n\"schema\": \"");
-        out.push_str(PROF_SCHEMA);
-        out.push_str("\",\n\"deterministic\": ");
-        out.push_str(&self.deterministic_json());
-        out.push_str(",\n\"host\": {\n");
-        out.push_str(&format!(
-            "  \"wall_ns\": {},\n  \"events_per_sec\": {:.3},\n",
-            self.host.wall_ns, self.host.events_per_sec
-        ));
-        out.push_str("  \"phases\": [\n");
-        for (i, p) in self.host.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"path\": \"{}\", \"count\": {}, \"inclusive_ns\": {}, \
-                 \"exclusive_ns\": {}, \"alloc_bytes\": {}, \"allocs\": {}}}{}\n",
-                escape_json(&p.path),
-                p.count,
-                p.inclusive_ns,
-                p.exclusive_ns,
-                p.alloc_bytes,
-                p.allocs,
-                if i + 1 < self.host.phases.len() {
-                    ","
-                } else {
-                    ""
-                },
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"alloc\": {{\"enabled\": {}, \"total_allocs\": {}, \"total_bytes\": {}, \
-             \"peak_bytes\": {}}}",
-            self.host.alloc.enabled,
-            self.host.alloc.total_allocs,
-            self.host.alloc.total_bytes,
-            self.host.alloc.peak_bytes,
-        ));
-        if let Some(pc) = &self.host.plan_cache {
-            out.push_str(&format!(
-                ",\n  \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"distinct_plans\": {}, \
-                 \"plan_wall_ns\": {}}}",
-                pc.hits, pc.misses, pc.distinct_plans, pc.plan_wall_ns,
-            ));
-        }
-        if !self.host.workers.is_empty() {
-            out.push_str(",\n  \"workers\": [\n");
-            for (i, w) in self.host.workers.iter().enumerate() {
-                out.push_str(&format!(
-                    "    {{\"worker\": {}, \"busy_ns\": {}, \"tasks\": {}}}{}\n",
-                    w.worker,
-                    w.busy_ns,
-                    w.tasks,
-                    if i + 1 < self.host.workers.len() {
-                        ","
-                    } else {
-                        ""
-                    },
-                ));
+        let host = &self.host;
+        let mut w = Writer::flush_left();
+        w.schema(PROF_SCHEMA);
+        w.block("deterministic", |w| self.write_deterministic(w));
+        w.block("host", |w| {
+            w.uint("wall_ns", host.wall_ns);
+            w.float("events_per_sec", host.events_per_sec, 3);
+            w.rows("phases", &host.phases, |r, p| {
+                r.text("path", &p.path);
+                r.uint("count", p.count);
+                r.uint("inclusive_ns", p.inclusive_ns);
+                r.uint("exclusive_ns", p.exclusive_ns);
+                r.uint("alloc_bytes", p.alloc_bytes);
+                r.uint("allocs", p.allocs);
+            });
+            w.inline("alloc", |a| {
+                a.flag("enabled", host.alloc.enabled);
+                a.uint("total_allocs", host.alloc.total_allocs);
+                a.uint("total_bytes", host.alloc.total_bytes);
+                a.uint("peak_bytes", host.alloc.peak_bytes);
+            });
+            if let Some(pc) = &host.plan_cache {
+                w.inline("plan_cache", |c| {
+                    c.uint("hits", pc.hits);
+                    c.uint("misses", pc.misses);
+                    c.uint("distinct_plans", pc.distinct_plans);
+                    c.uint("plan_wall_ns", pc.plan_wall_ns);
+                });
             }
-            out.push_str("  ]");
-        }
-        out.push_str("\n}\n}\n");
-        out
+            if !host.workers.is_empty() {
+                w.rows("workers", &host.workers, |r, x| {
+                    r.uint("worker", x.worker);
+                    r.uint("busy_ns", x.busy_ns);
+                    r.uint("tasks", x.tasks);
+                });
+            }
+        });
+        w.finish()
     }
 
     /// Parse a rendered document back. Errors are one-line reasons.
     pub fn from_json(text: &str) -> Result<ProfReport, String> {
         let doc = json::parse(text).map_err(|e| e.to_string())?;
-        match doc.get("schema").and_then(JsonValue::as_str) {
-            Some(PROF_SCHEMA) => {}
-            Some(other) => return Err(format!("expected schema {PROF_SCHEMA}, got `{other}`")),
-            None => return Err("document carries no `schema` stamp".into()),
-        }
-        let det = doc
-            .get("deterministic")
-            .ok_or("missing `deterministic` section")?;
-        let cells = det
-            .get("cells")
-            .and_then(JsonValue::as_array)
-            .ok_or("deterministic section has no `cells` array")?
-            .iter()
+        let doc = Reader::new(&doc, "profile");
+        doc.schema(&[PROF_SCHEMA])?;
+        let cells = doc
+            .child("deterministic")?
+            .rows("cells")?
             .map(|c| {
                 Ok(DetCell {
-                    label: c
-                        .get("label")
-                        .and_then(JsonValue::as_str)
-                        .ok_or("cell missing `label`")?
-                        .to_string(),
-                    engine: parse_engine(c)?,
+                    label: c.text("label")?.to_string(),
+                    engine: read_engine(c)?,
                 })
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let host = doc.get("host").ok_or("missing `host` section")?;
-        let num = |v: &JsonValue, key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|f| f as u64)
-                .ok_or_else(|| format!("missing numeric `{key}`"))
-        };
+            .collect::<Result<_, String>>()?;
+        let host = doc.child("host")?;
         let phases = host
-            .get("phases")
-            .and_then(JsonValue::as_array)
-            .ok_or("host section has no `phases` array")?
-            .iter()
+            .rows("phases")?
             .map(|p| {
                 Ok(PhaseRow {
-                    path: p
-                        .get("path")
-                        .and_then(JsonValue::as_str)
-                        .ok_or("phase missing `path`")?
-                        .to_string(),
-                    count: num(p, "count")?,
-                    inclusive_ns: num(p, "inclusive_ns")?,
-                    exclusive_ns: num(p, "exclusive_ns")?,
-                    alloc_bytes: num(p, "alloc_bytes")?,
-                    allocs: num(p, "allocs")?,
+                    path: p.text("path")?.to_string(),
+                    count: p.uint("count")?,
+                    inclusive_ns: p.uint("inclusive_ns")?,
+                    exclusive_ns: p.uint("exclusive_ns")?,
+                    alloc_bytes: p.uint("alloc_bytes")?,
+                    allocs: p.uint("allocs")?,
                 })
             })
-            .collect::<Result<Vec<_>, String>>()?;
-        let alloc_v = host.get("alloc").ok_or("host section has no `alloc`")?;
-        let alloc = AllocReport {
-            enabled: matches!(alloc_v.get("enabled"), Some(JsonValue::Bool(true))),
-            total_allocs: num(alloc_v, "total_allocs")?,
-            total_bytes: num(alloc_v, "total_bytes")?,
-            peak_bytes: num(alloc_v, "peak_bytes")?,
-        };
-        let plan_cache = match host.get("plan_cache") {
+            .collect::<Result<_, String>>()?;
+        let alloc = host.child("alloc")?;
+        let plan_cache = match host.opt_child("plan_cache") {
             Some(pc) => Some(PlanCacheStats {
-                hits: num(pc, "hits")?,
-                misses: num(pc, "misses")?,
-                distinct_plans: num(pc, "distinct_plans")?,
-                plan_wall_ns: num(pc, "plan_wall_ns")?,
+                hits: pc.uint("hits")?,
+                misses: pc.uint("misses")?,
+                distinct_plans: pc.uint("distinct_plans")?,
+                plan_wall_ns: pc.uint("plan_wall_ns")?,
             }),
             None => None,
         };
-        let workers = match host.get("workers").and_then(JsonValue::as_array) {
-            Some(rows) => rows
-                .iter()
+        // Absent when the producer ran no worker pool.
+        let workers = match host.rows("workers") {
+            Ok(rows) => rows
                 .map(|w| {
                     Ok(WorkerRow {
-                        worker: num(w, "worker")?,
-                        busy_ns: num(w, "busy_ns")?,
-                        tasks: num(w, "tasks")?,
+                        worker: w.uint("worker")?,
+                        busy_ns: w.uint("busy_ns")?,
+                        tasks: w.uint("tasks")?,
                     })
                 })
-                .collect::<Result<Vec<_>, String>>()?,
-            None => Vec::new(),
+                .collect::<Result<_, String>>()?,
+            Err(_) => Vec::new(),
         };
         Ok(ProfReport {
             cells,
             host: HostSection {
-                wall_ns: num(host, "wall_ns")?,
-                events_per_sec: host
-                    .get("events_per_sec")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or("missing numeric `events_per_sec`")?,
+                wall_ns: host.uint("wall_ns")?,
+                events_per_sec: host.float("events_per_sec")?,
                 phases,
-                alloc,
+                alloc: AllocReport {
+                    enabled: alloc.flag("enabled")?,
+                    total_allocs: alloc.uint("total_allocs")?,
+                    total_bytes: alloc.uint("total_bytes")?,
+                    peak_bytes: alloc.uint("peak_bytes")?,
+                },
                 plan_cache,
                 workers,
             },
@@ -424,56 +372,36 @@ impl ProfReport {
     }
 }
 
-/// Render the field list of one engine profile (no surrounding braces).
-fn render_engine(out: &mut String, e: &EngineProfile) {
-    out.push_str(&format!(
-        "\"events_scheduled\": {}, \"events_fired\": {}, \"events_cancelled\": {}, \
-         \"heap_high_water\": {}, \"ready_high_water\": {}, \"activities\": {}, \
-         \"resources\": {}, \"class_max_queue\": {{",
-        e.events_scheduled,
-        e.events_fired,
-        e.events_cancelled,
-        e.heap_high_water,
-        e.ready_high_water,
-        e.activities,
-        e.resources,
-    ));
-    for (i, (class, depth)) in e.class_max_queue.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+/// The members of one engine profile, into the object `w` is in.
+fn write_engine(w: &mut Writer, e: &EngineProfile) {
+    w.uint("events_scheduled", e.events_scheduled);
+    w.uint("events_fired", e.events_fired);
+    w.uint("events_cancelled", e.events_cancelled);
+    w.uint("heap_high_water", e.heap_high_water);
+    w.uint("ready_high_water", e.ready_high_water);
+    w.uint("activities", e.activities);
+    w.uint("resources", e.resources);
+    w.inline("class_max_queue", |q| {
+        for (class, depth) in &e.class_max_queue {
+            q.uint(class, *depth);
         }
-        out.push_str(&format!("\"{}\": {depth}", escape_json(class)));
-    }
-    out.push('}');
+    });
 }
 
-fn parse_engine(v: &JsonValue) -> Result<EngineProfile, String> {
-    let num = |key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .map(|f| f as u64)
-            .ok_or_else(|| format!("engine profile missing `{key}`"))
-    };
-    let class_max_queue = match v.get("class_max_queue") {
-        Some(JsonValue::Object(map)) => map
-            .iter()
-            .map(|(k, d)| {
-                d.as_f64()
-                    .map(|f| (k.clone(), f as u64))
-                    .ok_or_else(|| format!("class `{k}` depth is not a number"))
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        _ => return Err("engine profile missing `class_max_queue` object".into()),
-    };
+fn read_engine(r: Reader<'_>) -> Result<EngineProfile, String> {
+    let queue = r.child("class_max_queue")?;
     Ok(EngineProfile {
-        events_scheduled: num("events_scheduled")?,
-        events_fired: num("events_fired")?,
-        events_cancelled: num("events_cancelled")?,
-        heap_high_water: num("heap_high_water")?,
-        ready_high_water: num("ready_high_water")?,
-        activities: num("activities")?,
-        resources: num("resources")?,
-        class_max_queue,
+        events_scheduled: r.uint("events_scheduled")?,
+        events_fired: r.uint("events_fired")?,
+        events_cancelled: r.uint("events_cancelled")?,
+        heap_high_water: r.uint("heap_high_water")?,
+        ready_high_water: r.uint("ready_high_water")?,
+        activities: r.uint("activities")?,
+        resources: r.uint("resources")?,
+        class_max_queue: queue
+            .keys()
+            .map(|class| Ok((class.to_string(), queue.uint(class)?)))
+            .collect::<Result<_, String>>()?,
     })
 }
 
@@ -654,6 +582,21 @@ mod tests {
         b.host.phases.clear();
         assert_eq!(a.deterministic_json(), b.deterministic_json());
         assert_ne!(a.render(), b.render());
+    }
+
+    #[test]
+    fn integer_fields_must_be_integers() {
+        let text = sample().render();
+        for bad in ["-5", "1.5", "1e300"] {
+            for (key, value) in [("events_fired", "100"), ("hits", "3"), ("busy_ns", "999")] {
+                let from = format!("\"{key}\": {value}");
+                assert!(text.contains(&from), "{text}");
+                let broken = text.replacen(&from, &format!("\"{key}\": {bad}"), 1);
+                let err = ProfReport::from_json(&broken).expect_err(bad);
+                assert!(err.contains(&format!("`{key}`")), "{bad}: {err}");
+                assert!(!err.contains('\n'), "{err}");
+            }
+        }
     }
 
     #[test]
