@@ -117,7 +117,7 @@ impl CriticalPath {
             network_shuffle_ns: r.uint("network_shuffle_ns")?,
             ost_io_ns: r.uint("ost_io_ns")?,
             memory_wait_ns: r.uint("memory_wait_ns")?,
-            retry_degraded_ns: r.uint_or("retry_degraded_ns", 0)?,
+            retry_degraded_ns: r.opt("retry_degraded_ns", Reader::uint)?.unwrap_or(0),
             idle_ns: r.uint("idle_ns")?,
         })
     }

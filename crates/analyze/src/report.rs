@@ -198,7 +198,7 @@ impl Analysis {
                 r.uint("peer_median_ns", s.peer_median_ns);
                 r.float("score", s.score, 3);
                 r.text("bucket", s.bucket);
-                r.uints("rounds", s.rounds.iter().copied());
+                r.uints("rounds", &s.rounds);
             });
         }
         if !self.replans.is_empty() {

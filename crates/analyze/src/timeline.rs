@@ -253,7 +253,7 @@ impl Timeline {
             r.text("key", &s.key);
             r.text("kind", s.kind.label());
             r.uint("total_busy_ns", s.total_busy_ns);
-            r.uints("busy_ns", s.busy_ns.iter().copied());
+            r.uints("busy_ns", &s.busy_ns);
         });
         w.finish()
     }
@@ -284,19 +284,16 @@ impl Timeline {
         let doc = json::parse(input).map_err(|e| format!("timeline is not valid JSON: {e}"))?;
         let doc = Reader::new(&doc, "timeline");
         doc.schema(&[TIMELINE_SCHEMA])?;
-        let series = doc
-            .rows("series")?
-            .map(|s| {
-                let busy_ns = s.uints("busy_ns")?;
-                Ok(Series {
-                    key: s.text("key")?.to_string(),
-                    kind: SeriesKind::parse(s.text("kind")?)
-                        .ok_or("timeline: `kind` is not class, ost or tenant")?,
-                    total_busy_ns: busy_ns.iter().sum(),
-                    busy_ns,
-                })
+        let series = doc.rows("series", |s| {
+            let busy_ns = s.uints("busy_ns")?;
+            Ok(Series {
+                key: s.text("key")?.to_string(),
+                kind: SeriesKind::parse(s.text("kind")?)
+                    .ok_or("timeline: `kind` is not class, ost or tenant")?,
+                total_busy_ns: busy_ns.iter().sum(),
+                busy_ns,
             })
-            .collect::<Result<_, String>>()?;
+        })?;
         Ok(Timeline {
             elapsed_ns: doc.uint("elapsed_ns")?,
             bucket_ns: doc.uint("bucket_ns")?.max(1),

@@ -36,8 +36,8 @@ use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
 use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
 use mcio_core::{
-    exec_fn, mcio, run_multitenant_adaptive, simulate_adaptive, AdaptiveOutcome, AdaptivePolicy,
-    CollectiveConfig, CollectivePlan, CollectiveRequest, Extent, MultiTenantReport, ProcMemory, Rw,
+    exec_fn, mcio, run_multitenant_adaptive, simulate_adaptive, AdaptivePolicy, CollectiveConfig,
+    CollectivePlan, CollectiveRequest, Extent, FaultOutcome, MultiTenantReport, ProcMemory, Rw,
     Strategy, TenantJob,
 };
 use mcio_faults::FaultSpec;
@@ -137,9 +137,8 @@ struct CellOutcome {
 
 /// What a cell's document row is written from.
 enum Row {
-    /// A solo cell: fault-row name, elapsed, completion, controller
-    /// summary.
-    Solo(&'static str, u64, bool, AdaptiveOutcome),
+    /// A solo cell: fault-row name and the run.
+    Solo(&'static str, Box<FaultOutcome>),
     /// A shared-machine cell; `true` for the tenant section, whose rows
     /// carry the tenant count and one row per job.
     Shared(MultiTenantReport, bool),
@@ -147,11 +146,12 @@ enum Row {
 
 fn write_row(r: &mut Writer, cell: &CellOutcome) {
     match &cell.row {
-        Row::Solo(fault, elapsed_ns, completed, a) => {
+        Row::Solo(fault, out) => {
+            let a = &out.adaptive;
             r.text("fault", fault);
             r.text("policy", cell.policy.label());
-            r.uint("elapsed_ns", *elapsed_ns);
-            r.flag("completed", *completed);
+            r.uint("elapsed_ns", out.report.elapsed.as_nanos());
+            r.flag("completed", out.completed);
             r.float("severity", a.severity, 6);
             r.uint("deferrals", a.deferrals as u64);
             r.uint("demotions", a.demotions as u64);
@@ -180,7 +180,7 @@ fn document(sections: &[(&str, &[CellOutcome])]) -> String {
     w.schema("mcio.adaptation.v1");
     w.text("machine", "small-32x2");
     for (name, cells) in sections {
-        w.rows(name, *cells, write_row);
+        w.rows(name, cells, write_row);
     }
     w.finish()
 }
@@ -247,20 +247,11 @@ fn run_solo_cell(
     );
     CellOutcome {
         policy,
-        row: Row::Solo(
-            fault,
-            out.report.elapsed.as_nanos(),
-            out.completed,
-            out.adaptive,
-        ),
+        row: Row::Solo(fault, Box::new(out)),
         line,
         errors,
         mean_slowdown: 0.0,
     }
-}
-
-fn mean_slowdown(mt: &MultiTenantReport) -> f64 {
-    mt.jobs.iter().map(|j| j.slowdown).sum::<f64>() / mt.jobs.len().max(1) as f64
 }
 
 fn deferrals(mt: &MultiTenantReport) -> usize {
@@ -324,14 +315,14 @@ fn run_tenant_cell(
         "tenants {tenants}  {:<12} makespan {:>10.3} ms  mean slowdown {:>7.3}x  deferrals {}",
         policy.label(),
         mt.makespan.as_nanos() as f64 / 1e6,
-        mean_slowdown(&mt),
+        mt.mean_slowdown(),
         deferrals(&mt),
     );
     let trace = mt.trace.take();
     (
         CellOutcome {
             policy,
-            mean_slowdown: mean_slowdown(&mt),
+            mean_slowdown: mt.mean_slowdown(),
             row: Row::Shared(mt, true),
             line,
             errors,
@@ -368,12 +359,12 @@ fn run_overlap_cell(spec: &MtSpec, jobs: &[TenantJob], policy: AdaptivePolicy) -
         "overlap    {:<12} makespan {:>10.3} ms  mean slowdown {:>7.3}x  deferrals {}",
         policy.label(),
         mt.makespan.as_nanos() as f64 / 1e6,
-        mean_slowdown(&mt),
+        mt.mean_slowdown(),
         deferrals(&mt),
     );
     CellOutcome {
         policy,
-        mean_slowdown: mean_slowdown(&mt),
+        mean_slowdown: mt.mean_slowdown(),
         row: Row::Shared(mt, false),
         line,
         errors,

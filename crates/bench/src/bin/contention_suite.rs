@@ -54,11 +54,10 @@ struct CellOutcome {
     mt: MultiTenantReport,
     line: String,
     errors: Vec<String>,
-    mean_slowdown: f64,
 }
 
 /// The `mcio.multitenant.v1` cell-matrix document over `cells`.
-fn document<'a>(cells: impl IntoIterator<Item = &'a CellOutcome>) -> String {
+fn document(cells: &[CellOutcome]) -> String {
     let mut w = Writer::document();
     w.schema(mtspec::MULTITENANT_SCHEMA);
     w.text("machine", "small-32x2");
@@ -66,14 +65,10 @@ fn document<'a>(cells: impl IntoIterator<Item = &'a CellOutcome>) -> String {
         r.uint("tenants", c.mt.jobs.len() as u64);
         r.text("strategy", c.strategy.label());
         r.uint("makespan_ns", c.mt.makespan.as_nanos());
-        r.float("mean_slowdown", c.mean_slowdown, 6);
+        r.float("mean_slowdown", c.mt.mean_slowdown(), 6);
         r.rows("jobs", &c.mt.jobs, mtspec::write_job);
     });
     w.finish()
-}
-
-fn mean_slowdown(mt: &MultiTenantReport) -> f64 {
-    mt.jobs.iter().map(|j| j.slowdown).sum::<f64>() / mt.jobs.len().max(1) as f64
 }
 
 fn run_cell(tenants: usize, strategy: Strategy, jobs: &[TenantJob]) -> CellOutcome {
@@ -131,12 +126,11 @@ fn run_cell(tenants: usize, strategy: Strategy, jobs: &[TenantJob]) -> CellOutco
         "{tenants} tenant(s)  {:<17} makespan {:>10.3} ms  mean slowdown {:>6.3}x  max ost-overlap {:>5.3}",
         strategy.label(),
         mt.makespan.as_nanos() as f64 / 1e6,
-        mean_slowdown(&mt),
+        mt.mean_slowdown(),
         max_overlap,
     );
     CellOutcome {
         strategy,
-        mean_slowdown: mean_slowdown(&mt),
         mt,
         line,
         errors,
@@ -182,8 +176,8 @@ fn main() {
     // interfere less — that crossover is the gate.
     println!();
     for (t_idx, &t) in TENANTS.iter().enumerate() {
-        let tp = outcomes[2 * t_idx].mean_slowdown;
-        let mc = outcomes[2 * t_idx + 1].mean_slowdown;
+        let tp = outcomes[2 * t_idx].mt.mean_slowdown();
+        let mc = outcomes[2 * t_idx + 1].mt.mean_slowdown();
         println!(
             "{t} tenant(s): mean slowdown two-phase {tp:.3}x vs memory-conscious {mc:.3}x  ({})",
             if mc <= tp + 1e-9 {
@@ -194,20 +188,20 @@ fn main() {
         );
     }
     let full = outcomes.len() - 2;
-    if outcomes[full + 1].mean_slowdown > outcomes[full].mean_slowdown + 1e-9 {
+    if outcomes[full + 1].mt.mean_slowdown() > outcomes[full].mt.mean_slowdown() + 1e-9 {
         fail(&format!(
             "on the full machine ({} tenants) memory-conscious degrades worse than two-phase \
              ({:.3}x vs {:.3}x)",
             TENANTS[TENANTS.len() - 1],
-            outcomes[full + 1].mean_slowdown,
-            outcomes[full].mean_slowdown,
+            outcomes[full + 1].mt.mean_slowdown(),
+            outcomes[full].mt.mean_slowdown(),
         ));
     }
 
     // Byte-determinism: re-running a cell must reproduce its document
     // row exactly.
     let rerun = run_cell(8, Strategy::MemoryConscious, &mc_roster);
-    if document([&rerun]) != document(outcomes.last()) {
+    if document(&[rerun]) != document(&outcomes[outcomes.len() - 1..]) {
         fail("multi-tenant run is not deterministic: re-run fragment differs");
     }
 

@@ -113,7 +113,7 @@ fn run_analyze(m: &Matches) {
 enum DiffDoc {
     Trace(Box<TraceModel>),
     Perf(Vec<Record>),
-    Analyze { elapsed_ns: u64, cp: CriticalPath },
+    Analyze(CriticalPath),
 }
 
 impl DiffDoc {
@@ -121,7 +121,7 @@ impl DiffDoc {
         match self {
             DiffDoc::Trace(_) => "chrome trace",
             DiffDoc::Perf(_) => "perf_suite document",
-            DiffDoc::Analyze { .. } => "analyze report",
+            DiffDoc::Analyze(_) => "analyze report",
         }
     }
 }
@@ -149,9 +149,8 @@ fn load_diff_doc(ctx: &str, path: &str) -> DiffDoc {
                     .map(DiffDoc::Perf)
                     .map_err(|e| format!("{path}: {e}"));
             }
-            let elapsed_ns = doc.uint("elapsed_ns")?;
-            let cp = CriticalPath::read_buckets(elapsed_ns, doc.child("critical_path")?)?;
-            Ok(DiffDoc::Analyze { elapsed_ns, cp })
+            CriticalPath::read_buckets(doc.uint("elapsed_ns")?, doc.child("critical_path")?)
+                .map(DiffDoc::Analyze)
         });
     loaded.unwrap_or_else(|e| bad(e))
 }
@@ -186,21 +185,12 @@ fn run_diff(m: &Matches) {
                 println!("{line}");
             }
         }
-        (
-            DiffDoc::Analyze {
-                elapsed_ns: ea,
-                cp: cpa,
-            },
-            DiffDoc::Analyze {
-                elapsed_ns: eb,
-                cp: cpb,
-            },
-        ) => {
+        (DiffDoc::Analyze(cpa), DiffDoc::Analyze(cpb)) => {
             // Reuse the trace diff's rendering for the lenses an
             // analyze report carries.
             let d = RunDiff {
-                elapsed_a_ns: *ea,
-                elapsed_b_ns: *eb,
+                elapsed_a_ns: cpa.elapsed_ns,
+                elapsed_b_ns: cpb.elapsed_ns,
                 bucket_ns: 0,
                 bucket_deltas: mcio_analyze::diff_critical_paths(cpa, cpb),
                 timeline_deltas: Vec::new(),

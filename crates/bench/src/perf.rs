@@ -17,6 +17,7 @@ use mcio_core::{mcio, twophase, CollectiveRequest, Rw, Strategy};
 use mcio_des::SharePolicy;
 use mcio_obs::doc::{Reader, Writer};
 use mcio_obs::json;
+use mcio_prof::events_per_sec;
 
 const MIB: u64 = 1 << 20;
 
@@ -213,6 +214,7 @@ pub fn render_exascale(cells: &[ExaCell]) -> String {
     let mut w = Writer::document();
     w.schema("mcio.exascale.v1");
     w.rows("cells", cells, |r, c| {
+        let eps = events_per_sec(c.prof.events_fired, c.sim_wall_ns);
         r.text("strategy", &c.strategy);
         r.text("engine", c.engine);
         r.uint("elapsed_ns", c.elapsed_ns);
@@ -221,22 +223,9 @@ pub fn render_exascale(cells: &[ExaCell]) -> String {
         r.uint("heap_high_water", c.prof.heap_high_water);
         r.uint("plan_wall_ns", c.plan_wall_ns);
         r.uint("sim_wall_ns", c.sim_wall_ns);
-        r.float(
-            "events_per_sec",
-            events_per_sec(c.prof.events_fired, c.sim_wall_ns),
-            3,
-        );
+        r.float("events_per_sec", eps, 3);
     });
     w.finish()
-}
-
-/// Events per wall-clock second; 0 when no wall time was recorded.
-fn events_per_sec(events: u64, wall_ns: u64) -> f64 {
-    if wall_ns == 0 {
-        0.0
-    } else {
-        events as f64 / (wall_ns as f64 / 1e9)
-    }
 }
 
 /// One (scenario, strategy) measurement.
@@ -421,15 +410,12 @@ pub fn render_wallclock(cells: &[CellProf]) -> String {
     let mut w = Writer::document();
     w.schema("mcio.perf_wallclock.v1");
     w.rows("cells", cells, |r, c| {
+        let eps = events_per_sec(c.engine.events_fired, c.wall_ns);
         r.text("scenario", &c.scenario);
         r.text("strategy", &c.strategy);
         r.uint("wall_ns", c.wall_ns);
         r.uint("events_fired", c.engine.events_fired);
-        r.float(
-            "events_per_sec",
-            events_per_sec(c.engine.events_fired, c.wall_ns),
-            3,
-        );
+        r.float("events_per_sec", eps, 3);
     });
     w.finish()
 }
@@ -461,21 +447,17 @@ pub fn parse_records(input: &str) -> Result<Vec<Record>, String> {
     let doc = json::parse(input).map_err(|e| e.to_string())?;
     let doc = Reader::new(&doc, "baseline");
     doc.schema(&[PERF_SCHEMA])?;
-    let records = doc
-        .rows("records")?
-        .map(|r| {
-            let elapsed_ns = r.uint("elapsed_ns")?;
-            Ok(Record {
-                scenario: r.text("scenario")?.to_string(),
-                strategy: r.text("strategy")?.to_string(),
-                elapsed_ns,
-                exchange_fraction: r.float("exchange_fraction")?,
-                io_fraction: r.float("io_fraction")?,
-                critical_path: CriticalPath::read_buckets(elapsed_ns, r.child("critical_path")?)?,
-            })
+    doc.rows("records", |r| {
+        let elapsed_ns = r.uint("elapsed_ns")?;
+        Ok(Record {
+            scenario: r.text("scenario")?.to_string(),
+            strategy: r.text("strategy")?.to_string(),
+            elapsed_ns,
+            exchange_fraction: r.float("exchange_fraction")?,
+            io_fraction: r.float("io_fraction")?,
+            critical_path: CriticalPath::read_buckets(elapsed_ns, r.child("critical_path")?)?,
         })
-        .collect();
-    records
+    })
 }
 
 /// The five critical-path buckets of a record, as `(label, ns)` in

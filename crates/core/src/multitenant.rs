@@ -166,6 +166,14 @@ pub struct MultiTenantReport {
     pub engine: mcio_des::EngineProfile,
 }
 
+impl MultiTenantReport {
+    /// Mean of the per-job slowdowns (0 for an empty run) — the
+    /// headline the contention and adaptation suites gate on.
+    pub fn mean_slowdown(&self) -> f64 {
+        self.jobs.iter().map(|j| j.slowdown).sum::<f64>() / self.jobs.len().max(1) as f64
+    }
+}
+
 /// Every input of a solo baseline's result; the machine is fixed per
 /// session. `plan` is the address of the job's `Arc`'d plan — the entry
 /// keeps a clone of that `Arc`, so the address cannot be reused while

@@ -91,20 +91,20 @@ impl Writer {
 
     /// Separator, line break and `"key": ` for the next member.
     fn key(&mut self, key: &str) {
+        let (comma, colon) = match (self.inline, self.tight) {
+            (true, false) => (", ", ": "),
+            (true, true) => (",", ":"),
+            (false, _) => (",", ": "),
+        };
         if !self.first {
-            self.out.push_str(if self.inline && !self.tight {
-                ", "
-            } else {
-                ","
-            });
+            self.out.push_str(comma);
         }
         self.first = false;
         if !self.inline {
             self.newline(self.indent);
         }
         self.quoted(key);
-        self.out
-            .push_str(if self.inline && self.tight { ":" } else { ": " });
+        self.out.push_str(colon);
     }
 
     fn plain(&mut self, key: &str, v: impl Display) {
@@ -130,14 +130,14 @@ impl Writer {
     fn array<T>(
         &mut self,
         key: &str,
-        items: impl IntoIterator<Item = T>,
+        items: &[T],
         (lines, inline): (bool, bool),
-        mut f: impl FnMut(&mut Self, T),
+        mut f: impl FnMut(&mut Self, &T),
     ) {
         self.key(key);
         self.out.push('[');
         let at = self.indent + 2;
-        for (i, item) in items.into_iter().enumerate() {
+        for (i, item) in items.iter().enumerate() {
             if i > 0 {
                 self.out.push(',');
             }
@@ -196,10 +196,10 @@ impl Writer {
     }
 
     /// A scalar array of any length: `[1,2,3]`.
-    pub fn uints(&mut self, key: &str, vs: impl IntoIterator<Item = u64>) {
+    pub fn uints(&mut self, key: &str, vs: &[u64]) {
         self.key(key);
         self.out.push('[');
-        for (i, v) in vs.into_iter().enumerate() {
+        for (i, v) in vs.iter().enumerate() {
             let _ = write!(self.out, "{}{v}", if i > 0 { "," } else { "" });
         }
         self.out.push(']');
@@ -225,33 +225,18 @@ impl Writer {
     }
 
     /// A row array: one inline object per item, one item per line.
-    pub fn rows<T>(
-        &mut self,
-        key: &str,
-        items: impl IntoIterator<Item = T>,
-        f: impl FnMut(&mut Self, T),
-    ) {
+    pub fn rows<T>(&mut self, key: &str, items: &[T], f: impl FnMut(&mut Self, &T)) {
         self.array(key, items, (true, true), f);
     }
 
     /// An array of blocks: each item a block of its own, e.g. the
     /// schedules embedded in `mcio.scheduler_suite.v1`.
-    pub fn blocks<T>(
-        &mut self,
-        key: &str,
-        items: impl IntoIterator<Item = T>,
-        f: impl FnMut(&mut Self, T),
-    ) {
+    pub fn blocks<T>(&mut self, key: &str, items: &[T], f: impl FnMut(&mut Self, &T)) {
         self.array(key, items, (true, false), f);
     }
 
     /// A row array that stays on the key's line: `[{…},{…}]`.
-    pub fn inline_rows<T>(
-        &mut self,
-        key: &str,
-        items: impl IntoIterator<Item = T>,
-        f: impl FnMut(&mut Self, T),
-    ) {
+    pub fn inline_rows<T>(&mut self, key: &str, items: &[T], f: impl FnMut(&mut Self, &T)) {
         self.array(key, items, (false, true), f);
     }
 }
@@ -322,12 +307,15 @@ impl<'a> Reader<'a> {
         self.field(key, "an unsigned integer", as_uint)
     }
 
-    /// [`Reader::uint`], or `default` when the key is absent.
-    pub fn uint_or(&self, key: &str, default: u64) -> Result<u64, String> {
-        match self.value.get(key) {
-            Some(_) => self.uint(key),
-            None => Ok(default),
-        }
+    /// A member the document may omit: `None` when the key is absent,
+    /// otherwise whatever `read` (one of the typed accessors) makes of
+    /// it — a present but ill-typed member is still an error.
+    pub fn opt<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Self, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.value.get(key).map(|_| read(self, key)).transpose()
     }
 
     /// A scalar array of unsigned integers.
@@ -337,24 +325,25 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// The objects of an array member.
-    pub fn rows(&self, key: &str) -> Result<impl Iterator<Item = Reader<'a>> + 'a, String> {
+    /// The objects of an array member, each read by `f`.
+    pub fn rows<T>(
+        &self,
+        key: &str,
+        mut f: impl FnMut(Reader<'a>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
         let what = self.what;
         let items = self.field(key, "an array", JsonValue::as_array)?;
-        Ok(items.iter().map(move |value| Reader { value, what }))
+        items
+            .iter()
+            .map(|value| f(Reader { value, what }))
+            .collect()
     }
 
-    /// A nested object that must be present.
+    /// A nested object.
     pub fn child(&self, key: &str) -> Result<Reader<'a>, String> {
-        self.field(key, "an object", |_| self.opt_child(key))
-    }
-
-    /// A nested object that may be absent.
-    pub fn opt_child(&self, key: &str) -> Option<Reader<'a>> {
-        let value = self.value.get(key)?;
-        matches!(value, JsonValue::Object(_)).then_some(Reader {
-            value,
-            what: self.what,
+        let what = self.what;
+        self.field(key, "an object", |value| {
+            matches!(value, JsonValue::Object(_)).then_some(Reader { value, what })
         })
     }
 
@@ -388,27 +377,28 @@ mod tests {
         w.block("cp", |w| {
             w.uint("a", 1);
             w.text("b", "x");
-            w.rows("deep", [7u64], |r, v| r.uint("v", v));
+            w.rows("deep", &[7], |r, v| r.uint("v", *v));
         });
         w.inline("totals", |w| {
             w.uint("x", 1);
             w.float("y", 0.5, 3);
         });
-        w.rows("rows", [(1u64, true), (2, false)], |r, (i, f)| {
+        w.rows("rows", &[(1, true), (2, false)], |r, &(i, f)| {
+            let upto: Vec<u64> = (0..i).collect();
             r.uint("i", i);
             r.flag("f", f);
             r.opt("o", f.then_some(1.25), |r, k, v| r.float(k, v, 6));
             r.opt("p", f.then_some((4, 2)), Writer::pair);
-            r.uints("s", 0..i);
+            r.uints("s", &upto);
             r.inline("args", |a| {
-                (0..i).for_each(|j| a.text(&format!("k{j}"), "v"))
+                upto.iter().for_each(|j| a.text(&format!("k{j}"), "v"))
             });
-            r.rows("jobs", 0..i, |j, v| j.uint("j", v));
+            r.rows("jobs", &upto, |j, v| j.uint("j", *v));
         });
-        w.rows("none", 0..0, |r, v: u64| r.uint("v", v));
-        w.blocks("cells", [5u64, 6], |b, v| {
-            b.uint("v", v);
-            b.rows("per", [v], |r, v| r.float("w", v as f64, 1));
+        w.rows("none", &[], |r, v| r.uint("v", *v));
+        w.blocks("cells", &[5, 6], |b, v| {
+            b.uint("v", *v);
+            b.rows("per", &[*v], |r, v| r.float("w", *v as f64, 1));
         });
         assert_eq!(
             w.finish(),
@@ -458,11 +448,11 @@ mod tests {
         let fill = |mut w: Writer| {
             w.uint("a", 1);
             w.block("b", |w| {
-                w.rows("r", [1u64, 2], |r, v| {
+                w.rows("r", &[1, 2], |r, &v| {
                     r.uint("v", v);
                     r.num("n", v as f64 / 2.0);
                     r.inline("l", |l| l.text("k", "x"));
-                    r.inline_rows("q", 0..v, |q, le| q.uint("le", le));
+                    r.inline_rows("q", &[0, 1][..v as usize], |q, le| q.uint("le", *le));
                 });
             });
             w.finish()
@@ -491,14 +481,14 @@ mod tests {
         let hostile = "a\"b\\c\n\u{1}";
         for mut w in [Writer::document(), Writer::tight()] {
             w.schema(hostile);
-            w.rows("rows", [hostile], |r, s| {
+            w.rows("rows", &[hostile], |r, s| {
                 r.text("text", s);
                 r.text(s, s);
-                r.opt("opt", Some(s), Writer::text);
+                r.opt("opt", Some(*s), Writer::text);
                 r.inline("labels", |l| l.text(s, s));
             });
             let doc = parse(&w.finish()).expect("valid JSON");
-            let row = Reader::new(&doc, "t").rows("rows").unwrap().next().unwrap();
+            let row = Reader::new(&doc, "t").rows("rows", Ok).unwrap()[0];
             assert_eq!(Reader::new(&doc, "t").text("schema"), Ok(hostile));
             for key in ["text", hostile, "opt"] {
                 assert_eq!(row.text(key), Ok(hostile), "{key:?}");
@@ -534,19 +524,14 @@ mod tests {
         assert_eq!(r.float("n"), Ok(7.0));
         assert_eq!(r.flag("b"), Ok(true));
         assert_eq!(r.uint("n"), Ok(7));
-        assert_eq!(r.uint_or("n", 0), Ok(7));
-        assert_eq!(r.uint_or("absent", 9), Ok(9));
+        assert_eq!(r.opt("n", Reader::uint), Ok(Some(7)));
+        assert_eq!(r.opt("absent", Reader::uint), Ok(None));
+        assert!(r.opt("o", Reader::child).unwrap().is_some());
         assert_eq!(r.uints("a"), Ok(vec![1, 2]));
-        let ns: Vec<u64> = r
-            .rows("rows")
-            .unwrap()
-            .map(|x| x.uint("n").unwrap())
-            .collect();
-        assert_eq!(ns, [1, 2]);
+        assert_eq!(r.rows("rows", |x| x.uint("n")), Ok(vec![1, 2]));
         let o = r.child("o").unwrap();
         assert_eq!(o.keys().collect::<Vec<_>>(), ["y", "z"]);
         assert_eq!(o.uint("z"), Ok(1));
-        assert!(r.opt_child("absent").is_none() && r.opt_child("s").is_none());
         for (err, want) in [
             (
                 r.uint("neg").unwrap_err(),
@@ -561,7 +546,11 @@ mod tests {
                 "doc: `big` is missing or not an unsigned integer",
             ),
             (
-                r.uint_or("neg", 0).unwrap_err(),
+                r.rows("rows", |x| x.uint("s")).unwrap_err(),
+                "doc: `s` is missing or not an unsigned integer",
+            ),
+            (
+                r.opt("neg", Reader::uint).unwrap_err(),
                 "doc: `neg` is missing or not an unsigned integer",
             ),
             (
@@ -585,7 +574,7 @@ mod tests {
                 "doc: `n` is missing or not a boolean",
             ),
             (
-                r.rows("o").err().unwrap(),
+                r.rows("o", Ok).err().unwrap(),
                 "doc: `o` is missing or not an array",
             ),
             (

@@ -40,5 +40,6 @@ mod report;
 
 pub use profiler::{PhaseRow, Prof, Scope, PHASES};
 pub use report::{
-    AllocReport, DetCell, HostSection, PlanCacheStats, ProfReport, WorkerRow, PROF_SCHEMA,
+    events_per_sec, AllocReport, DetCell, HostSection, PlanCacheStats, ProfReport, WorkerRow,
+    PROF_SCHEMA,
 };

@@ -122,17 +122,12 @@ impl ProfReport {
             .filter(|r| r.path.rsplit('/').next() == Some("des-run"))
             .map(|r| r.inclusive_ns)
             .sum();
-        let events_per_sec = if des_ns == 0 {
-            0.0
-        } else {
-            total_fired as f64 / (des_ns as f64 / 1e9)
-        };
         let a = alloc::stats();
         ProfReport {
             cells,
             host: HostSection {
                 wall_ns: prof.wall_ns(),
-                events_per_sec,
+                events_per_sec: events_per_sec(total_fired, des_ns),
                 phases,
                 alloc: AllocReport {
                     enabled: a.enabled,
@@ -225,32 +220,26 @@ impl ProfReport {
         let doc = json::parse(text).map_err(|e| e.to_string())?;
         let doc = Reader::new(&doc, "profile");
         doc.schema(&[PROF_SCHEMA])?;
-        let cells = doc
-            .child("deterministic")?
-            .rows("cells")?
-            .map(|c| {
-                Ok(DetCell {
-                    label: c.text("label")?.to_string(),
-                    engine: read_engine(c)?,
-                })
+        let cells = doc.child("deterministic")?.rows("cells", |c| {
+            Ok(DetCell {
+                label: c.text("label")?.to_string(),
+                engine: read_engine(c)?,
             })
-            .collect::<Result<_, String>>()?;
+        })?;
         let host = doc.child("host")?;
-        let phases = host
-            .rows("phases")?
-            .map(|p| {
-                Ok(PhaseRow {
-                    path: p.text("path")?.to_string(),
-                    count: p.uint("count")?,
-                    inclusive_ns: p.uint("inclusive_ns")?,
-                    exclusive_ns: p.uint("exclusive_ns")?,
-                    alloc_bytes: p.uint("alloc_bytes")?,
-                    allocs: p.uint("allocs")?,
-                })
+        let phases = host.rows("phases", |p| {
+            Ok(PhaseRow {
+                path: p.text("path")?.to_string(),
+                count: p.uint("count")?,
+                inclusive_ns: p.uint("inclusive_ns")?,
+                exclusive_ns: p.uint("exclusive_ns")?,
+                alloc_bytes: p.uint("alloc_bytes")?,
+                allocs: p.uint("allocs")?,
             })
-            .collect::<Result<_, String>>()?;
+        })?;
         let alloc = host.child("alloc")?;
-        let plan_cache = match host.opt_child("plan_cache") {
+        // Both absent when the producer ran no plan cache / worker pool.
+        let plan_cache = match host.opt("plan_cache", Reader::child)? {
             Some(pc) => Some(PlanCacheStats {
                 hits: pc.uint("hits")?,
                 misses: pc.uint("misses")?,
@@ -259,19 +248,15 @@ impl ProfReport {
             }),
             None => None,
         };
-        // Absent when the producer ran no worker pool.
-        let workers = match host.rows("workers") {
-            Ok(rows) => rows
-                .map(|w| {
-                    Ok(WorkerRow {
-                        worker: w.uint("worker")?,
-                        busy_ns: w.uint("busy_ns")?,
-                        tasks: w.uint("tasks")?,
-                    })
+        let workers = host.opt("workers", |host, key| {
+            host.rows(key, |w| {
+                Ok(WorkerRow {
+                    worker: w.uint("worker")?,
+                    busy_ns: w.uint("busy_ns")?,
+                    tasks: w.uint("tasks")?,
                 })
-                .collect::<Result<_, String>>()?,
-            Err(_) => Vec::new(),
-        };
+            })
+        })?;
         Ok(ProfReport {
             cells,
             host: HostSection {
@@ -285,7 +270,7 @@ impl ProfReport {
                     peak_bytes: alloc.uint("peak_bytes")?,
                 },
                 plan_cache,
-                workers,
+                workers: workers.unwrap_or_default(),
             },
         })
     }
@@ -369,6 +354,15 @@ impl ProfReport {
             }
         }
         out
+    }
+}
+
+/// Events per wall-clock second; 0 when no wall time was recorded.
+pub fn events_per_sec(events: u64, wall_ns: u64) -> f64 {
+    if wall_ns == 0 {
+        0.0
+    } else {
+        events as f64 / (wall_ns as f64 / 1e9)
     }
 }
 

@@ -113,20 +113,17 @@ pub fn parse_schedule(text: &str) -> Result<ScheduleDoc, String> {
     let root = json::parse(text).map_err(|e| e.to_string())?;
     let root = Reader::new(&root, "schedule");
     root.schema(&[SCHEMA])?;
-    let per_job = root
-        .rows("per_job")?
-        .map(|row| {
-            Ok(ScheduleDocJob {
-                job: row.text("job")?.to_string(),
-                arrival_ns: row.uint("arrival_ns")?,
-                dispatch_ns: row.uint("dispatch_ns")?,
-                end_ns: row.uint("end_ns")?,
-                wait_ns: row.uint("wait_ns")?,
-                turnaround_ns: row.uint("turnaround_ns")?,
-                slowdown: row.float("slowdown")?,
-            })
+    let per_job = root.rows("per_job", |row| {
+        Ok(ScheduleDocJob {
+            job: row.text("job")?.to_string(),
+            arrival_ns: row.uint("arrival_ns")?,
+            dispatch_ns: row.uint("dispatch_ns")?,
+            end_ns: row.uint("end_ns")?,
+            wait_ns: row.uint("wait_ns")?,
+            turnaround_ns: row.uint("turnaround_ns")?,
+            slowdown: row.float("slowdown")?,
         })
-        .collect::<Result<_, String>>()?;
+    })?;
     Ok(ScheduleDoc {
         machine: root.text("machine")?.to_string(),
         policy: root.text("policy")?.to_string(),
