@@ -36,7 +36,10 @@ fn sources() -> Vec<(String, String)> {
     let root = repo();
     let mut files = Vec::new();
     for krate in std::fs::read_dir(root.join("crates")).expect("crates/ exists") {
-        walk(&krate.expect("directory entry").path().join("src"), &mut files);
+        walk(
+            &krate.expect("directory entry").path().join("src"),
+            &mut files,
+        );
     }
     files.sort();
     files
@@ -86,7 +89,10 @@ fn documents_table_lists_exactly_the_schemas_in_the_source() {
         .iter()
         .flat_map(|(_, code)| schemas_in(code))
         .collect();
-    assert!(table.len() >= 12, "the Documents table was found: {table:?}");
+    assert!(
+        table.len() >= 12,
+        "the Documents table was found: {table:?}"
+    );
     let undocumented: Vec<_> = source.difference(&table).collect();
     let stale: Vec<_> = table.difference(&source).collect();
     assert!(

@@ -270,17 +270,19 @@ impl<'a> Reader<'a> {
     /// Require the `schema` stamp to be one of `expected`; returns the
     /// one that matched.
     pub fn schema<'e>(&self, expected: &[&'e str]) -> Result<&'e str, String> {
-        let (what, list) = (self.what, expected.join(" or "));
-        match self.value.get("schema").and_then(JsonValue::as_str) {
-            Some(s) => expected
-                .iter()
-                .find(|e| **e == s)
-                .copied()
-                .ok_or_else(|| format!("{what}: unsupported schema `{s}` (expected {list})")),
-            None => Err(format!(
-                "{what}: carries no `schema` stamp (expected {list})"
-            )),
-        }
+        let found = self.value.get("schema").and_then(JsonValue::as_str);
+        let known = found.and_then(|s| expected.iter().find(|e| **e == s));
+        known.copied().ok_or_else(|| {
+            let problem = match found {
+                Some(s) => format!("unsupported schema `{s}`"),
+                None => "carries no `schema` stamp".to_string(),
+            };
+            format!(
+                "{}: {problem} (expected {})",
+                self.what,
+                expected.join(" or ")
+            )
+        })
     }
 
     /// A string member.
@@ -333,10 +335,12 @@ impl<'a> Reader<'a> {
     ) -> Result<Vec<T>, String> {
         let what = self.what;
         let items = self.field(key, "an array", JsonValue::as_array)?;
-        items
-            .iter()
-            .map(|value| f(Reader { value, what }))
-            .collect()
+        // Sized up front: collecting `Result`s would grow the vector.
+        let mut rows = Vec::with_capacity(items.len());
+        for value in items {
+            rows.push(f(Reader { value, what })?);
+        }
+        Ok(rows)
     }
 
     /// A nested object.

@@ -17,6 +17,10 @@
 //!   [`Snapshot`].
 //! * [`json`] — a strict JSON parser used to *validate* exporter
 //!   output in tests rather than trusting it by construction.
+//! * [`doc`] — the one deterministic writer and the one typed reader
+//!   behind every `mcio.*.v1` document and the metrics JSON dump.
+//! * [`intervals`] — merge / length / intersection of interval sets,
+//!   shared by the engine-side and trace-side overlap accounting.
 //!
 //! `mcio-obs` deliberately depends on nothing (not even the vendored
 //! workspace deps): it sits below every other crate in the dependency
