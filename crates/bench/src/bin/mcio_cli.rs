@@ -141,8 +141,7 @@ fn load_diff_doc(ctx: &str, path: &str) -> DiffDoc {
     let doc = mcio_obs::json::parse(&text)
         .unwrap_or_else(|e| bad(format!("{path} is not valid JSON: {e}")));
     let doc = Reader::new(&doc, path);
-    let loaded = doc
-        .schema(&[PERF_SCHEMA, ANALYZE_SCHEMA])
+    doc.schema(&[PERF_SCHEMA, ANALYZE_SCHEMA])
         .and_then(|schema| {
             if schema == PERF_SCHEMA {
                 return parse_records(&text)
@@ -151,8 +150,8 @@ fn load_diff_doc(ctx: &str, path: &str) -> DiffDoc {
             }
             CriticalPath::read_buckets(doc.uint("elapsed_ns")?, doc.child("critical_path")?)
                 .map(DiffDoc::Analyze)
-        });
-    loaded.unwrap_or_else(|e| bad(e))
+        })
+        .unwrap_or_else(|e| bad(e))
 }
 
 /// `mcio_cli diff A B` — differential run attribution.
