@@ -146,11 +146,7 @@ impl Fabric {
         dst: NodeId,
         bytes: u64,
     ) -> Activity {
-        let mut a = Activity::new(label);
-        for s in self.message_stages(src, dst, bytes) {
-            a = a.push_stage(s);
-        }
-        a
+        Activity::with_stages(label, self.message_stages(src, dst, bytes))
     }
 
     /// Outbound stages from a node toward storage: memory bus, NIC

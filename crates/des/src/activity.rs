@@ -88,10 +88,12 @@ impl Activity {
         self
     }
 
-    /// Append a pre-built stage.
-    pub fn push_stage(mut self, stage: Stage) -> Self {
-        self.stages.push(stage);
-        self
+    /// An activity over pre-built stages; the vector is adopted as is.
+    pub fn with_stages(label: impl Into<String>, stages: Vec<Stage>) -> Self {
+        Activity {
+            stages,
+            ..Activity::new(label)
+        }
     }
 
     /// Append a pure delay (no resource occupied): models think time or

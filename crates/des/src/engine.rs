@@ -372,19 +372,20 @@ impl Simulation {
             .filter_map(|a| a.finished)
             .max()
             .unwrap_or(SimTime::ZERO);
+        // `self` is consumed: the labels, resource names and wait
+        // histograms move into the report.
         Ok(RunReport {
             makespan,
             finishes: self.activities.iter().map(|a| a.finished).collect(),
             starts: self.activities.iter().map(|a| a.started).collect(),
-            labels: self.activities.iter().map(|a| a.label.clone()).collect(),
-            resource_names: self
+            labels: self.activities.into_iter().map(|a| a.label).collect(),
+            usages: self
                 .resources
-                .iter()
-                .map(|r| r.name().to_string())
+                .into_iter()
+                .map(Resource::into_usage)
                 .collect(),
-            usages: self.resources.iter().map(|r| r.usage()).collect(),
-            trace: self.trace.take(),
-            engine_stats: self.engine_stats.clone(),
+            trace: self.trace,
+            engine_stats: self.engine_stats,
         })
     }
 
@@ -486,7 +487,6 @@ pub struct RunReport {
     starts: Vec<Option<SimTime>>,
     finishes: Vec<Option<SimTime>>,
     labels: Vec<String>,
-    resource_names: Vec<String>,
     usages: Vec<ResourceUsage>,
     trace: Option<Vec<ServiceRecord>>,
     engine_stats: EngineStats,
@@ -721,12 +721,12 @@ impl RunReport {
         let used: std::collections::BTreeSet<usize> =
             trace.iter().map(|r| r.resource.index()).collect();
         for tid in used {
-            tc.name_thread(pid, tid as u64, &self.resource_names[tid]);
+            tc.name_thread(pid, tid as u64, &self.usages[tid].name);
         }
         for rec in trace {
             tc.span(
                 &self.labels[rec.activity.index()],
-                &self.resource_names[rec.resource.index()],
+                &self.usages[rec.resource.index()].name,
                 pid,
                 rec.resource.index() as u64,
                 rec.start.as_nanos(),
@@ -746,7 +746,7 @@ impl RunReport {
                     out.push(',');
                 }
                 let name = escape_json(&self.labels[rec.activity.index()]);
-                let lane = escape_json(&self.resource_names[rec.resource.index()]);
+                let lane = escape_json(&self.usages[rec.resource.index()].name);
                 // Times in microseconds, as the format expects.
                 out.push_str(&format!(
                     "{{\"name\":\"{name}\",\"cat\":\"{lane}\",\"ph\":\"X\",\

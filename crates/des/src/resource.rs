@@ -518,15 +518,17 @@ impl Resource {
         self.fair.pending = Some(handle);
     }
 
-    pub(crate) fn usage(&self) -> ResourceUsage {
+    /// The resource's accounting once the run is over; the name and
+    /// the wait histogram move into it.
+    pub(crate) fn into_usage(self) -> ResourceUsage {
         ResourceUsage {
-            name: self.name.clone(),
+            name: self.name,
             busy_time: self.busy_time,
             bytes_served: self.bytes_served,
             jobs_served: self.jobs_served,
             max_queue_len: self.max_queue_len,
             max_active: self.max_active,
-            wait_hist: self.wait_hist.clone(),
+            wait_hist: self.wait_hist,
         }
     }
 }
@@ -644,13 +646,13 @@ mod tests {
         assert_eq!(done, t0 + SimDuration::from_secs(1));
         // Second queues.
         assert!(r.enqueue(t0, job(200)).is_none());
-        assert_eq!(r.usage().max_queue_len, 1);
+        assert_eq!(r.max_queue_len, 1);
         // Completion pops the queue.
         let (next, next_done) = r.complete_current(done).expect("queued job");
         assert_eq!(next.bytes, 200);
         assert_eq!(next_done, done + SimDuration::from_secs(2));
         assert!(r.complete_current(next_done).is_none());
-        let u = r.usage();
+        let u = r.into_usage();
         assert_eq!(u.jobs_served, 2);
         assert_eq!(u.bytes_served, 300);
         assert_eq!(u.busy_time, SimDuration::from_secs(3));
@@ -664,7 +666,7 @@ mod tests {
         let done = r.enqueue(t0, job(100)).unwrap();
         assert!(r.enqueue(t0, job(100)).is_none());
         r.complete_current(done);
-        let u = r.usage();
+        let u = r.into_usage();
         // One immediate start (0 ns wait), one that waited a full second.
         assert_eq!(u.wait_hist.count(), u.jobs_served);
         assert_eq!(u.wait_hist.min(), Some(0));
@@ -692,7 +694,7 @@ mod tests {
         }]);
         let done = r.enqueue(SimTime::ZERO, job(100)).unwrap();
         assert_eq!(done, SimTime::ZERO + SimDuration::from_secs(2));
-        assert_eq!(r.usage().busy_time, SimDuration::from_secs(2));
+        assert_eq!(r.busy_time, SimDuration::from_secs(2));
     }
 
     #[test]
@@ -784,9 +786,10 @@ mod tests {
         let (j, admitted, _) = f.fair_complete(t0 + SimDuration::from_secs(1));
         assert_eq!(j.bytes, 100);
         assert_eq!(admitted, t0);
-        assert_eq!(f.usage().busy_time, SimDuration::from_secs(1));
-        assert_eq!(f.usage().max_active, 1);
-        assert_eq!(f.usage().max_queue_len, 0);
+        let u = f.into_usage();
+        assert_eq!(u.busy_time, SimDuration::from_secs(1));
+        assert_eq!(u.max_active, 1);
+        assert_eq!(u.max_queue_len, 0);
     }
 
     #[test]
@@ -809,7 +812,7 @@ mod tests {
         // served at the same instant.
         assert_eq!(f.fair_next_completion(), Some(done));
         f.fair_complete(done);
-        let u = f.usage();
+        let u = f.into_usage();
         // Busy integral: min(2, 1) slot over 2 s.
         assert_eq!(u.busy_time, SimDuration::from_secs(2));
         assert_eq!(u.max_active, 2);

@@ -284,11 +284,10 @@ impl Pfs {
         }
         match rw {
             Rw::Write => {
-                let mut egress = Activity::new(format!("{label}.egress"));
-                for s in fabric.egress_stages(node, extent.len) {
-                    egress = egress.push_stage(s);
-                }
-                let egress = sim.add_activity(egress);
+                let egress = sim.add_activity(Activity::with_stages(
+                    format!("{label}.egress"),
+                    fabric.egress_stages(node, extent.len),
+                ));
                 for &d in deps {
                     sim.add_dep(d, egress);
                 }
@@ -303,19 +302,17 @@ impl Pfs {
             }
             Rw::Read => {
                 // Header-only RPC out; payload back after the OSTs serve.
-                let mut rpc = Activity::new(format!("{label}.rpc"));
-                for s in fabric.egress_stages(node, 0) {
-                    rpc = rpc.push_stage(s);
-                }
-                let rpc = sim.add_activity(rpc);
+                let rpc = sim.add_activity(Activity::with_stages(
+                    format!("{label}.rpc"),
+                    fabric.egress_stages(node, 0),
+                ));
                 for &d in deps {
                     sim.add_dep(d, rpc);
                 }
-                let mut ingress = Activity::new(format!("{label}.ingress"));
-                for s in fabric.ingress_stages(node, extent.len) {
-                    ingress = ingress.push_stage(s);
-                }
-                let ingress = sim.add_activity(ingress);
+                let ingress = sim.add_activity(Activity::with_stages(
+                    format!("{label}.ingress"),
+                    fabric.ingress_stages(node, extent.len),
+                ));
                 for (ost, bytes) in pieces {
                     let piece = self.add_piece(sim, format!("{label}.{ost}"), ost, Rw::Read, bytes);
                     sim.add_dep(rpc, piece);
