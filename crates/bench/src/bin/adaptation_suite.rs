@@ -30,15 +30,14 @@
 //! Violated assertions print one line and exit 1; flags and usage
 //! errors are `mcio_bench::cli::ADAPTATION_SUITE`'s.
 
-use mcio_bench::cli;
 use mcio_bench::mtspec::{self, JobSpec, MtSpec};
+use mcio_bench::suite::{self, run_cells, written_bytes, CellOutcome};
+use mcio_bench::{cli, Cell, Harness};
 use mcio_cluster::spec::ClusterSpec;
-use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
+use mcio_core::exec_sim::Observe;
 use mcio_core::{
-    exec_fn, mcio, run_multitenant_adaptive, simulate_adaptive, AdaptivePolicy, CollectiveConfig,
-    CollectivePlan, CollectiveRequest, Extent, FaultOutcome, MultiTenantReport, ProcMemory, Rw,
-    Strategy, TenantJob,
+    exec_fn, run_multitenant_adaptive, AdaptivePolicy, CollectiveConfig, CollectivePlan,
+    CollectiveRequest, Extent, FaultOutcome, MultiTenantReport, Rw, Strategy, TenantJob,
 };
 use mcio_faults::FaultSpec;
 use mcio_obs::doc::Writer;
@@ -62,7 +61,7 @@ const DEGRADED_ROW: &str =
     "seed 11\nost_slow(0, 40.0, 0ns..400ms)\nost_slow(1, 40.0, 0ns..400ms)\n";
 
 fn fail(msg: &str) -> ! {
-    cli::fail("adaptation_suite", 1, &format!("FAILED: {msg}"))
+    suite::fail("adaptation_suite", msg)
 }
 
 /// The solo fault matrix: progressively degraded rows on one machine.
@@ -81,57 +80,10 @@ fn solo_matrix() -> Vec<(&'static str, String)> {
     ]
 }
 
-/// The solo workload: 16 ranks on 4 nodes, 4 MiB per rank, disjoint
-/// contiguous chunks so the written file is exactly the concatenation
-/// of rank payloads.
-struct SoloCase {
-    req: CollectiveRequest,
-    map: ProcessMap,
-    mem: ProcMemory,
-    spec: ClusterSpec,
-    plan: CollectivePlan,
-    golden: Vec<u8>,
-    len: u64,
-}
-
-fn solo_case() -> SoloCase {
-    let ranks = 16usize;
-    let chunk = 4 * MIB;
-    let req = CollectiveRequest::new(
-        Rw::Write,
-        (0..ranks as u64)
-            .map(|r| vec![Extent::new(r * chunk, chunk)])
-            .collect(),
-    );
-    let map = ProcessMap::block_ppn(ranks, 4);
-    let mem = ProcMemory::normal(ranks, chunk, 0.35, 7);
-    let cfg = CollectiveConfig::with_buffer(chunk).mem_min(chunk / 4);
-    let spec = ClusterSpec::small(map.nnodes(), 4);
-    let plan = mcio::plan(&req, &map, &mem, &cfg);
-    let golden = written(&plan, ranks as u64 * chunk);
-    SoloCase {
-        req,
-        map,
-        mem,
-        spec,
-        plan,
-        golden,
-        len: ranks as u64 * chunk,
-    }
-}
-
-fn written(plan: &CollectivePlan, len: u64) -> Vec<u8> {
-    let mut file = SparseFile::new();
-    exec_fn::execute_write(plan, &mut file).expect("executed plan delivers its bytes");
-    file.read_vec(0, len as usize)
-}
-
-/// One cell's contribution to the canonical-order loop.
-struct CellOutcome {
+/// What the canonical-order loop keeps of a cell.
+struct Run {
     policy: AdaptivePolicy,
     row: Row,
-    line: String,
-    errors: Vec<String>,
     mean_slowdown: f64,
 }
 
@@ -144,7 +96,7 @@ enum Row {
     Shared(MultiTenantReport, bool),
 }
 
-fn write_row(r: &mut Writer, cell: &CellOutcome) {
+fn write_row(r: &mut Writer, cell: &Run) {
     match &cell.row {
         Row::Solo(fault, out) => {
             let a = &out.adaptive;
@@ -175,7 +127,7 @@ fn write_row(r: &mut Writer, cell: &CellOutcome) {
 
 /// The `mcio.adaptation.v1` document over `sections` (all three for
 /// the artifact, one single-cell section for the determinism check).
-fn document(sections: &[(&str, &[CellOutcome])]) -> String {
+fn document(sections: &[(&str, &[Run])]) -> String {
     let mut w = Writer::document();
     w.schema("mcio.adaptation.v1");
     w.text("machine", "small-32x2");
@@ -185,40 +137,29 @@ fn document(sections: &[(&str, &[CellOutcome])]) -> String {
     w.finish()
 }
 
+/// One solo cell: `plan` (the cell's own, held by the caller) under
+/// fault row `fault` and `policy`; `golden` is the fault-free image.
 fn run_solo_cell(
-    case: &SoloCase,
-    fault: &'static str,
-    text: &str,
+    cell: &Cell,
+    plan: &CollectivePlan,
+    golden: &[u8],
+    (fault, text): &(&'static str, String),
     policy: AdaptivePolicy,
-) -> CellOutcome {
+) -> CellOutcome<Run> {
     let fspec = FaultSpec::parse(text).unwrap_or_else(|e| fail(&format!("fault row {fault}: {e}")));
-    if let Err(e) = fspec.validate_osts(case.spec.io_servers) {
+    if let Err(e) = fspec.validate_osts(cell.spec.io_servers) {
         fail(&format!("fault row {fault}: {e}"));
     }
-    let out = simulate_adaptive(
-        &case.plan,
-        &case.map,
-        &case.spec,
-        &case.mem,
-        Pipeline::Serial,
-        Exchange::Direct,
-        &fspec,
-        policy,
-        Observe {
-            registry: None,
-            trace: false,
-            prof: None,
-            ..Observe::default()
-        },
-    );
+    let out = cell.run_faulted(plan, &fspec, policy, Observe::default());
     let mut errors = Vec::new();
-    if let Err(e) = out.executed_plan.check(&case.req) {
+    if let Err(e) = out.executed_plan.check(cell.req) {
         errors.push(format!(
             "{fault}/{}: executed plan violates the plan contract: {e:?}",
             policy.label()
         ));
     }
-    if out.completed && written(&out.executed_plan, case.len) != case.golden {
+    let image = written_bytes(&out.executed_plan, golden.len() as u64);
+    if out.completed && image.as_deref() != Ok(golden) {
         errors.push(format!(
             "{fault}/{}: completed run wrote bytes that differ from the fault-free image",
             policy.label()
@@ -245,13 +186,12 @@ fn run_solo_cell(
             None => String::new(),
         },
     );
-    CellOutcome {
+    let run = Run {
         policy,
         row: Row::Solo(fault, Box::new(out)),
-        line,
-        errors,
         mean_slowdown: 0.0,
-    }
+    };
+    CellOutcome { line, errors, run }
 }
 
 fn deferrals(mt: &MultiTenantReport) -> usize {
@@ -265,19 +205,13 @@ fn run_tenant_cell(
     jobs: &[TenantJob],
     fspec: &FaultSpec,
     trace: bool,
-) -> (CellOutcome, Option<String>) {
-    let mut mt = run_multitenant_adaptive(
-        &jobs[..tenants],
-        &ClusterSpec::small(32, 2),
-        Some(fspec),
-        policy,
-        Observe {
-            registry: None,
-            trace,
-            prof: None,
-            ..Observe::default()
-        },
-    );
+) -> (CellOutcome<Run>, Option<String>) {
+    let (machine, jobs) = (ClusterSpec::small(32, 2), &jobs[..tenants]);
+    let observe = Observe {
+        trace,
+        ..Observe::default()
+    };
+    let mut mt = run_multitenant_adaptive(jobs, &machine, Some(fspec), policy, observe);
     let mut errors = Vec::new();
     for (ji, j) in mt.jobs.iter().enumerate() {
         // Byte-correctness, every cell: the machine state and the
@@ -319,31 +253,17 @@ fn run_tenant_cell(
         deferrals(&mt),
     );
     let trace = mt.trace.take();
-    (
-        CellOutcome {
-            policy,
-            mean_slowdown: mt.mean_slowdown(),
-            row: Row::Shared(mt, true),
-            line,
-            errors,
-        },
-        trace,
-    )
+    let run = Run {
+        policy,
+        mean_slowdown: mt.mean_slowdown(),
+        row: Row::Shared(mt, true),
+    };
+    (CellOutcome { line, errors, run }, trace)
 }
 
-fn run_overlap_cell(spec: &MtSpec, jobs: &[TenantJob], policy: AdaptivePolicy) -> CellOutcome {
-    let mt = run_multitenant_adaptive(
-        jobs,
-        &spec.machine,
-        spec.faults.as_ref(),
-        policy,
-        Observe {
-            registry: None,
-            trace: false,
-            prof: None,
-            ..Observe::default()
-        },
-    );
+fn run_overlap_cell(spec: &MtSpec, jobs: &[TenantJob], policy: AdaptivePolicy) -> CellOutcome<Run> {
+    let (machine, faults) = (&spec.machine, spec.faults.as_ref());
+    let mt = run_multitenant_adaptive(jobs, machine, faults, policy, Observe::default());
     let mut errors = Vec::new();
     for j in &mt.jobs {
         if j.slowdown < 1.0 - 1e-9 {
@@ -362,13 +282,12 @@ fn run_overlap_cell(spec: &MtSpec, jobs: &[TenantJob], policy: AdaptivePolicy) -
         mt.mean_slowdown(),
         deferrals(&mt),
     );
-    CellOutcome {
+    let run = Run {
         policy,
         mean_slowdown: mt.mean_slowdown(),
         row: Row::Shared(mt, false),
-        line,
-        errors,
-    }
+    };
+    CellOutcome { line, errors, run }
 }
 
 fn main() {
@@ -377,14 +296,33 @@ fn main() {
     let out_path = m.get("out").expect("--out has a default");
     let trace_path = m.get("trace").expect("--trace has a default");
 
+    // Each section fans across the workers, then prints and validates
+    // in canonical cell order.
+    let suite = "adaptation_suite";
+
     // --- solo section -------------------------------------------------
-    let case = solo_case();
+    // 16 ranks on 4 nodes, 4 MiB per rank, disjoint contiguous chunks so
+    // the written file is exactly the concatenation of rank payloads.
+    let (ranks, chunk) = (16usize, 4 * MIB);
+    let req = CollectiveRequest::new(
+        Rw::Write,
+        (0..ranks as u64)
+            .map(|r| vec![Extent::new(r * chunk, chunk)])
+            .collect(),
+    );
+    let harness = Harness::new(ClusterSpec::small(ranks / 4, 4), ranks, 4, 7);
+    let cell = Cell {
+        cfg: CollectiveConfig::with_buffer(chunk).mem_min(chunk / 4),
+        ..harness.cell(Strategy::MemoryConscious, &req, chunk)
+    };
+    let plan = cell.plan();
+    let golden = written_bytes(&plan, ranks as u64 * chunk).unwrap_or_else(|e| fail(&e));
     let matrix = solo_matrix();
     let solo_cells: Vec<(usize, AdaptivePolicy)> = (0..matrix.len())
-        .flat_map(|f| POLICIES.into_iter().map(move |p| (f, p)))
+        .flat_map(|f| POLICIES.map(|p| (f, p)))
         .collect();
-    let solo = mcio_sweep::sweep(jobs, &solo_cells, |&(f, policy)| {
-        run_solo_cell(&case, matrix[f].0, &matrix[f].1, policy)
+    let solo = run_cells(suite, jobs, &solo_cells, |&(f, policy)| {
+        run_solo_cell(&cell, &plan, &golden, &matrix[f], policy)
     });
 
     // --- tenant section -----------------------------------------------
@@ -396,9 +334,9 @@ fn main() {
     }
     let tenant_cells: Vec<(usize, AdaptivePolicy)> = TENANTS
         .iter()
-        .flat_map(|&t| POLICIES.into_iter().map(move |p| (t, p)))
+        .flat_map(|&t| POLICIES.map(|p| (t, p)))
         .collect();
-    let tenant = mcio_sweep::sweep(jobs, &tenant_cells, |&(t, policy)| {
+    let tenant = run_cells(suite, jobs, &tenant_cells, |&(t, policy)| {
         run_tenant_cell(t, policy, &specs, &roster, &fspec, false).0
     });
 
@@ -406,17 +344,9 @@ fn main() {
     let overlap_spec = MtSpec::parse(include_str!("../../tests/fixtures/overlap.mtspec"))
         .unwrap_or_else(|e| fail(&format!("overlap fixture: {e}")));
     let overlap_jobs = overlap_spec.build_jobs();
-    let overlap = mcio_sweep::sweep(jobs, &POLICIES, |&policy| {
+    let overlap = run_cells(suite, jobs, &POLICIES, |&policy| {
         run_overlap_cell(&overlap_spec, &overlap_jobs, policy)
     });
-
-    // --- canonical-order validation + document ------------------------
-    for outcome in solo.iter().chain(&tenant).chain(&overlap) {
-        println!("{}", outcome.line);
-        if let Some(e) = outcome.errors.first() {
-            fail(e);
-        }
-    }
     let doc = document(&[("solo", &solo), ("tenants", &tenant), ("overlap", &overlap)]);
 
     // --- the headline gate --------------------------------------------
@@ -460,7 +390,7 @@ fn main() {
         false,
     );
     let row = |cell| document(&[("tenants", std::slice::from_ref(cell))]);
-    if row(&rerun) != row(&tenant[full + 2]) {
+    if row(&rerun.run) != row(&tenant[full + 2]) {
         fail("adaptive multi-tenant run is not deterministic: re-run fragment differs");
     }
     let (_, trace) = run_tenant_cell(8, AdaptivePolicy::Aggressive, &specs, &roster, &fspec, true);

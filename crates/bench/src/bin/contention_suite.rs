@@ -28,6 +28,7 @@
 
 use mcio_bench::cli;
 use mcio_bench::mtspec;
+use mcio_bench::suite::{self, run_cells, CellOutcome};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_core::exec_sim::Observe;
 use mcio_core::{run_multitenant, MultiTenantReport, Strategy, TenantJob};
@@ -37,7 +38,7 @@ use mcio_obs::doc::Writer;
 const TENANTS: [usize; 4] = [1, 2, 4, 8];
 
 fn fail(msg: &str) -> ! {
-    cli::fail("contention_suite", 1, &format!("FAILED: {msg}"))
+    suite::fail("contention_suite", msg)
 }
 
 /// The shared 8-job roster, planned for one strategy.
@@ -46,18 +47,14 @@ fn roster(strategy: Strategy) -> Vec<TenantJob> {
     specs.iter().map(mtspec::build_tenant).collect()
 }
 
-/// One cell's contribution to the canonical-order loop: the run its
-/// document row is written from, its summary line, contract violations
-/// and mean slowdown.
-struct CellOutcome {
+/// What a cell's document row is written from.
+struct Run {
     strategy: Strategy,
     mt: MultiTenantReport,
-    line: String,
-    errors: Vec<String>,
 }
 
 /// The `mcio.multitenant.v1` cell-matrix document over `cells`.
-fn document(cells: &[CellOutcome]) -> String {
+fn document(cells: &[Run]) -> String {
     let mut w = Writer::document();
     w.schema(mtspec::MULTITENANT_SCHEMA);
     w.text("machine", "small-32x2");
@@ -71,18 +68,9 @@ fn document(cells: &[CellOutcome]) -> String {
     w.finish()
 }
 
-fn run_cell(tenants: usize, strategy: Strategy, jobs: &[TenantJob]) -> CellOutcome {
-    let mt = run_multitenant(
-        &jobs[..tenants],
-        &ClusterSpec::small(32, 2),
-        None,
-        Observe {
-            registry: None,
-            trace: false,
-            prof: None,
-            ..Observe::default()
-        },
-    );
+fn run_cell(tenants: usize, strategy: Strategy, jobs: &[TenantJob]) -> CellOutcome<Run> {
+    let machine = ClusterSpec::small(32, 2);
+    let mt = run_multitenant(&jobs[..tenants], &machine, None, Observe::default());
     let mut errors = Vec::new();
     for j in &mt.jobs {
         if j.slowdown < 1.0 - 1e-9 {
@@ -130,10 +118,9 @@ fn run_cell(tenants: usize, strategy: Strategy, jobs: &[TenantJob]) -> CellOutco
         max_overlap,
     );
     CellOutcome {
-        strategy,
-        mt,
         line,
         errors,
+        run: Run { strategy, mt },
     }
 }
 
@@ -148,26 +135,15 @@ fn main() {
     // Canonical cell order: tenant-count major, two-phase first.
     let cells: Vec<(usize, Strategy)> = TENANTS
         .iter()
-        .flat_map(|&t| {
-            [Strategy::TwoPhase, Strategy::MemoryConscious]
-                .into_iter()
-                .map(move |s| (t, s))
-        })
+        .flat_map(|&t| Strategy::BOTH.map(|s| (t, s)))
         .collect();
-    let outcomes = mcio_sweep::sweep(jobs, &cells, |&(tenants, strategy)| {
+    let outcomes = run_cells("contention_suite", jobs, &cells, |&(tenants, strategy)| {
         let roster = match strategy {
             Strategy::TwoPhase => &tp_roster,
             Strategy::MemoryConscious => &mc_roster,
         };
         run_cell(tenants, strategy, roster)
     });
-
-    for outcome in &outcomes {
-        println!("{}", outcome.line);
-        if let Some(e) = outcome.errors.first() {
-            fail(e);
-        }
-    }
 
     // The graceful-degradation story, per tenant count: how much mean
     // slowdown each strategy accumulates as the machine fills up. At
@@ -201,7 +177,7 @@ fn main() {
     // Byte-determinism: re-running a cell must reproduce its document
     // row exactly.
     let rerun = run_cell(8, Strategy::MemoryConscious, &mc_roster);
-    if document(&[rerun]) != document(&outcomes[outcomes.len() - 1..]) {
+    if document(&[rerun.run]) != document(&outcomes[outcomes.len() - 1..]) {
         fail("multi-tenant run is not deterministic: re-run fragment differs");
     }
 

@@ -25,16 +25,14 @@
 //! Any violated assertion prints one line and exits 1; flags and usage
 //! errors are `mcio_bench::cli::FAULT_SUITE`'s.
 
-use mcio_bench::cli;
+use mcio_bench::suite::{self, run_cells, written_bytes, CellOutcome};
+use mcio_bench::{cli, Cell, Harness};
 use mcio_cluster::spec::ClusterSpec;
-use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
+use mcio_core::exec_sim::Observe;
 use mcio_core::{
-    exec_fn, mcio, simulate_faulted, twophase, CollectiveConfig, CollectivePlan, CollectiveRequest,
-    Extent, ProcMemory, Rw, Strategy,
+    AdaptivePolicy, CollectiveConfig, CollectivePlan, CollectiveRequest, Extent, Rw, Strategy,
 };
 use mcio_faults::FaultSpec;
-use mcio_pfs::SparseFile;
 
 const MIB: u64 = 1 << 20;
 const RANKS: usize = 16;
@@ -66,53 +64,25 @@ fn fault_matrix(host: usize) -> Vec<(&'static str, String)> {
 }
 
 fn fail(msg: &str) -> ! {
-    cli::fail("fault_suite", 1, &format!("FAILED: {msg}"))
+    suite::fail("fault_suite", msg)
 }
 
-fn written_bytes(plan: &CollectivePlan, len: u64) -> Result<Vec<u8>, String> {
-    let mut file = SparseFile::new();
-    exec_fn::execute_write(plan, &mut file)
-        .map_err(|e| format!("executed plan does not deliver its bytes: {e}"))?;
-    Ok(file.read_vec(0, len as usize))
-}
-
-/// Everything one matrix cell reports back to the canonical-order
-/// validation loop: the status line, contract violations (if any), and
-/// the trace when this is the traced cell.
-struct CellOutcome {
-    line: String,
-    errors: Vec<String>,
-    trace: Option<String>,
-}
-
-#[allow(clippy::too_many_arguments)]
+/// One matrix cell; the run it keeps is the trace, when this is the
+/// traced cell.
 fn run_cell(
     name: &'static str,
     fspec: &FaultSpec,
-    strategy: Strategy,
+    cell: &Cell,
     plan: &CollectivePlan,
-    map: &ProcessMap,
-    spec: &ClusterSpec,
-    mem: &ProcMemory,
     golden: &[u8],
     total: u64,
-) -> CellOutcome {
-    let want_trace = strategy == Strategy::MemoryConscious && name == "agg_crash";
-    let out = simulate_faulted(
-        plan,
-        map,
-        spec,
-        mem,
-        Pipeline::Serial,
-        Exchange::Direct,
-        fspec,
-        Observe {
-            registry: None,
-            trace: want_trace,
-            prof: None,
-            ..Observe::default()
-        },
-    );
+) -> CellOutcome<Option<String>> {
+    let strategy = cell.strategy;
+    let observe = Observe {
+        trace: strategy == Strategy::MemoryConscious && name == "agg_crash",
+        ..Observe::default()
+    };
+    let out = cell.run_faulted(plan, fspec, AdaptivePolicy::Off, observe);
     let label = strategy.label();
     let line = format!(
         "{name:<10} {label:<17} {}  elapsed {:>10.3} ms  failovers {}  degraded {}  retries {}",
@@ -176,7 +146,7 @@ fn run_cell(
     CellOutcome {
         line,
         errors,
-        trace: out.trace,
+        run: out.trace,
     }
 }
 
@@ -192,17 +162,16 @@ fn main() {
             .collect(),
     );
     let total = RANKS as u64 * CHUNK;
-    let map = ProcessMap::block_ppn(RANKS, PPN);
-    let mem = ProcMemory::normal(RANKS, CHUNK, 0.3, 0xFA17);
-    let cfg = CollectiveConfig::with_buffer(CHUNK).mem_min(CHUNK / 4);
-    let spec = ClusterSpec::small(RANKS / PPN, 2);
-
-    let tp_plan = twophase::plan(&req, &map, &mem, &cfg);
-    let mc_plan = mcio::plan(&req, &map, &mem, &cfg);
-    let golden = match written_bytes(&mc_plan, total) {
-        Ok(b) => b,
-        Err(e) => fail(&e),
+    let harness = Harness {
+        relative_stddev: 0.3,
+        ..Harness::new(ClusterSpec::small(RANKS / PPN, 2), RANKS, PPN, 0xFA17)
     };
+    let [tp, mc] = Strategy::BOTH.map(|strategy| Cell {
+        cfg: CollectiveConfig::with_buffer(CHUNK).mem_min(CHUNK / 4),
+        ..harness.cell(strategy, &req, CHUNK)
+    });
+    let (tp_plan, mc_plan) = (tp.plan(), mc.plan());
+    let golden = written_bytes(&mc_plan, total).unwrap_or_else(|e| fail(&e));
     match written_bytes(&tp_plan, total) {
         Ok(b) if b == golden => {}
         Ok(_) => fail("fault-free strategies disagree on the written bytes"),
@@ -213,7 +182,7 @@ fn main() {
         .groups
         .iter()
         .flat_map(|g| g.aggregators.iter())
-        .map(|a| map.node_of(a.rank).0)
+        .map(|a| harness.map.node_of(a.rank).0)
         .next()
         .unwrap_or_else(|| fail("memory-conscious plan has no aggregators"));
 
@@ -221,57 +190,31 @@ fn main() {
     // memory-conscious — validation and output follow this order no
     // matter which worker finished first.
     let matrix = fault_matrix(crash_host);
-    let mut cells: Vec<(&'static str, FaultSpec, Strategy)> = Vec::new();
+    let mut cells = Vec::new();
     for (name, text) in &matrix {
         let fspec = match FaultSpec::parse(text) {
             Ok(f) => f,
             Err(e) => fail(&format!("matrix entry {name} does not parse: {e}")),
         };
-        for strategy in [Strategy::TwoPhase, Strategy::MemoryConscious] {
-            cells.push((name, fspec.clone(), strategy));
+        for (cell, plan) in [(&tp, &tp_plan), (&mc, &mc_plan)] {
+            cells.push((*name, fspec.clone(), cell, plan));
         }
     }
-    let outcomes = mcio_sweep::sweep(jobs, &cells, |(name, fspec, strategy)| {
-        let plan = match strategy {
-            Strategy::TwoPhase => &tp_plan,
-            Strategy::MemoryConscious => &mc_plan,
-        };
-        run_cell(
-            name, fspec, *strategy, plan, &map, &spec, &mem, &golden, total,
-        )
+    let traces = run_cells("fault_suite", jobs, &cells, |(name, fspec, cell, plan)| {
+        run_cell(name, fspec, cell, plan, &golden, total)
     });
-
-    let mut crash_trace: Option<String> = None;
-    for outcome in outcomes {
-        println!("{}", outcome.line);
-        if let Some(e) = outcome.errors.first() {
-            fail(e);
-        }
-        if outcome.trace.is_some() {
-            crash_trace = outcome.trace;
-        }
-    }
 
     // Determinism: the traced crash case re-run must reproduce its trace
     // byte-for-byte.
     let fspec = FaultSpec::parse(&format!("seed 5\nagg_crash({crash_host}, 2ms)"))
         .expect("matrix entry parses");
-    let rerun = simulate_faulted(
-        &mc_plan,
-        &map,
-        &spec,
-        &mem,
-        Pipeline::Serial,
-        Exchange::Direct,
-        &fspec,
-        Observe {
-            registry: None,
-            trace: true,
-            prof: None,
-            ..Observe::default()
-        },
-    );
-    let first = crash_trace.unwrap_or_else(|| fail("agg_crash case produced no trace"));
+    let traced = Observe {
+        trace: true,
+        ..Observe::default()
+    };
+    let rerun = mc.run_faulted(&mc_plan, &fspec, AdaptivePolicy::Off, traced);
+    let first = traces.into_iter().flatten().next();
+    let first = first.unwrap_or_else(|| fail("agg_crash case produced no trace"));
     if rerun.trace.as_deref() != Some(first.as_str()) {
         fail("faulted run is not deterministic: traces differ between identical runs");
     }

@@ -8,42 +8,6 @@
 //! reference points: average improvement +34.2 % (write) and +22.9 %
 //! (read).
 
-use mcio_bench::{format_bytes, print_series, Harness, TESTBED_PPN};
-use mcio_cluster::spec::ClusterSpec;
-use mcio_core::Rw;
-use mcio_workloads::CollPerf;
-
 fn main() {
-    const SCALE: u64 = 2;
-    const MIB: u64 = 1 << 20;
-    let harness = Harness::new(ClusterSpec::testbed_120(), 120, TESTBED_PPN, 0xF166);
-    let cp = CollPerf::paper(120, SCALE);
-    println!(
-        "coll_perf, {} processes, array {}x{}x{} x {} B = {} (paper: 2048^3, 32 GiB)",
-        cp.nprocs(),
-        cp.dims[0],
-        cp.dims[1],
-        cp.dims[2],
-        cp.elem,
-        format_bytes(cp.file_bytes()),
-    );
-
-    // Same absolute 2..128 MiB sweep as the paper; the file is 8x
-    // smaller (4 GiB vs 32 GiB), so rounds-per-aggregator are 8x fewer
-    // at equal buffer size but cover the same dynamic range.
-    let _ = MIB;
-    let buffers = mcio_bench::paper_buffer_sweep();
-
-    let wreq = cp.request(Rw::Write);
-    let (tp, mc) = harness.sweep(&wreq, &buffers, |b| harness.config_for(&wreq, b));
-    let wavg = print_series("Figure 6 (write)", &tp, &mc);
-    let _ = mcio_bench::write_csv("docs/results/fig6_write.csv", &tp, &mc);
-
-    let rreq = cp.request(Rw::Read);
-    let (tp, mc) = harness.sweep(&rreq, &buffers, |b| harness.config_for(&rreq, b));
-    let ravg = print_series("Figure 6 (read)", &tp, &mc);
-    let _ = mcio_bench::write_csv("docs/results/fig6_read.csv", &tp, &mc);
-
-    println!("\npaper: write avg +34.2%, read avg +22.9%");
-    println!("ours : write avg {wavg:+.1}%, read avg {ravg:+.1}%");
+    mcio_bench::exhibits::print_figure(&mcio_bench::exhibits::FIGURES[0]);
 }

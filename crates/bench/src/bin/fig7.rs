@@ -6,33 +6,6 @@
 //! (best at 16 MiB), read from +64.6 % to +97.4 % (89.1 % at 8 MiB);
 //! averages ≈ +81.2 % (write) and +82.4 % (read).
 
-use mcio_bench::{paper_buffer_sweep, print_series, Harness, TESTBED_PPN};
-use mcio_cluster::spec::ClusterSpec;
-use mcio_core::Rw;
-use mcio_workloads::Ior;
-
 fn main() {
-    const MIB: u64 = 1 << 20;
-    let harness = Harness::new(ClusterSpec::testbed_120(), 120, TESTBED_PPN, 0xF167);
-    let ior = Ior::paper(120, 32 * MIB, 8);
-    println!(
-        "IOR interleaved, {} processes, {} per process, file {}",
-        ior.nprocs,
-        mcio_bench::format_bytes(ior.per_proc_bytes()),
-        mcio_bench::format_bytes(ior.file_bytes()),
-    );
-
-    let buffers = paper_buffer_sweep();
-    let wreq = ior.request(Rw::Write);
-    let (tp, mc) = harness.sweep(&wreq, &buffers, |b| harness.config_for(&wreq, b));
-    let wavg = print_series("Figure 7 (write)", &tp, &mc);
-    let _ = mcio_bench::write_csv("docs/results/fig7_write.csv", &tp, &mc);
-
-    let rreq = ior.request(Rw::Read);
-    let (tp, mc) = harness.sweep(&rreq, &buffers, |b| harness.config_for(&rreq, b));
-    let ravg = print_series("Figure 7 (read)", &tp, &mc);
-    let _ = mcio_bench::write_csv("docs/results/fig7_read.csv", &tp, &mc);
-
-    println!("\npaper: write avg +81.2% (40.3..121.7), read avg +82.4% (64.6..97.4)");
-    println!("ours : write avg {wavg:+.1}%, read avg {ravg:+.1}%");
+    mcio_bench::exhibits::print_figure(&mcio_bench::exhibits::FIGURES[1]);
 }

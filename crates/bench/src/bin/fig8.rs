@@ -6,34 +6,6 @@
 //! 2047.05 to 861.62 MB/s. Memory-conscious averages +24.3 % on writes
 //! and +57.8 % on reads.
 
-use mcio_bench::{paper_buffer_sweep, print_series, Harness, TESTBED_PPN};
-use mcio_cluster::spec::ClusterSpec;
-use mcio_core::Rw;
-use mcio_workloads::Ior;
-
 fn main() {
-    const MIB: u64 = 1 << 20;
-    let harness = Harness::new(ClusterSpec::testbed_1080(), 1080, TESTBED_PPN, 0xF168);
-    let ior = Ior::paper(1080, 32 * MIB, 8);
-    println!(
-        "IOR interleaved, {} processes, {} per process, file {}",
-        ior.nprocs,
-        mcio_bench::format_bytes(ior.per_proc_bytes()),
-        mcio_bench::format_bytes(ior.file_bytes()),
-    );
-
-    let buffers = paper_buffer_sweep();
-    let wreq = ior.request(Rw::Write);
-    let (tp, mc) = harness.sweep(&wreq, &buffers, |b| harness.config_for(&wreq, b));
-    let wavg = print_series("Figure 8 (write)", &tp, &mc);
-    let _ = mcio_bench::write_csv("docs/results/fig8_write.csv", &tp, &mc);
-
-    let rreq = ior.request(Rw::Read);
-    let (tp, mc) = harness.sweep(&rreq, &buffers, |b| harness.config_for(&rreq, b));
-    let ravg = print_series("Figure 8 (read)", &tp, &mc);
-    let _ = mcio_bench::write_csv("docs/results/fig8_read.csv", &tp, &mc);
-
-    println!("\npaper: baseline write 1631.91→396.36 MB/s and read 2047.05→861.62 MB/s");
-    println!("       as buffers shrink 128→2 MB; MC avg +24.3% write, +57.8% read");
-    println!("ours : write avg {wavg:+.1}%, read avg {ravg:+.1}%");
+    mcio_bench::exhibits::print_figure(&mcio_bench::exhibits::FIGURES[2]);
 }

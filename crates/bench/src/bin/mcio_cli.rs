@@ -45,19 +45,14 @@ use mcio_analyze::report::ANALYZE_SCHEMA;
 use mcio_analyze::{CriticalPath, RunDiff, TraceModel};
 use mcio_bench::cli::{self, emit_doc, fail, read_or_exit, write_or_exit, Matches, ProfSidecar};
 use mcio_bench::perf::{parse_records, Record, PERF_SCHEMA};
-use mcio_bench::{format_bytes, improvement_pct};
+use mcio_bench::{format_bytes, improvement_pct, Cell, Harness};
 use mcio_cluster::spec::ClusterSpec;
-use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{simulate_observed, Exchange, Observe, Pipeline};
-use mcio_core::hints::parse_bytes;
-use mcio_core::{
-    mcio as mc, simulate_adaptive, twophase, AdaptivePolicy, CollectiveConfig, FaultOutcome,
-    PlanCache, ProcMemory, Rw, Strategy,
-};
+use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
+use mcio_core::{AdaptivePolicy, CollectiveConfig, Rw, Strategy};
 use mcio_faults::FaultSpec;
 use mcio_obs::doc::{Reader, Writer};
 use mcio_obs::{MetricsFormat, Registry};
-use mcio_prof::{DetCell, PlanCacheStats, ProfReport};
+use mcio_prof::{DetCell, ProfReport};
 use mcio_sched::{render_schedule, run_schedule, JobTrace, Policy, SchedConfig};
 use mcio_workloads::{Ior, JobDesc};
 use std::sync::Arc;
@@ -238,15 +233,23 @@ fn run_prof(m: &Matches) {
 
 /// `mcio_cli sweep`
 ///
-/// Fans a fixed buffer × pipeline × strategy grid over an IOR-shaped
-/// workload across N worker threads, memoizing plans in a shared
-/// [`PlanCache`] (the pipeline axis reuses the plan of its sibling
-/// point, so half the grid is served from the cache). Writes a
-/// byte-deterministic `mcio.sweep.v1` JSON document: the same bytes at
-/// any `--jobs` value. Cache statistics go to stdout only — under
-/// parallel execution concurrent first sights can both count as misses,
-/// so the totals are not byte-stable and must stay out of the document.
+/// A fixed buffer × pipeline × strategy grid over an IOR-shaped
+/// workload. The pipeline is a run setting, not a planner input, so the
+/// fan-out unit is one (buffer, strategy) pair: each worker plans its
+/// pair once and holds the plan for both pipelines — six plans for
+/// twelve points, by construction. Writes a byte-deterministic
+/// `mcio.sweep.v1` JSON document in grid order (buffer, then pipeline,
+/// then strategy): the same bytes at any `--jobs` value.
 fn run_sweep(m: &Matches) {
+    const BUFFERS: [(&str, u64); 3] = [("2M", 2 << 20), ("4M", 4 << 20), ("8M", 8 << 20)];
+    const PIPELINES: [(&str, Pipeline); 2] = [
+        ("serial", Pipeline::Serial),
+        ("double", Pipeline::DoubleBuffered),
+    ];
+    const STRATEGIES: [(&str, Strategy); 2] = [
+        ("two-phase", Strategy::TwoPhase),
+        ("mc", Strategy::MemoryConscious),
+    ];
     let ctx = m.ctx();
     let jobs = m.num("jobs") as usize;
     let (ranks, ppn, seed) = (
@@ -259,19 +262,10 @@ fn run_sweep(m: &Matches) {
         fail(ctx, 1, "--ranks and --ppn must be positive");
     }
 
-    let grid = mcio_sweep::SweepSpec::new()
-        .axis("buffer", ["2M", "4M", "8M"])
-        .axis("pipeline", ["serial", "double"])
-        .axis("strategy", ["two-phase", "mc"]);
-    let points = grid.points();
-
     let req = Ior::paper(ranks, 8 << 20, 4).request(Rw::Write);
-    let map = ProcessMap::block_ppn(ranks, ppn);
     let mut spec = ClusterSpec::ttu_testbed();
-    if spec.nodes < map.nnodes() {
-        spec.nodes = map.nnodes();
-    }
-    let cache = PlanCache::shared();
+    spec.nodes = spec.nodes.max(ranks.div_ceil(ppn));
+    let harness = Harness::new(spec, ranks, ppn, seed);
     let sidecar = ProfSidecar::new(m.get("prof"));
 
     struct SweepRecord {
@@ -283,46 +277,47 @@ fn run_sweep(m: &Matches) {
         engine: mcio_des::EngineProfile,
     }
 
-    let (records, workers) = mcio_sweep::sweep_stats(jobs, &points, |point| {
-        let buffer = parse_bytes(point.get("buffer")).expect("grid buffer parses");
-        let strategy = match point.get("strategy") {
-            "two-phase" => Strategy::TwoPhase,
-            _ => Strategy::MemoryConscious,
+    type Pair = ((&'static str, u64), (&'static str, Strategy));
+    let pairs: Vec<Pair> = BUFFERS
+        .iter()
+        .flat_map(|&buffer| STRATEGIES.map(|strategy| (buffer, strategy)))
+        .collect();
+    let run_pair = |&((buffer_word, buffer), (strategy_word, strategy)): &Pair| {
+        let mut cell = Cell {
+            cfg: CollectiveConfig::with_buffer(buffer).mem_min(buffer / 2),
+            ..harness.cell(strategy, &req, buffer)
         };
-        let pipeline = match point.get("pipeline") {
-            "double" => Pipeline::DoubleBuffered,
-            _ => Pipeline::Serial,
-        };
-        let mem = ProcMemory::normal(ranks, buffer, 0.35, seed);
-        let cfg = CollectiveConfig::with_buffer(buffer).mem_min(buffer / 2);
         let plan_scope = sidecar.prof().scope("plan");
-        let plan = cache.get_or_plan(strategy, &req, &map, &mem, &cfg);
+        let plan = cell.plan();
         drop(plan_scope);
-        // Same simulation as `simulate_opts`, with the profiler handle
-        // threaded through: identical TimingReport, identical document
-        // bytes, plus the run's engine counters.
-        let (report, _) = simulate_observed(
-            &plan,
-            &map,
-            &spec,
-            pipeline,
-            Exchange::Direct,
-            Observe {
-                registry: None,
-                trace: false,
+        PIPELINES.map(|(pipeline_word, pipeline)| {
+            cell.pipeline = pipeline;
+            let observe = Observe {
                 prof: sidecar.observe(),
                 ..Observe::default()
-            },
-        );
-        SweepRecord {
-            key: point.key.clone(),
-            elapsed_ns: report.elapsed.as_nanos(),
-            bandwidth_mibs: report.bandwidth_mibs,
-            naggs: plan.naggs(),
-            rounds: plan.max_rounds(),
-            engine: report.engine,
+            };
+            let (report, _) = cell.run(&plan, observe);
+            SweepRecord {
+                key: format!(
+                    "buffer={buffer_word}/pipeline={pipeline_word}/strategy={strategy_word}"
+                ),
+                elapsed_ns: report.elapsed.as_nanos(),
+                bandwidth_mibs: report.bandwidth_mibs,
+                naggs: plan.naggs(),
+                rounds: plan.max_rounds(),
+                engine: report.engine,
+            }
+        })
+    };
+    let (runs, workers) = mcio_sweep::sweep_stats(jobs, &pairs, run_pair);
+    // Grid order: within a buffer's two pairs, both strategies of the
+    // serial pipeline, then both of the double-buffered one.
+    let mut records = Vec::with_capacity(2 * runs.len());
+    for both in runs.chunks(2) {
+        for p in 0..PIPELINES.len() {
+            records.extend(both.iter().map(|per_pipeline| &per_pipeline[p]));
         }
-    });
+    }
 
     let mut doc = Writer::document();
     doc.schema("mcio.sweep.v1");
@@ -344,16 +339,8 @@ fn run_sweep(m: &Matches) {
             r.rounds,
         );
     }
-    println!(
-        "plan cache: {} hits, {} misses, {} distinct plans",
-        cache.hits(),
-        cache.misses(),
-        cache.len(),
-    );
     println!("wrote {out_path}");
 
-    // Cells in grid-point order — the sweep merge already canonicalized
-    // it.
     let cells = records
         .iter()
         .map(|r| DetCell {
@@ -361,13 +348,7 @@ fn run_sweep(m: &Matches) {
             engine: r.engine.clone(),
         })
         .collect();
-    let cache_stats = PlanCacheStats {
-        hits: cache.hits(),
-        misses: cache.misses(),
-        distinct_plans: cache.len() as u64,
-        plan_wall_ns: cache.plan_wall_ns(),
-    };
-    if let Some(path) = sidecar.write(ctx, cells, Some(cache_stats), &workers) {
+    if let Some(path) = sidecar.write(ctx, cells, &workers) {
         println!("profile written to {path}");
     }
 }
@@ -388,24 +369,19 @@ fn run_multitenant_cmd(m: &Matches) {
     let jobs = spec.build_jobs();
     let want_trace = m.get("trace");
     let sidecar = ProfSidecar::new(m.get("prof"));
-    let mt = mcio_core::run_multitenant(
-        &jobs,
-        &spec.machine,
-        spec.faults.as_ref(),
-        Observe {
-            registry: None,
-            trace: want_trace.is_some(),
-            prof: sidecar.observe(),
-            ..Observe::default()
-        },
-    );
+    let observe = Observe {
+        trace: want_trace.is_some(),
+        prof: sidecar.observe(),
+        ..Observe::default()
+    };
+    let mt = mcio_core::run_multitenant(&jobs, &spec.machine, spec.faults.as_ref(), observe);
     // One cell: the whole multi-tenant machine is a single shared DES
     // run.
     let cell = DetCell {
         label: "multitenant".to_string(),
         engine: mt.engine.clone(),
     };
-    if let Some(path) = sidecar.write(ctx, vec![cell], None, &[]) {
+    if let Some(path) = sidecar.write(ctx, vec![cell], &[]) {
         eprintln!("{ctx}: profile written to {path}");
     }
     if let Some(path) = want_trace {
@@ -507,7 +483,6 @@ fn run_sim(m: &Matches) {
     if let Err(e) = desc.validate() {
         fail(ctx, 2, &e);
     }
-    let (pipeline, exchange) = (desc.pipeline, desc.exchange);
     let policy = AdaptivePolicy::parse(m.get("adaptive").expect("--adaptive has a default"))
         .expect("checked by the flag table");
     let engine = mcio_des::SharePolicy::parse(m.get("engine").expect("--engine has a default"))
@@ -550,52 +525,33 @@ fn run_sim(m: &Matches) {
             .unwrap_or_else(|e| fail(ctx, 1, &format!("faults {path}: {e}")))
     });
 
-    let run = |plan: &mcio_core::CollectivePlan| {
-        // Same (pipeline, exchange) pairing as simulate_two_level /
-        // simulate_opts, with the selected DES engine threaded through.
-        let (pl, ex) = match exchange {
-            Exchange::TwoLevel => (Pipeline::Serial, Exchange::TwoLevel),
-            Exchange::Direct => (pipeline, Exchange::Direct),
-        };
-        let observe = Observe {
-            engine,
-            ..Observe::default()
-        };
-        simulate_observed(plan, &map, &spec, pl, ex, observe).0
-    };
+    // One cell per strategy: the summary lines, the faulted runs and
+    // the observed export all simulate the configuration the flags ask
+    // for — one (pipeline, exchange, engine) triple per invocation.
+    let [tp_cell, mc_cell] = Strategy::BOTH.map(|strategy| Cell {
+        strategy,
+        req: &req,
+        map: &map,
+        mem: env.clone(),
+        cfg: cfg.clone(),
+        spec: &spec,
+        pipeline: desc.pipeline,
+        exchange: desc.exchange,
+        engine,
+    });
     let sidecar = ProfSidecar::new(m.get("prof"));
     let plan_scope = sidecar.prof().scope("plan");
-    let tp_plan = twophase::plan(&req, &map, &env, &cfg);
-    let mc_plan = mc::plan(&req, &map, &env, &cfg);
+    let (tp_plan, mc_plan) = (tp_cell.plan(), mc_cell.plan());
     drop(plan_scope);
     tp_plan.check(&req).expect("two-phase plan sound");
     mc_plan.check(&req).expect("memory-conscious plan sound");
-    let mut fault_outcomes: Option<(FaultOutcome, FaultOutcome)> = None;
-    let (tp, mcr) = match &fault_spec {
-        Some(fspec) => {
-            let faulted = |plan: &mcio_core::CollectivePlan| {
-                simulate_adaptive(
-                    plan,
-                    &map,
-                    &spec,
-                    &env,
-                    pipeline,
-                    exchange,
-                    fspec,
-                    policy,
-                    Observe {
-                        engine,
-                        ..Observe::default()
-                    },
-                )
-            };
-            let tpo = faulted(&tp_plan);
-            let mco = faulted(&mc_plan);
-            let reports = (tpo.report.clone(), mco.report.clone());
-            fault_outcomes = Some((tpo, mco));
-            reports
-        }
-        None => (run(&tp_plan), run(&mc_plan)),
+    let fault_outcomes = fault_spec.as_ref().map(|fspec| {
+        [(&tp_cell, &tp_plan), (&mc_cell, &mc_plan)]
+            .map(|(cell, plan)| cell.run_faulted(plan, fspec, policy, Observe::default()))
+    });
+    let (tp, mcr) = match &fault_outcomes {
+        Some([tpo, mco]) => (tpo.report.clone(), mco.report.clone()),
+        None => (tp_cell.timing(&tp_plan), mc_cell.timing(&mc_plan)),
     };
     println!(
         "two-phase       : {:>9.1} MiB/s  ({} aggs, {} rounds, elapsed {})",
@@ -612,7 +568,7 @@ fn run_sim(m: &Matches) {
         mcr.elapsed,
         improvement_pct(tp.bandwidth_mibs, mcr.bandwidth_mibs),
     );
-    if let (Some(fspec), Some((tpo, mco))) = (&fault_spec, &fault_outcomes) {
+    if let (Some(fspec), Some([tpo, mco])) = (&fault_spec, &fault_outcomes) {
         println!(
             "faults          : {} event(s), seed {}",
             fspec.events.len(),
@@ -656,10 +612,11 @@ fn run_sim(m: &Matches) {
     // `mcio.prof.v1` simulator profile.
     let (want_metrics, want_trace) = (m.get("metrics"), m.get("trace"));
     if want_metrics.is_some() || want_trace.is_some() || sidecar.observe().is_some() {
-        let (label, obs_plan) = match desc.strategy {
-            Strategy::MemoryConscious => ("memory-conscious", &mc_plan),
-            Strategy::TwoPhase => ("two-phase", &tp_plan),
+        let (cell, obs_plan) = match desc.strategy {
+            Strategy::MemoryConscious => (&mc_cell, &mc_plan),
+            Strategy::TwoPhase => (&tp_cell, &tp_plan),
         };
+        let label = desc.strategy.label();
         let registry = Arc::new(Registry::new());
         spec.record_into(&registry);
         mcio_workloads::record_request(&req, &registry);
@@ -667,16 +624,14 @@ fn run_sim(m: &Matches) {
             registry: want_metrics.map(|_| &registry),
             trace: want_trace.is_some(),
             prof: sidecar.observe(),
-            engine,
+            ..Observe::default()
         };
         let (obs_timing, trace_json) = match &fault_spec {
             Some(fspec) => {
-                let outcome = simulate_adaptive(
-                    obs_plan, &map, &spec, &env, pipeline, exchange, fspec, policy, observe,
-                );
+                let outcome = cell.run_faulted(obs_plan, fspec, policy, observe);
                 (outcome.report, outcome.trace)
             }
-            None => simulate_observed(obs_plan, &map, &spec, pipeline, exchange, observe),
+            None => cell.run(obs_plan, observe),
         };
         if let Some(path) = want_metrics {
             write_or_exit(ctx, "metrics", path, &fmt.render(&registry.snapshot()));
@@ -695,7 +650,7 @@ fn run_sim(m: &Matches) {
             label: format!("run/{label}"),
             engine: obs_timing.engine.clone(),
         };
-        if let Some(path) = sidecar.write(ctx, vec![cell], None, &[]) {
+        if let Some(path) = sidecar.write(ctx, vec![cell], &[]) {
             println!("{label} profile written to {path}");
         }
     }

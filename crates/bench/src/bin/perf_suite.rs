@@ -43,7 +43,7 @@
 use mcio_bench::cli::{self, emit_doc, fail, read_or_exit, write_or_exit, ProfSidecar};
 use mcio_bench::perf::{
     cell_stragglers, parse_records, regressions_detailed, render_exascale, render_records,
-    render_wallclock, run_exascale, run_suite_jobs, run_suite_prof,
+    render_wallclock, run_exascale, run_suite,
 };
 use mcio_prof::DetCell;
 
@@ -97,12 +97,7 @@ fn main() {
     });
 
     let sidecar = ProfSidecar::new(m.get("prof"));
-    let (records, cell_profs, workers) = if sidecar.observe().is_some() || wallclock_path.is_some()
-    {
-        run_suite_prof(jobs, sidecar.prof())
-    } else {
-        (run_suite_jobs(jobs), Vec::new(), Vec::new())
-    };
+    let (records, cell_profs, workers) = run_suite(jobs, sidecar.prof());
     for r in &records {
         println!(
             "{:<6} {:<17} elapsed {:>10.3} ms  exchange {:>5.1}%  io {:>5.1}%  bottleneck {}",
@@ -130,7 +125,7 @@ fn main() {
             engine: c.engine.clone(),
         })
         .collect();
-    if let Some(path) = sidecar.write(ctx, cells, None, &workers) {
+    if let Some(path) = sidecar.write(ctx, cells, &workers) {
         println!("wrote {path}");
     }
 

@@ -4,65 +4,40 @@
 //! memory-conscious advantage should grow with scale (the paper only
 //! shows two points, 120 and 1080).
 
-use mcio_bench::{improvement_pct, Harness};
-use mcio_cluster::spec::ClusterSpec;
-use mcio_core::{Rw, Strategy};
-use mcio_workloads::Ior;
+use mcio_bench::exhibits::{scaling, SCALING_NODES};
+use mcio_bench::improvement_pct;
+use mcio_core::Strategy;
 
 fn main() {
-    const MIB: u64 = 1 << 20;
     println!("IOR interleaved on the exascale-2018 design, 8 MiB per process");
     println!("(per-core memory ~10 MB; nominal aggregation buffer 4 MiB)\n");
     println!(
         "{:>8} {:>8} {:>16} {:>20} {:>14}",
         "nodes", "ranks", "two-phase MiB/s", "mem-conscious MiB/s", "improvement"
     );
-
-    // Scale the machine slice: ppn fixed at 64 (a manageable sub-job of
-    // the thousand-core nodes), nodes growing.
-    for nodes in [8usize, 16, 32, 64, 128] {
-        let nranks = nodes * 64;
-        let mut spec = ClusterSpec::exascale_2018();
-        spec.nodes = nodes;
-        // A proportional storage slice: 2 OSTs per compute node.
-        spec.io_servers = nodes * 2;
-        let h = Harness::new(spec, nranks, 64, 0x5CA1E);
-        let ior = Ior::paper(nranks, 8 * MIB, 4);
-        let req = ior.request(Rw::Write);
-        let buf = 4 * MIB;
-        let cfg = h.config_for(&req, buf);
-        let tp = h.run_point(Strategy::TwoPhase, &req, buf, &cfg);
-        let mc = h.run_point(Strategy::MemoryConscious, &req, buf, &cfg);
+    let points = scaling(&SCALING_NODES);
+    for p in &points {
         println!(
             "{:>8} {:>8} {:>16.1} {:>20.1} {:>13.1}%",
-            nodes,
-            nranks,
-            tp.timing.bandwidth_mibs,
-            mc.timing.bandwidth_mibs,
-            improvement_pct(tp.timing.bandwidth_mibs, mc.timing.bandwidth_mibs),
+            p.nodes,
+            p.ranks,
+            p.tp.bandwidth_mibs,
+            p.mc.bandwidth_mibs,
+            improvement_pct(p.tp.bandwidth_mibs, p.mc.bandwidth_mibs),
         );
     }
     println!(
         "\n(phase attribution at the largest point; per-group chains run \
          concurrently,\n so attribution sums can exceed wall-clock elapsed)"
     );
-    let nodes = 128;
-    let nranks = nodes * 64;
-    let mut spec = ClusterSpec::exascale_2018();
-    spec.nodes = nodes;
-    spec.io_servers = nodes * 2;
-    let h = Harness::new(spec, nranks, 64, 0x5CA1E);
-    let ior = Ior::paper(nranks, 8 * MIB, 4);
-    let req = ior.request(Rw::Write);
-    let cfg = h.config_for(&req, 4 * MIB);
-    for strategy in [Strategy::TwoPhase, Strategy::MemoryConscious] {
-        let p = h.run_point(strategy, &req, 4 * MIB, &cfg);
+    let largest = points.last().expect("the study has points");
+    for (strategy, t) in Strategy::BOTH.into_iter().zip([&largest.tp, &largest.mc]) {
         println!(
             "{:>18}: elapsed {}, exchange {}, io {}",
             strategy.label(),
-            p.timing.elapsed,
-            p.timing.exchange_time,
-            p.timing.io_time,
+            t.elapsed,
+            t.exchange_time,
+            t.io_time,
         );
     }
 }

@@ -5,22 +5,19 @@
 //! of these optimal values to a future study").
 
 use mcio_bench::format_bytes;
-use mcio_cluster::spec::ClusterSpec;
-use mcio_core::tuner;
 use mcio_core::Rw;
 
 fn main() {
-    for spec in [ClusterSpec::testbed_120(), ClusterSpec::small(4, 2)] {
-        println!("== machine: {} ==", spec.name);
-        for rw in [Rw::Write, Rw::Read] {
-            let t = tuner::tune(&spec, rw);
-            println!(
-                "  {:>5}: Msg_ind = {:>8}, N_ah = {}, Msg_group = {:>8}",
-                rw.name(),
-                format_bytes(t.msg_ind),
-                t.nah,
-                format_bytes(t.msg_group),
-            );
+    for (machine, rw, t) in mcio_bench::exhibits::tune() {
+        if rw == Rw::Write {
+            println!("== machine: {machine} ==");
         }
+        println!(
+            "  {:>5}: Msg_ind = {:>8}, N_ah = {}, Msg_group = {:>8}",
+            rw.name(),
+            format_bytes(t.msg_ind),
+            t.nah,
+            format_bytes(t.msg_group),
+        );
     }
 }

@@ -12,7 +12,7 @@
 //! unwritable path and a bad `--jobs` are one line and exit 1
 //! ([`read_or_exit`], [`write_or_exit`]). Nothing panics on bad input.
 
-use mcio_prof::{DetCell, PlanCacheStats, Prof, ProfReport, WorkerRow};
+use mcio_prof::{DetCell, Prof, ProfReport, WorkerRow};
 use mcio_sweep::WorkerStat;
 use std::process::exit;
 
@@ -380,20 +380,14 @@ impl<'m> ProfSidecar<'m> {
     /// Write the sidecar if it was asked for and return its path.
     /// `cells` come in canonical order, so the deterministic section is
     /// identical at any `--jobs` value.
-    pub fn write(
-        &self,
-        ctx: &str,
-        cells: Vec<DetCell>,
-        plan_cache: Option<PlanCacheStats>,
-        workers: &[WorkerStat],
-    ) -> Option<&'m str> {
+    pub fn write(&self, ctx: &str, cells: Vec<DetCell>, workers: &[WorkerStat]) -> Option<&'m str> {
         let path = self.path?;
         let rows = workers.iter().map(|w| WorkerRow {
             worker: w.worker as u64,
             busy_ns: w.busy_ns,
             tasks: w.tasks,
         });
-        let report = ProfReport::build(&self.prof, cells, plan_cache, rows.collect());
+        let report = ProfReport::build(&self.prof, cells, rows.collect());
         write_or_exit(ctx, "profile", path, &report.render());
         Some(path)
     }

@@ -9,22 +9,29 @@
 //! | `fig7`    | Figure 7 | IOR write/read bandwidth vs aggregator memory, 120 procs |
 //! | `fig8`    | Figure 8 | IOR write/read bandwidth vs aggregator memory, 1080 procs |
 //! | `ablation`| —        | component on/off study (groups, placement, remerge, N_ah, stddev) |
+//! | `scaling` | —        | the same IOR collective at 8 → 128 exascale-design nodes |
 //! | `tune`    | §3       | the empirical Msg_ind / N_ah / Msg_group calibration |
 //!
-//! This library holds the shared experiment harness: build the workload,
-//! plan with both strategies, replay on the machine model, and print
-//! paper-style series (absolute numbers come from the simulated machine;
-//! the *shape* — who wins, by what factor, where the gap widens — is the
-//! reproduction target).
+//! This library holds the shared experiment harness: every measurement
+//! is a [`Cell`] (what to plan, how to run it), every exhibit a
+//! data-returning function of [`exhibits`] that the binaries print and
+//! the tests assert on (absolute numbers come from the simulated
+//! machine; the *shape* — who wins, by what factor, where the gap
+//! widens — is the reproduction target).
 
+pub mod cell;
 pub mod cli;
+pub mod exhibits;
 pub mod mtspec;
 pub mod perf;
+pub mod suite;
+
+pub use cell::Cell;
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{simulate, TimingReport};
-use mcio_core::{mcio, twophase, CollectiveConfig, CollectiveRequest, ProcMemory, Strategy};
+use mcio_core::exec_sim::TimingReport;
+use mcio_core::{CollectiveConfig, CollectiveRequest, ProcMemory, Strategy};
 
 /// One measured point of a sweep.
 #[derive(Debug, Clone)]
@@ -91,49 +98,28 @@ impl Harness {
         CollectiveConfig::paper(req.total_bytes(), self.map.nnodes(), buf)
     }
 
-    /// Workload-independent default knobs (tests only; the figure
-    /// harnesses use [`Harness::config_for`]).
-    pub fn config(&self, buf: u64) -> CollectiveConfig {
-        CollectiveConfig::with_buffer(buf)
-    }
-
-    /// Measure one (strategy, buffer) point for a request.
-    pub fn run_point(
-        &self,
-        strategy: Strategy,
-        req: &CollectiveRequest,
-        buf: u64,
-        cfg: &CollectiveConfig,
-    ) -> Point {
-        let (_, environment) = self.memories(buf);
-        let plan = match strategy {
-            Strategy::TwoPhase => twophase::plan(req, &self.map, &environment, cfg),
-            Strategy::MemoryConscious => mcio::plan(req, &self.map, &environment, cfg),
-        };
-        debug_assert_eq!(plan.check(req), Ok(()));
+    /// Measure one (strategy, buffer) point of the paper-recipe cell.
+    pub fn run_point(&self, strategy: Strategy, req: &CollectiveRequest, buf: u64) -> Point {
         Point {
             strategy,
             buffer: buf,
-            timing: simulate(&plan, &self.map, &self.spec),
+            timing: self.cell(strategy, req, buf).measure(),
         }
     }
 
     /// Sweep both strategies over the buffer sizes; returns
     /// `(two-phase, memory-conscious)` series.
-    pub fn sweep(
-        &self,
-        req: &CollectiveRequest,
-        buffers: &[u64],
-        cfg_of: impl Fn(u64) -> CollectiveConfig,
-    ) -> (Vec<Point>, Vec<Point>) {
-        let mut tp = Vec::with_capacity(buffers.len());
-        let mut mc = Vec::with_capacity(buffers.len());
-        for &buf in buffers {
-            let cfg = cfg_of(buf);
-            tp.push(self.run_point(Strategy::TwoPhase, req, buf, &cfg));
-            mc.push(self.run_point(Strategy::MemoryConscious, req, buf, &cfg));
-        }
-        (tp, mc)
+    pub fn sweep(&self, req: &CollectiveRequest, buffers: &[u64]) -> (Vec<Point>, Vec<Point>) {
+        let series = |strategy| {
+            let points = buffers
+                .iter()
+                .map(|&buf| self.run_point(strategy, req, buf));
+            points.collect()
+        };
+        (
+            series(Strategy::TwoPhase),
+            series(Strategy::MemoryConscious),
+        )
     }
 }
 
@@ -252,7 +238,7 @@ mod tests {
         let ior = Ior::paper(8, 4 << 20, 4);
         let req = ior.request(Rw::Write);
         let buffers = vec![1 << 20, 4 << 20];
-        let (tp, mc) = h.sweep(&req, &buffers, |b| h.config(b));
+        let (tp, mc) = h.sweep(&req, &buffers);
         assert_eq!(tp.len(), 2);
         assert_eq!(mc.len(), 2);
         for p in tp.iter().chain(mc.iter()) {

@@ -21,8 +21,10 @@
 //! shared with the job-trace DSL and `mcio_cli run`); this DSL adds
 //! `node_offset=0`, `start=0` and `base=0`. `base` shifts every extent
 //! of the job's request, giving each tenant its own region of the flat
-//! PFS offset space — its "file". `fault` lines are concatenated (in
-//! order) and parsed with the robustness DSL of `mcio-faults`.
+//! PFS offset space — its "file". `fault` lines are parsed, in order
+//! and where they stand, with the robustness DSL of `mcio-faults`;
+//! `start` takes its duration grammar (`250us`, `1.5ms`). Every error
+//! that belongs to a line starts `line N:` with the file's line number.
 //!
 //! [`render_run`] serializes a [`MultiTenantReport`] as the
 //! `mcio.multitenant.v1` JSON document through the one document writer
@@ -34,7 +36,7 @@ use mcio_cluster::spec::ClusterSpec;
 use mcio_core::hints::parse_bytes;
 use mcio_core::{JobOutcome, MultiTenantReport, Strategy, TenantJob};
 use mcio_des::SimDuration;
-use mcio_faults::FaultSpec;
+use mcio_faults::{parse_duration, FaultSpec};
 use mcio_obs::doc::Writer;
 use mcio_workloads::JobDesc;
 
@@ -69,26 +71,6 @@ pub struct MtSpec {
     pub faults: Option<FaultSpec>,
 }
 
-/// Parse a simulated-time duration: integer with an `ns`/`us`/`ms`/`s`
-/// suffix (bare integers are nanoseconds).
-pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
-    let (digits, mul) = if let Some(d) = s.strip_suffix("ns") {
-        (d, 1u64)
-    } else if let Some(d) = s.strip_suffix("us") {
-        (d, 1_000)
-    } else if let Some(d) = s.strip_suffix("ms") {
-        (d, 1_000_000)
-    } else if let Some(d) = s.strip_suffix('s') {
-        (d, 1_000_000_000)
-    } else {
-        (s, 1)
-    };
-    let n: u64 = digits
-        .parse()
-        .map_err(|_| format!("`{s}` is not a duration (expected e.g. 250us, 3ms)"))?;
-    Ok(SimDuration::from_nanos(n.saturating_mul(mul)))
-}
-
 fn parse_job(rest: &str) -> Result<JobSpec, String> {
     let mut job = JobSpec::default();
     let (name, desc) = JobDesc::parse_line(rest, |key, value| {
@@ -111,7 +93,11 @@ impl MtSpec {
         let mut machine: Option<ClusterSpec> = None;
         let mut jobs: Vec<JobSpec> = Vec::new();
         let mut job_lines: Vec<usize> = Vec::new();
-        let mut fault_lines: Vec<&str> = Vec::new();
+        // The fault plan as a text of its own: line N of it is the
+        // `fault` directive on line N of the file, or empty — so the
+        // fault DSL's `line N:` errors name the file's line.
+        let mut fault_lines = vec![""; text.lines().count()];
+        let mut faulted = false;
         for (i, raw) in text.lines().enumerate() {
             let line_no = i + 1;
             let line = raw.trim();
@@ -124,7 +110,8 @@ impl MtSpec {
                     if machine.is_some() {
                         return Err(format!("line {line_no}: duplicate machine directive"));
                     }
-                    machine = Some(ClusterSpec::parse_compact(rest.trim())?);
+                    let parsed = ClusterSpec::parse_compact(rest.trim());
+                    machine = Some(parsed.map_err(|e| format!("line {line_no}: {e}"))?);
                 }
                 "job" => {
                     let job = parse_job(rest).map_err(|e| format!("line {line_no}: {e}"))?;
@@ -134,7 +121,10 @@ impl MtSpec {
                     jobs.push(job);
                     job_lines.push(line_no);
                 }
-                "fault" => fault_lines.push(rest.trim()),
+                "fault" => {
+                    fault_lines[i] = rest.trim();
+                    faulted = true;
+                }
                 other => return Err(format!("line {line_no}: unknown directive `{other}`")),
             }
         }
@@ -142,11 +132,10 @@ impl MtSpec {
         if jobs.is_empty() {
             return Err("spec needs at least one job directive".to_string());
         }
-        let faults = if fault_lines.is_empty() {
+        let faults = if !faulted {
             None
         } else {
-            let f =
-                FaultSpec::parse(&fault_lines.join("\n")).map_err(|e| format!("faults: {e}"))?;
+            let f = FaultSpec::parse(&fault_lines.join("\n"))?;
             // The parser can't know the machine; with it resolved,
             // reject fault targets that don't exist on it.
             f.validate_osts(machine.io_servers)
@@ -158,7 +147,7 @@ impl MtSpec {
             let end = job.node_offset.saturating_add(job.desc.nodes());
             if end > machine.nodes {
                 return Err(format!(
-                    "job `{}` needs nodes {}..{end} but the machine has {}",
+                    "line {line_no}: job `{}` needs nodes {}..{end} but the machine has {}",
                     job.name, job.node_offset, machine.nodes
                 ));
             }
@@ -298,11 +287,19 @@ job b ranks=8 ppn=2 node_offset=4 start=250us per_proc=256K segments=2 buffer=25
             ("machine small:8x2\njob a frobnicate=1", "unknown job key"),
             ("machine small:8x2\njob a ranks=0", "must be positive"),
             ("machine small:0x2\njob a", "must be positive"),
-            ("machine small:8x2\njob a start=soon", "not a duration"),
+            ("machine small:8x2\njob a start=soon", "bad duration `soon`"),
             ("machine small:8x2\nwarp 9", "unknown directive"),
             (
-                "machine small:2x2\njob a ranks=8 ppn=2 node_offset=1",
-                "machine has 2",
+                "job a\n\nmachine small:0x2",
+                "line 3: machine dimensions must be positive",
+            ),
+            (
+                "# late machine\njob a ranks=8 ppn=2 node_offset=1\nmachine small:2x2",
+                "line 2: job `a` needs nodes 1..5 but the machine has 2",
+            ),
+            (
+                "machine small:8x2\nfault seed 5\njob a\n# note\nfault ost_slow(0, 4.0, 9ms..2ms)",
+                "line 5: window `9ms..2ms` is empty or reversed",
             ),
             (
                 "machine small:8x2\njob a buffer=0",
@@ -335,18 +332,41 @@ job b ranks=8 ppn=2 node_offset=4 start=250us per_proc=256K segments=2 buffer=25
         }
     }
 
+    /// One duration grammar (`mcio_faults::parse_duration`) behind mtspec
+    /// `start=`, jobtrace `arrival=` and the fault DSL's windows: the
+    /// same text means the same nanoseconds, or an error, in all three.
     #[test]
-    fn duration_parsing() {
-        assert_eq!(
-            parse_duration("250us").unwrap(),
-            SimDuration::from_micros(250)
-        );
-        assert_eq!(parse_duration("3ms").unwrap(), SimDuration::from_millis(3));
-        assert_eq!(parse_duration("1s").unwrap(), SimDuration::from_secs(1));
-        assert_eq!(parse_duration("7ns").unwrap(), SimDuration::from_nanos(7));
-        assert_eq!(parse_duration("42").unwrap(), SimDuration::from_nanos(42));
-        assert!(parse_duration("soon").is_err());
-        assert!(parse_duration("1.5ms").is_err(), "fractions are rejected");
+    fn one_duration_grammar_in_every_front_end() {
+        for (text, want) in [
+            ("250us", Some(250_000)),
+            ("1.5ms", Some(1_500_000)),
+            ("42", Some(42)),
+            ("3 s", None),
+            ("-1ms", None),
+            ("1e30s", None),
+            ("abc", None),
+        ] {
+            let spec = MtSpec::parse(&format!("machine small:8x2\njob a start={text}"));
+            let trace = mcio_sched::JobTrace::parse(&format!(
+                "machine small:8x2\njob a arrival=0\njob b arrival={text}"
+            ));
+            let window = FaultSpec::parse(&format!("ost_stall(0, 0ns..{text})"));
+            let got = [
+                spec.map(|s| s.jobs[0].start.as_nanos()),
+                trace.map(|t| t.jobs[1].arrival.as_nanos()),
+                window.map(|f| match f.events[0] {
+                    mcio_faults::FaultEvent::OstStall { until, .. } => until.as_nanos(),
+                    ref other => panic!("parsed {other:?}"),
+                }),
+            ];
+            for (front_end, got) in ["mtspec", "jobtrace", "fault window"].iter().zip(got) {
+                match (want, got) {
+                    (Some(ns), Ok(got)) => assert_eq!(got, ns, "{front_end} `{text}`"),
+                    (None, Err(e)) => assert_eq!(e.lines().count(), 1, "{front_end}: {e}"),
+                    (want, got) => panic!("{front_end} `{text}`: wanted {want:?}, got {got:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -363,12 +383,7 @@ job b ranks=8 ppn=2 node_offset=4 start=250us per_proc=256K segments=2 buffer=25
                     jobs,
                     &spec.machine,
                     spec.faults.as_ref(),
-                    Observe {
-                        registry: None,
-                        trace: false,
-                        prof: None,
-                        ..Observe::default()
-                    },
+                    Observe::default(),
                 ),
             )
         };

@@ -9,15 +9,17 @@
 //! `perf_suite --check BASELINE.json --tolerance 0.05` fails when any
 //! scenario's elapsed time regresses past the tolerance.
 
-use crate::{Harness, TESTBED_PPN};
+use crate::exhibits::{Shape, FIGURES};
+use crate::{Cell, Harness, TESTBED_PPN};
 use mcio_analyze::{critical_path, CriticalPath, TraceModel};
 use mcio_cluster::spec::ClusterSpec;
-use mcio_core::exec_sim::{simulate_observed, Exchange, Observe, Pipeline};
-use mcio_core::{mcio, twophase, CollectiveRequest, Rw, Strategy};
+use mcio_core::exec_sim::Observe;
+use mcio_core::{Rw, Strategy};
 use mcio_des::SharePolicy;
 use mcio_obs::doc::{Reader, Writer};
 use mcio_obs::json;
-use mcio_prof::events_per_sec;
+use mcio_prof::{events_per_sec, Prof};
+use mcio_sweep::WorkerStat;
 
 const MIB: u64 = 1 << 20;
 
@@ -39,50 +41,29 @@ pub struct Scenario {
     /// stays [`SharePolicy::Fifo`] so `BENCH_perf_suite.json` keeps its
     /// bytes; the exascale scenario exercises fair sharing.
     pub engine: SharePolicy,
-    make: fn() -> (ClusterSpec, CollectiveRequest),
+    machine: fn() -> ClusterSpec,
+    shape: Shape,
 }
 
-/// The suite's scenario matrix: one representative buffer point from
-/// each figure sweep. Figure 8's IOR shape keeps its 1080 ranks but
-/// carries 8 MiB per process instead of 32 so the whole suite stays a
-/// sub-minute CI job; the *shape* (rank count, machine, interleaving)
-/// is what the trajectory tracks.
+/// The suite's scenario matrix: the 16 MiB point of each figure sweep
+/// of [`FIGURES`], on the figure's machine, ranks and seed. Figure 8's
+/// IOR shape carries 8 MiB per process instead of 32 so the whole
+/// suite stays a sub-minute CI job; the *shape* (rank count, machine,
+/// interleaving) is what the trajectory tracks.
 pub fn scenarios() -> Vec<Scenario> {
-    vec![
-        Scenario {
-            name: "fig6",
-            buffer: 16 * MIB,
-            seed: 0xF166,
-            ranks: 120,
-            engine: SharePolicy::Fifo,
-            make: || {
-                let cp = mcio_workloads::CollPerf::paper(120, 2);
-                (ClusterSpec::testbed_120(), cp.request(Rw::Write))
-            },
+    let scenario = |f: &crate::exhibits::Figure| Scenario {
+        name: f.name,
+        buffer: 16 * MIB,
+        seed: f.seed,
+        ranks: f.ranks,
+        engine: SharePolicy::Fifo,
+        machine: f.machine,
+        shape: match f.name {
+            "fig8" => Shape::Ior { per_proc: 8 * MIB },
+            _ => f.shape,
         },
-        Scenario {
-            name: "fig7",
-            buffer: 16 * MIB,
-            seed: 0xF167,
-            ranks: 120,
-            engine: SharePolicy::Fifo,
-            make: || {
-                let ior = mcio_workloads::Ior::paper(120, 32 * MIB, 8);
-                (ClusterSpec::testbed_120(), ior.request(Rw::Write))
-            },
-        },
-        Scenario {
-            name: "fig8",
-            buffer: 16 * MIB,
-            seed: 0xF168,
-            ranks: 1080,
-            engine: SharePolicy::Fifo,
-            make: || {
-                let ior = mcio_workloads::Ior::paper(1080, 8 * MIB, 8);
-                (ClusterSpec::testbed_1080(), ior.request(Rw::Write))
-            },
-        },
-    ]
+    };
+    FIGURES.iter().map(scenario).collect()
 }
 
 /// Ranks simulated by the standing exascale scenario: one rank per
@@ -113,96 +94,42 @@ pub struct ExaCell {
     pub prof: mcio_des::EngineProfile,
 }
 
-/// Run one exascale cell: the full `exascale_2018` machine, one rank
-/// per node, 1 MiB per rank of interleaved IOR. Deterministic in its
-/// simulated outputs (`elapsed_ns`, `prof`) for a fixed `(strategy,
-/// engine)` pair; the wall-clock fields are host data.
-pub fn run_exascale_cell(strategy: Strategy, engine: SharePolicy) -> ExaCell {
-    let (plan, harness, plan_wall_ns) = exascale_plan(strategy);
-    exascale_sim(&plan, &harness, strategy, engine, plan_wall_ns)
-}
-
-/// Plan the exascale workload once for `strategy`. The plan is
-/// engine-independent, so [`run_exascale`] reuses one plan across both
-/// engine cells — at a million ranks planning dominates the wall
-/// clock.
-fn exascale_plan(strategy: Strategy) -> (mcio_core::plan::CollectivePlan, Harness, u64) {
-    let spec = ClusterSpec::exascale_2018();
-    let harness = Harness::new(spec, EXASCALE_RANKS, 1, 0xE2018);
-    let ior = mcio_workloads::Ior::paper(EXASCALE_RANKS, MIB, 1);
-    let req = ior.request(Rw::Write);
-    let buffer = 16 * MIB;
-    let cfg = harness.config_for(&req, buffer);
-    let (_, env) = harness.memories(buffer);
-    let started = std::time::Instant::now();
-    let plan = match strategy {
-        Strategy::TwoPhase => twophase::plan(&req, &harness.map, &env, &cfg),
-        Strategy::MemoryConscious => mcio::plan(&req, &harness.map, &env, &cfg),
-    };
-    (plan, harness, started.elapsed().as_nanos() as u64)
-}
-
-fn exascale_sim(
-    plan: &mcio_core::plan::CollectivePlan,
-    harness: &Harness,
-    strategy: Strategy,
-    engine: SharePolicy,
-    plan_wall_ns: u64,
-) -> ExaCell {
-    let sim_started = std::time::Instant::now();
-    let (timing, _) = simulate_observed(
-        plan,
-        &harness.map,
-        &harness.spec,
-        Pipeline::Serial,
-        Exchange::Direct,
-        Observe {
-            engine,
-            ..Observe::default()
-        },
-    );
-    ExaCell {
-        strategy: strategy.label().to_string(),
-        engine: engine.label(),
-        elapsed_ns: timing.elapsed.as_nanos(),
-        plan_wall_ns,
-        sim_wall_ns: sim_started.elapsed().as_nanos() as u64,
-        prof: timing.engine,
-    }
-}
-
-/// The standing exascale matrix: memory-conscious under both engines
-/// (the FIFO cell is the wall-clock reference the fair-share rewrite
-/// is measured against) plus two-phase under fair sharing. Each
-/// strategy is planned once; the plan is shared across its engine
-/// cells (planning a million ranks dominates the wall clock).
+/// The standing exascale matrix — the full `exascale_2018` machine, one
+/// rank per node, 1 MiB per rank of interleaved IOR: memory-conscious
+/// under both engines (the FIFO cell is the wall-clock reference the
+/// fair-share rewrite is measured against) plus two-phase under fair
+/// sharing. Each strategy is planned once and the plan held across its
+/// engine cells (planning a million ranks dominates the wall clock;
+/// the first cell of a strategy carries it). Simulated outputs
+/// (`elapsed_ns`, `prof`) are deterministic, the wall-clock fields are
+/// host data.
 pub fn run_exascale() -> Vec<ExaCell> {
-    let (mc_plan, mc_harness, mc_plan_ns) = exascale_plan(Strategy::MemoryConscious);
-    let mut cells = vec![
-        exascale_sim(
-            &mc_plan,
-            &mc_harness,
-            Strategy::MemoryConscious,
-            SharePolicy::Fifo,
-            mc_plan_ns,
-        ),
-        exascale_sim(
-            &mc_plan,
-            &mc_harness,
-            Strategy::MemoryConscious,
-            SharePolicy::FairShare,
-            0,
-        ),
-    ];
-    drop(mc_plan);
-    let (tp_plan, tp_harness, tp_plan_ns) = exascale_plan(Strategy::TwoPhase);
-    cells.push(exascale_sim(
-        &tp_plan,
-        &tp_harness,
-        Strategy::TwoPhase,
-        SharePolicy::FairShare,
-        tp_plan_ns,
-    ));
+    const FAIR: SharePolicy = SharePolicy::FairShare;
+    let harness = Harness::new(ClusterSpec::exascale_2018(), EXASCALE_RANKS, 1, 0xE2018);
+    let req = mcio_workloads::Ior::paper(EXASCALE_RANKS, MIB, 1).request(Rw::Write);
+    let mut cells = Vec::new();
+    for (strategy, engines) in [
+        (Strategy::MemoryConscious, &[SharePolicy::Fifo, FAIR][..]),
+        (Strategy::TwoPhase, &[FAIR]),
+    ] {
+        let mut cell = harness.cell(strategy, &req, 16 * MIB);
+        let started = std::time::Instant::now();
+        let plan = cell.plan();
+        let mut plan_wall_ns = started.elapsed().as_nanos() as u64;
+        for &engine in engines {
+            cell.engine = engine;
+            let started = std::time::Instant::now();
+            let timing = cell.timing(&plan);
+            cells.push(ExaCell {
+                strategy: strategy.label().to_string(),
+                engine: engine.label(),
+                elapsed_ns: timing.elapsed.as_nanos(),
+                plan_wall_ns: std::mem::take(&mut plan_wall_ns),
+                sim_wall_ns: started.elapsed().as_nanos() as u64,
+                prof: timing.engine,
+            });
+        }
+    }
     cells
 }
 
@@ -263,66 +190,34 @@ pub struct CellProf {
     pub engine: mcio_des::EngineProfile,
 }
 
-/// Run one (scenario, strategy) cell, traced, and reduce it to a
-/// [`Record`] plus the trace model it was reduced from (the `--check`
-/// failure path mines the model for stragglers). Every cell is a
+/// Run one (scenario, strategy) cell, traced, and reduce it to its
+/// [`Record`], the trace model it was reduced from (the `--check`
+/// failure path mines the model for stragglers) and its host-side
+/// [`CellProf`]. Scopes `plan`, the simulator's
+/// `build-activity-graph`/`des-run`/`trace-emit`, and `analyze` land in
+/// `prof`; profiling never touches simulated time, so the record is
+/// byte-identical under a disabled handle. Every cell is a
 /// self-contained simulation — its own DES instance, workload, and
 /// trace — so cells can run on any thread in any order without
 /// changing their results.
-pub fn run_cell_with_model(s: &Scenario, strategy: Strategy) -> (Record, TraceModel) {
-    let (record, model, _) = run_cell_inner(s, strategy, &mcio_prof::Prof::disabled());
-    (record, model)
-}
-
-/// Run one cell with phase profiling: scopes `plan`, the simulator's
-/// `build-activity-graph`/`des-run`/`trace-emit`, and `analyze` land in
-/// `prof`; the returned [`Record`] is byte-identical to the unprofiled
-/// one (profiling never touches simulated time).
-pub fn run_cell_prof(
-    s: &Scenario,
-    strategy: Strategy,
-    prof: &mcio_prof::Prof,
-) -> (Record, CellProf) {
+pub fn run_cell(s: &Scenario, strategy: Strategy, prof: &Prof) -> (Record, TraceModel, CellProf) {
     let started = std::time::Instant::now();
-    let (record, _, engine) = run_cell_inner(s, strategy, prof);
-    let cell = CellProf {
-        scenario: record.scenario.clone(),
-        strategy: record.strategy.clone(),
-        wall_ns: started.elapsed().as_nanos() as u64,
-        engine,
+    let harness = Harness::new((s.machine)(), s.ranks, TESTBED_PPN, s.seed);
+    let req = s.shape.request(s.ranks, Rw::Write);
+    let cell = Cell {
+        engine: s.engine,
+        ..harness.cell(strategy, &req, s.buffer)
     };
-    (record, cell)
-}
-
-fn run_cell_inner(
-    s: &Scenario,
-    strategy: Strategy,
-    prof: &mcio_prof::Prof,
-) -> (Record, TraceModel, mcio_des::EngineProfile) {
-    let (spec, req) = (s.make)();
-    let harness = Harness::new(spec, s.ranks, TESTBED_PPN, s.seed);
-    let cfg = harness.config_for(&req, s.buffer);
-    let (_, env) = harness.memories(s.buffer);
     let plan_scope = prof.scope("plan");
-    let plan = match strategy {
-        Strategy::TwoPhase => twophase::plan(&req, &harness.map, &env, &cfg),
-        Strategy::MemoryConscious => mcio::plan(&req, &harness.map, &env, &cfg),
-    };
+    let plan = cell.plan();
     drop(plan_scope);
-    let (timing, trace_json) = simulate_observed(
-        &plan,
-        &harness.map,
-        &harness.spec,
-        Pipeline::Serial,
-        Exchange::Direct,
-        Observe {
-            registry: None,
-            trace: true,
-            prof: Some(prof),
-            engine: s.engine,
-        },
-    );
-    let _analyze_scope = prof.scope("analyze");
+    let observe = Observe {
+        trace: true,
+        prof: Some(prof),
+        ..Observe::default()
+    };
+    let (timing, trace_json) = cell.run(&plan, observe);
+    let analyze_scope = prof.scope("analyze");
     let model = TraceModel::from_chrome_json(&trace_json.expect("trace requested"))
         .expect("simulator emits a valid chrome trace");
     let record = Record {
@@ -333,13 +228,14 @@ fn run_cell_inner(
         io_fraction: timing.metrics.io_fraction,
         critical_path: critical_path(&model),
     };
-    (record, model, timing.engine)
-}
-
-/// Run one (scenario, strategy) cell, traced, and reduce it to a
-/// [`Record`].
-pub fn run_cell(s: &Scenario, strategy: Strategy) -> Record {
-    run_cell_with_model(s, strategy).0
+    drop(analyze_scope);
+    let cell_prof = CellProf {
+        scenario: record.scenario.clone(),
+        strategy: record.strategy.clone(),
+        wall_ns: started.elapsed().as_nanos() as u64,
+        engine: timing.engine,
+    };
+    (record, model, cell_prof)
 }
 
 /// Re-run one named cell traced and return its straggler findings,
@@ -355,49 +251,30 @@ pub fn cell_stragglers(scenario: &str, strategy_label: &str) -> Vec<mcio_analyze
         "two-phase" => Strategy::TwoPhase,
         _ => Strategy::MemoryConscious,
     };
-    let (_, model) = run_cell_with_model(&s, strategy);
+    let (_, model, _) = run_cell(&s, strategy, &Prof::disabled());
     mcio_analyze::stragglers(&model)
 }
 
-/// Run one scenario under both strategies, traced, and reduce each run
-/// to a [`Record`].
-pub fn run_scenario(s: &Scenario) -> Vec<Record> {
-    [Strategy::TwoPhase, Strategy::MemoryConscious]
-        .into_iter()
-        .map(|strategy| run_cell(s, strategy))
-        .collect()
-}
-
-/// Run the whole matrix on `jobs` worker threads via the sweep engine.
+/// Run the whole matrix on `jobs` worker threads via the sweep engine:
+/// the records, one [`CellProf`] per cell (in record order) and the
+/// pool's per-worker utilization.
 ///
 /// The fan-out unit is one (scenario, strategy) cell; results are merged
 /// in the canonical record order (scenario-major, two-phase before
-/// memory-conscious), so the returned records — and any JSON rendered
-/// from them — are byte-identical at any thread count.
-pub fn run_suite_jobs(jobs: usize) -> Vec<Record> {
+/// memory-conscious), so the returned records — and
+/// `BENCH_perf_suite.json` rendered from them — are byte-identical at
+/// any thread count, profiled or not.
+pub fn run_suite(jobs: usize, prof: &Prof) -> (Vec<Record>, Vec<CellProf>, Vec<WorkerStat>) {
     let scens = scenarios();
-    let cells: Vec<(usize, Strategy)> = (0..scens.len())
-        .flat_map(|i| [(i, Strategy::TwoPhase), (i, Strategy::MemoryConscious)])
+    let cells: Vec<(&Scenario, Strategy)> = scens
+        .iter()
+        .flat_map(|s| Strategy::BOTH.map(|strategy| (s, strategy)))
         .collect();
-    mcio_sweep::sweep(jobs, &cells, |&(i, strategy)| run_cell(&scens[i], strategy))
-}
-
-/// [`run_suite_jobs`] with profiling: also returns one [`CellProf`]
-/// per cell (in record order) and the sweep pool's per-worker
-/// utilization. The records — and therefore `BENCH_perf_suite.json` —
-/// stay byte-identical to the unprofiled suite at any thread count.
-pub fn run_suite_prof(
-    jobs: usize,
-    prof: &mcio_prof::Prof,
-) -> (Vec<Record>, Vec<CellProf>, Vec<mcio_sweep::WorkerStat>) {
-    let scens = scenarios();
-    let cells: Vec<(usize, Strategy)> = (0..scens.len())
-        .flat_map(|i| [(i, Strategy::TwoPhase), (i, Strategy::MemoryConscious)])
-        .collect();
-    let (pairs, workers) = mcio_sweep::sweep_stats(jobs, &cells, |&(i, strategy)| {
-        run_cell_prof(&scens[i], strategy, prof)
+    let (runs, workers) = mcio_sweep::sweep_stats(jobs, &cells, |&(s, strategy)| {
+        let (record, _, cell_prof) = run_cell(s, strategy, prof);
+        (record, cell_prof)
     });
-    let (records, profs) = pairs.into_iter().unzip();
+    let (records, profs) = runs.into_iter().unzip();
     (records, profs, workers)
 }
 
@@ -418,12 +295,6 @@ pub fn render_wallclock(cells: &[CellProf]) -> String {
         r.float("events_per_sec", eps, 3);
     });
     w.finish()
-}
-
-/// Run the whole matrix (scenario-major, two-phase before
-/// memory-conscious — a stable record order).
-pub fn run_suite() -> Vec<Record> {
-    run_suite_jobs(1)
 }
 
 /// Render records as the `mcio.perf_suite.v1` JSON document.

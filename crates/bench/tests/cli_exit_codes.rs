@@ -898,15 +898,74 @@ fn run_word_selects_the_default_command() {
     assert!(String::from_utf8_lossy(&named.stdout).contains("memory-conscious:"));
 }
 
+/// A bad spec is a one-line exit 1, never a panic, and an error that
+/// belongs to a line names the *file's* line — for a bad `job` or
+/// `machine` directive, the post-parse node-range check and a `fault`
+/// line (not "the Nth fault line").
 #[test]
-fn multitenant_zero_buffer_exits_1_with_one_line_error() {
-    let path = tmp("mt_zero_buffer.mtspec");
-    std::fs::write(&path, "machine small:8x2\njob a buffer=0\n").unwrap();
-    let out = run(&["multitenant", "--spec", path.to_str().unwrap()]);
+fn multitenant_spec_errors_are_one_line_and_name_the_file_line() {
+    for (name, text, needle) in [
+        (
+            "zero_buffer",
+            "machine small:8x2\njob a buffer=0\n",
+            "line 2: buffer must be positive",
+        ),
+        (
+            "machine",
+            "# shared machine\n\nmachine small:0x2\njob a\n",
+            "line 3: machine dimensions must be positive",
+        ),
+        (
+            "range",
+            "job a ranks=8 ppn=2 node_offset=1\nmachine small:2x2\n",
+            "line 1: job `a` needs nodes 1..5 but the machine has 2",
+        ),
+        (
+            "fault",
+            "machine small:8x2\nfault seed 5\njob a\nfault ost_slow(0, 4.0, 9ms..2ms)\n",
+            "line 4: window `9ms..2ms` is empty or reversed",
+        ),
+    ] {
+        let path = tmp(&format!("mt_line_{name}.mtspec"));
+        std::fs::write(&path, text).unwrap();
+        let out = run(&["multitenant", "--spec", path.to_str().unwrap()]);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(out.status.code(), Some(1), "{name}");
+        let err = stderr(&out);
+        assert!(err.contains(needle), "{name}: {err}");
+        assert_eq!(err.trim().lines().count(), 1, "one-line error, got: {err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
+/// `run --two-level --pipeline double` simulates one configuration: the
+/// memory-conscious summary line and the trace of the same command
+/// report the same elapsed time.
+#[test]
+fn two_level_double_summary_and_trace_describe_one_run() {
+    let path = tmp("two_level_double.json");
+    let path_s = path.to_str().unwrap();
+    let mut args = TINY.to_vec();
+    args.extend_from_slice(&["--two-level", "--pipeline", "double", "--trace", path_s]);
+    let out = run(&args);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let summary = stdout
+        .lines()
+        .find(|l| l.starts_with("memory-conscious:"))
+        .expect("summary line");
+
+    let out = run(&["analyze", "--trace", path_s, "--report", "json"]);
     std::fs::remove_file(&path).ok();
-    assert_eq!(out.status.code(), Some(1));
-    let err = stderr(&out);
-    assert!(err.contains("line 2: buffer must be positive"), "{err}");
-    assert_eq!(err.trim().lines().count(), 1, "one-line error, got: {err}");
-    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let doc = mcio_obs::json::parse(&String::from_utf8_lossy(&out.stdout)).expect("valid JSON");
+    let elapsed_ns = doc
+        .get("elapsed_ns")
+        .and_then(mcio_obs::json::JsonValue::as_f64)
+        .expect("elapsed_ns") as u64;
+    let traced = mcio_des::SimDuration::from_nanos(elapsed_ns);
+    assert!(
+        summary.contains(&format!("elapsed {traced})")),
+        "trace says {traced}, summary says: {summary}"
+    );
 }

@@ -2,15 +2,14 @@
 //!
 //! The engine's core promise is that thread count is invisible in the
 //! output: fanning work across N workers must produce exactly the bytes
-//! a serial run produces. These tests pin that promise at three layers —
-//! the raw engine over real planning/simulation work, the `mcio_cli
-//! sweep` document, and the shared plan cache's bookkeeping under a
-//! serial sweep (where its totals are deterministic too).
+//! a serial run produces. These tests pin that promise at two layers —
+//! the raw engine over real planning/simulation work and the `mcio_cli
+//! sweep` document.
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
 use mcio_core::exec_sim::{simulate_opts, Pipeline};
-use mcio_core::{CollectiveConfig, CollectiveRequest, Extent, PlanCache, ProcMemory, Rw, Strategy};
+use mcio_core::{CollectiveConfig, CollectiveRequest, Extent, ProcMemory, Rw, Strategy};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -28,7 +27,7 @@ fn tmp(name: &str) -> PathBuf {
 
 /// One reasonably-sized planning + simulation job, keyed by seed, whose
 /// rendered record exercises the full stack the real sweeps run.
-fn simulate_record(seed: u64, cache: &PlanCache) -> String {
+fn simulate_record(seed: u64) -> String {
     let ranks = 16;
     let chunk = 64 * 1024;
     let req = CollectiveRequest::new(
@@ -46,7 +45,7 @@ fn simulate_record(seed: u64, cache: &PlanCache) -> String {
     } else {
         Strategy::TwoPhase
     };
-    let plan = cache.get_or_plan(strategy, &req, &map, &mem, &cfg);
+    let plan = strategy.plan(&req, &map, &mem, &cfg);
     let report = simulate_opts(&plan, &map, &spec, Pipeline::Serial);
     format!(
         "seed={seed} strategy={} elapsed={} aggs={} rounds={}",
@@ -62,20 +61,15 @@ fn simulate_record(seed: u64, cache: &PlanCache) -> String {
 #[test]
 fn engine_merge_is_thread_count_invariant() {
     let seeds: Vec<u64> = (0..24).collect();
-    let serial_cache = PlanCache::new();
-    let serial: Vec<String> = mcio_sweep::sweep(1, &seeds, |&s| simulate_record(s, &serial_cache));
+    let serial: Vec<String> = mcio_sweep::sweep(1, &seeds, |&s| simulate_record(s));
     for jobs in [2, 4, 8] {
-        let cache = PlanCache::new();
-        let parallel: Vec<String> =
-            mcio_sweep::sweep(jobs, &seeds, |&s| simulate_record(s, &cache));
+        let parallel: Vec<String> = mcio_sweep::sweep(jobs, &seeds, |&s| simulate_record(s));
         assert_eq!(serial, parallel, "jobs={jobs} changed the merged records");
-        assert_eq!(cache.len(), serial_cache.len(), "jobs={jobs}");
     }
 }
 
 /// The CLI document: `sweep --jobs 1` and `--jobs 8` write identical
-/// bytes, and the per-point stdout lines (everything except the cache
-/// totals, which are legitimately racy under parallel misses) match.
+/// bytes and print the same stdout.
 #[test]
 fn cli_sweep_jobs_1_and_8_write_identical_documents() {
     let out1 = tmp("jobs1.json");
@@ -117,35 +111,15 @@ fn cli_sweep_jobs_1_and_8_write_identical_documents() {
     let lines = |o: &Output| -> Vec<String> {
         String::from_utf8_lossy(&o.stdout)
             .lines()
-            .filter(|l| !l.starts_with("plan cache:") && !l.starts_with("wrote "))
+            .filter(|l| !l.starts_with("wrote "))
             .map(str::to_owned)
             .collect()
     };
     assert_eq!(lines(&r1), lines(&r8), "per-point stdout lines differ");
-}
-
-/// Serial sweeps make the cache totals deterministic: the 12-point grid
-/// holds 6 distinct plans (the pipeline axis shares its sibling's plan),
-/// so exactly 6 lookups hit.
-#[test]
-fn cli_sweep_serial_cache_totals_are_exact() {
-    let out = tmp("cache.json");
-    let r = sweep_cli(&[
-        "--ranks",
-        "16",
-        "--ppn",
-        "4",
-        "--jobs",
-        "1",
-        "--out",
-        out.to_str().unwrap(),
-    ]);
-    std::fs::remove_file(&out).ok();
-    assert_eq!(r.status.code(), Some(0));
-    let text = String::from_utf8_lossy(&r.stdout);
-    assert!(
-        text.contains("plan cache: 6 hits, 6 misses, 6 distinct plans"),
-        "unexpected cache totals in: {text}"
+    assert_eq!(
+        lines(&r1).len(),
+        12,
+        "one line per grid point, nothing else"
     );
 }
 
@@ -171,13 +145,16 @@ fn cli_sweep_document_is_schema_tagged_and_ordered() {
         .filter_map(|l| l.split("\"key\": \"").nth(1))
         .filter_map(|l| l.split('"').next())
         .collect();
-    let expected: Vec<String> = mcio_sweep::SweepSpec::new()
-        .axis("buffer", ["2M", "4M", "8M"])
-        .axis("pipeline", ["serial", "double"])
-        .axis("strategy", ["two-phase", "mc"])
-        .points()
-        .into_iter()
-        .map(|p| p.key)
-        .collect();
+    // Row-major: buffer slowest, strategy fastest.
+    let mut expected = Vec::new();
+    for buffer in ["2M", "4M", "8M"] {
+        for pipeline in ["serial", "double"] {
+            for strategy in ["two-phase", "mc"] {
+                expected.push(format!(
+                    "buffer={buffer}/pipeline={pipeline}/strategy={strategy}"
+                ));
+            }
+        }
+    }
     assert_eq!(keys, expected, "records out of canonical grid order");
 }

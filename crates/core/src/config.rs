@@ -1,5 +1,8 @@
 //! Collective I/O configuration: the paper's tunables.
 
+use crate::{mcio, twophase, CollectivePlan, CollectiveRequest, ProcMemory};
+use mcio_cluster::ProcessMap;
+
 const MIB: u64 = 1024 * 1024;
 
 /// How the memory-conscious planner chooses an aggregator host for a
@@ -29,11 +32,29 @@ pub enum Strategy {
 }
 
 impl Strategy {
+    /// Both strategies, baseline first — the canonical cell order.
+    pub const BOTH: [Strategy; 2] = [Strategy::TwoPhase, Strategy::MemoryConscious];
+
     /// Short label used in reports ("two-phase" / "memory-conscious").
     pub fn label(self) -> &'static str {
         match self {
             Strategy::TwoPhase => "two-phase",
             Strategy::MemoryConscious => "memory-conscious",
+        }
+    }
+
+    /// Plan `req` with this strategy — the one place that dispatches
+    /// between [`twophase::plan`] and [`mcio::plan`].
+    pub fn plan(
+        self,
+        req: &CollectiveRequest,
+        map: &ProcessMap,
+        mem: &ProcMemory,
+        cfg: &CollectiveConfig,
+    ) -> CollectivePlan {
+        match self {
+            Strategy::TwoPhase => twophase::plan(req, map, mem, cfg),
+            Strategy::MemoryConscious => mcio::plan(req, map, mem, cfg),
         }
     }
 }

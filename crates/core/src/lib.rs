@@ -48,7 +48,6 @@ pub mod multitenant;
 pub mod pattern;
 pub mod placement;
 pub mod plan;
-pub mod plan_cache;
 pub mod ptree;
 pub mod request;
 pub mod sieving;
@@ -72,7 +71,6 @@ pub use placement::PlacementDiag;
 pub use plan::{
     AggregatorAssignment, CollectivePlan, GroupPlan, IoOp, Message, PlanDiag, Round, SyncMode,
 };
-pub use plan_cache::{plan_key, PlanCache};
 pub use request::{CollectiveRequest, RankRequest};
 
 // Re-export the vocabulary types callers need constantly.

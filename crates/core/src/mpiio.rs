@@ -18,7 +18,7 @@ use crate::config::CollectiveConfig;
 use crate::memory::ProcMemory;
 use crate::plan::{CollectivePlan, SyncMode};
 use crate::request::{CollectiveRequest, RankRequest};
-use crate::{mcio, twophase, Strategy};
+use crate::Strategy;
 use mcio_cluster::{ProcessMap, Rank};
 use mcio_pfs::{Extent, Rw, SparseFile};
 use mcio_simpi::collectives::{decode_u64s, encode_u64s};
@@ -184,10 +184,7 @@ impl CollFile {
 
     /// Every rank computes the same plan from the same inputs.
     fn plan(&self, req: &CollectiveRequest) -> Result<CollectivePlan, IoError> {
-        let plan = match self.strategy {
-            Strategy::TwoPhase => twophase::plan(req, &self.map, &self.mem, &self.cfg),
-            Strategy::MemoryConscious => mcio::plan(req, &self.map, &self.mem, &self.cfg),
-        };
+        let plan = self.strategy.plan(req, &self.map, &self.mem, &self.cfg);
         plan.check(req).map_err(IoError::BadPlan)?;
         Ok(plan)
     }

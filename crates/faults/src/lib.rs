@@ -474,8 +474,10 @@ fn parse_retry(args: &[String], spec: &mut FaultSpec) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse a duration literal: integer (or decimal) with an optional
-/// `ns`/`us`/`ms`/`s` suffix; bare numbers are nanoseconds.
+/// Parse a duration literal: integer (or decimal) directly followed by
+/// an optional `ns`/`us`/`ms`/`s` suffix; bare numbers are nanoseconds.
+/// The one duration grammar of the fault DSL, mtspec `start=` and
+/// jobtrace `arrival=`.
 pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
     let s = s.trim();
     let (num, mult) = if let Some(n) = s.strip_suffix("ns") {
@@ -489,14 +491,16 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
     } else {
         (s, 1.0)
     };
-    let v: f64 = num
-        .trim()
-        .parse()
-        .map_err(|_| format!("bad duration `{s}`"))?;
+    let v: f64 = num.parse().map_err(|_| format!("bad duration `{s}`"))?;
     if !v.is_finite() || v < 0.0 {
         return Err(format!("duration must be non-negative, got `{s}`"));
     }
-    Ok(SimDuration::from_nanos((v * mult).round() as u64))
+    let ns = (v * mult).round();
+    // `u64::MAX as f64` rounds up to 2^64, the first value that does not fit.
+    if ns >= u64::MAX as f64 {
+        return Err(format!("duration `{s}` does not fit 64-bit nanoseconds"));
+    }
+    Ok(SimDuration::from_nanos(ns as u64))
 }
 
 fn parse_window(s: &str) -> Result<(SimTime, SimTime), String> {

@@ -26,11 +26,10 @@
 //!   CI) and `host` (wall-clock, events/sec, allocator stats, worker
 //!   utilization — never byte-diffed).
 //!
-//! The separation rule is the same one `plan.cache_hit` follows
-//! elsewhere in the workspace: anything that can differ between two
-//! runs of the same inputs must stay out of byte-compared documents.
-//! Here the two kinds of data share a file, so the split is structural
-//! — consumers diff `deterministic` and *read* `host`.
+//! The separation rule is the workspace's: anything that can differ
+//! between two runs of the same inputs must stay out of byte-compared
+//! documents. Here the two kinds of data share a file, so the split is
+//! structural — consumers diff `deterministic` and *read* `host`.
 
 #![warn(missing_docs)]
 
@@ -40,6 +39,5 @@ mod report;
 
 pub use profiler::{PhaseRow, Prof, Scope, PHASES};
 pub use report::{
-    events_per_sec, AllocReport, DetCell, HostSection, PlanCacheStats, ProfReport, WorkerRow,
-    PROF_SCHEMA,
+    events_per_sec, AllocReport, DetCell, HostSection, ProfReport, WorkerRow, PROF_SCHEMA,
 };

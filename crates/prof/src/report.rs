@@ -7,8 +7,8 @@
 //!   simulation plus a folded `total`). Byte-identical across runs and
 //!   across `--jobs` values; CI diffs this section between invocations.
 //! * `host` — wall-clock phase table, events/sec, allocator stats,
-//!   plan-cache timing, sweep-worker utilization. Varies run to run by
-//!   construction and must never be byte-compared.
+//!   sweep-worker utilization. Varies run to run by construction and
+//!   must never be byte-compared.
 //!
 //! The renderer emits both sections with stable key order so the
 //! *deterministic* bytes — [`ProfReport::deterministic_json`] — are a
@@ -31,22 +31,6 @@ pub struct DetCell {
     pub label: String,
     /// The run's deterministic engine counters.
     pub engine: EngineProfile,
-}
-
-/// Plan-cache statistics for the host section. Hit/miss totals are not
-/// byte-stable under parallel execution (concurrent first sights can
-/// both miss), which is exactly why they live here and not in the
-/// deterministic section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlanCacheStats {
-    /// Cache hits.
-    pub hits: u64,
-    /// Cache misses (planner invocations).
-    pub misses: u64,
-    /// Distinct plans held.
-    pub distinct_plans: u64,
-    /// Wall time spent inside planner calls, nanoseconds.
-    pub plan_wall_ns: u64,
 }
 
 /// Utilization of one sweep worker thread.
@@ -87,8 +71,6 @@ pub struct HostSection {
     pub phases: Vec<PhaseRow>,
     /// Allocator statistics (zeros unless `count-alloc` was on).
     pub alloc: AllocReport,
-    /// Plan-cache statistics, when the producer ran a planner cache.
-    pub plan_cache: Option<PlanCacheStats>,
     /// Per-worker sweep utilization, when the producer ran a pool.
     pub workers: Vec<WorkerRow>,
 }
@@ -106,12 +88,7 @@ impl ProfReport {
     /// Assemble the report from a profiler, the deterministic cells,
     /// and optional plan-cache / worker data. Reads the allocator
     /// counters and the profiler's phase table at this moment.
-    pub fn build(
-        prof: &Prof,
-        cells: Vec<DetCell>,
-        plan_cache: Option<PlanCacheStats>,
-        workers: Vec<WorkerRow>,
-    ) -> Self {
+    pub fn build(prof: &Prof, cells: Vec<DetCell>, workers: Vec<WorkerRow>) -> Self {
         let phases = prof.phases();
         let total_fired: u64 = cells.iter().map(|c| c.engine.events_fired).sum();
         // Events/sec against wall time inside `des-run` scopes; cells
@@ -135,7 +112,6 @@ impl ProfReport {
                     total_bytes: a.total_bytes,
                     peak_bytes: a.peak_bytes,
                 },
-                plan_cache,
                 workers,
             },
         }
@@ -196,14 +172,6 @@ impl ProfReport {
                 a.uint("total_bytes", host.alloc.total_bytes);
                 a.uint("peak_bytes", host.alloc.peak_bytes);
             });
-            if let Some(pc) = &host.plan_cache {
-                w.inline("plan_cache", |c| {
-                    c.uint("hits", pc.hits);
-                    c.uint("misses", pc.misses);
-                    c.uint("distinct_plans", pc.distinct_plans);
-                    c.uint("plan_wall_ns", pc.plan_wall_ns);
-                });
-            }
             if !host.workers.is_empty() {
                 w.rows("workers", &host.workers, |r, x| {
                     r.uint("worker", x.worker);
@@ -238,16 +206,7 @@ impl ProfReport {
             })
         })?;
         let alloc = host.child("alloc")?;
-        // Both absent when the producer ran no plan cache / worker pool.
-        let plan_cache = match host.opt("plan_cache", Reader::child)? {
-            Some(pc) => Some(PlanCacheStats {
-                hits: pc.uint("hits")?,
-                misses: pc.uint("misses")?,
-                distinct_plans: pc.uint("distinct_plans")?,
-                plan_wall_ns: pc.uint("plan_wall_ns")?,
-            }),
-            None => None,
-        };
+        // Absent when the producer ran no worker pool.
         let workers = host.opt("workers", |host, key| {
             host.rows(key, |w| {
                 Ok(WorkerRow {
@@ -269,7 +228,6 @@ impl ProfReport {
                     total_bytes: alloc.uint("total_bytes")?,
                     peak_bytes: alloc.uint("peak_bytes")?,
                 },
-                plan_cache,
                 workers: workers.unwrap_or_default(),
             },
         })
@@ -314,15 +272,6 @@ impl ProfReport {
                 String::new()
             },
         ));
-        if let Some(pc) = &self.host.plan_cache {
-            out.push_str(&format!(
-                "plan cache: {} hits, {} misses, {} plans, {:.3} ms planning\n",
-                pc.hits,
-                pc.misses,
-                pc.distinct_plans,
-                pc.plan_wall_ns as f64 / 1e6,
-            ));
-        }
         if !self.host.workers.is_empty() {
             let busy: u64 = self.host.workers.iter().map(|w| w.busy_ns).sum();
             out.push_str(&format!(
@@ -440,12 +389,6 @@ mod tests {
         ProfReport::build(
             &prof,
             cells,
-            Some(PlanCacheStats {
-                hits: 3,
-                misses: 2,
-                distinct_plans: 2,
-                plan_wall_ns: 1234,
-            }),
             vec![WorkerRow {
                 worker: 0,
                 busy_ns: 999,
@@ -475,15 +418,14 @@ mod tests {
         let back = ProfReport::from_json(&text).expect("parses");
         assert_eq!(back.cells, r.cells);
         assert_eq!(back.host.phases, r.host.phases);
-        assert_eq!(back.host.plan_cache, r.host.plan_cache);
         assert_eq!(back.host.workers, r.host.workers);
         assert_eq!(back.render(), text, "render is a fixed point");
     }
 
     /// The host section is wall-clock, so no run can be a golden; a
     /// literal report pins the whole document's bytes instead —
-    /// top-level keys in column 0, both optional host keys present,
-    /// then both absent.
+    /// top-level keys in column 0, the optional `workers` key present,
+    /// then absent.
     #[test]
     fn literal_report_renders_fixed_bytes() {
         let mut r = ProfReport {
@@ -517,12 +459,6 @@ mod tests {
                     total_bytes: 512,
                     peak_bytes: 256,
                 },
-                plan_cache: Some(PlanCacheStats {
-                    hits: 3,
-                    misses: 2,
-                    distinct_plans: 2,
-                    plan_wall_ns: 77,
-                }),
                 workers: vec![WorkerRow {
                     worker: 0,
                     busy_ns: 999,
@@ -546,14 +482,12 @@ mod tests {
                  {{\"path\": \"plan/des-run\", \"count\": 2, \"inclusive_ns\": 30, \
                  \"exclusive_ns\": 20, \"alloc_bytes\": 64, \"allocs\": 3}}\n  ],\n  \
                  \"alloc\": {{\"enabled\": true, \"total_allocs\": 9, \"total_bytes\": 512, \
-                 \"peak_bytes\": 256}},\n  \"plan_cache\": {{\"hits\": 3, \"misses\": 2, \
-                 \"distinct_plans\": 2, \"plan_wall_ns\": 77}},\n  \"workers\": [\n    \
+                 \"peak_bytes\": 256}},\n  \"workers\": [\n    \
                  {{\"worker\": 0, \"busy_ns\": 999, \"tasks\": 2}}\n  ]\n}}\n}}\n"
             )
         );
         r.cells.clear();
         r.host.phases.clear();
-        r.host.plan_cache = None;
         r.host.workers.clear();
         assert_eq!(
             r.render(),
@@ -582,7 +516,7 @@ mod tests {
     fn integer_fields_must_be_integers() {
         let text = sample().render();
         for bad in ["-5", "1.5", "1e300"] {
-            for (key, value) in [("events_fired", "100"), ("hits", "3"), ("busy_ns", "999")] {
+            for (key, value) in [("events_fired", "100"), ("busy_ns", "999")] {
                 let from = format!("\"{key}\": {value}");
                 assert!(text.contains(&from), "{text}");
                 let broken = text.replacen(&from, &format!("\"{key}\": {bad}"), 1);
@@ -591,6 +525,21 @@ mod tests {
                 assert!(!err.contains('\n'), "{err}");
             }
         }
+    }
+
+    /// Sidecars written while `host` still carried a `plan_cache` block
+    /// keep loading: the reader ignores keys it does not know.
+    #[test]
+    fn old_sidecars_with_unknown_host_keys_still_load() {
+        let text = sample().render();
+        let old = text.replacen(
+            "  \"workers\": [",
+            "  \"plan_cache\": {\"hits\": 3, \"misses\": 2, \"distinct_plans\": 2, \
+             \"plan_wall_ns\": 77},\n  \"workers\": [",
+            1,
+        );
+        assert!(old.contains("plan_cache"));
+        assert_eq!(ProfReport::from_json(&old).expect("parses").render(), text);
     }
 
     #[test]
@@ -605,6 +554,5 @@ mod tests {
         let text = sample().render_pretty(5);
         assert!(text.contains("events fired"));
         assert!(text.contains("plan/des-run"));
-        assert!(text.contains("plan cache: 3 hits"));
     }
 }

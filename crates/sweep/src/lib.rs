@@ -20,13 +20,10 @@
 //!   order, thread identity, or wall-clock time to the caller.
 //!
 //! [`run_indexed`] is the primitive (fan a function over `0..n`);
-//! [`sweep`] maps over a slice; [`SweepSpec`] builds canonical-keyed
-//! cartesian parameter grids for data-driven sweeps.
+//! [`sweep`] maps over a slice.
 
 #![warn(missing_docs)]
 
 pub mod engine;
-pub mod spec;
 
 pub use engine::{run_indexed, run_indexed_stats, sweep, sweep_stats, WorkerStat};
-pub use spec::{SweepPoint, SweepSpec};

@@ -29,8 +29,7 @@ use crate::{science, CollPerf, Ior};
 use mcio_core::exec_sim::{Exchange, Pipeline};
 use mcio_core::hints::parse_bytes;
 use mcio_core::{
-    mcio, twophase, CollectiveConfig, CollectiveRequest, Extent, ProcMemory, ProcessMap, Rw,
-    Strategy, TenantJob,
+    CollectiveConfig, CollectiveRequest, Extent, ProcMemory, ProcessMap, Rw, Strategy, TenantJob,
 };
 use std::fmt;
 use std::str::FromStr;
@@ -308,10 +307,7 @@ impl JobDesc {
     pub fn tenant(&self, name: &str, base: u64) -> TenantJob {
         let req = self.request(base);
         let (map, mem, cfg) = (self.map(), self.memory(), self.config(&req));
-        let plan = match self.strategy {
-            Strategy::TwoPhase => twophase::plan(&req, &map, &mem, &cfg),
-            Strategy::MemoryConscious => mcio::plan(&req, &map, &mem, &cfg),
-        };
+        let plan = self.strategy.plan(&req, &map, &mem, &cfg);
         TenantJob::new(name, plan, map)
             .pipeline(self.pipeline)
             .exchange(self.exchange)
