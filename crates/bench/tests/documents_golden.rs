@@ -20,9 +20,12 @@
 //! mcio_cli analyze --trace $T/sched.trace --report json > $D/analyze_schedule.json
 //! mcio_cli sweep --ranks 4 --ppn 2 --out $D/sweep.json
 //! mcio_cli run $TINY --metrics $D/metrics.json --metrics-format json --prof $T/prof.json
+//! mcio_cli run $TINY --metrics $D/metrics.csv --metrics-format csv
+//! mcio_cli run $TINY --metrics $D/metrics.prom --metrics-format prom
 //! mcio_cli prof --det $T/prof.json > $D/prof_det.json
 //! mcio_cli run --ranks 16 --ppn 4 --per-proc 1M --buffer 1M --machine small \
-//!     --faults $D/degraded.faults --adaptive aggressive --trace $T/replan.trace
+//!     --faults $D/degraded.faults --adaptive aggressive --trace $T/replan.trace \
+//!     --metrics $D/metrics_faulted.json
 //! mcio_cli analyze --trace $T/replan.trace --report json > $D/analyze_replan.json
 //! ```
 //!
@@ -181,8 +184,20 @@ fn metrics_dump_and_deterministic_profile() {
 }
 
 #[test]
+fn metrics_dump_in_csv_and_prometheus() {
+    for format in ["csv", "prom"] {
+        let metrics = tmp(&format!("metrics.{format}"));
+        let mut args = vec!["run"];
+        args.extend_from_slice(&TINY);
+        args.extend_from_slice(&["--metrics", &metrics, "--metrics-format", format]);
+        cli(&args);
+        assert_golden(&format!("metrics.{format}"), &read_and_remove(&metrics));
+    }
+}
+
+#[test]
 fn replan_section_of_an_adaptive_faulted_run() {
-    let trace = tmp("replan.trace");
+    let (trace, metrics) = (tmp("replan.trace"), tmp("metrics_faulted.json"));
     cli(&[
         "run",
         "--ranks",
@@ -201,7 +216,10 @@ fn replan_section_of_an_adaptive_faulted_run() {
         "aggressive",
         "--trace",
         &trace,
+        "--metrics",
+        &metrics,
     ]);
+    assert_golden("metrics_faulted.json", &read_and_remove(&metrics));
     assert_golden("analyze_replan.json", &analyze_json(&trace));
     std::fs::remove_file(&trace).ok();
 }

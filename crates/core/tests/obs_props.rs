@@ -5,8 +5,8 @@
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
 use mcio_core::{
-    mcio, simulate_observed, twophase, CollectiveConfig, CollectiveRequest, Exchange, Extent,
-    Observe, Pipeline, ProcMemory, Rw,
+    mcio, run_multitenant, simulate_observed, twophase, CollectiveConfig, CollectiveRequest,
+    Exchange, Extent, Observe, Pipeline, ProcMemory, Rw, TenantJob,
 };
 use mcio_obs::{json, Registry};
 use proptest::prelude::*;
@@ -220,4 +220,49 @@ proptest! {
             );
         }
     }
+}
+
+/// The `tenant.*` rows of the metrics dump (`mcio_cli multitenant` has
+/// no `--metrics`, so no document fixture carries them): two one-rank
+/// jobs writing the same stripe, so the second queues behind the first
+/// on `ost0`.
+#[test]
+fn tenant_rows_of_a_two_job_run_are_pinned() {
+    let spec = ClusterSpec::small(2, 1);
+    let map = ProcessMap::block_ppn(1, 1);
+    let env = ProcMemory::uniform(1, 1 << 20);
+    let cfg = CollectiveConfig::with_buffer(1 << 20);
+    let req = CollectiveRequest::new(Rw::Write, vec![vec![Extent::new(0, 4096)]]);
+    let jobs = [
+        TenantJob::new("a", mcio::plan(&req, &map, &env, &cfg), map.clone()),
+        TenantJob::new("b", twophase::plan(&req, &map, &env, &cfg), map.clone()).node_offset(1),
+    ];
+    let reg = Arc::new(Registry::new());
+    run_multitenant(
+        &jobs,
+        &spec,
+        None,
+        Observe {
+            registry: Some(&reg),
+            ..Observe::default()
+        },
+    );
+    let dump = mcio_obs::export::to_json(&reg.snapshot());
+    let tenant_rows: Vec<&str> = dump
+        .lines()
+        .filter(|l| l.contains("\"name\":\"tenant."))
+        .collect();
+    assert_eq!(
+        tenant_rows,
+        [
+            r#"    {"name":"tenant.jobs","labels":{},"value":2,"unit":"count","help":"Concurrent jobs in the run"},"#,
+            r#"    {"name":"tenant.makespan_ns","labels":{},"value":1087081,"unit":"ns","help":"Shared-machine makespan"},"#,
+            r#"    {"name":"tenant.ost_overlap_frac","labels":{"job":"a","strategy":"memory-conscious"},"value":0,"unit":"ratio","help":"Per-job fraction of OST service time overlapping other tenants"},"#,
+            r#"    {"name":"tenant.ost_overlap_frac","labels":{"job":"b","strategy":"two-phase"},"value":0,"unit":"ratio","help":"Per-job fraction of OST service time overlapping other tenants"},"#,
+            r#"    {"name":"tenant.slowdown","labels":{"job":"a","strategy":"memory-conscious"},"value":1,"unit":"ratio","help":"Per-job span over solo elapsed (interference cost)"},"#,
+            r#"    {"name":"tenant.slowdown","labels":{"job":"b","strategy":"two-phase"},"value":1.9836556761718116,"unit":"ratio","help":"Per-job span over solo elapsed (interference cost)"},"#,
+            r#"    {"name":"tenant.solo_elapsed_ns","labels":{"job":"a","strategy":"memory-conscious"},"value":548019,"unit":"ns","help":"Per-job elapsed when simulated alone on the same nodes"},"#,
+            r#"    {"name":"tenant.solo_elapsed_ns","labels":{"job":"b","strategy":"two-phase"},"value":548019,"unit":"ns","help":"Per-job elapsed when simulated alone on the same nodes"}"#,
+        ]
+    );
 }
