@@ -309,17 +309,6 @@ impl Timeline {
     /// `timeline.bucket_ns` gauge — so a scrape endpoint can expose
     /// time-resolved utilization without shipping the trace.
     pub fn record_into(&self, reg: &Registry) {
-        reg.describe(
-            "timeline.bucket_busy_ns",
-            "ns",
-            "per-bucket busy time of one utilization series",
-        );
-        reg.describe(
-            "timeline.series_busy_ns",
-            "ns",
-            "total busy time of one utilization series",
-        );
-        reg.describe("timeline.bucket_ns", "ns", "timeline bucket width");
         reg.set_gauge("timeline.bucket_ns", &[], self.bucket_ns as f64);
         for s in &self.series {
             for &v in &s.busy_ns {

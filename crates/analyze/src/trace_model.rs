@@ -7,42 +7,13 @@
 //! the serialization step) or parsed back from a trace file, so
 //! `mcio_cli analyze --trace FILE` sees exactly what Perfetto would.
 
+pub use mcio_obs::catalogue::{
+    PID_FAULTS, PID_REPLAN, PID_RESOURCES, PID_ROUNDS, PID_SCHED, PID_TENANTS,
+};
 use mcio_obs::intervals::merge_intervals;
 use mcio_obs::json::{self, JsonValue};
 use mcio_obs::{Span, TraceCollector};
 use std::collections::BTreeMap;
-
-/// Chrome-trace `pid` of the DES resource service lanes (one `tid` per
-/// machine resource: memory buses, NICs, OSTs).
-pub const PID_RESOURCES: u64 = 1;
-
-/// Chrome-trace `pid` of the logical round-phase lanes (one `tid` per
-/// round chain; spans are `r<N>.exchange` / `r<N>.io`).
-pub const PID_ROUNDS: u64 = 2;
-
-/// Chrome-trace `pid` of the fault lanes emitted by faulted runs:
-/// injected events (`inject`), failover gates (`failover`), degradation
-/// re-rounds (`degraded`) and per-OST retry chains (`retry`/`backoff`).
-pub const PID_FAULTS: u64 = 3;
-
-/// Chrome-trace `pid` of the per-job tenant lanes emitted by
-/// multi-tenant runs: one `tid` per job, holding a single
-/// `j<N>.window` span whose args carry the job label, strategy,
-/// slowdown and OST-overlap fraction. Solo runs emit no pid-4 lanes.
-pub const PID_TENANTS: u64 = 4;
-
-/// Chrome-trace `pid` of the closed-loop replan lanes emitted by
-/// adaptive runs: one `tid` per actuator (`retune`, `defer`, `demote`,
-/// `resplit`), one span per controller decision with its inputs as
-/// span args. Static (`AdaptivePolicy::Off`) runs emit no pid-5 lanes.
-pub const PID_REPLAN: u64 = 5;
-
-/// Chrome-trace `pid` of the job-stream scheduler lanes emitted by
-/// `mcio-sched` runs: `tid` 0 carries queue-depth occupancy intervals,
-/// `tid` 1 one span per dispatch decision (args: nodes, wait,
-/// backfill), `tid` 2 admission-control deferrals. Single-job runs
-/// emit no pid-6 lanes.
-pub const PID_SCHED: u64 = 6;
 
 /// Coarse class of a machine resource, keyed off its lane name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

@@ -118,34 +118,6 @@ impl ClusterSpec {
     /// exported metrics file is self-describing about the platform it
     /// was produced on.
     pub fn record_into(&self, reg: &mcio_obs::Registry) {
-        reg.describe("cluster.nodes", "count", "Compute nodes in the machine");
-        reg.describe("cluster.cores_per_node", "count", "Cores per compute node");
-        reg.describe("cluster.mem_per_node", "bytes", "Physical memory per node");
-        reg.describe(
-            "cluster.mem_bandwidth",
-            "bytes/s",
-            "Off-chip memory bandwidth per node",
-        );
-        reg.describe(
-            "cluster.nic_bandwidth",
-            "bytes/s",
-            "NIC bandwidth per node per direction",
-        );
-        reg.describe(
-            "cluster.io_servers",
-            "count",
-            "I/O servers (OSTs) in the PFS",
-        );
-        reg.describe(
-            "cluster.pfs_write_bandwidth",
-            "bytes/s",
-            "Aggregate PFS write bandwidth",
-        );
-        reg.describe(
-            "cluster.pfs_read_bandwidth",
-            "bytes/s",
-            "Aggregate PFS read bandwidth",
-        );
         reg.set_gauge("cluster.nodes", &[], self.nodes as f64);
         reg.set_gauge("cluster.cores_per_node", &[], self.node.cores as f64);
         reg.set_gauge("cluster.mem_per_node", &[], self.node.mem_capacity as f64);

@@ -431,26 +431,6 @@ pub fn simulate_adaptive(
 
     if let Some(reg) = obs.registry {
         let strat = [("strategy", plan.strategy.label())];
-        reg.describe(
-            "faults.events",
-            "count",
-            "Fault events in the injected plan",
-        );
-        reg.describe(
-            "faults.failovers",
-            "count",
-            "Aggregator failovers performed",
-        );
-        reg.describe(
-            "faults.degraded_rounds",
-            "count",
-            "Extra rounds created by graceful degradation",
-        );
-        reg.describe(
-            "faults.completed",
-            "bool",
-            "1 when the collective delivered every byte under injection",
-        );
         reg.inc("faults.events", &strat, fspec.events.len() as u64);
         reg.inc("faults.failovers", &strat, failovers as u64);
         reg.inc("faults.degraded_rounds", &strat, degraded_rounds as u64);
@@ -466,31 +446,6 @@ pub fn simulate_adaptive(
                 ("strategy", plan.strategy.label()),
                 ("policy", policy.label()),
             ];
-            reg.describe(
-                "adaptive.severity",
-                "fraction",
-                "Sampled degradation severity the controller saw",
-            );
-            reg.describe(
-                "adaptive.deferrals",
-                "count",
-                "Rounds deferred past a degraded OST window",
-            );
-            reg.describe(
-                "adaptive.demotions",
-                "count",
-                "Aggregators demoted off shocked nodes",
-            );
-            reg.describe(
-                "adaptive.resplits",
-                "count",
-                "Extra rounds created by adaptive re-splitting",
-            );
-            reg.describe(
-                "adaptive.retunes",
-                "count",
-                "Msg_group re-tunes applied by the controller",
-            );
             reg.set_gauge("adaptive.severity", &lab, adaptive_out.severity);
             reg.inc("adaptive.deferrals", &lab, adaptive_out.deferrals as u64);
             reg.inc("adaptive.demotions", &lab, adaptive_out.demotions as u64);

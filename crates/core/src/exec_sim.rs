@@ -28,6 +28,7 @@ use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::{Fabric, ProcessMap, Rank};
 use mcio_des::{Activity, ActivityId, SharePolicy, SimDuration, SimTime, Simulation};
 use mcio_faults::{FaultEvent, FaultSpec};
+use mcio_obs::catalogue::{PID_FAULTS, PID_REPLAN, PID_ROUNDS};
 use mcio_obs::{Registry, TraceCollector};
 use mcio_pfs::{Pfs, RetryMark, Rw};
 use std::sync::Arc;
@@ -609,8 +610,8 @@ impl Executed<'_> {
         }
         let _emit_scope = self.obs.prof.map(|p| p.scope("trace-emit"));
         let tc = TraceCollector::new();
-        self.des.trace_into(&tc, 1);
-        tc.name_process(2, "plan.rounds");
+        self.des.trace_into(&tc);
+        tc.name_lane(PID_ROUNDS);
         let mut tid_base = 0u64;
         for ((job, l), run) in self.jobs.iter().zip(&self.lowered).zip(&self.runs) {
             emit_round_spans(&tc, job, l, run, tid_base);
@@ -935,38 +936,6 @@ fn phase_fractions(exchange_time: SimDuration, io_time: SimDuration) -> (f64, f6
 /// tenants stay distinguishable; solo runs pass `None` and keep the
 /// historical label set.
 pub(crate) fn record_run(reg: &Registry, strategy: &str, job: Option<&str>, report: &TimingReport) {
-    reg.describe(
-        "run.elapsed_ns",
-        "ns",
-        "Simulated wall-clock of the collective",
-    );
-    reg.describe("run.bytes", "bytes", "Requested bytes moved");
-    reg.describe("run.bandwidth_mibs", "MiB/s", "Aggregate bandwidth");
-    reg.describe(
-        "run.exchange_frac",
-        "ratio",
-        "Normalized share of attributed time spent shuffling",
-    );
-    reg.describe(
-        "run.io_frac",
-        "ratio",
-        "Normalized share of attributed time spent in file access",
-    );
-    reg.describe(
-        "run.round.exchange_ns",
-        "ns",
-        "Per-round exchange phase duration",
-    );
-    reg.describe(
-        "run.round.io_ns",
-        "ns",
-        "Per-round file-access phase duration",
-    );
-    reg.describe(
-        "run.agg.io_ns",
-        "ns",
-        "Per-aggregator file-access time summed over rounds",
-    );
     let mut labels: Vec<(&str, &str)> = vec![("strategy", strategy)];
     if let Some(j) = job {
         labels.push(("job", j));
@@ -1023,7 +992,7 @@ fn emit_round_spans(
         let tid = tid_base + meta.chain as u64;
         if named_chains.insert(meta.chain) {
             tc.name_thread(
-                2,
+                PID_ROUNDS,
                 tid,
                 &format!("{}chain{} (group {group})", job.prefix, meta.chain),
             );
@@ -1037,7 +1006,7 @@ fn emit_round_spans(
             tc.span_with_args(
                 &format!("r{}.exchange", meta.round),
                 "exchange",
-                2,
+                PID_ROUNDS,
                 tid,
                 ex_start,
                 phase.exchange.as_nanos(),
@@ -1048,7 +1017,7 @@ fn emit_round_spans(
             tc.span_with_args(
                 &format!("r{}.io", meta.round),
                 "io",
-                2,
+                PID_ROUNDS,
                 tid,
                 io_start,
                 phase.io.as_nanos(),
@@ -1072,10 +1041,10 @@ fn emit_round_spans(
 ///   attempts (`retry`) and the waits between them (`backoff`).
 fn trace_faults(tc: &TraceCollector, ex: &Executed<'_>) {
     let elapsed_ns = ex.makespan.as_nanos();
-    tc.name_process(3, "faults");
-    tc.name_thread(3, 0, "injected");
-    tc.name_thread(3, 1, "failover");
-    tc.name_thread(3, 2, "degraded");
+    tc.name_lane(PID_FAULTS);
+    tc.name_thread(PID_FAULTS, 0, "injected");
+    tc.name_thread(PID_FAULTS, 1, "failover");
+    tc.name_thread(PID_FAULTS, 2, "degraded");
     // An instantaneous event is a 1 ns marker; everything is clipped to
     // the run.
     let instant = SimDuration::from_nanos(1);
@@ -1099,7 +1068,7 @@ fn trace_faults(tc: &TraceCollector, ex: &Executed<'_>) {
             .as_nanos()
             .min(elapsed_ns);
         if end > start {
-            tc.span(&name, "inject", 3, 0, start, end - start);
+            tc.span(&name, "inject", PID_FAULTS, 0, start, end - start);
         }
     }
     let failover_gates = ex.jobs.iter().flat_map(|j| &j.marks.gates);
@@ -1111,7 +1080,7 @@ fn trace_faults(tc: &TraceCollector, ex: &Executed<'_>) {
             .as_nanos()
             .min(elapsed_ns);
         if end > start {
-            tc.span(&gate.label, "failover", 3, 1, start, end - start);
+            tc.span(&gate.label, "failover", PID_FAULTS, 1, start, end - start);
         }
     }
     for (job, run) in ex.jobs.iter().zip(&ex.runs) {
@@ -1125,7 +1094,7 @@ fn trace_faults(tc: &TraceCollector, ex: &Executed<'_>) {
                     tc.span(
                         &format!("r{round}.degraded"),
                         "degraded",
-                        3,
+                        PID_FAULTS,
                         2,
                         w.start_ns,
                         w.end_ns - w.start_ns,
@@ -1138,7 +1107,7 @@ fn trace_faults(tc: &TraceCollector, ex: &Executed<'_>) {
     for mark in &ex.retry_marks {
         let tid = 3 + mark.ost as u64;
         if named_osts.insert(mark.ost) {
-            tc.name_thread(3, tid, &format!("ost{}.retries", mark.ost));
+            tc.name_thread(PID_FAULTS, tid, &format!("ost{}.retries", mark.ost));
         }
         // Service records of the retry chain, in submission order: the
         // first `attempts - 1` stages are the failed tries; the gaps
@@ -1155,13 +1124,20 @@ fn trace_faults(tc: &TraceCollector, ex: &Executed<'_>) {
             let start = rec.start.saturating_since(SimTime::ZERO).as_nanos();
             let dur = rec.end.saturating_since(rec.start).as_nanos();
             if (i as u32) < mark.attempts.saturating_sub(1) && dur > 0 {
-                tc.span(&format!("attempt{}", i + 1), "retry", 3, tid, start, dur);
+                tc.span(
+                    &format!("attempt{}", i + 1),
+                    "retry",
+                    PID_FAULTS,
+                    tid,
+                    start,
+                    dur,
+                );
             }
             if let Some(next) = recs.get(i + 1) {
                 let gap_start = rec.end.saturating_since(SimTime::ZERO).as_nanos();
                 let gap = next.start.saturating_since(rec.end).as_nanos();
                 if gap > 0 {
-                    tc.span("backoff", "backoff", 3, tid, gap_start, gap);
+                    tc.span("backoff", "backoff", PID_FAULTS, tid, gap_start, gap);
                 }
             }
         }
@@ -1175,7 +1151,7 @@ fn trace_faults(tc: &TraceCollector, ex: &Executed<'_>) {
 /// slot never executed are dropped (nothing to attribute).
 fn trace_replan(tc: &TraceCollector, ex: &Executed<'_>) {
     let elapsed_ns = ex.makespan.as_nanos();
-    tc.name_process(5, "replan");
+    tc.name_lane(PID_REPLAN);
     let mut named = std::collections::BTreeSet::new();
     let marks = ex
         .jobs
@@ -1191,7 +1167,7 @@ fn trace_replan(tc: &TraceCollector, ex: &Executed<'_>) {
         };
         if named.insert(tid) {
             tc.name_thread(
-                5,
+                PID_REPLAN,
                 tid,
                 match tid {
                     0 => "retune",
@@ -1220,7 +1196,7 @@ fn trace_replan(tc: &TraceCollector, ex: &Executed<'_>) {
             .iter()
             .map(|(k, v)| (k.as_str(), v.as_str()))
             .collect();
-        tc.span_with_args(&mark.name, mark.cat, 5, tid, start, dur, &args);
+        tc.span_with_args(&mark.name, mark.cat, PID_REPLAN, tid, start, dur, &args);
     }
 }
 

@@ -44,14 +44,10 @@ use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
 use mcio_des::{SharePolicy, SimDuration};
 use mcio_faults::FaultSpec;
+use mcio_obs::catalogue::PID_TENANTS;
 use mcio_obs::intervals::{intersect_len, merge_intervals, total_len};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// The trace process id of the per-job tenant lanes (pid 1 = resources,
-/// 2 = round phases, 3 = faults). Emitted only when a run has two or
-/// more jobs, so single-job traces stay byte-identical to solo runs.
-pub const PID_TENANTS: u64 = 4;
 
 /// One job of a multi-tenant run: a fully planned collective plus its
 /// placement on the shared machine and its arrival time.
@@ -513,23 +509,6 @@ fn run_session(
                 &outcome.report,
             );
         }
-        reg.describe("tenant.jobs", "count", "Concurrent jobs in the run");
-        reg.describe("tenant.makespan_ns", "ns", "Shared-machine makespan");
-        reg.describe(
-            "tenant.slowdown",
-            "ratio",
-            "Per-job span over solo elapsed (interference cost)",
-        );
-        reg.describe(
-            "tenant.ost_overlap_frac",
-            "ratio",
-            "Per-job fraction of OST service time overlapping other tenants",
-        );
-        reg.describe(
-            "tenant.solo_elapsed_ns",
-            "ns",
-            "Per-job elapsed when simulated alone on the same nodes",
-        );
         let none: [(&str, &str); 0] = [];
         reg.set_gauge("tenant.jobs", &none, jobs.len() as f64);
         reg.set_gauge("tenant.makespan_ns", &none, makespan.as_nanos() as f64);
@@ -549,21 +528,7 @@ fn run_session(
         // adaptive.* appears only for jobs the controller actually
         // handled, so Off (and all-static) runs keep their documents
         // byte-identical.
-        let mut described = false;
         for outcome in outcomes.iter().filter(|o| controller_ran(o.strategy)) {
-            if !described {
-                reg.describe(
-                    "adaptive.severity",
-                    "fraction",
-                    "Sampled degradation severity the controller saw",
-                );
-                reg.describe(
-                    "adaptive.deferrals",
-                    "count",
-                    "Rounds deferred past a degraded OST window",
-                );
-                described = true;
-            }
             let labels = [
                 ("job", outcome.label.as_str()),
                 ("strategy", outcome.strategy.label()),
@@ -580,7 +545,7 @@ fn run_session(
 
     let trace = ex.trace_json(|tc| {
         if multi {
-            tc.name_process(PID_TENANTS, "tenants");
+            tc.name_lane(PID_TENANTS);
             for (ji, outcome) in outcomes.iter().enumerate() {
                 tc.name_thread(PID_TENANTS, ji as u64, &format!("j{ji} {}", outcome.label));
                 let slowdown = format!("{:.6}", outcome.slowdown);

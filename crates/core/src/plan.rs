@@ -251,42 +251,6 @@ impl CollectivePlan {
     /// Record the planner's decision counters and shape statistics into
     /// a metrics registry (`plan.*` namespace).
     pub fn record_into(&self, reg: &mcio_obs::Registry) {
-        reg.describe("plan.groups", "groups", "Aggregation groups");
-        reg.describe("plan.aggregators", "aggregators", "Aggregator assignments");
-        reg.describe("plan.rounds", "rounds", "Longest per-group round sequence");
-        reg.describe(
-            "plan.ptree_leaves",
-            "domains",
-            "Partition-tree leaves built before remerging",
-        );
-        reg.describe(
-            "plan.remerges",
-            "events",
-            "Domains remerged during placement",
-        );
-        reg.describe(
-            "plan.relaxations",
-            "events",
-            "Placements that relaxed Mem_min/N_ah",
-        );
-        reg.describe("plan.messages", "messages", "Shuffle messages planned");
-        reg.describe("plan.message_bytes", "bytes", "Shuffled bytes planned");
-        reg.describe(
-            "plan.io_requests",
-            "requests",
-            "Contiguous PFS requests planned",
-        );
-        reg.describe("plan.io_bytes", "bytes", "PFS bytes planned");
-        reg.describe(
-            "plan.peak_window",
-            "bytes",
-            "Largest single-round aggregation window (per-aggregator memory high-water mark)",
-        );
-        reg.describe(
-            "plan.buffer_cv",
-            "ratio",
-            "Coefficient of variation of aggregator buffer sizes",
-        );
         let s = self.stats(None);
         let strat = [("strategy", self.strategy.label())];
         reg.set_gauge("plan.groups", &strat, s.ngroups as f64);

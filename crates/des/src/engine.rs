@@ -4,6 +4,7 @@
 use crate::activity::{Activity, ActivityId, ActivityState};
 use crate::resource::{Bandwidth, Job, Resource, ResourceId, ResourceUsage, SharePolicy};
 use crate::time::{SimDuration, SimTime};
+use mcio_obs::catalogue::PID_RESOURCES;
 use mcio_obs::trace::escape_json;
 use mcio_obs::{Histogram, Registry, TraceCollector};
 use std::cmp::Reverse;
@@ -590,74 +591,6 @@ impl RunReport {
     /// stats and the makespan. Metric names are stable and documented
     /// in `docs/observability.md`.
     pub fn record_into(&self, reg: &Registry) {
-        reg.describe(
-            "des.makespan_ns",
-            "ns",
-            "simulated time of the last completion",
-        );
-        reg.describe(
-            "des.engine.events",
-            "1",
-            "events processed by the DES run loop",
-        );
-        reg.describe(
-            "des.engine.queue_depth",
-            "1",
-            "pending-event heap depth per event pop",
-        );
-        reg.describe(
-            "des.engine.max_queue_depth",
-            "1",
-            "peak pending-event heap depth",
-        );
-        reg.describe(
-            "des.engine.events_scheduled",
-            "1",
-            "events pushed onto the DES heap",
-        );
-        reg.describe(
-            "des.engine.events_cancelled",
-            "1",
-            "events retracted before firing (fair-share re-predictions; 0 for FIFO)",
-        );
-        reg.describe(
-            "des.engine.max_ready_set",
-            "1",
-            "peak count of released-but-unstarted activities",
-        );
-        reg.describe(
-            "des.engine.class_max_queue",
-            "1",
-            "peak active transfer set per resource class",
-        );
-        reg.describe(
-            "des.resource.busy_ns",
-            "ns",
-            "total service time delivered per resource",
-        );
-        reg.describe("des.resource.bytes", "bytes", "bytes served per resource");
-        reg.describe("des.resource.jobs", "1", "jobs served per resource");
-        reg.describe(
-            "des.resource.utilization",
-            "1",
-            "busy time / makespan per resource (can exceed 1 for multi-slot resources)",
-        );
-        reg.describe(
-            "des.resource.max_queue",
-            "1",
-            "peak jobs beyond the slot count per resource (FIFO queue / fair-share overflow)",
-        );
-        reg.describe(
-            "des.resource.max_active",
-            "1",
-            "peak simultaneously served transfers per resource",
-        );
-        reg.describe(
-            "des.resource.wait_ns",
-            "ns",
-            "per-job queueing delay per resource",
-        );
-
         let makespan = self.makespan.saturating_since(SimTime::ZERO);
         reg.set_gauge("des.makespan_ns", &[], makespan.as_nanos() as f64);
         reg.inc("des.engine.events", &[], self.engine_stats.events_processed);
@@ -712,12 +645,13 @@ impl RunReport {
     }
 
     /// Push the recorded service trace into a [`TraceCollector`] under
-    /// subsystem group `pid`: one lane (`tid`) per resource, one span
-    /// per service interval, with lanes named after the resources.
+    /// [`PID_RESOURCES`]: one lane (`tid`) per resource, one span per
+    /// service interval, with lanes named after the resources.
     /// No-op when tracing was not enabled.
-    pub fn trace_into(&self, tc: &TraceCollector, pid: u64) {
+    pub fn trace_into(&self, tc: &TraceCollector) {
         let Some(trace) = &self.trace else { return };
-        tc.name_process(pid, "des.resources");
+        let pid = PID_RESOURCES;
+        tc.name_lane(pid);
         let used: std::collections::BTreeSet<usize> =
             trace.iter().map(|r| r.resource.index()).collect();
         for tid in used {
@@ -1131,10 +1065,14 @@ mod tests {
         sim.add_activity(Activity::new("b").stage(r2, 200, SimDuration::ZERO));
         let rep = sim.run().unwrap();
         let tc = TraceCollector::new();
-        rep.trace_into(&tc, 7);
+        rep.trace_into(&tc);
         let spans = tc.spans();
         assert_eq!(spans.len(), 2);
-        assert!(spans.iter().all(|s| s.pid == 7));
+        assert!(spans.iter().all(|s| s.pid == PID_RESOURCES));
+        assert_eq!(
+            tc.process_names(),
+            [(PID_RESOURCES, "des.resources".to_string())]
+        );
         assert_eq!(spans[0].tid, 0);
         assert_eq!(spans[1].tid, 1);
         // Without tracing enabled, trace_into is a no-op.
@@ -1143,7 +1081,7 @@ mod tests {
         sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
         let rep = sim.run().unwrap();
         let tc = TraceCollector::new();
-        rep.trace_into(&tc, 0);
+        rep.trace_into(&tc);
         assert!(tc.is_empty());
     }
 

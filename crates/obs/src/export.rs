@@ -26,10 +26,10 @@ fn identity(r: &mut Writer, name: &str, labels: &[(String, String)]) {
     r.inline("labels", |l| labels.iter().for_each(|(k, v)| l.text(k, v)));
 }
 
-/// The members every sample row ends with: registered unit and help.
-fn meta(r: &mut Writer, meta: &MetricMeta) {
-    r.text("unit", &meta.unit);
-    r.text("help", &meta.help);
+/// The members every sample row ends with: catalogued unit and help.
+fn meta(r: &mut Writer, meta: MetricMeta) {
+    r.text("unit", meta.unit);
+    r.text("help", meta.help);
 }
 
 /// Serialize a snapshot as a JSON object with `counters`, `gauges`, and
@@ -40,12 +40,12 @@ pub fn to_json(snap: &Snapshot) -> String {
     w.rows("counters", &snap.counters, |r, c| {
         identity(r, &c.name, &c.labels);
         r.uint("value", c.value);
-        meta(r, &c.meta);
+        meta(r, c.meta);
     });
     w.rows("gauges", &snap.gauges, |r, g| {
         identity(r, &g.name, &g.labels);
         r.num("value", g.value);
-        meta(r, &g.meta);
+        meta(r, g.meta);
     });
     w.rows("histograms", &snap.histograms, |r, h| {
         identity(r, &h.name, &h.labels);
@@ -57,7 +57,7 @@ pub fn to_json(snap: &Snapshot) -> String {
             b.uint("le", bound);
             b.uint("count", count);
         });
-        meta(r, &h.meta);
+        meta(r, h.meta);
     });
     w.finish()
 }
@@ -90,7 +90,7 @@ pub fn to_csv(snap: &Snapshot) -> String {
             csv_field(&c.name),
             csv_field(&labels_csv(&c.labels)),
             c.value,
-            csv_field(&c.meta.unit),
+            csv_field(c.meta.unit),
         );
     }
     for g in &snap.gauges {
@@ -100,13 +100,13 @@ pub fn to_csv(snap: &Snapshot) -> String {
             csv_field(&g.name),
             csv_field(&labels_csv(&g.labels)),
             fmt_num(g.value),
-            csv_field(&g.meta.unit),
+            csv_field(g.meta.unit),
         );
     }
     for h in &snap.histograms {
         let name = csv_field(&h.name);
         let labels = csv_field(&labels_csv(&h.labels));
-        let unit = csv_field(&h.meta.unit);
+        let unit = csv_field(h.meta.unit);
         let _ = writeln!(out, "histogram,{name},{labels},count,{},{unit}", h.count);
         let _ = writeln!(
             out,
@@ -191,17 +191,17 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
     };
     for c in &snap.counters {
         let name = prom_name(&c.name);
-        header(&mut out, &name, "counter", &c.meta.help);
+        header(&mut out, &name, "counter", c.meta.help);
         let _ = writeln!(out, "{name}{} {}", prom_labels(&c.labels), c.value);
     }
     for g in &snap.gauges {
         let name = prom_name(&g.name);
-        header(&mut out, &name, "gauge", &g.meta.help);
+        header(&mut out, &name, "gauge", g.meta.help);
         let _ = writeln!(out, "{name}{} {}", prom_labels(&g.labels), fmt_num(g.value));
     }
     for h in &snap.histograms {
         let name = prom_name(&h.name);
-        header(&mut out, &name, "histogram", &h.meta.help);
+        header(&mut out, &name, "histogram", h.meta.help);
         let mut cumulative = 0u64;
         for (bound, count) in &h.buckets {
             cumulative += count;
@@ -236,10 +236,8 @@ mod tests {
 
     fn sample_snapshot() -> Snapshot {
         let r = Registry::new();
-        r.describe("simpi.msgs", "1", "point-to-point messages");
-        r.describe("pfs.req.bytes", "bytes", "per-OST request sizes");
-        r.inc("simpi.msgs", &[("op", "alltoallv")], 12);
-        r.inc("simpi.msgs", &[("op", "bcast")], 3);
+        r.inc("simpi.p2p.msgs", &[("op", "alltoallv")], 12);
+        r.inc("simpi.p2p.msgs", &[("op", "bcast")], 3);
         r.set_gauge("plan.groups", &[], 4.0);
         r.observe("pfs.req.bytes", &[("ost", "0")], 4096);
         r.observe("pfs.req.bytes", &[("ost", "0")], 65536);
@@ -255,7 +253,11 @@ mod tests {
         assert_eq!(counters.len(), 2);
         assert_eq!(
             counters[0].get("name").and_then(JsonValue::as_str),
-            Some("simpi.msgs")
+            Some("simpi.p2p.msgs")
+        );
+        assert_eq!(
+            counters[0].get("help").and_then(JsonValue::as_str),
+            Some("Point-to-point messages sent")
         );
         let hists = doc.get("histograms").unwrap().as_array().unwrap();
         assert_eq!(hists[0].get("count").and_then(JsonValue::as_f64), Some(3.0));
@@ -276,16 +278,19 @@ mod tests {
         assert_eq!(lines.len(), 11);
         assert!(lines
             .iter()
-            .any(|l| l.starts_with("counter,simpi.msgs,op=alltoallv,value,12")));
+            .any(|l| *l == "counter,simpi.p2p.msgs,op=alltoallv,value,12,messages"));
+        assert!(lines.contains(&"gauge,plan.groups,,value,4,groups"));
         // 4096 falls in [2^12, 2^13), whose inclusive bound is 8191.
-        assert!(lines.iter().any(|l| l.contains("le_8191,1")));
+        assert!(lines.iter().any(|l| l.ends_with("le_8191,1,bytes")));
     }
 
     #[test]
     fn prometheus_format_shape() {
         let prom = to_prometheus(&sample_snapshot());
-        assert!(prom.contains("# TYPE simpi_msgs counter"));
-        assert!(prom.contains("simpi_msgs{op=\"alltoallv\"} 12"));
+        assert!(prom.contains(
+            "# HELP simpi_p2p_msgs Point-to-point messages sent\n# TYPE simpi_p2p_msgs counter\n"
+        ));
+        assert!(prom.contains("simpi_p2p_msgs{op=\"alltoallv\"} 12"));
         assert!(prom.contains("# TYPE plan_groups gauge"));
         assert!(prom.contains("pfs_req_bytes_bucket{ost=\"0\",le=\"+Inf\"} 3"));
         assert!(prom.contains("pfs_req_bytes_count{ost=\"0\"} 3"));
@@ -356,15 +361,17 @@ mod tests {
     fn prometheus_histogram_sum_count_and_bucket_consistency() {
         let observations: &[u64] = &[100, 4096, 4096, 65536, 1, 999_999];
         let r = Registry::new();
-        r.describe("svc.wait.ns", "ns", "service wait");
         for &v in observations {
-            r.observe("svc.wait.ns", &[("class", "ost")], v);
+            r.observe("des.resource.wait_ns", &[("class", "ost")], v);
         }
         let prom = to_prometheus(&r.snapshot());
 
         let mut bounds: Vec<f64> = Vec::new();
         let mut cumulative: Vec<u64> = Vec::new();
-        for line in prom.lines().filter(|l| l.starts_with("svc_wait_ns_bucket")) {
+        for line in prom
+            .lines()
+            .filter(|l| l.starts_with("des_resource_wait_ns_bucket"))
+        {
             let le_start = line.find("le=\"").unwrap() + 4;
             let le_end = line[le_start..].find('"').unwrap() + le_start;
             let le = &line[le_start..le_end];
@@ -389,7 +396,7 @@ mod tests {
 
         let scrape = |suffix: &str| -> f64 {
             prom.lines()
-                .find(|l| l.starts_with(&format!("svc_wait_ns_{suffix}")))
+                .find(|l| l.starts_with(&format!("des_resource_wait_ns_{suffix}")))
                 .unwrap_or_else(|| panic!("{suffix} series present: {prom}"))
                 .rsplit(' ')
                 .next()
@@ -424,8 +431,8 @@ mod tests {
     fn literal_snapshot_renders_fixed_bytes() {
         use crate::registry::{CounterSample, GaugeSample, HistogramSample, MetricMeta};
         let meta = MetricMeta {
-            unit: "ns".into(),
-            help: "a \"b\"".into(),
+            unit: "ns",
+            help: "a \"b\"",
         };
         let labels = vec![
             ("k".to_string(), "a\\b\n".to_string()),
@@ -439,14 +446,14 @@ mod tests {
             min,
             max,
             buckets,
-            meta: meta.clone(),
+            meta,
         };
         let snap = Snapshot {
             counters: vec![CounterSample {
                 name: "c".into(),
                 labels,
                 value: 7,
-                meta: meta.clone(),
+                meta,
             }],
             gauges: vec![GaugeSample {
                 name: "g".into(),

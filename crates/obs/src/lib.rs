@@ -9,6 +9,8 @@
 //!   [`Histogram`]s with label sets, recorded through `&self` so one
 //!   `Arc<Registry>` threads through the planner, the DES engine, the
 //!   PFS model, and the simpi runtime.
+//! * [`catalogue`] — the one declaration of every metric (name, kind,
+//!   unit, help) and every trace process group (pid, process name).
 //! * [`TraceCollector`] — closed spans over *simulated* nanoseconds,
 //!   serialized as Chrome trace-event JSON so a whole collective run
 //!   (DES resource lanes, planner phases, per-round exchange/IO) lands
@@ -29,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+pub mod catalogue;
 pub mod doc;
 pub mod export;
 pub mod histogram;

@@ -7,6 +7,7 @@
 //! everywhere. Simulated time never blocks on these locks in any hot
 //! loop — recording is O(1) per event.
 
+use crate::catalogue::{self, Kind};
 use crate::histogram::Histogram;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -36,13 +37,32 @@ impl Key {
     }
 }
 
-/// Unit and help text registered for a metric name.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Unit and help text of a metric name, from [`catalogue::METRICS`]
+/// (both empty for a name the catalogue does not list).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricMeta {
     /// Unit of the recorded values (`"bytes"`, `"ns"`, `"1"`...).
-    pub unit: String,
+    pub unit: &'static str,
     /// One-line human description.
-    pub help: String,
+    pub help: &'static str,
+}
+
+impl MetricMeta {
+    fn of(name: &str) -> Self {
+        catalogue::metric(name).map_or_else(Self::default, |row| MetricMeta {
+            unit: row.unit,
+            help: row.help,
+        })
+    }
+}
+
+/// A catalogued name is recorded under its catalogued kind only.
+fn check_kind(name: &str, kind: Kind) {
+    debug_assert!(
+        catalogue::metric(name).is_none_or(|row| row.kind == kind),
+        "metric `{name}` is not catalogued as a {}",
+        kind.label()
+    );
 }
 
 #[derive(Debug, Default)]
@@ -50,15 +70,14 @@ struct Inner {
     counters: BTreeMap<Key, u64>,
     gauges: BTreeMap<Key, f64>,
     histograms: BTreeMap<Key, Histogram>,
-    meta: BTreeMap<String, MetricMeta>,
 }
 
 /// A thread-safe collection of named metrics.
 ///
 /// Metric names use dotted lowercase (`des.resource.busy_ns`); the
-/// Prometheus exporter rewrites dots to underscores. Registering help
-/// text via [`Registry::describe`] is optional but done by every
-/// instrumented crate so exports are self-documenting.
+/// Prometheus exporter rewrites dots to underscores. Unit and help
+/// text come from [`catalogue::METRICS`], so exports are
+/// self-documenting without any registration call.
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: Mutex<Inner>,
@@ -76,19 +95,9 @@ impl Registry {
         Arc::new(Self::new())
     }
 
-    /// Attach `unit` and `help` to `name` (idempotent; last write wins).
-    pub fn describe(&self, name: &str, unit: &str, help: &str) {
-        self.lock().meta.insert(
-            name.to_string(),
-            MetricMeta {
-                unit: unit.to_string(),
-                help: help.to_string(),
-            },
-        );
-    }
-
     /// Add `delta` to the counter `name`/`labels`.
     pub fn inc(&self, name: &str, labels: Labels<'_>, delta: u64) {
+        check_kind(name, Kind::Counter);
         *self
             .lock()
             .counters
@@ -98,6 +107,7 @@ impl Registry {
 
     /// Set the gauge `name`/`labels` to `value`.
     pub fn set_gauge(&self, name: &str, labels: Labels<'_>, value: f64) {
+        check_kind(name, Kind::Gauge);
         self.lock().gauges.insert(Key::new(name, labels), value);
     }
 
@@ -105,6 +115,7 @@ impl Registry {
     /// the current value (high-watermark tracking, e.g. peak queue
     /// depth).
     pub fn max_gauge(&self, name: &str, labels: Labels<'_>, value: f64) {
+        check_kind(name, Kind::Gauge);
         let mut inner = self.lock();
         let slot = inner.gauges.entry(Key::new(name, labels)).or_insert(value);
         if value > *slot {
@@ -114,6 +125,7 @@ impl Registry {
 
     /// Record `value` into the histogram `name`/`labels`.
     pub fn observe(&self, name: &str, labels: Labels<'_>, value: u64) {
+        check_kind(name, Kind::Histogram);
         self.lock()
             .histograms
             .entry(Key::new(name, labels))
@@ -126,6 +138,7 @@ impl Registry {
     /// (e.g. per-resource wait times inside the DES engine) keep a
     /// local histogram and merge it in once at report time.
     pub fn merge_histogram(&self, name: &str, labels: Labels<'_>, hist: &Histogram) {
+        check_kind(name, Kind::Histogram);
         self.lock()
             .histograms
             .entry(Key::new(name, labels))
@@ -156,7 +169,6 @@ impl Registry {
     /// An immutable copy of everything recorded so far.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.lock();
-        let meta_of = |name: &str| inner.meta.get(name).cloned().unwrap_or_default();
         Snapshot {
             counters: inner
                 .counters
@@ -165,7 +177,7 @@ impl Registry {
                     name: k.name.clone(),
                     labels: k.labels.clone(),
                     value: v,
-                    meta: meta_of(&k.name),
+                    meta: MetricMeta::of(&k.name),
                 })
                 .collect(),
             gauges: inner
@@ -175,7 +187,7 @@ impl Registry {
                     name: k.name.clone(),
                     labels: k.labels.clone(),
                     value: v,
-                    meta: meta_of(&k.name),
+                    meta: MetricMeta::of(&k.name),
                 })
                 .collect(),
             histograms: inner
@@ -189,7 +201,7 @@ impl Registry {
                     min: h.min(),
                     max: h.max(),
                     buckets: h.buckets(),
-                    meta: meta_of(&k.name),
+                    meta: MetricMeta::of(&k.name),
                 })
                 .collect(),
         }
@@ -209,7 +221,7 @@ pub struct CounterSample {
     pub labels: Vec<(String, String)>,
     /// Monotonic value.
     pub value: u64,
-    /// Registered unit/help.
+    /// Catalogued unit/help.
     pub meta: MetricMeta,
 }
 
@@ -222,7 +234,7 @@ pub struct GaugeSample {
     pub labels: Vec<(String, String)>,
     /// Last (or extremal) recorded value.
     pub value: f64,
-    /// Registered unit/help.
+    /// Catalogued unit/help.
     pub meta: MetricMeta,
 }
 
@@ -243,7 +255,7 @@ pub struct HistogramSample {
     pub max: Option<u64>,
     /// `(inclusive_upper_bound, count)` per non-empty bucket, ascending.
     pub buckets: Vec<(u64, u64)>,
-    /// Registered unit/help.
+    /// Catalogued unit/help.
     pub meta: MetricMeta,
 }
 
@@ -330,7 +342,6 @@ mod tests {
     #[test]
     fn snapshot_carries_meta_and_histograms() {
         let r = Registry::new();
-        r.describe("pfs.req.bytes", "bytes", "per-OST request sizes");
         r.observe("pfs.req.bytes", &[("ost", "0")], 4096);
         r.observe("pfs.req.bytes", &[("ost", "0")], 100);
         let s = r.snapshot();
@@ -341,8 +352,26 @@ mod tests {
         assert_eq!(h.min, Some(100));
         assert_eq!(h.max, Some(4096));
         assert_eq!(h.meta.unit, "bytes");
+        assert_eq!(
+            h.meta.help,
+            "Request sizes as issued by clients, by direction"
+        );
         let bucket_total: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
         assert_eq!(bucket_total, h.count);
+    }
+
+    #[test]
+    fn uncatalogued_names_keep_empty_meta() {
+        let r = Registry::new();
+        r.inc("x", &[], 1);
+        assert_eq!(r.snapshot().counters[0].meta, MetricMeta::default());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "`run.bytes` is not catalogued as a gauge")]
+    fn recording_a_counter_name_as_a_gauge_panics() {
+        Registry::new().set_gauge("run.bytes", &[], 1.0);
     }
 
     #[test]

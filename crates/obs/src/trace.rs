@@ -8,6 +8,7 @@
 //! time, matching `mcio_des::SimTime::as_nanos()`; the exporter converts
 //! to the microsecond floats the trace format expects.
 
+use crate::catalogue::LANES;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
@@ -75,6 +76,16 @@ impl TraceCollector {
         self.lock().processes.push((pid, name.to_string()));
     }
 
+    /// Name the catalogued group `pid` with its process name from
+    /// [`LANES`].
+    ///
+    /// # Panics
+    /// Panics if `pid` is not a row of [`LANES`].
+    pub fn name_lane(&self, pid: u64) {
+        let lane = LANES.iter().find(|lane| lane.pid == pid);
+        self.name_process(pid, lane.expect("a catalogued pid").process);
+    }
+
     /// Name one timeline (`pid`, `tid`) in the trace UI.
     pub fn name_thread(&self, pid: u64, tid: u64, name: &str) {
         self.lock().threads.push((pid, tid, name.to_string()));
@@ -114,13 +125,6 @@ impl TraceCollector {
     /// All spans recorded so far, in recording order.
     pub fn spans(&self) -> Vec<Span> {
         self.lock().spans.clone()
-    }
-
-    /// Run `f` over the recorded spans without cloning them (the
-    /// analysis layer iterates traces that can hold one span per DES
-    /// service interval).
-    pub fn visit_spans<R>(&self, f: impl FnOnce(&[Span]) -> R) -> R {
-        f(&self.lock().spans)
     }
 
     /// Run `f` over every span of one subsystem group (`pid`), without

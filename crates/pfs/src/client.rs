@@ -151,9 +151,6 @@ impl Pfs {
             }
         }
         if let Some((p, _)) = spec.transient() {
-            if let Some(reg) = &self.registry {
-                describe_fault_metrics(reg);
-            }
             self.faults = Some(FaultCtx {
                 p,
                 sampler: spec.sampler(),
@@ -177,34 +174,7 @@ impl Pfs {
     /// request counts, request-size histograms (overall by direction and
     /// per OST), and per-OST byte counters into it.
     pub fn set_registry(&mut self, registry: Arc<Registry>) {
-        registry.describe(
-            "pfs.requests",
-            "requests",
-            "Client I/O requests submitted, by direction",
-        );
-        registry.describe(
-            "pfs.req.bytes",
-            "bytes",
-            "Request sizes as issued by clients, by direction",
-        );
-        registry.describe(
-            "pfs.ost.req_bytes",
-            "bytes",
-            "Per-OST piece sizes after striping",
-        );
-        registry.describe("pfs.ost.bytes", "bytes", "Total bytes routed to each OST");
-        registry.describe(
-            "pfs.ost.imbalance_cv",
-            "ratio",
-            "Coefficient of variation of per-OST byte totals (0 = perfectly balanced)",
-        );
         self.registry = Some(registry);
-    }
-
-    /// Builder-style variant of [`Pfs::set_registry`].
-    pub fn with_registry(mut self, registry: Arc<Registry>) -> Self {
-        self.set_registry(registry);
-        self
     }
 
     /// Recompute the `pfs.ost.imbalance_cv` gauge from the per-OST byte
@@ -385,30 +355,6 @@ impl Pfs {
         }
         id
     }
-}
-
-/// Describe the `faults.*` metrics the retry machinery emits.
-fn describe_fault_metrics(reg: &Registry) {
-    reg.describe(
-        "faults.retries",
-        "attempts",
-        "Failed OST request attempts that were retried, per OST",
-    );
-    reg.describe(
-        "faults.retry.attempts",
-        "attempts",
-        "Attempts needed per OST request (1 = first try succeeded)",
-    );
-    reg.describe(
-        "faults.retry.backoff_ns",
-        "ns",
-        "Total backoff waited per retried request",
-    );
-    reg.describe(
-        "faults.retry.exhausted",
-        "requests",
-        "Requests whose retry budget was exhausted, per OST",
-    );
 }
 
 #[cfg(test)]

@@ -33,12 +33,6 @@ pub mod policy;
 pub mod scheduler;
 pub mod trace;
 
-/// The trace process id of the scheduler lanes (pid 1 = resources,
-/// 2 = rounds, 3 = faults, 4 = tenants, 5 = replan). Lane 0 carries
-/// queue-depth intervals, lane 1 dispatch decisions, lane 2 admission
-/// deferrals.
-pub const PID_SCHED: u64 = 6;
-
 pub use doc::{parse_schedule, render_schedule, write_schedule, ScheduleDoc};
 pub use policy::{Policy, AGING_QUANTUM_NS};
 pub use scheduler::{run_schedule, JobResult, Reservation, SchedConfig, SchedEvent, Schedule};

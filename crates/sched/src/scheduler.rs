@@ -26,10 +26,10 @@
 
 use crate::policy::{priority_key, Policy};
 use crate::trace::{build_tenant, JobTrace};
-use crate::PID_SCHED;
 use mcio_core::exec_sim::Observe;
 use mcio_core::{MultiTenantReport, TenantJob, TenantSession};
 use mcio_des::SimDuration;
+use mcio_obs::catalogue::PID_SCHED;
 use mcio_obs::{Registry, TraceCollector};
 use std::sync::Arc;
 
@@ -657,7 +657,7 @@ pub fn run_schedule_with<'a>(
 
     let chrome = cfg.collect_trace.then(|| {
         let tc = TraceCollector::new();
-        tc.name_process(PID_SCHED, "scheduler");
+        tc.name_lane(PID_SCHED);
         tc.name_thread(PID_SCHED, 0, "queue");
         tc.name_thread(PID_SCHED, 1, "dispatch");
         tc.name_thread(PID_SCHED, 2, "admission");
@@ -719,38 +719,6 @@ pub fn run_schedule_with<'a>(
 
     if let Some(reg) = registry {
         let labels = &[("policy", cfg.policy.label())][..];
-        reg.describe(
-            "sched.dispatches",
-            "count",
-            "Jobs dispatched by the scheduler",
-        );
-        reg.describe(
-            "sched.backfills",
-            "count",
-            "Dispatches that jumped a blocked head",
-        );
-        reg.describe(
-            "sched.admission_deferrals",
-            "count",
-            "Dispatches deferred by interference budgets",
-        );
-        reg.describe(
-            "sched.makespan_ns",
-            "ns",
-            "Completion of the last scheduled job",
-        );
-        reg.describe("sched.queue_depth_max", "jobs", "Peak pending-queue depth");
-        reg.describe("sched.wait_ns", "ns", "Per-job queue wait");
-        reg.describe(
-            "sched.commits",
-            "count",
-            "Shared commit simulations, rejected probes included",
-        );
-        reg.describe(
-            "sched.baseline_sims",
-            "count",
-            "Solo baselines simulated (session memo misses)",
-        );
         reg.inc("sched.dispatches", labels, n as u64);
         reg.inc("sched.backfills", labels, lp.backfills);
         reg.inc("sched.admission_deferrals", labels, lp.admission_deferrals);

@@ -79,22 +79,6 @@ impl Comm {
     /// Clones and [`Comm::split`] children made *after* this call inherit
     /// the registry.
     pub fn set_metrics(&mut self, registry: Arc<Registry>) {
-        registry.describe("simpi.p2p.msgs", "messages", "Point-to-point messages sent");
-        registry.describe(
-            "simpi.p2p.bytes",
-            "bytes",
-            "Point-to-point payload bytes sent",
-        );
-        registry.describe(
-            "simpi.collective.calls",
-            "calls",
-            "Collective entries, per participating rank, by operation",
-        );
-        registry.describe(
-            "simpi.collective.bytes",
-            "bytes",
-            "Payload bytes contributed to collectives by the calling rank, by operation",
-        );
         self.metrics = Some(registry);
     }
 

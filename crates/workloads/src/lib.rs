@@ -32,24 +32,6 @@ pub use job::{JobDesc, Workload};
 /// hull density. Exported metrics files become self-describing about
 /// the access pattern that produced them.
 pub fn record_request(req: &mcio_core::CollectiveRequest, reg: &mcio_obs::Registry) {
-    reg.describe(
-        "workload.ranks",
-        "count",
-        "Ranks participating in the collective",
-    );
-    reg.describe("workload.bytes", "bytes", "Total bytes requested");
-    reg.describe("workload.extents", "count", "File extents across all ranks");
-    reg.describe(
-        "workload.extent_bytes",
-        "bytes",
-        "Per-extent request size distribution",
-    );
-    reg.describe("workload.hull_bytes", "bytes", "Span of the file hull");
-    reg.describe(
-        "workload.density",
-        "ratio",
-        "Requested bytes / hull span (1.0 = fully dense)",
-    );
     reg.set_gauge("workload.ranks", &[], req.nranks() as f64);
     let bytes = req.total_bytes();
     reg.inc("workload.bytes", &[], bytes);
