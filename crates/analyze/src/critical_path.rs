@@ -71,31 +71,28 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
+    /// The five attribution buckets as `(stable label, ns)`, in
+    /// canonical order.
+    pub fn buckets(&self) -> [(&'static str, u64); 5] {
+        [
+            ("network_shuffle", self.network_shuffle_ns),
+            ("ost_io", self.ost_io_ns),
+            ("memory_wait", self.memory_wait_ns),
+            ("retry_degraded", self.retry_degraded_ns),
+            ("idle", self.idle_ns),
+        ]
+    }
+
     /// Sum of the five attribution buckets (equals `elapsed_ns` for any
     /// trace; kept separate so audits can assert it).
     pub fn attributed_ns(&self) -> u64 {
-        self.network_shuffle_ns
-            + self.ost_io_ns
-            + self.memory_wait_ns
-            + self.retry_degraded_ns
-            + self.idle_ns
+        self.buckets().iter().map(|&(_, ns)| ns).sum()
     }
 
-    /// The dominant bucket's stable label (`"network_shuffle"`,
-    /// `"ost_io"`, `"memory_wait"`, `"retry_degraded"`, or `"idle"`).
+    /// The dominant bucket's stable label (the last of equals).
     pub fn bottleneck(&self) -> &'static str {
-        let buckets = [
-            (self.network_shuffle_ns, "network_shuffle"),
-            (self.ost_io_ns, "ost_io"),
-            (self.memory_wait_ns, "memory_wait"),
-            (self.retry_degraded_ns, "retry_degraded"),
-            (self.idle_ns, "idle"),
-        ];
-        buckets
-            .iter()
-            .max_by_key(|&&(ns, _)| ns)
-            .map(|&(_, label)| label)
-            .unwrap_or("idle")
+        let dominant = self.buckets().into_iter().max_by_key(|&(_, ns)| ns);
+        dominant.expect("five buckets").0
     }
 
     /// Write the five buckets as `network_shuffle_ns` … `idle_ns` members

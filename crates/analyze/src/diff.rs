@@ -112,23 +112,14 @@ impl RunDiff {
 /// Public so document-level diffs (two `mcio.analyze.v1` reports,
 /// which carry buckets but no spans) can reuse the same comparison.
 pub fn diff_critical_paths(a: &CriticalPath, b: &CriticalPath) -> Vec<(&'static str, i64)> {
-    [
-        (
-            "network_shuffle",
-            a.network_shuffle_ns,
-            b.network_shuffle_ns,
-        ),
-        ("ost_io", a.ost_io_ns, b.ost_io_ns),
-        ("memory_wait", a.memory_wait_ns, b.memory_wait_ns),
-        ("retry_degraded", a.retry_degraded_ns, b.retry_degraded_ns),
-        ("idle", a.idle_ns, b.idle_ns),
-    ]
-    .into_iter()
-    .filter_map(|(label, va, vb)| {
-        let delta = vb as i64 - va as i64;
-        (delta != 0).then_some((label, delta))
-    })
-    .collect()
+    a.buckets()
+        .into_iter()
+        .zip(b.buckets())
+        .filter_map(|((label, va), (_, vb))| {
+            let delta = vb as i64 - va as i64;
+            (delta != 0).then_some((label, delta))
+        })
+        .collect()
 }
 
 /// Per-series utilization deltas between two timelines that share a

@@ -239,16 +239,11 @@ impl Analysis {
         let mut out = String::new();
         let _ = writeln!(out, "== critical path ==");
         let _ = writeln!(out, "elapsed          {:>12.3} ms", ms(self.elapsed_ns));
-        for (label, ns) in [
-            ("network-shuffle", cp.network_shuffle_ns),
-            ("ost-io", cp.ost_io_ns),
-            ("memory-wait", cp.memory_wait_ns),
-            ("retry-degraded", cp.retry_degraded_ns),
-            ("idle", cp.idle_ns),
-        ] {
+        for (label, ns) in cp.buckets() {
             let _ = writeln!(
                 out,
-                "{label:<16} {:>12.3} ms  ({:>5.1}%)",
+                "{:<16} {:>12.3} ms  ({:>5.1}%)",
+                label.replace('_', "-"),
                 ms(ns),
                 cp.fraction(ns) * 100.0
             );

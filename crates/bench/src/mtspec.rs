@@ -6,15 +6,15 @@
 //! ```text
 //! # comments and blank lines are ignored
 //! machine small:32x2            # or: testbed | exascale | small:<nodes>x<cores>
-//! job a ranks=8 ppn=2 node_offset=0 start=0 workload=ior per_proc=2M \
-//!       segments=3 buffer=512K stddev=0.3 seed=7 strategy=mc base=0
+//! job a ranks=8 ppn=2 node_offset=0 start=0 workload=ior per_proc=2M segments=3 buffer=512K stddev=0.3 seed=7 strategy=mc base=0
 //! job b ranks=8 ppn=2 node_offset=4 start=250us base=1G strategy=two-phase
 //! fault seed 5
 //! fault ost_slow(0, 4.0, 0ns..20ms)
 //! ```
 //!
-//! (`\` continuations are not supported — the example wraps only for
-//! rustdoc width; a real `job` directive is one line.)
+//! A `#` starts a comment anywhere on a line (the one line reader,
+//! `mcio_faults::directive_lines`, is shared with the job-trace and
+//! fault DSLs); a directive is one line, with no continuations.
 //!
 //! Every `job` key is optional. The 13 job-description keys and their
 //! defaults are [`JobDesc`]'s (the table in `mcio_workloads::job`,
@@ -36,7 +36,7 @@ use mcio_cluster::spec::ClusterSpec;
 use mcio_core::hints::parse_bytes;
 use mcio_core::{JobOutcome, MultiTenantReport, Strategy, TenantJob};
 use mcio_des::SimDuration;
-use mcio_faults::{parse_duration, FaultSpec};
+use mcio_faults::{directive_lines, parse_duration, FaultSpec};
 use mcio_obs::doc::Writer;
 use mcio_workloads::JobDesc;
 
@@ -98,12 +98,7 @@ impl MtSpec {
         // fault DSL's `line N:` errors name the file's line.
         let mut fault_lines = vec![""; text.lines().count()];
         let mut faulted = false;
-        for (i, raw) in text.lines().enumerate() {
-            let line_no = i + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
+        for (line_no, line) in directive_lines(text) {
             let (directive, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
             match directive {
                 "machine" => {
@@ -122,7 +117,7 @@ impl MtSpec {
                     job_lines.push(line_no);
                 }
                 "fault" => {
-                    fault_lines[i] = rest.trim();
+                    fault_lines[line_no - 1] = rest.trim();
                     faulted = true;
                 }
                 other => return Err(format!("line {line_no}: unknown directive `{other}`")),
@@ -290,6 +285,10 @@ job b ranks=8 ppn=2 node_offset=4 start=250us per_proc=256K segments=2 buffer=25
             ("machine small:8x2\njob a start=soon", "bad duration `soon`"),
             ("machine small:8x2\nwarp 9", "unknown directive"),
             (
+                "machine small:8x2   # the machine\njob a start=soon   # later",
+                "line 2: start: bad duration `soon`",
+            ),
+            (
                 "job a\n\nmachine small:0x2",
                 "line 3: machine dimensions must be positive",
             ),
@@ -367,6 +366,27 @@ job b ranks=8 ppn=2 node_offset=4 start=250us per_proc=256K segments=2 buffer=25
                 }
             }
         }
+    }
+
+    /// The module-doc examples of both DSLs are real inputs: the text
+    /// of the first `text` fence parses verbatim, trailing `# comments`
+    /// included.
+    #[test]
+    fn module_doc_examples_parse_verbatim() {
+        fn example(source: &str) -> String {
+            let fenced = source
+                .lines()
+                .skip_while(|l| *l != "//! ```text")
+                .skip(1)
+                .take_while(|l| *l != "//! ```");
+            fenced.map(|l| format!("{}\n", &l[3..])).collect()
+        }
+        let spec = MtSpec::parse(&example(include_str!("mtspec.rs"))).expect("mtspec example");
+        assert_eq!((spec.machine.nodes, spec.jobs.len()), (32, 2));
+        assert_eq!(spec.faults.expect("fault lines").events.len(), 1);
+        let trace = include_str!("../../sched/src/trace.rs");
+        let trace = mcio_sched::JobTrace::parse(&example(trace)).expect("jobtrace example");
+        assert_eq!((trace.machine.nodes, trace.jobs.len()), (32, 2));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::exhibits::{Shape, FIGURES};
 use crate::{Cell, Harness, TESTBED_PPN};
-use mcio_analyze::{critical_path, CriticalPath, TraceModel};
+use mcio_analyze::{critical_path, diff_critical_paths, CriticalPath, TraceModel};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_core::exec_sim::Observe;
 use mcio_core::{Rw, Strategy};
@@ -331,27 +331,15 @@ pub fn parse_records(input: &str) -> Result<Vec<Record>, String> {
     })
 }
 
-/// The five critical-path buckets of a record, as `(label, ns)` in
-/// canonical order.
-fn cp_buckets(cp: &CriticalPath) -> [(&'static str, u64); 5] {
-    [
-        ("network_shuffle", cp.network_shuffle_ns),
-        ("ost_io", cp.ost_io_ns),
-        ("memory_wait", cp.memory_wait_ns),
-        ("retry_degraded", cp.retry_degraded_ns),
-        ("idle", cp.idle_ns),
-    ]
-}
-
 /// The bucket whose growth explains most of a slowdown:
 /// `(label, delta_ns, pct_of_base)`. `None` when no bucket grew.
 fn dominant_bucket_growth(
     cur: &CriticalPath,
     base: &CriticalPath,
 ) -> Option<(&'static str, i64, f64)> {
-    cp_buckets(cur)
+    cur.buckets()
         .into_iter()
-        .zip(cp_buckets(base))
+        .zip(base.buckets())
         .filter_map(|((label, c), (_, b))| {
             let delta = c as i64 - b as i64;
             (delta > 0).then(|| {
@@ -473,16 +461,10 @@ pub fn diff_records(a: &[Record], b: &[Record]) -> Vec<String> {
                 rb.elapsed_ns as f64 / 1e6
             ));
         }
-        let mut deltas = Vec::new();
-        for ((label, va), (_, vb)) in cp_buckets(&ra.critical_path)
+        let mut deltas: Vec<String> = diff_critical_paths(&ra.critical_path, &rb.critical_path)
             .into_iter()
-            .zip(cp_buckets(&rb.critical_path))
-        {
-            let delta = vb as i64 - va as i64;
-            if delta != 0 {
-                deltas.push(format!("{label} {:+.3} ms", delta as f64 / 1e6));
-            }
-        }
+            .map(|(label, delta)| format!("{label} {:+.3} ms", delta as f64 / 1e6))
+            .collect();
         if (ra.exchange_fraction - rb.exchange_fraction).abs() > 0.0 {
             deltas.push(format!(
                 "exchange_fraction {:.6} -> {:.6}",

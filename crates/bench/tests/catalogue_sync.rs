@@ -1,5 +1,5 @@
-//! The document catalogue is kept honest mechanically, the way
-//! `help_sync` keeps the CLI table honest.
+//! The document, metric and trace-lane catalogues are kept honest
+//! mechanically, the way `help_sync` keeps the CLI table honest.
 //!
 //! * Every `mcio.<name>.v<N>` schema named in non-test workspace source
 //!   has a row in the "Documents" table of `docs/observability.md`, and
@@ -10,10 +10,20 @@
 //!   they handle the Chrome trace-event format rather than a document:
 //!   the rest of `crates/obs`, the DES engine's trace oracle, and
 //!   `TraceModel::from_chrome_json`.)
+//! * Metrics are declared once: every name literal a recording method
+//!   of `Registry` is called with in non-test source is a row of
+//!   `mcio_obs::catalogue::METRICS` under that method's kind, every row
+//!   is recorded somewhere, and the "Metric reference" tables of
+//!   `docs/observability.md` list the same (name, kind, unit) rows.
+//! * Trace lanes are declared once: the "Unified trace" table lists
+//!   exactly `catalogue::LANES`, `PID_*` is defined in the catalogue
+//!   only, and outside `crates/obs` nothing calls `name_process` or a
+//!   registry `describe`.
 //!
 //! "Non-test source" is what `scripts/code_lines.sh` counts: the part
 //! of each `crates/*/src/**/*.rs` above its first `#[cfg(test)]`.
 
+use mcio_obs::catalogue::{Kind, LANES, METRICS};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -123,5 +133,133 @@ fn documents_are_written_and_read_in_one_place() {
     assert!(
         offences.is_empty(),
         "documents go through mcio_obs::doc (Writer / Reader), found: {offences:#?}"
+    );
+}
+
+fn observability_doc() -> String {
+    std::fs::read_to_string(repo().join("docs/observability.md")).expect("doc exists")
+}
+
+/// The table cells of every `| a | b | ...` row between the heading
+/// `from` and the next `## ` heading.
+fn table_rows(doc: &str, from: &str) -> Vec<Vec<String>> {
+    let section = &doc[doc.find(from).expect("section exists") + from.len()..];
+    let section = &section[..section.find("\n## ").unwrap_or(section.len())];
+    section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| "))
+        .map(|l| {
+            l.split('|')
+                .map(|cell| cell.trim().trim_matches('`').to_string())
+                .collect()
+        })
+        .collect()
+}
+
+/// `(name, kind)` of every `.inc("name"`-style call: a recording method
+/// of `Registry` applied to a string literal.
+fn recorded_in(code: &str) -> Vec<(String, Kind)> {
+    let mut found = Vec::new();
+    for (method, kind) in [
+        (".inc(", Kind::Counter),
+        (".set_gauge(", Kind::Gauge),
+        (".max_gauge(", Kind::Gauge),
+        (".observe(", Kind::Histogram),
+        (".merge_histogram(", Kind::Histogram),
+    ] {
+        for (at, _) in code.match_indices(method) {
+            let Some(literal) = code[at + method.len()..].trim_start().strip_prefix('"') else {
+                continue;
+            };
+            let name = &literal[..literal.find('"').expect("closed literal")];
+            found.push((name.to_string(), kind));
+        }
+    }
+    found
+}
+
+#[test]
+fn recorded_metric_names_are_exactly_the_catalogue() {
+    let mut recorded = BTreeSet::new();
+    for (path, code) in sources() {
+        if path.starts_with("crates/obs/") {
+            continue;
+        }
+        for (name, kind) in recorded_in(&code) {
+            recorded.insert((name, kind.label()));
+        }
+    }
+    let catalogued: BTreeSet<(String, &str)> = METRICS
+        .iter()
+        .map(|m| (m.name.to_string(), m.kind.label()))
+        .collect();
+    let uncatalogued: Vec<_> = recorded.difference(&catalogued).collect();
+    let unrecorded: Vec<_> = catalogued.difference(&recorded).collect();
+    assert!(
+        uncatalogued.is_empty() && unrecorded.is_empty(),
+        "mcio_obs::catalogue::METRICS is out of sync with the source: recorded but not a row \
+         (or under another kind) {uncatalogued:?}, a row but never recorded {unrecorded:?}"
+    );
+}
+
+#[test]
+fn metric_reference_lists_exactly_the_catalogue() {
+    let row = |name: &str, kind: &str, unit: &str| format!("{name} | {kind} | {unit}");
+    let documented: BTreeSet<String> = table_rows(&observability_doc(), "## Metric reference")
+        .iter()
+        .filter(|cells| cells[0].contains('.'))
+        .map(|cells| row(&cells[0], &cells[1], &cells[2]))
+        .collect();
+    let catalogued: BTreeSet<String> = METRICS
+        .iter()
+        .map(|m| row(m.name, m.kind.label(), m.unit))
+        .collect();
+    let undocumented: Vec<_> = catalogued.difference(&documented).collect();
+    let stale: Vec<_> = documented.difference(&catalogued).collect();
+    assert!(
+        undocumented.is_empty() && stale.is_empty(),
+        "docs/observability.md \"Metric reference\" (name | kind | unit) is out of sync with \
+         mcio_obs::catalogue::METRICS: missing or different rows for {undocumented:#?}, \
+         stale rows {stale:#?}"
+    );
+}
+
+#[test]
+fn unified_trace_section_lists_exactly_the_lanes() {
+    let documented: Vec<(String, String)> = table_rows(&observability_doc(), "## Unified trace")
+        .iter()
+        .filter(|cells| cells[0].parse::<u64>().is_ok())
+        .map(|cells| (cells[0].clone(), cells[1].clone()))
+        .collect();
+    let lanes: Vec<(String, String)> = LANES
+        .iter()
+        .map(|lane| (lane.pid.to_string(), lane.process.to_string()))
+        .collect();
+    assert_eq!(documented, lanes, "docs/observability.md \"Unified trace\"");
+}
+
+#[test]
+fn metrics_and_lanes_are_declared_in_one_place() {
+    let mut offences = Vec::new();
+    for (path, code) in sources() {
+        let in_obs = path.starts_with("crates/obs/");
+        for (needle, allowed) in [
+            ("name_process(", in_obs),
+            ("const PID_", path == "crates/obs/src/catalogue.rs"),
+        ] {
+            if !allowed && code.contains(needle) {
+                offences.push(format!("{path}: `{needle}`"));
+            }
+        }
+        // `Straggler::describe()` / `ReplanAction::describe()` take no
+        // argument; the deleted registry method took three.
+        if code.matches(".describe(").count() != code.matches(".describe()").count() {
+            offences.push(format!("{path}: `.describe(` with arguments"));
+        }
+    }
+    assert!(
+        offences.is_empty(),
+        "metric text and trace lanes come from mcio_obs::catalogue (record under the name, \
+         `TraceCollector::name_lane(PID_*)`), found: {offences:#?}"
     );
 }

@@ -911,6 +911,11 @@ fn multitenant_spec_errors_are_one_line_and_name_the_file_line() {
             "line 2: buffer must be positive",
         ),
         (
+            "trailing_comment",
+            "machine small:8x2   # the machine\njob a buffer=0   # starved\n",
+            "line 2: buffer must be positive",
+        ),
+        (
             "machine",
             "# shared machine\n\nmachine small:0x2\njob a\n",
             "line 3: machine dimensions must be positive",

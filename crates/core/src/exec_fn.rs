@@ -10,7 +10,7 @@
 //! aggregator's window, data delivered to the wrong rank — surfaces as a
 //! hard error or a verification mismatch.
 
-use crate::plan::{CollectivePlan, Round};
+use crate::plan::CollectivePlan;
 use crate::request::CollectiveRequest;
 use mcio_pfs::file::pattern_byte;
 use mcio_pfs::{Extent, Rw, SparseFile};
@@ -238,11 +238,6 @@ pub fn roundtrip(
     let (received, rrep) = execute_read(read_plan, &file)?;
     verify_read(req_read, &file, &received)?;
     Ok((wrep, rrep))
-}
-
-/// Count the rounds a round list would actually execute (non-empty).
-pub fn active_rounds(rounds: &[Round]) -> usize {
-    rounds.iter().filter(|r| !r.is_empty()).count()
 }
 
 #[cfg(test)]

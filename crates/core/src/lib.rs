@@ -45,7 +45,6 @@ pub mod mcio;
 pub mod memory;
 pub mod mpiio;
 pub mod multitenant;
-pub mod pattern;
 pub mod placement;
 pub mod plan;
 pub mod ptree;

@@ -163,16 +163,8 @@ impl FaultSpec {
     /// ```
     pub fn parse(text: &str) -> Result<FaultSpec, String> {
         let mut spec = FaultSpec::default();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = match raw.find('#') {
-                Some(i) => &raw[..i],
-                None => raw,
-            }
-            .trim();
-            if line.is_empty() {
-                continue;
-            }
-            parse_line(line, &mut spec).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        for (line_no, line) in directive_lines(text) {
+            parse_line(line, &mut spec).map_err(|e| format!("line {line_no}: {e}"))?;
         }
         // Cross-line validation: overlapping stall windows on one OST
         // are ambiguous (the engine applies windows in order, and a
@@ -472,6 +464,16 @@ fn parse_retry(args: &[String], spec: &mut FaultSpec) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The directive lines of a DSL text (fault plan, mtspec, jobtrace):
+/// each line cut at the first `#` and trimmed, blank ones skipped,
+/// paired with its 1-based line number in `text`.
+pub fn directive_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines().enumerate().filter_map(|(i, raw)| {
+        let line = raw.split_once('#').map_or(raw, |(code, _)| code).trim();
+        (!line.is_empty()).then_some((i + 1, line))
+    })
 }
 
 /// Parse a duration literal: integer (or decimal) directly followed by

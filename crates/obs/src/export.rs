@@ -276,9 +276,7 @@ mod tests {
         assert_eq!(lines[0], "kind,name,labels,field,value,unit");
         // 2 counters + 1 gauge + (count,sum,min,max + 3 buckets) = 10.
         assert_eq!(lines.len(), 11);
-        assert!(lines
-            .iter()
-            .any(|l| *l == "counter,simpi.p2p.msgs,op=alltoallv,value,12,messages"));
+        assert!(lines.contains(&"counter,simpi.p2p.msgs,op=alltoallv,value,12,messages"));
         assert!(lines.contains(&"gauge,plan.groups,,value,4,groups"));
         // 4096 falls in [2^12, 2^13), whose inclusive bound is 8191.
         assert!(lines.iter().any(|l| l.ends_with("le_8191,1,bytes")));

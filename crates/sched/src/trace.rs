@@ -30,7 +30,7 @@
 use mcio_cluster::spec::ClusterSpec;
 use mcio_core::{Strategy, TenantJob};
 use mcio_des::{SharePolicy, SimDuration};
-use mcio_faults::parse_duration;
+use mcio_faults::{directive_lines, parse_duration};
 use mcio_workloads::JobDesc;
 use std::fmt::Write as _;
 
@@ -107,12 +107,7 @@ impl JobTrace {
         let mut default_engine: Option<SharePolicy> = None;
         let mut jobs: Vec<TraceJob> = Vec::new();
         let mut job_lines: Vec<(usize, String)> = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line_no = i + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
+        for (line_no, line) in directive_lines(text) {
             let (directive, rest) = line.split_once(char::is_whitespace).unwrap_or((line, ""));
             match directive {
                 "machine" => {
