@@ -87,6 +87,17 @@ fn schemas_in(text: &str) -> BTreeSet<String> {
     found
 }
 
+/// Two listings of the same things name the same things, or the
+/// failure lists what each side has alone.
+fn assert_in_sync(what: &str, listed: &BTreeSet<String>, source: &BTreeSet<String>) {
+    let missing: Vec<_> = source.difference(listed).collect();
+    let stale: Vec<_> = listed.difference(source).collect();
+    assert!(
+        missing.is_empty() && stale.is_empty(),
+        "{what} is out of sync with the source: missing {missing:#?}, stale {stale:#?}"
+    );
+}
+
 #[test]
 fn documents_table_lists_exactly_the_schemas_in_the_source() {
     let doc = std::fs::read_to_string(repo().join("docs/observability.md")).expect("doc exists");
@@ -103,13 +114,7 @@ fn documents_table_lists_exactly_the_schemas_in_the_source() {
         table.len() >= 12,
         "the Documents table was found: {table:?}"
     );
-    let undocumented: Vec<_> = source.difference(&table).collect();
-    let stale: Vec<_> = table.difference(&source).collect();
-    assert!(
-        undocumented.is_empty() && stale.is_empty(),
-        "docs/observability.md \"Documents\" table is out of sync with the source: \
-         missing rows for {undocumented:?}, stale rows for {stale:?}"
-    );
+    assert_in_sync("docs/observability.md \"Documents\" table", &table, &source);
 }
 
 #[test]
@@ -186,20 +191,14 @@ fn recorded_metric_names_are_exactly_the_catalogue() {
             continue;
         }
         for (name, kind) in recorded_in(&code) {
-            recorded.insert((name, kind.label()));
+            recorded.insert(format!("{name} as {}", kind.label()));
         }
     }
-    let catalogued: BTreeSet<(String, &str)> = METRICS
+    let catalogued: BTreeSet<String> = METRICS
         .iter()
-        .map(|m| (m.name.to_string(), m.kind.label()))
+        .map(|m| format!("{} as {}", m.name, m.kind.label()))
         .collect();
-    let uncatalogued: Vec<_> = recorded.difference(&catalogued).collect();
-    let unrecorded: Vec<_> = catalogued.difference(&recorded).collect();
-    assert!(
-        uncatalogued.is_empty() && unrecorded.is_empty(),
-        "mcio_obs::catalogue::METRICS is out of sync with the source: recorded but not a row \
-         (or under another kind) {uncatalogued:?}, a row but never recorded {unrecorded:?}"
-    );
+    assert_in_sync("mcio_obs::catalogue::METRICS", &catalogued, &recorded);
 }
 
 #[test]
@@ -214,13 +213,10 @@ fn metric_reference_lists_exactly_the_catalogue() {
         .iter()
         .map(|m| row(m.name, m.kind.label(), m.unit))
         .collect();
-    let undocumented: Vec<_> = catalogued.difference(&documented).collect();
-    let stale: Vec<_> = documented.difference(&catalogued).collect();
-    assert!(
-        undocumented.is_empty() && stale.is_empty(),
-        "docs/observability.md \"Metric reference\" (name | kind | unit) is out of sync with \
-         mcio_obs::catalogue::METRICS: missing or different rows for {undocumented:#?}, \
-         stale rows {stale:#?}"
+    assert_in_sync(
+        "docs/observability.md \"Metric reference\" (name | kind | unit)",
+        &documented,
+        &catalogued,
     );
 }
 
