@@ -28,7 +28,7 @@
 //! is integer nanoseconds over one boundary sweep, so the five buckets
 //! sum to the elapsed time **exactly**.
 
-use crate::trace_model::{ResourceClass, TraceModel, PID_RESOURCES, PID_ROUNDS};
+use crate::trace_model::{ResourceClass, TraceModel, PID_ROUNDS};
 use mcio_obs::doc::{Reader, Writer};
 
 /// Kind of one logical round phase.
@@ -41,7 +41,7 @@ pub enum PhaseKind {
 }
 
 impl PhaseKind {
-    fn from_cat(cat: &str) -> Option<Self> {
+    pub(crate) fn from_cat(cat: &str) -> Option<Self> {
         match cat {
             "exchange" => Some(PhaseKind::Exchange),
             "io" => Some(PhaseKind::Io),
@@ -187,22 +187,16 @@ pub fn critical_path(model: &TraceModel) -> CriticalPath {
         return CriticalPath::default();
     }
 
-    // The critical chain: the pid-2 lane whose last span ends latest.
-    // Its phase spans never overlap (property-tested invariant), so a
-    // sorted interval list supports the sweep below.
-    let lanes = model.lanes(PID_ROUNDS);
-    let critical_lane = lanes
+    // The critical chain: the pid-2 lane whose last span ends latest
+    // (the lower tid on ties, for determinism). Its phase spans never
+    // overlap (property-tested invariant), so a sorted interval list
+    // supports the sweep below.
+    let critical_lane = model
+        .lanes(PID_ROUNDS)
         .iter()
-        .max_by_key(|(tid, spans)| {
-            (
-                spans.iter().map(|s| s.end_ns()).max().unwrap_or(0),
-                // Tie-break toward the lower tid for determinism.
-                std::cmp::Reverse(*tid),
-            )
-        })
-        .map(|(_, spans)| spans.as_slice())
-        .unwrap_or(&[]);
+        .max_by_key(|l| (l.end_ns, std::cmp::Reverse(l.tid)));
     let phases: Vec<(u64, u64, PhaseKind)> = critical_lane
+        .map_or(&[][..], |l| model.lane_spans(l))
         .iter()
         .filter_map(|s| PhaseKind::from_cat(&s.cat).map(|k| (s.start_ns, s.end_ns(), k)))
         .collect();
@@ -219,7 +213,7 @@ pub fn critical_path(model: &TraceModel) -> CriticalPath {
         bounds.push(a);
         bounds.push(b);
     }
-    for ivs in [&network, &memory, &storage, &faults] {
+    for ivs in [network, memory, storage, faults] {
         for &(a, b) in ivs {
             bounds.push(a);
             bounds.push(b);
@@ -232,7 +226,7 @@ pub fn critical_path(model: &TraceModel) -> CriticalPath {
     // Forward-only cursors: boundaries are visited in ascending order.
     let mut phase_i = 0usize;
     let mut cursors = [0usize; 4];
-    let classes = [&network, &memory, &storage, &faults];
+    let classes = [network, memory, storage, faults];
     let busy_at = |cursor: &mut usize, ivs: &[(u64, u64)], t: u64| -> bool {
         while *cursor < ivs.len() && ivs[*cursor].1 <= t {
             *cursor += 1;
@@ -309,22 +303,24 @@ pub fn critical_path(model: &TraceModel) -> CriticalPath {
     cp
 }
 
-/// Summarize every round chain, longest wall-clock extent first.
-pub fn chain_summaries(model: &TraceModel) -> Vec<ChainSummary> {
-    let lanes = model.lanes(PID_ROUNDS);
+/// Every round chain, longest wall-clock extent first.
+pub fn chain_summaries(model: &TraceModel) -> &[ChainSummary] {
+    &model.chains
+}
+
+/// Computes [`chain_summaries`] for the index under construction.
+pub(crate) fn summarize_chains(model: &TraceModel) -> Vec<ChainSummary> {
     let makespan = model.makespan_ns();
-    let mut out: Vec<ChainSummary> = Vec::with_capacity(lanes.len());
-    for (tid, spans) in &lanes {
-        if spans.is_empty() {
-            continue;
-        }
-        let start_ns = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
-        let end_ns = spans.iter().map(|s| s.end_ns()).max().unwrap_or(0);
+    let mut out: Vec<ChainSummary> = Vec::new();
+    for lane in model.lanes(PID_ROUNDS) {
+        let spans = model.lane_spans(lane);
+        let start_ns = spans[0].start_ns;
+        let end_ns = lane.end_ns;
         let mut exchange_ns = 0u64;
         let mut io_ns = 0u64;
         let mut covered = 0u64;
         let mut cursor = start_ns;
-        let mut rounds: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
+        let mut rounds: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
         for s in spans {
             match PhaseKind::from_cat(&s.cat) {
                 Some(PhaseKind::Exchange) => exchange_ns += s.dur_ns,
@@ -339,27 +335,22 @@ pub fn chain_summaries(model: &TraceModel) -> Vec<ChainSummary> {
                 cursor = s_end;
             }
             if let Some((_, r)) = s.args.iter().find(|(k, _)| k == "round") {
-                rounds.insert(r.clone());
+                rounds.insert(r);
             } else {
                 // Fallback for traces without span metadata: the span
                 // name is `r<N>.<phase>`.
                 if let Some(prefix) = s.name.split('.').next() {
-                    rounds.insert(prefix.to_string());
+                    rounds.insert(prefix);
                 }
             }
         }
         let group = spans
             .iter()
-            .find_map(|s| {
-                s.args
-                    .iter()
-                    .find(|(k, _)| k == "group")
-                    .map(|(_, v)| v.clone())
-            })
-            .unwrap_or_else(|| model.lane_name(PID_ROUNDS, *tid).unwrap_or("?").to_string());
+            .find_map(|s| s.args.iter().find(|(k, _)| k == "group"))
+            .map_or_else(|| lane.name.as_deref().unwrap_or("?"), |(_, v)| v.as_str());
         out.push(ChainSummary {
-            chain: *tid,
-            group,
+            chain: lane.tid,
+            group: group.to_string(),
             start_ns,
             end_ns,
             exchange_ns,
@@ -384,9 +375,9 @@ pub fn chain_summaries(model: &TraceModel) -> Vec<ChainSummary> {
 /// I/O names are `io.rank<N>`, `io.rank<N>.egress`, or
 /// `io.rank<N>.ost<M>` (the aggregator is the first segment); shuffle
 /// legs name the aggregator endpoint as `rank<N>` on one side of `->`
-/// (destination for writes, source for reads). Shared by the
-/// per-aggregator attribution and the straggler detector so both
-/// reconstructions can never disagree on ownership.
+/// (destination for writes, source for reads). Read by the index's one
+/// per-aggregator accumulation, which the aggregator report and the
+/// straggler detector both consume.
 pub(crate) fn span_aggregator(name: &str) -> Option<(u64, bool)> {
     let rank_of = |s: &str| -> Option<u64> { s.strip_prefix("rank")?.parse().ok() };
     if let Some(rest) = name.strip_prefix("io.") {
@@ -404,28 +395,10 @@ pub(crate) fn span_aggregator(name: &str) -> Option<(u64, bool)> {
     None
 }
 
-/// Reconstruct per-aggregator attribution from the resource lanes,
+/// Per-aggregator attribution reconstructed from the resource lanes,
 /// sorted by I/O service time descending.
 pub fn aggregator_io(model: &TraceModel) -> Vec<AggIo> {
-    let mut by_agg: std::collections::BTreeMap<u64, AggIo> = std::collections::BTreeMap::new();
-    for s in model.spans.iter().filter(|s| s.pid == PID_RESOURCES) {
-        match span_aggregator(&s.name) {
-            Some((agg, true)) => {
-                let e = by_agg.entry(agg).or_default();
-                e.agg = agg;
-                e.io_busy_ns += s.dur_ns;
-                e.io_requests += 1;
-            }
-            Some((agg, false)) => {
-                let e = by_agg.entry(agg).or_default();
-                e.agg = agg;
-                e.msg_busy_ns += s.dur_ns;
-                e.msgs += 1;
-            }
-            None => {}
-        }
-    }
-    let mut out: Vec<AggIo> = by_agg.into_values().collect();
+    let mut out: Vec<AggIo> = model.aggregators.iter().map(|a| a.totals.clone()).collect();
     out.sort_by_key(|a| std::cmp::Reverse((a.io_busy_ns, a.msg_busy_ns, a.agg)));
     out
 }
@@ -433,21 +406,16 @@ pub fn aggregator_io(model: &TraceModel) -> Vec<AggIo> {
 /// Convenience: total per-phase time across *all* chains (the raw
 /// attribution sums matching `TimingReport::exchange_time`/`io_time`).
 pub fn phase_sums(model: &TraceModel) -> (u64, u64) {
-    let mut exchange = 0u64;
-    let mut io = 0u64;
-    for s in model.spans.iter().filter(|s| s.pid == PID_ROUNDS) {
-        match PhaseKind::from_cat(&s.cat) {
-            Some(PhaseKind::Exchange) => exchange += s.dur_ns,
-            Some(PhaseKind::Io) => io += s.dur_ns,
-            None => {}
-        }
-    }
-    (exchange, io)
+    model
+        .chains
+        .iter()
+        .fold((0, 0), |(x, io), c| (x + c.exchange_ns, io + c.io_ns))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace_model::PID_RESOURCES;
     use mcio_obs::TraceCollector;
 
     /// One chain: exchange [0,400) with NIC busy [0,300) and membus

@@ -6,18 +6,20 @@
 //! one first: **which phase or resource limits collective I/O as
 //! memory per core shrinks?**
 //!
-//! * [`TraceModel`] — a queryable in-memory form of a trace, built from
-//!   a live [`mcio_obs::TraceCollector`] or parsed back from a Chrome
-//!   trace-event JSON file (`--trace` output round-trips losslessly).
-//! * [`critical_path`] — partitions the run's elapsed simulated time
+//! * [`TraceModel`] — the index every analysis reads, built once from
+//!   a [`mcio_obs::Trace`] (a live [`mcio_obs::TraceCollector`], or a
+//!   Chrome trace-event JSON file — `--trace` output round-trips
+//!   losslessly): spans sorted per lane, each lane's class and busy
+//!   union, per-class / per-job / per-aggregator unions, the chain
+//!   summaries.
+//! * [`critical_path()`] — partitions the run's elapsed simulated time
 //!   into **network-shuffle**, **OST I/O**, **memory-wait**, and
 //!   **idle** by sweeping the critical round chain against the resource
 //!   lanes. The four buckets sum to the elapsed time *exactly* (integer
 //!   nanoseconds), so attributions are audit-safe.
 //! * [`report`] — per-chain and per-aggregator summaries, resource-
 //!   class percentiles (via [`mcio_obs::Histogram::percentile`]), a
-//!   top-K longest-chain table, JSON and terminal renderings, and
-//!   two-run bottleneck comparison (baseline two-phase vs MC-CIO).
+//!   top-K longest-chain table, JSON and terminal renderings.
 //! * [`tenants`] — per-job interference attribution for multi-tenant
 //!   traces (pid-4 job lanes): splits each job's window into self /
 //!   cross-tenant / idle time so contention is attributable per job.
@@ -50,11 +52,11 @@ pub use critical_path::{
 };
 pub use diff::{diff_critical_paths, diff_models, RunDiff, SeriesDelta};
 pub use replan::{replan_actions, ReplanAction};
-pub use report::{analyze, compare, Analysis, ClassStat, Comparison, PhaseTotals};
+pub use report::{analyze, Analysis, ClassStat, PhaseTotals};
 pub use sched::{sched_section, SchedDispatch, SchedSection};
 pub use stragglers::{format_rounds, stragglers, Straggler, StragglerKind};
 pub use tenants::{tenant_paths, TenantPath};
-pub use timeline::{default_bucket_ns, timeline, Series, SeriesKind, Timeline};
+pub use timeline::{default_bucket_ns, timeline, Series, SeriesKind, Timeline, MAX_BUCKETS};
 pub use trace_model::{
-    ResourceClass, TraceModel, PID_REPLAN, PID_RESOURCES, PID_ROUNDS, PID_SCHED, PID_TENANTS,
+    Lane, ResourceClass, TraceModel, PID_REPLAN, PID_RESOURCES, PID_ROUNDS, PID_SCHED, PID_TENANTS,
 };

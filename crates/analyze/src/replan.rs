@@ -67,9 +67,8 @@ impl ReplanAction {
 /// rendering is deterministic regardless of emission order.
 pub fn replan_actions(model: &TraceModel) -> Vec<ReplanAction> {
     let mut out: Vec<ReplanAction> = model
-        .spans
+        .pid_spans(PID_REPLAN)
         .iter()
-        .filter(|s| s.pid == PID_REPLAN)
         .map(|s| ReplanAction {
             actuator: s.cat.clone(),
             name: s.name.clone(),

@@ -1,5 +1,4 @@
-//! Structured and human-readable renderings of one run's analysis,
-//! plus two-run bottleneck comparison.
+//! Structured and human-readable renderings of one run's analysis.
 //!
 //! The JSON form is the machine interface (`mcio_cli analyze --report
 //! json`, the `perf_suite` BENCH records); the text form is the
@@ -89,20 +88,14 @@ pub const ANALYZE_SCHEMA: &str = "mcio.analyze.v1";
 pub fn analyze(model: &TraceModel, top_k: usize) -> Analysis {
     let (exchange_ns, io_ns) = phase_sums(model);
     let mut class_stats = Vec::new();
-    for class in [
-        ResourceClass::Network,
-        ResourceClass::Memory,
-        ResourceClass::Storage,
-    ] {
+    for class in ResourceClass::REPORTED {
         let mut hist = Histogram::new();
         let mut busy_ns = 0u64;
-        for s in model.spans.iter().filter(|s| {
-            s.pid == PID_RESOURCES
-                && model
-                    .lane_name(PID_RESOURCES, s.tid)
-                    .map(ResourceClass::classify)
-                    == Some(class)
-        }) {
+        let lanes = model.lanes(PID_RESOURCES).iter();
+        for s in lanes
+            .filter(|l| l.class == class)
+            .flat_map(|l| model.lane_spans(l))
+        {
             hist.observe(s.dur_ns);
             busy_ns += s.dur_ns;
         }
@@ -122,7 +115,7 @@ pub fn analyze(model: &TraceModel, top_k: usize) -> Analysis {
         elapsed_ns: model.makespan_ns(),
         critical_path: critical_path(model),
         phase_totals: PhaseTotals { exchange_ns, io_ns },
-        chains: chain_summaries(model),
+        chains: chain_summaries(model).to_vec(),
         aggregators: aggregator_io(model),
         class_stats,
         tenants: tenant_paths(model),
@@ -402,67 +395,6 @@ impl Analysis {
     }
 }
 
-/// Bottleneck shift between two analyzed runs (e.g. baseline two-phase
-/// vs. memory-conscious on the same workload).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Comparison {
-    /// Label of the first run.
-    pub label_a: String,
-    /// Label of the second run.
-    pub label_b: String,
-    /// Elapsed of the first run, ns.
-    pub elapsed_a_ns: u64,
-    /// Elapsed of the second run, ns.
-    pub elapsed_b_ns: u64,
-    /// Dominant bucket of the first run.
-    pub bottleneck_a: &'static str,
-    /// Dominant bucket of the second run.
-    pub bottleneck_b: &'static str,
-    /// `elapsed_b / elapsed_a` (< 1 means B is faster).
-    pub speedup: f64,
-}
-
-/// Compare two analyses: who is faster, and did the bottleneck move?
-pub fn compare(label_a: &str, a: &Analysis, label_b: &str, b: &Analysis) -> Comparison {
-    Comparison {
-        label_a: label_a.to_string(),
-        label_b: label_b.to_string(),
-        elapsed_a_ns: a.elapsed_ns,
-        elapsed_b_ns: b.elapsed_ns,
-        bottleneck_a: a.critical_path.bottleneck(),
-        bottleneck_b: b.critical_path.bottleneck(),
-        speedup: if a.elapsed_ns == 0 {
-            0.0
-        } else {
-            b.elapsed_ns as f64 / a.elapsed_ns as f64
-        },
-    }
-}
-
-impl Comparison {
-    /// One-paragraph terminal rendering of the shift.
-    pub fn to_text(&self) -> String {
-        let pct = (1.0 - self.speedup) * 100.0;
-        let moved = if self.bottleneck_a == self.bottleneck_b {
-            format!("bottleneck stays on {}", self.bottleneck_a)
-        } else {
-            format!(
-                "bottleneck moves {} -> {}",
-                self.bottleneck_a, self.bottleneck_b
-            )
-        };
-        format!(
-            "{} {:.3} ms vs {} {:.3} ms ({:+.1}% elapsed); {}",
-            self.label_a,
-            self.elapsed_a_ns as f64 / 1e6,
-            self.label_b,
-            self.elapsed_b_ns as f64 / 1e6,
-            -pct,
-            moved
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,27 +449,6 @@ mod tests {
         assert!(text.contains("longest chains"));
         assert!(text.contains("busiest aggregators"));
         assert!(text.contains("p95 us"));
-    }
-
-    #[test]
-    fn comparison_reports_shift() {
-        let a = analyze(&model(), 3);
-        // A second run twice as fast, network-bound.
-        let tc = TraceCollector::new();
-        tc.name_thread(PID_RESOURCES, 0, "node0.nic_tx");
-        tc.name_thread(PID_ROUNDS, 0, "chain0");
-        tc.span("msg.node0->rank1", "node0.nic_tx", PID_RESOURCES, 0, 0, 400);
-        tc.span("r0.exchange", "exchange", PID_ROUNDS, 0, 0, 500);
-        let b = analyze(&TraceModel::from_collector(&tc), 3);
-        let cmp = compare("two-phase", &a, "memory-conscious", &b);
-        assert!((cmp.speedup - 0.5).abs() < 1e-12);
-        assert_eq!(cmp.bottleneck_a, "ost_io");
-        assert_eq!(cmp.bottleneck_b, "network_shuffle");
-        let text = cmp.to_text();
-        assert!(
-            text.contains("bottleneck moves ost_io -> network_shuffle"),
-            "{text}"
-        );
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn arg_u64(args: &[(String, String)], key: &str) -> u64 {
 /// Returns `None` when the trace carries no scheduler lanes, so
 /// non-scheduled reports stay byte-identical.
 pub fn sched_section(model: &TraceModel) -> Option<SchedSection> {
-    let spans: Vec<_> = model.spans.iter().filter(|s| s.pid == PID_SCHED).collect();
+    let spans = model.pid_spans(PID_SCHED);
     if spans.is_empty() {
         return None;
     }

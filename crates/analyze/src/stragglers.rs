@@ -19,9 +19,9 @@
 //! critical path; the output order (score descending, then name) is
 //! deterministic.
 
-use crate::critical_path::{chain_summaries, span_aggregator, PhaseKind};
+use crate::critical_path::{chain_summaries, PhaseKind};
 use crate::trace_model::{ResourceClass, TraceModel, PID_RESOURCES, PID_ROUNDS};
-use mcio_obs::intervals::merge_intervals;
+use mcio_obs::intervals::total_len;
 
 /// What kind of entity straggled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -179,13 +179,8 @@ fn rounds_active(model: &TraceModel, intervals: &[(u64, u64)], bucket: &str) -> 
         PhaseKind::Exchange
     };
     let mut rounds = std::collections::BTreeSet::new();
-    for s in model.spans.iter().filter(|s| s.pid == PID_ROUNDS) {
-        let kind = match s.cat.as_str() {
-            "io" => PhaseKind::Io,
-            "exchange" => PhaseKind::Exchange,
-            _ => continue,
-        };
-        if kind != want {
+    for s in model.pid_spans(PID_ROUNDS) {
+        if PhaseKind::from_cat(&s.cat) != Some(want) {
             continue;
         }
         let overlaps = intervals
@@ -229,11 +224,12 @@ pub fn stragglers(model: &TraceModel) -> Vec<Straggler> {
             "network_shuffle"
         };
         // The chain's own round windows of the inflated phase.
-        let lanes = model.lanes(PID_ROUNDS);
-        let ivs: Vec<(u64, u64)> = lanes
-            .get(&c.chain)
-            .map(|spans| spans.iter().map(|s| (s.start_ns, s.end_ns())).collect())
-            .unwrap_or_default();
+        let lane = model.lanes(PID_ROUNDS).iter().find(|l| l.tid == c.chain);
+        let ivs: Vec<(u64, u64)> = lane
+            .map_or(&[][..], |l| model.lane_spans(l))
+            .iter()
+            .map(|s| (s.start_ns, s.end_ns()))
+            .collect();
         out.push(Straggler {
             kind: StragglerKind::Chain,
             name: format!("chain{}", c.chain),
@@ -245,83 +241,53 @@ pub fn stragglers(model: &TraceModel) -> Vec<Straggler> {
         });
     }
 
-    // Aggregators: summed service time (I/O + shuffle); the inflated
-    // bucket is whichever component dominates.
-    // (io service ns, shuffle service ns, raw busy intervals).
-    type AggAccum = (u64, u64, Vec<(u64, u64)>);
-    let mut agg_ivs: std::collections::BTreeMap<u64, AggAccum> = Default::default();
-    for s in model
-        .spans
+    // Aggregators: summed service time (I/O + shuffle) of those that
+    // were served at all; the inflated bucket is whichever component
+    // dominates.
+    let aggs: Vec<_> = model
+        .aggregators
         .iter()
-        .filter(|s| s.pid == PID_RESOURCES && s.dur_ns > 0)
-    {
-        if let Some((agg, is_io)) = span_aggregator(&s.name) {
-            let e = agg_ivs.entry(agg).or_default();
-            if is_io {
-                e.0 += s.dur_ns;
-            } else {
-                e.1 += s.dur_ns;
-            }
-            e.2.push((s.start_ns, s.end_ns()));
-        }
-    }
-    // (agg rank, io service ns, shuffle service ns, merged intervals).
-    type AggRow = (u64, u64, u64, Vec<(u64, u64)>);
-    let aggs: Vec<AggRow> = agg_ivs
-        .into_iter()
-        .map(|(agg, (io, msg, ivs))| (agg, io, msg, merge_intervals(ivs)))
+        .filter(|a| !a.busy.is_empty())
         .collect();
-    let durations: Vec<u64> = aggs.iter().map(|&(_, io, msg, _)| io + msg).collect();
+    let durations: Vec<u64> = aggs
+        .iter()
+        .map(|a| a.totals.io_busy_ns + a.totals.msg_busy_ns)
+        .collect();
     for (i, med, score) in flag_outliers(&durations) {
-        let (agg, io, msg, ref ivs) = aggs[i];
-        let bucket = if io >= msg {
+        let (a, t) = (aggs[i], &aggs[i].totals);
+        let bucket = if t.io_busy_ns >= t.msg_busy_ns {
             "ost_io"
         } else {
             "network_shuffle"
         };
         out.push(Straggler {
             kind: StragglerKind::Aggregator,
-            name: format!("agg{agg}"),
-            duration_ns: io + msg,
+            name: format!("agg{}", t.agg),
+            duration_ns: durations[i],
             peer_median_ns: med,
             score,
             bucket,
-            rounds: rounds_active(model, ivs, bucket),
+            rounds: rounds_active(model, &a.busy, bucket),
         });
     }
 
-    // OSTs: busy-union length per storage lane; always inflates ost_io.
-    let mut osts: Vec<(String, Vec<(u64, u64)>)> = Vec::new();
-    for (tid, spans) in model.lanes(PID_RESOURCES) {
-        let Some(name) = model.lane_name(PID_RESOURCES, tid) else {
-            continue;
-        };
-        if ResourceClass::classify(name) != ResourceClass::Storage {
-            continue;
-        }
-        let ivs = merge_intervals(
-            spans
-                .iter()
-                .filter(|s| s.dur_ns > 0)
-                .map(|s| (s.start_ns, s.end_ns()))
-                .collect(),
-        );
-        osts.push((name.to_string(), ivs));
-    }
-    let durations: Vec<u64> = osts
+    // OSTs: busy-union length per named storage lane; always inflates
+    // ost_io.
+    let osts: Vec<_> = model
+        .lanes(PID_RESOURCES)
         .iter()
-        .map(|(_, ivs)| ivs.iter().map(|(a, b)| b - a).sum())
+        .filter(|l| l.class == ResourceClass::Storage)
         .collect();
+    let durations: Vec<u64> = osts.iter().map(|l| total_len(&l.busy)).collect();
     for (i, med, score) in flag_outliers(&durations) {
-        let (ref name, ref ivs) = osts[i];
         out.push(Straggler {
             kind: StragglerKind::Ost,
-            name: name.clone(),
+            name: osts[i].name.clone().unwrap_or_default(),
             duration_ns: durations[i],
             peer_median_ns: med,
             score,
             bucket: "ost_io",
-            rounds: rounds_active(model, ivs, "ost_io"),
+            rounds: rounds_active(model, &osts[i].busy, "ost_io"),
         });
     }
 

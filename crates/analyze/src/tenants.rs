@@ -19,7 +19,7 @@
 //! Traces from solo runs carry no pid-4 lanes and yield an empty
 //! attribution, so every existing report is byte-identical.
 
-use crate::trace_model::{TraceModel, PID_RESOURCES, PID_ROUNDS, PID_TENANTS};
+use crate::trace_model::{TraceModel, PID_ROUNDS, PID_TENANTS};
 use mcio_obs::intervals::{intersect_len, merge_intervals, total_len};
 
 /// One job's interference attribution, extracted from the trace alone.
@@ -99,39 +99,11 @@ fn clip(intervals: &[(u64, u64)], lo: u64, hi: u64) -> Vec<(u64, u64)> {
 /// Returns one [`TenantPath`] per pid-4 lane, in lane (= job) order;
 /// empty for traces without tenant lanes.
 pub fn tenant_paths(model: &TraceModel) -> Vec<TenantPath> {
-    let tenant_lanes = model.lanes(PID_TENANTS);
-    if tenant_lanes.is_empty() {
-        return Vec::new();
-    }
-
-    // Per-job busy unions over the machine's resource lanes. A span's
-    // *name* is the activity label, so the job prefix survives the
-    // resource serialization.
-    let mut busy_of: std::collections::BTreeMap<u64, Vec<(u64, u64)>> = Default::default();
-    for s in model
-        .spans
-        .iter()
-        .filter(|s| s.pid == PID_RESOURCES && s.dur_ns > 0)
-    {
-        if let Some(ji) = job_of(&s.name) {
-            busy_of
-                .entry(ji)
-                .or_default()
-                .push((s.start_ns, s.end_ns()));
-        }
-    }
-    let busy_of: std::collections::BTreeMap<u64, Vec<(u64, u64)>> = busy_of
-        .into_iter()
-        .map(|(ji, v)| (ji, merge_intervals(v)))
-        .collect();
-
-    let round_lanes = model.lanes(PID_ROUNDS);
+    let busy_of = &model.job_busy;
     let mut out = Vec::new();
-    for (&tid, spans) in &tenant_lanes {
-        let window = match spans.first() {
-            Some(w) => w,
-            None => continue,
-        };
+    for lane in model.lanes(PID_TENANTS) {
+        let tid = lane.tid;
+        let window = &model.lane_spans(lane)[0];
         let (start_ns, end_ns) = (window.start_ns, window.end_ns());
         let arg = |key: &str| {
             window
@@ -157,18 +129,15 @@ pub fn tenant_paths(model: &TraceModel) -> Vec<TenantPath> {
 
         // The job's critical chain: among pid-2 lanes carrying this
         // job's prefix, the one whose last span ends latest.
-        let critical_lane = round_lanes
+        let critical_lane = model
+            .lanes(PID_ROUNDS)
             .iter()
-            .filter_map(|(&rtid, rspans)| {
-                let name = model.lane_name(PID_ROUNDS, rtid)?;
-                if job_of(name) != Some(tid) {
-                    return None;
-                }
-                let end = rspans.iter().map(|s| s.end_ns()).max()?;
-                Some((end, name.to_string()))
+            .filter_map(|l| {
+                let name = l.name.as_deref()?;
+                (job_of(name) == Some(tid)).then_some((l.end_ns, name))
             })
-            .max_by(|a, b| a.0.cmp(&b.0).then_with(|| b.1.cmp(&a.1)))
-            .map(|(_, name)| name);
+            .max_by(|a, b| a.0.cmp(&b.0).then_with(|| b.1.cmp(a.1)))
+            .map(|(_, name)| name.to_string());
 
         out.push(TenantPath {
             tid,
@@ -190,6 +159,7 @@ pub fn tenant_paths(model: &TraceModel) -> Vec<TenantPath> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace_model::PID_RESOURCES;
     use mcio_obs::TraceCollector;
 
     fn tenant_trace() -> TraceModel {

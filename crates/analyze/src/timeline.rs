@@ -18,7 +18,6 @@
 
 use crate::trace_model::{ResourceClass, TraceModel, PID_RESOURCES};
 use mcio_obs::doc::{Reader, Writer};
-use mcio_obs::intervals::merge_intervals;
 use mcio_obs::json;
 use mcio_obs::Registry;
 use std::fmt::Write as _;
@@ -148,12 +147,18 @@ pub fn default_bucket_ns(elapsed_ns: u64) -> u64 {
     (elapsed_ns.div_ceil(100)).max(1)
 }
 
+/// The most buckets a timeline holds (1,000× the default's 100). Every
+/// series is a dense vector of one `u64` per bucket, so without a
+/// ceiling `--bucket-ns 1` on a 56 ms trace is 56 M entries per series.
+pub const MAX_BUCKETS: u64 = 100_000;
+
 /// Sweep `model`'s resource spans into a [`Timeline`] with the given
-/// bucket width (clamped to ≥ 1 ns). See the module docs for series
-/// order and exactness guarantees.
+/// bucket width (widened to ≥ 1 ns and, if need be, until the run
+/// tiles into at most [`MAX_BUCKETS`] buckets). See the module docs
+/// for series order and exactness guarantees.
 pub fn timeline(model: &TraceModel, bucket_ns: u64) -> Timeline {
     let elapsed_ns = model.makespan_ns();
-    let bucket_ns = bucket_ns.max(1);
+    let bucket_ns = bucket_ns.max(elapsed_ns.div_ceil(MAX_BUCKETS)).max(1);
     let buckets = elapsed_ns.div_ceil(bucket_ns) as usize;
     let mut tl = Timeline {
         elapsed_ns,
@@ -165,73 +170,31 @@ pub fn timeline(model: &TraceModel, bucket_ns: u64) -> Timeline {
         return tl;
     }
 
+    let mut push = |key: String, kind, ivs: &[(u64, u64)]| {
+        if !ivs.is_empty() {
+            let series = Series::from_intervals(key, kind, ivs, bucket_ns, buckets);
+            tl.series.push(series);
+        }
+    };
     // Per-class series from the merged class unions.
-    for class in [
-        ResourceClass::Network,
-        ResourceClass::Memory,
-        ResourceClass::Storage,
-    ] {
+    for class in ResourceClass::REPORTED {
         let ivs = model.class_busy_intervals(class);
-        if ivs.is_empty() {
-            continue;
-        }
-        tl.series.push(Series::from_intervals(
-            class.label().to_string(),
-            SeriesKind::Class,
-            &ivs,
-            bucket_ns,
-            buckets,
-        ));
+        push(class.label().to_string(), SeriesKind::Class, ivs);
     }
-
-    // Per-OST series: one per storage lane, in lane (tid) order.
-    for (tid, spans) in model.lanes(PID_RESOURCES) {
-        let Some(name) = model.lane_name(PID_RESOURCES, tid) else {
-            continue;
-        };
-        if ResourceClass::classify(name) != ResourceClass::Storage {
-            continue;
+    // Per-OST series: one per named storage lane, in lane (tid) order.
+    for lane in model.lanes(PID_RESOURCES) {
+        if lane.class == ResourceClass::Storage {
+            push(
+                lane.name.clone().unwrap_or_default(),
+                SeriesKind::Ost,
+                &lane.busy,
+            );
         }
-        let ivs = merge_intervals(
-            spans
-                .iter()
-                .filter(|s| s.dur_ns > 0)
-                .map(|s| (s.start_ns, s.end_ns()))
-                .collect(),
-        );
-        if ivs.is_empty() {
-            continue;
-        }
-        tl.series.push(Series::from_intervals(
-            name.to_string(),
-            SeriesKind::Ost,
-            &ivs,
-            bucket_ns,
-            buckets,
-        ));
     }
-
     // Per-tenant series: resource spans whose activity label carries a
     // `j<N>.` prefix (multi-tenant runs only; solo traces add nothing).
-    let mut by_job: std::collections::BTreeMap<u64, Vec<(u64, u64)>> = Default::default();
-    for s in model
-        .spans
-        .iter()
-        .filter(|s| s.pid == PID_RESOURCES && s.dur_ns > 0)
-    {
-        if let Some(ji) = crate::tenants::job_of(&s.name) {
-            by_job.entry(ji).or_default().push((s.start_ns, s.end_ns()));
-        }
-    }
-    for (ji, ivs) in by_job {
-        let ivs = merge_intervals(ivs);
-        tl.series.push(Series::from_intervals(
-            format!("j{ji}"),
-            SeriesKind::Tenant,
-            &ivs,
-            bucket_ns,
-            buckets,
-        ));
+    for (ji, ivs) in &model.job_busy {
+        push(format!("j{ji}"), SeriesKind::Tenant, ivs);
     }
     tl
 }
@@ -365,6 +328,16 @@ mod tests {
         assert_eq!(ost0.total_busy_ns, 600);
         assert!(ost0.busy_ns.iter().all(|&v| v <= 128));
         assert_eq!(tl.get("ost1").unwrap().total_busy_ns, 300);
+    }
+
+    #[test]
+    fn bucket_count_has_a_ceiling() {
+        let tc = TraceCollector::new();
+        tc.name_thread(PID_RESOURCES, 0, "ost0");
+        tc.span("io", "ost0", PID_RESOURCES, 0, 0, 3 * MAX_BUCKETS + 1);
+        let tl = timeline(&TraceModel::from_collector(&tc), 1);
+        assert_eq!((tl.bucket_ns, tl.buckets as u64), (4, 75_001));
+        assert_eq!(tl.get("ost0").unwrap().total_busy_ns, 3 * MAX_BUCKETS + 1);
     }
 
     #[test]

@@ -1,19 +1,22 @@
 //! A queryable in-memory model of one unified trace.
 //!
-//! The simulation emits Chrome trace-event JSON; analysis wants sorted
-//! lanes, resolved lane names, and integer-nanosecond arithmetic. This
-//! module bridges the two: [`TraceModel`] holds the spans plus the lane
-//! metadata and can be built either from a live collector (zero-copy of
-//! the serialization step) or parsed back from a trace file, so
-//! `mcio_cli analyze --trace FILE` sees exactly what Perfetto would.
+//! The simulation emits a [`Trace`] (and writes it as Chrome
+//! trace-event JSON); analysis wants sorted lanes, resolved lane names,
+//! and integer-nanosecond arithmetic. [`TraceModel`] is that index: it
+//! is built once — from a live collector or from a trace file parsed by
+//! [`Trace::from_chrome_json`], so `mcio_cli analyze --trace FILE` sees
+//! exactly what Perfetto would — and every analysis of the crate reads
+//! its slices instead of regrouping the spans.
 
+use crate::critical_path::{span_aggregator, summarize_chains, AggIo, ChainSummary};
+use crate::tenants::job_of;
 pub use mcio_obs::catalogue::{
     PID_FAULTS, PID_REPLAN, PID_RESOURCES, PID_ROUNDS, PID_SCHED, PID_TENANTS,
 };
 use mcio_obs::intervals::merge_intervals;
-use mcio_obs::json::{self, JsonValue};
-use mcio_obs::{Span, TraceCollector};
+use mcio_obs::{Span, Trace, TraceCollector};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Coarse class of a machine resource, keyed off its lane name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -24,11 +27,19 @@ pub enum ResourceClass {
     Memory,
     /// OST lanes (`ost<N>`): parallel-file-system service.
     Storage,
-    /// Anything else (future resource kinds analyze ignores today).
+    /// Anything else: unnamed lanes, and future resource kinds analyze
+    /// ignores today.
     Other,
 }
 
 impl ResourceClass {
+    /// The classes analysis attributes time to, in report order.
+    pub const REPORTED: [ResourceClass; 3] = [
+        ResourceClass::Network,
+        ResourceClass::Memory,
+        ResourceClass::Storage,
+    ];
+
     /// Classify a resource lane by its conventional name.
     pub fn classify(lane_name: &str) -> Self {
         if lane_name.contains("nic") {
@@ -53,112 +64,171 @@ impl ResourceClass {
     }
 }
 
-/// One trace, resolved into spans plus lane-name metadata.
-#[derive(Debug, Clone, Default)]
+/// One `(pid, tid)` timeline of the trace that holds at least one span.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Lane {
+    /// Subsystem group (Chrome trace `pid`).
+    pub pid: u64,
+    /// Timeline within the group (Chrome trace `tid`).
+    pub tid: u64,
+    /// The registered lane name (`node0.nic_tx`, `ost3`, `chain0`...).
+    pub name: Option<String>,
+    /// Resource class of a pid-1 lane, resolved from its name once
+    /// here; [`ResourceClass::Other`] for every other lane.
+    pub class: ResourceClass,
+    /// Latest span end on the lane, nanoseconds.
+    pub end_ns: u64,
+    /// Union of the lane's busy intervals `[start, end)` (zero-length
+    /// spans excluded), merged and sorted.
+    pub busy: Vec<(u64, u64)>,
+    spans: Range<usize>,
+}
+
+/// One aggregator's share of the resource lanes, accumulated from the
+/// span names that carry its rank (`io.rank<N>…`, `…->rank<N>`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct AggBusy {
+    /// Service-time and request totals (zero-length spans count as
+    /// requests).
+    pub(crate) totals: AggIo,
+    /// Union of the aggregator's service intervals, merged and sorted;
+    /// empty when every one of its spans is zero-length.
+    pub(crate) busy: Vec<(u64, u64)>,
+}
+
+/// One trace, indexed for analysis: spans grouped per lane, and every
+/// fact more than one analysis derives from them computed once.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceModel {
-    /// Every complete span, in recording order.
+    /// Every complete span, sorted by `(pid, tid, start, end)` —
+    /// recording order among equals — so each lane is one slice.
     pub spans: Vec<Span>,
-    /// `pid` → subsystem name (`des.resources`, `plan.rounds`).
-    pub processes: BTreeMap<u64, String>,
-    /// `(pid, tid)` → lane name (`node0.nic_tx`, `ost3`, `chain0`...).
-    pub threads: BTreeMap<(u64, u64), String>,
+    lanes: Vec<Lane>,
+    makespan_ns: u64,
+    /// Busy union of the resource lanes of each class, in
+    /// [`ResourceClass::REPORTED`] order.
+    class_busy: [Vec<(u64, u64)>; 3],
+    /// Busy union of the fault lanes' resilience spans.
+    fault_busy: Vec<(u64, u64)>,
+    /// Per-job busy union over the resource lanes, keyed by the `j<N>.`
+    /// prefix of the activity label (multi-tenant traces only).
+    pub(crate) job_busy: BTreeMap<u64, Vec<(u64, u64)>>,
+    /// Per-aggregator accumulation over the resource lanes, in rank
+    /// order.
+    pub(crate) aggregators: Vec<AggBusy>,
+    /// Every round chain, longest wall-clock extent first.
+    pub(crate) chains: Vec<ChainSummary>,
+}
+
+fn union_of<'a>(spans: impl Iterator<Item = &'a Span>) -> Vec<(u64, u64)> {
+    merge_intervals(
+        spans
+            .filter(|s| s.dur_ns > 0)
+            .map(|s| (s.start_ns, s.end_ns()))
+            .collect(),
+    )
 }
 
 impl TraceModel {
-    /// Build from a live collector (no JSON round trip).
-    pub fn from_collector(tc: &TraceCollector) -> Self {
-        TraceModel {
-            spans: tc.spans(),
-            processes: tc.process_names().into_iter().collect(),
-            threads: tc
-                .thread_names()
-                .into_iter()
-                .map(|(pid, tid, name)| ((pid, tid), name))
-                .collect(),
+    /// Index a trace. The one constructor: [`TraceModel::from_collector`]
+    /// and [`TraceModel::from_chrome_json`] both end here.
+    pub fn new(trace: Trace) -> Self {
+        let mut names: BTreeMap<(u64, u64), String> = trace
+            .threads
+            .into_iter()
+            .map(|(pid, tid, name)| ((pid, tid), name))
+            .collect();
+        let mut spans = trace.spans;
+        spans.sort_by_cached_key(|s| (s.pid, s.tid, s.start_ns, s.end_ns()));
+        let mut lanes: Vec<Lane> = Vec::new();
+        for lane in spans.chunk_by(|a, b| (a.pid, a.tid) == (b.pid, b.tid)) {
+            let (pid, tid) = (lane[0].pid, lane[0].tid);
+            let name = names.remove(&(pid, tid));
+            let start = lanes.last().map_or(0, |l| l.spans.end);
+            lanes.push(Lane {
+                pid,
+                tid,
+                class: match &name {
+                    Some(name) if pid == PID_RESOURCES => ResourceClass::classify(name),
+                    _ => ResourceClass::Other,
+                },
+                name,
+                end_ns: lane.iter().map(Span::end_ns).max().unwrap_or(0),
+                busy: union_of(lane.iter()),
+                spans: start..start + lane.len(),
+            });
         }
-    }
-
-    /// Parse a Chrome trace-event JSON document (the `--trace` output).
-    /// Timestamps are microsecond decimals with at most three fractional
-    /// digits, so the nanosecond reconstruction is exact.
-    pub fn from_chrome_json(input: &str) -> Result<Self, String> {
-        let doc = json::parse(input).map_err(|e| format!("trace is not valid JSON: {e}"))?;
-        let events = doc
-            .as_array()
-            .ok_or_else(|| "trace is not a JSON array of events".to_string())?;
-        let mut model = TraceModel::default();
-        for (i, ev) in events.iter().enumerate() {
-            let ph = ev
-                .get("ph")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("event {i}: missing \"ph\""))?;
-            let pid = ev
-                .get("pid")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("event {i}: missing \"pid\""))? as u64;
-            let tid = ev
-                .get("tid")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("event {i}: missing \"tid\""))? as u64;
-            let name = ev
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("event {i}: missing \"name\""))?;
-            match ph {
-                "M" => {
-                    let meta_name = ev
-                        .get("args")
-                        .and_then(|a| a.get("name"))
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string();
-                    match name {
-                        "process_name" => {
-                            model.processes.insert(pid, meta_name);
-                        }
-                        "thread_name" => {
-                            model.threads.insert((pid, tid), meta_name);
-                        }
-                        _ => {}
-                    }
+        let mut model = TraceModel {
+            makespan_ns: lanes.iter().map(|l| l.end_ns).max().unwrap_or(0),
+            spans,
+            lanes,
+            ..TraceModel::default()
+        };
+        model.class_busy = ResourceClass::REPORTED.map(|class| {
+            let lanes = model.lanes(PID_RESOURCES).iter();
+            merge_intervals(
+                lanes
+                    .filter(|l| l.class == class)
+                    .flat_map(|l| l.busy.iter().copied())
+                    .collect(),
+            )
+        });
+        model.fault_busy = union_of(model.pid_spans(PID_FAULTS).iter().filter(|s| {
+            matches!(
+                s.cat.as_str(),
+                "retry" | "backoff" | "failover" | "degraded"
+            )
+        }));
+        // A span's *name* is the activity label, so the job prefix and
+        // the aggregator rank survive the resource serialization.
+        let mut job_ivs: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
+        let mut aggs: BTreeMap<u64, AggBusy> = BTreeMap::new();
+        for s in model.pid_spans(PID_RESOURCES) {
+            if let Some((agg, is_io)) = span_aggregator(&s.name) {
+                let e = aggs.entry(agg).or_default();
+                e.totals.agg = agg;
+                if is_io {
+                    e.totals.io_busy_ns += s.dur_ns;
+                    e.totals.io_requests += 1;
+                } else {
+                    e.totals.msg_busy_ns += s.dur_ns;
+                    e.totals.msgs += 1;
                 }
-                "X" => {
-                    let ts = ev
-                        .get("ts")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or_else(|| format!("event {i}: missing \"ts\""))?;
-                    let dur = ev
-                        .get("dur")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or_else(|| format!("event {i}: missing \"dur\""))?;
-                    if ts < 0.0 || dur < 0.0 {
-                        return Err(format!("event {i}: negative ts/dur"));
-                    }
-                    let args = match ev.get("args") {
-                        Some(JsonValue::Object(map)) => map
-                            .iter()
-                            .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_string())))
-                            .collect(),
-                        _ => Vec::new(),
-                    };
-                    model.spans.push(Span {
-                        name: name.to_string(),
-                        cat: ev
-                            .get("cat")
-                            .and_then(JsonValue::as_str)
-                            .unwrap_or_default()
-                            .to_string(),
-                        pid,
-                        tid,
-                        start_ns: (ts * 1000.0).round() as u64,
-                        dur_ns: (dur * 1000.0).round() as u64,
-                        args,
-                    });
+                if s.dur_ns > 0 {
+                    e.busy.push((s.start_ns, s.end_ns()));
                 }
-                other => return Err(format!("event {i}: unsupported phase \"{other}\"")),
+            }
+            if let Some(job) = job_of(&s.name).filter(|_| s.dur_ns > 0) {
+                job_ivs
+                    .entry(job)
+                    .or_default()
+                    .push((s.start_ns, s.end_ns()));
             }
         }
-        Ok(model)
+        model.job_busy = job_ivs
+            .into_iter()
+            .map(|(job, ivs)| (job, merge_intervals(ivs)))
+            .collect();
+        model.aggregators = aggs
+            .into_values()
+            .map(|mut a| {
+                a.busy = merge_intervals(a.busy);
+                a
+            })
+            .collect();
+        model.chains = summarize_chains(&model);
+        model
+    }
+
+    /// Build from a live collector (no JSON round trip).
+    pub fn from_collector(tc: &TraceCollector) -> Self {
+        TraceModel::new(tc.snapshot())
+    }
+
+    /// Parse a Chrome trace-event JSON document (the `--trace` output);
+    /// see [`Trace::from_chrome_json`].
+    pub fn from_chrome_json(input: &str) -> Result<Self, String> {
+        Trace::from_chrome_json(input).map(TraceModel::new)
     }
 
     /// True when the trace holds no complete spans.
@@ -169,44 +239,36 @@ impl TraceModel {
     /// Latest span end across the whole trace, in nanoseconds (the
     /// run's elapsed simulated time).
     pub fn makespan_ns(&self) -> u64 {
-        self.spans.iter().map(Span::end_ns).max().unwrap_or(0)
+        self.makespan_ns
     }
 
-    /// Lane name of `(pid, tid)`, when one was registered.
-    pub fn lane_name(&self, pid: u64, tid: u64) -> Option<&str> {
-        self.threads.get(&(pid, tid)).map(String::as_str)
+    /// The lanes of one subsystem, in `tid` order.
+    pub fn lanes(&self, pid: u64) -> &[Lane] {
+        let from = self.lanes.partition_point(|l| l.pid < pid);
+        let to = self.lanes.partition_point(|l| l.pid <= pid);
+        &self.lanes[from..to]
     }
 
-    /// The spans of one subsystem, grouped per lane and sorted by start
-    /// time within each lane.
-    pub fn lanes(&self, pid: u64) -> BTreeMap<u64, Vec<&Span>> {
-        let mut out: BTreeMap<u64, Vec<&Span>> = BTreeMap::new();
-        for s in self.spans.iter().filter(|s| s.pid == pid) {
-            out.entry(s.tid).or_default().push(s);
+    /// The spans of one lane, sorted by `(start, end)`.
+    pub fn lane_spans(&self, lane: &Lane) -> &[Span] {
+        &self.spans[lane.spans.clone()]
+    }
+
+    /// Every span of one subsystem, lane by lane.
+    pub(crate) fn pid_spans(&self, pid: u64) -> &[Span] {
+        match self.lanes(pid) {
+            [] => &[],
+            [first, .., last] | [first @ last] => &self.spans[first.spans.start..last.spans.end],
         }
-        for lane in out.values_mut() {
-            lane.sort_by_key(|s| (s.start_ns, s.end_ns()));
-        }
-        out
     }
 
     /// Union of busy intervals `[start, end)` of every pid-1 resource
-    /// lane whose name classifies as `class`, merged and sorted.
-    pub fn class_busy_intervals(&self, class: ResourceClass) -> Vec<(u64, u64)> {
-        let intervals: Vec<(u64, u64)> = self
-            .spans
-            .iter()
-            .filter(|s| {
-                s.pid == PID_RESOURCES
-                    && s.dur_ns > 0
-                    && self
-                        .lane_name(PID_RESOURCES, s.tid)
-                        .map(ResourceClass::classify)
-                        == Some(class)
-            })
-            .map(|s| (s.start_ns, s.end_ns()))
-            .collect();
-        merge_intervals(intervals)
+    /// lane of `class`, merged and sorted (kept for the
+    /// [`ResourceClass::REPORTED`] classes; empty for `Other`).
+    pub fn class_busy_intervals(&self, class: ResourceClass) -> &[(u64, u64)] {
+        self.class_busy
+            .get(class as usize)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Union of the *resilience* intervals of the pid-3 fault lanes —
@@ -214,21 +276,8 @@ impl TraceModel {
     /// (the descriptive `inject` lane is excluded), merged and sorted.
     /// Time inside these intervals is what the execution spent absorbing
     /// injected faults; fault-free traces yield an empty union.
-    pub fn fault_busy_intervals(&self) -> Vec<(u64, u64)> {
-        let intervals: Vec<(u64, u64)> = self
-            .spans
-            .iter()
-            .filter(|s| {
-                s.pid == PID_FAULTS
-                    && s.dur_ns > 0
-                    && matches!(
-                        s.cat.as_str(),
-                        "retry" | "backoff" | "failover" | "degraded"
-                    )
-            })
-            .map(|s| (s.start_ns, s.end_ns()))
-            .collect();
-        merge_intervals(intervals)
+    pub fn fault_busy_intervals(&self) -> &[(u64, u64)] {
+        &self.fault_busy
     }
 }
 
@@ -273,16 +322,8 @@ mod tests {
         let tc = collector();
         let live = TraceModel::from_collector(&tc);
         let parsed = TraceModel::from_chrome_json(&tc.chrome_trace_json()).unwrap();
-        assert_eq!(live.spans.len(), parsed.spans.len());
-        assert_eq!(live.processes, parsed.processes);
-        assert_eq!(live.threads, parsed.threads);
-        for (a, b) in live.spans.iter().zip(&parsed.spans) {
-            assert_eq!(a.name, b.name);
-            assert_eq!((a.pid, a.tid), (b.pid, b.tid));
-            assert_eq!(a.start_ns, b.start_ns, "exact ns round trip");
-            assert_eq!(a.dur_ns, b.dur_ns);
-            assert_eq!(a.args, b.args, "span args survive the round trip");
-        }
+        assert_eq!(live, parsed, "exact ns, names and args survive the file");
+        assert_eq!(parsed.spans.len(), 5);
         assert_eq!(parsed.makespan_ns(), 2000);
     }
 
@@ -301,17 +342,35 @@ mod tests {
         assert_eq!(ResourceClass::classify("gpu0"), ResourceClass::Other);
         assert_eq!(
             model.class_busy_intervals(ResourceClass::Network),
-            vec![(0, 500)]
+            [(0, 500)]
         );
         assert_eq!(
             model.class_busy_intervals(ResourceClass::Storage),
-            vec![(500, 2000)]
+            [(500, 2000)]
         );
-        // Lanes are sorted and grouped.
+        // Lanes are grouped, classified once and sorted.
+        let classes: Vec<_> = model.lanes(PID_RESOURCES).iter().map(|l| l.class).collect();
+        assert_eq!(
+            classes,
+            [
+                ResourceClass::Memory,
+                ResourceClass::Network,
+                ResourceClass::Storage
+            ]
+        );
         let rounds = model.lanes(PID_ROUNDS);
         assert_eq!(rounds.len(), 1);
-        assert_eq!(rounds[&0].len(), 2);
-        assert!(rounds[&0][0].start_ns <= rounds[&0][1].start_ns);
+        assert_eq!(rounds[0].name.as_deref(), Some("chain0 (group 0)"));
+        assert_eq!(
+            (rounds[0].end_ns, &rounds[0].busy[..]),
+            (2000, &[(0, 2000)][..])
+        );
+        let phases = model.lane_spans(&rounds[0]);
+        assert_eq!(phases.len(), 2);
+        assert!(phases[0].start_ns <= phases[1].start_ns);
+        assert_eq!(model.pid_spans(PID_ROUNDS), phases);
+        assert!(model.lanes(PID_TENANTS).is_empty());
+        assert!(model.pid_spans(PID_TENANTS).is_empty());
     }
 
     #[test]
@@ -325,7 +384,7 @@ mod tests {
         let model = TraceModel::from_collector(&tc);
         assert_eq!(
             model.class_busy_intervals(ResourceClass::Storage),
-            vec![(0, 150), (200, 250)]
+            [(0, 150), (200, 250)]
         );
     }
 
@@ -333,10 +392,51 @@ mod tests {
     fn rejects_malformed_traces() {
         assert!(TraceModel::from_chrome_json("not json").is_err());
         assert!(TraceModel::from_chrome_json("{}").is_err());
-        assert!(TraceModel::from_chrome_json(
-            "[{\"ph\":\"B\",\"pid\":0,\"tid\":0,\"name\":\"x\"}]"
-        )
-        .is_err());
+        // One `event N: …` line per malformed event, never a panic and
+        // never a silently wrapped or truncated number.
+        let event = |fields: &str| format!("[{{\"name\":\"x\",\"ph\":\"X\",{fields}}}]");
+        for (bad, why) in [
+            (
+                "[{\"ph\":\"B\",\"pid\":0,\"tid\":0,\"name\":\"x\"}]".to_string(),
+                "unsupported phase \"B\"",
+            ),
+            (
+                "[{\"pid\":0,\"tid\":0,\"name\":\"x\"}]".to_string(),
+                "missing \"ph\"",
+            ),
+            (
+                event("\"pid\":0,\"tid\":0,\"ts\":1e300,\"dur\":1"),
+                "\"ts\" is negative or does not fit",
+            ),
+            (
+                event("\"pid\":0,\"tid\":0,\"ts\":1,\"dur\":-0.5"),
+                "\"dur\" is negative or does not fit",
+            ),
+            (
+                event("\"pid\":0,\"tid\":0,\"ts\":1e16,\"dur\":1e16"),
+                "\"ts\" + \"dur\" does not fit",
+            ),
+            (
+                event("\"pid\":-1,\"tid\":0,\"ts\":0,\"dur\":1"),
+                "\"pid\" is not an unsigned integer",
+            ),
+            (
+                event("\"pid\":0,\"tid\":1.5,\"ts\":0,\"dur\":1"),
+                "\"tid\" is not an unsigned integer",
+            ),
+            (event("\"pid\":0,\"ts\":0,\"dur\":1"), "missing \"tid\""),
+        ] {
+            let err = TraceModel::from_chrome_json(&bad).expect_err(&bad);
+            assert!(
+                err.starts_with("event 0: ") && err.contains(why),
+                "{bad}: {err}"
+            );
+            assert!(!err.contains('\n'), "{err}");
+        }
+        // Sub-nanosecond digits of a foreign trace round.
+        let foreign = event("\"pid\":0,\"tid\":0,\"ts\":0.0004,\"dur\":1.2346");
+        let model = TraceModel::from_chrome_json(&foreign).unwrap();
+        assert_eq!((model.spans[0].start_ns, model.spans[0].dur_ns), (0, 1235));
         let empty = TraceModel::from_chrome_json("[]").unwrap();
         assert!(empty.is_empty());
         assert_eq!(empty.makespan_ns(), 0);

@@ -84,7 +84,7 @@ proptest! {
         let tl = timeline(&m, bucket_ns);
         prop_assert_eq!(tl.bucket_ns, bucket_ns);
         for class in [ResourceClass::Network, ResourceClass::Memory, ResourceClass::Storage] {
-            let want = total_len(&m.class_busy_intervals(class));
+            let want = total_len(m.class_busy_intervals(class));
             match tl.get(class.label()) {
                 Some(s) => {
                     prop_assert_eq!(s.kind, SeriesKind::Class);
@@ -114,7 +114,7 @@ proptest! {
         let m = build_model(&spans);
         let tl = timeline(&m, bucket_ns);
         for class in [ResourceClass::Network, ResourceClass::Memory, ResourceClass::Storage] {
-            let want = total_len(&m.class_busy_intervals(class));
+            let want = total_len(m.class_busy_intervals(class));
             let got = tl.get(class.label()).map_or(0, |s| s.total_busy_ns);
             prop_assert_eq!(got, want);
         }

@@ -84,6 +84,15 @@ fn run_analyze(m: &Matches) {
             Some(_) => m.num("bucket-ns"),
             None => mcio_analyze::default_bucket_ns(model.makespan_ns()),
         };
+        let buckets = model.makespan_ns().div_ceil(bucket_ns);
+        if buckets > mcio_analyze::MAX_BUCKETS {
+            let msg = format!(
+                "--bucket-ns {bucket_ns} tiles the trace into {buckets} buckets, more than the \
+                 {} a timeline holds",
+                mcio_analyze::MAX_BUCKETS
+            );
+            fail(ctx, 1, &msg);
+        }
         let tl = mcio_analyze::timeline(&model, bucket_ns);
         let body = match m.get("timeline-format") {
             Some("csv") => tl.to_csv(),

@@ -465,7 +465,7 @@ pub const MCIO_CLI: &[Command] = &[
             flag("top", Kind::Unsigned, Some("5"), "round chains to list"),
             flag("timeline", FILE, None, "also write the mcio.timeline.v1 utilization series"),
             flag("timeline-format", Kind::Choice(&["json", "csv"]), Some("json"), "format of --timeline"),
-            flag("bucket-ns", Kind::Positive, None, "timeline bucket width (default: from the makespan)"),
+            flag("bucket-ns", Kind::Positive, None, "timeline bucket width, at most 100000 buckets (default: from the makespan)"),
         ],
     },
     Command {

@@ -6,10 +6,10 @@
 //!   every row names a schema the source still knows.
 //! * Documents are written once: outside `crates/obs/src/doc.rs` no
 //!   non-test source hand-writes a `"schema": "mcio.` member, calls the
-//!   JSON escaper, or reads a JSON number on its own. (Exempt, because
-//!   they handle the Chrome trace-event format rather than a document:
-//!   the rest of `crates/obs`, the DES engine's trace oracle, and
-//!   `TraceModel::from_chrome_json`.)
+//!   JSON escaper, or reads a JSON number on its own (the rest of
+//!   `crates/obs` may: it holds the JSON parser, the metrics exporters
+//!   and the Chrome-trace codec), and outside `crates/obs/src/trace.rs`
+//!   none writes a Chrome trace event.
 //! * Metrics are declared once: every name literal a recording method
 //!   of `Registry` is called with in non-test source is a row of
 //!   `mcio_obs::catalogue::METRICS` under that method's kind, every row
@@ -121,14 +121,13 @@ fn documents_table_lists_exactly_the_schemas_in_the_source() {
 fn documents_are_written_and_read_in_one_place() {
     let mut offences = Vec::new();
     for (path, code) in sources() {
-        let chrome_trace = path.starts_with("crates/obs/")
-            || path == "crates/des/src/engine.rs"
-            || path == "crates/analyze/src/trace_model.rs";
+        let in_obs = path.starts_with("crates/obs/");
         for (needle, allowed) in [
             ("\\\"schema\\\": \\\"mcio.", path == "crates/obs/src/doc.rs"),
             ("\"schema\": \"mcio.", path == "crates/obs/src/doc.rs"),
-            ("escape_json(", chrome_trace),
-            ("as_f64", chrome_trace),
+            ("escape_json(", in_obs),
+            ("as_f64", in_obs),
+            ("\\\"ph\\\":\\\"X\\\"", path == "crates/obs/src/trace.rs"),
         ] {
             if !allowed && code.contains(needle) {
                 offences.push(format!("{path}: `{needle}`"));
@@ -137,7 +136,8 @@ fn documents_are_written_and_read_in_one_place() {
     }
     assert!(
         offences.is_empty(),
-        "documents go through mcio_obs::doc (Writer / Reader), found: {offences:#?}"
+        "documents go through mcio_obs::doc (Writer / Reader) and the Chrome trace through \
+         mcio_obs::trace, found: {offences:#?}"
     );
 }
 

@@ -110,6 +110,55 @@ fn analyze_garbage_trace_exits_1() {
     assert!(stderr(&out).contains("is not a chrome trace"));
 }
 
+/// The trace reader is total: an event whose time does not fit `u64`
+/// nanoseconds (it used to panic in debug builds and wrap in release)
+/// or whose lane is not an unsigned integer is one `event N: …` line,
+/// exit 1, for `analyze` and `diff` alike.
+#[test]
+fn analyze_and_diff_reject_out_of_range_events() {
+    let good = write_tiny_trace("range_good.json", &[]);
+    let good_s = good.to_str().unwrap();
+    for (name, fields, why) in [
+        (
+            "ts",
+            "\"ts\":1e300,\"dur\":1,\"pid\":1,\"tid\":0",
+            "\"ts\" is negative or does not fit",
+        ),
+        (
+            "sum",
+            "\"ts\":1e16,\"dur\":1e16,\"pid\":1,\"tid\":0",
+            "\"ts\" + \"dur\" does not fit",
+        ),
+        (
+            "pid",
+            "\"ts\":0,\"dur\":1,\"pid\":-1,\"tid\":0",
+            "\"pid\" is not an unsigned integer",
+        ),
+        (
+            "tid",
+            "\"ts\":0,\"dur\":1,\"pid\":1,\"tid\":1.5",
+            "\"tid\" is not an unsigned integer",
+        ),
+    ] {
+        let path = tmp(&format!("range_{name}.json"));
+        let path_s = path.to_str().unwrap();
+        std::fs::write(&path, format!("[{{\"name\":\"x\",\"ph\":\"X\",{fields}}}]")).unwrap();
+        for args in [
+            vec!["analyze", "--trace", path_s],
+            vec!["diff", good_s, path_s],
+        ] {
+            let out = run(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            let err = stderr(&out);
+            assert!(err.contains("is not a chrome trace: event 0: "), "{err}");
+            assert!(err.contains(why), "{err}");
+            assert_eq!(err.trim().lines().count(), 1, "one-line error, got: {err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+    std::fs::remove_file(&good).ok();
+}
+
 #[test]
 fn analyze_requires_trace_flag() {
     let out = run(&["analyze"]);
@@ -511,6 +560,30 @@ fn analyze_bucket_ns_zero_exits_2() {
     ]);
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("--bucket-ns must be a positive integer"));
+}
+
+/// A width that tiles the run into more buckets than a timeline holds
+/// is one line and exit 1 (it used to abort on a 447 MB allocation).
+#[test]
+fn analyze_bucket_ns_past_the_ceiling_exits_1() {
+    let trace = write_tiny_trace("tl_ceiling.json", &[]);
+    let tl = tmp("tl_ceiling_out.json");
+    let out = run(&[
+        "analyze",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--timeline",
+        tl.to_str().unwrap(),
+        "--bucket-ns",
+        "1",
+    ]);
+    std::fs::remove_file(&trace).ok();
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(err.contains("--bucket-ns 1 tiles the trace into"), "{err}");
+    assert!(err.contains("more than the 100000"), "{err}");
+    assert_eq!(err.trim().lines().count(), 1, "one-line error, got: {err}");
+    assert!(!tl.exists(), "nothing is written");
 }
 
 #[test]

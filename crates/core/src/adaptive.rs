@@ -19,13 +19,13 @@
 //! 3. **Re-place** — aggregators sitting on memory-shocked nodes are
 //!    demoted through the same three-tier failover machinery a crash
 //!    uses, but scored with a contention-aware budget
-//!    ([`contended_budget`]): shocked nodes lose budget,
+//!    (`contended_budget`): shocked nodes lose budget,
 //!    crowded nodes are penalized.
 //! 4. **Re-split / defer** — remaining rounds are re-split at exact
 //!    chunk boundaries (plan `check()` preserved), and rounds whose
 //!    probe window sits inside a severe slow-OST window are deferred
 //!    past the window exit when the probe says waiting is cheaper than
-//!    crawling ([`plan_deferrals`]).
+//!    crawling (`plan_deferrals`).
 //!
 //! The controller runs between rounds *of the probe pass*: like the
 //! failover transform in [`crate::exec_faults`], decisions come from a

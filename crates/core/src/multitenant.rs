@@ -348,7 +348,7 @@ fn probe_shared_windows(
 /// [`run_multitenant`] with the closed-loop controller enabled for the
 /// MC-CIO jobs of the run. On a shared machine the controller's lever
 /// is *deferral*: a probe of the whole shared, degraded run
-/// ([`probe_shared_windows`]) decides which of each MC job's rounds
+/// (`probe_shared_windows`) decides which of each MC job's rounds
 /// should wait out a degraded OST window instead of crawling through
 /// it, and those rounds are release-gated in the shared DES. The
 /// job's solo clean run supplies the nominal round durations the

@@ -5,7 +5,6 @@ use crate::activity::{Activity, ActivityId, ActivityState};
 use crate::resource::{Bandwidth, Job, Resource, ResourceId, ResourceUsage, SharePolicy};
 use crate::time::{SimDuration, SimTime};
 use mcio_obs::catalogue::PID_RESOURCES;
-use mcio_obs::trace::escape_json;
 use mcio_obs::{Histogram, Registry, TraceCollector};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -153,7 +152,7 @@ impl Simulation {
     }
 
     /// Record every resource service interval; the run report will carry
-    /// the trace (see [`RunReport::chrome_trace_json`]).
+    /// the trace (see [`RunReport::trace_into`]).
     pub fn enable_trace(&mut self) {
         self.trace = Some(Vec::new());
     }
@@ -668,32 +667,6 @@ impl RunReport {
             );
         }
     }
-
-    /// Render the service trace in Chrome trace-event JSON (open in
-    /// `chrome://tracing` / Perfetto): one lane per resource, one
-    /// complete event per service interval. Empty when tracing was off.
-    pub fn chrome_trace_json(&self) -> String {
-        let mut out = String::from("[");
-        if let Some(trace) = &self.trace {
-            for (i, rec) in trace.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let name = escape_json(&self.labels[rec.activity.index()]);
-                let lane = escape_json(&self.usages[rec.resource.index()].name);
-                // Times in microseconds, as the format expects.
-                out.push_str(&format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"{lane}\",\"ph\":\"X\",\
-                     \"ts\":{:.3},\"dur\":{:.3},\"pid\":0,\"tid\":{}}}",
-                    rec.start.as_nanos() as f64 / 1000.0,
-                    rec.end.saturating_since(rec.start).as_nanos() as f64 / 1000.0,
-                    rec.resource.index(),
-                ));
-            }
-        }
-        out.push(']');
-        out
-    }
 }
 
 /// Deterministic engine-side profile of one completed run, consumed by
@@ -987,18 +960,6 @@ mod tests {
         assert_eq!(trace[1].activity, b);
         assert_eq!(trace[1].start.as_secs_f64(), 1.0);
         assert_eq!(trace[1].end.as_secs_f64(), 2.0);
-        // Chrome trace renders both events with their labels, control
-        // characters included.
-        let json = rep.chrome_trace_json();
-        assert!(json.contains("\"ph\":\"X\""));
-        let doc = mcio_obs::json::parse(&json).expect("trace is JSON");
-        let names: Vec<_> = doc
-            .as_array()
-            .expect("an array of events")
-            .iter()
-            .map(|ev| ev.get("name").and_then(|n| n.as_str()))
-            .collect();
-        assert_eq!(names, [Some("first"), Some("sec\tond\n")]);
     }
 
     #[test]
@@ -1008,7 +969,6 @@ mod tests {
         sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
         let rep = sim.run().unwrap();
         assert!(rep.trace().is_none());
-        assert_eq!(rep.chrome_trace_json(), "[]");
     }
 
     #[test]
@@ -1066,13 +1026,12 @@ mod tests {
         let rep = sim.run().unwrap();
         let tc = TraceCollector::new();
         rep.trace_into(&tc);
-        let spans = tc.spans();
+        let mcio_obs::Trace {
+            spans, processes, ..
+        } = tc.snapshot();
         assert_eq!(spans.len(), 2);
         assert!(spans.iter().all(|s| s.pid == PID_RESOURCES));
-        assert_eq!(
-            tc.process_names(),
-            [(PID_RESOURCES, "des.resources".to_string())]
-        );
+        assert_eq!(processes, [(PID_RESOURCES, "des.resources".to_string())]);
         assert_eq!(spans[0].tid, 0);
         assert_eq!(spans[1].tid, 1);
         // Without tracing enabled, trace_into is a no-op.

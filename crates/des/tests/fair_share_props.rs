@@ -95,7 +95,7 @@ proptest! {
         prop_assert_eq!(fifo.resource_usages(), fair.resource_usages());
         prop_assert_eq!(fifo.engine_stats(), fair.engine_stats());
         prop_assert_eq!(fifo.engine_stats().events_cancelled, 0);
-        prop_assert_eq!(fifo.chrome_trace_json(), fair.chrome_trace_json());
+        prop_assert_eq!(fifo.trace(), fair.trace());
         prop_assert_eq!(fifo.class_max_queues(), fair.class_max_queues());
     }
 
@@ -555,7 +555,7 @@ fn seeded_replay_is_deterministic_under_fair_sharing() {
     assert_eq!(x.makespan(), y.makespan());
     assert_eq!(x.engine_stats(), y.engine_stats());
     assert_eq!(x.resource_usages(), y.resource_usages());
-    assert_eq!(x.chrome_trace_json(), y.chrome_trace_json());
+    assert_eq!(x.trace(), y.trace());
     assert_eq!(x.engine_profile(), y.engine_profile());
     // Fair sharing genuinely engaged: re-predictions happened.
     assert!(x.engine_stats().events_cancelled > 0);

@@ -362,7 +362,7 @@ impl<'a> Reader<'a> {
 }
 
 /// The number as a `u64`, if it is one exactly.
-fn as_uint(v: &JsonValue) -> Option<u64> {
+pub(crate) fn as_uint(v: &JsonValue) -> Option<u64> {
     let f = v.as_f64()?;
     // 2^64 is the first f64 past `u64::MAX`; NaN and ±inf fail `fract`.
     (f >= 0.0 && f.fract() == 0.0 && f < 18_446_744_073_709_551_616.0).then_some(f as u64)

@@ -14,7 +14,8 @@
 //! * [`TraceCollector`] — closed spans over *simulated* nanoseconds,
 //!   serialized as Chrome trace-event JSON so a whole collective run
 //!   (DES resource lanes, planner phases, per-round exchange/IO) lands
-//!   in one Perfetto-loadable file.
+//!   in one Perfetto-loadable file; [`Trace`] is what it collects, and
+//!   the only writer and the only reader of that format.
 //! * [`export`] — JSON, CSV, and Prometheus text renderings of a
 //!   [`Snapshot`].
 //! * [`json`] — a strict JSON parser used to *validate* exporter
@@ -44,7 +45,7 @@ pub use histogram::Histogram;
 pub use registry::{
     CounterSample, GaugeSample, HistogramSample, Labels, MetricMeta, Registry, Snapshot,
 };
-pub use trace::{Span, TraceCollector};
+pub use trace::{Span, Trace, TraceCollector};
 
 /// The export formats `mcio_cli --metrics-format` accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

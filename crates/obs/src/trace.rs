@@ -1,14 +1,19 @@
-//! Span tracing over simulated time, exported as Chrome trace-event
-//! JSON (loadable in Perfetto / `chrome://tracing`).
+//! Span tracing over simulated time, written and read as Chrome
+//! trace-event JSON (loadable in Perfetto / `chrome://tracing`).
 //!
 //! A span is a named, closed interval on one *lane*. Lanes map onto the
 //! Chrome trace model as `(pid, tid)` pairs: `pid` groups a subsystem
 //! (DES resources, planner, rounds...), `tid` is one timeline within it
 //! (a resource, an aggregator). Times are u64 nanoseconds of simulated
-//! time, matching `mcio_des::SimTime::as_nanos()`; the exporter converts
-//! to the microsecond floats the trace format expects.
+//! time, matching `mcio_des::SimTime::as_nanos()`; the file holds the
+//! microsecond decimals the trace format expects. This module is the
+//! only code that knows the format, in either direction:
+//! [`Trace::to_chrome_json`] writes it, [`Trace::from_chrome_json`]
+//! reads it back.
 
 use crate::catalogue::LANES;
+use crate::doc::as_uint;
+use crate::json::{self, JsonValue};
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
@@ -36,33 +41,159 @@ impl Span {
     pub fn end_ns(&self) -> u64 {
         self.start_ns + self.dur_ns
     }
-
-    /// Length of the span's intersection with the half-open window
-    /// `[lo, hi)`, in nanoseconds. Zero for disjoint windows. This is
-    /// the primitive the timeline sweep buckets spans with: summing
-    /// `overlap_ns` over a tiling of `[0, end)` reproduces `dur_ns`
-    /// exactly (integer arithmetic, no rounding).
-    pub fn overlap_ns(&self, lo: u64, hi: u64) -> u64 {
-        let a = self.start_ns.max(lo);
-        let b = self.end_ns().min(hi);
-        b.saturating_sub(a)
-    }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    spans: Vec<Span>,
+/// One trace: every span plus the lane-name metadata, each in recording
+/// order. What a [`TraceCollector`] accumulates and what the Chrome
+/// trace file holds.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Trace {
+    /// Every complete span.
+    pub spans: Vec<Span>,
     /// `(pid, name)` process-name metadata.
-    processes: Vec<(u64, String)>,
+    pub processes: Vec<(u64, String)>,
     /// `(pid, tid, name)` thread-name metadata.
-    threads: Vec<(u64, u64, String)>,
+    pub threads: Vec<(u64, u64, String)>,
+}
+
+impl Trace {
+    /// Serialize everything as a Chrome trace-event JSON array:
+    /// metadata events (`ph:"M"`) naming lanes, then one complete event
+    /// (`ph:"X"`) per span with `ts`/`dur` in microseconds.
+    pub fn to_chrome_json(&self) -> String {
+        let mut out = String::from("[");
+        let mut first = true;
+        let mut push = |out: &mut String, ev: String| {
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            out.push('\n');
+            out.push_str(&ev);
+        };
+        for (pid, name) in &self.processes {
+            push(
+                &mut out,
+                format!(
+                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
+                     \"args\":{{\"name\":\"{}\"}}}}",
+                    escape_json(name)
+                ),
+            );
+        }
+        for (pid, tid, name) in &self.threads {
+            push(
+                &mut out,
+                format!(
+                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
+                     \"args\":{{\"name\":\"{}\"}}}}",
+                    escape_json(name)
+                ),
+            );
+        }
+        for s in &self.spans {
+            let mut args = String::new();
+            for (i, (k, v)) in s.args.iter().enumerate() {
+                if i > 0 {
+                    args.push(',');
+                }
+                args.push_str(&format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)));
+            }
+            push(
+                &mut out,
+                format!(
+                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+                     \"pid\":{},\"tid\":{},\"args\":{{{args}}}}}",
+                    escape_json(&s.name),
+                    escape_json(&s.cat),
+                    format_us(s.start_ns),
+                    format_us(s.dur_ns),
+                    s.pid,
+                    s.tid,
+                ),
+            );
+        }
+        out.push_str("\n]\n");
+        out
+    }
+
+    /// Parse a Chrome trace-event JSON document (the `--trace` output).
+    /// A written trace reads back equal: its timestamps carry at most
+    /// three fractional digits, so the nanosecond reconstruction is
+    /// exact. `args` come back in key order, and only string values are
+    /// kept. Every malformed event is one `event N: …` line.
+    pub fn from_chrome_json(input: &str) -> Result<Self, String> {
+        let doc = json::parse(input).map_err(|e| format!("trace is not valid JSON: {e}"))?;
+        let events = doc
+            .as_array()
+            .ok_or_else(|| "trace is not a JSON array of events".to_string())?;
+        let mut trace = Trace::default();
+        for (i, ev) in events.iter().enumerate() {
+            let missing = |key: &str| format!("event {i}: missing \"{key}\"");
+            let text = |key: &str| ev.get(key).and_then(JsonValue::as_str);
+            let uint = |key: &str| {
+                as_uint(ev.get(key).ok_or_else(|| missing(key))?)
+                    .ok_or_else(|| format!("event {i}: \"{key}\" is not an unsigned integer"))
+            };
+            let time_ns = |key: &str| {
+                let us = ev.get(key).and_then(JsonValue::as_f64);
+                parse_us(us.ok_or_else(|| missing(key))?).ok_or_else(|| {
+                    format!("event {i}: \"{key}\" is negative or does not fit u64 nanoseconds")
+                })
+            };
+            let ph = text("ph").ok_or_else(|| missing("ph"))?;
+            let (pid, tid) = (uint("pid")?, uint("tid")?);
+            let name = text("name").ok_or_else(|| missing("name"))?;
+            match ph {
+                "M" => {
+                    let meta_name = ev
+                        .get("args")
+                        .and_then(|a| a.get("name"))
+                        .and_then(JsonValue::as_str)
+                        .unwrap_or_default()
+                        .to_string();
+                    match name {
+                        "process_name" => trace.processes.push((pid, meta_name)),
+                        "thread_name" => trace.threads.push((pid, tid, meta_name)),
+                        _ => {}
+                    }
+                }
+                "X" => {
+                    let (start_ns, dur_ns) = (time_ns("ts")?, time_ns("dur")?);
+                    if start_ns.checked_add(dur_ns).is_none() {
+                        return Err(format!(
+                            "event {i}: \"ts\" + \"dur\" does not fit u64 nanoseconds"
+                        ));
+                    }
+                    let args = match ev.get("args") {
+                        Some(JsonValue::Object(map)) => map
+                            .iter()
+                            .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_string())))
+                            .collect(),
+                        _ => Vec::new(),
+                    };
+                    trace.spans.push(Span {
+                        name: name.to_string(),
+                        cat: text("cat").unwrap_or_default().to_string(),
+                        pid,
+                        tid,
+                        start_ns,
+                        dur_ns,
+                        args,
+                    });
+                }
+                other => return Err(format!("event {i}: unsupported phase \"{other}\"")),
+            }
+        }
+        Ok(trace)
+    }
 }
 
 /// Collects spans from every instrumented component and serializes one
 /// unified Chrome trace.
 #[derive(Debug, Default)]
 pub struct TraceCollector {
-    inner: Mutex<Inner>,
+    inner: Mutex<Trace>,
 }
 
 impl TraceCollector {
@@ -122,34 +253,9 @@ impl TraceCollector {
         });
     }
 
-    /// All spans recorded so far, in recording order.
-    pub fn spans(&self) -> Vec<Span> {
-        self.lock().spans.clone()
-    }
-
-    /// Run `f` over every span of one subsystem group (`pid`), without
-    /// cloning the span store. Timeline sweeps iterate a single pid's
-    /// lanes many times; this keeps those passes allocation-free.
-    pub fn visit_pid_spans<R>(
-        &self,
-        pid: u64,
-        f: impl FnOnce(&mut dyn Iterator<Item = &Span>) -> R,
-    ) -> R {
-        let inner = self.lock();
-        let mut it = inner.spans.iter().filter(|s| s.pid == pid);
-        f(&mut it)
-    }
-
-    /// Registered `(pid, name)` process-name metadata, in registration
-    /// order.
-    pub fn process_names(&self) -> Vec<(u64, String)> {
-        self.lock().processes.clone()
-    }
-
-    /// Registered `(pid, tid, name)` thread-name metadata, in
-    /// registration order.
-    pub fn thread_names(&self) -> Vec<(u64, u64, String)> {
-        self.lock().threads.clone()
+    /// A copy of everything recorded so far.
+    pub fn snapshot(&self) -> Trace {
+        self.lock().clone()
     }
 
     /// Number of spans recorded so far.
@@ -162,68 +268,13 @@ impl TraceCollector {
         self.len() == 0
     }
 
-    /// Serialize everything as a Chrome trace-event JSON array:
-    /// metadata events (`ph:"M"`) naming lanes, then one complete event
-    /// (`ph:"X"`) per span with `ts`/`dur` in microseconds.
+    /// Everything recorded so far as Chrome trace-event JSON
+    /// ([`Trace::to_chrome_json`]).
     pub fn chrome_trace_json(&self) -> String {
-        let inner = self.lock();
-        let mut out = String::from("[");
-        let mut first = true;
-        let mut push = |out: &mut String, ev: String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('\n');
-            out.push_str(&ev);
-        };
-        for (pid, name) in &inner.processes {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    escape_json(name)
-                ),
-            );
-        }
-        for (pid, tid, name) in &inner.threads {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    escape_json(name)
-                ),
-            );
-        }
-        for s in &inner.spans {
-            let mut args = String::new();
-            for (i, (k, v)) in s.args.iter().enumerate() {
-                if i > 0 {
-                    args.push(',');
-                }
-                args.push_str(&format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)));
-            }
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":{},\"tid\":{},\"args\":{{{args}}}}}",
-                    escape_json(&s.name),
-                    escape_json(&s.cat),
-                    format_us(s.start_ns),
-                    format_us(s.dur_ns),
-                    s.pid,
-                    s.tid,
-                ),
-            );
-        }
-        out.push_str("\n]\n");
-        out
+        self.lock().to_chrome_json()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Trace> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -238,6 +289,16 @@ fn format_us(ns: u64) -> String {
     } else {
         format!("{whole}.{frac:03}")
     }
+}
+
+/// The inverse of [`format_us`] on the parsed number: microseconds to
+/// the nearest nanosecond (exact for what `format_us` wrote below
+/// 2^52 ns; a foreign trace's sub-nanosecond digits round). `None` for
+/// a negative time or one past `u64` nanoseconds.
+fn parse_us(us: f64) -> Option<u64> {
+    let ns = (us * 1000.0).round();
+    // 2^64 is the first f64 past `u64::MAX`.
+    (us >= 0.0 && ns < 18_446_744_073_709_551_616.0).then_some(ns as u64)
 }
 
 /// Escape a string for embedding in a JSON string literal.
@@ -275,7 +336,7 @@ mod tests {
         let t = TraceCollector::new();
         t.span("shuffle", "exchange", 1, 0, 1000, 500);
         t.span_with_args("io", "pfs", 1, 1, 1500, 2500, &[("ost", "3")]);
-        let spans = t.spans();
+        let spans = t.snapshot().spans;
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].end_ns(), 1500);
         assert_eq!(spans[1].args, vec![("ost".to_string(), "3".to_string())]);
@@ -305,40 +366,19 @@ mod tests {
     fn escaping_handles_specials() {
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         let t = TraceCollector::new();
-        t.span("quo\"ted", "c\\at", 0, 0, 0, 1);
-        assert!(crate::json::parse(&t.chrome_trace_json()).is_ok());
-    }
-
-    #[test]
-    fn overlap_is_exact_under_any_tiling() {
-        let s = Span {
-            name: "x".into(),
-            cat: "c".into(),
-            pid: 1,
-            tid: 0,
-            start_ns: 350,
-            dur_ns: 900,
-            args: Vec::new(),
-        };
-        assert_eq!(s.overlap_ns(0, 350), 0, "disjoint left");
-        assert_eq!(s.overlap_ns(1250, 2000), 0, "disjoint right");
-        assert_eq!(s.overlap_ns(0, 10_000), 900, "containment");
-        assert_eq!(s.overlap_ns(400, 500), 100, "interior window");
-        // Tiling [0, 1300) with buckets of 400 reproduces dur exactly.
-        let total: u64 = (0..4).map(|i| s.overlap_ns(i * 400, (i + 1) * 400)).sum();
-        assert_eq!(total, s.dur_ns);
-    }
-
-    #[test]
-    fn visit_pid_spans_filters_one_group() {
-        let t = TraceCollector::new();
-        t.span("a", "c", 1, 0, 0, 10);
-        t.span("b", "c", 2, 0, 0, 10);
-        t.span("c", "c", 1, 1, 20, 5);
-        let names: Vec<String> = t.visit_pid_spans(1, |it| it.map(|s| s.name.clone()).collect());
-        assert_eq!(names, ["a", "c"]);
-        let none: usize = t.visit_pid_spans(9, |it| it.count());
-        assert_eq!(none, 0);
+        t.name_thread(7, 1, "la\tne\u{1}");
+        t.span_with_args(
+            "quo\"ted",
+            "c\\at",
+            7,
+            1,
+            1,
+            (1 << 51) + 7,
+            &[("k\n", "é→")],
+        );
+        let written = t.snapshot();
+        let read = Trace::from_chrome_json(&written.to_chrome_json());
+        assert_eq!(read, Ok(written), "a written trace reads back equal");
     }
 
     #[test]
