@@ -441,4 +441,32 @@ mod tests {
         assert!(empty.is_empty());
         assert_eq!(empty.makespan_ns(), 0);
     }
+
+    #[test]
+    fn reads_a_foreign_trace() {
+        // What Perfetto and chrome://tracing export: members in their
+        // own order, members of their own (nested ones too), `args`
+        // that are not strings, and a name past the BMP as a surrogate
+        // pair of `\u` escapes.
+        let foreign = r#"[
+          {"args":{"name":"ost0"},"cat":"__metadata","name":"thread_name","ph":"M","pid":1,"tid":3,"ts":0},
+          {"pid":1,"tid":3,"ts":10.5,"dur":2,"ph":"X","cat":"v8","name":"\ud83d\ude00 gc",
+           "tts":1234,"id2":{"local":"0x1","stack":[[1,{"f":null}],2]},
+           "args":{"heap":{"used":1,"limits":[2,3]},"kind":"minor","count":7}}
+        ]"#;
+        let model = TraceModel::from_chrome_json(foreign).unwrap();
+        let lane = &model.lanes(1)[0];
+        assert_eq!(
+            (lane.name.as_deref(), lane.class),
+            (Some("ost0"), ResourceClass::Storage)
+        );
+        let span = &model.spans[0];
+        assert_eq!(span.name, "\u{1f600} gc");
+        assert_eq!((span.start_ns, span.dur_ns), (10_500, 2_000));
+        assert_eq!(span.args, [("kind".to_string(), "minor".to_string())]);
+        // Half a pair is still one line.
+        let err = TraceModel::from_chrome_json(&foreign.replace("\\ude00", "")).unwrap_err();
+        assert!(err.starts_with("trace is not valid JSON: JSON parse error at byte "));
+        assert!(err.ends_with("\\u escape is not a scalar") && !err.contains('\n'));
+    }
 }

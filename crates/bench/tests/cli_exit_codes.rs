@@ -159,6 +159,45 @@ fn analyze_and_diff_reject_out_of_range_events() {
     std::fs::remove_file(&good).ok();
 }
 
+/// Nesting has a ceiling in the one JSON tokenizer, so a file of two
+/// million `[` — bare, or tucked into a member the trace reader only
+/// skips, or where `diff` sniffs for a schema — is one line and exit 1
+/// (every reader used to recurse once per bracket and overflow the
+/// stack, exit 134).
+#[test]
+fn analyze_and_diff_reject_bottomless_nesting() {
+    let good = write_tiny_trace("deep_good.json", &[]);
+    let good_s = good.to_str().unwrap();
+    let deep = "[".repeat(2_000_000);
+    for (name, doc, offset) in [
+        ("bare", deep.clone(), 128),
+        (
+            "hidden",
+            format!("[{{\"name\":\"x\",\"ph\":\"X\",\"stack\":{deep}"),
+            30 + 126,
+        ),
+        ("object", format!("{{\"schema\":{deep}"), 10 + 127),
+    ] {
+        let path = tmp(&format!("deep_{name}.json"));
+        let path_s = path.to_str().unwrap();
+        std::fs::write(&path, doc).unwrap();
+        for args in [
+            vec!["analyze", "--trace", path_s],
+            vec!["diff", good_s, path_s],
+            vec!["diff", path_s, good_s],
+        ] {
+            let out = run(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            let err = stderr(&out);
+            let why = format!("JSON parse error at byte {offset}: nesting deeper than 128");
+            assert!(err.trim().ends_with(&why), "{args:?}: {err}");
+            assert_eq!(err.trim().lines().count(), 1, "one-line error, got: {err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+    std::fs::remove_file(&good).ok();
+}
+
 #[test]
 fn analyze_requires_trace_flag() {
     let out = run(&["analyze"]);

@@ -5,7 +5,7 @@ use crate::activity::{Activity, ActivityId, ActivityState};
 use crate::resource::{Bandwidth, Job, Resource, ResourceId, ResourceUsage, SharePolicy};
 use crate::time::{SimDuration, SimTime};
 use mcio_obs::catalogue::PID_RESOURCES;
-use mcio_obs::{Histogram, Registry, TraceCollector};
+use mcio_obs::{Histogram, Registry, Span, TraceCollector};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -653,19 +653,21 @@ impl RunReport {
         tc.name_lane(pid);
         let used: std::collections::BTreeSet<usize> =
             trace.iter().map(|r| r.resource.index()).collect();
-        for tid in used {
-            tc.name_thread(pid, tid as u64, &self.usages[tid].name);
-        }
-        for rec in trace {
-            tc.span(
-                &self.labels[rec.activity.index()],
-                &self.usages[rec.resource.index()].name,
+        // The service records are most of any trace: one lock for the
+        // lot, and `extend` reserves once from the slice's length.
+        tc.record(|out| {
+            out.threads
+                .extend((used.iter()).map(|&tid| (pid, tid as u64, self.usages[tid].name.clone())));
+            out.spans.extend(trace.iter().map(|rec| Span {
+                name: self.labels[rec.activity.index()].clone(),
+                cat: self.usages[rec.resource.index()].name.clone(),
                 pid,
-                rec.resource.index() as u64,
-                rec.start.as_nanos(),
-                rec.end.saturating_since(rec.start).as_nanos(),
-            );
-        }
+                tid: rec.resource.index() as u64,
+                start_ns: rec.start.as_nanos(),
+                dur_ns: rec.end.saturating_since(rec.start).as_nanos(),
+                args: Vec::new(),
+            }));
+        });
     }
 }
 

@@ -25,7 +25,7 @@
 //! fields are read as integers: `-5`, `1.5` and `1e300` are errors, not
 //! `0`, `1` and `u64::MAX`.
 
-use crate::json::JsonValue;
+use crate::json::{exact_u64, JsonValue};
 use crate::trace::escape_json_into;
 use std::fmt::{Display, Write as _};
 
@@ -362,10 +362,8 @@ impl<'a> Reader<'a> {
 }
 
 /// The number as a `u64`, if it is one exactly.
-pub(crate) fn as_uint(v: &JsonValue) -> Option<u64> {
-    let f = v.as_f64()?;
-    // 2^64 is the first f64 past `u64::MAX`; NaN and ±inf fail `fract`.
-    (f >= 0.0 && f.fract() == 0.0 && f < 18_446_744_073_709_551_616.0).then_some(f as u64)
+fn as_uint(v: &JsonValue) -> Option<u64> {
+    exact_u64(v.as_f64()?)
 }
 
 #[cfg(test)]

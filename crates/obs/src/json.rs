@@ -1,13 +1,18 @@
-//! A minimal JSON parser.
+//! The JSON grammar of the workspace: one strict pull tokenizer.
 //!
-//! Exists so exporter output can be *validated*, not just generated —
-//! the property tests parse every emitted document and check structural
-//! invariants (see `tests/` in this crate and the workspace root). It
-//! is a strict recursive-descent parser over the JSON grammar; numbers
-//! are held as `f64`, which is exact for the integers and
-//! millisecond-scale decimals the exporters emit.
+//! `Parser` is the only code that knows the grammar — whitespace,
+//! escapes and `\u` surrogate pairs, the number syntax, duplicate-key
+//! rejection at every depth, the nesting ceiling — and the only source
+//! of `JSON parse error at byte N: …` wordings. Two readers drive it:
+//! [`parse`] builds a [`JsonValue`] tree for the small documents
+//! (`mcio.*.v1`, the metrics dump, the property tests that validate
+//! every exporter), and `Trace::from_chrome_json` pulls tokens straight
+//! into spans without a tree, because a trace is megabytes of events
+//! that are each read once. Numbers are held as `f64`, which is exact
+//! for the integers and millisecond-scale decimals the exporters emit.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A parsed JSON document.
@@ -86,25 +91,61 @@ impl std::error::Error for ParseError {}
 /// Parse a complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).
 pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
+    document(input, Parser::value)
+}
+
+/// Read one complete document with `root`, which must consume exactly
+/// one value: leading and trailing whitespace allowed, trailing garbage
+/// rejected.
+pub(crate) fn document<'a, T, E: From<ParseError>>(
+    input: &'a str,
+    root: impl FnOnce(&mut Parser<'a>) -> Result<T, E>,
+) -> Result<T, E> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        input,
         pos: 0,
+        depth: 0,
+        keys: Vec::new(),
     };
     p.skip_ws();
-    let value = p.value()?;
+    let value = root(&mut p)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.error("trailing characters after document"));
+    if p.pos != input.len() {
+        return Err(p.error("trailing characters after document").into());
     }
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The number as a `u64`, if it is one exactly.
+pub(crate) fn exact_u64(f: f64) -> Option<u64> {
+    // 2^64 is the first f64 past `u64::MAX`; NaN and ±inf fail `fract`.
+    (f >= 0.0 && f.fract() == 0.0 && f < 18_446_744_073_709_551_616.0).then_some(f as u64)
 }
 
-impl Parser<'_> {
+/// Arrays and objects may nest this deep; the readers recurse once per
+/// level, so the ceiling is what keeps a hostile file off the stack.
+const MAX_DEPTH: usize = 128;
+
+/// An object's keys are checked for duplicates by scanning while it has
+/// at most this many, through a set past that.
+const SCANNED_KEYS: usize = 16;
+
+/// The pull tokenizer. Every method expects the cursor on the first
+/// byte of what it reads and leaves it just past the last; [`array`]
+/// and [`object`] skip the whitespace around elements and members.
+///
+/// [`array`]: Parser::array
+/// [`object`]: Parser::object
+pub(crate) struct Parser<'a> {
+    input: &'a str,
+    pos: usize,
+    depth: usize,
+    /// Keys read so far of every object that is open and still small,
+    /// innermost last: the duplicate check without a map per object.
+    keys: Vec<Cow<'a, str>>,
+}
+
+impl<'a> Parser<'a> {
     fn error(&self, message: &str) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -112,8 +153,9 @@ impl Parser<'_> {
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// The byte under the cursor.
+    pub(crate) fn peek(&self) -> Option<u8> {
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -131,140 +173,240 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+    fn literal(&mut self, lit: &str) -> Result<(), ParseError> {
+        if self.input.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.error(&format!("expected '{lit}'")))
         }
     }
 
+    /// Step into an array or object, unless that is one level too many.
+    fn open(&mut self, bracket: u8) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.expect(bracket)?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Build the tree of any value.
     fn value(&mut self) -> Result<JsonValue, ParseError> {
+        Ok(match self.peek() {
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.object::<ParseError>(|p, key| {
+                    map.insert(key.into_owned(), p.value()?);
+                    Ok(())
+                })?;
+                JsonValue::Object(map)
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array::<ParseError>(|p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                JsonValue::Array(items)
+            }
+            Some(b'"') => JsonValue::String(self.string()?.into_owned()),
+            Some(b't') => self.literal("true").map(|()| JsonValue::Bool(true))?,
+            Some(b'f') => self.literal("false").map(|()| JsonValue::Bool(false))?,
+            Some(b'n') => self.literal("null").map(|()| JsonValue::Null)?,
+            Some(b'-' | b'0'..=b'9') => JsonValue::Number(self.number()?),
+            _ => return Err(self.error("expected a JSON value")),
+        })
+    }
+
+    /// Validate and discard any value: the same grammar as [`parse`],
+    /// duplicate keys and nesting ceiling included, and no tree.
+    pub(crate) fn skip_value(&mut self) -> Result<(), ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(b'{') => self.object(|p, _| p.skip_value()),
+            Some(b'[') => self.array(Self::skip_value),
+            Some(b'"') => self.string().map(drop),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'n') => self.literal("null"),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
             _ => Err(self.error("expected a JSON value")),
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            if map.insert(key, value).is_some() {
-                return Err(self.error("duplicate object key"));
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(map));
-                }
-                _ => return Err(self.error("expected ',' or '}'")),
-            }
+    /// The string under the cursor; any other value is skipped.
+    pub(crate) fn string_or_skip(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if self.peek() == Some(b'"') {
+            self.string().map(Some)
+        } else {
+            self.skip_value().map(|()| None)
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.error("expected ',' or ']'")),
-            }
+    /// The number under the cursor; any other value is skipped.
+    pub(crate) fn number_or_skip(&mut self) -> Result<Option<f64>, ParseError> {
+        match self.peek() {
+            Some(b'-' | b'0'..=b'9') => self.number().map(Some),
+            _ => self.skip_value().map(|()| None),
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// Read an array, calling `element` with the cursor on each
+    /// element; it must consume exactly that value.
+    pub(crate) fn array<E: From<ParseError>>(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.open(b'[')?;
+        self.skip_ws();
+        if self.peek() != Some(b']') {
+            loop {
+                self.skip_ws();
+                element(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => break,
+                    _ => return Err(self.error("expected ',' or ']'").into()),
+                }
+            }
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Read an object, calling `member` with each key and the cursor on
+    /// its value; it must consume exactly that value. A key spelled
+    /// twice, escapes resolved, is an error reported after its second
+    /// value.
+    pub(crate) fn object<E: From<ParseError>>(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.open(b'{')?;
+        let base = self.keys.len();
+        let mut many: Option<BTreeSet<Cow<'a, str>>> = None;
+        self.skip_ws();
+        if self.peek() != Some(b'}') {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                let duplicate = match &mut many {
+                    Some(set) => !set.insert(key.clone()),
+                    None => {
+                        let duplicate = self.keys[base..].contains(&key);
+                        self.keys.push(key.clone());
+                        if self.keys.len() - base > SCANNED_KEYS {
+                            many = Some(self.keys.drain(base..).collect());
+                        }
+                        duplicate
+                    }
+                };
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+                member(self, key)?;
+                if duplicate {
+                    return Err(self.error("duplicate object key").into());
+                }
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => break,
+                    _ => return Err(self.error("expected ',' or '}'").into()),
+                }
+            }
+        }
+        self.keys.truncate(base);
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// Read a string literal: a slice of the input when it has no
+    /// escape, an owned string with the escapes resolved otherwise.
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut owned: Option<String> = None;
         loop {
+            // Quotes, backslashes and control bytes are ASCII, so every
+            // cut is on a character boundary of the input.
+            let rest = &self.input[self.pos..];
+            let stretch = (rest.bytes())
+                .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            self.pos += stretch;
+            let stretch = &rest[..stretch];
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        Some(out) => Cow::Owned(out + stretch),
+                        None => Cow::Borrowed(stretch),
+                    });
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(stretch);
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(self.error("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
-                            // Surrogate pairs are not emitted by our
-                            // exporters; reject rather than mis-decode.
-                            let c = char::from_u32(code)
-                                .ok_or_else(|| self.error("\\u escape is not a scalar"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("bad escape")),
-                    }
-                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
-                Some(c) if c < 0x20 => return Err(self.error("control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.error("invalid UTF-8"))?,
-                    );
-                }
+                Some(_) => return Err(self.error("control character in string")),
             }
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, ParseError> {
+    /// The character an escape stands for; the cursor is just past the
+    /// backslash and ends just past the escape.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => {
+                let mut code = self.hex4(self.pos + 1)?;
+                let mut len = 4;
+                // Perfetto and chrome://tracing write a character past
+                // the BMP as a surrogate pair of two escapes.
+                if (0xD800..0xDC00).contains(&code)
+                    && self.input.as_bytes()[self.pos + 5..].starts_with(b"\\u")
+                {
+                    if let low @ 0xDC00..=0xDFFF = self.hex4(self.pos + 7)? {
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        len = 10;
+                    }
+                }
+                let c =
+                    char::from_u32(code).ok_or_else(|| self.error("\\u escape is not a scalar"))?;
+                self.pos += len;
+                c
+            }
+            _ => return Err(self.error("bad escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// The four hex digits at `at` as a number.
+    fn hex4(&self, at: usize) -> Result<u32, ParseError> {
+        let digits = self.input.as_bytes().get(at..at + 4);
+        let digits = digits.ok_or_else(|| self.error("truncated \\u escape"))?;
+        digits.iter().try_fold(0, |code, &d| {
+            let digit = (d as char).to_digit(16);
+            Ok(code * 16 + digit.ok_or_else(|| self.error("bad \\u escape"))?)
+        })
+    }
+
+    /// Read a number.
+    pub(crate) fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -287,10 +429,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
+        self.input[start..self.pos]
+            .parse()
             .map_err(|_| self.error("invalid number"))
     }
 }
@@ -331,6 +471,102 @@ mod tests {
             "duplicate keys rejected"
         );
         assert!(parse("\"\\x\"").is_err());
+    }
+
+    #[test]
+    fn nesting_has_a_ceiling() {
+        let nested = |open: &str, depth: usize, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nested("[", MAX_DEPTH, "]")).is_ok());
+        assert!(parse(&nested("{\"k\":", MAX_DEPTH, "}").replacen("}", "1}", 1)).is_ok());
+        // One line, the offset of the bracket that went too deep, and
+        // no recursion past it: two million brackets are no harder.
+        for (doc, offset) in [
+            (nested("[", MAX_DEPTH + 1, "]"), MAX_DEPTH),
+            ("[".repeat(2_000_000), MAX_DEPTH),
+            (format!("{{\"k\":{}", "[".repeat(2_000_000)), MAX_DEPTH + 4),
+            (nested("[{\"k\":", MAX_DEPTH, "}]"), 6 * (MAX_DEPTH / 2)),
+        ] {
+            let err = parse(&doc).expect_err("too deep");
+            assert_eq!(
+                err.to_string(),
+                format!("JSON parse error at byte {offset}: nesting deeper than 128")
+            );
+            assert_eq!(document(&doc, Parser::skip_value), Err(err));
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode() {
+        let text = |doc: &str| parse(doc).map(|v| v.as_str().map(str::to_string));
+        assert_eq!(text(r#""\ud83d\ude00""#), Ok(Some("\u{1f600}".to_string())));
+        assert_eq!(
+            text(r#""a\uD800\uDC00z\u00e9""#),
+            Ok(Some("a\u{10000}zé".to_string()))
+        );
+        for (lone, offset) in [
+            (r#""\ud83d""#, 2),       // high, then the end
+            (r#""\ud83dx""#, 2),      // high, then no escape
+            (r#""\ud83d\u0041""#, 2), // high, then not a low
+            (r#""\ude00\ud83d""#, 2), // reversed
+            (r#""ab\ude00""#, 4),     // low alone
+        ] {
+            let err = parse(lone).expect_err(lone);
+            assert_eq!(
+                (err.offset, &*err.message),
+                (offset, "\\u escape is not a scalar")
+            );
+        }
+        assert!(parse(r#""\ud83d\ude0""#).is_err(), "truncated low half");
+        assert!(parse(r#""\u+041""#).is_err(), "hex digits only");
+    }
+
+    #[test]
+    fn strings_borrow_unless_escaped() {
+        let read = |doc| document(doc, Parser::string);
+        assert!(matches!(
+            read("\"plain é→\""),
+            Ok(Cow::Borrowed("plain é→"))
+        ));
+        assert!(matches!(read("\"\""), Ok(Cow::Borrowed(""))));
+        assert_eq!(
+            read(r#""a\tb\\\/c""#),
+            Ok(Cow::Owned("a\tb\\/c".to_string()))
+        );
+        assert!(read("\"a\nb\"").is_err(), "raw control character");
+        assert!(read("\"open").is_err());
+    }
+
+    #[test]
+    fn skipping_validates_like_parsing() {
+        for doc in [
+            r#"{"a": [1, 2, {"b": "c"}], "d": {}, "e": null, "f": -1.5e3}"#,
+            r#"{"a":1,"a":2}"#,
+            r#"{"a":{"k":1,"\u006b":2}}"#,
+            r#"[1,]"#,
+            r#"[tru]"#,
+            r#"{"a" 1}"#,
+            r#"["\x"]"#,
+            r#"[1] 2"#,
+            r#"[-]"#,
+        ] {
+            let skipped = document(doc, Parser::skip_value);
+            assert_eq!(skipped, parse(doc).map(drop), "{doc}");
+        }
+        // Past the scanned prefix the duplicate check is a set.
+        let member = |i: usize| format!("\"k{i}\":{i}");
+        let wide: Vec<String> = (0..3 * SCANNED_KEYS).map(member).collect();
+        let unique = format!("{{{}}}", wide.join(","));
+        assert!(parse(&unique).is_ok());
+        for twice in [0, SCANNED_KEYS + 3] {
+            let doc = format!("{{{},{}}}", wide.join(","), member(twice));
+            let err = parse(&doc).expect_err("duplicate");
+            assert_eq!(
+                (err.offset, &*err.message),
+                (doc.len() - 1, "duplicate object key")
+            );
+        }
     }
 
     #[test]

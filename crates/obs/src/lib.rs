@@ -18,8 +18,10 @@
 //!   the only writer and the only reader of that format.
 //! * [`export`] — JSON, CSV, and Prometheus text renderings of a
 //!   [`Snapshot`].
-//! * [`json`] — a strict JSON parser used to *validate* exporter
-//!   output in tests rather than trusting it by construction.
+//! * [`json`] — the one strict JSON grammar, a pull tokenizer: it
+//!   builds the [`json::JsonValue`] tree every document reader (and
+//!   every test that validates exporter output) works on, and feeds the
+//!   trace reader event by event without a tree.
 //! * [`doc`] — the one deterministic writer and the one typed reader
 //!   behind every `mcio.*.v1` document and the metrics JSON dump.
 //! * [`intervals`] — merge / length / intersection of interval sets,

@@ -12,8 +12,8 @@
 //! reads it back.
 
 use crate::catalogue::LANES;
-use crate::doc::as_uint;
-use crate::json::{self, JsonValue};
+use crate::json::{self, ParseError, Parser};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
@@ -59,59 +59,64 @@ pub struct Trace {
 impl Trace {
     /// Serialize everything as a Chrome trace-event JSON array:
     /// metadata events (`ph:"M"`) naming lanes, then one complete event
-    /// (`ph:"X"`) per span with `ts`/`dur` in microseconds.
+    /// (`ph:"X"`) per span with `ts`/`dur` in microseconds. Everything
+    /// is appended to one buffer, sized up front.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("[");
-        let mut first = true;
-        let mut push = |out: &mut String, ev: String| {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('\n');
-            out.push_str(&ev);
+        // The fixed text of an event plus room for its numbers; strings
+        // are counted unescaped, so a hostile trace merely regrows.
+        const EVENT: usize = 96;
+        let text: usize = (self.processes.iter().map(|(_, name)| name.len()))
+            .chain(self.threads.iter().map(|(_, _, name)| name.len()))
+            .chain(self.spans.iter().map(|s| {
+                let args = s.args.iter().map(|(k, v)| k.len() + v.len() + 6);
+                s.name.len() + s.cat.len() + args.sum::<usize>()
+            }))
+            .sum();
+        let events = self.processes.len() + self.threads.len() + self.spans.len();
+        let mut out = String::with_capacity(events * EVENT + text + 4);
+        out.push('[');
+        let mut sep = "\n";
+        let mut meta = |out: &mut String, what: &str, pid: u64, tid: u64, name: &str| {
+            out.push_str(std::mem::replace(&mut sep, ",\n"));
+            out.push_str("{\"name\":\"");
+            out.push_str(what);
+            out.push_str("\",\"ph\":\"M\",\"pid\":");
+            push_uint(out, pid);
+            out.push_str(",\"tid\":");
+            push_uint(out, tid);
+            out.push_str(",\"args\":{\"name\":\"");
+            escape_json_into(out, name);
+            out.push_str("\"}}");
         };
         for (pid, name) in &self.processes {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    escape_json(name)
-                ),
-            );
+            meta(&mut out, "process_name", *pid, 0, name);
         }
         for (pid, tid, name) in &self.threads {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    escape_json(name)
-                ),
-            );
+            meta(&mut out, "thread_name", *pid, *tid, name);
         }
         for s in &self.spans {
-            let mut args = String::new();
+            out.push_str(std::mem::replace(&mut sep, ",\n"));
+            out.push_str("{\"name\":\"");
+            escape_json_into(&mut out, &s.name);
+            out.push_str("\",\"cat\":\"");
+            escape_json_into(&mut out, &s.cat);
+            out.push_str("\",\"ph\":\"X\",\"ts\":");
+            push_us(&mut out, s.start_ns);
+            out.push_str(",\"dur\":");
+            push_us(&mut out, s.dur_ns);
+            out.push_str(",\"pid\":");
+            push_uint(&mut out, s.pid);
+            out.push_str(",\"tid\":");
+            push_uint(&mut out, s.tid);
+            out.push_str(",\"args\":{");
             for (i, (k, v)) in s.args.iter().enumerate() {
-                if i > 0 {
-                    args.push(',');
-                }
-                args.push_str(&format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)));
+                out.push_str(if i == 0 { "\"" } else { ",\"" });
+                escape_json_into(&mut out, k);
+                out.push_str("\":\"");
+                escape_json_into(&mut out, v);
+                out.push('"');
             }
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":{},\"tid\":{},\"args\":{{{args}}}}}",
-                    escape_json(&s.name),
-                    escape_json(&s.cat),
-                    format_us(s.start_ns),
-                    format_us(s.dur_ns),
-                    s.pid,
-                    s.tid,
-                ),
-            );
+            out.push_str("}}");
         }
         out.push_str("\n]\n");
         out
@@ -122,70 +127,139 @@ impl Trace {
     /// three fractional digits, so the nanosecond reconstruction is
     /// exact. `args` come back in key order, and only string values are
     /// kept. Every malformed event is one `event N: …` line.
+    ///
+    /// The events are pulled off the tokenizer one at a time, never
+    /// held as a tree: of each, the eight members a span is made of are
+    /// kept (borrowed from `input` until a [`Span`] owns them), every
+    /// other member is validated and skipped. So the first fault in
+    /// document order is the one reported: a malformed event wins over
+    /// a syntax error further down the file.
     pub fn from_chrome_json(input: &str) -> Result<Self, String> {
-        let doc = json::parse(input).map_err(|e| format!("trace is not valid JSON: {e}"))?;
-        let events = doc
-            .as_array()
-            .ok_or_else(|| "trace is not a JSON array of events".to_string())?;
         let mut trace = Trace::default();
-        for (i, ev) in events.iter().enumerate() {
-            let missing = |key: &str| format!("event {i}: missing \"{key}\"");
-            let text = |key: &str| ev.get(key).and_then(JsonValue::as_str);
-            let uint = |key: &str| {
-                as_uint(ev.get(key).ok_or_else(|| missing(key))?)
-                    .ok_or_else(|| format!("event {i}: \"{key}\" is not an unsigned integer"))
-            };
-            let time_ns = |key: &str| {
-                let us = ev.get(key).and_then(JsonValue::as_f64);
-                parse_us(us.ok_or_else(|| missing(key))?).ok_or_else(|| {
-                    format!("event {i}: \"{key}\" is negative or does not fit u64 nanoseconds")
-                })
-            };
-            let ph = text("ph").ok_or_else(|| missing("ph"))?;
-            let (pid, tid) = (uint("pid")?, uint("tid")?);
-            let name = text("name").ok_or_else(|| missing("name"))?;
-            match ph {
-                "M" => {
-                    let meta_name = ev
-                        .get("args")
-                        .and_then(|a| a.get("name"))
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string();
-                    match name {
-                        "process_name" => trace.processes.push((pid, meta_name)),
-                        "thread_name" => trace.threads.push((pid, tid, meta_name)),
-                        _ => {}
-                    }
-                }
-                "X" => {
-                    let (start_ns, dur_ns) = (time_ns("ts")?, time_ns("dur")?);
-                    if start_ns.checked_add(dur_ns).is_none() {
-                        return Err(format!(
-                            "event {i}: \"ts\" + \"dur\" does not fit u64 nanoseconds"
-                        ));
-                    }
-                    let args = match ev.get("args") {
-                        Some(JsonValue::Object(map)) => map
-                            .iter()
-                            .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_string())))
-                            .collect(),
-                        _ => Vec::new(),
-                    };
-                    trace.spans.push(Span {
-                        name: name.to_string(),
-                        cat: text("cat").unwrap_or_default().to_string(),
-                        pid,
-                        tid,
-                        start_ns,
-                        dur_ns,
-                        args,
-                    });
-                }
-                other => return Err(format!("event {i}: unsupported phase \"{other}\"")),
+        let mut args = Vec::new();
+        let read = json::document(input, |p| {
+            if p.peek() != Some(b'[') {
+                return p.skip_value().map(|()| false).map_err(Fault::Json);
             }
+            let mut i = 0;
+            p.array(|p| {
+                let read = trace.read_event(p, i, &mut args);
+                i += 1;
+                read
+            })?;
+            Ok(true)
+        });
+        match read {
+            Ok(true) => Ok(trace),
+            Ok(false) => Err("trace is not a JSON array of events".to_string()),
+            Err(Fault::Json(e)) => Err(format!("trace is not valid JSON: {e}")),
+            Err(Fault::Event(line)) => Err(line),
         }
-        Ok(trace)
+    }
+
+    /// Read event `i` under the cursor and record what it holds.
+    /// `args` is scratch space, reused so that an event allocates
+    /// nothing a span does not keep.
+    fn read_event<'a>(
+        &mut self,
+        p: &mut Parser<'a>,
+        i: usize,
+        args: &mut Vec<(Cow<'a, str>, Cow<'a, str>)>,
+    ) -> Result<(), Fault> {
+        // `ph`, `name` and `cat` count as absent unless strings, `ts`
+        // and `dur` unless numbers; `pid` and `tid` remember a value of
+        // the wrong type (`Some(None)`), which is its own error.
+        let (mut name, mut cat, mut ph) = (None, None, None);
+        let (mut ts, mut dur, mut pid, mut tid) = (None, None, None, None);
+        args.clear();
+        if p.peek() == Some(b'{') {
+            p.object(|p, key| {
+                match &*key {
+                    "name" => name = p.string_or_skip()?,
+                    "cat" => cat = p.string_or_skip()?,
+                    "ph" => ph = p.string_or_skip()?,
+                    "ts" => ts = p.number_or_skip()?,
+                    "dur" => dur = p.number_or_skip()?,
+                    "pid" => pid = Some(p.number_or_skip()?),
+                    "tid" => tid = Some(p.number_or_skip()?),
+                    "args" if p.peek() == Some(b'{') => p.object(|p, key| {
+                        args.extend(p.string_or_skip()?.map(|value| (key, value)));
+                        Ok(())
+                    })?,
+                    _ => p.skip_value()?,
+                }
+                Ok::<(), ParseError>(())
+            })?;
+        } else {
+            p.skip_value()?;
+        }
+
+        let event = |what: std::fmt::Arguments<'_>| Fault::Event(format!("event {i}: {what}"));
+        let missing = |key: &str| event(format_args!("missing \"{key}\""));
+        let uint = |key: &str, slot: Option<Option<f64>>| {
+            (slot.ok_or_else(|| missing(key))?.and_then(json::exact_u64))
+                .ok_or_else(|| event(format_args!("\"{key}\" is not an unsigned integer")))
+        };
+        let time_ns = |key: &str, slot: Option<f64>| {
+            parse_us(slot.ok_or_else(|| missing(key))?).ok_or_else(|| {
+                event(format_args!(
+                    "\"{key}\" is negative or does not fit u64 nanoseconds"
+                ))
+            })
+        };
+        let ph = ph.ok_or_else(|| missing("ph"))?;
+        let (pid, tid) = (uint("pid", pid)?, uint("tid", tid)?);
+        let name = name.ok_or_else(|| missing("name"))?;
+        match &*ph {
+            "M" => {
+                let meta_name = || {
+                    let named = args.iter().find(|(key, _)| key == "name");
+                    named
+                        .map(|(_, value)| value.to_string())
+                        .unwrap_or_default()
+                };
+                match &*name {
+                    "process_name" => self.processes.push((pid, meta_name())),
+                    "thread_name" => self.threads.push((pid, tid, meta_name())),
+                    _ => {}
+                }
+            }
+            "X" => {
+                let (start_ns, dur_ns) = (time_ns("ts", ts)?, time_ns("dur", dur)?);
+                if start_ns.checked_add(dur_ns).is_none() {
+                    return Err(event(format_args!(
+                        "\"ts\" + \"dur\" does not fit u64 nanoseconds"
+                    )));
+                }
+                args.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+                self.spans.push(Span {
+                    name: name.into_owned(),
+                    cat: cat.unwrap_or_default().into_owned(),
+                    pid,
+                    tid,
+                    start_ns,
+                    dur_ns,
+                    args: (args.drain(..))
+                        .map(|(key, value)| (key.into_owned(), value.into_owned()))
+                        .collect(),
+                });
+            }
+            other => return Err(event(format_args!("unsupported phase \"{other}\""))),
+        }
+        Ok(())
+    }
+}
+
+/// Why a trace was refused: the document is not JSON, or one event is
+/// not a trace event (the finished `event N: …` line).
+enum Fault {
+    Json(ParseError),
+    Event(String),
+}
+
+impl From<ParseError> for Fault {
+    fn from(e: ParseError) -> Self {
+        Fault::Json(e)
     }
 }
 
@@ -253,6 +327,12 @@ impl TraceCollector {
         });
     }
 
+    /// Run `f` on the trace under one lock: how an emitter that holds
+    /// all of its spans already hands them over in one go.
+    pub fn record<R>(&self, f: impl FnOnce(&mut Trace) -> R) -> R {
+        f(&mut self.lock())
+    }
+
     /// A copy of everything recorded so far.
     pub fn snapshot(&self) -> Trace {
         self.lock().clone()
@@ -279,20 +359,39 @@ impl TraceCollector {
     }
 }
 
-/// Nanoseconds rendered as decimal microseconds without float rounding
-/// (`1234` ns → `"1.234"`).
-fn format_us(ns: u64) -> String {
-    let whole = ns / 1000;
+/// Append `v` in decimal. Four numbers per event make this the
+/// writer's inner loop: going through `fmt` instead costs it half its
+/// time again.
+fn push_uint(out: &mut String, mut v: u64) {
+    // u64::MAX has 20 digits.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| d as char));
+}
+
+/// Append nanoseconds as decimal microseconds without float rounding
+/// (`1234` ns → `1.234`, `5000` ns → `5`).
+fn push_us(out: &mut String, ns: u64) {
+    push_uint(out, ns / 1000);
     let frac = ns % 1000;
-    if frac == 0 {
-        whole.to_string()
-    } else {
-        format!("{whole}.{frac:03}")
+    if frac != 0 {
+        out.push('.');
+        for place in [100, 10, 1] {
+            out.push((b'0' + (frac / place % 10) as u8) as char);
+        }
     }
 }
 
-/// The inverse of [`format_us`] on the parsed number: microseconds to
-/// the nearest nanosecond (exact for what `format_us` wrote below
+/// The inverse of [`push_us`] on the parsed number: microseconds to
+/// the nearest nanosecond (exact for what `push_us` wrote below
 /// 2^52 ns; a foreign trace's sub-nanosecond digits round). `None` for
 /// a negative time or one past `u64` nanoseconds.
 fn parse_us(us: f64) -> Option<u64> {
@@ -301,29 +400,30 @@ fn parse_us(us: f64) -> Option<u64> {
     (us >= 0.0 && ns < 18_446_744_073_709_551_616.0).then_some(ns as u64)
 }
 
-/// Escape a string for embedding in a JSON string literal.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_json_into(&mut out, s);
-    out
-}
-
-/// [`escape_json`] appended to `out` — the form the document writer
-/// uses, so escaping a field never allocates.
+/// Escape a string for embedding in a JSON string literal, appended to
+/// `out` — escaping a field never allocates.
 pub fn escape_json_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Everything that needs an escape is ASCII, so the stretches
+    // between two of them are copied whole.
+    let mut run = 0;
+    for (at, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..at]);
+        run = at + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
 }
 
 #[cfg(test)]
@@ -364,7 +464,9 @@ mod tests {
 
     #[test]
     fn escaping_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let mut escaped = String::from("[");
+        escape_json_into(&mut escaped, "a\"b\\c\nd");
+        assert_eq!(escaped, "[a\\\"b\\\\c\\nd");
         let t = TraceCollector::new();
         t.name_thread(7, 1, "la\tne\u{1}");
         t.span_with_args(
