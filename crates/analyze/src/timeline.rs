@@ -19,7 +19,6 @@
 use crate::trace_model::{ResourceClass, TraceModel, PID_RESOURCES};
 use mcio_obs::doc::{Reader, Writer};
 use mcio_obs::json;
-use mcio_obs::Registry;
 use std::fmt::Write as _;
 
 /// The schema stamp of the timeline document.
@@ -264,26 +263,6 @@ impl Timeline {
             series,
         })
     }
-
-    /// Record the timeline into a metrics registry:
-    /// `timeline.bucket_busy_ns` (histogram, labeled `{series}`) with
-    /// one observation per bucket, `timeline.series_busy_ns` (counter,
-    /// labeled `{series}`) with the exact totals, and the scalar
-    /// `timeline.bucket_ns` gauge — so a scrape endpoint can expose
-    /// time-resolved utilization without shipping the trace.
-    pub fn record_into(&self, reg: &Registry) {
-        reg.set_gauge("timeline.bucket_ns", &[], self.bucket_ns as f64);
-        for s in &self.series {
-            for &v in &s.busy_ns {
-                reg.observe("timeline.bucket_busy_ns", &[("series", &s.key)], v);
-            }
-            reg.inc(
-                "timeline.series_busy_ns",
-                &[("series", &s.key)],
-                s.total_busy_ns,
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -421,88 +400,5 @@ mod tests {
         assert_eq!(tl.buckets, 0);
         assert!(tl.series.is_empty());
         assert_eq!(Timeline::from_json(&tl.to_json()).unwrap(), tl);
-    }
-
-    /// Timeline metrics survive a Prometheus scrape even when a lane
-    /// name (and therefore a series label) is hostile: the exporter
-    /// must keep one physical line per sample, escape the label, and
-    /// keep `_bucket`/`_sum`/`_count` consistent.
-    #[test]
-    fn prometheus_export_round_trips_hostile_series_labels() {
-        // "ost" substring makes the lane a storage series; the rest is
-        // exposition-format poison (backslash, quote, newline).
-        let hostile = "ost\\evil\"lane\n0";
-        let tc = TraceCollector::new();
-        tc.name_thread(PID_RESOURCES, 0, hostile);
-        tc.span("io.0", hostile, PID_RESOURCES, 0, 0, 700);
-        tc.span("io.1", hostile, PID_RESOURCES, 0, 800, 200);
-        let tl = timeline(&TraceModel::from_collector(&tc), 250);
-        assert!(tl.get(hostile).is_some(), "hostile lane becomes a series");
-
-        let reg = Registry::new();
-        tl.record_into(&reg);
-        let prom = mcio_obs::export::to_prometheus(&reg.snapshot());
-
-        // The embedded newline must not split any sample line: every
-        // non-comment line is `name{labels} value`.
-        for line in prom.lines().filter(|l| !l.starts_with('#')) {
-            assert!(
-                line.starts_with("timeline_"),
-                "unbroken sample lines only, got: {line:?}"
-            );
-        }
-        let count_line = prom
-            .lines()
-            .find(|l| l.starts_with("timeline_bucket_busy_ns_count"))
-            .expect("histogram count present");
-        assert!(
-            count_line.contains("series=\"ost\\\\evil\\\"lane\\n0\""),
-            "label escaped: {count_line:?}"
-        );
-        assert!(
-            count_line.ends_with(&format!(" {}", tl.buckets)),
-            "{count_line}"
-        );
-        let sum_line = prom
-            .lines()
-            .find(|l| l.starts_with("timeline_bucket_busy_ns_sum"))
-            .unwrap();
-        assert!(
-            sum_line.ends_with(" 900"),
-            "sum equals total busy: {sum_line}"
-        );
-        // Cumulative buckets are non-decreasing and end at count.
-        let cumulative: Vec<u64> = prom
-            .lines()
-            .filter(|l| l.starts_with("timeline_bucket_busy_ns_bucket"))
-            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
-            .collect();
-        assert!(
-            cumulative.windows(2).all(|w| w[0] <= w[1]),
-            "{cumulative:?}"
-        );
-        assert_eq!(*cumulative.last().unwrap(), tl.buckets as u64);
-    }
-
-    #[test]
-    fn registry_recording_matches_totals() {
-        let tl = timeline(&model(), 250);
-        let reg = Registry::new();
-        tl.record_into(&reg);
-        let snap = reg.snapshot();
-        let total: u64 = snap
-            .counters
-            .iter()
-            .filter(|c| c.name == "timeline.series_busy_ns")
-            .map(|c| c.value)
-            .sum();
-        let expect: u64 = tl.series.iter().map(|s| s.total_busy_ns).sum();
-        assert_eq!(total, expect);
-        let hist = snap
-            .histograms
-            .iter()
-            .find(|h| h.name == "timeline.bucket_busy_ns")
-            .expect("bucket histogram recorded");
-        assert!(hist.count > 0);
     }
 }

@@ -147,7 +147,7 @@ fn run_solo_cell(
     policy: AdaptivePolicy,
 ) -> CellOutcome<Run> {
     let fspec = FaultSpec::parse(text).unwrap_or_else(|e| fail(&format!("fault row {fault}: {e}")));
-    if let Err(e) = fspec.validate_osts(cell.spec.io_servers) {
+    if let Err(e) = fspec.validate_targets(cell.spec.io_servers, cell.spec.nodes) {
         fail(&format!("fault row {fault}: {e}"));
     }
     let out = cell.run_faulted(plan, &fspec, policy, Observe::default());
@@ -329,7 +329,8 @@ fn main() {
     let specs = mtspec::contention_roster(Strategy::MemoryConscious);
     let roster: Vec<TenantJob> = specs.iter().map(mtspec::build_tenant).collect();
     let fspec = FaultSpec::parse(DEGRADED_ROW).unwrap_or_else(|e| fail(&format!("row: {e}")));
-    if let Err(e) = fspec.validate_osts(ClusterSpec::small(32, 2).io_servers) {
+    let machine = ClusterSpec::small(32, 2);
+    if let Err(e) = fspec.validate_targets(machine.io_servers, machine.nodes) {
         fail(&format!("row: {e}"));
     }
     let tenant_cells: Vec<(usize, AdaptivePolicy)> = TENANTS

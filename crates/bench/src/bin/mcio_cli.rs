@@ -530,7 +530,11 @@ fn run_sim(m: &Matches) {
     // resolved spec.
     let fault_spec: Option<FaultSpec> = m.get("faults").map(|path| {
         FaultSpec::parse(&read_or_exit(ctx, "faults", path))
-            .and_then(|fspec| fspec.validate_osts(spec.io_servers).map(|()| fspec))
+            .and_then(|fspec| {
+                fspec
+                    .validate_targets(spec.io_servers, spec.nodes)
+                    .map(|()| fspec)
+            })
             .unwrap_or_else(|e| fail(ctx, 1, &format!("faults {path}: {e}")))
     });
 

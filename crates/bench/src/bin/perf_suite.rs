@@ -23,15 +23,12 @@
 //! cell shows one — the straggling chain/aggregator/OST driving it.
 //! Flags and exit codes come from `mcio_bench::cli::PERF_SUITE`.
 //!
-//! Two host-side sidecars profile the *simulator itself* (neither is
-//! ever `--check`-gated, and `BENCH_perf_suite.json` stays
-//! byte-identical whether or not they are requested):
-//!
-//! * `--prof FILE` writes the `mcio.prof.v1` document — per-cell engine
-//!   counters (deterministic) plus the wall-clock phase table,
-//!   events/sec, allocator stats, and worker utilization (host).
-//! * `--wallclock FILE` writes `mcio.perf_wallclock.v1` — one row per
-//!   cell with elapsed wall time and events per wall second.
+//! `--prof FILE` profiles the *simulator itself* into the
+//! `mcio.prof.v1` sidecar — per-cell engine counters (deterministic)
+//! plus the wall-clock phase table, events/sec, allocator stats, and
+//! worker utilization (host). It is never `--check`-gated, and
+//! `BENCH_perf_suite.json` stays byte-identical whether or not it is
+//! requested.
 //!
 //! `--exascale` runs the standing full-machine scenario instead of the
 //! matrix: the Table-1 `exascale_2018` design with one rank on every
@@ -43,9 +40,8 @@
 use mcio_bench::cli::{self, emit_doc, fail, read_or_exit, write_or_exit, ProfSidecar};
 use mcio_bench::perf::{
     cell_stragglers, parse_records, regressions_detailed, render_exascale, render_records,
-    render_wallclock, run_exascale, run_suite,
+    run_exascale, run_suite,
 };
-use mcio_prof::DetCell;
 
 fn main() {
     let m = cli::parse_or_exit(&cli::PERF_SUITE);
@@ -60,18 +56,14 @@ fn main() {
             &format!("--tolerance must be a fraction in [0, 10), got `{raw}`"),
         ),
     };
-    let (check_path, wallclock_path) = (m.get("check"), m.get("wallclock"));
+    let check_path = m.get("check");
 
     if m.on("exascale") {
         // The exascale scenario is its own mode: untraced, never
         // `--check`-gated (its document is host data), never mixed
         // into `BENCH_perf_suite.json`.
-        if check_path.is_some() || m.get("prof").is_some() || wallclock_path.is_some() {
-            fail(
-                ctx,
-                2,
-                "--exascale does not combine with --check/--prof/--wallclock",
-            );
+        if check_path.is_some() || m.get("prof").is_some() {
+            fail(ctx, 2, "--exascale does not combine with --check/--prof");
         }
         let cells = run_exascale();
         for c in &cells {
@@ -97,7 +89,7 @@ fn main() {
     });
 
     let sidecar = ProfSidecar::new(m.get("prof"));
-    let (records, cell_profs, workers) = run_suite(jobs, sidecar.prof());
+    let (records, cells, workers) = run_suite(jobs, sidecar.prof());
     for r in &records {
         println!(
             "{:<6} {:<17} elapsed {:>10.3} ms  exchange {:>5.1}%  io {:>5.1}%  bottleneck {}",
@@ -114,17 +106,6 @@ fn main() {
     write_or_exit(ctx, "", out_path, &render_records(&records));
     println!("wrote {out_path}");
 
-    if let Some(path) = wallclock_path {
-        write_or_exit(ctx, "", path, &render_wallclock(&cell_profs));
-        println!("wrote {path}");
-    }
-    let cells = cell_profs
-        .iter()
-        .map(|c| DetCell {
-            label: format!("{}/{}", c.scenario, c.strategy),
-            engine: c.engine.clone(),
-        })
-        .collect();
     if let Some(path) = sidecar.write(ctx, cells, &workers) {
         println!("wrote {path}");
     }

@@ -535,7 +535,6 @@ pub const PERF_SUITE: Command = Command {
         flag("check", FILE, None, "gate the fresh run against this baseline document"),
         flag("tolerance", Kind::Text("FRAC"), Some("0.05"), "relative elapsed-time growth --check allows"),
         PROF,
-        flag("wallclock", FILE, None, "write the mcio.perf_wallclock.v1 per-cell host timings"),
         flag("exascale", Kind::Switch, None, "run the 1 M-rank exascale_2018 scenario instead of the matrix"),
     ],
 };
@@ -605,7 +604,7 @@ mod tests {
     const ANALYZE: &Command = &MCIO_CLI[1];
 
     #[test]
-    fn the_flag_set_is_46_plus_17() {
+    fn the_flag_set_is_46_plus_16() {
         let count = |cs: &[Command]| cs.iter().map(|c| c.flags.len()).sum::<usize>();
         assert_eq!(count(MCIO_CLI), 46);
         let suites = [
@@ -615,7 +614,7 @@ mod tests {
             ADAPTATION_SUITE,
             SCHEDULER_SUITE,
         ];
-        assert_eq!(count(&suites), 17);
+        assert_eq!(count(&suites), 16);
         // Every default passes its own kind's check, and no command
         // lists a name twice.
         for c in MCIO_CLI.iter().chain(&suites) {

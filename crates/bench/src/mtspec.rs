@@ -133,7 +133,7 @@ impl MtSpec {
             let f = FaultSpec::parse(&fault_lines.join("\n"))?;
             // The parser can't know the machine; with it resolved,
             // reject fault targets that don't exist on it.
-            f.validate_osts(machine.io_servers)
+            f.validate_targets(machine.io_servers, machine.nodes)
                 .map_err(|e| format!("faults: {e}"))?;
             Some(f)
         };
@@ -299,6 +299,10 @@ job b ranks=8 ppn=2 node_offset=4 start=250us per_proc=256K segments=2 buffer=25
             (
                 "machine small:8x2\nfault seed 5\njob a\n# note\nfault ost_slow(0, 4.0, 9ms..2ms)",
                 "line 5: window `9ms..2ms` is empty or reversed",
+            ),
+            (
+                "machine small:4x2\njob a\nfault agg_crash(700, 1ms)",
+                "faults: node 700 out of range: machine has 4 nodes",
             ),
             (
                 "machine small:8x2\njob a buffer=0",

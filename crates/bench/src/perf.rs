@@ -18,7 +18,7 @@ use mcio_core::{Rw, Strategy};
 use mcio_des::SharePolicy;
 use mcio_obs::doc::{Reader, Writer};
 use mcio_obs::json;
-use mcio_prof::{events_per_sec, Prof};
+use mcio_prof::{events_per_sec, DetCell, Prof};
 use mcio_sweep::WorkerStat;
 
 const MIB: u64 = 1 << 20;
@@ -173,35 +173,18 @@ pub struct Record {
     pub critical_path: CriticalPath,
 }
 
-/// Host-side profile of one (scenario, strategy) cell: its wall-clock
-/// cost plus the deterministic engine counters of its DES run. Feeds
-/// the `mcio.perf_wallclock.v1` sidecar and the per-cell section of
-/// `mcio.prof.v1`; never part of `BENCH_perf_suite.json`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellProf {
-    /// Scenario key.
-    pub scenario: String,
-    /// Strategy label.
-    pub strategy: String,
-    /// Wall-clock nanoseconds for the whole cell (plan + simulate +
-    /// trace reduction). Host data — varies run to run.
-    pub wall_ns: u64,
-    /// Deterministic engine counters of the cell's DES run.
-    pub engine: mcio_des::EngineProfile,
-}
-
 /// Run one (scenario, strategy) cell, traced, and reduce it to its
 /// [`Record`], the trace model it was reduced from (the `--check`
-/// failure path mines the model for stragglers) and its host-side
-/// [`CellProf`]. Scopes `plan`, the simulator's
+/// failure path mines the model for stragglers) and the deterministic
+/// engine counters of its DES run as a [`DetCell`] (the per-cell
+/// section of `mcio.prof.v1`). Scopes `plan`, the simulator's
 /// `build-activity-graph`/`des-run`/`trace-emit`, and `analyze` land in
 /// `prof`; profiling never touches simulated time, so the record is
 /// byte-identical under a disabled handle. Every cell is a
 /// self-contained simulation — its own DES instance, workload, and
 /// trace — so cells can run on any thread in any order without
 /// changing their results.
-pub fn run_cell(s: &Scenario, strategy: Strategy, prof: &Prof) -> (Record, TraceModel, CellProf) {
-    let started = std::time::Instant::now();
+pub fn run_cell(s: &Scenario, strategy: Strategy, prof: &Prof) -> (Record, TraceModel, DetCell) {
     let harness = Harness::new((s.machine)(), s.ranks, TESTBED_PPN, s.seed);
     let req = s.shape.request(s.ranks, Rw::Write);
     let cell = Cell {
@@ -229,13 +212,11 @@ pub fn run_cell(s: &Scenario, strategy: Strategy, prof: &Prof) -> (Record, Trace
         critical_path: critical_path(&model),
     };
     drop(analyze_scope);
-    let cell_prof = CellProf {
-        scenario: record.scenario.clone(),
-        strategy: record.strategy.clone(),
-        wall_ns: started.elapsed().as_nanos() as u64,
+    let det = DetCell {
+        label: format!("{}/{}", record.scenario, record.strategy),
         engine: timing.engine,
     };
-    (record, model, cell_prof)
+    (record, model, det)
 }
 
 /// Re-run one named cell traced and return its straggler findings,
@@ -256,7 +237,7 @@ pub fn cell_stragglers(scenario: &str, strategy_label: &str) -> Vec<mcio_analyze
 }
 
 /// Run the whole matrix on `jobs` worker threads via the sweep engine:
-/// the records, one [`CellProf`] per cell (in record order) and the
+/// the records, one [`DetCell`] per cell (in record order) and the
 /// pool's per-worker utilization.
 ///
 /// The fan-out unit is one (scenario, strategy) cell; results are merged
@@ -264,37 +245,18 @@ pub fn cell_stragglers(scenario: &str, strategy_label: &str) -> Vec<mcio_analyze
 /// memory-conscious), so the returned records — and
 /// `BENCH_perf_suite.json` rendered from them — are byte-identical at
 /// any thread count, profiled or not.
-pub fn run_suite(jobs: usize, prof: &Prof) -> (Vec<Record>, Vec<CellProf>, Vec<WorkerStat>) {
+pub fn run_suite(jobs: usize, prof: &Prof) -> (Vec<Record>, Vec<DetCell>, Vec<WorkerStat>) {
     let scens = scenarios();
     let cells: Vec<(&Scenario, Strategy)> = scens
         .iter()
         .flat_map(|s| Strategy::BOTH.map(|strategy| (s, strategy)))
         .collect();
     let (runs, workers) = mcio_sweep::sweep_stats(jobs, &cells, |&(s, strategy)| {
-        let (record, _, cell_prof) = run_cell(s, strategy, prof);
-        (record, cell_prof)
+        let (record, _, det) = run_cell(s, strategy, prof);
+        (record, det)
     });
-    let (records, profs) = runs.into_iter().unzip();
-    (records, profs, workers)
-}
-
-/// Render per-cell wall-clock rows as the `mcio.perf_wallclock.v1`
-/// sidecar: one row per (scenario, strategy) cell with its elapsed
-/// wall time, deterministic event count, and events per wall second.
-/// Host data — byte-UNSTABLE across runs; never `--check`-gated or
-/// diffed (only `events_fired` is deterministic).
-pub fn render_wallclock(cells: &[CellProf]) -> String {
-    let mut w = Writer::document();
-    w.schema("mcio.perf_wallclock.v1");
-    w.rows("cells", cells, |r, c| {
-        let eps = events_per_sec(c.engine.events_fired, c.wall_ns);
-        r.text("scenario", &c.scenario);
-        r.text("strategy", &c.strategy);
-        r.uint("wall_ns", c.wall_ns);
-        r.uint("events_fired", c.engine.events_fired);
-        r.float("events_per_sec", eps, 3);
-    });
-    w.finish()
+    let (records, dets) = runs.into_iter().unzip();
+    (records, dets, workers)
 }
 
 /// Render records as the `mcio.perf_suite.v1` JSON document.
@@ -417,15 +379,6 @@ pub fn regressions_detailed(
     out
 }
 
-/// Gate `current` against `baseline`, returning one message per
-/// regressed pair (the flat form of [`regressions_detailed`]).
-pub fn regressions(current: &[Record], baseline: &[Record], tolerance: f64) -> Vec<String> {
-    regressions_detailed(current, baseline, tolerance)
-        .into_iter()
-        .map(|r| r.message)
-        .collect()
-}
-
 /// Diff two perf-suite documents cell by cell: one line per
 /// (scenario, strategy) that differs, empty for identical documents.
 /// Cells present in only one document are reported as such; shared
@@ -532,8 +485,8 @@ mod tests {
         assert_eq!(render_records(&parsed), rendered);
     }
 
-    /// The two host-data documents carry wall-clock, so no run can be a
-    /// golden; a literal input pins their bytes instead.
+    /// The exascale document carries wall-clock, so no run can be a
+    /// golden; a literal input pins its bytes instead.
     #[test]
     fn host_data_documents_render_fixed_bytes() {
         let engine = mcio_des::EngineProfile {
@@ -542,28 +495,6 @@ mod tests {
             heap_high_water: 11,
             ..Default::default()
         };
-        let cells = [
-            CellProf {
-                scenario: "fig6".into(),
-                strategy: "two-phase".into(),
-                wall_ns: 2_000_000,
-                engine: engine.clone(),
-            },
-            CellProf {
-                scenario: "fig6".into(),
-                strategy: "memory-conscious".into(),
-                wall_ns: 0,
-                engine: engine.clone(),
-            },
-        ];
-        assert_eq!(
-            render_wallclock(&cells),
-            "{\n  \"schema\": \"mcio.perf_wallclock.v1\",\n  \"cells\": [\n    \
-             {\"scenario\": \"fig6\", \"strategy\": \"two-phase\", \"wall_ns\": 2000000, \
-             \"events_fired\": 3000, \"events_per_sec\": 1500000.000},\n    \
-             {\"scenario\": \"fig6\", \"strategy\": \"memory-conscious\", \"wall_ns\": 0, \
-             \"events_fired\": 3000, \"events_per_sec\": 0.000}\n  ]\n}\n"
-        );
         let exa = [ExaCell {
             strategy: "memory-conscious".into(),
             engine: "fair",
@@ -579,10 +510,6 @@ mod tests {
              \"events_fired\": 3000, \"events_cancelled\": 7, \"heap_high_water\": 11, \
              \"plan_wall_ns\": 5, \"sim_wall_ns\": 4000000, \"events_per_sec\": 750000.000}\n  \
              ]\n}\n"
-        );
-        assert_eq!(
-            render_wallclock(&[]),
-            "{\n  \"schema\": \"mcio.perf_wallclock.v1\",\n  \"cells\": [\n  ]\n}\n"
         );
     }
 
@@ -644,14 +571,15 @@ mod tests {
     fn regression_gate_triggers_only_past_tolerance() {
         let base = vec![record("fig6", "two-phase", 1_000_000)];
         // +4% within 5% tolerance.
-        assert!(regressions(&[record("fig6", "two-phase", 1_040_000)], &base, 0.05).is_empty());
+        let gate = |cur: Record| regressions_detailed(&[cur], &base, 0.05);
+        assert!(gate(record("fig6", "two-phase", 1_040_000)).is_empty());
         // +6% outside it.
-        let r = regressions(&[record("fig6", "two-phase", 1_060_000)], &base, 0.05);
+        let r = gate(record("fig6", "two-phase", 1_060_000));
         assert_eq!(r.len(), 1);
-        assert!(r[0].contains("fig6/two-phase"), "{}", r[0]);
+        assert!(r[0].message.contains("fig6/two-phase"), "{}", r[0].message);
         // Faster is never a regression; unknown pairs are ignored.
-        assert!(regressions(&[record("fig6", "two-phase", 900_000)], &base, 0.05).is_empty());
-        assert!(regressions(&[record("fig9", "two-phase", 9_000_000)], &base, 0.05).is_empty());
+        assert!(gate(record("fig6", "two-phase", 900_000)).is_empty());
+        assert!(gate(record("fig9", "two-phase", 9_000_000)).is_empty());
     }
 
     #[test]
@@ -680,15 +608,6 @@ mod tests {
             r.message.contains("cause: ost_io +0.060 ms (+12.0%)"),
             "{}",
             r.message
-        );
-        // The flat form carries the same message.
-        assert_eq!(
-            regressions(
-                &[record("fig7", "memory-conscious", 1_120_000)],
-                &base,
-                0.05
-            ),
-            vec![r.message.clone()]
         );
     }
 

@@ -21,6 +21,11 @@
 //!   exactly `catalogue::LANES`, `PID_*` is defined in the catalogue
 //!   only, and outside `crates/obs` nothing calls `name_process` or a
 //!   registry `describe`.
+//! * Machines are built once: outside `crates/core/src/exec_sim.rs`
+//!   (the executor) and `crates/core/src/tuner.rs` (the calibration
+//!   probe) no non-test source constructs a `Simulation`, a `Fabric` or
+//!   a `Pfs`, so every run inherits both engines, faults, traces and
+//!   `analyze` from the one lowering.
 //!
 //! "Non-test source" is what `scripts/code_lines.sh` counts: the part
 //! of each `crates/*/src/**/*.rs` above its first `#[cfg(test)]`.
@@ -113,7 +118,7 @@ fn documents_table_lists_exactly_the_schemas_in_the_source() {
         .flat_map(|(_, code)| schemas_in(code))
         .collect();
     assert!(
-        table.len() >= 12,
+        table.len() >= 11,
         "the Documents table was found: {table:?}"
     );
     assert_in_sync("docs/observability.md \"Documents\" table", &table, &source);
@@ -262,5 +267,34 @@ fn metrics_and_lanes_are_declared_in_one_place() {
         offences.is_empty(),
         "metric text and trace lanes come from mcio_obs::catalogue (record under the name, \
          `TraceCollector::name_lane(PID_*)`), found: {offences:#?}"
+    );
+}
+
+#[test]
+fn machines_are_built_in_one_place() {
+    let builders = ["crates/core/src/exec_sim.rs", "crates/core/src/tuner.rs"];
+    let mut offences = Vec::new();
+    for (path, code) in sources() {
+        if builders.contains(&path.as_str()) {
+            continue;
+        }
+        // Doc comments may show the constructors in an example.
+        for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
+            for needle in [
+                "Simulation::new(",
+                "Simulation::with_policy(",
+                "Fabric::build(",
+                "Pfs::build(",
+            ] {
+                if line.contains(needle) {
+                    offences.push(format!("{path}: `{needle}`"));
+                }
+            }
+        }
+    }
+    assert!(
+        offences.is_empty(),
+        "a plan runs through exec_sim::execute (simulate / simulate_observed / simulate_faulted / \
+         run_multitenant), which builds the one Simulation, Fabric and Pfs; found: {offences:#?}"
     );
 }

@@ -752,19 +752,32 @@ fn faults_overlapping_stalls_exit_1_with_one_line_error() {
 }
 
 #[test]
-fn faults_unknown_ost_exits_1_with_one_line_error() {
-    let path = tmp("faults_unknown_ost.txt");
-    std::fs::write(&path, "seed 1\nost_slow(99, 2.0, 0ms..5ms)\n").unwrap();
-    let mut args = TINY.to_vec();
-    let path_s = path.to_str().unwrap().to_owned();
-    args.extend_from_slice(&["--faults", &path_s]);
-    let out = run(&args);
-    std::fs::remove_file(&path).ok();
-    assert_eq!(out.status.code(), Some(1));
-    let err = stderr(&out);
-    assert!(err.contains("ost 99 out of range"), "{err}");
-    assert_eq!(err.trim().lines().count(), 1, "one-line error, got: {err}");
-    assert!(!err.contains("panicked"), "{err}");
+fn faults_unknown_target_exits_1_with_one_line_error() {
+    // TINY is 4 ranks at 2 per node: a 2-node machine with 4 OSTs.
+    for (event, needle) in [
+        ("ost_slow(99, 2.0, 0ms..5ms)", "ost 99 out of range"),
+        (
+            "agg_crash(700, 1ms)",
+            "node 700 out of range: machine has 2 nodes",
+        ),
+        (
+            "mem_shock(700, 0.5, 1ms)",
+            "node 700 out of range: machine has 2 nodes",
+        ),
+    ] {
+        let path = tmp("faults_unknown_target.txt");
+        std::fs::write(&path, format!("seed 1\n{event}\n")).unwrap();
+        let mut args = TINY.to_vec();
+        let path_s = path.to_str().unwrap().to_owned();
+        args.extend_from_slice(&["--faults", &path_s]);
+        let out = run(&args);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(out.status.code(), Some(1), "{event}");
+        let err = stderr(&out);
+        assert!(err.contains(needle), "{err}");
+        assert_eq!(err.trim().lines().count(), 1, "one-line error, got: {err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
 }
 
 #[test]

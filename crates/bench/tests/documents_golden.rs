@@ -31,8 +31,8 @@
 //!
 //! Between them the four analyze fixtures cover every optional section
 //! of `mcio.analyze.v1` (`stragglers`, `tenants`, `replans`, `sched`).
-//! Host-data documents (`mcio.perf_wallclock.v1`, `mcio.exascale.v1`,
-//! the host section of `mcio.prof.v1`) are pinned by literal-input unit
+//! Host-data documents (`mcio.exascale.v1`, the host section of
+//! `mcio.prof.v1`) are pinned by literal-input unit
 //! tests next to their emitters; `BENCH_perf_suite.json` and
 //! `BENCH_scheduler_suite.json` are goldens of their own.
 

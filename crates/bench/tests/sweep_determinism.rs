@@ -8,7 +8,7 @@
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{simulate_opts, Pipeline};
+use mcio_core::exec_sim::{simulate_observed, Exchange, Observe, Pipeline};
 use mcio_core::{CollectiveConfig, CollectiveRequest, Extent, ProcMemory, Rw, Strategy};
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -46,7 +46,9 @@ fn simulate_record(seed: u64) -> String {
         Strategy::TwoPhase
     };
     let plan = strategy.plan(&req, &map, &mem, &cfg);
-    let report = simulate_opts(&plan, &map, &spec, Pipeline::Serial);
+    let obs = Observe::default();
+    let (report, _) =
+        simulate_observed(&plan, &map, &spec, Pipeline::Serial, Exchange::Direct, obs);
     format!(
         "seed={seed} strategy={} elapsed={} aggs={} rounds={}",
         strategy.label(),

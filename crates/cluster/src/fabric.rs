@@ -219,7 +219,7 @@ mod tests {
         let mut sim = Simulation::new();
         let fabric = Fabric::build(&mut sim, &tiny_spec());
         assert_eq!(fabric.nnodes(), 3);
-        assert_eq!(sim.resource_count(), 9);
+        assert_eq!(fabric.nic_rx(NodeId(2)).index(), 8);
     }
 
     #[test]

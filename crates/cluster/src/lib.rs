@@ -11,10 +11,10 @@
 //! * [`topology`] — process-to-node placement (block / round-robin) and
 //!   queries the collective I/O layer needs (host of a rank, ranks on a
 //!   host).
-//! * [`memory`] — per-node available-memory tracking and the truncated
-//!   normal distribution the paper uses to emulate heterogeneous
-//!   aggregation buffers ("random variables following a normal
-//!   distribution ... standard deviation was set as 50").
+//! * [`memory`] — the truncated normal distribution the paper uses to
+//!   emulate heterogeneous aggregation buffers ("random variables
+//!   following a normal distribution ... standard deviation was set as
+//!   50").
 //! * [`fabric`] — lowers the cluster onto [`mcio_des`] resources: one
 //!   memory bus and a full-duplex NIC pair per node, plus helpers that
 //!   build message activities with the right store-and-forward stages.
@@ -28,7 +28,7 @@ pub mod table1;
 pub mod topology;
 
 pub use fabric::{Fabric, TransferPath};
-pub use memory::{MemoryTracker, TruncatedNormal};
+pub use memory::TruncatedNormal;
 pub use spec::{ClusterSpec, NodeSpec};
 pub use table1::{SystemDesign, Table1};
 pub use topology::{Placement, ProcessMap};

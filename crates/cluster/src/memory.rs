@@ -1,17 +1,13 @@
-//! Per-node memory tracking and heterogeneous memory sampling.
+//! Heterogeneous memory sampling.
 //!
 //! Extreme-scale projections (Table 1) shrink memory per core to megabytes
 //! and make *available* memory vary widely across nodes — the two effects
-//! the memory-conscious strategy reacts to. This module provides:
-//!
-//! * [`TruncatedNormal`] — the paper's experimental design: "the memory
-//!   buffer sizes for processes were set up as random variables following
-//!   a normal distribution" (mean = the baseline's fixed buffer size),
-//!   truncated so samples stay positive and bounded.
-//! * [`MemoryTracker`] — run-time available-memory bookkeeping per node,
-//!   with reserve/release semantics used by aggregator placement.
+//! the memory-conscious strategy reacts to. [`TruncatedNormal`] is the
+//! paper's experimental design: "the memory buffer sizes for processes
+//! were set up as random variables following a normal distribution"
+//! (mean = the baseline's fixed buffer size), truncated so samples stay
+//! positive and bounded.
 
-use crate::NodeId;
 use rand::Rng;
 
 /// A normal distribution `N(mean, stddev²)` truncated to `[lo, hi]`,
@@ -101,134 +97,6 @@ fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
-/// Error returned when a reservation exceeds a node's available memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OutOfMemory {
-    /// The node that could not satisfy the reservation.
-    pub node: NodeId,
-    /// Bytes requested.
-    pub requested: u64,
-    /// Bytes actually available.
-    pub available: u64,
-}
-
-impl std::fmt::Display for OutOfMemory {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: requested {} B but only {} B available",
-            self.node, self.requested, self.available
-        )
-    }
-}
-
-impl std::error::Error for OutOfMemory {}
-
-/// Tracks available memory per node.
-///
-/// Aggregator placement (the paper's Section 3.3) queries the host with
-/// maximum available memory (`Mem_avl`) among candidates and checks it
-/// against the minimum requirement (`Mem_min`); reservations model the
-/// aggregation buffers pinned for the duration of a collective.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemoryTracker {
-    capacity: Vec<u64>,
-    available: Vec<u64>,
-}
-
-impl MemoryTracker {
-    /// All nodes start with identical capacity, fully available.
-    pub fn uniform(nnodes: usize, capacity: u64) -> Self {
-        MemoryTracker {
-            capacity: vec![capacity; nnodes],
-            available: vec![capacity; nnodes],
-        }
-    }
-
-    /// Heterogeneous initial availability: each node's available memory is
-    /// one draw from `dist` (rounded down to whole bytes, clamped to its
-    /// capacity).
-    pub fn heterogeneous<R: Rng + ?Sized>(
-        nnodes: usize,
-        capacity: u64,
-        dist: &TruncatedNormal,
-        rng: &mut R,
-    ) -> Self {
-        let available = (0..nnodes)
-            .map(|_| (dist.sample(rng).max(0.0) as u64).min(capacity))
-            .collect();
-        MemoryTracker {
-            capacity: vec![capacity; nnodes],
-            available,
-        }
-    }
-
-    /// From explicit per-node availability (capacity = initial availability).
-    pub fn from_available(available: Vec<u64>) -> Self {
-        MemoryTracker {
-            capacity: available.clone(),
-            available,
-        }
-    }
-
-    /// Number of nodes tracked.
-    pub fn nnodes(&self) -> usize {
-        self.available.len()
-    }
-
-    /// Bytes currently available on `node`.
-    pub fn available(&self, node: NodeId) -> u64 {
-        self.available[node.0]
-    }
-
-    /// Physical capacity of `node`.
-    pub fn capacity(&self, node: NodeId) -> u64 {
-        self.capacity[node.0]
-    }
-
-    /// Reserve `bytes` on `node`; fails without side effects if the node
-    /// lacks the memory.
-    pub fn reserve(&mut self, node: NodeId, bytes: u64) -> Result<(), OutOfMemory> {
-        let avl = self.available[node.0];
-        if bytes > avl {
-            Err(OutOfMemory {
-                node,
-                requested: bytes,
-                available: avl,
-            })
-        } else {
-            self.available[node.0] = avl - bytes;
-            Ok(())
-        }
-    }
-
-    /// Release a previous reservation. Saturates at capacity (releasing
-    /// more than was reserved is a caller bug, caught in debug builds).
-    pub fn release(&mut self, node: NodeId, bytes: u64) {
-        debug_assert!(
-            self.available[node.0] + bytes <= self.capacity[node.0],
-            "release exceeds capacity on {node}"
-        );
-        self.available[node.0] = (self.available[node.0] + bytes).min(self.capacity[node.0]);
-    }
-
-    /// Among `candidates`, the node with maximum available memory
-    /// (ties broken by lowest node id, for determinism). `None` if the
-    /// candidate list is empty.
-    pub fn max_available(&self, candidates: &[NodeId]) -> Option<(NodeId, u64)> {
-        candidates
-            .iter()
-            .map(|&n| (n, self.available(n)))
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0 .0.cmp(&a.0 .0)))
-    }
-
-    /// Availability statistics across all nodes (the paper's "variance of
-    /// available memory among nodes").
-    pub fn availability_stats(&self) -> mcio_des::OnlineStats {
-        self.available.iter().map(|&a| a as f64).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,54 +142,5 @@ mod tests {
         let d = TruncatedNormal::new(5.0, 1.0, 10.0, 0.0);
         assert_eq!(d.lo(), 0.0);
         assert_eq!(d.hi(), 10.0);
-    }
-
-    #[test]
-    fn reserve_and_release() {
-        let mut m = MemoryTracker::uniform(2, 1000);
-        assert_eq!(m.available(NodeId(0)), 1000);
-        m.reserve(NodeId(0), 600).unwrap();
-        assert_eq!(m.available(NodeId(0)), 400);
-        assert_eq!(m.available(NodeId(1)), 1000);
-        let err = m.reserve(NodeId(0), 500).unwrap_err();
-        assert_eq!(err.requested, 500);
-        assert_eq!(err.available, 400);
-        // Failed reserve left state untouched.
-        assert_eq!(m.available(NodeId(0)), 400);
-        m.release(NodeId(0), 600);
-        assert_eq!(m.available(NodeId(0)), 1000);
-    }
-
-    #[test]
-    fn max_available_breaks_ties_low_id() {
-        let m = MemoryTracker::from_available(vec![5, 9, 9, 3]);
-        let (node, avl) = m
-            .max_available(&[NodeId(0), NodeId(1), NodeId(2), NodeId(3)])
-            .unwrap();
-        assert_eq!(avl, 9);
-        assert_eq!(node, NodeId(1));
-        assert!(m.max_available(&[]).is_none());
-    }
-
-    #[test]
-    fn heterogeneous_tracker_within_capacity() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let d = TruncatedNormal::new(800.0, 400.0, 100.0, 2000.0);
-        let m = MemoryTracker::heterogeneous(50, 1000, &d, &mut rng);
-        for n in 0..50 {
-            assert!(m.available(NodeId(n)) <= 1000);
-        }
-        let stats = m.availability_stats();
-        assert_eq!(stats.count(), 50);
-        assert!(stats.stddev() > 0.0, "heterogeneous should vary");
-    }
-
-    #[test]
-    fn availability_stats_match() {
-        let m = MemoryTracker::from_available(vec![10, 20, 30]);
-        let s = m.availability_stats();
-        assert_eq!(s.mean(), 20.0);
-        assert_eq!(s.min(), 10.0);
-        assert_eq!(s.max(), 30.0);
     }
 }

@@ -28,11 +28,6 @@ impl NodeSpec {
         self.mem_capacity / self.cores.max(1) as u64
     }
 
-    /// Off-chip bandwidth per core, bytes/sec.
-    pub fn mem_bandwidth_per_core(&self) -> f64 {
-        self.mem_bandwidth / self.cores.max(1) as f64
-    }
-
     /// Memory-bus bandwidth as a DES [`Bandwidth`].
     pub fn membus(&self) -> Bandwidth {
         Bandwidth::bytes_per_sec(self.mem_bandwidth)
@@ -92,16 +87,6 @@ impl ClusterSpec {
         }
         self.node_scale[node] = scale;
         self
-    }
-
-    /// Total cores in the machine.
-    pub fn total_cores(&self) -> usize {
-        self.nodes * self.node.cores
-    }
-
-    /// Total memory in the machine, bytes.
-    pub fn total_memory(&self) -> u64 {
-        self.nodes as u64 * self.node.mem_capacity
     }
 
     /// Aggregate PFS write bandwidth, bytes/sec.
@@ -301,15 +286,13 @@ mod tests {
     fn node_derived_quantities() {
         let spec = ClusterSpec::ttu_testbed();
         assert_eq!(spec.node.mem_per_core(), 2 * GIB);
-        assert!((spec.node.mem_bandwidth_per_core() - 25.0 * GIB as f64 / 12.0).abs() < 1.0);
-        assert_eq!(spec.total_cores(), 640 * 12);
-        assert_eq!(spec.total_memory(), 640 * 24 * GIB);
     }
 
     #[test]
     fn testbed_slices() {
-        assert_eq!(ClusterSpec::testbed_120().total_cores(), 120);
-        assert_eq!(ClusterSpec::testbed_1080().total_cores(), 1080);
+        let cores = |spec: ClusterSpec| spec.nodes * spec.node.cores;
+        assert_eq!(cores(ClusterSpec::testbed_120()), 120);
+        assert_eq!(cores(ClusterSpec::testbed_1080()), 1080);
     }
 
     #[test]

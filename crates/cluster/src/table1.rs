@@ -115,16 +115,6 @@ impl Table1 {
         self.to.node_concurrency / self.from.node_concurrency
     }
 
-    /// Factor change of total concurrency.
-    pub fn total_concurrency_factor(&self) -> f64 {
-        self.to.total_concurrency / self.from.total_concurrency
-    }
-
-    /// Factor change of I/O bandwidth.
-    pub fn io_bw_factor(&self) -> f64 {
-        self.to.io_bw / self.from.io_bw
-    }
-
     /// The paper's memory-per-core projection: `f_m / (f_s · f_n)`.
     ///
     /// For the printed table this is `33.3 / (50 · 83.3) ≈ 0.008`: memory
@@ -260,8 +250,6 @@ mod tests {
         assert!((t.memory_factor() - 33.3).abs() < 0.1);
         assert!((t.system_size_factor() - 50.0).abs() < 1e-9);
         assert!((t.node_concurrency_factor() - 83.3).abs() < 0.1);
-        assert!((t.total_concurrency_factor() - 4444.4).abs() < 0.1);
-        assert!((t.io_bw_factor() - 100.0).abs() < 1e-9);
     }
 
     #[test]

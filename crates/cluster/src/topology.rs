@@ -130,21 +130,6 @@ impl ProcessMap {
     pub fn iter(&self) -> impl Iterator<Item = (Rank, NodeId)> + '_ {
         self.node_of.iter().enumerate().map(|(r, &n)| (Rank(r), n))
     }
-
-    /// True when `a` and `b` share a physical node.
-    pub fn colocated(&self, a: Rank, b: Rank) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
-
-    /// The last rank hosted on the same node as `rank` — the paper's
-    /// group-division rule extends a group's end offset to the data of
-    /// "the last process in compute node one".
-    pub fn last_rank_on_same_node(&self, rank: Rank) -> Rank {
-        *self
-            .ranks_on(self.node_of(rank))
-            .last()
-            .expect("node hosting `rank` is non-empty")
-    }
 }
 
 #[cfg(test)]
@@ -203,15 +188,6 @@ mod tests {
         // Non-divisible: 10 ranks, ppn 4 → 3 nodes.
         let map = ProcessMap::block_ppn(10, 4);
         assert_eq!(map.nnodes(), 3);
-    }
-
-    #[test]
-    fn colocated_and_last_rank() {
-        let map = ProcessMap::block_ppn(9, 3);
-        assert!(map.colocated(Rank(0), Rank(2)));
-        assert!(!map.colocated(Rank(2), Rank(3)));
-        assert_eq!(map.last_rank_on_same_node(Rank(0)), Rank(2));
-        assert_eq!(map.last_rank_on_same_node(Rank(4)), Rank(5));
     }
 
     #[test]

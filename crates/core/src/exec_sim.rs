@@ -260,50 +260,11 @@ pub(crate) struct SimRun {
     pub retry_marks: Vec<RetryMark>,
 }
 
-/// Simulate a plan on `spec`'s machine with `map`'s process placement
-/// (serial rounds, direct exchange; see [`simulate_opts`]).
+/// Simulate a plan on `spec`'s machine with `map`'s process placement:
+/// serial rounds, direct exchange, nothing observed.
 pub fn simulate(plan: &CollectivePlan, map: &ProcessMap, spec: &ClusterSpec) -> TimingReport {
-    simulate_opts(plan, map, spec, Pipeline::Serial)
-}
-
-/// Simulate with a two-level (node-leader combining) exchange.
-pub fn simulate_two_level(
-    plan: &CollectivePlan,
-    map: &ProcessMap,
-    spec: &ClusterSpec,
-) -> TimingReport {
     let obs = Observe::default();
-    simulate_observed(plan, map, spec, Pipeline::Serial, Exchange::TwoLevel, obs).0
-}
-
-/// Simulate and return a Chrome-trace JSON timeline (open in Perfetto /
-/// `chrome://tracing`), alongside the report. One unified file: every
-/// resource's service intervals plus a `plan.rounds` process with the
-/// per-chain exchange/I-O phase spans. Expensive on big plans — meant
-/// for inspection at small scale.
-pub fn trace_plan(
-    plan: &CollectivePlan,
-    map: &ProcessMap,
-    spec: &ClusterSpec,
-) -> (TimingReport, String) {
-    let obs = Observe {
-        trace: true,
-        ..Observe::default()
-    };
-    let (report, trace) =
-        simulate_observed(plan, map, spec, Pipeline::Serial, Exchange::Direct, obs);
-    (report, trace.expect("trace was requested"))
-}
-
-/// Simulate with an explicit round-pipelining mode.
-pub fn simulate_opts(
-    plan: &CollectivePlan,
-    map: &ProcessMap,
-    spec: &ClusterSpec,
-    pipeline: Pipeline,
-) -> TimingReport {
-    let obs = Observe::default();
-    simulate_observed(plan, map, spec, pipeline, Exchange::Direct, obs).0
+    simulate_observed(plan, map, spec, Pipeline::Serial, Exchange::Direct, obs).0
 }
 
 /// What to capture while simulating, beyond the [`TimingReport`].
@@ -327,8 +288,12 @@ pub struct Observe<'a> {
     pub engine: SharePolicy,
 }
 
-/// Simulate with metrics recording (and optionally tracing) enabled.
-/// Returns the trace JSON when [`Observe::trace`] was set.
+/// Simulate with the round pipelining, exchange shape and observation
+/// spelled out. Returns the trace JSON when [`Observe::trace`] was set:
+/// one unified Chrome-trace file (open in Perfetto / `chrome://tracing`)
+/// with every resource's service intervals plus a `plan.rounds` process
+/// holding the per-chain exchange / I-O phase spans. Expensive on big
+/// plans — meant for inspection at small scale.
 pub fn simulate_observed(
     plan: &CollectivePlan,
     map: &ProcessMap,
@@ -1588,8 +1553,12 @@ mod tests {
         let plan = twophase::plan(&req, &map, &mem, &cfg);
         assert!(plan.max_rounds() >= 16);
         let spec = small_spec(4);
-        let serial = simulate_opts(&plan, &map, &spec, Pipeline::Serial);
-        let piped = simulate_opts(&plan, &map, &spec, Pipeline::DoubleBuffered);
+        let run = |plan: &CollectivePlan, pipeline| {
+            let obs = Observe::default();
+            simulate_observed(plan, &map, &spec, pipeline, Exchange::Direct, obs).0
+        };
+        let serial = run(&plan, Pipeline::Serial);
+        let piped = run(&plan, Pipeline::DoubleBuffered);
         assert!(
             piped.elapsed < serial.elapsed,
             "pipelined {} !< serial {}",
@@ -1601,8 +1570,8 @@ mod tests {
         // And reads pipeline too.
         let rreq = serial_req(Rw::Read, 8, 16 * MIB);
         let rplan = twophase::plan(&rreq, &map, &mem, &cfg);
-        let rs = simulate_opts(&rplan, &map, &spec, Pipeline::Serial);
-        let rp = simulate_opts(&rplan, &map, &spec, Pipeline::DoubleBuffered);
+        let rs = run(&rplan, Pipeline::Serial);
+        let rp = run(&rplan, Pipeline::DoubleBuffered);
         assert!(rp.elapsed < rs.elapsed);
     }
 
@@ -1620,8 +1589,12 @@ mod tests {
         let plan = twophase::plan(&req, &map, &mem, &cfg);
         let mut spec = small_spec(4);
         spec.message_overhead = mcio_des::SimDuration::from_millis(1);
+        let two_level = |plan: &CollectivePlan| {
+            let obs = Observe::default();
+            simulate_observed(plan, &map, &spec, Pipeline::Serial, Exchange::TwoLevel, obs).0
+        };
         let flat = simulate(&plan, &map, &spec);
-        let two = simulate_two_level(&plan, &map, &spec);
+        let two = two_level(&plan);
         assert!(
             two.elapsed < flat.elapsed,
             "two-level {} !< direct {}",
@@ -1632,17 +1605,29 @@ mod tests {
         // Reads too.
         let rplan = twophase::plan(&serial_req(Rw::Read, nranks, MIB), &map, &mem, &cfg);
         let flat_r = simulate(&rplan, &map, &spec);
-        let two_r = simulate_two_level(&rplan, &map, &spec);
+        let two_r = two_level(&rplan);
         assert!(two_r.elapsed < flat_r.elapsed);
     }
 
     #[test]
-    fn trace_plan_emits_timeline() {
+    fn traced_run_emits_timeline() {
         let req = serial_req(Rw::Write, 4, MIB);
         let map = ProcessMap::new(4, 2, Placement::Block);
         let mem = ProcMemory::uniform(4, MIB);
         let plan = twophase::plan(&req, &map, &mem, &CollectiveConfig::with_buffer(MIB));
-        let (rep, json) = trace_plan(&plan, &map, &small_spec(2));
+        let obs = Observe {
+            trace: true,
+            ..Observe::default()
+        };
+        let (rep, json) = simulate_observed(
+            &plan,
+            &map,
+            &small_spec(2),
+            Pipeline::Serial,
+            Exchange::Direct,
+            obs,
+        );
+        let json = json.expect("trace was requested");
         assert!(rep.bandwidth_mibs > 0.0);
         assert!(json.contains("membus"));
         assert!(json.contains("ost"));

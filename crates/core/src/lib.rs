@@ -49,7 +49,6 @@ pub mod placement;
 pub mod plan;
 pub mod ptree;
 pub mod request;
-pub mod sieving;
 pub mod tuner;
 pub mod twophase;
 
@@ -58,8 +57,7 @@ pub use config::{CollectiveConfig, PlacementPolicy, Strategy};
 pub use exec_faults::{simulate_adaptive, simulate_faulted, FaultOutcome, FAILOVER_LATENCY};
 pub use exec_fn::FunctionalReport;
 pub use exec_sim::{
-    simulate, simulate_observed, simulate_opts, simulate_two_level, trace_plan, Exchange, Observe,
-    Pipeline, RoundPhase, RunMetrics, TimingReport,
+    simulate, simulate_observed, Exchange, Observe, Pipeline, RoundPhase, RunMetrics, TimingReport,
 };
 pub use memory::ProcMemory;
 pub use multitenant::{

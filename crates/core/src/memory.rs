@@ -5,10 +5,9 @@
 //! baseline's fixed buffer size ("the standard deviation was set as 50").
 //! The baseline uses whatever budget its pre-designated aggregator
 //! happens to have; the memory-conscious strategy inspects budgets when
-//! placing aggregators. [`ProcMemory`] carries those budgets plus the
-//! node-level aggregate queries placement needs (`Mem_avl`).
+//! placing aggregators. [`ProcMemory`] carries those budgets.
 
-use mcio_cluster::{MemoryTracker, ProcessMap, Rank, TruncatedNormal};
+use mcio_cluster::{Rank, TruncatedNormal};
 use mcio_des::OnlineStats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,23 +65,11 @@ impl ProcMemory {
     pub fn stats(&self) -> OnlineStats {
         self.budgets.iter().map(|&b| b as f64).collect()
     }
-
-    /// A node-level [`MemoryTracker`] whose per-node availability is the
-    /// sum of its ranks' budgets — the `Mem_avl` the placement step
-    /// compares across candidate hosts.
-    pub fn node_tracker(&self, map: &ProcessMap) -> MemoryTracker {
-        let mut per_node = vec![0u64; map.nnodes()];
-        for (rank, node) in map.iter() {
-            per_node[node.0] += self.budget(rank);
-        }
-        MemoryTracker::from_available(per_node)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcio_cluster::{NodeId, Placement};
 
     #[test]
     fn uniform_budgets() {
@@ -114,14 +101,5 @@ mod tests {
     fn budgets_never_zero() {
         let m = ProcMemory::normal(1000, 4, 0.5, 7);
         assert!(m.budgets().iter().all(|&b| b > 0));
-    }
-
-    #[test]
-    fn node_tracker_sums_per_node() {
-        let map = ProcessMap::new(4, 2, Placement::Block);
-        let m = ProcMemory::from_budgets(vec![1, 2, 3, 4]);
-        let t = m.node_tracker(&map);
-        assert_eq!(t.available(NodeId(0)), 3);
-        assert_eq!(t.available(NodeId(1)), 7);
     }
 }

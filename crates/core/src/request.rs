@@ -149,15 +149,6 @@ impl CollectiveRequest {
     pub fn is_sorted_disjoint(&self) -> bool {
         self.ranks.iter().all(|r| is_sorted_disjoint(&r.extents))
     }
-
-    /// Ranks with data inside `window`.
-    pub fn ranks_in(&self, window: &Extent) -> Vec<Rank> {
-        self.ranks
-            .iter()
-            .filter(|r| r.touches(window))
-            .map(|r| r.rank)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -252,7 +243,6 @@ mod tests {
             req.coverage(),
             vec![Extent::new(0, 20), Extent::new(40, 10)]
         );
-        assert_eq!(req.ranks_in(&Extent::new(5, 10)), vec![Rank(0), Rank(1)]);
         assert!(req.is_sorted_disjoint());
     }
 

@@ -225,11 +225,6 @@ impl Simulation {
         self.activities.len()
     }
 
-    /// Number of registered resources.
-    pub fn resource_count(&self) -> usize {
-        self.resources.len()
-    }
-
     /// Schedule `ev` at `t`. Returns the slot handle `(index,
     /// generation)` that [`Simulation::cancel_event`] accepts.
     fn push_event(&mut self, t: SimTime, ev: Event) -> (usize, u64) {

@@ -86,24 +86,9 @@ impl Bandwidth {
         }
     }
 
-    /// Convenience constructor: mebibytes per second.
-    pub fn mib_per_sec(mibps: f64) -> Self {
-        Self::bytes_per_sec(mibps * 1024.0 * 1024.0)
-    }
-
-    /// Convenience constructor: gibibytes per second.
-    pub fn gib_per_sec(gibps: f64) -> Self {
-        Self::bytes_per_sec(gibps * 1024.0 * 1024.0 * 1024.0)
-    }
-
     /// Infinite bandwidth: jobs cost only their fixed overhead.
     pub fn infinite() -> Self {
         Bandwidth(f64::INFINITY)
-    }
-
-    /// Bytes per second as a float (may be infinite).
-    pub fn as_bytes_per_sec(self) -> f64 {
-        self.0
     }
 
     /// Time to push `bytes` through this resource, excluding overhead.
@@ -610,18 +595,6 @@ mod tests {
         assert_eq!(
             Bandwidth::bytes_per_sec(f64::NAN).transfer_time(100),
             SimDuration::ZERO
-        );
-    }
-
-    #[test]
-    fn mib_gib_constructors() {
-        assert_eq!(
-            Bandwidth::mib_per_sec(1.0).as_bytes_per_sec(),
-            1024.0 * 1024.0
-        );
-        assert_eq!(
-            Bandwidth::gib_per_sec(1.0).as_bytes_per_sec(),
-            1024.0 * 1024.0 * 1024.0
         );
     }
 

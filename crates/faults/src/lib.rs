@@ -187,20 +187,27 @@ impl FaultSpec {
         Ok(spec)
     }
 
-    /// Validate the spec against a machine with `nosts` OSTs: every
-    /// `ost_slow`/`ost_stall` target must exist. The parser cannot know
+    /// Validate the spec against a machine with `nosts` OSTs and
+    /// `nnodes` nodes: every `ost_slow`/`ost_stall` and every
+    /// `agg_crash`/`mem_shock` target must exist. The parser cannot know
     /// the machine, so callers that do (the CLI, the mtspec loader) run
     /// this once the cluster spec is fixed.
-    pub fn validate_osts(&self, nosts: usize) -> Result<(), String> {
+    pub fn validate_targets(&self, nosts: usize, nnodes: usize) -> Result<(), String> {
         for e in &self.events {
-            let target = match *e {
-                FaultEvent::OstSlow { ost, .. } | FaultEvent::OstStall { ost, .. } => Some(ost),
-                _ => None,
-            };
-            if let Some(ost) = target {
-                if ost >= nosts {
+            match *e {
+                FaultEvent::OstSlow { ost, .. } | FaultEvent::OstStall { ost, .. }
+                    if ost >= nosts =>
+                {
                     return Err(format!("ost {ost} out of range: machine has {nosts} OSTs"));
                 }
+                FaultEvent::MemShock { node, .. } | FaultEvent::AggCrash { host: node, .. }
+                    if node >= nnodes =>
+                {
+                    return Err(format!(
+                        "node {node} out of range: machine has {nnodes} nodes"
+                    ));
+                }
+                _ => {}
             }
         }
         Ok(())
@@ -621,16 +628,17 @@ agg_crash(1, 6ms)
     }
 
     #[test]
-    fn validate_osts_checks_targets_against_the_machine() {
+    fn validate_targets_checks_osts_and_nodes_against_the_machine() {
         let spec = FaultSpec::parse("ost_slow(3, 2.0, 0ms..5ms)\nmem_shock(9, 0.5, 1ms)").unwrap();
-        spec.validate_osts(4).unwrap();
-        let err = spec.validate_osts(2).unwrap_err();
+        spec.validate_targets(4, 10).unwrap();
+        let err = spec.validate_targets(2, 10).unwrap_err();
         assert_eq!(err, "ost 3 out of range: machine has 2 OSTs");
-        // Node-level events are not OST-checked.
-        FaultSpec::parse("agg_crash(7, 1ms)")
-            .unwrap()
-            .validate_osts(1)
-            .unwrap();
+        let err = spec.validate_targets(4, 9).unwrap_err();
+        assert_eq!(err, "node 9 out of range: machine has 9 nodes");
+        let crash = FaultSpec::parse("agg_crash(7, 1ms)").unwrap();
+        crash.validate_targets(1, 8).unwrap();
+        let err = crash.validate_targets(1, 7).unwrap_err();
+        assert_eq!(err, "node 7 out of range: machine has 7 nodes");
     }
 
     #[test]

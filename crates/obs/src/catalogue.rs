@@ -129,18 +129,11 @@ pub const METRICS: &[Metric] = &[
     m("sched.makespan_ns",           Gauge,     "ns",          "Completion of the last scheduled job"),
     m("sched.queue_depth_max",       Gauge,     "jobs",        "Peak pending-queue depth"),
     m("sched.wait_ns",               Histogram, "ns",          "Per-job queue wait"),
-    m("simpi.collective.bytes",      Counter,   "bytes",       "Payload bytes contributed to collectives by the calling rank, by operation"),
-    m("simpi.collective.calls",      Counter,   "calls",       "Collective entries, per participating rank, by operation"),
-    m("simpi.p2p.bytes",             Counter,   "bytes",       "Point-to-point payload bytes sent"),
-    m("simpi.p2p.msgs",              Counter,   "messages",    "Point-to-point messages sent"),
     m("tenant.jobs",                 Gauge,     "count",       "Concurrent jobs in the run"),
     m("tenant.makespan_ns",          Gauge,     "ns",          "Shared-machine makespan"),
     m("tenant.ost_overlap_frac",     Gauge,     "ratio",       "Per-job fraction of OST service time overlapping other tenants"),
     m("tenant.slowdown",             Gauge,     "ratio",       "Per-job span over solo elapsed (interference cost)"),
     m("tenant.solo_elapsed_ns",      Gauge,     "ns",          "Per-job elapsed when simulated alone on the same nodes"),
-    m("timeline.bucket_busy_ns",     Histogram, "ns",          "per-bucket busy time of one utilization series"),
-    m("timeline.bucket_ns",          Gauge,     "ns",          "timeline bucket width"),
-    m("timeline.series_busy_ns",     Counter,   "ns",          "total busy time of one utilization series"),
     m("workload.bytes",              Counter,   "bytes",       "Total bytes requested"),
     m("workload.density",            Gauge,     "ratio",       "Requested bytes / hull span (1.0 = fully dense)"),
     m("workload.extent_bytes",       Histogram, "bytes",       "Per-extent request size distribution"),

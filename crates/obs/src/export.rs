@@ -236,8 +236,8 @@ mod tests {
 
     fn sample_snapshot() -> Snapshot {
         let r = Registry::new();
-        r.inc("simpi.p2p.msgs", &[("op", "alltoallv")], 12);
-        r.inc("simpi.p2p.msgs", &[("op", "bcast")], 3);
+        r.inc("pfs.requests", &[("rw", "write")], 12);
+        r.inc("pfs.requests", &[("rw", "read")], 3);
         r.set_gauge("plan.groups", &[], 4.0);
         r.observe("pfs.req.bytes", &[("ost", "0")], 4096);
         r.observe("pfs.req.bytes", &[("ost", "0")], 65536);
@@ -253,11 +253,11 @@ mod tests {
         assert_eq!(counters.len(), 2);
         assert_eq!(
             counters[0].get("name").and_then(JsonValue::as_str),
-            Some("simpi.p2p.msgs")
+            Some("pfs.requests")
         );
         assert_eq!(
             counters[0].get("help").and_then(JsonValue::as_str),
-            Some("Point-to-point messages sent")
+            Some("Client I/O requests submitted, by direction")
         );
         let hists = doc.get("histograms").unwrap().as_array().unwrap();
         assert_eq!(hists[0].get("count").and_then(JsonValue::as_f64), Some(3.0));
@@ -276,7 +276,7 @@ mod tests {
         assert_eq!(lines[0], "kind,name,labels,field,value,unit");
         // 2 counters + 1 gauge + (count,sum,min,max + 3 buckets) = 10.
         assert_eq!(lines.len(), 11);
-        assert!(lines.contains(&"counter,simpi.p2p.msgs,op=alltoallv,value,12,messages"));
+        assert!(lines.contains(&"counter,pfs.requests,rw=write,value,12,requests"));
         assert!(lines.contains(&"gauge,plan.groups,,value,4,groups"));
         // 4096 falls in [2^12, 2^13), whose inclusive bound is 8191.
         assert!(lines.iter().any(|l| l.ends_with("le_8191,1,bytes")));
@@ -286,9 +286,10 @@ mod tests {
     fn prometheus_format_shape() {
         let prom = to_prometheus(&sample_snapshot());
         assert!(prom.contains(
-            "# HELP simpi_p2p_msgs Point-to-point messages sent\n# TYPE simpi_p2p_msgs counter\n"
+            "# HELP pfs_requests Client I/O requests submitted, by direction\n\
+             # TYPE pfs_requests counter\n"
         ));
-        assert!(prom.contains("simpi_p2p_msgs{op=\"alltoallv\"} 12"));
+        assert!(prom.contains("pfs_requests{rw=\"write\"} 12"));
         assert!(prom.contains("# TYPE plan_groups gauge"));
         assert!(prom.contains("pfs_req_bytes_bucket{ost=\"0\",le=\"+Inf\"} 3"));
         assert!(prom.contains("pfs_req_bytes_count{ost=\"0\"} 3"));

@@ -7,8 +7,8 @@
 //!
 //! * [`Registry`] — named counters, gauges, and log2-bucketed
 //!   [`Histogram`]s with label sets, recorded through `&self` so one
-//!   `Arc<Registry>` threads through the planner, the DES engine, the
-//!   PFS model, and the simpi runtime.
+//!   `Arc<Registry>` threads through the planner, the DES engine and
+//!   the PFS model.
 //! * [`catalogue`] — the one declaration of every metric (name, kind,
 //!   unit, help) and every trace process group (pid, process name).
 //! * [`TraceCollector`] — closed spans over *simulated* nanoseconds,

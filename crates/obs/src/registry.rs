@@ -2,10 +2,10 @@
 //! optional label sets, plus immutable snapshots for export.
 //!
 //! All mutation goes through `&self` (interior mutability) so a single
-//! `Arc<Registry>` can be threaded through the planner, the DES engine,
-//! the PFS model, and the simpi runtime without plumbing `&mut`
-//! everywhere. Simulated time never blocks on these locks in any hot
-//! loop — recording is O(1) per event.
+//! `Arc<Registry>` can be threaded through the planner, the DES engine
+//! and the PFS model without plumbing `&mut` everywhere. Simulated time
+//! never blocks on these locks in any hot loop — recording is O(1) per
+//! event.
 
 use crate::catalogue::{self, Kind};
 use crate::histogram::Histogram;

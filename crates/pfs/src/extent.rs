@@ -71,11 +71,6 @@ impl Extent {
         self.intersect(other).is_some()
     }
 
-    /// True when `other` begins exactly where `self` ends or vice versa.
-    pub fn adjacent(&self, other: &Extent) -> bool {
-        self.end() == other.offset || other.end() == self.offset
-    }
-
     /// Split at absolute position `pos`, returning (left, right). `pos`
     /// outside the extent yields an empty side.
     pub fn split_at(&self, pos: u64) -> (Extent, Extent) {
@@ -138,11 +133,6 @@ pub fn coalesce(mut extents: Vec<Extent>) -> Vec<Extent> {
         }
     }
     out
-}
-
-/// Total bytes covered by a set of extents, counting overlaps once.
-pub fn covered_bytes(extents: &[Extent]) -> u64 {
-    coalesce(extents.to_vec()).iter().map(|e| e.len).sum()
 }
 
 /// Total bytes requested (overlaps counted multiply).
@@ -373,8 +363,6 @@ mod tests {
         // Touching but not overlapping.
         let c = Extent::new(10, 5);
         assert_eq!(a.intersect(&c), None);
-        assert!(a.adjacent(&c));
-        assert!(c.adjacent(&a));
         // Empty extents never intersect.
         assert_eq!(a.intersect(&Extent::new(5, 0)), None);
     }
@@ -432,7 +420,7 @@ mod tests {
     #[test]
     fn byte_accounting() {
         let v = vec![Extent::new(0, 10), Extent::new(5, 10)];
-        assert_eq!(covered_bytes(&v), 15);
+        assert_eq!(total_bytes(&coalesce(v.clone())), 15);
         assert_eq!(total_bytes(&v), 20);
     }
 

@@ -47,11 +47,6 @@ impl SparseFile {
         self.len == 0
     }
 
-    /// Number of blocks actually materialized.
-    pub fn allocated_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// Write `data` at `offset`, extending the file as needed.
     pub fn write_at(&mut self, offset: u64, data: &[u8]) {
         if data.is_empty() {
@@ -104,13 +99,6 @@ impl SparseFile {
         let mut v = vec![0u8; len];
         self.read_at(offset, &mut v);
         v
-    }
-
-    /// Fill `[offset, offset+len)` with a deterministic pattern derived
-    /// from the absolute byte position — handy for oracle checks.
-    pub fn fill_pattern(&mut self, offset: u64, len: u64) {
-        let data: Vec<u8> = (offset..offset + len).map(pattern_byte).collect();
-        self.write_at(offset, &data);
     }
 }
 
@@ -170,7 +158,7 @@ mod tests {
         let mut f = SparseFile::with_block_size(1024);
         f.write_at(0, b"a");
         f.write_at(1024 * 1024, b"b");
-        assert_eq!(f.allocated_blocks(), 2);
+        assert_eq!(f.blocks.len(), 2);
         assert_eq!(f.len(), 1024 * 1024 + 1);
     }
 
@@ -181,16 +169,6 @@ mod tests {
         assert!(f.is_empty());
         let mut buf = [];
         f.read_at(10, &mut buf);
-    }
-
-    #[test]
-    fn pattern_fill_matches_pattern_byte() {
-        let mut f = SparseFile::with_block_size(32);
-        f.fill_pattern(10, 100);
-        let v = f.read_vec(10, 100);
-        for (i, &b) in v.iter().enumerate() {
-            assert_eq!(b, pattern_byte(10 + i as u64));
-        }
     }
 
     #[test]
@@ -206,6 +184,6 @@ mod tests {
         let data: Vec<u8> = (1..=10).collect();
         f.write_at(2, &data);
         assert_eq!(f.read_vec(2, 10), data);
-        assert_eq!(f.allocated_blocks(), 3);
+        assert_eq!(f.blocks.len(), 3);
     }
 }

@@ -123,27 +123,6 @@ impl StripeLayout {
             .map(|(i, bytes)| (OstId(i), bytes))
             .collect()
     }
-
-    /// Number of distinct OSTs a contiguous extent touches.
-    pub fn osts_touched(&self, extent: Extent) -> usize {
-        if extent.is_empty() {
-            return 0;
-        }
-        let first = extent.offset / self.stripe_unit;
-        let last = (extent.end() - 1) / self.stripe_unit;
-        ((last - first + 1) as usize).min(self.stripe_count)
-    }
-
-    /// Round `offset` down to the containing stripe boundary.
-    pub fn align_down(&self, offset: u64) -> u64 {
-        offset - offset % self.stripe_unit
-    }
-
-    /// Round `offset` up to the next stripe boundary (identity when
-    /// already aligned).
-    pub fn align_up(&self, offset: u64) -> u64 {
-        offset.div_ceil(self.stripe_unit) * self.stripe_unit
-    }
 }
 
 #[cfg(test)]
@@ -212,25 +191,6 @@ mod tests {
         let l = StripeLayout::new(100, 4);
         assert!(l.split(Extent::new(10, 0)).is_empty());
         assert!(l.split_per_ost(Extent::new(10, 0)).is_empty());
-        assert_eq!(l.osts_touched(Extent::new(10, 0)), 0);
-    }
-
-    #[test]
-    fn osts_touched_saturates_at_count() {
-        let l = StripeLayout::new(100, 4);
-        assert_eq!(l.osts_touched(Extent::new(0, 100)), 1);
-        assert_eq!(l.osts_touched(Extent::new(0, 101)), 2);
-        assert_eq!(l.osts_touched(Extent::new(0, 10_000)), 4);
-        assert_eq!(l.osts_touched(Extent::new(50, 100)), 2);
-    }
-
-    #[test]
-    fn alignment() {
-        let l = StripeLayout::new(100, 4);
-        assert_eq!(l.align_down(250), 200);
-        assert_eq!(l.align_down(200), 200);
-        assert_eq!(l.align_up(250), 300);
-        assert_eq!(l.align_up(200), 200);
     }
 
     #[test]

@@ -274,10 +274,7 @@ struct Loop<'a> {
 
 impl Loop<'_> {
     /// Re-simulate residents + newcomer in one shared DES and read the
-    /// newcomer's span off the result. When admission control is on,
-    /// the interference prediction is read back through the live
-    /// `tenant.slowdown` / `tenant.ost_overlap_frac` gauges the run
-    /// records — the same signal path every other consumer uses.
+    /// newcomer's span and interference prediction off its outcome.
     fn commit_run(&mut self, new_idx: usize, new_offset: usize, now: u64) -> Commit {
         self.commits += 1;
         let job = &self.trace.jobs[new_idx];
@@ -303,39 +300,19 @@ impl Loop<'_> {
                 .node_offset(new_offset)
                 .start(SimDuration::from_nanos(now - t0)),
         );
-        let reg = self.cfg.admission.then(Registry::shared);
         let report = (self.commit)(
             &mut self.session,
             &tenants,
             Observe {
-                registry: reg.as_ref(),
                 engine: job.engine,
                 ..Observe::default()
             },
         );
         let outcome = report.jobs.last().expect("newcomer is last");
-        let run_ns = (outcome.end_ns - outcome.start_ns).max(1);
-        let (slowdown, ost_overlap) = match &reg {
-            Some(reg) => {
-                let snap = reg.snapshot();
-                let gauge = |name: &str| {
-                    snap.gauges
-                        .iter()
-                        .find(|g| {
-                            g.name == name
-                                && g.labels.iter().any(|(k, v)| k == "job" && v == &job.name)
-                        })
-                        .map(|g| g.value)
-                        .unwrap_or(0.0)
-                };
-                (gauge("tenant.slowdown"), gauge("tenant.ost_overlap_frac"))
-            }
-            None => (outcome.slowdown, outcome.ost_overlap),
-        };
         Commit {
-            run_ns,
-            slowdown,
-            ost_overlap,
+            run_ns: (outcome.end_ns - outcome.start_ns).max(1),
+            slowdown: outcome.slowdown,
+            ost_overlap: outcome.ost_overlap,
         }
     }
 

@@ -9,17 +9,12 @@
 use crate::comm::{Comm, TAG_INTERNAL};
 
 const TAG_BARRIER: u64 = TAG_INTERNAL + 16;
-const TAG_BCAST: u64 = TAG_INTERNAL + 17;
 const TAG_GATHER: u64 = TAG_INTERNAL + 18;
 const TAG_ALLTOALL: u64 = TAG_INTERNAL + 19;
-const TAG_SCAN: u64 = TAG_INTERNAL + 20;
 const TAG_SCATTER: u64 = TAG_INTERNAL + 21;
-const TAG_REDUCE: u64 = TAG_INTERNAL + 22;
-
 impl Comm {
     /// Block until every rank of the communicator has entered.
     pub fn barrier(&self) {
-        self.note_collective("barrier", 0);
         if self.size() == 1 {
             return;
         }
@@ -36,45 +31,8 @@ impl Comm {
         }
     }
 
-    /// Broadcast `data` from `root`; every rank returns the payload.
-    pub fn bcast(&self, root: usize, data: Vec<u8>) -> Vec<u8> {
-        self.note_collective("bcast", data.len() as u64);
-        if self.size() == 1 {
-            return data;
-        }
-        if self.rank() == root {
-            for dst in 0..self.size() {
-                if dst != root {
-                    self.send(dst, TAG_BCAST, data.clone());
-                }
-            }
-            data
-        } else {
-            self.recv(root, TAG_BCAST)
-        }
-    }
-
-    /// Gather every rank's `data` at `root` (rank order); non-roots get
-    /// `None`. Variable-length payloads are inherently supported
-    /// (gatherv).
-    pub fn gather(&self, root: usize, data: Vec<u8>) -> Option<Vec<Vec<u8>>> {
-        self.note_collective("gather", data.len() as u64);
-        if self.rank() == root {
-            let mut out = vec![Vec::new(); self.size()];
-            out[root] = data;
-            for src in (0..self.size()).filter(|&s| s != root) {
-                out[src] = self.recv(src, TAG_GATHER);
-            }
-            Some(out)
-        } else {
-            self.send(root, TAG_GATHER, data);
-            None
-        }
-    }
-
     /// Every rank gets every rank's `data`, in rank order.
     pub fn allgather(&self, data: Vec<u8>) -> Vec<Vec<u8>> {
-        self.note_collective("allgather", data.len() as u64);
         self.allgather_internal(data, TAG_GATHER)
     }
 
@@ -90,7 +48,6 @@ impl Comm {
             self.size(),
             "alltoallv needs one buffer per destination"
         );
-        self.note_collective("alltoallv", outgoing.iter().map(|v| v.len() as u64).sum());
         let mut incoming = vec![Vec::new(); self.size()];
         for (dst, data) in outgoing.into_iter().enumerate() {
             if dst == self.rank() {
@@ -115,7 +72,6 @@ impl Comm {
     /// # Panics
     /// Panics at the root if `outgoing.len() != self.size()`.
     pub fn scatterv(&self, root: usize, outgoing: Vec<Vec<u8>>) -> Vec<u8> {
-        self.note_collective("scatterv", outgoing.iter().map(|v| v.len() as u64).sum());
         if self.rank() == root {
             assert_eq!(
                 outgoing.len(),
@@ -136,43 +92,13 @@ impl Comm {
         }
     }
 
-    /// Reduce `u64` values at `root` with a commutative-associative `op`;
-    /// the root gets `Some(result)`, others `None`.
-    pub fn reduce_u64(&self, root: usize, value: u64, op: impl Fn(u64, u64) -> u64) -> Option<u64> {
-        self.note_collective("reduce", 8);
-        if self.rank() == root {
-            let mut acc = value;
-            for src in (0..self.size()).filter(|&s| s != root) {
-                let b = self.recv(src, TAG_REDUCE);
-                acc = op(acc, u64::from_le_bytes(b.try_into().expect("u64 payload")));
-            }
-            Some(acc)
-        } else {
-            self.send(root, TAG_REDUCE, value.to_le_bytes().to_vec());
-            None
-        }
-    }
-
     /// Sum-reduce a `u64` across all ranks; everyone gets the total.
     pub fn allreduce_sum_u64(&self, value: u64) -> u64 {
         self.allreduce_u64(value, |a, b| a.wrapping_add(b))
     }
 
-    /// Max-reduce a `u64` across all ranks.
-    pub fn allreduce_max_u64(&self, value: u64) -> u64 {
-        self.allreduce_u64(value, u64::max)
-    }
-
-    /// Min-reduce a `u64` across all ranks.
-    pub fn allreduce_min_u64(&self, value: u64) -> u64 {
-        self.allreduce_u64(value, u64::min)
-    }
-
     /// Generic commutative-associative `u64` allreduce.
     pub fn allreduce_u64(&self, value: u64, op: impl Fn(u64, u64) -> u64) -> u64 {
-        self.note_collective("allreduce", 8);
-        // Use the internal allgather so the metrics count one "allreduce",
-        // not an "allgather" as well.
         self.allgather_internal(value.to_le_bytes().to_vec(), TAG_GATHER)
             .into_iter()
             .map(|b| u64::from_le_bytes(b.try_into().expect("u64 payload")))
@@ -183,27 +109,6 @@ impl Comm {
                 })
             })
             .expect("communicator is non-empty")
-    }
-
-    /// Exclusive prefix sum: rank r returns the sum of values on ranks
-    /// `0..r` (0 on rank 0).
-    pub fn exscan_sum_u64(&self, value: u64) -> u64 {
-        self.note_collective("exscan", 8);
-        // Linear relay keeps it obviously correct.
-        let prefix = if self.rank() == 0 {
-            0
-        } else {
-            let b = self.recv(self.rank() - 1, TAG_SCAN);
-            u64::from_le_bytes(b.try_into().expect("u64 payload"))
-        };
-        if self.rank() + 1 < self.size() {
-            self.send(
-                self.rank() + 1,
-                TAG_SCAN,
-                (prefix + value).to_le_bytes().to_vec(),
-            );
-        }
-        prefix
     }
 }
 
@@ -251,37 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn bcast_from_each_root() {
-        run(3, |comm| {
-            for root in 0..3 {
-                let data = if comm.rank() == root {
-                    vec![root as u8; 5]
-                } else {
-                    Vec::new()
-                };
-                let got = comm.bcast(root, data);
-                assert_eq!(got, vec![root as u8; 5]);
-            }
-        });
-    }
-
-    #[test]
-    fn gather_variable_lengths() {
-        run(4, |comm| {
-            let mine = vec![comm.rank() as u8; comm.rank()];
-            match comm.gather(2, mine) {
-                Some(all) => {
-                    assert_eq!(comm.rank(), 2);
-                    for (r, v) in all.iter().enumerate() {
-                        assert_eq!(v, &vec![r as u8; r]);
-                    }
-                }
-                None => assert_ne!(comm.rank(), 2),
-            }
-        });
-    }
-
-    #[test]
     fn allgather_all_see_all() {
         run(5, |comm| {
             let all = comm.allgather(vec![comm.rank() as u8]);
@@ -307,18 +181,8 @@ mod tests {
         run(6, |comm| {
             let r = comm.rank() as u64;
             assert_eq!(comm.allreduce_sum_u64(r), 15);
-            assert_eq!(comm.allreduce_max_u64(r), 5);
-            assert_eq!(comm.allreduce_min_u64(10 + r), 10);
-        });
-    }
-
-    #[test]
-    fn exscan() {
-        run(5, |comm| {
-            let r = comm.rank() as u64;
-            let prefix = comm.exscan_sum_u64(r + 1);
-            // prefix of (1,2,3,4,5) = (0,1,3,6,10).
-            assert_eq!(prefix, [0, 1, 3, 6, 10][comm.rank()]);
+            assert_eq!(comm.allreduce_u64(r, u64::max), 5);
+            assert_eq!(comm.allreduce_u64(10 + r, u64::min), 10);
         });
     }
 
@@ -345,56 +209,6 @@ mod tests {
             let mine = comm.scatterv(1, outgoing);
             assert_eq!(mine, vec![comm.rank() as u8; comm.rank() + 1]);
         });
-    }
-
-    #[test]
-    fn reduce_at_root_only() {
-        run(5, |comm| {
-            let r = comm.reduce_u64(3, comm.rank() as u64 + 1, |a, b| a + b);
-            if comm.rank() == 3 {
-                assert_eq!(r, Some(15));
-            } else {
-                assert_eq!(r, None);
-            }
-        });
-    }
-
-    #[test]
-    fn metrics_count_collectives_and_p2p() {
-        use mcio_obs::Registry;
-        let reg = Registry::shared();
-        let reg2 = std::sync::Arc::clone(&reg);
-        run(4, move |mut comm| {
-            comm.set_metrics(std::sync::Arc::clone(&reg2));
-            comm.barrier();
-            let sum = comm.allreduce_sum_u64(comm.rank() as u64);
-            assert_eq!(sum, 6);
-            // Split children inherit the registry.
-            let sub = comm.split((comm.rank() % 2) as u64, 0);
-            sub.bcast(0, vec![0u8; 10]);
-        });
-        let snap = reg.snapshot();
-        // One entry per rank per collective.
-        assert_eq!(
-            snap.counter("simpi.collective.calls", &[("op", "barrier")]),
-            Some(4)
-        );
-        assert_eq!(
-            snap.counter("simpi.collective.calls", &[("op", "allreduce")]),
-            Some(4)
-        );
-        assert_eq!(
-            snap.counter("simpi.collective.calls", &[("op", "bcast")]),
-            Some(4)
-        );
-        // allreduce contributes 8 bytes per rank.
-        assert_eq!(
-            snap.counter("simpi.collective.bytes", &[("op", "allreduce")]),
-            Some(32)
-        );
-        // The linear barrier alone moves 2(N-1) messages; everything the
-        // collectives send is p2p underneath, so the counter is well above.
-        assert!(snap.counter("simpi.p2p.msgs", &[]).unwrap() >= 6);
     }
 
     #[test]

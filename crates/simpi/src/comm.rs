@@ -7,7 +7,6 @@
 //! same signature match in FIFO order, like MPI.
 
 use crossbeam::channel::{Receiver, Sender};
-use mcio_obs::Registry;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -46,8 +45,6 @@ pub struct Comm {
     /// Per-comm split counter, advanced identically on every member
     /// because `split` is collective.
     split_seq: Rc<Cell<u64>>,
-    /// Shared metrics sink; clones and split sub-communicators inherit it.
-    metrics: Option<Arc<Registry>>,
 }
 
 impl Comm {
@@ -67,27 +64,6 @@ impl Comm {
                 pending: RefCell::new(VecDeque::new()),
             }),
             split_seq: Rc::new(Cell::new(0)),
-            metrics: None,
-        }
-    }
-
-    /// Attach a metrics registry. All point-to-point traffic through this
-    /// handle (including the messages that implement collectives) is
-    /// counted into `simpi.p2p.*`, and each collective entry into
-    /// `simpi.collective.*` labeled by operation. Counts are per calling
-    /// rank: an N-rank `barrier` adds N to `simpi.collective.calls`.
-    /// Clones and [`Comm::split`] children made *after* this call inherit
-    /// the registry.
-    pub fn set_metrics(&mut self, registry: Arc<Registry>) {
-        self.metrics = Some(registry);
-    }
-
-    /// Count one collective entry by this rank.
-    pub(crate) fn note_collective(&self, op: &'static str, bytes: u64) {
-        if let Some(reg) = &self.metrics {
-            let lbl = [("op", op)];
-            reg.inc("simpi.collective.calls", &lbl, 1);
-            reg.inc("simpi.collective.bytes", &lbl, bytes);
         }
     }
 
@@ -101,18 +77,9 @@ impl Comm {
         self.members.len()
     }
 
-    /// The world (process-global) rank of local rank `r`.
-    pub fn global_rank(&self, r: usize) -> usize {
-        self.members[r]
-    }
-
     /// Send `data` to local rank `dst` with `tag`. Asynchronous and
     /// unbounded, like an `MPI_Isend` that always buffers.
     pub fn send(&self, dst: usize, tag: u64, data: Vec<u8>) {
-        if let Some(reg) = &self.metrics {
-            reg.inc("simpi.p2p.msgs", &[], 1);
-            reg.inc("simpi.p2p.bytes", &[], data.len() as u64);
-        }
         let env = Envelope {
             ctx: self.ctx,
             src_global: self.members[self.rank],
@@ -151,13 +118,6 @@ impl Comm {
         }
     }
 
-    /// Send to `dst` and receive from `src` in one call, safe against the
-    /// cyclic-exchange deadlock (sends buffer asynchronously).
-    pub fn sendrecv(&self, dst: usize, src: usize, tag: u64, data: Vec<u8>) -> Vec<u8> {
-        self.send(dst, tag, data);
-        self.recv(src, tag)
-    }
-
     /// Collectively split into sub-communicators: ranks passing the same
     /// `color` land in the same new communicator, ordered by `(key,
     /// old rank)`. Unlike MPI there is no "undefined" color — every rank
@@ -191,7 +151,6 @@ impl Comm {
             senders: Arc::clone(&self.senders),
             mailbox: Rc::clone(&self.mailbox),
             split_seq: Rc::new(Cell::new(0)),
-            metrics: self.metrics.clone(),
         }
     }
 
@@ -285,7 +244,8 @@ mod tests {
         run(n, move |comm| {
             let next = (comm.rank() + 1) % n;
             let prev = (comm.rank() + n - 1) % n;
-            let got = comm.sendrecv(next, prev, 9, vec![comm.rank() as u8]);
+            comm.send(next, 9, vec![comm.rank() as u8]);
+            let got = comm.recv(prev, 9);
             assert_eq!(got, vec![prev as u8]);
         });
     }
@@ -298,7 +258,7 @@ mod tests {
             assert_eq!(sub.size(), 3);
             assert_eq!(sub.rank(), comm.rank() / 2);
             // Global ranks preserved through the split.
-            assert_eq!(sub.global_rank(sub.rank()), comm.rank());
+            assert_eq!(sub.members[sub.rank()], comm.rank());
             // Messaging within the sub-communicator works and does not
             // leak into the parent.
             if sub.rank() == 0 {
@@ -331,7 +291,8 @@ mod tests {
             assert_eq!(quarter.size(), 2);
             // Exchange inside the quarter.
             let peer = 1 - quarter.rank();
-            let got = quarter.sendrecv(peer, peer, 11, vec![comm.rank() as u8]);
+            quarter.send(peer, 11, vec![comm.rank() as u8]);
+            let got = quarter.recv(peer, 11);
             // Peer is the adjacent world rank.
             let expect = if comm.rank() % 2 == 0 {
                 comm.rank() + 1

@@ -12,9 +12,9 @@
 //!   [`Comm`] handle; results are collected in rank order.
 //! * [`comm`] — tagged, matched send/recv over crossbeam channels, with
 //!   out-of-order buffering, plus communicator split.
-//! * [`collectives`] — barrier, broadcast, gather(v), allgather(v),
-//!   alltoall(v), reduce/allreduce, exscan: the linear reference
-//!   implementations ROMIO-era two-phase I/O uses.
+//! * [`collectives`] — barrier, allgather(v), alltoall(v), scatterv,
+//!   allreduce: the linear reference implementations ROMIO-era
+//!   two-phase I/O uses.
 //! * [`datatype`] — derived datatypes (contiguous, vector, indexed,
 //!   subarray, resized) flattened to sorted `(offset, len)` segment lists.
 //! * [`fileview`] — the `(disp, filetype)` tiling that maps a rank's
@@ -38,11 +38,9 @@ pub mod collectives;
 pub mod comm;
 pub mod datatype;
 pub mod fileview;
-pub mod nonblocking;
 pub mod runtime;
 
 pub use comm::Comm;
 pub use datatype::{Datatype, Segment};
 pub use fileview::FileView;
-pub use nonblocking::{waitall, RecvRequest};
 pub use runtime::run;

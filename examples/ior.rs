@@ -1,6 +1,6 @@
 //! The IOR scenario: interleaved shared-file access, the pattern the
-//! paper's Figures 7 and 8 measure — plus a comparison against
-//! independent I/O and data sieving to show why collective I/O exists.
+//! paper's Figures 7 and 8 measure, under both planners — then the
+//! segmented layout, where each rank's data is already contiguous.
 //!
 //! ```sh
 //! cargo run --release --example ior
@@ -9,7 +9,6 @@
 use mcio::cluster::spec::ClusterSpec;
 use mcio::cluster::ProcessMap;
 use mcio::core::exec_sim::simulate;
-use mcio::core::sieving::{simulate_independent, simulate_sieving};
 use mcio::core::{mcio as mc, twophase, CollectiveConfig, ProcMemory, Strategy};
 use mcio::pfs::Rw;
 use mcio::workloads::{Ior, IorLayout};
@@ -38,35 +37,27 @@ fn main() {
 
     for rw in [Rw::Write, Rw::Read] {
         let req = ior.request(rw);
-        let ind = simulate_independent(&req, &map, &spec);
-        // Data sieving cannot merge across other ranks' interleaved blocks
-        // without reading them too; with a 1 MiB hole tolerance it stays
-        // close to plain independent I/O here (its win is on *clustered*
-        // holes — see the sieving tests).
-        let sieved = simulate_sieving(&req, &map, &spec, MIB);
         let tp = simulate(&twophase::plan(&req, &map, &env, &cfg), &map, &spec);
         let mcio_plan = mc::plan(&req, &map, &env, &cfg);
         assert_eq!(mcio_plan.strategy, Strategy::MemoryConscious);
         let mcio_t = simulate(&mcio_plan, &map, &spec);
         println!(
-            "{:>5}: independent {:>7.1} | data sieving {:>7.1} | two-phase {:>7.1} | memory-conscious {:>7.1} MiB/s",
+            "{:>5}: two-phase {:>7.1} | memory-conscious {:>7.1} MiB/s",
             rw.name(),
-            ind.bandwidth_mibs,
-            sieved.bandwidth_mibs,
             tp.bandwidth_mibs,
             mcio_t.bandwidth_mibs,
         );
     }
 
-    // The segmented layout is friendlier to independent I/O — collective
-    // I/O's edge narrows when each rank's data is already contiguous.
+    // The segmented layout hands every aggregator one contiguous run
+    // per rank: fewer, larger pieces to shuffle and to write.
     let mut seg = ior;
     seg.layout = IorLayout::Segmented;
     let req = seg.request(Rw::Write);
-    let ind = simulate_independent(&req, &map, &spec);
     let tp = simulate(&twophase::plan(&req, &map, &env, &cfg), &map, &spec);
+    let mcio_t = simulate(&mc::plan(&req, &map, &env, &cfg), &map, &spec);
     println!(
-        "segmented write: independent {:.1} vs two-phase {:.1} MiB/s (contiguity closes the gap)",
-        ind.bandwidth_mibs, tp.bandwidth_mibs,
+        "segmented write: two-phase {:.1} | memory-conscious {:.1} MiB/s",
+        tp.bandwidth_mibs, mcio_t.bandwidth_mibs,
     );
 }

@@ -5,7 +5,7 @@
 use mcio::cluster::spec::ClusterSpec;
 use mcio::cluster::ProcessMap;
 use mcio::core::exec_fn::{execute_read, execute_write};
-use mcio::core::exec_sim::{simulate_opts, simulate_two_level, Pipeline};
+use mcio::core::exec_sim::{simulate_observed, Exchange, Observe, Pipeline};
 use mcio::core::mcio as mc;
 use mcio::core::{twophase, CollectiveConfig, ProcMemory};
 use mcio::pfs::{Rw, SparseFile};
@@ -63,11 +63,13 @@ fn byte_accounting_agrees_everywhere() {
             );
             // The timing executor, in every scheduling mode, moves the
             // same bytes.
-            for t in [
-                simulate_opts(&plan, &map, &spec, Pipeline::Serial),
-                simulate_opts(&plan, &map, &spec, Pipeline::DoubleBuffered),
-                simulate_two_level(&plan, &map, &spec),
+            for (pipeline, exchange) in [
+                (Pipeline::Serial, Exchange::Direct),
+                (Pipeline::DoubleBuffered, Exchange::Direct),
+                (Pipeline::Serial, Exchange::TwoLevel),
             ] {
+                let obs = Observe::default();
+                let (t, _) = simulate_observed(&plan, &map, &spec, pipeline, exchange, obs);
                 assert_eq!(t.bytes, stats.io_bytes, "{name}: sim bytes");
                 assert!(t.bandwidth_mibs > 0.0);
             }
@@ -103,8 +105,12 @@ fn scheduling_modes_preserve_makespan_ordering() {
     let req = Ior::paper(12, 2 * MIB, 4).request(Rw::Write);
     let cfg = CollectiveConfig::with_buffer(128 << 10).mem_min(0);
     let plan = twophase::plan(&req, &map, &mem, &cfg);
-    let serial = simulate_opts(&plan, &map, &spec, Pipeline::Serial);
-    let piped = simulate_opts(&plan, &map, &spec, Pipeline::DoubleBuffered);
+    let run = |pipeline| {
+        let obs = Observe::default();
+        simulate_observed(&plan, &map, &spec, pipeline, Exchange::Direct, obs).0
+    };
+    let serial = run(Pipeline::Serial);
+    let piped = run(Pipeline::DoubleBuffered);
     assert!(
         piped.elapsed <= serial.elapsed,
         "double buffering must never slow a chain: {} vs {}",

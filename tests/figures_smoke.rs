@@ -50,7 +50,7 @@ fn sweep_improvements(
 fn table1_projection_holds() {
     let t = Table1::paper();
     // The printed factors and the megabytes-per-core conclusion.
-    assert!((t.total_concurrency_factor() - 4444.4).abs() < 1.0);
+    assert!((t.to.total_concurrency / t.from.total_concurrency - 4444.4).abs() < 1.0);
     assert!(t.memory_per_core_factor() < 0.01);
     assert!(t.to.memory_per_core() < 16e6);
     assert!(t.memory_bw_per_core_factor() < 0.25);

@@ -7,7 +7,7 @@ use mcio::core::group;
 use mcio::core::mcio as mc;
 use mcio::core::ptree::PartitionTree;
 use mcio::core::{twophase, CollectiveConfig, ProcMemory};
-use mcio::pfs::extent::{coalesce, covered_bytes};
+use mcio::pfs::extent::{coalesce, total_bytes};
 use mcio::pfs::{Extent, Rw};
 use mcio::workloads::synthetic;
 use proptest::prelude::*;
@@ -80,10 +80,9 @@ proptest! {
             all.extend(g.region.iter().copied());
         }
         prop_assert_eq!(total, req.total_bytes());
-        let covered = covered_bytes(&all);
-        let flat: u64 = all.iter().map(|e| e.len).sum();
-        prop_assert_eq!(covered, flat, "group regions overlap");
-        prop_assert_eq!(coalesce(all), req.coverage());
+        let covered = coalesce(all.clone());
+        prop_assert_eq!(total_bytes(&covered), total_bytes(&all), "group regions overlap");
+        prop_assert_eq!(covered, req.coverage());
         // All but the last group meet the threshold.
         for g in groups.iter().rev().skip(1) {
             prop_assert!(g.bytes >= msg_group);

@@ -6,7 +6,6 @@ use mcio::cluster::spec::ClusterSpec;
 use mcio::cluster::ProcessMap;
 use mcio::core::exec_sim::simulate;
 use mcio::core::mcio as mc;
-use mcio::core::sieving::simulate_independent;
 use mcio::core::{twophase, CollectiveConfig, ProcMemory};
 use mcio::pfs::Rw;
 use mcio::workloads::{synthetic, Ior};
@@ -123,25 +122,6 @@ fn memory_conscious_wins_under_heterogeneous_memory() {
         mcp.bandwidth_mibs,
         tp.bandwidth_mibs
     );
-}
-
-#[test]
-fn collective_beats_independent_on_fine_interleave() {
-    let map = ProcessMap::block_ppn(8, 2);
-    let spec = small_cluster();
-    // 32 KiB interleaved blocks: many small noncontiguous requests.
-    let ior = Ior {
-        nprocs: 8,
-        block_size: 32 * 1024,
-        segments: 32,
-        layout: mcio::workloads::IorLayout::Interleaved,
-    };
-    let req = ior.request(Rw::Write);
-    let mem = ProcMemory::uniform(8, 4 * MIB);
-    let cfg = CollectiveConfig::with_buffer(4 * MIB);
-    let coll = simulate(&twophase::plan(&req, &map, &mem, &cfg), &map, &spec);
-    let ind = simulate_independent(&req, &map, &spec);
-    assert!(coll.bandwidth_mibs > ind.bandwidth_mibs);
 }
 
 #[test]
