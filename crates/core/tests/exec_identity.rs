@@ -11,15 +11,17 @@
 //!
 //! Fault-free N = 1 identity between the paths is proved elsewhere
 //! (`multitenant_props.rs`, `diff_props.rs`); this file pins the cells
-//! that had no committed golden.
+//! that had no committed golden. `MATRIX` is the fault-free part:
+//! direction × pipelining × exchange shape × strategy, generated on the
+//! commit before reads and writes were lowered by one round lowerer.
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
+use mcio_core::exec_sim::{simulate_observed, Exchange, Observe, Pipeline};
 use mcio_core::{
     mcio, run_multitenant, run_multitenant_adaptive, simulate_adaptive, simulate_faulted, twophase,
     AdaptivePolicy, CollectiveConfig, CollectivePlan, CollectiveRequest, Extent, FaultOutcome,
-    MultiTenantReport, ProcMemory, Rw, Strategy, TenantJob,
+    MultiTenantReport, ProcMemory, Rw, Strategy, SyncMode, TenantJob,
 };
 use mcio_des::{SharePolicy, SimDuration};
 use mcio_faults::FaultSpec;
@@ -82,13 +84,26 @@ struct Solo {
 }
 
 fn solo() -> Solo {
+    let per_rank = |r: u64| vec![Extent::new(r * MIB, MIB)];
+    solo_of(Rw::Write, per_rank)
+}
+
+/// The same job moving its 1 MiB per rank as four 256 KiB pieces
+/// interleaved across the file, so every aggregator exchanges with
+/// several ranks of every node and a two-level exchange has pieces to
+/// combine.
+fn interleaved(rw: Rw) -> Solo {
+    let per_rank = |r: u64| {
+        (0..4)
+            .map(|seg| Extent::new((seg * 16 + r) * 256 * KIB, 256 * KIB))
+            .collect()
+    };
+    solo_of(rw, per_rank)
+}
+
+fn solo_of(rw: Rw, per_rank: impl Fn(u64) -> Vec<Extent>) -> Solo {
     let ranks = 16usize;
-    let req = CollectiveRequest::new(
-        Rw::Write,
-        (0..ranks as u64)
-            .map(|r| vec![Extent::new(r * MIB, MIB)])
-            .collect(),
-    );
+    let req = CollectiveRequest::new(rw, (0..ranks as u64).map(per_rank).collect());
     let map = ProcessMap::block_ppn(ranks, 4);
     let mem = ProcMemory::normal(ranks, 256 * KIB, 0.35, 7);
     let cfg = CollectiveConfig::with_buffer(256 * KIB)
@@ -369,4 +384,83 @@ fn late_two_level_single_job_is_pinned() {
         ),
         Ok(())
     );
+}
+
+/// `[fifo, fair]` per cell, in the loop order of
+/// `fault_free_matrix_is_pinned`.
+const MATRIX: [[u64; 2]; 16] = [
+    // write Serial Direct two-phase
+    [0x99e2_d559_53fe_6648, 0xb2cb_c68a_7e28_b535],
+    // write Serial Direct memory-conscious
+    [0xf7f0_1861_76f7_629e, 0x343f_8e7e_6a01_0aeb],
+    // write Serial TwoLevel two-phase
+    [0x8ea5_249d_9972_cc91, 0x4371_621a_0ce7_77df],
+    // write Serial TwoLevel memory-conscious
+    [0x0367_c0d7_9993_2b4c, 0x96b5_17fb_1a12_877c],
+    // write DoubleBuffered Direct two-phase
+    [0x845c_6373_5492_a2da, 0x1995_77db_e711_6876],
+    // write DoubleBuffered Direct memory-conscious
+    [0x949b_c86f_55b7_5e62, 0x23b1_f423_401c_83bf],
+    // write DoubleBuffered TwoLevel two-phase
+    [0x777e_2d9f_b73b_a1ea, 0xa659_d127_23c3_7c6a],
+    // write DoubleBuffered TwoLevel memory-conscious
+    [0x639f_6561_4fb3_9827, 0x9eed_7f89_1b82_8d4e],
+    // read Serial Direct two-phase
+    [0xf4e5_214d_8a91_7178, 0x82b8_da0e_1017_3d76],
+    // read Serial Direct memory-conscious
+    [0x2af1_0a0c_1052_db89, 0xf183_d6c8_e559_269c],
+    // read Serial TwoLevel two-phase
+    [0x0ac5_ef2e_c993_b108, 0xf83d_5837_5bbb_50fa],
+    // read Serial TwoLevel memory-conscious
+    [0x122c_2333_5adb_9964, 0x0e08_845b_b9e8_05b7],
+    // read DoubleBuffered Direct two-phase
+    [0x4ab8_ce78_a813_fecd, 0x03fa_7cb3_0e4b_7ba8],
+    // read DoubleBuffered Direct memory-conscious
+    [0xd8bc_159a_a3e1_f9b5, 0xd04d_6f81_e3a9_a63a],
+    // read DoubleBuffered TwoLevel two-phase
+    [0x0663_7ca3_c2de_99af, 0x52f6_400c_e91a_410e],
+    // read DoubleBuffered TwoLevel memory-conscious
+    [0xdb57_92a1_c9b7_b4d7, 0xe52c_c69c_5415_21a0],
+];
+
+/// Fault-free solo runs over direction × pipelining × exchange shape ×
+/// strategy (two-phase chains every group globally, MC per group).
+#[test]
+fn fault_free_matrix_is_pinned() {
+    // Every axis moves the bytes: no two cells share a fingerprint.
+    let mut all: Vec<u64> = MATRIX.iter().flatten().copied().collect();
+    all.sort_unstable();
+    all.dedup();
+    assert_eq!(all.len(), 32, "two cells of MATRIX coincide");
+
+    let mut drifted = Vec::new();
+    let mut want = MATRIX.iter();
+    for rw in [Rw::Write, Rw::Read] {
+        let s = interleaved(rw);
+        // Both sync modes, and enough rounds that double buffering
+        // reaches back two slots.
+        assert_eq!(
+            (s.tp.sync, s.mc.sync),
+            (SyncMode::Global, SyncMode::PerGroup)
+        );
+        assert!(s.mc.groups.len() > 1 && s.mc.groups.iter().all(|g| g.rounds.len() > 2));
+        for pipeline in [Pipeline::Serial, Pipeline::DoubleBuffered] {
+            for exchange in [Exchange::Direct, Exchange::TwoLevel] {
+                for plan in [&s.tp, &s.mc] {
+                    let what = format!(
+                        "{} {pipeline:?} {exchange:?} {}",
+                        rw.name(),
+                        plan.strategy.label()
+                    );
+                    let got = both_engines(|obs| {
+                        let run = simulate_observed(plan, &s.map, &s.spec, pipeline, exchange, obs);
+                        format!("{run:?}")
+                    });
+                    let want = *want.next().expect("one constant per cell");
+                    drifted.extend(pinned(&what, got, want).err());
+                }
+            }
+        }
+    }
+    assert!(drifted.is_empty(), "{drifted:#?}");
 }
