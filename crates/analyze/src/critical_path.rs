@@ -416,12 +416,12 @@ pub fn phase_sums(model: &TraceModel) -> (u64, u64) {
 mod tests {
     use super::*;
     use crate::trace_model::PID_RESOURCES;
-    use mcio_obs::TraceCollector;
+    use mcio_obs::Trace;
 
     /// One chain: exchange [0,400) with NIC busy [0,300) and membus
     /// [300,350), io [400,1000) with OST busy [450,900).
     fn single_chain() -> TraceModel {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "node0.nic_tx");
         tc.name_thread(PID_RESOURCES, 1, "node0.membus");
         tc.name_thread(PID_RESOURCES, 2, "ost0");
@@ -438,7 +438,7 @@ mod tests {
         tc.span("io.rank1", "ost0", PID_RESOURCES, 2, 450, 450);
         tc.span("r0.exchange", "exchange", PID_ROUNDS, 0, 0, 400);
         tc.span("r0.io", "io", PID_ROUNDS, 0, 400, 600);
-        TraceModel::from_collector(&tc)
+        TraceModel::new(tc)
     }
 
     #[test]
@@ -459,7 +459,7 @@ mod tests {
     #[test]
     fn fault_lanes_claim_the_fifth_bucket_with_top_priority() {
         use crate::trace_model::PID_FAULTS;
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         tc.name_thread(PID_ROUNDS, 0, "chain0");
         tc.name_thread(PID_FAULTS, 3, "ost0.retries");
@@ -470,7 +470,7 @@ mod tests {
         tc.span("attempt1", "retry", PID_FAULTS, 3, 100, 200);
         tc.span("backoff", "backoff", PID_FAULTS, 3, 300, 100);
         tc.span("ost0.slow", "inject", PID_FAULTS, 0, 0, 1000);
-        let cp = critical_path(&TraceModel::from_collector(&tc));
+        let cp = critical_path(&TraceModel::new(tc));
         assert_eq!(cp.elapsed_ns, 1000);
         assert_eq!(cp.retry_degraded_ns, 300);
         assert_eq!(cp.ost_io_ns, 500);
@@ -489,7 +489,7 @@ mod tests {
 
     #[test]
     fn critical_chain_is_the_longest_and_gaps_attribute_to_busy_classes() {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         tc.name_thread(PID_ROUNDS, 0, "chain0");
         tc.name_thread(PID_ROUNDS, 1, "chain1");
@@ -500,7 +500,7 @@ mod tests {
         tc.span("r1.io", "io", PID_ROUNDS, 1, 700, 300);
         tc.span("io.rank0", "ost0", PID_RESOURCES, 0, 100, 550);
         tc.span("io.rank2", "ost0", PID_RESOURCES, 0, 700, 300);
-        let model = TraceModel::from_collector(&tc);
+        let model = TraceModel::new(tc);
         let cp = critical_path(&model);
         assert_eq!(cp.elapsed_ns, 1000);
         assert_eq!(cp.attributed_ns(), 1000);
@@ -531,10 +531,10 @@ mod tests {
 
     #[test]
     fn read_style_messages_attribute_to_source_rank() {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "node1.nic_tx");
         tc.span("msg.rank3->node1", "node1.nic_tx", PID_RESOURCES, 0, 0, 100);
-        let aggs = aggregator_io(&TraceModel::from_collector(&tc));
+        let aggs = aggregator_io(&TraceModel::new(tc));
         assert_eq!(aggs.len(), 1);
         assert_eq!(aggs[0].agg, 3);
         assert_eq!(aggs[0].msgs, 1);

@@ -196,10 +196,10 @@ pub fn diff_models(a: &TraceModel, b: &TraceModel) -> RunDiff {
 mod tests {
     use super::*;
     use crate::trace_model::{PID_RESOURCES, PID_ROUNDS};
-    use mcio_obs::TraceCollector;
+    use mcio_obs::Trace;
 
-    fn base() -> TraceCollector {
-        let tc = TraceCollector::new();
+    fn base() -> Trace {
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "node0.nic_tx");
         tc.name_thread(PID_RESOURCES, 1, "ost0");
         tc.name_thread(PID_ROUNDS, 0, "chain0");
@@ -212,8 +212,8 @@ mod tests {
 
     #[test]
     fn identical_runs_diff_to_nothing() {
-        let a = TraceModel::from_collector(&base());
-        let b = TraceModel::from_collector(&base());
+        let a = TraceModel::new(base());
+        let b = TraceModel::new(base());
         let d = diff_models(&a, &b);
         assert!(d.is_empty(), "{d:?}");
         assert_eq!(d.to_text(), "");
@@ -221,12 +221,12 @@ mod tests {
 
     #[test]
     fn slower_io_shows_bucket_and_timeline_deltas() {
-        let a = TraceModel::from_collector(&base());
-        let tc = base();
+        let a = TraceModel::new(base());
+        let mut tc = base();
         // Run B: one extra OST service interval stretches the run.
         tc.span("io.rank1", "ost0", PID_RESOURCES, 1, 1000, 200);
         tc.span("r1.io", "io", PID_ROUNDS, 0, 1000, 200);
-        let b = TraceModel::from_collector(&tc);
+        let b = TraceModel::new(tc);
         let d = diff_models(&a, &b);
         assert!(!d.is_empty());
         assert_eq!(d.elapsed_a_ns, 1000);
@@ -254,7 +254,7 @@ mod tests {
     fn straggler_set_changes_are_reported() {
         // Run A: three uniform OSTs. Run B: ost2 is 4x slower.
         let mk = |slow: bool| {
-            let tc = TraceCollector::new();
+            let mut tc = Trace::default();
             for i in 0..3u64 {
                 tc.name_thread(PID_RESOURCES, i, &format!("ost{i}"));
             }
@@ -268,7 +268,7 @@ mod tests {
                 0,
                 if slow { 4000 } else { 1000 },
             );
-            TraceModel::from_collector(&tc)
+            TraceModel::new(tc)
         };
         let d = diff_models(&mk(false), &mk(true));
         assert_eq!(d.stragglers_added.len(), 1, "{d:?}");
@@ -282,11 +282,11 @@ mod tests {
 
     #[test]
     fn series_only_in_one_run_compares_against_zero() {
-        let a = TraceModel::from_collector(&base());
-        let tc = base();
+        let a = TraceModel::new(base());
+        let mut tc = base();
         tc.name_thread(PID_RESOURCES, 2, "node0.membus");
         tc.span("copy", "node0.membus", PID_RESOURCES, 2, 100, 50);
-        let b = TraceModel::from_collector(&tc);
+        let b = TraceModel::new(tc);
         let d = diff_models(&a, &b);
         let mem = d
             .timeline_deltas

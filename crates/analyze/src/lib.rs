@@ -7,9 +7,8 @@
 //! memory per core shrinks?**
 //!
 //! * [`TraceModel`] — the index every analysis reads, built once from
-//!   a [`mcio_obs::Trace`] (a live [`mcio_obs::TraceCollector`], or a
-//!   Chrome trace-event JSON file — `--trace` output round-trips
-//!   losslessly): spans sorted per lane, each lane's class and busy
+//!   a [`mcio_obs::Trace`] (a live one, or a Chrome trace-event JSON
+//!   file — `--trace` output round-trips losslessly): spans sorted per lane, each lane's class and busy
 //!   union, per-class / per-job / per-aggregator unions, the chain
 //!   summaries.
 //! * [`critical_path()`] — partitions the run's elapsed simulated time

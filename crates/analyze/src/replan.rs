@@ -90,20 +90,20 @@ pub fn replan_actions(model: &TraceModel) -> Vec<ReplanAction> {
 mod tests {
     use super::*;
     use crate::trace_model::{PID_REPLAN, PID_RESOURCES};
-    use mcio_obs::TraceCollector;
+    use mcio_obs::Trace;
 
     #[test]
     fn non_adaptive_traces_yield_no_actions() {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         tc.span("io.rank0", "ost0", PID_RESOURCES, 0, 0, 1000);
-        assert!(replan_actions(&TraceModel::from_collector(&tc)).is_empty());
+        assert!(replan_actions(&TraceModel::new(tc)).is_empty());
     }
 
     #[test]
     fn actions_are_lifted_and_ordered_by_effect_time() {
-        let tc = TraceCollector::new();
-        tc.name_process(PID_REPLAN, "replan");
+        let mut tc = Trace::default();
+        tc.name_lane(PID_REPLAN);
         tc.name_thread(PID_REPLAN, 1, "defer");
         tc.name_thread(PID_REPLAN, 2, "demote");
         // Emitted out of order; extraction sorts by start_ns.
@@ -125,7 +125,7 @@ mod tests {
             3_000_000,
             &[("stretch", "2.10")],
         );
-        let actions = replan_actions(&TraceModel::from_collector(&tc));
+        let actions = replan_actions(&TraceModel::new(tc));
         assert_eq!(actions.len(), 2);
         assert_eq!(actions[0].actuator, "defer");
         assert_eq!(actions[0].name, "defer.g0.r2");
@@ -140,8 +140,8 @@ mod tests {
 
     #[test]
     fn round_trips_through_chrome_json() {
-        let tc = TraceCollector::new();
-        tc.name_process(PID_REPLAN, "replan");
+        let mut tc = Trace::default();
+        tc.name_lane(PID_REPLAN);
         tc.name_thread(PID_REPLAN, 0, "retune");
         tc.span_with_args(
             "retune.msg_group",
@@ -152,7 +152,7 @@ mod tests {
             1_000,
             &[("old", "4194304"), ("new", "2097152")],
         );
-        let json = tc.chrome_trace_json();
+        let json = tc.to_chrome_json();
         let model = TraceModel::from_chrome_json(&json).expect("parse");
         let actions = replan_actions(&model);
         assert_eq!(actions.len(), 1);

@@ -400,10 +400,10 @@ mod tests {
     use super::*;
     use crate::trace_model::{PID_RESOURCES, PID_ROUNDS};
     use mcio_obs::json::{self, JsonValue};
-    use mcio_obs::TraceCollector;
+    use mcio_obs::Trace;
 
     fn model() -> TraceModel {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "node0.nic_tx");
         tc.name_thread(PID_RESOURCES, 1, "ost0");
         tc.name_thread(PID_ROUNDS, 0, "chain0");
@@ -411,7 +411,7 @@ mod tests {
         tc.span("io.rank1", "ost0", PID_RESOURCES, 1, 400, 600);
         tc.span("r0.exchange", "exchange", PID_ROUNDS, 0, 0, 400);
         tc.span("r0.io", "io", PID_ROUNDS, 0, 400, 600);
-        TraceModel::from_collector(&tc)
+        TraceModel::new(tc)
     }
 
     #[test]
@@ -460,11 +460,11 @@ mod tests {
         assert!(!solo.to_json().contains("\"tenants\""));
         assert!(!solo.to_text().contains("== tenants =="));
 
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         tc.span("j0.io.0", "ost0", PID_RESOURCES, 0, 0, 600);
         tc.span("j1.io.0", "ost0", PID_RESOURCES, 0, 600, 300);
-        tc.name_process(crate::trace_model::PID_TENANTS, "tenants");
+        tc.name_lane(crate::trace_model::PID_TENANTS);
         tc.name_thread(crate::trace_model::PID_TENANTS, 0, "j0 alpha");
         tc.name_thread(crate::trace_model::PID_TENANTS, 1, "j1 beta");
         tc.span_with_args(
@@ -493,7 +493,7 @@ mod tests {
                 ("slowdown", "1.500000"),
             ],
         );
-        let mt = analyze(&TraceModel::from_collector(&tc), 5);
+        let mt = analyze(&TraceModel::new(tc), 5);
         assert_eq!(mt.tenants.len(), 2);
 
         let doc = json::parse(&mt.to_json()).expect("tenant report is valid JSON");
@@ -542,13 +542,13 @@ mod tests {
         assert!(!quiet.to_json().contains("\"stragglers\""));
         assert!(!quiet.to_text().contains("== stragglers =="));
 
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         for i in 0..4u64 {
             tc.name_thread(PID_RESOURCES, i, &format!("ost{i}"));
             let dur = if i == 3 { 4000 } else { 1000 };
             tc.span("io.rank0", "c", PID_RESOURCES, i, 0, dur);
         }
-        let loud = analyze(&TraceModel::from_collector(&tc), 5);
+        let loud = analyze(&TraceModel::new(tc), 5);
         assert_eq!(loud.stragglers.len(), 1);
         let doc = json::parse(&loud.to_json()).expect("valid JSON with stragglers");
         let arr = doc.get("stragglers").unwrap().as_array().unwrap();
@@ -572,10 +572,10 @@ mod tests {
         assert!(!quiet.to_json().contains("\"replans\""));
         assert!(!quiet.to_text().contains("== replan =="));
 
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         tc.span("io.rank0", "ost0", PID_RESOURCES, 0, 0, 1000);
-        tc.name_process(crate::trace_model::PID_REPLAN, "replan");
+        tc.name_lane(crate::trace_model::PID_REPLAN);
         tc.name_thread(crate::trace_model::PID_REPLAN, 1, "defer");
         tc.span_with_args(
             "defer.g0.r2",
@@ -586,7 +586,7 @@ mod tests {
             600,
             &[("stretch", "2.10")],
         );
-        let adaptive = analyze(&TraceModel::from_collector(&tc), 5);
+        let adaptive = analyze(&TraceModel::new(tc), 5);
         assert_eq!(adaptive.replans.len(), 1);
 
         let doc = json::parse(&adaptive.to_json()).expect("replan report is valid JSON");
@@ -621,10 +621,10 @@ mod tests {
         assert!(!quiet.to_json().contains("\"sched\""));
         assert!(!quiet.to_text().contains("== scheduler =="));
 
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         tc.span("io.rank0", "ost0", PID_RESOURCES, 0, 0, 1000);
-        tc.name_process(crate::trace_model::PID_SCHED, "scheduler");
+        tc.name_lane(crate::trace_model::PID_SCHED);
         tc.name_thread(crate::trace_model::PID_SCHED, 0, "queue");
         tc.name_thread(crate::trace_model::PID_SCHED, 1, "dispatch");
         tc.span_with_args(
@@ -645,7 +645,7 @@ mod tests {
             600,
             &[("nodes", "4"), ("wait_ns", "400"), ("backfill", "1")],
         );
-        let scheduled = analyze(&TraceModel::from_collector(&tc), 5);
+        let scheduled = analyze(&TraceModel::new(tc), 5);
         let sc = scheduled.sched.as_ref().expect("sched section extracted");
         assert_eq!(sc.max_queue_depth, 2);
         assert_eq!(sc.backfills, 1);

@@ -93,20 +93,20 @@ pub fn sched_section(model: &TraceModel) -> Option<SchedSection> {
 mod tests {
     use super::*;
     use crate::trace_model::{PID_RESOURCES, PID_SCHED};
-    use mcio_obs::TraceCollector;
+    use mcio_obs::Trace;
 
     #[test]
     fn unscheduled_traces_yield_no_section() {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         tc.span("io.rank0", "ost0", PID_RESOURCES, 0, 0, 1000);
-        assert!(sched_section(&TraceModel::from_collector(&tc)).is_none());
+        assert!(sched_section(&TraceModel::new(tc)).is_none());
     }
 
     #[test]
     fn lanes_lift_into_ordered_dispatches() {
-        let tc = TraceCollector::new();
-        tc.name_process(PID_SCHED, "scheduler");
+        let mut tc = Trace::default();
+        tc.name_lane(PID_SCHED);
         tc.name_thread(PID_SCHED, 0, "queue");
         tc.name_thread(PID_SCHED, 1, "dispatch");
         tc.name_thread(PID_SCHED, 2, "admission");
@@ -140,7 +140,7 @@ mod tests {
             1,
             &[("slowdown", "5.500000")],
         );
-        let s = sched_section(&TraceModel::from_collector(&tc)).expect("section present");
+        let s = sched_section(&TraceModel::new(tc)).expect("section present");
         assert_eq!(s.max_queue_depth, 3);
         assert_eq!(s.admission_defers, 1);
         assert_eq!(s.backfills, 1);
@@ -153,8 +153,8 @@ mod tests {
 
     #[test]
     fn round_trips_through_chrome_json() {
-        let tc = TraceCollector::new();
-        tc.name_process(PID_SCHED, "scheduler");
+        let mut tc = Trace::default();
+        tc.name_lane(PID_SCHED);
         tc.name_thread(PID_SCHED, 1, "dispatch");
         tc.span_with_args(
             "alpha",
@@ -165,7 +165,7 @@ mod tests {
             900,
             &[("nodes", "8"), ("wait_ns", "100"), ("backfill", "0")],
         );
-        let json = tc.chrome_trace_json();
+        let json = tc.to_chrome_json();
         let model = TraceModel::from_chrome_json(&json).expect("parse");
         let s = sched_section(&model).expect("section survives the round trip");
         assert_eq!(s.dispatches.len(), 1);

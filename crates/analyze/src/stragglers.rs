@@ -302,31 +302,31 @@ pub fn stragglers(model: &TraceModel) -> Vec<Straggler> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcio_obs::TraceCollector;
+    use mcio_obs::Trace;
 
     #[test]
     fn uniform_peers_flag_nothing() {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         for i in 0..4u64 {
             tc.name_thread(PID_RESOURCES, i, &format!("ost{i}"));
             tc.span("io.rank0", &format!("ost{i}"), PID_RESOURCES, i, 0, 1000);
         }
-        assert!(stragglers(&TraceModel::from_collector(&tc)).is_empty());
+        assert!(stragglers(&TraceModel::new(tc)).is_empty());
     }
 
     #[test]
     fn small_peer_groups_are_never_flagged() {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         tc.name_thread(PID_RESOURCES, 1, "ost1");
         tc.span("a", "ost0", PID_RESOURCES, 0, 0, 100);
         tc.span("b", "ost1", PID_RESOURCES, 1, 0, 10_000);
-        assert!(stragglers(&TraceModel::from_collector(&tc)).is_empty());
+        assert!(stragglers(&TraceModel::new(tc)).is_empty());
     }
 
     #[test]
     fn doubled_ost_among_uniform_peers_uses_ratio_fallback() {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         for i in 0..4u64 {
             tc.name_thread(PID_RESOURCES, i, &format!("ost{i}"));
         }
@@ -337,7 +337,7 @@ mod tests {
         // Round metadata so the straggler names the rounds it inflates.
         tc.span_with_args("r0.io", "io", PID_ROUNDS, 0, 0, 2000, &[("round", "0")]);
         tc.span_with_args("r1.io", "io", PID_ROUNDS, 0, 2000, 2000, &[("round", "1")]);
-        let found = stragglers(&TraceModel::from_collector(&tc));
+        let found = stragglers(&TraceModel::new(tc));
         assert_eq!(found.len(), 1, "{found:?}");
         let s = &found[0];
         assert_eq!(s.kind, StragglerKind::Ost);
@@ -356,13 +356,13 @@ mod tests {
     fn mad_z_score_flags_only_the_far_outlier() {
         // Durations 100/110/120/130/500: median 120, MAD 10, so 500
         // scores (500-120)/14.826 ≈ 25.6 and 130 scores only ≈ 0.67.
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         for (i, dur) in [100u64, 110, 120, 130, 500].iter().enumerate() {
             let i = i as u64;
             tc.name_thread(PID_RESOURCES, i, &format!("ost{i}"));
             tc.span("a", "c", PID_RESOURCES, i, 0, *dur);
         }
-        let found = stragglers(&TraceModel::from_collector(&tc));
+        let found = stragglers(&TraceModel::new(tc));
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].name, "ost4");
         assert!(found[0].score > 25.0 && found[0].score < 26.0);
@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn aggregator_and_chain_stragglers_name_their_bucket() {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         // Three aggregators, one with 3x the io service time.
         tc.span("io.rank0", "c", PID_RESOURCES, 0, 0, 1000);
@@ -383,7 +383,7 @@ mod tests {
         tc.span_with_args("r0.io", "io", PID_ROUNDS, 0, 0, 1500, &[("round", "0")]);
         tc.span_with_args("r0.io", "io", PID_ROUNDS, 1, 0, 1500, &[("round", "0")]);
         tc.span_with_args("r0.io", "io", PID_ROUNDS, 2, 0, 4500, &[("round", "0")]);
-        let found = stragglers(&TraceModel::from_collector(&tc));
+        let found = stragglers(&TraceModel::new(tc));
         let agg = found
             .iter()
             .find(|s| s.kind == StragglerKind::Aggregator)

@@ -160,10 +160,10 @@ pub fn tenant_paths(model: &TraceModel) -> Vec<TenantPath> {
 mod tests {
     use super::*;
     use crate::trace_model::PID_RESOURCES;
-    use mcio_obs::TraceCollector;
+    use mcio_obs::Trace;
 
     fn tenant_trace() -> TraceModel {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         // Two jobs share one OST; j1 starts at 400 and is blocked by
         // j0's service until 600.
         tc.name_thread(PID_RESOURCES, 0, "ost0");
@@ -173,7 +173,7 @@ mod tests {
         tc.name_thread(PID_ROUNDS, 1, "j1.chain0 (group 0)");
         tc.span("r0.io", "io", PID_ROUNDS, 0, 0, 600);
         tc.span("r0.io", "io", PID_ROUNDS, 1, 600, 300);
-        tc.name_process(PID_TENANTS, "tenants");
+        tc.name_lane(PID_TENANTS);
         tc.name_thread(PID_TENANTS, 0, "j0 alpha");
         tc.name_thread(PID_TENANTS, 1, "j1 beta");
         tc.span_with_args(
@@ -204,7 +204,7 @@ mod tests {
                 ("ost_overlap", "0.250000"),
             ],
         );
-        TraceModel::from_collector(&tc)
+        TraceModel::new(tc)
     }
 
     #[test]
@@ -246,10 +246,10 @@ mod tests {
 
     #[test]
     fn solo_traces_have_no_tenant_paths() {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         tc.span("io.0", "ost0", PID_RESOURCES, 0, 0, 500);
-        assert!(tenant_paths(&TraceModel::from_collector(&tc)).is_empty());
+        assert!(tenant_paths(&TraceModel::new(tc)).is_empty());
     }
 
     #[test]
@@ -264,10 +264,10 @@ mod tests {
 
     #[test]
     fn idle_gap_before_any_service() {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         tc.span("j0.io.0", "ost0", PID_RESOURCES, 0, 300, 200);
-        tc.name_process(PID_TENANTS, "tenants");
+        tc.name_lane(PID_TENANTS);
         tc.name_thread(PID_TENANTS, 0, "j0 solo");
         tc.span_with_args(
             "j0.window",
@@ -278,7 +278,7 @@ mod tests {
             500,
             &[("job", "solo"), ("strategy", "two-phase")],
         );
-        let paths = tenant_paths(&TraceModel::from_collector(&tc));
+        let paths = tenant_paths(&TraceModel::new(tc));
         assert_eq!(paths.len(), 1);
         assert_eq!(
             (paths[0].self_ns, paths[0].cross_ns, paths[0].idle_ns),

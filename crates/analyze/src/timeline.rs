@@ -269,10 +269,10 @@ impl Timeline {
 mod tests {
     use super::*;
     use crate::trace_model::{PID_RESOURCES, PID_TENANTS};
-    use mcio_obs::TraceCollector;
+    use mcio_obs::Trace;
 
     fn model() -> TraceModel {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "node0.nic_tx");
         tc.name_thread(PID_RESOURCES, 1, "node0.membus");
         tc.name_thread(PID_RESOURCES, 2, "ost0");
@@ -281,7 +281,7 @@ mod tests {
         tc.span("copy", "node0.membus", PID_RESOURCES, 1, 100, 100);
         tc.span("io.1", "ost0", PID_RESOURCES, 2, 400, 600);
         tc.span("io.2", "ost1", PID_RESOURCES, 3, 500, 300);
-        TraceModel::from_collector(&tc)
+        TraceModel::new(tc)
     }
 
     #[test]
@@ -311,10 +311,10 @@ mod tests {
 
     #[test]
     fn bucket_count_has_a_ceiling() {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         tc.span("io", "ost0", PID_RESOURCES, 0, 0, 3 * MAX_BUCKETS + 1);
-        let tl = timeline(&TraceModel::from_collector(&tc), 1);
+        let tl = timeline(&TraceModel::new(tc), 1);
         assert_eq!((tl.bucket_ns, tl.buckets as u64), (4, 75_001));
         assert_eq!(tl.get("ost0").unwrap().total_busy_ns, 3 * MAX_BUCKETS + 1);
     }
@@ -381,12 +381,12 @@ mod tests {
             .series
             .iter()
             .all(|s| s.kind != SeriesKind::Tenant));
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         tc.span("j0.io.0", "ost0", PID_RESOURCES, 0, 0, 600);
         tc.span("j1.io.0", "ost0", PID_RESOURCES, 0, 600, 400);
-        tc.name_process(PID_TENANTS, "tenants");
-        let tl = timeline(&TraceModel::from_collector(&tc), 250);
+        tc.name_lane(PID_TENANTS);
+        let tl = timeline(&TraceModel::new(tc), 250);
         let j0 = tl.get("j0").expect("tenant series");
         assert_eq!(j0.kind, SeriesKind::Tenant);
         assert_eq!(j0.total_busy_ns, 600);

@@ -3,7 +3,7 @@
 //! The simulation emits a [`Trace`] (and writes it as Chrome
 //! trace-event JSON); analysis wants sorted lanes, resolved lane names,
 //! and integer-nanosecond arithmetic. [`TraceModel`] is that index: it
-//! is built once — from a live collector or from a trace file parsed by
+//! is built once — from a live trace or from a trace file parsed by
 //! [`Trace::from_chrome_json`], so `mcio_cli analyze --trace FILE` sees
 //! exactly what Perfetto would — and every analysis of the crate reads
 //! its slices instead of regrouping the spans.
@@ -14,7 +14,7 @@ pub use mcio_obs::catalogue::{
     PID_FAULTS, PID_REPLAN, PID_RESOURCES, PID_ROUNDS, PID_SCHED, PID_TENANTS,
 };
 use mcio_obs::intervals::merge_intervals;
-use mcio_obs::{Span, Trace, TraceCollector};
+use mcio_obs::{Span, Trace};
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -130,8 +130,8 @@ fn union_of<'a>(spans: impl Iterator<Item = &'a Span>) -> Vec<(u64, u64)> {
 }
 
 impl TraceModel {
-    /// Index a trace. The one constructor: [`TraceModel::from_collector`]
-    /// and [`TraceModel::from_chrome_json`] both end here.
+    /// Index a trace. The one constructor:
+    /// [`TraceModel::from_chrome_json`] ends here too.
     pub fn new(trace: Trace) -> Self {
         let mut names: BTreeMap<(u64, u64), String> = trace
             .threads
@@ -220,11 +220,6 @@ impl TraceModel {
         model
     }
 
-    /// Build from a live collector (no JSON round trip).
-    pub fn from_collector(tc: &TraceCollector) -> Self {
-        TraceModel::new(tc.snapshot())
-    }
-
     /// Parse a Chrome trace-event JSON document (the `--trace` output);
     /// see [`Trace::from_chrome_json`].
     pub fn from_chrome_json(input: &str) -> Result<Self, String> {
@@ -285,13 +280,13 @@ impl TraceModel {
 mod tests {
     use super::*;
 
-    fn collector() -> TraceCollector {
-        let tc = TraceCollector::new();
-        tc.name_process(PID_RESOURCES, "des.resources");
+    fn sample() -> Trace {
+        let mut tc = Trace::default();
+        tc.name_lane(PID_RESOURCES);
         tc.name_thread(PID_RESOURCES, 0, "node0.membus");
         tc.name_thread(PID_RESOURCES, 1, "node0.nic_tx");
         tc.name_thread(PID_RESOURCES, 2, "ost0");
-        tc.name_process(PID_ROUNDS, "plan.rounds");
+        tc.name_lane(PID_ROUNDS);
         tc.name_thread(PID_ROUNDS, 0, "chain0 (group 0)");
         tc.span("msg.0->1", "node0.nic_tx", PID_RESOURCES, 1, 0, 500);
         tc.span("copy", "node0.membus", PID_RESOURCES, 0, 100, 200);
@@ -318,10 +313,10 @@ mod tests {
     }
 
     #[test]
-    fn from_collector_and_json_agree() {
-        let tc = collector();
-        let live = TraceModel::from_collector(&tc);
-        let parsed = TraceModel::from_chrome_json(&tc.chrome_trace_json()).unwrap();
+    fn live_trace_and_json_agree() {
+        let tc = sample();
+        let parsed = TraceModel::from_chrome_json(&tc.to_chrome_json()).unwrap();
+        let live = TraceModel::new(tc);
         assert_eq!(live, parsed, "exact ns, names and args survive the file");
         assert_eq!(parsed.spans.len(), 5);
         assert_eq!(parsed.makespan_ns(), 2000);
@@ -329,7 +324,7 @@ mod tests {
 
     #[test]
     fn classification_and_busy_union() {
-        let model = TraceModel::from_collector(&collector());
+        let model = TraceModel::new(sample());
         assert_eq!(
             ResourceClass::classify("node3.nic_rx"),
             ResourceClass::Network
@@ -375,13 +370,13 @@ mod tests {
 
     #[test]
     fn overlapping_intervals_merge() {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_thread(PID_RESOURCES, 0, "ost0");
         tc.name_thread(PID_RESOURCES, 1, "ost1");
         tc.span("a", "ost0", PID_RESOURCES, 0, 0, 100);
         tc.span("b", "ost1", PID_RESOURCES, 1, 50, 100);
         tc.span("c", "ost0", PID_RESOURCES, 0, 200, 50);
-        let model = TraceModel::from_collector(&tc);
+        let model = TraceModel::new(tc);
         assert_eq!(
             model.class_busy_intervals(ResourceClass::Storage),
             [(0, 150), (200, 250)]

@@ -5,7 +5,7 @@
 //! it must never create or destroy it.
 
 use mcio_analyze::{timeline, ResourceClass, SeriesKind, TraceModel, PID_RESOURCES};
-use mcio_obs::TraceCollector;
+use mcio_obs::Trace;
 use proptest::prelude::*;
 
 /// One generated resource span: which lane, where, how long.
@@ -44,7 +44,7 @@ const LANES: [&str; 8] = [
 ];
 
 fn build_model(spans: &[GenSpan]) -> TraceModel {
-    let tc = TraceCollector::new();
+    let mut tc = Trace::default();
     for (tid, name) in LANES.iter().enumerate() {
         tc.name_thread(PID_RESOURCES, tid as u64, name);
     }
@@ -62,7 +62,7 @@ fn build_model(spans: &[GenSpan]) -> TraceModel {
             s.dur_ns,
         );
     }
-    TraceModel::from_collector(&tc)
+    TraceModel::new(tc)
 }
 
 /// Busy time of a merged interval union.

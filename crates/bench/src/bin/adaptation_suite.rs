@@ -36,8 +36,8 @@ use mcio_bench::{cli, Cell, Harness};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_core::exec_sim::Observe;
 use mcio_core::{
-    exec_fn, run_multitenant_adaptive, AdaptivePolicy, CollectiveConfig, CollectivePlan,
-    CollectiveRequest, Extent, FaultOutcome, MultiTenantReport, Rw, Strategy, TenantJob,
+    exec_fn, run_multitenant, AdaptivePolicy, CollectiveConfig, CollectivePlan, CollectiveRequest,
+    Extent, FaultOutcome, MultiTenantReport, Rw, Strategy, TenantJob,
 };
 use mcio_faults::FaultSpec;
 use mcio_obs::doc::Writer;
@@ -211,7 +211,7 @@ fn run_tenant_cell(
         trace,
         ..Observe::default()
     };
-    let mut mt = run_multitenant_adaptive(jobs, &machine, Some(fspec), policy, observe);
+    let mut mt = run_multitenant(jobs, &machine, Some(fspec), policy, observe);
     let mut errors = Vec::new();
     for (ji, j) in mt.jobs.iter().enumerate() {
         // Byte-correctness, every cell: the machine state and the
@@ -263,7 +263,7 @@ fn run_tenant_cell(
 
 fn run_overlap_cell(spec: &MtSpec, jobs: &[TenantJob], policy: AdaptivePolicy) -> CellOutcome<Run> {
     let (machine, faults) = (&spec.machine, spec.faults.as_ref());
-    let mt = run_multitenant_adaptive(jobs, machine, faults, policy, Observe::default());
+    let mt = run_multitenant(jobs, machine, faults, policy, Observe::default());
     let mut errors = Vec::new();
     for j in &mt.jobs {
         if j.slowdown < 1.0 - 1e-9 {

@@ -31,7 +31,7 @@ use mcio_bench::mtspec;
 use mcio_bench::suite::{self, run_cells, CellOutcome};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_core::exec_sim::Observe;
-use mcio_core::{run_multitenant, MultiTenantReport, Strategy, TenantJob};
+use mcio_core::{run_multitenant, AdaptivePolicy, MultiTenantReport, Strategy, TenantJob};
 use mcio_obs::doc::Writer;
 
 /// Tenant counts of the sweep (the 8-tenant cell fills the machine).
@@ -69,14 +69,13 @@ fn document(cells: &[Run]) -> String {
 }
 
 fn run_cell(tenants: usize, strategy: Strategy, jobs: &[TenantJob]) -> CellOutcome<Run> {
-    let machine = ClusterSpec::small(32, 2);
-    let mt = run_multitenant(&jobs[..tenants], &machine, None, Observe::default());
+    let (machine, off) = (ClusterSpec::small(32, 2), AdaptivePolicy::Off);
+    let mt = run_multitenant(&jobs[..tenants], &machine, None, off, Observe::default());
     let mut errors = Vec::new();
     for j in &mt.jobs {
         if j.slowdown < 1.0 - 1e-9 {
             errors.push(format!(
-                "{} tenants/{}: job {} sped up under contention (slowdown {:.6})",
-                tenants,
+                "{tenants} tenants/{}: job {} sped up under contention (slowdown {:.6})",
                 strategy.label(),
                 j.label,
                 j.slowdown
@@ -84,8 +83,7 @@ fn run_cell(tenants: usize, strategy: Strategy, jobs: &[TenantJob]) -> CellOutco
         }
         if !(0.0..=1.0).contains(&j.ost_overlap) {
             errors.push(format!(
-                "{} tenants/{}: job {} OST overlap {} outside [0, 1]",
-                tenants,
+                "{tenants} tenants/{}: job {} OST overlap {} outside [0, 1]",
                 strategy.label(),
                 j.label,
                 j.ost_overlap

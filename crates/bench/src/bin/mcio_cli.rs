@@ -383,7 +383,8 @@ fn run_multitenant_cmd(m: &Matches) {
         prof: sidecar.observe(),
         ..Observe::default()
     };
-    let mt = mcio_core::run_multitenant(&jobs, &spec.machine, spec.faults.as_ref(), observe);
+    let faults = spec.faults.as_ref();
+    let mt = mcio_core::run_multitenant(&jobs, &spec.machine, faults, AdaptivePolicy::Off, observe);
     // One cell: the whole multi-tenant machine is a single shared DES
     // run.
     let cell = DetCell {

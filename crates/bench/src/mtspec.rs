@@ -229,7 +229,7 @@ pub fn render_run(machine: &str, mt: &MultiTenantReport) -> String {
 mod tests {
     use super::*;
     use mcio_core::exec_sim::Observe;
-    use mcio_core::run_multitenant;
+    use mcio_core::{run_multitenant, AdaptivePolicy};
 
     const SPEC: &str = "\
 # two tenants on a shared 8-node machine
@@ -407,6 +407,7 @@ job b ranks=8 ppn=2 node_offset=4 start=250us per_proc=256K segments=2 buffer=25
                     jobs,
                     &spec.machine,
                     spec.faults.as_ref(),
+                    AdaptivePolicy::Off,
                     Observe::default(),
                 ),
             )

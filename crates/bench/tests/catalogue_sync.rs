@@ -19,13 +19,18 @@
 //!   `docs/observability.md` list the same (name, kind, unit) rows.
 //! * Trace lanes are declared once: the "Unified trace" table lists
 //!   exactly `catalogue::LANES`, `PID_*` is defined in the catalogue
-//!   only, and outside `crates/obs` nothing calls `name_process` or a
-//!   registry `describe`.
+//!   only, and outside `crates/obs` nothing names a trace process by
+//!   hand or calls a registry `describe`.
 //! * Machines are built once: outside `crates/core/src/exec_sim.rs`
 //!   (the executor) and `crates/core/src/tuner.rs` (the calibration
 //!   probe) no non-test source constructs a `Simulation`, a `Fabric` or
 //!   a `Pfs`, so every run inherits both engines, faults, traces and
 //!   `analyze` from the one lowering.
+//! * Direction is data: the only `match` arms on `Rw::Write` /
+//!   `Rw::Read` are the four in `crates/pfs/src/client.rs` (`Rw::name`,
+//!   `Rw::flow`, the OST bandwidth, the head and tail of a request);
+//!   planner, executor and fault transforms order things with
+//!   `Rw::flow` instead of forking on the direction.
 //!
 //! "Non-test source" is what `scripts/code_lines.sh` counts: the part
 //! of each `crates/*/src/**/*.rs` above its first `#[cfg(test)]`.
@@ -250,7 +255,7 @@ fn metrics_and_lanes_are_declared_in_one_place() {
     for (path, code) in sources() {
         let in_obs = path.starts_with("crates/obs/");
         for (needle, allowed) in [
-            ("name_process(", in_obs),
+            ("processes.push(", in_obs),
             ("const PID_", path == "crates/obs/src/catalogue.rs"),
         ] {
             if !allowed && code.contains(needle) {
@@ -266,7 +271,7 @@ fn metrics_and_lanes_are_declared_in_one_place() {
     assert!(
         offences.is_empty(),
         "metric text and trace lanes come from mcio_obs::catalogue (record under the name, \
-         `TraceCollector::name_lane(PID_*)`), found: {offences:#?}"
+         `Trace::name_lane(PID_*)`), found: {offences:#?}"
     );
 }
 
@@ -296,5 +301,31 @@ fn machines_are_built_in_one_place() {
         offences.is_empty(),
         "a plan runs through exec_sim::execute (simulate / simulate_observed / simulate_faulted / \
          run_multitenant), which builds the one Simulation, Fabric and Pfs; found: {offences:#?}"
+    );
+}
+
+#[test]
+fn direction_is_matched_in_one_place() {
+    let allowed = vec![("crates/pfs/src/client.rs".to_string(), 8)];
+    let mut found = Vec::new();
+    for (path, code) in sources() {
+        let code_lines = code.lines().filter(|l| !l.trim_start().starts_with("//"));
+        let arms: usize = code_lines
+            .map(|l| {
+                ["Rw::Write =>", "Rw::Read =>", "Rw::Write if", "Rw::Read if"]
+                    .iter()
+                    .map(|arm| l.matches(arm).count())
+                    .sum::<usize>()
+            })
+            .sum();
+        if arms > 0 {
+            found.push((path, arms));
+        }
+    }
+    assert_eq!(
+        found, allowed,
+        "a read is a write walked backwards: order the pair with `Rw::flow` \
+         (`Message::agg`, the phase order in `exec_sim::Lowering::lower_round`) instead of \
+         matching on the direction"
     );
 }

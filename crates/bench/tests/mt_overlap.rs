@@ -8,14 +8,14 @@
 //! * sharing nodes perturbs *time*, never *data* — every job still
 //!   delivers exactly its solo file bytes, under the static runner and
 //!   under every adaptive policy;
-//! * `AdaptivePolicy::Off` is byte-identical to the static runner, and
-//!   adaptive runs replay deterministically, trace bytes included.
+//! * `AdaptivePolicy::Off` is the static runner — it leaves no
+//!   controller footprint — and adaptive runs replay deterministically,
+//!   trace bytes included.
 
 use mcio_bench::mtspec::{JobSpec, MtSpec};
 use mcio_core::exec_sim::Observe;
 use mcio_core::{
-    exec_fn, run_multitenant, run_multitenant_adaptive, AdaptivePolicy, CollectiveRequest, Extent,
-    Rw,
+    exec_fn, run_multitenant, AdaptiveOutcome, AdaptivePolicy, CollectiveRequest, Extent, Rw,
 };
 use mcio_pfs::SparseFile;
 use mcio_workloads::Ior;
@@ -74,7 +74,7 @@ fn shared_nodes_perturb_time_never_data() {
         AdaptivePolicy::Conservative,
         AdaptivePolicy::Aggressive,
     ] {
-        let mt = run_multitenant_adaptive(
+        let mt = run_multitenant(
             &jobs,
             &spec.machine,
             spec.faults.as_ref(),
@@ -101,26 +101,27 @@ fn shared_nodes_perturb_time_never_data() {
 }
 
 #[test]
-fn off_policy_is_byte_identical_to_static_runner() {
+fn off_policy_leaves_no_controller_footprint() {
     let spec = fixture();
     let jobs = spec.build_jobs();
-    let obs = || Observe {
-        registry: None,
-        trace: true,
-        prof: None,
-        ..Observe::default()
+    let run = |policy| {
+        let obs = Observe {
+            trace: true,
+            ..Observe::default()
+        };
+        run_multitenant(&jobs, &spec.machine, spec.faults.as_ref(), policy, obs)
     };
-    let fixed = run_multitenant(&jobs, &spec.machine, spec.faults.as_ref(), obs());
-    let off = run_multitenant_adaptive(
-        &jobs,
-        &spec.machine,
-        spec.faults.as_ref(),
-        AdaptivePolicy::Off,
-        obs(),
-    );
-    assert_eq!(fixed.jobs, off.jobs, "Off must take the static code path");
-    assert_eq!(fixed.makespan, off.makespan);
-    assert_eq!(fixed.trace, off.trace, "trace bytes must be identical");
+    // The static path: nothing sampled, nothing gated, no replan lanes.
+    // The same jobs under a live policy show all three.
+    let off = run(AdaptivePolicy::Off);
+    assert!(off
+        .jobs
+        .iter()
+        .all(|j| j.adaptive == AdaptiveOutcome::default()));
+    assert!(!off.trace.expect("traced").contains("\"replan\""));
+    let live = run(AdaptivePolicy::Aggressive);
+    assert!(live.jobs.iter().any(|j| j.adaptive.deferrals > 0));
+    assert!(live.trace.expect("traced").contains("\"replan\""));
 }
 
 #[test]
@@ -128,7 +129,7 @@ fn adaptive_runs_replay_deterministically() {
     let spec = fixture();
     let jobs = spec.build_jobs();
     let run = || {
-        run_multitenant_adaptive(
+        run_multitenant(
             &jobs,
             &spec.machine,
             spec.faults.as_ref(),

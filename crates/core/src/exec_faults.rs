@@ -102,7 +102,10 @@ pub struct FaultOutcome {
 /// Simulate `plan` under the fault plan `fspec`, surviving what can be
 /// survived. `mem` drives replacement-aggregator selection (same budget
 /// data the planner used). Equivalent to [`simulate_adaptive`] with
-/// [`AdaptivePolicy::Off`]: the static resilience paths only.
+/// [`AdaptivePolicy::Off`]: the static resilience paths only. The
+/// wrapper stays because `benchmark/` calls it; it goes once ROADMAP
+/// item 1 lets the benchmark spell the policy out, as the callers of
+/// [`run_multitenant`](crate::run_multitenant) do.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_faulted(
     plan: &CollectivePlan,
@@ -507,10 +510,7 @@ fn rounds_after(
         .filter(|&r| {
             let round = &g.rounds[r];
             let involves = round.ios.iter().any(|io| io.agg == agg)
-                || round.messages.iter().any(|m| match rw {
-                    Rw::Write => m.dst == agg,
-                    Rw::Read => m.src == agg,
-                });
+                || round.messages.iter().any(|m| m.agg(rw) == agg);
             if !involves {
                 return false;
             }
@@ -611,11 +611,9 @@ fn retarget_round(round: &mut Round, rw: Rw, from: Rank, to: Rank) {
             io.agg = to;
         }
     }
-    for m in &mut round.messages {
-        match rw {
-            Rw::Write if m.dst == from => m.dst = to,
-            Rw::Read if m.src == from => m.src = to,
-            _ => {}
+    for end in round.messages.iter_mut().map(|m| m.agg_mut(rw)) {
+        if *end == from {
+            *end = to;
         }
     }
 }
@@ -652,11 +650,7 @@ fn split_oversized(g: &mut GroupPlan, r: usize, agg: Rank, limit: u64, rw: Rw) -
         for chunk in &chunks[1..] {
             let mut moved = Vec::new();
             for m in &mut g.rounds[r].messages {
-                let agg_end = match rw {
-                    Rw::Write => m.dst,
-                    Rw::Read => m.src,
-                };
-                if agg_end != agg {
+                if m.agg(rw) != agg {
                     continue;
                 }
                 let (stay, go): (Vec<Extent>, Vec<Extent>) = {

@@ -7,9 +7,10 @@
 //! * Each round's per-pair transfers become message activities (inter-
 //!   node: membus → NIC → wire → NIC → membus; intra-node: memory bus
 //!   only).
-//! * For writes, each aggregator's I/O waits for the messages addressed
-//!   to it, then issues one PFS request per coalesced extent; for reads,
-//!   the I/O comes first and the distribution messages wait on it.
+//! * A round is two phases, the exchange and the file access (one PFS
+//!   request per coalesced extent), in [`Rw::flow`] order: on a write
+//!   each aggregator's I/O waits for the messages addressed to it; on a
+//!   read the I/O comes first and the distribution messages wait on it.
 //! * Rounds chain: under [`SyncMode::Global`] round *r+1* of *everyone*
 //!   waits for round *r* of *everyone* (ROMIO's global `alltoallv`);
 //!   under [`SyncMode::PerGroup`] each group chains independently.
@@ -29,8 +30,10 @@ use mcio_cluster::{Fabric, ProcessMap, Rank};
 use mcio_des::{Activity, ActivityId, SharePolicy, SimDuration, SimTime, Simulation};
 use mcio_faults::{FaultEvent, FaultSpec};
 use mcio_obs::catalogue::{PID_FAULTS, PID_REPLAN, PID_ROUNDS};
-use mcio_obs::{Registry, TraceCollector};
+use mcio_obs::{Registry, Trace};
 use mcio_pfs::{Pfs, RetryMark, Rw};
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Display;
 use std::sync::Arc;
 
 /// Phase durations of one round slot (one synchronized step of one
@@ -432,7 +435,7 @@ pub(crate) fn execute<'a>(
         });
         // A gated round slot may not start before its gate releases
         // (failover re-coordination, controller deferral/demotion).
-        let gate_acts: std::collections::HashMap<(Option<usize>, usize), ActivityId> = job
+        let gate_acts: HashMap<(Option<usize>, usize), ActivityId> = job
             .marks
             .gates
             .iter()
@@ -442,7 +445,13 @@ pub(crate) fn execute<'a>(
                 ((gate.group, gate.round), act)
             })
             .collect();
-        let (meta, groups) = lower_plan(&mut sim, &fabric, &pfs, job, &gate_acts, start_gate);
+        let mut lowering = Lowering {
+            sim: &mut sim,
+            fabric: &fabric,
+            pfs: &pfs,
+            job,
+        };
+        let (meta, groups) = lowering.lower_plan(&gate_acts, start_gate);
         lowered.push(Lowered {
             meta,
             groups,
@@ -569,17 +578,17 @@ impl Executed<'_> {
     /// (pid 2, one thread per chain, stacked in job order), fault lanes
     /// (pid 3) and replan lanes (pid 5). `extra` appends the caller's
     /// own lanes before the JSON is rendered.
-    pub(crate) fn trace_json(&self, extra: impl FnOnce(&TraceCollector)) -> Option<String> {
+    pub(crate) fn trace_json(&self, extra: impl FnOnce(&mut Trace)) -> Option<String> {
         if !self.obs.trace {
             return None;
         }
         let _emit_scope = self.obs.prof.map(|p| p.scope("trace-emit"));
-        let tc = TraceCollector::new();
-        self.des.trace_into(&tc);
+        let mut tc = Trace::default();
+        self.des.trace_into(&mut tc);
         tc.name_lane(PID_ROUNDS);
         let mut tid_base = 0u64;
         for ((job, l), run) in self.jobs.iter().zip(&self.lowered).zip(&self.runs) {
-            emit_round_spans(&tc, job, l, run, tid_base);
+            emit_round_spans(&mut tc, job, l, run, tid_base);
             tid_base += l.groups.len() as u64;
         }
         // The "inject" category is descriptive only; the resilience
@@ -594,21 +603,22 @@ impl Executed<'_> {
                 .iter()
                 .any(|j| !j.marks.gates.is_empty() || !j.marks.degraded.is_empty())
         {
-            trace_faults(&tc, self);
+            trace_faults(&mut tc, self);
         }
         // Emitted only when a controller actually acted, so an
         // `AdaptivePolicy::Off` run stays byte-identical.
         if self.jobs.iter().any(|j| !j.marks.replans.is_empty()) {
-            trace_replan(&tc, self);
+            trace_replan(&mut tc, self);
         }
-        extra(&tc);
-        Some(tc.chrome_trace_json())
+        extra(&mut tc);
+        Some(tc.to_chrome_json())
     }
 }
 
-/// Per-slot metadata for phase attribution: the activities the slot's
-/// first phase waited on, its messages and its I/O completions (also
-/// grouped per aggregator).
+/// One round slot as lowered — what phase attribution reads back, and
+/// what [`Lowering::lower_round`] fills: the activities the slot's first
+/// phase waited on, its messages and its I/O completions (also grouped
+/// per aggregator).
 struct SlotMeta {
     chain: usize,
     round: usize,
@@ -618,142 +628,235 @@ struct SlotMeta {
     agg_ios: Vec<(Rank, Vec<ActivityId>)>,
 }
 
-/// Lower one job's plan into `sim`: build the round chains (global sync
-/// zips every group into one chain; per-group sync gives each group its
-/// own), wire the pipelining dependencies, and add the per-slot joins.
-///
-/// `job.prefix` namespaces every activity label the plan creates and
-/// `start_gate` delays every chain's first round (the job's arrival).
-/// Returns the slot metadata plus `chain_groups` (`chain_groups[ci]` is
-/// the plan group chain `ci` serves; `None` = all groups, global sync).
-fn lower_plan(
-    sim: &mut Simulation,
-    fabric: &Fabric,
-    pfs: &Pfs,
-    job: &ExecJob<'_>,
-    gate_acts: &std::collections::HashMap<(Option<usize>, usize), ActivityId>,
-    start_gate: Option<ActivityId>,
-) -> (Vec<SlotMeta>, Vec<Option<usize>>) {
-    let &ExecJob {
-        plan,
-        map,
-        pipeline,
-        exchange,
-        ref prefix,
-        ..
-    } = job;
-    // Chains of round-slots: Global sync zips all groups into one chain;
-    // PerGroup gives each group its own. `chain_groups[ci]` remembers
-    // which plan group chain `ci` serves (`None` = all groups, under
-    // global sync) so the trace can expose per-group span metadata.
-    let mut chains: Vec<Vec<Vec<&Round>>> = Vec::new();
-    let mut chain_groups: Vec<Option<usize>> = Vec::new();
-    match plan.sync {
-        SyncMode::Global => {
-            let mut chain = Vec::new();
-            for r in 0..plan.max_rounds() {
-                chain.push(
-                    plan.groups
-                        .iter()
-                        .filter_map(|g| g.rounds.get(r))
-                        .collect::<Vec<_>>(),
-                );
+/// What one job's rounds are lowered against: the shared simulation and
+/// machine, and the job for its plan, placement, exchange shape and
+/// label namespace (`job.prefix`: job attribution under multi-tenancy,
+/// `""` solo).
+struct Lowering<'a> {
+    sim: &'a mut Simulation,
+    fabric: &'a Fabric,
+    pfs: &'a Pfs,
+    job: &'a ExecJob<'a>,
+}
+
+/// The activities one phase of a round created, per aggregator.
+type AggActs = BTreeMap<Rank, Vec<ActivityId>>;
+
+/// What one phase of a round waits for, per aggregator: that
+/// aggregator's activities of the phase before it (`after`), or the
+/// slot's `first_deps` when it has none there — and in the first phase,
+/// which has no `after` — then `extra`.
+struct Gates<'a> {
+    after: Option<&'a AggActs>,
+    first_deps: &'a [ActivityId],
+    extra: &'a [ActivityId],
+}
+
+impl Gates<'_> {
+    fn of(&self, agg: Rank) -> impl Iterator<Item = ActivityId> + '_ {
+        let own = self.after.and_then(|acts| acts.get(&agg));
+        let own = own.map_or(self.first_deps, Vec::as_slice);
+        own.iter().chain(self.extra).copied()
+    }
+}
+
+/// One phase of a round: lowers it behind `Gates`, appends the handles
+/// the slot join waits on, and returns them per aggregator.
+type Phase<'l> = fn(&mut Lowering<'l>, &Round, &Gates<'_>, &mut Vec<ActivityId>) -> AggActs;
+
+impl<'l> Lowering<'l> {
+    /// Lower the job's plan: build the round chains (global sync zips
+    /// every group into one chain; per-group sync gives each group its
+    /// own), wire the pipelining dependencies, and add the per-slot
+    /// joins. `start_gate` delays every chain's first round (the job's
+    /// arrival). Returns the slot metadata plus `chain_groups`
+    /// (`chain_groups[ci]` is the plan group chain `ci` serves; `None` =
+    /// all groups, global sync), which the trace exposes as per-group
+    /// span metadata.
+    fn lower_plan(
+        &mut self,
+        gate_acts: &HashMap<(Option<usize>, usize), ActivityId>,
+        start_gate: Option<ActivityId>,
+    ) -> (Vec<SlotMeta>, Vec<Option<usize>>) {
+        let (plan, pipeline, prefix) = (self.job.plan, self.job.pipeline, &self.job.prefix);
+        let mut chains: Vec<Vec<Vec<&Round>>> = Vec::new();
+        let mut chain_groups: Vec<Option<usize>> = Vec::new();
+        match plan.sync {
+            SyncMode::Global => {
+                let slot = |r| plan.groups.iter().filter_map(|g| g.rounds.get(r)).collect();
+                chains.push((0..plan.max_rounds()).map(slot).collect());
+                chain_groups.push(None);
             }
-            chains.push(chain);
-            chain_groups.push(None);
-        }
-        SyncMode::PerGroup => {
-            for (gi, g) in plan.groups.iter().enumerate() {
-                if !g.rounds.is_empty() {
-                    chains.push(g.rounds.iter().map(|r| vec![r]).collect());
-                    chain_groups.push(Some(gi));
+            SyncMode::PerGroup => {
+                for (gi, g) in plan.groups.iter().enumerate() {
+                    if !g.rounds.is_empty() {
+                        chains.push(g.rounds.iter().map(|r| vec![r]).collect());
+                        chain_groups.push(Some(gi));
+                    }
                 }
             }
         }
-    }
 
-    let mut round_meta: Vec<SlotMeta> = Vec::new();
-    for (ci, chain) in chains.iter().enumerate() {
-        let mut ex_joins: Vec<ActivityId> = Vec::new();
-        let mut io_joins: Vec<ActivityId> = Vec::new();
-        for (r, slot) in chain.iter().enumerate() {
-            // Dependencies per pipelining mode. The "first" phase is the
-            // exchange for writes and the I/O for reads.
-            let (mut first_deps, second_extra): (Vec<ActivityId>, Vec<ActivityId>) = if r == 0 {
-                (start_gate.into_iter().collect(), Vec::new())
-            } else {
-                match pipeline {
+        let mut round_meta: Vec<SlotMeta> = Vec::new();
+        for (ci, chain) in chains.iter().enumerate() {
+            let mut ex_joins: Vec<ActivityId> = Vec::new();
+            let mut io_joins: Vec<ActivityId> = Vec::new();
+            for (r, rounds) in chain.iter().enumerate() {
+                // Dependencies per pipelining mode, on the earlier
+                // slots' joins in phase order.
+                let (prev_first, prev_second) = plan.rw.flow((&ex_joins, &io_joins));
+                let (mut first_deps, second_extra) = match pipeline {
+                    _ if r == 0 => (start_gate.into_iter().collect(), Vec::new()),
                     Pipeline::Serial => (vec![ex_joins[r - 1], io_joins[r - 1]], Vec::new()),
                     Pipeline::DoubleBuffered => {
                         // The first phase of round r reuses the buffer the
                         // second phase of round r-2 released; the second
                         // phase serializes per buffer stream.
-                        let (prev_first, prev_second) = match plan.rw {
-                            Rw::Write => (&ex_joins, &io_joins),
-                            Rw::Read => (&io_joins, &ex_joins),
-                        };
                         let mut first = vec![prev_first[r - 1]];
                         if r >= 2 {
                             first.push(prev_second[r - 2]);
                         }
                         (first, vec![prev_second[r - 1]])
                     }
+                };
+                // A gated slot may not start before its gate releases.
+                first_deps.extend(gate_acts.get(&(chain_groups[ci], r)));
+                let mut slot = SlotMeta {
+                    chain: ci,
+                    round: r,
+                    first_deps,
+                    msgs: Vec::new(),
+                    ios: Vec::new(),
+                    agg_ios: Vec::new(),
+                };
+                for round in rounds {
+                    self.lower_round(round, &second_extra, &mut slot);
                 }
-            };
-            if let Some(&gate) = gate_acts.get(&(chain_groups[ci], r)) {
-                first_deps.push(gate);
-            }
-            let mut msgs_all = Vec::new();
-            let mut ios_all = Vec::new();
-            let mut agg_ios_all: Vec<(Rank, Vec<ActivityId>)> = Vec::new();
-            for round in slot {
-                let h = lower_round(
-                    sim,
-                    fabric,
-                    pfs,
-                    map,
-                    plan.rw,
-                    round,
-                    &first_deps,
-                    &second_extra,
-                    exchange,
-                    prefix,
-                );
-                msgs_all.extend(h.msgs);
-                ios_all.extend(h.ios);
-                agg_ios_all.extend(h.agg_ios);
-            }
-            let ex_join = sim.add_activity(Activity::new(format!("{prefix}c{ci}.r{r}.ex")));
-            for &m in &msgs_all {
-                sim.add_dep(m, ex_join);
-            }
-            let io_join = sim.add_activity(Activity::new(format!("{prefix}c{ci}.r{r}.io")));
-            for &io in &ios_all {
-                sim.add_dep(io, io_join);
-            }
-            // Empty phases still chain (join on the other phase so the
-            // slot completes in order).
-            if msgs_all.is_empty() {
-                for &d in &first_deps {
-                    sim.add_dep(d, ex_join);
+                let sim = &mut *self.sim;
+                let ex_join = sim.add_activity(Activity::new(format!("{prefix}c{ci}.r{r}.ex")));
+                for &m in &slot.msgs {
+                    sim.add_dep(m, ex_join);
                 }
+                let io_join = sim.add_activity(Activity::new(format!("{prefix}c{ci}.r{r}.io")));
+                for &io in &slot.ios {
+                    sim.add_dep(io, io_join);
+                }
+                // Empty phases still chain (join on the other phase so the
+                // slot completes in order).
+                if slot.msgs.is_empty() {
+                    for &d in &slot.first_deps {
+                        sim.add_dep(d, ex_join);
+                    }
+                }
+                if slot.ios.is_empty() {
+                    sim.add_dep(ex_join, io_join);
+                }
+                round_meta.push(slot);
+                ex_joins.push(ex_join);
+                io_joins.push(io_join);
             }
-            if ios_all.is_empty() {
-                sim.add_dep(ex_join, io_join);
-            }
-            round_meta.push(SlotMeta {
-                chain: ci,
-                round: r,
-                first_deps,
-                msgs: msgs_all,
-                ios: ios_all,
-                agg_ios: agg_ios_all,
-            });
-            ex_joins.push(ex_join);
-            io_joins.push(io_join);
         }
+        (round_meta, chain_groups)
     }
-    (round_meta, chain_groups)
+
+    /// Lower one round into `slot`: its first phase behind the slot's
+    /// `first_deps`, its second behind each aggregator's first-phase
+    /// activities (`first_deps` for an aggregator without any) plus
+    /// `second_extra`, the pipelining gates. Which phase is first is the
+    /// plan's direction and nothing else: exchange then file access in
+    /// write order, [`Rw::flow`] of that on a read.
+    fn lower_round(&mut self, round: &Round, second_extra: &[ActivityId], slot: &mut SlotMeta) {
+        let rw = self.job.plan.rw;
+        let SlotMeta {
+            first_deps,
+            msgs,
+            ios,
+            agg_ios,
+            ..
+        } = slot;
+        let exchange: (Phase<'l>, _) = (Self::exchange, msgs);
+        let file_access: (Phase<'l>, _) = (Self::file_access, ios);
+        let ((first, first_out), (second, second_out)) = rw.flow((exchange, file_access));
+        let open = Gates {
+            after: None,
+            first_deps,
+            extra: &[],
+        };
+        let first_acts = first(self, round, &open, first_out);
+        let held = Gates {
+            after: Some(&first_acts),
+            extra: second_extra,
+            ..open
+        };
+        let second_acts = second(self, round, &held, second_out);
+        let (_, io_acts) = rw.flow((first_acts, second_acts));
+        agg_ios.extend(io_acts);
+    }
+
+    /// The exchange phase: one leg chain per transfer, its first leg
+    /// behind the aggregator's gates. Labels and endpoints read along
+    /// the data flow, `node->aggregator` on a write and
+    /// `aggregator->node` on a read.
+    fn exchange(
+        &mut self,
+        round: &Round,
+        gates: &Gates<'_>,
+        msgs: &mut Vec<ActivityId>,
+    ) -> AggActs {
+        let (job, rw) = (self.job, self.job.plan.rw);
+        let prefix = &job.prefix;
+        let mut acts = AggActs::new();
+        for t in exchange_transfers(round, job.map, job.exchange, rw) {
+            let (from, to): (&dyn Display, &dyn Display) = rw.flow((&t.node, &t.agg));
+            let (src, dst) = rw.flow((t.node, job.map.node_of(t.agg)));
+            let label = format!("{prefix}msg.{from}->{to}");
+            let wire = self.fabric.message(label, src, dst, t.bytes);
+            // Two-level: one extra memory-bus copy of the combined payload
+            // at the node's leader — combined there before the wire on a
+            // write, scattered from there after it on a read.
+            let copy = t.combined.then(|| {
+                let (verb, _) = rw.flow(("combine", "scatter"));
+                let label = format!("{prefix}{verb}.{from}->{to}");
+                self.fabric.message(label, t.node, t.node, t.bytes)
+            });
+            let legs = rw.flow((copy, Some(wire)));
+            let mut prev: Option<ActivityId> = None;
+            for leg in [legs.0, legs.1].into_iter().flatten() {
+                let a = self.sim.add_activity(leg);
+                match prev {
+                    None => gates.of(t.agg).for_each(|d| self.sim.add_dep(d, a)),
+                    Some(p) => self.sim.add_dep(p, a),
+                }
+                prev = Some(a);
+                acts.entry(t.agg).or_default().push(a);
+                msgs.push(a);
+            }
+        }
+        acts
+    }
+
+    /// The file-access phase: one PFS request per coalesced extent of
+    /// each I/O op, behind its aggregator's gates.
+    fn file_access(
+        &mut self,
+        round: &Round,
+        gates: &Gates<'_>,
+        ios: &mut Vec<ActivityId>,
+    ) -> AggActs {
+        let (job, pfs, fabric) = (self.job, self.pfs, self.fabric);
+        let mut acts = AggActs::new();
+        for io in &round.ios {
+            let deps: Vec<ActivityId> = gates.of(io.agg).collect();
+            let label = format!("{}io.{}", job.prefix, io.agg);
+            let node = job.map.node_of(io.agg);
+            for e in &io.extents {
+                let done = pfs.submit(self.sim, fabric, &label, node, job.plan.rw, *e, &deps);
+                acts.entry(io.agg).or_default().push(done);
+                ios.push(done);
+            }
+        }
+        acts
+    }
 }
 
 /// Busy-time maxima over the machine's resources: the busiest memory
@@ -802,9 +905,9 @@ struct Attribution {
 }
 
 /// Attribute each round slot's executed window to its exchange and I/O
-/// phases: messages span [start, last message done]; I/O spans the rest
-/// of the round. Reads do I/O first, so the roles of the two interval
-/// ends swap.
+/// phases: the first phase spans [start, its last completion], the
+/// second the rest of the slot — in [`Rw::flow`] order, so on a write
+/// the messages come first and on a read the I/O does.
 fn attribute_phases(
     rw: Rw,
     report: &mcio_des::RunReport,
@@ -815,27 +918,14 @@ fn attribute_phases(
     let mut io_time = SimDuration::ZERO;
     let mut round_phases: Vec<RoundPhase> = Vec::with_capacity(round_meta.len());
     let mut windows: Vec<RoundWindow> = Vec::with_capacity(round_meta.len());
-    let mut agg_io_acc: std::collections::BTreeMap<usize, SimDuration> =
-        std::collections::BTreeMap::new();
+    let mut agg_io_acc: BTreeMap<usize, SimDuration> = BTreeMap::new();
     for meta in round_meta {
-        let t0 = meta
-            .first_deps
-            .iter()
-            .map(|&d| report.finish_time(d))
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        let msgs_end = meta
-            .msgs
-            .iter()
-            .map(|&a| report.finish_time(a))
-            .max()
-            .unwrap_or(t0);
-        let ios_end = meta
-            .ios
-            .iter()
-            .map(|&a| report.finish_time(a))
-            .max()
-            .unwrap_or(t0);
+        let last = |acts: &[ActivityId], or: SimTime| {
+            let done = acts.iter().map(|&a| report.finish_time(a));
+            done.max().unwrap_or(or)
+        };
+        let t0 = last(&meta.first_deps, SimTime::ZERO);
+        let (msgs_end, ios_end) = (last(&meta.msgs, t0), last(&meta.ios, t0));
         windows.push(RoundWindow {
             group: chain_groups.get(meta.chain).copied().flatten(),
             round: meta.round,
@@ -845,16 +935,9 @@ fn attribute_phases(
                 .saturating_since(SimTime::ZERO)
                 .as_nanos(),
         });
-        let (exchange, io) = match rw {
-            Rw::Write => (
-                msgs_end.saturating_since(t0),
-                ios_end.saturating_since(msgs_end),
-            ),
-            Rw::Read => (
-                msgs_end.saturating_since(ios_end),
-                ios_end.saturating_since(t0),
-            ),
-        };
+        let (first_end, second_end) = rw.flow((msgs_end, ios_end));
+        let first = first_end.saturating_since(t0);
+        let (exchange, io) = rw.flow((first, second_end.saturating_since(first_end)));
         exchange_time += exchange;
         io_time += io;
         round_phases.push(RoundPhase {
@@ -930,7 +1013,7 @@ pub(crate) fn record_run(reg: &Registry, strategy: &str, job: Option<&str>, repo
 /// executor stacks the jobs' chains into disjoint tid ranges; the job
 /// prefix on the lane lets `mcio-analyze` attribute them.
 fn emit_round_spans(
-    tc: &TraceCollector,
+    tc: &mut Trace,
     job: &ExecJob<'_>,
     lowered: &Lowered,
     run: &JobRun,
@@ -962,32 +1045,18 @@ fn emit_round_spans(
                 &format!("{}chain{} (group {group})", job.prefix, meta.chain),
             );
         }
+        // The first phase starts the slot, the second follows it.
+        let rw = job.plan.rw;
+        let (first, _) = rw.flow((phase.exchange, phase.io));
         let t0 = window.start_ns;
-        let (ex_start, io_start) = match job.plan.rw {
-            Rw::Write => (t0, t0 + phase.exchange.as_nanos()),
-            Rw::Read => (t0 + phase.io.as_nanos(), t0),
-        };
-        if !phase.exchange.is_zero() {
-            tc.span_with_args(
-                &format!("r{}.exchange", meta.round),
-                "exchange",
-                PID_ROUNDS,
-                tid,
-                ex_start,
-                phase.exchange.as_nanos(),
-                args,
-            );
-        }
-        if !phase.io.is_zero() {
-            tc.span_with_args(
-                &format!("r{}.io", meta.round),
-                "io",
-                PID_ROUNDS,
-                tid,
-                io_start,
-                phase.io.as_nanos(),
-                args,
-            );
+        let (ex_start, io_start) = rw.flow((t0, t0 + first.as_nanos()));
+        let spans = [
+            ("exchange", ex_start, phase.exchange),
+            ("io", io_start, phase.io),
+        ];
+        for (what, start, dur) in spans.into_iter().filter(|s| !s.2.is_zero()) {
+            let name = format!("r{}.{what}", meta.round);
+            tc.span_with_args(&name, what, PID_ROUNDS, tid, start, dur.as_nanos(), args);
         }
     }
 }
@@ -1004,7 +1073,7 @@ fn emit_round_spans(
 ///   `degraded`.
 /// * tid `3 + ost` — retry/backoff chains per OST: the failed service
 ///   attempts (`retry`) and the waits between them (`backoff`).
-fn trace_faults(tc: &TraceCollector, ex: &Executed<'_>) {
+fn trace_faults(tc: &mut Trace, ex: &Executed<'_>) {
     let elapsed_ns = ex.makespan.as_nanos();
     tc.name_lane(PID_FAULTS);
     tc.name_thread(PID_FAULTS, 0, "injected");
@@ -1068,23 +1137,25 @@ fn trace_faults(tc: &TraceCollector, ex: &Executed<'_>) {
             }
         }
     }
+    // The service records of every retry chain, in record order: one
+    // pass over the run's records however many marks there are.
+    let mut chains: HashMap<ActivityId, Vec<&mcio_des::ServiceRecord>> =
+        (ex.retry_marks.iter().map(|m| (m.activity, Vec::new()))).collect();
+    for rec in ex.des.trace().unwrap_or(&[]) {
+        if let Some(chain) = chains.get_mut(&rec.activity) {
+            chain.push(rec);
+        }
+    }
     let mut named_osts = std::collections::BTreeSet::new();
     for mark in &ex.retry_marks {
         let tid = 3 + mark.ost as u64;
         if named_osts.insert(mark.ost) {
             tc.name_thread(PID_FAULTS, tid, &format!("ost{}.retries", mark.ost));
         }
-        // Service records of the retry chain, in submission order: the
-        // first `attempts - 1` stages are the failed tries; the gaps
-        // between consecutive stages are the backoff waits.
-        let recs: Vec<_> = ex
-            .des
-            .trace()
-            .unwrap_or(&[])
-            .iter()
-            .filter(|rec| rec.activity == mark.activity)
-            .cloned()
-            .collect();
+        // The first `attempts - 1` stages of the chain are the failed
+        // tries; the gaps between consecutive stages are the backoff
+        // waits.
+        let recs = &chains[&mark.activity];
         for (i, rec) in recs.iter().enumerate() {
             let start = rec.start.saturating_since(SimTime::ZERO).as_nanos();
             let dur = rec.end.saturating_since(rec.start).as_nanos();
@@ -1114,7 +1185,7 @@ fn trace_faults(tc: &TraceCollector, ex: &Executed<'_>) {
 /// decision. Slot-anchored marks snap to the executed round window so
 /// the span shows when the re-planned round actually ran; marks whose
 /// slot never executed are dropped (nothing to attribute).
-fn trace_replan(tc: &TraceCollector, ex: &Executed<'_>) {
+fn trace_replan(tc: &mut Trace, ex: &Executed<'_>) {
     let elapsed_ns = ex.makespan.as_nanos();
     tc.name_lane(PID_REPLAN);
     let mut named = std::collections::BTreeSet::new();
@@ -1124,23 +1195,11 @@ fn trace_replan(tc: &TraceCollector, ex: &Executed<'_>) {
         .zip(&ex.runs)
         .flat_map(|(job, run)| job.marks.replans.iter().map(move |m| (m, &run.windows)));
     for (mark, windows) in marks {
-        let tid = match mark.cat {
-            "retune" => 0,
-            "defer" => 1,
-            "demote" => 2,
-            _ => 3,
-        };
+        const LANES: [&str; 4] = ["retune", "defer", "demote", "resplit"];
+        let lane = LANES.iter().position(|&l| l == mark.cat).unwrap_or(3);
+        let tid = lane as u64;
         if named.insert(tid) {
-            tc.name_thread(
-                PID_REPLAN,
-                tid,
-                match tid {
-                    0 => "retune",
-                    1 => "defer",
-                    2 => "demote",
-                    _ => "resplit",
-                },
-            );
+            tc.name_thread(PID_REPLAN, tid, LANES[lane]);
         }
         let (start, dur) = match mark.slot {
             Some((group, round)) => {
@@ -1165,249 +1224,55 @@ fn trace_replan(tc: &TraceCollector, ex: &Executed<'_>) {
     }
 }
 
-/// One step of an exchange chain.
-enum Leg {
-    /// An on-node copy of `bytes` (leader-side combine or scatter).
-    Combine {
-        /// The node performing the local copy.
-        node: mcio_cluster::NodeId,
-        /// Combined payload size.
-        bytes: u64,
-    },
-    /// A message to/from the aggregator (`src` is the non-aggregator
-    /// endpoint's node).
-    Wire {
-        /// The non-aggregator endpoint's node.
-        src: mcio_cluster::NodeId,
-        /// Payload size.
-        bytes: u64,
-    },
+/// One transfer of a round's exchange: `bytes` between aggregator `agg`
+/// and the ranks of `node`.
+struct Transfer {
+    agg: Rank,
+    /// The node of the other endpoint.
+    node: mcio_cluster::NodeId,
+    bytes: u64,
+    /// Two-level exchange off the aggregator's node: the payload is
+    /// staged through an on-node copy at `node`'s leader.
+    combined: bool,
 }
 
-/// Expand a round's transfers into per-aggregator leg chains. The
-/// aggregator is a transfer's destination on writes and its source on
-/// reads; `Wire.src` names the node of the other endpoint. Two-level
-/// merges the contributions per (aggregator, peer node): a write
-/// combines at the node leader before the wire, a read scatters from
-/// it after.
+/// A round's transfers, sorted by aggregator and, within one, in rank
+/// order of the other endpoint. Two-level merges the contributions per
+/// (aggregator, node).
 fn exchange_transfers(
     round: &Round,
     map: &ProcessMap,
     exchange: Exchange,
     rw: Rw,
-) -> std::collections::BTreeMap<Rank, Vec<Vec<Leg>>> {
-    let ends = |(src, dst): (Rank, Rank)| match rw {
-        Rw::Write => (dst, map.node_of(src)),
-        Rw::Read => (src, map.node_of(dst)),
-    };
-    let mut out: std::collections::BTreeMap<Rank, Vec<Vec<Leg>>> =
-        std::collections::BTreeMap::new();
-    match exchange {
-        Exchange::Direct => {
-            for (pair, bytes) in round.transfers() {
-                let (agg, src) = ends(pair);
-                out.entry(agg)
-                    .or_default()
-                    .push(vec![Leg::Wire { src, bytes }]);
-            }
+) -> Vec<Transfer> {
+    let direct = |(pair, bytes)| {
+        let (peer, agg) = rw.flow(pair);
+        let node = map.node_of(peer);
+        Transfer {
+            agg,
+            node,
+            bytes,
+            combined: false,
         }
+    };
+    let mut out: Vec<Transfer> = round.transfers().into_iter().map(direct).collect();
+    match exchange {
+        Exchange::Direct => out.sort_by_key(|t| t.agg),
         Exchange::TwoLevel => {
-            let mut per_node: std::collections::BTreeMap<(Rank, mcio_cluster::NodeId), u64> =
-                std::collections::BTreeMap::new();
-            for (pair, bytes) in round.transfers() {
-                *per_node.entry(ends(pair)).or_insert(0) += bytes;
-            }
-            for ((agg, node), bytes) in per_node {
-                let wire = Leg::Wire { src: node, bytes };
-                let chain = if node == map.node_of(agg) {
-                    // Already on the aggregator's node: plain local copy.
-                    vec![wire]
-                } else {
-                    match rw {
-                        Rw::Write => vec![Leg::Combine { node, bytes }, wire],
-                        Rw::Read => vec![wire, Leg::Combine { node, bytes }],
-                    }
-                };
-                out.entry(agg).or_default().push(chain);
+            out.sort_by_key(|t| (t.agg, t.node));
+            out.dedup_by(|next, kept| {
+                let same = (next.agg, next.node) == (kept.agg, kept.node);
+                if same {
+                    kept.bytes += next.bytes;
+                }
+                same
+            });
+            for t in &mut out {
+                t.combined = t.node != map.node_of(t.agg);
             }
         }
     }
     out
-}
-
-/// Handles of a lowered round: the message activities and the I/O
-/// completion activities (the slot joins are built from these).
-struct RoundHandles {
-    /// The message activities (for joins and phase attribution).
-    msgs: Vec<ActivityId>,
-    /// The I/O completion activities.
-    ios: Vec<ActivityId>,
-    /// I/O completion activities grouped by the aggregator that issued
-    /// them (for per-aggregator phase attribution).
-    agg_ios: Vec<(Rank, Vec<ActivityId>)>,
-}
-
-/// Lower one round. `first_deps` gate the round's first phase (exchange
-/// for writes, I/O for reads); `second_extra` are additional gates on
-/// the second phase (used by pipelined scheduling); `prefix` namespaces
-/// every label (job attribution under multi-tenancy, `""` solo).
-#[allow(clippy::too_many_arguments)]
-fn lower_round(
-    sim: &mut Simulation,
-    fabric: &Fabric,
-    pfs: &Pfs,
-    map: &ProcessMap,
-    rw: Rw,
-    round: &Round,
-    first_deps: &[ActivityId],
-    second_extra: &[ActivityId],
-    exchange: Exchange,
-    prefix: &str,
-) -> RoundHandles {
-    let mut msg_acts: Vec<ActivityId> = Vec::new();
-    let mut io_acts: Vec<ActivityId> = Vec::new();
-    let mut agg_io_map: std::collections::BTreeMap<Rank, Vec<ActivityId>> =
-        std::collections::BTreeMap::new();
-    match rw {
-        Rw::Write => {
-            // Exchange, then I/O.
-            let mut msgs_to_agg: std::collections::BTreeMap<mcio_cluster::Rank, Vec<ActivityId>> =
-                std::collections::BTreeMap::new();
-            for (dst, chains) in exchange_transfers(round, map, exchange, rw) {
-                for chain in chains {
-                    let mut prev: Option<ActivityId> = None;
-                    for leg in chain {
-                        let a = match leg {
-                            Leg::Combine { node, bytes } => {
-                                // On-node combine at the leader: one extra
-                                // memory-bus copy of the combined payload.
-                                sim.add_activity(fabric.message(
-                                    format!("{prefix}combine.{node}->{dst}"),
-                                    node,
-                                    node,
-                                    bytes,
-                                ))
-                            }
-                            Leg::Wire { src, bytes } => sim.add_activity(fabric.message(
-                                format!("{prefix}msg.{src}->{dst}"),
-                                src,
-                                map.node_of(dst),
-                                bytes,
-                            )),
-                        };
-                        match prev {
-                            None => {
-                                for &d in first_deps {
-                                    sim.add_dep(d, a);
-                                }
-                            }
-                            Some(p) => sim.add_dep(p, a),
-                        }
-                        prev = Some(a);
-                        msgs_to_agg.entry(dst).or_default().push(a);
-                        msg_acts.push(a);
-                    }
-                }
-            }
-            for io in &round.ios {
-                let mut deps = msgs_to_agg
-                    .get(&io.agg)
-                    .cloned()
-                    .unwrap_or_else(|| first_deps.to_vec());
-                deps.extend_from_slice(second_extra);
-                let node = map.node_of(io.agg);
-                for e in &io.extents {
-                    let done = pfs.submit(
-                        sim,
-                        fabric,
-                        &format!("{prefix}io.{}", io.agg),
-                        node,
-                        Rw::Write,
-                        *e,
-                        &deps,
-                    );
-                    agg_io_map.entry(io.agg).or_default().push(done);
-                    io_acts.push(done);
-                }
-            }
-        }
-        Rw::Read => {
-            // I/O first, then distribution.
-            for io in &round.ios {
-                let deps: Vec<ActivityId> = first_deps.to_vec();
-                let node = map.node_of(io.agg);
-                for e in &io.extents {
-                    let done = pfs.submit(
-                        sim,
-                        fabric,
-                        &format!("{prefix}io.{}", io.agg),
-                        node,
-                        Rw::Read,
-                        *e,
-                        &deps,
-                    );
-                    agg_io_map.entry(io.agg).or_default().push(done);
-                    io_acts.push(done);
-                }
-            }
-            for (agg, chains) in exchange_transfers(round, map, exchange, rw) {
-                for chain in chains {
-                    let mut prev: Option<ActivityId> = None;
-                    for leg in chain {
-                        let a = match leg {
-                            Leg::Combine { node, bytes } => {
-                                // On-node scatter from the leader's buffer.
-                                sim.add_activity(fabric.message(
-                                    format!("{prefix}scatter.{agg}->{node}"),
-                                    node,
-                                    node,
-                                    bytes,
-                                ))
-                            }
-                            Leg::Wire {
-                                src: dst_node,
-                                bytes,
-                            } => sim.add_activity(fabric.message(
-                                format!("{prefix}msg.{agg}->{dst_node}"),
-                                map.node_of(agg),
-                                dst_node,
-                                bytes,
-                            )),
-                        };
-                        match prev {
-                            None => {
-                                // The aggregator must have read its window
-                                // first.
-                                match agg_io_map.get(&agg) {
-                                    Some(ios) => {
-                                        for &io in ios {
-                                            sim.add_dep(io, a);
-                                        }
-                                    }
-                                    None => {
-                                        for &d in first_deps {
-                                            sim.add_dep(d, a);
-                                        }
-                                    }
-                                }
-                                for &d in second_extra {
-                                    sim.add_dep(d, a);
-                                }
-                            }
-                            Some(p) => sim.add_dep(p, a),
-                        }
-                        prev = Some(a);
-                        msg_acts.push(a);
-                    }
-                }
-            }
-        }
-    }
-    RoundHandles {
-        msgs: msg_acts,
-        ios: io_acts,
-        agg_ios: agg_io_map.into_iter().collect(),
-    }
 }
 
 #[cfg(test)]

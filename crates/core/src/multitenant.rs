@@ -224,25 +224,214 @@ impl<'a> TenantSession<'a> {
         }
     }
 
-    /// [`run_multitenant`] on this session's machine and memo.
+    /// [`run_multitenant`] on this session's machine and memo: controller
+    /// gates, then the shared executor, then the tenant metrics and lanes.
     pub fn run(
-        &mut self,
-        jobs: &[TenantJob],
-        faults: Option<&FaultSpec>,
-        obs: Observe<'_>,
-    ) -> MultiTenantReport {
-        run_session(self, jobs, faults, AdaptivePolicy::Off, obs)
-    }
-
-    /// [`run_multitenant_adaptive`] on this session's machine and memo.
-    pub fn run_adaptive(
         &mut self,
         jobs: &[TenantJob],
         faults: Option<&FaultSpec>,
         policy: AdaptivePolicy,
         obs: Observe<'_>,
     ) -> MultiTenantReport {
-        run_session(self, jobs, faults, policy, obs)
+        let spec = self.spec;
+        assert!(
+            !jobs.is_empty(),
+            "a multi-tenant run needs at least one job"
+        );
+        let multi = jobs.len() > 1;
+        let controller_ran = |strategy: Strategy| {
+            !policy.is_off()
+                && faults.is_some_and(|f| !f.is_empty())
+                && strategy != Strategy::TwoPhase
+        };
+
+        let maps: Vec<ProcessMap> = jobs
+            .iter()
+            .map(|job| job.map.with_node_offset(job.node_offset))
+            .collect();
+        let mut exec_jobs: Vec<ExecJob<'_>> = jobs
+            .iter()
+            .zip(&maps)
+            .enumerate()
+            .map(|(ji, (job, map))| ExecJob {
+                plan: &job.plan,
+                map,
+                pipeline: job.pipeline,
+                exchange: job.exchange,
+                start: job.start,
+                prefix: if multi {
+                    format!("j{ji}.")
+                } else {
+                    String::new()
+                },
+                elapsed: Elapsed::Span,
+                marks: JobMarks::default(),
+            })
+            .collect();
+        let mut job_adaptive = vec![
+            AdaptiveOutcome {
+                policy,
+                ..AdaptiveOutcome::default()
+            };
+            jobs.len()
+        ];
+
+        // Closed-loop deferral. When any job's controller will act, the
+        // whole shared, degraded machine is run once without gates to learn
+        // where every round actually lands under contention; each such
+        // job's solo clean run says how long a round takes at nominal rate.
+        // Rounds the comparison condemns to crawling through a degraded OST
+        // window are held behind a release gate in the shared DES. The probe
+        // ignores the gates it motivates — a mistimed gate only costs idle
+        // time, never correctness.
+        if jobs.iter().any(|j| controller_ran(j.plan.strategy)) {
+            let fspec = faults.expect("controller_ran implies faults");
+            let shared_probe = probe_shared_windows(spec, &exec_jobs, fspec, obs.engine);
+            for (ji, job) in jobs.iter().enumerate() {
+                if !controller_ran(job.plan.strategy) {
+                    continue;
+                }
+                // The clean run *is* this job's solo baseline.
+                let clean = self.solo_run(job, obs.engine);
+                self.seed_solo(job, obs.engine, clean.report.elapsed);
+                let horizon = clean.report.elapsed.as_nanos();
+                let signals = SignalSnapshot::sample(fspec, spec.io_servers, horizon, 0.0);
+                let adapt = &mut job_adaptive[ji];
+                adapt.severity = signals.severity();
+                if adapt.severity > policy.dead_band() {
+                    // The shared-probe windows are already absolute (the
+                    // job's arrival gate is inside the probe), so no
+                    // offset; tenancy queueing is factored out of the
+                    // defer-vs-crawl comparison by the contention scale.
+                    let probed = &shared_probe[ji];
+                    let nosts = spec.io_servers;
+                    let scale = contention_stretch(fspec, nosts, &clean.windows, probed, 0);
+                    let decisions =
+                        plan_deferrals(fspec, policy, nosts, &clean.windows, probed, 0, scale);
+                    let ExecJob { prefix, marks, .. } = &mut exec_jobs[ji];
+                    adapt.deferrals = gate_deferrals(decisions, prefix, Some(&job.label), marks);
+                }
+            }
+        }
+
+        let ex = execute(spec, &exec_jobs, faults, obs);
+        let makespan = ex.makespan;
+
+        // Per-job outcome: span, solo baseline, and how much of the job's
+        // OST service time overlapped some other job's.
+        let merged_ost: Vec<Vec<(u64, u64)>> =
+            ex.ost_service().into_iter().map(merge_intervals).collect();
+        let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
+        for (ji, (job, run)) in jobs.iter().zip(&ex.runs).enumerate() {
+            let span = run.report.elapsed;
+            let solo_elapsed = self.solo_elapsed(job, obs.engine);
+            let slowdown = if solo_elapsed.is_zero() {
+                1.0
+            } else {
+                span.as_secs_f64() / solo_elapsed.as_secs_f64()
+            };
+            let others: Vec<(u64, u64)> = merge_intervals(
+                merged_ost
+                    .iter()
+                    .enumerate()
+                    .filter(|(oj, _)| *oj != ji)
+                    .flat_map(|(_, v)| v.iter().copied())
+                    .collect(),
+            );
+            let own = total_len(&merged_ost[ji]);
+            let ost_overlap = if own == 0 {
+                0.0
+            } else {
+                intersect_len(&merged_ost[ji], &others) as f64 / own as f64
+            };
+            outcomes.push(JobOutcome {
+                label: job.label.clone(),
+                strategy: job.plan.strategy,
+                report: run.report.clone(),
+                start_ns: job.start.as_nanos(),
+                end_ns: run.end_ns,
+                solo_elapsed,
+                slowdown,
+                ost_overlap,
+                adaptive: job_adaptive[ji].clone(),
+            });
+        }
+
+        if let Some(reg) = obs.registry {
+            for (job, outcome) in jobs.iter().zip(&outcomes) {
+                job.plan.record_into(reg);
+                record_run(
+                    reg,
+                    job.plan.strategy.label(),
+                    multi.then_some(job.label.as_str()),
+                    &outcome.report,
+                );
+            }
+            let none: [(&str, &str); 0] = [];
+            reg.set_gauge("tenant.jobs", &none, jobs.len() as f64);
+            reg.set_gauge("tenant.makespan_ns", &none, makespan.as_nanos() as f64);
+            for outcome in &outcomes {
+                let labels = [
+                    ("job", outcome.label.as_str()),
+                    ("strategy", outcome.strategy.label()),
+                ];
+                reg.set_gauge("tenant.slowdown", &labels, outcome.slowdown);
+                reg.set_gauge("tenant.ost_overlap_frac", &labels, outcome.ost_overlap);
+                reg.set_gauge(
+                    "tenant.solo_elapsed_ns",
+                    &labels,
+                    outcome.solo_elapsed.as_nanos() as f64,
+                );
+            }
+            // adaptive.* appears only for jobs the controller actually
+            // handled, so Off (and all-static) runs keep their documents
+            // byte-identical.
+            for outcome in outcomes.iter().filter(|o| controller_ran(o.strategy)) {
+                let labels = [
+                    ("job", outcome.label.as_str()),
+                    ("strategy", outcome.strategy.label()),
+                    ("policy", policy.label()),
+                ];
+                reg.set_gauge("adaptive.severity", &labels, outcome.adaptive.severity);
+                reg.inc(
+                    "adaptive.deferrals",
+                    &labels,
+                    outcome.adaptive.deferrals as u64,
+                );
+            }
+        }
+
+        let trace = ex.trace_json(|tc| {
+            if multi {
+                tc.name_lane(PID_TENANTS);
+                for (ji, outcome) in outcomes.iter().enumerate() {
+                    tc.name_thread(PID_TENANTS, ji as u64, &format!("j{ji} {}", outcome.label));
+                    let slowdown = format!("{:.6}", outcome.slowdown);
+                    let overlap = format!("{:.6}", outcome.ost_overlap);
+                    tc.span_with_args(
+                        &format!("j{ji}.window"),
+                        "tenant",
+                        PID_TENANTS,
+                        ji as u64,
+                        outcome.start_ns,
+                        outcome.end_ns - outcome.start_ns,
+                        &[
+                            ("job", outcome.label.as_str()),
+                            ("strategy", outcome.strategy.label()),
+                            ("slowdown", slowdown.as_str()),
+                            ("ost_overlap", overlap.as_str()),
+                        ],
+                    );
+                }
+            }
+        });
+
+        MultiTenantReport {
+            jobs: outcomes,
+            makespan,
+            trace,
+            engine: ex.engine(),
+        }
     }
 
     /// The job's solo baseline under `engine`: simulated on first use,
@@ -309,6 +498,19 @@ impl<'a> TenantSession<'a> {
 /// shock) go through [`simulate_faulted`](crate::simulate_faulted)
 /// instead, which re-plans a single job.
 ///
+/// Any `policy` but [`AdaptivePolicy::Off`] enables the closed-loop
+/// controller for the MC-CIO jobs of the run. On a shared machine the
+/// controller's lever is *deferral*: a probe of the whole shared,
+/// degraded run (`probe_shared_windows`) decides which of each MC job's
+/// rounds should wait out a degraded OST window instead of crawling
+/// through it, and those rounds are release-gated in the shared DES.
+/// The job's solo clean run supplies the nominal round durations the
+/// defer-vs-crawl comparison needs. Structural re-planning (crash
+/// failover, shock demotion) stays a per-job concern via
+/// [`simulate_adaptive`](crate::simulate_adaptive), as structural
+/// faults do. Two-phase jobs and [`AdaptivePolicy::Off`] take the
+/// static path byte-for-byte.
+///
 /// Runs on a fresh [`TenantSession`]; hold a session instead when the
 /// same placed jobs recur across runs.
 ///
@@ -319,9 +521,10 @@ pub fn run_multitenant(
     jobs: &[TenantJob],
     spec: &ClusterSpec,
     faults: Option<&FaultSpec>,
+    policy: AdaptivePolicy,
     obs: Observe<'_>,
 ) -> MultiTenantReport {
-    TenantSession::new(spec).run(jobs, faults, obs)
+    TenantSession::new(spec).run(jobs, faults, policy, obs)
 }
 
 /// Probe pass of the closed-loop multi-tenant controller: execute the
@@ -343,235 +546,4 @@ fn probe_shared_windows(
     };
     let probe = execute(spec, jobs, Some(faults), unobserved);
     probe.runs.into_iter().map(|run| run.windows).collect()
-}
-
-/// [`run_multitenant`] with the closed-loop controller enabled for the
-/// MC-CIO jobs of the run. On a shared machine the controller's lever
-/// is *deferral*: a probe of the whole shared, degraded run
-/// (`probe_shared_windows`) decides which of each MC job's rounds
-/// should wait out a degraded OST window instead of crawling through
-/// it, and those rounds are release-gated in the shared DES. The
-/// job's solo clean run supplies the nominal round durations the
-/// defer-vs-crawl comparison needs. Structural re-planning (crash
-/// failover, shock demotion) stays a per-job concern via
-/// [`simulate_adaptive`](crate::simulate_adaptive) — exactly as
-/// structural faults already do for [`run_multitenant`]. Two-phase
-/// jobs and [`AdaptivePolicy::Off`] take the static path
-/// byte-for-byte.
-pub fn run_multitenant_adaptive(
-    jobs: &[TenantJob],
-    spec: &ClusterSpec,
-    faults: Option<&FaultSpec>,
-    policy: AdaptivePolicy,
-    obs: Observe<'_>,
-) -> MultiTenantReport {
-    TenantSession::new(spec).run_adaptive(jobs, faults, policy, obs)
-}
-
-/// The one multi-tenant runner behind every entry point: controller
-/// gates, then the shared executor, then the tenant metrics and lanes.
-fn run_session(
-    session: &mut TenantSession<'_>,
-    jobs: &[TenantJob],
-    faults: Option<&FaultSpec>,
-    policy: AdaptivePolicy,
-    obs: Observe<'_>,
-) -> MultiTenantReport {
-    let spec = session.spec;
-    assert!(
-        !jobs.is_empty(),
-        "a multi-tenant run needs at least one job"
-    );
-    let multi = jobs.len() > 1;
-    let controller_ran = |strategy: Strategy| {
-        !policy.is_off() && faults.is_some_and(|f| !f.is_empty()) && strategy != Strategy::TwoPhase
-    };
-
-    let maps: Vec<ProcessMap> = jobs
-        .iter()
-        .map(|job| job.map.with_node_offset(job.node_offset))
-        .collect();
-    let mut exec_jobs: Vec<ExecJob<'_>> = jobs
-        .iter()
-        .zip(&maps)
-        .enumerate()
-        .map(|(ji, (job, map))| ExecJob {
-            plan: &job.plan,
-            map,
-            pipeline: job.pipeline,
-            exchange: job.exchange,
-            start: job.start,
-            prefix: if multi {
-                format!("j{ji}.")
-            } else {
-                String::new()
-            },
-            elapsed: Elapsed::Span,
-            marks: JobMarks::default(),
-        })
-        .collect();
-    let mut job_adaptive = vec![
-        AdaptiveOutcome {
-            policy,
-            ..AdaptiveOutcome::default()
-        };
-        jobs.len()
-    ];
-
-    // Closed-loop deferral. When any job's controller will act, the
-    // whole shared, degraded machine is run once without gates to learn
-    // where every round actually lands under contention; each such
-    // job's solo clean run says how long a round takes at nominal rate.
-    // Rounds the comparison condemns to crawling through a degraded OST
-    // window are held behind a release gate in the shared DES. The probe
-    // ignores the gates it motivates — a mistimed gate only costs idle
-    // time, never correctness.
-    if jobs.iter().any(|j| controller_ran(j.plan.strategy)) {
-        let fspec = faults.expect("controller_ran implies faults");
-        let shared_probe = probe_shared_windows(spec, &exec_jobs, fspec, obs.engine);
-        for (ji, job) in jobs.iter().enumerate() {
-            if !controller_ran(job.plan.strategy) {
-                continue;
-            }
-            // The clean run *is* this job's solo baseline.
-            let clean = session.solo_run(job, obs.engine);
-            session.seed_solo(job, obs.engine, clean.report.elapsed);
-            let horizon = clean.report.elapsed.as_nanos();
-            let signals = SignalSnapshot::sample(fspec, spec.io_servers, horizon, 0.0);
-            let adapt = &mut job_adaptive[ji];
-            adapt.severity = signals.severity();
-            if adapt.severity > policy.dead_band() {
-                // The shared-probe windows are already absolute (the
-                // job's arrival gate is inside the probe), so no
-                // offset; tenancy queueing is factored out of the
-                // defer-vs-crawl comparison by the contention scale.
-                let probed = &shared_probe[ji];
-                let nosts = spec.io_servers;
-                let scale = contention_stretch(fspec, nosts, &clean.windows, probed, 0);
-                let decisions =
-                    plan_deferrals(fspec, policy, nosts, &clean.windows, probed, 0, scale);
-                let ExecJob { prefix, marks, .. } = &mut exec_jobs[ji];
-                adapt.deferrals = gate_deferrals(decisions, prefix, Some(&job.label), marks);
-            }
-        }
-    }
-
-    let ex = execute(spec, &exec_jobs, faults, obs);
-    let makespan = ex.makespan;
-
-    // Per-job outcome: span, solo baseline, and how much of the job's
-    // OST service time overlapped some other job's.
-    let merged_ost: Vec<Vec<(u64, u64)>> =
-        ex.ost_service().into_iter().map(merge_intervals).collect();
-    let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
-    for (ji, (job, run)) in jobs.iter().zip(&ex.runs).enumerate() {
-        let span = run.report.elapsed;
-        let solo_elapsed = session.solo_elapsed(job, obs.engine);
-        let slowdown = if solo_elapsed.is_zero() {
-            1.0
-        } else {
-            span.as_secs_f64() / solo_elapsed.as_secs_f64()
-        };
-        let others: Vec<(u64, u64)> = merge_intervals(
-            merged_ost
-                .iter()
-                .enumerate()
-                .filter(|(oj, _)| *oj != ji)
-                .flat_map(|(_, v)| v.iter().copied())
-                .collect(),
-        );
-        let own = total_len(&merged_ost[ji]);
-        let ost_overlap = if own == 0 {
-            0.0
-        } else {
-            intersect_len(&merged_ost[ji], &others) as f64 / own as f64
-        };
-        outcomes.push(JobOutcome {
-            label: job.label.clone(),
-            strategy: job.plan.strategy,
-            report: run.report.clone(),
-            start_ns: job.start.as_nanos(),
-            end_ns: run.end_ns,
-            solo_elapsed,
-            slowdown,
-            ost_overlap,
-            adaptive: job_adaptive[ji].clone(),
-        });
-    }
-
-    if let Some(reg) = obs.registry {
-        for (job, outcome) in jobs.iter().zip(&outcomes) {
-            job.plan.record_into(reg);
-            record_run(
-                reg,
-                job.plan.strategy.label(),
-                multi.then_some(job.label.as_str()),
-                &outcome.report,
-            );
-        }
-        let none: [(&str, &str); 0] = [];
-        reg.set_gauge("tenant.jobs", &none, jobs.len() as f64);
-        reg.set_gauge("tenant.makespan_ns", &none, makespan.as_nanos() as f64);
-        for outcome in &outcomes {
-            let labels = [
-                ("job", outcome.label.as_str()),
-                ("strategy", outcome.strategy.label()),
-            ];
-            reg.set_gauge("tenant.slowdown", &labels, outcome.slowdown);
-            reg.set_gauge("tenant.ost_overlap_frac", &labels, outcome.ost_overlap);
-            reg.set_gauge(
-                "tenant.solo_elapsed_ns",
-                &labels,
-                outcome.solo_elapsed.as_nanos() as f64,
-            );
-        }
-        // adaptive.* appears only for jobs the controller actually
-        // handled, so Off (and all-static) runs keep their documents
-        // byte-identical.
-        for outcome in outcomes.iter().filter(|o| controller_ran(o.strategy)) {
-            let labels = [
-                ("job", outcome.label.as_str()),
-                ("strategy", outcome.strategy.label()),
-                ("policy", policy.label()),
-            ];
-            reg.set_gauge("adaptive.severity", &labels, outcome.adaptive.severity);
-            reg.inc(
-                "adaptive.deferrals",
-                &labels,
-                outcome.adaptive.deferrals as u64,
-            );
-        }
-    }
-
-    let trace = ex.trace_json(|tc| {
-        if multi {
-            tc.name_lane(PID_TENANTS);
-            for (ji, outcome) in outcomes.iter().enumerate() {
-                tc.name_thread(PID_TENANTS, ji as u64, &format!("j{ji} {}", outcome.label));
-                let slowdown = format!("{:.6}", outcome.slowdown);
-                let overlap = format!("{:.6}", outcome.ost_overlap);
-                tc.span_with_args(
-                    &format!("j{ji}.window"),
-                    "tenant",
-                    PID_TENANTS,
-                    ji as u64,
-                    outcome.start_ns,
-                    outcome.end_ns - outcome.start_ns,
-                    &[
-                        ("job", outcome.label.as_str()),
-                        ("strategy", outcome.strategy.label()),
-                        ("slowdown", slowdown.as_str()),
-                        ("ost_overlap", overlap.as_str()),
-                    ],
-                );
-            }
-        }
-    });
-
-    MultiTenantReport {
-        jobs: outcomes,
-        makespan,
-        trace,
-        engine: ex.engine(),
-    }
 }

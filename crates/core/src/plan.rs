@@ -21,7 +21,9 @@ use std::collections::BTreeMap;
 ///
 /// For a **write** plan, `src` is the requesting rank and `dst` the
 /// aggregator; for a **read** plan, `src` is the aggregator and `dst` the
-/// requesting rank. `extents` identify which bytes move, in offset order.
+/// requesting rank — [`Rw::flow`] of `(requester, aggregator)`, and
+/// [`Message::agg`] is the one place that spells it out. `extents`
+/// identify which bytes move, in offset order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Sending rank.
@@ -33,6 +35,24 @@ pub struct Message {
 }
 
 impl Message {
+    /// The message carrying `extents` between `requester` and its
+    /// aggregator `agg` in a plan of direction `rw`.
+    pub fn new(rw: Rw, requester: Rank, agg: Rank, extents: Vec<Extent>) -> Self {
+        let (src, dst) = rw.flow((requester, agg));
+        Message { src, dst, extents }
+    }
+
+    /// The aggregator end of the message in a plan of direction `rw`.
+    pub fn agg(&self, rw: Rw) -> Rank {
+        rw.flow((self.src, self.dst)).1
+    }
+
+    /// [`Message::agg`], for re-pointing the message at another
+    /// aggregator.
+    pub fn agg_mut(&mut self, rw: Rw) -> &mut Rank {
+        rw.flow((&mut self.src, &mut self.dst)).1
+    }
+
     /// Payload size of the message.
     pub fn bytes(&self) -> u64 {
         total_bytes(&self.extents)
@@ -327,10 +347,7 @@ impl CollectivePlan {
                     let got: u64 = r
                         .messages
                         .iter()
-                        .filter(|m| match self.rw {
-                            Rw::Write => m.dst == agg,
-                            Rw::Read => m.src == agg,
-                        })
+                        .filter(|m| m.agg(self.rw) == agg)
                         .flat_map(|m| m.extents.iter())
                         .filter(|e| io.window.contains_extent(e))
                         .map(|e| e.len)
@@ -358,10 +375,7 @@ impl CollectivePlan {
                 // (4) Direction sanity: aggregator end of each message is
                 // an assigned aggregator of this group.
                 for m in &r.messages {
-                    let agg_end = match self.rw {
-                        Rw::Write => m.dst,
-                        Rw::Read => m.src,
-                    };
+                    let agg_end = m.agg(self.rw);
                     if !g.aggregators.iter().any(|a| a.rank == agg_end) {
                         return Err(format!(
                             "group {gi} round {ri}: message endpoint {agg_end} is not an aggregator"

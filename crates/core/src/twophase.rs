@@ -216,11 +216,7 @@ pub(crate) fn build_window<'a>(
         if extents.is_empty() {
             continue;
         }
-        let (src, dst) = match rw {
-            Rw::Write => (rr.rank, agg),
-            Rw::Read => (agg, rr.rank),
-        };
-        round.messages.push(Message { src, dst, extents });
+        round.messages.push(Message::new(rw, rr.rank, agg, extents));
     }
     let extents = clip_sorted(cover, &window);
     if !extents.is_empty() {

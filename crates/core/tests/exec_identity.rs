@@ -19,9 +19,9 @@ use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
 use mcio_core::exec_sim::{simulate_observed, Exchange, Observe, Pipeline};
 use mcio_core::{
-    mcio, run_multitenant, run_multitenant_adaptive, simulate_adaptive, simulate_faulted, twophase,
-    AdaptivePolicy, CollectiveConfig, CollectivePlan, CollectiveRequest, Extent, FaultOutcome,
-    MultiTenantReport, ProcMemory, Rw, Strategy, SyncMode, TenantJob,
+    mcio, run_multitenant, simulate_adaptive, simulate_faulted, twophase, AdaptivePolicy,
+    CollectiveConfig, CollectivePlan, CollectiveRequest, Extent, FaultOutcome, MultiTenantReport,
+    ProcMemory, Rw, Strategy, SyncMode, TenantJob,
 };
 use mcio_des::{SharePolicy, SimDuration};
 use mcio_faults::FaultSpec;
@@ -291,7 +291,8 @@ fn overlapping_tenants_under_machine_faults_are_pinned() {
          req_transient_fail(0.15, 3)\n",
     )
     .expect("fault plan parses");
-    let run = |obs: Observe<'_>| run_multitenant(&jobs, &spec, Some(&faults), obs);
+    let run =
+        |obs: Observe<'_>| run_multitenant(&jobs, &spec, Some(&faults), AdaptivePolicy::Off, obs);
     let mt = run(Observe::default());
     assert!(mt.jobs.iter().all(|j| j.ost_overlap > 0.0), "{mt:?}");
 
@@ -332,7 +333,7 @@ fn overlap_fixture() -> (ClusterSpec, Vec<TenantJob>, FaultSpec) {
 
 fn overlap_run(policy: AdaptivePolicy, obs: Observe<'_>) -> MultiTenantReport {
     let (machine, jobs, faults) = overlap_fixture();
-    run_multitenant_adaptive(&jobs, &machine, Some(&faults), policy, obs)
+    run_multitenant(&jobs, &machine, Some(&faults), policy, obs)
 }
 
 #[test]
@@ -371,7 +372,7 @@ fn late_two_level_single_job_is_pinned() {
     let job = [TenantJob::new("late", s.mc.clone(), s.map.clone())
         .start(SimDuration::from_micros(250))
         .exchange(Exchange::TwoLevel)];
-    let run = |obs: Observe<'_>| run_multitenant(&job, &s.spec, None, obs);
+    let run = |obs: Observe<'_>| run_multitenant(&job, &s.spec, None, AdaptivePolicy::Off, obs);
     let mt = run(Observe::default());
     assert!(mt.jobs[0].report.elapsed < mt.makespan);
 

@@ -19,8 +19,8 @@ use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
 use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
 use mcio_core::{
-    exec_fn, mcio, run_multitenant, simulate_observed, twophase, CollectiveConfig, CollectivePlan,
-    CollectiveRequest, Extent, ProcMemory, Rw, Strategy, TenantJob, TenantSession,
+    exec_fn, mcio, run_multitenant, simulate_observed, twophase, AdaptivePolicy, CollectiveConfig,
+    CollectivePlan, CollectiveRequest, Extent, ProcMemory, Rw, Strategy, TenantJob, TenantSession,
 };
 use mcio_des::{SharePolicy, SimDuration};
 use mcio_pfs::SparseFile;
@@ -130,7 +130,7 @@ proptest! {
                 .pipeline(pipeline)
                 .exchange(exchange)],
             &cluster,
-            None,
+            None, AdaptivePolicy::Off,
             Observe { registry: None, trace: true, prof: None, ..Observe::default() },
         );
 
@@ -187,7 +187,7 @@ proptest! {
             requests.push(req);
         }
 
-        let mt = run_multitenant(&jobs, &cluster, None,
+        let mt = run_multitenant(&jobs, &cluster, None, AdaptivePolicy::Off,
             Observe { registry: None, trace: false, prof: None, ..Observe::default() });
 
         prop_assert_eq!(mt.jobs.len(), k);
@@ -237,9 +237,9 @@ proptest! {
             })
             .collect();
 
-        let a = run_multitenant(&jobs, &cluster, None,
+        let a = run_multitenant(&jobs, &cluster, None, AdaptivePolicy::Off,
             Observe { registry: None, trace: true, prof: None, ..Observe::default() });
-        let b = run_multitenant(&jobs, &cluster, None,
+        let b = run_multitenant(&jobs, &cluster, None, AdaptivePolicy::Off,
             Observe { registry: None, trace: true, prof: None, ..Observe::default() });
         prop_assert_eq!(&a.jobs, &b.jobs, "job outcomes must replay identically");
         prop_assert_eq!(a.makespan, b.makespan);
@@ -312,8 +312,8 @@ proptest! {
                 SharePolicy::Fifo
             };
             let obs = || Observe { trace: true, engine, ..Observe::default() };
-            let warm = session.run(&jobs, None, obs());
-            let fresh = run_multitenant(&jobs, &cluster, None, obs());
+            let warm = session.run(&jobs, None, AdaptivePolicy::Off, obs());
+            let fresh = run_multitenant(&jobs, &cluster, None, AdaptivePolicy::Off, obs());
             prop_assert_eq!(&warm, &fresh, "run {} diverged on a warm session", ri);
         }
     }
@@ -344,13 +344,14 @@ fn shared_plan_at_other_offset_or_pipeline_is_its_own_memo_entry() {
     ];
 
     let mut session = TenantSession::new(&cluster);
-    let report = session.run(&jobs, None, Observe::default());
+    let report = session.run(&jobs, None, AdaptivePolicy::Off, Observe::default());
     assert_eq!(session.baseline_sims(), 3, "three keys, three baselines");
     for (job, outcome) in jobs.iter().zip(&report.jobs) {
         let alone = run_multitenant(
             std::slice::from_ref(job),
             &cluster,
             None,
+            AdaptivePolicy::Off,
             Observe::default(),
         );
         assert_eq!(outcome.solo_elapsed, alone.jobs[0].report.elapsed);
@@ -362,9 +363,9 @@ fn shared_plan_at_other_offset_or_pipeline_is_its_own_memo_entry() {
 
     // The same three again are all hits; a copy of the plan is a new
     // identity and is simulated again.
-    session.run(&jobs, None, Observe::default());
+    session.run(&jobs, None, AdaptivePolicy::Off, Observe::default());
     assert_eq!(session.baseline_sims(), 3);
     let copy = TenantJob::new("copy", CollectivePlan::clone(&plan), map.clone());
-    session.run(&[copy], None, Observe::default());
+    session.run(&[copy], None, AdaptivePolicy::Off, Observe::default());
     assert_eq!(session.baseline_sims(), 4);
 }

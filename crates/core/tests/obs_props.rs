@@ -5,8 +5,8 @@
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
 use mcio_core::{
-    mcio, run_multitenant, simulate_observed, twophase, CollectiveConfig, CollectiveRequest,
-    Exchange, Extent, Observe, Pipeline, ProcMemory, Rw, TenantJob,
+    mcio, run_multitenant, simulate_observed, twophase, AdaptivePolicy, CollectiveConfig,
+    CollectiveRequest, Exchange, Extent, Observe, Pipeline, ProcMemory, Rw, TenantJob,
 };
 use mcio_obs::{json, Registry};
 use proptest::prelude::*;
@@ -242,6 +242,7 @@ fn tenant_rows_of_a_two_job_run_are_pinned() {
         &jobs,
         &spec,
         None,
+        AdaptivePolicy::Off,
         Observe {
             registry: Some(&reg),
             ..Observe::default()

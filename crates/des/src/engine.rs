@@ -5,7 +5,7 @@ use crate::activity::{Activity, ActivityId, ActivityState};
 use crate::resource::{Bandwidth, Job, Resource, ResourceId, ResourceUsage, SharePolicy};
 use crate::time::{SimDuration, SimTime};
 use mcio_obs::catalogue::PID_RESOURCES;
-use mcio_obs::{Histogram, Registry, Span, TraceCollector};
+use mcio_obs::{Histogram, Registry, Span, Trace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -638,31 +638,29 @@ impl RunReport {
         }
     }
 
-    /// Push the recorded service trace into a [`TraceCollector`] under
+    /// Push the recorded service trace into `out` under
     /// [`PID_RESOURCES`]: one lane (`tid`) per resource, one span per
     /// service interval, with lanes named after the resources.
     /// No-op when tracing was not enabled.
-    pub fn trace_into(&self, tc: &TraceCollector) {
+    pub fn trace_into(&self, out: &mut Trace) {
         let Some(trace) = &self.trace else { return };
         let pid = PID_RESOURCES;
-        tc.name_lane(pid);
+        out.name_lane(pid);
         let used: std::collections::BTreeSet<usize> =
             trace.iter().map(|r| r.resource.index()).collect();
-        // The service records are most of any trace: one lock for the
-        // lot, and `extend` reserves once from the slice's length.
-        tc.record(|out| {
-            out.threads
-                .extend((used.iter()).map(|&tid| (pid, tid as u64, self.usages[tid].name.clone())));
-            out.spans.extend(trace.iter().map(|rec| Span {
-                name: self.labels[rec.activity.index()].clone(),
-                cat: self.usages[rec.resource.index()].name.clone(),
-                pid,
-                tid: rec.resource.index() as u64,
-                start_ns: rec.start.as_nanos(),
-                dur_ns: rec.end.saturating_since(rec.start).as_nanos(),
-                args: Vec::new(),
-            }));
-        });
+        // The service records are most of any trace: `extend` reserves
+        // once from the slice's length.
+        out.threads
+            .extend((used.iter()).map(|&tid| (pid, tid as u64, self.usages[tid].name.clone())));
+        out.spans.extend(trace.iter().map(|rec| Span {
+            name: self.labels[rec.activity.index()].clone(),
+            cat: self.usages[rec.resource.index()].name.clone(),
+            pid,
+            tid: rec.resource.index() as u64,
+            start_ns: rec.start.as_nanos(),
+            dur_ns: rec.end.saturating_since(rec.start).as_nanos(),
+            args: Vec::new(),
+        }));
     }
 }
 
@@ -1021,11 +1019,11 @@ mod tests {
         sim.add_activity(Activity::new("a").stage(r1, 100, SimDuration::ZERO));
         sim.add_activity(Activity::new("b").stage(r2, 200, SimDuration::ZERO));
         let rep = sim.run().unwrap();
-        let tc = TraceCollector::new();
-        rep.trace_into(&tc);
-        let mcio_obs::Trace {
+        let mut tc = Trace::default();
+        rep.trace_into(&mut tc);
+        let Trace {
             spans, processes, ..
-        } = tc.snapshot();
+        } = tc;
         assert_eq!(spans.len(), 2);
         assert!(spans.iter().all(|s| s.pid == PID_RESOURCES));
         assert_eq!(processes, [(PID_RESOURCES, "des.resources".to_string())]);
@@ -1036,9 +1034,9 @@ mod tests {
         let r = sim.add_resource("r", bw(100.0));
         sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
         let rep = sim.run().unwrap();
-        let tc = TraceCollector::new();
-        rep.trace_into(&tc);
-        assert!(tc.is_empty());
+        let mut tc = Trace::default();
+        rep.trace_into(&mut tc);
+        assert_eq!(tc, Trace::default());
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //!   the PFS model.
 //! * [`catalogue`] — the one declaration of every metric (name, kind,
 //!   unit, help) and every trace process group (pid, process name).
-//! * [`TraceCollector`] — closed spans over *simulated* nanoseconds,
-//!   serialized as Chrome trace-event JSON so a whole collective run
-//!   (DES resource lanes, planner phases, per-round exchange/IO) lands
-//!   in one Perfetto-loadable file; [`Trace`] is what it collects, and
-//!   the only writer and the only reader of that format.
+//! * [`Trace`] — closed spans over *simulated* nanoseconds, serialized
+//!   as Chrome trace-event JSON so a whole collective run (DES resource
+//!   lanes, planner phases, per-round exchange/IO) lands in one
+//!   Perfetto-loadable file; it is the only writer and the only reader
+//!   of that format.
 //! * [`export`] — JSON, CSV, and Prometheus text renderings of a
 //!   [`Snapshot`].
 //! * [`json`] — the one strict JSON grammar, a pull tokenizer: it
@@ -47,7 +47,7 @@ pub use histogram::Histogram;
 pub use registry::{
     CounterSample, GaugeSample, HistogramSample, Labels, MetricMeta, Registry, Snapshot,
 };
-pub use trace::{Span, Trace, TraceCollector};
+pub use trace::{Span, Trace};
 
 /// The export formats `mcio_cli --metrics-format` accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -15,7 +15,6 @@ use crate::catalogue::LANES;
 use crate::json::{self, ParseError, Parser};
 use std::borrow::Cow;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 /// One closed interval on a lane.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,8 +43,7 @@ impl Span {
 }
 
 /// One trace: every span plus the lane-name metadata, each in recording
-/// order. What a [`TraceCollector`] accumulates and what the Chrome
-/// trace file holds.
+/// order. What the emitters fill and what the Chrome trace file holds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     /// Every complete span.
@@ -263,48 +261,32 @@ impl From<ParseError> for Fault {
     }
 }
 
-/// Collects spans from every instrumented component and serializes one
-/// unified Chrome trace.
-#[derive(Debug, Default)]
-pub struct TraceCollector {
-    inner: Mutex<Trace>,
-}
-
-impl TraceCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        TraceCollector::default()
-    }
-
-    /// Name a subsystem group (`pid`) in the trace UI.
-    pub fn name_process(&self, pid: u64, name: &str) {
-        self.lock().processes.push((pid, name.to_string()));
-    }
-
+impl Trace {
     /// Name the catalogued group `pid` with its process name from
     /// [`LANES`].
     ///
     /// # Panics
     /// Panics if `pid` is not a row of [`LANES`].
-    pub fn name_lane(&self, pid: u64) {
+    pub fn name_lane(&mut self, pid: u64) {
         let lane = LANES.iter().find(|lane| lane.pid == pid);
-        self.name_process(pid, lane.expect("a catalogued pid").process);
+        let name = lane.expect("a catalogued pid").process;
+        self.processes.push((pid, name.to_string()));
     }
 
     /// Name one timeline (`pid`, `tid`) in the trace UI.
-    pub fn name_thread(&self, pid: u64, tid: u64, name: &str) {
-        self.lock().threads.push((pid, tid, name.to_string()));
+    pub fn name_thread(&mut self, pid: u64, tid: u64, name: &str) {
+        self.threads.push((pid, tid, name.to_string()));
     }
 
     /// Record a span with no extra args.
-    pub fn span(&self, name: &str, cat: &str, pid: u64, tid: u64, start_ns: u64, dur_ns: u64) {
+    pub fn span(&mut self, name: &str, cat: &str, pid: u64, tid: u64, start_ns: u64, dur_ns: u64) {
         self.span_with_args(name, cat, pid, tid, start_ns, dur_ns, &[]);
     }
 
     /// Record a span with `args` key/value details.
     #[allow(clippy::too_many_arguments)]
     pub fn span_with_args(
-        &self,
+        &mut self,
         name: &str,
         cat: &str,
         pid: u64,
@@ -313,7 +295,7 @@ impl TraceCollector {
         dur_ns: u64,
         args: &[(&str, &str)],
     ) {
-        self.lock().spans.push(Span {
+        self.spans.push(Span {
             name: name.to_string(),
             cat: cat.to_string(),
             pid,
@@ -325,37 +307,6 @@ impl TraceCollector {
                 .map(|&(k, v)| (k.to_string(), v.to_string()))
                 .collect(),
         });
-    }
-
-    /// Run `f` on the trace under one lock: how an emitter that holds
-    /// all of its spans already hands them over in one go.
-    pub fn record<R>(&self, f: impl FnOnce(&mut Trace) -> R) -> R {
-        f(&mut self.lock())
-    }
-
-    /// A copy of everything recorded so far.
-    pub fn snapshot(&self) -> Trace {
-        self.lock().clone()
-    }
-
-    /// Number of spans recorded so far.
-    pub fn len(&self) -> usize {
-        self.lock().spans.len()
-    }
-
-    /// True when no spans were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Everything recorded so far as Chrome trace-event JSON
-    /// ([`Trace::to_chrome_json`]).
-    pub fn chrome_trace_json(&self) -> String {
-        self.lock().to_chrome_json()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Trace> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -433,10 +384,10 @@ mod tests {
 
     #[test]
     fn spans_round_trip() {
-        let t = TraceCollector::new();
+        let mut t = Trace::default();
         t.span("shuffle", "exchange", 1, 0, 1000, 500);
         t.span_with_args("io", "pfs", 1, 1, 1500, 2500, &[("ost", "3")]);
-        let spans = t.snapshot().spans;
+        let spans = t.spans;
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].end_ns(), 1500);
         assert_eq!(spans[1].args, vec![("ost".to_string(), "3".to_string())]);
@@ -444,11 +395,11 @@ mod tests {
 
     #[test]
     fn chrome_trace_parses_and_preserves_times() {
-        let t = TraceCollector::new();
-        t.name_process(0, "des");
+        let mut t = Trace::default();
+        t.processes.push((0, "des".to_string()));
         t.name_thread(0, 2, "node0.nic_tx");
         t.span("a", "c", 0, 2, 1234, 567);
-        let json = t.chrome_trace_json();
+        let json = t.to_chrome_json();
         let v = crate::json::parse(&json).expect("valid JSON");
         let events = match v {
             JsonValue::Array(evs) => evs,
@@ -467,9 +418,9 @@ mod tests {
         let mut escaped = String::from("[");
         escape_json_into(&mut escaped, "a\"b\\c\nd");
         assert_eq!(escaped, "[a\\\"b\\\\c\\nd");
-        let t = TraceCollector::new();
-        t.name_thread(7, 1, "la\tne\u{1}");
-        t.span_with_args(
+        let mut written = Trace::default();
+        written.name_thread(7, 1, "la\tne\u{1}");
+        written.span_with_args(
             "quo\"ted",
             "c\\at",
             7,
@@ -478,15 +429,12 @@ mod tests {
             (1 << 51) + 7,
             &[("k\n", "é→")],
         );
-        let written = t.snapshot();
         let read = Trace::from_chrome_json(&written.to_chrome_json());
         assert_eq!(read, Ok(written), "a written trace reads back equal");
     }
 
     #[test]
-    fn empty_collector_is_valid_json() {
-        let t = TraceCollector::new();
-        assert!(t.is_empty());
-        assert!(crate::json::parse(&t.chrome_trace_json()).is_ok());
+    fn empty_trace_is_valid_json() {
+        assert!(crate::json::parse(&Trace::default().to_chrome_json()).is_ok());
     }
 }

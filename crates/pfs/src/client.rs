@@ -43,6 +43,23 @@ impl Rw {
             Rw::Write => "write",
         }
     }
+
+    /// Order `pair` along this direction's data flow. Everything a
+    /// collective does sits on one chain of hops — requesting rank,
+    /// aggregator, storage — that a write walks toward storage and a
+    /// read walks back, so a pair written in *write order* (the
+    /// requester's side first, the storage side second) comes back
+    /// unchanged for a write and swapped for a read: the phases
+    /// `(exchange, file access)` in execution order, a message's
+    /// `(requester, aggregator)` as `(src, dst)`. Its own inverse, so
+    /// the same call turns `(src, dst)` back into
+    /// `(requester, aggregator)`.
+    pub fn flow<T>(self, pair: (T, T)) -> (T, T) {
+        match self {
+            Rw::Write => pair,
+            Rw::Read => (pair.1, pair.0),
+        }
+    }
 }
 
 /// Retry history of one striped request piece that hit at least one
@@ -252,45 +269,35 @@ impl Pfs {
                 reg.inc("pfs.ost.bytes", &lbl, *bytes);
             }
         }
-        match rw {
-            Rw::Write => {
-                let egress = sim.add_activity(Activity::with_stages(
-                    format!("{label}.egress"),
-                    fabric.egress_stages(node, extent.len),
-                ));
-                for &d in deps {
-                    sim.add_dep(d, egress);
-                }
-                let join = sim.add_activity(Activity::new(format!("{label}.done")));
-                for (ost, bytes) in pieces {
-                    let piece =
-                        self.add_piece(sim, format!("{label}.{ost}"), ost, Rw::Write, bytes);
-                    sim.add_dep(egress, piece);
-                    sim.add_dep(piece, join);
-                }
-                join
-            }
-            Rw::Read => {
-                // Header-only RPC out; payload back after the OSTs serve.
-                let rpc = sim.add_activity(Activity::with_stages(
-                    format!("{label}.rpc"),
-                    fabric.egress_stages(node, 0),
-                ));
-                for &d in deps {
-                    sim.add_dep(d, rpc);
-                }
-                let ingress = sim.add_activity(Activity::with_stages(
+        // Head activity out of the node, one queued job per touched OST,
+        // tail activity joining them. A write ships the payload out and
+        // joins on the acknowledgements; a read ships a header-only RPC
+        // and the payload comes back through the tail.
+        let (head, head_bytes, tail) = match rw {
+            Rw::Write => ("egress", extent.len, Activity::new(format!("{label}.done"))),
+            Rw::Read => (
+                "rpc",
+                0,
+                Activity::with_stages(
                     format!("{label}.ingress"),
                     fabric.ingress_stages(node, extent.len),
-                ));
-                for (ost, bytes) in pieces {
-                    let piece = self.add_piece(sim, format!("{label}.{ost}"), ost, Rw::Read, bytes);
-                    sim.add_dep(rpc, piece);
-                    sim.add_dep(piece, ingress);
-                }
-                ingress
-            }
+                ),
+            ),
+        };
+        let head = sim.add_activity(Activity::with_stages(
+            format!("{label}.{head}"),
+            fabric.egress_stages(node, head_bytes),
+        ));
+        for &d in deps {
+            sim.add_dep(d, head);
         }
+        let tail = sim.add_activity(tail);
+        for (ost, bytes) in pieces {
+            let piece = self.add_piece(sim, format!("{label}.{ost}"), ost, rw, bytes);
+            sim.add_dep(head, piece);
+            sim.add_dep(piece, tail);
+        }
+        tail
     }
 
     /// Register one OST piece, expanding it into a bounded retry chain

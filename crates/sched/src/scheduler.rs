@@ -27,10 +27,10 @@
 use crate::policy::{priority_key, Policy};
 use crate::trace::{build_tenant, JobTrace};
 use mcio_core::exec_sim::Observe;
-use mcio_core::{MultiTenantReport, TenantJob, TenantSession};
+use mcio_core::{AdaptivePolicy, MultiTenantReport, TenantJob, TenantSession};
 use mcio_des::SimDuration;
 use mcio_obs::catalogue::PID_SCHED;
-use mcio_obs::{Registry, TraceCollector};
+use mcio_obs::{Registry, Trace};
 use std::sync::Arc;
 
 /// Admission budget on the newcomer's predicted slowdown (its span in
@@ -517,7 +517,7 @@ pub fn run_schedule(
     registry: Option<&Arc<Registry>>,
 ) -> Schedule {
     run_schedule_with(trace, cfg, registry, &mut |session, tenants, obs| {
-        session.run(tenants, None, obs)
+        session.run(tenants, None, AdaptivePolicy::Off, obs)
     })
 }
 
@@ -633,7 +633,7 @@ pub fn run_schedule_with<'a>(
     let p99_slowdown = percentile(&slowdowns, 99.0);
 
     let chrome = cfg.collect_trace.then(|| {
-        let tc = TraceCollector::new();
+        let mut tc = Trace::default();
         tc.name_lane(PID_SCHED);
         tc.name_thread(PID_SCHED, 0, "queue");
         tc.name_thread(PID_SCHED, 1, "dispatch");
@@ -691,7 +691,7 @@ pub fn run_schedule_with<'a>(
                 &[("slowdown", sd.as_str()), ("overlap", ov.as_str())],
             );
         }
-        tc.chrome_trace_json()
+        tc.to_chrome_json()
     });
 
     if let Some(reg) = registry {

@@ -17,7 +17,7 @@
 //! * the stream-long solo memo changes no byte: committing every
 //!   tenant set on a fresh session yields the same schedule.
 
-use mcio_core::run_multitenant;
+use mcio_core::{run_multitenant, AdaptivePolicy};
 use mcio_sched::scheduler::run_schedule_with;
 use mcio_sched::{render_schedule, run_schedule, JobTrace, Policy, SchedConfig};
 use proptest::prelude::*;
@@ -147,7 +147,7 @@ proptest! {
             let cfg = SchedConfig { policy, admission, ..SchedConfig::default() };
             let memoised = run_schedule(&trace, &cfg, None);
             let reference = run_schedule_with(&trace, &cfg, None, &mut |_, tenants, obs| {
-                run_multitenant(tenants, &trace.machine, None, obs)
+                run_multitenant(tenants, &trace.machine, None, AdaptivePolicy::Off, obs)
             });
             prop_assert_eq!(
                 render_schedule(&memoised),
@@ -200,7 +200,7 @@ fn bundled_stream_simulates_one_baseline_per_distinct_placement() {
         let s = run_schedule_with(&trace, &cfg(policy), None, &mut |session, tenants, obs| {
             tenant_sims += tenants.len() as u64;
             placements.extend(tenants.iter().map(|t| (t.label.clone(), t.node_offset)));
-            session.run(tenants, None, obs)
+            session.run(tenants, None, AdaptivePolicy::Off, obs)
         });
         assert_eq!(
             s.baseline_sims,
