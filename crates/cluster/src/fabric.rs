@@ -16,7 +16,8 @@
 
 use crate::spec::ClusterSpec;
 use crate::NodeId;
-use mcio_des::{Activity, Bandwidth, ResourceId, SimDuration, Simulation, Stage};
+use mcio_des::{ActivityId, Bandwidth, ResourceId, SimDuration, SimTime, Simulation, Stage};
+use std::fmt;
 
 /// Classification of a transfer between two ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,70 +91,34 @@ impl Fabric {
         }
     }
 
-    /// Stages of a rank-to-rank message of `bytes` bytes.
-    pub fn message_stages(&self, src: NodeId, dst: NodeId, bytes: u64) -> Vec<Stage> {
-        match self.path(src, dst) {
-            TransferPath::IntraNode => vec![
-                // Shared-memory copy: the payload crosses the node's DRAM
-                // interface twice (read source buffer, write destination).
-                Stage {
-                    resource: self.membus[src.0],
-                    bytes,
-                    overhead: self.message_overhead,
-                    latency_after: SimDuration::ZERO,
-                },
-                Stage {
-                    resource: self.membus[src.0],
-                    bytes,
-                    overhead: SimDuration::ZERO,
-                    latency_after: SimDuration::ZERO,
-                },
-            ],
-            TransferPath::InterNode => vec![
-                Stage {
-                    resource: self.membus[src.0],
-                    bytes,
-                    overhead: self.message_overhead,
-                    latency_after: SimDuration::ZERO,
-                },
-                Stage {
-                    resource: self.nic_tx[src.0],
-                    bytes,
-                    overhead: SimDuration::ZERO,
-                    latency_after: self.nic_latency,
-                },
-                Stage {
-                    resource: self.nic_rx[dst.0],
-                    bytes,
-                    overhead: SimDuration::ZERO,
-                    latency_after: SimDuration::ZERO,
-                },
-                Stage {
-                    resource: self.membus[dst.0],
-                    bytes,
-                    overhead: SimDuration::ZERO,
-                    latency_after: SimDuration::ZERO,
-                },
-            ],
-        }
-    }
-
-    /// A ready-to-register message activity.
+    /// Register a rank-to-rank message of `bytes` bytes in `sim`: out of
+    /// `src` and into `dst` over the wire, or, on one node, a
+    /// shared-memory copy — the payload crosses the node's DRAM
+    /// interface twice (read source buffer, write destination) and no
+    /// NIC.
     pub fn message(
         &self,
-        label: impl Into<String>,
+        sim: &mut Simulation,
+        label: fmt::Arguments<'_>,
         src: NodeId,
         dst: NodeId,
         bytes: u64,
-    ) -> Activity {
-        Activity::with_stages(label, self.message_stages(src, dst, bytes))
+    ) -> ActivityId {
+        let [out_bus, out_nic] = self.egress_stages(src, bytes);
+        let [in_nic, in_bus] = self.ingress_stages(dst, bytes);
+        match self.path(src, dst) {
+            TransferPath::IntraNode => sim.activity(label, SimTime::ZERO, &[out_bus, in_bus]),
+            TransferPath::InterNode => {
+                sim.activity(label, SimTime::ZERO, &[out_bus, out_nic, in_nic, in_bus])
+            }
+        }
     }
 
     /// Outbound stages from a node toward storage: memory bus, NIC
     /// transmit, then wire latency. The storage side (OST queue) is
     /// appended by the PFS layer.
-    pub fn egress_stages(&self, node: NodeId, bytes: u64) -> Vec<Stage> {
-        vec![
+    pub fn egress_stages(&self, node: NodeId, bytes: u64) -> [Stage; 2] {
+        [
             Stage {
                 resource: self.membus[node.0],
                 bytes,
@@ -171,8 +136,8 @@ impl Fabric {
 
     /// Inbound stages from storage into a node: NIC receive then memory
     /// bus (used for read replies).
-    pub fn ingress_stages(&self, node: NodeId, bytes: u64) -> Vec<Stage> {
-        vec![
+    pub fn ingress_stages(&self, node: NodeId, bytes: u64) -> [Stage; 2] {
+        [
             Stage {
                 resource: self.nic_rx[node.0],
                 bytes,
@@ -202,7 +167,6 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcio_des::SimTime;
 
     fn tiny_spec() -> ClusterSpec {
         let mut spec = ClusterSpec::small(3, 2);
@@ -235,7 +199,7 @@ mod tests {
         let mut sim = Simulation::new();
         let fabric = Fabric::build(&mut sim, &tiny_spec());
         // 100 B: membus 0.1s + nic_tx 1s + latency 1s + nic_rx 1s + membus 0.1s.
-        let msg = sim.add_activity(fabric.message("m", NodeId(0), NodeId(1), 100));
+        let msg = fabric.message(&mut sim, format_args!("m"), NodeId(0), NodeId(1), 100);
         let rep = sim.run().unwrap();
         let t = rep.finish_time(msg).saturating_since(SimTime::ZERO);
         assert!((t.as_secs_f64() - 3.2).abs() < 1e-9, "t = {t}");
@@ -245,7 +209,7 @@ mod tests {
     fn intra_node_message_skips_nic() {
         let mut sim = Simulation::new();
         let fabric = Fabric::build(&mut sim, &tiny_spec());
-        let msg = sim.add_activity(fabric.message("m", NodeId(1), NodeId(1), 500));
+        let msg = fabric.message(&mut sim, format_args!("m"), NodeId(1), NodeId(1), 500);
         let nic = fabric.nic_tx(NodeId(1));
         let rep = sim.run().unwrap();
         // Two membus passes at 1000 B/s: 0.5s + 0.5s.
@@ -258,8 +222,8 @@ mod tests {
         let mut sim = Simulation::new();
         let fabric = Fabric::build(&mut sim, &tiny_spec());
         // Two intra-node copies on the same node serialize on the membus.
-        let a = sim.add_activity(fabric.message("a", NodeId(0), NodeId(0), 500));
-        let b = sim.add_activity(fabric.message("b", NodeId(0), NodeId(0), 500));
+        let a = fabric.message(&mut sim, format_args!("a"), NodeId(0), NodeId(0), 500);
+        let b = fabric.message(&mut sim, format_args!("b"), NodeId(0), NodeId(0), 500);
         let rep = sim.run().unwrap();
         let last = rep.finish_time(a).max(rep.finish_time(b));
         assert!((last.as_secs_f64() - 2.0).abs() < 1e-9);
@@ -287,8 +251,8 @@ mod tests {
         let fabric = Fabric::build(&mut sim, &spec);
         // Intra-node copy of 500 B: node 0 at 1000 B/s (1s total), node 1
         // at 500 B/s (2s total).
-        let fast = sim.add_activity(fabric.message("f", NodeId(0), NodeId(0), 500));
-        let slow = sim.add_activity(fabric.message("s", NodeId(1), NodeId(1), 500));
+        let fast = fabric.message(&mut sim, format_args!("f"), NodeId(0), NodeId(0), 500);
+        let slow = fabric.message(&mut sim, format_args!("s"), NodeId(1), NodeId(1), 500);
         let rep = sim.run().unwrap();
         assert!((rep.finish_time(fast).as_secs_f64() - 1.0).abs() < 1e-9);
         assert!((rep.finish_time(slow).as_secs_f64() - 2.0).abs() < 1e-9);
@@ -311,7 +275,7 @@ mod tests {
         let mut spec = tiny_spec();
         spec.message_overhead = SimDuration::from_secs(10);
         let fabric = Fabric::build(&mut sim, &spec);
-        let msg = sim.add_activity(fabric.message("m", NodeId(0), NodeId(0), 500));
+        let msg = fabric.message(&mut sim, format_args!("m"), NodeId(0), NodeId(0), 500);
         let rep = sim.run().unwrap();
         assert!((rep.finish_time(msg).as_secs_f64() - 11.0).abs() < 1e-9);
     }

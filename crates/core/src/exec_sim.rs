@@ -33,7 +33,7 @@ use mcio_obs::catalogue::{PID_FAULTS, PID_REPLAN, PID_ROUNDS};
 use mcio_obs::{Registry, Trace};
 use mcio_pfs::{Pfs, RetryMark, Rw};
 use std::collections::{BTreeMap, HashMap};
-use std::fmt::Display;
+use std::fmt::{Display, Write as _};
 use std::sync::Arc;
 
 /// Phase durations of one round slot (one synchronized step of one
@@ -378,6 +378,9 @@ pub(crate) struct Executed<'a> {
     pub makespan: SimDuration,
     /// Retry chains the PFS expanded (empty without armed faults).
     pub retry_marks: Vec<RetryMark>,
+    /// Deterministic engine counters of the one shared DES run (what
+    /// every job's report carries a copy of).
+    pub engine: mcio_des::EngineProfile,
     jobs: &'a [ExecJob<'a>],
     faults: Option<&'a FaultSpec>,
     obs: Observe<'a>,
@@ -467,6 +470,7 @@ pub(crate) fn execute<'a>(
     let makespan = des.makespan().saturating_since(SimTime::ZERO);
     let (membus_busy_max, nic_busy_max, ost_busy_max, ost_busy_total) =
         busy_maxima(&des, &fabric, &pfs);
+    let engine = des.engine_profile();
 
     let runs = jobs
         .iter()
@@ -508,7 +512,7 @@ pub(crate) fn execute<'a>(
                 ost_busy_max,
                 ost_busy_total,
                 activities: l.acts.len(),
-                engine: des.engine_profile(),
+                engine: engine.clone(),
                 metrics: RunMetrics {
                     exchange_fraction,
                     io_fraction,
@@ -535,6 +539,7 @@ pub(crate) fn execute<'a>(
         jobs,
         faults,
         obs,
+        engine,
         des,
         pfs,
         lowered,
@@ -542,11 +547,6 @@ pub(crate) fn execute<'a>(
 }
 
 impl Executed<'_> {
-    /// Deterministic engine counters of the one shared DES run.
-    pub(crate) fn engine(&self) -> mcio_des::EngineProfile {
-        self.des.engine_profile()
-    }
-
     /// Per-job OST service intervals `(start_ns, end_ns)`: every service
     /// record on an OST resource belongs to exactly one job, found by
     /// its activity-id range. Empty when no service records were kept.
@@ -617,15 +617,22 @@ impl Executed<'_> {
 
 /// One round slot as lowered — what phase attribution reads back, and
 /// what [`Lowering::lower_round`] fills: the activities the slot's first
-/// phase waited on, its messages and its I/O completions (also grouped
-/// per aggregator).
+/// phase waited on, its messages and its I/O completions (also per
+/// aggregator, one list per round lowered into the slot).
 struct SlotMeta {
     chain: usize,
     round: usize,
     first_deps: Vec<ActivityId>,
     msgs: Vec<ActivityId>,
     ios: Vec<ActivityId>,
-    agg_ios: Vec<(Rank, Vec<ActivityId>)>,
+    agg_ios: Vec<AggActs>,
+}
+
+impl SlotMeta {
+    /// The I/O completions of the slot, one run per (round, aggregator).
+    fn agg_io_runs(&self) -> impl Iterator<Item = &[(Rank, ActivityId)]> {
+        (self.agg_ios.iter()).flat_map(|round| round.chunk_by(|a, b| a.0 == b.0))
+    }
 }
 
 /// What one job's rounds are lowered against: the shared simulation and
@@ -639,8 +646,10 @@ struct Lowering<'a> {
     job: &'a ExecJob<'a>,
 }
 
-/// The activities one phase of a round created, per aggregator.
-type AggActs = BTreeMap<Rank, Vec<ActivityId>>;
+/// The activities one phase of a round created, each with its
+/// aggregator: one flat list in aggregator order, creation order within
+/// an aggregator.
+type AggActs = Vec<(Rank, ActivityId)>;
 
 /// What one phase of a round waits for, per aggregator: that
 /// aggregator's activities of the phase before it (`after`), or the
@@ -654,9 +663,14 @@ struct Gates<'a> {
 
 impl Gates<'_> {
     fn of(&self, agg: Rank) -> impl Iterator<Item = ActivityId> + '_ {
-        let own = self.after.and_then(|acts| acts.get(&agg));
-        let own = own.map_or(self.first_deps, Vec::as_slice);
-        own.iter().chain(self.extra).copied()
+        let own = self.after.map_or(&[][..], |acts| {
+            let start = acts.partition_point(|&(a, _)| a < agg);
+            let len = acts[start..].partition_point(|&(a, _)| a == agg);
+            &acts[start..start + len]
+        });
+        let first_deps = if own.is_empty() { self.first_deps } else { &[] };
+        let own = own.iter().map(|&(_, act)| act);
+        own.chain(first_deps.iter().chain(self.extra).copied())
     }
 }
 
@@ -733,11 +747,13 @@ impl<'l> Lowering<'l> {
                     self.lower_round(round, &second_extra, &mut slot);
                 }
                 let sim = &mut *self.sim;
-                let ex_join = sim.add_activity(Activity::new(format!("{prefix}c{ci}.r{r}.ex")));
+                let ex_join =
+                    sim.activity(format_args!("{prefix}c{ci}.r{r}.ex"), SimTime::ZERO, &[]);
                 for &m in &slot.msgs {
                     sim.add_dep(m, ex_join);
                 }
-                let io_join = sim.add_activity(Activity::new(format!("{prefix}c{ci}.r{r}.io")));
+                let io_join =
+                    sim.activity(format_args!("{prefix}c{ci}.r{r}.io"), SimTime::ZERO, &[]);
                 for &io in &slot.ios {
                     sim.add_dep(io, io_join);
                 }
@@ -783,6 +799,7 @@ impl<'l> Lowering<'l> {
             extra: &[],
         };
         let first_acts = first(self, round, &open, first_out);
+        debug_assert!(first_acts.is_sorted_by_key(|&(agg, _)| agg));
         let held = Gates {
             after: Some(&first_acts),
             extra: second_extra,
@@ -790,7 +807,7 @@ impl<'l> Lowering<'l> {
         };
         let second_acts = second(self, round, &held, second_out);
         let (_, io_acts) = rw.flow((first_acts, second_acts));
-        agg_ios.extend(io_acts);
+        agg_ios.push(io_acts);
     }
 
     /// The exchange phase: one leg chain per transfer, its first leg
@@ -805,30 +822,27 @@ impl<'l> Lowering<'l> {
     ) -> AggActs {
         let (job, rw) = (self.job, self.job.plan.rw);
         let prefix = &job.prefix;
-        let mut acts = AggActs::new();
-        for t in exchange_transfers(round, job.map, job.exchange, rw) {
+        let transfers = exchange_transfers(round, job.map, job.exchange, rw);
+        let mut acts = AggActs::with_capacity(transfers.len());
+        for t in transfers {
             let (from, to): (&dyn Display, &dyn Display) = rw.flow((&t.node, &t.agg));
-            let (src, dst) = rw.flow((t.node, job.map.node_of(t.agg)));
-            let label = format!("{prefix}msg.{from}->{to}");
-            let wire = self.fabric.message(label, src, dst, t.bytes);
+            let wire = rw.flow((t.node, job.map.node_of(t.agg)));
             // Two-level: one extra memory-bus copy of the combined payload
             // at the node's leader — combined there before the wire on a
             // write, scattered from there after it on a read.
-            let copy = t.combined.then(|| {
-                let (verb, _) = rw.flow(("combine", "scatter"));
-                let label = format!("{prefix}{verb}.{from}->{to}");
-                self.fabric.message(label, t.node, t.node, t.bytes)
-            });
-            let legs = rw.flow((copy, Some(wire)));
+            let (verb, _) = rw.flow(("combine", "scatter"));
+            let copy = t.combined.then_some((verb, (t.node, t.node)));
+            let legs = rw.flow((copy, Some(("msg", wire))));
             let mut prev: Option<ActivityId> = None;
-            for leg in [legs.0, legs.1].into_iter().flatten() {
-                let a = self.sim.add_activity(leg);
+            for (verb, (src, dst)) in [legs.0, legs.1].into_iter().flatten() {
+                let label = format_args!("{prefix}{verb}.{from}->{to}");
+                let a = self.fabric.message(self.sim, label, src, dst, t.bytes);
                 match prev {
                     None => gates.of(t.agg).for_each(|d| self.sim.add_dep(d, a)),
                     Some(p) => self.sim.add_dep(p, a),
                 }
                 prev = Some(a);
-                acts.entry(t.agg).or_default().push(a);
+                acts.push((t.agg, a));
                 msgs.push(a);
             }
         }
@@ -844,17 +858,23 @@ impl<'l> Lowering<'l> {
         ios: &mut Vec<ActivityId>,
     ) -> AggActs {
         let (job, pfs, fabric) = (self.job, self.pfs, self.fabric);
-        let mut acts = AggActs::new();
+        let mut acts = AggActs::with_capacity(round.ios.iter().map(|io| io.extents.len()).sum());
+        let (mut deps, mut label) = (Vec::new(), String::new());
         for io in &round.ios {
-            let deps: Vec<ActivityId> = gates.of(io.agg).collect();
-            let label = format!("{}io.{}", job.prefix, io.agg);
+            deps.clear();
+            deps.extend(gates.of(io.agg));
+            label.clear();
+            write!(label, "{}io.{}", job.prefix, io.agg).expect("a String takes any write");
             let node = job.map.node_of(io.agg);
             for e in &io.extents {
                 let done = pfs.submit(self.sim, fabric, &label, node, job.plan.rw, *e, &deps);
-                acts.entry(io.agg).or_default().push(done);
+                acts.push((io.agg, done));
                 ios.push(done);
             }
         }
+        // The plan lists a round's I/O ops in file-domain order; the
+        // sort is stable, so an aggregator's requests keep theirs.
+        acts.sort_by_key(|&(agg, _)| agg);
         acts
     }
 }
@@ -947,9 +967,10 @@ fn attribute_phases(
             io,
         });
         // Per-aggregator file access: first request start → last done.
-        for (agg, ios) in &meta.agg_ios {
-            let start = ios.iter().map(|&a| report.start_time(a)).min();
-            let end = ios.iter().map(|&a| report.finish_time(a)).max();
+        for ios in meta.agg_io_runs() {
+            let agg = ios[0].0;
+            let start = ios.iter().map(|&(_, a)| report.start_time(a)).min();
+            let end = ios.iter().map(|&(_, a)| report.finish_time(a)).max();
             if let (Some(s), Some(e)) = (start, end) {
                 *agg_io_acc.entry(agg.0).or_insert(SimDuration::ZERO) += e.saturating_since(s);
             }
@@ -1030,7 +1051,7 @@ fn emit_round_spans(
             Some(gi) => gi.to_string(),
             None => "all".to_string(),
         };
-        let naggs = meta.agg_ios.len().to_string();
+        let naggs = meta.agg_io_runs().count().to_string();
         let round_s = meta.round.to_string();
         let args: &[(&str, &str)] = &[
             ("group", group.as_str()),

@@ -430,7 +430,7 @@ impl<'a> TenantSession<'a> {
             jobs: outcomes,
             makespan,
             trace,
-            engine: ex.engine(),
+            engine: ex.engine,
         }
     }
 

@@ -11,12 +11,12 @@ use crate::time::{SimDuration, SimTime};
 
 /// Identifier of an activity within a [`crate::Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ActivityId(pub(crate) usize);
+pub struct ActivityId(pub(crate) u32);
 
 impl ActivityId {
     /// The index of this activity in the simulation's activity table.
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
@@ -34,8 +34,9 @@ pub struct Stage {
     pub latency_after: SimDuration,
 }
 
-/// Builder for an activity: a label, an optional release time, and a
-/// sequence of stages.
+/// Owned builder for an activity: a label, an optional release time, and
+/// a sequence of stages. A convenience over [`crate::Simulation::activity`],
+/// which [`crate::Simulation::add_activity`] hands the three parts to.
 #[derive(Debug, Clone)]
 pub struct Activity {
     pub(crate) label: String,
@@ -71,31 +72,6 @@ impl Activity {
         self
     }
 
-    /// Append a stage followed by a propagation delay.
-    pub fn stage_with_latency(
-        mut self,
-        resource: ResourceId,
-        bytes: u64,
-        overhead: SimDuration,
-        latency_after: SimDuration,
-    ) -> Self {
-        self.stages.push(Stage {
-            resource,
-            bytes,
-            overhead,
-            latency_after,
-        });
-        self
-    }
-
-    /// An activity over pre-built stages; the vector is adopted as is.
-    pub fn with_stages(label: impl Into<String>, stages: Vec<Stage>) -> Self {
-        Activity {
-            stages,
-            ..Activity::new(label)
-        }
-    }
-
     /// Append a pure delay (no resource occupied): models think time or
     /// fixed software overhead that does not contend with anything.
     pub fn delay(mut self, d: SimDuration) -> Self {
@@ -122,32 +98,20 @@ impl Activity {
     }
 }
 
-/// Engine-internal per-activity state.
-#[derive(Debug)]
+/// Engine-internal per-activity state: one plain row of the activity
+/// table. The stages, the label and the dependents live in the
+/// simulation's shared arenas; the row holds only its window into the
+/// stage arena.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ActivityState {
-    pub label: String,
     pub release: SimTime,
-    pub stages: Vec<Stage>,
-    pub next_stage: usize,
-    pub deps_remaining: usize,
-    pub dependents: Vec<ActivityId>,
+    /// The stages still to run are `next_stage..stage_end` of the stage
+    /// arena; the activity completes when the two meet.
+    pub next_stage: u32,
+    pub stage_end: u32,
+    pub deps_remaining: u32,
     pub started: Option<SimTime>,
     pub finished: Option<SimTime>,
-}
-
-impl ActivityState {
-    pub fn from_activity(a: Activity) -> Self {
-        ActivityState {
-            label: a.label,
-            release: a.release,
-            stages: a.stages,
-            next_stage: 0,
-            deps_remaining: 0,
-            dependents: Vec::new(),
-            started: None,
-            finished: None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -159,12 +123,8 @@ mod tests {
         let r = ResourceId(0);
         let a = Activity::new("x")
             .stage(r, 10, SimDuration::ZERO)
-            .stage_with_latency(
-                r,
-                20,
-                SimDuration::from_nanos(5),
-                SimDuration::from_nanos(7),
-            );
+            .stage(r, 20, SimDuration::from_nanos(5))
+            .delay(SimDuration::from_nanos(7));
         assert_eq!(a.stages().len(), 2);
         assert_eq!(a.stages()[1].bytes, 20);
         assert_eq!(a.stages()[1].latency_after, SimDuration::from_nanos(7));

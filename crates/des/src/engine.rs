@@ -1,14 +1,15 @@
 //! The event-driven engine: builds an activity DAG over resources, then
 //! runs it to completion, producing a [`RunReport`].
 
-use crate::activity::{Activity, ActivityId, ActivityState};
+use crate::activity::{Activity, ActivityId, ActivityState, Stage};
 use crate::resource::{Bandwidth, Job, Resource, ResourceId, ResourceUsage, SharePolicy};
 use crate::time::{SimDuration, SimTime};
 use mcio_obs::catalogue::PID_RESOURCES;
 use mcio_obs::{Histogram, Registry, Span, Trace};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::ops::Range;
 
 /// Errors a simulation run can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,10 +63,47 @@ pub struct ServiceRecord {
     pub end: SimTime,
 }
 
-/// One event-heap entry: `(time, sequence, slot, generation, class)`.
-/// `sequence` makes the ordering total; `class` is informational (at
-/// equal time and order, completions sort before arrivals).
-type HeapEntry = (SimTime, u64, usize, u64, u8);
+/// One event-heap entry: `(time, sequence, slot, generation)`.
+/// `sequence` is unique, so `(time, sequence)` already orders the heap
+/// totally and the slot handle is never compared.
+type HeapEntry = (SimTime, u64, u32, u32);
+
+/// Handle of a scheduled event: `(slot, generation)`.
+pub(crate) type EventHandle = (u32, u32);
+
+/// Narrow an arena length to the `u32` the rows store. Machine size
+/// arrives from outside the program (`--machine`), so the limit is
+/// checked, not assumed.
+fn index32(len: usize, what: &str) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| panic!("simulation holds more than u32::MAX {what}"))
+}
+
+/// Row `i` of a ragged table stored as one flat vector plus each row's
+/// end offset: row `i` spans `ends[i - 1]..ends[i]`, row 0 starts at 0.
+fn row(ends: &[u32], i: usize) -> Range<usize> {
+    let start = if i == 0 { 0 } else { ends[i - 1] };
+    start as usize..ends[i] as usize
+}
+
+/// Every activity label, written back to back into one string.
+#[derive(Debug, Clone, Default)]
+struct Labels {
+    bytes: String,
+    ends: Vec<u32>,
+}
+
+impl Labels {
+    fn push(&mut self, label: fmt::Arguments<'_>) {
+        self.bytes
+            .write_fmt(label)
+            .expect("a Display impl returned an error");
+        self.ends.push(index32(self.bytes.len(), "label bytes"));
+    }
+
+    fn get(&self, a: ActivityId) -> &str {
+        &self.bytes[row(&self.ends, a.index())]
+    }
+}
 
 /// A discrete-event simulation under construction.
 ///
@@ -74,7 +112,19 @@ type HeapEntry = (SimTime, u64, usize, u64, u8);
 #[derive(Debug, Default)]
 pub struct Simulation {
     resources: Vec<Resource>,
+    /// The activity graph, in four flat arenas: one row per activity,
+    /// every stage back to back (a row owns a window of it), every
+    /// label in one string, and every dependency edge `(before, after)`
+    /// in declaration order.
     activities: Vec<ActivityState>,
+    stages: Vec<Stage>,
+    labels: Labels,
+    edges: Vec<(ActivityId, ActivityId)>,
+    /// The edges as a CSR, built by `run()`: the dependents of activity
+    /// `a` are row `a` of `dependents` under `dependent_ends`, in
+    /// declaration order.
+    dependents: Vec<ActivityId>,
+    dependent_ends: Vec<u32>,
     /// Event heap keyed by (time, sequence) for determinism; entries
     /// carry the slot generation they were pushed with, so cancelled
     /// (re-generated) slots are skipped on pop.
@@ -83,9 +133,9 @@ pub struct Simulation {
     /// through `free_slots`, bumping the generation each time, so the
     /// pool's footprint tracks *concurrent* events rather than total
     /// events scheduled.
-    events: Vec<(Event, u64)>,
+    events: Vec<(Event, u32)>,
     /// Recycled slot indices available for the next `push_event`.
-    free_slots: Vec<usize>,
+    free_slots: Vec<u32>,
     /// Monotone event sequence counter (heap tiebreak). Independent of
     /// slot indices, which are reused.
     next_seq: u64,
@@ -198,26 +248,56 @@ impl Simulation {
         self.resources[rid.0].set_service_windows(windows);
     }
 
-    /// Register an activity. Panics if any stage names an unknown resource.
-    pub fn add_activity(&mut self, activity: Activity) -> ActivityId {
-        for s in &activity.stages {
+    /// Register an activity: `label` is written into the label arena,
+    /// `stages` are copied onto the end of the stage arena, and the
+    /// activity does not start before `release` even if all its
+    /// dependencies are satisfied. Nothing is allocated per activity.
+    /// Panics if any stage names an unknown resource.
+    pub fn activity(
+        &mut self,
+        label: fmt::Arguments<'_>,
+        release: SimTime,
+        stages: &[Stage],
+    ) -> ActivityId {
+        for s in stages {
             assert!(
                 s.resource.0 < self.resources.len(),
-                "activity `{}` references unknown resource {:?}",
-                activity.label,
+                "activity `{label}` references unknown resource {:?}",
                 s.resource
             );
         }
-        let id = ActivityId(self.activities.len());
-        self.activities.push(ActivityState::from_activity(activity));
+        let id = ActivityId(index32(self.activities.len(), "activities"));
+        let next_stage = index32(self.stages.len(), "stages");
+        self.stages.extend_from_slice(stages);
+        self.labels.push(label);
+        self.activities.push(ActivityState {
+            release,
+            next_stage,
+            stage_end: index32(self.stages.len(), "stages"),
+            deps_remaining: 0,
+            started: None,
+            finished: None,
+        });
         id
     }
 
+    /// Register an owned [`Activity`] (see [`Simulation::activity`]).
+    pub fn add_activity(&mut self, activity: Activity) -> ActivityId {
+        let label = format_args!("{}", activity.label);
+        self.activity(label, activity.release, &activity.stages)
+    }
+
     /// Declare that `after` cannot start until `before` has completed.
+    /// When `before` completes, its dependents are released in the order
+    /// their edges were declared.
     pub fn add_dep(&mut self, before: ActivityId, after: ActivityId) {
         assert_ne!(before, after, "activity cannot depend on itself");
-        self.activities[before.0].dependents.push(after);
-        self.activities[after.0].deps_remaining += 1;
+        assert!(
+            before.index() < self.activities.len(),
+            "dependency on unknown activity {before:?}"
+        );
+        self.edges.push((before, after));
+        self.activities[after.index()].deps_remaining += 1;
     }
 
     /// Number of registered activities.
@@ -227,18 +307,9 @@ impl Simulation {
 
     /// Schedule `ev` at `t`. Returns the slot handle `(index,
     /// generation)` that [`Simulation::cancel_event`] accepts.
-    fn push_event(&mut self, t: SimTime, ev: Event) -> (usize, u64) {
+    fn push_event(&mut self, t: SimTime, ev: Event) -> EventHandle {
         let seq = self.next_seq;
         self.next_seq += 1;
-        // The priority tuple carries a class byte so that, at equal time and
-        // insertion order, completions at a resource are handled before new
-        // arrivals; `seq` already makes ordering total so the class byte is
-        // informational only.
-        let class = match ev {
-            Event::StageServed(_) | Event::FairComplete(_) => 0,
-            Event::EnterStage(_) => 1,
-            Event::Ready(_) => 2,
-        };
         self.engine_stats.events_scheduled += 1;
         if matches!(ev, Event::Ready(_)) {
             self.pending_ready += 1;
@@ -247,26 +318,28 @@ impl Simulation {
         }
         let (idx, gen) = match self.free_slots.pop() {
             Some(idx) => {
-                let gen = self.events[idx].1.wrapping_add(1);
-                self.events[idx] = (ev, gen);
+                let gen = self.events[idx as usize].1.wrapping_add(1);
+                self.events[idx as usize] = (ev, gen);
                 (idx, gen)
             }
             None => {
+                let idx = index32(self.events.len(), "concurrent events");
                 self.events.push((ev, 0));
-                (self.events.len() - 1, 0)
+                (idx, 0)
             }
         };
-        self.heap.push(Reverse((t, seq, idx, gen, class)));
+        self.heap.push(Reverse((t, seq, idx, gen)));
         (idx, gen)
     }
 
     /// Retract a scheduled event before it fires. The heap entry stays
     /// (and is skipped on pop via its stale generation); the slot is
     /// recycled immediately.
-    fn cancel_event(&mut self, handle: (usize, u64)) {
+    fn cancel_event(&mut self, handle: EventHandle) {
         let (idx, gen) = handle;
-        debug_assert_eq!(self.events[idx].1, gen, "cancelling a dead event");
-        self.events[idx].1 = gen.wrapping_add(1);
+        let slot = &mut self.events[idx as usize];
+        debug_assert_eq!(slot.1, gen, "cancelling a dead event");
+        slot.1 = gen.wrapping_add(1);
         self.free_slots.push(idx);
         self.engine_stats.events_cancelled += 1;
     }
@@ -277,26 +350,28 @@ impl Simulation {
     /// timings and per-resource usage, or [`SimError::Deadlock`] if the
     /// dependency graph prevented some activity from ever running.
     pub fn run(mut self) -> Result<RunReport, SimError> {
+        self.index_dependents();
         // Seed: every activity with no outstanding dependencies is ready at
         // its release time.
         for i in 0..self.activities.len() {
             if self.activities[i].deps_remaining == 0 {
                 let t = self.activities[i].release;
-                self.push_event(t, Event::Ready(ActivityId(i)));
+                // `activity()` checked that the count fits.
+                self.push_event(t, Event::Ready(ActivityId(i as u32)));
             }
         }
 
         let mut now = SimTime::ZERO;
-        while let Some(Reverse((t, _seq, idx, gen, _class))) = self.heap.pop() {
-            if self.events[idx].1 != gen {
+        while let Some(Reverse((t, _seq, idx, gen))) = self.heap.pop() {
+            let (ev, live) = self.events[idx as usize];
+            if live != gen {
                 // Cancelled (counted when retracted); skip lazily. The
                 // slot may already be serving a different live event.
                 continue;
             }
-            let ev = self.events[idx].0;
             // Recycle the slot before dispatch so events scheduled by
             // this very event can reuse it.
-            self.events[idx].1 = gen.wrapping_add(1);
+            self.events[idx as usize].1 = gen.wrapping_add(1);
             self.free_slots.push(idx);
             debug_assert!(t >= now, "time went backwards");
             now = t;
@@ -306,9 +381,9 @@ impl Simulation {
             self.engine_stats.queue_depth.observe(depth as u64);
             match ev {
                 Event::Ready(a) => {
-                    debug_assert!(self.activities[a.0].started.is_none());
+                    debug_assert!(self.activities[a.index()].started.is_none());
                     self.pending_ready -= 1;
-                    self.activities[a.0].started = Some(now);
+                    self.activities[a.index()].started = Some(now);
                     self.advance(a, now);
                 }
                 Event::EnterStage(a) => {
@@ -318,7 +393,7 @@ impl Simulation {
                 }
                 Event::StageServed(a) => {
                     // Free the server and start the next queued job, if any.
-                    let rid = self.activities[a.0].stages[self.activities[a.0].next_stage].resource;
+                    let rid = self.stages[self.activities[a.index()].next_stage as usize].resource;
                     if let Some((next_job, done)) = self.resources[rid.0].complete_current(now) {
                         if let Some(trace) = &mut self.trace {
                             trace.push(ServiceRecord {
@@ -350,12 +425,10 @@ impl Simulation {
         }
 
         // Anything not finished is deadlocked (cycle or missing release).
-        let stuck: Vec<String> = self
-            .activities
-            .iter()
-            .filter(|a| a.finished.is_none())
+        let stuck: Vec<String> = (self.activities.iter().zip(0..))
+            .filter(|(a, _)| a.finished.is_none())
             .take(8)
-            .map(|a| a.label.clone())
+            .map(|(_, i)| self.labels.get(ActivityId(i)).to_string())
             .collect();
         if !stuck.is_empty() {
             return Err(SimError::Deadlock { stuck });
@@ -367,13 +440,12 @@ impl Simulation {
             .filter_map(|a| a.finished)
             .max()
             .unwrap_or(SimTime::ZERO);
-        // `self` is consumed: the labels, resource names and wait
-        // histograms move into the report.
+        // `self` is consumed: the activity table, the label arena, the
+        // resource names and the wait histograms move into the report.
         Ok(RunReport {
             makespan,
-            finishes: self.activities.iter().map(|a| a.finished).collect(),
-            starts: self.activities.iter().map(|a| a.started).collect(),
-            labels: self.activities.into_iter().map(|a| a.label).collect(),
+            activities: self.activities,
+            labels: self.labels,
             usages: self
                 .resources
                 .into_iter()
@@ -384,15 +456,45 @@ impl Simulation {
         })
     }
 
+    /// Turn the declared edges into the CSR `complete` walks. A counting
+    /// sort by predecessor, filled in declaration order, is stable: each
+    /// row lists its dependents exactly as `add_dep` declared them, which
+    /// is the order their `Ready` events are sequenced in.
+    fn index_dependents(&mut self) {
+        let edges = std::mem::take(&mut self.edges);
+        // The offsets below count edges in `u32`.
+        index32(edges.len(), "dependency edges");
+        // Per-row counts, then their exclusive prefix sum (row starts);
+        // the fill below advances each start to its row's end.
+        let mut ends = vec![0u32; self.activities.len()];
+        for (before, _) in &edges {
+            ends[before.index()] += 1;
+        }
+        let mut total = 0;
+        for end in &mut ends {
+            let count = *end;
+            *end = total;
+            total += count;
+        }
+        let mut dependents = vec![ActivityId(0); edges.len()];
+        for &(before, after) in &edges {
+            let slot = &mut ends[before.index()];
+            dependents[*slot as usize] = after;
+            *slot += 1;
+        }
+        self.dependents = dependents;
+        self.dependent_ends = ends;
+    }
+
     /// Move activity `a` forward from its current stage pointer: either
     /// enter the next stage's queue or complete.
     fn advance(&mut self, a: ActivityId, now: SimTime) {
-        let st = &self.activities[a.0];
-        if st.next_stage >= st.stages.len() {
+        let st = self.activities[a.index()];
+        if st.next_stage == st.stage_end {
             self.complete(a, now);
             return;
         }
-        let stage = st.stages[st.next_stage];
+        let stage = self.stages[st.next_stage as usize];
         let job = Job {
             activity: a,
             bytes: stage.bytes,
@@ -436,8 +538,9 @@ impl Simulation {
     /// The activity's current stage is done: honor the stage's
     /// post-service latency, then advance.
     fn leave_stage(&mut self, a: ActivityId, now: SimTime) {
-        let latency = self.activities[a.0].stages[self.activities[a.0].next_stage].latency_after;
-        self.activities[a.0].next_stage += 1;
+        let st = &mut self.activities[a.index()];
+        let latency = self.stages[st.next_stage as usize].latency_after;
+        st.next_stage += 1;
         if latency.is_zero() {
             self.advance(a, now);
         } else {
@@ -460,11 +563,11 @@ impl Simulation {
     }
 
     fn complete(&mut self, a: ActivityId, now: SimTime) {
-        debug_assert!(self.activities[a.0].finished.is_none());
-        self.activities[a.0].finished = Some(now);
-        let dependents = std::mem::take(&mut self.activities[a.0].dependents);
-        for d in dependents {
-            let dep = &mut self.activities[d.0];
+        debug_assert!(self.activities[a.index()].finished.is_none());
+        self.activities[a.index()].finished = Some(now);
+        for k in row(&self.dependent_ends, a.index()) {
+            let d = self.dependents[k];
+            let dep = &mut self.activities[d.index()];
             debug_assert!(dep.deps_remaining > 0);
             dep.deps_remaining -= 1;
             if dep.deps_remaining == 0 {
@@ -479,9 +582,8 @@ impl Simulation {
 #[derive(Debug, Clone)]
 pub struct RunReport {
     makespan: SimTime,
-    starts: Vec<Option<SimTime>>,
-    finishes: Vec<Option<SimTime>>,
-    labels: Vec<String>,
+    activities: Vec<ActivityState>,
+    labels: Labels,
     usages: Vec<ResourceUsage>,
     trace: Option<Vec<ServiceRecord>>,
     engine_stats: EngineStats,
@@ -495,12 +597,12 @@ impl RunReport {
 
     /// Completion time of an activity.
     pub fn finish_time(&self, a: ActivityId) -> SimTime {
-        self.finishes[a.0].expect("activity finished in a successful run")
+        (self.activities[a.index()].finished).expect("activity finished in a successful run")
     }
 
     /// Start (release-satisfied) time of an activity.
     pub fn start_time(&self, a: ActivityId) -> SimTime {
-        self.starts[a.0].expect("activity started in a successful run")
+        (self.activities[a.index()].started).expect("activity started in a successful run")
     }
 
     /// Latency of an activity from start to finish.
@@ -510,7 +612,7 @@ impl RunReport {
 
     /// Label of an activity.
     pub fn label(&self, a: ActivityId) -> &str {
-        &self.labels[a.0]
+        self.labels.get(a)
     }
 
     /// Usage accounting for a resource.
@@ -525,7 +627,7 @@ impl RunReport {
 
     /// Number of activities in the run.
     pub fn activity_count(&self) -> usize {
-        self.finishes.len()
+        self.activities.len()
     }
 
     /// The recorded service trace, if tracing was enabled.
@@ -547,7 +649,7 @@ impl RunReport {
     /// served a job are skipped entirely, matching
     /// [`RunReport::record_into`].
     pub fn class_max_queues(&self) -> Vec<(String, u64)> {
-        let mut per_class: std::collections::BTreeMap<String, u64> =
+        let mut per_class: std::collections::BTreeMap<&str, u64> =
             std::collections::BTreeMap::new();
         for u in &self.usages {
             if u.jobs_served == 0 {
@@ -556,7 +658,9 @@ impl RunReport {
             let entry = per_class.entry(resource_class(&u.name)).or_insert(0);
             *entry = (*entry).max(u.max_active as u64);
         }
-        per_class.into_iter().collect()
+        (per_class.into_iter())
+            .map(|(class, depth)| (class.to_string(), depth))
+            .collect()
     }
 
     /// The deterministic engine-side profile of this run: event, heap,
@@ -573,7 +677,7 @@ impl RunReport {
             events_cancelled: self.engine_stats.events_cancelled,
             heap_high_water: self.engine_stats.max_queue_depth as u64,
             ready_high_water: self.engine_stats.max_ready_set as u64,
-            activities: self.finishes.len() as u64,
+            activities: self.activities.len() as u64,
             resources: self.usages.len() as u64,
             class_max_queue: self.class_max_queues(),
         }
@@ -653,7 +757,7 @@ impl RunReport {
         out.threads
             .extend((used.iter()).map(|&tid| (pid, tid as u64, self.usages[tid].name.clone())));
         out.spans.extend(trace.iter().map(|rec| Span {
-            name: self.labels[rec.activity.index()].clone(),
+            name: self.labels.get(rec.activity).to_string(),
             cat: self.usages[rec.resource.index()].name.clone(),
             pid,
             tid: rec.resource.index() as u64,
@@ -719,12 +823,10 @@ impl EngineProfile {
 /// The class of a resource name: the suffix after the last `.` when one
 /// exists (`node3.membus` → `membus`, `node0.nic_tx` → `nic_tx`),
 /// otherwise the name with trailing digits stripped (`ost17` → `ost`).
-pub fn resource_class(name: &str) -> String {
+pub fn resource_class(name: &str) -> &str {
     match name.rsplit_once('.') {
-        Some((_, suffix)) => suffix.to_string(),
-        None => name
-            .trim_end_matches(|c: char| c.is_ascii_digit())
-            .to_string(),
+        Some((_, suffix)) => suffix,
+        None => name.trim_end_matches(|c: char| c.is_ascii_digit()),
     }
 }
 
@@ -818,12 +920,11 @@ mod tests {
     fn latency_after_stage_delays_without_occupying() {
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));
-        let a = sim.add_activity(Activity::new("a").stage_with_latency(
-            r,
-            100,
-            SimDuration::ZERO,
-            SimDuration::from_secs(5),
-        ));
+        let a = sim.add_activity(
+            Activity::new("a")
+                .stage(r, 100, SimDuration::ZERO)
+                .delay(SimDuration::from_secs(5)),
+        );
         let b = sim.add_activity(Activity::new("b").stage(r, 100, SimDuration::ZERO));
         let rep = sim.run().unwrap();
         // a holds the resource only 1s; b finishes at 2s even though a
@@ -868,6 +969,91 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn dependents_are_released_in_declaration_order() {
+        let mut sim = Simulation::new();
+        let r = sim.add_resource("r", bw(100.0));
+        let p = sim.add_activity(Activity::new("p"));
+        let q = sim.add_activity(Activity::new("q"));
+        let work = |sim: &mut Simulation, label: &str| {
+            sim.add_activity(Activity::new(label).stage(r, 100, SimDuration::ZERO))
+        };
+        // Registered a, b, c, x, y; edges declared c, x, a, y, b with the
+        // two predecessors interleaved.
+        let [a, b, c, x, y] = ["a", "b", "c", "x", "y"].map(|l| work(&mut sim, l));
+        for (before, after) in [(p, c), (q, x), (p, a), (q, y), (p, b)] {
+            sim.add_dep(before, after);
+        }
+        let rep = sim.run().unwrap();
+        // p completes first and releases c, a, b in that order, then q
+        // releases x, y; the FIFO server keeps the order of arrival.
+        let served: Vec<f64> = [c, a, b, x, y]
+            .iter()
+            .map(|&d| rep.finish_time(d).as_secs_f64())
+            .collect();
+        assert_eq!(served, [1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn stageless_activities_and_sinks() {
+        // No activity at all, then a stageless source releasing a
+        // stageless sink that is the last row of every arena.
+        assert_eq!(Simulation::new().run().unwrap().activity_count(), 0);
+        let mut sim = Simulation::new();
+        let release = SimTime::from_nanos(7);
+        let source = sim.add_activity(Activity::new("source").release_at(release));
+        let lone = sim.add_activity(Activity::new("lone"));
+        let sink = sim.add_activity(Activity::new("sink"));
+        sim.add_dep(source, sink);
+        let rep = sim.run().unwrap();
+        assert_eq!(rep.finish_time(lone), SimTime::ZERO);
+        assert_eq!(rep.start_time(sink), release);
+        assert_eq!(rep.finish_time(sink), release);
+        assert_eq!(rep.makespan(), release);
+    }
+
+    #[test]
+    fn deadlock_names_the_first_eight_stuck_labels() {
+        let mut sim = Simulation::new();
+        let free = sim.add_activity(Activity::new("free"));
+        let ring: Vec<ActivityId> = (0..10)
+            .map(|i| sim.add_activity(Activity::new(format!("ring{i}"))))
+            .collect();
+        for (i, &a) in ring.iter().enumerate() {
+            sim.add_dep(a, ring[(i + 1) % ring.len()]);
+        }
+        sim.add_dep(free, ring[0]);
+        let expected: Vec<String> = (0..8).map(|i| format!("ring{i}")).collect();
+        assert_eq!(
+            sim.run().unwrap_err(),
+            SimError::Deadlock { stuck: expected }
+        );
+    }
+
+    #[test]
+    fn labels_are_exact_slices_of_the_arena() {
+        let mut sim = Simulation::new();
+        let labels = ["first", "", "nœud3.mémoire→ost7", "", "last"];
+        let ids = labels.map(|l| sim.add_activity(Activity::new(l)));
+        let direct = sim.activity(format_args!("j{}.io.{}", 2, "r9"), SimTime::ZERO, &[]);
+        let rep = sim.run().unwrap();
+        for (id, label) in ids.into_iter().zip(labels) {
+            assert_eq!(rep.label(id), label);
+        }
+        assert_eq!(rep.label(direct), "j2.io.r9");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown activity")]
+    fn dependency_on_an_unknown_activity_panics() {
+        let mut other = Simulation::new();
+        other.add_activity(Activity::new("a"));
+        let stranger = other.add_activity(Activity::new("b"));
+        let mut sim = Simulation::new();
+        let a = sim.add_activity(Activity::new("a"));
+        sim.add_dep(stranger, a);
     }
 
     #[test]

@@ -34,6 +34,11 @@
 //!   when all its dependencies have completed and its release time passed.
 //! * An activity with no stages is a pure synchronization point (a barrier
 //!   or join node).
+//! * A [`Simulation`] stores the graph flat: one plain row per activity,
+//!   all stages, labels and dependency edges in shared arenas.
+//!   [`Simulation::activity`] registers a label, a release time and a
+//!   stage slice without allocating; [`Activity`] is the owned builder
+//!   over it.
 //!
 //! ## Example
 //!

@@ -22,6 +22,7 @@
 //! the FIFO engine's.
 
 use crate::activity::ActivityId;
+use crate::engine::EventHandle;
 use crate::time::{SimDuration, SimTime};
 use mcio_obs::Histogram;
 use std::cmp::Reverse;
@@ -175,9 +176,9 @@ struct FairState {
     last_t: SimTime,
     /// Admission counter (deterministic heap tiebreak).
     next_seq: u64,
-    /// Engine handle `(event index, generation)` of the currently
-    /// scheduled next-completion event, if any.
-    pending: Option<(usize, u64)>,
+    /// Engine handle of the currently scheduled next-completion event,
+    /// if any.
+    pending: Option<EventHandle>,
 }
 
 /// A bandwidth server with `capacity` parallel service slots
@@ -493,12 +494,12 @@ impl Resource {
     }
 
     /// Take the engine handle of the scheduled next-completion event.
-    pub(crate) fn take_pending(&mut self) -> Option<(usize, u64)> {
+    pub(crate) fn take_pending(&mut self) -> Option<EventHandle> {
         self.fair.pending.take()
     }
 
     /// Store the engine handle of the scheduled next-completion event.
-    pub(crate) fn set_pending(&mut self, handle: (usize, u64)) {
+    pub(crate) fn set_pending(&mut self, handle: EventHandle) {
         debug_assert!(self.fair.pending.is_none());
         self.fair.pending = Some(handle);
     }

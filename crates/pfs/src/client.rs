@@ -20,10 +20,13 @@ use crate::extent::Extent;
 use crate::layout::{OstId, StripeLayout};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::{Fabric, NodeId};
-use mcio_des::{Activity, ActivityId, Bandwidth, OnlineStats, ResourceId, SimDuration, Simulation};
+use mcio_des::{
+    ActivityId, Bandwidth, OnlineStats, ResourceId, SimDuration, SimTime, Simulation, Stage,
+};
 use mcio_faults::{FaultSampler, FaultSpec, RetryPolicy};
 use mcio_obs::Registry;
 use std::cell::{Cell, RefCell};
+use std::fmt;
 use std::sync::Arc;
 
 /// Direction of an I/O request.
@@ -95,6 +98,8 @@ struct FaultCtx {
     retry: RetryPolicy,
     counter: Cell<u64>,
     marks: RefCell<Vec<RetryMark>>,
+    /// Scratch for the stages of the retry chain being built.
+    chain: RefCell<Vec<Stage>>,
 }
 
 /// DES handles and cost parameters for the parallel file system.
@@ -174,6 +179,7 @@ impl Pfs {
                 retry: spec.retry,
                 counter: Cell::new(0),
                 marks: RefCell::new(Vec::new()),
+                chain: RefCell::new(Vec::new()),
             });
         }
     }
@@ -250,7 +256,7 @@ impl Pfs {
     ) -> ActivityId {
         if extent.is_empty() {
             // Pure join so callers can depend on "this (empty) request".
-            let join = sim.add_activity(Activity::new(format!("{label}.empty")));
+            let join = sim.activity(format_args!("{label}.empty"), SimTime::ZERO, &[]);
             for &d in deps {
                 sim.add_dep(d, join);
             }
@@ -273,27 +279,19 @@ impl Pfs {
         // tail activity joining them. A write ships the payload out and
         // joins on the acknowledgements; a read ships a header-only RPC
         // and the payload comes back through the tail.
-        let (head, head_bytes, tail) = match rw {
-            Rw::Write => ("egress", extent.len, Activity::new(format!("{label}.done"))),
-            Rw::Read => (
-                "rpc",
-                0,
-                Activity::with_stages(
-                    format!("{label}.ingress"),
-                    fabric.ingress_stages(node, extent.len),
-                ),
-            ),
+        let ingress = fabric.ingress_stages(node, extent.len);
+        let (head, head_bytes, tail, tail_stages) = match rw {
+            Rw::Write => ("egress", extent.len, "done", &[][..]),
+            Rw::Read => ("rpc", 0, "ingress", &ingress[..]),
         };
-        let head = sim.add_activity(Activity::with_stages(
-            format!("{label}.{head}"),
-            fabric.egress_stages(node, head_bytes),
-        ));
+        let head_stages = fabric.egress_stages(node, head_bytes);
+        let head = sim.activity(format_args!("{label}.{head}"), SimTime::ZERO, &head_stages);
         for &d in deps {
             sim.add_dep(d, head);
         }
-        let tail = sim.add_activity(tail);
+        let tail = sim.activity(format_args!("{label}.{tail}"), SimTime::ZERO, tail_stages);
         for (ost, bytes) in pieces {
-            let piece = self.add_piece(sim, format!("{label}.{ost}"), ost, rw, bytes);
+            let piece = self.add_piece(sim, format_args!("{label}.{ost}"), ost, rw, bytes);
             sim.add_dep(head, piece);
             sim.add_dep(piece, tail);
         }
@@ -310,24 +308,32 @@ impl Pfs {
     fn add_piece(
         &self,
         sim: &mut Simulation,
-        label: String,
+        label: fmt::Arguments<'_>,
         ost: OstId,
         rw: Rw,
         bytes: u64,
     ) -> ActivityId {
-        let service = self.ost_service_time(rw, bytes);
-        let rid = self.osts[ost.0];
+        // Every attempt is an overhead-only job on the OST (its service
+        // time depends on the direction, so it is charged as overhead).
+        let attempt = |overhead, latency_after| Stage {
+            resource: self.osts[ost.0],
+            bytes: 0,
+            overhead,
+            latency_after,
+        };
+        let served = attempt(self.ost_service_time(rw, bytes), SimDuration::ZERO);
         let Some(ctx) = &self.faults else {
-            return sim.add_activity(Activity::new(label).stage(rid, 0, service));
+            return sim.activity(label, SimTime::ZERO, &[served]);
         };
         let req = ctx.counter.get();
         ctx.counter.set(req + 1);
-        let mut act = Activity::new(label);
+        let mut chain = ctx.chain.borrow_mut();
+        chain.clear();
         let mut attempts = 1u32;
         let mut backoff_ns = 0u64;
         while attempts < ctx.retry.max_attempts && ctx.sampler.attempt_fails(req, attempts, ctx.p) {
             let backoff = ctx.retry.backoff(&ctx.sampler, req, attempts + 1);
-            act = act.stage_with_latency(rid, 0, self.request_overhead, backoff);
+            chain.push(attempt(self.request_overhead, backoff));
             backoff_ns += backoff.as_nanos();
             attempts += 1;
         }
@@ -338,7 +344,8 @@ impl Pfs {
         let exhausted = attempts == ctx.retry.max_attempts
             && ctx.retry.max_attempts > 1
             && ctx.sampler.attempt_fails(req, attempts, ctx.p);
-        let id = sim.add_activity(act.stage(rid, 0, service));
+        chain.push(served);
+        let id = sim.activity(label, SimTime::ZERO, &chain);
         if attempts > 1 || exhausted {
             ctx.marks.borrow_mut().push(RetryMark {
                 activity: id,

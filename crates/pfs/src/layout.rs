@@ -107,21 +107,38 @@ impl StripeLayout {
         pieces
     }
 
-    /// Decompose an extent into **at most one piece per OST**, coalescing
-    /// the object-locally contiguous runs a contiguous global extent
-    /// produces. The `global` extent of each returned piece is the hull of
-    /// its stripes (used only for byte accounting, not placement).
+    /// Decompose an extent into **at most one piece per OST**, ascending
+    /// by OST, each with the bytes of the extent that land on it (a
+    /// contiguous global extent is one object-locally contiguous run per
+    /// OST, so one request each).
     pub fn split_per_ost(&self, extent: Extent) -> Vec<(OstId, u64)> {
-        let mut per_ost = vec![0u64; self.stripe_count];
-        for piece in self.split(extent) {
-            per_ost[piece.ost.0] += piece.global.len;
+        if extent.is_empty() {
+            return Vec::new();
         }
-        per_ost
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, bytes)| bytes > 0)
-            .map(|(i, bytes)| (OstId(i), bytes))
-            .collect()
+        let (unit, count) = (self.stripe_unit, self.stripe_count as u64);
+        let (first, last) = (extent.offset / unit, (extent.end() - 1) / unit);
+        if last - first >= count {
+            // More than one stripe cycle: some OST holds several stripes.
+            let mut per_ost = vec![0u64; self.stripe_count];
+            for piece in self.split(extent) {
+                per_ost[piece.ost.0] += piece.global.len;
+            }
+            return (per_ost.into_iter().enumerate())
+                .filter(|&(_, bytes)| bytes > 0)
+                .map(|(i, bytes)| (OstId(i), bytes))
+                .collect();
+        }
+        // At most one cycle: every stripe is its own OST, and ascending
+        // OST order is stripe order rotated at the one stripe (if any)
+        // that wraps back to OST 0. O(pieces), whatever the OST count.
+        let wrap = ((first / count + 1) * count).min(last + 1);
+        let mut pieces = Vec::with_capacity((last - first + 1) as usize);
+        pieces.extend((wrap..=last).chain(first..wrap).map(|stripe| {
+            let start = (stripe * unit).max(extent.offset);
+            let end = ((stripe + 1) * unit).min(extent.end());
+            (OstId((stripe % count) as usize), end - start)
+        }));
+        pieces
     }
 }
 
@@ -176,6 +193,16 @@ mod tests {
         assert_eq!(per[3], (OstId(3), 100));
         let total: u64 = per.iter().map(|&(_, b)| b).sum();
         assert_eq!(total, 500);
+    }
+
+    #[test]
+    fn split_per_ost_rotates_at_the_wrap() {
+        let l = StripeLayout::new(100, 4);
+        // Stripes 2..=5 from mid-stripe: 50 B on ost2, 100 on ost3, then
+        // the wrap, 100 on ost0 and 50 on ost1.
+        let per = l.split_per_ost(Extent::new(250, 300));
+        let osts = [(0, 100), (1, 50), (2, 50), (3, 100)];
+        assert_eq!(per, osts.map(|(ost, bytes)| (OstId(ost), bytes)));
     }
 
     #[test]

@@ -57,6 +57,35 @@ proptest! {
         prop_assert_eq!(per, len);
     }
 
+    /// `split_per_ost` against its definition: fold `split` per OST,
+    /// ascending, zero-byte OSTs dropped. Extents run from a fraction of
+    /// a stripe to three stripe cycles, from anywhere in a stripe, so
+    /// both the one-cycle shortcut (with and without the wrap back to
+    /// OST 0) and the fold behind it are drawn.
+    #[test]
+    fn split_per_ost_is_the_per_ost_fold(
+        unit in 1u64..4096,
+        count in 1usize..=2048,
+        first_stripe in 0u64..5000,
+        within in 0u64..4096,
+        cycle_eighths in 0u64..24,
+        tail in 0u64..4096,
+    ) {
+        let layout = StripeLayout::new(unit, count);
+        let offset = first_stripe * unit + within % unit;
+        let len = cycle_eighths * count as u64 * unit / 8 + tail;
+        let extent = Extent::new(offset, len);
+        let mut per_ost = vec![0u64; count];
+        for piece in layout.split(extent) {
+            per_ost[piece.ost.index()] += piece.global.len;
+        }
+        let expected: Vec<_> = (per_ost.into_iter().enumerate())
+            .filter(|&(_, bytes)| bytes > 0)
+            .map(|(i, bytes)| (mcio_pfs::OstId(i), bytes))
+            .collect();
+        prop_assert_eq!(layout.split_per_ost(extent), expected);
+    }
+
     /// A contiguous global extent lands on each OST as a contiguous
     /// object-local run (the property the cost model exploits).
     #[test]
