@@ -54,28 +54,6 @@ fn fail(msg: &str) -> ! {
     cli::fail("scheduler_suite", 1, &format!("FAILED: {msg}"))
 }
 
-/// The bundled mixed-size stream: `big` holds half the machine for a
-/// long time, `wide` needs the whole machine and blocks the FCFS
-/// queue, and two hundred short jobs arrive behind it. Backfill lets
-/// the shorts run on the free half while `wide` waits — the makespan
-/// gap the suite gates on.
-fn bundled_trace() -> JobTrace {
-    let mut text = String::from(
-        "# mcio.jobtrace.v1\n\
-         machine small:32x2\n\
-         job big arrival=0 ranks=32 ppn=2 per_proc=2M segments=2 buffer=128K\n\
-         job wide arrival=50us prio=9 ranks=64 ppn=2 per_proc=256K segments=1 buffer=128K\n",
-    );
-    for i in 0..200 {
-        let _ = writeln!(
-            text,
-            "job s{i:03} arrival={}us ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K",
-            100 + i * 50
-        );
-    }
-    JobTrace::parse(&text).expect("bundled trace parses")
-}
-
 /// Invariants that hold for every trace, bundled or caller-supplied.
 fn check_invariants(policy: Policy, s: &Schedule) {
     match policy {
@@ -170,7 +148,7 @@ fn main() {
     let trace = match m.get("trace") {
         Some(path) => JobTrace::parse(&cli::read_or_exit(m.ctx(), "", path))
             .unwrap_or_else(|e| cli::fail(m.ctx(), 1, &format!("{path}: {e}"))),
-        None => bundled_trace(),
+        None => JobTrace::bundled(),
     };
 
     let run_policy = |policy: Policy| {

@@ -341,7 +341,7 @@ pub(crate) fn simulate_inner(
         elapsed: Elapsed::Makespan,
         marks,
     }];
-    let mut ex = execute(spec, &job, faults, obs);
+    let mut ex = execute(spec, &job, faults, obs, None);
     let trace = ex.trace_json(|_| {});
     let JobRun {
         report, windows, ..
@@ -358,11 +358,32 @@ pub(crate) fn simulate_inner(
     }
 }
 
-/// One job as lowered into the shared simulation.
-struct Lowered {
+/// What phase attribution and the trace read back from one lowered
+/// job: its round slots, every activity id an offset into the job's own
+/// run of activities (the start gate is not part of the run), so the
+/// same value serves wherever the run is appended.
+pub(crate) struct Shape {
     meta: Vec<SlotMeta>,
     /// `groups[ci]` is the plan group chain `ci` serves.
     groups: Vec<Option<usize>>,
+}
+
+/// A placed job's lowering, kept by a [`crate::TenantSession`] from one
+/// run to the next: the activities it created, as a fragment any later
+/// simulation of the same machine can append, and their [`Shape`].
+pub(crate) struct Kept {
+    fragment: mcio_des::Fragment,
+    shape: Shape,
+}
+
+/// One job as lowered into the shared simulation.
+struct Lowered {
+    shape: Shape,
+    /// The job's activities copied out (or the fragment they were
+    /// appended from), when the caller keeps lowerings.
+    fragment: Option<mcio_des::Fragment>,
+    /// The first activity of the job's run, after its start gate.
+    first: ActivityId,
     /// Activity ids the job created (its start gate, release gates,
     /// messages, PFS requests and joins) — the ownership key for
     /// attributing service records to jobs.
@@ -399,6 +420,16 @@ pub(crate) struct Executed<'a> {
 /// failures) on the shared PFS. Service records are kept when the
 /// trace is wanted or when there is more than one job to tell apart.
 ///
+/// `kept` is `None` for a run that stands alone. A session passes one
+/// entry per job — the job's lowering from an earlier run on the same
+/// machine, if it has one — and gets them all back from
+/// [`Executed::into_kept`]: a job with an entry is appended, the others
+/// are lowered as ever and copied out. What `lower_plan` emits is a
+/// function of the job's plan, map, pipeline and exchange on a fixed
+/// machine, apart from the label prefix and the start gate, which is
+/// what the two `mcio_des` primitives re-apply — but only with no fault
+/// plan, no registry and no marks, which the caller vouches for.
+///
 /// # Panics
 /// Panics if a job's process map needs more nodes than the machine has.
 pub(crate) fn execute<'a>(
@@ -406,7 +437,9 @@ pub(crate) fn execute<'a>(
     jobs: &'a [ExecJob<'a>],
     faults: Option<&'a FaultSpec>,
     obs: Observe<'a>,
+    mut kept: Option<Vec<Option<Kept>>>,
 ) -> Executed<'a> {
+    debug_assert!(kept.is_none() || (faults.is_none() && obs.registry.is_none()));
     let build_scope = obs.prof.map(|p| p.scope("build-activity-graph"));
     let mut sim = Simulation::with_policy(obs.engine);
     if obs.trace || jobs.len() > 1 {
@@ -436,28 +469,53 @@ pub(crate) fn execute<'a>(
                 Activity::new(format!("{}start", job.prefix)).release_at(SimTime::ZERO + job.start),
             )
         });
-        // A gated round slot may not start before its gate releases
-        // (failover re-coordination, controller deferral/demotion).
-        let gate_acts: HashMap<(Option<usize>, usize), ActivityId> = job
-            .marks
-            .gates
-            .iter()
-            .map(|gate| {
-                let act =
-                    sim.add_activity(Activity::new(gate.label.clone()).release_at(gate.release));
-                ((gate.group, gate.round), act)
-            })
-            .collect();
-        let mut lowering = Lowering {
-            sim: &mut sim,
-            fabric: &fabric,
-            pfs: &pfs,
-            job,
+        // A lowering copied out with no start gate does not say where
+        // one attaches: that job is lowered again.
+        let reuse = (kept.as_mut().and_then(|k| k[lowered.len()].take()))
+            .filter(|k| start_gate.is_none() || k.fragment.gateable());
+        // A session's profile splits the graph build by job; a run that
+        // stands alone has one job and one way to lower it.
+        let _job_scope = (kept.as_ref().and(obs.prof))
+            .map(|p| p.scope(if reuse.is_some() { "append" } else { "lower" }));
+        let (shape, fragment, first) = match reuse {
+            Some(Kept { fragment, shape }) => {
+                let first = sim.append(&fragment, &job.prefix, start_gate);
+                (shape, Some(fragment), first)
+            }
+            None => {
+                debug_assert!(kept.is_none() || job.marks.gates.is_empty());
+                let mark = sim.mark();
+                // A gated round slot may not start before its gate releases
+                // (failover re-coordination, controller deferral/demotion).
+                let gate_acts: HashMap<(Option<usize>, usize), ActivityId> = job
+                    .marks
+                    .gates
+                    .iter()
+                    .map(|gate| {
+                        let act = sim.add_activity(
+                            Activity::new(gate.label.clone()).release_at(gate.release),
+                        );
+                        ((gate.group, gate.round), act)
+                    })
+                    .collect();
+                let mut lowering = Lowering {
+                    sim: &mut sim,
+                    fabric: &fabric,
+                    pfs: &pfs,
+                    job,
+                };
+                let (mut meta, groups) = lowering.lower_plan(&gate_acts, start_gate);
+                meta.iter_mut()
+                    .for_each(|slot| slot.make_relative_to(mark.first()));
+                let fragment =
+                    (kept.is_some()).then(|| sim.copy_since(mark, job.prefix.len(), start_gate));
+                (Shape { meta, groups }, fragment, mark.first())
+            }
         };
-        let (meta, groups) = lowering.lower_plan(&gate_acts, start_gate);
         lowered.push(Lowered {
-            meta,
-            groups,
+            shape,
+            fragment,
+            first,
             acts: act_lo..sim.activity_count(),
         });
     }
@@ -482,7 +540,7 @@ pub(crate) fn execute<'a>(
                 rounds,
                 windows,
                 agg_io,
-            } = attribute_phases(job.plan.rw, &des, &l.meta, &l.groups);
+            } = attribute_phases(job, &des, l);
             let start_ns = job.start.as_nanos();
             let end_ns = windows
                 .iter()
@@ -547,6 +605,18 @@ pub(crate) fn execute<'a>(
 }
 
 impl Executed<'_> {
+    /// Every job's lowering, for the next run of the session that
+    /// passed `kept` (all `None` when it passed none).
+    pub(crate) fn into_kept(self) -> Vec<Option<Kept>> {
+        let keep = |l: Lowered| {
+            let Lowered {
+                shape, fragment, ..
+            } = l;
+            fragment.map(|fragment| Kept { fragment, shape })
+        };
+        self.lowered.into_iter().map(keep).collect()
+    }
+
     /// Per-job OST service intervals `(start_ns, end_ns)`: every service
     /// record on an OST resource belongs to exactly one job, found by
     /// its activity-id range. Empty when no service records were kept.
@@ -555,10 +625,7 @@ impl Executed<'_> {
         let Some(records) = self.des.trace() else {
             return per_job;
         };
-        let ost_ids: std::collections::HashSet<_> = (0..self.pfs.ost_count())
-            .map(|o| self.pfs.ost_resource(mcio_pfs::OstId(o)))
-            .collect();
-        for rec in records.iter().filter(|r| ost_ids.contains(&r.resource)) {
+        for rec in (records.iter()).filter(|r| self.pfs.ost_of(r.resource).is_some()) {
             // The jobs' activity ranges are disjoint and ascending.
             let idx = rec.activity.index();
             let ji = self.lowered.partition_point(|l| l.acts.end <= idx);
@@ -589,7 +656,7 @@ impl Executed<'_> {
         let mut tid_base = 0u64;
         for ((job, l), run) in self.jobs.iter().zip(&self.lowered).zip(&self.runs) {
             emit_round_spans(&mut tc, job, l, run, tid_base);
-            tid_base += l.groups.len() as u64;
+            tid_base += l.shape.groups.len() as u64;
         }
         // The "inject" category is descriptive only; the resilience
         // categories (retry/backoff/failover/degraded) feed the fifth
@@ -617,8 +684,9 @@ impl Executed<'_> {
 
 /// One round slot as lowered — what phase attribution reads back, and
 /// what [`Lowering::lower_round`] fills: the activities the slot's first
-/// phase waited on, its messages and its I/O completions (also per
-/// aggregator, one list per round lowered into the slot).
+/// phase waited on (the job's start gate aside), its messages and its
+/// I/O completions (also per aggregator, one list per round lowered
+/// into the slot).
 struct SlotMeta {
     chain: usize,
     round: usize,
@@ -629,6 +697,16 @@ struct SlotMeta {
 }
 
 impl SlotMeta {
+    /// Rewrite every activity id as an offset from `first`, the job's
+    /// first activity.
+    fn make_relative_to(&mut self, first: ActivityId) {
+        let flat = [&mut self.first_deps, &mut self.msgs, &mut self.ios];
+        let per_agg = self.agg_ios.iter_mut().flatten().map(|(_, act)| act);
+        for act in flat.into_iter().flatten().chain(per_agg) {
+            *act = act.relative_to(first);
+        }
+    }
+
     /// The I/O completions of the slot, one run per (round, aggregator).
     fn agg_io_runs(&self) -> impl Iterator<Item = &[(Rank, ActivityId)]> {
         (self.agg_ios.iter()).flat_map(|round| round.chunk_by(|a, b| a.0 == b.0))
@@ -766,6 +844,12 @@ impl<'l> Lowering<'l> {
                 }
                 if slot.ios.is_empty() {
                     sim.add_dep(ex_join, io_join);
+                }
+                // The start gate is not the job's own activity — the slot
+                // starts no earlier than the job, which attribution reads
+                // off the arrival time — so the metadata never names it.
+                if r == 0 && start_gate.is_some() {
+                    slot.first_deps.remove(0);
                 }
                 round_meta.push(slot);
                 ex_joins.push(ex_join);
@@ -929,11 +1013,13 @@ struct Attribution {
 /// second the rest of the slot — in [`Rw::flow`] order, so on a write
 /// the messages come first and on a read the I/O does.
 fn attribute_phases(
-    rw: Rw,
+    job: &ExecJob<'_>,
     report: &mcio_des::RunReport,
-    round_meta: &[SlotMeta],
-    chain_groups: &[Option<usize>],
+    lowered: &Lowered,
 ) -> Attribution {
+    let (rw, round_meta) = (job.plan.rw, &lowered.shape.meta);
+    let started = |a: ActivityId| report.start_time(a.based_at(lowered.first));
+    let finished = |a: ActivityId| report.finish_time(a.based_at(lowered.first));
     let mut exchange_time = SimDuration::ZERO;
     let mut io_time = SimDuration::ZERO;
     let mut round_phases: Vec<RoundPhase> = Vec::with_capacity(round_meta.len());
@@ -941,13 +1027,15 @@ fn attribute_phases(
     let mut agg_io_acc: BTreeMap<usize, SimDuration> = BTreeMap::new();
     for meta in round_meta {
         let last = |acts: &[ActivityId], or: SimTime| {
-            let done = acts.iter().map(|&a| report.finish_time(a));
+            let done = acts.iter().map(|&a| finished(a));
             done.max().unwrap_or(or)
         };
-        let t0 = last(&meta.first_deps, SimTime::ZERO);
+        // The job's arrival is when its start gate completes.
+        let arrival = SimTime::ZERO + job.start;
+        let t0 = last(&meta.first_deps, arrival).max(arrival);
         let (msgs_end, ios_end) = (last(&meta.msgs, t0), last(&meta.ios, t0));
         windows.push(RoundWindow {
-            group: chain_groups.get(meta.chain).copied().flatten(),
+            group: lowered.shape.groups.get(meta.chain).copied().flatten(),
             round: meta.round,
             start_ns: t0.saturating_since(SimTime::ZERO).as_nanos(),
             end_ns: msgs_end
@@ -969,8 +1057,8 @@ fn attribute_phases(
         // Per-aggregator file access: first request start → last done.
         for ios in meta.agg_io_runs() {
             let agg = ios[0].0;
-            let start = ios.iter().map(|&(_, a)| report.start_time(a)).min();
-            let end = ios.iter().map(|&(_, a)| report.finish_time(a)).max();
+            let start = ios.iter().map(|&(_, a)| started(a)).min();
+            let end = ios.iter().map(|&(_, a)| finished(a)).max();
             if let (Some(s), Some(e)) = (start, end) {
                 *agg_io_acc.entry(agg.0).or_insert(SimDuration::ZERO) += e.saturating_since(s);
             }
@@ -1042,12 +1130,12 @@ fn emit_round_spans(
 ) {
     let mut named_chains = std::collections::BTreeSet::new();
     let slots = run.report.metrics.rounds.iter().zip(&run.windows);
-    for (meta, (phase, window)) in lowered.meta.iter().zip(slots) {
+    for (meta, (phase, window)) in lowered.shape.meta.iter().zip(slots) {
         // Per-group span metadata: which plan group this chain
         // serves ("all" when global sync zips every group into one
         // chain) and how many aggregators work the slot. Critical-
         // path reconstruction in `mcio-analyze` keys on these args.
-        let group = match lowered.groups.get(meta.chain).copied().flatten() {
+        let group = match lowered.shape.groups.get(meta.chain).copied().flatten() {
             Some(gi) => gi.to_string(),
             None => "all".to_string(),
         };

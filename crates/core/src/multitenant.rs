@@ -36,8 +36,8 @@ use crate::adaptive::{
 };
 use crate::config::Strategy;
 use crate::exec_sim::{
-    execute, record_run, simulate_inner, Elapsed, Exchange, ExecJob, JobMarks, Observe, Pipeline,
-    RoundWindow, SimRun, TimingReport,
+    execute, record_run, simulate_inner, Elapsed, Exchange, ExecJob, JobMarks, Kept, Observe,
+    Pipeline, RoundWindow, SimRun, TimingReport,
 };
 use crate::plan::CollectivePlan;
 use mcio_cluster::spec::ClusterSpec;
@@ -45,7 +45,7 @@ use mcio_cluster::ProcessMap;
 use mcio_des::{SharePolicy, SimDuration};
 use mcio_faults::FaultSpec;
 use mcio_obs::catalogue::PID_TENANTS;
-use mcio_obs::intervals::{intersect_len, merge_intervals, total_len};
+use mcio_obs::intervals::{intersect_len, merge_intervals, shared_intervals, total_len};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -170,36 +170,39 @@ impl MultiTenantReport {
     }
 }
 
-/// Every input of a solo baseline's result; the machine is fixed per
-/// session. `plan` is the address of the job's `Arc`'d plan — the entry
-/// keeps a clone of that `Arc`, so the address cannot be reused while
-/// the entry lives. `start` is absent on purpose: a job alone runs
-/// from zero.
+/// A placed job: every input of what the job lowers to; the machine is
+/// fixed per session. `plan` is the address of the job's `Arc`'d plan —
+/// the entry keeps a clone of that `Arc`, so the address cannot be
+/// reused while the entry lives. `start` is absent on purpose: a job
+/// alone runs from zero, and a kept lowering is appended behind any
+/// start gate or none.
 #[derive(PartialEq, Eq, Hash)]
-struct SoloKey {
+struct PlacedKey {
     plan: usize,
     map: ProcessMap,
     node_offset: usize,
     pipeline: Pipeline,
     exchange: Exchange,
-    engine: SharePolicy,
 }
 
-impl SoloKey {
-    fn of(job: &TenantJob, engine: SharePolicy) -> Self {
-        SoloKey {
+impl PlacedKey {
+    fn of(job: &TenantJob) -> Self {
+        PlacedKey {
             plan: Arc::as_ptr(&job.plan) as usize,
             map: job.map.clone(),
             node_offset: job.node_offset,
             pipeline: job.pipeline,
             exchange: job.exchange,
-            engine,
         }
     }
 }
 
+/// Every input of a solo baseline's result: the placed job and the
+/// engine its activities run under.
+type SoloKey = (PlacedKey, SharePolicy);
+
 /// A sequence of multi-tenant runs on one machine that shares their
-/// solo baselines.
+/// solo baselines and their residents' lowerings.
 ///
 /// A job's baseline — the fault-free elapsed time of the job alone on
 /// its nodes — depends only on its plan, process map, node offset,
@@ -207,12 +210,23 @@ impl SoloKey {
 /// per distinct combination and answers repeats from a memo of one
 /// [`SimDuration`] each. Plans are keyed by the address of
 /// [`TenantJob::plan`]: two jobs share an entry only when they share
-/// the `Arc` *and* every other input. A caller that re-runs a growing
-/// resident set (the batch scheduler) therefore pays one shared
-/// simulation per run; [`run_multitenant`] is a run on a fresh session.
+/// the `Arc` *and* every other input.
+///
+/// The activities a job lowers to depend on the same inputs less the
+/// engine, so a run with no fault plan, no registry and the controller
+/// off also keeps each job's lowering, and the next such run appends it
+/// for every job it places the same way instead of lowering the job
+/// again (`start` and the job's index among the tenants are free to
+/// differ). Only the latest run's lowerings are held. A caller that
+/// re-runs a growing resident set (the batch scheduler) therefore pays,
+/// per run, one shared simulation and the lowering of the newcomer;
+/// [`run_multitenant`] is a run on a fresh session.
 pub struct TenantSession<'a> {
     spec: &'a ClusterSpec,
     solo: HashMap<SoloKey, (Arc<CollectivePlan>, SimDuration)>,
+    /// The lowerings of the latest run's jobs, each with the `Arc` its
+    /// key holds the address of.
+    lowered: Vec<(PlacedKey, Arc<CollectivePlan>, Kept)>,
 }
 
 impl<'a> TenantSession<'a> {
@@ -221,6 +235,7 @@ impl<'a> TenantSession<'a> {
         TenantSession {
             spec,
             solo: HashMap::new(),
+            lowered: Vec::new(),
         }
     }
 
@@ -314,13 +329,29 @@ impl<'a> TenantSession<'a> {
             }
         }
 
-        let ex = execute(spec, &exec_jobs, faults, obs);
+        // What each job lowers to is the same as in the latest run when
+        // nothing but the jobs shapes it. The lowerings that run held
+        // move into this one; a job placed differently now, or not at
+        // all, loses its entry.
+        let mut held = std::mem::take(&mut self.lowered);
+        let keeps = faults.is_none() && obs.registry.is_none() && policy.is_off();
+        let keys: Option<Vec<PlacedKey>> = keeps.then(|| jobs.iter().map(PlacedKey::of).collect());
+        let kept = keys.as_ref().map(|keys| {
+            let hit = |key| {
+                let at = held.iter().position(|(held, ..)| held == key)?;
+                Some(held.swap_remove(at).2)
+            };
+            keys.iter().map(hit).collect()
+        });
+        drop(held);
+        let mut ex = execute(spec, &exec_jobs, faults, obs, kept);
         let makespan = ex.makespan;
 
         // Per-job outcome: span, solo baseline, and how much of the job's
         // OST service time overlapped some other job's.
         let merged_ost: Vec<Vec<(u64, u64)>> =
             ex.ost_service().into_iter().map(merge_intervals).collect();
+        let shared_ost = shared_intervals(&merged_ost);
         let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
         for (ji, (job, run)) in jobs.iter().zip(&ex.runs).enumerate() {
             let span = run.report.elapsed;
@@ -330,19 +361,13 @@ impl<'a> TenantSession<'a> {
             } else {
                 span.as_secs_f64() / solo_elapsed.as_secs_f64()
             };
-            let others: Vec<(u64, u64)> = merge_intervals(
-                merged_ost
-                    .iter()
-                    .enumerate()
-                    .filter(|(oj, _)| *oj != ji)
-                    .flat_map(|(_, v)| v.iter().copied())
-                    .collect(),
-            );
+            // A job meets the others exactly where it meets the
+            // intervals two or more jobs share.
             let own = total_len(&merged_ost[ji]);
             let ost_overlap = if own == 0 {
                 0.0
             } else {
-                intersect_len(&merged_ost[ji], &others) as f64 / own as f64
+                intersect_len(&merged_ost[ji], &shared_ost) as f64 / own as f64
             };
             outcomes.push(JobOutcome {
                 label: job.label.clone(),
@@ -426,18 +451,22 @@ impl<'a> TenantSession<'a> {
             }
         });
 
+        let engine = std::mem::take(&mut ex.engine);
+        let lowered = (keys.into_iter().flatten().zip(jobs).zip(ex.into_kept()))
+            .filter_map(|((key, job), kept)| Some((key, Arc::clone(&job.plan), kept?)));
+        self.lowered = lowered.collect();
         MultiTenantReport {
             jobs: outcomes,
             makespan,
             trace,
-            engine: ex.engine,
+            engine,
         }
     }
 
     /// The job's solo baseline under `engine`: simulated on first use,
     /// answered from the memo afterwards.
     fn solo_elapsed(&mut self, job: &TenantJob, engine: SharePolicy) -> SimDuration {
-        if let Some(&(_, elapsed)) = self.solo.get(&SoloKey::of(job, engine)) {
+        if let Some(&(_, elapsed)) = self.solo.get(&(PlacedKey::of(job), engine)) {
             return elapsed;
         }
         let elapsed = self.simulate_solo(job, engine);
@@ -476,8 +505,8 @@ impl<'a> TenantSession<'a> {
     /// must be what [`simulate_solo`](Self::simulate_solo) returned for
     /// the same job and engine.
     pub fn seed_solo(&mut self, job: &TenantJob, engine: SharePolicy, elapsed: SimDuration) {
-        self.solo
-            .insert(SoloKey::of(job, engine), (Arc::clone(&job.plan), elapsed));
+        let entry = (Arc::clone(&job.plan), elapsed);
+        self.solo.insert((PlacedKey::of(job), engine), entry);
     }
 
     /// Solo baselines simulated so far (memo entries; hits add none).
@@ -544,6 +573,6 @@ fn probe_shared_windows(
         engine,
         ..Observe::default()
     };
-    let probe = execute(spec, jobs, Some(faults), unobserved);
+    let probe = execute(spec, jobs, Some(faults), unobserved, None);
     probe.runs.into_iter().map(|run| run.windows).collect()
 }

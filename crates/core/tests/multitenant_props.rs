@@ -12,22 +12,40 @@
 //! * a seeded multi-tenant run replays deterministically, trace bytes
 //!   included;
 //! * a `TenantSession` that has already answered other runs returns
-//!   exactly what a fresh `run_multitenant` call returns — the solo
-//!   memo never changes a result, only how often it is simulated.
+//!   exactly what a fresh `run_multitenant` call returns — neither the
+//!   solo memo nor the kept lowerings ever change a result, only how
+//!   often a job is simulated alone and how often it is lowered.
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
 use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
 use mcio_core::{
     exec_fn, mcio, run_multitenant, simulate_observed, twophase, AdaptivePolicy, CollectiveConfig,
-    CollectivePlan, CollectiveRequest, Extent, ProcMemory, Rw, Strategy, TenantJob, TenantSession,
+    CollectivePlan, CollectiveRequest, Extent, ProcMemory, Rw, Strategy, SyncMode, TenantJob,
+    TenantSession,
 };
 use mcio_des::{SharePolicy, SimDuration};
+use mcio_faults::FaultSpec;
+use mcio_obs::export::to_json;
+use mcio_obs::Registry;
 use mcio_pfs::SparseFile;
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const KIB: u64 = 1024;
+
+/// What a run of the warm-session property is handed besides its jobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Traced,
+    Untraced,
+    /// A fault plan on the shared PFS.
+    Faulted,
+    /// A metrics registry.
+    Registry,
+    /// The fault plan and the closed-loop controller.
+    Controlled,
+}
 
 /// The access shapes of the differential suite (see `diff_props.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,6 +59,17 @@ enum Shape {
 /// multiple jobs can target disjoint file regions ("own files": the
 /// PFS namespace is flat, so a file is a region of the offset space).
 fn build_request(
+    shape: Shape,
+    nranks: usize,
+    bs: u64,
+    blocks: usize,
+    base: u64,
+) -> CollectiveRequest {
+    build_rw_request(Rw::Write, shape, nranks, bs, blocks, base)
+}
+
+fn build_rw_request(
+    rw: Rw,
     shape: Shape,
     nranks: usize,
     bs: u64,
@@ -64,7 +93,7 @@ fn build_request(
             }
         })
         .collect();
-    CollectiveRequest::new(Rw::Write, per_rank)
+    CollectiveRequest::new(rw, per_rank)
 }
 
 fn plan_for(
@@ -246,26 +275,36 @@ proptest! {
         prop_assert_eq!(&a.trace, &b.trace, "trace bytes must replay identically");
     }
 
-    /// A warm session ≡ a fresh call. Three runs draw tenants from one
-    /// pool of shared plans — the same plan at several offsets, starts
-    /// and pipelines, within a run and across runs, under both engines —
-    /// so the memo is hit, missed and asked for near-identical keys; the
-    /// whole report (solo baselines, slowdowns, overlaps, trace bytes)
-    /// must still match.
+    /// A warm session ≡ a fresh call. Five runs draw tenants from three
+    /// placed jobs — a plan of the pool at an offset, a pipeline and an
+    /// exchange shape — so the same placed job comes back at another
+    /// start (behind a start gate after none and the reverse), at
+    /// another index among the tenants (`j2.` → `j0.` → no prefix when
+    /// it is alone) and twice in one run, under both engines, traced
+    /// and not; the pool holds write and read plans under global and
+    /// per-group sync. The solo memo and the kept lowerings are hit,
+    /// missed and asked for near-identical keys; the whole report (solo
+    /// baselines, slowdowns, overlaps, trace bytes) must still match.
+    /// A run with a fault plan, a registry or the controller on keeps
+    /// and reuses nothing, and must match too, registry rows included.
     #[test]
     fn warm_session_matches_fresh_runs(
-        runs in prop::collection::vec(
-            prop::collection::vec(
-                (
-                    0usize..3,
-                    0usize..3,
-                    prop::sample::select(vec![0u64, 120, 400]),
-                    any::<bool>(),
-                    any::<bool>(),
-                ),
-                1..5,
-            ),
+        placed in prop::collection::vec(
+            (0usize..4, 0usize..3, any::<bool>(), any::<bool>()),
             3,
+        ),
+        runs in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    (0usize..3, prop::sample::select(vec![0u64, 120, 400])),
+                    1..5,
+                ),
+                prop::sample::select(vec![
+                    Mode::Traced, Mode::Traced, Mode::Traced, Mode::Untraced, Mode::Untraced,
+                    Mode::Faulted, Mode::Registry, Mode::Controlled,
+                ]),
+            ),
+            5,
         ),
         fair in any::<bool>(),
         seed in 0u64..1000,
@@ -276,27 +315,37 @@ proptest! {
         let nnodes = nranks / ppn;
         let cluster = ClusterSpec::small(3 * nnodes, 2);
         let pool: Vec<(Arc<CollectivePlan>, ProcessMap)> = [
-            (Strategy::MemoryConscious, Shape::Strided),
-            (Strategy::TwoPhase, Shape::Contiguous),
-            (Strategy::MemoryConscious, Shape::Nested),
+            (Strategy::MemoryConscious, Shape::Strided, Rw::Write),
+            (Strategy::TwoPhase, Shape::Contiguous, Rw::Write),
+            (Strategy::MemoryConscious, Shape::Nested, Rw::Read),
+            (Strategy::TwoPhase, Shape::Strided, Rw::Read),
         ]
         .into_iter()
         .zip(0u64..)
-        .map(|((strategy, shape), pi)| {
-            let req = build_request(shape, nranks, bs, 3, pi * 64 * 1024 * KIB);
+        .map(|((strategy, shape, rw), pi)| {
+            let req = build_rw_request(rw, shape, nranks, bs, 3, pi * 64 * 1024 * KIB);
             let map = ProcessMap::block_ppn(nranks, ppn);
             let mem = ProcMemory::normal(nranks, 4 * bs, 0.3, seed + pi);
             let cfg = CollectiveConfig::with_buffer(4 * bs);
             (plan_for(strategy, &req, &map, &mem, &cfg).into(), map)
         })
         .collect();
+        prop_assert_eq!(
+            [pool[0].0.sync, pool[1].0.sync],
+            [SyncMode::PerGroup, SyncMode::Global]
+        );
+        let faults = FaultSpec::parse(
+            "seed 42\nost_slow(0, 3.0, 0ns..2ms)\nreq_transient_fail(0.2, 7)\n",
+        )
+        .expect("fault plan parses");
 
         let mut session = TenantSession::new(&cluster);
-        for (ri, picks) in runs.iter().enumerate() {
+        for (ri, (picks, mode)) in runs.iter().enumerate() {
             let jobs: Vec<TenantJob> = picks
                 .iter()
                 .enumerate()
-                .map(|(ji, &(pi, slot, start_us, double, two_level))| {
+                .map(|(ji, &(which, start_us))| {
+                    let (pi, slot, double, two_level) = placed[which];
                     let (plan, map) = &pool[pi];
                     TenantJob::new(format!("job{ji}"), Arc::clone(plan), map.clone())
                         .node_offset(slot * nnodes)
@@ -311,10 +360,23 @@ proptest! {
             } else {
                 SharePolicy::Fifo
             };
-            let obs = || Observe { trace: true, engine, ..Observe::default() };
-            let warm = session.run(&jobs, None, AdaptivePolicy::Off, obs());
-            let fresh = run_multitenant(&jobs, &cluster, None, AdaptivePolicy::Off, obs());
+            let faults = matches!(mode, Mode::Faulted | Mode::Controlled).then_some(&faults);
+            let policy = match mode {
+                Mode::Controlled => AdaptivePolicy::Aggressive,
+                _ => AdaptivePolicy::Off,
+            };
+            let registries = [Registry::shared(), Registry::shared()];
+            let obs = |reg| Observe {
+                trace: *mode != Mode::Untraced,
+                registry: (*mode == Mode::Registry).then_some(reg),
+                engine,
+                ..Observe::default()
+            };
+            let warm = session.run(&jobs, faults, policy, obs(&registries[0]));
+            let fresh = run_multitenant(&jobs, &cluster, faults, policy, obs(&registries[1]));
             prop_assert_eq!(&warm, &fresh, "run {} diverged on a warm session", ri);
+            let [warm, fresh] = registries.map(|reg| to_json(&reg.snapshot()));
+            prop_assert_eq!(warm, fresh, "run {} recorded other metrics on a warm session", ri);
         }
     }
 }

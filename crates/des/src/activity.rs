@@ -18,6 +18,19 @@ impl ActivityId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// This id as an offset into the run of activities starting at
+    /// `first` (itself an `ActivityId`: the id the activity would have
+    /// in a simulation that held only the run).
+    pub fn relative_to(self, first: ActivityId) -> ActivityId {
+        ActivityId(self.0 - first.0)
+    }
+
+    /// The inverse of [`ActivityId::relative_to`]: the id of offset
+    /// `self` in a run starting at `first`.
+    pub fn based_at(self, first: ActivityId) -> ActivityId {
+        ActivityId(self.0 + first.0)
+    }
 }
 
 /// One hop of an activity through a resource.

@@ -100,8 +100,77 @@ impl Labels {
         self.ends.push(index32(self.bytes.len(), "label bytes"));
     }
 
+    /// `prefix` then `label` as one new label.
+    fn push_parts(&mut self, prefix: &str, label: &str) {
+        self.bytes.push_str(prefix);
+        self.bytes.push_str(label);
+        self.ends.push(index32(self.bytes.len(), "label bytes"));
+    }
+
     fn get(&self, a: ActivityId) -> &str {
         &self.bytes[row(&self.ends, a.index())]
+    }
+
+    /// Room for `count` more labels of `bytes` bytes in all.
+    fn reserve(&mut self, count: usize, bytes: usize) {
+        self.bytes.reserve(bytes);
+        self.ends.reserve(count);
+    }
+}
+
+/// Where a simulation's activity and edge arenas ended when
+/// [`Simulation::mark`] was called: the start of the run of
+/// registrations [`Simulation::copy_since`] copies out.
+#[derive(Debug, Clone, Copy)]
+pub struct Mark {
+    activities: u32,
+    edges: usize,
+}
+
+impl Mark {
+    /// The id of the first activity registered after the mark.
+    pub fn first(self) -> ActivityId {
+        ActivityId(self.activities)
+    }
+}
+
+/// One row of a [`Fragment`]: what [`Simulation::append`] needs to
+/// rebuild the activity's row — its release, where its stages end in
+/// the fragment's stage run, and how many of the fragment's own
+/// activities it waits for.
+#[derive(Debug)]
+struct FragmentRow {
+    release: SimTime,
+    stage_end: u32,
+    deps: u32,
+}
+
+/// A contiguous run of activities copied out of one simulation by
+/// [`Simulation::copy_since`], to be appended to others by
+/// [`Simulation::append`]: rows, stages, labels without their prefix,
+/// and dependency edges, every offset relative to the run. The run may
+/// have hung on one activity outside it (a start gate); the fragment
+/// remembers which of its activities waited for that one, in the order
+/// the edges were declared, and not the activity itself.
+#[derive(Debug)]
+pub struct Fragment {
+    rows: Vec<FragmentRow>,
+    stages: Vec<Stage>,
+    labels: Labels,
+    /// `(before, after)` as offsets into the run, in declaration order.
+    edges: Vec<(u32, u32)>,
+    /// The dependents of the outside activity, in declaration order;
+    /// `None` when the run was copied out with no outside activity.
+    gated: Option<Vec<u32>>,
+    /// One more than the highest resource index a stage names.
+    resources: usize,
+}
+
+impl Fragment {
+    /// True when the run was copied out hanging on an outside activity,
+    /// so [`Simulation::append`] can hang it on another one.
+    pub fn gateable(&self) -> bool {
+        self.gated.is_some()
     }
 }
 
@@ -303,6 +372,135 @@ impl Simulation {
     /// Number of registered activities.
     pub fn activity_count(&self) -> usize {
         self.activities.len()
+    }
+
+    /// Remember where the activity and edge arenas end now.
+    pub fn mark(&self) -> Mark {
+        Mark {
+            activities: index32(self.activities.len(), "activities"),
+            edges: self.edges.len(),
+        }
+    }
+
+    /// Copy out everything registered since `mark`: the activities
+    /// (each label without the `prefix_len`-byte prefix they all start
+    /// with), their stages and the edges declared among them. `outside`
+    /// is the one earlier activity those edges may also start from; its
+    /// dependents are recorded in declaration order in place of the
+    /// edges.
+    ///
+    /// # Panics
+    /// Panics if an edge declared since the mark leaves the run, or
+    /// enters it from anywhere but `outside`, or if a label is shorter
+    /// than the prefix.
+    pub fn copy_since(
+        &self,
+        mark: Mark,
+        prefix_len: usize,
+        outside: Option<ActivityId>,
+    ) -> Fragment {
+        let first = mark.activities as usize;
+        let rows = &self.activities[first..];
+        // Before the run starts a row's window is all of its stages.
+        let stage_base = rows
+            .first()
+            .map_or(self.stages.len(), |r| r.next_stage as usize);
+        let stages = &self.stages[stage_base..];
+        let mut frag = Fragment {
+            rows: Vec::with_capacity(rows.len()),
+            stages: stages.to_vec(),
+            labels: Labels::default(),
+            edges: Vec::with_capacity(self.edges.len() - mark.edges),
+            gated: outside.map(|_| Vec::new()),
+            resources: stages.iter().map(|s| s.resource.0 + 1).max().unwrap_or(0),
+        };
+        frag.rows.extend(rows.iter().map(|r| FragmentRow {
+            release: r.release,
+            stage_end: r.stage_end - stage_base as u32,
+            deps: r.deps_remaining,
+        }));
+        let label_start = first
+            .checked_sub(1)
+            .map_or(0, |a| self.labels.ends[a] as usize);
+        let label_bytes = self.labels.bytes.len() - label_start;
+        frag.labels
+            .reserve(rows.len(), label_bytes - prefix_len * rows.len());
+        for a in first..self.activities.len() {
+            let label = &self.labels.bytes[row(&self.labels.ends, a)];
+            frag.labels.push_parts("", &label[prefix_len..]);
+        }
+        for &(before, after) in &self.edges[mark.edges..] {
+            let after = after.0.checked_sub(mark.activities);
+            let after = after.expect("an edge declared since the mark leaves the run");
+            match before.0.checked_sub(mark.activities) {
+                Some(before) => frag.edges.push((before, after)),
+                None => {
+                    assert_eq!(Some(before), outside, "an edge enters the run");
+                    frag.rows[after as usize].deps -= 1;
+                    frag.gated.as_mut().expect("outside is set").push(after);
+                }
+            }
+        }
+        frag
+    }
+
+    /// Append a copied-out run under a new label prefix; returns the id
+    /// of its first activity. With a `gate`, the activities that waited
+    /// for the outside activity when the run was copied out wait for
+    /// `gate`, the edges declared in the recorded order; without one
+    /// they wait for nothing outside the run. Each arena is reserved
+    /// once.
+    ///
+    /// # Panics
+    /// Panics if a stage names a resource this simulation lacks, or if
+    /// `gate` is given and the fragment is not [`Fragment::gateable`].
+    pub fn append(
+        &mut self,
+        frag: &Fragment,
+        prefix: &str,
+        gate: Option<ActivityId>,
+    ) -> ActivityId {
+        assert!(
+            frag.resources <= self.resources.len(),
+            "fragment under `{prefix}` references an unknown resource"
+        );
+        // The rows hold `u32` offsets: check where the arenas will end.
+        index32(self.activities.len() + frag.rows.len(), "activities");
+        index32(self.stages.len() + frag.stages.len(), "stages");
+        let base = self.activities.len() as u32;
+        let stage_base = self.stages.len() as u32;
+        self.stages.extend_from_slice(&frag.stages);
+        let mut next_stage = stage_base;
+        self.activities.extend(frag.rows.iter().map(|r| {
+            let stage_end = stage_base + r.stage_end;
+            let state = ActivityState {
+                release: r.release,
+                next_stage,
+                stage_end,
+                deps_remaining: r.deps,
+                started: None,
+                finished: None,
+            };
+            next_stage = stage_end;
+            state
+        }));
+        let label_bytes = frag.labels.bytes.len() + prefix.len() * frag.rows.len();
+        self.labels.reserve(frag.rows.len(), label_bytes);
+        for a in 0..frag.rows.len() {
+            let label = &frag.labels.bytes[row(&frag.labels.ends, a)];
+            self.labels.push_parts(prefix, label);
+        }
+        let at = |offset: u32| ActivityId(base + offset);
+        let gated = frag.gated.as_deref();
+        (self.edges).reserve(frag.edges.len() + gated.map_or(0, <[u32]>::len));
+        let edges = frag.edges.iter().map(|&(b, a)| (at(b), at(a)));
+        self.edges.extend(edges);
+        if let Some(gate) = gate {
+            for &a in gated.expect("fragment was copied out ungated") {
+                self.add_dep(gate, at(a));
+            }
+        }
+        ActivityId(base)
     }
 
     /// Schedule `ev` at `t`. Returns the slot handle `(index,
@@ -1054,6 +1252,136 @@ mod tests {
         let mut sim = Simulation::new();
         let a = sim.add_activity(Activity::new("a"));
         sim.add_dep(stranger, a);
+    }
+
+    /// A job-shaped run under `prefix`: a two-stage transfer and a
+    /// stageless source feeding a join, the first two behind `gate` when
+    /// there is one, edges interleaved as a lowering declares them.
+    fn lower_job(sim: &mut Simulation, r: [ResourceId; 2], prefix: &str, gate: Option<ActivityId>) {
+        let stages = [r[0], r[1]].map(|resource| Stage {
+            resource,
+            bytes: 100,
+            overhead: SimDuration::from_nanos(3),
+            latency_after: SimDuration::from_nanos(5),
+        });
+        let msg = sim.activity(format_args!("{prefix}msg"), SimTime::ZERO, &stages);
+        gate.into_iter().for_each(|g| sim.add_dep(g, msg));
+        let src = sim.activity(format_args!("{prefix}src"), SimTime::from_nanos(40), &[]);
+        let io = sim.activity(format_args!("{prefix}io"), SimTime::ZERO, &stages[1..]);
+        sim.add_dep(msg, io);
+        gate.into_iter().for_each(|g| sim.add_dep(g, src));
+        let join = sim.activity(format_args!("{prefix}join"), SimTime::ZERO, &[]);
+        for before in [io, src, msg] {
+            sim.add_dep(before, join);
+        }
+    }
+
+    /// Two jobs on one machine, each behind its own start gate or none,
+    /// lowered (`frag == None`) or appended.
+    fn two_jobs(gates: [Option<u64>; 2], frag: Option<&Fragment>) -> (RunReport, Option<Fragment>) {
+        let mut sim = Simulation::with_policy(SharePolicy::FairShare);
+        sim.enable_trace();
+        let r = ["r0", "r1"].map(|name| sim.add_resource(name, bw(50.0)));
+        let mut copied = None;
+        for (prefix, gate) in ["j0.", "job1."].into_iter().zip(gates) {
+            let gate = gate.map(|t| {
+                sim.add_activity(
+                    Activity::new(format!("{prefix}start")).release_at(SimTime::from_nanos(t)),
+                )
+            });
+            match frag {
+                Some(frag) => {
+                    let first = sim.append(frag, prefix, gate);
+                    assert_eq!(first.index() + 4, sim.activity_count());
+                }
+                None => {
+                    let mark = sim.mark();
+                    lower_job(&mut sim, r, prefix, gate);
+                    copied = Some(sim.copy_since(mark, prefix.len(), gate));
+                }
+            }
+        }
+        (sim.run().unwrap(), copied)
+    }
+
+    #[test]
+    fn an_appended_fragment_runs_as_the_lowering_it_was_copied_from() {
+        let same = |a: &RunReport, b: &RunReport| {
+            assert_eq!(a.activity_count(), b.activity_count());
+            for i in 0..a.activity_count() as u32 {
+                let id = ActivityId(i);
+                assert_eq!(a.label(id), b.label(id));
+                assert_eq!(a.start_time(id), b.start_time(id), "{}", a.label(id));
+                assert_eq!(a.finish_time(id), b.finish_time(id), "{}", a.label(id));
+            }
+            assert_eq!(a.trace(), b.trace());
+            assert_eq!(a.engine_stats(), b.engine_stats());
+        };
+        // Copied out behind a gate (the second job's copy is the one
+        // returned), appended behind every mix of gates and none.
+        let (_, gated) = two_jobs([None, Some(7)], None);
+        let gated = gated.expect("lowered, so copied");
+        assert!(gated.gateable());
+        for gates in [
+            [Some(7), Some(90)],
+            [None, Some(7)],
+            [Some(1), None],
+            [None, None],
+        ] {
+            let (lowered, _) = two_jobs(gates, None);
+            let (appended, _) = two_jobs(gates, Some(&gated));
+            same(&lowered, &appended);
+        }
+        // Copied out with no gate: appended with none.
+        let (lowered, ungated) = two_jobs([Some(7), None], None);
+        let ungated = ungated.expect("lowered, so copied");
+        assert!(!ungated.gateable());
+        let (appended, _) = two_jobs([None, None], Some(&ungated));
+        same(&two_jobs([None, None], None).0, &appended);
+        assert_eq!(lowered.label(ActivityId(8)), "job1.join");
+    }
+
+    #[test]
+    fn an_empty_run_copies_out_and_appends_as_nothing() {
+        let mut sim = Simulation::new();
+        let r = sim.add_resource("r", bw(100.0));
+        sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
+        let frag = sim.copy_since(sim.mark(), 0, None);
+        assert_eq!(sim.append(&frag, "x.", None).index(), 1);
+        assert_eq!(sim.run().unwrap().activity_count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "copied out ungated")]
+    fn an_ungated_fragment_takes_no_gate() {
+        let mut sim = Simulation::new();
+        let mark = sim.mark();
+        let gate = sim.add_activity(Activity::new("a"));
+        let frag = sim.copy_since(mark, 0, None);
+        sim.append(&frag, "", Some(gate));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown resource")]
+    fn a_fragment_needs_its_resources() {
+        let mut sim = Simulation::new();
+        let r = sim.add_resource("r", bw(100.0));
+        let mark = sim.mark();
+        sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
+        let frag = sim.copy_since(mark, 0, None);
+        Simulation::new().append(&frag, "", None);
+    }
+
+    #[test]
+    #[should_panic(expected = "an edge enters the run")]
+    fn a_run_hangs_on_one_outside_activity_at_most() {
+        let mut sim = Simulation::new();
+        let [before, gate] = ["before", "gate"].map(|l| sim.add_activity(Activity::new(l)));
+        let mark = sim.mark();
+        let a = sim.add_activity(Activity::new("a"));
+        sim.add_dep(gate, a);
+        sim.add_dep(before, a);
+        sim.copy_since(mark, 0, Some(gate));
     }
 
     #[test]

@@ -67,7 +67,8 @@ pub mod time;
 
 pub use activity::{Activity, ActivityId, Stage};
 pub use engine::{
-    resource_class, EngineProfile, EngineStats, RunReport, ServiceRecord, SimError, Simulation,
+    resource_class, EngineProfile, EngineStats, Fragment, Mark, RunReport, ServiceRecord, SimError,
+    Simulation,
 };
 pub use resource::{Bandwidth, Resource, ResourceId, ResourceUsage, ServiceWindow, SharePolicy};
 pub use stats::OnlineStats;

@@ -18,6 +18,26 @@ pub fn merge_intervals(mut intervals: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     merged
 }
 
+/// Where at least two of `sets` overlap, as a sorted disjoint union.
+/// Each set is itself sorted and disjoint with touching intervals fused
+/// (a [`merge_intervals`] result), so two intervals that overlap belong
+/// to different sets.
+pub fn shared_intervals(sets: &[Vec<(u64, u64)>]) -> Vec<(u64, u64)> {
+    let mut all: Vec<(u64, u64)> = sets.iter().flatten().copied().collect();
+    all.sort_unstable();
+    let mut shared = Vec::new();
+    // The furthest end of the intervals seen so far, all of which start
+    // at or before the current one.
+    let mut reach = 0u64;
+    for (a, b) in all {
+        if a < reach {
+            shared.push((a, b.min(reach)));
+        }
+        reach = reach.max(b);
+    }
+    merge_intervals(shared)
+}
+
 /// Total length of a disjoint interval set.
 pub fn total_len(intervals: &[(u64, u64)]) -> u64 {
     intervals.iter().map(|(s, e)| e - s).sum()
@@ -54,5 +74,30 @@ mod tests {
         assert_eq!(intersect_len(&[(0, 2), (4, 6)], &[(1, 5)]), 2);
         assert_eq!(intersect_len(&[(0, 2)], &[(2, 4)]), 0);
         assert_eq!(intersect_len(&[], &[(0, 4)]), 0);
+    }
+
+    #[test]
+    fn shared_intervals_are_what_every_set_meets_the_others_on() {
+        let sets = [
+            vec![(0, 10), (20, 30), (40, 41)],
+            vec![(5, 25), (41, 45)],
+            vec![(8, 9), (22, 50)],
+            vec![],
+        ];
+        let shared = shared_intervals(&sets);
+        assert_eq!(shared, vec![(5, 10), (20, 30), (40, 45)]);
+        for (i, own) in sets.iter().enumerate() {
+            let others = (sets.iter().enumerate())
+                .filter(|(j, _)| *j != i)
+                .flat_map(|(_, s)| s.iter().copied())
+                .collect();
+            let others = merge_intervals(others);
+            assert_eq!(
+                intersect_len(own, &shared),
+                intersect_len(own, &others),
+                "set {i}"
+            );
+        }
+        assert_eq!(shared_intervals(&sets[..1]), vec![]);
     }
 }

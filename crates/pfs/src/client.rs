@@ -225,6 +225,14 @@ impl Pfs {
         self.osts[ost.0]
     }
 
+    /// The OST `resource` is, if it is one: the OSTs are registered one
+    /// after the other, so their resource ids are one contiguous range.
+    pub fn ost_of(&self, resource: ResourceId) -> Option<OstId> {
+        let first = self.osts.first()?.index();
+        let ost = resource.index().checked_sub(first)?;
+        (ost < self.osts.len()).then_some(OstId(ost))
+    }
+
     /// Number of OSTs.
     pub fn ost_count(&self) -> usize {
         self.osts.len()

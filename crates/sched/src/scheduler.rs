@@ -28,7 +28,7 @@ use crate::policy::{priority_key, Policy};
 use crate::trace::{build_tenant, JobTrace};
 use mcio_core::exec_sim::Observe;
 use mcio_core::{AdaptivePolicy, MultiTenantReport, TenantJob, TenantSession};
-use mcio_des::SimDuration;
+use mcio_des::{EngineProfile, SimDuration};
 use mcio_obs::catalogue::PID_SCHED;
 use mcio_obs::{Registry, Trace};
 use std::sync::Arc;
@@ -170,6 +170,10 @@ pub struct Schedule {
     /// one per distinct `(job, node offset, engine)` the stream placed.
     /// Not part of `mcio.schedule.v1`.
     pub baseline_sims: u64,
+    /// The engine counters of every commit simulation, folded
+    /// ([`EngineProfile::merge`]): machine-independent work the stream
+    /// cost. Not part of `mcio.schedule.v1`.
+    pub engine: EngineProfile,
     /// Chrome-trace JSON of the pid-6 scheduler lanes, when requested.
     pub trace: Option<String>,
 }
@@ -258,6 +262,7 @@ struct Loop<'a> {
     session: TenantSession<'a>,
     commit: &'a mut CommitFn<'a>,
     commits: u64,
+    engine: EngineProfile,
     templates: Vec<TenantJob>,
     solo_ns: Vec<u64>,
     free: Vec<bool>,
@@ -308,6 +313,7 @@ impl Loop<'_> {
                 ..Observe::default()
             },
         );
+        self.engine.merge(&report.engine);
         let outcome = report.jobs.last().expect("newcomer is last");
         Commit {
             run_ns: (outcome.end_ns - outcome.start_ns).max(1),
@@ -558,6 +564,7 @@ pub fn run_schedule_with<'a>(
         session,
         commit,
         commits: 0,
+        engine: EngineProfile::default(),
         templates,
         solo_ns,
         free: vec![true; trace.machine.nodes],
@@ -727,6 +734,7 @@ pub fn run_schedule_with<'a>(
         reservations: lp.reservations,
         commits: lp.commits,
         baseline_sims: lp.session.baseline_sims(),
+        engine: lp.engine,
         trace: chrome,
     }
 }

@@ -100,6 +100,29 @@ fn parse_job(rest: &str, default_engine: SharePolicy) -> Result<TraceJob, String
 }
 
 impl JobTrace {
+    /// The bundled mixed-size stream `scheduler_suite` gates on (and
+    /// `benchmark/workloads/sched_stream.jobtrace` spells out): `big`
+    /// holds half of a 32-node machine for a long time, `wide` needs the
+    /// whole machine and blocks the FCFS queue, and two hundred short
+    /// 4-node jobs arrive behind it. Backfill lets the shorts run on the
+    /// free half while `wide` waits.
+    pub fn bundled() -> Self {
+        let mut text = String::from(
+            "# mcio.jobtrace.v1\n\
+             machine small:32x2\n\
+             job big arrival=0 ranks=32 ppn=2 per_proc=2M segments=2 buffer=128K\n\
+             job wide arrival=50us prio=9 ranks=64 ppn=2 per_proc=256K segments=1 buffer=128K\n",
+        );
+        for i in 0..200 {
+            let _ = writeln!(
+                text,
+                "job s{i:03} arrival={}us ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K",
+                100 + i * 50
+            );
+        }
+        Self::parse(&text).expect("bundled trace parses")
+    }
+
     /// Parse an `mcio.jobtrace.v1` document. Errors carry the
     /// offending line number.
     pub fn parse(text: &str) -> Result<Self, String> {

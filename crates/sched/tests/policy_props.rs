@@ -161,23 +161,6 @@ proptest! {
     }
 }
 
-/// `scheduler_suite`'s bundled 202-job stream (private to that binary):
-/// `big` holds half the machine, `wide` blocks the queue, 200 shorts.
-fn bundled_stream() -> JobTrace {
-    let mut text = String::from(
-        "machine small:32x2\n\
-         job big arrival=0 ranks=32 ppn=2 per_proc=2M segments=2 buffer=128K\n\
-         job wide arrival=50us prio=9 ranks=64 ppn=2 per_proc=256K segments=1 buffer=128K\n",
-    );
-    for i in 0..200 {
-        text.push_str(&format!(
-            "job s{i:03} arrival={}us ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K\n",
-            100 + i * 50
-        ));
-    }
-    JobTrace::parse(&text).expect("bundled stream parses")
-}
-
 /// One commit, one simulation: on the bundled stream the baselines
 /// actually simulated are exactly the distinct `(job, node offset)`
 /// placements the stream produced — every repeat was a memo hit. The
@@ -185,14 +168,18 @@ fn bundled_stream() -> JobTrace {
 /// commits were handed (plus each job's offset-0 prepare baseline).
 #[test]
 fn bundled_stream_simulates_one_baseline_per_distinct_placement() {
-    let trace = bundled_stream();
-    // (policy, commits, baselines, tenants over all commits); the
-    // counts move only when the simulated schedule itself does
-    // (`BENCH_scheduler_suite.json`). The last column is what a fresh
-    // session per commit would have baselined instead.
-    for (policy, commits, baselines, per_commit) in [
-        (Policy::Fcfs, 202, 375, 1_302),
-        (Policy::Backfill, 540, 679, 2_767),
+    let trace = JobTrace::bundled();
+    // (policy, commits, baselines, tenants over all commits,
+    // activities and events fired over all commits); the counts move
+    // only when the simulated schedule itself does
+    // (`BENCH_scheduler_suite.json`). The third column is what a fresh
+    // session per commit would have baselined instead. The last two were
+    // read off the commit before the session kept its residents'
+    // lowerings: an appended lowering is the same activities and makes
+    // the same events as a fresh one.
+    for (policy, commits, baselines, per_commit, activities, events_fired) in [
+        (Policy::Fcfs, 202, 375, 1_302, 90_962, 196_892),
+        (Policy::Backfill, 540, 679, 2_767, 1_454_491, 2_947_741),
     ] {
         let mut placements: BTreeSet<(String, usize)> =
             trace.jobs.iter().map(|j| (j.name.clone(), 0)).collect();
@@ -211,6 +198,12 @@ fn bundled_stream_simulates_one_baseline_per_distinct_placement() {
         assert_eq!(
             (s.commits, s.baseline_sims, tenant_sims),
             (commits, baselines, per_commit),
+            "{}",
+            policy.label()
+        );
+        assert_eq!(
+            (s.engine.activities, s.engine.events_fired),
+            (activities, events_fired),
             "{}",
             policy.label()
         );
