@@ -49,9 +49,9 @@ impl Fabric {
             let scale = spec.scale_of(n);
             let membus_bw = Bandwidth::bytes_per_sec(spec.node.mem_bandwidth * scale);
             let nic_bw = Bandwidth::bytes_per_sec(spec.node.nic_bandwidth * scale);
-            membus.push(sim.add_resource(format!("node{n}.membus"), membus_bw));
-            nic_tx.push(sim.add_resource(format!("node{n}.nic_tx"), nic_bw));
-            nic_rx.push(sim.add_resource(format!("node{n}.nic_rx"), nic_bw));
+            membus.push(sim.add_resource(format_args!("node{n}.membus"), membus_bw));
+            nic_tx.push(sim.add_resource(format_args!("node{n}.nic_tx"), nic_bw));
+            nic_rx.push(sim.add_resource(format_args!("node{n}.nic_rx"), nic_bw));
         }
         Fabric {
             membus,

@@ -34,6 +34,7 @@ use mcio_obs::{Registry, Trace};
 use mcio_pfs::{Pfs, RetryMark, Rw};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::{Display, Write as _};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Phase durations of one round slot (one synchronized step of one
@@ -361,11 +362,57 @@ pub(crate) fn simulate_inner(
 /// What phase attribution and the trace read back from one lowered
 /// job: its round slots, every activity id an offset into the job's own
 /// run of activities (the start gate is not part of the run), so the
-/// same value serves wherever the run is appended.
+/// same value serves wherever the run is appended. A slot's lists are
+/// ranges of the four flat vectors, which hold every slot's in slot
+/// order.
+#[derive(Default)]
 pub(crate) struct Shape {
-    meta: Vec<SlotMeta>,
+    slots: Vec<SlotMeta>,
     /// `groups[ci]` is the plan group chain `ci` serves.
     groups: Vec<Option<usize>>,
+    /// The activities each slot's first phase waited on (the job's start
+    /// gate aside).
+    first_deps: Vec<ActivityId>,
+    /// Each slot's messages.
+    msgs: Vec<ActivityId>,
+    /// Each slot's I/O completions.
+    ios: Vec<ActivityId>,
+    /// Each slot's I/O completions again, as `(k, aggregator, activity)`
+    /// for the `k`-th round lowered into the slot: aggregator order
+    /// within a round, creation order within an aggregator.
+    agg_ios: Vec<(u32, Rank, ActivityId)>,
+}
+
+impl Shape {
+    fn first_deps(&self, slot: &SlotMeta) -> &[ActivityId] {
+        &self.first_deps[slot.first_deps.clone()]
+    }
+
+    fn msgs(&self, slot: &SlotMeta) -> &[ActivityId] {
+        &self.msgs[slot.msgs.clone()]
+    }
+
+    fn ios(&self, slot: &SlotMeta) -> &[ActivityId] {
+        &self.ios[slot.ios.clone()]
+    }
+
+    /// The I/O completions of a slot, one run per (round, aggregator).
+    fn agg_io_runs<'s>(
+        &'s self,
+        slot: &SlotMeta,
+    ) -> impl Iterator<Item = &'s [(u32, Rank, ActivityId)]> {
+        self.agg_ios[slot.agg_ios.clone()].chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+    }
+
+    /// Rewrite every activity id as an offset from `first`, the job's
+    /// first activity.
+    fn make_relative_to(&mut self, first: ActivityId) {
+        let flat = [&mut self.first_deps, &mut self.msgs, &mut self.ios];
+        let per_agg = self.agg_ios.iter_mut().map(|(_, _, act)| act);
+        for act in flat.into_iter().flatten().chain(per_agg) {
+            *act = act.relative_to(first);
+        }
+    }
 }
 
 /// A placed job's lowering, kept by a [`crate::TenantSession`] from one
@@ -498,18 +545,13 @@ pub(crate) fn execute<'a>(
                         ((gate.group, gate.round), act)
                     })
                     .collect();
-                let mut lowering = Lowering {
-                    sim: &mut sim,
-                    fabric: &fabric,
-                    pfs: &pfs,
-                    job,
-                };
-                let (mut meta, groups) = lowering.lower_plan(&gate_acts, start_gate);
-                meta.iter_mut()
-                    .for_each(|slot| slot.make_relative_to(mark.first()));
+                let mut lowering = Lowering::new(&mut sim, &fabric, &pfs, job);
+                lowering.lower_plan(&gate_acts, start_gate);
+                let mut shape = lowering.shape;
+                shape.make_relative_to(mark.first());
                 let fragment =
                     (kept.is_some()).then(|| sim.copy_since(mark, job.prefix.len(), start_gate));
-                (Shape { meta, groups }, fragment, mark.first())
+                (shape, fragment, mark.first())
             }
         };
         lowered.push(Lowered {
@@ -682,46 +724,41 @@ impl Executed<'_> {
     }
 }
 
-/// One round slot as lowered — what phase attribution reads back, and
-/// what [`Lowering::lower_round`] fills: the activities the slot's first
-/// phase waited on (the job's start gate aside), its messages and its
-/// I/O completions (also per aggregator, one list per round lowered
-/// into the slot).
+/// One round slot as lowered — what phase attribution reads back: the
+/// slot's place in its chain and its lists, as ranges of the [`Shape`]'s
+/// flat vectors.
 struct SlotMeta {
     chain: usize,
     round: usize,
-    first_deps: Vec<ActivityId>,
-    msgs: Vec<ActivityId>,
-    ios: Vec<ActivityId>,
-    agg_ios: Vec<AggActs>,
-}
-
-impl SlotMeta {
-    /// Rewrite every activity id as an offset from `first`, the job's
-    /// first activity.
-    fn make_relative_to(&mut self, first: ActivityId) {
-        let flat = [&mut self.first_deps, &mut self.msgs, &mut self.ios];
-        let per_agg = self.agg_ios.iter_mut().flatten().map(|(_, act)| act);
-        for act in flat.into_iter().flatten().chain(per_agg) {
-            *act = act.relative_to(first);
-        }
-    }
-
-    /// The I/O completions of the slot, one run per (round, aggregator).
-    fn agg_io_runs(&self) -> impl Iterator<Item = &[(Rank, ActivityId)]> {
-        (self.agg_ios.iter()).flat_map(|round| round.chunk_by(|a, b| a.0 == b.0))
-    }
+    first_deps: Range<usize>,
+    msgs: Range<usize>,
+    ios: Range<usize>,
+    agg_ios: Range<usize>,
 }
 
 /// What one job's rounds are lowered against: the shared simulation and
 /// machine, and the job for its plan, placement, exchange shape and
 /// label namespace (`job.prefix`: job attribution under multi-tenancy,
-/// `""` solo).
+/// `""` solo). Lowering fills `shape`; the rest is scratch, reused from
+/// round to round.
 struct Lowering<'a> {
     sim: &'a mut Simulation,
     fabric: &'a Fabric,
     pfs: &'a Pfs,
     job: &'a ExecJob<'a>,
+    /// The job's slots as lowered so far (absolute activity ids).
+    shape: Shape,
+    /// What the current slot's first phase waits for, the start gate
+    /// included.
+    slot_deps: Vec<ActivityId>,
+    /// The current round's transfers.
+    transfers: Vec<Transfer>,
+    /// The current round's activities per aggregator, one list per
+    /// phase in execution order.
+    phase_acts: [AggActs; 2],
+    /// What the current PFS request waits for, and its label.
+    deps: Vec<ActivityId>,
+    label: String,
 }
 
 /// The activities one phase of a round created, each with its
@@ -752,163 +789,192 @@ impl Gates<'_> {
     }
 }
 
-/// One phase of a round: lowers it behind `Gates`, appends the handles
-/// the slot join waits on, and returns them per aggregator.
-type Phase<'l> = fn(&mut Lowering<'l>, &Round, &Gates<'_>, &mut Vec<ActivityId>) -> AggActs;
+/// One phase of a round: lowers it behind `Gates` into the shape's
+/// message or I/O list, and lists its activities per aggregator in the
+/// last argument.
+type Phase<'l> = fn(&mut Lowering<'l>, &Round, &Gates<'_>, &mut AggActs);
 
 impl<'l> Lowering<'l> {
-    /// Lower the job's plan: build the round chains (global sync zips
-    /// every group into one chain; per-group sync gives each group its
-    /// own), wire the pipelining dependencies, and add the per-slot
-    /// joins. `start_gate` delays every chain's first round (the job's
-    /// arrival). Returns the slot metadata plus `chain_groups`
-    /// (`chain_groups[ci]` is the plan group chain `ci` serves; `None` =
-    /// all groups, global sync), which the trace exposes as per-group
-    /// span metadata.
+    fn new(
+        sim: &'l mut Simulation,
+        fabric: &'l Fabric,
+        pfs: &'l Pfs,
+        job: &'l ExecJob<'l>,
+    ) -> Self {
+        Lowering {
+            sim,
+            fabric,
+            pfs,
+            job,
+            shape: Shape::default(),
+            slot_deps: Vec::new(),
+            transfers: Vec::new(),
+            phase_acts: Default::default(),
+            deps: Vec::new(),
+            label: String::new(),
+        }
+    }
+
+    /// Lower the job's plan into `shape`: one round chain per group
+    /// under per-group sync, every group zipped into one chain under
+    /// global sync. `start_gate` delays every chain's first round (the
+    /// job's arrival). `shape.groups[ci]` is the plan group chain `ci`
+    /// serves (`None` = all groups, global sync), which the trace
+    /// exposes as per-group span metadata.
     fn lower_plan(
         &mut self,
         gate_acts: &HashMap<(Option<usize>, usize), ActivityId>,
         start_gate: Option<ActivityId>,
-    ) -> (Vec<SlotMeta>, Vec<Option<usize>>) {
-        let (plan, pipeline, prefix) = (self.job.plan, self.job.pipeline, &self.job.prefix);
-        let mut chains: Vec<Vec<Vec<&Round>>> = Vec::new();
-        let mut chain_groups: Vec<Option<usize>> = Vec::new();
+    ) {
+        let plan = self.job.plan;
         match plan.sync {
             SyncMode::Global => {
-                let slot = |r| plan.groups.iter().filter_map(|g| g.rounds.get(r)).collect();
-                chains.push((0..plan.max_rounds()).map(slot).collect());
-                chain_groups.push(None);
+                let slot = |r| plan.groups.iter().filter_map(move |g| g.rounds.get(r));
+                let slots = (0..plan.max_rounds()).map(slot);
+                self.lower_chain(None, slots, gate_acts, start_gate);
             }
             SyncMode::PerGroup => {
                 for (gi, g) in plan.groups.iter().enumerate() {
                     if !g.rounds.is_empty() {
-                        chains.push(g.rounds.iter().map(|r| vec![r]).collect());
-                        chain_groups.push(Some(gi));
+                        let slots = g.rounds.iter().map(std::slice::from_ref);
+                        self.lower_chain(Some(gi), slots, gate_acts, start_gate);
                     }
                 }
             }
         }
-
-        let mut round_meta: Vec<SlotMeta> = Vec::new();
-        for (ci, chain) in chains.iter().enumerate() {
-            let mut ex_joins: Vec<ActivityId> = Vec::new();
-            let mut io_joins: Vec<ActivityId> = Vec::new();
-            for (r, rounds) in chain.iter().enumerate() {
-                // Dependencies per pipelining mode, on the earlier
-                // slots' joins in phase order.
-                let (prev_first, prev_second) = plan.rw.flow((&ex_joins, &io_joins));
-                let (mut first_deps, second_extra) = match pipeline {
-                    _ if r == 0 => (start_gate.into_iter().collect(), Vec::new()),
-                    Pipeline::Serial => (vec![ex_joins[r - 1], io_joins[r - 1]], Vec::new()),
-                    Pipeline::DoubleBuffered => {
-                        // The first phase of round r reuses the buffer the
-                        // second phase of round r-2 released; the second
-                        // phase serializes per buffer stream.
-                        let mut first = vec![prev_first[r - 1]];
-                        if r >= 2 {
-                            first.push(prev_second[r - 2]);
-                        }
-                        (first, vec![prev_second[r - 1]])
-                    }
-                };
-                // A gated slot may not start before its gate releases.
-                first_deps.extend(gate_acts.get(&(chain_groups[ci], r)));
-                let mut slot = SlotMeta {
-                    chain: ci,
-                    round: r,
-                    first_deps,
-                    msgs: Vec::new(),
-                    ios: Vec::new(),
-                    agg_ios: Vec::new(),
-                };
-                for round in rounds {
-                    self.lower_round(round, &second_extra, &mut slot);
-                }
-                let sim = &mut *self.sim;
-                let ex_join =
-                    sim.activity(format_args!("{prefix}c{ci}.r{r}.ex"), SimTime::ZERO, &[]);
-                for &m in &slot.msgs {
-                    sim.add_dep(m, ex_join);
-                }
-                let io_join =
-                    sim.activity(format_args!("{prefix}c{ci}.r{r}.io"), SimTime::ZERO, &[]);
-                for &io in &slot.ios {
-                    sim.add_dep(io, io_join);
-                }
-                // Empty phases still chain (join on the other phase so the
-                // slot completes in order).
-                if slot.msgs.is_empty() {
-                    for &d in &slot.first_deps {
-                        sim.add_dep(d, ex_join);
-                    }
-                }
-                if slot.ios.is_empty() {
-                    sim.add_dep(ex_join, io_join);
-                }
-                // The start gate is not the job's own activity — the slot
-                // starts no earlier than the job, which attribution reads
-                // off the arrival time — so the metadata never names it.
-                if r == 0 && start_gate.is_some() {
-                    slot.first_deps.remove(0);
-                }
-                round_meta.push(slot);
-                ex_joins.push(ex_join);
-                io_joins.push(io_join);
-            }
-        }
-        (round_meta, chain_groups)
     }
 
-    /// Lower one round into `slot`: its first phase behind the slot's
-    /// `first_deps`, its second behind each aggregator's first-phase
-    /// activities (`first_deps` for an aggregator without any) plus
-    /// `second_extra`, the pipelining gates. Which phase is first is the
-    /// plan's direction and nothing else: exchange then file access in
-    /// write order, [`Rw::flow`] of that on a read.
-    fn lower_round(&mut self, round: &Round, second_extra: &[ActivityId], slot: &mut SlotMeta) {
+    /// Lower one chain serving `group`, slot by slot: wire the
+    /// pipelining dependencies on the earlier slots' joins, lower the
+    /// slot's rounds and add its two joins.
+    fn lower_chain<'p, R: IntoIterator<Item = &'p Round>>(
+        &mut self,
+        group: Option<usize>,
+        slots: impl Iterator<Item = R>,
+        gate_acts: &HashMap<(Option<usize>, usize), ActivityId>,
+        start_gate: Option<ActivityId>,
+    ) {
+        let (plan, pipeline, prefix) = (self.job.plan, self.job.pipeline, &self.job.prefix);
+        let ci = self.shape.groups.len();
+        self.shape.groups.push(group);
+        // The (exchange, I/O) joins of the previous two slots.
+        let mut prev: [Option<(ActivityId, ActivityId)>; 2] = [None, None];
+        for (r, rounds) in slots.enumerate() {
+            // Dependencies per pipelining mode, on the earlier slots'
+            // joins in phase order.
+            let mut slot_deps = std::mem::take(&mut self.slot_deps);
+            slot_deps.clear();
+            let mut second_extra = None;
+            match (pipeline, prev) {
+                (_, [None, _]) => slot_deps.extend(start_gate),
+                (Pipeline::Serial, [Some((ex, io)), _]) => slot_deps.extend([ex, io]),
+                (Pipeline::DoubleBuffered, [Some(last), before]) => {
+                    // The first phase of round r reuses the buffer the
+                    // second phase of round r-2 released; the second
+                    // phase serializes per buffer stream.
+                    let (last_first, last_second) = plan.rw.flow(last);
+                    slot_deps.push(last_first);
+                    slot_deps.extend(before.map(|joins| plan.rw.flow(joins).1));
+                    second_extra = Some(last_second);
+                }
+            }
+            // A gated slot may not start before its gate releases.
+            slot_deps.extend(gate_acts.get(&(group, r)));
+            let (msgs, ios, agg_ios) = (
+                self.shape.msgs.len(),
+                self.shape.ios.len(),
+                self.shape.agg_ios.len(),
+            );
+            for (k, round) in (0..).zip(rounds) {
+                self.lower_round(round, k, &slot_deps, second_extra.as_slice());
+            }
+            let (msgs, ios) = (msgs..self.shape.msgs.len(), ios..self.shape.ios.len());
+            let sim = &mut *self.sim;
+            let ex_join = sim.activity(format_args!("{prefix}c{ci}.r{r}.ex"), SimTime::ZERO, &[]);
+            for &m in &self.shape.msgs[msgs.clone()] {
+                sim.add_dep(m, ex_join);
+            }
+            let io_join = sim.activity(format_args!("{prefix}c{ci}.r{r}.io"), SimTime::ZERO, &[]);
+            for &io in &self.shape.ios[ios.clone()] {
+                sim.add_dep(io, io_join);
+            }
+            // Empty phases still chain (join on the other phase so the
+            // slot completes in order).
+            if msgs.is_empty() {
+                for &d in &slot_deps {
+                    sim.add_dep(d, ex_join);
+                }
+            }
+            if ios.is_empty() {
+                sim.add_dep(ex_join, io_join);
+            }
+            // The start gate is not the job's own activity — the slot
+            // starts no earlier than the job, which attribution reads
+            // off the arrival time — so the metadata never names it.
+            let gated = usize::from(r == 0 && start_gate.is_some());
+            let first_deps = self.shape.first_deps.len();
+            self.shape.first_deps.extend_from_slice(&slot_deps[gated..]);
+            self.shape.slots.push(SlotMeta {
+                chain: ci,
+                round: r,
+                first_deps: first_deps..self.shape.first_deps.len(),
+                msgs,
+                ios,
+                agg_ios: agg_ios..self.shape.agg_ios.len(),
+            });
+            self.slot_deps = slot_deps;
+            prev = [Some((ex_join, io_join)), prev[0]];
+        }
+    }
+
+    /// Lower the `k`-th round of a slot: its first phase behind the
+    /// slot's dependencies, its second behind each aggregator's
+    /// first-phase activities (the slot's dependencies for an aggregator
+    /// without any) plus `second_extra`, the pipelining gates. Which
+    /// phase is first is the plan's direction and nothing else: exchange
+    /// then file access in write order, [`Rw::flow`] of that on a read.
+    fn lower_round(
+        &mut self,
+        round: &Round,
+        k: u32,
+        slot_deps: &[ActivityId],
+        second_extra: &[ActivityId],
+    ) {
         let rw = self.job.plan.rw;
-        let SlotMeta {
-            first_deps,
-            msgs,
-            ios,
-            agg_ios,
-            ..
-        } = slot;
-        let exchange: (Phase<'l>, _) = (Self::exchange, msgs);
-        let file_access: (Phase<'l>, _) = (Self::file_access, ios);
-        let ((first, first_out), (second, second_out)) = rw.flow((exchange, file_access));
+        let phases: (Phase<'l>, Phase<'l>) = (Self::exchange, Self::file_access);
+        let (first, second) = rw.flow(phases);
+        let [mut first_acts, mut second_acts] = std::mem::take(&mut self.phase_acts);
+        first_acts.clear();
+        second_acts.clear();
         let open = Gates {
             after: None,
-            first_deps,
+            first_deps: slot_deps,
             extra: &[],
         };
-        let first_acts = first(self, round, &open, first_out);
+        first(self, round, &open, &mut first_acts);
         debug_assert!(first_acts.is_sorted_by_key(|&(agg, _)| agg));
         let held = Gates {
             after: Some(&first_acts),
             extra: second_extra,
             ..open
         };
-        let second_acts = second(self, round, &held, second_out);
-        let (_, io_acts) = rw.flow((first_acts, second_acts));
-        agg_ios.push(io_acts);
+        second(self, round, &held, &mut second_acts);
+        let (_, io_acts) = rw.flow((&first_acts, &second_acts));
+        let per_agg = io_acts.iter().map(|&(agg, act)| (k, agg, act));
+        self.shape.agg_ios.extend(per_agg);
+        self.phase_acts = [first_acts, second_acts];
     }
 
     /// The exchange phase: one leg chain per transfer, its first leg
     /// behind the aggregator's gates. Labels and endpoints read along
     /// the data flow, `node->aggregator` on a write and
     /// `aggregator->node` on a read.
-    fn exchange(
-        &mut self,
-        round: &Round,
-        gates: &Gates<'_>,
-        msgs: &mut Vec<ActivityId>,
-    ) -> AggActs {
+    fn exchange(&mut self, round: &Round, gates: &Gates<'_>, acts: &mut AggActs) {
         let (job, rw) = (self.job, self.job.plan.rw);
         let prefix = &job.prefix;
-        let transfers = exchange_transfers(round, job.map, job.exchange, rw);
-        let mut acts = AggActs::with_capacity(transfers.len());
-        for t in transfers {
+        let mut transfers = std::mem::take(&mut self.transfers);
+        exchange_transfers(round, job.map, job.exchange, rw, &mut transfers);
+        for t in &transfers {
             let (from, to): (&dyn Display, &dyn Display) = rw.flow((&t.node, &t.agg));
             let wire = rw.flow((t.node, job.map.node_of(t.agg)));
             // Two-level: one extra memory-bus copy of the combined payload
@@ -927,39 +993,32 @@ impl<'l> Lowering<'l> {
                 }
                 prev = Some(a);
                 acts.push((t.agg, a));
-                msgs.push(a);
+                self.shape.msgs.push(a);
             }
         }
-        acts
+        self.transfers = transfers;
     }
 
     /// The file-access phase: one PFS request per coalesced extent of
     /// each I/O op, behind its aggregator's gates.
-    fn file_access(
-        &mut self,
-        round: &Round,
-        gates: &Gates<'_>,
-        ios: &mut Vec<ActivityId>,
-    ) -> AggActs {
+    fn file_access(&mut self, round: &Round, gates: &Gates<'_>, acts: &mut AggActs) {
         let (job, pfs, fabric) = (self.job, self.pfs, self.fabric);
-        let mut acts = AggActs::with_capacity(round.ios.iter().map(|io| io.extents.len()).sum());
-        let (mut deps, mut label) = (Vec::new(), String::new());
         for io in &round.ios {
-            deps.clear();
-            deps.extend(gates.of(io.agg));
-            label.clear();
-            write!(label, "{}io.{}", job.prefix, io.agg).expect("a String takes any write");
+            self.deps.clear();
+            self.deps.extend(gates.of(io.agg));
+            self.label.clear();
+            write!(self.label, "{}io.{}", job.prefix, io.agg).expect("a String takes any write");
             let node = job.map.node_of(io.agg);
             for e in &io.extents {
-                let done = pfs.submit(self.sim, fabric, &label, node, job.plan.rw, *e, &deps);
+                let (sim, label, deps) = (&mut *self.sim, &self.label, &self.deps);
+                let done = pfs.submit(sim, fabric, label, node, job.plan.rw, *e, deps);
                 acts.push((io.agg, done));
-                ios.push(done);
+                self.shape.ios.push(done);
             }
         }
         // The plan lists a round's I/O ops in file-domain order; the
         // sort is stable, so an aggregator's requests keep theirs.
         acts.sort_by_key(|&(agg, _)| agg);
-        acts
     }
 }
 
@@ -1017,7 +1076,8 @@ fn attribute_phases(
     report: &mcio_des::RunReport,
     lowered: &Lowered,
 ) -> Attribution {
-    let (rw, round_meta) = (job.plan.rw, &lowered.shape.meta);
+    let (rw, shape) = (job.plan.rw, &lowered.shape);
+    let round_meta = &shape.slots;
     let started = |a: ActivityId| report.start_time(a.based_at(lowered.first));
     let finished = |a: ActivityId| report.finish_time(a.based_at(lowered.first));
     let mut exchange_time = SimDuration::ZERO;
@@ -1032,10 +1092,10 @@ fn attribute_phases(
         };
         // The job's arrival is when its start gate completes.
         let arrival = SimTime::ZERO + job.start;
-        let t0 = last(&meta.first_deps, arrival).max(arrival);
-        let (msgs_end, ios_end) = (last(&meta.msgs, t0), last(&meta.ios, t0));
+        let t0 = last(shape.first_deps(meta), arrival).max(arrival);
+        let (msgs_end, ios_end) = (last(shape.msgs(meta), t0), last(shape.ios(meta), t0));
         windows.push(RoundWindow {
-            group: lowered.shape.groups.get(meta.chain).copied().flatten(),
+            group: shape.groups.get(meta.chain).copied().flatten(),
             round: meta.round,
             start_ns: t0.saturating_since(SimTime::ZERO).as_nanos(),
             end_ns: msgs_end
@@ -1055,10 +1115,10 @@ fn attribute_phases(
             io,
         });
         // Per-aggregator file access: first request start → last done.
-        for ios in meta.agg_io_runs() {
-            let agg = ios[0].0;
-            let start = ios.iter().map(|&(_, a)| started(a)).min();
-            let end = ios.iter().map(|&(_, a)| finished(a)).max();
+        for ios in shape.agg_io_runs(meta) {
+            let agg = ios[0].1;
+            let start = ios.iter().map(|&(_, _, a)| started(a)).min();
+            let end = ios.iter().map(|&(_, _, a)| finished(a)).max();
             if let (Some(s), Some(e)) = (start, end) {
                 *agg_io_acc.entry(agg.0).or_insert(SimDuration::ZERO) += e.saturating_since(s);
             }
@@ -1130,16 +1190,17 @@ fn emit_round_spans(
 ) {
     let mut named_chains = std::collections::BTreeSet::new();
     let slots = run.report.metrics.rounds.iter().zip(&run.windows);
-    for (meta, (phase, window)) in lowered.shape.meta.iter().zip(slots) {
+    let shape = &lowered.shape;
+    for (meta, (phase, window)) in shape.slots.iter().zip(slots) {
         // Per-group span metadata: which plan group this chain
         // serves ("all" when global sync zips every group into one
         // chain) and how many aggregators work the slot. Critical-
         // path reconstruction in `mcio-analyze` keys on these args.
-        let group = match lowered.shape.groups.get(meta.chain).copied().flatten() {
+        let group = match shape.groups.get(meta.chain).copied().flatten() {
             Some(gi) => gi.to_string(),
             None => "all".to_string(),
         };
-        let naggs = meta.agg_io_runs().count().to_string();
+        let naggs = shape.agg_io_runs(meta).count().to_string();
         let round_s = meta.round.to_string();
         let args: &[(&str, &str)] = &[
             ("group", group.as_str()),
@@ -1337,6 +1398,9 @@ fn trace_replan(tc: &mut Trace, ex: &Executed<'_>) {
 /// and the ranks of `node`.
 struct Transfer {
     agg: Rank,
+    /// The other endpoint (under two-level exchange, one of the ranks
+    /// combined at `node`).
+    peer: Rank,
     /// The node of the other endpoint.
     node: mcio_cluster::NodeId,
     bytes: u64,
@@ -1345,43 +1409,45 @@ struct Transfer {
     combined: bool,
 }
 
-/// A round's transfers, sorted by aggregator and, within one, in rank
-/// order of the other endpoint. Two-level merges the contributions per
-/// (aggregator, node).
+/// Fill `out` with a round's transfers: one per (aggregator, peer) — per
+/// (aggregator, node) under two-level exchange — with the bytes of every
+/// message between the two, sorted by aggregator and then by peer rank
+/// (node).
 fn exchange_transfers(
     round: &Round,
     map: &ProcessMap,
     exchange: Exchange,
     rw: Rw,
-) -> Vec<Transfer> {
-    let direct = |(pair, bytes)| {
-        let (peer, agg) = rw.flow(pair);
-        let node = map.node_of(peer);
+    out: &mut Vec<Transfer>,
+) {
+    out.clear();
+    out.extend(round.messages.iter().map(|m| {
+        let (peer, agg) = rw.flow((m.src, m.dst));
         Transfer {
             agg,
-            node,
-            bytes,
+            peer,
+            node: map.node_of(peer),
+            bytes: m.bytes(),
             combined: false,
         }
-    };
-    let mut out: Vec<Transfer> = round.transfers().into_iter().map(direct).collect();
-    match exchange {
-        Exchange::Direct => out.sort_by_key(|t| t.agg),
-        Exchange::TwoLevel => {
-            out.sort_by_key(|t| (t.agg, t.node));
-            out.dedup_by(|next, kept| {
-                let same = (next.agg, next.node) == (kept.agg, kept.node);
-                if same {
-                    kept.bytes += next.bytes;
-                }
-                same
-            });
-            for t in &mut out {
-                t.combined = t.node != map.node_of(t.agg);
-            }
+    }));
+    let two_level = exchange == Exchange::TwoLevel;
+    let key = |t: &Transfer| (t.agg, if two_level { t.node.0 } else { t.peer.0 });
+    // Transfers with one key merge into one, so their order among
+    // themselves is immaterial and the sort need not be stable.
+    out.sort_unstable_by_key(key);
+    out.dedup_by(|next, kept| {
+        let same = key(next) == key(kept);
+        if same {
+            kept.bytes += next.bytes;
+        }
+        same
+    });
+    if two_level {
+        for t in out.iter_mut() {
+            t.combined = t.node != map.node_of(t.agg);
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -1629,6 +1695,40 @@ mod tests {
             mcp.bandwidth_mibs,
             tp.bandwidth_mibs
         );
+    }
+
+    #[test]
+    fn transfers_merge_per_aggregator_and_peer_or_node() {
+        // Three nodes of two ranks; aggregators 0 (node 0) and 4 (node 2).
+        let map = ProcessMap::new(6, 3, Placement::Block);
+        let msgs = [(3, 0, 10), (1, 0, 5), (3, 0, 7), (2, 4, 1), (0, 0, 2)];
+        for rw in [Rw::Write, Rw::Read] {
+            let messages = msgs.map(|(requester, agg, bytes)| {
+                let extents = vec![Extent::new(requester * 100, bytes)];
+                crate::plan::Message::new(rw, Rank(requester as usize), Rank(agg), extents)
+            });
+            let round = Round {
+                messages: messages.to_vec(),
+                ios: Vec::new(),
+            };
+            let mut out = vec![];
+            let mut lowered = |exchange| {
+                exchange_transfers(&round, &map, exchange, rw, &mut out);
+                let row = |t: &Transfer| (t.agg.0, t.node.0, t.bytes, t.combined);
+                out.iter().map(row).collect::<Vec<_>>()
+            };
+            // One per (aggregator, peer), peers 0, 1, 3 then 2.
+            let direct = [
+                (0, 0, 2, false),
+                (0, 0, 5, false),
+                (0, 1, 17, false),
+                (4, 1, 1, false),
+            ];
+            assert_eq!(lowered(Exchange::Direct), direct, "{rw:?}");
+            // One per (aggregator, node), staged off the aggregator's node.
+            let two_level = [(0, 0, 7, false), (0, 1, 17, true), (4, 1, 1, true)];
+            assert_eq!(lowered(Exchange::TwoLevel), two_level, "{rw:?}");
+        }
     }
 
     #[test]

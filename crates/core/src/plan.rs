@@ -13,7 +13,6 @@ use mcio_cluster::{ProcessMap, Rank};
 use mcio_des::OnlineStats;
 use mcio_pfs::extent::{is_sorted_disjoint, total_bytes, union_sorted};
 use mcio_pfs::{Extent, Rw};
-use std::collections::BTreeMap;
 
 /// One rank-to-rank transfer: the data of a set of file extents, packed
 /// into a single message (as ROMIO packs all pieces for a peer into one
@@ -92,17 +91,6 @@ impl Round {
     /// True when nothing happens this round.
     pub fn is_empty(&self) -> bool {
         self.messages.is_empty() && self.ios.is_empty()
-    }
-
-    /// Merge messages by `(src, dst)` into per-pair byte totals — what
-    /// the timing executor lowers to one transfer each (ROMIO packs all
-    /// extents for a peer into one `alltoallv` buffer).
-    pub fn transfers(&self) -> BTreeMap<(Rank, Rank), u64> {
-        let mut map = BTreeMap::new();
-        for m in &self.messages {
-            *map.entry((m.src, m.dst)).or_insert(0) += m.bytes();
-        }
-        map
     }
 
     /// Total shuffled bytes this round.
@@ -547,15 +535,6 @@ mod tests {
             err.contains("not an aggregator") || err.contains("message bytes"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn transfers_merge_pairs() {
-        let (plan, _) = simple_plan();
-        let t = plan.groups[0].rounds[0].transfers();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[&(Rank(0), Rank(0))], 10);
-        assert_eq!(t[&(Rank(1), Rank(0))], 10);
     }
 
     #[test]

@@ -112,9 +112,9 @@ impl Activity {
 }
 
 /// Engine-internal per-activity state: one plain row of the activity
-/// table. The stages, the label and the dependents live in the
-/// simulation's shared arenas; the row holds only its window into the
-/// stage arena.
+/// table, 40 bytes. The stages, the label and the dependents live in
+/// the simulation's shared arenas; the row holds only its window into
+/// the stage arena.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ActivityState {
     pub release: SimTime,
@@ -123,8 +123,32 @@ pub(crate) struct ActivityState {
     pub next_stage: u32,
     pub stage_end: u32,
     pub deps_remaining: u32,
-    pub started: Option<SimTime>,
-    pub finished: Option<SimTime>,
+    /// When the activity started, [`ActivityState::NOT_YET`] before.
+    pub started: SimTime,
+    /// When the activity completed, [`ActivityState::NOT_YET`] before.
+    pub finished: SimTime,
+}
+
+impl ActivityState {
+    /// The "not yet" instant of `started` and `finished`. A clock that
+    /// saturates (a stall lasting to the end of representable time) can
+    /// reach it too, so it means "not yet" only for an activity that
+    /// still waits for a dependency: one whose dependencies all
+    /// completed always starts and finishes.
+    pub const NOT_YET: SimTime = SimTime::MAX;
+
+    /// The row of an activity registered with its stages at
+    /// `next_stage..stage_end`, waiting for `deps_remaining` others.
+    pub fn new(release: SimTime, next_stage: u32, stage_end: u32, deps_remaining: u32) -> Self {
+        ActivityState {
+            release,
+            next_stage,
+            stage_end,
+            deps_remaining,
+            started: Self::NOT_YET,
+            finished: Self::NOT_YET,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -142,6 +166,11 @@ mod tests {
         assert_eq!(a.stages()[1].bytes, 20);
         assert_eq!(a.stages()[1].latency_after, SimDuration::from_nanos(7));
         assert_eq!(a.label(), "x");
+    }
+
+    #[test]
+    fn an_activity_row_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<ActivityState>(), 40);
     }
 
     #[test]

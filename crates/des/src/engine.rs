@@ -2,12 +2,12 @@
 //! runs it to completion, producing a [`RunReport`].
 
 use crate::activity::{Activity, ActivityId, ActivityState, Stage};
-use crate::resource::{Bandwidth, Job, Resource, ResourceId, ResourceUsage, SharePolicy};
+use crate::resource::{Bandwidth, Job, ResourceId, ResourceTable, ResourceUsage, SharePolicy};
 use crate::time::{SimDuration, SimTime};
 use mcio_obs::catalogue::PID_RESOURCES;
 use mcio_obs::{Histogram, Registry, Span, Trace};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt::{self, Write as _};
 use std::ops::Range;
 
@@ -74,7 +74,7 @@ pub(crate) type EventHandle = (u32, u32);
 /// Narrow an arena length to the `u32` the rows store. Machine size
 /// arrives from outside the program (`--machine`), so the limit is
 /// checked, not assumed.
-fn index32(len: usize, what: &str) -> u32 {
+pub(crate) fn index32(len: usize, what: &str) -> u32 {
     u32::try_from(len).unwrap_or_else(|_| panic!("simulation holds more than u32::MAX {what}"))
 }
 
@@ -85,15 +85,16 @@ fn row(ends: &[u32], i: usize) -> Range<usize> {
     start as usize..ends[i] as usize
 }
 
-/// Every activity label, written back to back into one string.
+/// Names written back to back into one string: every activity label
+/// of a simulation, and every resource name.
 #[derive(Debug, Clone, Default)]
-struct Labels {
+pub(crate) struct Labels {
     bytes: String,
     ends: Vec<u32>,
 }
 
 impl Labels {
-    fn push(&mut self, label: fmt::Arguments<'_>) {
+    pub(crate) fn push(&mut self, label: fmt::Arguments<'_>) {
         self.bytes
             .write_fmt(label)
             .expect("a Display impl returned an error");
@@ -107,8 +108,8 @@ impl Labels {
         self.ends.push(index32(self.bytes.len(), "label bytes"));
     }
 
-    fn get(&self, a: ActivityId) -> &str {
-        &self.bytes[row(&self.ends, a.index())]
+    pub(crate) fn get(&self, i: usize) -> &str {
+        &self.bytes[row(&self.ends, i)]
     }
 
     /// Room for `count` more labels of `bytes` bytes in all.
@@ -180,7 +181,9 @@ impl Fragment {
 /// [`Simulation::add_dep`], then call [`Simulation::run`].
 #[derive(Debug, Default)]
 pub struct Simulation {
-    resources: Vec<Resource>,
+    resources: ResourceTable,
+    /// The service discipline of every resource.
+    policy: SharePolicy,
     /// The activity graph, in four flat arenas: one row per activity,
     /// every stage back to back (a row owns a window of it), every
     /// label in one string, and every dependency edge `(before, after)`
@@ -198,6 +201,12 @@ pub struct Simulation {
     /// carry the slot generation they were pushed with, so cancelled
     /// (re-generated) slots are skipped on pop.
     heap: BinaryHeap<Reverse<HeapEntry>>,
+    /// Events scheduled for the instant the run loop is at, in the
+    /// order they were scheduled (the zero-delay lane; see
+    /// [`Simulation::next_event`]).
+    lane: VecDeque<HeapEntry>,
+    /// The instant the run loop is at.
+    now: SimTime,
     /// Pooled event slots: `(event, generation)`. Slots are recycled
     /// through `free_slots`, bumping the generation each time, so the
     /// pool's footprint tracks *concurrent* events rather than total
@@ -208,14 +217,12 @@ pub struct Simulation {
     /// Monotone event sequence counter (heap tiebreak). Independent of
     /// slot indices, which are reused.
     next_seq: u64,
-    /// Service discipline applied to newly registered resources.
-    default_policy: SharePolicy,
     /// Service-interval trace, when enabled.
     trace: Option<Vec<ServiceRecord>>,
     /// Engine health counters (event count, heap depth distribution).
     engine_stats: EngineStats,
-    /// `Ready` events currently pending in the heap (feeds the
-    /// ready-set high-water mark).
+    /// `Ready` events currently pending (feeds the ready-set high-water
+    /// mark).
     pending_ready: usize,
 }
 
@@ -228,8 +235,8 @@ pub struct Simulation {
 pub struct EngineStats {
     /// Total events processed by the run loop.
     pub events_processed: u64,
-    /// Total events pushed onto the heap (seed `Ready` events plus every
-    /// `EnterStage`/`StageServed` scheduled while running).
+    /// Total events scheduled (seed `Ready` events plus every event
+    /// scheduled while running, into the heap or the zero-delay lane).
     pub events_scheduled: u64,
     /// Events scheduled and then retracted before firing. The FIFO
     /// engine never cancels (always 0); fair-share resources re-predict
@@ -237,15 +244,16 @@ pub struct EngineStats {
     /// cancelling the stale prediction. At the end of a run
     /// `events_scheduled == events_processed + events_cancelled`.
     pub events_cancelled: u64,
-    /// High-water mark of the pending-event heap. Cancelled entries
-    /// stay in the heap (lazily skipped on pop), so this measures the
-    /// physical heap including stale entries.
+    /// High-water mark of pending events, heap and zero-delay lane
+    /// together. Cancelled entries stay where they were queued (lazily
+    /// skipped on pop), so stale entries are included.
     pub max_queue_depth: usize,
     /// High-water mark of pending `Ready` events: how many activities
     /// were released but not yet started at the worst moment (the
     /// frontier width of the DAG as the engine saw it).
     pub max_ready_set: usize,
-    /// Distribution of heap depth observed at each event pop.
+    /// Distribution of the pending-event count (heap and lane)
+    /// observed at each event pop.
     pub queue_depth: Histogram,
 }
 
@@ -255,19 +263,12 @@ impl Simulation {
         Self::default()
     }
 
-    /// An empty simulation whose resources default to `policy`
-    /// ([`Simulation::add_resource_with_policy`] overrides per
-    /// resource).
+    /// An empty simulation whose resources all serve under `policy`.
     pub fn with_policy(policy: SharePolicy) -> Self {
         Simulation {
-            default_policy: policy,
+            policy,
             ..Self::default()
         }
-    }
-
-    /// The service discipline newly registered resources receive.
-    pub fn default_policy(&self) -> SharePolicy {
-        self.default_policy
     }
 
     /// Record every resource service interval; the run report will carry
@@ -276,37 +277,22 @@ impl Simulation {
         self.trace = Some(Vec::new());
     }
 
-    /// Register a bandwidth resource with one service slot, under the
-    /// simulation's default policy.
-    pub fn add_resource(&mut self, name: impl Into<String>, bw: Bandwidth) -> ResourceId {
+    /// Register a bandwidth resource with one service slot. The name is
+    /// written into the simulation's name arena (see
+    /// [`RunReport::resource_name`]).
+    pub fn add_resource(&mut self, name: impl fmt::Display, bw: Bandwidth) -> ResourceId {
         self.add_resource_with_capacity(name, bw, 1)
     }
 
     /// Register a bandwidth resource with `capacity` parallel service
-    /// slots (each slot serves at the full bandwidth), under the
-    /// simulation's default policy.
+    /// slots (each slot serves at the full bandwidth).
     pub fn add_resource_with_capacity(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         bw: Bandwidth,
         capacity: usize,
     ) -> ResourceId {
-        self.add_resource_with_policy(name, bw, capacity, self.default_policy)
-    }
-
-    /// Register a bandwidth resource under an explicit service
-    /// discipline, overriding the simulation default.
-    pub fn add_resource_with_policy(
-        &mut self,
-        name: impl Into<String>,
-        bw: Bandwidth,
-        capacity: usize,
-        policy: SharePolicy,
-    ) -> ResourceId {
-        let id = ResourceId(self.resources.len());
-        self.resources
-            .push(Resource::with_policy(name, bw, capacity, policy));
-        id
+        self.resources.add(format_args!("{name}"), bw, capacity)
     }
 
     /// Install fault-injection service windows on a resource: while a
@@ -314,7 +300,7 @@ impl Simulation {
     /// nominal speed (0 = stall). Replaces any previous set for that
     /// resource. Must be called before `run`.
     pub fn set_service_windows(&mut self, rid: ResourceId, windows: Vec<crate::ServiceWindow>) {
-        self.resources[rid.0].set_service_windows(windows);
+        self.resources.set_service_windows(rid, windows);
     }
 
     /// Register an activity: `label` is written into the label arena,
@@ -339,14 +325,9 @@ impl Simulation {
         let next_stage = index32(self.stages.len(), "stages");
         self.stages.extend_from_slice(stages);
         self.labels.push(label);
-        self.activities.push(ActivityState {
-            release,
-            next_stage,
-            stage_end: index32(self.stages.len(), "stages"),
-            deps_remaining: 0,
-            started: None,
-            finished: None,
-        });
+        let stage_end = index32(self.stages.len(), "stages");
+        self.activities
+            .push(ActivityState::new(release, next_stage, stage_end, 0));
         id
     }
 
@@ -473,14 +454,7 @@ impl Simulation {
         let mut next_stage = stage_base;
         self.activities.extend(frag.rows.iter().map(|r| {
             let stage_end = stage_base + r.stage_end;
-            let state = ActivityState {
-                release: r.release,
-                next_stage,
-                stage_end,
-                deps_remaining: r.deps,
-                started: None,
-                finished: None,
-            };
+            let state = ActivityState::new(r.release, next_stage, stage_end, r.deps);
             next_stage = stage_end;
             state
         }));
@@ -526,13 +500,17 @@ impl Simulation {
                 (idx, 0)
             }
         };
-        self.heap.push(Reverse((t, seq, idx, gen)));
+        if t == self.now {
+            self.lane.push_back((t, seq, idx, gen));
+        } else {
+            self.heap.push(Reverse((t, seq, idx, gen)));
+        }
         (idx, gen)
     }
 
-    /// Retract a scheduled event before it fires. The heap entry stays
-    /// (and is skipped on pop via its stale generation); the slot is
-    /// recycled immediately.
+    /// Retract a scheduled event before it fires. The heap or lane entry
+    /// stays (and is skipped on pop via its stale generation); the slot
+    /// is recycled immediately.
     fn cancel_event(&mut self, handle: EventHandle) {
         let (idx, gen) = handle;
         let slot = &mut self.events[idx as usize];
@@ -559,8 +537,7 @@ impl Simulation {
             }
         }
 
-        let mut now = SimTime::ZERO;
-        while let Some(Reverse((t, _seq, idx, gen))) = self.heap.pop() {
+        while let Some((_, _seq, idx, gen)) = self.next_event() {
             let (ev, live) = self.events[idx as usize];
             if live != gen {
                 // Cancelled (counted when retracted); skip lazily. The
@@ -571,17 +548,17 @@ impl Simulation {
             // this very event can reuse it.
             self.events[idx as usize].1 = gen.wrapping_add(1);
             self.free_slots.push(idx);
-            debug_assert!(t >= now, "time went backwards");
-            now = t;
+            let now = self.now;
             self.engine_stats.events_processed += 1;
-            let depth = self.heap.len();
+            let depth = self.heap.len() + self.lane.len();
             self.engine_stats.max_queue_depth = self.engine_stats.max_queue_depth.max(depth);
             self.engine_stats.queue_depth.observe(depth as u64);
             match ev {
                 Event::Ready(a) => {
-                    debug_assert!(self.activities[a.index()].started.is_none());
+                    let state = &mut self.activities[a.index()];
+                    debug_assert_eq!(state.started, ActivityState::NOT_YET);
+                    state.started = now;
                     self.pending_ready -= 1;
-                    self.activities[a.index()].started = Some(now);
                     self.advance(a, now);
                 }
                 Event::EnterStage(a) => {
@@ -592,7 +569,7 @@ impl Simulation {
                 Event::StageServed(a) => {
                     // Free the server and start the next queued job, if any.
                     let rid = self.stages[self.activities[a.index()].next_stage as usize].resource;
-                    if let Some((next_job, done)) = self.resources[rid.0].complete_current(now) {
+                    if let Some((next_job, done)) = self.resources.complete_current(rid, now) {
                         if let Some(trace) = &mut self.trace {
                             trace.push(ServiceRecord {
                                 resource: rid,
@@ -609,8 +586,8 @@ impl Simulation {
                 Event::FairComplete(rid) => {
                     // This event *was* the resource's pending prediction;
                     // it fired, so just drop the stored handle.
-                    self.resources[rid.0].take_pending();
-                    let (job, _admitted, trace_slot) = self.resources[rid.0].fair_complete(now);
+                    self.resources.take_pending(rid);
+                    let (job, _admitted, trace_slot) = self.resources.fair_complete(rid, now);
                     if let (Some(trace), Some(slot)) = (self.trace.as_mut(), trace_slot) {
                         trace[slot].end = now;
                     }
@@ -622,36 +599,59 @@ impl Simulation {
             }
         }
 
-        // Anything not finished is deadlocked (cycle or missing release).
-        let stuck: Vec<String> = (self.activities.iter().zip(0..))
-            .filter(|(a, _)| a.finished.is_none())
+        // An activity still waiting for a dependency never ran (a cycle
+        // or a missing release). Every other one finished: its
+        // `finished` may read `NOT_YET` only because the clock saturated
+        // there.
+        let stuck: Vec<String> = (self.activities.iter().enumerate())
+            .filter(|(_, a)| a.deps_remaining > 0)
             .take(8)
-            .map(|(_, i)| self.labels.get(ActivityId(i)).to_string())
+            .map(|(i, _)| self.labels.get(i).to_string())
             .collect();
         if !stuck.is_empty() {
             return Err(SimError::Deadlock { stuck });
         }
 
-        let makespan = self
-            .activities
-            .iter()
-            .filter_map(|a| a.finished)
+        let makespan = (self.activities.iter().map(|a| a.finished))
             .max()
             .unwrap_or(SimTime::ZERO);
-        // `self` is consumed: the activity table, the label arena, the
-        // resource names and the wait histograms move into the report.
+        // `self` is consumed: the activity table, the label arena and the
+        // resource table move into the report.
         Ok(RunReport {
             makespan,
             activities: self.activities,
             labels: self.labels,
-            usages: self
-                .resources
-                .into_iter()
-                .map(Resource::into_usage)
-                .collect(),
+            resources: self.resources,
             trace: self.trace,
             engine_stats: self.engine_stats,
         })
+    }
+
+    /// The next pending event in `(time, sequence)` order, with the
+    /// clock moved to its instant; `None` when nothing is pending.
+    ///
+    /// An event scheduled for the instant the loop is at goes into the
+    /// lane, every other one into the heap. A heap entry for the current
+    /// instant was therefore pushed before the clock got there, so its
+    /// sequence number is smaller than every lane entry's: the heap is
+    /// popped while its top is at this instant, then the lane in FIFO
+    /// (sequence) order, and only an empty lane lets the clock advance
+    /// to the heap's next instant — the same total order a heap alone
+    /// pops, without a heap operation per zero-delay event.
+    fn next_event(&mut self) -> Option<HeapEntry> {
+        let heap_now = (self.heap.peek()).is_some_and(|Reverse(top)| top.0 == self.now);
+        if heap_now || self.lane.is_empty() {
+            let Reverse(entry) = self.heap.pop()?;
+            debug_assert!(entry.0 >= self.now, "time went backwards");
+            self.now = entry.0;
+            return Some(entry);
+        }
+        let entry = self.lane.pop_front();
+        debug_assert!(
+            entry.is_some_and(|e| e.0 == self.now),
+            "a lane entry names another instant"
+        );
+        entry
     }
 
     /// Turn the declared edges into the CSR `complete` walks. A counting
@@ -699,9 +699,9 @@ impl Simulation {
             overhead: stage.overhead,
         };
         let rid = stage.resource;
-        match self.resources[rid.0].policy() {
+        match self.policy {
             SharePolicy::Fifo => {
-                if let Some(done) = self.resources[rid.0].enqueue(now, job) {
+                if let Some(done) = self.resources.enqueue(rid, now, job) {
                     if let Some(trace) = &mut self.trace {
                         trace.push(ServiceRecord {
                             resource: rid,
@@ -727,7 +727,7 @@ impl Simulation {
                     });
                     trace.len() - 1
                 });
-                self.resources[rid.0].fair_arrive(now, job, trace_slot);
+                self.resources.fair_arrive(rid, now, job, trace_slot);
                 self.reschedule_fair(rid, now);
             }
         }
@@ -750,19 +750,20 @@ impl Simulation {
     /// stale prediction (if any) and schedule a fresh one for the
     /// current active set.
     fn reschedule_fair(&mut self, rid: ResourceId, now: SimTime) {
-        if let Some(handle) = self.resources[rid.0].take_pending() {
+        if let Some(handle) = self.resources.take_pending(rid) {
             self.cancel_event(handle);
         }
-        if let Some(done) = self.resources[rid.0].fair_next_completion() {
+        if let Some(done) = self.resources.fair_next_completion(rid) {
             debug_assert!(done >= now, "fair completion predicted in the past");
             let handle = self.push_event(done, Event::FairComplete(rid));
-            self.resources[rid.0].set_pending(handle);
+            self.resources.set_pending(rid, handle);
         }
     }
 
     fn complete(&mut self, a: ActivityId, now: SimTime) {
-        debug_assert!(self.activities[a.index()].finished.is_none());
-        self.activities[a.index()].finished = Some(now);
+        let state = &mut self.activities[a.index()];
+        debug_assert_eq!(state.finished, ActivityState::NOT_YET);
+        state.finished = now;
         for k in row(&self.dependent_ends, a.index()) {
             let d = self.dependents[k];
             let dep = &mut self.activities[d.index()];
@@ -776,13 +777,15 @@ impl Simulation {
     }
 }
 
-/// Result of a completed simulation run.
+/// Result of a completed simulation run. Every activity of a report
+/// started and finished (a run where one did not is a
+/// [`SimError::Deadlock`]), so its times are read as they were written.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     makespan: SimTime,
     activities: Vec<ActivityState>,
     labels: Labels,
-    usages: Vec<ResourceUsage>,
+    resources: ResourceTable,
     trace: Option<Vec<ServiceRecord>>,
     engine_stats: EngineStats,
 }
@@ -795,12 +798,12 @@ impl RunReport {
 
     /// Completion time of an activity.
     pub fn finish_time(&self, a: ActivityId) -> SimTime {
-        (self.activities[a.index()].finished).expect("activity finished in a successful run")
+        self.activities[a.index()].finished
     }
 
     /// Start (release-satisfied) time of an activity.
     pub fn start_time(&self, a: ActivityId) -> SimTime {
-        (self.activities[a.index()].started).expect("activity started in a successful run")
+        self.activities[a.index()].started
     }
 
     /// Latency of an activity from start to finish.
@@ -810,17 +813,30 @@ impl RunReport {
 
     /// Label of an activity.
     pub fn label(&self, a: ActivityId) -> &str {
-        self.labels.get(a)
+        self.labels.get(a.index())
+    }
+
+    /// The name a resource was registered with, e.g. `"node3.membus"`.
+    pub fn resource_name(&self, r: ResourceId) -> &str {
+        self.resources.name(r.0)
     }
 
     /// Usage accounting for a resource.
     pub fn resource_usage(&self, r: ResourceId) -> &ResourceUsage {
-        &self.usages[r.0]
+        self.resources.usage(r)
     }
 
     /// Usage accounting for all resources, in registration order.
     pub fn resource_usages(&self) -> &[ResourceUsage] {
-        &self.usages
+        self.resources.usages()
+    }
+
+    /// Distribution of a resource's per-job queueing delay, in
+    /// nanoseconds. Jobs that found a free slot record a zero wait, so
+    /// its count equals the resource's `jobs_served`; fair-share
+    /// admissions never wait, so every observation there is zero.
+    pub fn wait_hist(&self, r: ResourceId) -> Histogram {
+        self.resources.wait_hist(r)
     }
 
     /// Number of activities in the run.
@@ -849,11 +865,13 @@ impl RunReport {
     pub fn class_max_queues(&self) -> Vec<(String, u64)> {
         let mut per_class: std::collections::BTreeMap<&str, u64> =
             std::collections::BTreeMap::new();
-        for u in &self.usages {
+        for (i, u) in self.resource_usages().iter().enumerate() {
             if u.jobs_served == 0 {
                 continue;
             }
-            let entry = per_class.entry(resource_class(&u.name)).or_insert(0);
+            let entry = per_class
+                .entry(resource_class(self.resources.name(i)))
+                .or_insert(0);
             *entry = (*entry).max(u.max_active as u64);
         }
         (per_class.into_iter())
@@ -876,7 +894,7 @@ impl RunReport {
             heap_high_water: self.engine_stats.max_queue_depth as u64,
             ready_high_water: self.engine_stats.max_ready_set as u64,
             activities: self.activities.len() as u64,
-            resources: self.usages.len() as u64,
+            resources: self.resources.len() as u64,
             class_max_queue: self.class_max_queues(),
         }
     }
@@ -922,21 +940,22 @@ impl RunReport {
                 depth as f64,
             );
         }
-        for u in &self.usages {
+        for (i, u) in self.resource_usages().iter().enumerate() {
             // Resources that never served a job (e.g. nodes the process
             // map leaves idle on a large machine spec) would only add
             // all-zero series; skip them to keep exports readable.
             if u.jobs_served == 0 {
                 continue;
             }
-            let labels = &[("resource", u.name.as_str())][..];
+            let r = ResourceId(i);
+            let labels = &[("resource", self.resource_name(r))][..];
             reg.inc("des.resource.busy_ns", labels, u.busy_time.as_nanos());
             reg.inc("des.resource.bytes", labels, u.bytes_served);
             reg.inc("des.resource.jobs", labels, u.jobs_served);
             reg.set_gauge("des.resource.utilization", labels, u.utilization(makespan));
             reg.set_gauge("des.resource.max_queue", labels, u.max_queue_len as f64);
             reg.set_gauge("des.resource.max_active", labels, u.max_active as f64);
-            reg.merge_histogram("des.resource.wait_ns", labels, &u.wait_hist);
+            reg.merge_histogram("des.resource.wait_ns", labels, &self.wait_hist(r));
         }
     }
 
@@ -952,11 +971,12 @@ impl RunReport {
             trace.iter().map(|r| r.resource.index()).collect();
         // The service records are most of any trace: `extend` reserves
         // once from the slice's length.
+        let name = |tid: usize| self.resources.name(tid).to_string();
         out.threads
-            .extend((used.iter()).map(|&tid| (pid, tid as u64, self.usages[tid].name.clone())));
+            .extend((used.iter()).map(|&tid| (pid, tid as u64, name(tid))));
         out.spans.extend(trace.iter().map(|rec| Span {
-            name: self.labels.get(rec.activity).to_string(),
-            cat: self.usages[rec.resource.index()].name.clone(),
+            name: self.label(rec.activity).to_string(),
+            cat: name(rec.resource.index()),
             pid,
             tid: rec.resource.index() as u64,
             start_ns: rec.start.as_nanos(),
@@ -979,8 +999,8 @@ pub struct EngineProfile {
     /// Events retracted before firing: fair-share next-completion
     /// re-predictions (always 0 for pure-FIFO runs).
     pub events_cancelled: u64,
-    /// Peak pending-event heap depth (physical heap, including
-    /// lazily-skipped cancelled entries).
+    /// Peak pending events, heap and zero-delay lane together
+    /// (lazily-skipped cancelled entries included).
     pub heap_high_water: u64,
     /// Peak count of released-but-unstarted activities (DAG frontier
     /// width as the engine saw it).
@@ -1192,6 +1212,55 @@ mod tests {
             .map(|&d| rep.finish_time(d).as_secs_f64())
             .collect();
         assert_eq!(served, [1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn same_instant_events_run_in_schedule_order() {
+        // At t = 1 s two events fall due: x's service completion, pushed
+        // at t = 0, and — when x completes — its dependent b's `Ready`,
+        // pushed at t = 1 s itself. a's completion on `s` is due at the
+        // same instant and was pushed before b's `Ready`, so a reaches
+        // the shared FIFO server `r` first; c reaches it at 1.5 s, after
+        // b. Running b's `Ready` ahead of a's completion puts b first;
+        // running c's arrival (or anything later) while b's `Ready`
+        // waits puts c first.
+        let mut sim = Simulation::new();
+        let [q, s, r, u] = ["q", "s", "r", "u"].map(|name| sim.add_resource(name, bw(100.0)));
+        let x = sim.add_activity(Activity::new("x").stage(q, 100, SimDuration::ZERO));
+        let on = |first, bytes| Activity::new("").stage(first, bytes, SimDuration::ZERO);
+        let a = sim.add_activity(on(s, 100).stage(r, 100, SimDuration::ZERO));
+        let c = sim.add_activity(on(u, 150).stage(r, 100, SimDuration::ZERO));
+        let b = sim.add_activity(on(r, 100));
+        sim.add_dep(x, b);
+        let rep = sim.run().unwrap();
+        let finished = [a, b, c].map(|act| rep.finish_time(act).as_secs_f64());
+        assert_eq!(finished, [2.0, 3.0, 4.0]);
+        assert_eq!(rep.start_time(b).as_secs_f64(), 1.0);
+    }
+
+    #[test]
+    fn a_run_whose_clock_saturates_still_completes() {
+        // A stall to the end of representable time finishes the stage at
+        // `SimTime::MAX`, the "not yet" instant itself: the run still
+        // succeeds, under both engines.
+        for policy in [SharePolicy::Fifo, SharePolicy::FairShare] {
+            let mut sim = Simulation::with_policy(policy);
+            let r = sim.add_resource("ost0", bw(100.0));
+            let (start, end) = (SimTime::ZERO, SimTime::MAX);
+            let stall = crate::ServiceWindow {
+                start,
+                end,
+                rate: 0.0,
+            };
+            sim.set_service_windows(r, vec![stall]);
+            let stalled =
+                sim.add_activity(Activity::new("stalled").stage(r, 100, SimDuration::ZERO));
+            let after = sim.add_activity(Activity::new("after"));
+            sim.add_dep(stalled, after);
+            let rep = sim.run().expect("a saturated clock is not a deadlock");
+            assert_eq!(rep.finish_time(after), SimTime::MAX, "{policy:?}");
+            assert_eq!(rep.makespan(), SimTime::MAX);
+        }
     }
 
     #[test]

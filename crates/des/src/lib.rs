@@ -24,8 +24,9 @@
 //!
 //! ## Model
 //!
-//! * A [`Resource`] serves one job at a time at a fixed [`Bandwidth`]; a job
-//!   occupying it for `overhead + bytes / bandwidth`.
+//! * A resource serves one job at a time at a fixed [`Bandwidth`]; a job
+//!   occupying it for `overhead + bytes / bandwidth`. It is a row of the
+//!   simulation's resource table, its name a slice of one arena.
 //! * An [`Activity`] is a sequence of [`Stage`]s. A stage names a resource,
 //!   a byte count and a fixed overhead, plus an optional *latency* that the
 //!   activity waits out **after** leaving the resource without occupying
@@ -70,6 +71,6 @@ pub use engine::{
     resource_class, EngineProfile, EngineStats, Fragment, Mark, RunReport, ServiceRecord, SimError,
     Simulation,
 };
-pub use resource::{Bandwidth, Resource, ResourceId, ResourceUsage, ServiceWindow, SharePolicy};
+pub use resource::{Bandwidth, ResourceId, ResourceUsage, ServiceWindow, SharePolicy};
 pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};

@@ -20,13 +20,21 @@
 //! the virtual clock resets, which keeps every uncontended admission's
 //! arithmetic — and therefore its completion instant — bit-identical to
 //! the FIFO engine's.
+//!
+//! A simulation holds its resources in one resource table: a resource
+//! is a plain row plus its [`ResourceUsage`], its name is a slice of one
+//! arena, and the state only some resources need — a waiting queue, an
+//! active set, service windows, a histogram of non-zero waits — lives in
+//! side tables the row indexes once it needs one. Registering a machine
+//! of any size allocates nothing per resource.
 
 use crate::activity::ActivityId;
-use crate::engine::EventHandle;
+use crate::engine::{index32, EventHandle, Labels};
 use crate::time::{SimDuration, SimTime};
 use mcio_obs::Histogram;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::fmt;
 
 /// Identifier of a resource within a [`crate::Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -39,7 +47,7 @@ impl ResourceId {
     }
 }
 
-/// Service discipline of a resource.
+/// Service discipline of a simulation's resources.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SharePolicy {
     /// Store-and-forward FIFO: `capacity` slots, each serving one job at
@@ -62,7 +70,8 @@ impl SharePolicy {
         }
     }
 
-    /// Parse a CLI label; accepts `fifo`, `fair`, and `fair-share`.
+    /// Parse a CLI label; accepts `fifo`, `fair`, `fair-share` and
+    /// `fairshare`.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "fifo" => Some(SharePolicy::Fifo),
@@ -131,7 +140,7 @@ struct FairEntry {
     /// this transfer's demand is fully served, in nanoseconds of
     /// per-transfer service progress.
     finish_v: f64,
-    /// Admission sequence within this resource — the deterministic
+    /// Admission sequence within this active period — the deterministic
     /// tiebreak for equal virtual finish times.
     seq: u64,
     job: Job,
@@ -161,16 +170,18 @@ impl Ord for FairEntry {
     }
 }
 
-/// Fair-sharing state of a resource (present only under
-/// [`SharePolicy::FairShare`]).
-#[derive(Debug, Default)]
+/// A fair-share resource's non-empty active set. A drained set holds
+/// nothing the next admission reads (the virtual clock resets to 0 and
+/// admission order only breaks ties inside one set), so it goes back to
+/// the pool for whichever resource is admitted to next.
+#[derive(Debug, Clone, Default)]
 struct FairState {
     /// Active transfers keyed by virtual finish time (min-heap).
     heap: BinaryHeap<Reverse<FairEntry>>,
     /// The resource's virtual clock: nanoseconds of service progress
-    /// each active transfer has accumulated. Resets to 0 whenever the
-    /// active set drains, so uncontended admissions stay in exact
-    /// (integer-representable) f64 territory.
+    /// each active transfer has accumulated since the set was opened,
+    /// which keeps uncontended admissions in exact (integer-
+    /// representable) f64 territory.
     vtime: f64,
     /// Simulated instant the virtual clock was last advanced to.
     last_t: SimTime,
@@ -181,100 +192,141 @@ struct FairState {
     pending: Option<EventHandle>,
 }
 
-/// A bandwidth server with `capacity` parallel service slots
-/// (capacity 1 = the classic single server; an OST with several disk
-/// channels or server threads uses more), serving under a
-/// [`SharePolicy`].
-#[derive(Debug)]
-pub struct Resource {
-    name: String,
+/// Side-table index of a resource that has no entry there (yet).
+const NONE: u32 = u32::MAX;
+
+/// One resource's row: its service parameters, the jobs in service, and
+/// where its entries in the table's side tables are, if it has any.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Resource {
     bandwidth: Bandwidth,
+    /// Parallel service slots (1 = the classic single server; an OST
+    /// with several disk channels or server threads uses more).
     capacity: usize,
-    policy: SharePolicy,
-    /// Waiting jobs, each with the time it joined the queue (FIFO only).
-    queue: VecDeque<(Job, SimTime)>,
     /// Jobs currently in service (≤ capacity; FIFO only).
     in_service: usize,
-    /// Fair-sharing state (FairShare only).
-    fair: FairState,
-    // --- accounting ---
-    busy_time: SimDuration,
-    bytes_served: u64,
-    jobs_served: u64,
-    max_queue_len: usize,
-    /// High-water mark of simultaneously in-service (FIFO) or active
-    /// (fair-share) transfers.
-    max_active: usize,
-    /// Per-job queueing delay (ns); immediate starts record 0.
-    wait_hist: Histogram,
-    /// Injected service perturbations, sorted by start, non-overlapping.
-    windows: Vec<ServiceWindow>,
+    /// The waiting queue, while jobs wait (FIFO only).
+    queue: u32,
+    /// The active set, while transfers are active (fair share only).
+    fair: u32,
+    /// The injected service windows, once installed.
+    windows: u32,
+    /// The histogram of non-zero waits, once a job waited.
+    waits: u32,
 }
 
-impl Resource {
-    #[cfg(test)]
-    pub(crate) fn new(name: impl Into<String>, bandwidth: Bandwidth) -> Self {
-        Self::with_policy(name, bandwidth, 1, SharePolicy::Fifo)
-    }
+/// Every resource of a simulation, one [`Resource`] row and one
+/// [`ResourceUsage`] each, with their names written back to back into
+/// one arena. Queues and active sets are pooled: one is taken when a
+/// resource first needs it and returned when it empties, so the pools
+/// track how many resources are busy at once, not how many exist.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ResourceTable {
+    rows: Vec<Resource>,
+    usages: Vec<ResourceUsage>,
+    names: Labels,
+    /// Waiting jobs, each with the time it joined the queue.
+    queues: Vec<VecDeque<(Job, SimTime)>>,
+    free_queues: Vec<u32>,
+    fair: Vec<FairState>,
+    free_fair: Vec<u32>,
+    /// Injected service perturbations, each sorted by start.
+    windows: Vec<Vec<ServiceWindow>>,
+    /// Every queueing delay that was not zero, per resource that had one
+    /// (ns); the zeros are the rest of its `jobs_served`.
+    waits: Vec<Histogram>,
+}
 
-    pub(crate) fn with_policy(
-        name: impl Into<String>,
+impl ResourceTable {
+    /// Register a resource; its name is written into the name arena.
+    pub(crate) fn add(
+        &mut self,
+        name: fmt::Arguments<'_>,
         bandwidth: Bandwidth,
         capacity: usize,
-        policy: SharePolicy,
-    ) -> Self {
+    ) -> ResourceId {
         assert!(capacity > 0, "resource needs at least one service slot");
-        Resource {
-            name: name.into(),
+        let id = ResourceId(self.rows.len());
+        self.names.push(name);
+        self.rows.push(Resource {
             bandwidth,
             capacity,
-            policy,
-            queue: VecDeque::new(),
             in_service: 0,
-            fair: FairState::default(),
-            busy_time: SimDuration::ZERO,
-            bytes_served: 0,
-            jobs_served: 0,
-            max_queue_len: 0,
-            max_active: 0,
-            wait_hist: Histogram::new(),
-            windows: Vec::new(),
+            queue: NONE,
+            fair: NONE,
+            windows: NONE,
+            waits: NONE,
+        });
+        self.usages.push(ResourceUsage::default());
+        id
+    }
+
+    /// Number of registered resources.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The name a resource was registered with, e.g. `"node3.membus"`.
+    pub(crate) fn name(&self, r: usize) -> &str {
+        self.names.get(r)
+    }
+
+    /// A resource's accounting.
+    pub(crate) fn usage(&self, r: ResourceId) -> &ResourceUsage {
+        &self.usages[r.0]
+    }
+
+    /// Every resource's accounting, in registration order.
+    pub(crate) fn usages(&self) -> &[ResourceUsage] {
+        &self.usages
+    }
+
+    /// Distribution of a resource's per-job queueing delay, in
+    /// nanoseconds: its recorded non-zero waits plus one zero for every
+    /// other job it served.
+    pub(crate) fn wait_hist(&self, r: ResourceId) -> Histogram {
+        let mut hist = Histogram::new();
+        let waited = match self.rows[r.0].waits {
+            NONE => None,
+            w => Some(&self.waits[w as usize]),
+        };
+        let zeros = self.usages[r.0].jobs_served - waited.map_or(0, Histogram::count);
+        for _ in 0..zeros {
+            hist.observe(0);
         }
+        if let Some(waited) = waited {
+            hist.merge(waited);
+        }
+        hist
     }
 
     /// Install service perturbation windows (fault injection). Windows
     /// are kept sorted by start; overlapping windows apply in that order
     /// (each segment of time is governed by the first window covering
     /// it). Replaces any previously installed set.
-    pub(crate) fn set_service_windows(&mut self, mut windows: Vec<ServiceWindow>) {
+    pub(crate) fn set_service_windows(&mut self, r: ResourceId, mut windows: Vec<ServiceWindow>) {
         windows.retain(|w| w.end > w.start);
         windows.sort_by_key(|w| (w.start, w.end));
-        self.windows = windows;
+        let row = &mut self.rows[r.0];
+        if row.windows == NONE {
+            row.windows = index32(self.windows.len(), "resources with service windows");
+            self.windows.push(windows);
+        } else {
+            self.windows[row.windows as usize] = windows;
+        }
     }
 
-    /// Number of parallel service slots.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Human-readable name, e.g. `"node3.membus"`.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The configured service bandwidth.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.bandwidth
-    }
-
-    /// The service discipline this resource runs under.
-    pub fn policy(&self) -> SharePolicy {
-        self.policy
+    /// The service windows of a resource (empty when it has none).
+    fn windows(&self, r: ResourceId) -> &[ServiceWindow] {
+        match self.rows[r.0].windows {
+            NONE => &[],
+            w => &self.windows[w as usize],
+        }
     }
 
     /// Service time for a job: `overhead + bytes / bandwidth`.
-    pub fn service_time(&self, bytes: u64, overhead: SimDuration) -> SimDuration {
-        overhead + self.bandwidth.transfer_time(bytes)
+    fn service_time(&self, r: ResourceId, job: Job) -> SimDuration {
+        job.overhead + self.rows[r.0].bandwidth.transfer_time(job.bytes)
     }
 
     // ----- FIFO path -----
@@ -282,248 +334,298 @@ impl Resource {
     /// Enqueue a job. If a service slot is free the job starts
     /// immediately and its completion time is returned; otherwise it
     /// waits in FIFO order.
-    pub(crate) fn enqueue(&mut self, now: SimTime, job: Job) -> Option<SimTime> {
-        debug_assert_eq!(self.policy, SharePolicy::Fifo);
-        if self.in_service < self.capacity {
-            self.wait_hist.observe(0);
-            Some(self.start(now, job))
-        } else {
-            self.queue.push_back((job, now));
-            self.max_queue_len = self.max_queue_len.max(self.queue.len());
-            None
+    pub(crate) fn enqueue(&mut self, r: ResourceId, now: SimTime, job: Job) -> Option<SimTime> {
+        let row = self.rows[r.0];
+        if row.in_service < row.capacity {
+            return Some(self.start(r, now, job));
         }
+        if row.queue == NONE {
+            let q = acquire(&mut self.queues, &mut self.free_queues, "waiting queues");
+            self.rows[r.0].queue = q;
+        }
+        let queue = &mut self.queues[self.rows[r.0].queue as usize];
+        queue.push_back((job, now));
+        let usage = &mut self.usages[r.0];
+        usage.max_queue_len = usage.max_queue_len.max(queue.len());
+        None
     }
 
     /// Called when an in-service job completes. Returns the next job and
     /// its completion time, if one was waiting.
-    pub(crate) fn complete_current(&mut self, now: SimTime) -> Option<(Job, SimTime)> {
-        debug_assert!(self.in_service > 0, "resource was not busy");
-        self.in_service -= 1;
-        let (job, enqueued) = self.queue.pop_front()?;
-        self.wait_hist
-            .observe(now.saturating_since(enqueued).as_nanos());
-        let done = self.start(now, job);
+    pub(crate) fn complete_current(
+        &mut self,
+        r: ResourceId,
+        now: SimTime,
+    ) -> Option<(Job, SimTime)> {
+        let row = &mut self.rows[r.0];
+        debug_assert!(row.in_service > 0, "resource was not busy");
+        row.in_service -= 1;
+        if row.queue == NONE {
+            return None;
+        }
+        let queue = &mut self.queues[row.queue as usize];
+        let (job, enqueued) = queue.pop_front().expect("a queue in use is not empty");
+        if queue.is_empty() {
+            self.free_queues.push(row.queue);
+            row.queue = NONE;
+        }
+        let wait = now.saturating_since(enqueued).as_nanos();
+        if wait > 0 {
+            if row.waits == NONE {
+                row.waits = index32(self.waits.len(), "resources that made a job wait");
+                self.waits.push(Histogram::new());
+            }
+            self.waits[row.waits as usize].observe(wait);
+        }
+        let done = self.start(r, now, job);
         Some((job, done))
     }
 
-    fn start(&mut self, now: SimTime, job: Job) -> SimTime {
-        let nominal = self.service_time(job.bytes, job.overhead);
-        let done = if self.windows.is_empty() {
+    fn start(&mut self, r: ResourceId, now: SimTime, job: Job) -> SimTime {
+        let nominal = self.service_time(r, job);
+        let windows = self.windows(r);
+        let done = if windows.is_empty() {
             now + nominal
         } else {
-            self.perturbed_done(now, nominal)
+            integrate_done(windows, now, nominal.as_nanos() as f64, 1.0)
         };
-        self.in_service += 1;
-        self.max_active = self.max_active.max(self.in_service);
+        let row = &mut self.rows[r.0];
+        row.in_service += 1;
+        let usage = &mut self.usages[r.0];
+        usage.max_active = usage.max_active.max(row.in_service);
         // Busy time is the span the slot is actually occupied, so
         // utilization reflects the injected slowdown.
-        self.busy_time += done.saturating_since(now);
-        self.bytes_served += job.bytes;
-        self.jobs_served += 1;
+        usage.busy_time += done.saturating_since(now);
+        usage.bytes_served += job.bytes;
+        usage.jobs_served += 1;
         done
-    }
-
-    /// Completion time of a job starting at `now` whose nominal service
-    /// requirement is `nominal`, integrating progress piecewise across
-    /// the perturbation windows (rate 1 between and after them).
-    fn perturbed_done(&self, now: SimTime, nominal: SimDuration) -> SimTime {
-        self.integrate_done(now, nominal.as_nanos() as f64, 1.0)
-    }
-
-    /// Earliest instant at which `remaining` nanoseconds of service
-    /// progress accumulate starting from `now`, when progress flows at
-    /// `share` of the nominal rate (times the active perturbation
-    /// window's multiplier). `share = 1.0` reproduces the FIFO engine's
-    /// arithmetic bit for bit. An empty demand completes at `now`
-    /// regardless of windows: zero work needs zero time, even inside a
-    /// full stall.
-    fn integrate_done(&self, now: SimTime, mut remaining: f64, share: f64) -> SimTime {
-        let mut t = now.as_nanos();
-        if remaining <= 0.0 {
-            return SimTime::from_nanos(t);
-        }
-        for w in &self.windows {
-            let (ws, we) = (w.start.as_nanos(), w.end.as_nanos());
-            if we <= t {
-                continue;
-            }
-            // Full-rate segment before the window opens.
-            if ws > t {
-                let gap = (ws - t) as f64 * share;
-                if remaining <= gap {
-                    return SimTime::from_nanos(
-                        t.saturating_add((remaining / share).ceil() as u64),
-                    );
-                }
-                remaining -= gap;
-                t = ws;
-                if remaining <= 0.0 {
-                    return SimTime::from_nanos(t);
-                }
-            }
-            // Inside the window: progress at `rate`.
-            let rate = w.rate.clamp(0.0, 1.0) * share;
-            let span = (we - t) as f64;
-            if rate > 0.0 && remaining <= span * rate {
-                return SimTime::from_nanos(t.saturating_add((remaining / rate).ceil() as u64));
-            }
-            remaining -= span * rate;
-            t = we;
-            if remaining <= 0.0 {
-                return SimTime::from_nanos(t);
-            }
-        }
-        SimTime::from_nanos(t.saturating_add((remaining / share).ceil() as u64))
-    }
-
-    /// Service progress (in nanoseconds of per-transfer progress) that
-    /// accumulates over `[t0, t1)` at `share` of the nominal rate,
-    /// walking the perturbation windows exactly like
-    /// [`Resource::integrate_done`].
-    fn progress_between(&self, t0: SimTime, t1: SimTime, share: f64) -> f64 {
-        let (mut t, end) = (t0.as_nanos(), t1.as_nanos());
-        if end <= t {
-            return 0.0;
-        }
-        let mut acc = 0.0;
-        for w in &self.windows {
-            let (ws, we) = (w.start.as_nanos(), w.end.as_nanos());
-            if we <= t {
-                continue;
-            }
-            if ws > t {
-                let gap_end = ws.min(end);
-                acc += (gap_end - t) as f64 * share;
-                t = gap_end;
-                if t >= end {
-                    return acc;
-                }
-            }
-            let seg_end = we.min(end);
-            acc += (seg_end - t) as f64 * (w.rate.clamp(0.0, 1.0) * share);
-            t = seg_end;
-            if t >= end {
-                return acc;
-            }
-        }
-        acc + (end - t) as f64 * share
     }
 
     // ----- fair-share path -----
 
     /// Per-transfer share of a full-rate slot with `n` active transfers.
-    fn fair_share(&self, n: usize) -> f64 {
+    fn fair_share(&self, r: ResourceId, n: usize) -> f64 {
         debug_assert!(n > 0);
-        n.min(self.capacity) as f64 / n as f64
+        n.min(self.rows[r.0].capacity) as f64 / n as f64
     }
 
-    /// Advance the virtual clock (and the busy-time integral) to `now`.
-    /// The active-set size is constant between engine events, so the
-    /// integral is piecewise over the perturbation windows only.
-    fn fair_advance(&mut self, now: SimTime) {
-        if now <= self.fair.last_t {
+    /// Advance the virtual clock of the resource's active set (and the
+    /// busy-time integral) to `now`. The active-set size is constant
+    /// between engine events, so the integral is piecewise over the
+    /// perturbation windows only.
+    fn fair_advance(&mut self, r: ResourceId, now: SimTime) {
+        let f = self.rows[r.0].fair as usize;
+        let (last_t, n) = (self.fair[f].last_t, self.fair[f].heap.len());
+        if now <= last_t {
             return;
         }
-        let n = self.fair.heap.len();
-        if n > 0 {
-            let slots = n.min(self.capacity) as u64;
-            let span = now.saturating_since(self.fair.last_t).as_nanos();
-            self.busy_time += SimDuration::from_nanos(span.saturating_mul(slots));
-            let share = self.fair_share(n);
-            self.fair.vtime += self.progress_between(self.fair.last_t, now, share);
-        }
-        self.fair.last_t = now;
+        let slots = n.min(self.rows[r.0].capacity) as u64;
+        let span = now.saturating_since(last_t).as_nanos();
+        self.usages[r.0].busy_time += SimDuration::from_nanos(span.saturating_mul(slots));
+        let progress = progress_between(self.windows(r), last_t, now, self.fair_share(r, n));
+        let state = &mut self.fair[f];
+        state.vtime += progress;
+        state.last_t = now;
     }
 
     /// Admit a transfer into the fair-share active set at `now`.
     /// The caller must reschedule the resource's next-completion event
     /// afterwards (admission changes every active transfer's rate).
-    pub(crate) fn fair_arrive(&mut self, now: SimTime, job: Job, trace_slot: Option<usize>) {
-        debug_assert_eq!(self.policy, SharePolicy::FairShare);
-        self.fair_advance(now);
-        if self.fair.heap.is_empty() {
-            // Empty set: reset the virtual clock so the admission below
+    pub(crate) fn fair_arrive(
+        &mut self,
+        r: ResourceId,
+        now: SimTime,
+        job: Job,
+        trace_slot: Option<usize>,
+    ) {
+        if self.rows[r.0].fair == NONE {
+            // Empty set: a fresh virtual clock, so the admission below
             // computes `finish_v = demand` exactly — the uncontended
             // completion arithmetic then matches FIFO bit for bit, and
             // f64 error cannot accumulate across drained periods.
-            self.fair.vtime = 0.0;
+            let f = acquire(&mut self.fair, &mut self.free_fair, "active sets");
+            let state = &mut self.fair[f as usize];
+            debug_assert!(state.heap.is_empty() && state.pending.is_none());
+            (state.vtime, state.last_t, state.next_seq) = (0.0, now, 0);
+            self.rows[r.0].fair = f;
+        } else {
+            self.fair_advance(r, now);
         }
-        let demand = self.service_time(job.bytes, job.overhead).as_nanos() as f64;
-        let seq = self.fair.next_seq;
-        self.fair.next_seq += 1;
-        self.fair.heap.push(Reverse(FairEntry {
-            finish_v: self.fair.vtime + demand,
+        let demand = self.service_time(r, job).as_nanos() as f64;
+        let state = &mut self.fair[self.rows[r.0].fair as usize];
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        state.heap.push(Reverse(FairEntry {
+            finish_v: state.vtime + demand,
             seq,
             job,
             admitted: now,
             trace_slot,
         }));
-        let n = self.fair.heap.len();
-        self.max_active = self.max_active.max(n);
+        let n = state.heap.len();
+        let capacity = self.rows[r.0].capacity;
+        let usage = &mut self.usages[r.0];
+        usage.max_active = usage.max_active.max(n);
         // Nothing ever waits under processor sharing; the FIFO-analogous
         // "queue" is the overflow past the nominal slot count.
-        self.max_queue_len = self.max_queue_len.max(n.saturating_sub(self.capacity));
-        self.wait_hist.observe(0);
-        self.bytes_served += job.bytes;
-        self.jobs_served += 1;
+        usage.max_queue_len = usage.max_queue_len.max(n.saturating_sub(capacity));
+        usage.bytes_served += job.bytes;
+        usage.jobs_served += 1;
     }
 
     /// Completion instant of the active transfer with the least
     /// remaining virtual demand, or `None` when the set is empty. Only
     /// valid immediately after the clock was advanced (every engine
     /// call site advances via arrival/completion first).
-    pub(crate) fn fair_next_completion(&self) -> Option<SimTime> {
-        let Reverse(head) = self.fair.heap.peek()?;
-        let share = self.fair_share(self.fair.heap.len());
-        let remaining = head.finish_v - self.fair.vtime;
-        Some(self.integrate_done(self.fair.last_t, remaining, share))
+    pub(crate) fn fair_next_completion(&self, r: ResourceId) -> Option<SimTime> {
+        let state = match self.rows[r.0].fair {
+            NONE => return None,
+            f => &self.fair[f as usize],
+        };
+        let Reverse(head) = state.heap.peek()?;
+        let share = self.fair_share(r, state.heap.len());
+        let remaining = head.finish_v - state.vtime;
+        Some(integrate_done(
+            self.windows(r),
+            state.last_t,
+            remaining,
+            share,
+        ))
     }
 
     /// Pop the completing transfer at `now`, returning its job,
     /// admission time, and trace slot. The caller must reschedule the
     /// resource's next-completion event afterwards.
-    pub(crate) fn fair_complete(&mut self, now: SimTime) -> (Job, SimTime, Option<usize>) {
-        debug_assert_eq!(self.policy, SharePolicy::FairShare);
-        self.fair_advance(now);
-        let Reverse(entry) = self
-            .fair
+    pub(crate) fn fair_complete(
+        &mut self,
+        r: ResourceId,
+        now: SimTime,
+    ) -> (Job, SimTime, Option<usize>) {
+        self.fair_advance(r, now);
+        let f = self.rows[r.0].fair;
+        let state = &mut self.fair[f as usize];
+        let Reverse(entry) = state
             .heap
             .pop()
             .expect("fair completion fired on an empty resource");
+        if state.heap.is_empty() {
+            debug_assert!(state.pending.is_none(), "a drained set has no prediction");
+            self.free_fair.push(f);
+            self.rows[r.0].fair = NONE;
+        }
         (entry.job, entry.admitted, entry.trace_slot)
     }
 
     /// Take the engine handle of the scheduled next-completion event.
-    pub(crate) fn take_pending(&mut self) -> Option<EventHandle> {
-        self.fair.pending.take()
+    pub(crate) fn take_pending(&mut self, r: ResourceId) -> Option<EventHandle> {
+        match self.rows[r.0].fair {
+            NONE => None,
+            f => self.fair[f as usize].pending.take(),
+        }
     }
 
     /// Store the engine handle of the scheduled next-completion event.
-    pub(crate) fn set_pending(&mut self, handle: EventHandle) {
-        debug_assert!(self.fair.pending.is_none());
-        self.fair.pending = Some(handle);
-    }
-
-    /// The resource's accounting once the run is over; the name and
-    /// the wait histogram move into it.
-    pub(crate) fn into_usage(self) -> ResourceUsage {
-        ResourceUsage {
-            name: self.name,
-            busy_time: self.busy_time,
-            bytes_served: self.bytes_served,
-            jobs_served: self.jobs_served,
-            max_queue_len: self.max_queue_len,
-            max_active: self.max_active,
-            wait_hist: self.wait_hist,
-        }
+    pub(crate) fn set_pending(&mut self, r: ResourceId, handle: EventHandle) {
+        let state = &mut self.fair[self.rows[r.0].fair as usize];
+        debug_assert!(state.pending.is_none());
+        state.pending = Some(handle);
     }
 }
 
-/// Post-run accounting for one resource.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An entry of `pool` to put to use: one that `free` lists, else a new
+/// one.
+fn acquire<T: Default>(pool: &mut Vec<T>, free: &mut Vec<u32>, what: &str) -> u32 {
+    free.pop().unwrap_or_else(|| {
+        pool.push(T::default());
+        index32(pool.len() - 1, what)
+    })
+}
+
+/// Earliest instant at which `remaining` nanoseconds of service progress
+/// accumulate starting from `now`, when progress flows at `share` of the
+/// nominal rate (times the active perturbation window's multiplier).
+/// `share = 1.0` reproduces the FIFO engine's arithmetic bit for bit. An
+/// empty demand completes at `now` regardless of windows: zero work
+/// needs zero time, even inside a full stall.
+fn integrate_done(
+    windows: &[ServiceWindow],
+    now: SimTime,
+    mut remaining: f64,
+    share: f64,
+) -> SimTime {
+    let mut t = now.as_nanos();
+    if remaining <= 0.0 {
+        return SimTime::from_nanos(t);
+    }
+    for w in windows {
+        let (ws, we) = (w.start.as_nanos(), w.end.as_nanos());
+        if we <= t {
+            continue;
+        }
+        // Full-rate segment before the window opens.
+        if ws > t {
+            let gap = (ws - t) as f64 * share;
+            if remaining <= gap {
+                return SimTime::from_nanos(t.saturating_add((remaining / share).ceil() as u64));
+            }
+            remaining -= gap;
+            t = ws;
+            if remaining <= 0.0 {
+                return SimTime::from_nanos(t);
+            }
+        }
+        // Inside the window: progress at `rate`.
+        let rate = w.rate.clamp(0.0, 1.0) * share;
+        let span = (we - t) as f64;
+        if rate > 0.0 && remaining <= span * rate {
+            return SimTime::from_nanos(t.saturating_add((remaining / rate).ceil() as u64));
+        }
+        remaining -= span * rate;
+        t = we;
+        if remaining <= 0.0 {
+            return SimTime::from_nanos(t);
+        }
+    }
+    SimTime::from_nanos(t.saturating_add((remaining / share).ceil() as u64))
+}
+
+/// Service progress (in nanoseconds of per-transfer progress) that
+/// accumulates over `[t0, t1)` at `share` of the nominal rate, walking
+/// the perturbation windows exactly like [`integrate_done`].
+fn progress_between(windows: &[ServiceWindow], t0: SimTime, t1: SimTime, share: f64) -> f64 {
+    let (mut t, end) = (t0.as_nanos(), t1.as_nanos());
+    if end <= t {
+        return 0.0;
+    }
+    let mut acc = 0.0;
+    for w in windows {
+        let (ws, we) = (w.start.as_nanos(), w.end.as_nanos());
+        if we <= t {
+            continue;
+        }
+        if ws > t {
+            let gap_end = ws.min(end);
+            acc += (gap_end - t) as f64 * share;
+            t = gap_end;
+            if t >= end {
+                return acc;
+            }
+        }
+        let seg_end = we.min(end);
+        acc += (seg_end - t) as f64 * (w.rate.clamp(0.0, 1.0) * share);
+        t = seg_end;
+        if t >= end {
+            return acc;
+        }
+    }
+    acc + (end - t) as f64 * share
+}
+
+/// Post-run accounting for one resource (its name is
+/// [`crate::RunReport::resource_name`], its wait distribution
+/// [`crate::RunReport::wait_hist`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceUsage {
-    /// Name the resource was registered with.
-    pub name: String,
     /// Total service time delivered (may exceed the makespan when the
     /// resource has multiple service slots). Under fair sharing this is
     /// the integral of `min(active, capacity)` over time — the same
@@ -541,11 +643,6 @@ pub struct ResourceUsage {
     /// a slot under FIFO (≤ capacity), the whole active set under fair
     /// sharing (unbounded).
     pub max_active: usize,
-    /// Distribution of per-job queueing delay, in nanoseconds. Jobs that
-    /// found a free slot record a zero wait, so `wait_hist.count()`
-    /// equals `jobs_served` after a completed run. Fair-share admissions
-    /// never wait: every observation is zero.
-    pub wait_hist: Histogram,
 }
 
 impl ResourceUsage {
@@ -570,6 +667,19 @@ mod tests {
             bytes,
             overhead: SimDuration::ZERO,
         }
+    }
+
+    /// A table holding one resource `r` of `bps` bytes per second.
+    fn one(bps: f64, capacity: usize) -> (ResourceTable, ResourceId) {
+        let mut table = ResourceTable::default();
+        let bandwidth = Bandwidth::bytes_per_sec(bps);
+        let r = table.add(format_args!("r"), bandwidth, capacity);
+        (table, r)
+    }
+
+    fn window(start: u64, end: u64, rate: f64) -> Vec<ServiceWindow> {
+        let (start, end) = (SimTime::from_nanos(start), SimTime::from_nanos(end));
+        vec![ServiceWindow { start, end, rate }]
     }
 
     #[test]
@@ -604,29 +714,38 @@ mod tests {
         for p in [SharePolicy::Fifo, SharePolicy::FairShare] {
             assert_eq!(SharePolicy::parse(p.label()), Some(p));
         }
-        assert_eq!(
-            SharePolicy::parse("fair-share"),
-            Some(SharePolicy::FairShare)
-        );
+        for spelling in ["fair-share", "fairshare"] {
+            assert_eq!(SharePolicy::parse(spelling), Some(SharePolicy::FairShare));
+        }
         assert_eq!(SharePolicy::parse("lifo"), None);
     }
 
     #[test]
+    fn a_table_row_is_small() {
+        // What every resource carries, serving state plus accounting;
+        // queues, active sets, windows and wait histograms sit in the
+        // side tables.
+        let row = std::mem::size_of::<Resource>() + std::mem::size_of::<ResourceUsage>();
+        assert!(row <= 96, "{row} bytes per resource");
+    }
+
+    #[test]
     fn fifo_queueing() {
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
+        let (mut t, r) = one(100.0, 1);
         let t0 = SimTime::ZERO;
         // First job starts immediately.
-        let done = r.enqueue(t0, job(100)).expect("idle server starts job");
+        let done = t.enqueue(r, t0, job(100)).expect("idle server starts job");
         assert_eq!(done, t0 + SimDuration::from_secs(1));
         // Second queues.
-        assert!(r.enqueue(t0, job(200)).is_none());
-        assert_eq!(r.max_queue_len, 1);
-        // Completion pops the queue.
-        let (next, next_done) = r.complete_current(done).expect("queued job");
+        assert!(t.enqueue(r, t0, job(200)).is_none());
+        assert_eq!(t.usage(r).max_queue_len, 1);
+        // Completion pops the queue, which goes back to the pool.
+        let (next, next_done) = t.complete_current(r, done).expect("queued job");
         assert_eq!(next.bytes, 200);
         assert_eq!(next_done, done + SimDuration::from_secs(2));
-        assert!(r.complete_current(next_done).is_none());
-        let u = r.into_usage();
+        assert_eq!(t.free_queues, [0]);
+        assert!(t.complete_current(r, next_done).is_none());
+        let u = t.usage(r);
         assert_eq!(u.jobs_served, 2);
         assert_eq!(u.bytes_served, 300);
         assert_eq!(u.busy_time, SimDuration::from_secs(3));
@@ -635,40 +754,42 @@ mod tests {
 
     #[test]
     fn wait_times_recorded_per_job() {
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
+        let (mut t, r) = one(100.0, 1);
         let t0 = SimTime::ZERO;
-        let done = r.enqueue(t0, job(100)).unwrap();
-        assert!(r.enqueue(t0, job(100)).is_none());
-        r.complete_current(done);
-        let u = r.into_usage();
+        let done = t.enqueue(r, t0, job(100)).unwrap();
+        assert!(t.enqueue(r, t0, job(100)).is_none());
+        t.complete_current(r, done);
+        let hist = t.wait_hist(r);
         // One immediate start (0 ns wait), one that waited a full second.
-        assert_eq!(u.wait_hist.count(), u.jobs_served);
-        assert_eq!(u.wait_hist.min(), Some(0));
-        assert_eq!(u.wait_hist.max(), Some(1_000_000_000));
+        assert_eq!(hist.count(), t.usage(r).jobs_served);
+        assert_eq!(hist.min(), Some(0));
+        assert_eq!(hist.max(), Some(1_000_000_000));
+        // The same histogram as observing both waits in order.
+        let mut direct = Histogram::new();
+        direct.observe(0);
+        direct.observe(1_000_000_000);
+        assert_eq!(hist, direct);
     }
 
     #[test]
     fn overhead_adds_to_service() {
-        let r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
-        assert_eq!(
-            r.service_time(100, SimDuration::from_millis(500)),
-            SimDuration::from_millis(1500)
-        );
+        let (t, r) = one(100.0, 1);
+        let j = Job {
+            overhead: SimDuration::from_millis(500),
+            ..job(100)
+        };
+        assert_eq!(t.service_time(r, j), SimDuration::from_millis(1500));
     }
 
     #[test]
     fn slow_window_stretches_service() {
         // 100 B/s server, 100-byte job ⇒ nominally 1 s. A half-rate
         // window covering the whole job doubles it.
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
-        r.set_service_windows(vec![ServiceWindow {
-            start: SimTime::ZERO,
-            end: SimTime::from_nanos(u64::MAX),
-            rate: 0.5,
-        }]);
-        let done = r.enqueue(SimTime::ZERO, job(100)).unwrap();
+        let (mut t, r) = one(100.0, 1);
+        t.set_service_windows(r, window(0, u64::MAX, 0.5));
+        let done = t.enqueue(r, SimTime::ZERO, job(100)).unwrap();
         assert_eq!(done, SimTime::ZERO + SimDuration::from_secs(2));
-        assert_eq!(r.busy_time, SimDuration::from_secs(2));
+        assert_eq!(t.usage(r).busy_time, SimDuration::from_secs(2));
     }
 
     #[test]
@@ -676,39 +797,27 @@ mod tests {
         // Job starts at t=0, stall covers [0.5 s, 2.5 s): the first half
         // second does half the work, then nothing until 2.5 s, then the
         // remaining half second ⇒ done at 3 s.
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
-        r.set_service_windows(vec![ServiceWindow {
-            start: SimTime::from_nanos(500_000_000),
-            end: SimTime::from_nanos(2_500_000_000),
-            rate: 0.0,
-        }]);
-        let done = r.enqueue(SimTime::ZERO, job(100)).unwrap();
+        let (mut t, r) = one(100.0, 1);
+        t.set_service_windows(r, window(500_000_000, 2_500_000_000, 0.0));
+        let done = t.enqueue(r, SimTime::ZERO, job(100)).unwrap();
         assert_eq!(done, SimTime::from_nanos(3_000_000_000));
     }
 
     #[test]
     fn job_outside_windows_is_unperturbed() {
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
-        r.set_service_windows(vec![ServiceWindow {
-            start: SimTime::from_nanos(10),
-            end: SimTime::from_nanos(20),
-            rate: 0.0,
-        }]);
+        let (mut t, r) = one(100.0, 1);
+        t.set_service_windows(r, window(10, 20, 0.0));
         // Starting after the window ends: exact nominal completion.
-        let t = SimTime::from_nanos(1_000_000_000);
-        let done = r.enqueue(t, job(100)).unwrap();
-        assert_eq!(done, t + SimDuration::from_secs(1));
+        let start = SimTime::from_nanos(1_000_000_000);
+        let done = t.enqueue(r, start, job(100)).unwrap();
+        assert_eq!(done, start + SimDuration::from_secs(1));
     }
 
     #[test]
     fn empty_and_reversed_windows_are_dropped() {
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
-        r.set_service_windows(vec![ServiceWindow {
-            start: SimTime::from_nanos(20),
-            end: SimTime::from_nanos(20),
-            rate: 0.0,
-        }]);
-        let done = r.enqueue(SimTime::ZERO, job(100)).unwrap();
+        let (mut t, r) = one(100.0, 1);
+        t.set_service_windows(r, window(20, 20, 0.0));
+        let done = t.enqueue(r, SimTime::ZERO, job(100)).unwrap();
         assert_eq!(done, SimTime::ZERO + SimDuration::from_secs(1));
     }
 
@@ -717,15 +826,11 @@ mod tests {
         // A zero-byte, zero-overhead job needs zero work: it must
         // complete at t+0 even when admitted inside a full stall window
         // (previously it was pushed to the window's end).
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
-        r.set_service_windows(vec![ServiceWindow {
-            start: SimTime::ZERO,
-            end: SimTime::from_nanos(10_000_000_000),
-            rate: 0.0,
-        }]);
-        let t = SimTime::from_nanos(1_000);
-        let done = r.enqueue(t, job(0)).unwrap();
-        assert_eq!(done, t);
+        let (mut t, r) = one(100.0, 1);
+        t.set_service_windows(r, window(0, 10_000_000_000, 0.0));
+        let start = SimTime::from_nanos(1_000);
+        let done = t.enqueue(r, start, job(0)).unwrap();
+        assert_eq!(done, start);
     }
 
     #[test]
@@ -733,34 +838,25 @@ mod tests {
         // 1 s of work starting at t=0; a stall covers [1 s, 5 s). The
         // job's last byte lands exactly at the stall boundary, so it
         // completes at 1 s, not at the stall's end.
-        let mut r = Resource::new("r", Bandwidth::bytes_per_sec(100.0));
-        r.set_service_windows(vec![ServiceWindow {
-            start: SimTime::from_nanos(1_000_000_000),
-            end: SimTime::from_nanos(5_000_000_000),
-            rate: 0.0,
-        }]);
-        let done = r.enqueue(SimTime::ZERO, job(100)).unwrap();
+        let (mut t, r) = one(100.0, 1);
+        t.set_service_windows(r, window(1_000_000_000, 5_000_000_000, 0.0));
+        let done = t.enqueue(r, SimTime::ZERO, job(100)).unwrap();
         assert_eq!(done, SimTime::from_nanos(1_000_000_000));
     }
 
     #[test]
     fn fair_single_transfer_matches_fifo_arithmetic() {
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            1,
-            SharePolicy::FairShare,
-        );
+        let (mut f, r) = one(100.0, 1);
         let t0 = SimTime::from_nanos(123_456_789);
-        f.fair_arrive(t0, job(100), None);
+        f.fair_arrive(r, t0, job(100), None);
         assert_eq!(
-            f.fair_next_completion(),
+            f.fair_next_completion(r),
             Some(t0 + SimDuration::from_secs(1))
         );
-        let (j, admitted, _) = f.fair_complete(t0 + SimDuration::from_secs(1));
+        let (j, admitted, _) = f.fair_complete(r, t0 + SimDuration::from_secs(1));
         assert_eq!(j.bytes, 100);
         assert_eq!(admitted, t0);
-        let u = f.into_usage();
+        let u = f.usage(r);
         assert_eq!(u.busy_time, SimDuration::from_secs(1));
         assert_eq!(u.max_active, 1);
         assert_eq!(u.max_queue_len, 0);
@@ -771,27 +867,26 @@ mod tests {
         // Two 100-byte transfers admitted together on a 100 B/s server:
         // each progresses at 50 B/s, both finish at 2 s (admission order
         // breaks the tie).
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            1,
-            SharePolicy::FairShare,
-        );
-        f.fair_arrive(SimTime::ZERO, job(100), None);
-        f.fair_arrive(SimTime::ZERO, job(100), None);
-        let done = f.fair_next_completion().unwrap();
+        let (mut f, r) = one(100.0, 1);
+        f.fair_arrive(r, SimTime::ZERO, job(100), None);
+        f.fair_arrive(r, SimTime::ZERO, job(100), None);
+        let done = f.fair_next_completion(r).unwrap();
         assert_eq!(done, SimTime::from_nanos(2_000_000_000));
-        f.fair_complete(done);
+        f.fair_complete(r, done);
         // The survivor has no competition left; it was already fully
         // served at the same instant.
-        assert_eq!(f.fair_next_completion(), Some(done));
-        f.fair_complete(done);
-        let u = f.into_usage();
+        assert_eq!(f.fair_next_completion(r), Some(done));
+        f.fair_complete(r, done);
+        // The drained set went back to the pool.
+        assert_eq!(f.fair_next_completion(r), None);
+        assert_eq!(f.free_fair, [0]);
+        let u = f.usage(r);
         // Busy integral: min(2, 1) slot over 2 s.
         assert_eq!(u.busy_time, SimDuration::from_secs(2));
         assert_eq!(u.max_active, 2);
         assert_eq!(u.max_queue_len, 1);
         assert_eq!(u.jobs_served, 2);
+        assert_eq!(f.wait_hist(r).count(), 2);
     }
 
     #[test]
@@ -799,42 +894,32 @@ mod tests {
         // A starts alone at t=0 (100 B at 100 B/s). B (50 B) arrives at
         // 0.5 s. A has 50 B left; both share at 50 B/s. Both demands
         // drain together at t = 0.5 + 1.0 = 1.5 s.
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            1,
-            SharePolicy::FairShare,
-        );
-        f.fair_arrive(SimTime::ZERO, job(100), None);
-        f.fair_arrive(SimTime::from_nanos(500_000_000), job(50), None);
-        let done = f.fair_next_completion().unwrap();
+        let (mut f, r) = one(100.0, 1);
+        f.fair_arrive(r, SimTime::ZERO, job(100), None);
+        f.fair_arrive(r, SimTime::from_nanos(500_000_000), job(50), None);
+        let done = f.fair_next_completion(r).unwrap();
         assert_eq!(done, SimTime::from_nanos(1_500_000_000));
-        let (first, _, _) = f.fair_complete(done);
+        let (first, _, _) = f.fair_complete(r, done);
         // Tie on virtual finish time: admission order wins — A first.
         assert_eq!(first.bytes, 100);
-        assert_eq!(f.fair_next_completion(), Some(done));
+        assert_eq!(f.fair_next_completion(r), Some(done));
     }
 
     #[test]
     fn fair_capacity_two_serves_pairs_at_full_rate() {
         // capacity 2: two transfers get a full slot each — identical to
         // the FIFO multi-slot semantics. A third shares: 2 slots / 3.
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            2,
-            SharePolicy::FairShare,
-        );
-        f.fair_arrive(SimTime::ZERO, job(100), None);
-        f.fair_arrive(SimTime::ZERO, job(100), None);
+        let (mut f, r) = one(100.0, 2);
+        f.fair_arrive(r, SimTime::ZERO, job(100), None);
+        f.fair_arrive(r, SimTime::ZERO, job(100), None);
         assert_eq!(
-            f.fair_next_completion(),
+            f.fair_next_completion(r),
             Some(SimTime::from_nanos(1_000_000_000))
         );
-        f.fair_arrive(SimTime::ZERO, job(100), None);
+        f.fair_arrive(r, SimTime::ZERO, job(100), None);
         // Each of the three now progresses at 2/3 rate: 1.5 s.
         assert_eq!(
-            f.fair_next_completion(),
+            f.fair_next_completion(r),
             Some(SimTime::from_nanos(1_500_000_000))
         );
     }
@@ -843,16 +928,16 @@ mod tests {
     fn fair_overhead_only_transfers_contend() {
         // Infinite bandwidth, pure overhead (the OST shape): two 1 ms
         // requests admitted together each progress at half rate — 2 ms.
-        let mut f = Resource::with_policy("ost0", Bandwidth::infinite(), 1, SharePolicy::FairShare);
+        let mut f = ResourceTable::default();
+        let r = f.add(format_args!("ost0"), Bandwidth::infinite(), 1);
         let j = Job {
-            activity: ActivityId(0),
-            bytes: 0,
             overhead: SimDuration::from_millis(1),
+            ..job(0)
         };
-        f.fair_arrive(SimTime::ZERO, j, None);
-        f.fair_arrive(SimTime::ZERO, j, None);
+        f.fair_arrive(r, SimTime::ZERO, j, None);
+        f.fair_arrive(r, SimTime::ZERO, j, None);
         assert_eq!(
-            f.fair_next_completion(),
+            f.fair_next_completion(r),
             Some(SimTime::from_nanos(2_000_000))
         );
     }
@@ -861,75 +946,65 @@ mod tests {
     fn fair_window_slows_the_whole_set() {
         // Two 100-byte transfers on 100 B/s under a half-rate window:
         // effective 25 B/s each ⇒ 4 s.
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            1,
-            SharePolicy::FairShare,
-        );
-        f.set_service_windows(vec![ServiceWindow {
-            start: SimTime::ZERO,
-            end: SimTime::from_nanos(u64::MAX),
-            rate: 0.5,
-        }]);
-        f.fair_arrive(SimTime::ZERO, job(100), None);
-        f.fair_arrive(SimTime::ZERO, job(100), None);
+        let (mut f, r) = one(100.0, 1);
+        f.set_service_windows(r, window(0, u64::MAX, 0.5));
+        f.fair_arrive(r, SimTime::ZERO, job(100), None);
+        f.fair_arrive(r, SimTime::ZERO, job(100), None);
         assert_eq!(
-            f.fair_next_completion(),
+            f.fair_next_completion(r),
             Some(SimTime::from_nanos(4_000_000_000))
         );
     }
 
     #[test]
     fn fair_zero_demand_completes_at_admission() {
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            1,
-            SharePolicy::FairShare,
-        );
-        f.set_service_windows(vec![ServiceWindow {
-            start: SimTime::ZERO,
-            end: SimTime::from_nanos(u64::MAX),
-            rate: 0.0,
-        }]);
+        let (mut f, r) = one(100.0, 1);
+        f.set_service_windows(r, window(0, u64::MAX, 0.0));
         let t = SimTime::from_nanos(42);
-        f.fair_arrive(t, job(0), None);
-        assert_eq!(f.fair_next_completion(), Some(t));
+        f.fair_arrive(r, t, job(0), None);
+        assert_eq!(f.fair_next_completion(r), Some(t));
     }
 
     #[test]
     fn fair_vtime_resets_when_drained() {
-        // Run one transfer, drain, run another far later: the second
-        // admission must compute the same exact arithmetic as the first
-        // (no accumulated virtual time).
-        let mut f = Resource::with_policy(
-            "f",
-            Bandwidth::bytes_per_sec(100.0),
-            1,
-            SharePolicy::FairShare,
-        );
-        f.fair_arrive(SimTime::ZERO, job(100), None);
-        let d1 = f.fair_next_completion().unwrap();
-        f.fair_complete(d1);
+        // Run one transfer, drain, run another far later — on another
+        // resource that takes over the pooled set: the second admission
+        // must compute the same exact arithmetic as the first (no
+        // accumulated virtual time, no stale clock).
+        let (mut f, r) = one(100.0, 1);
+        let s = f.add(format_args!("s"), Bandwidth::bytes_per_sec(100.0), 1);
+        f.fair_arrive(r, SimTime::ZERO, job(100), None);
+        let d1 = f.fair_next_completion(r).unwrap();
+        f.fair_complete(r, d1);
         let t2 = SimTime::from_nanos(77_000_000_123);
-        f.fair_arrive(t2, job(100), None);
-        assert_eq!(
-            f.fair_next_completion(),
-            Some(t2 + SimDuration::from_secs(1))
-        );
+        for resource in [r, s] {
+            f.fair_arrive(resource, t2, job(100), None);
+            assert_eq!(
+                f.fair_next_completion(resource),
+                Some(t2 + SimDuration::from_secs(1))
+            );
+        }
+        assert_eq!(f.fair.len(), 2, "one set per busy resource");
+    }
+
+    #[test]
+    fn names_are_slices_of_one_arena() {
+        let mut t = ResourceTable::default();
+        let bw = Bandwidth::infinite();
+        for n in 0..3 {
+            t.add(format_args!("node{n}.membus"), bw, 1);
+        }
+        t.add(format_args!("ost{}", 17), bw, 4);
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.name(1), "node1.membus");
+        assert_eq!(t.name(3), "ost17");
     }
 
     #[test]
     fn utilization() {
         let u = ResourceUsage {
-            name: "r".into(),
             busy_time: SimDuration::from_secs(1),
-            bytes_served: 0,
-            jobs_served: 0,
-            max_queue_len: 0,
-            max_active: 0,
-            wait_hist: Histogram::new(),
+            ..ResourceUsage::default()
         };
         assert!((u.utilization(SimDuration::from_secs(4)) - 0.25).abs() < 1e-12);
         assert_eq!(u.utilization(SimDuration::ZERO), 0.0);

@@ -16,7 +16,9 @@
 //!    are exactly the arrivals that found a non-empty active set, and
 //!    work is conserved (`busy_time` equals total nominal demand).
 
-use mcio_des::{Activity, Bandwidth, ServiceWindow, SharePolicy, SimDuration, SimTime, Simulation};
+use mcio_des::{
+    Activity, Bandwidth, ResourceId, ServiceWindow, SharePolicy, SimDuration, SimTime, Simulation,
+};
 use proptest::prelude::*;
 
 fn bw(bps: f64) -> Bandwidth {
@@ -39,7 +41,7 @@ fn unshared_workload(
     chains: usize,
     len: usize,
     seed: u64,
-) -> (Simulation, Vec<mcio_des::ActivityId>) {
+) -> (Simulation, Vec<mcio_des::ActivityId>, Vec<ResourceId>) {
     let mut sim = Simulation::with_policy(policy);
     sim.enable_trace();
     let mut state = seed | 1;
@@ -50,9 +52,10 @@ fn unshared_workload(
         state ^= state << 17;
         state
     };
-    let mut ids = Vec::new();
+    let (mut ids, mut resources) = (Vec::new(), Vec::new());
     for c in 0..chains {
         let r = sim.add_resource(format!("r{c}"), bw(1e9));
+        resources.push(r);
         let mut prev = None;
         for j in 0..len {
             let bytes = rng() % 10_000;
@@ -65,7 +68,7 @@ fn unshared_workload(
             ids.push(a);
         }
     }
-    (sim, ids)
+    (sim, ids, resources)
 }
 
 proptest! {
@@ -83,8 +86,8 @@ proptest! {
         len in 1usize..8,
         seed in 1u64..u64::MAX,
     ) {
-        let (sim_f, ids) = unshared_workload(SharePolicy::Fifo, chains, len, seed);
-        let (sim_p, _) = unshared_workload(SharePolicy::FairShare, chains, len, seed);
+        let (sim_f, ids, resources) = unshared_workload(SharePolicy::Fifo, chains, len, seed);
+        let (sim_p, ..) = unshared_workload(SharePolicy::FairShare, chains, len, seed);
         let fifo = sim_f.run().unwrap();
         let fair = sim_p.run().unwrap();
         prop_assert_eq!(fifo.makespan(), fair.makespan());
@@ -93,6 +96,10 @@ proptest! {
             prop_assert_eq!(fifo.start_time(a), fair.start_time(a));
         }
         prop_assert_eq!(fifo.resource_usages(), fair.resource_usages());
+        for &r in &resources {
+            prop_assert_eq!(fifo.wait_hist(r), fair.wait_hist(r));
+            prop_assert_eq!(fifo.resource_name(r), fair.resource_name(r));
+        }
         prop_assert_eq!(fifo.engine_stats(), fair.engine_stats());
         prop_assert_eq!(fifo.engine_stats().events_cancelled, 0);
         prop_assert_eq!(fifo.trace(), fair.trace());
@@ -317,7 +324,7 @@ proptest! {
             u.busy_time.as_nanos(), total_demand, slack
         );
         prop_assert_eq!(u.jobs_served, njobs as u64);
-        prop_assert_eq!(u.wait_hist.count(), njobs as u64);
+        prop_assert_eq!(rep.wait_hist(r).count(), njobs as u64);
         // Heap high-water: bounded below by the seed burst (all Ready
         // events coexist before the first pop) and above by everything
         // ever scheduled — slot pooling must not corrupt either bound.
@@ -492,15 +499,18 @@ fn queue_counter_semantics_pinned() {
         for j in 0..3 {
             sim.add_activity(Activity::new(format!("a{j}")).stage(r, 1000, SimDuration::ZERO));
         }
-        sim.run().unwrap()
+        (sim.run().unwrap(), r)
     };
-    let fifo = build(SharePolicy::Fifo);
-    let fair = build(SharePolicy::FairShare);
+    let (fifo, r) = build(SharePolicy::Fifo);
+    let (fair, _) = build(SharePolicy::FairShare);
 
     let uf = &fifo.resource_usages()[0];
     assert_eq!(uf.max_active, 1);
     assert_eq!(uf.max_queue_len, 2);
-    assert_eq!(uf.wait_hist.count(), 3);
+    assert_eq!(fifo.wait_hist(r).count(), 3);
+    // Two of the three waited: one and two service times.
+    assert_eq!(fifo.wait_hist(r).min(), Some(0));
+    assert_eq!(fifo.wait_hist(r).max(), Some(2_000));
     assert_eq!(fifo.class_max_queues(), vec![("membus".to_string(), 1)]);
     assert_eq!(
         fifo.engine_profile().class_max_queue,
@@ -510,7 +520,8 @@ fn queue_counter_semantics_pinned() {
     let ua = &fair.resource_usages()[0];
     assert_eq!(ua.max_active, 3);
     assert_eq!(ua.max_queue_len, 2);
-    assert_eq!(ua.wait_hist.count(), 3);
+    assert_eq!(fair.wait_hist(r).count(), 3);
+    assert_eq!(fair.wait_hist(r).max(), Some(0));
     assert_eq!(fair.class_max_queues(), vec![("membus".to_string(), 3)]);
     assert_eq!(
         fair.engine_profile().class_max_queue,

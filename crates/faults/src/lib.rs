@@ -214,10 +214,10 @@ impl FaultSpec {
     }
 
     /// Service perturbation windows for OST `ost`, sorted by start, in
-    /// the shape [`mcio_des::Resource`] consumes. Stalls win over
-    /// slowdowns where windows overlap (the engine applies windows in
-    /// order, so we emit stalls last — but non-overlapping specs are the
-    /// intended use).
+    /// the shape [`mcio_des::Simulation::set_service_windows`] takes.
+    /// Stalls win over slowdowns where windows overlap (the engine
+    /// applies windows in order, so we emit stalls last — but
+    /// non-overlapping specs are the intended use).
     pub fn ost_windows(&self, ost: usize) -> Vec<ServiceWindow> {
         let mut out: Vec<ServiceWindow> = self
             .events

@@ -112,6 +112,8 @@ pub struct Pfs {
     request_overhead: SimDuration,
     registry: Option<Arc<Registry>>,
     faults: Option<FaultCtx>,
+    /// Scratch for the per-OST pieces of the request being submitted.
+    pieces: RefCell<Vec<(OstId, u64)>>,
 }
 
 impl Pfs {
@@ -142,7 +144,7 @@ impl Pfs {
             // service slots.
             .map(|i| {
                 sim.add_resource_with_capacity(
-                    format!("ost{i}"),
+                    format_args!("ost{i}"),
                     Bandwidth::infinite(),
                     spec.ost_concurrency.max(1),
                 )
@@ -156,6 +158,7 @@ impl Pfs {
             request_overhead: spec.ost_request_overhead,
             registry: None,
             faults: None,
+            pieces: RefCell::new(Vec::new()),
         }
     }
 
@@ -271,12 +274,13 @@ impl Pfs {
             return join;
         }
 
-        let pieces = self.layout.split_per_ost(extent);
+        let mut pieces = self.pieces.borrow_mut();
+        self.layout.split_per_ost(extent, &mut pieces);
         if let Some(reg) = &self.registry {
             let dir = [("rw", rw.name())];
             reg.inc("pfs.requests", &dir, 1);
             reg.observe("pfs.req.bytes", &dir, extent.len);
-            for (ost, bytes) in &pieces {
+            for (ost, bytes) in pieces.iter() {
                 let ost = ost.0.to_string();
                 let lbl = [("ost", ost.as_str())];
                 reg.observe("pfs.ost.req_bytes", &lbl, *bytes);
@@ -298,7 +302,7 @@ impl Pfs {
             sim.add_dep(d, head);
         }
         let tail = sim.activity(format_args!("{label}.{tail}"), SimTime::ZERO, tail_stages);
-        for (ost, bytes) in pieces {
+        for &(ost, bytes) in pieces.iter() {
             let piece = self.add_piece(sim, format_args!("{label}.{ost}"), ost, rw, bytes);
             sim.add_dep(head, piece);
             sim.add_dep(piece, tail);

@@ -110,35 +110,33 @@ impl StripeLayout {
     /// Decompose an extent into **at most one piece per OST**, ascending
     /// by OST, each with the bytes of the extent that land on it (a
     /// contiguous global extent is one object-locally contiguous run per
-    /// OST, so one request each).
-    pub fn split_per_ost(&self, extent: Extent) -> Vec<(OstId, u64)> {
+    /// OST, so one request each). The pieces replace `pieces`' contents.
+    pub fn split_per_ost(&self, extent: Extent, pieces: &mut Vec<(OstId, u64)>) {
+        pieces.clear();
         if extent.is_empty() {
-            return Vec::new();
+            return;
         }
         let (unit, count) = (self.stripe_unit, self.stripe_count as u64);
         let (first, last) = (extent.offset / unit, (extent.end() - 1) / unit);
+        let bytes = |stripe: u64| {
+            let start = (stripe * unit).max(extent.offset);
+            ((stripe + 1) * unit).min(extent.end()) - start
+        };
         if last - first >= count {
-            // More than one stripe cycle: some OST holds several stripes.
-            let mut per_ost = vec![0u64; self.stripe_count];
-            for piece in self.split(extent) {
-                per_ost[piece.ost.0] += piece.global.len;
+            // More than one stripe cycle: some OST holds several stripes,
+            // and every OST at least one.
+            pieces.extend((0..self.stripe_count).map(|i| (OstId(i), 0)));
+            for stripe in first..=last {
+                pieces[(stripe % count) as usize].1 += bytes(stripe);
             }
-            return (per_ost.into_iter().enumerate())
-                .filter(|&(_, bytes)| bytes > 0)
-                .map(|(i, bytes)| (OstId(i), bytes))
-                .collect();
+            return;
         }
         // At most one cycle: every stripe is its own OST, and ascending
         // OST order is stripe order rotated at the one stripe (if any)
         // that wraps back to OST 0. O(pieces), whatever the OST count.
         let wrap = ((first / count + 1) * count).min(last + 1);
-        let mut pieces = Vec::with_capacity((last - first + 1) as usize);
-        pieces.extend((wrap..=last).chain(first..wrap).map(|stripe| {
-            let start = (stripe * unit).max(extent.offset);
-            let end = ((stripe + 1) * unit).min(extent.end());
-            (OstId((stripe % count) as usize), end - start)
-        }));
-        pieces
+        let stripes = (wrap..=last).chain(first..wrap);
+        pieces.extend(stripes.map(|stripe| (OstId((stripe % count) as usize), bytes(stripe))));
     }
 }
 
@@ -186,7 +184,8 @@ mod tests {
     fn split_per_ost_aggregates() {
         let l = StripeLayout::new(100, 4);
         // Full round plus one stripe: ost0 gets 200, others 100.
-        let per = l.split_per_ost(Extent::new(0, 500));
+        let mut per = Vec::new();
+        l.split_per_ost(Extent::new(0, 500), &mut per);
         assert_eq!(per.len(), 4);
         assert_eq!(per[0], (OstId(0), 200));
         assert_eq!(per[1], (OstId(1), 100));
@@ -200,7 +199,8 @@ mod tests {
         let l = StripeLayout::new(100, 4);
         // Stripes 2..=5 from mid-stripe: 50 B on ost2, 100 on ost3, then
         // the wrap, 100 on ost0 and 50 on ost1.
-        let per = l.split_per_ost(Extent::new(250, 300));
+        let mut per = vec![(OstId(9), 9)];
+        l.split_per_ost(Extent::new(250, 300), &mut per);
         let osts = [(0, 100), (1, 50), (2, 50), (3, 100)];
         assert_eq!(per, osts.map(|(ost, bytes)| (OstId(ost), bytes)));
     }
@@ -217,7 +217,9 @@ mod tests {
     fn empty_extent_no_pieces() {
         let l = StripeLayout::new(100, 4);
         assert!(l.split(Extent::new(10, 0)).is_empty());
-        assert!(l.split_per_ost(Extent::new(10, 0)).is_empty());
+        let mut per = vec![(OstId(0), 1)];
+        l.split_per_ost(Extent::new(10, 0), &mut per);
+        assert!(per.is_empty());
     }
 
     #[test]
