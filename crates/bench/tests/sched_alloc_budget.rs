@@ -32,8 +32,9 @@ fn a_stream_lowers_each_placed_job_once() {
     let allocs = snapshot().allocs - before;
     println!("{allocs} allocations over the two replays");
     assert_eq!(activities, [90_962, 1_454_491], "activities simulated");
-    // Measured: 609,131 (1,006,471 with a name and a queue per
-    // resource and a few vectors per round slot). With every resident
+    // Measured: 602,387 (609,131 with an extent vector per planned
+    // message, 1,006,471 with a name and a queue per resource and a few
+    // vectors per round slot). With every resident
     // lowered again at every commit it was 4,140,578, of which
     // 3,174,662 were that lowering.
     assert!(

@@ -55,7 +55,9 @@ use crate::exec_sim::{
     SimRun, TimingReport,
 };
 use crate::memory::ProcMemory;
-use crate::plan::{AggregatorAssignment, CollectivePlan, GroupPlan, IoOp, Round, SyncMode};
+use crate::plan::{
+    AggregatorAssignment, CollectivePlan, GroupPlan, IoOp, Message, Round, SyncMode,
+};
 use crate::tuner::{retune_from_signals, TunedParams};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::{NodeId, ProcessMap, Rank};
@@ -621,9 +623,10 @@ fn retarget_round(round: &mut Round, rw: Rw, from: Rank, to: Rank) {
 /// Graceful degradation: split every I/O op of round `r` owned by `agg`
 /// whose window exceeds `limit` into `limit`-sized chunks. The first
 /// chunk replaces the op in place; the rest become new rounds appended
-/// to the group, and the matching message extents move with them (split
-/// at the same exact boundaries, preserving conservation). Returns the
-/// indices of the appended rounds.
+/// to the group, and the matching messages follow them: each message of
+/// the op's window is narrowed to a chunk per piece (cut at the same
+/// exact boundaries, preserving conservation). Returns the indices of
+/// the appended rounds.
 fn split_oversized(g: &mut GroupPlan, r: usize, agg: Rank, limit: u64, rw: Rw) -> Vec<usize> {
     let mut appended = Vec::new();
     let nios = g.rounds[r].ios.len();
@@ -645,43 +648,30 @@ fn split_oversized(g: &mut GroupPlan, r: usize, agg: Rank, limit: u64, rw: Rw) -
             window: chunks[0],
             extents: clip_extents(&io.extents, &chunks[0]),
         };
-        // Later chunks each get their own appended round; the matching
-        // message pieces move with them.
-        for chunk in &chunks[1..] {
-            let mut moved = Vec::new();
-            for m in &mut g.rounds[r].messages {
-                if m.agg(rw) != agg {
-                    continue;
+        // Later chunks each get their own appended round; the messages
+        // carrying bytes of this window move their pieces with them. A
+        // message belongs to one window, so the aggregator's messages of
+        // its other windows, if any, are left as they are.
+        let mut moved: Vec<Vec<Message>> = vec![Vec::new(); chunks.len() - 1];
+        let messages = std::mem::take(&mut g.rounds[r].messages);
+        g.rounds[r].messages = messages
+            .into_iter()
+            .filter_map(|m| {
+                if m.agg(rw) != agg || m.extents.within(&io.window).is_none() {
+                    return Some(m);
                 }
-                let (stay, go): (Vec<Extent>, Vec<Extent>) = {
-                    let mut stay = Vec::new();
-                    let mut go = Vec::new();
-                    for e in &m.extents {
-                        match e.intersect(chunk) {
-                            Some(inside) => {
-                                go.push(inside);
-                                if e.offset < inside.offset {
-                                    stay.push(Extent::from_bounds(e.offset, inside.offset));
-                                }
-                                if e.end() > inside.end() {
-                                    stay.push(Extent::from_bounds(inside.end(), e.end()));
-                                }
-                            }
-                            None => stay.push(*e),
-                        }
+                for (chunk, pieces) in chunks[1..].iter().zip(&mut moved) {
+                    if let Some(extents) = m.extents.within(chunk) {
+                        pieces.push(Message { extents, ..m });
                     }
-                    (stay, go)
-                };
-                if !go.is_empty() {
-                    m.extents = stay;
-                    let mut piece = m.clone();
-                    piece.extents = go;
-                    moved.push(piece);
                 }
-            }
-            g.rounds[r].messages.retain(|m| !m.extents.is_empty());
+                let extents = m.extents.within(&chunks[0])?;
+                Some(Message { extents, ..m })
+            })
+            .collect();
+        for (chunk, messages) in chunks[1..].iter().zip(moved) {
             g.rounds.push(Round {
-                messages: moved,
+                messages,
                 ios: vec![IoOp {
                     agg,
                     window: *chunk,

@@ -58,10 +58,10 @@ pub fn execute_write(
                 let mut covered = vec![false; w.len as usize];
                 for m in round.messages.iter().filter(|m| m.dst == io.agg) {
                     for e in &m.extents {
-                        if !w.contains_extent(e) {
+                        if !w.contains_extent(&e) {
                             continue; // belongs to another window of this agg
                         }
-                        let data = oracle_data(e);
+                        let data = oracle_data(&e);
                         let at = (e.offset - w.offset) as usize;
                         buf[at..at + data.len()].copy_from_slice(&data);
                         for c in &mut covered[at..at + data.len()] {
@@ -145,7 +145,7 @@ pub fn execute_read(
                 report.peak_agg_buffer = report.peak_agg_buffer.max(filled);
                 for m in round.messages.iter().filter(|m| m.src == io.agg) {
                     for e in &m.extents {
-                        if !w.contains_extent(e) {
+                        if !w.contains_extent(&e) {
                             continue;
                         }
                         let at = (e.offset - w.offset) as usize;
@@ -158,7 +158,7 @@ pub fn execute_read(
                                 m.dst
                             ));
                         }
-                        received[m.dst.0].push((*e, buf[at..end].to_vec()));
+                        received[m.dst.0].push((e, buf[at..end].to_vec()));
                         report.bytes_shuffled += e.len;
                     }
                 }
@@ -205,7 +205,7 @@ pub fn verify_read(
         }
         // Coverage check: pieces tile exactly the rank's request.
         let got = mcio_pfs::extent::coalesce(pieces.iter().map(|(e, _)| *e).collect());
-        if got != rr.extents {
+        if rr.extents != got {
             return Err(format!(
                 "{rank}: received coverage {got:?} != requested {:?}",
                 rr.extents

@@ -49,7 +49,7 @@ pub fn execute_write_mpi(plan: &CollectivePlan, file: &mut SparseFile) {
                     for m in round.messages.iter().filter(|m| m.src == me) {
                         let mut payload = Vec::with_capacity(m.bytes() as usize);
                         for e in &m.extents {
-                            payload.extend_from_slice(&oracle_data(e));
+                            payload.extend_from_slice(&oracle_data(&e));
                         }
                         comm.send(m.dst.0, t, payload);
                     }
@@ -124,7 +124,7 @@ pub fn execute_read_mpi(plan: &CollectivePlan, file: &SparseFile) -> Vec<Vec<(Ex
                     let payload = comm.recv(m.src.0, t);
                     let mut at = 0usize;
                     for e in &m.extents {
-                        mine.push((*e, payload[at..at + e.len as usize].to_vec()));
+                        mine.push((e, payload[at..at + e.len as usize].to_vec()));
                         at += e.len as usize;
                     }
                 }

@@ -1704,7 +1704,8 @@ mod tests {
         let msgs = [(3, 0, 10), (1, 0, 5), (3, 0, 7), (2, 4, 1), (0, 0, 2)];
         for rw in [Rw::Write, Rw::Read] {
             let messages = msgs.map(|(requester, agg, bytes)| {
-                let extents = vec![Extent::new(requester * 100, bytes)];
+                let e = Extent::new(requester * 100, bytes);
+                let extents = crate::request::Extents::new(&vec![e].into(), &e).expect("a byte");
                 crate::plan::Message::new(rw, Rank(requester as usize), Rank(agg), extents)
             });
             let round = Round {

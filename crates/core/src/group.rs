@@ -107,10 +107,7 @@ fn finish_group(
         .flat_map(|&n| map.ranks_on(n).iter().copied())
         .collect();
     ranks.sort_unstable();
-    let runs: Vec<&[Extent]> = ranks
-        .iter()
-        .map(|&r| req.ranks[r.0].extents.as_slice())
-        .collect();
+    let runs: Vec<&[Extent]> = ranks.iter().map(|&r| &req.ranks[r.0].extents[..]).collect();
     let region = union_sorted(&runs);
     AggregationGroup {
         index,

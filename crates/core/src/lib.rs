@@ -65,7 +65,7 @@ pub use placement::PlacementDiag;
 pub use plan::{
     AggregatorAssignment, CollectivePlan, GroupPlan, IoOp, Message, PlanDiag, Round, SyncMode,
 };
-pub use request::{CollectiveRequest, RankRequest};
+pub use request::{CollectiveRequest, Extents, RankRequest, Run};
 
 // Re-export the vocabulary types callers need constantly.
 pub use mcio_cluster::{NodeId, ProcessMap, Rank};

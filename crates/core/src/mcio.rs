@@ -18,10 +18,10 @@ use crate::config::{CollectiveConfig, Strategy};
 use crate::group;
 use crate::memory::ProcMemory;
 use crate::placement;
-use crate::plan::{CollectivePlan, GroupPlan, PlanDiag, Round, SyncMode};
+use crate::plan::{CollectivePlan, GroupPlan, Message, PlanDiag, Round, SyncMode};
 use crate::ptree::PartitionTree;
-use crate::request::{CollectiveRequest, RankRequest};
-use crate::twophase::build_window;
+use crate::request::{CollectiveRequest, Extents, RankRequest};
+use crate::twophase::window_io;
 use mcio_cluster::{ProcessMap, Rank};
 use mcio_pfs::extent::{bytes_in_sorted, overlaps_sorted, subtract, union_sorted};
 use mcio_pfs::Extent;
@@ -73,6 +73,7 @@ pub fn plan(
     // overlap is a duplicate by construction — every writer holds the
     // same data for a given file position).
     let mut claimed: Vec<Extent> = Vec::new();
+    let mut round = Round::default();
     for g in &groups {
         // This group's share: its region minus what is claimed. Sorted
         // and coalesced, like both operands.
@@ -103,24 +104,25 @@ pub fn plan(
         let ntimes = aggregators.iter().map(|a| a.rounds()).max().unwrap_or(0);
         let mut rounds = Vec::with_capacity(ntimes);
         for r in 0..ntimes {
-            let mut round = Round::default();
             for a in &aggregators {
                 let win_start = a.fd.offset + r as u64 * a.buffer;
                 if win_start >= a.fd.end() {
                     continue;
                 }
                 let window = Extent::from_bounds(win_start, (win_start + a.buffer).min(a.fd.end()));
-                build_window(
-                    masked.iter().map(Cow::as_ref),
-                    &region,
-                    req.rw,
-                    a.rank,
-                    window,
-                    &mut round,
-                );
+                // Members in rank order: message order is part of the
+                // plan's identity.
+                for m in &masked {
+                    if let Some(extents) = Extents::new(&m.extents, &window) {
+                        round
+                            .messages
+                            .push(Message::new(req.rw, m.rank, a.rank, extents));
+                    }
+                }
+                round.ios.extend(window_io(&region, a.rank, window));
             }
             if !round.is_empty() {
-                rounds.push(round);
+                rounds.push(round.take_exact());
             }
         }
 
@@ -162,27 +164,23 @@ pub fn plan(
 /// The requests of `members` (in member order — which is rank order,
 /// since `members` is sorted), each losing the bytes in `claimed`
 /// (owned by an earlier group). A member that holds none of them — every
-/// member, for patterns whose ranks do not overlap — is borrowed as it
-/// is; only the others are subtracted into lists of their own. Only the
-/// group's own ranks appear: visiting all ranks per group is quadratic
-/// in the rank count at per-node group sizes, and the window builder
-/// never looks beyond the group anyway.
-fn mask_request<'a>(
-    req: &'a CollectiveRequest,
-    members: &[Rank],
-    claimed: &[Extent],
-) -> Vec<Cow<'a, RankRequest>> {
+/// member, for patterns whose ranks do not overlap — shares its run as
+/// it is; only the others are subtracted into runs of their own. Only
+/// the group's own ranks appear: visiting all ranks per group is
+/// quadratic in the rank count at per-node group sizes, and the windows
+/// never look beyond the group anyway.
+fn mask_request(req: &CollectiveRequest, members: &[Rank], claimed: &[Extent]) -> Vec<RankRequest> {
     members
         .iter()
         .map(|&m| {
             let rr = &req.ranks[m.0];
             if overlaps_sorted(&rr.extents, claimed) {
-                Cow::Owned(RankRequest {
+                RankRequest {
                     rank: rr.rank,
-                    extents: subtract(&rr.extents, claimed),
-                })
+                    extents: subtract(&rr.extents, claimed).into(),
+                }
             } else {
-                Cow::Borrowed(rr)
+                rr.clone()
             }
         })
         .collect()

@@ -219,7 +219,7 @@ impl CollFile {
                 for m in round.messages.iter().filter(|m| m.src == me) {
                     let mut payload = Vec::with_capacity(m.bytes() as usize);
                     for e in &m.extents {
-                        payload.extend_from_slice(Self::slice_of(mine, &prefix, e, buf));
+                        payload.extend_from_slice(Self::slice_of(mine, &prefix, &e, buf));
                     }
                     self.comm.send(m.dst.0, t, payload);
                 }

@@ -8,10 +8,10 @@
 //! aggregated exactly once") directly against the data.
 
 use crate::config::Strategy;
-use crate::request::CollectiveRequest;
+use crate::request::{CollectiveRequest, Extents};
 use mcio_cluster::{ProcessMap, Rank};
 use mcio_des::OnlineStats;
-use mcio_pfs::extent::{is_sorted_disjoint, total_bytes, union_sorted};
+use mcio_pfs::extent::{gallop, is_sorted_disjoint, total_bytes, union_sorted};
 use mcio_pfs::{Extent, Rw};
 
 /// One rank-to-rank transfer: the data of a set of file extents, packed
@@ -22,7 +22,8 @@ use mcio_pfs::{Extent, Rw};
 /// aggregator; for a **read** plan, `src` is the aggregator and `dst` the
 /// requesting rank — [`Rw::flow`] of `(requester, aggregator)`, and
 /// [`Message::agg`] is the one place that spells it out. `extents`
-/// identify which bytes move, in offset order.
+/// identify which bytes move, in offset order: a view of the requester's
+/// own list, which the message shares rather than copies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {
     /// Sending rank.
@@ -30,13 +31,13 @@ pub struct Message {
     /// Receiving rank.
     pub dst: Rank,
     /// The file extents whose data this message carries.
-    pub extents: Vec<Extent>,
+    pub extents: Extents,
 }
 
 impl Message {
     /// The message carrying `extents` between `requester` and its
     /// aggregator `agg` in a plan of direction `rw`.
-    pub fn new(rw: Rw, requester: Rank, agg: Rank, extents: Vec<Extent>) -> Self {
+    pub fn new(rw: Rw, requester: Rank, agg: Rank, extents: Extents) -> Self {
         let (src, dst) = rw.flow((requester, agg));
         Message { src, dst, extents }
     }
@@ -52,9 +53,9 @@ impl Message {
         rw.flow((&mut self.src, &mut self.dst)).1
     }
 
-    /// Payload size of the message.
+    /// Payload size of the message, in `O(1)`.
     pub fn bytes(&self) -> u64 {
-        total_bytes(&self.extents)
+        self.extents.bytes()
     }
 }
 
@@ -91,6 +92,16 @@ impl Round {
     /// True when nothing happens this round.
     pub fn is_empty(&self) -> bool {
         self.messages.is_empty() && self.ios.is_empty()
+    }
+
+    /// The round built up in `self`, moved into vectors of exactly its
+    /// length; `self` is left empty with its capacity, a scratch round
+    /// for the planners to fill again.
+    pub(crate) fn take_exact(&mut self) -> Round {
+        Round {
+            messages: self.messages.drain(..).collect(),
+            ios: self.ios.drain(..).collect(),
+        }
     }
 
     /// Total shuffled bytes this round.
@@ -319,27 +330,31 @@ impl CollectivePlan {
             ));
         }
 
+        let (mut buffers, mut ops, mut delivered) = (Vec::new(), Vec::new(), Vec::new());
         for (gi, g) in self.groups.iter().enumerate() {
+            // The group's aggregators, indexed once by rank; a stable sort
+            // keeps a rank assigned twice at its first buffer, as a scan
+            // of the list would find.
+            buffers.clear();
+            buffers.extend(g.aggregators.iter().map(|a| (a.rank, a.buffer)));
+            buffers.sort_by_key(|&(rank, _)| rank);
+            let buffer_of = |agg: Rank| {
+                let i = buffers.partition_point(|&(rank, _)| rank < agg);
+                buffers
+                    .get(i)
+                    .filter(|&&(rank, _)| rank == agg)
+                    .map(|&(_, b)| b)
+            };
+            let mut requested = requested_per_window(g, req).into_iter();
             for (ri, r) in g.rounds.iter().enumerate() {
                 // (2) Message conservation per aggregator window. Only
                 // the group's member ranks shuffle through its
                 // aggregators — other groups' data in the same offset
                 // range belongs to *their* windows.
-                for io in &r.ios {
-                    let expect: u64 = g
-                        .ranks
-                        .iter()
-                        .map(|&rank| req.ranks[rank.0].bytes_in(&io.window))
-                        .sum();
+                delivered_per_window(r, self.rw, &mut ops, &mut delivered);
+                for (io, &got) in r.ios.iter().zip(&delivered) {
+                    let expect = requested.next().unwrap_or_default();
                     let agg = io.agg;
-                    let got: u64 = r
-                        .messages
-                        .iter()
-                        .filter(|m| m.agg(self.rw) == agg)
-                        .flat_map(|m| m.extents.iter())
-                        .filter(|e| io.window.contains_extent(e))
-                        .map(|e| e.len)
-                        .sum();
                     if got != expect {
                         return Err(format!(
                             "group {gi} round {ri} agg {agg}: {got} message bytes for {expect} requested in window {}",
@@ -347,11 +362,7 @@ impl CollectivePlan {
                         ));
                     }
                     // (3) Window fits the buffer.
-                    let buffer = g
-                        .aggregators
-                        .iter()
-                        .find(|a| a.rank == agg)
-                        .map(|a| a.buffer)
+                    let buffer = buffer_of(agg)
                         .ok_or_else(|| format!("group {gi}: io by unassigned aggregator {agg}"))?;
                     if io.window.len > buffer {
                         return Err(format!(
@@ -364,7 +375,7 @@ impl CollectivePlan {
                 // an assigned aggregator of this group.
                 for m in &r.messages {
                     let agg_end = m.agg(self.rw);
-                    if !g.aggregators.iter().any(|a| a.rank == agg_end) {
+                    if buffer_of(agg_end).is_none() {
                         return Err(format!(
                             "group {gi} round {ri}: message endpoint {agg_end} is not an aggregator"
                         ));
@@ -373,6 +384,75 @@ impl CollectivePlan {
             }
         }
         Ok(())
+    }
+}
+
+/// The bytes `g`'s member ranks request inside each I/O window of its
+/// rounds, in round order and op order within a round. The window edges
+/// are sorted once, every member's run is walked over them once — a
+/// cursor that gallops to each extent and splits it at the edges it
+/// crosses — and a window's bytes are the difference of two prefix sums
+/// at its edges: no search per (rank, window), which is quadratic on a
+/// two-phase plan's one group of every rank and every aggregator.
+fn requested_per_window(g: &GroupPlan, req: &CollectiveRequest) -> Vec<u64> {
+    let windows = || {
+        g.rounds
+            .iter()
+            .flat_map(|r| r.ios.iter().map(|io| io.window))
+    };
+    let mut edges: Vec<u64> = windows().flat_map(|w| [w.offset, w.end()]).collect();
+    edges.sort_unstable();
+    edges.dedup();
+    let Some(&first) = edges.first() else {
+        return Vec::new();
+    };
+    // `below[k]`: requested bytes in `[edges[k], edges[k + 1])`, then,
+    // summed, in `[first, edges[k])`.
+    let mut below = vec![0u64; edges.len()];
+    for &rank in &g.ranks {
+        // Edges at or before the walk's position.
+        let mut k = 0;
+        for e in &req.ranks[rank.0].extents {
+            let mut at = e.offset.max(first);
+            k += gallop(&edges[k..], |&edge| edge <= at);
+            while at < e.end() && k < edges.len() {
+                let to = e.end().min(edges[k]);
+                below[k - 1] += to - at;
+                at = to;
+                k += usize::from(to == edges[k]);
+            }
+        }
+    }
+    let mut sum = 0;
+    for b in &mut below {
+        (*b, sum) = (sum, sum + *b);
+    }
+    let at = |pos: u64| below[edges.partition_point(|&edge| edge < pos)];
+    windows().map(|w| at(w.end()) - at(w.offset)).collect()
+}
+
+/// Fill `out` with the message bytes each I/O op of `r` receives (a
+/// write) or sends (a read) inside its window, in op order: one pass over
+/// the messages, each matched to its aggregator's ops by a search in
+/// `ops`, which this fills.
+fn delivered_per_window(r: &Round, rw: Rw, ops: &mut Vec<(Rank, usize)>, out: &mut Vec<u64>) {
+    ops.clear();
+    ops.extend(r.ios.iter().enumerate().map(|(i, io)| (io.agg, i)));
+    ops.sort_unstable();
+    out.clear();
+    out.resize(r.ios.len(), 0);
+    for m in &r.messages {
+        let agg = m.agg(rw);
+        let from = ops.partition_point(|&(a, _)| a < agg);
+        for &(_, i) in ops[from..].iter().take_while(|&&(a, _)| a == agg) {
+            let w = r.ios[i].window;
+            out[i] += m
+                .extents
+                .iter()
+                .filter(|e| w.contains_extent(e))
+                .map(|e| e.len)
+                .sum::<u64>();
+        }
     }
 }
 
@@ -419,6 +499,11 @@ impl PlanStats {
 mod tests {
     use super::*;
 
+    /// The view of a one-extent run, whole.
+    fn whole(e: Extent) -> Extents {
+        Extents::new(&vec![e].into(), &e).expect("a byte")
+    }
+
     fn simple_plan() -> (CollectivePlan, CollectiveRequest) {
         // Two ranks write [0,10) and [10,20); one aggregator (rank 0),
         // buffer 20, one round.
@@ -445,12 +530,12 @@ mod tests {
                         Message {
                             src: Rank(0),
                             dst: Rank(0),
-                            extents: vec![Extent::new(0, 10)],
+                            extents: whole(Extent::new(0, 10)),
                         },
                         Message {
                             src: Rank(1),
                             dst: Rank(0),
-                            extents: vec![Extent::new(10, 10)],
+                            extents: whole(Extent::new(10, 10)),
                         },
                     ],
                     ios: vec![IoOp {
@@ -535,6 +620,13 @@ mod tests {
             err.contains("not an aggregator") || err.contains("message bytes"),
             "{err}"
         );
+    }
+
+    /// A message is a row: two ranks and a view of the requester's run,
+    /// with no heap payload of its own.
+    #[test]
+    fn message_fits_56_bytes() {
+        assert!(std::mem::size_of::<Message>() <= 56);
     }
 
     #[test]

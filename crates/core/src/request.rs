@@ -4,14 +4,192 @@
 //! sorted, coalesced extent list (what ROMIO computes by flattening the
 //! rank's datatype against its file view); a [`CollectiveRequest`] is the
 //! whole job's view of one collective read or write call.
+//!
+//! A rank's list is a [`Run`], shared: the messages a plan cuts from it
+//! are [`Extents`] views into the same allocation, not copies.
 
 use mcio_cluster::Rank;
 use mcio_pfs::extent::{
-    bytes_in_sorted, clip_sorted, coalesce, is_sorted_disjoint, total_bytes, touches_sorted,
+    bytes_in_sorted, coalesce, is_sorted_disjoint, overlap_range, total_bytes, touches_sorted,
     union_sorted,
 };
 use mcio_pfs::{Extent, Rw};
 use mcio_simpi::FileView;
+use std::fmt;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
+
+/// A rank's extent list, behind a reference count: cloning it, which
+/// every [`Extents`] view does, copies no extent. Reads as a slice.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Run(Arc<[Extent]>);
+
+impl Deref for Run {
+    type Target = [Extent];
+
+    fn deref(&self) -> &[Extent] {
+        &self.0
+    }
+}
+
+impl From<Vec<Extent>> for Run {
+    fn from(extents: Vec<Extent>) -> Self {
+        Run(extents.into())
+    }
+}
+
+impl<'a> IntoIterator for &'a Run {
+    type Item = &'a Extent;
+    type IntoIter = std::slice::Iter<'a, Extent>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl PartialEq<Vec<Extent>> for Run {
+    fn eq(&self, other: &Vec<Extent>) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl fmt::Debug for Run {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+/// A sorted run cut to a window, without a copy: the extents of
+/// `run[lo..hi]`, the first starting no earlier than `start`, the last
+/// cut short so that they hold `bytes`. Only the first and the last can
+/// be clipped (the window kernels' rule), so the window's end follows
+/// from the bytes and is not stored.
+///
+/// Equality is by content: two views of different runs, or of one run
+/// through different ranges, are equal when they iterate the same
+/// extents.
+#[derive(Clone)]
+pub struct Extents {
+    run: Run,
+    lo: u32,
+    hi: u32,
+    start: u64,
+    bytes: u64,
+}
+
+impl Extents {
+    /// `run` clipped to `window` — [`mcio_pfs::extent::clip_sorted`]
+    /// without the copy: two binary searches and one pass over the
+    /// overlapping extents for the bytes. `None` when no byte of the run
+    /// lies in the window, so that a window a rank does not touch costs
+    /// no reference to its run.
+    pub fn new(run: &Run, window: &Extent) -> Option<Self> {
+        Extents::cut(run, 0..run.len(), window)
+    }
+
+    /// The view whose parts are already known: `range` indexes `run`,
+    /// `start` is where its first extent is clipped to begin and `bytes`
+    /// is what the clipped extents hold.
+    pub(crate) fn from_parts(run: &Run, range: Range<usize>, start: u64, bytes: u64) -> Self {
+        let index = |i: usize| u32::try_from(i).expect("a run of at most 2^32 extents");
+        Extents {
+            run: run.clone(),
+            lo: index(range.start),
+            hi: index(range.end),
+            start,
+            bytes,
+        }
+    }
+
+    /// The part of the view inside `window`, if it holds a byte.
+    pub(crate) fn within(&self, window: &Extent) -> Option<Self> {
+        let end = self.iter().last()?.end();
+        let window = Extent::from_bounds(self.start, end).intersect(window)?;
+        Extents::cut(&self.run, self.lo as usize..self.hi as usize, &window)
+    }
+
+    /// `run[part]` clipped to `window`.
+    fn cut(run: &Run, part: Range<usize>, window: &Extent) -> Option<Self> {
+        let extents = &run[part.clone()];
+        let range = overlap_range(extents, window);
+        let bytes = bytes_in_sorted(&extents[range.clone()], window);
+        let range = part.start + range.start..part.start + range.end;
+        (bytes > 0).then(|| Extents::from_parts(run, range, window.offset, bytes))
+    }
+
+    /// Bytes the view holds, in `O(1)`.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// True when the view holds no byte.
+    pub fn is_empty(&self) -> bool {
+        self.bytes == 0
+    }
+
+    /// Number of extents the view iterates (zero-length ones of the run
+    /// are skipped).
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    /// The extents, clipped, in offset order.
+    pub fn iter(&self) -> ExtentsIter<'_> {
+        ExtentsIter {
+            rest: self.run[self.lo as usize..self.hi as usize].iter(),
+            start: self.start,
+            left: self.bytes,
+        }
+    }
+}
+
+impl PartialEq for Extents {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Extents {}
+
+impl fmt::Debug for Extents {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a Extents {
+    type Item = Extent;
+    type IntoIter = ExtentsIter<'a>;
+
+    fn into_iter(self) -> ExtentsIter<'a> {
+        self.iter()
+    }
+}
+
+/// The iterator of an [`Extents`] view.
+pub struct ExtentsIter<'a> {
+    rest: std::slice::Iter<'a, Extent>,
+    start: u64,
+    /// Bytes not yet handed out: the last extent is cut to them.
+    left: u64,
+}
+
+impl Iterator for ExtentsIter<'_> {
+    type Item = Extent;
+
+    fn next(&mut self) -> Option<Extent> {
+        while self.left > 0 {
+            let e = self.rest.next()?;
+            let offset = e.offset.max(self.start);
+            let len = e.end().saturating_sub(offset).min(self.left);
+            if len > 0 {
+                self.left -= len;
+                return Some(Extent::new(offset, len));
+            }
+        }
+        None
+    }
+}
 
 /// One rank's access list for a collective call.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,7 +197,7 @@ pub struct RankRequest {
     /// The requesting rank.
     pub rank: Rank,
     /// Sorted, coalesced, non-overlapping extents.
-    pub extents: Vec<Extent>,
+    pub extents: Run,
 }
 
 impl RankRequest {
@@ -27,7 +205,7 @@ impl RankRequest {
     pub fn new(rank: Rank, extents: Vec<Extent>) -> Self {
         RankRequest {
             rank,
-            extents: coalesce(extents),
+            extents: coalesce(extents).into(),
         }
     }
 
@@ -65,12 +243,6 @@ impl RankRequest {
     /// extent count `n` and overlap count `k` (the extents are sorted).
     pub fn bytes_in(&self, window: &Extent) -> u64 {
         bytes_in_sorted(&self.extents, window)
-    }
-
-    /// The rank's extents clipped to `window`, in offset order: the
-    /// overlapping slice, copied once.
-    pub fn extents_in(&self, window: &Extent) -> Vec<Extent> {
-        clip_sorted(&self.extents, window)
     }
 
     /// True when the rank requests at least one byte inside `window`.
@@ -138,7 +310,7 @@ impl CollectiveRequest {
     /// All extents of all ranks, coalesced: the exact requested file
     /// region (may have holes, unlike [`CollectiveRequest::hull`]).
     pub fn coverage(&self) -> Vec<Extent> {
-        let runs: Vec<&[Extent]> = self.ranks.iter().map(|r| r.extents.as_slice()).collect();
+        let runs: Vec<&[Extent]> = self.ranks.iter().map(|r| &r.extents[..]).collect();
         union_sorted(&runs)
     }
 
@@ -181,10 +353,6 @@ mod tests {
         let r = RankRequest::new(Rank(0), vec![Extent::new(0, 10), Extent::new(20, 10)]);
         let w = Extent::new(5, 20);
         assert_eq!(r.bytes_in(&w), 10);
-        assert_eq!(
-            r.extents_in(&w),
-            vec![Extent::new(5, 5), Extent::new(20, 5)]
-        );
     }
 
     /// Every window over a small file, which takes in the empty window,
@@ -209,7 +377,6 @@ mod tests {
                 let bytes: u64 = scan.iter().map(|e| e.len).sum();
                 assert_eq!(r.bytes_in(&w), bytes, "{w}");
                 assert_eq!(r.touches(&w), bytes > 0, "{w}");
-                assert_eq!(r.extents_in(&w), scan, "{w}");
             }
         }
     }
@@ -249,7 +416,7 @@ mod tests {
     #[test]
     fn literal_lists_can_break_the_invariant() {
         let mut req = CollectiveRequest::new(Rw::Write, vec![vec![Extent::new(0, 10)]]);
-        req.ranks[0].extents = vec![Extent::new(20, 5), Extent::new(0, 5)];
+        req.ranks[0].extents = vec![Extent::new(20, 5), Extent::new(0, 5)].into();
         assert!(!req.is_sorted_disjoint());
     }
 

@@ -19,10 +19,10 @@ use crate::memory::ProcMemory;
 use crate::plan::{
     AggregatorAssignment, CollectivePlan, GroupPlan, IoOp, Message, PlanDiag, Round, SyncMode,
 };
-use crate::request::CollectiveRequest;
+use crate::request::{CollectiveRequest, Extents};
 use mcio_cluster::{NodeId, ProcessMap, Rank};
-use mcio_pfs::extent::{clip_sorted, total_bytes};
-use mcio_pfs::{Extent, Rw};
+use mcio_pfs::extent::{clip_sorted, gallop, total_bytes};
+use mcio_pfs::Extent;
 
 /// Build a two-phase plan.
 ///
@@ -100,19 +100,27 @@ pub fn plan(
         });
     }
 
-    // One pass over the ranks charges each rank to the file domains and
-    // round windows it touches. Domains tile the hull and windows tile
-    // each domain, so a rank's sorted list crosses them in file order:
-    // from the window holding the cursor, one binary search over the rest
-    // of the list finds where the next window takes over — two divisions
-    // per window touched, not per extent, and no per-domain rank scan,
-    // which is quadratic in the rank count and unusable at the
-    // exascale_2018 machine's 10^6 ranks.
-    let mut window_ranks: Vec<Vec<Vec<u32>>> = aggregators
+    // ROMIO's ntimes: the global number of rounds is the maximum any
+    // aggregator needs.
+    let ntimes = aggregators
         .iter()
-        .map(|a| vec![Vec::new(); a.rounds()])
-        .collect();
-    for (ri, rr) in req.ranks.iter().enumerate() {
+        .map(AggregatorAssignment::rounds)
+        .max()
+        .unwrap_or(0);
+
+    // One pass over the ranks charges each rank to the file domains and
+    // round windows it touches, and cuts its message for each of them out
+    // of its run. Domains tile the hull and windows tile each domain, so
+    // a rank's sorted list crosses them in file order: from the window
+    // holding the cursor, a gallop over the rest of the list finds where
+    // the next window takes over — two divisions per window touched, not
+    // per extent, and no per-domain rank scan, which is quadratic in the
+    // rank count and unusable at the exascale_2018 machine's 10^6 ranks.
+    // The pass knows each message's range, clip start and bytes, so no
+    // window searches a run again. Each message is keyed by its window
+    // in plan order, round-major.
+    let mut charged: Vec<(usize, Message)> = Vec::new();
+    for rr in &req.ranks {
         let mut rest: &[Extent] = &rr.extents;
         // Everything before `at` is charged; `at` lies inside `rest[0]`
         // when that extent straddles a window edge.
@@ -131,50 +139,42 @@ pub fn plan(
                 .min(a.fd.end());
             // The extents that start inside this window; only the last
             // can run past its end.
-            let run = &rest[..rest.partition_point(|e| e.offset < win_end)];
+            let run = &rest[..gallop(rest, |e| e.offset < win_end)];
             let over = run[run.len() - 1].end().saturating_sub(win_end);
-            a.data_bytes += total_bytes(run) - (at - head.offset) - over;
-            window_ranks[ai][r as usize].push(ri as u32);
+            let bytes = total_bytes(run) - (at - head.offset) - over;
+            a.data_bytes += bytes;
+            let lo = rr.extents.len() - rest.len();
+            let extents = Extents::from_parts(&rr.extents, lo..lo + run.len(), at, bytes);
+            let message = Message::new(req.rw, rr.rank, a.rank, extents);
+            charged.push((r as usize * naggs + ai, message));
             // A straddler stays at the head, for the window after this.
             rest = &rest[run.len() - usize::from(over > 0)..];
             at = win_end;
         }
     }
+    // Stable: rank order within each window.
+    charged.sort_by_key(|&(window, _)| window);
+    let mut charged = charged.into_iter().peekable();
 
     // The exact requested region, united once: every window's I/O
     // extents are its clip.
     let cover = req.coverage();
 
-    // ROMIO's ntimes: the global number of rounds is the maximum any
-    // aggregator needs.
-    let ntimes = aggregators
-        .iter()
-        .map(AggregatorAssignment::rounds)
-        .max()
-        .unwrap_or(0);
-
     let mut rounds = Vec::with_capacity(ntimes);
+    let mut round = Round::default();
     for r in 0..ntimes {
-        let mut round = Round::default();
-        for (a, agg_windows) in aggregators.iter().zip(&window_ranks) {
+        while let Some((_, m)) = charged.next_if(|&(window, _)| window < (r + 1) * naggs) {
+            round.messages.push(m);
+        }
+        for a in &aggregators {
             let win_start = a.fd.offset + r as u64 * a.buffer;
             if win_start >= a.fd.end() {
                 continue; // this aggregator is already done (r >= its rounds)
             }
             let window = Extent::from_bounds(win_start, (win_start + a.buffer).min(a.fd.end()));
-            let Some(candidates) = agg_windows.get(r) else {
-                continue;
-            };
-            build_window(
-                candidates.iter().map(|&ri| &req.ranks[ri as usize]),
-                &cover,
-                req.rw,
-                a.rank,
-                window,
-                &mut round,
-            );
+            round.ios.extend(window_io(&cover, a.rank, window));
         }
-        rounds.push(round);
+        rounds.push(round.take_exact());
     }
 
     CollectivePlan {
@@ -190,48 +190,29 @@ pub fn plan(
     }
 }
 
-/// Emit the messages and the I/O op of one aggregator window into
-/// `round`. Shared with the memory-conscious planner: the inner loop of
-/// the two-phase exchange is identical; the strategies differ in *who*
-/// aggregates *what*, not in the per-window mechanics. `ranks` must be
-/// in rank order (message order is part of the plan's identity); ranks
-/// with no data inside `window` are skipped, so passing a superset of
-/// the touching ranks is fine.
+/// The I/O op of one aggregator window, if any requested byte lies in
+/// it. Shared with the memory-conscious planner: the strategies differ
+/// in *who* aggregates *what*, not in the per-window mechanics.
 ///
-/// `cover` is the coalesced union of everything `ranks` can yield. The
-/// I/O op's extents are the coalesced union of the messages' extents,
-/// i.e. of the ranks' lists each clipped to `window`; clipping
-/// distributes over union, so that is `cover` clipped to `window` —
-/// one slice copy, nothing collected or sorted per window.
-pub(crate) fn build_window<'a>(
-    ranks: impl Iterator<Item = &'a crate::request::RankRequest>,
-    cover: &[Extent],
-    rw: Rw,
-    agg: Rank,
-    window: Extent,
-    round: &mut Round,
-) {
-    for rr in ranks {
-        let extents = rr.extents_in(&window);
-        if extents.is_empty() {
-            continue;
-        }
-        round.messages.push(Message::new(rw, rr.rank, agg, extents));
-    }
+/// `cover` is the coalesced union of everything the window's messages
+/// can carry. The I/O op's extents are the coalesced union of the
+/// messages' extents, i.e. of the ranks' lists each clipped to `window`;
+/// clipping distributes over union, so that is `cover` clipped to
+/// `window` — one slice copy, nothing collected or sorted per window.
+pub(crate) fn window_io(cover: &[Extent], agg: Rank, window: Extent) -> Option<IoOp> {
     let extents = clip_sorted(cover, &window);
-    if !extents.is_empty() {
-        round.ios.push(IoOp {
-            agg,
-            window,
-            extents,
-        });
-    }
+    (!extents.is_empty()).then_some(IoOp {
+        agg,
+        window,
+        extents,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mcio_cluster::Placement;
+    use mcio_pfs::Rw;
 
     fn setup(
         nranks: usize,

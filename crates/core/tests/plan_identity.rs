@@ -16,6 +16,7 @@ use mcio_core::{
     Rw, Strategy,
 };
 use mcio_workloads::{CollPerf, Ior};
+use std::borrow::Borrow;
 
 const KIB: u64 = 1024;
 const MIB: u64 = 1024 * KIB;
@@ -34,7 +35,9 @@ impl Fnv {
         }
     }
 
-    fn extents(&mut self, extents: &[Extent]) {
+    /// A list of extents, read from a slice or a message's view alike.
+    fn extents<E: Borrow<Extent>>(&mut self, extents: impl IntoIterator<Item = E>) {
+        let extents: Vec<Extent> = extents.into_iter().map(|e| *e.borrow()).collect();
         self.word(extents.len() as u64);
         for e in extents {
             self.word(e.offset);

@@ -122,17 +122,16 @@ impl Ord for Extent {
 pub fn coalesce(mut extents: Vec<Extent>) -> Vec<Extent> {
     extents.retain(|e| !e.is_empty());
     extents.sort();
-    let mut out: Vec<Extent> = Vec::with_capacity(extents.len());
-    for e in extents {
-        match out.last_mut() {
-            Some(last) if e.offset <= last.end() => {
-                let end = last.end().max(e.end());
-                *last = Extent::from_bounds(last.offset, end);
-            }
-            _ => out.push(e),
+    // In place: each extent either grows the one kept before it or is
+    // kept itself.
+    extents.dedup_by(|next, kept| {
+        let merges = next.offset <= kept.end();
+        if merges {
+            kept.len = kept.len.max(next.end() - kept.offset);
         }
-    }
-    out
+        merges
+    });
+    extents
 }
 
 /// Total bytes requested (overlaps counted multiply).
@@ -218,8 +217,10 @@ fn union_pair(a: &[Extent], b: &[Extent]) -> Vec<Extent> {
 }
 
 /// Index range of the extents of a sorted run that can overlap
-/// `window`: two binary searches.
-fn overlap_range(extents: &[Extent], window: &Extent) -> std::ops::Range<usize> {
+/// `window`: two binary searches. Only the first and the last of them
+/// can reach past the window, and zero-length ones may sit anywhere in
+/// the range.
+pub fn overlap_range(extents: &[Extent], window: &Extent) -> std::ops::Range<usize> {
     if window.is_empty() {
         return 0..0;
     }
@@ -288,15 +289,22 @@ pub fn overlaps_sorted(a: &[Extent], b: &[Extent]) -> bool {
 }
 
 /// The rest of a sorted run after its leading extents that end at or
-/// before `pos`, found by galloping: probe 1, 2, 4, … extents ahead,
-/// then binary-search the last stride.
+/// before `pos`.
 fn skip_ending_by(run: &[Extent], pos: u64) -> &[Extent] {
+    &run[gallop(run, |e| e.end() <= pos)..]
+}
+
+/// `partition_point` found from the front by galloping: probe 1, 2, 4,
+/// … items ahead, then binary-search the last stride. `O(log d)` for a
+/// partition point `d` items in, so a cursor walking a long list in
+/// short steps pays for the steps, not for the list.
+pub fn gallop<T>(items: &[T], pred: impl Fn(&T) -> bool) -> usize {
     let mut hi = 1;
-    while hi < run.len() && run[hi - 1].end() <= pos {
+    while hi < items.len() && pred(&items[hi - 1]) {
         hi *= 2;
     }
-    let (lo, hi) = (hi / 2, hi.min(run.len()));
-    &run[lo + run[lo..hi].partition_point(|e| e.end() <= pos)..]
+    let (lo, hi) = (hi / 2, hi.min(items.len()));
+    lo + items[lo..hi].partition_point(pred)
 }
 
 /// The parts of `extents` not covered by `minus`. Both inputs must be

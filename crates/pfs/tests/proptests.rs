@@ -4,8 +4,8 @@
 //! definitions.
 
 use mcio_pfs::extent::{
-    bytes_in_sorted, clip_sorted, coalesce, is_sorted_disjoint, overlaps_sorted, touches_sorted,
-    union_sorted,
+    bytes_in_sorted, clip_sorted, coalesce, gallop, is_sorted_disjoint, overlaps_sorted,
+    touches_sorted, union_sorted,
 };
 use mcio_pfs::{Extent, SparseFile, StripeLayout};
 use proptest::prelude::*;
@@ -176,6 +176,23 @@ proptest! {
         prop_assert_eq!(bytes_in_sorted(&run, &window), bytes);
         prop_assert_eq!(touches_sorted(&run, &window), bytes > 0);
         prop_assert_eq!(clip_sorted(&run, &window), scan);
+    }
+
+    /// `gallop` is `partition_point`, from every start a cursor can be
+    /// at: the first item, the last, one past it.
+    #[test]
+    fn gallop_is_partition_point(
+        steps in proptest::collection::vec((0u64..4, 0u64..5), 0..40),
+        pos in 0u64..120,
+    ) {
+        let run = run_of(&steps);
+        for from in 0..=run.len() {
+            let rest = &run[from..];
+            prop_assert_eq!(
+                gallop(rest, |e| e.offset < pos),
+                rest.partition_point(|e| e.offset < pos)
+            );
+        }
     }
 
     /// `overlaps_sorted` is "some pair intersects".

@@ -112,6 +112,18 @@ pub fn snapshot() -> AllocSnapshot {
     AllocSnapshot::default()
 }
 
+/// Heap bytes live right now (zero without `count-alloc`): what a value
+/// holds is the difference across building it, once its temporaries are
+/// gone.
+pub fn live_bytes() -> u64 {
+    #[cfg(feature = "count-alloc")]
+    {
+        counting::LIVE_BYTES.load(std::sync::atomic::Ordering::Relaxed)
+    }
+    #[cfg(not(feature = "count-alloc"))]
+    0
+}
+
 /// Whole-process allocator statistics (zeros without `count-alloc`).
 pub fn stats() -> AllocStats {
     #[cfg(feature = "count-alloc")]
@@ -144,8 +156,10 @@ mod tests {
             assert!(b.bytes > a.bytes, "allocation was counted");
             assert!(b.allocs > a.allocs);
             assert!(stats().peak_bytes > 0);
+            assert!(live_bytes() >= 4096 * 8, "the vector is live");
         } else {
             assert_eq!((a, b), Default::default());
+            assert_eq!(live_bytes(), 0);
         }
     }
 }
