@@ -423,6 +423,56 @@ pub(crate) struct Kept {
     shape: Shape,
 }
 
+/// A session's shared run paused at its last job's start, kept to be
+/// resumed by the session's next run: every event before that instant
+/// has fired — none of them depends on the last job — and the last job
+/// is registered but not yet seeded, so a run that does not place it
+/// drops it (DESIGN.md §10, "Pausing a run and resuming it").
+pub(crate) struct Paused {
+    sim: Simulation,
+    fabric: Fabric,
+    pfs: Pfs,
+    /// Each job's first activity after its start gate, and every id it
+    /// created, in job order.
+    spans: Vec<(ActivityId, Range<usize>)>,
+    /// The instant the run is paused at, the last job's start.
+    at: SimDuration,
+    engine: SharePolicy,
+    /// Whether the run keeps service records.
+    records: bool,
+}
+
+impl Paused {
+    /// Whether a run of `jobs` observed as `obs` can resume this run,
+    /// taking its first `held` jobs as they are — the caller vouches
+    /// that those are placed as this run placed them, at the same
+    /// starts. The rest are appended after the pause, so none may start
+    /// before it; and only the last job, never seeded, may be dropped.
+    pub(crate) fn resumes(&self, held: usize, jobs: &[ExecJob<'_>], obs: &Observe<'_>) -> bool {
+        let n = self.spans.len();
+        (held == n || (held + 1 == n && jobs.len() > held))
+            && self.engine == obs.engine
+            && self.records == keeps_records(jobs, obs)
+            // The label prefixes: `j{n}.` among several tenants, none alone.
+            && (n > 1) == (jobs.len() > 1)
+            && jobs[held..].iter().all(|job| job.start >= self.at)
+    }
+}
+
+/// What a session carries from its latest run into [`execute`]: one entry
+/// per job, the job's lowering if a run made it, and the paused run if
+/// this one resumes it, holding the first that many jobs.
+pub(crate) struct Carried {
+    pub kept: Vec<Option<Kept>>,
+    pub resume: Option<(Paused, usize)>,
+}
+
+/// Whether a run keeps the DES service records: for the trace, and to
+/// tell several jobs' OST service apart.
+fn keeps_records(jobs: &[ExecJob<'_>], obs: &Observe<'_>) -> bool {
+    obs.trace || jobs.len() > 1
+}
+
 /// One job as lowered into the shared simulation.
 struct Lowered {
     shape: Shape,
@@ -449,12 +499,16 @@ pub(crate) struct Executed<'a> {
     /// Deterministic engine counters of the one shared DES run (what
     /// every job's report carries a copy of).
     pub engine: mcio_des::EngineProfile,
+    /// Events the run took over from the paused run it resumed instead
+    /// of firing them itself (0 for a run from the start).
+    pub events_resumed: u64,
     jobs: &'a [ExecJob<'a>],
     faults: Option<&'a FaultSpec>,
     obs: Observe<'a>,
     des: mcio_des::RunReport,
     pfs: Pfs,
     lowered: Vec<Lowered>,
+    paused: Option<Paused>,
 }
 
 /// The executor: lower `jobs` into one DES over one fabric and one PFS
@@ -467,15 +521,20 @@ pub(crate) struct Executed<'a> {
 /// failures) on the shared PFS. Service records are kept when the
 /// trace is wanted or when there is more than one job to tell apart.
 ///
-/// `kept` is `None` for a run that stands alone. A session passes one
+/// `carried` is `None` for a run that stands alone. A session passes one
 /// entry per job — the job's lowering from an earlier run on the same
 /// machine, if it has one — and gets them all back from
-/// [`Executed::into_kept`]: a job with an entry is appended, the others
-/// are lowered as ever and copied out. What `lower_plan` emits is a
-/// function of the job's plan, map, pipeline and exchange on a fixed
+/// [`Executed::into_carried`]: a job with an entry is appended, the
+/// others are lowered as ever and copied out. What `lower_plan` emits is
+/// a function of the job's plan, map, pipeline and exchange on a fixed
 /// machine, apart from the label prefix and the start gate, which is
 /// what the two `mcio_des` primitives re-apply — but only with no fault
 /// plan, no registry and no marks, which the caller vouches for.
+///
+/// A session's run also pauses before its last job, at that job's start,
+/// and hands back a copy of the paused run ([`Paused`]); the session's
+/// next run may pass it in to resume, in place of a new machine and the
+/// jobs it holds.
 ///
 /// # Panics
 /// Panics if a job's process map needs more nodes than the machine has.
@@ -484,25 +543,70 @@ pub(crate) fn execute<'a>(
     jobs: &'a [ExecJob<'a>],
     faults: Option<&'a FaultSpec>,
     obs: Observe<'a>,
-    mut kept: Option<Vec<Option<Kept>>>,
+    carried: Option<Carried>,
 ) -> Executed<'a> {
-    debug_assert!(kept.is_none() || (faults.is_none() && obs.registry.is_none()));
-    let build_scope = obs.prof.map(|p| p.scope("build-activity-graph"));
-    let mut sim = Simulation::with_policy(obs.engine);
-    if obs.trace || jobs.len() > 1 {
-        sim.enable_trace();
-    }
-    let fabric = Fabric::build(&mut sim, spec);
-    let mut pfs = Pfs::build(&mut sim, spec);
-    if let Some(reg) = obs.registry {
-        pfs.set_registry(Arc::clone(reg));
-    }
-    if let Some(fspec) = faults {
-        pfs.apply_faults(&mut sim, fspec);
-    }
-
+    debug_assert!(carried.is_none() || (faults.is_none() && obs.registry.is_none()));
+    let mut build_scope = obs.prof.map(|p| p.scope("build-activity-graph"));
+    let (mut kept, resume) = match carried {
+        Some(Carried { kept, resume }) => (Some(kept), resume),
+        None => (None, None),
+    };
     let mut lowered: Vec<Lowered> = Vec::with_capacity(jobs.len());
-    for job in jobs {
+    let (mut sim, fabric, pfs, events_resumed) = match resume {
+        Some((paused, held)) => {
+            let Paused {
+                mut sim,
+                fabric,
+                pfs,
+                spans,
+                ..
+            } = paused;
+            // The jobs past the held ones were never seeded.
+            if let Some((_, acts)) = spans.get(held) {
+                sim.truncate(acts.start);
+            }
+            let kept = kept.as_mut().expect("a resumed run is a session's");
+            for (k, (first, acts)) in kept.iter_mut().zip(spans).take(held) {
+                let Kept { fragment, shape } = k.take().expect("a held job's lowering is carried");
+                let fragment = Some(fragment);
+                lowered.push(Lowered {
+                    shape,
+                    fragment,
+                    first,
+                    acts,
+                });
+            }
+            let events = sim.events_fired();
+            (sim, fabric, pfs, events)
+        }
+        None => {
+            let mut sim = Simulation::with_policy(obs.engine);
+            if keeps_records(jobs, &obs) {
+                sim.enable_trace();
+            }
+            let fabric = Fabric::build(&mut sim, spec);
+            let mut pfs = Pfs::build(&mut sim, spec);
+            if let Some(reg) = obs.registry {
+                pfs.set_registry(Arc::clone(reg));
+            }
+            if let Some(fspec) = faults {
+                pfs.apply_faults(&mut sim, fspec);
+            }
+            (sim, fabric, pfs, 0)
+        }
+    };
+
+    for (ji, job) in jobs.iter().enumerate().skip(lowered.len()) {
+        // A session's run pauses at its last job's start with every other
+        // job in: what happens before that instant does not depend on the
+        // last job, so the session's next run may resume from here.
+        if kept.is_some() && ji + 1 == jobs.len() {
+            drop(build_scope.take());
+            let _run_scope = obs.prof.map(|p| p.scope("des-run"));
+            sim.run_until(SimTime::ZERO + job.start);
+            drop(_run_scope);
+            build_scope = obs.prof.map(|p| p.scope("build-activity-graph"));
+        }
         assert!(
             job.map.nnodes() <= fabric.nnodes(),
             "{}process map uses {} nodes but the machine has {}",
@@ -561,6 +665,22 @@ pub(crate) fn execute<'a>(
             acts: act_lo..sim.activity_count(),
         });
     }
+    // The session keeps a copy of the paused run; the last job goes into
+    // it unseeded, and the two share the activity graph.
+    let paused = kept.is_some().then(|| {
+        let _fork_scope = obs.prof.map(|p| p.scope("fork"));
+        Paused {
+            sim: sim.fork(),
+            fabric: fabric.clone(),
+            pfs: pfs.clone(),
+            spans: (lowered.iter())
+                .map(|l| (l.first, l.acts.clone()))
+                .collect(),
+            at: jobs.last().map_or(SimDuration::ZERO, |job| job.start),
+            engine: obs.engine,
+            records: keeps_records(jobs, &obs),
+        }
+    });
     drop(build_scope);
 
     let run_scope = obs.prof.map(|p| p.scope("des-run"));
@@ -640,23 +760,26 @@ pub(crate) fn execute<'a>(
         faults,
         obs,
         engine,
+        events_resumed,
         des,
         pfs,
         lowered,
+        paused,
     }
 }
 
 impl Executed<'_> {
-    /// Every job's lowering, for the next run of the session that
-    /// passed `kept` (all `None` when it passed none).
-    pub(crate) fn into_kept(self) -> Vec<Option<Kept>> {
+    /// Every job's lowering and the run paused before its last job, for
+    /// the next run of the session that carried anything in (all `None`
+    /// for a run that stands alone).
+    pub(crate) fn into_carried(self) -> (Vec<Option<Kept>>, Option<Paused>) {
         let keep = |l: Lowered| {
             let Lowered {
                 shape, fragment, ..
             } = l;
             fragment.map(|fragment| Kept { fragment, shape })
         };
-        self.lowered.into_iter().map(keep).collect()
+        (self.lowered.into_iter().map(keep).collect(), self.paused)
     }
 
     /// Per-job OST service intervals `(start_ns, end_ns)`: every service

@@ -36,8 +36,8 @@ use crate::adaptive::{
 };
 use crate::config::Strategy;
 use crate::exec_sim::{
-    execute, record_run, simulate_inner, Elapsed, Exchange, ExecJob, JobMarks, Kept, Observe,
-    Pipeline, RoundWindow, SimRun, TimingReport,
+    execute, record_run, simulate_inner, Carried, Elapsed, Exchange, ExecJob, JobMarks, Kept,
+    Observe, Paused, Pipeline, RoundWindow, SimRun, TimingReport,
 };
 use crate::plan::CollectivePlan;
 use mcio_cluster::spec::ClusterSpec;
@@ -47,7 +47,7 @@ use mcio_faults::FaultSpec;
 use mcio_obs::catalogue::PID_TENANTS;
 use mcio_obs::intervals::{intersect_len, merge_intervals, shared_intervals, total_len};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// One job of a multi-tenant run: a fully planned collective plus its
 /// placement on the shared machine and its arrival time.
@@ -217,16 +217,36 @@ type SoloKey = (PlacedKey, SharePolicy);
 /// off also keeps each job's lowering, and the next such run appends it
 /// for every job it places the same way instead of lowering the job
 /// again (`start` and the job's index among the tenants are free to
-/// differ). Only the latest run's lowerings are held. A caller that
-/// re-runs a growing resident set (the batch scheduler) therefore pays,
-/// per run, one shared simulation and the lowering of the newcomer;
-/// [`run_multitenant`] is a run on a fresh session.
+/// differ).
+///
+/// Such a run also pauses its shared simulation at its last job's start
+/// and keeps a copy: nothing before that instant depends on the last
+/// job. The next run resumes the copy when its jobs begin with the same
+/// placed jobs at the same starts under the same engine — all of them,
+/// or all but the last — and every job it adds starts no earlier than
+/// the pause; it then simulates only from the pause on. Only the latest
+/// run is held. A caller that re-runs a growing resident set (the batch
+/// scheduler) therefore pays, per run, the newcomer's lowering and the
+/// part of the shared simulation the newcomer can change;
+/// [`run_multitenant`] is a run on a fresh session that keeps nothing.
 pub struct TenantSession<'a> {
     spec: &'a ClusterSpec,
     solo: HashMap<SoloKey, (Arc<CollectivePlan>, SimDuration)>,
-    /// The lowerings of the latest run's jobs, each with the `Arc` its
-    /// key holds the address of.
-    lowered: Vec<(PlacedKey, Arc<CollectivePlan>, Kept)>,
+    /// What the latest run left to the next, when it kept anything. A
+    /// paused run's PFS keeps scratch in cells, so this sits behind a
+    /// lock for the session to stay `Sync` (callers fan baselines out
+    /// over `&self`); `run` holds `&mut self` and never takes the lock.
+    latest: Mutex<Option<Latest>>,
+    /// Shared-run events resumed rather than fired, over every run.
+    events_resumed: u64,
+}
+
+/// A session's latest run, kept for the next: every job in job order,
+/// with its key, the `Arc` the key holds the address of, its start and
+/// its lowering, and the shared run paused at the last job's start.
+struct Latest {
+    jobs: Vec<(PlacedKey, Arc<CollectivePlan>, SimDuration, Kept)>,
+    paused: Paused,
 }
 
 impl<'a> TenantSession<'a> {
@@ -235,8 +255,16 @@ impl<'a> TenantSession<'a> {
         TenantSession {
             spec,
             solo: HashMap::new(),
-            lowered: Vec::new(),
+            latest: Mutex::new(None),
+            events_resumed: 0,
         }
+    }
+
+    /// What the latest run left to the next.
+    fn latest(&mut self) -> &mut Option<Latest> {
+        self.latest
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// [`run_multitenant`] on this session's machine and memo: controller
@@ -247,6 +275,20 @@ impl<'a> TenantSession<'a> {
         faults: Option<&FaultSpec>,
         policy: AdaptivePolicy,
         obs: Observe<'_>,
+    ) -> MultiTenantReport {
+        self.run_carrying(jobs, faults, policy, obs, true)
+    }
+
+    /// [`TenantSession::run`]; with `carry` false the run neither reads
+    /// nor leaves anything for a later one, as for a session dropped
+    /// straight after it.
+    fn run_carrying(
+        &mut self,
+        jobs: &[TenantJob],
+        faults: Option<&FaultSpec>,
+        policy: AdaptivePolicy,
+        obs: Observe<'_>,
+        carry: bool,
     ) -> MultiTenantReport {
         let spec = self.spec;
         assert!(
@@ -330,21 +372,41 @@ impl<'a> TenantSession<'a> {
         }
 
         // What each job lowers to is the same as in the latest run when
-        // nothing but the jobs shapes it. The lowerings that run held
-        // move into this one; a job placed differently now, or not at
-        // all, loses its entry.
-        let mut held = std::mem::take(&mut self.lowered);
-        let keeps = faults.is_none() && obs.registry.is_none() && policy.is_off();
+        // nothing but the jobs shapes it, and so is the shared run up to
+        // the latest run's pause when this run begins with its jobs. What
+        // the latest run left moves into this one; a job placed
+        // differently now, or not at all, loses its entry.
+        let latest = self.latest().take();
+        let keeps = carry && faults.is_none() && obs.registry.is_none() && policy.is_off();
         let keys: Option<Vec<PlacedKey>> = keeps.then(|| jobs.iter().map(PlacedKey::of).collect());
-        let kept = keys.as_ref().map(|keys| {
-            let hit = |key| {
-                let at = held.iter().position(|(held, ..)| held == key)?;
-                Some(held.swap_remove(at).2)
+        let carried = keys.as_ref().map(|keys| {
+            let Some(Latest {
+                jobs: mut held,
+                paused,
+            }) = latest
+            else {
+                let kept = keys.iter().map(|_| None).collect();
+                return Carried { kept, resume: None };
             };
-            keys.iter().map(hit).collect()
+            let prefix = (keys.iter().zip(jobs).zip(&held))
+                .take_while(|((key, job), (held, _, start, _))| *key == held && job.start == *start)
+                .count();
+            let resume = paused
+                .resumes(prefix, &exec_jobs, &obs)
+                .then_some((paused, prefix));
+            // The jobs the paused run holds keep their lowerings by
+            // position; every other job takes the lowering of a job the
+            // latest run placed the same way, if one is left.
+            let mut rest = held.split_off(resume.as_ref().map_or(0, |&(_, h)| h));
+            let mut kept: Vec<Option<Kept>> = held.into_iter().map(|(.., k)| Some(k)).collect();
+            for key in &keys[kept.len()..] {
+                let at = rest.iter().position(|(held, ..)| held == key);
+                kept.push(at.map(|at| rest.swap_remove(at).3));
+            }
+            Carried { kept, resume }
         });
-        drop(held);
-        let mut ex = execute(spec, &exec_jobs, faults, obs, kept);
+        let mut ex = execute(spec, &exec_jobs, faults, obs, carried);
+        self.events_resumed += ex.events_resumed;
         let makespan = ex.makespan;
 
         // Per-job outcome: span, solo baseline, and how much of the job's
@@ -452,9 +514,18 @@ impl<'a> TenantSession<'a> {
         });
 
         let engine = std::mem::take(&mut ex.engine);
-        let lowered = (keys.into_iter().flatten().zip(jobs).zip(ex.into_kept()))
-            .filter_map(|((key, job), kept)| Some((key, Arc::clone(&job.plan), kept?)));
-        self.lowered = lowered.collect();
+        let (kept, paused) = ex.into_carried();
+        *self.latest() = keys.zip(paused).map(|(keys, paused)| {
+            let kept = kept
+                .into_iter()
+                .map(|k| k.expect("a session's run keeps every lowering"));
+            let jobs = (keys.into_iter().zip(jobs).zip(kept))
+                .map(|((key, job), kept)| (key, Arc::clone(&job.plan), job.start, kept));
+            Latest {
+                jobs: jobs.collect(),
+                paused,
+            }
+        });
         MultiTenantReport {
             jobs: outcomes,
             makespan,
@@ -513,6 +584,14 @@ impl<'a> TenantSession<'a> {
     pub fn baseline_sims(&self) -> u64 {
         self.solo.len() as u64
     }
+
+    /// Shared-run events the session's runs took over from a paused run
+    /// instead of firing, summed over its runs so far. The reports count
+    /// every event of every shared run (`engine.events_fired`); the
+    /// difference is what this process simulated.
+    pub fn events_resumed(&self) -> u64 {
+        self.events_resumed
+    }
 }
 
 /// Run `jobs` concurrently on one shared machine.
@@ -540,8 +619,8 @@ impl<'a> TenantSession<'a> {
 /// faults do. Two-phase jobs and [`AdaptivePolicy::Off`] take the
 /// static path byte-for-byte.
 ///
-/// Runs on a fresh [`TenantSession`]; hold a session instead when the
-/// same placed jobs recur across runs.
+/// Runs on a fresh [`TenantSession`] that keeps nothing for a later run;
+/// hold a session instead when the same placed jobs recur across runs.
 ///
 /// # Panics
 /// Panics if `jobs` is empty or any job's partition
@@ -553,7 +632,7 @@ pub fn run_multitenant(
     policy: AdaptivePolicy,
     obs: Observe<'_>,
 ) -> MultiTenantReport {
-    TenantSession::new(spec).run(jobs, faults, policy, obs)
+    TenantSession::new(spec).run_carrying(jobs, faults, policy, obs, false)
 }
 
 /// Probe pass of the closed-loop multi-tenant controller: execute the

@@ -1,5 +1,6 @@
 //! The event-driven engine: builds an activity DAG over resources, then
-//! runs it to completion, producing a [`RunReport`].
+//! runs it to completion, producing a [`RunReport`]. A run may pause at
+//! an instant, be copied, take more activities and resume.
 
 use crate::activity::{Activity, ActivityId, ActivityState, Stage};
 use crate::resource::{Bandwidth, Job, ResourceId, ResourceTable, ResourceUsage, SharePolicy};
@@ -10,6 +11,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt::{self, Write as _};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Errors a simulation run can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,6 +70,14 @@ pub struct ServiceRecord {
 /// totally and the slot handle is never compared.
 type HeapEntry = (SimTime, u64, u32, u32);
 
+/// The sequence bit of every event but a seed. A seed — the `Ready` of
+/// an activity that waits for nothing — is sequenced by its activity id
+/// alone, so where it sorts does not depend on when it was pushed: at
+/// its instant it follows every seed of a lower id and precedes every
+/// event scheduled while running, the order a run that pushed every
+/// seed before its first event gives it.
+const RUN_TIME: u64 = 1 << 63;
+
 /// Handle of a scheduled event: `(slot, generation)`.
 pub(crate) type EventHandle = (u32, u32);
 
@@ -117,6 +127,29 @@ impl Labels {
         self.bytes.reserve(bytes);
         self.ends.reserve(count);
     }
+
+    /// Keep the first `len` labels.
+    fn truncate(&mut self, len: usize) {
+        self.ends.truncate(len);
+        self.bytes
+            .truncate(len.checked_sub(1).map_or(0, |i| self.ends[i] as usize));
+    }
+}
+
+/// What a simulation registers once and a run only reads: every stage,
+/// every label and the dependents of every activity the run has
+/// indexed. A run and the copies [`Simulation::fork`] makes of it share
+/// one; registering into a shared graph copies it first.
+#[derive(Debug, Clone, Default)]
+struct Graph {
+    stages: Vec<Stage>,
+    labels: Labels,
+    /// The edges as a CSR: the dependents of activity `a` are row `a` of
+    /// `dependents` under `dependent_ends`, in declaration order. Rows
+    /// exist for the activities the run has indexed, which are the first
+    /// `dependent_ends.len()`.
+    dependents: Vec<ActivityId>,
+    dependent_ends: Vec<u32>,
 }
 
 /// Where a simulation's activity and edge arenas ended when
@@ -178,25 +211,36 @@ impl Fragment {
 /// A discrete-event simulation under construction.
 ///
 /// Add resources and activities, wire dependencies with
-/// [`Simulation::add_dep`], then call [`Simulation::run`].
-#[derive(Debug, Default)]
+/// [`Simulation::add_dep`], then call [`Simulation::run`]. A run may
+/// also stop short: [`Simulation::run_until`] pauses it at an instant,
+/// [`Simulation::fork`] copies the paused run, and activities appended
+/// to either are taken in when it moves on (DESIGN.md §10, "Pausing a
+/// run and resuming it").
+#[derive(Debug, Clone, Default)]
 pub struct Simulation {
     resources: ResourceTable,
     /// The service discipline of every resource.
     policy: SharePolicy,
-    /// The activity graph, in four flat arenas: one row per activity,
+    /// The activity graph, in flat arenas: one row per activity, then
     /// every stage back to back (a row owns a window of it), every
-    /// label in one string, and every dependency edge `(before, after)`
-    /// in declaration order.
+    /// label in one string and the dependents CSR, in the [`Graph`]
+    /// the run's forks share.
     activities: Vec<ActivityState>,
-    stages: Vec<Stage>,
-    labels: Labels,
+    graph: Arc<Graph>,
+    /// Every dependency edge `(before, after)` declared since the run
+    /// last indexed, in declaration order.
     edges: Vec<(ActivityId, ActivityId)>,
-    /// The edges as a CSR, built by `run()`: the dependents of activity
-    /// `a` are row `a` of `dependents` under `dependent_ends`, in
-    /// declaration order.
-    dependents: Vec<ActivityId>,
-    dependent_ends: Vec<u32>,
+    /// Activities below this id are seeded: each that waited for
+    /// nothing had its `Ready` pushed.
+    seeded: u32,
+    /// The instant the run is paused at: every event before it has
+    /// fired and none at or after it. Zero until the run first pauses.
+    paused_at: SimTime,
+    /// The queue depth observed at each event so far, as a count per
+    /// depth: a seed taken in after a pause raises every depth already
+    /// observed, which a histogram's buckets cannot follow. `run()`
+    /// folds it into the histogram at the end.
+    depths: Vec<u64>,
     /// Event heap keyed by (time, sequence) for determinism; entries
     /// carry the slot generation they were pushed with, so cancelled
     /// (re-generated) slots are skipped on pop.
@@ -214,8 +258,9 @@ pub struct Simulation {
     events: Vec<(Event, u32)>,
     /// Recycled slot indices available for the next `push_event`.
     free_slots: Vec<u32>,
-    /// Monotone event sequence counter (heap tiebreak). Independent of
-    /// slot indices, which are reused.
+    /// Counter of the events scheduled while running (heap tiebreak,
+    /// above [`RUN_TIME`]). Independent of slot indices, which are
+    /// reused.
     next_seq: u64,
     /// Service-interval trace, when enabled.
     trace: Option<Vec<ServiceRecord>>,
@@ -241,8 +286,9 @@ pub struct EngineStats {
     /// Events scheduled and then retracted before firing. The FIFO
     /// engine never cancels (always 0); fair-share resources re-predict
     /// their single next-completion event on every arrival/departure,
-    /// cancelling the stale prediction. At the end of a run
-    /// `events_scheduled == events_processed + events_cancelled`.
+    /// cancelling the stale prediction. At every pause
+    /// `events_scheduled == events_processed + events_cancelled +
+    /// pending`, and nothing is pending at the end of a run.
     pub events_cancelled: u64,
     /// High-water mark of pending events, heap and zero-delay lane
     /// together. Cancelled entries stay where they were queued (lazily
@@ -322,10 +368,11 @@ impl Simulation {
             );
         }
         let id = ActivityId(index32(self.activities.len(), "activities"));
-        let next_stage = index32(self.stages.len(), "stages");
-        self.stages.extend_from_slice(stages);
-        self.labels.push(label);
-        let stage_end = index32(self.stages.len(), "stages");
+        let graph = Arc::make_mut(&mut self.graph);
+        let next_stage = index32(graph.stages.len(), "stages");
+        graph.stages.extend_from_slice(stages);
+        graph.labels.push(label);
+        let stage_end = index32(graph.stages.len(), "stages");
         self.activities
             .push(ActivityState::new(release, next_stage, stage_end, 0));
         id
@@ -340,11 +387,20 @@ impl Simulation {
     /// Declare that `after` cannot start until `before` has completed.
     /// When `before` completes, its dependents are released in the order
     /// their edges were declared.
+    ///
+    /// # Panics
+    /// Panics if either end is an activity the run has already taken in
+    /// (one registered before it last started or paused).
     pub fn add_dep(&mut self, before: ActivityId, after: ActivityId) {
         assert_ne!(before, after, "activity cannot depend on itself");
         assert!(
             before.index() < self.activities.len(),
             "dependency on unknown activity {before:?}"
+        );
+        let taken_in = self.graph.dependent_ends.len();
+        assert!(
+            before.index() >= taken_in && after.index() >= taken_in,
+            "an edge {before:?} -> {after:?} touches an activity of the run before it paused"
         );
         self.edges.push((before, after));
         self.activities[after.index()].deps_remaining += 1;
@@ -372,8 +428,9 @@ impl Simulation {
     ///
     /// # Panics
     /// Panics if an edge declared since the mark leaves the run, or
-    /// enters it from anywhere but `outside`, or if a label is shorter
-    /// than the prefix.
+    /// enters it from anywhere but `outside`, if a label is shorter
+    /// than the prefix, or if the run has taken in the activities since
+    /// the mark.
     pub fn copy_since(
         &self,
         mark: Mark,
@@ -381,12 +438,17 @@ impl Simulation {
         outside: Option<ActivityId>,
     ) -> Fragment {
         let first = mark.activities as usize;
+        assert!(
+            first >= self.graph.dependent_ends.len() && mark.edges <= self.edges.len(),
+            "the run has taken in the activities since the mark"
+        );
         let rows = &self.activities[first..];
+        let (graph_stages, labels) = (&self.graph.stages, &self.graph.labels);
         // Before the run starts a row's window is all of its stages.
         let stage_base = rows
             .first()
-            .map_or(self.stages.len(), |r| r.next_stage as usize);
-        let stages = &self.stages[stage_base..];
+            .map_or(graph_stages.len(), |r| r.next_stage as usize);
+        let stages = &graph_stages[stage_base..];
         let mut frag = Fragment {
             rows: Vec::with_capacity(rows.len()),
             stages: stages.to_vec(),
@@ -400,15 +462,12 @@ impl Simulation {
             stage_end: r.stage_end - stage_base as u32,
             deps: r.deps_remaining,
         }));
-        let label_start = first
-            .checked_sub(1)
-            .map_or(0, |a| self.labels.ends[a] as usize);
-        let label_bytes = self.labels.bytes.len() - label_start;
+        let label_start = first.checked_sub(1).map_or(0, |a| labels.ends[a] as usize);
+        let label_bytes = labels.bytes.len() - label_start;
         frag.labels
             .reserve(rows.len(), label_bytes - prefix_len * rows.len());
         for a in first..self.activities.len() {
-            let label = &self.labels.bytes[row(&self.labels.ends, a)];
-            frag.labels.push_parts("", &label[prefix_len..]);
+            frag.labels.push_parts("", &labels.get(a)[prefix_len..]);
         }
         for &(before, after) in &self.edges[mark.edges..] {
             let after = after.0.checked_sub(mark.activities);
@@ -445,12 +504,13 @@ impl Simulation {
             frag.resources <= self.resources.len(),
             "fragment under `{prefix}` references an unknown resource"
         );
+        let graph = Arc::make_mut(&mut self.graph);
         // The rows hold `u32` offsets: check where the arenas will end.
         index32(self.activities.len() + frag.rows.len(), "activities");
-        index32(self.stages.len() + frag.stages.len(), "stages");
+        index32(graph.stages.len() + frag.stages.len(), "stages");
         let base = self.activities.len() as u32;
-        let stage_base = self.stages.len() as u32;
-        self.stages.extend_from_slice(&frag.stages);
+        let stage_base = graph.stages.len() as u32;
+        graph.stages.extend_from_slice(&frag.stages);
         let mut next_stage = stage_base;
         self.activities.extend(frag.rows.iter().map(|r| {
             let stage_end = stage_base + r.stage_end;
@@ -459,10 +519,9 @@ impl Simulation {
             state
         }));
         let label_bytes = frag.labels.bytes.len() + prefix.len() * frag.rows.len();
-        self.labels.reserve(frag.rows.len(), label_bytes);
+        graph.labels.reserve(frag.rows.len(), label_bytes);
         for a in 0..frag.rows.len() {
-            let label = &frag.labels.bytes[row(&frag.labels.ends, a)];
-            self.labels.push_parts(prefix, label);
+            graph.labels.push_parts(prefix, frag.labels.get(a));
         }
         let at = |offset: u32| ActivityId(base + offset);
         let gated = frag.gated.as_deref();
@@ -477,11 +536,102 @@ impl Simulation {
         ActivityId(base)
     }
 
-    /// Schedule `ev` at `t`. Returns the slot handle `(index,
-    /// generation)` that [`Simulation::cancel_event`] accepts.
+    /// Keep the first `len` activities and drop the rest, with their
+    /// stages, labels, dependents and edges: a tail registered since the
+    /// run last moved (or indexed by [`Simulation::fork`]), which it has
+    /// not seeded.
+    ///
+    /// # Panics
+    /// Panics if the run has seeded an activity of the tail, or if an
+    /// activity kept waits for one dropped.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.activities.len() {
+            return;
+        }
+        assert!(
+            len >= self.seeded as usize,
+            "activity {len} is seeded: the run has taken it in"
+        );
+        let stage_start = self.activities[len].next_stage as usize;
+        self.activities.truncate(len);
+        let kept_waits = |&(before, after): &(ActivityId, ActivityId)| {
+            assert!(
+                before.index() < len || after.index() >= len,
+                "activity {after:?} waits for {before:?}, which is dropped"
+            );
+            after.index() < len
+        };
+        self.edges.retain(kept_waits);
+        let graph = Arc::make_mut(&mut self.graph);
+        graph.stages.truncate(stage_start);
+        graph.labels.truncate(len);
+        if graph.dependent_ends.len() > len {
+            let start = row(&graph.dependent_ends, len).start;
+            assert!(
+                graph.dependents[start..].iter().all(|a| a.index() >= len),
+                "an activity kept waits for one dropped"
+            );
+            graph.dependents.truncate(start);
+            graph.dependent_ends.truncate(len);
+        }
+    }
+
+    /// Fire every event before `t` and pause there: nothing at or after
+    /// `t` has fired, and the clock, the pending events, the resources'
+    /// queues, active sets and virtual clocks, the service records and
+    /// the engine counters are kept as they stand. Activities registered
+    /// since the run last moved are taken in first; the run goes on from
+    /// here with another `run_until` or [`Simulation::run`], and takes
+    /// in what was appended in between.
+    ///
+    /// # Panics
+    /// Panics if `t` is before an earlier pause, or if an activity taken
+    /// in waits for nothing and is released before the pause it was
+    /// appended at: a run that held it from the start would have started
+    /// it already.
+    pub fn run_until(&mut self, t: SimTime) {
+        assert!(
+            t >= self.paused_at,
+            "a run paused at {:?} cannot pause earlier, at {t:?}",
+            self.paused_at
+        );
+        self.take_in();
+        if let Some(last) = t.as_nanos().checked_sub(1) {
+            self.fire_through(SimTime::from_nanos(last));
+        }
+        self.paused_at = t;
+        self.check_ledger();
+    }
+
+    /// Index what was registered since the run last moved, then return a
+    /// copy of the paused run that shares its graph (stages, labels,
+    /// dependents): resume either, and append to either — registering
+    /// into a shared graph copies it first. Indexing first is what keeps
+    /// the copy from needing a graph of its own to run.
+    ///
+    /// Activities registered since the pause are indexed but not seeded:
+    /// either copy may still [`Simulation::truncate`] them.
+    pub fn fork(&mut self) -> Simulation {
+        self.index_new();
+        self.clone()
+    }
+
+    /// Events the run has fired so far.
+    pub fn events_fired(&self) -> u64 {
+        self.engine_stats.events_processed
+    }
+
+    /// Schedule `ev` at `t` with the next run-time sequence number.
+    /// Returns the slot handle `(index, generation)` that
+    /// [`Simulation::cancel_event`] accepts.
     fn push_event(&mut self, t: SimTime, ev: Event) -> EventHandle {
-        let seq = self.next_seq;
+        let seq = RUN_TIME | self.next_seq;
         self.next_seq += 1;
+        self.push(t, seq, ev)
+    }
+
+    /// Schedule `ev` at `t` under sequence number `seq`.
+    fn push(&mut self, t: SimTime, seq: u64, ev: Event) -> EventHandle {
         self.engine_stats.events_scheduled += 1;
         if matches!(ev, Event::Ready(_)) {
             self.pending_ready += 1;
@@ -520,24 +670,134 @@ impl Simulation {
         self.engine_stats.events_cancelled += 1;
     }
 
-    /// Run the simulation to completion.
+    /// Run the simulation to completion: the run from its start, or from
+    /// where it paused with whatever was appended since.
     ///
     /// Consumes the simulation; returns a [`RunReport`] with per-activity
     /// timings and per-resource usage, or [`SimError::Deadlock`] if the
     /// dependency graph prevented some activity from ever running.
     pub fn run(mut self) -> Result<RunReport, SimError> {
-        self.index_dependents();
-        // Seed: every activity with no outstanding dependencies is ready at
-        // its release time.
-        for i in 0..self.activities.len() {
-            if self.activities[i].deps_remaining == 0 {
-                let t = self.activities[i].release;
-                // `activity()` checked that the count fits.
-                self.push_event(t, Event::Ready(ActivityId(i as u32)));
-            }
+        self.take_in();
+        self.fire_through(SimTime::MAX);
+        self.check_ledger();
+        let hist = &mut self.engine_stats.queue_depth;
+        for (depth, &n) in self.depths.iter().enumerate().filter(|(_, &n)| n > 0) {
+            hist.observe_n(depth as u64, n);
         }
 
-        while let Some((_, _seq, idx, gen)) = self.next_event() {
+        // An activity still waiting for a dependency never ran (a cycle
+        // or a missing release). Every other one finished: its
+        // `finished` may read `NOT_YET` only because the clock saturated
+        // there.
+        let stuck: Vec<String> = (self.activities.iter().enumerate())
+            .filter(|(_, a)| a.deps_remaining > 0)
+            .take(8)
+            .map(|(i, _)| self.graph.labels.get(i).to_string())
+            .collect();
+        if !stuck.is_empty() {
+            return Err(SimError::Deadlock { stuck });
+        }
+
+        let makespan = (self.activities.iter().map(|a| a.finished))
+            .max()
+            .unwrap_or(SimTime::ZERO);
+        // `self` is consumed: the activity table, the graph and the
+        // resource table move into the report. A report reads only the
+        // labels, so a graph no paused copy shares drops the rest now.
+        let mut graph = self.graph;
+        if let Some(graph) = Arc::get_mut(&mut graph) {
+            graph.stages = Vec::new();
+            graph.dependents = Vec::new();
+            graph.dependent_ends = Vec::new();
+        }
+        Ok(RunReport {
+            makespan,
+            activities: self.activities,
+            graph,
+            resources: self.resources,
+            trace: self.trace,
+            engine_stats: self.engine_stats,
+        })
+    }
+
+    /// Index, then seed, everything registered since the run last moved.
+    fn take_in(&mut self) {
+        self.index_new();
+        self.seed_new();
+    }
+
+    /// Push a `Ready` for every activity registered since the run last
+    /// moved that waits for nothing, in id order, under its id as the
+    /// sequence number.
+    ///
+    /// A run that held these activities from its start would have pushed
+    /// their seeds before its first event, and each would have stayed
+    /// pending until its release, at or after the pause (checked). So
+    /// each was pending at every event the run has already fired and at
+    /// every `Ready` it has already counted: the depth observed at each
+    /// of those, both high-water marks and the `depths` counts all rise
+    /// by one per seed, which is also exactly right for the seeds of a
+    /// run's start, before anything was observed.
+    fn seed_new(&mut self) {
+        let first = self.seeded as usize;
+        // `activity()` and `append()` checked that the count fits.
+        self.seeded = self.activities.len() as u32;
+        let max_ready = self.engine_stats.max_ready_set;
+        let mut seeds = 0;
+        for i in first..self.activities.len() {
+            let state = self.activities[i];
+            if state.deps_remaining > 0 {
+                continue;
+            }
+            assert!(
+                state.release >= self.paused_at,
+                "activity `{}` waits for nothing and is released at {:?}, \
+                 before the pause it was appended at, {:?}",
+                self.graph.labels.get(i),
+                state.release,
+                self.paused_at
+            );
+            self.push(state.release, i as u64, Event::Ready(ActivityId(i as u32)));
+            seeds += 1;
+        }
+        self.engine_stats.max_ready_set = max_ready + seeds;
+        if self.engine_stats.events_processed > 0 {
+            self.engine_stats.max_queue_depth += seeds;
+        }
+        self.depths.splice(0..0, std::iter::repeat_n(0, seeds));
+    }
+
+    /// The engine's ledger, checked at every pause and at the end of a
+    /// run: the clock never passed a pending event (nor, paused, the
+    /// pause), and every event scheduled has fired, been cancelled or is
+    /// still pending — a pending event holds a slot of the pool.
+    fn check_ledger(&self) {
+        let stats = &self.engine_stats;
+        let pending = (self.events.len() - self.free_slots.len()) as u64;
+        debug_assert_eq!(
+            stats.events_scheduled,
+            stats.events_processed + stats.events_cancelled + pending,
+            "the event ledger does not balance"
+        );
+        let floor = self.now.max(self.paused_at);
+        debug_assert!(
+            (self.heap.peek()).is_none_or(|Reverse(top)| top.0 >= floor),
+            "an event is pending before the clock or the pause"
+        );
+        debug_assert!(
+            self.lane.iter().all(|e| e.0 == self.now),
+            "a lane entry names another instant"
+        );
+    }
+
+    /// The run loop: fire every pending event at or before `last`, in
+    /// `(time, sequence)` order. The loop only reads the graph, so it
+    /// holds a handle of its own for the handlers to borrow, apart from
+    /// `self`.
+    fn fire_through(&mut self, last: SimTime) {
+        let shared = Arc::clone(&self.graph);
+        let graph: &Graph = &shared;
+        while let Some((_, _seq, idx, gen)) = self.next_event(last) {
             let (ev, live) = self.events[idx as usize];
             if live != gen {
                 // Cancelled (counted when retracted); skip lazily. The
@@ -552,23 +812,27 @@ impl Simulation {
             self.engine_stats.events_processed += 1;
             let depth = self.heap.len() + self.lane.len();
             self.engine_stats.max_queue_depth = self.engine_stats.max_queue_depth.max(depth);
-            self.engine_stats.queue_depth.observe(depth as u64);
+            if self.depths.len() <= depth {
+                self.depths.resize(depth + 1, 0);
+            }
+            self.depths[depth] += 1;
             match ev {
                 Event::Ready(a) => {
                     let state = &mut self.activities[a.index()];
                     debug_assert_eq!(state.started, ActivityState::NOT_YET);
                     state.started = now;
                     self.pending_ready -= 1;
-                    self.advance(a, now);
+                    self.advance(graph, a, now);
                 }
                 Event::EnterStage(a) => {
                     // Either enqueue the next stage or, if the latency we
                     // just waited out followed the final stage, complete.
-                    self.advance(a, now);
+                    self.advance(graph, a, now);
                 }
                 Event::StageServed(a) => {
                     // Free the server and start the next queued job, if any.
-                    let rid = self.stages[self.activities[a.index()].next_stage as usize].resource;
+                    let stage = self.activities[a.index()].next_stage as usize;
+                    let rid = graph.stages[stage].resource;
                     if let Some((next_job, done)) = self.resources.complete_current(rid, now) {
                         if let Some(trace) = &mut self.trace {
                             trace.push(ServiceRecord {
@@ -581,7 +845,7 @@ impl Simulation {
                         self.push_event(done, Event::StageServed(next_job.activity));
                     }
                     // This activity leaves the stage; honor post-latency.
-                    self.leave_stage(a, now);
+                    self.leave_stage(graph, a, now);
                 }
                 Event::FairComplete(rid) => {
                     // This event *was* the resource's pending prediction;
@@ -594,41 +858,15 @@ impl Simulation {
                     // The active set shrank: re-predict the resource's
                     // next completion before moving the activity on.
                     self.reschedule_fair(rid, now);
-                    self.leave_stage(job.activity, now);
+                    self.leave_stage(graph, job.activity, now);
                 }
             }
         }
-
-        // An activity still waiting for a dependency never ran (a cycle
-        // or a missing release). Every other one finished: its
-        // `finished` may read `NOT_YET` only because the clock saturated
-        // there.
-        let stuck: Vec<String> = (self.activities.iter().enumerate())
-            .filter(|(_, a)| a.deps_remaining > 0)
-            .take(8)
-            .map(|(i, _)| self.labels.get(i).to_string())
-            .collect();
-        if !stuck.is_empty() {
-            return Err(SimError::Deadlock { stuck });
-        }
-
-        let makespan = (self.activities.iter().map(|a| a.finished))
-            .max()
-            .unwrap_or(SimTime::ZERO);
-        // `self` is consumed: the activity table, the label arena and the
-        // resource table move into the report.
-        Ok(RunReport {
-            makespan,
-            activities: self.activities,
-            labels: self.labels,
-            resources: self.resources,
-            trace: self.trace,
-            engine_stats: self.engine_stats,
-        })
     }
 
-    /// The next pending event in `(time, sequence)` order, with the
-    /// clock moved to its instant; `None` when nothing is pending.
+    /// The next pending event at or before `last` in `(time, sequence)`
+    /// order, with the clock moved to its instant; `None` when nothing
+    /// that early is pending.
     ///
     /// An event scheduled for the instant the loop is at goes into the
     /// lane, every other one into the heap. A heap entry for the current
@@ -637,14 +875,16 @@ impl Simulation {
     /// popped while its top is at this instant, then the lane in FIFO
     /// (sequence) order, and only an empty lane lets the clock advance
     /// to the heap's next instant — the same total order a heap alone
-    /// pops, without a heap operation per zero-delay event.
-    fn next_event(&mut self) -> Option<HeapEntry> {
-        let heap_now = (self.heap.peek()).is_some_and(|Reverse(top)| top.0 == self.now);
-        if heap_now || self.lane.is_empty() {
-            let Reverse(entry) = self.heap.pop()?;
-            debug_assert!(entry.0 >= self.now, "time went backwards");
-            self.now = entry.0;
-            return Some(entry);
+    /// pops, without a heap operation per zero-delay event. The lane is
+    /// only ever at the clock, which never passes `last`.
+    fn next_event(&mut self, last: SimTime) -> Option<HeapEntry> {
+        let top = self.heap.peek().map(|&Reverse(top)| top);
+        if top.is_some_and(|top| top.0 == self.now) || self.lane.is_empty() {
+            let top = top.filter(|top| top.0 <= last)?;
+            self.heap.pop();
+            debug_assert!(top.0 >= self.now, "time went backwards");
+            self.now = top.0;
+            return Some(top);
         }
         let entry = self.lane.pop_front();
         debug_assert!(
@@ -654,45 +894,52 @@ impl Simulation {
         entry
     }
 
-    /// Turn the declared edges into the CSR `complete` walks. A counting
-    /// sort by predecessor, filled in declaration order, is stable: each
-    /// row lists its dependents exactly as `add_dep` declared them, which
-    /// is the order their `Ready` events are sequenced in.
-    fn index_dependents(&mut self) {
+    /// Append the CSR rows `complete` walks for the activities registered
+    /// since the run last indexed. Every edge declared since starts at
+    /// one of them (`add_dep` checks), so their rows go after the others.
+    /// A counting sort by predecessor, filled in declaration order, is
+    /// stable: each row lists its dependents exactly as `add_dep` declared
+    /// them, which is the order their `Ready` events are sequenced in.
+    fn index_new(&mut self) {
+        let first = self.graph.dependent_ends.len();
+        if first == self.activities.len() {
+            debug_assert!(self.edges.is_empty(), "an edge of an activity taken in");
+            return;
+        }
         let edges = std::mem::take(&mut self.edges);
+        let graph = Arc::make_mut(&mut self.graph);
         // The offsets below count edges in `u32`.
-        index32(edges.len(), "dependency edges");
+        index32(graph.dependents.len() + edges.len(), "dependency edges");
         // Per-row counts, then their exclusive prefix sum (row starts);
         // the fill below advances each start to its row's end.
-        let mut ends = vec![0u32; self.activities.len()];
+        graph.dependent_ends.resize(self.activities.len(), 0);
+        let ends = &mut graph.dependent_ends[first..];
         for (before, _) in &edges {
-            ends[before.index()] += 1;
+            ends[before.index() - first] += 1;
         }
-        let mut total = 0;
-        for end in &mut ends {
+        let mut total = graph.dependents.len() as u32;
+        for end in ends.iter_mut() {
             let count = *end;
             *end = total;
             total += count;
         }
-        let mut dependents = vec![ActivityId(0); edges.len()];
+        (graph.dependents).resize(total as usize, ActivityId(0));
         for &(before, after) in &edges {
-            let slot = &mut ends[before.index()];
-            dependents[*slot as usize] = after;
+            let slot = &mut ends[before.index() - first];
+            graph.dependents[*slot as usize] = after;
             *slot += 1;
         }
-        self.dependents = dependents;
-        self.dependent_ends = ends;
     }
 
     /// Move activity `a` forward from its current stage pointer: either
     /// enter the next stage's queue or complete.
-    fn advance(&mut self, a: ActivityId, now: SimTime) {
+    fn advance(&mut self, graph: &Graph, a: ActivityId, now: SimTime) {
         let st = self.activities[a.index()];
         if st.next_stage == st.stage_end {
-            self.complete(a, now);
+            self.complete(graph, a, now);
             return;
         }
-        let stage = self.stages[st.next_stage as usize];
+        let stage = graph.stages[st.next_stage as usize];
         let job = Job {
             activity: a,
             bytes: stage.bytes,
@@ -735,12 +982,12 @@ impl Simulation {
 
     /// The activity's current stage is done: honor the stage's
     /// post-service latency, then advance.
-    fn leave_stage(&mut self, a: ActivityId, now: SimTime) {
+    fn leave_stage(&mut self, graph: &Graph, a: ActivityId, now: SimTime) {
         let st = &mut self.activities[a.index()];
-        let latency = self.stages[st.next_stage as usize].latency_after;
+        let latency = graph.stages[st.next_stage as usize].latency_after;
         st.next_stage += 1;
         if latency.is_zero() {
-            self.advance(a, now);
+            self.advance(graph, a, now);
         } else {
             self.push_event(now + latency, Event::EnterStage(a));
         }
@@ -760,12 +1007,11 @@ impl Simulation {
         }
     }
 
-    fn complete(&mut self, a: ActivityId, now: SimTime) {
+    fn complete(&mut self, graph: &Graph, a: ActivityId, now: SimTime) {
         let state = &mut self.activities[a.index()];
         debug_assert_eq!(state.finished, ActivityState::NOT_YET);
         state.finished = now;
-        for k in row(&self.dependent_ends, a.index()) {
-            let d = self.dependents[k];
+        for &d in &graph.dependents[row(&graph.dependent_ends, a.index())] {
             let dep = &mut self.activities[d.index()];
             debug_assert!(dep.deps_remaining > 0);
             dep.deps_remaining -= 1;
@@ -784,7 +1030,8 @@ impl Simulation {
 pub struct RunReport {
     makespan: SimTime,
     activities: Vec<ActivityState>,
-    labels: Labels,
+    /// The run's graph; a report reads its labels.
+    graph: Arc<Graph>,
     resources: ResourceTable,
     trace: Option<Vec<ServiceRecord>>,
     engine_stats: EngineStats,
@@ -813,7 +1060,7 @@ impl RunReport {
 
     /// Label of an activity.
     pub fn label(&self, a: ActivityId) -> &str {
-        self.labels.get(a.index())
+        self.graph.labels.get(a.index())
     }
 
     /// The name a resource was registered with, e.g. `"node3.membus"`.
@@ -1373,19 +1620,24 @@ mod tests {
         (sim.run().unwrap(), copied)
     }
 
+    /// Two runs are the same run: labels, start and finish times, service
+    /// records, resource accounting and every engine counter.
+    fn same(a: &RunReport, b: &RunReport) {
+        assert_eq!(a.activity_count(), b.activity_count());
+        for i in 0..a.activity_count() as u32 {
+            let id = ActivityId(i);
+            assert_eq!(a.label(id), b.label(id));
+            assert_eq!(a.start_time(id), b.start_time(id), "{}", a.label(id));
+            assert_eq!(a.finish_time(id), b.finish_time(id), "{}", a.label(id));
+        }
+        assert_eq!(a.trace(), b.trace());
+        assert_eq!(a.resource_usages(), b.resource_usages());
+        assert_eq!(a.engine_stats(), b.engine_stats());
+        assert_eq!(a.engine_profile(), b.engine_profile());
+    }
+
     #[test]
     fn an_appended_fragment_runs_as_the_lowering_it_was_copied_from() {
-        let same = |a: &RunReport, b: &RunReport| {
-            assert_eq!(a.activity_count(), b.activity_count());
-            for i in 0..a.activity_count() as u32 {
-                let id = ActivityId(i);
-                assert_eq!(a.label(id), b.label(id));
-                assert_eq!(a.start_time(id), b.start_time(id), "{}", a.label(id));
-                assert_eq!(a.finish_time(id), b.finish_time(id), "{}", a.label(id));
-            }
-            assert_eq!(a.trace(), b.trace());
-            assert_eq!(a.engine_stats(), b.engine_stats());
-        };
         // Copied out behind a gate (the second job's copy is the one
         // returned), appended behind every mix of gates and none.
         let (_, gated) = two_jobs([None, Some(7)], None);
@@ -1408,6 +1660,123 @@ mod tests {
         let (appended, _) = two_jobs([None, None], Some(&ungated));
         same(&two_jobs([None, None], None).0, &appended);
         assert_eq!(lowered.label(ActivityId(8)), "job1.join");
+    }
+
+    /// When the first resident's message leaves `r0` (a 100-byte stage at
+    /// 50 B/s behind a 3 ns overhead): the instant of a run-time event.
+    const TIE: SimTime = SimTime::from_nanos(2_000_000_003);
+
+    /// The residents of a resumed run on `r`: a job arriving at zero, a
+    /// job behind a start gate at one second, and a lone activity
+    /// released at [`TIE`] — a seed tied with a run-time event.
+    fn residents(policy: SharePolicy, windows: bool) -> (Simulation, [ResourceId; 2]) {
+        let mut sim = Simulation::with_policy(policy);
+        sim.enable_trace();
+        let r = ["r0", "r1"].map(|name| sim.add_resource(name, bw(50.0)));
+        if windows {
+            let (start, end) = (
+                SimTime::from_nanos(1_000_000_000),
+                SimTime::from_nanos(3_500_000_000),
+            );
+            let slow = crate::ServiceWindow {
+                start,
+                end,
+                rate: 0.5,
+            };
+            sim.set_service_windows(r[1], vec![slow]);
+        }
+        lower_job(&mut sim, r, "j0.", None);
+        let gate = sim.activity(
+            format_args!("j1.start"),
+            SimTime::from_nanos(1_000_000_000),
+            &[],
+        );
+        lower_job(&mut sim, r, "j1.", Some(gate));
+        let stage = Stage {
+            resource: r[1],
+            bytes: 50,
+            overhead: SimDuration::ZERO,
+            latency_after: SimDuration::ZERO,
+        };
+        sim.activity(format_args!("tie"), TIE, &[stage]);
+        (sim, r)
+    }
+
+    /// Append the newcomer behind a start gate released at `at`.
+    fn newcomer(sim: &mut Simulation, frag: &Fragment, prefix: &str, at: SimTime) {
+        let gate = sim.activity(format_args!("{prefix}start"), at, &[]);
+        sim.append(frag, prefix, Some(gate));
+    }
+
+    #[test]
+    fn a_resumed_run_matches_the_full_run() {
+        let frag = {
+            let (mut sim, r) = residents(SharePolicy::Fifo, false);
+            let gate = sim.add_activity(Activity::new("new.start"));
+            let mark = sim.mark();
+            lower_job(&mut sim, r, "new.", Some(gate));
+            sim.copy_since(mark, "new.".len(), Some(gate))
+        };
+        for policy in [SharePolicy::Fifo, SharePolicy::FairShare] {
+            for windows in [false, true] {
+                // Every instant an event of the residents fires at, the
+                // pause before the first and the tie included.
+                let alone = residents(policy, windows).0.run().unwrap();
+                let mut instants = vec![SimTime::ZERO, TIE];
+                for rec in alone.trace().unwrap() {
+                    instants.extend([rec.start, rec.end]);
+                }
+                for i in 0..alone.activity_count() as u32 {
+                    instants.extend([
+                        alone.start_time(ActivityId(i)),
+                        alone.finish_time(ActivityId(i)),
+                    ]);
+                }
+                instants.sort_unstable();
+                instants.dedup();
+                for at in instants {
+                    let full = {
+                        let (mut sim, _) = residents(policy, windows);
+                        newcomer(&mut sim, &frag, "new.", at);
+                        sim.run().unwrap()
+                    };
+                    // Paused at the newcomer's arrival, then appended to.
+                    let (mut paused, _) = residents(policy, windows);
+                    paused.run_until(at);
+                    let mut copy = paused.fork();
+                    newcomer(&mut paused, &frag, "new.", at);
+                    same(&full, &paused.run().unwrap());
+                    // The copy takes another newcomer first, drops it
+                    // unseeded, and takes the newcomer after all — in two
+                    // steps, pausing at the newcomer's arrival once more.
+                    let dropped = copy.activity_count();
+                    newcomer(&mut copy, &frag, "other.", at + SimDuration::from_nanos(1));
+                    let mut copy = copy.fork();
+                    copy.truncate(dropped);
+                    copy.run_until(at);
+                    newcomer(&mut copy, &frag, "new.", at);
+                    same(&full, &copy.run().unwrap());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "before it paused")]
+    fn an_appended_edge_from_a_paused_activity_panics() {
+        let (mut sim, _) = residents(SharePolicy::Fifo, false);
+        sim.run_until(TIE);
+        let late = sim.add_activity(Activity::new("late").release_at(TIE));
+        sim.add_dep(ActivityId(0), late);
+    }
+
+    #[test]
+    #[should_panic(expected = "before the pause it was appended at")]
+    fn an_activity_appended_ready_before_the_pause_panics() {
+        let (mut sim, _) = residents(SharePolicy::Fifo, false);
+        sim.run_until(TIE);
+        sim.add_activity(Activity::new("early").release_at(SimTime::from_nanos(1)));
+        sim.run_until(TIE);
     }
 
     #[test]

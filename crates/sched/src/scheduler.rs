@@ -172,8 +172,14 @@ pub struct Schedule {
     pub baseline_sims: u64,
     /// The engine counters of every commit simulation, folded
     /// ([`EngineProfile::merge`]): machine-independent work the stream
-    /// cost. Not part of `mcio.schedule.v1`.
+    /// cost, every event of every shared run counted. Not part of
+    /// `mcio.schedule.v1`.
     pub engine: EngineProfile,
+    /// Events of the commit simulations resumed from the stream's
+    /// session instead of fired ([`TenantSession::events_resumed`]):
+    /// `engine.events_fired` less this is what the process simulated.
+    /// Not part of `mcio.schedule.v1`.
+    pub events_resumed: u64,
     /// Chrome-trace JSON of the pid-6 scheduler lanes, when requested.
     pub trace: Option<String>,
 }
@@ -735,6 +741,7 @@ pub fn run_schedule_with<'a>(
         commits: lp.commits,
         baseline_sims: lp.session.baseline_sims(),
         engine: lp.engine,
+        events_resumed: lp.session.events_resumed(),
         trace: chrome,
     }
 }

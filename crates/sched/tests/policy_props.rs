@@ -14,8 +14,9 @@
 //! * the seeded trace generator replays byte-identically;
 //! * the rendered document is byte-identical at `--jobs 1` vs
 //!   `--jobs 8` (the precompute fan-out cannot leak into the output);
-//! * the stream-long solo memo changes no byte: committing every
-//!   tenant set on a fresh session yields the same schedule.
+//! * the stream-long solo memo, kept lowerings and resumed shared runs
+//!   change no byte: committing every tenant set on a fresh session
+//!   yields the same schedule and the same engine counters.
 
 use mcio_core::{run_multitenant, AdaptivePolicy};
 use mcio_sched::scheduler::run_schedule_with;
@@ -157,6 +158,8 @@ proptest! {
             prop_assert_eq!(&memoised.events, &reference.events);
             prop_assert_eq!(&memoised.reservations, &reference.reservations);
             prop_assert_eq!(memoised.commits, reference.commits);
+            // A resumed commit reports every event of the full run.
+            prop_assert_eq!(&memoised.engine, &reference.engine);
         }
     }
 }
