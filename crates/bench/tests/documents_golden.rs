@@ -31,6 +31,10 @@
 //!
 //! Between them the four analyze fixtures cover every optional section
 //! of `mcio.analyze.v1` (`stragglers`, `tenants`, `replans`, `sched`).
+//! The Chrome traces are pinned too: `analyze_trace.json` is what
+//! `mcio_cli run $TINY --trace F` writes, byte for byte, and the three
+//! traces written above to `$T` are held to their byte length and
+//! FNV-1a-64 hash ([`TracePin`]; a failing assert prints the pair).
 //! Host-data documents (`mcio.exascale.v1`, the host section of
 //! `mcio.prof.v1`) are pinned by literal-input unit
 //! tests next to their emitters; `BENCH_perf_suite.json` and
@@ -90,6 +94,21 @@ fn analyze_json(trace: &str) -> String {
     cli(&["analyze", "--trace", trace, "--report", "json"])
 }
 
+/// A written trace's byte length and FNV-1a-64 hash.
+type TracePin = (usize, u64);
+
+fn assert_trace_pin(name: &str, path: &str, pin: TracePin) {
+    let bytes = std::fs::read(path).expect("command wrote its trace");
+    let fnv = (bytes.iter()).fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(
+        (bytes.len(), fnv),
+        pin,
+        "{name} drifted from its pinned (length, FNV-1a-64)"
+    );
+}
+
 const TINY: [&str; 12] = [
     "--ranks",
     "4",
@@ -132,8 +151,27 @@ fn multitenant_document_and_its_tenant_attribution() {
         &trace,
     ]);
     assert_golden("multitenant.json", &doc);
+    assert_trace_pin("mt.trace", &trace, MT_TRACE);
     assert_golden("analyze_multitenant.json", &analyze_json(&trace));
     std::fs::remove_file(&trace).ok();
+}
+
+const MT_TRACE: TracePin = (58_379, 0x0bd4_5d42_5bd5_57e3);
+const SCHED_TRACE: TracePin = (3_089, 0x8154_5569_cd2a_371b);
+const REPLAN_TRACE: TracePin = (70_579, 0xa307_2109_a53e_d168);
+
+#[test]
+fn the_analyze_fixture_is_what_a_traced_run_writes() {
+    let trace = tmp("analyze_trace.json");
+    let mut args = vec!["run"];
+    args.extend_from_slice(&TINY);
+    args.extend_from_slice(&["--trace", &trace]);
+    cli(&args);
+    let fixture = std::fs::read(fixture("analyze_trace.json")).expect("fixture exists");
+    assert!(
+        read_and_remove(&trace).as_bytes() == fixture,
+        "tests/fixtures/analyze_trace.json is no longer what `mcio_cli run` writes"
+    );
 }
 
 #[test]
@@ -153,6 +191,7 @@ fn schedule_document_its_metrics_and_its_sched_section() {
     ]);
     assert_golden("schedule.json", &doc);
     assert_golden("schedule_metrics.json", &read_and_remove(&metrics));
+    assert_trace_pin("sched.trace", &chrome, SCHED_TRACE);
     assert_golden("analyze_schedule.json", &analyze_json(&chrome));
     std::fs::remove_file(&chrome).ok();
 }
@@ -220,6 +259,7 @@ fn replan_section_of_an_adaptive_faulted_run() {
         &metrics,
     ]);
     assert_golden("metrics_faulted.json", &read_and_remove(&metrics));
+    assert_trace_pin("replan.trace", &trace, REPLAN_TRACE);
     assert_golden("analyze_replan.json", &analyze_json(&trace));
     std::fs::remove_file(&trace).ok();
 }
