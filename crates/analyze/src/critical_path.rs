@@ -198,7 +198,7 @@ pub fn critical_path(model: &TraceModel) -> CriticalPath {
     let phases: Vec<(u64, u64, PhaseKind)> = critical_lane
         .map_or(&[][..], |l| model.lane_spans(l))
         .iter()
-        .filter_map(|s| PhaseKind::from_cat(&s.cat).map(|k| (s.start_ns, s.end_ns(), k)))
+        .filter_map(|s| model.phase(s).map(|k| (s.start_ns, s.end_ns(), k)))
         .collect();
 
     let network = model.class_busy_intervals(ResourceClass::Network);
@@ -322,7 +322,7 @@ pub(crate) fn summarize_chains(model: &TraceModel) -> Vec<ChainSummary> {
         let mut cursor = start_ns;
         let mut rounds: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
         for s in spans {
-            match PhaseKind::from_cat(&s.cat) {
+            match model.phase(s) {
                 Some(PhaseKind::Exchange) => exchange_ns += s.dur_ns,
                 Some(PhaseKind::Io) => io_ns += s.dur_ns,
                 None => {}
@@ -334,20 +334,19 @@ pub(crate) fn summarize_chains(model: &TraceModel) -> Vec<ChainSummary> {
                 covered += s_end - cursor.max(s.start_ns);
                 cursor = s_end;
             }
-            if let Some((_, r)) = s.args.iter().find(|(k, _)| k == "round") {
+            if let Some(r) = model.arg(s, "round") {
                 rounds.insert(r);
             } else {
                 // Fallback for traces without span metadata: the span
                 // name is `r<N>.<phase>`.
-                if let Some(prefix) = s.name.split('.').next() {
+                if let Some(prefix) = model.text(s.name).split('.').next() {
                     rounds.insert(prefix);
                 }
             }
         }
-        let group = spans
-            .iter()
-            .find_map(|s| s.args.iter().find(|(k, _)| k == "group"))
-            .map_or_else(|| lane.name.as_deref().unwrap_or("?"), |(_, v)| v.as_str());
+        let group = (spans.iter().find_map(|s| model.arg(s, "group")))
+            .or_else(|| model.lane_name(lane))
+            .unwrap_or("?");
         out.push(ChainSummary {
             chain: lane.tid,
             group: group.to_string(),

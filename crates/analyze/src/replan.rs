@@ -70,11 +70,13 @@ pub fn replan_actions(model: &TraceModel) -> Vec<ReplanAction> {
         .pid_spans(PID_REPLAN)
         .iter()
         .map(|s| ReplanAction {
-            actuator: s.cat.clone(),
-            name: s.name.clone(),
+            actuator: model.text(s.cat).to_string(),
+            name: model.text(s.name).to_string(),
             start_ns: s.start_ns,
             dur_ns: s.dur_ns,
-            args: s.args.clone(),
+            args: (model.span_args(s))
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
         })
         .collect();
     out.sort_by(|a, b| {

@@ -14,6 +14,7 @@
 //! optional section follows.
 
 use crate::trace_model::{TraceModel, PID_SCHED};
+use mcio_obs::Span;
 
 /// One dispatch decision recovered from the pid-6 lanes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,13 +46,6 @@ pub struct SchedSection {
     pub dispatches: Vec<SchedDispatch>,
 }
 
-fn arg_u64(args: &[(String, String)], key: &str) -> u64 {
-    args.iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(0)
-}
-
 /// Lift the pid-6 scheduler lanes of a trace into a [`SchedSection`].
 /// Returns `None` when the trace carries no scheduler lanes, so
 /// non-scheduled reports stay byte-identical.
@@ -60,23 +54,25 @@ pub fn sched_section(model: &TraceModel) -> Option<SchedSection> {
     if spans.is_empty() {
         return None;
     }
+    let arg_u64 = |s: &Span, key: &str| model.arg(s, key).and_then(|v| v.parse().ok()).unwrap_or(0);
+    let cat = |s: &Span| model.text(s.cat);
     let max_queue_depth = spans
         .iter()
-        .filter(|s| s.cat == "queue")
-        .map(|s| arg_u64(&s.args, "depth"))
+        .filter(|s| cat(s) == "queue")
+        .map(|s| arg_u64(s, "depth"))
         .max()
         .unwrap_or(0);
-    let admission_defers = spans.iter().filter(|s| s.cat == "admission").count() as u64;
+    let admission_defers = spans.iter().filter(|s| cat(s) == "admission").count() as u64;
     let mut dispatches: Vec<SchedDispatch> = spans
         .iter()
-        .filter(|s| s.cat == "dispatch")
+        .filter(|s| cat(s) == "dispatch")
         .map(|s| SchedDispatch {
-            job: s.name.clone(),
+            job: model.text(s.name).to_string(),
             start_ns: s.start_ns,
             dur_ns: s.dur_ns,
-            nodes: arg_u64(&s.args, "nodes"),
-            wait_ns: arg_u64(&s.args, "wait_ns"),
-            backfill: arg_u64(&s.args, "backfill") == 1,
+            nodes: arg_u64(s, "nodes"),
+            wait_ns: arg_u64(s, "wait_ns"),
+            backfill: arg_u64(s, "backfill") == 1,
         })
         .collect();
     dispatches.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then_with(|| a.job.cmp(&b.job)));

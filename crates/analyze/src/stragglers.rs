@@ -180,7 +180,7 @@ fn rounds_active(model: &TraceModel, intervals: &[(u64, u64)], bucket: &str) -> 
     };
     let mut rounds = std::collections::BTreeSet::new();
     for s in model.pid_spans(PID_ROUNDS) {
-        if PhaseKind::from_cat(&s.cat) != Some(want) {
+        if model.phase(s) != Some(want) {
             continue;
         }
         let overlaps = intervals
@@ -189,7 +189,7 @@ fn rounds_active(model: &TraceModel, intervals: &[(u64, u64)], bucket: &str) -> 
         if !overlaps {
             continue;
         }
-        if let Some(r) = round_of(s) {
+        if let Some(r) = round_of(model, s) {
             rounds.insert(r);
         }
     }
@@ -198,13 +198,12 @@ fn rounds_active(model: &TraceModel, intervals: &[(u64, u64)], bucket: &str) -> 
 
 /// The round index of a phase span, from its `round` arg or its
 /// `r<N>.<phase>` name.
-fn round_of(s: &mcio_obs::Span) -> Option<u64> {
-    if let Some((_, v)) = s.args.iter().find(|(k, _)| k == "round") {
-        if let Ok(r) = v.parse() {
-            return Some(r);
-        }
+fn round_of(model: &TraceModel, s: &mcio_obs::Span) -> Option<u64> {
+    if let Some(Ok(r)) = model.arg(s, "round").map(str::parse) {
+        return Some(r);
     }
-    s.name.strip_prefix('r')?.split('.').next()?.parse().ok()
+    let name = model.text(s.name);
+    name.strip_prefix('r')?.split('.').next()?.parse().ok()
 }
 
 /// Detect every straggling chain, aggregator, and OST in one trace,
@@ -282,7 +281,7 @@ pub fn stragglers(model: &TraceModel) -> Vec<Straggler> {
     for (i, med, score) in flag_outliers(&durations) {
         out.push(Straggler {
             kind: StragglerKind::Ost,
-            name: osts[i].name.clone().unwrap_or_default(),
+            name: model.lane_name(osts[i]).unwrap_or_default().to_string(),
             duration_ns: durations[i],
             peer_median_ns: med,
             score,

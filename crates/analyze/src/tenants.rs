@@ -105,13 +105,7 @@ pub fn tenant_paths(model: &TraceModel) -> Vec<TenantPath> {
         let tid = lane.tid;
         let window = &model.lane_spans(lane)[0];
         let (start_ns, end_ns) = (window.start_ns, window.end_ns());
-        let arg = |key: &str| {
-            window
-                .args
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-        };
+        let arg = |key: &str| model.arg(window, key);
 
         let own = busy_of
             .get(&tid)
@@ -132,17 +126,15 @@ pub fn tenant_paths(model: &TraceModel) -> Vec<TenantPath> {
         let critical_lane = model
             .lanes(PID_ROUNDS)
             .iter()
-            .filter_map(|l| {
-                let name = l.name.as_deref()?;
-                (job_of(name) == Some(tid)).then_some((l.end_ns, name))
-            })
+            .filter(|l| model.lane_job(l) == Some(tid))
+            .filter_map(|l| Some((l.end_ns, model.lane_name(l)?)))
             .max_by(|a, b| a.0.cmp(&b.0).then_with(|| b.1.cmp(a.1)))
             .map(|(_, name)| name.to_string());
 
         out.push(TenantPath {
             tid,
-            job: arg("job").unwrap_or_default(),
-            strategy: arg("strategy").unwrap_or_default(),
+            job: arg("job").unwrap_or_default().to_string(),
+            strategy: arg("strategy").unwrap_or_default().to_string(),
             start_ns,
             end_ns,
             self_ns,

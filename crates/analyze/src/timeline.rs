@@ -184,7 +184,7 @@ pub fn timeline(model: &TraceModel, bucket_ns: u64) -> Timeline {
     for lane in model.lanes(PID_RESOURCES) {
         if lane.class == ResourceClass::Storage {
             push(
-                lane.name.clone().unwrap_or_default(),
+                model.lane_name(lane).unwrap_or_default().to_string(),
                 SeriesKind::Ost,
                 &lane.busy,
             );

@@ -12,7 +12,7 @@
 
 use mcio_analyze::TraceModel;
 use mcio_obs::json::{self, JsonValue};
-use mcio_obs::{Span, Trace};
+use mcio_obs::Trace;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseResult;
 
@@ -31,7 +31,19 @@ fn time_ns() -> impl Strategy<Value = u64> {
     (0u32..52, any::<u64>()).prop_map(|(bits, v)| v & ((1 << bits) - 1))
 }
 
-fn span() -> impl Strategy<Value = Span> {
+/// A span as the strategies draw it: the strings themselves.
+#[derive(Debug, Clone)]
+struct GenSpan {
+    name: String,
+    cat: String,
+    pid: u64,
+    tid: u64,
+    start_ns: u64,
+    dur_ns: u64,
+    args: Vec<(String, String)>,
+}
+
+fn span() -> impl Strategy<Value = GenSpan> {
     let lane = (0u64..4, 0u64..4);
     let args = prop::collection::vec((text(), text()), 0..4);
     (text(), text(), lane, time_ns(), time_ns(), args).prop_map(
@@ -39,7 +51,7 @@ fn span() -> impl Strategy<Value = Span> {
             // The reader hands args back in key order, one per key.
             args.sort();
             args.dedup_by(|a, b| a.0 == b.0);
-            Span {
+            GenSpan {
                 name,
                 cat,
                 pid,
@@ -52,17 +64,59 @@ fn span() -> impl Strategy<Value = Span> {
     )
 }
 
-fn trace() -> impl Strategy<Value = Trace> {
+/// A trace as the strategies draw it, built into a [`Trace`] by
+/// [`GenTrace::build`].
+#[derive(Debug, Clone)]
+struct GenTrace {
+    spans: Vec<GenSpan>,
+    processes: Vec<(u64, String)>,
+    threads: Vec<(u64, u64, String)>,
+}
+
+impl GenTrace {
+    /// The trace through the builder calls, with the lane names
+    /// recorded (and so interned) before the spans or after them.
+    fn build(&self, lanes_first: bool) -> Trace {
+        let mut t = Trace::default();
+        let lanes = |t: &mut Trace| {
+            for (pid, name) in &self.processes {
+                t.name_process(*pid, name);
+            }
+            for (pid, tid, name) in &self.threads {
+                t.name_thread(*pid, *tid, name);
+            }
+        };
+        if lanes_first {
+            lanes(&mut t);
+        }
+        for s in &self.spans {
+            let args: Vec<(&str, &str)> = (s.args.iter())
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect();
+            t.span_with_args(&s.name, &s.cat, s.pid, s.tid, s.start_ns, s.dur_ns, &args);
+        }
+        if !lanes_first {
+            lanes(&mut t);
+        }
+        t
+    }
+}
+
+fn gen_trace() -> impl Strategy<Value = GenTrace> {
     (
         prop::collection::vec(span(), 0..12),
         prop::collection::vec((0u64..4, text()), 0..3),
         prop::collection::vec((0u64..4, 0u64..4, text()), 0..6),
     )
-        .prop_map(|(spans, processes, threads)| Trace {
+        .prop_map(|(spans, processes, threads)| GenTrace {
             spans,
             processes,
             threads,
         })
+}
+
+fn trace() -> impl Strategy<Value = Trace> {
+    gen_trace().prop_map(|g| g.build(true))
 }
 
 /// `Trace::from_chrome_json` as it was while it read a tree: parse the
@@ -103,8 +157,8 @@ fn tree_reader(input: &str) -> Result<Trace, String> {
                 let meta_name = ev.get("args").and_then(|a| a.get("name"));
                 let meta_name = meta_name.and_then(JsonValue::as_str).unwrap_or_default();
                 match name {
-                    "process_name" => trace.processes.push((pid, meta_name.to_string())),
-                    "thread_name" => trace.threads.push((pid, tid, meta_name.to_string())),
+                    "process_name" => trace.name_process(pid, meta_name),
+                    "thread_name" => trace.name_thread(pid, tid, meta_name),
                     _ => {}
                 }
             }
@@ -115,22 +169,15 @@ fn tree_reader(input: &str) -> Result<Trace, String> {
                         "event {i}: \"ts\" + \"dur\" does not fit u64 nanoseconds"
                     ));
                 }
-                let args = match ev.get("args") {
+                let args: Vec<(&str, &str)> = match ev.get("args") {
                     Some(JsonValue::Object(map)) => map
                         .iter()
-                        .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_string())))
+                        .filter_map(|(k, v)| v.as_str().map(|s| (k.as_str(), s)))
                         .collect(),
                     _ => Vec::new(),
                 };
-                trace.spans.push(Span {
-                    name: name.to_string(),
-                    cat: text("cat").unwrap_or_default().to_string(),
-                    pid,
-                    tid,
-                    start_ns,
-                    dur_ns,
-                    args,
-                });
+                let cat = text("cat").unwrap_or_default();
+                trace.span_with_args(name, cat, pid, tid, start_ns, dur_ns, &args);
             }
             other => return Err(format!("event {i}: unsupported phase \"{other}\"")),
         }
@@ -355,6 +402,17 @@ proptest! {
         let json = t.to_chrome_json();
         prop_assert_eq!(Trace::from_chrome_json(&json), Ok(t.clone()));
         prop_assert_eq!(TraceModel::from_chrome_json(&json), Ok(TraceModel::new(t)));
+    }
+
+    #[test]
+    fn interning_order_is_invisible(g in gen_trace()) {
+        let (first, last) = (g.build(true), g.build(false));
+        let json = first.to_chrome_json();
+        prop_assert_eq!(&first, &last);
+        prop_assert_eq!(&json, &last.to_chrome_json());
+        let read = Trace::from_chrome_json(&json);
+        prop_assert_eq!(read.as_ref(), Ok(&last));
+        prop_assert_eq!(&read.expect("read").to_chrome_json(), &json);
     }
 
     #[test]

@@ -1319,23 +1319,25 @@ fn emit_round_spans(
         // serves ("all" when global sync zips every group into one
         // chain) and how many aggregators work the slot. Critical-
         // path reconstruction in `mcio-analyze` keys on these args.
-        let group = match shape.groups.get(meta.chain).copied().flatten() {
-            Some(gi) => gi.to_string(),
-            None => "all".to_string(),
+        let gi = shape.groups.get(meta.chain).copied().flatten();
+        let group: &dyn std::fmt::Display = match &gi {
+            Some(gi) => gi,
+            None => &"all",
         };
-        let naggs = shape.agg_io_runs(meta).count().to_string();
-        let round_s = meta.round.to_string();
-        let args: &[(&str, &str)] = &[
-            ("group", group.as_str()),
-            ("round", round_s.as_str()),
-            ("aggs", naggs.as_str()),
+        let args = [
+            ("group", tc.sym(format_args!("{group}"))),
+            ("round", tc.sym(format_args!("{}", meta.round))),
+            (
+                "aggs",
+                tc.sym(format_args!("{}", shape.agg_io_runs(meta).count())),
+            ),
         ];
         let tid = tid_base + meta.chain as u64;
         if named_chains.insert(meta.chain) {
             tc.name_thread(
                 PID_ROUNDS,
                 tid,
-                &format!("{}chain{} (group {group})", job.prefix, meta.chain),
+                format_args!("{}chain{} (group {group})", job.prefix, meta.chain),
             );
         }
         // The first phase starts the slot, the second follows it.
@@ -1348,8 +1350,8 @@ fn emit_round_spans(
             ("io", io_start, phase.io),
         ];
         for (what, start, dur) in spans.into_iter().filter(|s| !s.2.is_zero()) {
-            let name = format!("r{}.{what}", meta.round);
-            tc.span_with_args(&name, what, PID_ROUNDS, tid, start, dur.as_nanos(), args);
+            let name = format_args!("r{}.{what}", meta.round);
+            tc.span_with_args(name, what, PID_ROUNDS, tid, start, dur.as_nanos(), &args);
         }
     }
 }
@@ -1379,15 +1381,21 @@ fn trace_faults(tc: &mut Trace, ex: &Executed<'_>) {
         let (name, from, until) = match *ev {
             FaultEvent::OstSlow {
                 ost, from, until, ..
-            } => (format!("ost{ost}.slow"), from, until),
-            FaultEvent::OstStall { ost, from, until } => (format!("ost{ost}.stall"), from, until),
+            } => (tc.sym(format_args!("ost{ost}.slow")), from, until),
+            FaultEvent::OstStall { ost, from, until } => {
+                (tc.sym(format_args!("ost{ost}.stall")), from, until)
+            }
             FaultEvent::ReqTransientFail { .. } => continue,
-            FaultEvent::MemShock { node, at, .. } => {
-                (format!("node{node}.mem_shock"), at, at + instant)
-            }
-            FaultEvent::AggCrash { host, at } => {
-                (format!("host{host}.agg_crash"), at, at + instant)
-            }
+            FaultEvent::MemShock { node, at, .. } => (
+                tc.sym(format_args!("node{node}.mem_shock")),
+                at,
+                at + instant,
+            ),
+            FaultEvent::AggCrash { host, at } => (
+                tc.sym(format_args!("host{host}.agg_crash")),
+                at,
+                at + instant,
+            ),
         };
         let start = from.saturating_since(SimTime::ZERO).as_nanos();
         let end = until
@@ -1395,7 +1403,7 @@ fn trace_faults(tc: &mut Trace, ex: &Executed<'_>) {
             .as_nanos()
             .min(elapsed_ns);
         if end > start {
-            tc.span(&name, "inject", PID_FAULTS, 0, start, end - start);
+            tc.span(name, "inject", PID_FAULTS, 0, start, end - start);
         }
     }
     let failover_gates = ex.jobs.iter().flat_map(|j| &j.marks.gates);
@@ -1419,7 +1427,7 @@ fn trace_faults(tc: &mut Trace, ex: &Executed<'_>) {
             {
                 if w.end_ns > w.start_ns {
                     tc.span(
-                        &format!("r{round}.degraded"),
+                        format_args!("r{round}.degraded"),
                         "degraded",
                         PID_FAULTS,
                         2,
@@ -1443,7 +1451,7 @@ fn trace_faults(tc: &mut Trace, ex: &Executed<'_>) {
     for mark in &ex.retry_marks {
         let tid = 3 + mark.ost as u64;
         if named_osts.insert(mark.ost) {
-            tc.name_thread(PID_FAULTS, tid, &format!("ost{}.retries", mark.ost));
+            tc.name_thread(PID_FAULTS, tid, format_args!("ost{}.retries", mark.ost));
         }
         // The first `attempts - 1` stages of the chain are the failed
         // tries; the gaps between consecutive stages are the backoff
@@ -1454,7 +1462,7 @@ fn trace_faults(tc: &mut Trace, ex: &Executed<'_>) {
             let dur = rec.end.saturating_since(rec.start).as_nanos();
             if (i as u32) < mark.attempts.saturating_sub(1) && dur > 0 {
                 tc.span(
-                    &format!("attempt{}", i + 1),
+                    format_args!("attempt{}", i + 1),
                     "retry",
                     PID_FAULTS,
                     tid,

@@ -492,22 +492,25 @@ impl<'a> TenantSession<'a> {
             if multi {
                 tc.name_lane(PID_TENANTS);
                 for (ji, outcome) in outcomes.iter().enumerate() {
-                    tc.name_thread(PID_TENANTS, ji as u64, &format!("j{ji} {}", outcome.label));
-                    let slowdown = format!("{:.6}", outcome.slowdown);
-                    let overlap = format!("{:.6}", outcome.ost_overlap);
+                    let label = outcome.label.as_str();
+                    tc.name_thread(PID_TENANTS, ji as u64, format_args!("j{ji} {label}"));
+                    let args = [
+                        ("job", tc.sym(label)),
+                        ("strategy", tc.sym(outcome.strategy.label())),
+                        ("slowdown", tc.sym(format_args!("{:.6}", outcome.slowdown))),
+                        (
+                            "ost_overlap",
+                            tc.sym(format_args!("{:.6}", outcome.ost_overlap)),
+                        ),
+                    ];
                     tc.span_with_args(
-                        &format!("j{ji}.window"),
+                        format_args!("j{ji}.window"),
                         "tenant",
                         PID_TENANTS,
                         ji as u64,
                         outcome.start_ns,
                         outcome.end_ns - outcome.start_ns,
-                        &[
-                            ("job", outcome.label.as_str()),
-                            ("strategy", outcome.strategy.label()),
-                            ("slowdown", slowdown.as_str()),
-                            ("ost_overlap", overlap.as_str()),
-                        ],
+                        &args,
                     );
                 }
             }

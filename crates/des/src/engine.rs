@@ -6,7 +6,7 @@ use crate::activity::{Activity, ActivityId, ActivityState, Stage};
 use crate::resource::{Bandwidth, Job, ResourceId, ResourceTable, ResourceUsage, SharePolicy};
 use crate::time::{SimDuration, SimTime};
 use mcio_obs::catalogue::PID_RESOURCES;
-use mcio_obs::{Histogram, Registry, Span, Trace};
+use mcio_obs::{Histogram, Registry, Span, Sym, Trace};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt::{self, Write as _};
@@ -1209,27 +1209,43 @@ impl RunReport {
     /// Push the recorded service trace into `out` under
     /// [`PID_RESOURCES`]: one lane (`tid`) per resource, one span per
     /// service interval, with lanes named after the resources.
-    /// No-op when tracing was not enabled.
+    /// No-op when tracing was not enabled. A used resource's name is
+    /// interned once and an activity's label once per record; nothing
+    /// is allocated per span.
     pub fn trace_into(&self, out: &mut Trace) {
         let Some(trace) = &self.trace else { return };
         let pid = PID_RESOURCES;
         out.name_lane(pid);
-        let used: std::collections::BTreeSet<usize> =
-            trace.iter().map(|r| r.resource.index()).collect();
-        // The service records are most of any trace: `extend` reserves
-        // once from the slice's length.
-        let name = |tid: usize| self.resources.name(tid).to_string();
-        out.threads
-            .extend((used.iter()).map(|&tid| (pid, tid as u64, name(tid))));
-        out.spans.extend(trace.iter().map(|rec| Span {
-            name: self.label(rec.activity).to_string(),
-            cat: name(rec.resource.index()),
-            pid,
-            tid: rec.resource.index() as u64,
-            start_ns: rec.start.as_nanos(),
-            dur_ns: rec.end.saturating_since(rec.start).as_nanos(),
-            args: Vec::new(),
-        }));
+        // The name of every resource that served a record: its lane.
+        let mut lanes: Vec<Option<Sym>> = vec![None; self.resources.len()];
+        for rec in trace {
+            let tid = rec.resource.index();
+            if lanes[tid].is_none() {
+                lanes[tid] = Some(out.sym(self.resources.name(tid)));
+            }
+        }
+        out.threads.reserve(lanes.iter().flatten().count());
+        for (tid, lane) in lanes.iter().enumerate() {
+            if let Some(name) = *lane {
+                out.name_thread(pid, tid as u64, name);
+            }
+        }
+        // The service records are most of any trace.
+        out.spans.reserve(trace.len());
+        for rec in trace {
+            let tid = rec.resource.index();
+            let args = out.args.len() as u32;
+            let span = Span {
+                name: out.sym(self.label(rec.activity)),
+                cat: lanes[tid].expect("a lane per served resource"),
+                pid,
+                tid: tid as u64,
+                start_ns: rec.start.as_nanos(),
+                dur_ns: rec.end.saturating_since(rec.start).as_nanos(),
+                args: args..args,
+            };
+            out.spans.push(span);
+        }
     }
 }
 
@@ -1973,14 +1989,15 @@ mod tests {
         let rep = sim.run().unwrap();
         let mut tc = Trace::default();
         rep.trace_into(&mut tc);
-        let Trace {
-            spans, processes, ..
-        } = tc;
+        let spans = &tc.spans;
         assert_eq!(spans.len(), 2);
         assert!(spans.iter().all(|s| s.pid == PID_RESOURCES));
-        assert_eq!(processes, [(PID_RESOURCES, "des.resources".to_string())]);
-        assert_eq!(spans[0].tid, 0);
-        assert_eq!(spans[1].tid, 1);
+        let &[(pid, name)] = &tc.processes[..] else {
+            panic!("one process")
+        };
+        assert_eq!((pid, tc.text(name)), (PID_RESOURCES, "des.resources"));
+        assert_eq!((spans[0].tid, tc.text(spans[0].name)), (0, "a"));
+        assert_eq!((spans[1].tid, tc.text(spans[1].cat)), (1, "r2"));
         // Without tracing enabled, trace_into is a no-op.
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));

@@ -13,6 +13,7 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::fmt;
 
 /// A parsed JSON document.
@@ -129,6 +130,14 @@ const MAX_DEPTH: usize = 128;
 /// An object's keys are checked for duplicates by scanning while it has
 /// at most this many, through a set past that.
 const SCANNED_KEYS: usize = 16;
+
+/// An object member's key, as [`Parser::members`] hands it over.
+pub(crate) enum Key<'a, T> {
+    /// One of the caller's known member names.
+    Known(T),
+    /// Any other key, escapes resolved.
+    Other(Cow<'a, str>),
+}
 
 /// The pull tokenizer. Every method expects the cursor on the first
 /// byte of what it reads and leaves it just past the last; [`array`]
@@ -285,23 +294,63 @@ impl<'a> Parser<'a> {
         &mut self,
         mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), E>,
     ) -> Result<(), E> {
+        self.members(&[], |p, key: Key<'a, Infallible>| match key {
+            Key::Known(never) => match never {},
+            Key::Other(key) => member(p, key),
+        })
+    }
+
+    /// [`Parser::object`] for a reader that knows the names of the
+    /// members it keeps: `member` gets [`Key::Known`] for those, so
+    /// neither side compares them as strings again, and their
+    /// duplicates are found with one bit each. Only the other keys are
+    /// held for the duplicate check. Grammar, errors and offsets are
+    /// [`Parser::object`]'s.
+    pub(crate) fn members<T: Copy, E: From<ParseError>>(
+        &mut self,
+        known: &[(&str, T)],
+        mut member: impl FnMut(&mut Self, Key<'a, T>) -> Result<(), E>,
+    ) -> Result<(), E> {
+        debug_assert!(known.len() <= 64, "one bit per known member");
         self.open(b'{')?;
         let base = self.keys.len();
         let mut many: Option<BTreeSet<Cow<'a, str>>> = None;
+        let (mut seen, mut next) = (0u64, 0);
         self.skip_ws();
         if self.peek() != Some(b'}') {
             loop {
                 self.skip_ws();
-                let key = self.string()?;
-                let duplicate = match &mut many {
-                    Some(set) => !set.insert(key.clone()),
-                    None => {
-                        let duplicate = self.keys[base..].contains(&key);
-                        self.keys.push(key.clone());
-                        if self.keys.len() - base > SCANNED_KEYS {
-                            many = Some(self.keys.drain(base..).collect());
-                        }
-                        duplicate
+                // Members usually come in the order `known` lists them:
+                // the one after the last found is matched in place when
+                // it is spelled without escapes.
+                let found = match known.get(next) {
+                    Some((name, _)) if self.plain_key(name) => Ok(next),
+                    _ => {
+                        let key = self.string()?;
+                        known.iter().position(|(name, _)| *name == key).ok_or(key)
+                    }
+                };
+                let (duplicate, key) = match found {
+                    Ok(i) => {
+                        next = i + 1;
+                        let bit = 1 << i;
+                        let duplicate = seen & bit != 0;
+                        seen |= bit;
+                        (duplicate, Key::Known(known[i].1))
+                    }
+                    Err(key) => {
+                        let duplicate = match &mut many {
+                            Some(set) => !set.insert(key.clone()),
+                            None => {
+                                let duplicate = self.keys[base..].contains(&key);
+                                self.keys.push(key.clone());
+                                if self.keys.len() - base > SCANNED_KEYS {
+                                    many = Some(self.keys.drain(base..).collect());
+                                }
+                                duplicate
+                            }
+                        };
+                        (duplicate, Key::Other(key))
                     }
                 };
                 self.skip_ws();
@@ -323,6 +372,20 @@ impl<'a> Parser<'a> {
         self.pos += 1;
         self.depth -= 1;
         Ok(())
+    }
+
+    /// Step over the literal `"name"` if the cursor is on it; `name`
+    /// holds nothing a literal would escape.
+    fn plain_key(&mut self, name: &str) -> bool {
+        let rest = &self.input.as_bytes()[self.pos..];
+        let plain = rest.len() > name.len() + 1
+            && rest[0] == b'"'
+            && rest[1..].starts_with(name.as_bytes())
+            && rest[name.len() + 1] == b'"';
+        if plain {
+            self.pos += name.len() + 2;
+        }
+        plain
     }
 
     /// Read a string literal: a slice of the input when it has no
@@ -408,17 +471,24 @@ impl<'a> Parser<'a> {
     /// Read a number.
     pub(crate) fn number(&mut self) -> Result<f64, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+        // The digits as one integer, and how many follow the point.
+        let (mut mantissa, mut digits, mut scale) = (0u64, 0, 0);
+        let mut fraction = false;
+        loop {
+            match self.peek() {
+                Some(d @ b'0'..=b'9') => {
+                    mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
+                    digits += 1;
+                    scale += usize::from(fraction);
+                }
+                Some(b'.') if !fraction => fraction = true,
+                _ => break,
             }
+            self.pos += 1;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
@@ -428,12 +498,24 @@ impl<'a> Parser<'a> {
             while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
                 self.pos += 1;
             }
+        } else if (1..=15).contains(&digits) {
+            // Below 10^15 the integer and the power of ten are exact
+            // doubles, and one IEEE division rounds the quotient the way
+            // `parse` rounds the decimal.
+            let value = mantissa as f64 / POW10[scale];
+            return Ok(if negative { -value } else { value });
         }
         self.input[start..self.pos]
             .parse()
             .map_err(|_| self.error("invalid number"))
     }
 }
+
+/// The powers of ten a double holds exactly, up to the fifteen digits
+/// [`Parser::number`] reads without `parse`.
+const POW10: [f64; 16] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
 
 #[cfg(test)]
 mod tests {

@@ -15,7 +15,7 @@
 //!   as Chrome trace-event JSON so a whole collective run (DES resource
 //!   lanes, planner phases, per-round exchange/IO) lands in one
 //!   Perfetto-loadable file; it is the only writer and the only reader
-//!   of that format.
+//!   of that format. Its strings are [`Sym`]s into one table per trace.
 //! * [`export`] — JSON, CSV, and Prometheus text renderings of a
 //!   [`Snapshot`].
 //! * [`json`] — the one strict JSON grammar, a pull tokenizer: it
@@ -47,7 +47,7 @@ pub use histogram::Histogram;
 pub use registry::{
     CounterSample, GaugeSample, HistogramSample, Labels, MetricMeta, Registry, Snapshot,
 };
-pub use trace::{Span, Trace};
+pub use trace::{IntoSym, Span, Sym, Trace};
 
 /// The export formats `mcio_cli --metrics-format` accepts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

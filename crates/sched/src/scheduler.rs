@@ -656,28 +656,20 @@ pub fn run_schedule_with<'a>(
                 .get(i + 1)
                 .map(|next| next.t_ns - ev.t_ns)
                 .unwrap_or(1);
-            let (depth, alloc, free) = (
-                ev.queue_depth.to_string(),
-                ev.allocated_nodes.to_string(),
-                ev.free_nodes.to_string(),
-            );
-            tc.span_with_args(
-                "depth",
-                "queue",
-                PID_SCHED,
-                0,
-                ev.t_ns,
-                dur,
-                &[
-                    ("depth", depth.as_str()),
-                    ("allocated", alloc.as_str()),
-                    ("free", free.as_str()),
-                ],
-            );
+            let args = [
+                ("depth", tc.sym(format_args!("{}", ev.queue_depth))),
+                ("allocated", tc.sym(format_args!("{}", ev.allocated_nodes))),
+                ("free", tc.sym(format_args!("{}", ev.free_nodes))),
+            ];
+            tc.span_with_args("depth", "queue", PID_SCHED, 0, ev.t_ns, dur, &args);
         }
         for &idx in &lp.dispatch_order {
             let j = &jobs[idx];
-            let (nodes, wait) = (j.nodes.to_string(), j.wait_ns.to_string());
+            let args = [
+                ("nodes", tc.sym(format_args!("{}", j.nodes))),
+                ("wait_ns", tc.sym(format_args!("{}", j.wait_ns))),
+                ("backfill", tc.sym(if j.backfilled { "1" } else { "0" })),
+            ];
             tc.span_with_args(
                 &j.name,
                 "dispatch",
@@ -685,15 +677,14 @@ pub fn run_schedule_with<'a>(
                 1,
                 j.dispatch_ns,
                 j.run_ns,
-                &[
-                    ("nodes", nodes.as_str()),
-                    ("wait_ns", wait.as_str()),
-                    ("backfill", if j.backfilled { "1" } else { "0" }),
-                ],
+                &args,
             );
         }
         for &(t, idx, slowdown, overlap) in &lp.defer_log {
-            let (sd, ov) = (format!("{slowdown:.6}"), format!("{overlap:.6}"));
+            let args = [
+                ("slowdown", tc.sym(format_args!("{slowdown:.6}"))),
+                ("overlap", tc.sym(format_args!("{overlap:.6}"))),
+            ];
             tc.span_with_args(
                 &trace.jobs[idx].name,
                 "admission",
@@ -701,7 +692,7 @@ pub fn run_schedule_with<'a>(
                 2,
                 t,
                 1,
-                &[("slowdown", sd.as_str()), ("overlap", ov.as_str())],
+                &args,
             );
         }
         tc.to_chrome_json()
