@@ -31,6 +31,10 @@
 //!   `Rw::flow`, the OST bandwidth, the head and tail of a request);
 //!   planner, executor and fault transforms order things with
 //!   `Rw::flow` instead of forking on the direction.
+//! * A plan's bytes travel in one place: within `crates/core/src`, the
+//!   one `.send(` and the one `.recv(` are the rank-role walk's in
+//!   `crates/core/src/exec_mpi.rs`, which both threaded executors and
+//!   `mpiio::CollFile` call, and that file compares no direction either.
 //!
 //! "Non-test source" is what `scripts/code_lines.sh` counts: the part
 //! of each `crates/*/src/**/*.rs` above its first `#[cfg(test)]`.
@@ -327,5 +331,38 @@ fn direction_is_matched_in_one_place() {
         "a read is a write walked backwards: order the pair with `Rw::flow` \
          (`Message::agg`, the phase order in `exec_sim::Lowering::lower_round`) instead of \
          matching on the direction"
+    );
+}
+
+#[test]
+fn plan_bytes_travel_in_one_place() {
+    let walk = "crates/core/src/exec_mpi.rs";
+    let mut found = Vec::new();
+    for (path, code) in sources() {
+        if !path.starts_with("crates/core/src/") {
+            continue;
+        }
+        let code: Vec<&str> = code
+            .lines()
+            .filter(|l| !l.trim_start().starts_with("//"))
+            .collect();
+        let count = |needle: &str| code.iter().map(|l| l.matches(needle).count()).sum();
+        let (sends, recvs): (usize, usize) = (count(".send("), count(".recv("));
+        if sends + recvs > 0 {
+            found.push((path.clone(), sends, recvs));
+        }
+        if path == walk {
+            assert_eq!(
+                count("== Rw::") + count("!= Rw::"),
+                0,
+                "the walk orders its hops with `Rw::flow`, it does not compare directions"
+            );
+        }
+    }
+    assert_eq!(
+        found,
+        vec![(walk.to_string(), 1, 1)],
+        "every rank role of a plan runs through `exec_mpi::walk`: a second send/recv loop is a \
+         second copy of it"
     );
 }

@@ -6,17 +6,18 @@
 //! "each process first analyzes its own I/O request respectively and
 //! let the aggregators know the entire aggregated I/O requests from all
 //! processes"), every rank then *independently computes the identical
-//! plan* (both planners are deterministic), and executes its own role —
-//! sending its data slices, aggregating windows if it was chosen, and
-//! touching the shared file. No rank ever sees another rank's buffer
-//! except through messages.
+//! plan* (both planners are deterministic), and executes its own role
+//! through the rank-role walk of [`crate::exec_mpi`] — sending its data
+//! slices, aggregating windows if it was chosen, and touching the shared
+//! file. No rank ever sees another rank's buffer except through messages.
 //!
 //! Views must be monotone (file offsets nondecreasing in data order), as
 //! MPI requires of file views.
 
 use crate::config::CollectiveConfig;
+use crate::exec_mpi::{walk, Bytes, Endpoint};
 use crate::memory::ProcMemory;
-use crate::plan::{CollectivePlan, SyncMode};
+use crate::plan::CollectivePlan;
 use crate::request::{CollectiveRequest, RankRequest};
 use crate::Strategy;
 use mcio_cluster::{ProcessMap, Rank};
@@ -24,6 +25,7 @@ use mcio_pfs::{Extent, Rw, SparseFile};
 use mcio_simpi::collectives::{decode_u64s, encode_u64s};
 use mcio_simpi::{Comm, FileView};
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Errors of the collective file layer.
@@ -128,21 +130,49 @@ impl CollFile {
     /// (`MPI_File_write_at_all`). Ranks may pass different lengths
     /// (including zero).
     pub fn write_at_all(&mut self, data_offset: u64, buf: &[u8]) -> Result<(), IoError> {
-        let (req, mine) = self.exchange_requests(Rw::Write, data_offset, buf.len() as u64);
-        let plan = self.plan(&req)?;
-        self.execute_write(&plan, &mine, buf);
-        self.epoch += 1;
-        Ok(())
+        self.collective(Rw::Write, data_offset, buf).map(drop)
     }
 
     /// Collective read at an explicit view-relative offset
     /// (`MPI_File_read_at_all`).
     pub fn read_at_all(&mut self, data_offset: u64, buf: &mut [u8]) -> Result<(), IoError> {
-        let (req, mine) = self.exchange_requests(Rw::Read, data_offset, buf.len() as u64);
-        let plan = self.plan(&req)?;
-        self.execute_read(&plan, &mine, buf);
-        self.epoch += 1;
+        for (at, data) in self.collective(Rw::Read, data_offset, buf)? {
+            buf[at].copy_from_slice(&data);
+        }
         Ok(())
+    }
+
+    /// One collective of direction `rw` over `buf`: exchange requests,
+    /// plan, then walk this rank's role. Returns the pieces that arrived
+    /// for this rank (none for a write), each with its place in `buf`.
+    fn collective(&mut self, rw: Rw, data_offset: u64, buf: &[u8]) -> Result<Vec<Placed>, IoError> {
+        let (req, mine) = self.exchange_requests(rw, data_offset, buf.len() as u64);
+        let plan = self.plan(&req)?;
+        // `mine` is in data order with `prefix[i]` = data bytes before
+        // extent `i`; monotone views make data order equal offset order,
+        // so a binary search locates an extent's bytes in `buf`.
+        let prefix = prefix_sums(&mine);
+        let place = |e: Extent| {
+            let i = mine.partition_point(|x| x.end() <= e.offset);
+            let host = &mine[i];
+            debug_assert!(
+                host.contains_extent(&e),
+                "message extent {e} not within this rank's request"
+            );
+            let start = (prefix[i] + (e.offset - host.offset)) as usize;
+            start..start + e.len as usize
+        };
+        let mut caller = Endpoint::new(|e, out| out.copy_from_slice(&buf[place(e)]));
+        walk(&self.comm, &plan, self.epoch, &mut caller, &mut &*self.file);
+        // A closing barrier keeps the collective call collective: no
+        // rank returns before the data of slower groups is in the file.
+        self.comm.barrier();
+        self.epoch += 1;
+        Ok(caller
+            .got
+            .into_iter()
+            .map(|(e, data)| (place(e), data))
+            .collect())
     }
 
     /// Phase 0 of two-phase I/O: flatten the local view and allgather
@@ -188,113 +218,19 @@ impl CollFile {
         plan.check(req).map_err(IoError::BadPlan)?;
         Ok(plan)
     }
+}
 
-    /// Message tag for (epoch, group, round).
-    fn tag(&self, group: usize, round: usize) -> u64 {
-        (self.epoch << 40) | ((group as u64) << 20) | round as u64
+/// Bytes that arrived for a rank, with their place in its buffer.
+type Placed = (Range<usize>, Vec<u8>);
+
+/// The shared file, locked for each extent it moves.
+impl Bytes for &Mutex<SparseFile> {
+    fn copy_out(&mut self, e: Extent, out: &mut [u8]) {
+        self.lock().read_at(e.offset, out);
     }
 
-    /// Copy the user-buffer slice backing file extent `e` out of `buf`.
-    ///
-    /// `mine` is this rank's extent list in data order with `prefix[i]`
-    /// = data bytes before extent `i`; monotone views make data order
-    /// equal offset order, so a binary search locates the extent.
-    fn slice_of<'a>(mine: &[Extent], prefix: &[u64], e: &Extent, buf: &'a [u8]) -> &'a [u8] {
-        let i = mine.partition_point(|x| x.end() <= e.offset);
-        let host = &mine[i];
-        debug_assert!(
-            host.contains_extent(e),
-            "message extent {e} not within this rank's request"
-        );
-        let start = (prefix[i] + (e.offset - host.offset)) as usize;
-        &buf[start..start + e.len as usize]
-    }
-
-    fn execute_write(&self, plan: &CollectivePlan, mine: &[Extent], buf: &[u8]) {
-        let me = Rank(self.comm.rank());
-        let prefix = prefix_sums(mine);
-        for (gi, g) in plan.groups.iter().enumerate() {
-            for (ri, round) in g.rounds.iter().enumerate() {
-                let t = self.tag(gi, ri);
-                for m in round.messages.iter().filter(|m| m.src == me) {
-                    let mut payload = Vec::with_capacity(m.bytes() as usize);
-                    for e in &m.extents {
-                        payload.extend_from_slice(Self::slice_of(mine, &prefix, &e, buf));
-                    }
-                    self.comm.send(m.dst.0, t, payload);
-                }
-                for io in round.ios.iter().filter(|io| io.agg == me) {
-                    let w = io.window;
-                    let mut wbuf = vec![0u8; w.len as usize];
-                    for m in round.messages.iter().filter(|m| m.dst == me) {
-                        let payload = self.comm.recv(m.src.0, t);
-                        let mut at = 0usize;
-                        for e in &m.extents {
-                            let dst = (e.offset - w.offset) as usize;
-                            wbuf[dst..dst + e.len as usize]
-                                .copy_from_slice(&payload[at..at + e.len as usize]);
-                            at += e.len as usize;
-                        }
-                    }
-                    let mut file = self.file.lock();
-                    for e in &io.extents {
-                        let at = (e.offset - w.offset) as usize;
-                        file.write_at(e.offset, &wbuf[at..at + e.len as usize]);
-                    }
-                }
-                if plan.sync == SyncMode::Global {
-                    self.comm.barrier();
-                }
-            }
-        }
-        // A closing barrier keeps the collective call collective: no
-        // rank returns before the data of slower groups is in the file.
-        self.comm.barrier();
-    }
-
-    fn execute_read(&self, plan: &CollectivePlan, mine: &[Extent], buf: &mut [u8]) {
-        let me = Rank(self.comm.rank());
-        let prefix = prefix_sums(mine);
-        for (gi, g) in plan.groups.iter().enumerate() {
-            for (ri, round) in g.rounds.iter().enumerate() {
-                let t = self.tag(gi, ri);
-                for io in round.ios.iter().filter(|io| io.agg == me) {
-                    let w = io.window;
-                    let mut wbuf = vec![0u8; w.len as usize];
-                    {
-                        let file = self.file.lock();
-                        for e in &io.extents {
-                            let at = (e.offset - w.offset) as usize;
-                            file.read_at(e.offset, &mut wbuf[at..at + e.len as usize]);
-                        }
-                    }
-                    for m in round.messages.iter().filter(|m| m.src == me) {
-                        let mut payload = Vec::with_capacity(m.bytes() as usize);
-                        for e in &m.extents {
-                            let at = (e.offset - w.offset) as usize;
-                            payload.extend_from_slice(&wbuf[at..at + e.len as usize]);
-                        }
-                        self.comm.send(m.dst.0, t, payload);
-                    }
-                }
-                for m in round.messages.iter().filter(|m| m.dst == me) {
-                    let payload = self.comm.recv(m.src.0, t);
-                    let mut at = 0usize;
-                    for e in &m.extents {
-                        let i = mine.partition_point(|x| x.end() <= e.offset);
-                        let host = &mine[i];
-                        let start = (prefix[i] + (e.offset - host.offset)) as usize;
-                        buf[start..start + e.len as usize]
-                            .copy_from_slice(&payload[at..at + e.len as usize]);
-                        at += e.len as usize;
-                    }
-                }
-                if plan.sync == SyncMode::Global {
-                    self.comm.barrier();
-                }
-            }
-        }
-        self.comm.barrier();
+    fn copy_in(&mut self, e: Extent, data: &[u8]) {
+        self.lock().write_at(e.offset, data);
     }
 }
 
@@ -474,6 +410,38 @@ mod tests {
             let owner = (i / 4) * 2 + j / 4;
             assert_eq!(b, 0x10 * (owner as u8 + 1), "cell ({i},{j})");
         }
+    }
+
+    #[test]
+    fn tags_stay_below_the_runtime_after_256_collectives() {
+        // From epoch 256 on an unwrapped epoch tag would reach simpi's
+        // internal tags, where a round's data reads as a barrier or a
+        // dead rank's notice.
+        let nranks = 2;
+        let map = ProcessMap::new(nranks, 2, Placement::Block);
+        let mem = ProcMemory::uniform(nranks, 32);
+        let cfg = CollectiveConfig::with_buffer(32).mem_min(0);
+        let file = shared_file();
+        let file2 = Arc::clone(&file);
+        run(nranks, move |comm| {
+            let rank = comm.rank();
+            let mut fh = CollFile::open(
+                comm,
+                Arc::clone(&file2),
+                map.clone(),
+                mem.clone(),
+                cfg.clone(),
+                Strategy::TwoPhase,
+            );
+            fh.set_view(FileView::contiguous(640 * rank as u64));
+            for epoch in 0..=256u64 {
+                fh.write_at_all(0, &[epoch as u8 ^ rank as u8; 640])
+                    .unwrap();
+            }
+        });
+        let file = file.lock();
+        assert_eq!(file.read_vec(0, 640), vec![0u8; 640]);
+        assert_eq!(file.read_vec(640, 640), vec![1u8; 640]);
     }
 
     #[test]

@@ -1,20 +1,20 @@
 //! # mcio-simpi — a thread-backed MPI-like runtime
 //!
 //! The collective I/O layer of this reproduction needs exactly the slice
-//! of MPI that ROMIO needs: ranks with identities, tagged point-to-point
-//! messages, a handful of collectives, communicator splitting (for
-//! aggregation subgroups), derived datatypes, and MPI-IO style file views.
-//! `mcio-simpi` provides that slice with **ranks as OS threads** inside
-//! one process, so collective I/O algorithms run unmodified against real
-//! message passing while staying deterministic enough to test.
+//! of MPI that ROMIO's two-phase I/O needs: ranks with identities, tagged
+//! point-to-point messages, a barrier and an allgather, derived
+//! datatypes, and MPI-IO style file views. `mcio-simpi` provides that
+//! slice with **ranks as OS threads** inside one process, so collective
+//! I/O algorithms run unmodified against real message passing while
+//! staying deterministic enough to test.
 //!
 //! * [`runtime`] — spawn `n` ranks, each running the same closure with a
-//!   [`Comm`] handle; results are collected in rank order.
+//!   [`Comm`] handle; results are collected in rank order, and a panic
+//!   on any rank ends the job in a panic.
 //! * [`comm`] — tagged, matched send/recv over crossbeam channels, with
-//!   out-of-order buffering, plus communicator split.
-//! * [`collectives`] — barrier, allgather(v), alltoall(v), scatterv,
-//!   allreduce: the linear reference implementations ROMIO-era
-//!   two-phase I/O uses.
+//!   out-of-order buffering.
+//! * [`collectives`] — barrier and allgather, the linear reference
+//!   implementations, plus the `u64` codec requests travel in.
 //! * [`datatype`] — derived datatypes (contiguous, vector, indexed,
 //!   subarray, resized) flattened to sorted `(offset, len)` segment lists.
 //! * [`fileview`] — the `(disp, filetype)` tiling that maps a rank's
@@ -25,11 +25,8 @@
 //! ```
 //! use mcio_simpi::runtime::run;
 //!
-//! let sums = run(4, |comm| {
-//!     let mine = (comm.rank() + 1) as u64;
-//!     comm.allreduce_sum_u64(mine)
-//! });
-//! assert_eq!(sums, vec![10, 10, 10, 10]);
+//! let seen = run(4, |comm| comm.allgather(vec![comm.rank() as u8]).concat());
+//! assert_eq!(seen, vec![vec![0, 1, 2, 3]; 4]);
 //! ```
 
 #![warn(missing_docs)]

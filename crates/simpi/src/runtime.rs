@@ -3,12 +3,12 @@
 //! [`run`] is the whole API: give it a rank count and a closure; every
 //! rank executes the closure with its own [`Comm`] world handle, and the
 //! per-rank return values come back in rank order. A panic on any rank
-//! propagates to the caller (after the other ranks either finish or hit
-//! the closed channel and panic themselves), so tests fail loudly rather
-//! than hanging.
+//! propagates to the caller: the panicking rank leaves a notice in every
+//! mailbox, so a peer blocked in [`Comm::recv`] panics too instead of
+//! waiting forever, and tests fail loudly rather than hanging.
 
-use crate::comm::{Comm, Envelope};
-use crossbeam::channel::unbounded;
+use crate::comm::{Comm, Envelope, TAG_DIED};
+use crossbeam::channel::{unbounded, Sender};
 use std::sync::Arc;
 
 /// Run `f` on `nranks` ranks; collect the per-rank results in rank order.
@@ -36,8 +36,11 @@ where
         for (rank, rx) in receivers.into_iter().enumerate() {
             let senders = Arc::clone(&senders);
             handles.push(scope.spawn(move || {
-                let comm = Comm::world(rank, senders, rx);
-                f(comm)
+                let _notice = Obituary {
+                    rank,
+                    senders: Arc::clone(&senders),
+                };
+                f(Comm::world(rank, senders, rx))
             }));
         }
         handles
@@ -49,6 +52,28 @@ where
             })
             .collect()
     })
+}
+
+/// Dropped as its rank's thread ends; if the thread is unwinding, tells
+/// every mailbox that the rank died.
+struct Obituary {
+    rank: usize,
+    senders: Arc<Vec<Sender<Envelope>>>,
+}
+
+impl Drop for Obituary {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for tx in self.senders.iter() {
+                // A peer that already returned has dropped its mailbox.
+                let _ = tx.send(Envelope {
+                    src: self.rank,
+                    tag: TAG_DIED,
+                    data: Vec::new(),
+                });
+            }
+        }
+    }
 }
 
 /// Wrapper preserving which rank panicked.
@@ -94,6 +119,19 @@ mod tests {
         // Rank 1 panics; others return. The runtime must propagate.
         run(3, |comm| {
             if comm.rank() == 1 {
+                panic!("boom");
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic]
+    fn rank_panic_wakes_a_blocked_receiver() {
+        // Rank 0 waits for a message rank 1 never sends.
+        run(2, |comm| {
+            if comm.rank() == 0 {
+                comm.recv(1, 0);
+            } else {
                 panic!("boom");
             }
         });
