@@ -80,42 +80,30 @@ pub fn divide(req: &CollectiveRequest, map: &ProcessMap, msg_group: u64) -> Vec<
     let mut groups: Vec<AggregationGroup> = Vec::new();
     let mut cur_nodes: Vec<NodeId> = Vec::new();
     let mut cur_bytes = 0u64;
-    for &(_, node, bytes) in &node_info {
+    let mut runs = Vec::new();
+    for (i, &(_, node, bytes)) in node_info.iter().enumerate() {
         cur_nodes.push(node);
         cur_bytes += bytes;
-        if cur_bytes >= msg_group {
-            groups.push(finish_group(groups.len(), &cur_nodes, cur_bytes, req, map));
+        if cur_bytes >= msg_group || i + 1 == node_info.len() {
+            let mut ranks: Vec<Rank> = cur_nodes
+                .iter()
+                .flat_map(|&n| map.ranks_on(n).iter().copied())
+                .collect();
+            ranks.sort_unstable();
+            runs.clear();
+            runs.extend(ranks.iter().map(|&r| &req.ranks[r.0].extents[..]));
+            groups.push(AggregationGroup {
+                index: groups.len(),
+                nodes: cur_nodes.clone(),
+                ranks,
+                region: union_sorted(&runs),
+                bytes: cur_bytes,
+            });
             cur_nodes.clear();
             cur_bytes = 0;
         }
     }
-    if !cur_nodes.is_empty() {
-        groups.push(finish_group(groups.len(), &cur_nodes, cur_bytes, req, map));
-    }
     groups
-}
-
-fn finish_group(
-    index: usize,
-    nodes: &[NodeId],
-    bytes: u64,
-    req: &CollectiveRequest,
-    map: &ProcessMap,
-) -> AggregationGroup {
-    let mut ranks: Vec<Rank> = nodes
-        .iter()
-        .flat_map(|&n| map.ranks_on(n).iter().copied())
-        .collect();
-    ranks.sort_unstable();
-    let runs: Vec<&[Extent]> = ranks.iter().map(|&r| &req.ranks[r.0].extents[..]).collect();
-    let region = union_sorted(&runs);
-    AggregationGroup {
-        index,
-        nodes: nodes.to_vec(),
-        ranks,
-        region,
-        bytes,
-    }
 }
 
 #[cfg(test)]

@@ -18,10 +18,10 @@ use crate::config::{CollectiveConfig, Strategy};
 use crate::group;
 use crate::memory::ProcMemory;
 use crate::placement;
-use crate::plan::{CollectivePlan, GroupPlan, Message, PlanDiag, Round, SyncMode};
+use crate::plan::{CollectivePlan, GroupPlan, PlanDiag, SyncMode};
 use crate::ptree::PartitionTree;
-use crate::request::{CollectiveRequest, Extents, RankRequest};
-use crate::twophase::window_io;
+use crate::request::{CollectiveRequest, Run};
+use crate::twophase::{charge, cut_rounds};
 use mcio_cluster::{ProcessMap, Rank};
 use mcio_pfs::extent::{bytes_in_sorted, overlaps_sorted, subtract, union_sorted};
 use mcio_pfs::Extent;
@@ -73,11 +73,17 @@ pub fn plan(
     // overlap is a duplicate by construction — every writer holds the
     // same data for a given file position).
     let mut claimed: Vec<Extent> = Vec::new();
-    let mut round = Round::default();
+    let mut placer = placement::Placer::default();
+    let (mut charged, mut ios) = (Vec::new(), Vec::new());
+    let mut grouped = vec![false; req.nranks()];
     for g in &groups {
+        // The members' runs lie inside the group's region, so when no
+        // claimed byte does, no member holds one either: the exact
+        // check, made once for the group instead of once per member.
+        let unclaimed = !overlaps_sorted(&g.region, &claimed);
         // This group's share: its region minus what is claimed. Sorted
         // and coalesced, like both operands.
-        let region: Cow<[Extent]> = if claimed.is_empty() {
+        let region: Cow<[Extent]> = if unclaimed {
             Cow::Borrowed(&g.region)
         } else {
             Cow::Owned(subtract(&g.region, &claimed))
@@ -89,42 +95,38 @@ pub fn plan(
         };
         let mut tree = PartitionTree::build(hull, cfg.msg_ind, &bytes_in);
         diag.ptree_leaves += tree.leaf_count();
-        let (aggregators, pdiag) = placement::place_with_diag(g, &mut tree, req, map, mem, cfg);
+        let (aggregators, pdiag) = placer.place(g, &mut tree, req, map, mem, cfg);
         diag.remerges += pdiag.remerges;
         diag.relaxations += pdiag.relaxations;
 
-        // Mask the request down to this group's members — so windows only
-        // shuffle the group's own data (regions of different groups may
-        // interleave in offset space) — and to this group's unclaimed
-        // region, so overlapped bytes flow through exactly one group.
-        // The members' masked lists unite to exactly `region`, which is
-        // therefore the cover every window's I/O extents are cut from.
-        let masked = mask_request(req, &g.ranks, &claimed);
-
-        let ntimes = aggregators.iter().map(|a| a.rounds()).max().unwrap_or(0);
-        let mut rounds = Vec::with_capacity(ntimes);
-        for r in 0..ntimes {
-            for a in &aggregators {
-                let win_start = a.fd.offset + r as u64 * a.buffer;
-                if win_start >= a.fd.end() {
-                    continue;
-                }
-                let window = Extent::from_bounds(win_start, (win_start + a.buffer).min(a.fd.end()));
-                // Members in rank order: message order is part of the
-                // plan's identity.
-                for m in &masked {
-                    if let Some(extents) = Extents::new(&m.extents, &window) {
-                        round
-                            .messages
-                            .push(Message::new(req.rw, m.rank, a.rank, extents));
-                    }
-                }
-                round.ios.extend(window_io(&region, a.rank, window));
-            }
-            if !round.is_empty() {
-                rounds.push(round.take_exact());
+        // Only the group's members shuffle through its windows — regions
+        // of different groups may interleave in offset space — and each
+        // loses the bytes an earlier group claimed, so overlapped bytes
+        // flow through exactly one group. A member that holds none of
+        // them (every member, for patterns whose ranks do not overlap)
+        // is charged its run as it is; only the others are subtracted
+        // into runs of their own. The members' charged runs unite to
+        // exactly `region`, which is therefore the cover every window's
+        // I/O extents are cut from.
+        let mut from = 0;
+        for &m in &g.ranks {
+            grouped[m.0] = true;
+            let rr = &req.ranks[m.0];
+            if unclaimed || !overlaps_sorted(&rr.extents, &claimed) {
+                charge(m, &rr.extents, &aggregators, &mut from, &mut charged);
+            } else {
+                let masked = Run::from(subtract(&rr.extents, &claimed));
+                charge(m, &masked, &aggregators, &mut from, &mut charged);
             }
         }
+        let rounds = cut_rounds(
+            req.rw,
+            &mut charged,
+            &mut ios,
+            &aggregators,
+            &region,
+            SyncMode::PerGroup,
+        );
 
         claimed = union_sorted(&[&claimed, &region]);
         group_plans.push(GroupPlan {
@@ -136,13 +138,9 @@ pub fn plan(
 
     // Ranks belonging to no group (nothing requested) still appear in the
     // plan via an empty trailing group so executors know about them.
-    let grouped: std::collections::HashSet<Rank> = group_plans
-        .iter()
-        .flat_map(|g| g.ranks.iter().copied())
-        .collect();
     let idle: Vec<Rank> = (0..req.nranks())
+        .filter(|&r| !grouped[r])
         .map(Rank)
-        .filter(|r| !grouped.contains(r))
         .collect();
     if !idle.is_empty() {
         group_plans.push(GroupPlan {
@@ -159,31 +157,6 @@ pub fn plan(
         groups: group_plans,
         diag,
     }
-}
-
-/// The requests of `members` (in member order — which is rank order,
-/// since `members` is sorted), each losing the bytes in `claimed`
-/// (owned by an earlier group). A member that holds none of them — every
-/// member, for patterns whose ranks do not overlap — shares its run as
-/// it is; only the others are subtracted into runs of their own. Only
-/// the group's own ranks appear: visiting all ranks per group is
-/// quadratic in the rank count at per-node group sizes, and the windows
-/// never look beyond the group anyway.
-fn mask_request(req: &CollectiveRequest, members: &[Rank], claimed: &[Extent]) -> Vec<RankRequest> {
-    members
-        .iter()
-        .map(|&m| {
-            let rr = &req.ranks[m.0];
-            if overlaps_sorted(&rr.extents, claimed) {
-                RankRequest {
-                    rank: rr.rank,
-                    extents: subtract(&rr.extents, claimed).into(),
-                }
-            } else {
-                rr.clone()
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -26,7 +26,6 @@ use crate::plan::AggregatorAssignment;
 use crate::ptree::{NodeIdx, PartitionTree};
 use crate::request::CollectiveRequest;
 use mcio_cluster::{NodeId, ProcessMap, Rank};
-use std::collections::{HashMap, HashSet};
 
 /// Counters describing the decisions the placement loop made — how often
 /// it had to fall back from the straightforward "pick the richest host"
@@ -41,208 +40,201 @@ pub struct PlacementDiag {
     pub relaxations: usize,
 }
 
-/// Assign aggregators to the file domains of one group's partition tree.
-///
-/// Consumes the tree (remerges mutate it); returns assignments in
-/// file-domain offset order. Domains holding no requested data get no
-/// aggregator.
-pub fn place(
-    group: &AggregationGroup,
-    tree: &mut PartitionTree,
-    req: &CollectiveRequest,
-    map: &ProcessMap,
-    mem: &ProcMemory,
-    cfg: &CollectiveConfig,
-) -> Vec<AggregatorAssignment> {
-    place_with_diag(group, tree, req, map, mem, cfg).0
+/// What placement tracks while it places one group — which ranks
+/// aggregate, how many aggregators each node hosts, each leaf's
+/// assignment — in vectors indexed by rank, node and tree node. The
+/// memory-conscious planner keeps one across the groups of a plan, so
+/// that placing a group allocates nothing but the list it returns.
+#[derive(Debug, Default)]
+pub(crate) struct Placer {
+    /// Per rank: already aggregates a domain of this group.
+    used: Vec<bool>,
+    /// Per node: aggregators it hosts in this group.
+    hosted: Vec<usize>,
+    /// Per tree node: the assignment of that leaf.
+    assigned: Vec<Option<AggregatorAssignment>>,
+    leaves: Vec<NodeIdx>,
+    /// Candidate hosts of the domain being placed.
+    hosts: Vec<NodeId>,
 }
 
-/// [`place`], also returning the fallback-decision counters.
-pub fn place_with_diag(
-    group: &AggregationGroup,
-    tree: &mut PartitionTree,
-    req: &CollectiveRequest,
-    map: &ProcessMap,
-    mem: &ProcMemory,
-    cfg: &CollectiveConfig,
-) -> (Vec<AggregatorAssignment>, PlacementDiag) {
-    let mut diag = PlacementDiag::default();
-    let mut used_aggs: HashSet<Rank> = HashSet::new();
-    let mut host_count: HashMap<NodeId, usize> = HashMap::new();
-    let mut assigned: HashMap<NodeIdx, AggregatorAssignment> = HashMap::new();
-
-    // Always (re)scan for the first unassigned data-bearing leaf rather
-    // than walking a monotone index: a remerge chain can deposit data
-    // into an earlier zero-data leaf (a hole between two dense regions),
-    // which must then be placed after all — an index walk would have
-    // skipped it for good and lost its bytes.
-    loop {
-        let leaves = tree.leaves();
-        let Some(leaf) = leaves
-            .iter()
-            .copied()
-            .find(|l| !assigned.contains_key(l) && tree.data_bytes(*l) > 0)
-        else {
-            break;
-        };
-        let fd = tree.region(leaf);
+impl Placer {
+    /// Assign aggregators to the file domains of one group's partition
+    /// tree, and count the fallback decisions on the way.
+    ///
+    /// Consumes the tree (remerges mutate it); returns assignments in
+    /// file-domain offset order. Domains holding no requested data get
+    /// no aggregator. The buffers are left clear for the next group.
+    pub(crate) fn place(
+        &mut self,
+        group: &AggregationGroup,
+        tree: &mut PartitionTree,
+        req: &CollectiveRequest,
+        map: &ProcessMap,
+        mem: &ProcMemory,
+        cfg: &CollectiveConfig,
+    ) -> (Vec<AggregatorAssignment>, PlacementDiag) {
+        let mut diag = PlacementDiag::default();
+        self.used.resize(map.nranks(), false);
+        self.hosted.resize(map.nnodes(), 0);
+        self.assigned.clear();
+        self.assigned.resize(tree.node_count(), None);
         let ok = |budget: u64| match cfg.placement {
             PlacementPolicy::MemoryAware => budget >= cfg.mem_min,
             // Blind placement takes whatever it finds.
             PlacementPolicy::FirstCandidate => true,
         };
-        match pick_host(group, &fd, req, map, mem, &used_aggs, &host_count, cfg) {
-            Some((rank, node, budget)) if ok(budget) => {
-                used_aggs.insert(rank);
-                *host_count.entry(node).or_insert(0) += 1;
-                assigned.insert(
-                    leaf,
-                    AggregatorAssignment {
-                        rank,
-                        fd,
-                        buffer: budget.max(1),
-                        data_bytes: tree.data_bytes(leaf),
-                    },
-                );
-            }
-            _ => {
+
+        // Always (re)scan for the first unassigned data-bearing leaf
+        // rather than walking a monotone index: a remerge chain can
+        // deposit data into an earlier zero-data leaf (a hole between two
+        // dense regions), which must then be placed after all — an index
+        // walk would have skipped it for good and lost its bytes.
+        loop {
+            tree.leaves_into(&mut self.leaves);
+            let Some(leaf) = self
+                .leaves
+                .iter()
+                .copied()
+                .find(|&l| self.assigned[l].is_none() && tree.data_bytes(l) > 0)
+            else {
+                break;
+            };
+            let fd = tree.region(leaf);
+            let pick = self.pick_host(group, &fd, req, map, mem, cfg, true);
+            let (rank, node, budget) = match pick {
+                Some(pick) if ok(pick.2) => pick,
                 // Not enough memory anywhere (or every candidate host is
                 // at its N_ah cap): remerge with the neighbor and retry.
-                match tree.remerge(leaf) {
+                _ => match tree.remerge(leaf) {
                     Some(absorbed) => {
                         diag.remerges += 1;
-                        if let Some(a) = assigned.get_mut(&absorbed) {
+                        if let Some(a) = &mut self.assigned[absorbed] {
                             // The neighbor already has an aggregator; it
                             // inherits the departed domain.
                             a.fd = tree.region(absorbed);
                             a.data_bytes = tree.data_bytes(absorbed);
                         }
+                        continue;
                     }
                     None => {
                         // Last domain standing: relax Mem_min (and, if
                         // necessary, the N_ah cap) — the collective must
                         // complete.
                         diag.relaxations += 1;
-                        let relaxed = pick_host(
-                            group,
-                            &fd,
-                            req,
-                            map,
-                            mem,
-                            &used_aggs,
-                            &HashMap::new(),
-                            &CollectiveConfig {
-                                nah: usize::MAX,
-                                ..cfg.clone()
-                            },
-                        )
-                        .or_else(|| best_in_group(group, mem, &used_aggs, map));
-                        let (rank, node, budget) = relaxed.expect("group has at least one rank");
-                        used_aggs.insert(rank);
-                        *host_count.entry(node).or_insert(0) += 1;
-                        assigned.insert(
-                            leaf,
-                            AggregatorAssignment {
-                                rank,
-                                fd,
-                                buffer: budget.max(1),
-                                data_bytes: tree.data_bytes(leaf),
-                            },
-                        );
+                        self.pick_host(group, &fd, req, map, mem, cfg, false)
+                            .or_else(|| best_in_group(group, mem, &self.used, map))
+                            .expect("group has at least one rank")
                     }
-                }
-            }
+                },
+            };
+            self.used[rank.0] = true;
+            self.hosted[node.0] += 1;
+            self.assigned[leaf] = Some(AggregatorAssignment {
+                rank,
+                fd,
+                buffer: budget.max(1),
+                data_bytes: tree.data_bytes(leaf),
+            });
         }
-    }
 
-    // Emit in file-domain order.
-    let aggs = tree
-        .leaves()
-        .into_iter()
-        .filter_map(|l| assigned.remove(&l))
-        .collect();
-    (aggs, diag)
-}
-
-/// Best candidate `(rank, host, budget)` for a file domain, or `None`
-/// when no host qualifies under the `N_ah` cap.
-///
-/// Candidates are the hosts of the group's ranks with data in `fd`; the
-/// score of a host is the largest budget among its group ranks not yet
-/// serving as aggregators (a rank aggregates at most one domain).
-#[allow(clippy::too_many_arguments)]
-fn pick_host(
-    group: &AggregationGroup,
-    fd: &mcio_pfs::Extent,
-    req: &CollectiveRequest,
-    map: &ProcessMap,
-    mem: &ProcMemory,
-    used_aggs: &HashSet<Rank>,
-    host_count: &HashMap<NodeId, usize>,
-    cfg: &CollectiveConfig,
-) -> Option<(Rank, NodeId, u64)> {
-    let mut candidate_hosts: Vec<NodeId> = group
-        .ranks
-        .iter()
-        .filter(|&&r| req.ranks[r.0].touches(fd))
-        .map(|&r| map.node_of(r))
-        .collect();
-    candidate_hosts.sort_unstable();
-    candidate_hosts.dedup();
-
-    let mut best: Option<(Rank, NodeId, u64)> = None;
-    for host in candidate_hosts {
-        if host_count.get(&host).copied().unwrap_or(0) >= cfg.nah {
-            continue;
-        }
-        // Mem_avl of the host: its best unclaimed process budget — or,
-        // under blind placement, just the first unclaimed rank (ROMIO's
-        // static habit).
-        let eligible = map
-            .ranks_on(host)
+        // Emit in file-domain order.
+        tree.leaves_into(&mut self.leaves);
+        let aggs: Vec<AggregatorAssignment> = self
+            .leaves
             .iter()
-            .filter(|r| group.ranks.binary_search(r).is_ok() && !used_aggs.contains(r))
-            .map(|&r| (mem.budget(r), r));
-        let claim = match cfg.placement {
-            PlacementPolicy::MemoryAware => {
-                eligible.max_by_key(|&(b, r)| (b, std::cmp::Reverse(r.0)))
+            .filter_map(|&l| self.assigned[l].take())
+            .collect();
+        for a in &aggs {
+            self.used[a.rank.0] = false;
+            self.hosted[map.node_of(a.rank).0] = 0;
+        }
+        (aggs, diag)
+    }
+
+    /// Best candidate `(rank, host, budget)` for a file domain, or `None`
+    /// when no host qualifies (under the `N_ah` cap, when `capped`).
+    ///
+    /// Candidates are the hosts of the group's ranks with data in `fd`;
+    /// the score of a host is the largest budget among its group ranks
+    /// not yet serving as aggregators (a rank aggregates at most one
+    /// domain).
+    #[allow(clippy::too_many_arguments)]
+    fn pick_host(
+        &mut self,
+        group: &AggregationGroup,
+        fd: &mcio_pfs::Extent,
+        req: &CollectiveRequest,
+        map: &ProcessMap,
+        mem: &ProcMemory,
+        cfg: &CollectiveConfig,
+        capped: bool,
+    ) -> Option<(Rank, NodeId, u64)> {
+        self.hosts.clear();
+        self.hosts.extend(
+            group
+                .ranks
+                .iter()
+                .filter(|&&r| req.ranks[r.0].touches(fd))
+                .map(|&r| map.node_of(r)),
+        );
+        self.hosts.sort_unstable();
+        self.hosts.dedup();
+
+        let mut best: Option<(Rank, NodeId, u64)> = None;
+        for &host in &self.hosts {
+            if capped && self.hosted[host.0] >= cfg.nah {
+                continue;
             }
-            PlacementPolicy::FirstCandidate => eligible.min_by_key(|&(_, r)| r.0),
-        };
-        if let Some((budget, rank)) = claim {
-            match cfg.placement {
+            // Mem_avl of the host: its best unclaimed process budget —
+            // or, under blind placement, just the first unclaimed rank
+            // (ROMIO's static habit).
+            let eligible = map
+                .ranks_on(host)
+                .iter()
+                .filter(|r| group.ranks.binary_search(r).is_ok() && !self.used[r.0])
+                .map(|&r| (mem.budget(r), r));
+            let claim = match cfg.placement {
                 PlacementPolicy::MemoryAware => {
-                    let better = match best {
-                        None => true,
-                        Some((_, _, b)) => budget > b,
-                    };
-                    if better {
-                        best = Some((rank, host, budget));
-                    }
+                    eligible.max_by_key(|&(b, r)| (b, std::cmp::Reverse(r.0)))
                 }
-                // Blind: the first candidate host in node order wins.
-                PlacementPolicy::FirstCandidate => {
-                    if best.is_none() {
-                        best = Some((rank, host, budget));
+                PlacementPolicy::FirstCandidate => eligible.min_by_key(|&(_, r)| r.0),
+            };
+            if let Some((budget, rank)) = claim {
+                match cfg.placement {
+                    PlacementPolicy::MemoryAware => {
+                        let better = match best {
+                            None => true,
+                            Some((_, _, b)) => budget > b,
+                        };
+                        if better {
+                            best = Some((rank, host, budget));
+                        }
+                    }
+                    // Blind: the first candidate host in node order wins.
+                    PlacementPolicy::FirstCandidate => {
+                        if best.is_none() {
+                            best = Some((rank, host, budget));
+                        }
                     }
                 }
             }
         }
+        best
     }
-    best
 }
 
 /// Unconditional fallback: the group's highest-budget unclaimed rank.
 fn best_in_group(
     group: &AggregationGroup,
     mem: &ProcMemory,
-    used_aggs: &HashSet<Rank>,
+    used: &[bool],
     map: &ProcessMap,
 ) -> Option<(Rank, NodeId, u64)> {
     group
         .ranks
         .iter()
-        .filter(|r| !used_aggs.contains(r))
+        .filter(|r| !used[r.0])
         .map(|&r| (mem.budget(r), r))
         .max_by_key(|&(b, r)| (b, std::cmp::Reverse(r.0)))
         .map(|(b, r)| (r, map.node_of(r), b))
@@ -274,6 +266,17 @@ mod tests {
         let map = ProcessMap::new(4, 2, Placement::Block);
         let mem = ProcMemory::from_budgets(budgets);
         (req, map, mem)
+    }
+
+    fn place(
+        group: &AggregationGroup,
+        tree: &mut PartitionTree,
+        req: &CollectiveRequest,
+        map: &ProcessMap,
+        mem: &ProcMemory,
+        cfg: &CollectiveConfig,
+    ) -> Vec<AggregatorAssignment> {
+        Placer::default().place(group, tree, req, map, mem, cfg).0
     }
 
     fn build_tree(g: &AggregationGroup, msg_ind: u64) -> PartitionTree {
@@ -399,7 +402,7 @@ mod tests {
         let groups = group::divide(&req, &map, u64::MAX);
         let mut tree = build_tree(&groups[0], 200);
         let cfg = CollectiveConfig::with_buffer(100).mem_min(100).msg_ind(200);
-        let (aggs, diag) = place_with_diag(&groups[0], &mut tree, &req, &map, &mem, &cfg);
+        let (aggs, diag) = Placer::default().place(&groups[0], &mut tree, &req, &map, &mem, &cfg);
         assert_eq!(aggs.len(), 1);
         assert_eq!(diag.remerges, 1);
         assert_eq!(diag.relaxations, 0);
@@ -409,7 +412,7 @@ mod tests {
         let groups = group::divide(&req, &map, u64::MAX);
         let mut tree = build_tree(&groups[0], 100);
         let cfg = CollectiveConfig::with_buffer(100).mem_min(1_000_000);
-        let (aggs, diag) = place_with_diag(&groups[0], &mut tree, &req, &map, &mem, &cfg);
+        let (aggs, diag) = Placer::default().place(&groups[0], &mut tree, &req, &map, &mem, &cfg);
         assert_eq!(aggs.len(), 1);
         assert!(diag.remerges >= 1);
         assert_eq!(diag.relaxations, 1);

@@ -11,8 +11,11 @@ use crate::config::Strategy;
 use crate::request::{CollectiveRequest, Extents};
 use mcio_cluster::{ProcessMap, Rank};
 use mcio_des::OnlineStats;
-use mcio_pfs::extent::{gallop, is_sorted_disjoint, total_bytes, union_sorted};
+use mcio_pfs::extent::{
+    gallop, is_sorted_disjoint, overlaps_sorted, subtract, total_bytes, union_sorted,
+};
 use mcio_pfs::{Extent, Rw};
+use std::borrow::Cow;
 
 /// One rank-to-rank transfer: the data of a set of file extents, packed
 /// into a single message (as ROMIO packs all pieces for a peer into one
@@ -92,16 +95,6 @@ impl Round {
     /// True when nothing happens this round.
     pub fn is_empty(&self) -> bool {
         self.messages.is_empty() && self.ios.is_empty()
-    }
-
-    /// The round built up in `self`, moved into vectors of exactly its
-    /// length; `self` is left empty with its capacity, a scratch round
-    /// for the planners to fill again.
-    pub(crate) fn take_exact(&mut self) -> Round {
-        Round {
-            messages: self.messages.drain(..).collect(),
-            ios: self.ios.drain(..).collect(),
-        }
     }
 
     /// Total shuffled bytes this round.
@@ -294,7 +287,9 @@ impl CollectivePlan {
     ///    (every requested byte hits the file system exactly once — I/O
     ///    extents never overlap).
     /// 2. In every round, each aggregator's message bytes match the data
-    ///    the requesting ranks hold in its window.
+    ///    the group's requesting ranks hold in its window, less the bytes
+    ///    an earlier group's ranks request (a byte requested in two
+    ///    groups is aggregated by the first).
     /// 3. Round windows never exceed the aggregator's buffer.
     /// 4. Message endpoints agree with the plan direction.
     pub fn check(&self, req: &CollectiveRequest) -> Result<(), String> {
@@ -331,6 +326,8 @@ impl CollectivePlan {
         }
 
         let (mut buffers, mut ops, mut delivered) = (Vec::new(), Vec::new(), Vec::new());
+        // The bytes the ranks of the groups so far request.
+        let mut claimed: Vec<Extent> = Vec::new();
         for (gi, g) in self.groups.iter().enumerate() {
             // The group's aggregators, indexed once by rank; a stable sort
             // keeps a rank assigned twice at its first buffer, as a scan
@@ -345,7 +342,7 @@ impl CollectivePlan {
                     .filter(|&&(rank, _)| rank == agg)
                     .map(|&(_, b)| b)
             };
-            let mut requested = requested_per_window(g, req).into_iter();
+            let mut requested = requested_per_window(g, req, &claimed).into_iter();
             for (ri, r) in g.rounds.iter().enumerate() {
                 // (2) Message conservation per aggregator window. Only
                 // the group's member ranks shuffle through its
@@ -382,19 +379,29 @@ impl CollectivePlan {
                     }
                 }
             }
+            if gi + 1 < self.groups.len() {
+                let runs: Vec<&[Extent]> = g
+                    .ranks
+                    .iter()
+                    .map(|r| &req.ranks[r.0].extents[..])
+                    .collect();
+                claimed = union_sorted(&[&claimed, &union_sorted(&runs)]);
+            }
         }
         Ok(())
     }
 }
 
-/// The bytes `g`'s member ranks request inside each I/O window of its
-/// rounds, in round order and op order within a round. The window edges
-/// are sorted once, every member's run is walked over them once — a
-/// cursor that gallops to each extent and splits it at the edges it
-/// crosses — and a window's bytes are the difference of two prefix sums
-/// at its edges: no search per (rank, window), which is quadratic on a
-/// two-phase plan's one group of every rank and every aggregator.
-fn requested_per_window(g: &GroupPlan, req: &CollectiveRequest) -> Vec<u64> {
+/// The bytes `g`'s member ranks request outside `claimed` inside each
+/// I/O window of its rounds, in round order and op order within a round.
+/// A member's run is cut down to what `claimed` leaves of it only when
+/// the two overlap. The window edges are sorted once, every member's run
+/// is walked over them once — a cursor that gallops to each extent and
+/// splits it at the edges it crosses — and a window's bytes are the
+/// difference of two prefix sums at its edges: no search per (rank,
+/// window), which is quadratic on a two-phase plan's one group of every
+/// rank and every aggregator.
+fn requested_per_window(g: &GroupPlan, req: &CollectiveRequest, claimed: &[Extent]) -> Vec<u64> {
     let windows = || {
         g.rounds
             .iter()
@@ -410,9 +417,15 @@ fn requested_per_window(g: &GroupPlan, req: &CollectiveRequest) -> Vec<u64> {
     // summed, in `[first, edges[k])`.
     let mut below = vec![0u64; edges.len()];
     for &rank in &g.ranks {
+        let run = &req.ranks[rank.0].extents;
+        let run = if overlaps_sorted(run, claimed) {
+            Cow::Owned(subtract(run, claimed))
+        } else {
+            Cow::Borrowed(&run[..])
+        };
         // Edges at or before the walk's position.
         let mut k = 0;
-        for e in &req.ranks[rank.0].extents {
+        for e in run.iter() {
             let mut at = e.offset.max(first);
             k += gallop(&edges[k..], |&edge| edge <= at);
             while at < e.end() && k < edges.len() {

@@ -135,8 +135,20 @@ impl PartitionTree {
     /// Live leaves in file-offset order: the current file domains.
     pub fn leaves(&self) -> Vec<NodeIdx> {
         let mut out = Vec::new();
-        self.collect_leaves(self.root, &mut out);
+        self.leaves_into(&mut out);
         out
+    }
+
+    /// [`PartitionTree::leaves`] into `out`, which is cleared first.
+    pub(crate) fn leaves_into(&self, out: &mut Vec<NodeIdx>) {
+        out.clear();
+        self.collect_leaves(self.root, out);
+    }
+
+    /// One more than the largest node index: the length of a table
+    /// indexed by [`NodeIdx`].
+    pub(crate) fn node_count(&self) -> usize {
+        self.nodes.len()
     }
 
     fn collect_leaves(&self, idx: NodeIdx, out: &mut Vec<NodeIdx>) {
@@ -154,7 +166,15 @@ impl PartitionTree {
 
     /// Number of live leaves.
     pub fn leaf_count(&self) -> usize {
-        self.leaves().len()
+        self.count_leaves(self.root)
+    }
+
+    fn count_leaves(&self, idx: NodeIdx) -> usize {
+        match self.nodes[idx].children {
+            _ if self.nodes[idx].removed => 0,
+            None => 1,
+            Some((l, r)) => self.count_leaves(l) + self.count_leaves(r),
+        }
     }
 
     /// Remove leaf `idx` from the tree; its region (and data byte count)

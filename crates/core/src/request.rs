@@ -20,21 +20,35 @@ use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 /// A rank's extent list, behind a reference count: cloning it, which
-/// every [`Extents`] view does, copies no extent. Reads as a slice.
+/// every [`Extents`] view does, copies no extent. Reads as a slice, and
+/// carries its byte total, summed once when it is built.
 #[derive(Clone, PartialEq, Eq)]
-pub struct Run(Arc<[Extent]>);
+pub struct Run {
+    extents: Arc<[Extent]>,
+    bytes: u64,
+}
+
+impl Run {
+    /// Bytes the run holds, in `O(1)`.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+}
 
 impl Deref for Run {
     type Target = [Extent];
 
     fn deref(&self) -> &[Extent] {
-        &self.0
+        &self.extents
     }
 }
 
 impl From<Vec<Extent>> for Run {
     fn from(extents: Vec<Extent>) -> Self {
-        Run(extents.into())
+        Run {
+            bytes: total_bytes(&extents),
+            extents: extents.into(),
+        }
     }
 }
 
@@ -43,19 +57,19 @@ impl<'a> IntoIterator for &'a Run {
     type IntoIter = std::slice::Iter<'a, Extent>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+        self.extents.iter()
     }
 }
 
 impl PartialEq<Vec<Extent>> for Run {
     fn eq(&self, other: &Vec<Extent>) -> bool {
-        *self.0 == **other
+        *self.extents == **other
     }
 }
 
 impl fmt::Debug for Run {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+        self.extents.fmt(f)
     }
 }
 
@@ -70,7 +84,7 @@ impl fmt::Debug for Run {
 /// extents.
 #[derive(Clone)]
 pub struct Extents {
-    run: Run,
+    run: Arc<[Extent]>,
     lo: u32,
     hi: u32,
     start: u64,
@@ -84,13 +98,17 @@ impl Extents {
     /// lies in the window, so that a window a rank does not touch costs
     /// no reference to its run.
     pub fn new(run: &Run, window: &Extent) -> Option<Self> {
-        Extents::cut(run, 0..run.len(), window)
+        Extents::cut(&run.extents, 0..run.len(), window)
     }
 
     /// The view whose parts are already known: `range` indexes `run`,
     /// `start` is where its first extent is clipped to begin and `bytes`
     /// is what the clipped extents hold.
     pub(crate) fn from_parts(run: &Run, range: Range<usize>, start: u64, bytes: u64) -> Self {
+        Extents::of(&run.extents, range, start, bytes)
+    }
+
+    fn of(run: &Arc<[Extent]>, range: Range<usize>, start: u64, bytes: u64) -> Self {
         let index = |i: usize| u32::try_from(i).expect("a run of at most 2^32 extents");
         Extents {
             run: run.clone(),
@@ -109,12 +127,12 @@ impl Extents {
     }
 
     /// `run[part]` clipped to `window`.
-    fn cut(run: &Run, part: Range<usize>, window: &Extent) -> Option<Self> {
+    fn cut(run: &Arc<[Extent]>, part: Range<usize>, window: &Extent) -> Option<Self> {
         let extents = &run[part.clone()];
         let range = overlap_range(extents, window);
         let bytes = bytes_in_sorted(&extents[range.clone()], window);
         let range = part.start + range.start..part.start + range.end;
-        (bytes > 0).then(|| Extents::from_parts(run, range, window.offset, bytes))
+        (bytes > 0).then(|| Extents::of(run, range, window.offset, bytes))
     }
 
     /// Bytes the view holds, in `O(1)`.
@@ -220,9 +238,9 @@ impl RankRequest {
         Self::new(rank, extents)
     }
 
-    /// Bytes this rank requests.
+    /// Bytes this rank requests, in `O(1)`.
     pub fn bytes(&self) -> u64 {
-        total_bytes(&self.extents)
+        self.extents.bytes()
     }
 
     /// True when the rank requests nothing.

@@ -19,10 +19,10 @@ use crate::memory::ProcMemory;
 use crate::plan::{
     AggregatorAssignment, CollectivePlan, GroupPlan, IoOp, Message, PlanDiag, Round, SyncMode,
 };
-use crate::request::{CollectiveRequest, Extents};
+use crate::request::{CollectiveRequest, Extents, Run};
 use mcio_cluster::{NodeId, ProcessMap, Rank};
 use mcio_pfs::extent::{clip_sorted, gallop, total_bytes};
-use mcio_pfs::Extent;
+use mcio_pfs::{Extent, Rw};
 
 /// Build a two-phase plan.
 ///
@@ -100,82 +100,26 @@ pub fn plan(
         });
     }
 
-    // ROMIO's ntimes: the global number of rounds is the maximum any
-    // aggregator needs.
-    let ntimes = aggregators
-        .iter()
-        .map(AggregatorAssignment::rounds)
-        .max()
-        .unwrap_or(0);
-
-    // One pass over the ranks charges each rank to the file domains and
-    // round windows it touches, and cuts its message for each of them out
-    // of its run. Domains tile the hull and windows tile each domain, so
-    // a rank's sorted list crosses them in file order: from the window
-    // holding the cursor, a gallop over the rest of the list finds where
-    // the next window takes over — two divisions per window touched, not
-    // per extent, and no per-domain rank scan, which is quadratic in the
-    // rank count and unusable at the exascale_2018 machine's 10^6 ranks.
-    // The pass knows each message's range, clip start and bytes, so no
-    // window searches a run again. Each message is keyed by its window
-    // in plan order, round-major.
-    let mut charged: Vec<(usize, Message)> = Vec::new();
+    // Every rank's run cut at the round windows it crosses; an
+    // aggregator's data is what its windows are charged.
+    let (mut charged, mut from) = (Vec::new(), 0);
     for rr in &req.ranks {
-        let mut rest: &[Extent] = &rr.extents;
-        // Everything before `at` is charged; `at` lies inside `rest[0]`
-        // when that extent straddles a window edge.
-        let mut at = hull.offset;
-        while let Some(head) = rest.first() {
-            at = at.max(head.offset);
-            if at >= head.end() {
-                rest = &rest[1..];
-                continue;
-            }
-            let ai = ((at - hull.offset) / fd_size) as usize;
-            let a = &mut aggregators[ai];
-            let r = (at - a.fd.offset) / a.buffer;
-            let win_end = (a.fd.offset + r * a.buffer)
-                .saturating_add(a.buffer)
-                .min(a.fd.end());
-            // The extents that start inside this window; only the last
-            // can run past its end.
-            let run = &rest[..gallop(rest, |e| e.offset < win_end)];
-            let over = run[run.len() - 1].end().saturating_sub(win_end);
-            let bytes = total_bytes(run) - (at - head.offset) - over;
-            a.data_bytes += bytes;
-            let lo = rr.extents.len() - rest.len();
-            let extents = Extents::from_parts(&rr.extents, lo..lo + run.len(), at, bytes);
-            let message = Message::new(req.rw, rr.rank, a.rank, extents);
-            charged.push((r as usize * naggs + ai, message));
-            // A straddler stays at the head, for the window after this.
-            rest = &rest[run.len() - usize::from(over > 0)..];
-            at = win_end;
-        }
+        charge(rr.rank, &rr.extents, &aggregators, &mut from, &mut charged);
     }
-    // Stable: rank order within each window.
-    charged.sort_by_key(|&(window, _)| window);
-    let mut charged = charged.into_iter().peekable();
-
+    for c in &charged {
+        aggregators[c.window as usize % naggs].data_bytes += c.extents.bytes();
+    }
     // The exact requested region, united once: every window's I/O
     // extents are its clip.
     let cover = req.coverage();
-
-    let mut rounds = Vec::with_capacity(ntimes);
-    let mut round = Round::default();
-    for r in 0..ntimes {
-        while let Some((_, m)) = charged.next_if(|&(window, _)| window < (r + 1) * naggs) {
-            round.messages.push(m);
-        }
-        for a in &aggregators {
-            let win_start = a.fd.offset + r as u64 * a.buffer;
-            if win_start >= a.fd.end() {
-                continue; // this aggregator is already done (r >= its rounds)
-            }
-            let window = Extent::from_bounds(win_start, (win_start + a.buffer).min(a.fd.end()));
-            round.ios.extend(window_io(&cover, a.rank, window));
-        }
-        rounds.push(round.take_exact());
-    }
+    let rounds = cut_rounds(
+        req.rw,
+        &mut charged,
+        &mut Vec::new(),
+        &aggregators,
+        &cover,
+        SyncMode::Global,
+    );
 
     CollectivePlan {
         rw: req.rw,
@@ -190,16 +134,162 @@ pub fn plan(
     }
 }
 
+/// A message [`charge`] cut, before [`cut_rounds`] places it: its window
+/// in plan order, round-major (`round · aggregators + aggregator`), its
+/// requester and its extents. 48 bytes: a group's charges are held
+/// together until they are sorted.
+pub(crate) struct Charge {
+    window: u32,
+    requester: u32,
+    extents: Extents,
+}
+
+/// Charges `run`, the extents `requester` requests, to the round windows
+/// of `aggs`: one [`Charge`] per window it has a byte in. Shared with
+/// the memory-conscious planner: the strategies differ in *who*
+/// aggregates *what*, not in the per-window mechanics.
+///
+/// The domains of `aggs` are disjoint and in offset order, and windows
+/// tile each domain, so a sorted run crosses them in file order: from
+/// the window holding the cursor, a gallop over the rest of the run
+/// finds where the next window takes over, and one over the domains
+/// finds the domain the cursor lands in. That is `O(log)` work per
+/// window touched — nothing per window the run skips, and no search of
+/// the run per (rank, window), which is quadratic in the rank count on
+/// two-phase's one group of every rank. The walk knows each message's
+/// range, clip start and bytes, so no window searches a run again.
+///
+/// `from` is the domain the previous run's walk ended in, and is left at
+/// this one's: the search for the run's first domain starts there when
+/// the run starts no earlier, as each rank's does after the rank before
+/// in a block layout, and at the first domain otherwise.
+pub(crate) fn charge(
+    requester: Rank,
+    run: &Run,
+    aggs: &[AggregatorAssignment],
+    from: &mut usize,
+    charged: &mut Vec<Charge>,
+) {
+    let requester = u32::try_from(requester.0).expect("at most 2^32 ranks");
+    let mut rest: &[Extent] = run;
+    // Everything before `at` is charged; `at` lies inside `rest[0]` when
+    // that extent straddles a window edge.
+    let mut at = 0;
+    let mut ai = match (run.first(), aggs.get(*from)) {
+        (Some(e), Some(a)) if a.fd.offset <= e.offset => *from,
+        _ => 0,
+    };
+    while let Some(head) = rest.first() {
+        at = at.max(head.offset);
+        if at >= head.end() {
+            rest = &rest[1..];
+            continue;
+        }
+        ai += gallop(&aggs[ai..], |a| a.fd.end() <= at);
+        let Some(a) = aggs.get(ai) else {
+            break; // past every domain: `check` reports such bytes
+        };
+        if at < a.fd.offset {
+            at = a.fd.offset; // a gap between domains
+            continue;
+        }
+        let r = (at - a.fd.offset) / a.buffer;
+        let win_end = (a.fd.offset + r * a.buffer)
+            .saturating_add(a.buffer)
+            .min(a.fd.end());
+        // The extents that start inside this window; only the last can
+        // run past its end.
+        let part = &rest[..gallop(rest, |e| e.offset < win_end)];
+        let over = part[part.len() - 1].end().saturating_sub(win_end);
+        let bytes = total_bytes(part) - (at - head.offset) - over;
+        let lo = run.len() - rest.len();
+        charged.push(Charge {
+            window: u32::try_from(r as usize * aggs.len() + ai)
+                .expect("a plan of at most 2^32 windows"),
+            requester,
+            extents: Extents::from_parts(run, lo..lo + part.len(), at, bytes),
+        });
+        // A straddler stays at the head, for the window after this.
+        rest = &rest[part.len() - usize::from(over > 0)..];
+        at = win_end;
+    }
+    *from = ai;
+}
+
+/// The rounds of one group from its [`charge`]s: round `r` carries the
+/// messages of its windows, in window order and, within a window, in the
+/// order they were charged, and one I/O op per window that holds a byte
+/// of `cover`. Under [`SyncMode::Global`] every round up to the longest
+/// aggregator's (ROMIO's `ntimes`) is kept, for all ranks step through
+/// it; per group, a
+/// round with nothing in it is dropped. `charged` is drained and `ios`
+/// is scratch; both keep their capacity for the next group, and each
+/// round's vectors are allocated at their final length.
+pub(crate) fn cut_rounds(
+    rw: Rw,
+    charged: &mut Vec<Charge>,
+    ios: &mut Vec<IoOp>,
+    aggs: &[AggregatorAssignment],
+    cover: &[Extent],
+    sync: SyncMode,
+) -> Vec<Round> {
+    // Stable, then reversed: the next round's messages sit at the back,
+    // where they are taken without moving the rest, their charge order
+    // reversed along with the windows'.
+    charged.sort_by_key(|c| c.window);
+    charged.reverse();
+    let naggs = aggs.len();
+    let ntimes = aggs
+        .iter()
+        .map(AggregatorAssignment::rounds)
+        .max()
+        .unwrap_or(0);
+    let mut rounds = Vec::with_capacity(ntimes);
+    for r in 0..ntimes {
+        let later = charged.partition_point(|c| c.window as usize >= (r + 1) * naggs);
+        let messages = charged
+            .drain(later..)
+            .rev()
+            .map(|c| {
+                Message::new(
+                    rw,
+                    Rank(c.requester as usize),
+                    aggs[c.window as usize % naggs].rank,
+                    c.extents,
+                )
+            })
+            .collect();
+        for a in aggs {
+            let win_start = a.fd.offset + r as u64 * a.buffer;
+            if win_start >= a.fd.end() {
+                continue; // this aggregator is already done (r >= its rounds)
+            }
+            let window = Extent::from_bounds(win_start, (win_start + a.buffer).min(a.fd.end()));
+            ios.extend(window_io(cover, a.rank, window));
+        }
+        // Moved out at its length; the scratch keeps its capacity.
+        let mut round_ios = Vec::with_capacity(ios.len());
+        round_ios.append(ios);
+        let round = Round {
+            messages,
+            ios: round_ios,
+        };
+        if sync == SyncMode::Global || !round.is_empty() {
+            rounds.push(round);
+        }
+    }
+    rounds
+}
+
 /// The I/O op of one aggregator window, if any requested byte lies in
-/// it. Shared with the memory-conscious planner: the strategies differ
-/// in *who* aggregates *what*, not in the per-window mechanics.
+/// it.
 ///
 /// `cover` is the coalesced union of everything the window's messages
 /// can carry. The I/O op's extents are the coalesced union of the
 /// messages' extents, i.e. of the ranks' lists each clipped to `window`;
 /// clipping distributes over union, so that is `cover` clipped to
 /// `window` — one slice copy, nothing collected or sorted per window.
-pub(crate) fn window_io(cover: &[Extent], agg: Rank, window: Extent) -> Option<IoOp> {
+fn window_io(cover: &[Extent], agg: Rank, window: Extent) -> Option<IoOp> {
     let extents = clip_sorted(cover, &window);
     (!extents.is_empty()).then_some(IoOp {
         agg,

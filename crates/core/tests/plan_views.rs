@@ -1,14 +1,15 @@
 //! A message's extents are a view of its requester's run, not a copy.
 //! These properties hold the view against the copy it replaced
-//! (`clip_sorted`), hold the two-phase charge pass's views against views
-//! built by a search, and time `CollectivePlan::check` on the widest
-//! group a plan has: two-phase's one group of every rank.
+//! (`clip_sorted`), hold both planners' charge pass's views against
+//! views built by a search, and time `CollectivePlan::check` on the
+//! widest group a plan has: two-phase's one group of every rank.
 
 use mcio_cluster::ProcessMap;
 use mcio_core::{
-    mcio, twophase, CollectiveConfig, CollectiveRequest, Extent, Extents, ProcMemory, Run, Rw,
+    mcio, twophase, CollectiveConfig, CollectiveRequest, Extent, Extents, Message, ProcMemory, Run,
+    Rw,
 };
-use mcio_pfs::extent::{bytes_in_sorted, clip_sorted};
+use mcio_pfs::extent::{bytes_in_sorted, clip_sorted, subtract, union_sorted};
 use proptest::prelude::*;
 use std::time::Instant;
 
@@ -106,6 +107,96 @@ proptest! {
             }
         }
         prop_assert_eq!(plan.check(&req), Ok(()));
+    }
+
+    /// The memory-conscious twin: every group's messages equal the views
+    /// a search builds of its members' masked runs — each run minus the
+    /// regions of the groups before, recomputed here with the public
+    /// kernels — over the round windows, in the order the search-based
+    /// planner emitted them: round by round, aggregator by aggregator,
+    /// member by member, rounds with no message dropped. Runs start at
+    /// random offsets, so groups overlap in some draws and not in
+    /// others, and the last rank requests rank 0's run again from
+    /// another node, so some member is always masked while the first
+    /// group's members always keep their runs.
+    #[test]
+    fn mc_charge_pass_views_equal_searched_views(
+        runs in proptest::collection::vec(
+            (0u64..200, proptest::collection::vec((0u64..40, 0u64..30), 0..10)),
+            2..7,
+        ),
+        ppn in 1usize..3,
+        buffer in 1u64..64,
+        msg_ind in 1u64..200,
+    ) {
+        let mut extents: Vec<Vec<Extent>> = runs
+            .iter()
+            .map(|(base, steps)| {
+                let mut run = run_of(steps);
+                for e in &mut run {
+                    e.offset += base;
+                }
+                run
+            })
+            .collect();
+        // Past every drawn extent, so rank 0 holds a byte.
+        extents[0].push(Extent::new(1000, 7));
+        extents.push(extents[0].clone());
+        let nranks = extents.len();
+        let mut req = CollectiveRequest::new(Rw::Write, vec![Vec::new(); nranks]);
+        for (rr, run) in req.ranks.iter_mut().zip(extents) {
+            rr.extents = run.into();
+        }
+        let map = ProcessMap::block_ppn(nranks, ppn);
+        let mem = ProcMemory::uniform(nranks, buffer);
+        // One group per node.
+        let cfg = CollectiveConfig::with_buffer(buffer)
+            .msg_group(1)
+            .msg_ind(msg_ind)
+            .mem_min(0);
+        let plan = mcio::plan(&req, &map, &mem, &cfg);
+        prop_assert_eq!(plan.check(&req), Ok(()));
+
+        let mut claimed: Vec<Extent> = Vec::new();
+        let mut masked_any = false;
+        for g in &plan.groups {
+            let masked: Vec<Run> = g
+                .ranks
+                .iter()
+                .map(|r| Run::from(subtract(&req.ranks[r.0].extents, &claimed)))
+                .collect();
+            masked_any |= g
+                .ranks
+                .iter()
+                .zip(&masked)
+                .any(|(r, run)| run.bytes() < req.ranks[r.0].bytes());
+            let ntimes = g.aggregators.iter().map(|a| a.rounds()).max().unwrap_or(0);
+            let mut searched: Vec<Vec<Message>> = Vec::new();
+            for r in 0..ntimes {
+                let mut round = Vec::new();
+                for a in &g.aggregators {
+                    let start = a.fd.offset + r as u64 * a.buffer;
+                    if start >= a.fd.end() {
+                        continue;
+                    }
+                    let window = Extent::from_bounds(start, (start + a.buffer).min(a.fd.end()));
+                    for (&rank, run) in g.ranks.iter().zip(&masked) {
+                        if let Some(view) = Extents::new(run, &window) {
+                            round.push(Message::new(plan.rw, rank, a.rank, view));
+                        }
+                    }
+                }
+                if !round.is_empty() {
+                    searched.push(round);
+                }
+            }
+            let charged: Vec<&[Message]> = g.rounds.iter().map(|r| &r.messages[..]).collect();
+            let searched: Vec<&[Message]> = searched.iter().map(Vec::as_slice).collect();
+            prop_assert_eq!(charged, searched);
+            let runs: Vec<&[Extent]> = g.ranks.iter().map(|r| &req.ranks[r.0].extents[..]).collect();
+            claimed = union_sorted(&[&claimed, &union_sorted(&runs)]);
+        }
+        prop_assert!(masked_any, "no member lost a claimed byte");
     }
 }
 

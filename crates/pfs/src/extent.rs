@@ -161,34 +161,130 @@ pub fn is_sorted_disjoint(extents: &[Extent]) -> bool {
 /// regions (ranks that are neighbours in a block decomposition) shrink
 /// level by level and the upper levels cost next to nothing; when
 /// nothing coalesces the cost is the `n log k` moves of any k-way
-/// merge, with at most one partial result alive per level.
+/// merge.
+///
+/// Past 64 Ki extents in all (and at least one per run), the hull is cut
+/// into blocks of about that many, each run is cut at the block edges
+/// with one gallop per run per block, and each block's slices are
+/// united through the tree on their own. The partial results of the
+/// tree's levels live in scratch buffers that every block reuses, and
+/// each block's union is appended to the result coalescing with its
+/// last extent, so an extent that reaches past a block edge still
+/// merges with what the next block holds. A tree that allocated its levels afresh would write every
+/// extent once per level into new memory: on a request of millions of
+/// extents those blocks are large enough for the allocator to map and
+/// unmap them, and the merges then spend most of their time in page
+/// faults rather than in moves.
 pub fn union_sorted(runs: &[&[Extent]]) -> Vec<Extent> {
-    let mut out = union_tree(runs);
+    // At least one extent per run in a block, so that cutting every run
+    // at every block edge never costs more than the block's merges: a
+    // million one-extent runs are one block.
+    union_blocked(runs, UNION_BLOCK.max(runs.len()))
+}
+
+/// Extents per block of [`union_sorted`]: the slices a block unites and
+/// its scratch (a few MiB) stay in cache, and a union of fewer extents
+/// is one block.
+const UNION_BLOCK: usize = 1 << 16;
+
+/// [`union_sorted`] with blocks of about `block` extents.
+pub(crate) fn union_blocked(runs: &[&[Extent]], block: usize) -> Vec<Extent> {
+    let mut scratch = Vec::new();
+    scratch.resize_with(scratch_len(runs.len()), Vec::new);
+    let Some((hull, width)) = blocks(runs, block) else {
+        let mut out = Vec::new();
+        unite(runs, &mut scratch, &mut out);
+        out.shrink_to_fit();
+        return out;
+    };
+    let mut rest = runs.to_vec();
+    let mut parts = Vec::with_capacity(runs.len());
+    let mut out = Vec::new();
+    let mut end = hull.offset;
+    while end < hull.end() {
+        end = end.saturating_add(width).min(hull.end());
+        parts.clear();
+        for run in &mut rest {
+            let (part, after) = run.split_at(gallop(run, |e| e.offset < end));
+            if !part.is_empty() {
+                parts.push(part);
+            }
+            *run = after;
+        }
+        unite(&parts, &mut scratch, &mut out);
+    }
     out.shrink_to_fit();
     out
 }
 
-fn union_tree(runs: &[&[Extent]]) -> Vec<Extent> {
+/// The hull of `runs` and the width of the blocks [`union_blocked`]
+/// cuts it into, or `None` when the runs make one block: the hull split
+/// evenly into one block per `block` extents.
+fn blocks(runs: &[&[Extent]], block: usize) -> Option<(Extent, u64)> {
+    let nblocks = runs
+        .iter()
+        .map(|r| r.len())
+        .sum::<usize>()
+        .div_ceil(block.max(1));
+    if nblocks <= 1 {
+        return None;
+    }
+    let hull = runs
+        .iter()
+        .filter_map(|r| Some(Extent::from_bounds(r.first()?.offset, r.last()?.end())))
+        .fold(Extent::EMPTY, |acc, s| acc.hull(&s));
+    (!hull.is_empty()).then(|| (hull, hull.len.div_ceil(nblocks as u64)))
+}
+
+/// Scratch buffers [`unite`] needs for `k` runs: two per level above
+/// the pairs.
+fn scratch_len(mut k: usize) -> usize {
+    let mut n = 0;
+    while k > 2 {
+        n += 2;
+        k -= k / 2;
+    }
+    n
+}
+
+/// Appends the union of `runs` to `out`, coalescing with its last
+/// extent. `scratch` holds the two halves' unions of every level below,
+/// cleared and refilled, so nothing is allocated once it has grown.
+fn unite(runs: &[&[Extent]], scratch: &mut [Vec<Extent>], out: &mut Vec<Extent>) {
     match runs {
-        [] => Vec::new(),
-        [a] => union_pair(a, &[]),
-        [a, b] => union_pair(a, b),
+        [] => {}
+        [a] => merge_into(a, &[], out),
+        [a, b] => merge_into(a, b, out),
         _ => {
-            let (left, right) = runs.split_at(runs.len() / 2);
-            union_pair(&union_tree(left), &union_tree(right))
+            let (l, r) = runs.split_at(runs.len() / 2);
+            let [left, right, deeper @ ..] = scratch else {
+                unreachable!("scratch_len counts two buffers per level")
+            };
+            left.clear();
+            right.clear();
+            unite(l, deeper, left);
+            unite(r, deeper, right);
+            merge_into(left, right, out);
         }
     }
 }
 
-/// [`union_sorted`] of two runs: a two-pointer merge.
-fn union_pair(a: &[Extent], b: &[Extent]) -> Vec<Extent> {
+/// The union of two sorted runs appended to `out`, coalescing with its
+/// last extent: a two-pointer merge.
+fn merge_into(a: &[Extent], b: &[Extent], out: &mut Vec<Extent>) {
     debug_assert!(is_sorted_disjoint(a) && is_sorted_disjoint(b));
     // Room for the case where nothing coalesces: growing mid-merge costs
     // more than the slack, which the caller trims off the final result.
-    let mut out = Vec::with_capacity(a.len() + b.len());
+    // An empty buffer gets exactly that; one being appended to grows
+    // geometrically, as it may be many times.
+    if out.is_empty() {
+        out.reserve_exact(a.len() + b.len());
+    } else {
+        out.reserve(a.len() + b.len());
+    }
     // The extent being grown, kept out of `out` until a gap closes it
     // (empty only until the first non-empty extent arrives).
-    let mut cur = Extent::EMPTY;
+    let mut cur = out.pop().unwrap_or(Extent::EMPTY);
     let mut absorb = |e: Extent| {
         if !cur.is_empty() && e.offset <= cur.end() {
             cur.len = cur.len.max(e.end() - cur.offset);
@@ -213,7 +309,6 @@ fn union_pair(a: &[Extent], b: &[Extent]) -> Vec<Extent> {
     if !cur.is_empty() {
         out.push(cur);
     }
-    out
 }
 
 /// Index range of the extents of a sorted run that can overlap
@@ -482,6 +577,65 @@ mod tests {
             union_sorted(&[&[Extent::new(0, 5), Extent::new(5, 5)]]),
             vec![Extent::new(0, 10)]
         );
+    }
+
+    /// A sorted run from `(gap, len)` steps, starting at `base`.
+    fn run_from(base: u64, steps: &[(u64, u64)]) -> Vec<Extent> {
+        let mut pos = base;
+        steps
+            .iter()
+            .map(|&(gap, len)| {
+                let e = Extent::new(pos + gap, len);
+                pos = e.end();
+                e
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The blocked union is `coalesce` of the concatenation when the
+        /// runs make three blocks or more (blocks of 1 to 8 extents):
+        /// runs that start apart, so that some hold nothing in a block,
+        /// runs that overlap (one of them twice), extents that reach
+        /// across several block edges, an empty run, and zero-length
+        /// extents on block edges.
+        #[test]
+        fn blocked_union_is_coalesce_of_the_concatenation(
+            lists in proptest::collection::vec(
+                (0u64..200, proptest::collection::vec((0u64..6, 0u64..5), 8..16)),
+                3..7,
+            ),
+            long in proptest::collection::vec((0u64..300, 20u64..150), 1..4),
+            edge_zeros in 1usize..4,
+            block in 1usize..=8,
+        ) {
+            let mut runs: Vec<Vec<Extent>> =
+                lists.iter().map(|(base, steps)| run_from(*base, steps)).collect();
+            runs.push(runs[0].clone());
+            runs.push(Vec::new());
+            runs.extend(long.iter().map(|&(offset, len)| vec![Extent::new(offset, len)]));
+            // An extent across two block edges and zero-length extents
+            // on the edges, counted in before they are placed: the extent
+            // count sets the blocks.
+            runs.push(vec![Extent::EMPTY]);
+            runs.push(vec![Extent::EMPTY; edge_zeros]);
+            let refs: Vec<&[Extent]> = runs.iter().map(Vec::as_slice).collect();
+            let (hull, width) = blocks(&refs, block).expect("more than one block");
+            let nblocks = hull.len.div_ceil(width);
+            proptest::prop_assert!(nblocks >= 3, "{nblocks} blocks");
+            let [.., across, zeros] = &mut runs[..] else { unreachable!() };
+            across[0] = Extent::from_bounds(hull.offset + width / 2, hull.offset + 2 * width + 1);
+            for (i, e) in zeros.iter_mut().enumerate() {
+                let edge = (i as u64 + 1).min(nblocks - 1);
+                *e = Extent::new(hull.offset + edge * width, 0);
+            }
+            let refs: Vec<&[Extent]> = runs.iter().map(Vec::as_slice).collect();
+            proptest::prop_assert_eq!(blocks(&refs, block), Some((hull, width)));
+            for run in &runs {
+                proptest::prop_assert!(is_sorted_disjoint(run));
+            }
+            proptest::prop_assert_eq!(union_blocked(&refs, block), coalesce(runs.concat()));
+        }
     }
 
     #[test]
