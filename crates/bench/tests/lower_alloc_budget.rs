@@ -1,8 +1,9 @@
 //! Lowering and running a plan allocates per round, per request and per
 //! resource — not per activity: an activity is a row of the simulation's
-//! arenas, its label and stages are written in place. The counter is
-//! exact and repeats, so it is gated where a wall-clock figure could not
-//! be.
+//! arenas, its label a 16-byte row and its stages written in place. The
+//! counters — allocations, and bytes per activity on the exascale cut —
+//! are exact and repeat, so they are gated where a wall-clock figure
+//! could not be.
 //!
 //! Compiled only with the counting allocator:
 //! `cargo test --release -p mcio-bench --features count-alloc --test lower_alloc_budget`.
@@ -16,14 +17,21 @@ use mcio_prof::alloc::snapshot;
 
 const MIB: u64 = 1 << 20;
 
-/// Allocations of one untraced simulation of the memory-conscious plan
-/// of `req` at nominal buffer `buf`, and its activity count.
-fn simulate(h: &Harness, req: &mcio_core::CollectiveRequest, buf: u64) -> (u64, u64) {
+/// Allocations and bytes allocated in one untraced simulation of the
+/// memory-conscious plan of `req` at nominal buffer `buf`, and its
+/// activity count.
+fn simulate(h: &Harness, req: &mcio_core::CollectiveRequest, buf: u64) -> (u64, u64, u64) {
     let cell = h.cell(Strategy::MemoryConscious, req, buf);
     let plan = cell.plan();
-    let before = snapshot().allocs;
+    let before = snapshot();
     let report = cell.timing(&plan);
-    (snapshot().allocs - before, report.activities as u64)
+    let after = snapshot();
+    let activities = report.activities as u64;
+    (
+        after.allocs - before.allocs,
+        after.bytes - before.bytes,
+        activities,
+    )
 }
 
 #[test]
@@ -32,10 +40,10 @@ fn an_untraced_simulation_allocates_per_request_not_per_activity() {
     // each in 8 segments, 4 MiB nominal buffers.
     let h = Harness::new(ClusterSpec::testbed_1080(), 216, 12, 0xF168);
     let req = mcio_workloads::Ior::paper(216, 8 * MIB, 8).request(Rw::Write);
-    let (allocs, activities) = simulate(&h, &req, 4 * MIB);
+    let (allocs, _, activities) = simulate(&h, &req, 4 * MIB);
     println!("fig8 cut: {allocs} allocations for {activities} activities");
 
-    // Measured: 335 allocations for the cell's 5,668 activities, 0.06
+    // Measured: 285 allocations for the cell's 5,668 activities, 0.05
     // each — the machine's tables, the lowering's scratch and flat
     // vectors, the engine's queues and pools as they grow. It was 6,356
     // (1.12 each) with a name and a queue per resource, a piece list
@@ -57,16 +65,31 @@ fn an_untraced_simulation_allocates_per_request_not_per_activity() {
     spec.nodes = 4_096;
     let h = Harness::new(spec, 4_096, 1, 0xE2018);
     let req = mcio_workloads::Ior::paper(4_096, MIB, 1).request(Rw::Write);
-    let (allocs, activities) = simulate(&h, &req, 16 * MIB);
+    let (allocs, bytes, activities) = simulate(&h, &req, 16 * MIB);
     println!("exascale cut: {allocs} allocations for {activities} activities");
+    let per_activity = bytes as f64 / activities as f64;
+    println!("exascale cut: {bytes} bytes allocated, {per_activity:.1} per activity");
 
-    // Measured: 940 allocations for the 24,576 activities, 0.04 each.
-    // It was 84,840 (3.45 each) with a name per resource (0.5 per
-    // activity) and about fifteen vectors per chain (2.5). The gate, a
+    // Measured: 195 allocations for the 24,576 activities, 0.008 each
+    // (944 with a per-aggregator tree in the phase attribution and the
+    // arenas doubling their way up). It was 84,840 (3.45 each) with a
+    // name per resource (0.5 per activity) and about fifteen vectors per
+    // chain (2.5). The gate, a
     // quarter of an allocation per activity, fails if either comes back.
     assert_eq!(activities, 24_576);
     assert!(
         allocs * 4 <= activities,
         "{allocs} allocations for {activities} activities"
+    );
+
+    // Bytes: 9,267,150 allocated for the 24,576 activities, 377.1 each
+    // — arenas reserved once from the plan's bounds, the event queue and
+    // pool, the lowering's flat vectors. It was 12,747,814 (518.7 each)
+    // with every label written out as text, every future event a 24-byte
+    // heap entry and the arenas doubling their way up. The gate, 450
+    // bytes per activity, fails if that comes back.
+    assert!(
+        bytes <= 450 * activities,
+        "{bytes} bytes allocated for {activities} activities"
     );
 }

@@ -16,8 +16,10 @@
 
 use crate::spec::ClusterSpec;
 use crate::NodeId;
-use mcio_des::{ActivityId, Bandwidth, ResourceId, SimDuration, SimTime, Simulation, Stage};
-use std::fmt;
+use mcio_des::{
+    arg, ActivityId, Bandwidth, IntoLabel, Label, Prefix, ResourceId, SimDuration, SimTime,
+    Simulation, Stage,
+};
 
 /// Classification of a transfer between two ranks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,18 +42,22 @@ pub struct Fabric {
 
 impl Fabric {
     /// Register one memory bus and one NIC pair per node of `spec` in
-    /// `sim`.
+    /// `sim`, named `node{n}.membus`, `node{n}.nic_tx` and
+    /// `node{n}.nic_rx`.
     pub fn build(sim: &mut Simulation, spec: &ClusterSpec) -> Self {
         let mut membus = Vec::with_capacity(spec.nodes);
         let mut nic_tx = Vec::with_capacity(spec.nodes);
         let mut nic_rx = Vec::with_capacity(spec.nodes);
+        let names = ["node{}.membus", "node{}.nic_tx", "node{}.nic_rx"];
+        let [bus_name, tx_name, rx_name] = names.map(|name| sim.template(name));
         for n in 0..spec.nodes {
             let scale = spec.scale_of(n);
             let membus_bw = Bandwidth::bytes_per_sec(spec.node.mem_bandwidth * scale);
             let nic_bw = Bandwidth::bytes_per_sec(spec.node.nic_bandwidth * scale);
-            membus.push(sim.add_resource(format_args!("node{n}.membus"), membus_bw));
-            nic_tx.push(sim.add_resource(format_args!("node{n}.nic_tx"), nic_bw));
-            nic_rx.push(sim.add_resource(format_args!("node{n}.nic_rx"), nic_bw));
+            let name = |tpl| Label::new(Prefix::NONE, tpl, [arg(n), 0]);
+            membus.push(sim.add_resource(name(bus_name), membus_bw));
+            nic_tx.push(sim.add_resource(name(tx_name), nic_bw));
+            nic_rx.push(sim.add_resource(name(rx_name), nic_bw));
         }
         Fabric {
             membus,
@@ -99,7 +105,7 @@ impl Fabric {
     pub fn message(
         &self,
         sim: &mut Simulation,
-        label: fmt::Arguments<'_>,
+        label: impl IntoLabel,
         src: NodeId,
         dst: NodeId,
         bytes: u64,

@@ -35,7 +35,7 @@
 //! exactly the static code path — outputs are byte-identical to
 //! pre-adaptive builds.
 
-use crate::exec_sim::{FaultGate, JobMarks, ReplanMark, RoundWindow};
+use crate::exec_sim::{FaultGate, GateName, JobMarks, ReplanMark, RoundWindow};
 use crate::plan::{CollectivePlan, GroupPlan};
 use mcio_cluster::{ProcessMap, Rank};
 use mcio_des::SimTime;
@@ -383,14 +383,14 @@ pub(crate) fn gate_deferrals(
         {
             continue;
         }
-        let gname = d.group.map_or_else(|| "all".into(), |g| g.to_string());
-        let label = format!("{prefix}defer.g{gname}.r{}", d.round);
+        let name = GateName::defer(d.group, d.round);
+        let label = name.text(prefix);
         marks.gates.push(FaultGate {
             group: d.group,
             round: d.round,
             from: SimTime::from_nanos(d.from_ns),
             release: SimTime::from_nanos(d.release_ns),
-            label: label.clone(),
+            name,
             adaptive: true,
         });
         installed += 1;

@@ -51,8 +51,8 @@ use crate::adaptive::{
 };
 use crate::config::Strategy;
 use crate::exec_sim::{
-    simulate_inner, Exchange, FaultGate, JobMarks, Observe, Pipeline, ReplanMark, RoundWindow,
-    SimRun, TimingReport,
+    simulate_inner, Exchange, FaultGate, GateName, JobMarks, Observe, Pipeline, ReplanMark,
+    RoundWindow, SimRun, TimingReport,
 };
 use crate::memory::ProcMemory;
 use crate::plan::{
@@ -226,7 +226,7 @@ pub fn simulate_adaptive(
                         round: first,
                         from: at,
                         release: at + FAILOVER_LATENCY,
-                        label: format!("failover.g{gi}.r{first}"),
+                        name: GateName::failover(gi, first),
                         adaptive: false,
                     };
                     install_replacement(g, cr, (repl, repl_buffer), &mut marks.gates, gate);
@@ -330,7 +330,7 @@ pub fn simulate_adaptive(
                             round: first,
                             from: at,
                             release: at + FAILOVER_LATENCY,
-                            label: format!("replan.g{gi}.r{first}"),
+                            name: GateName::replan(gi, first),
                             adaptive: true,
                         };
                         install_replacement(g, agg, (repl, repl_buffer), &mut marks.gates, gate);

@@ -26,14 +26,15 @@
 
 use crate::plan::{CollectivePlan, Round, SyncMode};
 use mcio_cluster::spec::ClusterSpec;
-use mcio_cluster::{Fabric, ProcessMap, Rank};
-use mcio_des::{Activity, ActivityId, SharePolicy, SimDuration, SimTime, Simulation};
+use mcio_cluster::{Fabric, NodeId, ProcessMap, Rank};
+use mcio_des::{
+    arg, ActivityId, Label, Prefix, SharePolicy, SimDuration, SimTime, Simulation, Tpl,
+};
 use mcio_faults::{FaultEvent, FaultSpec};
 use mcio_obs::catalogue::{PID_FAULTS, PID_REPLAN, PID_ROUNDS};
 use mcio_obs::{Registry, Trace};
-use mcio_pfs::{Pfs, RetryMark, Rw};
-use std::collections::{BTreeMap, HashMap};
-use std::fmt::{Display, Write as _};
+use mcio_pfs::{Pfs, Requester, RetryMark, Rw, StripeLayout};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -166,11 +167,68 @@ pub(crate) struct FaultGate {
     pub from: SimTime,
     /// Earliest start of the gated round.
     pub release: SimTime,
-    /// Trace label, e.g. `failover.g0.r2`.
-    pub label: String,
+    /// Activity and trace label, e.g. `failover.g0.r2`.
+    pub name: GateName,
     /// True for closed-loop controller gates (defer/demote): they ride
     /// the pid-5 replan lanes instead of the pid-3 failover lane.
     pub adaptive: bool,
+}
+
+/// The label of a release gate: a template with up to two holes and its
+/// arguments, under the job's label prefix when `prefixed` (a tenant's
+/// deferrals), else as it is (`failover.g0.r2`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct GateName {
+    pub template: &'static str,
+    pub args: [u32; 2],
+    pub prefixed: bool,
+}
+
+impl GateName {
+    /// A crashed aggregator's failover gate, `failover.g{group}.r{round}`.
+    pub(crate) fn failover(group: usize, round: usize) -> Self {
+        let args = [arg(group), arg(round)];
+        GateName {
+            template: "failover.g{}.r{}",
+            args,
+            prefixed: false,
+        }
+    }
+
+    /// A demoted aggregator's replan gate, `replan.g{group}.r{round}`.
+    pub(crate) fn replan(group: usize, round: usize) -> Self {
+        GateName {
+            template: "replan.g{}.r{}",
+            ..Self::failover(group, round)
+        }
+    }
+
+    /// A deferral of `group`'s round (every group's under global sync),
+    /// `{prefix}defer.g{group|all}.r{round}`.
+    pub(crate) fn defer(group: Option<usize>, round: usize) -> Self {
+        let (template, args) = match group {
+            Some(g) => ("defer.g{}.r{}", [arg(g), arg(round)]),
+            None => ("defer.gall.r{}", [arg(round), 0]),
+        };
+        GateName {
+            template,
+            args,
+            prefixed: true,
+        }
+    }
+
+    /// The gate's label as text, under the job's label `prefix`.
+    pub(crate) fn text(&self, prefix: &str) -> String {
+        let mut text = String::from(if self.prefixed { prefix } else { "" });
+        mcio_des::fill(&mut text, self.template, self.args).expect("a String takes any write");
+        text
+    }
+
+    /// The gate's activity label in `sim`, under the job's `prefix`.
+    fn label(&self, sim: &mut Simulation, prefix: Prefix) -> Label {
+        let prefix = if self.prefixed { prefix } else { Prefix::NONE };
+        Label::new(prefix, sim.template(self.template), self.args)
+    }
 }
 
 /// One decision of the closed-loop controller, destined for the pid-5
@@ -615,10 +673,10 @@ pub(crate) fn execute<'a>(
             fabric.nnodes()
         );
         let act_lo = sim.activity_count();
+        let prefix = sim.prefix(&job.prefix);
         let start_gate = (!job.start.is_zero()).then(|| {
-            sim.add_activity(
-                Activity::new(format!("{}start", job.prefix)).release_at(SimTime::ZERO + job.start),
-            )
+            let start = start_label(&mut sim, prefix);
+            sim.activity(start, SimTime::ZERO + job.start, &[])
         });
         // A lowering copied out with no start gate does not say where
         // one attaches: that job is lowered again.
@@ -643,18 +701,18 @@ pub(crate) fn execute<'a>(
                     .gates
                     .iter()
                     .map(|gate| {
-                        let act = sim.add_activity(
-                            Activity::new(gate.label.clone()).release_at(gate.release),
-                        );
+                        let label = gate.name.label(&mut sim, prefix);
+                        let act = sim.activity(label, gate.release, &[]);
                         ((gate.group, gate.round), act)
                     })
                     .collect();
-                let mut lowering = Lowering::new(&mut sim, &fabric, &pfs, job);
+                let (activities, stages) = lowering_bounds(job, pfs.layout());
+                sim.reserve(activities, stages);
+                let mut lowering = Lowering::new(&mut sim, &fabric, &pfs, job, prefix);
                 lowering.lower_plan(&gate_acts, start_gate);
                 let mut shape = lowering.shape;
                 shape.make_relative_to(mark.first());
-                let fragment =
-                    (kept.is_some()).then(|| sim.copy_since(mark, job.prefix.len(), start_gate));
+                let fragment = (kept.is_some()).then(|| sim.copy_since(mark, start_gate));
                 (shape, fragment, mark.first())
             }
         };
@@ -869,6 +927,8 @@ struct Lowering<'a> {
     fabric: &'a Fabric,
     pfs: &'a Pfs,
     job: &'a ExecJob<'a>,
+    /// The job's label prefix and templates, interned in `sim`.
+    names: LabelNames,
     /// The job's slots as lowered so far (absolute activity ids).
     shape: Shape,
     /// What the current slot's first phase waits for, the start gate
@@ -879,9 +939,75 @@ struct Lowering<'a> {
     /// The current round's activities per aggregator, one list per
     /// phase in execution order.
     phase_acts: [AggActs; 2],
-    /// What the current PFS request waits for, and its label.
+    /// What the current PFS request waits for.
     deps: Vec<ActivityId>,
-    label: String,
+}
+
+/// The label prefix and templates of one job's lowering. A message
+/// reads along the data flow, `node->rank` on a write and `rank->node`
+/// on a read; its copy leg under two-level exchange is a `combine`
+/// before the wire on a write, a `scatter` after it on a read.
+#[derive(Clone, Copy)]
+struct LabelNames {
+    prefix: Prefix,
+    /// `(msg, copy)` of a write, then of a read.
+    legs: ((Tpl, Tpl), (Tpl, Tpl)),
+    ex_join: Tpl,
+    io_join: Tpl,
+}
+
+/// Upper bounds on the activities and stages lowering `job` registers,
+/// read off its plan: per round slot two joins; per message at most two
+/// legs (a copy at the node's leader, then the wire) of six stages in
+/// all; per requested extent a head and a tail of two stages each and a
+/// one-stage piece per OST it can touch. Retry chains may add stages.
+fn lowering_bounds(job: &ExecJob<'_>, layout: StripeLayout) -> (usize, usize) {
+    let (mut activities, mut stages) = (0, 0);
+    for round in job.plan.groups.iter().flat_map(|g| &g.rounds) {
+        let messages = round.messages.len();
+        activities += 2 + 2 * messages;
+        stages += 6 * messages;
+        for e in round.ios.iter().flat_map(|io| &io.extents) {
+            let stripes = usize::try_from(e.len.div_ceil(layout.stripe_unit()) + 1);
+            let pieces = stripes.map_or(layout.stripe_count(), |s| s.min(layout.stripe_count()));
+            activities += 2 + pieces;
+            stages += 4 + pieces;
+        }
+    }
+    (activities, stages)
+}
+
+/// The label of a job's start gate, `{prefix}start`.
+fn start_label(sim: &mut Simulation, prefix: Prefix) -> Label {
+    Label::new(prefix, sim.template("start"), [0, 0])
+}
+
+impl LabelNames {
+    fn new(sim: &mut Simulation, prefix: Prefix) -> Self {
+        let mut tpl = |template| sim.template(template);
+        let write = (tpl("msg.node{}->rank{}"), tpl("combine.node{}->rank{}"));
+        let read = (tpl("msg.rank{}->node{}"), tpl("scatter.rank{}->node{}"));
+        LabelNames {
+            prefix,
+            legs: (write, read),
+            ex_join: tpl("c{}.r{}.ex"),
+            io_join: tpl("c{}.r{}.io"),
+        }
+    }
+
+    /// The label of one leg of a transfer between `node` and aggregator
+    /// `agg` in direction `rw`: its message, or its copy at the node's
+    /// leader.
+    fn leg(&self, rw: Rw, copy: bool, node: NodeId, agg: Rank) -> Label {
+        let ((msg, copy_leg), _) = rw.flow(self.legs);
+        let (from, to) = rw.flow((arg(node.0), arg(agg.0)));
+        Label::new(self.prefix, if copy { copy_leg } else { msg }, [from, to])
+    }
+
+    /// The labels of slot `r`'s exchange and I/O joins on chain `ci`.
+    fn joins(&self, ci: usize, r: usize) -> [Label; 2] {
+        [self.ex_join, self.io_join].map(|tpl| Label::new(self.prefix, tpl, [arg(ci), arg(r)]))
+    }
 }
 
 /// The activities one phase of a round created, each with its
@@ -923,8 +1049,10 @@ impl<'l> Lowering<'l> {
         fabric: &'l Fabric,
         pfs: &'l Pfs,
         job: &'l ExecJob<'l>,
+        prefix: Prefix,
     ) -> Self {
         Lowering {
+            names: LabelNames::new(sim, prefix),
             sim,
             fabric,
             pfs,
@@ -934,7 +1062,6 @@ impl<'l> Lowering<'l> {
             transfers: Vec::new(),
             phase_acts: Default::default(),
             deps: Vec::new(),
-            label: String::new(),
         }
     }
 
@@ -977,7 +1104,7 @@ impl<'l> Lowering<'l> {
         gate_acts: &HashMap<(Option<usize>, usize), ActivityId>,
         start_gate: Option<ActivityId>,
     ) {
-        let (plan, pipeline, prefix) = (self.job.plan, self.job.pipeline, &self.job.prefix);
+        let (plan, pipeline, names) = (self.job.plan, self.job.pipeline, self.names);
         let ci = self.shape.groups.len();
         self.shape.groups.push(group);
         // The (exchange, I/O) joins of the previous two slots.
@@ -1013,11 +1140,12 @@ impl<'l> Lowering<'l> {
             }
             let (msgs, ios) = (msgs..self.shape.msgs.len(), ios..self.shape.ios.len());
             let sim = &mut *self.sim;
-            let ex_join = sim.activity(format_args!("{prefix}c{ci}.r{r}.ex"), SimTime::ZERO, &[]);
+            let [ex_label, io_label] = names.joins(ci, r);
+            let ex_join = sim.activity(ex_label, SimTime::ZERO, &[]);
             for &m in &self.shape.msgs[msgs.clone()] {
                 sim.add_dep(m, ex_join);
             }
-            let io_join = sim.activity(format_args!("{prefix}c{ci}.r{r}.io"), SimTime::ZERO, &[]);
+            let io_join = sim.activity(io_label, SimTime::ZERO, &[]);
             for &io in &self.shape.ios[ios.clone()] {
                 sim.add_dep(io, io_join);
             }
@@ -1094,21 +1222,18 @@ impl<'l> Lowering<'l> {
     /// `aggregator->node` on a read.
     fn exchange(&mut self, round: &Round, gates: &Gates<'_>, acts: &mut AggActs) {
         let (job, rw) = (self.job, self.job.plan.rw);
-        let prefix = &job.prefix;
         let mut transfers = std::mem::take(&mut self.transfers);
         exchange_transfers(round, job.map, job.exchange, rw, &mut transfers);
         for t in &transfers {
-            let (from, to): (&dyn Display, &dyn Display) = rw.flow((&t.node, &t.agg));
             let wire = rw.flow((t.node, job.map.node_of(t.agg)));
             // Two-level: one extra memory-bus copy of the combined payload
             // at the node's leader — combined there before the wire on a
             // write, scattered from there after it on a read.
-            let (verb, _) = rw.flow(("combine", "scatter"));
-            let copy = t.combined.then_some((verb, (t.node, t.node)));
-            let legs = rw.flow((copy, Some(("msg", wire))));
+            let copy = t.combined.then_some((true, (t.node, t.node)));
+            let legs = rw.flow((copy, Some((false, wire))));
             let mut prev: Option<ActivityId> = None;
-            for (verb, (src, dst)) in [legs.0, legs.1].into_iter().flatten() {
-                let label = format_args!("{prefix}{verb}.{from}->{to}");
+            for (copy, (src, dst)) in [legs.0, legs.1].into_iter().flatten() {
+                let label = self.names.leg(rw, copy, t.node, t.agg);
                 let a = self.fabric.message(self.sim, label, src, dst, t.bytes);
                 match prev {
                     None => gates.of(t.agg).for_each(|d| self.sim.add_dep(d, a)),
@@ -1129,12 +1254,14 @@ impl<'l> Lowering<'l> {
         for io in &round.ios {
             self.deps.clear();
             self.deps.extend(gates.of(io.agg));
-            self.label.clear();
-            write!(self.label, "{}io.{}", job.prefix, io.agg).expect("a String takes any write");
+            let by = Requester {
+                prefix: self.names.prefix,
+                rank: arg(io.agg.0),
+            };
             let node = job.map.node_of(io.agg);
             for e in &io.extents {
-                let (sim, label, deps) = (&mut *self.sim, &self.label, &self.deps);
-                let done = pfs.submit(sim, fabric, label, node, job.plan.rw, *e, deps);
+                let (sim, deps) = (&mut *self.sim, &self.deps);
+                let done = pfs.submit(sim, fabric, by, node, job.plan.rw, *e, deps);
                 acts.push((io.agg, done));
                 self.shape.ios.push(done);
             }
@@ -1207,7 +1334,8 @@ fn attribute_phases(
     let mut io_time = SimDuration::ZERO;
     let mut round_phases: Vec<RoundPhase> = Vec::with_capacity(round_meta.len());
     let mut windows: Vec<RoundWindow> = Vec::with_capacity(round_meta.len());
-    let mut agg_io_acc: BTreeMap<usize, SimDuration> = BTreeMap::new();
+    // Per aggregator, by rank: an exascale plan has tens of thousands.
+    let mut agg_io_acc: Vec<Option<SimDuration>> = Vec::new();
     for meta in round_meta {
         let last = |acts: &[ActivityId], or: SimTime| {
             let done = acts.iter().map(|&a| finished(a));
@@ -1243,7 +1371,11 @@ fn attribute_phases(
             let start = ios.iter().map(|&(_, _, a)| started(a)).min();
             let end = ios.iter().map(|&(_, _, a)| finished(a)).max();
             if let (Some(s), Some(e)) = (start, end) {
-                *agg_io_acc.entry(agg.0).or_insert(SimDuration::ZERO) += e.saturating_since(s);
+                if agg_io_acc.len() <= agg.0 {
+                    agg_io_acc.resize(agg.0 + 1, None);
+                }
+                let acc = agg_io_acc[agg.0].get_or_insert(SimDuration::ZERO);
+                *acc += e.saturating_since(s);
             }
         }
     }
@@ -1252,7 +1384,9 @@ fn attribute_phases(
         io_time,
         rounds: round_phases,
         windows,
-        agg_io: agg_io_acc.into_iter().collect(),
+        agg_io: (agg_io_acc.into_iter().enumerate())
+            .filter_map(|(rank, io)| Some((rank, io?)))
+            .collect(),
     }
 }
 
@@ -1415,7 +1549,14 @@ fn trace_faults(tc: &mut Trace, ex: &Executed<'_>) {
             .as_nanos()
             .min(elapsed_ns);
         if end > start {
-            tc.span(&gate.label, "failover", PID_FAULTS, 1, start, end - start);
+            tc.span(
+                &gate.name.text(""),
+                "failover",
+                PID_FAULTS,
+                1,
+                start,
+                end - start,
+            );
         }
     }
     for (job, run) in ex.jobs.iter().zip(&ex.runs) {
@@ -1604,6 +1745,144 @@ mod tests {
 
     fn small_spec(nodes: usize) -> ClusterSpec {
         ClusterSpec::small(nodes, 2)
+    }
+
+    /// Every production label shape, written by the code that writes it
+    /// and read back through the report, against the text the `format!`
+    /// calls the label rows replaced wrote.
+    #[test]
+    fn labels_render_as_their_format_strings_wrote_them() {
+        let mut spec = small_spec(3);
+        spec.io_servers = 4;
+        let mut sim = Simulation::new();
+        let fabric = Fabric::build(&mut sim, &spec);
+        let pfs = Pfs::build(&mut sim, &spec);
+        let mut expected: Vec<String> = Vec::new();
+        // A tenant's lowering: messages and copies in both directions,
+        // PFS requests, joins, its start gate and its release gates.
+        let text = "j3.";
+        let j3 = sim.prefix(text);
+        let names = LabelNames::new(&mut sim, j3);
+        let (node, agg) = (NodeId(2), Rank(5));
+        for rw in [Rw::Write, Rw::Read] {
+            let (from, to): (&dyn std::fmt::Display, &dyn std::fmt::Display) =
+                rw.flow((&node, &agg));
+            let (verb, _) = rw.flow(("combine", "scatter"));
+            for (copy, verb) in [(false, "msg"), (true, verb)] {
+                let label = names.leg(rw, copy, node, agg);
+                fabric.message(&mut sim, label, node, NodeId(0), 10);
+                expected.push(format!("{text}{verb}.{from}->{to}"));
+            }
+        }
+        let by = Requester {
+            prefix: j3,
+            rank: arg(agg.0),
+        };
+        let label = format!("{text}io.{agg}");
+        let stripe = 1 << 20;
+        for (rw, parts) in [
+            (Rw::Write, ["egress", "done"]),
+            (Rw::Read, ["rpc", "ingress"]),
+        ] {
+            pfs.submit(
+                &mut sim,
+                &fabric,
+                by,
+                node,
+                rw,
+                Extent::new(stripe, 2 * stripe),
+                &[],
+            );
+            expected.push(format!("{label}.{}", parts[0]));
+            expected.push(format!("{label}.{}", parts[1]));
+            for ost in [1, 2] {
+                expected.push(format!("{label}.{}", mcio_pfs::OstId(ost)));
+            }
+        }
+        pfs.submit(&mut sim, &fabric, by, node, Rw::Read, Extent::EMPTY, &[]);
+        expected.push(format!("{label}.empty"));
+        let (ci, r) = (4, 11);
+        let joins = |p: &str| [format!("{p}c{ci}.r{r}.ex"), format!("{p}c{ci}.r{r}.io")];
+        for join in names.joins(ci, r) {
+            sim.activity(join, SimTime::ZERO, &[]);
+        }
+        expected.extend(joins(text));
+        let start = start_label(&mut sim, j3);
+        sim.activity(start, SimTime::ZERO, &[]);
+        expected.push(format!("{text}start"));
+        let (gi, first) = (7, 3);
+        let gates = [
+            (
+                GateName::failover(gi, first),
+                format!("failover.g{gi}.r{first}"),
+            ),
+            (
+                GateName::replan(gi, first),
+                format!("replan.g{gi}.r{first}"),
+            ),
+            (
+                GateName::defer(Some(gi), first),
+                format!("{text}defer.g{gi}.r{first}"),
+            ),
+            (
+                GateName::defer(None, first),
+                format!("{text}defer.gall.r{first}"),
+            ),
+        ];
+        for (gate, text_form) in gates {
+            assert_eq!(gate.text(text), text_form);
+            let label = gate.label(&mut sim, j3);
+            sim.activity(label, SimTime::ZERO, &[]);
+            expected.push(text_form);
+        }
+        // The same run copied out and appended under other prefixes.
+        let mark = sim.mark();
+        for join in names.joins(ci, r) {
+            sim.activity(join, SimTime::ZERO, &[]);
+        }
+        expected.extend(joins(text));
+        let frag = sim.copy_since(mark, None);
+        for prefix in ["j12.", ""] {
+            sim.append(&frag, prefix, None);
+            expected.extend(joins(prefix));
+        }
+        // A simulation of its own takes the fragment in as well.
+        let mut other = Simulation::new();
+        Fabric::build(&mut other, &spec);
+        Pfs::build(&mut other, &spec);
+        other.append(&frag, "j0.", None);
+        let other = other.run().expect("stageless joins run");
+        let appended: Vec<String> = ids(2).into_iter().map(|a| other.label(a)).collect();
+        assert_eq!(appended, joins("j0."));
+
+        let report = sim.run().expect("the labels' activities run");
+        let ids = ids(report.activity_count());
+        let labels: Vec<String> = ids.into_iter().map(|a| report.label(a)).collect();
+        assert_eq!(labels, expected);
+        for n in 0..spec.nodes {
+            let node = NodeId(n);
+            let buses = [
+                fabric.membus(node),
+                fabric.nic_tx(node),
+                fabric.nic_rx(node),
+            ];
+            let names = buses.map(|r| report.resource_name(r));
+            let expected = ["membus", "nic_tx", "nic_rx"].map(|r| format!("node{n}.{r}"));
+            assert_eq!(names, expected);
+        }
+        for k in 0..spec.io_servers {
+            let ost = pfs.ost_resource(mcio_pfs::OstId(k));
+            assert_eq!(report.resource_name(ost), format!("ost{k}"));
+        }
+    }
+
+    /// The ids of a simulation's first `n` activities, in order.
+    fn ids(n: usize) -> Vec<ActivityId> {
+        let mut scratch = Simulation::new();
+        let [zero, one] = ["a", "b"].map(|l| scratch.activity(l, SimTime::ZERO, &[]));
+        std::iter::successors(Some(zero), |&id| Some(one.based_at(id)))
+            .take(n)
+            .collect()
     }
 
     #[test]

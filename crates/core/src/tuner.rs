@@ -12,8 +12,8 @@
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::{Fabric, NodeId};
-use mcio_des::Simulation;
-use mcio_pfs::{Extent, Pfs, Rw};
+use mcio_des::{arg, Prefix, Simulation};
+use mcio_pfs::{Extent, Pfs, Requester, Rw};
 
 /// The tuned knobs for a machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +40,10 @@ fn probe_bandwidth(spec: &ClusterSpec, nodes: usize, naggs: usize, size: u64, rw
         pfs.submit(
             &mut sim,
             &fabric,
-            &format!("probe{a}"),
+            Requester {
+                prefix: Prefix::NONE,
+                rank: arg(a),
+            },
             node,
             rw,
             extent,

@@ -3,12 +3,12 @@
 //! an instant, be copied, take more activities and resume.
 
 use crate::activity::{Activity, ActivityId, ActivityState, Stage};
+use crate::label::{IntoLabel, Label, Names, Prefix, Tpl};
+use crate::queue::EventQueue;
 use crate::resource::{Bandwidth, Job, ResourceId, ResourceTable, ResourceUsage, SharePolicy};
 use crate::time::{SimDuration, SimTime};
 use mcio_obs::catalogue::PID_RESOURCES;
 use mcio_obs::{Histogram, Registry, Span, Sym, Trace};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 use std::fmt::{self, Write as _};
 use std::ops::Range;
 use std::sync::Arc;
@@ -65,19 +65,6 @@ pub struct ServiceRecord {
     pub end: SimTime,
 }
 
-/// One event-heap entry: `(time, sequence, slot, generation)`.
-/// `sequence` is unique, so `(time, sequence)` already orders the heap
-/// totally and the slot handle is never compared.
-type HeapEntry = (SimTime, u64, u32, u32);
-
-/// The sequence bit of every event but a seed. A seed — the `Ready` of
-/// an activity that waits for nothing — is sequenced by its activity id
-/// alone, so where it sorts does not depend on when it was pushed: at
-/// its instant it follows every seed of a lower id and precedes every
-/// event scheduled while running, the order a run that pushed every
-/// seed before its first event gives it.
-const RUN_TIME: u64 = 1 << 63;
-
 /// Handle of a scheduled event: `(slot, generation)`.
 pub(crate) type EventHandle = (u32, u32);
 
@@ -95,61 +82,40 @@ fn row(ends: &[u32], i: usize) -> Range<usize> {
     start as usize..ends[i] as usize
 }
 
-/// Names written back to back into one string: every activity label
-/// of a simulation, and every resource name.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Labels {
-    bytes: String,
-    ends: Vec<u32>,
-}
-
-impl Labels {
-    pub(crate) fn push(&mut self, label: fmt::Arguments<'_>) {
-        self.bytes
-            .write_fmt(label)
-            .expect("a Display impl returned an error");
-        self.ends.push(index32(self.bytes.len(), "label bytes"));
-    }
-
-    /// `prefix` then `label` as one new label.
-    fn push_parts(&mut self, prefix: &str, label: &str) {
-        self.bytes.push_str(prefix);
-        self.bytes.push_str(label);
-        self.ends.push(index32(self.bytes.len(), "label bytes"));
-    }
-
-    pub(crate) fn get(&self, i: usize) -> &str {
-        &self.bytes[row(&self.ends, i)]
-    }
-
-    /// Room for `count` more labels of `bytes` bytes in all.
-    fn reserve(&mut self, count: usize, bytes: usize) {
-        self.bytes.reserve(bytes);
-        self.ends.reserve(count);
-    }
-
-    /// Keep the first `len` labels.
-    fn truncate(&mut self, len: usize) {
-        self.ends.truncate(len);
-        self.bytes
-            .truncate(len.checked_sub(1).map_or(0, |i| self.ends[i] as usize));
-    }
-}
-
 /// What a simulation registers once and a run only reads: every stage,
 /// every label and the dependents of every activity the run has
 /// indexed. A run and the copies [`Simulation::fork`] makes of it share
-/// one; registering into a shared graph copies it first.
+/// one; indexing into a shared graph copies it first.
 #[derive(Debug, Clone, Default)]
 struct Graph {
     stages: Vec<Stage>,
-    labels: Labels,
+    /// One label row per indexed activity.
+    labels: Vec<Label>,
     /// The edges as a CSR: the dependents of activity `a` are row `a` of
     /// `dependents` under `dependent_ends`, in declaration order. Rows
     /// exist for the activities the run has indexed, which are the first
     /// `dependent_ends.len()`.
     dependents: Vec<ActivityId>,
     dependent_ends: Vec<u32>,
+}
+
+/// The stages and labels of the activities registered since the run
+/// last indexed, owned by the simulation alone: registering pushes here
+/// and never touches the shared [`Graph`], which takes them in when the
+/// run indexes (DESIGN.md §10, "Registering touches no shared count").
+#[derive(Debug, Clone, Default)]
+struct Fresh {
+    stages: Vec<Stage>,
+    labels: Vec<Label>,
+}
+
+/// Move `from` onto the end of `to`: by swapping when `to` is empty.
+fn move_onto<T>(to: &mut Vec<T>, from: &mut Vec<T>) {
+    if to.is_empty() {
+        std::mem::swap(to, from);
+    } else {
+        to.append(from);
+    }
 }
 
 /// Where a simulation's activity and edge arenas ended when
@@ -181,16 +147,19 @@ struct FragmentRow {
 
 /// A contiguous run of activities copied out of one simulation by
 /// [`Simulation::copy_since`], to be appended to others by
-/// [`Simulation::append`]: rows, stages, labels without their prefix,
-/// and dependency edges, every offset relative to the run. The run may
-/// have hung on one activity outside it (a start gate); the fragment
+/// [`Simulation::append`]: rows, stages, label rows without their
+/// prefix (with the template table and the free text they read), and
+/// dependency edges, every offset relative to the run. The run may have
+/// hung on one activity outside it (a start gate); the fragment
 /// remembers which of its activities waited for that one, in the order
 /// the edges were declared, and not the activity itself.
 #[derive(Debug)]
 pub struct Fragment {
     rows: Vec<FragmentRow>,
     stages: Vec<Stage>,
-    labels: Labels,
+    labels: Vec<Label>,
+    templates: Vec<&'static str>,
+    text: String,
     /// `(before, after)` as offsets into the run, in declaration order.
     edges: Vec<(u32, u32)>,
     /// The dependents of the outside activity, in declaration order;
@@ -221,12 +190,16 @@ pub struct Simulation {
     resources: ResourceTable,
     /// The service discipline of every resource.
     policy: SharePolicy,
+    /// The templates, prefixes and free text every label row reads.
+    names: Names,
     /// The activity graph, in flat arenas: one row per activity, then
-    /// every stage back to back (a row owns a window of it), every
-    /// label in one string and the dependents CSR, in the [`Graph`]
-    /// the run's forks share.
+    /// every stage back to back (a row owns a window of it), one label
+    /// row per activity and the dependents CSR — in the [`Graph`] the
+    /// run's forks share up to the activities the run has indexed, in
+    /// [`Fresh`] after them.
     activities: Vec<ActivityState>,
     graph: Arc<Graph>,
+    fresh: Fresh,
     /// Every dependency edge `(before, after)` declared since the run
     /// last indexed, in declaration order.
     edges: Vec<(ActivityId, ActivityId)>,
@@ -241,27 +214,18 @@ pub struct Simulation {
     /// observed, which a histogram's buckets cannot follow. `run()`
     /// folds it into the histogram at the end.
     depths: Vec<u64>,
-    /// Event heap keyed by (time, sequence) for determinism; entries
-    /// carry the slot generation they were pushed with, so cancelled
-    /// (re-generated) slots are skipped on pop.
-    heap: BinaryHeap<Reverse<HeapEntry>>,
-    /// Events scheduled for the instant the run loop is at, in the
-    /// order they were scheduled (the zero-delay lane; see
-    /// [`Simulation::next_event`]).
-    lane: VecDeque<HeapEntry>,
-    /// The instant the run loop is at.
-    now: SimTime,
+    /// Pending events in `(time, sequence)` order, and the clock: the
+    /// instant the run loop is at. Entries carry the slot generation
+    /// they were pushed with, so cancelled (re-generated) slots are
+    /// skipped on pop.
+    queue: EventQueue,
     /// Pooled event slots: `(event, generation)`. Slots are recycled
     /// through `free_slots`, bumping the generation each time, so the
     /// pool's footprint tracks *concurrent* events rather than total
     /// events scheduled.
     events: Vec<(Event, u32)>,
-    /// Recycled slot indices available for the next `push_event`.
+    /// Recycled slot indices available for the next event.
     free_slots: Vec<u32>,
-    /// Counter of the events scheduled while running (heap tiebreak,
-    /// above [`RUN_TIME`]). Independent of slot indices, which are
-    /// reused.
-    next_seq: u64,
     /// Service-interval trace, when enabled.
     trace: Option<Vec<ServiceRecord>>,
     /// Engine health counters (event count, heap depth distribution).
@@ -281,7 +245,7 @@ pub struct EngineStats {
     /// Total events processed by the run loop.
     pub events_processed: u64,
     /// Total events scheduled (seed `Ready` events plus every event
-    /// scheduled while running, into the heap or the zero-delay lane).
+    /// scheduled while running).
     pub events_scheduled: u64,
     /// Events scheduled and then retracted before firing. The FIFO
     /// engine never cancels (always 0); fair-share resources re-predict
@@ -290,16 +254,16 @@ pub struct EngineStats {
     /// `events_scheduled == events_processed + events_cancelled +
     /// pending`, and nothing is pending at the end of a run.
     pub events_cancelled: u64,
-    /// High-water mark of pending events, heap and zero-delay lane
-    /// together. Cancelled entries stay where they were queued (lazily
-    /// skipped on pop), so stale entries are included.
+    /// High-water mark of pending events. Cancelled entries stay where
+    /// they were queued (lazily skipped on pop), so stale entries are
+    /// included.
     pub max_queue_depth: usize,
     /// High-water mark of pending `Ready` events: how many activities
     /// were released but not yet started at the worst moment (the
     /// frontier width of the DAG as the engine saw it).
     pub max_ready_set: usize,
-    /// Distribution of the pending-event count (heap and lane)
-    /// observed at each event pop.
+    /// Distribution of the pending-event count observed at each event
+    /// pop.
     pub queue_depth: Histogram,
 }
 
@@ -323,10 +287,22 @@ impl Simulation {
         self.trace = Some(Vec::new());
     }
 
-    /// Register a bandwidth resource with one service slot. The name is
-    /// written into the simulation's name arena (see
-    /// [`RunReport::resource_name`]).
-    pub fn add_resource(&mut self, name: impl fmt::Display, bw: Bandwidth) -> ResourceId {
+    /// The handle of a label template — fixed text with up to two `{}`
+    /// holes, e.g. `"node{}.membus"` — interned once per simulation;
+    /// [`Label::new`] fills it in.
+    pub fn template(&mut self, template: &'static str) -> Tpl {
+        self.names.template(template)
+    }
+
+    /// The handle of a label prefix (a job's namespace, `"j3."`),
+    /// interned once per simulation; `""` is [`Prefix::NONE`].
+    pub fn prefix(&mut self, prefix: &str) -> Prefix {
+        self.names.prefix(prefix)
+    }
+
+    /// Register a bandwidth resource with one service slot, named by a
+    /// [`Label`] row or any text (see [`RunReport::resource_name`]).
+    pub fn add_resource(&mut self, name: impl IntoLabel, bw: Bandwidth) -> ResourceId {
         self.add_resource_with_capacity(name, bw, 1)
     }
 
@@ -334,11 +310,12 @@ impl Simulation {
     /// slots (each slot serves at the full bandwidth).
     pub fn add_resource_with_capacity(
         &mut self,
-        name: impl fmt::Display,
+        name: impl IntoLabel,
         bw: Bandwidth,
         capacity: usize,
     ) -> ResourceId {
-        self.resources.add(format_args!("{name}"), bw, capacity)
+        let name = name.into_label(&mut self.names);
+        self.resources.add(name, bw, capacity)
     }
 
     /// Install fault-injection service windows on a resource: while a
@@ -349,39 +326,52 @@ impl Simulation {
         self.resources.set_service_windows(rid, windows);
     }
 
-    /// Register an activity: `label` is written into the label arena,
-    /// `stages` are copied onto the end of the stage arena, and the
-    /// activity does not start before `release` even if all its
-    /// dependencies are satisfied. Nothing is allocated per activity.
+    /// Register an activity: `label` is pushed as a row (text is written
+    /// into the text arena first), `stages` are copied onto the end of
+    /// the stage arena, and the activity does not start before `release`
+    /// even if all its dependencies are satisfied. Nothing is allocated
+    /// or formatted per activity, and no shared count is touched.
     /// Panics if any stage names an unknown resource.
     pub fn activity(
         &mut self,
-        label: fmt::Arguments<'_>,
+        label: impl IntoLabel,
         release: SimTime,
         stages: &[Stage],
     ) -> ActivityId {
+        let label = label.into_label(&mut self.names);
         for s in stages {
             assert!(
                 s.resource.0 < self.resources.len(),
-                "activity `{label}` references unknown resource {:?}",
+                "activity `{}` references unknown resource {:?}",
+                self.names.show(label),
                 s.resource
             );
         }
         let id = ActivityId(index32(self.activities.len(), "activities"));
-        let graph = Arc::make_mut(&mut self.graph);
-        let next_stage = index32(graph.stages.len(), "stages");
-        graph.stages.extend_from_slice(stages);
-        graph.labels.push(label);
-        let stage_end = index32(graph.stages.len(), "stages");
+        let base = self.graph.stages.len();
+        let next_stage = index32(base + self.fresh.stages.len(), "stages");
+        self.fresh.stages.extend_from_slice(stages);
+        self.fresh.labels.push(label);
+        let stage_end = index32(base + self.fresh.stages.len(), "stages");
         self.activities
             .push(ActivityState::new(release, next_stage, stage_end, 0));
         id
     }
 
+    /// Room for `activities` more activities with `stages` stages among
+    /// them, and an edge apiece: a caller that can bound what it is
+    /// about to register reserves once, and the arenas do not double
+    /// their way up to it, copying as they go.
+    pub fn reserve(&mut self, activities: usize, stages: usize) {
+        self.activities.reserve(activities);
+        self.fresh.labels.reserve(activities);
+        self.fresh.stages.reserve(stages);
+        self.edges.reserve(activities);
+    }
+
     /// Register an owned [`Activity`] (see [`Simulation::activity`]).
     pub fn add_activity(&mut self, activity: Activity) -> ActivityId {
-        let label = format_args!("{}", activity.label);
-        self.activity(label, activity.release, &activity.stages)
+        self.activity(activity.label.as_str(), activity.release, &activity.stages)
     }
 
     /// Declare that `after` cannot start until `before` has completed.
@@ -420,39 +410,40 @@ impl Simulation {
     }
 
     /// Copy out everything registered since `mark`: the activities
-    /// (each label without the `prefix_len`-byte prefix they all start
-    /// with), their stages and the edges declared among them. `outside`
-    /// is the one earlier activity those edges may also start from; its
-    /// dependents are recorded in declaration order in place of the
-    /// edges.
+    /// (each label row without its prefix), their stages and the edges
+    /// declared among them. `outside` is the one earlier activity those
+    /// edges may also start from; its dependents are recorded in
+    /// declaration order in place of the edges.
     ///
     /// # Panics
     /// Panics if an edge declared since the mark leaves the run, or
-    /// enters it from anywhere but `outside`, if a label is shorter
-    /// than the prefix, or if the run has taken in the activities since
-    /// the mark.
-    pub fn copy_since(
-        &self,
-        mark: Mark,
-        prefix_len: usize,
-        outside: Option<ActivityId>,
-    ) -> Fragment {
+    /// enters it from anywhere but `outside`, or if the run has taken in
+    /// the activities since the mark.
+    pub fn copy_since(&self, mark: Mark, outside: Option<ActivityId>) -> Fragment {
         let first = mark.activities as usize;
+        let taken_in = self.graph.dependent_ends.len();
         assert!(
-            first >= self.graph.dependent_ends.len() && mark.edges <= self.edges.len(),
+            first >= taken_in && mark.edges <= self.edges.len(),
             "the run has taken in the activities since the mark"
         );
         let rows = &self.activities[first..];
-        let (graph_stages, labels) = (&self.graph.stages, &self.graph.labels);
-        // Before the run starts a row's window is all of its stages.
+        // Nothing since the mark is indexed: its stages are all fresh,
+        // and before the run starts a row's window is all of its stages.
+        let graph_stages = self.graph.stages.len();
         let stage_base = rows
             .first()
-            .map_or(graph_stages.len(), |r| r.next_stage as usize);
-        let stages = &graph_stages[stage_base..];
+            .map_or(graph_stages + self.fresh.stages.len(), |r| {
+                r.next_stage as usize
+            });
+        let stages = &self.fresh.stages[stage_base - graph_stages..];
+        let mut text = String::new();
+        let labels = (self.names).copy_out(&self.fresh.labels[first - taken_in..], &mut text);
         let mut frag = Fragment {
             rows: Vec::with_capacity(rows.len()),
             stages: stages.to_vec(),
-            labels: Labels::default(),
+            labels,
+            templates: self.names.templates().to_vec(),
+            text,
             edges: Vec::with_capacity(self.edges.len() - mark.edges),
             gated: outside.map(|_| Vec::new()),
             resources: stages.iter().map(|s| s.resource.0 + 1).max().unwrap_or(0),
@@ -462,13 +453,6 @@ impl Simulation {
             stage_end: r.stage_end - stage_base as u32,
             deps: r.deps_remaining,
         }));
-        let label_start = first.checked_sub(1).map_or(0, |a| labels.ends[a] as usize);
-        let label_bytes = labels.bytes.len() - label_start;
-        frag.labels
-            .reserve(rows.len(), label_bytes - prefix_len * rows.len());
-        for a in first..self.activities.len() {
-            frag.labels.push_parts("", &labels.get(a)[prefix_len..]);
-        }
         for &(before, after) in &self.edges[mark.edges..] {
             let after = after.0.checked_sub(mark.activities);
             let after = after.expect("an edge declared since the mark leaves the run");
@@ -484,10 +468,10 @@ impl Simulation {
         frag
     }
 
-    /// Append a copied-out run under a new label prefix; returns the id
-    /// of its first activity. With a `gate`, the activities that waited
-    /// for the outside activity when the run was copied out wait for
-    /// `gate`, the edges declared in the recorded order; without one
+    /// Append a copied-out run with every label under `prefix`; returns
+    /// the id of its first activity. With a `gate`, the activities that
+    /// waited for the outside activity when the run was copied out wait
+    /// for `gate`, the edges declared in the recorded order; without one
     /// they wait for nothing outside the run. Each arena is reserved
     /// once.
     ///
@@ -504,13 +488,14 @@ impl Simulation {
             frag.resources <= self.resources.len(),
             "fragment under `{prefix}` references an unknown resource"
         );
-        let graph = Arc::make_mut(&mut self.graph);
+        let prefix = self.names.prefix(prefix);
         // The rows hold `u32` offsets: check where the arenas will end.
+        let stage_base = self.graph.stages.len() + self.fresh.stages.len();
         index32(self.activities.len() + frag.rows.len(), "activities");
-        index32(graph.stages.len() + frag.stages.len(), "stages");
+        index32(stage_base + frag.stages.len(), "stages");
         let base = self.activities.len() as u32;
-        let stage_base = graph.stages.len() as u32;
-        graph.stages.extend_from_slice(&frag.stages);
+        let stage_base = stage_base as u32;
+        self.fresh.stages.extend_from_slice(&frag.stages);
         let mut next_stage = stage_base;
         self.activities.extend(frag.rows.iter().map(|r| {
             let stage_end = stage_base + r.stage_end;
@@ -518,11 +503,8 @@ impl Simulation {
             next_stage = stage_end;
             state
         }));
-        let label_bytes = frag.labels.bytes.len() + prefix.len() * frag.rows.len();
-        graph.labels.reserve(frag.rows.len(), label_bytes);
-        for a in 0..frag.rows.len() {
-            graph.labels.push_parts(prefix, frag.labels.get(a));
-        }
+        let labels = &mut self.fresh.labels;
+        (self.names).take_in(&frag.labels, &frag.templates, &frag.text, prefix, labels);
         let at = |offset: u32| ActivityId(base + offset);
         let gated = frag.gated.as_deref();
         (self.edges).reserve(frag.edges.len() + gated.map_or(0, <[u32]>::len));
@@ -562,18 +544,24 @@ impl Simulation {
             after.index() < len
         };
         self.edges.retain(kept_waits);
+        let taken_in = self.graph.dependent_ends.len();
+        if len >= taken_in {
+            self.fresh.labels.truncate(len - taken_in);
+            (self.fresh.stages).truncate(stage_start - self.graph.stages.len());
+            return;
+        }
+        self.fresh.labels.clear();
+        self.fresh.stages.clear();
         let graph = Arc::make_mut(&mut self.graph);
         graph.stages.truncate(stage_start);
         graph.labels.truncate(len);
-        if graph.dependent_ends.len() > len {
-            let start = row(&graph.dependent_ends, len).start;
-            assert!(
-                graph.dependents[start..].iter().all(|a| a.index() >= len),
-                "an activity kept waits for one dropped"
-            );
-            graph.dependents.truncate(start);
-            graph.dependent_ends.truncate(len);
-        }
+        let start = row(&graph.dependent_ends, len).start;
+        assert!(
+            graph.dependents[start..].iter().all(|a| a.index() >= len),
+            "an activity kept waits for one dropped"
+        );
+        graph.dependents.truncate(start);
+        graph.dependent_ends.truncate(len);
     }
 
     /// Fire every event before `t` and pause there: nothing at or after
@@ -605,9 +593,9 @@ impl Simulation {
 
     /// Index what was registered since the run last moved, then return a
     /// copy of the paused run that shares its graph (stages, labels,
-    /// dependents): resume either, and append to either — registering
-    /// into a shared graph copies it first. Indexing first is what keeps
-    /// the copy from needing a graph of its own to run.
+    /// dependents): resume either, and append to either — indexing into
+    /// a shared graph copies it first. Indexing first is what keeps the
+    /// copy from needing a graph of its own to run.
     ///
     /// Activities registered since the pause are indexed but not seeded:
     /// either copy may still [`Simulation::truncate`] them.
@@ -621,46 +609,41 @@ impl Simulation {
         self.engine_stats.events_processed
     }
 
-    /// Schedule `ev` at `t` with the next run-time sequence number.
+    /// Schedule `ev` at `t` behind everything scheduled there so far.
     /// Returns the slot handle `(index, generation)` that
     /// [`Simulation::cancel_event`] accepts.
     fn push_event(&mut self, t: SimTime, ev: Event) -> EventHandle {
-        let seq = RUN_TIME | self.next_seq;
-        self.next_seq += 1;
-        self.push(t, seq, ev)
+        let handle = self.slot(ev);
+        self.queue.push(t, handle);
+        handle
     }
 
-    /// Schedule `ev` at `t` under sequence number `seq`.
-    fn push(&mut self, t: SimTime, seq: u64, ev: Event) -> EventHandle {
+    /// Count `ev` as scheduled and give it a slot of the pool.
+    fn slot(&mut self, ev: Event) -> EventHandle {
         self.engine_stats.events_scheduled += 1;
         if matches!(ev, Event::Ready(_)) {
             self.pending_ready += 1;
             self.engine_stats.max_ready_set =
                 self.engine_stats.max_ready_set.max(self.pending_ready);
         }
-        let (idx, gen) = match self.free_slots.pop() {
+        match self.free_slots.pop() {
             Some(idx) => {
                 let gen = self.events[idx as usize].1.wrapping_add(1);
                 self.events[idx as usize] = (ev, gen);
                 (idx, gen)
             }
             None => {
-                let idx = index32(self.events.len(), "concurrent events");
+                // `u32::MAX` itself marks a run in the queue's keys.
+                let idx = index32(self.events.len() + 1, "concurrent events") - 1;
                 self.events.push((ev, 0));
                 (idx, 0)
             }
-        };
-        if t == self.now {
-            self.lane.push_back((t, seq, idx, gen));
-        } else {
-            self.heap.push(Reverse((t, seq, idx, gen)));
         }
-        (idx, gen)
     }
 
-    /// Retract a scheduled event before it fires. The heap or lane entry
-    /// stays (and is skipped on pop via its stale generation); the slot
-    /// is recycled immediately.
+    /// Retract a scheduled event before it fires. The queue entry stays
+    /// (and is skipped on pop via its stale generation); the slot is
+    /// recycled immediately.
     fn cancel_event(&mut self, handle: EventHandle) {
         let (idx, gen) = handle;
         let slot = &mut self.events[idx as usize];
@@ -688,19 +671,20 @@ impl Simulation {
         // An activity still waiting for a dependency never ran (a cycle
         // or a missing release). Every other one finished: its
         // `finished` may read `NOT_YET` only because the clock saturated
-        // there.
-        let stuck: Vec<String> = (self.activities.iter().enumerate())
-            .filter(|(_, a)| a.deps_remaining > 0)
-            .take(8)
-            .map(|(i, _)| self.graph.labels.get(i).to_string())
-            .collect();
+        // there. One pass finds the stuck and the makespan.
+        let mut stuck: Vec<String> = Vec::new();
+        let mut makespan = SimTime::ZERO;
+        for (i, a) in self.activities.iter().enumerate() {
+            if a.deps_remaining == 0 {
+                makespan = makespan.max(a.finished);
+            } else if stuck.len() < 8 {
+                stuck.push(self.names.show(self.graph.labels[i]).to_string());
+            }
+        }
         if !stuck.is_empty() {
             return Err(SimError::Deadlock { stuck });
         }
 
-        let makespan = (self.activities.iter().map(|a| a.finished))
-            .max()
-            .unwrap_or(SimTime::ZERO);
         // `self` is consumed: the activity table, the graph and the
         // resource table move into the report. A report reads only the
         // labels, so a graph no paused copy shares drops the rest now.
@@ -714,6 +698,7 @@ impl Simulation {
             makespan,
             activities: self.activities,
             graph,
+            names: self.names,
             resources: self.resources,
             trace: self.trace,
             engine_stats: self.engine_stats,
@@ -726,11 +711,11 @@ impl Simulation {
         self.seed_new();
     }
 
-    /// Push a `Ready` for every activity registered since the run last
+    /// Queue a `Ready` for every activity registered since the run last
     /// moved that waits for nothing, in id order, under its id as the
     /// sequence number.
     ///
-    /// A run that held these activities from its start would have pushed
+    /// A run that held these activities from its start would have queued
     /// their seeds before its first event, and each would have stayed
     /// pending until its release, at or after the pause (checked). So
     /// each was pending at every event the run has already fired and at
@@ -753,11 +738,12 @@ impl Simulation {
                 state.release >= self.paused_at,
                 "activity `{}` waits for nothing and is released at {:?}, \
                  before the pause it was appended at, {:?}",
-                self.graph.labels.get(i),
+                self.names.show(self.graph.labels[i]),
                 state.release,
                 self.paused_at
             );
-            self.push(state.release, i as u64, Event::Ready(ActivityId(i as u32)));
+            let handle = self.slot(Event::Ready(ActivityId(i as u32)));
+            self.queue.seed(state.release, i as u64, handle);
             seeds += 1;
         }
         self.engine_stats.max_ready_set = max_ready + seeds;
@@ -769,8 +755,9 @@ impl Simulation {
 
     /// The engine's ledger, checked at every pause and at the end of a
     /// run: the clock never passed a pending event (nor, paused, the
-    /// pause), and every event scheduled has fired, been cancelled or is
-    /// still pending — a pending event holds a slot of the pool.
+    /// pause), every event scheduled has fired, been cancelled or is
+    /// still pending — a pending event holds a slot of the pool — and
+    /// every resource balances ([`Simulation::check_resources`]).
     fn check_ledger(&self) {
         let stats = &self.engine_stats;
         let pending = (self.events.len() - self.free_slots.len()) as u64;
@@ -779,15 +766,47 @@ impl Simulation {
             stats.events_processed + stats.events_cancelled + pending,
             "the event ledger does not balance"
         );
-        let floor = self.now.max(self.paused_at);
+        let floor = self.queue.now().max(self.paused_at);
         debug_assert!(
-            (self.heap.peek()).is_none_or(|Reverse(top)| top.0 >= floor),
+            (self.queue.first_instant()).is_none_or(|t| t >= floor),
             "an event is pending before the clock or the pause"
         );
-        debug_assert!(
-            self.lane.iter().all(|e| e.0 == self.now),
-            "a lane entry names another instant"
-        );
+        if cfg!(debug_assertions) {
+            self.check_resources();
+        }
+    }
+
+    /// Every resource's capacity and byte ledger, from the activities'
+    /// stage pointers and the pending events alone: the FIFO jobs in
+    /// service are those with a pending `StageServed`, never more than
+    /// the resource's capacity, and the bytes a resource counted as
+    /// served are those of the stages that left it plus those of the
+    /// jobs it serves (FIFO) or shares (fair) now — at the end of a run,
+    /// the stages that left it alone.
+    fn check_resources(&self) {
+        let n = self.resources.len();
+        let (mut bytes, mut serving) = (vec![0u64; n], vec![0usize; n]);
+        let stages = &self.graph.stages;
+        let mut start = 0;
+        for a in &self.activities {
+            for s in &stages[start..a.next_stage as usize] {
+                bytes[s.resource.0] += s.bytes;
+            }
+            start = a.stage_end as usize;
+        }
+        let mut free = vec![false; self.events.len()];
+        for &idx in &self.free_slots {
+            free[idx as usize] = true;
+        }
+        let live = self.events.iter().zip(free).filter(|(_, free)| !free);
+        for (&(ev, _), _) in live {
+            if let Event::StageServed(a) = ev {
+                let s = stages[self.activities[a.index()].next_stage as usize];
+                bytes[s.resource.0] += s.bytes;
+                serving[s.resource.0] += 1;
+            }
+        }
+        self.resources.audit(&bytes, &serving);
     }
 
     /// The run loop: fire every pending event at or before `last`, in
@@ -797,7 +816,7 @@ impl Simulation {
     fn fire_through(&mut self, last: SimTime) {
         let shared = Arc::clone(&self.graph);
         let graph: &Graph = &shared;
-        while let Some((_, _seq, idx, gen)) = self.next_event(last) {
+        while let Some((idx, gen)) = self.queue.pop(last) {
             let (ev, live) = self.events[idx as usize];
             if live != gen {
                 // Cancelled (counted when retracted); skip lazily. The
@@ -808,9 +827,9 @@ impl Simulation {
             // this very event can reuse it.
             self.events[idx as usize].1 = gen.wrapping_add(1);
             self.free_slots.push(idx);
-            let now = self.now;
+            let now = self.queue.now();
             self.engine_stats.events_processed += 1;
-            let depth = self.heap.len() + self.lane.len();
+            let depth = self.queue.len();
             self.engine_stats.max_queue_depth = self.engine_stats.max_queue_depth.max(depth);
             if self.depths.len() <= depth {
                 self.depths.resize(depth + 1, 0);
@@ -864,42 +883,13 @@ impl Simulation {
         }
     }
 
-    /// The next pending event at or before `last` in `(time, sequence)`
-    /// order, with the clock moved to its instant; `None` when nothing
-    /// that early is pending.
-    ///
-    /// An event scheduled for the instant the loop is at goes into the
-    /// lane, every other one into the heap. A heap entry for the current
-    /// instant was therefore pushed before the clock got there, so its
-    /// sequence number is smaller than every lane entry's: the heap is
-    /// popped while its top is at this instant, then the lane in FIFO
-    /// (sequence) order, and only an empty lane lets the clock advance
-    /// to the heap's next instant — the same total order a heap alone
-    /// pops, without a heap operation per zero-delay event. The lane is
-    /// only ever at the clock, which never passes `last`.
-    fn next_event(&mut self, last: SimTime) -> Option<HeapEntry> {
-        let top = self.heap.peek().map(|&Reverse(top)| top);
-        if top.is_some_and(|top| top.0 == self.now) || self.lane.is_empty() {
-            let top = top.filter(|top| top.0 <= last)?;
-            self.heap.pop();
-            debug_assert!(top.0 >= self.now, "time went backwards");
-            self.now = top.0;
-            return Some(top);
-        }
-        let entry = self.lane.pop_front();
-        debug_assert!(
-            entry.is_some_and(|e| e.0 == self.now),
-            "a lane entry names another instant"
-        );
-        entry
-    }
-
     /// Append the CSR rows `complete` walks for the activities registered
-    /// since the run last indexed. Every edge declared since starts at
-    /// one of them (`add_dep` checks), so their rows go after the others.
-    /// A counting sort by predecessor, filled in declaration order, is
-    /// stable: each row lists its dependents exactly as `add_dep` declared
-    /// them, which is the order their `Ready` events are sequenced in.
+    /// since the run last indexed, and move their stages and labels into
+    /// the graph. Every edge declared since starts at one of them
+    /// (`add_dep` checks), so their rows go after the others. A counting
+    /// sort by predecessor, filled in declaration order, is stable: each
+    /// row lists its dependents exactly as `add_dep` declared them, which
+    /// is the order their `Ready` events are sequenced in.
     fn index_new(&mut self) {
         let first = self.graph.dependent_ends.len();
         if first == self.activities.len() {
@@ -908,6 +898,8 @@ impl Simulation {
         }
         let edges = std::mem::take(&mut self.edges);
         let graph = Arc::make_mut(&mut self.graph);
+        move_onto(&mut graph.stages, &mut self.fresh.stages);
+        move_onto(&mut graph.labels, &mut self.fresh.labels);
         // The offsets below count edges in `u32`.
         index32(graph.dependents.len() + edges.len(), "dependency edges");
         // Per-row counts, then their exclusive prefix sum (row starts);
@@ -1032,6 +1024,8 @@ pub struct RunReport {
     activities: Vec<ActivityState>,
     /// The run's graph; a report reads its labels.
     graph: Arc<Graph>,
+    /// What the label rows and resource names read through.
+    names: Names,
     resources: ResourceTable,
     trace: Option<Vec<ServiceRecord>>,
     engine_stats: EngineStats,
@@ -1058,14 +1052,23 @@ impl RunReport {
         self.finish_time(a).saturating_since(self.start_time(a))
     }
 
-    /// Label of an activity.
-    pub fn label(&self, a: ActivityId) -> &str {
-        self.graph.labels.get(a.index())
+    /// Label of an activity, rendered from its row.
+    pub fn label(&self, a: ActivityId) -> String {
+        self.names.show(self.graph.labels[a.index()]).to_string()
     }
 
-    /// The name a resource was registered with, e.g. `"node3.membus"`.
-    pub fn resource_name(&self, r: ResourceId) -> &str {
-        self.resources.name(r.0)
+    /// The name a resource was registered with, e.g. `"node3.membus"`,
+    /// rendered from its row.
+    pub fn resource_name(&self, r: ResourceId) -> String {
+        self.names.show(self.resources.name(r.0)).to_string()
+    }
+
+    /// Write a resource's name into `out` (cleared first) and return it.
+    fn name_into<'t>(&self, r: usize, out: &'t mut String) -> &'t str {
+        out.clear();
+        write!(out, "{}", self.names.show(self.resources.name(r)))
+            .expect("a String takes any write");
+        out
     }
 
     /// Usage accounting for a resource.
@@ -1110,20 +1113,37 @@ impl RunReport {
     /// served a job are skipped entirely, matching
     /// [`RunReport::record_into`].
     pub fn class_max_queues(&self) -> Vec<(String, u64)> {
-        let mut per_class: std::collections::BTreeMap<&str, u64> =
+        let mut per_class: std::collections::BTreeMap<String, u64> =
             std::collections::BTreeMap::new();
+        let mut fold = |class: &str, depth: u64| match per_class.get_mut(class) {
+            Some(entry) => *entry = (*entry).max(depth),
+            None => drop(per_class.insert(class.to_string(), depth)),
+        };
+        // Most names' class is their template's: those fold per template,
+        // and only the rest are rendered.
+        let classes = self.names.fixed_classes();
+        let mut per_template: Vec<Option<u64>> = vec![None; classes.len()];
+        let mut name = String::new();
         for (i, u) in self.resource_usages().iter().enumerate() {
             if u.jobs_served == 0 {
                 continue;
             }
-            let entry = per_class
-                .entry(resource_class(self.resources.name(i)))
-                .or_insert(0);
-            *entry = (*entry).max(u.max_active as u64);
+            let depth = u.max_active as u64;
+            let template = self.resources.name(i).template();
+            match template.filter(|&t| classes[t].is_some()) {
+                Some(t) => {
+                    let entry = per_template[t].get_or_insert(depth);
+                    *entry = (*entry).max(depth);
+                }
+                None => fold(resource_class(self.name_into(i, &mut name)), depth),
+            }
         }
-        (per_class.into_iter())
-            .map(|(class, depth)| (class.to_string(), depth))
-            .collect()
+        for (class, depth) in classes.iter().zip(per_template) {
+            if let (Some(class), Some(depth)) = (class, depth) {
+                fold(class, depth);
+            }
+        }
+        per_class.into_iter().collect()
     }
 
     /// The deterministic engine-side profile of this run: event, heap,
@@ -1187,6 +1207,7 @@ impl RunReport {
                 depth as f64,
             );
         }
+        let mut name = String::new();
         for (i, u) in self.resource_usages().iter().enumerate() {
             // Resources that never served a job (e.g. nodes the process
             // map leaves idle on a large machine spec) would only add
@@ -1195,7 +1216,7 @@ impl RunReport {
                 continue;
             }
             let r = ResourceId(i);
-            let labels = &[("resource", self.resource_name(r))][..];
+            let labels = &[("resource", self.name_into(i, &mut name))][..];
             reg.inc("des.resource.busy_ns", labels, u.busy_time.as_nanos());
             reg.inc("des.resource.bytes", labels, u.bytes_served);
             reg.inc("des.resource.jobs", labels, u.jobs_served);
@@ -1209,21 +1230,24 @@ impl RunReport {
     /// Push the recorded service trace into `out` under
     /// [`PID_RESOURCES`]: one lane (`tid`) per resource, one span per
     /// service interval, with lanes named after the resources.
-    /// No-op when tracing was not enabled. A used resource's name is
-    /// interned once and an activity's label once per record; nothing
-    /// is allocated per span.
+    /// No-op when tracing was not enabled. A used resource's name and
+    /// a served activity's label are each rendered and interned once;
+    /// nothing is allocated per span.
     pub fn trace_into(&self, out: &mut Trace) {
         let Some(trace) = &self.trace else { return };
         let pid = PID_RESOURCES;
         out.name_lane(pid);
+        let names = &self.names;
         // The name of every resource that served a record: its lane.
         let mut lanes: Vec<Option<Sym>> = vec![None; self.resources.len()];
         for rec in trace {
             let tid = rec.resource.index();
             if lanes[tid].is_none() {
-                lanes[tid] = Some(out.sym(self.resources.name(tid)));
+                let name = names.show(self.resources.name(tid));
+                lanes[tid] = Some(out.sym(format_args!("{name}")));
             }
         }
+        let mut labels: Vec<Option<Sym>> = vec![None; self.activities.len()];
         out.threads.reserve(lanes.iter().flatten().count());
         for (tid, lane) in lanes.iter().enumerate() {
             if let Some(name) = *lane {
@@ -1235,8 +1259,12 @@ impl RunReport {
         for rec in trace {
             let tid = rec.resource.index();
             let args = out.args.len() as u32;
+            let a = rec.activity.index();
+            let name = *labels[a].get_or_insert_with(|| {
+                out.sym(format_args!("{}", names.show(self.graph.labels[a])))
+            });
             let span = Span {
-                name: out.sym(self.label(rec.activity)),
+                name,
                 cat: lanes[tid].expect("a lane per served resource"),
                 pid,
                 tid: tid as u64,
@@ -1255,15 +1283,15 @@ impl RunReport {
 /// byte-identical across runs and across `--jobs` values.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EngineProfile {
-    /// Events pushed onto the heap over the whole run.
+    /// Events scheduled over the whole run.
     pub events_scheduled: u64,
     /// Events popped and processed by the run loop.
     pub events_fired: u64,
     /// Events retracted before firing: fair-share next-completion
     /// re-predictions (always 0 for pure-FIFO runs).
     pub events_cancelled: u64,
-    /// Peak pending events, heap and zero-delay lane together
-    /// (lazily-skipped cancelled entries included).
+    /// Peak pending events in the event queue (lazily-skipped
+    /// cancelled entries included).
     pub heap_high_water: u64,
     /// Peak count of released-but-unstarted activities (DAG frontier
     /// width as the engine saw it).
@@ -1596,13 +1624,15 @@ mod tests {
             overhead: SimDuration::from_nanos(3),
             latency_after: SimDuration::from_nanos(5),
         });
-        let msg = sim.activity(format_args!("{prefix}msg"), SimTime::ZERO, &stages);
+        let p = sim.prefix(prefix);
+        let [msg, src, io, join] = ["msg{}", "src", "io", "join"].map(|t| sim.template(t));
+        let msg = sim.activity(Label::new(p, msg, [7, 0]), SimTime::ZERO, &stages);
         gate.into_iter().for_each(|g| sim.add_dep(g, msg));
-        let src = sim.activity(format_args!("{prefix}src"), SimTime::from_nanos(40), &[]);
-        let io = sim.activity(format_args!("{prefix}io"), SimTime::ZERO, &stages[1..]);
+        let src = sim.activity(Label::new(p, src, [0, 0]), SimTime::from_nanos(40), &[]);
+        let io = sim.activity(Label::new(p, io, [0, 0]), SimTime::ZERO, &stages[1..]);
         sim.add_dep(msg, io);
         gate.into_iter().for_each(|g| sim.add_dep(g, src));
-        let join = sim.activity(format_args!("{prefix}join"), SimTime::ZERO, &[]);
+        let join = sim.activity(Label::new(p, join, [0, 0]), SimTime::ZERO, &[]);
         for before in [io, src, msg] {
             sim.add_dep(before, join);
         }
@@ -1629,7 +1659,7 @@ mod tests {
                 None => {
                     let mark = sim.mark();
                     lower_job(&mut sim, r, prefix, gate);
-                    copied = Some(sim.copy_since(mark, prefix.len(), gate));
+                    copied = Some(sim.copy_since(mark, gate));
                 }
             }
         }
@@ -1731,7 +1761,7 @@ mod tests {
             let gate = sim.add_activity(Activity::new("new.start"));
             let mark = sim.mark();
             lower_job(&mut sim, r, "new.", Some(gate));
-            sim.copy_since(mark, "new.".len(), Some(gate))
+            sim.copy_since(mark, Some(gate))
         };
         for policy in [SharePolicy::Fifo, SharePolicy::FairShare] {
             for windows in [false, true] {
@@ -1777,6 +1807,37 @@ mod tests {
         }
     }
 
+    /// The ledger's resource checks are `debug_assert!`s: in a debug
+    /// build every pause and the end of every run audit each resource's
+    /// capacity and bytes, under both engines, through a pause, a fork
+    /// of the paused run and an append to each copy.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_ledger_checked_run_through_pause_fork_and_append() {
+        let frag = {
+            let (mut sim, r) = residents(SharePolicy::Fifo, false);
+            let gate = sim.add_activity(Activity::new("new.start"));
+            let mark = sim.mark();
+            lower_job(&mut sim, r, "new.", Some(gate));
+            sim.copy_since(mark, Some(gate))
+        };
+        for policy in [SharePolicy::Fifo, SharePolicy::FairShare] {
+            let (mut sim, _) = residents(policy, true);
+            // Paused mid-run: stages in service, queued and left.
+            sim.run_until(TIE);
+            let mut copy = sim.fork();
+            for (sim, prefix) in [(&mut sim, "a."), (&mut copy, "b.")] {
+                newcomer(sim, &frag, prefix, TIE);
+                sim.run_until(TIE + SimDuration::from_secs(1));
+            }
+            let (a, b) = (sim.run().unwrap(), copy.run().unwrap());
+            assert_eq!(a.resource_usages(), b.resource_usages());
+            let served: u64 = a.resource_usages().iter().map(|u| u.bytes_served).sum();
+            // Three jobs of three 100-byte stages, and the tie.
+            assert_eq!(served, 3 * 300 + 50, "{policy:?}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "before it paused")]
     fn an_appended_edge_from_a_paused_activity_panics() {
@@ -1800,7 +1861,7 @@ mod tests {
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));
         sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
-        let frag = sim.copy_since(sim.mark(), 0, None);
+        let frag = sim.copy_since(sim.mark(), None);
         assert_eq!(sim.append(&frag, "x.", None).index(), 1);
         assert_eq!(sim.run().unwrap().activity_count(), 1);
     }
@@ -1811,7 +1872,7 @@ mod tests {
         let mut sim = Simulation::new();
         let mark = sim.mark();
         let gate = sim.add_activity(Activity::new("a"));
-        let frag = sim.copy_since(mark, 0, None);
+        let frag = sim.copy_since(mark, None);
         sim.append(&frag, "", Some(gate));
     }
 
@@ -1822,7 +1883,7 @@ mod tests {
         let r = sim.add_resource("r", bw(100.0));
         let mark = sim.mark();
         sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
-        let frag = sim.copy_since(mark, 0, None);
+        let frag = sim.copy_since(mark, None);
         Simulation::new().append(&frag, "", None);
     }
 
@@ -1835,7 +1896,7 @@ mod tests {
         let a = sim.add_activity(Activity::new("a"));
         sim.add_dep(gate, a);
         sim.add_dep(before, a);
-        sim.copy_since(mark, 0, Some(gate));
+        sim.copy_since(mark, Some(gate));
     }
 
     #[test]

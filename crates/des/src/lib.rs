@@ -26,7 +26,7 @@
 //!
 //! * A resource serves one job at a time at a fixed [`Bandwidth`]; a job
 //!   occupying it for `overhead + bytes / bandwidth`. It is a row of the
-//!   simulation's resource table, its name a slice of one arena.
+//!   simulation's resource table, its name a [`Label`] row.
 //! * An [`Activity`] is a sequence of [`Stage`]s. A stage names a resource,
 //!   a byte count and a fixed overhead, plus an optional *latency* that the
 //!   activity waits out **after** leaving the resource without occupying
@@ -39,7 +39,11 @@
 //!   all stages, labels and dependency edges in shared arenas.
 //!   [`Simulation::activity`] registers a label, a release time and a
 //!   stage slice without allocating; [`Activity`] is the owned builder
-//!   over it.
+//!   over it. A label is a 16-byte [`Label`] row — a template, a prefix
+//!   and two integers ([`label`]) — rendered only when read.
+//! * Pending events wait in a queue that keys each instant once; the
+//!   events due at an instant form a first-in-first-out run behind its
+//!   key.
 //!
 //! ## Example
 //!
@@ -62,6 +66,8 @@
 
 pub mod activity;
 pub mod engine;
+pub mod label;
+mod queue;
 pub mod resource;
 pub mod stats;
 pub mod time;
@@ -71,6 +77,7 @@ pub use engine::{
     resource_class, EngineProfile, EngineStats, Fragment, Mark, RunReport, ServiceRecord, SimError,
     Simulation,
 };
+pub use label::{arg, fill, IntoLabel, Label, Prefix, Tpl};
 pub use resource::{Bandwidth, ResourceId, ResourceUsage, ServiceWindow, SharePolicy};
 pub use stats::OnlineStats;
 pub use time::{SimDuration, SimTime};

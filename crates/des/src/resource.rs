@@ -22,19 +22,19 @@
 //! the FIFO engine's.
 //!
 //! A simulation holds its resources in one resource table: a resource
-//! is a plain row plus its [`ResourceUsage`], its name is a slice of one
-//! arena, and the state only some resources need — a waiting queue, an
+//! is a plain row plus its [`ResourceUsage`], its name is a label row
+//! (rendered when read), and the state only some resources need — a waiting queue, an
 //! active set, service windows, a histogram of non-zero waits — lives in
 //! side tables the row indexes once it needs one. Registering a machine
 //! of any size allocates nothing per resource.
 
 use crate::activity::ActivityId;
-use crate::engine::{index32, EventHandle, Labels};
+use crate::engine::{index32, EventHandle};
+use crate::label::Label;
 use crate::time::{SimDuration, SimTime};
 use mcio_obs::Histogram;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::fmt;
 
 /// Identifier of a resource within a [`crate::Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -215,16 +215,15 @@ pub(crate) struct Resource {
     waits: u32,
 }
 
-/// Every resource of a simulation, one [`Resource`] row and one
-/// [`ResourceUsage`] each, with their names written back to back into
-/// one arena. Queues and active sets are pooled: one is taken when a
+/// Every resource of a simulation, one [`Resource`] row, one
+/// [`ResourceUsage`] and one name [`Label`] each. Queues and active sets are pooled: one is taken when a
 /// resource first needs it and returned when it empties, so the pools
 /// track how many resources are busy at once, not how many exist.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ResourceTable {
     rows: Vec<Resource>,
     usages: Vec<ResourceUsage>,
-    names: Labels,
+    names: Vec<Label>,
     /// Waiting jobs, each with the time it joined the queue.
     queues: Vec<VecDeque<(Job, SimTime)>>,
     free_queues: Vec<u32>,
@@ -238,13 +237,8 @@ pub(crate) struct ResourceTable {
 }
 
 impl ResourceTable {
-    /// Register a resource; its name is written into the name arena.
-    pub(crate) fn add(
-        &mut self,
-        name: fmt::Arguments<'_>,
-        bandwidth: Bandwidth,
-        capacity: usize,
-    ) -> ResourceId {
+    /// Register a resource named `name`.
+    pub(crate) fn add(&mut self, name: Label, bandwidth: Bandwidth, capacity: usize) -> ResourceId {
         assert!(capacity > 0, "resource needs at least one service slot");
         let id = ResourceId(self.rows.len());
         self.names.push(name);
@@ -266,9 +260,38 @@ impl ResourceTable {
         self.rows.len()
     }
 
-    /// The name a resource was registered with, e.g. `"node3.membus"`.
-    pub(crate) fn name(&self, r: usize) -> &str {
-        self.names.get(r)
+    /// The name a resource was registered with, as a row.
+    pub(crate) fn name(&self, r: usize) -> Label {
+        self.names[r]
+    }
+
+    /// Check every resource against what the engine reads off its
+    /// activities and events: `admitted[r]`, the bytes of the stages that
+    /// left `r` plus those of the FIFO jobs in service there, and
+    /// `serving[r]`, those FIFO jobs. A resource's served bytes are the
+    /// admitted ones plus those of its fair-share active set, and its
+    /// jobs in service are `serving[r]`, within its capacity.
+    pub(crate) fn audit(&self, admitted: &[u64], serving: &[usize]) {
+        for (r, row) in self.rows.iter().enumerate() {
+            let active = match row.fair {
+                NONE => 0,
+                f => self.fair[f as usize]
+                    .heap
+                    .iter()
+                    .map(|e| e.0.job.bytes)
+                    .sum(),
+            };
+            debug_assert_eq!(
+                self.usages[r].bytes_served,
+                admitted[r] + active,
+                "resource {r} served other bytes than its stages took in"
+            );
+            debug_assert_eq!(
+                row.in_service, serving[r],
+                "resource {r} lost a job in service"
+            );
+            debug_assert!(row.in_service <= row.capacity, "resource {r} over capacity");
+        }
     }
 
     /// A resource's accounting.
@@ -669,11 +692,16 @@ mod tests {
         }
     }
 
+    /// A name row (the table never reads it).
+    fn name() -> Label {
+        crate::label::IntoLabel::into_label("r", &mut crate::label::Names::default())
+    }
+
     /// A table holding one resource `r` of `bps` bytes per second.
     fn one(bps: f64, capacity: usize) -> (ResourceTable, ResourceId) {
         let mut table = ResourceTable::default();
         let bandwidth = Bandwidth::bytes_per_sec(bps);
-        let r = table.add(format_args!("r"), bandwidth, capacity);
+        let r = table.add(name(), bandwidth, capacity);
         (table, r)
     }
 
@@ -929,7 +957,7 @@ mod tests {
         // Infinite bandwidth, pure overhead (the OST shape): two 1 ms
         // requests admitted together each progress at half rate — 2 ms.
         let mut f = ResourceTable::default();
-        let r = f.add(format_args!("ost0"), Bandwidth::infinite(), 1);
+        let r = f.add(name(), Bandwidth::infinite(), 1);
         let j = Job {
             overhead: SimDuration::from_millis(1),
             ..job(0)
@@ -972,7 +1000,7 @@ mod tests {
         // must compute the same exact arithmetic as the first (no
         // accumulated virtual time, no stale clock).
         let (mut f, r) = one(100.0, 1);
-        let s = f.add(format_args!("s"), Bandwidth::bytes_per_sec(100.0), 1);
+        let s = f.add(name(), Bandwidth::bytes_per_sec(100.0), 1);
         f.fair_arrive(r, SimTime::ZERO, job(100), None);
         let d1 = f.fair_next_completion(r).unwrap();
         f.fair_complete(r, d1);
@@ -987,17 +1015,23 @@ mod tests {
         assert_eq!(f.fair.len(), 2, "one set per busy resource");
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn names_are_slices_of_one_arena() {
-        let mut t = ResourceTable::default();
-        let bw = Bandwidth::infinite();
-        for n in 0..3 {
-            t.add(format_args!("node{n}.membus"), bw, 1);
-        }
-        t.add(format_args!("ost{}", 17), bw, 4);
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.name(1), "node1.membus");
-        assert_eq!(t.name(3), "ost17");
+    #[should_panic(expected = "served other bytes")]
+    fn an_audit_catches_bytes_no_stage_took_in() {
+        let (mut t, r) = one(100.0, 2);
+        t.enqueue(r, SimTime::ZERO, job(100));
+        // One job in service, but the stages account for none of it.
+        t.audit(&[0], &[1]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lost a job in service")]
+    fn an_audit_catches_a_job_no_event_serves() {
+        let (mut t, r) = one(100.0, 2);
+        t.enqueue(r, SimTime::ZERO, job(100));
+        t.audit(&[100], &[0]);
     }
 
     #[test]

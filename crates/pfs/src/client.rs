@@ -21,12 +21,12 @@ use crate::layout::{OstId, StripeLayout};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::{Fabric, NodeId};
 use mcio_des::{
-    ActivityId, Bandwidth, OnlineStats, ResourceId, SimDuration, SimTime, Simulation, Stage,
+    arg, ActivityId, Bandwidth, Label, OnlineStats, Prefix, ResourceId, SimDuration, SimTime,
+    Simulation, Stage, Tpl,
 };
 use mcio_faults::{FaultSampler, FaultSpec, RetryPolicy};
 use mcio_obs::Registry;
 use std::cell::{Cell, RefCell};
-use std::fmt;
 use std::sync::Arc;
 
 /// Direction of an I/O request.
@@ -102,11 +102,38 @@ struct FaultCtx {
     chain: RefCell<Vec<Stage>>,
 }
 
-/// DES handles and cost parameters for the parallel file system.
+/// Whose request a [`Pfs::submit`] is: a job's label prefix and the
+/// submitting rank. The request's activities are labelled
+/// `{prefix}io.rank{rank}.` then `egress` / `done` (write), `rpc` /
+/// `ingress` (read), `ost{k}` per piece, or `empty`.
+#[derive(Debug, Clone, Copy)]
+pub struct Requester {
+    /// The job's label prefix ([`Prefix::NONE`] for a job on its own).
+    pub prefix: Prefix,
+    /// The submitting rank.
+    pub rank: u32,
+}
+
+/// The label templates of a request's activities, interned in the
+/// simulation the file system was built in.
+#[derive(Debug, Clone, Copy)]
+struct RequestNames {
+    empty: Tpl,
+    egress: Tpl,
+    done: Tpl,
+    rpc: Tpl,
+    ingress: Tpl,
+    piece: Tpl,
+}
+
+/// DES handles and cost parameters for the parallel file system. Its
+/// handles are those of the simulation it was built in: it submits into
+/// that one or a fork of it.
 #[derive(Debug, Clone)]
 pub struct Pfs {
     layout: StripeLayout,
     osts: Vec<ResourceId>,
+    names: RequestNames,
     read_bw: f64,
     write_bw: f64,
     request_overhead: SimDuration,
@@ -137,6 +164,7 @@ impl Pfs {
             spec.io_servers,
             "layout stripe count must equal the number of I/O servers"
         );
+        let ost = sim.template("ost{}");
         let osts = (0..spec.io_servers)
             // OST service time is charged explicitly per job (it depends on
             // the direction), so the resource itself is pure-overhead; the
@@ -144,15 +172,24 @@ impl Pfs {
             // service slots.
             .map(|i| {
                 sim.add_resource_with_capacity(
-                    format_args!("ost{i}"),
+                    Label::new(Prefix::NONE, ost, [arg(i), 0]),
                     Bandwidth::infinite(),
                     spec.ost_concurrency.max(1),
                 )
             })
             .collect();
+        let names = RequestNames {
+            empty: sim.template("io.rank{}.empty"),
+            egress: sim.template("io.rank{}.egress"),
+            done: sim.template("io.rank{}.done"),
+            rpc: sim.template("io.rank{}.rpc"),
+            ingress: sim.template("io.rank{}.ingress"),
+            piece: sim.template("io.rank{}.ost{}"),
+        };
         Pfs {
             layout,
             osts,
+            names,
             read_bw: spec.ost_read_bandwidth,
             write_bw: spec.ost_write_bandwidth,
             request_overhead: spec.ost_request_overhead,
@@ -250,24 +287,26 @@ impl Pfs {
         self.request_overhead + Bandwidth::bytes_per_sec(bw).transfer_time(bytes)
     }
 
-    /// Submit one contiguous request of `extent` bytes from `node`,
-    /// starting after every activity in `deps`. Returns the activity that
-    /// completes when the request is fully done (for writes: all OSTs
-    /// acknowledged; for reads: payload landed in node memory).
+    /// Submit one contiguous request of `extent` bytes from `node`, on
+    /// behalf of `by`, starting after every activity in `deps`. Returns
+    /// the activity that completes when the request is fully done (for
+    /// writes: all OSTs acknowledged; for reads: payload landed in node
+    /// memory).
     #[allow(clippy::too_many_arguments)]
     pub fn submit(
         &self,
         sim: &mut Simulation,
         fabric: &Fabric,
-        label: &str,
+        by: Requester,
         node: NodeId,
         rw: Rw,
         extent: Extent,
         deps: &[ActivityId],
     ) -> ActivityId {
+        let label = |tpl, ost: usize| Label::new(by.prefix, tpl, [by.rank, arg(ost)]);
         if extent.is_empty() {
             // Pure join so callers can depend on "this (empty) request".
-            let join = sim.activity(format_args!("{label}.empty"), SimTime::ZERO, &[]);
+            let join = sim.activity(label(self.names.empty, 0), SimTime::ZERO, &[]);
             for &d in deps {
                 sim.add_dep(d, join);
             }
@@ -292,18 +331,19 @@ impl Pfs {
         // joins on the acknowledgements; a read ships a header-only RPC
         // and the payload comes back through the tail.
         let ingress = fabric.ingress_stages(node, extent.len);
+        let names = self.names;
         let (head, head_bytes, tail, tail_stages) = match rw {
-            Rw::Write => ("egress", extent.len, "done", &[][..]),
-            Rw::Read => ("rpc", 0, "ingress", &ingress[..]),
+            Rw::Write => (names.egress, extent.len, names.done, &[][..]),
+            Rw::Read => (names.rpc, 0, names.ingress, &ingress[..]),
         };
         let head_stages = fabric.egress_stages(node, head_bytes);
-        let head = sim.activity(format_args!("{label}.{head}"), SimTime::ZERO, &head_stages);
+        let head = sim.activity(label(head, 0), SimTime::ZERO, &head_stages);
         for &d in deps {
             sim.add_dep(d, head);
         }
-        let tail = sim.activity(format_args!("{label}.{tail}"), SimTime::ZERO, tail_stages);
+        let tail = sim.activity(label(tail, 0), SimTime::ZERO, tail_stages);
         for &(ost, bytes) in pieces.iter() {
-            let piece = self.add_piece(sim, format_args!("{label}.{ost}"), ost, rw, bytes);
+            let piece = self.add_piece(sim, label(names.piece, ost.0), ost, rw, bytes);
             sim.add_dep(head, piece);
             sim.add_dep(piece, tail);
         }
@@ -320,7 +360,7 @@ impl Pfs {
     fn add_piece(
         &self,
         sim: &mut Simulation,
-        label: fmt::Arguments<'_>,
+        label: Label,
         ost: OstId,
         rw: Rw,
         bytes: u64,
@@ -387,6 +427,12 @@ impl Pfs {
 mod tests {
     use super::*;
 
+    /// A requester for tests that read no labels.
+    const ANY: Requester = Requester {
+        prefix: Prefix::NONE,
+        rank: 0,
+    };
+
     /// Round-number spec: membus 1 KB/s, NIC 1 KB/s, zero latency and
     /// overheads, 4 OSTs at 100 B/s write / 200 B/s read, 100 B stripes.
     fn harness() -> (Simulation, Fabric, Pfs) {
@@ -411,7 +457,7 @@ mod tests {
         let done = pfs.submit(
             &mut sim,
             &fabric,
-            "w",
+            ANY,
             NodeId(0),
             Rw::Write,
             Extent::new(0, 100),
@@ -428,7 +474,7 @@ mod tests {
         let done = pfs.submit(
             &mut sim,
             &fabric,
-            "w",
+            ANY,
             NodeId(0),
             Rw::Write,
             Extent::new(0, 400),
@@ -446,7 +492,7 @@ mod tests {
         let a = pfs.submit(
             &mut sim,
             &fabric,
-            "a",
+            ANY,
             NodeId(0),
             Rw::Write,
             Extent::new(0, 100),
@@ -455,7 +501,7 @@ mod tests {
         let b = pfs.submit(
             &mut sim,
             &fabric,
-            "b",
+            ANY,
             NodeId(1),
             Rw::Write,
             Extent::new(400, 100),
@@ -474,7 +520,7 @@ mod tests {
         let r = pfs.submit(
             &mut sim,
             &fabric,
-            "r",
+            ANY,
             NodeId(0),
             Rw::Read,
             Extent::new(0, 100),
@@ -491,7 +537,7 @@ mod tests {
         let first = pfs.submit(
             &mut sim,
             &fabric,
-            "w",
+            ANY,
             NodeId(0),
             Rw::Write,
             Extent::new(0, 100),
@@ -500,7 +546,7 @@ mod tests {
         let join = pfs.submit(
             &mut sim,
             &fabric,
-            "e",
+            ANY,
             NodeId(0),
             Rw::Read,
             Extent::EMPTY,
@@ -518,7 +564,7 @@ mod tests {
         let done = pfs.submit(
             &mut sim,
             &fabric,
-            "w",
+            ANY,
             NodeId(0),
             Rw::Write,
             Extent::new(0, 100),
@@ -549,7 +595,7 @@ mod tests {
                 pfs.submit(
                     &mut sim,
                     &fabric,
-                    &format!("w{i}"),
+                    ANY,
                     NodeId(i % 2),
                     Rw::Write,
                     Extent::new(*off, 100),
@@ -571,7 +617,7 @@ mod tests {
         pfs.submit(
             &mut sim,
             &fabric,
-            "w",
+            ANY,
             NodeId(0),
             Rw::Write,
             Extent::new(0, 300),
@@ -603,7 +649,7 @@ mod tests {
         let done = pfs.submit(
             &mut sim,
             &fabric,
-            "w",
+            ANY,
             NodeId(0),
             Rw::Write,
             Extent::new(0, 100),
@@ -628,7 +674,7 @@ mod tests {
             pfs.submit(
                 &mut sim,
                 &fabric,
-                &format!("w{i}"),
+                ANY,
                 NodeId(0),
                 Rw::Write,
                 Extent::new(i * 400, 400),
@@ -664,7 +710,7 @@ mod tests {
                 pfs.submit(
                     &mut sim,
                     &fabric,
-                    &format!("w{i}"),
+                    ANY,
                     NodeId((i % 2) as usize),
                     Rw::Write,
                     Extent::new(i * 300, 300),
@@ -689,7 +735,7 @@ mod tests {
         let done = pfs.submit(
             &mut sim,
             &fabric,
-            "w",
+            ANY,
             NodeId(0),
             Rw::Write,
             Extent::new(0, 100),
@@ -716,7 +762,7 @@ mod tests {
         let done = pfs.submit(
             &mut sim,
             &fabric,
-            "w",
+            ANY,
             NodeId(0),
             Rw::Write,
             Extent::new(0, 1),

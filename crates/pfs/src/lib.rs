@@ -24,7 +24,7 @@ pub mod extent;
 pub mod file;
 pub mod layout;
 
-pub use client::{Pfs, RetryMark, Rw};
+pub use client::{Pfs, Requester, RetryMark, Rw};
 pub use extent::Extent;
 pub use file::SparseFile;
 pub use layout::{OstId, StripeLayout, StripePiece};
