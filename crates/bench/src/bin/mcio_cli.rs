@@ -559,13 +559,32 @@ fn run_sim(m: &Matches) {
     drop(plan_scope);
     tp_plan.check(&req).expect("two-phase plan sound");
     mc_plan.check(&req).expect("memory-conscious plan sound");
-    let fault_outcomes = fault_spec.as_ref().map(|fspec| {
+
+    // Observability exports come from the selected strategy's run
+    // (--strategy, default memory-conscious), observed the one time it
+    // is simulated: the metrics registry, the unified Chrome trace,
+    // and/or the `mcio.prof.v1` simulator profile.
+    let (want_metrics, want_trace) = (m.get("metrics"), m.get("trace"));
+    let exporting = want_metrics.is_some() || want_trace.is_some() || sidecar.observe().is_some();
+    let registry = Arc::new(Registry::new());
+    let observe = Observe {
+        registry: want_metrics.map(|_| &registry),
+        trace: want_trace.is_some(),
+        prof: sidecar.observe(),
+        ..Observe::default()
+    };
+    let observed = |strategy| match exporting && strategy == desc.strategy {
+        true => observe,
+        false => Observe::default(),
+    };
+    let mut fault_outcomes = fault_spec.as_ref().map(|fspec| {
         [(&tp_cell, &tp_plan), (&mc_cell, &mc_plan)]
-            .map(|(cell, plan)| cell.run_faulted(plan, fspec, policy, Observe::default()))
+            .map(|(cell, plan)| cell.run_faulted(plan, fspec, policy, observed(cell.strategy)))
     });
-    let (tp, mcr) = match &fault_outcomes {
-        Some([tpo, mco]) => (tpo.report.clone(), mco.report.clone()),
-        None => (tp_cell.timing(&tp_plan), mc_cell.timing(&mc_plan)),
+    let [(tp, tp_trace), (mcr, mc_trace)] = match &mut fault_outcomes {
+        Some([tpo, mco]) => [tpo, mco].map(|o| (o.report.clone(), o.trace.take())),
+        None => [(&tp_cell, &tp_plan), (&mc_cell, &mc_plan)]
+            .map(|(cell, plan)| cell.run(plan, observed(cell.strategy))),
     };
     println!(
         "two-phase       : {:>9.1} MiB/s  ({} aggs, {} rounds, elapsed {})",
@@ -620,33 +639,14 @@ fn run_sim(m: &Matches) {
         }
     }
 
-    // Observability exports: one extra observed run of the selected
-    // strategy (--strategy, default memory-conscious) produces the
-    // metrics registry, the unified Chrome trace, and/or the
-    // `mcio.prof.v1` simulator profile.
-    let (want_metrics, want_trace) = (m.get("metrics"), m.get("trace"));
-    if want_metrics.is_some() || want_trace.is_some() || sidecar.observe().is_some() {
-        let (cell, obs_plan) = match desc.strategy {
-            Strategy::MemoryConscious => (&mc_cell, &mc_plan),
-            Strategy::TwoPhase => (&tp_cell, &tp_plan),
+    if exporting {
+        let (obs_timing, trace_json) = match desc.strategy {
+            Strategy::MemoryConscious => (&mcr, mc_trace),
+            Strategy::TwoPhase => (&tp, tp_trace),
         };
         let label = desc.strategy.label();
-        let registry = Arc::new(Registry::new());
         spec.record_into(&registry);
         mcio_workloads::record_request(&req, &registry);
-        let observe = Observe {
-            registry: want_metrics.map(|_| &registry),
-            trace: want_trace.is_some(),
-            prof: sidecar.observe(),
-            ..Observe::default()
-        };
-        let (obs_timing, trace_json) = match &fault_spec {
-            Some(fspec) => {
-                let outcome = cell.run_faulted(obs_plan, fspec, policy, observe);
-                (outcome.report, outcome.trace)
-            }
-            None => cell.run(obs_plan, observe),
-        };
         if let Some(path) = want_metrics {
             write_or_exit(ctx, "metrics", path, &fmt.render(&registry.snapshot()));
             println!("{label} metrics written to {path}");

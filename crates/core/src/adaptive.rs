@@ -6,19 +6,18 @@
 //! collective actually runs. This module closes the loop with a
 //! deterministic feedback controller:
 //!
-//! 1. **Sample** — a [`SignalSnapshot`] summarizes the observed
-//!    machine state: per-OST service rate vs nominal (from the same
-//!    [`ServiceWindow`](mcio_des::ServiceWindow)s the injector arms),
-//!    node memory shocks, and the tenant cross-job interference
-//!    fraction. Every input is already deterministic and replayable
-//!    from the fault-plan seed, so the controller is too.
+//! 1. **Sample** — `severity` folds the observed machine state into
+//!    one number: per-OST service rate vs nominal (from the same
+//!    [`ServiceWindow`](mcio_des::ServiceWindow)s the injector arms)
+//!    and node memory shocks. Every input is already deterministic and
+//!    replayable from the fault-plan seed, so the controller is too.
 //! 2. **Re-tune** — [`crate::tuner::retune_from_signals`] re-solves
 //!    `Msg_group`/`Msg_ind` incrementally with a hysteresis dead band:
 //!    mild degradation changes nothing (no oscillation), severe
 //!    degradation shrinks the group granularity monotonically.
 //! 3. **Re-place** — aggregators sitting on memory-shocked nodes are
-//!    demoted through the same three-tier failover machinery a crash
-//!    uses, but scored with a contention-aware budget
+//!    demoted through the same relocation walk a crash uses, but
+//!    scored with a contention-aware budget
 //!    (`contended_budget`): shocked nodes lose budget,
 //!    crowded nodes are penalized.
 //! 4. **Re-split / defer** — remaining rounds are re-split at exact
@@ -26,6 +25,10 @@
 //!    probe window sits inside a severe slow-OST window are deferred
 //!    past the window exit when the probe says waiting is cheaper than
 //!    crawling (`plan_deferrals`).
+//!
+//! `control` is the one step a solo job and a tenant share: clean
+//! run, severity, band check, then the caller's re-tune and re-place,
+//! then deferral.
 //!
 //! The controller runs between rounds *of the probe pass*: like the
 //! failover transform in [`crate::exec_faults`], decisions come from a
@@ -35,10 +38,15 @@
 //! exactly the static code path — outputs are byte-identical to
 //! pre-adaptive builds.
 
-use crate::exec_sim::{FaultGate, GateName, JobMarks, ReplanMark, RoundWindow};
+use crate::config::Strategy;
+use crate::exec_sim::{
+    simulate_inner, Exchange, FaultGate, GateName, JobMarks, Observe, Pipeline, ReplanMark,
+    RoundWindow, SimRun,
+};
 use crate::plan::{CollectivePlan, GroupPlan};
+use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::{ProcessMap, Rank};
-use mcio_des::SimTime;
+use mcio_des::{SharePolicy, SimDuration, SimTime};
 use mcio_faults::FaultSpec;
 
 /// How eagerly the controller re-plans. The knob trades reaction speed
@@ -81,7 +89,7 @@ impl AdaptivePolicy {
         self == AdaptivePolicy::Off
     }
 
-    /// Hysteresis dead band on [`SignalSnapshot::severity`]: at or
+    /// Hysteresis dead band on the controller's `severity`: at or
     /// below this, the controller is a guaranteed no-op. `Off` returns
     /// an unreachable band (severity is capped at 1).
     pub fn dead_band(self) -> f64 {
@@ -123,109 +131,102 @@ impl AdaptivePolicy {
     }
 }
 
-/// Observed state of one OST over the sampling horizon.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OstSignal {
-    /// OST index.
-    pub ost: usize,
-    /// Time-weighted service deficit over the horizon, in `[0, 1]`:
-    /// `0` = nominal rate throughout, `1` = stalled for the whole
-    /// horizon.
-    pub degradation: f64,
-    /// Worst instantaneous deficit of any window touching the horizon
-    /// (`1 - min rate`).
-    pub worst: f64,
-    /// Latest end of any degraded window touching the horizon,
-    /// nanoseconds (uncapped — may exceed the horizon).
-    pub degraded_until_ns: u64,
+/// The controller's one input: a severity in `[0, 1]` sampled from the
+/// seeded fault plan over `[0, horizon_ns)` (the nominal run length) on
+/// a machine with `nosts` OSTs — the worst of any OST's time-weighted
+/// service deficit (`0` = nominal rate throughout, `1` = stalled for the
+/// whole horizon) and any memory shock's dropped fraction. Replayable
+/// from the plan alone, so two samples of one run are identical.
+pub(crate) fn severity(fspec: &FaultSpec, nosts: usize, horizon_ns: u64) -> f64 {
+    let horizon = horizon_ns.max(1);
+    let ost = (0..nosts).map(|ost| {
+        let deficit_ns = fspec.ost_windows(ost).iter().fold(0.0f64, |acc, w| {
+            let lo = w.start.as_nanos().min(horizon);
+            let hi = w.end.as_nanos().min(horizon);
+            if hi <= lo || w.rate >= 1.0 {
+                return acc;
+            }
+            acc + (hi - lo) as f64 * (1.0 - w.rate)
+        });
+        deficit_ns / horizon as f64
+    });
+    let shock = fspec.mem_shocks().into_iter().map(|(_, frac, _)| frac);
+    ost.chain(shock).fold(0.0f64, f64::max).clamp(0.0, 1.0)
 }
 
-/// A deterministic sample of every signal the controller feeds on.
-/// Derived purely from the seeded fault plan and the probe run, so two
-/// samples of the same run are identical.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SignalSnapshot {
-    /// Sampling horizon (the nominal run length), nanoseconds.
-    pub horizon_ns: u64,
-    /// Per-OST signals, ascending OST index; only OSTs with at least
-    /// one perturbation window appear.
-    pub osts: Vec<OstSignal>,
-    /// Memory shocks `(node, drop_frac)` in spec order.
-    pub shocks: Vec<(usize, f64)>,
-    /// Cross-job OST interference fraction in `[0, 1]` (zero for solo
-    /// runs; the probe's `ost_overlap` for tenants).
-    pub interference: f64,
+/// Whether the closed-loop controller acts on a job: a policy other
+/// than `Off`, a non-empty fault plan, and a memory-conscious plan —
+/// the two-phase baseline stays static by design, mirroring its lack
+/// of a failover path. A job the controller skips runs byte-identical
+/// to the static path.
+pub(crate) fn controller_acts(
+    policy: AdaptivePolicy,
+    faults: Option<&FaultSpec>,
+    strategy: Strategy,
+) -> bool {
+    !policy.is_off() && faults.is_some_and(|f| !f.is_empty()) && strategy != Strategy::TwoPhase
 }
 
-impl SignalSnapshot {
-    /// Sample the signals of `fspec` over `[0, horizon_ns)` on a
-    /// machine with `nosts` OSTs.
-    pub fn sample(fspec: &FaultSpec, nosts: usize, horizon_ns: u64, interference: f64) -> Self {
-        let horizon = horizon_ns.max(1);
-        let mut osts = Vec::new();
-        for ost in 0..nosts {
-            let windows = fspec.ost_windows(ost);
-            if windows.is_empty() {
-                continue;
-            }
-            let mut deficit_ns = 0.0f64;
-            let mut worst = 0.0f64;
-            let mut until = 0u64;
-            for w in &windows {
-                let start = w.start.as_nanos();
-                let end = w.end.as_nanos();
-                let lo = start.min(horizon);
-                let hi = end.min(horizon);
-                if hi <= lo || w.rate >= 1.0 {
-                    continue;
-                }
-                deficit_ns += (hi - lo) as f64 * (1.0 - w.rate);
-                worst = worst.max(1.0 - w.rate);
-                until = until.max(end);
-            }
-            if worst > 0.0 {
-                osts.push(OstSignal {
-                    ost,
-                    degradation: (deficit_ns / horizon as f64).clamp(0.0, 1.0),
-                    worst,
-                    degraded_until_ns: until,
-                });
-            }
-        }
-        SignalSnapshot {
-            horizon_ns: horizon,
-            osts,
-            shocks: fspec
-                .mem_shocks()
-                .iter()
-                .map(|&(node, frac, _)| (node, frac))
-                .collect(),
-            interference: interference.clamp(0.0, 1.0),
-        }
-    }
+/// A job as its clean run simulates it: plan, placement (any node
+/// offset applied), pipelining, exchange and engine.
+pub(crate) type Solo<'a> = (
+    &'a CollectivePlan,
+    &'a ProcessMap,
+    Pipeline,
+    Exchange,
+    SharePolicy,
+);
 
-    /// Scalar severity in `[0, 1]` the hysteresis bands compare
-    /// against: the worst of (time-weighted OST deficit, shock
-    /// fraction, interference fraction).
-    pub fn severity(&self) -> f64 {
-        let ost = self
-            .osts
-            .iter()
-            .map(|o| o.degradation)
-            .fold(0.0f64, f64::max);
-        let shock = self.shocks.iter().map(|&(_, f)| f).fold(0.0f64, f64::max);
-        ost.max(shock).max(self.interference).clamp(0.0, 1.0)
-    }
+/// The job alone on `spec`'s machine, fault-free and unobserved: the
+/// controller's nominal timeline and a tenant's solo baseline.
+pub(crate) fn clean_run(spec: &ClusterSpec, job: Solo<'_>) -> SimRun {
+    let (plan, map, pipeline, exchange, engine) = job;
+    let obs = Observe {
+        engine,
+        ..Observe::default()
+    };
+    let marks = JobMarks::default();
+    simulate_inner(plan, map, spec, pipeline, exchange, obs, None, marks)
+}
 
-    /// Fraction of the shock budget lost on `node` (0 when unshocked;
-    /// multiple shocks compose by keeping the worst).
-    pub fn shock_frac(&self, node: usize) -> f64 {
-        self.shocks
-            .iter()
-            .filter(|&&(n, _)| n == node)
-            .map(|&(_, f)| f)
-            .fold(0.0f64, f64::max)
+/// One job's controller step, solo or tenant: run `job` clean for its
+/// nominal timeline, read the [`severity`] over that horizon and,
+/// beyond the policy's dead band, let `replan` act on the job's marks
+/// before every round the probe windows `probed` condemn to crawling
+/// through a degraded OST window is deferred past it. A tenant
+/// (`Some((prefix, label))`) namespaces its gates and marks and
+/// re-bases "nominal" by its [`contention_stretch`]; a solo job's scale
+/// is 1. Returns what the controller did and the clean run's elapsed
+/// time (a tenant's solo baseline).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn control(
+    policy: AdaptivePolicy,
+    fspec: &FaultSpec,
+    spec: &ClusterSpec,
+    job: Solo<'_>,
+    probed: &[RoundWindow],
+    tenant: Option<(&str, &str)>,
+    marks: &mut JobMarks,
+    replan: impl FnOnce(&mut JobMarks, &mut AdaptiveOutcome),
+) -> (AdaptiveOutcome, SimDuration) {
+    let clean = clean_run(spec, job);
+    let nosts = spec.io_servers;
+    let mut out = AdaptiveOutcome {
+        policy,
+        severity: severity(fspec, nosts, clean.report.elapsed.as_nanos()),
+        ..AdaptiveOutcome::default()
+    };
+    if out.severity > policy.dead_band() {
+        replan(marks, &mut out);
+        let scale = match tenant {
+            Some(_) => contention_stretch(fspec, nosts, &clean.windows, probed),
+            None => 1.0,
+        };
+        let decisions = plan_deferrals(fspec, policy, nosts, &clean.windows, probed, scale);
+        let (prefix, label) = tenant.unzip();
+        out.deferrals = gate_deferrals(decisions, prefix.unwrap_or(""), label, marks);
     }
+    (out, clean.report.elapsed)
 }
 
 /// One deferral decision: hold round `round` of `group` behind a gate
@@ -257,13 +258,13 @@ pub(crate) fn contention_stretch(
     nosts: usize,
     clean: &[RoundWindow],
     faulted: &[RoundWindow],
-    offset_ns: u64,
 ) -> f64 {
     let degraded = degraded_windows(fspec, nosts);
     let mut ratios: Vec<f64> = probed_slots(clean, faulted)
         .filter(|&(fw, _, _)| {
-            let (fstart, fend) = (fw.start_ns + offset_ns, fw.end_ns + offset_ns);
-            !degraded.iter().any(|&(s, e)| s < fend && e > fstart)
+            !degraded
+                .iter()
+                .any(|&(s, e)| s < fw.end_ns && e > fw.start_ns)
         })
         .map(|(_, cdur, fdur)| fdur as f64 / cdur as f64)
         .collect();
@@ -304,9 +305,8 @@ fn probed_slots<'w>(
 /// Decide which round slots to defer past a degraded OST window.
 ///
 /// For each slot, compare its nominal probe window (`clean`) against
-/// its degraded probe window (`faulted`, shifted by `offset_ns` when
-/// the job arrives late). A slot is deferred only when the probe says
-/// waiting wins: the degraded windows it overlaps end early enough
+/// its degraded probe window (`faulted`, absolute). A slot is deferred
+/// only when the probe says waiting wins: the degraded windows it overlaps end early enough
 /// that `window_exit + nominal_duration (+ margin)` beats the observed
 /// degraded finish. `dur_scale` re-bases "nominal" for contended
 /// machines (see [`contention_stretch`]); solo callers pass 1.0. Stall
@@ -319,7 +319,6 @@ pub(crate) fn plan_deferrals(
     nosts: usize,
     clean: &[RoundWindow],
     faulted: &[RoundWindow],
-    offset_ns: u64,
     dur_scale: f64,
 ) -> Vec<DeferDecision> {
     let degraded = degraded_windows(fspec, nosts);
@@ -335,7 +334,7 @@ pub(crate) fn plan_deferrals(
         if stretch < policy.stretch_threshold() {
             continue;
         }
-        let (fstart, fend) = (fw.start_ns + offset_ns, fw.end_ns + offset_ns);
+        let (fstart, fend) = (fw.start_ns, fw.end_ns);
         // Latest exit among degraded windows the stretched slot overlaps.
         let exit = degraded
             .iter()
@@ -411,15 +410,15 @@ pub(crate) fn gate_deferrals(
 }
 
 /// The contention-aware score of an adaptive demotion, for the
-/// three-tier search of [`crate::exec_faults`]'s failover path: an
-/// *effective* budget — shocked nodes lose the shocked fraction, and
-/// nodes already hosting aggregators of the group are penalized so
-/// demotions spread instead of piling up. Integer scoring keeps the
-/// choice byte-deterministic.
+/// three-tier search of [`crate::exec_faults`]'s relocation walk: an
+/// *effective* budget — a node loses the worst fraction any of `shocks`
+/// ([`FaultSpec::mem_shocks`]) drops on it, and nodes already hosting
+/// aggregators of the group are penalized so demotions spread instead
+/// of piling up. Integer scoring keeps the choice byte-deterministic.
 pub(crate) fn contended_budget<'a>(
     g: &'a GroupPlan,
     map: &'a ProcessMap,
-    signals: &'a SignalSnapshot,
+    shocks: &'a [(usize, f64, SimTime)],
 ) -> impl Fn(Rank, u64) -> u64 + 'a {
     move |r, budget| {
         let node = map.node_of(r);
@@ -428,7 +427,12 @@ pub(crate) fn contended_budget<'a>(
             .iter()
             .filter(|a| map.node_of(a.rank) == node)
             .count() as u64;
-        let keep = 1.0 - signals.shock_frac(node.0).clamp(0.0, 1.0);
+        let shock = shocks
+            .iter()
+            .filter(|&&(n, ..)| n == node.0)
+            .map(|&(_, frac, _)| frac)
+            .fold(0.0f64, f64::max);
+        let keep = 1.0 - shock.clamp(0.0, 1.0);
         (budget as f64 * keep) as u64 / (1 + aggs_on_node)
     }
 }
@@ -479,37 +483,44 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_weights_deficit_by_time() {
+    fn severity_weights_deficit_by_time() {
         // Quarter speed for half the horizon: deficit 0.75 * 0.5.
         let spec = slow_spec(4.0, 0, 5);
-        let snap = SignalSnapshot::sample(&spec, 2, 10_000_000, 0.0);
-        assert_eq!(snap.osts.len(), 1);
-        let o = &snap.osts[0];
-        assert_eq!(o.ost, 0);
-        assert!((o.degradation - 0.375).abs() < 1e-9, "{}", o.degradation);
-        assert!((o.worst - 0.75).abs() < 1e-9);
-        assert_eq!(o.degraded_until_ns, 5_000_000);
-        assert!((snap.severity() - 0.375).abs() < 1e-9);
+        let sev = severity(&spec, 2, 10_000_000);
+        assert!((sev - 0.375).abs() < 1e-9, "{sev}");
     }
 
     #[test]
-    fn snapshot_ignores_windows_past_horizon() {
+    fn severity_ignores_windows_past_horizon() {
         let spec = slow_spec(8.0, 20, 30);
-        let snap = SignalSnapshot::sample(&spec, 1, 10_000_000, 0.0);
-        assert!(snap.osts.is_empty(), "window outside horizon: {snap:?}");
-        assert_eq!(snap.severity(), 0.0);
+        assert_eq!(severity(&spec, 1, 10_000_000), 0.0);
     }
 
     #[test]
     fn severity_takes_the_worst_signal() {
         let spec = FaultSpec::parse("seed 1\nost_slow(0, 2.0, 0ms..10ms)\nmem_shock(3, 0.9, 1ms)")
             .unwrap();
-        let snap = SignalSnapshot::sample(&spec, 1, 10_000_000, 0.3);
-        assert!((snap.severity() - 0.9).abs() < 1e-9, "{}", snap.severity());
-        assert!((snap.shock_frac(3) - 0.9).abs() < 1e-9);
-        assert_eq!(snap.shock_frac(0), 0.0);
-        let calm = SignalSnapshot::sample(&FaultSpec::none(), 1, 1_000, 0.3);
-        assert!((calm.severity() - 0.3).abs() < 1e-9, "interference counts");
+        let sev = severity(&spec, 1, 10_000_000);
+        assert!((sev - 0.9).abs() < 1e-9, "{sev}");
+        assert_eq!(severity(&FaultSpec::none(), 1, 1_000), 0.0);
+    }
+
+    #[test]
+    fn contended_budget_keeps_the_unshocked_fraction() {
+        use mcio_cluster::Placement;
+        let map = ProcessMap::new(8, 4, Placement::Block);
+        let g = GroupPlan {
+            ranks: (0..8).map(Rank).collect(),
+            aggregators: Vec::new(),
+            rounds: Vec::new(),
+        };
+        let spec =
+            FaultSpec::parse("seed 1\nmem_shock(3, 0.25, 1ms)\nmem_shock(3, 0.5, 2ms)").unwrap();
+        let shocks = spec.mem_shocks();
+        let score = contended_budget(&g, &map, &shocks);
+        // Rank 6 lives on node 3: the worst shock there keeps half.
+        assert_eq!(score(Rank(6), 1000), 500);
+        assert_eq!(score(Rank(0), 1000), 1000);
     }
 
     #[test]
@@ -531,7 +542,6 @@ mod tests {
             1,
             &clean,
             &faulted,
-            0,
             1.0,
         );
         assert_eq!(d.len(), 1);
@@ -547,23 +557,15 @@ mod tests {
             1,
             &clean,
             &faulted,
-            0,
             1.0,
         )
         .is_empty());
 
         // Below the stretch threshold: no deferral.
         let mild = [w(None, 0, 0, 1_200_000)];
-        assert!(plan_deferrals(
-            &spec,
-            AdaptivePolicy::Conservative,
-            1,
-            &clean,
-            &mild,
-            0,
-            1.0,
-        )
-        .is_empty());
+        assert!(
+            plan_deferrals(&spec, AdaptivePolicy::Conservative, 1, &clean, &mild, 1.0,).is_empty()
+        );
     }
 
     #[test]
@@ -577,24 +579,8 @@ mod tests {
         };
         let clean = [w(Some(1), 0, 0, 1_000_000), w(Some(0), 0, 0, 1_000_000)];
         let faulted = [w(Some(1), 0, 0, 8_000_000), w(Some(0), 0, 0, 8_000_000)];
-        let a = plan_deferrals(
-            &spec,
-            AdaptivePolicy::Aggressive,
-            1,
-            &clean,
-            &faulted,
-            0,
-            1.0,
-        );
-        let b = plan_deferrals(
-            &spec,
-            AdaptivePolicy::Aggressive,
-            1,
-            &clean,
-            &faulted,
-            0,
-            1.0,
-        );
+        let a = plan_deferrals(&spec, AdaptivePolicy::Aggressive, 1, &clean, &faulted, 1.0);
+        let b = plan_deferrals(&spec, AdaptivePolicy::Aggressive, 1, &clean, &faulted, 1.0);
         assert_eq!(a, b);
         assert_eq!(a.len(), 2);
         assert!(a[0].group < a[1].group, "sorted by (group, round)");
@@ -622,11 +608,11 @@ mod tests {
             w(1, 8_000_000, 11_000_000),
             w(2, 11_000_000, 14_000_000),
         ];
-        let s = contention_stretch(&spec, 1, &clean, &faulted, 0);
+        let s = contention_stretch(&spec, 1, &clean, &faulted);
         assert!((s - 3.0).abs() < 1e-9, "median pure-contention ratio: {s}");
         // Every round inside the window: no calibration signal.
         let all_in = slow_spec(8.0, 0, 50);
-        assert_eq!(contention_stretch(&all_in, 1, &clean, &faulted, 0), 1.0);
+        assert_eq!(contention_stretch(&all_in, 1, &clean, &faulted), 1.0);
 
         // The scale dampens marginal deferrals: a round crawling to
         // 8 ms against a 1 ms nominal defers at scale 1, but if pure
@@ -640,7 +626,6 @@ mod tests {
             1,
             &one_clean,
             &one_faulted,
-            0,
             1.0,
         );
         assert_eq!(d1.len(), 1);
@@ -650,7 +635,6 @@ mod tests {
             1,
             &one_clean,
             &one_faulted,
-            0,
             6.0,
         );
         assert!(d6.is_empty(), "contention-aware scale culls the deferral");

@@ -20,7 +20,13 @@
 //!   extra rounds appended to the group, instead of aborting. Message
 //!   extents are split at the same boundaries, so byte conservation and
 //!   leaf coverage are preserved exactly ([`CollectivePlan::check`]
-//!   still passes on the transformed plan).
+//!   still passes on the transformed plan). A shock that leaves an
+//!   aggregator no byte is an aggregator loss: it fails over like a
+//!   crash instead of re-rounding into one-byte pieces.
+//!
+//! Crash failover, the controller's demotions and shock re-rounding
+//! are three calls of one relocation walk (`Walk::relocate`); a
+//! re-round is a relocation onto the aggregator itself.
 //!
 //! The two-phase baseline gets **no** failover: a crash that hits one of
 //! its aggregators mid-collective marks the run `completed = false`
@@ -46,8 +52,8 @@
 //! produce byte-identical traces and reports.
 
 use crate::adaptive::{
-    contended_budget, gate_deferrals, observed_granularity, plan_deferrals, AdaptiveOutcome,
-    AdaptivePolicy, SignalSnapshot,
+    contended_budget, control, controller_acts, observed_granularity, AdaptiveOutcome,
+    AdaptivePolicy,
 };
 use crate::config::Strategy;
 use crate::exec_sim::{
@@ -62,7 +68,7 @@ use crate::tuner::{retune_from_signals, TunedParams};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::{NodeId, ProcessMap, Rank};
 use mcio_des::{SimDuration, SimTime};
-use mcio_faults::{FaultEvent, FaultSpec};
+use mcio_faults::FaultSpec;
 use mcio_pfs::{Extent, Rw};
 
 /// Fixed failure-detection + re-coordination latency charged before the
@@ -133,8 +139,8 @@ pub fn simulate_faulted(
 }
 
 /// [`simulate_faulted`] with the closed-loop controller enabled: between
-/// the probe pass and the final pass, [`SignalSnapshot`]-driven
-/// decisions re-tune the round granularity, demote aggregators off
+/// the probe pass and the final pass, decisions driven by one severity
+/// number re-tune the round granularity, demote aggregators off
 /// memory-shocked nodes (contention-aware three-tier re-selection), and
 /// defer rounds past degraded OST windows when the probe says waiting
 /// beats crawling. The controller only acts on the MC-CIO strategy —
@@ -154,117 +160,50 @@ pub fn simulate_adaptive(
     policy: AdaptivePolicy,
     obs: Observe<'_>,
 ) -> FaultOutcome {
-    let structural = fspec
-        .events
-        .iter()
-        .any(|e| matches!(e, FaultEvent::AggCrash { .. } | FaultEvent::MemShock { .. }));
-    let adaptive = !policy.is_off() && !fspec.is_empty() && plan.strategy != Strategy::TwoPhase;
-
-    let mut xplan = plan.clone();
-    let mut marks = JobMarks::default();
-    let mut completed = true;
-    let mut failovers = 0usize;
-    let mut adaptive_out = AdaptiveOutcome {
-        policy,
-        ..AdaptiveOutcome::default()
-    };
+    let (crashes, shocks) = (fspec.agg_crashes(), fspec.mem_shocks());
+    let adaptive = controller_acts(policy, Some(fspec), plan.strategy);
 
     // Pass 1: OST + transient faults only, no recovery — yields the
     // absolute windows of every round slot, i.e. which rounds were
     // still in flight when each structural event struck, and the
-    // degraded timeline the controller compares against nominal.
-    let unobserved = Observe {
+    // degraded timeline the controller compares against nominal. Pass
+    // 2 runs the transformed plan under the full injection.
+    let run = |plan: &CollectivePlan, obs: Observe<'_>, marks: JobMarks| {
+        simulate_inner(plan, map, spec, pipeline, exchange, obs, Some(fspec), marks)
+    };
+    let probe_obs = Observe {
         engine: obs.engine,
         ..Observe::default()
     };
-    let pass1 = (structural || adaptive).then(|| {
-        simulate_inner(
-            plan,
-            map,
-            spec,
-            pipeline,
-            exchange,
-            unobserved,
-            Some(fspec),
-            JobMarks::default(),
-        )
-    });
+    let probe = (!crashes.is_empty() || !shocks.is_empty() || adaptive)
+        .then(|| run(plan, probe_obs, JobMarks::default()));
+    let windows = probe.map_or_else(Vec::new, |p| p.windows);
+    let walk = Walk {
+        plan,
+        map,
+        mem,
+        shocks: &shocks,
+        windows: &windows,
+    };
+    let mut xplan = plan.clone();
+    let mut marks = JobMarks::default();
+    let (mut completed, mut failovers) = (true, 0usize);
 
-    if structural {
-        let pass1 = pass1.as_ref().expect("probe ran");
-
-        for &(host, at) in &fspec.agg_crashes() {
-            let at_ns = at.saturating_since(SimTime::ZERO).as_nanos();
-            for (gi, g) in xplan.groups.iter_mut().enumerate() {
-                let crashed: Vec<Rank> = g
-                    .aggregators
-                    .iter()
-                    .map(|a| a.rank)
-                    .filter(|&r| map.node_of(r) == NodeId(host))
-                    .collect();
-                let gkey = group_key(plan.sync, gi);
-                for cr in crashed {
-                    let affected =
-                        rounds_after(g, plan.rw, cr, &pass1.windows, gkey, at_ns, Edge::End);
-                    let Some(&first) = affected.first() else {
-                        continue;
-                    };
-                    if plan.strategy == Strategy::TwoPhase {
-                        // No failover path in the baseline.
-                        completed = false;
-                        continue;
-                    }
-                    let Some((repl, repl_buffer)) =
-                        select_replacement(g, map, mem, NodeId(host), |_, budget| budget)
-                    else {
-                        completed = false;
-                        continue;
-                    };
-                    failovers += 1;
-                    let gate = FaultGate {
-                        group: gkey,
-                        round: first,
-                        from: at,
-                        release: at + FAILOVER_LATENCY,
-                        name: GateName::failover(gi, first),
-                        adaptive: false,
-                    };
-                    install_replacement(g, cr, (repl, repl_buffer), &mut marks.gates, gate);
-                    for r in affected {
-                        retarget_round(&mut g.rounds[r], plan.rw, cr, repl);
-                        for appended in split_oversized(g, r, repl, repl_buffer, plan.rw) {
-                            marks.degraded.push((gkey, appended));
-                        }
-                    }
-                }
-            }
-        }
+    // Crashes, then the controller, then the shocks: an aggregator the
+    // controller demotes off a shocked node no longer needs its future
+    // rounds split at the shrunken buffer.
+    for &(host, at) in &crashes {
+        let done = walk.relocate(&mut xplan, &mut marks, host, at, |_| Some(Move::Failover));
+        completed &= !done.stranded;
+        failovers += done.moved;
     }
-
-    // Closed-loop adaptation: sample the degradation signals, decide
-    // behind the hysteresis band, actuate as plan transforms + gates.
-    // Runs between the crash-failover transform above and the
-    // structural mem-shock re-rounding below: an aggregator this block
-    // demotes off a shocked node no longer needs its future rounds
-    // split at the shrunken buffer.
+    let mut adaptive_out = AdaptiveOutcome {
+        policy,
+        ..AdaptiveOutcome::default()
+    };
     if adaptive {
-        let pass1 = pass1.as_ref().expect("probe ran");
-        // Nominal timeline of the same plan: the deferral comparator
-        // and the sampling horizon.
-        let clean = simulate_inner(
-            plan,
-            map,
-            spec,
-            pipeline,
-            exchange,
-            unobserved,
-            None,
-            JobMarks::default(),
-        );
-        let horizon = clean.report.elapsed.as_nanos();
-        let signals = SignalSnapshot::sample(fspec, spec.io_servers, horizon, 0.0);
-        adaptive_out.severity = signals.severity();
-        if adaptive_out.severity > policy.dead_band() {
+        let job = (plan, map, pipeline, exchange, obs.engine);
+        let replan = |marks: &mut JobMarks, out: &mut AdaptiveOutcome| {
             // (1) Re-tune the observed round granularity. The tuned
             // group size caps how coarse adaptively re-split rounds may
             // be (split boundaries stay exact chunk boundaries).
@@ -274,9 +213,9 @@ pub fn simulate_adaptive(
                 nah: 1,
                 msg_group: gran,
             };
-            let tuned = retune_from_signals(base, &signals, policy);
+            let tuned = retune_from_signals(base, out.severity, policy);
             if tuned.msg_group < base.msg_group {
-                adaptive_out.retuned = Some((base.msg_group, tuned.msg_group));
+                out.retuned = Some((base.msg_group, tuned.msg_group));
                 marks.replans.push(ReplanMark {
                     name: "retune.msg_group".into(),
                     cat: "retune",
@@ -284,149 +223,42 @@ pub fn simulate_adaptive(
                     dur_ns: 1,
                     slot: None,
                     args: vec![
-                        ("severity".into(), format!("{:.6}", adaptive_out.severity)),
+                        ("severity".into(), format!("{:.6}", out.severity)),
                         ("old".into(), base.msg_group.to_string()),
                         ("new".into(), tuned.msg_group.to_string()),
                     ],
                 });
             }
-            let split_cap = tuned.msg_group.max(1);
-
-            // (2) Demote aggregators off memory-shocked nodes for
-            // rounds that have not started yet; in-flight rounds stay
-            // with the shocked aggregator and are re-rounded by the
-            // structural path below.
-            for &(node, drop_frac, at) in &fspec.mem_shocks() {
-                if drop_frac <= policy.dead_band() {
-                    continue;
-                }
-                let at_ns = at.saturating_since(SimTime::ZERO).as_nanos();
-                for (gi, g) in xplan.groups.iter_mut().enumerate() {
-                    let shocked: Vec<Rank> = g
-                        .aggregators
-                        .iter()
-                        .map(|a| a.rank)
-                        .filter(|&r| map.node_of(r) == NodeId(node))
-                        .collect();
-                    let gkey = group_key(plan.sync, gi);
-                    for agg in shocked {
-                        let affected =
-                            rounds_after(g, plan.rw, agg, &pass1.windows, gkey, at_ns, Edge::Start);
-                        let Some(&first) = affected.first() else {
-                            continue;
-                        };
-                        let score = contended_budget(g, map, &signals);
-                        let Some((repl, repl_buffer)) =
-                            select_replacement(g, map, mem, NodeId(node), score)
-                        else {
-                            continue;
-                        };
-                        if repl == agg {
-                            continue;
-                        }
-                        adaptive_out.demotions += 1;
-                        let gate = FaultGate {
-                            group: gkey,
-                            round: first,
-                            from: at,
-                            release: at + FAILOVER_LATENCY,
-                            name: GateName::replan(gi, first),
-                            adaptive: true,
-                        };
-                        install_replacement(g, agg, (repl, repl_buffer), &mut marks.gates, gate);
-                        marks.replans.push(ReplanMark {
-                            name: format!("demote.g{gi}.r{first}"),
-                            cat: "demote",
-                            start_ns: at_ns,
-                            dur_ns: FAILOVER_LATENCY.as_nanos().max(1),
-                            slot: None,
-                            args: vec![
-                                ("node".into(), node.to_string()),
-                                ("drop_frac".into(), format!("{drop_frac:.6}")),
-                                ("from".into(), format!("r{}", agg.0)),
-                                ("to".into(), format!("r{}", repl.0)),
-                            ],
-                        });
-                        let limit = repl_buffer.min(split_cap).max(1);
-                        for r in affected {
-                            retarget_round(&mut g.rounds[r], plan.rw, agg, repl);
-                            for appended in split_oversized(g, r, repl, limit, plan.rw) {
-                                adaptive_out.resplits += 1;
-                                marks.replans.push(ReplanMark {
-                                    name: format!("resplit.g{gi}.r{appended}"),
-                                    cat: "resplit",
-                                    start_ns: 0,
-                                    dur_ns: 1,
-                                    slot: Some((gkey, appended)),
-                                    args: vec![("limit".into(), limit.to_string())],
-                                });
-                            }
-                        }
-                    }
-                }
+            // (2) Demote aggregators off memory-shocked nodes for rounds
+            // that have not started yet; in-flight rounds stay with the
+            // shocked aggregator and are re-rounded with the shocks below.
+            let cap = tuned.msg_group.max(1);
+            for &(node, drop_frac, at) in shocks.iter().filter(|s| s.1 > policy.dead_band()) {
+                let demote = |_| Some(Move::Demote { drop_frac, cap });
+                let done = walk.relocate(&mut xplan, marks, node, at, demote);
+                out.demotions += done.moved;
+                out.resplits += done.appended;
             }
-
-            // (3) Defer rounds past degraded OST windows when the probe
-            // says waiting beats crawling (timing-only: no plan bytes
-            // change).
-            let decisions = plan_deferrals(
-                fspec,
-                policy,
-                spec.io_servers,
-                &clean.windows,
-                &pass1.windows,
-                0,
-                1.0,
-            );
-            adaptive_out.deferrals = gate_deferrals(decisions, "", None, &mut marks);
-        }
+        };
+        // (3) Deferral past degraded OST windows, after the replan.
+        (adaptive_out, _) = control(policy, fspec, spec, job, &windows, None, &mut marks, replan);
+    }
+    // The baseline has no re-rounding path: a shock reaches it through
+    // the OST/transient channel, unless it leaves an aggregator no byte.
+    let two_phase = plan.strategy == Strategy::TwoPhase;
+    for &(node, drop_frac, at) in &shocks {
+        let shrink = |buffer: u64| match ((buffer as f64) * (1.0 - drop_frac)) as u64 {
+            0 => Some(Move::Failover),
+            _ if two_phase => None,
+            left => Some(Move::Stay(left)),
+        };
+        let done = walk.relocate(&mut xplan, &mut marks, node, at, shrink);
+        completed &= !done.stranded;
+        failovers += done.moved;
     }
 
-    if structural {
-        let pass1 = pass1.as_ref().expect("probe ran");
-
-        for &(node, drop_frac, at) in &fspec.mem_shocks() {
-            if plan.strategy == Strategy::TwoPhase {
-                // The baseline has no runtime re-rounding path; shocks
-                // only matter to it through the OST/transient channel.
-                continue;
-            }
-            let at_ns = at.saturating_since(SimTime::ZERO).as_nanos();
-            for (gi, g) in xplan.groups.iter_mut().enumerate() {
-                let shocked: Vec<(Rank, u64)> = g
-                    .aggregators
-                    .iter()
-                    .filter(|a| map.node_of(a.rank) == NodeId(node))
-                    .map(|a| {
-                        let eff = ((a.buffer as f64) * (1.0 - drop_frac)) as u64;
-                        (a.rank, eff.max(1))
-                    })
-                    .collect();
-                let gkey = group_key(plan.sync, gi);
-                for (agg, effective) in shocked {
-                    for r in rounds_after(g, plan.rw, agg, &pass1.windows, gkey, at_ns, Edge::End) {
-                        for appended in split_oversized(g, r, agg, effective, plan.rw) {
-                            marks.degraded.push((gkey, appended));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Pass 2 (or the only pass): the transformed plan under the full
-    // injection, observed as the caller asked.
     let degraded_rounds = marks.degraded.len();
-    let run: SimRun = simulate_inner(
-        &xplan,
-        map,
-        spec,
-        pipeline,
-        exchange,
-        obs,
-        Some(fspec),
-        marks,
-    );
+    let run: SimRun = run(&xplan, obs, marks);
     let retries: u64 = run
         .retry_marks
         .iter()
@@ -476,29 +308,169 @@ pub fn simulate_adaptive(
     }
 }
 
-/// The trace/gate group key for group `gi` under `sync`: the global
-/// chain zips all groups, so its slots are keyed `None`.
-fn group_key(sync: SyncMode, gi: usize) -> Option<usize> {
-    match sync {
-        SyncMode::Global => None,
-        SyncMode::PerGroup => Some(gi),
+/// Where an aggregator's rounds go when a relocation reaches it.
+#[derive(Clone, Copy)]
+enum Move {
+    /// The aggregator role is gone (`agg_crash`, or a shock that leaves
+    /// it no byte): its rounds still in flight fail over to the
+    /// best-budget rank off the node, behind a failover gate.
+    Failover,
+    /// The controller moves the aggregator off its shocked node for the
+    /// rounds that have not started, to the best contended budget,
+    /// behind a replan gate; the moved rounds split at `cap` too.
+    Demote { drop_frac: f64, cap: u64 },
+    /// The aggregator stays with `left` bytes of buffer: its rounds
+    /// still in flight re-round onto itself at that limit.
+    Stay(u64),
+}
+
+/// What one relocation did to the plan.
+#[derive(Default)]
+struct Relocated {
+    /// Aggregators that moved to another rank.
+    moved: usize,
+    /// Rounds split off at a byte limit.
+    appended: usize,
+    /// An aggregator whose role is gone had rounds left and nowhere to
+    /// go (the two-phase baseline, or every rank on the down node).
+    stranded: bool,
+}
+
+/// The relocation walk's inputs: the input plan, where ranks live and
+/// how much memory they have, the shocks a demotion's score reads, and
+/// the probe's round windows.
+struct Walk<'a> {
+    plan: &'a CollectivePlan,
+    map: &'a ProcessMap,
+    mem: &'a ProcMemory,
+    shocks: &'a [(usize, f64, SimTime)],
+    windows: &'a [RoundWindow],
+}
+
+impl Walk<'_> {
+    /// Apply an event on `node` at `at` to every aggregator of `xplan`
+    /// on that node, group by group: `how(buffer)` says where the
+    /// aggregator's rounds go (`None`: nowhere, they stay as they are).
+    /// The affected rounds are those the aggregator serves whose probe
+    /// window ends after `at` (starts after it, for a demotion); a
+    /// replacement is installed with its gate, the rounds are retargeted
+    /// to it and split at its byte limit. Degraded slots and controller
+    /// marks land in `marks` in walk order.
+    fn relocate(
+        &self,
+        xplan: &mut CollectivePlan,
+        marks: &mut JobMarks,
+        node: usize,
+        at: SimTime,
+        how: impl Fn(u64) -> Option<Move>,
+    ) -> Relocated {
+        let (rw, down) = (self.plan.rw, NodeId(node));
+        let at_ns = at.saturating_since(SimTime::ZERO).as_nanos();
+        let mut done = Relocated::default();
+        for (gi, g) in xplan.groups.iter_mut().enumerate() {
+            // The global chain zips all groups: its slots are keyed `None`.
+            let gkey = (self.plan.sync == SyncMode::PerGroup).then_some(gi);
+            let on_node: Vec<AggregatorAssignment> = (g.aggregators.iter())
+                .filter(|a| self.map.node_of(a.rank) == down)
+                .copied()
+                .collect();
+            for from in on_node {
+                let agg = from.rank;
+                let Some(how) = how(from.buffer) else {
+                    continue;
+                };
+                let demote = matches!(how, Move::Demote { .. });
+                let affected = rounds_after(g, rw, agg, self.windows, gkey, at_ns, demote);
+                let Some(&first) = affected.first() else {
+                    continue;
+                };
+                let (repl, limit) = match how {
+                    Move::Stay(left) => (agg, left),
+                    // No failover path in the baseline (and the
+                    // controller never demotes on it).
+                    _ if self.plan.strategy == Strategy::TwoPhase => {
+                        done.stranded = true;
+                        continue;
+                    }
+                    Move::Failover | Move::Demote { .. } => {
+                        let picked = {
+                            let contended = contended_budget(g, self.map, self.shocks);
+                            let budget = |_, budget| budget;
+                            let score: &dyn Fn(Rank, u64) -> u64 =
+                                if demote { &contended } else { &budget };
+                            select_replacement(g, self.map, self.mem, down, score)
+                        };
+                        let Some((repl, buf)) = picked else {
+                            done.stranded |= !demote;
+                            continue;
+                        };
+                        if repl == agg {
+                            continue;
+                        }
+                        let name = match demote {
+                            true => GateName::replan(gi, first),
+                            false => GateName::failover(gi, first),
+                        };
+                        let gate = FaultGate {
+                            group: gkey,
+                            round: first,
+                            from: at,
+                            release: at + FAILOVER_LATENCY,
+                            name,
+                            adaptive: demote,
+                        };
+                        install_replacement(g, from, (repl, buf), &mut marks.gates, gate);
+                        done.moved += 1;
+                        match how {
+                            Move::Demote { cap, .. } => (repl, buf.min(cap).max(1)),
+                            _ => (repl, buf),
+                        }
+                    }
+                };
+                if let Move::Demote { drop_frac, .. } = how {
+                    marks.replans.push(ReplanMark {
+                        name: format!("demote.g{gi}.r{first}"),
+                        cat: "demote",
+                        start_ns: at_ns,
+                        dur_ns: FAILOVER_LATENCY.as_nanos().max(1),
+                        slot: None,
+                        args: vec![
+                            ("node".into(), node.to_string()),
+                            ("drop_frac".into(), format!("{drop_frac:.6}")),
+                            ("from".into(), format!("r{}", agg.0)),
+                            ("to".into(), format!("r{}", repl.0)),
+                        ],
+                    });
+                }
+                for r in affected {
+                    retarget_round(&mut g.rounds[r], rw, agg, repl);
+                    for appended in split_oversized(g, r, repl, limit, rw) {
+                        done.appended += 1;
+                        match how {
+                            Move::Demote { .. } => marks.replans.push(ReplanMark {
+                                name: format!("resplit.g{gi}.r{appended}"),
+                                cat: "resplit",
+                                start_ns: 0,
+                                dur_ns: 1,
+                                slot: Some((gkey, appended)),
+                                args: vec![("limit".into(), limit.to_string())],
+                            }),
+                            _ => marks.degraded.push((gkey, appended)),
+                        }
+                    }
+                }
+            }
+        }
+        done
     }
 }
 
-/// Which edge of a round's pass-1 window must lie after an event for
-/// the round to still count.
-#[derive(Clone, Copy)]
-enum Edge {
-    /// Its end: the round was still in flight, or had not started.
-    End,
-    /// Its start: the round had not started and can still change
-    /// aggregator cleanly (the adaptive demotion path).
-    Start,
-}
-
 /// Rounds of `g` that involve aggregator `agg` and whose pass-1 window
-/// `edge` lies after `at_ns`. Rounds with no recorded window (created
-/// by an earlier transform, executed at the end of the chain) count.
+/// ends after `at_ns` — the round was still in flight, or had not
+/// started — or, when `unstarted`, starts after it: the round can still
+/// change aggregator cleanly (the adaptive demotion path). Rounds with
+/// no recorded window (created by an earlier transform, executed at the
+/// end of the chain) count.
 fn rounds_after(
     g: &GroupPlan,
     rw: Rw,
@@ -506,7 +478,7 @@ fn rounds_after(
     windows: &[RoundWindow],
     gkey: Option<usize>,
     at_ns: u64,
-    edge: Edge,
+    unstarted: bool,
 ) -> Vec<usize> {
     (0..g.rounds.len())
         .filter(|&r| {
@@ -519,9 +491,9 @@ fn rounds_after(
             let slots = windows
                 .iter()
                 .filter(|w| w.round == r && (w.group == gkey || w.group.is_none()));
-            let edge_ns = match edge {
-                Edge::End => slots.map(|w| w.end_ns).max(),
-                Edge::Start => slots.map(|w| w.start_ns).min(),
+            let edge_ns = match unstarted {
+                true => slots.map(|w| w.start_ns).min(),
+                false => slots.map(|w| w.end_ns).max(),
             };
             edge_ns.unwrap_or(u64::MAX) > at_ns
         })
@@ -546,30 +518,19 @@ fn select_replacement(
     down: NodeId,
     score: impl Fn(Rank, u64) -> u64,
 ) -> Option<(Rank, u64)> {
-    let by_budget = |&r: &Rank| (score(r, mem.budget(r)), std::cmp::Reverse(r.0));
-    let fresh = g
-        .ranks
-        .iter()
-        .copied()
-        .filter(|&r| map.node_of(r) != down)
-        .filter(|&r| !g.aggregators.iter().any(|a| a.rank == r))
-        .max_by_key(by_budget);
-    if let Some(r) = fresh {
-        return Some((r, mem.budget(r).max(1)));
-    }
-    if let Some(a) = g
-        .aggregators
-        .iter()
-        .filter(|a| map.node_of(a.rank) != down)
-        .max_by_key(|a| (score(a.rank, a.buffer), std::cmp::Reverse(a.rank.0)))
-    {
-        return Some((a.rank, a.buffer));
-    }
-    (0..map.nranks())
-        .map(Rank)
-        .filter(|&r| map.node_of(r) != down)
-        .max_by_key(by_budget)
-        .map(|r| (r, mem.budget(r).max(1)))
+    let best = |ranks: &mut dyn Iterator<Item = (Rank, u64)>| {
+        ranks.max_by_key(|&(r, budget)| (score(r, budget), std::cmp::Reverse(r.0)))
+    };
+    let up = |r: &Rank| map.node_of(*r) != down;
+    let idle = |r: &Rank| !g.aggregators.iter().any(|a| a.rank == *r);
+    let budget = |r: Rank| (r, mem.budget(r));
+    let at_least_one = |(r, budget): (Rank, u64)| (r, budget.max(1));
+    let fresh = &mut g.ranks.iter().copied().filter(up).filter(idle).map(budget);
+    let existing = &mut g.aggregators.iter().map(|a| (a.rank, a.buffer));
+    let borrowed = &mut (0..map.nranks()).map(Rank).filter(up).map(budget);
+    (best(fresh).map(at_least_one))
+        .or_else(|| best(&mut existing.filter(|(r, _)| up(r))))
+        .or_else(|| best(borrowed).map(at_least_one))
 }
 
 /// Make `repl` an aggregator of `g` in `from`'s place, inheriting its
@@ -577,23 +538,16 @@ fn select_replacement(
 /// round behind `gate` unless that slot is already gated.
 fn install_replacement(
     g: &mut GroupPlan,
-    from: Rank,
-    (repl, buffer): (Rank, u64),
+    from: AggregatorAssignment,
+    (rank, buffer): (Rank, u64),
     gates: &mut Vec<FaultGate>,
     gate: FaultGate,
 ) {
-    if !g.aggregators.iter().any(|a| a.rank == repl) {
-        let (fd, data_bytes) = g
-            .aggregators
-            .iter()
-            .find(|a| a.rank == from)
-            .map(|a| (a.fd, a.data_bytes))
-            .unwrap_or((Extent::EMPTY, 0));
+    if !g.aggregators.iter().any(|a| a.rank == rank) {
         g.aggregators.push(AggregatorAssignment {
-            rank: repl,
-            fd,
+            rank,
             buffer,
-            data_bytes,
+            ..from
         });
     }
     if !gates
@@ -635,13 +589,11 @@ fn split_oversized(g: &mut GroupPlan, r: usize, agg: Rank, limit: u64, rw: Rw) -
             continue;
         }
         let io = g.rounds[r].ios[i].clone();
-        let mut chunks = Vec::new();
-        let mut off = io.window.offset;
-        while off < io.window.end() {
-            let len = limit.min(io.window.end() - off);
-            chunks.push(Extent::new(off, len));
-            off += len;
-        }
+        let end = io.window.end();
+        let chunks: Vec<Extent> = (io.window.offset..end)
+            .step_by(limit as usize)
+            .map(|off| Extent::new(off, limit.min(end - off)))
+            .collect();
         // Chunk 0 shrinks the op in place.
         g.rounds[r].ios[i] = IoOp {
             agg,
@@ -853,6 +805,46 @@ mod tests {
             assert!(
                 out.executed_plan.max_rounds() > plan.max_rounds(),
                 "degradation re-rounds by appending rounds"
+            );
+        }
+    }
+
+    #[test]
+    fn shock_that_leaves_no_byte_is_a_crash() {
+        // `(buffer * (1 - drop)) as u64` is 0 at drop 1 and within
+        // 1/buffer of it: the aggregator has no memory left, so its
+        // rounds fail over instead of re-rounding into one-byte pieces.
+        let chunk = 4096;
+        let (req, map, mem, cfg, spec) = setup(8, 2, chunk);
+        let mc = mcio::plan(&req, &map, &mem, &cfg);
+        let tp = twophase::plan(&req, &map, &mem, &cfg);
+        let rounds: usize = mc.groups.iter().map(|g| g.rounds.len()).sum();
+        for drop in ["1.0", "0.9999999"] {
+            let fault = FaultSpec::parse(&format!("seed 7\nmem_shock(0, {drop}, 0ns)")).unwrap();
+            let run = |plan| {
+                let (pipeline, exchange) = (Pipeline::Serial, Exchange::Direct);
+                let obs = Observe::default();
+                simulate_faulted(plan, &map, &spec, &mem, pipeline, exchange, &fault, obs)
+            };
+            let out = run(&mc);
+            assert!(out.completed, "drop {drop}");
+            assert!(out.failovers >= 1, "drop {drop}: no failover");
+            assert!(
+                out.degraded_rounds <= rounds,
+                "drop {drop}: {} degraded rounds from {rounds}",
+                out.degraded_rounds
+            );
+            out.executed_plan
+                .check(&req)
+                .expect("failover preserves plan invariants");
+            assert_eq!(
+                written(&out.executed_plan, 8 * chunk),
+                written(&mc, 8 * chunk),
+                "drop {drop}: failover must not change the bytes written"
+            );
+            assert!(
+                !run(&tp).completed,
+                "drop {drop}: baseline has no failover path"
             );
         }
     }

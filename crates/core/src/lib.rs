@@ -52,7 +52,7 @@ pub mod request;
 pub mod tuner;
 pub mod twophase;
 
-pub use adaptive::{AdaptiveOutcome, AdaptivePolicy, OstSignal, SignalSnapshot};
+pub use adaptive::{AdaptiveOutcome, AdaptivePolicy};
 pub use config::{CollectiveConfig, PlacementPolicy, Strategy};
 pub use exec_faults::{simulate_adaptive, simulate_faulted, FaultOutcome, FAILOVER_LATENCY};
 pub use exec_fn::FunctionalReport;

@@ -30,14 +30,11 @@
 //!   during which at least one *other* job was also being served by
 //!   some OST (how much of its storage work was contended).
 
-use crate::adaptive::{
-    contention_stretch, gate_deferrals, plan_deferrals, AdaptiveOutcome, AdaptivePolicy,
-    SignalSnapshot,
-};
+use crate::adaptive::{clean_run, control, controller_acts, AdaptiveOutcome, AdaptivePolicy};
 use crate::config::Strategy;
 use crate::exec_sim::{
-    execute, record_run, simulate_inner, Carried, Elapsed, Exchange, ExecJob, JobMarks, Kept,
-    Observe, Paused, Pipeline, RoundWindow, SimRun, TimingReport,
+    execute, record_run, Carried, Elapsed, Exchange, ExecJob, JobMarks, Kept, Observe, Paused,
+    Pipeline, RoundWindow, TimingReport,
 };
 use crate::plan::CollectivePlan;
 use mcio_cluster::spec::ClusterSpec;
@@ -296,11 +293,7 @@ impl<'a> TenantSession<'a> {
             "a multi-tenant run needs at least one job"
         );
         let multi = jobs.len() > 1;
-        let controller_ran = |strategy: Strategy| {
-            !policy.is_off()
-                && faults.is_some_and(|f| !f.is_empty())
-                && strategy != Strategy::TwoPhase
-        };
+        let acts = |strategy| controller_acts(policy, faults, strategy);
 
         let maps: Vec<ProcessMap> = jobs
             .iter()
@@ -341,33 +334,25 @@ impl<'a> TenantSession<'a> {
         // window are held behind a release gate in the shared DES. The probe
         // ignores the gates it motivates — a mistimed gate only costs idle
         // time, never correctness.
-        if jobs.iter().any(|j| controller_ran(j.plan.strategy)) {
-            let fspec = faults.expect("controller_ran implies faults");
+        if jobs.iter().any(|j| acts(j.plan.strategy)) {
+            let fspec = faults.expect("the controller acts only on a fault plan");
             let shared_probe = probe_shared_windows(spec, &exec_jobs, fspec, obs.engine);
-            for (ji, job) in jobs.iter().enumerate() {
-                if !controller_ran(job.plan.strategy) {
-                    continue;
-                }
+            for (ji, job) in jobs
+                .iter()
+                .enumerate()
+                .filter(|(_, j)| acts(j.plan.strategy))
+            {
+                let ExecJob {
+                    map, prefix, marks, ..
+                } = &mut exec_jobs[ji];
+                let solo = (&*job.plan, &**map, job.pipeline, job.exchange, obs.engine);
+                let tenant = Some((prefix.as_str(), job.label.as_str()));
+                let probed = &shared_probe[ji];
+                let (adapt, clean) =
+                    control(policy, fspec, spec, solo, probed, tenant, marks, |_, _| {});
                 // The clean run *is* this job's solo baseline.
-                let clean = self.solo_run(job, obs.engine);
-                self.seed_solo(job, obs.engine, clean.report.elapsed);
-                let horizon = clean.report.elapsed.as_nanos();
-                let signals = SignalSnapshot::sample(fspec, spec.io_servers, horizon, 0.0);
-                let adapt = &mut job_adaptive[ji];
-                adapt.severity = signals.severity();
-                if adapt.severity > policy.dead_band() {
-                    // The shared-probe windows are already absolute (the
-                    // job's arrival gate is inside the probe), so no
-                    // offset; tenancy queueing is factored out of the
-                    // defer-vs-crawl comparison by the contention scale.
-                    let probed = &shared_probe[ji];
-                    let nosts = spec.io_servers;
-                    let scale = contention_stretch(fspec, nosts, &clean.windows, probed, 0);
-                    let decisions =
-                        plan_deferrals(fspec, policy, nosts, &clean.windows, probed, 0, scale);
-                    let ExecJob { prefix, marks, .. } = &mut exec_jobs[ji];
-                    adapt.deferrals = gate_deferrals(decisions, prefix, Some(&job.label), marks);
-                }
+                self.seed_solo(job, obs.engine, clean);
+                job_adaptive[ji] = adapt;
             }
         }
 
@@ -473,7 +458,7 @@ impl<'a> TenantSession<'a> {
             // adaptive.* appears only for jobs the controller actually
             // handled, so Off (and all-static) runs keep their documents
             // byte-identical.
-            for outcome in outcomes.iter().filter(|o| controller_ran(o.strategy)) {
+            for outcome in outcomes.iter().filter(|o| acts(o.strategy)) {
                 let labels = [
                     ("job", outcome.label.as_str()),
                     ("strategy", outcome.strategy.label()),
@@ -554,25 +539,9 @@ impl<'a> TenantSession<'a> {
     /// `&self` so callers can fan baselines across threads and then
     /// [`seed_solo`](Self::seed_solo) the results in a fixed order.
     pub fn simulate_solo(&self, job: &TenantJob, engine: SharePolicy) -> SimDuration {
-        self.solo_run(job, engine).report.elapsed
-    }
-
-    /// The run behind [`simulate_solo`](Self::simulate_solo), round
-    /// windows included: the deferral planner's nominal timeline.
-    fn solo_run(&self, job: &TenantJob, engine: SharePolicy) -> SimRun {
-        simulate_inner(
-            &job.plan,
-            &job.map.with_node_offset(job.node_offset),
-            self.spec,
-            job.pipeline,
-            job.exchange,
-            Observe {
-                engine,
-                ..Observe::default()
-            },
-            None,
-            JobMarks::default(),
-        )
+        let map = job.map.with_node_offset(job.node_offset);
+        let solo = (&*job.plan, &map, job.pipeline, job.exchange, engine);
+        clean_run(self.spec, solo).report.elapsed
     }
 
     /// Record `elapsed` as the job's solo baseline under `engine`. It

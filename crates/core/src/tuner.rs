@@ -114,9 +114,9 @@ pub fn tune_msg_group(spec: &ClusterSpec, msg_ind: u64, nah: usize, rw: Rw, min_
 /// Incrementally re-solve the §3 knobs from live degradation signals
 /// instead of re-running the probe sweep mid-collective.
 ///
-/// The controller calls this between rounds with the current
-/// [`SignalSnapshot`](crate::adaptive::SignalSnapshot) severity. Two
-/// properties make it safe to run in a loop:
+/// The controller calls this between rounds with the severity in
+/// `[0, 1]` it sampled from the fault plan. Two properties make it safe
+/// to run in a loop:
 ///
 /// * **Hysteresis** — at or below the policy's dead band the output is
 ///   exactly `base`, so a mildly-degraded machine never oscillates
@@ -131,11 +131,10 @@ pub fn tune_msg_group(spec: &ClusterSpec, msg_ind: u64, nah: usize, rw: Rw, min_
 /// would exceed it), so re-split chunk boundaries remain exact.
 pub fn retune_from_signals(
     base: TunedParams,
-    signals: &crate::adaptive::SignalSnapshot,
+    sev: f64,
     policy: crate::adaptive::AdaptivePolicy,
 ) -> TunedParams {
     let band = policy.dead_band();
-    let sev = signals.severity();
     if policy.is_off() || sev <= band {
         return base;
     }
@@ -287,7 +286,7 @@ mod tests {
 
     #[test]
     fn retune_noop_inside_dead_band() {
-        use crate::adaptive::{AdaptivePolicy, SignalSnapshot};
+        use crate::adaptive::{severity, AdaptivePolicy};
         use mcio_faults::FaultSpec;
         let base = TunedParams {
             msg_ind: 16 * MIB,
@@ -297,22 +296,22 @@ mod tests {
         // 20% time-weighted deficit: inside the conservative band
         // (0.25), outside the aggressive one (0.10).
         let spec = FaultSpec::parse("seed 1\nost_slow(0, 5.0, 0ms..10ms)").unwrap();
-        let snap = SignalSnapshot::sample(&spec, 1, 40_000_000, 0.0);
-        assert!((snap.severity() - 0.2).abs() < 1e-9, "{}", snap.severity());
+        let sev = severity(&spec, 1, 40_000_000);
+        assert!((sev - 0.2).abs() < 1e-9, "{sev}");
         assert_eq!(
-            retune_from_signals(base, &snap, AdaptivePolicy::Conservative),
+            retune_from_signals(base, sev, AdaptivePolicy::Conservative),
             base,
             "dead band must be an exact no-op"
         );
-        assert_eq!(retune_from_signals(base, &snap, AdaptivePolicy::Off), base);
-        let tuned = retune_from_signals(base, &snap, AdaptivePolicy::Aggressive);
+        assert_eq!(retune_from_signals(base, sev, AdaptivePolicy::Off), base);
+        let tuned = retune_from_signals(base, sev, AdaptivePolicy::Aggressive);
         assert!(tuned.msg_group < base.msg_group);
         assert_eq!(tuned.msg_group % tuned.msg_ind, 0, "quantized");
     }
 
     #[test]
     fn retune_monotone_in_severity() {
-        use crate::adaptive::{AdaptivePolicy, SignalSnapshot};
+        use crate::adaptive::{severity, AdaptivePolicy};
         use mcio_faults::FaultSpec;
         let base = TunedParams {
             msg_ind: 4 * MIB,
@@ -327,8 +326,8 @@ mod tests {
                 let spec =
                     FaultSpec::parse(&format!("seed 1\nost_stall(0, 0ms..{}ms)", tenths * 10))
                         .unwrap();
-                let snap = SignalSnapshot::sample(&spec, 1, 100_000_000, 0.0);
-                let tuned = retune_from_signals(base, &snap, policy);
+                let sev = severity(&spec, 1, 100_000_000);
+                let tuned = retune_from_signals(base, sev, policy);
                 assert!(
                     tuned.msg_group <= prev,
                     "{policy:?}: msg_group grew with severity: {} > {prev}",
@@ -339,7 +338,7 @@ mod tests {
                 assert!(tuned.msg_ind <= base.msg_ind);
                 assert_eq!(tuned.nah, base.nah);
                 // Idempotent at fixed severity.
-                assert_eq!(retune_from_signals(base, &snap, policy), tuned);
+                assert_eq!(retune_from_signals(base, sev, policy), tuned);
                 prev = tuned.msg_group;
             }
             assert!(
