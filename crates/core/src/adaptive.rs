@@ -39,10 +39,8 @@
 //! pre-adaptive builds.
 
 use crate::config::Strategy;
-use crate::exec_sim::{
-    simulate_inner, Exchange, FaultGate, GateName, JobMarks, Observe, Pipeline, ReplanMark,
-    RoundWindow, SimRun,
-};
+use crate::exec_sim::{simulate_inner, Exchange, Observe, Pipeline, RoundWindow, SimRun};
+use crate::marks::{self, Mark};
 use crate::plan::{CollectivePlan, GroupPlan};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::{ProcessMap, Rank};
@@ -185,19 +183,18 @@ pub(crate) fn clean_run(spec: &ClusterSpec, job: Solo<'_>) -> SimRun {
         engine,
         ..Observe::default()
     };
-    let marks = JobMarks::default();
-    simulate_inner(plan, map, spec, pipeline, exchange, obs, None, marks)
+    simulate_inner(plan, map, spec, pipeline, exchange, obs, None, Vec::new())
 }
 
 /// One job's controller step, solo or tenant: run `job` clean for its
 /// nominal timeline, read the [`severity`] over that horizon and,
-/// beyond the policy's dead band, let `replan` act on the job's marks
-/// before every round the probe windows `probed` condemn to crawling
-/// through a degraded OST window is deferred past it. A tenant
-/// (`Some((prefix, label))`) namespaces its gates and marks and
-/// re-bases "nominal" by its [`contention_stretch`]; a solo job's scale
-/// is 1. Returns what the controller did and the clean run's elapsed
-/// time (a tenant's solo baseline).
+/// beyond the policy's dead band, let `replan` mark the job's re-tune
+/// and re-placement at that severity before every round the probe
+/// windows `probed` condemn to crawling through a degraded OST window
+/// is deferred past it. A `tenant` re-bases "nominal" by its
+/// [`contention_stretch`]; a solo job's scale is 1. Returns the
+/// severity and the clean run's elapsed time (a tenant's solo
+/// baseline).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn control(
     policy: AdaptivePolicy,
@@ -205,28 +202,27 @@ pub(crate) fn control(
     spec: &ClusterSpec,
     job: Solo<'_>,
     probed: &[RoundWindow],
-    tenant: Option<(&str, &str)>,
-    marks: &mut JobMarks,
-    replan: impl FnOnce(&mut JobMarks, &mut AdaptiveOutcome),
-) -> (AdaptiveOutcome, SimDuration) {
+    tenant: bool,
+    marks: &mut Vec<Mark>,
+    replan: impl FnOnce(&mut Vec<Mark>, f64),
+) -> (f64, SimDuration) {
     let clean = clean_run(spec, job);
     let nosts = spec.io_servers;
-    let mut out = AdaptiveOutcome {
-        policy,
-        severity: severity(fspec, nosts, clean.report.elapsed.as_nanos()),
-        ..AdaptiveOutcome::default()
-    };
-    if out.severity > policy.dead_band() {
-        replan(marks, &mut out);
+    let severity = severity(fspec, nosts, clean.report.elapsed.as_nanos());
+    if severity > policy.dead_band() {
+        replan(marks, severity);
         let scale = match tenant {
-            Some(_) => contention_stretch(fspec, nosts, &clean.windows, probed),
-            None => 1.0,
+            true => contention_stretch(fspec, nosts, &clean.windows, probed),
+            false => 1.0,
         };
-        let decisions = plan_deferrals(fspec, policy, nosts, &clean.windows, probed, scale);
-        let (prefix, label) = tenant.unzip();
-        out.deferrals = gate_deferrals(decisions, prefix.unwrap_or(""), label, marks);
+        // A slot a failover or a demotion already gates is not deferred.
+        for d in plan_deferrals(fspec, policy, nosts, &clean.windows, probed, scale) {
+            if !marks::gated(marks, (d.group, d.round)) {
+                marks.push(Mark::Deferral(d));
+            }
+        }
     }
-    (out, clean.report.elapsed)
+    (severity, clean.report.elapsed)
 }
 
 /// One deferral decision: hold round `round` of `group` behind a gate
@@ -360,53 +356,6 @@ pub(crate) fn plan_deferrals(
     }
     out.sort_by_key(|d| (d.group, d.round));
     out
-}
-
-/// Actuate deferral decisions on one job: each becomes a controller
-/// release gate plus a pid-5 `defer` mark, unless the slot is already
-/// gated. `prefix` and `job` namespace a tenant's gate labels and mark
-/// args (empty and `None` for a job on its own). Returns how many
-/// deferrals were installed.
-pub(crate) fn gate_deferrals(
-    decisions: Vec<DeferDecision>,
-    prefix: &str,
-    job: Option<&str>,
-    marks: &mut JobMarks,
-) -> usize {
-    let mut installed = 0;
-    for d in decisions {
-        if marks
-            .gates
-            .iter()
-            .any(|gt| gt.group == d.group && gt.round == d.round)
-        {
-            continue;
-        }
-        let name = GateName::defer(d.group, d.round);
-        let label = name.text(prefix);
-        marks.gates.push(FaultGate {
-            group: d.group,
-            round: d.round,
-            from: SimTime::from_nanos(d.from_ns),
-            release: SimTime::from_nanos(d.release_ns),
-            name,
-            adaptive: true,
-        });
-        installed += 1;
-        let job_arg = job.map(|j| ("job".to_string(), j.to_string()));
-        marks.replans.push(ReplanMark {
-            name: label,
-            cat: "defer",
-            start_ns: d.from_ns,
-            dur_ns: d.release_ns.saturating_sub(d.from_ns).max(1),
-            slot: None,
-            args: job_arg
-                .into_iter()
-                .chain([("stretch".into(), format!("{:.6}", d.stretch))])
-                .collect(),
-        });
-    }
-    installed
 }
 
 /// The contention-aware score of an adaptive demotion, for the

@@ -57,9 +57,9 @@ use crate::adaptive::{
 };
 use crate::config::Strategy;
 use crate::exec_sim::{
-    simulate_inner, Exchange, FaultGate, GateName, JobMarks, Observe, Pipeline, ReplanMark,
-    RoundWindow, SimRun, TimingReport,
+    simulate_inner, Exchange, Observe, Pipeline, RoundWindow, SimRun, TimingReport,
 };
+use crate::marks::{self, Mark, Moved};
 use crate::memory::ProcMemory;
 use crate::plan::{
     AggregatorAssignment, CollectivePlan, GroupPlan, IoOp, Message, Round, SyncMode,
@@ -168,7 +168,7 @@ pub fn simulate_adaptive(
     // still in flight when each structural event struck, and the
     // degraded timeline the controller compares against nominal. Pass
     // 2 runs the transformed plan under the full injection.
-    let run = |plan: &CollectivePlan, obs: Observe<'_>, marks: JobMarks| {
+    let run = |plan: &CollectivePlan, obs: Observe<'_>, marks: Vec<Mark>| {
         simulate_inner(plan, map, spec, pipeline, exchange, obs, Some(fspec), marks)
     };
     let probe_obs = Observe {
@@ -176,7 +176,7 @@ pub fn simulate_adaptive(
         ..Observe::default()
     };
     let probe = (!crashes.is_empty() || !shocks.is_empty() || adaptive)
-        .then(|| run(plan, probe_obs, JobMarks::default()));
+        .then(|| run(plan, probe_obs, Vec::new()));
     let windows = probe.map_or_else(Vec::new, |p| p.windows);
     let walk = Walk {
         plan,
@@ -186,24 +186,19 @@ pub fn simulate_adaptive(
         windows: &windows,
     };
     let mut xplan = plan.clone();
-    let mut marks = JobMarks::default();
-    let (mut completed, mut failovers) = (true, 0usize);
+    let mut marks = Vec::new();
+    let mut completed = true;
 
     // Crashes, then the controller, then the shocks: an aggregator the
     // controller demotes off a shocked node no longer needs its future
     // rounds split at the shrunken buffer.
     for &(host, at) in &crashes {
-        let done = walk.relocate(&mut xplan, &mut marks, host, at, |_| Some(Move::Failover));
-        completed &= !done.stranded;
-        failovers += done.moved;
+        completed &= !walk.relocate(&mut xplan, &mut marks, host, at, |_| Some(Move::Failover));
     }
-    let mut adaptive_out = AdaptiveOutcome {
-        policy,
-        ..AdaptiveOutcome::default()
-    };
+    let mut severity = 0.0;
     if adaptive {
         let job = (plan, map, pipeline, exchange, obs.engine);
-        let replan = |marks: &mut JobMarks, out: &mut AdaptiveOutcome| {
+        let replan = |marks: &mut Vec<Mark>, severity: f64| {
             // (1) Re-tune the observed round granularity. The tuned
             // group size caps how coarse adaptively re-split rounds may
             // be (split boundaries stay exact chunk boundaries).
@@ -213,35 +208,24 @@ pub fn simulate_adaptive(
                 nah: 1,
                 msg_group: gran,
             };
-            let tuned = retune_from_signals(base, out.severity, policy);
-            if tuned.msg_group < base.msg_group {
-                out.retuned = Some((base.msg_group, tuned.msg_group));
-                marks.replans.push(ReplanMark {
-                    name: "retune.msg_group".into(),
-                    cat: "retune",
-                    start_ns: 0,
-                    dur_ns: 1,
-                    slot: None,
-                    args: vec![
-                        ("severity".into(), format!("{:.6}", out.severity)),
-                        ("old".into(), base.msg_group.to_string()),
-                        ("new".into(), tuned.msg_group.to_string()),
-                    ],
-                });
+            let tuned = retune_from_signals(base, severity, policy);
+            let (old, new) = (base.msg_group, tuned.msg_group);
+            if new < old {
+                marks.push(Mark::Retune { severity, old, new });
             }
             // (2) Demote aggregators off memory-shocked nodes for rounds
             // that have not started yet; in-flight rounds stay with the
             // shocked aggregator and are re-rounded with the shocks below.
-            let cap = tuned.msg_group.max(1);
+            let cap = new.max(1);
             for &(node, drop_frac, at) in shocks.iter().filter(|s| s.1 > policy.dead_band()) {
                 let demote = |_| Some(Move::Demote { drop_frac, cap });
-                let done = walk.relocate(&mut xplan, marks, node, at, demote);
-                out.demotions += done.moved;
-                out.resplits += done.appended;
+                walk.relocate(&mut xplan, marks, node, at, demote);
             }
         };
         // (3) Deferral past degraded OST windows, after the replan.
-        (adaptive_out, _) = control(policy, fspec, spec, job, &windows, None, &mut marks, replan);
+        (severity, _) = control(
+            policy, fspec, spec, job, &windows, false, &mut marks, replan,
+        );
     }
     // The baseline has no re-rounding path: a shock reaches it through
     // the OST/transient channel, unless it leaves an aggregator no byte.
@@ -252,12 +236,10 @@ pub fn simulate_adaptive(
             _ if two_phase => None,
             left => Some(Move::Stay(left)),
         };
-        let done = walk.relocate(&mut xplan, &mut marks, node, at, shrink);
-        completed &= !done.stranded;
-        failovers += done.moved;
+        completed &= !walk.relocate(&mut xplan, &mut marks, node, at, shrink);
     }
 
-    let degraded_rounds = marks.degraded.len();
+    let (adaptive_out, failovers, degraded_rounds) = marks::tally(&marks, policy, severity);
     let run: SimRun = run(&xplan, obs, marks);
     let retries: u64 = run
         .retry_marks
@@ -271,11 +253,8 @@ pub fn simulate_adaptive(
         reg.inc("faults.events", &strat, fspec.events.len() as u64);
         reg.inc("faults.failovers", &strat, failovers as u64);
         reg.inc("faults.degraded_rounds", &strat, degraded_rounds as u64);
-        reg.set_gauge(
-            "faults.completed",
-            &strat,
-            if completed { 1.0 } else { 0.0 },
-        );
+        let done = if completed { 1.0 } else { 0.0 };
+        reg.set_gauge("faults.completed", &strat, done);
         // adaptive.* appears only when the controller ran, so an Off
         // run's metrics document is byte-identical to the static path.
         if adaptive {
@@ -287,11 +266,8 @@ pub fn simulate_adaptive(
             reg.inc("adaptive.deferrals", &lab, adaptive_out.deferrals as u64);
             reg.inc("adaptive.demotions", &lab, adaptive_out.demotions as u64);
             reg.inc("adaptive.resplits", &lab, adaptive_out.resplits as u64);
-            reg.inc(
-                "adaptive.retunes",
-                &lab,
-                u64::from(adaptive_out.retuned.is_some()),
-            );
+            let retunes = u64::from(adaptive_out.retuned.is_some());
+            reg.inc("adaptive.retunes", &lab, retunes);
         }
     }
 
@@ -324,18 +300,6 @@ enum Move {
     Stay(u64),
 }
 
-/// What one relocation did to the plan.
-#[derive(Default)]
-struct Relocated {
-    /// Aggregators that moved to another rank.
-    moved: usize,
-    /// Rounds split off at a byte limit.
-    appended: usize,
-    /// An aggregator whose role is gone had rounds left and nowhere to
-    /// go (the two-phase baseline, or every rank on the down node).
-    stranded: bool,
-}
-
 /// The relocation walk's inputs: the input plan, where ranks live and
 /// how much memory they have, the shocks a demotion's score reads, and
 /// the probe's round windows.
@@ -353,20 +317,22 @@ impl Walk<'_> {
     /// aggregator's rounds go (`None`: nowhere, they stay as they are).
     /// The affected rounds are those the aggregator serves whose probe
     /// window ends after `at` (starts after it, for a demotion); a
-    /// replacement is installed with its gate, the rounds are retargeted
-    /// to it and split at its byte limit. Degraded slots and controller
-    /// marks land in `marks` in walk order.
+    /// replacement is installed, the rounds are retargeted to it and
+    /// split at its byte limit. Every move and split is a mark, pushed
+    /// in walk order. Returns whether an aggregator whose role is gone
+    /// had rounds left and nowhere to go (the two-phase baseline, or
+    /// every rank on the down node): the run is stranded.
     fn relocate(
         &self,
         xplan: &mut CollectivePlan,
-        marks: &mut JobMarks,
+        marks: &mut Vec<Mark>,
         node: usize,
         at: SimTime,
         how: impl Fn(u64) -> Option<Move>,
-    ) -> Relocated {
+    ) -> bool {
         let (rw, down) = (self.plan.rw, NodeId(node));
         let at_ns = at.saturating_since(SimTime::ZERO).as_nanos();
-        let mut done = Relocated::default();
+        let mut stranded = false;
         for (gi, g) in xplan.groups.iter_mut().enumerate() {
             // The global chain zips all groups: its slots are keyed `None`.
             let gkey = (self.plan.sync == SyncMode::PerGroup).then_some(gi);
@@ -389,7 +355,7 @@ impl Walk<'_> {
                     // No failover path in the baseline (and the
                     // controller never demotes on it).
                     _ if self.plan.strategy == Strategy::TwoPhase => {
-                        done.stranded = true;
+                        stranded = true;
                         continue;
                     }
                     Move::Failover | Move::Demote { .. } => {
@@ -401,67 +367,52 @@ impl Walk<'_> {
                             select_replacement(g, self.map, self.mem, down, score)
                         };
                         let Some((repl, buf)) = picked else {
-                            done.stranded |= !demote;
+                            stranded |= !demote;
                             continue;
                         };
                         if repl == agg {
                             continue;
                         }
-                        let name = match demote {
-                            true => GateName::replan(gi, first),
-                            false => GateName::failover(gi, first),
+                        install_replacement(g, from, (repl, buf));
+                        // The first move to reach a slot gates it.
+                        let slot = (gkey, first);
+                        let moved = Moved {
+                            group: gi,
+                            slot,
+                            at,
+                            gated: !marks::gated(marks, slot),
                         };
-                        let gate = FaultGate {
-                            group: gkey,
-                            round: first,
-                            from: at,
-                            release: at + FAILOVER_LATENCY,
-                            name,
-                            adaptive: demote,
-                        };
-                        install_replacement(g, from, (repl, buf), &mut marks.gates, gate);
-                        done.moved += 1;
                         match how {
-                            Move::Demote { cap, .. } => (repl, buf.min(cap).max(1)),
-                            _ => (repl, buf),
+                            Move::Demote { drop_frac, cap } => {
+                                marks.push(Mark::Demotion {
+                                    moved,
+                                    node,
+                                    drop_frac,
+                                    from: agg,
+                                    to: repl,
+                                });
+                                (repl, buf.min(cap).max(1))
+                            }
+                            _ => {
+                                marks.push(Mark::Failover(moved));
+                                (repl, buf)
+                            }
                         }
                     }
                 };
-                if let Move::Demote { drop_frac, .. } = how {
-                    marks.replans.push(ReplanMark {
-                        name: format!("demote.g{gi}.r{first}"),
-                        cat: "demote",
-                        start_ns: at_ns,
-                        dur_ns: FAILOVER_LATENCY.as_nanos().max(1),
-                        slot: None,
-                        args: vec![
-                            ("node".into(), node.to_string()),
-                            ("drop_frac".into(), format!("{drop_frac:.6}")),
-                            ("from".into(), format!("r{}", agg.0)),
-                            ("to".into(), format!("r{}", repl.0)),
-                        ],
-                    });
-                }
                 for r in affected {
                     retarget_round(&mut g.rounds[r], rw, agg, repl);
-                    for appended in split_oversized(g, r, repl, limit, rw) {
-                        done.appended += 1;
-                        match how {
-                            Move::Demote { .. } => marks.replans.push(ReplanMark {
-                                name: format!("resplit.g{gi}.r{appended}"),
-                                cat: "resplit",
-                                start_ns: 0,
-                                dur_ns: 1,
-                                slot: Some((gkey, appended)),
-                                args: vec![("limit".into(), limit.to_string())],
-                            }),
-                            _ => marks.degraded.push((gkey, appended)),
-                        }
-                    }
+                    let split = split_oversized(g, r, repl, limit, rw).into_iter();
+                    marks.extend(split.map(|appended| Mark::Split {
+                        group: gi,
+                        slot: (gkey, appended),
+                        limit,
+                        demoted: demote,
+                    }));
                 }
             }
         }
-        done
+        stranded
     }
 }
 
@@ -534,27 +485,14 @@ fn select_replacement(
 }
 
 /// Make `repl` an aggregator of `g` in `from`'s place, inheriting its
-/// file domain, unless it already is one, and hold the first re-routed
-/// round behind `gate` unless that slot is already gated.
-fn install_replacement(
-    g: &mut GroupPlan,
-    from: AggregatorAssignment,
-    (rank, buffer): (Rank, u64),
-    gates: &mut Vec<FaultGate>,
-    gate: FaultGate,
-) {
+/// file domain, unless it already is one.
+fn install_replacement(g: &mut GroupPlan, from: AggregatorAssignment, (rank, buffer): (Rank, u64)) {
     if !g.aggregators.iter().any(|a| a.rank == rank) {
         g.aggregators.push(AggregatorAssignment {
             rank,
             buffer,
             ..from
         });
-    }
-    if !gates
-        .iter()
-        .any(|gt| gt.group == gate.group && gt.round == gate.round)
-    {
-        gates.push(gate);
     }
 }
 
@@ -735,6 +673,46 @@ mod tests {
             out.report.elapsed >= crate::exec_sim::simulate(&plan, &map, &spec).elapsed,
             "failover cannot make the run faster"
         );
+    }
+
+    #[test]
+    fn two_aggregators_lost_together_move_twice_behind_one_gate() {
+        // Both ranks of node 0 aggregate the one group, so a crash there
+        // at zero moves two aggregators whose first affected round is
+        // the same slot: two failovers, one gate, one failover span.
+        let (req, map, mem, _, spec) = setup(8, 2, 8 * MIB);
+        let plan = mcio::plan(&req, &map, &mem, &CollectiveConfig::with_buffer(2 * MIB));
+        let on_node0 = |g: &GroupPlan| {
+            let aggs = g.aggregators.iter();
+            aggs.filter(|a| map.node_of(a.rank) == NodeId(0)).count()
+        };
+        assert_eq!(plan.groups.len(), 1);
+        assert_eq!(on_node0(&plan.groups[0]), 2);
+        let fault = FaultSpec::parse("seed 7\nagg_crash(0, 0ns)").unwrap();
+        let (pipeline, exchange) = (Pipeline::Serial, Exchange::Direct);
+        let obs = Observe {
+            trace: true,
+            ..Observe::default()
+        };
+        let out = simulate_faulted(&plan, &map, &spec, &mem, pipeline, exchange, &fault, obs);
+        assert!(out.completed);
+        assert_eq!(out.failovers, 2);
+        assert_eq!(out.degraded_rounds, 0);
+        // The executed plan on its own lowers to every activity of the
+        // faulted run but the one gate holding the shared slot.
+        let ungated = crate::exec_sim::simulate(&out.executed_plan, &map, &spec);
+        assert_eq!(out.report.activities, ungated.activities + 1);
+        let trace = mcio_obs::Trace::from_chrome_json(&out.trace.unwrap()).unwrap();
+        let failover_spans: Vec<&str> = (trace.spans.iter())
+            .filter(|s| s.pid == mcio_obs::catalogue::PID_FAULTS && s.tid == 1)
+            .map(|s| trace.text(s.name))
+            .collect();
+        assert_eq!(failover_spans, ["failover.g0.r0"]);
+        out.executed_plan
+            .check(&req)
+            .expect("failover preserves plan invariants");
+        let total = 8 * 8 * MIB;
+        assert_eq!(written(&out.executed_plan, total), written(&plan, total));
     }
 
     #[test]

@@ -21,17 +21,18 @@
 //! There is one executor, `execute`: it lowers any number of jobs into
 //! one simulation, runs it and attributes the result per job. A solo
 //! run is its one-job case, [`crate::multitenant`] passes several jobs,
-//! and [`crate::exec_faults`] passes a transformed plan with its gates
+//! and [`crate::exec_faults`] passes a transformed plan with its marks
 //! (DESIGN.md §9).
 
+use crate::marks::{self, Mark, Slot};
 use crate::plan::{CollectivePlan, Round, SyncMode};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::{Fabric, NodeId, ProcessMap, Rank};
 use mcio_des::{
     arg, ActivityId, Label, Prefix, SharePolicy, SimDuration, SimTime, Simulation, Tpl,
 };
-use mcio_faults::{FaultEvent, FaultSpec};
-use mcio_obs::catalogue::{PID_FAULTS, PID_REPLAN, PID_ROUNDS};
+use mcio_faults::FaultSpec;
+use mcio_obs::catalogue::PID_ROUNDS;
 use mcio_obs::{Registry, Trace};
 use mcio_pfs::{Pfs, Requester, RetryMark, Rw, StripeLayout};
 use std::collections::HashMap;
@@ -155,116 +156,6 @@ pub(crate) struct RoundWindow {
     pub end_ns: u64,
 }
 
-/// A failover re-coordination gate: the given round slot may not start
-/// before `release` (detection + re-selection after a crash at `from`).
-#[derive(Debug, Clone)]
-pub(crate) struct FaultGate {
-    /// Plan group the gate applies to (`None` = the global chain).
-    pub group: Option<usize>,
-    /// Round index the gate holds back.
-    pub round: usize,
-    /// The crash instant (trace span start).
-    pub from: SimTime,
-    /// Earliest start of the gated round.
-    pub release: SimTime,
-    /// Activity and trace label, e.g. `failover.g0.r2`.
-    pub name: GateName,
-    /// True for closed-loop controller gates (defer/demote): they ride
-    /// the pid-5 replan lanes instead of the pid-3 failover lane.
-    pub adaptive: bool,
-}
-
-/// The label of a release gate: a template with up to two holes and its
-/// arguments, under the job's label prefix when `prefixed` (a tenant's
-/// deferrals), else as it is (`failover.g0.r2`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct GateName {
-    pub template: &'static str,
-    pub args: [u32; 2],
-    pub prefixed: bool,
-}
-
-impl GateName {
-    /// A crashed aggregator's failover gate, `failover.g{group}.r{round}`.
-    pub(crate) fn failover(group: usize, round: usize) -> Self {
-        let args = [arg(group), arg(round)];
-        GateName {
-            template: "failover.g{}.r{}",
-            args,
-            prefixed: false,
-        }
-    }
-
-    /// A demoted aggregator's replan gate, `replan.g{group}.r{round}`.
-    pub(crate) fn replan(group: usize, round: usize) -> Self {
-        GateName {
-            template: "replan.g{}.r{}",
-            ..Self::failover(group, round)
-        }
-    }
-
-    /// A deferral of `group`'s round (every group's under global sync),
-    /// `{prefix}defer.g{group|all}.r{round}`.
-    pub(crate) fn defer(group: Option<usize>, round: usize) -> Self {
-        let (template, args) = match group {
-            Some(g) => ("defer.g{}.r{}", [arg(g), arg(round)]),
-            None => ("defer.gall.r{}", [arg(round), 0]),
-        };
-        GateName {
-            template,
-            args,
-            prefixed: true,
-        }
-    }
-
-    /// The gate's label as text, under the job's label `prefix`.
-    pub(crate) fn text(&self, prefix: &str) -> String {
-        let mut text = String::from(if self.prefixed { prefix } else { "" });
-        mcio_des::fill(&mut text, self.template, self.args).expect("a String takes any write");
-        text
-    }
-
-    /// The gate's activity label in `sim`, under the job's `prefix`.
-    fn label(&self, sim: &mut Simulation, prefix: Prefix) -> Label {
-        let prefix = if self.prefixed { prefix } else { Prefix::NONE };
-        Label::new(prefix, sim.template(self.template), self.args)
-    }
-}
-
-/// One decision of the closed-loop controller, destined for the pid-5
-/// "replan" trace lanes. `cat` selects the lane: `retune` (tid 0),
-/// `defer` (tid 1), `demote` (tid 2), `resplit` (tid 3). When `slot`
-/// is set the span snaps to that executed round window; otherwise
-/// `start_ns`/`dur_ns` place it directly.
-#[derive(Debug, Clone)]
-pub(crate) struct ReplanMark {
-    /// Span name, e.g. `defer.g0.r2`.
-    pub name: String,
-    /// Lane category: `retune` | `defer` | `demote` | `resplit`.
-    pub cat: &'static str,
-    /// Span start (ignored when `slot` resolves), nanoseconds.
-    pub start_ns: u64,
-    /// Span duration (ignored when `slot` resolves), nanoseconds.
-    pub dur_ns: u64,
-    /// Executed round slot to snap to, if any.
-    pub slot: Option<(Option<usize>, usize)>,
-    /// Chrome-trace args (decision inputs, stringified).
-    pub args: Vec<(String, String)>,
-}
-
-/// What the fault and adaptive transforms attach to one job of an
-/// execution: its release gates, the rounds graceful degradation
-/// created or re-shaped (trace-marked), and the controller's decisions.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct JobMarks {
-    /// Release gates keyed by (group, round).
-    pub gates: Vec<FaultGate>,
-    /// (group, round) slots produced by degradation re-rounding.
-    pub degraded: Vec<(Option<usize>, usize)>,
-    /// Closed-loop controller decisions (pid-5 "replan" lanes).
-    pub replans: Vec<ReplanMark>,
-}
-
 /// What a job's [`TimingReport::elapsed`] measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Elapsed {
@@ -292,10 +183,13 @@ pub(crate) struct ExecJob<'a> {
     /// job (`j{n}.` among several tenants, empty for one job, which
     /// keeps its labels the historical solo ones).
     pub prefix: String,
+    /// The tenant's name, the `job` arg of its deferral spans (`None`
+    /// for a collective on its own).
+    pub label: Option<&'a str>,
     /// What the job's report calls `elapsed`.
     pub elapsed: Elapsed,
-    /// Gates, degraded slots and controller decisions of the job.
-    pub marks: JobMarks,
+    /// The fault and controller decisions about the job's plan.
+    pub marks: Vec<Mark>,
 }
 
 /// One job's share of an [`Executed`] run.
@@ -364,16 +258,7 @@ pub fn simulate_observed(
     exchange: Exchange,
     obs: Observe<'_>,
 ) -> (TimingReport, Option<String>) {
-    let run = simulate_inner(
-        plan,
-        map,
-        spec,
-        pipeline,
-        exchange,
-        obs,
-        None,
-        JobMarks::default(),
-    );
+    let run = simulate_inner(plan, map, spec, pipeline, exchange, obs, None, Vec::new());
     (run.report, run.trace)
 }
 
@@ -388,7 +273,7 @@ pub(crate) fn simulate_inner(
     exchange: Exchange,
     obs: Observe<'_>,
     faults: Option<&FaultSpec>,
-    marks: JobMarks,
+    marks: Vec<Mark>,
 ) -> SimRun {
     let job = [ExecJob {
         plan,
@@ -397,6 +282,7 @@ pub(crate) fn simulate_inner(
         exchange,
         start: SimDuration::ZERO,
         prefix: String::new(),
+        label: None,
         elapsed: Elapsed::Makespan,
         marks,
     }];
@@ -692,20 +578,11 @@ pub(crate) fn execute<'a>(
                 (shape, Some(fragment), first)
             }
             None => {
-                debug_assert!(kept.is_none() || job.marks.gates.is_empty());
+                debug_assert!(kept.is_none() || job.marks.is_empty());
                 let mark = sim.mark();
                 // A gated round slot may not start before its gate releases
                 // (failover re-coordination, controller deferral/demotion).
-                let gate_acts: HashMap<(Option<usize>, usize), ActivityId> = job
-                    .marks
-                    .gates
-                    .iter()
-                    .map(|gate| {
-                        let label = gate.name.label(&mut sim, prefix);
-                        let act = sim.activity(label, gate.release, &[]);
-                        ((gate.group, gate.round), act)
-                    })
-                    .collect();
+                let gate_acts = marks::gates(&job.marks, &mut sim, prefix);
                 let (activities, stages) = lowering_bounds(job, pfs.layout());
                 sim.reserve(activities, stages);
                 let mut lowering = Lowering::new(&mut sim, &fabric, &pfs, job, prefix);
@@ -881,25 +758,10 @@ impl Executed<'_> {
             emit_round_spans(&mut tc, job, l, run, tid_base);
             tid_base += l.shape.groups.len() as u64;
         }
-        // The "inject" category is descriptive only; the resilience
-        // categories (retry/backoff/failover/degraded) feed the fifth
-        // critical-path bucket in `mcio-analyze`. A run that injected
-        // and absorbed nothing emits no fault lanes at all, so an empty
-        // fault plan keeps the trace byte-identical to a fault-free run.
-        if self.faults.is_some_and(|s| !s.is_empty())
-            || !self.retry_marks.is_empty()
-            || self
-                .jobs
-                .iter()
-                .any(|j| !j.marks.gates.is_empty() || !j.marks.degraded.is_empty())
-        {
-            trace_faults(&mut tc, self);
-        }
-        // Emitted only when a controller actually acted, so an
-        // `AdaptivePolicy::Off` run stays byte-identical.
-        if self.jobs.iter().any(|j| !j.marks.replans.is_empty()) {
-            trace_replan(&mut tc, self);
-        }
+        let (clip_ns, jobs, runs) = (self.makespan.as_nanos(), self.jobs, &self.runs);
+        let (retries, records) = (&self.retry_marks, self.des.trace().unwrap_or(&[]));
+        marks::trace_faults(&mut tc, clip_ns, self.faults, jobs, runs, retries, records);
+        marks::trace_replan(&mut tc, clip_ns, jobs, runs);
         extra(&mut tc);
         Some(tc.to_chrome_json())
     }
@@ -1073,7 +935,7 @@ impl<'l> Lowering<'l> {
     /// exposes as per-group span metadata.
     fn lower_plan(
         &mut self,
-        gate_acts: &HashMap<(Option<usize>, usize), ActivityId>,
+        gate_acts: &HashMap<Slot, ActivityId>,
         start_gate: Option<ActivityId>,
     ) {
         let plan = self.job.plan;
@@ -1101,7 +963,7 @@ impl<'l> Lowering<'l> {
         &mut self,
         group: Option<usize>,
         slots: impl Iterator<Item = R>,
-        gate_acts: &HashMap<(Option<usize>, usize), ActivityId>,
+        gate_acts: &HashMap<Slot, ActivityId>,
         start_gate: Option<ActivityId>,
     ) {
         let (plan, pipeline, names) = (self.job.plan, self.job.pipeline, self.names);
@@ -1490,182 +1352,6 @@ fn emit_round_spans(
     }
 }
 
-/// Emit the pid-3 "faults" trace process: what was injected and how the
-/// execution absorbed it.
-///
-/// * tid 0 `injected` — OST slow/stall windows and instantaneous
-///   crash/shock markers, category `inject` (not attributed).
-/// * tid 1 `failover` — one span per re-coordination gate, from the
-///   crash instant to the gate release, category `failover`.
-/// * tid 2 `degraded` — one span per re-round created by graceful
-///   degradation, covering the slot's executed window, category
-///   `degraded`.
-/// * tid `3 + ost` — retry/backoff chains per OST: the failed service
-///   attempts (`retry`) and the waits between them (`backoff`).
-fn trace_faults(tc: &mut Trace, ex: &Executed<'_>) {
-    let elapsed_ns = ex.makespan.as_nanos();
-    tc.name_lane(PID_FAULTS);
-    tc.name_thread(PID_FAULTS, 0, "injected");
-    tc.name_thread(PID_FAULTS, 1, "failover");
-    tc.name_thread(PID_FAULTS, 2, "degraded");
-    // An instantaneous event is a 1 ns marker; everything is clipped to
-    // the run.
-    let instant = SimDuration::from_nanos(1);
-    for ev in ex.faults.iter().flat_map(|spec| &spec.events) {
-        let (name, from, until) = match *ev {
-            FaultEvent::OstSlow {
-                ost, from, until, ..
-            } => (tc.sym(format_args!("ost{ost}.slow")), from, until),
-            FaultEvent::OstStall { ost, from, until } => {
-                (tc.sym(format_args!("ost{ost}.stall")), from, until)
-            }
-            FaultEvent::ReqTransientFail { .. } => continue,
-            FaultEvent::MemShock { node, at, .. } => (
-                tc.sym(format_args!("node{node}.mem_shock")),
-                at,
-                at + instant,
-            ),
-            FaultEvent::AggCrash { host, at } => (
-                tc.sym(format_args!("host{host}.agg_crash")),
-                at,
-                at + instant,
-            ),
-        };
-        let start = from.saturating_since(SimTime::ZERO).as_nanos();
-        let end = until
-            .saturating_since(SimTime::ZERO)
-            .as_nanos()
-            .min(elapsed_ns);
-        if end > start {
-            tc.span(name, "inject", PID_FAULTS, 0, start, end - start);
-        }
-    }
-    let failover_gates = ex.jobs.iter().flat_map(|j| &j.marks.gates);
-    for gate in failover_gates.filter(|g| !g.adaptive) {
-        let start = gate.from.saturating_since(SimTime::ZERO).as_nanos();
-        let end = gate
-            .release
-            .saturating_since(SimTime::ZERO)
-            .as_nanos()
-            .min(elapsed_ns);
-        if end > start {
-            tc.span(
-                &gate.name.text(""),
-                "failover",
-                PID_FAULTS,
-                1,
-                start,
-                end - start,
-            );
-        }
-    }
-    for (job, run) in ex.jobs.iter().zip(&ex.runs) {
-        for &(group, round) in &job.marks.degraded {
-            if let Some(w) = run
-                .windows
-                .iter()
-                .find(|w| w.group == group && w.round == round)
-            {
-                if w.end_ns > w.start_ns {
-                    tc.span(
-                        format_args!("r{round}.degraded"),
-                        "degraded",
-                        PID_FAULTS,
-                        2,
-                        w.start_ns,
-                        w.end_ns - w.start_ns,
-                    );
-                }
-            }
-        }
-    }
-    // The service records of every retry chain, in record order: one
-    // pass over the run's records however many marks there are.
-    let mut chains: HashMap<ActivityId, Vec<&mcio_des::ServiceRecord>> =
-        (ex.retry_marks.iter().map(|m| (m.activity, Vec::new()))).collect();
-    for rec in ex.des.trace().unwrap_or(&[]) {
-        if let Some(chain) = chains.get_mut(&rec.activity) {
-            chain.push(rec);
-        }
-    }
-    let mut named_osts = std::collections::BTreeSet::new();
-    for mark in &ex.retry_marks {
-        let tid = 3 + mark.ost as u64;
-        if named_osts.insert(mark.ost) {
-            tc.name_thread(PID_FAULTS, tid, format_args!("ost{}.retries", mark.ost));
-        }
-        // The first `attempts - 1` stages of the chain are the failed
-        // tries; the gaps between consecutive stages are the backoff
-        // waits.
-        let recs = &chains[&mark.activity];
-        for (i, rec) in recs.iter().enumerate() {
-            let start = rec.start.saturating_since(SimTime::ZERO).as_nanos();
-            let dur = rec.end.saturating_since(rec.start).as_nanos();
-            if (i as u32) < mark.attempts.saturating_sub(1) && dur > 0 {
-                tc.span(
-                    format_args!("attempt{}", i + 1),
-                    "retry",
-                    PID_FAULTS,
-                    tid,
-                    start,
-                    dur,
-                );
-            }
-            if let Some(next) = recs.get(i + 1) {
-                let gap_start = rec.end.saturating_since(SimTime::ZERO).as_nanos();
-                let gap = next.start.saturating_since(rec.end).as_nanos();
-                if gap > 0 {
-                    tc.span("backoff", "backoff", PID_FAULTS, tid, gap_start, gap);
-                }
-            }
-        }
-    }
-}
-
-/// Emit the pid-5 "replan" lanes: one thread per controller actuator
-/// (`retune` 0, `defer` 1, `demote` 2, `resplit` 3), one span per
-/// decision. Slot-anchored marks snap to the executed round window so
-/// the span shows when the re-planned round actually ran; marks whose
-/// slot never executed are dropped (nothing to attribute).
-fn trace_replan(tc: &mut Trace, ex: &Executed<'_>) {
-    let elapsed_ns = ex.makespan.as_nanos();
-    tc.name_lane(PID_REPLAN);
-    let mut named = std::collections::BTreeSet::new();
-    let marks = ex
-        .jobs
-        .iter()
-        .zip(&ex.runs)
-        .flat_map(|(job, run)| job.marks.replans.iter().map(move |m| (m, &run.windows)));
-    for (mark, windows) in marks {
-        const LANES: [&str; 4] = ["retune", "defer", "demote", "resplit"];
-        let lane = LANES.iter().position(|&l| l == mark.cat).unwrap_or(3);
-        let tid = lane as u64;
-        if named.insert(tid) {
-            tc.name_thread(PID_REPLAN, tid, LANES[lane]);
-        }
-        let (start, dur) = match mark.slot {
-            Some((group, round)) => {
-                let Some(w) = windows
-                    .iter()
-                    .find(|w| w.group == group && w.round == round)
-                else {
-                    continue;
-                };
-                (w.start_ns, w.end_ns.saturating_sub(w.start_ns))
-            }
-            None => (mark.start_ns, mark.dur_ns),
-        };
-        let start = start.min(elapsed_ns);
-        let dur = dur.min(elapsed_ns - start).max(1);
-        let args: Vec<(&str, &str)> = mark
-            .args
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect();
-        tc.span_with_args(&mark.name, mark.cat, PID_REPLAN, tid, start, dur, &args);
-    }
-}
-
 /// One transfer of a round's exchange: `bytes` between aggregator `agg`
 /// and the ranks of `node`.
 struct Transfer {
@@ -1811,30 +1497,41 @@ mod tests {
         sim.activity(start, SimTime::ZERO, &[]);
         expected.push(format!("{text}start"));
         let (gi, first) = (7, 3);
+        let (slot, at) = ((Some(gi), first), SimTime::ZERO);
+        let defer = |group| {
+            Mark::Deferral(crate::adaptive::DeferDecision {
+                group,
+                round: first,
+                from_ns: 0,
+                release_ns: 1,
+                stretch: 2.0,
+            })
+        };
+        let moved = crate::marks::Moved {
+            group: gi,
+            slot,
+            at,
+            gated: true,
+        };
         let gates = [
-            (
-                GateName::failover(gi, first),
-                format!("failover.g{gi}.r{first}"),
-            ),
-            (
-                GateName::replan(gi, first),
-                format!("replan.g{gi}.r{first}"),
-            ),
-            (
-                GateName::defer(Some(gi), first),
-                format!("{text}defer.g{gi}.r{first}"),
-            ),
-            (
-                GateName::defer(None, first),
-                format!("{text}defer.gall.r{first}"),
-            ),
+            Mark::Failover(moved),
+            Mark::Demotion {
+                moved,
+                node: 0,
+                drop_frac: 0.5,
+                from: Rank(0),
+                to: Rank(1),
+            },
+            defer(Some(gi)),
+            defer(None),
         ];
-        for (gate, text_form) in gates {
-            assert_eq!(gate.text(text), text_form);
-            let label = gate.label(&mut sim, j3);
-            sim.activity(label, SimTime::ZERO, &[]);
-            expected.push(text_form);
-        }
+        marks::gates(&gates, &mut sim, j3);
+        expected.extend([
+            format!("failover.g{gi}.r{first}"),
+            format!("replan.g{gi}.r{first}"),
+            format!("{text}defer.g{gi}.r{first}"),
+            format!("{text}defer.gall.r{first}"),
+        ]);
         // The same run copied out and appended under other prefixes.
         let mark = sim.mark();
         for join in names.joins(ci, r) {

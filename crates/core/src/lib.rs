@@ -41,6 +41,7 @@ pub mod exec_mpi;
 pub mod exec_sim;
 pub mod group;
 pub mod hints;
+mod marks;
 pub mod mcio;
 pub mod memory;
 pub mod mpiio;

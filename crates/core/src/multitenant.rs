@@ -33,9 +33,10 @@
 use crate::adaptive::{clean_run, control, controller_acts, AdaptiveOutcome, AdaptivePolicy};
 use crate::config::Strategy;
 use crate::exec_sim::{
-    execute, record_run, Carried, Elapsed, Exchange, ExecJob, JobMarks, Kept, Observe, Paused,
-    Pipeline, RoundWindow, TimingReport,
+    execute, record_run, Carried, Elapsed, Exchange, ExecJob, Kept, Observe, Paused, Pipeline,
+    RoundWindow, TimingReport,
 };
+use crate::marks;
 use crate::plan::CollectivePlan;
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
@@ -314,17 +315,12 @@ impl<'a> TenantSession<'a> {
                 } else {
                     String::new()
                 },
+                label: Some(&job.label),
                 elapsed: Elapsed::Span,
-                marks: JobMarks::default(),
+                marks: Vec::new(),
             })
             .collect();
-        let mut job_adaptive = vec![
-            AdaptiveOutcome {
-                policy,
-                ..AdaptiveOutcome::default()
-            };
-            jobs.len()
-        ];
+        let mut severities = vec![0.0; jobs.len()];
 
         // Closed-loop deferral. When any job's controller will act, the
         // whole shared, degraded machine is run once without gates to learn
@@ -337,22 +333,15 @@ impl<'a> TenantSession<'a> {
         if jobs.iter().any(|j| acts(j.plan.strategy)) {
             let fspec = faults.expect("the controller acts only on a fault plan");
             let shared_probe = probe_shared_windows(spec, &exec_jobs, fspec, obs.engine);
-            for (ji, job) in jobs
-                .iter()
-                .enumerate()
-                .filter(|(_, j)| acts(j.plan.strategy))
-            {
-                let ExecJob {
-                    map, prefix, marks, ..
-                } = &mut exec_jobs[ji];
+            for (ji, job) in (jobs.iter().enumerate()).filter(|(_, j)| acts(j.plan.strategy)) {
+                let ExecJob { map, marks, .. } = &mut exec_jobs[ji];
                 let solo = (&*job.plan, &**map, job.pipeline, job.exchange, obs.engine);
-                let tenant = Some((prefix.as_str(), job.label.as_str()));
                 let probed = &shared_probe[ji];
-                let (adapt, clean) =
-                    control(policy, fspec, spec, solo, probed, tenant, marks, |_, _| {});
+                let (severity, clean) =
+                    control(policy, fspec, spec, solo, probed, true, marks, |_, _| {});
                 // The clean run *is* this job's solo baseline.
                 self.seed_solo(job, obs.engine, clean);
-                job_adaptive[ji] = adapt;
+                severities[ji] = severity;
             }
         }
 
@@ -401,6 +390,7 @@ impl<'a> TenantSession<'a> {
         let shared_ost = shared_intervals(&merged_ost);
         let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
         for (ji, (job, run)) in jobs.iter().zip(&ex.runs).enumerate() {
+            let (adaptive, ..) = marks::tally(&exec_jobs[ji].marks, policy, severities[ji]);
             let span = run.report.elapsed;
             let solo_elapsed = self.solo_elapsed(job, obs.engine);
             let slowdown = if solo_elapsed.is_zero() {
@@ -425,7 +415,7 @@ impl<'a> TenantSession<'a> {
                 solo_elapsed,
                 slowdown,
                 ost_overlap,
-                adaptive: job_adaptive[ji].clone(),
+                adaptive,
             });
         }
 

@@ -31,6 +31,7 @@ use mcio_core::{AdaptivePolicy, MultiTenantReport, TenantJob, TenantSession};
 use mcio_des::{EngineProfile, SimDuration};
 use mcio_obs::catalogue::PID_SCHED;
 use mcio_obs::{Registry, Trace};
+use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// Admission budget on the newcomer's predicted slowdown (its span in
@@ -384,131 +385,91 @@ impl Loop<'_> {
         self.defer_log.push((now, idx, c.slowdown, c.ost_overlap));
     }
 
-    /// Run the policy's dispatch loop at one event time.
+    /// Dispatch what the policy lets start at `now`. The queue's head —
+    /// the first pending job, or under `Priority` the highest
+    /// [`priority_key`] — starts whenever it fits and is admitted; a
+    /// refused head ends the step, and so does a head blocked on nodes
+    /// unless backfill lets another job jump it.
     fn dispatch_step(&mut self, now: u64) {
-        match self.cfg.policy {
-            Policy::Fcfs => self.dispatch_fcfs(now),
-            Policy::Backfill => self.dispatch_backfill(now),
-            Policy::Priority => self.dispatch_priority(now),
-        }
-    }
-
-    fn dispatch_fcfs(&mut self, now: u64) {
-        while let Some(&head) = self.pending.first() {
+        while let Some(qi) = self.head(now) {
+            let head = self.pending[qi];
             let need = self.trace.jobs[head].desc.nodes();
             let Some(offset) = first_fit(&self.free, need) else {
-                break;
+                // Only backfill lets a job pass a head blocked on nodes;
+                // under priority, passing it would keep aging from ever
+                // paying out.
+                if self.cfg.policy == Policy::Backfill && self.backfill(head, need, now) {
+                    continue;
+                }
+                return;
             };
             let commit = self.commit_run(head, offset, now);
             if !self.admits(&commit) {
                 self.defer(head, now, &commit);
-                break;
+                return;
             }
-            self.dispatch(0, offset, commit, now, false);
+            self.dispatch(qi, offset, commit, now, false);
         }
     }
 
-    fn dispatch_backfill(&mut self, now: u64) {
-        loop {
-            // The head goes first whenever it fits — backfill only ever
-            // reorders *around* a blocked head.
-            let Some(&head) = self.pending.first() else {
-                return;
+    /// The queue position of the job the policy considers first: the
+    /// highest effective priority under `Priority`, ties to the earliest
+    /// arrival and then trace order, so the order is total; the first
+    /// pending job otherwise.
+    fn head(&self, now: u64) -> Option<usize> {
+        let jobs = &self.trace.jobs;
+        let key = |&qi: &usize| {
+            let (idx, job) = (self.pending[qi], &jobs[self.pending[qi]]);
+            let arrival = job.arrival.as_nanos();
+            (
+                priority_key(job.prio, now, arrival),
+                Reverse(arrival),
+                Reverse(idx),
+            )
+        };
+        match self.cfg.policy {
+            Policy::Priority => (0..self.pending.len()).max_by_key(key),
+            Policy::Fcfs | Policy::Backfill => (!self.pending.is_empty()).then_some(0),
+        }
+    }
+
+    /// Backfill around `head`, the first pending job, blocked on its
+    /// `need` nodes: reserve its start, then dispatch the first waiting
+    /// job that fits, is admitted and provably finishes before the
+    /// reservation. Whether one did.
+    fn backfill(&mut self, head: usize, need: usize, now: u64) -> bool {
+        let t_r = reserved_start(&self.free, &self.running, need, now);
+        for qi in 1..self.pending.len() {
+            let cand = self.pending[qi];
+            let need = self.trace.jobs[cand].desc.nodes();
+            let Some(offset) = first_fit(&self.free, need) else {
+                continue;
             };
-            let head_need = self.trace.jobs[head].desc.nodes();
-            if let Some(offset) = first_fit(&self.free, head_need) {
-                let commit = self.commit_run(head, offset, now);
-                if !self.admits(&commit) {
-                    self.defer(head, now, &commit);
-                    return;
-                }
-                self.dispatch(0, offset, commit, now, false);
+            // Contention only stretches a job, so `solo` is a lower
+            // bound on the committed span — skip the simulation when
+            // even the best case overruns the reservation.
+            if now + self.solo_ns[cand] > t_r {
                 continue;
             }
-            // Head blocked on nodes: reserve its start, then let a
-            // waiting job jump only if it provably finishes first.
-            let t_r = reserved_start(&self.free, &self.running, head_need, now);
-            let mut jumped = false;
-            for qi in 1..self.pending.len() {
-                let cand = self.pending[qi];
-                let need = self.trace.jobs[cand].desc.nodes();
-                let Some(offset) = first_fit(&self.free, need) else {
-                    continue;
-                };
-                // Contention only stretches a job, so `solo` is a lower
-                // bound on the committed span — skip the simulation when
-                // even the best case overruns the reservation.
-                if now + self.solo_ns[cand] > t_r {
-                    continue;
-                }
-                let commit = self.commit_run(cand, offset, now);
-                if now + commit.run_ns > t_r {
-                    continue;
-                }
-                if !self.admits(&commit) {
-                    self.defer(cand, now, &commit);
-                    continue;
-                }
-                self.reservations.push(Reservation {
-                    head,
-                    reserved_start_ns: t_r,
-                    backfilled: cand,
-                    predicted_end_ns: now + commit.run_ns,
-                });
-                self.backfills += 1;
-                self.dispatch(qi, offset, commit, now, true);
-                jumped = true;
-                break;
+            let commit = self.commit_run(cand, offset, now);
+            if now + commit.run_ns > t_r {
+                continue;
             }
-            if !jumped {
-                return;
-            }
-        }
-    }
-
-    fn dispatch_priority(&mut self, now: u64) {
-        loop {
-            if self.pending.is_empty() {
-                return;
-            }
-            // Highest effective priority wins; ties resolve to the
-            // earliest arrival (then trace order) so the order is total.
-            let top_qi = (0..self.pending.len())
-                .max_by(|&a, &b| {
-                    let (ja, jb) = (self.pending[a], self.pending[b]);
-                    let ka = priority_key(
-                        self.trace.jobs[ja].prio,
-                        now,
-                        self.trace.jobs[ja].arrival.as_nanos(),
-                    );
-                    let kb = priority_key(
-                        self.trace.jobs[jb].prio,
-                        now,
-                        self.trace.jobs[jb].arrival.as_nanos(),
-                    );
-                    ka.cmp(&kb)
-                        .then(
-                            self.trace.jobs[jb]
-                                .arrival
-                                .cmp(&self.trace.jobs[ja].arrival),
-                        )
-                        .then(jb.cmp(&ja))
-                })
-                .expect("queue non-empty");
-            let top = self.pending[top_qi];
-            let need = self.trace.jobs[top].desc.nodes();
-            // Strict blocking: nobody passes a top job that doesn't fit,
-            // otherwise aging would never pay out.
-            let Some(offset) = first_fit(&self.free, need) else {
-                return;
-            };
-            let commit = self.commit_run(top, offset, now);
             if !self.admits(&commit) {
-                self.defer(top, now, &commit);
-                return;
+                self.defer(cand, now, &commit);
+                continue;
             }
-            self.dispatch(top_qi, offset, commit, now, false);
+            self.reservations.push(Reservation {
+                head,
+                reserved_start_ns: t_r,
+                backfilled: cand,
+                predicted_end_ns: now + commit.run_ns,
+            });
+            self.backfills += 1;
+            self.dispatch(qi, offset, commit, now, true);
+            return true;
         }
+        false
     }
 }
 
