@@ -22,16 +22,53 @@ use std::sync::Arc;
 /// A rank's extent list, behind a reference count: cloning it, which
 /// every [`Extents`] view does, copies no extent. Reads as a slice, and
 /// carries its byte total, summed once when it is built.
+///
+/// A run of more than 64 extents also carries a table of byte sums, one
+/// per block of 64 extents, filled in the same pass: the bytes of any
+/// range of it cost at most a block of extents at either end, not the
+/// range. The table is 8 bytes per 64 extents of 16 bytes, 1/128 of the
+/// run; a shorter run has none and allocates nothing more.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Run {
     extents: Arc<[Extent]>,
-    bytes: u64,
+    size: Size,
 }
+
+/// What a [`Run`] knows of its bytes: the total, or the table whose
+/// last entry is the total.
+#[derive(Clone, PartialEq, Eq)]
+enum Size {
+    /// A run of at most [`BLOCK`] extents.
+    Bytes(u64),
+    /// `sums[k]` is the bytes of `extents[..k · BLOCK]`, the last entry
+    /// the whole run's.
+    Sums(Box<[u64]>),
+}
+
+/// Extents per entry of a [`Run`]'s byte-sum table.
+const BLOCK: usize = 64;
 
 impl Run {
     /// Bytes the run holds, in `O(1)`.
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        match &self.size {
+            Size::Bytes(bytes) => *bytes,
+            Size::Sums(sums) => sums[sums.len() - 1],
+        }
+    }
+
+    /// Bytes `self[range]` holds: for a run with a table, the difference
+    /// of two prefixes, each a table entry plus at most `BLOCK − 1`
+    /// extents after it, whatever the range's length.
+    pub(crate) fn bytes_of(&self, range: Range<usize>) -> u64 {
+        match &self.size {
+            Size::Bytes(_) => total_bytes(&self.extents[range]),
+            Size::Sums(sums) => {
+                let prefix =
+                    |i: usize| sums[i / BLOCK] + total_bytes(&self.extents[i / BLOCK * BLOCK..i]);
+                prefix(range.end) - prefix(range.start)
+            }
+        }
     }
 }
 
@@ -45,9 +82,21 @@ impl Deref for Run {
 
 impl From<Vec<Extent>> for Run {
     fn from(extents: Vec<Extent>) -> Self {
+        let size = if extents.len() <= BLOCK {
+            Size::Bytes(total_bytes(&extents))
+        } else {
+            let mut sums = Vec::with_capacity(extents.len().div_ceil(BLOCK) + 1);
+            let mut bytes = 0;
+            for block in extents.chunks(BLOCK) {
+                sums.push(bytes);
+                bytes += total_bytes(block);
+            }
+            sums.push(bytes);
+            Size::Sums(sums.into_boxed_slice())
+        };
         Run {
-            bytes: total_bytes(&extents),
             extents: extents.into(),
+            size,
         }
     }
 }
@@ -257,12 +306,6 @@ impl RankRequest {
         }
     }
 
-    /// Bytes this rank requests inside `window`. `O(log n + k)` in the
-    /// extent count `n` and overlap count `k` (the extents are sorted).
-    pub fn bytes_in(&self, window: &Extent) -> u64 {
-        bytes_in_sorted(&self.extents, window)
-    }
-
     /// True when the rank requests at least one byte inside `window`.
     /// `O(log n)`: the question placement and the rank filters ask,
     /// which needs no byte count.
@@ -363,14 +406,14 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.bytes(), 0);
         assert_eq!(r.span(), Extent::EMPTY);
-        assert_eq!(r.bytes_in(&Extent::new(0, 100)), 0);
+        assert_eq!(bytes_in_sorted(&r.extents, &Extent::new(0, 100)), 0);
     }
 
     #[test]
     fn windowed_queries() {
         let r = RankRequest::new(Rank(0), vec![Extent::new(0, 10), Extent::new(20, 10)]);
         let w = Extent::new(5, 20);
-        assert_eq!(r.bytes_in(&w), 10);
+        assert_eq!(bytes_in_sorted(&r.extents, &w), 10);
     }
 
     /// Every window over a small file, which takes in the empty window,
@@ -393,8 +436,29 @@ mod tests {
                 let w = Extent::new(offset, len);
                 let scan: Vec<Extent> = r.extents.iter().filter_map(|e| e.intersect(&w)).collect();
                 let bytes: u64 = scan.iter().map(|e| e.len).sum();
-                assert_eq!(r.bytes_in(&w), bytes, "{w}");
+                assert_eq!(bytes_in_sorted(&r.extents, &w), bytes, "{w}");
                 assert_eq!(r.touches(&w), bytes > 0, "{w}");
+            }
+        }
+    }
+
+    /// Every range of runs at and around the block length, with
+    /// zero-length extents among them: the table's answer is the sum.
+    #[test]
+    fn bytes_of_every_range_is_its_sum() {
+        for n in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5] {
+            let extents: Vec<Extent> = (0..n as u64).map(|i| Extent::new(i * 10, i % 7)).collect();
+            let run = Run::from(extents.clone());
+            assert_eq!(matches!(run.size, Size::Sums(_)), n > BLOCK, "{n}");
+            assert_eq!(run.bytes(), total_bytes(&extents));
+            for a in 0..=n {
+                for b in a..=n {
+                    assert_eq!(
+                        run.bytes_of(a..b),
+                        total_bytes(&extents[a..b]),
+                        "{n}: {a}..{b}"
+                    );
+                }
             }
         }
     }

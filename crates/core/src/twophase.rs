@@ -21,7 +21,7 @@ use crate::plan::{
 };
 use crate::request::{CollectiveRequest, Extents, Run};
 use mcio_cluster::{NodeId, ProcessMap, Rank};
-use mcio_pfs::extent::{clip_sorted, gallop, total_bytes};
+use mcio_pfs::extent::{clip_sorted, gallop, gallop_from};
 use mcio_pfs::{Extent, Rw};
 
 /// Build a two-phase plan.
@@ -151,13 +151,17 @@ pub(crate) struct Charge {
 ///
 /// The domains of `aggs` are disjoint and in offset order, and windows
 /// tile each domain, so a sorted run crosses them in file order: from
-/// the window holding the cursor, a gallop over the rest of the run
-/// finds where the next window takes over, and one over the domains
-/// finds the domain the cursor lands in. That is `O(log)` work per
-/// window touched — nothing per window the run skips, and no search of
-/// the run per (rank, window), which is quadratic in the rank count on
-/// two-phase's one group of every rank. The walk knows each message's
-/// range, clip start and bytes, so no window searches a run again.
+/// the window holding the cursor, a gallop over the rest of the run —
+/// out from the last message's length, so a regular pattern's search
+/// probes near its answer — finds where the next window takes over, one
+/// over the domains finds the domain the cursor lands in, and the run's
+/// byte-sum table sizes the message from at most a block of extents at
+/// either end. That is `O(log)` search and `O(block)` summing per
+/// window touched — nothing per window the run skips, no pass over the
+/// extents of the windows it crosses, and no search of the run per
+/// (rank, window), which is quadratic in the rank count on two-phase's
+/// one group of every rank. The walk knows each message's range, clip
+/// start and bytes, so no window searches a run again.
 ///
 /// `from` is the domain the previous run's walk ended in, and is left at
 /// this one's: the search for the run's first domain starts there when
@@ -175,6 +179,10 @@ pub(crate) fn charge(
     // Everything before `at` is charged; `at` lies inside `rest[0]` when
     // that extent straddles a window edge.
     let mut at = 0;
+    // The last message's extent count: a regular pattern cuts about as
+    // many from each window, so the search for a window's end starts
+    // there.
+    let mut hint = 0;
     let mut ai = match (run.first(), aggs.get(*from)) {
         (Some(e), Some(a)) if a.fd.offset <= e.offset => *from,
         _ => 0,
@@ -199,10 +207,11 @@ pub(crate) fn charge(
             .min(a.fd.end());
         // The extents that start inside this window; only the last can
         // run past its end.
-        let part = &rest[..gallop(rest, |e| e.offset < win_end)];
+        let part = &rest[..gallop_from(rest, hint, |e| e.offset < win_end)];
+        hint = part.len();
         let over = part[part.len() - 1].end().saturating_sub(win_end);
-        let bytes = total_bytes(part) - (at - head.offset) - over;
         let lo = run.len() - rest.len();
+        let bytes = run.bytes_of(lo..lo + part.len()) - (at - head.offset) - over;
         charged.push(Charge {
             window: u32::try_from(r as usize * aggs.len() + ai)
                 .expect("a plan of at most 2^32 windows"),

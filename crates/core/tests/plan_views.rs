@@ -1,7 +1,8 @@
 //! A message's extents are a view of its requester's run, not a copy.
 //! These properties hold the view against the copy it replaced
 //! (`clip_sorted`), hold both planners' charge pass's views against
-//! views built by a search, and time `CollectivePlan::check` on the
+//! views built by a search — on short runs and on runs long enough to
+//! carry byte-sum tables — and time `CollectivePlan::check` on the
 //! widest group a plan has: two-phase's one group of every rank.
 
 use mcio_cluster::ProcessMap;
@@ -11,6 +12,7 @@ use mcio_core::{
 };
 use mcio_pfs::extent::{bytes_in_sorted, clip_sorted, subtract, union_sorted};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use std::time::Instant;
 
 const MIB: u64 = 1 << 20;
@@ -85,28 +87,7 @@ proptest! {
         ppn in 1usize..4,
         buffer in 1u64..64,
     ) {
-        let nranks = runs.len();
-        let mut req = CollectiveRequest::new(Rw::Write, vec![Vec::new(); nranks]);
-        for (rr, steps) in req.ranks.iter_mut().zip(&runs) {
-            rr.extents = run_of(steps).into();
-        }
-        let map = ProcessMap::block_ppn(nranks, ppn);
-        let mem = ProcMemory::uniform(nranks, buffer);
-        let plan = twophase::plan(&req, &map, &mem, &CollectiveConfig::with_buffer(buffer));
-        let g = &plan.groups[0];
-        for (r, round) in g.rounds.iter().enumerate() {
-            for m in &round.messages {
-                let agg = m.agg(plan.rw);
-                let requester = if m.src == agg { m.dst } else { m.src };
-                let a = g.aggregators.iter().find(|a| a.rank == agg).expect("an aggregator");
-                let start = a.fd.offset + r as u64 * a.buffer;
-                let window = Extent::from_bounds(start, (start + a.buffer).min(a.fd.end()));
-                let searched = Extents::new(&req.ranks[requester.0].extents, &window);
-                prop_assert_eq!(Some(&m.extents), searched.as_ref());
-                prop_assert_eq!(m.bytes(), m.extents.iter().map(|e| e.len).sum::<u64>());
-            }
-        }
-        prop_assert_eq!(plan.check(&req), Ok(()));
+        tp_views_match(&runs, ppn, buffer)?;
     }
 
     /// The memory-conscious twin: every group's messages equal the views
@@ -129,75 +110,161 @@ proptest! {
         buffer in 1u64..64,
         msg_ind in 1u64..200,
     ) {
-        let mut extents: Vec<Vec<Extent>> = runs
-            .iter()
-            .map(|(base, steps)| {
-                let mut run = run_of(steps);
-                for e in &mut run {
-                    e.offset += base;
-                }
-                run
-            })
-            .collect();
-        // Past every drawn extent, so rank 0 holds a byte.
-        extents[0].push(Extent::new(1000, 7));
-        extents.push(extents[0].clone());
-        let nranks = extents.len();
-        let mut req = CollectiveRequest::new(Rw::Write, vec![Vec::new(); nranks]);
-        for (rr, run) in req.ranks.iter_mut().zip(extents) {
-            rr.extents = run.into();
-        }
-        let map = ProcessMap::block_ppn(nranks, ppn);
-        let mem = ProcMemory::uniform(nranks, buffer);
-        // One group per node.
-        let cfg = CollectiveConfig::with_buffer(buffer)
-            .msg_group(1)
-            .msg_ind(msg_ind)
-            .mem_min(0);
-        let plan = mcio::plan(&req, &map, &mem, &cfg);
-        prop_assert_eq!(plan.check(&req), Ok(()));
+        mc_views_match(&runs, 1000, ppn, buffer, msg_ind)?;
+    }
+}
 
-        let mut claimed: Vec<Extent> = Vec::new();
-        let mut masked_any = false;
-        for g in &plan.groups {
-            let masked: Vec<Run> = g
-                .ranks
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// [`charge_pass_views_equal_searched_views`] at block scale: runs
+    /// of up to 300 extents, dense in zero-length and adjacent ones, so
+    /// a message's extents cross the edges of a run's 64-extent blocks,
+    /// and buffers from a byte to past a whole run, so windows cut both
+    /// inside one block and across several.
+    #[test]
+    fn charge_pass_views_equal_searched_views_across_blocks(
+        runs in proptest::collection::vec(
+            proptest::collection::vec((0u64..3, 0u64..5), 0..300),
+            1..5,
+        ),
+        ppn in 1usize..4,
+        buffer in 1u64..1500,
+    ) {
+        tp_views_match(&runs, ppn, buffer)?;
+    }
+
+    /// [`mc_charge_pass_views_equal_searched_views`] at block scale, with
+    /// masked runs of hundreds of extents among the members.
+    #[test]
+    fn mc_charge_pass_views_equal_searched_views_across_blocks(
+        runs in proptest::collection::vec(
+            (0u64..200, proptest::collection::vec((0u64..3, 0u64..5), 0..300)),
+            2..5,
+        ),
+        ppn in 1usize..3,
+        buffer in 1u64..1500,
+        msg_ind in 1u64..2000,
+    ) {
+        mc_views_match(&runs, 4000, ppn, buffer, msg_ind)?;
+    }
+}
+
+/// The two-phase charge-pass property over literal runs of `(gap, len)`
+/// steps, one rank each.
+fn tp_views_match(runs: &[Vec<(u64, u64)>], ppn: usize, buffer: u64) -> Result<(), TestCaseError> {
+    let nranks = runs.len();
+    let mut req = CollectiveRequest::new(Rw::Write, vec![Vec::new(); nranks]);
+    for (rr, steps) in req.ranks.iter_mut().zip(runs) {
+        rr.extents = run_of(steps).into();
+    }
+    let map = ProcessMap::block_ppn(nranks, ppn);
+    let mem = ProcMemory::uniform(nranks, buffer);
+    let plan = twophase::plan(&req, &map, &mem, &CollectiveConfig::with_buffer(buffer));
+    let g = &plan.groups[0];
+    for (r, round) in g.rounds.iter().enumerate() {
+        for m in &round.messages {
+            let agg = m.agg(plan.rw);
+            let requester = if m.src == agg { m.dst } else { m.src };
+            let a = g
+                .aggregators
                 .iter()
-                .map(|r| Run::from(subtract(&req.ranks[r.0].extents, &claimed)))
-                .collect();
-            masked_any |= g
-                .ranks
-                .iter()
-                .zip(&masked)
-                .any(|(r, run)| run.bytes() < req.ranks[r.0].bytes());
-            let ntimes = g.aggregators.iter().map(|a| a.rounds()).max().unwrap_or(0);
-            let mut searched: Vec<Vec<Message>> = Vec::new();
-            for r in 0..ntimes {
-                let mut round = Vec::new();
-                for a in &g.aggregators {
-                    let start = a.fd.offset + r as u64 * a.buffer;
-                    if start >= a.fd.end() {
-                        continue;
-                    }
-                    let window = Extent::from_bounds(start, (start + a.buffer).min(a.fd.end()));
-                    for (&rank, run) in g.ranks.iter().zip(&masked) {
-                        if let Some(view) = Extents::new(run, &window) {
-                            round.push(Message::new(plan.rw, rank, a.rank, view));
-                        }
-                    }
+                .find(|a| a.rank == agg)
+                .expect("an aggregator");
+            let start = a.fd.offset + r as u64 * a.buffer;
+            let window = Extent::from_bounds(start, (start + a.buffer).min(a.fd.end()));
+            let searched = Extents::new(&req.ranks[requester.0].extents, &window);
+            prop_assert_eq!(Some(&m.extents), searched.as_ref());
+            prop_assert_eq!(m.bytes(), m.extents.iter().map(|e| e.len).sum::<u64>());
+        }
+    }
+    prop_assert_eq!(plan.check(&req), Ok(()));
+    Ok(())
+}
+
+/// The memory-conscious charge-pass property over runs of `(gap, len)`
+/// steps shifted by their bases; rank 0 also holds 7 bytes at `past`,
+/// which lies beyond every drawn extent.
+fn mc_views_match(
+    runs: &[(u64, Vec<(u64, u64)>)],
+    past: u64,
+    ppn: usize,
+    buffer: u64,
+    msg_ind: u64,
+) -> Result<(), TestCaseError> {
+    let mut extents: Vec<Vec<Extent>> = runs
+        .iter()
+        .map(|(base, steps)| {
+            let mut run = run_of(steps);
+            for e in &mut run {
+                e.offset += base;
+            }
+            run
+        })
+        .collect();
+    // Past every drawn extent, so rank 0 holds a byte.
+    extents[0].push(Extent::new(past, 7));
+    extents.push(extents[0].clone());
+    let nranks = extents.len();
+    let mut req = CollectiveRequest::new(Rw::Write, vec![Vec::new(); nranks]);
+    for (rr, run) in req.ranks.iter_mut().zip(extents) {
+        rr.extents = run.into();
+    }
+    let map = ProcessMap::block_ppn(nranks, ppn);
+    let mem = ProcMemory::uniform(nranks, buffer);
+    // One group per node.
+    let cfg = CollectiveConfig::with_buffer(buffer)
+        .msg_group(1)
+        .msg_ind(msg_ind)
+        .mem_min(0);
+    let plan = mcio::plan(&req, &map, &mem, &cfg);
+    prop_assert_eq!(plan.check(&req), Ok(()));
+
+    let mut claimed: Vec<Extent> = Vec::new();
+    let mut masked_any = false;
+    for g in &plan.groups {
+        let masked: Vec<Run> = g
+            .ranks
+            .iter()
+            .map(|r| Run::from(subtract(&req.ranks[r.0].extents, &claimed)))
+            .collect();
+        masked_any |= g
+            .ranks
+            .iter()
+            .zip(&masked)
+            .any(|(r, run)| run.bytes() < req.ranks[r.0].bytes());
+        let ntimes = g.aggregators.iter().map(|a| a.rounds()).max().unwrap_or(0);
+        let mut searched: Vec<Vec<Message>> = Vec::new();
+        for r in 0..ntimes {
+            let mut round = Vec::new();
+            for a in &g.aggregators {
+                let start = a.fd.offset + r as u64 * a.buffer;
+                if start >= a.fd.end() {
+                    continue;
                 }
-                if !round.is_empty() {
-                    searched.push(round);
+                let window = Extent::from_bounds(start, (start + a.buffer).min(a.fd.end()));
+                for (&rank, run) in g.ranks.iter().zip(&masked) {
+                    if let Some(view) = Extents::new(run, &window) {
+                        round.push(Message::new(plan.rw, rank, a.rank, view));
+                    }
                 }
             }
-            let charged: Vec<&[Message]> = g.rounds.iter().map(|r| &r.messages[..]).collect();
-            let searched: Vec<&[Message]> = searched.iter().map(Vec::as_slice).collect();
-            prop_assert_eq!(charged, searched);
-            let runs: Vec<&[Extent]> = g.ranks.iter().map(|r| &req.ranks[r.0].extents[..]).collect();
-            claimed = union_sorted(&[&claimed, &union_sorted(&runs)]);
+            if !round.is_empty() {
+                searched.push(round);
+            }
         }
-        prop_assert!(masked_any, "no member lost a claimed byte");
+        let charged: Vec<&[Message]> = g.rounds.iter().map(|r| &r.messages[..]).collect();
+        let searched: Vec<&[Message]> = searched.iter().map(Vec::as_slice).collect();
+        prop_assert_eq!(charged, searched);
+        let runs: Vec<&[Extent]> = g
+            .ranks
+            .iter()
+            .map(|r| &req.ranks[r.0].extents[..])
+            .collect();
+        claimed = union_sorted(&[&claimed, &union_sorted(&runs)]);
     }
+    prop_assert!(masked_any, "no member lost a claimed byte");
+    Ok(())
 }
 
 /// `des_heavy`'s shape: `exascale_2018` cut to 32,768 nodes, one rank

@@ -402,6 +402,32 @@ pub fn gallop<T>(items: &[T], pred: impl Fn(&T) -> bool) -> usize {
     lo + items[lo..hi].partition_point(pred)
 }
 
+/// [`gallop`] from a guess: the partition point found by galloping out
+/// from `hint`, forward or back, in `O(log d)` for a point `d` items
+/// from the guess. A walk that cuts a list into parts of about one
+/// length passes the last part's length, and probes where the point
+/// lies instead of across the part from its front.
+pub fn gallop_from<T>(items: &[T], hint: usize, pred: impl Fn(&T) -> bool) -> usize {
+    let hint = hint.min(items.len());
+    if hint == 0 || pred(&items[hint - 1]) {
+        return hint + gallop(&items[hint..], pred);
+    }
+    // The point is at or before `hi`, where `pred` fails: probe 1, 2,
+    // 4, … items back until it holds.
+    let (mut hi, mut step) = (hint - 1, 1);
+    let lo = loop {
+        if step > hi {
+            break 0;
+        }
+        if pred(&items[hi - step]) {
+            break hi - step + 1;
+        }
+        hi -= step;
+        step *= 2;
+    };
+    lo + items[lo..hi].partition_point(pred)
+}
+
 /// The parts of `extents` not covered by `minus`. Both inputs must be
 /// sorted and disjoint (as produced by [`coalesce`]); the result is too.
 pub fn subtract(extents: &[Extent], minus: &[Extent]) -> Vec<Extent> {
@@ -432,6 +458,26 @@ pub fn subtract(extents: &[Extent], minus: &[Extent]) -> Vec<Extent> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every partition point of lists up to 40 long, from every guess
+    /// and none: both gallops find `partition_point`'s answer.
+    #[test]
+    fn gallops_find_the_partition_point() {
+        for len in 0..40 {
+            let items: Vec<usize> = (0..len).collect();
+            for point in 0..=len {
+                let pred = |&i: &usize| i < point;
+                assert_eq!(gallop(&items, pred), point, "{len} {point}");
+                for hint in 0..=len + 2 {
+                    assert_eq!(
+                        gallop_from(&items, hint, pred),
+                        point,
+                        "{len} {point} {hint}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn basics() {
