@@ -9,7 +9,7 @@
 //! One test in the file, so nothing else allocates while it counts.
 #![cfg(feature = "count-alloc")]
 
-use mcio_des::{Activity, Bandwidth, SimDuration, Simulation};
+use mcio_des::{arg, Bandwidth, Label, Prefix, SimDuration, SimTime, Simulation, Stage};
 use mcio_obs::Trace;
 use mcio_prof::alloc::snapshot;
 
@@ -58,12 +58,22 @@ fn the_trace_allocates_per_table_not_per_span() {
     const RECORDS: usize = 10_000;
     let mut sim = Simulation::new();
     sim.enable_trace();
+    let [ost, io] = ["ost{}", "io.rank{}"].map(|t| sim.template(t));
     let osts: Vec<_> = (0..LANES)
-        .map(|t| sim.add_resource(format_args!("ost{t}"), Bandwidth::bytes_per_sec(1e9)))
+        .map(|t| {
+            let name = Label::new(Prefix::NONE, ost, [t as u32, 0]);
+            sim.add_resource(name, Bandwidth::bytes_per_sec(1e9))
+        })
         .collect();
     for i in 0..RECORDS {
-        let ost = osts[i % osts.len()];
-        sim.add_activity(Activity::new(format!("io.rank{i}")).stage(ost, 4096, SimDuration::ZERO));
+        let stage = Stage {
+            resource: osts[i % osts.len()],
+            bytes: 4096,
+            overhead: SimDuration::ZERO,
+            latency_after: SimDuration::ZERO,
+        };
+        let label = Label::new(Prefix::NONE, io, [arg(i), 0]);
+        sim.activity(label, SimTime::ZERO, &[stage]);
     }
     let report = sim.run().expect("the run completes");
     let (emitted, trace) = counted(|| {

@@ -205,7 +205,7 @@ mod tests {
         let mut sim = Simulation::new();
         let fabric = Fabric::build(&mut sim, &tiny_spec());
         // 100 B: membus 0.1s + nic_tx 1s + latency 1s + nic_rx 1s + membus 0.1s.
-        let msg = fabric.message(&mut sim, format_args!("m"), NodeId(0), NodeId(1), 100);
+        let msg = fabric.message(&mut sim, "m", NodeId(0), NodeId(1), 100);
         let rep = sim.run().unwrap();
         let t = rep.finish_time(msg).saturating_since(SimTime::ZERO);
         assert!((t.as_secs_f64() - 3.2).abs() < 1e-9, "t = {t}");
@@ -215,7 +215,7 @@ mod tests {
     fn intra_node_message_skips_nic() {
         let mut sim = Simulation::new();
         let fabric = Fabric::build(&mut sim, &tiny_spec());
-        let msg = fabric.message(&mut sim, format_args!("m"), NodeId(1), NodeId(1), 500);
+        let msg = fabric.message(&mut sim, "m", NodeId(1), NodeId(1), 500);
         let nic = fabric.nic_tx(NodeId(1));
         let rep = sim.run().unwrap();
         // Two membus passes at 1000 B/s: 0.5s + 0.5s.
@@ -228,8 +228,8 @@ mod tests {
         let mut sim = Simulation::new();
         let fabric = Fabric::build(&mut sim, &tiny_spec());
         // Two intra-node copies on the same node serialize on the membus.
-        let a = fabric.message(&mut sim, format_args!("a"), NodeId(0), NodeId(0), 500);
-        let b = fabric.message(&mut sim, format_args!("b"), NodeId(0), NodeId(0), 500);
+        let a = fabric.message(&mut sim, "a", NodeId(0), NodeId(0), 500);
+        let b = fabric.message(&mut sim, "b", NodeId(0), NodeId(0), 500);
         let rep = sim.run().unwrap();
         let last = rep.finish_time(a).max(rep.finish_time(b));
         assert!((last.as_secs_f64() - 2.0).abs() < 1e-9);
@@ -257,8 +257,8 @@ mod tests {
         let fabric = Fabric::build(&mut sim, &spec);
         // Intra-node copy of 500 B: node 0 at 1000 B/s (1s total), node 1
         // at 500 B/s (2s total).
-        let fast = fabric.message(&mut sim, format_args!("f"), NodeId(0), NodeId(0), 500);
-        let slow = fabric.message(&mut sim, format_args!("s"), NodeId(1), NodeId(1), 500);
+        let fast = fabric.message(&mut sim, "f", NodeId(0), NodeId(0), 500);
+        let slow = fabric.message(&mut sim, "s", NodeId(1), NodeId(1), 500);
         let rep = sim.run().unwrap();
         assert!((rep.finish_time(fast).as_secs_f64() - 1.0).abs() < 1e-9);
         assert!((rep.finish_time(slow).as_secs_f64() - 2.0).abs() < 1e-9);
@@ -281,7 +281,7 @@ mod tests {
         let mut spec = tiny_spec();
         spec.message_overhead = SimDuration::from_secs(10);
         let fabric = Fabric::build(&mut sim, &spec);
-        let msg = fabric.message(&mut sim, format_args!("m"), NodeId(0), NodeId(0), 500);
+        let msg = fabric.message(&mut sim, "m", NodeId(0), NodeId(0), 500);
         let rep = sim.run().unwrap();
         assert!((rep.finish_time(msg).as_secs_f64() - 11.0).abs() < 1e-9);
     }

@@ -47,70 +47,6 @@ pub struct Stage {
     pub latency_after: SimDuration,
 }
 
-/// Owned builder for an activity: a label, an optional release time, and
-/// a sequence of stages. A convenience over [`crate::Simulation::activity`],
-/// which [`crate::Simulation::add_activity`] hands the three parts to.
-#[derive(Debug, Clone)]
-pub struct Activity {
-    pub(crate) label: String,
-    pub(crate) release: SimTime,
-    pub(crate) stages: Vec<Stage>,
-}
-
-impl Activity {
-    /// A new activity with no stages (a pure synchronization point until
-    /// stages are added).
-    pub fn new(label: impl Into<String>) -> Self {
-        Activity {
-            label: label.into(),
-            release: SimTime::ZERO,
-            stages: Vec::new(),
-        }
-    }
-
-    /// Do not start before `t`, even if all dependencies are satisfied.
-    pub fn release_at(mut self, t: SimTime) -> Self {
-        self.release = t;
-        self
-    }
-
-    /// Append a stage occupying `resource` for `overhead + bytes/bw`.
-    pub fn stage(mut self, resource: ResourceId, bytes: u64, overhead: SimDuration) -> Self {
-        self.stages.push(Stage {
-            resource,
-            bytes,
-            overhead,
-            latency_after: SimDuration::ZERO,
-        });
-        self
-    }
-
-    /// Append a pure delay (no resource occupied): models think time or
-    /// fixed software overhead that does not contend with anything.
-    pub fn delay(mut self, d: SimDuration) -> Self {
-        // Modeled as a latency on a phantom zero-byte stage attached to the
-        // previous stage if any; otherwise as an adjustment to the release
-        // handled by the engine via a dedicated marker stage. To keep the
-        // engine uniform we encode it as latency on the *previous* stage,
-        // or fold it into the release time when there are no stages yet.
-        match self.stages.last_mut() {
-            Some(last) => last.latency_after += d,
-            None => self.release += d,
-        }
-        self
-    }
-
-    /// The stages of this activity.
-    pub fn stages(&self) -> &[Stage] {
-        &self.stages
-    }
-
-    /// The label given at construction.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-}
-
 /// Engine-internal per-activity state: one plain row of the activity
 /// table, 40 bytes. The stages, the label and the dependents live in
 /// the simulation's shared arenas; the row holds only its window into
@@ -156,35 +92,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_accumulates_stages() {
-        let r = ResourceId(0);
-        let a = Activity::new("x")
-            .stage(r, 10, SimDuration::ZERO)
-            .stage(r, 20, SimDuration::from_nanos(5))
-            .delay(SimDuration::from_nanos(7));
-        assert_eq!(a.stages().len(), 2);
-        assert_eq!(a.stages()[1].bytes, 20);
-        assert_eq!(a.stages()[1].latency_after, SimDuration::from_nanos(7));
-        assert_eq!(a.label(), "x");
-    }
-
-    #[test]
     fn an_activity_row_is_40_bytes() {
         assert_eq!(std::mem::size_of::<ActivityState>(), 40);
-    }
-
-    #[test]
-    fn delay_with_no_stages_moves_release() {
-        let a = Activity::new("d").delay(SimDuration::from_secs(1));
-        assert_eq!(a.release, SimTime::ZERO + SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn delay_after_stage_becomes_latency() {
-        let r = ResourceId(0);
-        let a = Activity::new("d")
-            .stage(r, 1, SimDuration::ZERO)
-            .delay(SimDuration::from_secs(2));
-        assert_eq!(a.stages()[0].latency_after, SimDuration::from_secs(2));
     }
 }

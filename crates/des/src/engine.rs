@@ -2,7 +2,7 @@
 //! runs it to completion, producing a [`RunReport`]. A run may pause at
 //! an instant, be copied, take more activities and resume.
 
-use crate::activity::{Activity, ActivityId, ActivityState, Stage};
+use crate::activity::{ActivityId, ActivityState, Stage};
 use crate::label::{IntoLabel, Label, Names, Prefix, Tpl};
 use crate::queue::EventQueue;
 use crate::resource::{Bandwidth, Job, ResourceId, ResourceTable, ResourceUsage, SharePolicy};
@@ -148,7 +148,7 @@ struct FragmentRow {
 /// A contiguous run of activities copied out of one simulation by
 /// [`Simulation::copy_since`], to be appended to others by
 /// [`Simulation::append`]: rows, stages, label rows without their
-/// prefix (with the template table and the free text they read), and
+/// prefix (with the template table they read), and
 /// dependency edges, every offset relative to the run. The run may have
 /// hung on one activity outside it (a start gate); the fragment
 /// remembers which of its activities waited for that one, in the order
@@ -159,7 +159,6 @@ pub struct Fragment {
     stages: Vec<Stage>,
     labels: Vec<Label>,
     templates: Vec<&'static str>,
-    text: String,
     /// `(before, after)` as offsets into the run, in declaration order.
     edges: Vec<(u32, u32)>,
     /// The dependents of the outside activity, in declaration order;
@@ -190,7 +189,7 @@ pub struct Simulation {
     resources: ResourceTable,
     /// The service discipline of every resource.
     policy: SharePolicy,
-    /// The templates, prefixes and free text every label row reads.
+    /// The templates and prefixes every label row reads.
     names: Names,
     /// The activity graph, in flat arenas: one row per activity, then
     /// every stage back to back (a row owns a window of it), one label
@@ -301,7 +300,7 @@ impl Simulation {
     }
 
     /// Register a bandwidth resource with one service slot, named by a
-    /// [`Label`] row or any text (see [`RunReport::resource_name`]).
+    /// [`Label`] row or a string literal (see [`RunReport::resource_name`]).
     pub fn add_resource(&mut self, name: impl IntoLabel, bw: Bandwidth) -> ResourceId {
         self.add_resource_with_capacity(name, bw, 1)
     }
@@ -326,8 +325,8 @@ impl Simulation {
         self.resources.set_service_windows(rid, windows);
     }
 
-    /// Register an activity: `label` is pushed as a row (text is written
-    /// into the text arena first), `stages` are copied onto the end of
+    /// Register an activity: `label` is pushed as a row (a literal is
+    /// interned as a template first), `stages` are copied onto the end of
     /// the stage arena, and the activity does not start before `release`
     /// even if all its dependencies are satisfied. Nothing is allocated
     /// or formatted per activity, and no shared count is touched.
@@ -367,11 +366,6 @@ impl Simulation {
         self.fresh.labels.reserve(activities);
         self.fresh.stages.reserve(stages);
         self.edges.reserve(activities);
-    }
-
-    /// Register an owned [`Activity`] (see [`Simulation::activity`]).
-    pub fn add_activity(&mut self, activity: Activity) -> ActivityId {
-        self.activity(activity.label.as_str(), activity.release, &activity.stages)
     }
 
     /// Declare that `after` cannot start until `before` has completed.
@@ -436,14 +430,12 @@ impl Simulation {
                 r.next_stage as usize
             });
         let stages = &self.fresh.stages[stage_base - graph_stages..];
-        let mut text = String::new();
-        let labels = (self.names).copy_out(&self.fresh.labels[first - taken_in..], &mut text);
+        let labels = self.fresh.labels[first - taken_in..].iter();
         let mut frag = Fragment {
             rows: Vec::with_capacity(rows.len()),
             stages: stages.to_vec(),
-            labels,
+            labels: labels.map(|l| l.under(Prefix::NONE)).collect(),
             templates: self.names.templates().to_vec(),
-            text,
             edges: Vec::with_capacity(self.edges.len() - mark.edges),
             gated: outside.map(|_| Vec::new()),
             resources: stages.iter().map(|s| s.resource.0 + 1).max().unwrap_or(0),
@@ -504,7 +496,7 @@ impl Simulation {
             state
         }));
         let labels = &mut self.fresh.labels;
-        (self.names).take_in(&frag.labels, &frag.templates, &frag.text, prefix, labels);
+        (self.names).take_in(&frag.labels, &frag.templates, prefix, labels);
         let at = |offset: u32| ActivityId(base + offset);
         let gated = frag.gated.as_deref();
         (self.edges).reserve(frag.edges.len() + gated.map_or(0, <[u32]>::len));
@@ -1129,13 +1121,12 @@ impl RunReport {
                 continue;
             }
             let depth = u.max_active as u64;
-            let template = self.resources.name(i).template();
-            match template.filter(|&t| classes[t].is_some()) {
-                Some(t) => {
-                    let entry = per_template[t].get_or_insert(depth);
-                    *entry = (*entry).max(depth);
-                }
-                None => fold(resource_class(self.name_into(i, &mut name)), depth),
+            let t = self.resources.name(i).template();
+            if classes[t].is_some() {
+                let entry = per_template[t].get_or_insert(depth);
+                *entry = (*entry).max(depth);
+            } else {
+                fold(resource_class(self.name_into(i, &mut name)), depth);
             }
         }
         for (class, depth) in classes.iter().zip(per_template) {
@@ -1342,10 +1333,19 @@ pub fn resource_class(name: &str) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity::Activity;
 
     fn bw(bps: f64) -> Bandwidth {
         Bandwidth::bytes_per_sec(bps)
+    }
+
+    /// A stage of `bytes` on `resource`, with no overhead or latency.
+    fn on(resource: ResourceId, bytes: u64) -> Stage {
+        Stage {
+            resource,
+            bytes,
+            overhead: SimDuration::ZERO,
+            latency_after: SimDuration::ZERO,
+        }
     }
 
     #[test]
@@ -1359,7 +1359,7 @@ mod tests {
     fn single_stage_timing() {
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));
-        let a = sim.add_activity(Activity::new("a").stage(r, 200, SimDuration::ZERO));
+        let a = sim.activity("a", SimTime::ZERO, &[on(r, 200)]);
         let rep = sim.run().unwrap();
         assert_eq!(
             rep.finish_time(a),
@@ -1372,8 +1372,8 @@ mod tests {
     fn contention_serializes() {
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));
-        let a = sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
-        let b = sim.add_activity(Activity::new("b").stage(r, 100, SimDuration::ZERO));
+        let a = sim.activity("a", SimTime::ZERO, &[on(r, 100)]);
+        let b = sim.activity("b", SimTime::ZERO, &[on(r, 100)]);
         let rep = sim.run().unwrap();
         // FIFO: a first (registered first), b second.
         assert_eq!(rep.finish_time(a).as_secs_f64(), 1.0);
@@ -1386,8 +1386,8 @@ mod tests {
         let mut sim = Simulation::new();
         let r1 = sim.add_resource("r1", bw(100.0));
         let r2 = sim.add_resource("r2", bw(100.0));
-        let a = sim.add_activity(Activity::new("a").stage(r1, 100, SimDuration::ZERO));
-        let b = sim.add_activity(Activity::new("b").stage(r2, 100, SimDuration::ZERO));
+        let a = sim.activity("a", SimTime::ZERO, &[on(r1, 100)]);
+        let b = sim.activity("b", SimTime::ZERO, &[on(r2, 100)]);
         let rep = sim.run().unwrap();
         assert_eq!(rep.finish_time(a).as_secs_f64(), 1.0);
         assert_eq!(rep.finish_time(b).as_secs_f64(), 1.0);
@@ -1398,10 +1398,10 @@ mod tests {
     fn dependencies_sequence_activities() {
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));
-        let a = sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
-        let b = sim.add_activity(Activity::new("b").stage(r, 100, SimDuration::ZERO));
-        let join = sim.add_activity(Activity::new("join"));
-        let c = sim.add_activity(Activity::new("c").stage(r, 100, SimDuration::ZERO));
+        let a = sim.activity("a", SimTime::ZERO, &[on(r, 100)]);
+        let b = sim.activity("b", SimTime::ZERO, &[on(r, 100)]);
+        let join = sim.activity("join", SimTime::ZERO, &[]);
+        let c = sim.activity("c", SimTime::ZERO, &[on(r, 100)]);
         sim.add_dep(a, join);
         sim.add_dep(b, join);
         sim.add_dep(join, c);
@@ -1415,11 +1415,7 @@ mod tests {
         let mut sim = Simulation::new();
         let r1 = sim.add_resource("r1", bw(100.0));
         let r2 = sim.add_resource("r2", bw(50.0));
-        let a = sim.add_activity(Activity::new("a").stage(r1, 100, SimDuration::ZERO).stage(
-            r2,
-            100,
-            SimDuration::ZERO,
-        ));
+        let a = sim.activity("a", SimTime::ZERO, &[on(r1, 100), on(r2, 100)]);
         let rep = sim.run().unwrap();
         // 1s on r1 then 2s on r2.
         assert_eq!(rep.finish_time(a).as_secs_f64(), 3.0);
@@ -1429,12 +1425,12 @@ mod tests {
     fn latency_after_stage_delays_without_occupying() {
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));
-        let a = sim.add_activity(
-            Activity::new("a")
-                .stage(r, 100, SimDuration::ZERO)
-                .delay(SimDuration::from_secs(5)),
-        );
-        let b = sim.add_activity(Activity::new("b").stage(r, 100, SimDuration::ZERO));
+        let waits = Stage {
+            latency_after: SimDuration::from_secs(5),
+            ..on(r, 100)
+        };
+        let a = sim.activity("a", SimTime::ZERO, &[waits]);
+        let b = sim.activity("b", SimTime::ZERO, &[on(r, 100)]);
         let rep = sim.run().unwrap();
         // a holds the resource only 1s; b finishes at 2s even though a
         // completes at 6s.
@@ -1447,11 +1443,7 @@ mod tests {
     fn release_time_honored() {
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));
-        let a = sim.add_activity(
-            Activity::new("a")
-                .release_at(SimTime::from_nanos(5_000_000_000))
-                .stage(r, 100, SimDuration::ZERO),
-        );
+        let a = sim.activity("a", SimTime::from_nanos(5_000_000_000), &[on(r, 100)]);
         let rep = sim.run().unwrap();
         assert_eq!(rep.start_time(a).as_secs_f64(), 5.0);
         assert_eq!(rep.finish_time(a).as_secs_f64(), 6.0);
@@ -1460,7 +1452,7 @@ mod tests {
     #[test]
     fn zero_stage_activity_is_a_barrier() {
         let mut sim = Simulation::new();
-        let barrier = sim.add_activity(Activity::new("barrier"));
+        let barrier = sim.activity("barrier", SimTime::ZERO, &[]);
         let rep = sim.run().unwrap();
         assert_eq!(rep.finish_time(barrier), SimTime::ZERO);
     }
@@ -1468,8 +1460,8 @@ mod tests {
     #[test]
     fn cycle_detected_as_deadlock() {
         let mut sim = Simulation::new();
-        let a = sim.add_activity(Activity::new("a"));
-        let b = sim.add_activity(Activity::new("b"));
+        let a = sim.activity("a", SimTime::ZERO, &[]);
+        let b = sim.activity("b", SimTime::ZERO, &[]);
         sim.add_dep(a, b);
         sim.add_dep(b, a);
         match sim.run() {
@@ -1484,10 +1476,10 @@ mod tests {
     fn dependents_are_released_in_declaration_order() {
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));
-        let p = sim.add_activity(Activity::new("p"));
-        let q = sim.add_activity(Activity::new("q"));
-        let work = |sim: &mut Simulation, label: &str| {
-            sim.add_activity(Activity::new(label).stage(r, 100, SimDuration::ZERO))
+        let p = sim.activity("p", SimTime::ZERO, &[]);
+        let q = sim.activity("q", SimTime::ZERO, &[]);
+        let work = |sim: &mut Simulation, label: &'static str| {
+            sim.activity(label, SimTime::ZERO, &[on(r, 100)])
         };
         // Registered a, b, c, x, y; edges declared c, x, a, y, b with the
         // two predecessors interleaved.
@@ -1517,11 +1509,10 @@ mod tests {
         // waits puts c first.
         let mut sim = Simulation::new();
         let [q, s, r, u] = ["q", "s", "r", "u"].map(|name| sim.add_resource(name, bw(100.0)));
-        let x = sim.add_activity(Activity::new("x").stage(q, 100, SimDuration::ZERO));
-        let on = |first, bytes| Activity::new("").stage(first, bytes, SimDuration::ZERO);
-        let a = sim.add_activity(on(s, 100).stage(r, 100, SimDuration::ZERO));
-        let c = sim.add_activity(on(u, 150).stage(r, 100, SimDuration::ZERO));
-        let b = sim.add_activity(on(r, 100));
+        let x = sim.activity("x", SimTime::ZERO, &[on(q, 100)]);
+        let a = sim.activity("", SimTime::ZERO, &[on(s, 100), on(r, 100)]);
+        let c = sim.activity("", SimTime::ZERO, &[on(u, 150), on(r, 100)]);
+        let b = sim.activity("", SimTime::ZERO, &[on(r, 100)]);
         sim.add_dep(x, b);
         let rep = sim.run().unwrap();
         let finished = [a, b, c].map(|act| rep.finish_time(act).as_secs_f64());
@@ -1544,9 +1535,8 @@ mod tests {
                 rate: 0.0,
             };
             sim.set_service_windows(r, vec![stall]);
-            let stalled =
-                sim.add_activity(Activity::new("stalled").stage(r, 100, SimDuration::ZERO));
-            let after = sim.add_activity(Activity::new("after"));
+            let stalled = sim.activity("stalled", SimTime::ZERO, &[on(r, 100)]);
+            let after = sim.activity("after", SimTime::ZERO, &[]);
             sim.add_dep(stalled, after);
             let rep = sim.run().expect("a saturated clock is not a deadlock");
             assert_eq!(rep.finish_time(after), SimTime::MAX, "{policy:?}");
@@ -1561,9 +1551,9 @@ mod tests {
         assert_eq!(Simulation::new().run().unwrap().activity_count(), 0);
         let mut sim = Simulation::new();
         let release = SimTime::from_nanos(7);
-        let source = sim.add_activity(Activity::new("source").release_at(release));
-        let lone = sim.add_activity(Activity::new("lone"));
-        let sink = sim.add_activity(Activity::new("sink"));
+        let source = sim.activity("source", release, &[]);
+        let lone = sim.activity("lone", SimTime::ZERO, &[]);
+        let sink = sim.activity("sink", SimTime::ZERO, &[]);
         sim.add_dep(source, sink);
         let rep = sim.run().unwrap();
         assert_eq!(rep.finish_time(lone), SimTime::ZERO);
@@ -1575,9 +1565,10 @@ mod tests {
     #[test]
     fn deadlock_names_the_first_eight_stuck_labels() {
         let mut sim = Simulation::new();
-        let free = sim.add_activity(Activity::new("free"));
+        let free = sim.activity("free", SimTime::ZERO, &[]);
+        let ring = sim.template("ring{}");
         let ring: Vec<ActivityId> = (0..10)
-            .map(|i| sim.add_activity(Activity::new(format!("ring{i}"))))
+            .map(|i| sim.activity(Label::new(Prefix::NONE, ring, [i, 0]), SimTime::ZERO, &[]))
             .collect();
         for (i, &a) in ring.iter().enumerate() {
             sim.add_dep(a, ring[(i + 1) % ring.len()]);
@@ -1591,11 +1582,12 @@ mod tests {
     }
 
     #[test]
-    fn labels_are_exact_slices_of_the_arena() {
+    fn labels_render_as_registered() {
         let mut sim = Simulation::new();
         let labels = ["first", "", "nœud3.mémoire→ost7", "", "last"];
-        let ids = labels.map(|l| sim.add_activity(Activity::new(l)));
-        let direct = sim.activity(format_args!("j{}.io.{}", 2, "r9"), SimTime::ZERO, &[]);
+        let ids = labels.map(|l| sim.activity(l, SimTime::ZERO, &[]));
+        let io = sim.template("j{}.io.r{}");
+        let direct = sim.activity(Label::new(Prefix::NONE, io, [2, 9]), SimTime::ZERO, &[]);
         let rep = sim.run().unwrap();
         for (id, label) in ids.into_iter().zip(labels) {
             assert_eq!(rep.label(id), label);
@@ -1607,10 +1599,10 @@ mod tests {
     #[should_panic(expected = "unknown activity")]
     fn dependency_on_an_unknown_activity_panics() {
         let mut other = Simulation::new();
-        other.add_activity(Activity::new("a"));
-        let stranger = other.add_activity(Activity::new("b"));
+        other.activity("a", SimTime::ZERO, &[]);
+        let stranger = other.activity("b", SimTime::ZERO, &[]);
         let mut sim = Simulation::new();
-        let a = sim.add_activity(Activity::new("a"));
+        let a = sim.activity("a", SimTime::ZERO, &[]);
         sim.add_dep(stranger, a);
     }
 
@@ -1646,11 +1638,8 @@ mod tests {
         let r = ["r0", "r1"].map(|name| sim.add_resource(name, bw(50.0)));
         let mut copied = None;
         for (prefix, gate) in ["j0.", "job1."].into_iter().zip(gates) {
-            let gate = gate.map(|t| {
-                sim.add_activity(
-                    Activity::new(format!("{prefix}start")).release_at(SimTime::from_nanos(t)),
-                )
-            });
+            let start = Label::new(sim.prefix(prefix), sim.template("start"), [0, 0]);
+            let gate = gate.map(|t| sim.activity(start, SimTime::from_nanos(t), &[]));
             match frag {
                 Some(frag) => {
                     let first = sim.append(frag, prefix, gate);
@@ -1732,25 +1721,16 @@ mod tests {
             sim.set_service_windows(r[1], vec![slow]);
         }
         lower_job(&mut sim, r, "j0.", None);
-        let gate = sim.activity(
-            format_args!("j1.start"),
-            SimTime::from_nanos(1_000_000_000),
-            &[],
-        );
+        let gate = sim.activity("j1.start", SimTime::from_nanos(1_000_000_000), &[]);
         lower_job(&mut sim, r, "j1.", Some(gate));
-        let stage = Stage {
-            resource: r[1],
-            bytes: 50,
-            overhead: SimDuration::ZERO,
-            latency_after: SimDuration::ZERO,
-        };
-        sim.activity(format_args!("tie"), TIE, &[stage]);
+        sim.activity("tie", TIE, &[on(r[1], 50)]);
         (sim, r)
     }
 
     /// Append the newcomer behind a start gate released at `at`.
     fn newcomer(sim: &mut Simulation, frag: &Fragment, prefix: &str, at: SimTime) {
-        let gate = sim.activity(format_args!("{prefix}start"), at, &[]);
+        let start = Label::new(sim.prefix(prefix), sim.template("start"), [0, 0]);
+        let gate = sim.activity(start, at, &[]);
         sim.append(frag, prefix, Some(gate));
     }
 
@@ -1758,7 +1738,7 @@ mod tests {
     fn a_resumed_run_matches_the_full_run() {
         let frag = {
             let (mut sim, r) = residents(SharePolicy::Fifo, false);
-            let gate = sim.add_activity(Activity::new("new.start"));
+            let gate = sim.activity("new.start", SimTime::ZERO, &[]);
             let mark = sim.mark();
             lower_job(&mut sim, r, "new.", Some(gate));
             sim.copy_since(mark, Some(gate))
@@ -1816,7 +1796,7 @@ mod tests {
     fn a_ledger_checked_run_through_pause_fork_and_append() {
         let frag = {
             let (mut sim, r) = residents(SharePolicy::Fifo, false);
-            let gate = sim.add_activity(Activity::new("new.start"));
+            let gate = sim.activity("new.start", SimTime::ZERO, &[]);
             let mark = sim.mark();
             lower_job(&mut sim, r, "new.", Some(gate));
             sim.copy_since(mark, Some(gate))
@@ -1843,7 +1823,7 @@ mod tests {
     fn an_appended_edge_from_a_paused_activity_panics() {
         let (mut sim, _) = residents(SharePolicy::Fifo, false);
         sim.run_until(TIE);
-        let late = sim.add_activity(Activity::new("late").release_at(TIE));
+        let late = sim.activity("late", TIE, &[]);
         sim.add_dep(ActivityId(0), late);
     }
 
@@ -1852,7 +1832,7 @@ mod tests {
     fn an_activity_appended_ready_before_the_pause_panics() {
         let (mut sim, _) = residents(SharePolicy::Fifo, false);
         sim.run_until(TIE);
-        sim.add_activity(Activity::new("early").release_at(SimTime::from_nanos(1)));
+        sim.activity("early", SimTime::from_nanos(1), &[]);
         sim.run_until(TIE);
     }
 
@@ -1860,7 +1840,7 @@ mod tests {
     fn an_empty_run_copies_out_and_appends_as_nothing() {
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));
-        sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
+        sim.activity("a", SimTime::ZERO, &[on(r, 100)]);
         let frag = sim.copy_since(sim.mark(), None);
         assert_eq!(sim.append(&frag, "x.", None).index(), 1);
         assert_eq!(sim.run().unwrap().activity_count(), 1);
@@ -1871,7 +1851,7 @@ mod tests {
     fn an_ungated_fragment_takes_no_gate() {
         let mut sim = Simulation::new();
         let mark = sim.mark();
-        let gate = sim.add_activity(Activity::new("a"));
+        let gate = sim.activity("a", SimTime::ZERO, &[]);
         let frag = sim.copy_since(mark, None);
         sim.append(&frag, "", Some(gate));
     }
@@ -1882,7 +1862,7 @@ mod tests {
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));
         let mark = sim.mark();
-        sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
+        sim.activity("a", SimTime::ZERO, &[on(r, 100)]);
         let frag = sim.copy_since(mark, None);
         Simulation::new().append(&frag, "", None);
     }
@@ -1891,9 +1871,9 @@ mod tests {
     #[should_panic(expected = "an edge enters the run")]
     fn a_run_hangs_on_one_outside_activity_at_most() {
         let mut sim = Simulation::new();
-        let [before, gate] = ["before", "gate"].map(|l| sim.add_activity(Activity::new(l)));
+        let [before, gate] = ["before", "gate"].map(|l| sim.activity(l, SimTime::ZERO, &[]));
         let mark = sim.mark();
-        let a = sim.add_activity(Activity::new("a"));
+        let a = sim.activity("a", SimTime::ZERO, &[]);
         sim.add_dep(gate, a);
         sim.add_dep(before, a);
         sim.copy_since(mark, Some(gate));
@@ -1903,13 +1883,9 @@ mod tests {
     fn dependency_release_interplay() {
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));
-        let a = sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
+        let a = sim.activity("a", SimTime::ZERO, &[on(r, 100)]);
         // b depends on a (done at 1s) but is also released only at 10s.
-        let b = sim.add_activity(
-            Activity::new("b")
-                .release_at(SimTime::from_nanos(10_000_000_000))
-                .stage(r, 100, SimDuration::ZERO),
-        );
+        let b = sim.activity("b", SimTime::from_nanos(10_000_000_000), &[on(r, 100)]);
         sim.add_dep(a, b);
         let rep = sim.run().unwrap();
         assert_eq!(rep.start_time(b).as_secs_f64(), 10.0);
@@ -1922,14 +1898,15 @@ mod tests {
             let mut sim = Simulation::new();
             let r1 = sim.add_resource("r1", bw(123.0));
             let r2 = sim.add_resource("r2", bw(321.0));
-            let mut ids = Vec::new();
-            for i in 0..50u64 {
+            let (a, mut ids) = (sim.template("a{}"), Vec::new());
+            for i in 0..50u32 {
                 let res = if i % 2 == 0 { r1 } else { r2 };
-                ids.push(sim.add_activity(Activity::new(format!("a{i}")).stage(
-                    res,
-                    100 + i * 13,
-                    SimDuration::from_nanos(i),
-                )));
+                let stage = Stage {
+                    overhead: SimDuration::from_nanos(i.into()),
+                    ..on(res, 100 + u64::from(i) * 13)
+                };
+                let label = Label::new(Prefix::NONE, a, [i, 0]);
+                ids.push(sim.activity(label, SimTime::ZERO, &[stage]));
             }
             for w in ids.windows(3) {
                 sim.add_dep(w[0], w[2]);
@@ -1950,16 +1927,16 @@ mod tests {
     #[should_panic(expected = "unknown resource")]
     fn unknown_resource_panics() {
         let mut sim = Simulation::new();
-        sim.add_activity(Activity::new("a").stage(ResourceId(7), 1, SimDuration::ZERO));
+        sim.activity("a", SimTime::ZERO, &[on(ResourceId(7), 1)]);
     }
 
     #[test]
     fn multi_slot_resource_parallelizes() {
         let mut sim = Simulation::new();
         let r = sim.add_resource_with_capacity("r", bw(100.0), 2);
-        let a = sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
-        let b = sim.add_activity(Activity::new("b").stage(r, 100, SimDuration::ZERO));
-        let c = sim.add_activity(Activity::new("c").stage(r, 100, SimDuration::ZERO));
+        let a = sim.activity("a", SimTime::ZERO, &[on(r, 100)]);
+        let b = sim.activity("b", SimTime::ZERO, &[on(r, 100)]);
+        let c = sim.activity("c", SimTime::ZERO, &[on(r, 100)]);
         let rep = sim.run().unwrap();
         // Two slots: a and b in parallel (1s), c queued behind (2s).
         assert_eq!(rep.finish_time(a).as_secs_f64(), 1.0);
@@ -1974,8 +1951,8 @@ mod tests {
         let mut sim = Simulation::new();
         sim.enable_trace();
         let r = sim.add_resource("r", bw(100.0));
-        let a = sim.add_activity(Activity::new("first").stage(r, 100, SimDuration::ZERO));
-        let b = sim.add_activity(Activity::new("sec\tond\n").stage(r, 100, SimDuration::ZERO));
+        let a = sim.activity("first", SimTime::ZERO, &[on(r, 100)]);
+        let b = sim.activity("sec\tond\n", SimTime::ZERO, &[on(r, 100)]);
         let rep = sim.run().unwrap();
         let trace = rep.trace().expect("tracing enabled");
         assert_eq!(trace.len(), 2);
@@ -1990,7 +1967,7 @@ mod tests {
     fn trace_absent_when_disabled() {
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));
-        sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
+        sim.activity("a", SimTime::ZERO, &[on(r, 100)]);
         let rep = sim.run().unwrap();
         assert!(rep.trace().is_none());
     }
@@ -1998,9 +1975,13 @@ mod tests {
     #[test]
     fn engine_stats_count_events_and_depth() {
         let mut sim = Simulation::new();
-        let r = sim.add_resource("r", bw(100.0));
+        let (r, a) = (sim.add_resource("r", bw(100.0)), sim.template("a{}"));
         for i in 0..8 {
-            sim.add_activity(Activity::new(format!("a{i}")).stage(r, 100, SimDuration::ZERO));
+            sim.activity(
+                Label::new(Prefix::NONE, a, [i, 0]),
+                SimTime::ZERO,
+                &[on(r, 100)],
+            );
         }
         let rep = sim.run().unwrap();
         let es = rep.engine_stats();
@@ -2016,8 +1997,8 @@ mod tests {
     fn record_into_registry_exports_resources() {
         let mut sim = Simulation::new();
         let r = sim.add_resource("node0.nic_tx", bw(100.0));
-        sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
-        sim.add_activity(Activity::new("b").stage(r, 300, SimDuration::ZERO));
+        sim.activity("a", SimTime::ZERO, &[on(r, 100)]);
+        sim.activity("b", SimTime::ZERO, &[on(r, 300)]);
         let rep = sim.run().unwrap();
         let reg = Registry::new();
         rep.record_into(&reg);
@@ -2045,8 +2026,8 @@ mod tests {
         sim.enable_trace();
         let r1 = sim.add_resource("r1", bw(100.0));
         let r2 = sim.add_resource("r2", bw(100.0));
-        sim.add_activity(Activity::new("a").stage(r1, 100, SimDuration::ZERO));
-        sim.add_activity(Activity::new("b").stage(r2, 200, SimDuration::ZERO));
+        sim.activity("a", SimTime::ZERO, &[on(r1, 100)]);
+        sim.activity("b", SimTime::ZERO, &[on(r2, 200)]);
         let rep = sim.run().unwrap();
         let mut tc = Trace::default();
         rep.trace_into(&mut tc);
@@ -2062,7 +2043,7 @@ mod tests {
         // Without tracing enabled, trace_into is a no-op.
         let mut sim = Simulation::new();
         let r = sim.add_resource("r", bw(100.0));
-        sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
+        sim.activity("a", SimTime::ZERO, &[on(r, 100)]);
         let rep = sim.run().unwrap();
         let mut tc = Trace::default();
         rep.trace_into(&mut tc);
@@ -2072,9 +2053,13 @@ mod tests {
     #[test]
     fn busy_time_accounting() {
         let mut sim = Simulation::new();
-        let r = sim.add_resource("r", bw(100.0));
+        let (r, a) = (sim.add_resource("r", bw(100.0)), sim.template("a{}"));
         for i in 0..4 {
-            sim.add_activity(Activity::new(format!("a{i}")).stage(r, 100, SimDuration::ZERO));
+            sim.activity(
+                Label::new(Prefix::NONE, a, [i, 0]),
+                SimTime::ZERO,
+                &[on(r, 100)],
+            );
         }
         let rep = sim.run().unwrap();
         let u = rep.resource_usage(r);

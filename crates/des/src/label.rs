@@ -7,12 +7,11 @@
 //! prefix is a job's namespace (`j3.`), written in front of the whole
 //! label. A simulation interns both once ([`crate::Simulation::template`],
 //! [`crate::Simulation::prefix`]); registering an activity then pushes a
-//! 16-byte [`Label`] and formats nothing. Free text (anything `Display`)
-//! is still accepted: it is written into the simulation's text arena
-//! once and the row points at it.
+//! 16-byte [`Label`] and formats nothing. A string literal names as a
+//! template with no arguments: interned once, it renders as written.
 
 use crate::engine::index32;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::ops::Range;
 
 /// A template interned in a simulation (see
@@ -30,13 +29,8 @@ impl Prefix {
     pub const NONE: Prefix = Prefix(0);
 }
 
-/// The `body` of a row whose text is a range of the text arena, held in
-/// its two arguments.
-const TEXT: u32 = u32::MAX;
-
 /// An activity label or resource name as numbers: `prefix`, then the
-/// template `body` with its holes filled by `args` in order (or, for
-/// free text, the arena range `args[0]..args[1]`).
+/// template `body` with its holes filled by `args` in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Label {
     body: u32,
@@ -55,9 +49,9 @@ impl Label {
         }
     }
 
-    /// The index of the label's template, `None` for free text.
-    pub(crate) fn template(self) -> Option<usize> {
-        (self.body != TEXT).then_some(self.body as usize)
+    /// The index of the label's template.
+    pub(crate) fn template(self) -> usize {
+        self.body as usize
     }
 
     /// The same label under another prefix.
@@ -100,7 +94,8 @@ pub fn fill(out: &mut impl fmt::Write, template: &str, args: [u32; 2]) -> fmt::R
 
 /// What [`crate::Simulation::activity`] and
 /// [`crate::Simulation::add_resource`] take for a name: a [`Label`] row
-/// as it is, or any `Display` value, written into the text arena once.
+/// as it is, or a string literal, interned as a template once and
+/// filled with no arguments (a hole in it reads `0`).
 pub trait IntoLabel {
     /// This name as a row of `names`.
     fn into_label(self, names: &mut Names) -> Label;
@@ -112,25 +107,14 @@ impl IntoLabel for Label {
     }
 }
 
-impl<T: fmt::Display> IntoLabel for T {
+impl IntoLabel for &'static str {
     fn into_label(self, names: &mut Names) -> Label {
-        let start = names.text.len();
-        write!(names.text, "{self}").expect("a Display impl returned an error");
-        let range = [
-            index32(start, "text bytes"),
-            index32(names.text.len(), "text bytes"),
-        ];
-        Label {
-            body: TEXT,
-            prefix: Prefix::NONE.0,
-            args: range,
-        }
+        Label::new(Prefix::NONE, names.template(self), [0, 0])
     }
 }
 
-/// What a simulation's label rows point into: its templates, its
-/// prefixes (prefix `p` is `prefixes[p - 1]`, a range of `text`) and the
-/// text of every free-text label.
+/// What a simulation's label rows point into: its templates and its
+/// prefixes (prefix `p` is `prefixes[p - 1]`, a range of `text`).
 #[derive(Debug, Clone, Default)]
 pub struct Names {
     templates: Vec<&'static str>,
@@ -189,30 +173,12 @@ impl Names {
         self.templates.iter().map(|&t| class(t)).collect()
     }
 
-    /// `rows` as a [`Fragment`](crate::Fragment) keeps them: every
-    /// prefix dropped, free text copied into `text` and pointed at
-    /// there. Template handles stay this table's.
-    pub(crate) fn copy_out(&self, rows: &[Label], text: &mut String) -> Vec<Label> {
-        let copy = |&l: &Label| match l.body {
-            TEXT => {
-                let start = index32(text.len(), "text bytes");
-                text.push_str(self.slice(l.args[0]..l.args[1]));
-                let args = [start, index32(text.len(), "text bytes")];
-                Label { args, ..l }.under(Prefix::NONE)
-            }
-            _ => l.under(Prefix::NONE),
-        };
-        rows.iter().map(copy).collect()
-    }
-
     /// Append copied-out `rows` to `out` under `prefix`: each template
-    /// of `templates` (the copied table's) is interned here, and free
-    /// text is taken from `text` into this arena.
+    /// of `templates` (the copied table's) is interned here.
     pub(crate) fn take_in(
         &mut self,
         rows: &[Label],
         templates: &[&'static str],
-        text: &str,
         prefix: Prefix,
         out: &mut Vec<Label>,
     ) {
@@ -223,23 +189,10 @@ impl Names {
             true => Vec::new(),
             false => templates.iter().map(|t| self.template(t).0).collect(),
         };
-        let base = index32(self.text.len(), "text bytes");
-        self.text.push_str(text);
-        index32(self.text.len(), "text bytes");
         out.reserve(rows.len());
         out.extend(rows.iter().map(|l| {
-            let row = match l.body {
-                TEXT => Label {
-                    args: l.args.map(|a| a + base),
-                    ..*l
-                },
-                t if !same => Label {
-                    body: tpls[t as usize],
-                    ..*l
-                },
-                _ => *l,
-            };
-            row.under(prefix)
+            let body = if same { l.body } else { tpls[l.body as usize] };
+            Label { body, ..*l }.under(prefix)
         }));
     }
 
@@ -260,9 +213,6 @@ impl fmt::Display for Shown<'_> {
         let (names, label) = (self.names, self.label);
         if let Some(p) = label.prefix.checked_sub(1) {
             f.write_str(names.slice(names.prefixes[p as usize].clone()))?;
-        }
-        if label.body == TEXT {
-            return f.write_str(names.slice(label.args[0]..label.args[1]));
         }
         fill(f, names.templates[label.body as usize], label.args)
     }
@@ -296,35 +246,43 @@ mod tests {
         assert_eq!(show(&names, Label::new(j3, ost, [0, 0])), "j3.ost0");
         let widest = Label::new(Prefix::NONE, io, [u32::MAX, 10]);
         assert_eq!(show(&names, widest), "io.rank4294967295.ost10");
-        let text = "nœud→{}".into_label(&mut names);
-        assert_eq!(show(&names, text), "nœud→{}");
-        assert_eq!(show(&names, text.under(j3)), "j3.nœud→{}");
         let classes = names.fixed_classes();
-        let class = |l: Label| l.template().and_then(|t| classes[t]);
+        let class = |l: Label| classes[l.template()];
         let none = Prefix::NONE;
         assert_eq!(class(Label::new(none, bus, [4, 0])), Some("membus"));
         assert_eq!(class(Label::new(j3, io, [1, 1])), None);
         assert_eq!(class(Label::new(none, ost, [1, 1])), None);
-        assert_eq!(class(text), None);
+    }
+
+    #[test]
+    fn a_literal_is_interned_once_and_renders_as_written() {
+        let mut names = Names::default();
+        let rows =
+            ["nœud3.mémoire→ost7", "", "nœud3.mémoire→ost7"].map(|l| l.into_label(&mut names));
+        assert_eq!(rows[0], rows[2]);
+        assert_eq!(names.templates(), ["nœud3.mémoire→ost7", ""]);
+        let shown = rows.map(|l| names.show(l).to_string());
+        assert_eq!(shown, ["nœud3.mémoire→ost7", "", "nœud3.mémoire→ost7"]);
+        assert_eq!(names.fixed_classes(), [Some("mémoire→ost7"), None]);
     }
 
     #[test]
     fn copied_out_rows_come_back_under_a_new_prefix() {
-        let mut from = Names::default();
-        let tpl = from.template("c{}.r{}.io");
-        let j0 = from.prefix("j0.");
-        let free = "free".into_label(&mut from);
-        let rows = [Label::new(j0, tpl, [1, 2]), free.under(j0)];
-        let mut text = String::new();
-        let copied = from.copy_out(&rows, &mut text);
-        // Another table, with a template of its own first and text.
-        let mut to = Names::default();
-        to.template("ost{}");
-        "x".into_label(&mut to);
-        let j5 = to.prefix("j5.");
-        let mut out = Vec::new();
-        to.take_in(&copied, from.templates(), &text, j5, &mut out);
-        let shown: Vec<String> = out.iter().map(|&l| to.show(l).to_string()).collect();
-        assert_eq!(shown, ["j5.c1.r2.io", "j5.free"]);
+        use crate::{ActivityId, Bandwidth, SimTime, Simulation};
+        let mut from = Simulation::new();
+        let mark = from.mark();
+        let (tpl, j0) = (from.template("c{}.r{}.io"), from.prefix("j0."));
+        from.activity("free", SimTime::ZERO, &[]);
+        from.activity(Label::new(j0, tpl, [1, 2]), SimTime::ZERO, &[]);
+        from.activity("free", SimTime::ZERO, &[]);
+        let frag = from.copy_since(mark, None);
+        // Another simulation, with a template of its own first.
+        let mut to = Simulation::new();
+        to.add_resource("x", Bandwidth::bytes_per_sec(1.0));
+        let first = to.append(&frag, "j5.", None);
+        let run = to.run().unwrap();
+        let shown = [0, 1, 2].map(|i| run.label(ActivityId(i).based_at(first)));
+        assert_eq!(shown, ["j5.free", "j5.c1.r2.io", "j5.free"]);
+        assert_eq!(run.resource_name(crate::ResourceId(0)), "x");
     }
 }

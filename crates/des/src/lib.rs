@@ -27,7 +27,7 @@
 //! * A resource serves one job at a time at a fixed [`Bandwidth`]; a job
 //!   occupying it for `overhead + bytes / bandwidth`. It is a row of the
 //!   simulation's resource table, its name a [`Label`] row.
-//! * An [`Activity`] is a sequence of [`Stage`]s. A stage names a resource,
+//! * An activity is a sequence of [`Stage`]s. A stage names a resource,
 //!   a byte count and a fixed overhead, plus an optional *latency* that the
 //!   activity waits out **after** leaving the resource without occupying
 //!   anything (wire/propagation delay).
@@ -38,9 +38,9 @@
 //! * A [`Simulation`] stores the graph flat: one plain row per activity,
 //!   all stages, labels and dependency edges in shared arenas.
 //!   [`Simulation::activity`] registers a label, a release time and a
-//!   stage slice without allocating; [`Activity`] is the owned builder
-//!   over it. A label is a 16-byte [`Label`] row — a template, a prefix
-//!   and two integers ([`label`]) — rendered only when read.
+//!   stage slice without allocating. A label is a 16-byte [`Label`] row
+//!   — a template, a prefix and two integers ([`label`]) — rendered only
+//!   when read; a string literal is a template with no arguments.
 //! * Pending events wait in a queue that keys each instant once; the
 //!   events due at an instant form a first-in-first-out run behind its
 //!   key.
@@ -48,14 +48,20 @@
 //! ## Example
 //!
 //! ```
-//! use mcio_des::{Simulation, Activity, Bandwidth, SimDuration};
+//! use mcio_des::{Bandwidth, SimDuration, SimTime, Simulation, Stage};
 //!
 //! let mut sim = Simulation::new();
 //! let link = sim.add_resource("link", Bandwidth::bytes_per_sec(1_000_000.0));
 //! // Two 1 MB transfers contend for the same 1 MB/s link.
-//! let a = sim.add_activity(Activity::new("a").stage(link, 1_000_000, SimDuration::ZERO));
-//! let b = sim.add_activity(Activity::new("b").stage(link, 1_000_000, SimDuration::ZERO));
-//! let done = sim.add_activity(Activity::new("join"));
+//! let transfer = [Stage {
+//!     resource: link,
+//!     bytes: 1_000_000,
+//!     overhead: SimDuration::ZERO,
+//!     latency_after: SimDuration::ZERO,
+//! }];
+//! let a = sim.activity("a", SimTime::ZERO, &transfer);
+//! let b = sim.activity("b", SimTime::ZERO, &transfer);
+//! let done = sim.activity("join", SimTime::ZERO, &[]);
 //! sim.add_dep(a, done);
 //! sim.add_dep(b, done);
 //! let report = sim.run().unwrap();
@@ -72,7 +78,7 @@ pub mod resource;
 pub mod stats;
 pub mod time;
 
-pub use activity::{Activity, ActivityId, Stage};
+pub use activity::{ActivityId, Stage};
 pub use engine::{
     resource_class, EngineProfile, EngineStats, Fragment, Mark, RunReport, ServiceRecord, SimError,
     Simulation,

@@ -17,7 +17,8 @@
 //!    work is conserved (`busy_time` equals total nominal demand).
 
 use mcio_des::{
-    Activity, Bandwidth, ResourceId, ServiceWindow, SharePolicy, SimDuration, SimTime, Simulation,
+    arg, Bandwidth, Label, Prefix, ResourceId, ServiceWindow, SharePolicy, SimDuration, SimTime,
+    Simulation, Stage,
 };
 use proptest::prelude::*;
 
@@ -27,6 +28,21 @@ fn bw(bps: f64) -> Bandwidth {
 
 fn secs(s: u64) -> SimTime {
     SimTime::from_nanos(s * 1_000_000_000)
+}
+
+/// A stage of `bytes` on `resource` behind `overhead`, with no latency.
+fn stage(resource: ResourceId, bytes: u64, overhead: SimDuration) -> Stage {
+    Stage {
+        resource,
+        bytes,
+        overhead,
+        latency_after: SimDuration::ZERO,
+    }
+}
+
+/// The label `template` with its holes filled by `args`.
+fn named(sim: &mut Simulation, template: &'static str, args: [usize; 2]) -> Label {
+    Label::new(Prefix::NONE, sim.template(template), args.map(arg))
 }
 
 // ---------------------------------------------------------------------------
@@ -54,13 +70,15 @@ fn unshared_workload(
     };
     let (mut ids, mut resources) = (Vec::new(), Vec::new());
     for c in 0..chains {
-        let r = sim.add_resource(format!("r{c}"), bw(1e9));
+        let name = named(&mut sim, "r{}", [c, 0]);
+        let r = sim.add_resource(name, bw(1e9));
         resources.push(r);
         let mut prev = None;
         for j in 0..len {
             let bytes = rng() % 10_000;
             let overhead = SimDuration::from_nanos(rng() % 1_000);
-            let a = sim.add_activity(Activity::new(format!("c{c}a{j}")).stage(r, bytes, overhead));
+            let label = named(&mut sim, "c{}a{}", [c, j]);
+            let a = sim.activity(label, SimTime::ZERO, &[stage(r, bytes, overhead)]);
             if let Some(p) = prev {
                 sim.add_dep(p, a);
             }
@@ -122,11 +140,9 @@ proptest! {
             let mut ids = Vec::new();
             for j in 0..jobs {
                 let bytes = (seed % 50_000) + j as u64 * 977;
-                ids.push(sim.add_activity(Activity::new(format!("a{j}")).stage(
-                    r,
-                    bytes,
-                    SimDuration::from_nanos(seed % 503),
-                )));
+                let work = stage(r, bytes, SimDuration::from_nanos(seed % 503));
+                let label = named(&mut sim, "a{}", [j, 0]);
+                ids.push(sim.activity(label, SimTime::ZERO, &[work]));
             }
             (sim, ids)
         };
@@ -236,11 +252,9 @@ proptest! {
             let bytes = 1 + rng() % 20_000;
             let overhead = rng() % 700;
             jobs.push((arrive, (bytes + overhead) as f64));
-            ids.push(sim.add_activity(
-                Activity::new(format!("a{j}"))
-                    .release_at(SimTime::from_nanos(arrive))
-                    .stage(r, bytes, SimDuration::from_nanos(overhead)),
-            ));
+            let work = stage(r, bytes, SimDuration::from_nanos(overhead));
+            let label = named(&mut sim, "a{}", [j, 0]);
+            ids.push(sim.activity(label, SimTime::from_nanos(arrive), &[work]));
         }
         let rep = sim.run().unwrap();
         let reference = ps_reference(&jobs, cap);
@@ -285,11 +299,9 @@ proptest! {
             let arrive = rng() % 4_000;
             let bytes = 1 + rng() % 9_000;
             jobs.push((arrive, bytes as f64));
-            sim.add_activity(
-                Activity::new(format!("a{j}"))
-                    .release_at(SimTime::from_nanos(arrive))
-                    .stage(r, bytes, SimDuration::ZERO),
-            );
+            let label = named(&mut sim, "a{}", [j, 0]);
+            let work = stage(r, bytes, SimDuration::ZERO);
+            sim.activity(label, SimTime::from_nanos(arrive), &[work]);
         }
         let rep = sim.run().unwrap();
         let es = rep.engine_stats();
@@ -353,8 +365,8 @@ fn fair_share_under_ost_slow_window_pins() {
             rate: 0.5,
         }],
     );
-    let a = sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
-    let b = sim.add_activity(Activity::new("b").stage(r, 100, SimDuration::ZERO));
+    let a = sim.activity("a", SimTime::ZERO, &[stage(r, 100, SimDuration::ZERO)]);
+    let b = sim.activity("b", SimTime::ZERO, &[stage(r, 100, SimDuration::ZERO)]);
     let rep = sim.run().unwrap();
     assert_eq!(rep.finish_time(a), secs(4));
     assert_eq!(rep.finish_time(b), secs(4));
@@ -378,8 +390,8 @@ fn fair_share_under_ost_stall_window_pins() {
             rate: 0.0,
         }],
     );
-    let a = sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
-    let b = sim.add_activity(Activity::new("b").stage(r, 100, SimDuration::ZERO));
+    let a = sim.activity("a", SimTime::ZERO, &[stage(r, 100, SimDuration::ZERO)]);
+    let b = sim.activity("b", SimTime::ZERO, &[stage(r, 100, SimDuration::ZERO)]);
     let rep = sim.run().unwrap();
     assert_eq!(rep.finish_time(a), secs(3));
     assert_eq!(rep.finish_time(b), secs(3));
@@ -403,12 +415,9 @@ fn fair_share_stall_with_late_arrival_pins() {
             rate: 0.0,
         }],
     );
-    let a = sim.add_activity(Activity::new("a").stage(r, 100, SimDuration::ZERO));
-    let b = sim.add_activity(
-        Activity::new("b")
-            .release_at(SimTime::from_nanos(500_000_000))
-            .stage(r, 50, SimDuration::ZERO),
-    );
+    let a = sim.activity("a", SimTime::ZERO, &[stage(r, 100, SimDuration::ZERO)]);
+    let late = SimTime::from_nanos(500_000_000);
+    let b = sim.activity("b", late, &[stage(r, 50, SimDuration::ZERO)]);
     let rep = sim.run().unwrap();
     assert_eq!(rep.finish_time(a), SimTime::from_nanos(2_500_000_000));
     assert_eq!(rep.finish_time(b), SimTime::from_nanos(2_500_000_000));
@@ -447,7 +456,7 @@ fn single_transfer_window_walk_is_engine_invariant() {
             let mut sim = Simulation::with_policy(policy);
             let r = sim.add_resource("ost0", bw(100.0));
             sim.set_service_windows(r, windows.clone());
-            let a = sim.add_activity(Activity::new("a").stage(r, 150, SimDuration::ZERO));
+            let a = sim.activity("a", SimTime::ZERO, &[stage(r, 150, SimDuration::ZERO)]);
             let rep = sim.run().unwrap();
             rep.finish_time(a)
         };
@@ -476,11 +485,7 @@ fn zero_service_stage_completes_at_admission_even_in_a_stall() {
             }],
         );
         let release = secs(2);
-        let a = sim.add_activity(Activity::new("empty").release_at(release).stage(
-            r,
-            0,
-            SimDuration::ZERO,
-        ));
+        let a = sim.activity("empty", release, &[stage(r, 0, SimDuration::ZERO)]);
         let rep = sim.run().unwrap();
         assert_eq!(rep.finish_time(a), release, "policy {policy:?}");
     }
@@ -497,7 +502,8 @@ fn queue_counter_semantics_pinned() {
         let mut sim = Simulation::with_policy(policy);
         let r = sim.add_resource("node0.membus", bw(1e9));
         for j in 0..3 {
-            sim.add_activity(Activity::new(format!("a{j}")).stage(r, 1000, SimDuration::ZERO));
+            let label = named(&mut sim, "a{}", [j, 0]);
+            sim.activity(label, SimTime::ZERO, &[stage(r, 1000, SimDuration::ZERO)]);
         }
         (sim.run().unwrap(), r)
     };
@@ -546,12 +552,12 @@ fn seeded_replay_is_deterministic_under_fair_sharing() {
         let r2 = sim.add_resource_with_capacity("ost0", bw(5e8), 2);
         let mut prev = None;
         for j in 0..40u64 {
-            let a = sim.add_activity(
-                Activity::new(format!("a{j}"))
-                    .release_at(SimTime::from_nanos(j * 37))
-                    .stage(r1, 100 + j * 13, SimDuration::from_nanos(j % 7))
-                    .stage(r2, 50 + j * 11, SimDuration::from_nanos(j % 5)),
-            );
+            let stages = [
+                stage(r1, 100 + j * 13, SimDuration::from_nanos(j % 7)),
+                stage(r2, 50 + j * 11, SimDuration::from_nanos(j % 5)),
+            ];
+            let label = named(&mut sim, "a{}", [j as usize, 0]);
+            let a = sim.activity(label, SimTime::from_nanos(j * 37), &stages);
             if j % 3 == 0 {
                 if let Some(p) = prev {
                     sim.add_dep(p, a);
@@ -582,10 +588,9 @@ fn event_pool_bounds_heap_high_water_under_churn() {
     // 200 serial waves of 2 concurrent transfers each.
     let mut prev: Option<mcio_des::ActivityId> = None;
     for w in 0..200u64 {
-        let a =
-            sim.add_activity(Activity::new(format!("w{w}a")).stage(r, 1000 + w, SimDuration::ZERO));
-        let b =
-            sim.add_activity(Activity::new(format!("w{w}b")).stage(r, 900 + w, SimDuration::ZERO));
+        let [la, lb] = ["w{}a", "w{}b"].map(|t| named(&mut sim, t, [w as usize, 0]));
+        let a = sim.activity(la, SimTime::ZERO, &[stage(r, 1000 + w, SimDuration::ZERO)]);
+        let b = sim.activity(lb, SimTime::ZERO, &[stage(r, 900 + w, SimDuration::ZERO)]);
         if let Some(p) = prev {
             sim.add_dep(p, a);
             sim.add_dep(p, b);

@@ -559,8 +559,7 @@ mod tests {
     #[test]
     fn deps_delay_request() {
         let (mut sim, fabric, pfs) = harness();
-        let gate =
-            sim.add_activity(mcio_des::Activity::new("gate").delay(SimDuration::from_secs(5)));
+        let gate = sim.activity("gate", SimTime::ZERO + SimDuration::from_secs(5), &[]);
         let done = pfs.submit(
             &mut sim,
             &fabric,

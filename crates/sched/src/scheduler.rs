@@ -168,7 +168,7 @@ pub struct Schedule {
     /// admission deferrals included. Not part of `mcio.schedule.v1`.
     pub commits: u64,
     /// Solo baselines actually simulated (the session's memo misses):
-    /// one per distinct `(job, node offset, engine)` the stream placed.
+    /// one per distinct `(job, node offset)` the stream placed.
     /// Not part of `mcio.schedule.v1`.
     pub baseline_sims: u64,
     /// The engine counters of every commit simulation, folded
@@ -289,7 +289,6 @@ impl Loop<'_> {
     /// newcomer's span and interference prediction off its outcome.
     fn commit_run(&mut self, new_idx: usize, new_offset: usize, now: u64) -> Commit {
         self.commits += 1;
-        let job = &self.trace.jobs[new_idx];
         let t0 = self
             .running
             .iter()
@@ -316,7 +315,7 @@ impl Loop<'_> {
             &mut self.session,
             &tenants,
             Observe {
-                engine: job.engine,
+                engine: self.trace.engine,
                 ..Observe::default()
             },
         );
@@ -514,13 +513,13 @@ pub fn run_schedule_with<'a>(
     let mut session = TenantSession::new(&trace.machine);
     let prepared = mcio_sweep::run_indexed(cfg.jobs, n, |i| {
         let template = build_tenant(&trace.jobs[i], i);
-        let solo = session.simulate_solo(&template, trace.jobs[i].engine);
+        let solo = session.simulate_solo(&template, trace.engine);
         (template, solo)
     });
     let mut templates: Vec<TenantJob> = Vec::with_capacity(n);
     let mut solo_ns: Vec<u64> = Vec::with_capacity(n);
-    for ((template, solo), job) in prepared.into_iter().zip(&trace.jobs) {
-        session.seed_solo(&template, job.engine, solo);
+    for (template, solo) in prepared {
+        session.seed_solo(&template, trace.engine, solo);
         solo_ns.push(solo.as_nanos().max(1));
         templates.push(template);
     }

@@ -7,19 +7,23 @@
 //! ```text
 //! # mcio.jobtrace.v1
 //! machine small:32x2            # testbed | exascale | small:<nodes>x<cores>
-//! engine fifo                   # default DES share policy (fifo | fair)
+//! engine fifo                   # DES share policy of the machine (fifo | fair)
 //! job a arrival=0 prio=0 ranks=8 ppn=2 per_proc=256K segments=2
-//! job b arrival=250us prio=3 ranks=16 ppn=2 strategy=two-phase engine=fair
+//! job b arrival=250us prio=3 ranks=16 ppn=2 strategy=two-phase
 //! ```
+//!
+//! The engine is a property of the machine's resources, so it is set
+//! once per trace (default `fifo`): every commit and every solo
+//! baseline of the stream runs under it, and a job line naming
+//! `engine=` is an error.
 //!
 //! Every `job` key is optional. The 13 job-description keys and their
 //! defaults are [`JobDesc`]'s (the table in `mcio_workloads::job`,
 //! shared with the multi-tenant spec DSL and `mcio_cli run`); this DSL
-//! adds `arrival=0`, `prio=0` and `engine`, which falls back to the
-//! trace-level default. Arrivals must be non-decreasing — a trace is a
-//! replay log, not a job bag. There is no `node_offset`, `start` or
-//! `base` key: placement, dispatch time and the per-job file region
-//! are the *scheduler's* outputs, not trace inputs.
+//! adds `arrival=0` and `prio=0`. Arrivals must be non-decreasing — a
+//! trace is a replay log, not a job bag. There is no `node_offset`,
+//! `start` or `base` key: placement, dispatch time and the per-job file
+//! region are the *scheduler's* outputs, not trace inputs.
 //!
 //! [`JobTrace::serialize`] emits the canonical form — fixed key order,
 //! bare nanoseconds/bytes, `{:.6}` floats — so
@@ -45,8 +49,6 @@ pub struct TraceJob {
     /// Priority level; higher dispatches earlier under the priority
     /// policy, ignored by FCFS and backfill.
     pub prio: u64,
-    /// DES share policy for this job's commit and solo simulations.
-    pub engine: SharePolicy,
     /// Workload, placement, memory draw and strategy.
     pub desc: JobDesc,
 }
@@ -70,22 +72,19 @@ pub struct JobTrace {
     pub machine_label: String,
     /// The resolved shared machine.
     pub machine: ClusterSpec,
-    /// Trace-level default share policy for jobs without `engine=`.
-    pub default_engine: SharePolicy,
+    /// The DES share policy every commit and solo baseline runs under.
+    pub engine: SharePolicy,
     /// Arrivals in time order.
     pub jobs: Vec<TraceJob>,
 }
 
-fn parse_job(rest: &str, default_engine: SharePolicy) -> Result<TraceJob, String> {
-    let (mut arrival, mut prio, mut engine) = (SimDuration::ZERO, 0, default_engine);
+fn parse_job(rest: &str) -> Result<TraceJob, String> {
+    let (mut arrival, mut prio) = (SimDuration::ZERO, 0);
     let (name, desc) = JobDesc::parse_line(rest, |key, value| {
         match key {
             "arrival" => arrival = parse_duration(value)?,
             "prio" => prio = value.parse().map_err(|e| format!("{e}"))?,
-            "engine" => {
-                engine = SharePolicy::parse(value)
-                    .ok_or_else(|| format!("engine must be fifo|fair, got `{value}`"))?
-            }
+            "engine" => return Err("the engine is set per trace, by an `engine` directive".into()),
             _ => return Ok(false),
         }
         Ok(true)
@@ -94,7 +93,6 @@ fn parse_job(rest: &str, default_engine: SharePolicy) -> Result<TraceJob, String
         name: name.to_string(),
         arrival,
         prio,
-        engine,
         desc,
     })
 }
@@ -127,7 +125,7 @@ impl JobTrace {
     /// offending line number.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut machine: Option<(String, ClusterSpec)> = None;
-        let mut default_engine: Option<SharePolicy> = None;
+        let mut engine: Option<SharePolicy> = None;
         let mut jobs: Vec<TraceJob> = Vec::new();
         let mut job_lines: Vec<(usize, String)> = Vec::new();
         for (line_no, line) in directive_lines(text) {
@@ -143,15 +141,15 @@ impl JobTrace {
                     machine = Some((label.to_string(), spec));
                 }
                 "engine" => {
-                    if default_engine.is_some() {
+                    if engine.is_some() {
                         return Err(format!("line {line_no}: duplicate engine directive"));
                     }
-                    if !jobs.is_empty() || !job_lines.is_empty() {
+                    if !job_lines.is_empty() {
                         return Err(format!(
                             "line {line_no}: engine directive must precede job directives"
                         ));
                     }
-                    default_engine = Some(SharePolicy::parse(rest.trim()).ok_or_else(|| {
+                    engine = Some(SharePolicy::parse(rest.trim()).ok_or_else(|| {
                         format!(
                             "line {line_no}: engine must be fifo|fair, got `{}`",
                             rest.trim()
@@ -163,10 +161,8 @@ impl JobTrace {
             }
         }
         let (machine_label, machine) = machine.ok_or("trace needs a machine directive")?;
-        let default_engine = default_engine.unwrap_or(SharePolicy::Fifo);
         for (line_no, rest) in &job_lines {
-            let job =
-                parse_job(rest, default_engine).map_err(|e| format!("line {line_no}: {e}"))?;
+            let job = parse_job(rest).map_err(|e| format!("line {line_no}: {e}"))?;
             if jobs.iter().any(|j| j.name == job.name) {
                 return Err(format!("line {line_no}: duplicate job name `{}`", job.name));
             }
@@ -197,7 +193,7 @@ impl JobTrace {
         Ok(JobTrace {
             machine_label,
             machine,
-            default_engine,
+            engine: engine.unwrap_or(SharePolicy::Fifo),
             jobs,
         })
     }
@@ -207,16 +203,15 @@ impl JobTrace {
     pub fn serialize(&self) -> String {
         let mut out = String::from("# mcio.jobtrace.v1\n");
         let _ = writeln!(out, "machine {}", self.machine_label);
-        let _ = writeln!(out, "engine {}", self.default_engine.label());
+        let _ = writeln!(out, "engine {}", self.engine.label());
         for job in &self.jobs {
             let _ = writeln!(
                 out,
-                "job {} arrival={}ns prio={} {} engine={}",
+                "job {} arrival={}ns prio={} {}",
                 job.name,
                 job.arrival.as_nanos(),
                 job.prio,
                 job.desc,
-                job.engine.label(),
             );
         }
         out
@@ -259,7 +254,6 @@ impl JobTrace {
                 name: format!("g{i:04}"),
                 arrival: SimDuration::from_nanos(arrival_ns),
                 prio: splitmix64(&mut state) % 10,
-                engine: SharePolicy::Fifo,
                 desc: JobDesc {
                     ranks,
                     ppn,
@@ -275,7 +269,7 @@ impl JobTrace {
         Ok(JobTrace {
             machine_label: machine.to_string(),
             machine: spec,
-            default_engine: SharePolicy::Fifo,
+            engine: SharePolicy::Fifo,
             jobs,
         })
     }
@@ -306,9 +300,9 @@ mod tests {
     const TRACE: &str = "\
 # a tiny stream
 machine small:8x2
-engine fifo
+engine fair
 job a arrival=0 ranks=4 ppn=2 per_proc=64K segments=1 buffer=64K
-job b arrival=250us prio=3 ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K strategy=two-phase engine=fair
+job b arrival=250us prio=3 ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K strategy=two-phase
 ";
 
     #[test]
@@ -316,15 +310,16 @@ job b arrival=250us prio=3 ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K stra
         let trace = JobTrace::parse(TRACE).expect("trace parses");
         assert_eq!(trace.machine.nodes, 8);
         assert_eq!(trace.machine_label, "small:8x2");
+        assert_eq!(trace.engine, SharePolicy::FairShare);
         assert_eq!(trace.jobs.len(), 2);
         let a = &trace.jobs[0];
         assert_eq!((a.prio, a.desc.nodes()), (0, 2));
-        assert_eq!(a.engine, SharePolicy::Fifo, "trace default engine");
         let b = &trace.jobs[1];
         assert_eq!(b.arrival, SimDuration::from_micros(250));
         assert_eq!(b.prio, 3);
         assert_eq!(b.desc.strategy, Strategy::TwoPhase);
-        assert_eq!(b.engine, SharePolicy::FairShare);
+        let fifo = JobTrace::parse("machine small:8x2\njob a").expect("parses");
+        assert_eq!(fifo.engine, SharePolicy::Fifo, "the default engine");
     }
 
     #[test]
@@ -341,7 +336,8 @@ job b arrival=250us prio=3 ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K stra
             ("machine small:8x2\njob a frobnicate=1", "unknown job key"),
             ("machine small:8x2\njob a ranks=0", "must be positive"),
             ("machine small:8x2\njob a arrival=soon", "bad duration"),
-            ("machine small:8x2\njob a engine=warp", "engine must be"),
+            ("machine small:8x2\nengine warp\njob a", "engine must be"),
+            ("machine small:8x2\njob a engine=fair", "set per trace"),
             ("machine small:8x2\nwarp 9", "unknown directive"),
             (
                 "machine small:8x2\nengine fifo\nengine fair\njob a",
@@ -391,7 +387,7 @@ job b arrival=250us prio=3 ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K stra
         let re = JobTrace::parse(&canon).expect("canonical form re-parses");
         assert_eq!(trace.jobs, re.jobs, "parse ∘ serialize is lossless");
         assert_eq!(canon, re.serialize(), "serialize ∘ parse is idempotent");
-        assert!(canon.starts_with("# mcio.jobtrace.v1\nmachine small:8x2\nengine fifo\n"));
+        assert!(canon.starts_with("# mcio.jobtrace.v1\nmachine small:8x2\nengine fair\n"));
         assert!(canon.contains("job b arrival=250000ns prio=3"), "{canon}");
     }
 

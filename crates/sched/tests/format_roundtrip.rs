@@ -7,6 +7,7 @@
 //!   the in-memory [`Schedule`], and ignores unknown top-level keys —
 //!   the same forward-compatibility convention `mcio.analyze.v1` uses.
 
+use mcio_des::SharePolicy;
 use mcio_sched::{parse_schedule, render_schedule, run_schedule, JobTrace, Policy, SchedConfig};
 use proptest::prelude::*;
 
@@ -20,7 +21,7 @@ proptest! {
         let re = JobTrace::parse(&canon).expect("canonical form parses");
         prop_assert_eq!(&trace.jobs, &re.jobs, "parse ∘ serialize lossless");
         prop_assert_eq!(&trace.machine_label, &re.machine_label);
-        prop_assert_eq!(trace.default_engine, re.default_engine);
+        prop_assert_eq!(trace.engine, re.engine);
         prop_assert_eq!(canon, re.serialize(), "serialize ∘ parse byte-stable");
     }
 
@@ -54,7 +55,7 @@ fn hand_written_trace_with_every_key_round_trips() {
          engine fair\n\
          job full arrival=1500us prio=7 ranks=12 ppn=3 workload=checkpoint per_proc=1M \
          segments=3 scale=2 buffer=512K stddev=0.450000 seed=99 strategy=two-phase rw=read \
-         pipeline=double exchange=two-level engine=fifo\n\
+         pipeline=double exchange=two-level\n\
          job lean arrival=2ms workload=collperf\n";
     let trace = JobTrace::parse(text).expect("parses");
     let canon = trace.serialize();
@@ -65,10 +66,7 @@ fn hand_written_trace_with_every_key_round_trips() {
     assert_eq!(full.prio, 7);
     assert_eq!(full.workload, "checkpoint");
     assert_eq!(full.nodes(), 4);
-    assert_eq!(
-        re.jobs[1].engine, trace.default_engine,
-        "default engine applies"
-    );
+    assert_eq!(re.engine, SharePolicy::FairShare);
 }
 
 /// Unknown top-level keys in a schedule document are ignored; missing
