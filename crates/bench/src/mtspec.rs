@@ -282,6 +282,10 @@ job b ranks=8 ppn=2 node_offset=4 start=250us per_proc=256K segments=2 buffer=25
             ("machine small:8x2\njob a frobnicate=1", "unknown job key"),
             ("machine small:8x2\njob a ranks=0", "must be positive"),
             ("machine small:0x2\njob a", "must be positive"),
+            (
+                "machine small:1000000000000x2\njob a",
+                "line 1: small machine is at most 1000000x1000",
+            ),
             ("machine small:8x2\njob a start=soon", "bad duration `soon`"),
             ("machine small:8x2\nwarp 9", "unknown directive"),
             (

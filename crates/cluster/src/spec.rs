@@ -226,7 +226,9 @@ impl ClusterSpec {
 
     /// Parse the compact machine notation shared by the multi-tenant
     /// spec DSL and the job-trace scheduler format:
-    /// `testbed` | `exascale` | `small:<nodes>x<cores>`.
+    /// `testbed` | `exascale` | `small:<nodes>x<cores>`. A small machine
+    /// is at most as large as `exascale`'s 1,000,000 nodes of 1,000
+    /// cores: the text comes from a file, and a larger one is not built.
     pub fn parse_compact(value: &str) -> Result<Self, String> {
         match value {
             "testbed" => Ok(ClusterSpec::ttu_testbed()),
@@ -248,6 +250,11 @@ impl ClusterSpec {
                     .map_err(|_| format!("bad core count `{c}` in machine directive"))?;
                 if nodes == 0 || cores == 0 {
                     return Err("machine dimensions must be positive".to_string());
+                }
+                if nodes > 1_000_000 || cores > 1_000 {
+                    return Err(format!(
+                        "small machine is at most 1000000x1000 (the exascale machine), got `{dims}`"
+                    ));
                 }
                 Ok(ClusterSpec::small(nodes, cores))
             }
@@ -328,6 +335,8 @@ mod tests {
             ("small:ax2", "bad node count"),
             ("small:8xb", "bad core count"),
             ("small:0x2", "must be positive"),
+            ("small:1000001x2", "at most 1000000x1000"),
+            ("small:8x1001", "at most 1000000x1000"),
         ] {
             let err = ClusterSpec::parse_compact(bad).unwrap_err();
             assert!(err.contains(needle), "`{bad}` -> `{err}`");

@@ -159,10 +159,15 @@ fn malformed_compact_specs_are_one_line_errors() {
         "small:4 x2",
         "small:99999999999999999999x2",
         "small:4x99999999999999999999",
+        "small:1000000000000x2",
+        "small:1000001x1",
+        "small:4x1001",
     ] {
         let err = ClusterSpec::parse_compact(text).expect_err(text);
         assert_eq!(err.lines().count(), 1, "`{text}` → `{err}`");
     }
     let small = ClusterSpec::parse_compact("small:4x2").expect("well-formed");
     assert_eq!((small.nodes, small.node.cores), (4, 2));
+    let widest = ClusterSpec::parse_compact("small:1000000x1000").expect("exascale-sized");
+    assert_eq!((widest.nodes, widest.node.cores), (1_000_000, 1_000));
 }

@@ -286,7 +286,7 @@ pub(crate) fn simulate_inner(
         elapsed: Elapsed::Makespan,
         marks,
     }];
-    let mut ex = execute(spec, &job, faults, obs, None);
+    let mut ex = execute(spec, &job, faults, obs, Carried::default());
     let trace = ex.trace_json(|_| {});
     let JobRun {
         report, windows, ..
@@ -304,11 +304,9 @@ pub(crate) fn simulate_inner(
 }
 
 /// What phase attribution and the trace read back from one lowered
-/// job: its round slots, every activity id an offset into the job's own
-/// run of activities (the start gate is not part of the run), so the
-/// same value serves wherever the run is appended. A slot's lists are
-/// ranges of the four flat vectors, which hold every slot's in slot
-/// order.
+/// job: its round slots, with the ids of the activities they wait on. A
+/// slot's lists are ranges of the four flat vectors, which hold every
+/// slot's in slot order.
 #[derive(Default)]
 pub(crate) struct Shape {
     slots: Vec<SlotMeta>,
@@ -347,24 +345,6 @@ impl Shape {
     ) -> impl Iterator<Item = &'s [(u32, Rank, ActivityId)]> {
         self.agg_ios[slot.agg_ios.clone()].chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
     }
-
-    /// Rewrite every activity id as an offset from `first`, the job's
-    /// first activity.
-    fn make_relative_to(&mut self, first: ActivityId) {
-        let flat = [&mut self.first_deps, &mut self.msgs, &mut self.ios];
-        let per_agg = self.agg_ios.iter_mut().map(|(_, _, act)| act);
-        for act in flat.into_iter().flatten().chain(per_agg) {
-            *act = act.relative_to(first);
-        }
-    }
-}
-
-/// A placed job's lowering, kept by a [`crate::TenantSession`] from one
-/// run to the next: the activities it created, as a fragment any later
-/// simulation of the same machine can append, and their [`Shape`].
-pub(crate) struct Kept {
-    fragment: mcio_des::Fragment,
-    shape: Shape,
 }
 
 /// A session's shared run paused at its last job's start, kept to be
@@ -376,9 +356,9 @@ pub(crate) struct Paused {
     sim: Simulation,
     fabric: Fabric,
     pfs: Pfs,
-    /// Each job's first activity after its start gate, and every id it
-    /// created, in job order.
-    spans: Vec<(ActivityId, Range<usize>)>,
+    /// Every job as the run lowered it, in job order: a fork keeps the
+    /// activity ids, so the shapes hold for a resumed run as they are.
+    jobs: Vec<Lowered>,
     /// The instant the run is paused at, the last job's start.
     at: SimDuration,
     engine: SharePolicy,
@@ -393,7 +373,7 @@ impl Paused {
     /// starts. The rest are appended after the pause, so none may start
     /// before it; and only the last job, never seeded, may be dropped.
     pub(crate) fn resumes(&self, held: usize, jobs: &[ExecJob<'_>], obs: &Observe<'_>) -> bool {
-        let n = self.spans.len();
+        let n = self.jobs.len();
         (held == n || (held + 1 == n && jobs.len() > held))
             && self.engine == obs.engine
             && self.records == keeps_records(jobs, obs)
@@ -403,12 +383,14 @@ impl Paused {
     }
 }
 
-/// What a session carries from its latest run into [`execute`]: one entry
-/// per job, the job's lowering if a run made it, and the paused run if
-/// this one resumes it, holding the first that many jobs.
+/// What a session carries from its latest run into [`execute`]: the
+/// paused run if this one resumes it, holding the first that many jobs,
+/// and whether this run pauses for the next one. The default carries
+/// nothing either way: a run that stands alone.
+#[derive(Default)]
 pub(crate) struct Carried {
-    pub kept: Vec<Option<Kept>>,
     pub resume: Option<(Paused, usize)>,
+    pub pause: bool,
 }
 
 /// Whether a run keeps the DES service records: for the trace, and to
@@ -420,11 +402,6 @@ fn keeps_records(jobs: &[ExecJob<'_>], obs: &Observe<'_>) -> bool {
 /// One job as lowered into the shared simulation.
 struct Lowered {
     shape: Shape,
-    /// The job's activities copied out (or the fragment they were
-    /// appended from), when the caller keeps lowerings.
-    fragment: Option<mcio_des::Fragment>,
-    /// The first activity of the job's run, after its start gate.
-    first: ActivityId,
     /// Activity ids the job created (its start gate, release gates,
     /// messages, PFS requests and joins) — the ownership key for
     /// attributing service records to jobs.
@@ -465,20 +442,13 @@ pub(crate) struct Executed<'a> {
 /// failures) on the shared PFS. Service records are kept when the
 /// trace is wanted or when there is more than one job to tell apart.
 ///
-/// `carried` is `None` for a run that stands alone. A session passes one
-/// entry per job — the job's lowering from an earlier run on the same
-/// machine, if it has one — and gets them all back from
-/// [`Executed::into_carried`]: a job with an entry is appended, the
-/// others are lowered as ever and copied out. What `lower_plan` emits is
-/// a function of the job's plan, map, pipeline and exchange on a fixed
-/// machine, apart from the label prefix and the start gate, which is
-/// what the two `mcio_des` primitives re-apply — but only with no fault
-/// plan, no registry and no marks, which the caller vouches for.
-///
-/// A session's run also pauses before its last job, at that job's start,
-/// and hands back a copy of the paused run ([`Paused`]); the session's
-/// next run may pass it in to resume, in place of a new machine and the
-/// jobs it holds.
+/// A run that stands alone carries nothing in ([`Carried::default`]).
+/// A session's run pauses before its last job, at that job's start, and
+/// hands back a copy of the paused run ([`Executed::into_carried`]);
+/// the session's next run may pass it in to resume, in place of a new
+/// machine and the jobs it holds, and lowers every other job through
+/// [`Lowering::lower_plan`] as ever. The caller vouches that such a run
+/// has no fault plan, no registry and no marks.
 ///
 /// # Panics
 /// Panics if a job's process map needs more nodes than the machine has.
@@ -487,41 +457,33 @@ pub(crate) fn execute<'a>(
     jobs: &'a [ExecJob<'a>],
     faults: Option<&'a FaultSpec>,
     obs: Observe<'a>,
-    carried: Option<Carried>,
+    carried: Carried,
 ) -> Executed<'a> {
-    debug_assert!(carried.is_none() || (faults.is_none() && obs.registry.is_none()));
+    let Carried { resume, pause } = carried;
+    debug_assert!(
+        !pause
+            || (faults.is_none()
+                && obs.registry.is_none()
+                && jobs.iter().all(|job| job.marks.is_empty()))
+    );
     let mut build_scope = obs.prof.map(|p| p.scope("build-activity-graph"));
-    let (mut kept, resume) = match carried {
-        Some(Carried { kept, resume }) => (Some(kept), resume),
-        None => (None, None),
-    };
-    let mut lowered: Vec<Lowered> = Vec::with_capacity(jobs.len());
-    let (mut sim, fabric, pfs, events_resumed) = match resume {
+    let (mut sim, fabric, pfs, mut lowered, events_resumed) = match resume {
         Some((paused, held)) => {
             let Paused {
                 mut sim,
                 fabric,
                 pfs,
-                spans,
+                jobs: mut lowered,
                 ..
             } = paused;
             // The jobs past the held ones were never seeded.
-            if let Some((_, acts)) = spans.get(held) {
-                sim.truncate(acts.start);
+            if let Some(dropped) = lowered.get(held) {
+                sim.truncate(dropped.acts.start);
             }
-            let kept = kept.as_mut().expect("a resumed run is a session's");
-            for (k, (first, acts)) in kept.iter_mut().zip(spans).take(held) {
-                let Kept { fragment, shape } = k.take().expect("a held job's lowering is carried");
-                let fragment = Some(fragment);
-                lowered.push(Lowered {
-                    shape,
-                    fragment,
-                    first,
-                    acts,
-                });
-            }
+            lowered.truncate(held);
+            lowered.reserve(jobs.len() - held);
             let events = sim.events_fired();
-            (sim, fabric, pfs, events)
+            (sim, fabric, pfs, lowered, events)
         }
         None => {
             let mut sim = Simulation::with_policy(obs.engine);
@@ -536,7 +498,7 @@ pub(crate) fn execute<'a>(
             if let Some(fspec) = faults {
                 pfs.apply_faults(&mut sim, fspec);
             }
-            (sim, fabric, pfs, 0)
+            (sim, fabric, pfs, Vec::with_capacity(jobs.len()), 0)
         }
     };
 
@@ -544,7 +506,7 @@ pub(crate) fn execute<'a>(
         // A session's run pauses at its last job's start with every other
         // job in: what happens before that instant does not depend on the
         // last job, so the session's next run may resume from here.
-        if kept.is_some() && ji + 1 == jobs.len() {
+        if pause && ji + 1 == jobs.len() {
             drop(build_scope.take());
             let _run_scope = obs.prof.map(|p| p.scope("des-run"));
             sim.run_until(SimTime::ZERO + job.start);
@@ -564,53 +526,28 @@ pub(crate) fn execute<'a>(
             let start = start_label(&mut sim, prefix);
             sim.activity(start, SimTime::ZERO + job.start, &[])
         });
-        // A lowering copied out with no start gate does not say where
-        // one attaches: that job is lowered again.
-        let reuse = (kept.as_mut().and_then(|k| k[lowered.len()].take()))
-            .filter(|k| start_gate.is_none() || k.fragment.gateable());
-        // A session's profile splits the graph build by job; a run that
-        // stands alone has one job and one way to lower it.
-        let _job_scope = (kept.as_ref().and(obs.prof))
-            .map(|p| p.scope(if reuse.is_some() { "append" } else { "lower" }));
-        let (shape, fragment, first) = match reuse {
-            Some(Kept { fragment, shape }) => {
-                let first = sim.append(&fragment, &job.prefix, start_gate);
-                (shape, Some(fragment), first)
-            }
-            None => {
-                debug_assert!(kept.is_none() || job.marks.is_empty());
-                let mark = sim.mark();
-                // A gated round slot may not start before its gate releases
-                // (failover re-coordination, controller deferral/demotion).
-                let gate_acts = marks::gates(&job.marks, &mut sim, prefix);
-                let (activities, stages) = lowering_bounds(job, pfs.layout());
-                sim.reserve(activities, stages);
-                let mut lowering = Lowering::new(&mut sim, &fabric, &pfs, job, prefix);
-                lowering.lower_plan(&gate_acts, start_gate);
-                let mut shape = lowering.shape;
-                shape.make_relative_to(mark.first());
-                let fragment = (kept.is_some()).then(|| sim.copy_since(mark, start_gate));
-                (shape, fragment, mark.first())
-            }
-        };
+        // A gated round slot may not start before its gate releases
+        // (failover re-coordination, controller deferral/demotion).
+        let gate_acts = marks::gates(&job.marks, &mut sim, prefix);
+        let (activities, stages) = lowering_bounds(job, pfs.layout());
+        sim.reserve(activities, stages);
+        let mut lowering = Lowering::new(&mut sim, &fabric, &pfs, job, prefix);
+        lowering.lower_plan(&gate_acts, start_gate);
         lowered.push(Lowered {
-            shape,
-            fragment,
-            first,
+            shape: lowering.shape,
             acts: act_lo..sim.activity_count(),
         });
     }
     // The session keeps a copy of the paused run; the last job goes into
-    // it unseeded, and the two share the activity graph.
-    let paused = kept.is_some().then(|| {
+    // it unseeded, and the two share the activity graph. The jobs' shapes
+    // join the copy when the run is done with them.
+    let paused = pause.then(|| {
         let _fork_scope = obs.prof.map(|p| p.scope("fork"));
         Paused {
             sim: sim.fork(),
             fabric: fabric.clone(),
             pfs: pfs.clone(),
-            spans: (lowered.iter())
-                .map(|l| (l.first, l.acts.clone()))
-                .collect(),
+            jobs: Vec::new(),
             at: jobs.last().map_or(SimDuration::ZERO, |job| job.start),
             engine: obs.engine,
             records: keeps_records(jobs, &obs),
@@ -704,17 +641,12 @@ pub(crate) fn execute<'a>(
 }
 
 impl Executed<'_> {
-    /// Every job's lowering and the run paused before its last job, for
-    /// the next run of the session that carried anything in (all `None`
-    /// for a run that stands alone).
-    pub(crate) fn into_carried(self) -> (Vec<Option<Kept>>, Option<Paused>) {
-        let keep = |l: Lowered| {
-            let Lowered {
-                shape, fragment, ..
-            } = l;
-            fragment.map(|fragment| Kept { fragment, shape })
-        };
-        (self.lowered.into_iter().map(keep).collect(), self.paused)
+    /// The run paused before its last job, holding every job's shape, for
+    /// the next run of the session that asked it to pause (`None` for a
+    /// run that stands alone).
+    pub(crate) fn into_carried(self) -> Option<Paused> {
+        let jobs = self.lowered;
+        self.paused.map(|paused| Paused { jobs, ..paused })
     }
 
     /// Per-job OST service intervals `(start_ns, end_ns)`: every service
@@ -1190,8 +1122,6 @@ fn attribute_phases(
 ) -> Attribution {
     let (rw, shape) = (job.plan.rw, &lowered.shape);
     let round_meta = &shape.slots;
-    let started = |a: ActivityId| report.start_time(a.based_at(lowered.first));
-    let finished = |a: ActivityId| report.finish_time(a.based_at(lowered.first));
     let mut exchange_time = SimDuration::ZERO;
     let mut io_time = SimDuration::ZERO;
     let mut round_phases: Vec<RoundPhase> = Vec::with_capacity(round_meta.len());
@@ -1200,7 +1130,7 @@ fn attribute_phases(
     let mut agg_io_acc: Vec<Option<SimDuration>> = Vec::new();
     for meta in round_meta {
         let last = |acts: &[ActivityId], or: SimTime| {
-            let done = acts.iter().map(|&a| finished(a));
+            let done = acts.iter().map(|&a| report.finish_time(a));
             done.max().unwrap_or(or)
         };
         // The job's arrival is when its start gate completes.
@@ -1230,8 +1160,8 @@ fn attribute_phases(
         // Per-aggregator file access: first request start → last done.
         for ios in shape.agg_io_runs(meta) {
             let agg = ios[0].1;
-            let start = ios.iter().map(|&(_, _, a)| started(a)).min();
-            let end = ios.iter().map(|&(_, _, a)| finished(a)).max();
+            let start = ios.iter().map(|&(_, _, a)| report.start_time(a)).min();
+            let end = ios.iter().map(|&(_, _, a)| report.finish_time(a)).max();
             if let (Some(s), Some(e)) = (start, end) {
                 if agg_io_acc.len() <= agg.0 {
                     agg_io_acc.resize(agg.0 + 1, None);
@@ -1532,26 +1462,6 @@ mod tests {
             format!("{text}defer.g{gi}.r{first}"),
             format!("{text}defer.gall.r{first}"),
         ]);
-        // The same run copied out and appended under other prefixes.
-        let mark = sim.mark();
-        for join in names.joins(ci, r) {
-            sim.activity(join, SimTime::ZERO, &[]);
-        }
-        expected.extend(joins(text));
-        let frag = sim.copy_since(mark, None);
-        for prefix in ["j12.", ""] {
-            sim.append(&frag, prefix, None);
-            expected.extend(joins(prefix));
-        }
-        // A simulation of its own takes the fragment in as well.
-        let mut other = Simulation::new();
-        Fabric::build(&mut other, &spec);
-        Pfs::build(&mut other, &spec);
-        other.append(&frag, "j0.", None);
-        let other = other.run().expect("stageless joins run");
-        let appended: Vec<String> = ids(2).into_iter().map(|a| other.label(a)).collect();
-        assert_eq!(appended, joins("j0."));
-
         let report = sim.run().expect("the labels' activities run");
         let ids = ids(report.activity_count());
         let labels: Vec<String> = ids.into_iter().map(|a| report.label(a)).collect();
@@ -1576,9 +1486,8 @@ mod tests {
     /// The ids of a simulation's first `n` activities, in order.
     fn ids(n: usize) -> Vec<ActivityId> {
         let mut scratch = Simulation::new();
-        let [zero, one] = ["a", "b"].map(|l| scratch.activity(l, SimTime::ZERO, &[]));
-        std::iter::successors(Some(zero), |&id| Some(one.based_at(id)))
-            .take(n)
+        (0..n)
+            .map(|_| scratch.activity("a", SimTime::ZERO, &[]))
             .collect()
     }
 

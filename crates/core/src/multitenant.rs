@@ -33,7 +33,7 @@
 use crate::adaptive::{clean_run, control, controller_acts, AdaptiveOutcome, AdaptivePolicy};
 use crate::config::Strategy;
 use crate::exec_sim::{
-    execute, record_run, Carried, Elapsed, Exchange, ExecJob, Kept, Observe, Paused, Pipeline,
+    execute, record_run, Carried, Elapsed, Exchange, ExecJob, Observe, Paused, Pipeline,
     RoundWindow, TimingReport,
 };
 use crate::marks;
@@ -172,8 +172,8 @@ impl MultiTenantReport {
 /// fixed per session. `plan` is the address of the job's `Arc`'d plan —
 /// the entry keeps a clone of that `Arc`, so the address cannot be
 /// reused while the entry lives. `start` is absent on purpose: a job
-/// alone runs from zero, and a kept lowering is appended behind any
-/// start gate or none.
+/// alone runs from zero, and a resumed run compares starts beside the
+/// key.
 #[derive(PartialEq, Eq, Hash)]
 struct PlacedKey {
     plan: usize,
@@ -200,7 +200,8 @@ impl PlacedKey {
 type SoloKey = (PlacedKey, SharePolicy);
 
 /// A sequence of multi-tenant runs on one machine that shares their
-/// solo baselines and their residents' lowerings.
+/// solo baselines and, from one run to the next, the shared run paused
+/// before its last job.
 ///
 /// A job's baseline — the fault-free elapsed time of the job alone on
 /// its nodes — depends only on its plan, process map, node offset,
@@ -210,23 +211,19 @@ type SoloKey = (PlacedKey, SharePolicy);
 /// [`TenantJob::plan`]: two jobs share an entry only when they share
 /// the `Arc` *and* every other input.
 ///
-/// The activities a job lowers to depend on the same inputs less the
-/// engine, so a run with no fault plan, no registry and the controller
-/// off also keeps each job's lowering, and the next such run appends it
-/// for every job it places the same way instead of lowering the job
-/// again (`start` and the job's index among the tenants are free to
-/// differ).
-///
-/// Such a run also pauses its shared simulation at its last job's start
-/// and keeps a copy: nothing before that instant depends on the last
-/// job. The next run resumes the copy when its jobs begin with the same
-/// placed jobs at the same starts under the same engine — all of them,
-/// or all but the last — and every job it adds starts no earlier than
-/// the pause; it then simulates only from the pause on. Only the latest
-/// run is held. A caller that re-runs a growing resident set (the batch
-/// scheduler) therefore pays, per run, the newcomer's lowering and the
-/// part of the shared simulation the newcomer can change;
-/// [`run_multitenant`] is a run on a fresh session that keeps nothing.
+/// A run with no fault plan, no registry and the controller off pauses
+/// its shared simulation at its last job's start and keeps a copy,
+/// with each job's round-slot shape: nothing before that instant depends
+/// on the last job. The next run resumes the copy when its jobs begin
+/// with the same placed jobs at the same starts under the same engine —
+/// all of them, or all but the last — and every job it adds starts no
+/// earlier than the pause; it then lowers only the jobs the copy does
+/// not hold and simulates only from the pause on. Any other run lowers
+/// every job. Only the latest run is held. A caller that re-runs a
+/// growing resident set (the batch scheduler) therefore pays, per run
+/// that resumes, the newcomer's lowering and the part of the shared
+/// simulation the newcomer can change; [`run_multitenant`] is a run on
+/// a fresh session that keeps nothing.
 pub struct TenantSession<'a> {
     spec: &'a ClusterSpec,
     solo: HashMap<SoloKey, (Arc<CollectivePlan>, SimDuration)>,
@@ -240,10 +237,10 @@ pub struct TenantSession<'a> {
 }
 
 /// A session's latest run, kept for the next: every job in job order,
-/// with its key, the `Arc` the key holds the address of, its start and
-/// its lowering, and the shared run paused at the last job's start.
+/// with its key, the `Arc` the key holds the address of and its start,
+/// and the shared run paused at the last job's start.
 struct Latest {
-    jobs: Vec<(PlacedKey, Arc<CollectivePlan>, SimDuration, Kept)>,
+    jobs: Vec<(PlacedKey, Arc<CollectivePlan>, SimDuration)>,
     paused: Paused,
 }
 
@@ -345,40 +342,21 @@ impl<'a> TenantSession<'a> {
             }
         }
 
-        // What each job lowers to is the same as in the latest run when
-        // nothing but the jobs shapes it, and so is the shared run up to
-        // the latest run's pause when this run begins with its jobs. What
-        // the latest run left moves into this one; a job placed
-        // differently now, or not at all, loses its entry.
+        // The shared run up to the latest run's pause is the same when
+        // nothing but the jobs shapes it and this run begins with the
+        // latest run's jobs, placed the same way at the same starts.
         let latest = self.latest().take();
-        let keeps = carry && faults.is_none() && obs.registry.is_none() && policy.is_off();
-        let keys: Option<Vec<PlacedKey>> = keeps.then(|| jobs.iter().map(PlacedKey::of).collect());
-        let carried = keys.as_ref().map(|keys| {
-            let Some(Latest {
-                jobs: mut held,
-                paused,
-            }) = latest
-            else {
-                let kept = keys.iter().map(|_| None).collect();
-                return Carried { kept, resume: None };
-            };
-            let prefix = (keys.iter().zip(jobs).zip(&held))
-                .take_while(|((key, job), (held, _, start, _))| *key == held && job.start == *start)
+        let pause = carry && faults.is_none() && obs.registry.is_none() && policy.is_off();
+        let keys: Option<Vec<PlacedKey>> = pause.then(|| jobs.iter().map(PlacedKey::of).collect());
+        let resume = keys.as_ref().zip(latest).and_then(|(keys, latest)| {
+            let held = (keys.iter().zip(jobs).zip(&latest.jobs))
+                .take_while(|((key, job), (held, _, start))| *key == held && job.start == *start)
                 .count();
-            let resume = paused
-                .resumes(prefix, &exec_jobs, &obs)
-                .then_some((paused, prefix));
-            // The jobs the paused run holds keep their lowerings by
-            // position; every other job takes the lowering of a job the
-            // latest run placed the same way, if one is left.
-            let mut rest = held.split_off(resume.as_ref().map_or(0, |&(_, h)| h));
-            let mut kept: Vec<Option<Kept>> = held.into_iter().map(|(.., k)| Some(k)).collect();
-            for key in &keys[kept.len()..] {
-                let at = rest.iter().position(|(held, ..)| held == key);
-                kept.push(at.map(|at| rest.swap_remove(at).3));
-            }
-            Carried { kept, resume }
+            (latest.paused)
+                .resumes(held, &exec_jobs, &obs)
+                .then_some((latest.paused, held))
         });
+        let carried = Carried { resume, pause };
         let mut ex = execute(spec, &exec_jobs, faults, obs, carried);
         self.events_resumed += ex.events_resumed;
         let makespan = ex.makespan;
@@ -492,13 +470,9 @@ impl<'a> TenantSession<'a> {
         });
 
         let engine = std::mem::take(&mut ex.engine);
-        let (kept, paused) = ex.into_carried();
-        *self.latest() = keys.zip(paused).map(|(keys, paused)| {
-            let kept = kept
-                .into_iter()
-                .map(|k| k.expect("a session's run keeps every lowering"));
-            let jobs = (keys.into_iter().zip(jobs).zip(kept))
-                .map(|((key, job), kept)| (key, Arc::clone(&job.plan), job.start, kept));
+        *self.latest() = keys.zip(ex.into_carried()).map(|(keys, paused)| {
+            let jobs = (keys.into_iter().zip(jobs))
+                .map(|(key, job)| (key, Arc::clone(&job.plan), job.start));
             Latest {
                 jobs: jobs.collect(),
                 paused,
@@ -581,8 +555,9 @@ impl<'a> TenantSession<'a> {
 /// faults do. Two-phase jobs and [`AdaptivePolicy::Off`] take the
 /// static path byte-for-byte.
 ///
-/// Runs on a fresh [`TenantSession`] that keeps nothing for a later run;
-/// hold a session instead when the same placed jobs recur across runs.
+/// Runs on a fresh [`TenantSession`] that lowers every job and keeps
+/// nothing for a later run; hold a session instead when a run begins
+/// with the jobs of the run before, at the same starts.
 ///
 /// # Panics
 /// Panics if `jobs` is empty or any job's partition
@@ -614,6 +589,6 @@ fn probe_shared_windows(
         engine,
         ..Observe::default()
     };
-    let probe = execute(spec, jobs, Some(faults), unobserved, None);
+    let probe = execute(spec, jobs, Some(faults), unobserved, Carried::default());
     probe.runs.into_iter().map(|run| run.windows).collect()
 }

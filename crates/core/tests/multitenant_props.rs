@@ -13,8 +13,9 @@
 //!   included;
 //! * a `TenantSession` that has already answered other runs returns
 //!   exactly what a fresh `run_multitenant` call returns — neither the
-//!   solo memo nor the kept lowerings ever change a result, only how
-//!   often a job is simulated alone and how often it is lowered.
+//!   solo memo nor the paused run it resumes ever changes a result, only
+//!   how often a job is simulated alone and how much of a shared run is
+//!   simulated again.
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
@@ -282,11 +283,13 @@ proptest! {
     /// another index among the tenants (`j2.` → `j0.` → no prefix when
     /// it is alone) and twice in one run, under both engines, traced
     /// and not; the pool holds write and read plans under global and
-    /// per-group sync. The solo memo and the kept lowerings are hit,
-    /// missed and asked for near-identical keys; the whole report (solo
-    /// baselines, slowdowns, overlaps, trace bytes) must still match.
-    /// A run with a fault plan, a registry or the controller on keeps
-    /// and reuses nothing, and must match too, registry rows included.
+    /// per-group sync. The solo memo is hit, missed and asked for
+    /// near-identical keys, and a run resumes the paused run of the one
+    /// before when it begins with its jobs at the same starts, else
+    /// lowers every job afresh; the whole report (solo baselines,
+    /// slowdowns, overlaps, trace bytes) must still match. A run with a
+    /// fault plan, a registry or the controller on neither pauses nor
+    /// resumes, and must match too, registry rows included.
     #[test]
     fn warm_session_matches_fresh_runs(
         placed in prop::collection::vec(
@@ -379,6 +382,48 @@ proptest! {
             prop_assert_eq!(warm, fresh, "run {} recorded other metrics on a warm session", ri);
         }
     }
+}
+
+/// A run that drops the latest run's first job resumes nothing — that
+/// job is part of the residents' history — so it lowers every job
+/// afresh, including the two it shares with the latest run, and must
+/// equal a fresh call, report and trace bytes.
+#[test]
+fn a_run_without_the_first_job_lowers_every_job_afresh() {
+    let nranks = 8usize;
+    let ppn = 2usize;
+    let bs = 32 * KIB;
+    let cluster = ClusterSpec::small(8, 2);
+    let map = ProcessMap::block_ppn(nranks, ppn);
+    let mem = ProcMemory::uniform(nranks, 4 * bs);
+    let cfg = CollectiveConfig::with_buffer(4 * bs);
+    let strategies = [
+        Strategy::MemoryConscious,
+        Strategy::TwoPhase,
+        Strategy::MemoryConscious,
+    ];
+    let jobs: Vec<TenantJob> = (strategies.into_iter().enumerate())
+        .map(|(ji, strategy)| {
+            let base = ji as u64 * 64 * 1024 * KIB;
+            let req = build_request(Shape::Strided, nranks, bs, 3, base);
+            let plan = plan_for(strategy, &req, &map, &mem, &cfg);
+            TenantJob::new(format!("job{ji}"), plan, map.clone())
+                .node_offset(2 * ji)
+                .start(SimDuration::from_micros(120 * ji as u64))
+        })
+        .collect();
+    let traced = Observe {
+        trace: true,
+        ..Observe::default()
+    };
+    let mut session = TenantSession::new(&cluster);
+    session.run(&jobs, None, AdaptivePolicy::Off, traced);
+    let rest = &jobs[1..];
+    let warm = session.run(rest, None, AdaptivePolicy::Off, traced);
+    assert_eq!(session.events_resumed(), 0, "no run resumed");
+    let fresh = run_multitenant(rest, &cluster, None, AdaptivePolicy::Off, traced);
+    assert!(warm.trace.is_some());
+    assert_eq!(warm, fresh, "report and trace bytes");
 }
 
 /// Sharing a plan is not sharing a baseline: the memo key also carries

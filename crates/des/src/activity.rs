@@ -18,19 +18,6 @@ impl ActivityId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// This id as an offset into the run of activities starting at
-    /// `first` (itself an `ActivityId`: the id the activity would have
-    /// in a simulation that held only the run).
-    pub fn relative_to(self, first: ActivityId) -> ActivityId {
-        ActivityId(self.0 - first.0)
-    }
-
-    /// The inverse of [`ActivityId::relative_to`]: the id of offset
-    /// `self` in a run starting at `first`.
-    pub fn based_at(self, first: ActivityId) -> ActivityId {
-        ActivityId(self.0 + first.0)
-    }
 }
 
 /// One hop of an activity through a resource.
@@ -74,13 +61,14 @@ impl ActivityState {
     pub const NOT_YET: SimTime = SimTime::MAX;
 
     /// The row of an activity registered with its stages at
-    /// `next_stage..stage_end`, waiting for `deps_remaining` others.
-    pub fn new(release: SimTime, next_stage: u32, stage_end: u32, deps_remaining: u32) -> Self {
+    /// `next_stage..stage_end`, waiting for nothing until `add_dep`
+    /// says otherwise.
+    pub fn new(release: SimTime, next_stage: u32, stage_end: u32) -> Self {
         ActivityState {
             release,
             next_stage,
             stage_end,
-            deps_remaining,
+            deps_remaining: 0,
             started: Self::NOT_YET,
             finished: Self::NOT_YET,
         }

@@ -118,71 +118,13 @@ fn move_onto<T>(to: &mut Vec<T>, from: &mut Vec<T>) {
     }
 }
 
-/// Where a simulation's activity and edge arenas ended when
-/// [`Simulation::mark`] was called: the start of the run of
-/// registrations [`Simulation::copy_since`] copies out.
-#[derive(Debug, Clone, Copy)]
-pub struct Mark {
-    activities: u32,
-    edges: usize,
-}
-
-impl Mark {
-    /// The id of the first activity registered after the mark.
-    pub fn first(self) -> ActivityId {
-        ActivityId(self.activities)
-    }
-}
-
-/// One row of a [`Fragment`]: what [`Simulation::append`] needs to
-/// rebuild the activity's row — its release, where its stages end in
-/// the fragment's stage run, and how many of the fragment's own
-/// activities it waits for.
-#[derive(Debug)]
-struct FragmentRow {
-    release: SimTime,
-    stage_end: u32,
-    deps: u32,
-}
-
-/// A contiguous run of activities copied out of one simulation by
-/// [`Simulation::copy_since`], to be appended to others by
-/// [`Simulation::append`]: rows, stages, label rows without their
-/// prefix (with the template table they read), and
-/// dependency edges, every offset relative to the run. The run may have
-/// hung on one activity outside it (a start gate); the fragment
-/// remembers which of its activities waited for that one, in the order
-/// the edges were declared, and not the activity itself.
-#[derive(Debug)]
-pub struct Fragment {
-    rows: Vec<FragmentRow>,
-    stages: Vec<Stage>,
-    labels: Vec<Label>,
-    templates: Vec<&'static str>,
-    /// `(before, after)` as offsets into the run, in declaration order.
-    edges: Vec<(u32, u32)>,
-    /// The dependents of the outside activity, in declaration order;
-    /// `None` when the run was copied out with no outside activity.
-    gated: Option<Vec<u32>>,
-    /// One more than the highest resource index a stage names.
-    resources: usize,
-}
-
-impl Fragment {
-    /// True when the run was copied out hanging on an outside activity,
-    /// so [`Simulation::append`] can hang it on another one.
-    pub fn gateable(&self) -> bool {
-        self.gated.is_some()
-    }
-}
-
 /// A discrete-event simulation under construction.
 ///
 /// Add resources and activities, wire dependencies with
 /// [`Simulation::add_dep`], then call [`Simulation::run`]. A run may
 /// also stop short: [`Simulation::run_until`] pauses it at an instant,
-/// [`Simulation::fork`] copies the paused run, and activities appended
-/// to either are taken in when it moves on (DESIGN.md §10, "Pausing a
+/// [`Simulation::fork`] copies the paused run, and activities registered
+/// on either are taken in when it moves on (DESIGN.md §10, "Pausing a
 /// run and resuming it").
 #[derive(Debug, Clone, Default)]
 pub struct Simulation {
@@ -353,7 +295,7 @@ impl Simulation {
         self.fresh.labels.push(label);
         let stage_end = index32(base + self.fresh.stages.len(), "stages");
         self.activities
-            .push(ActivityState::new(release, next_stage, stage_end, 0));
+            .push(ActivityState::new(release, next_stage, stage_end));
         id
     }
 
@@ -393,121 +335,6 @@ impl Simulation {
     /// Number of registered activities.
     pub fn activity_count(&self) -> usize {
         self.activities.len()
-    }
-
-    /// Remember where the activity and edge arenas end now.
-    pub fn mark(&self) -> Mark {
-        Mark {
-            activities: index32(self.activities.len(), "activities"),
-            edges: self.edges.len(),
-        }
-    }
-
-    /// Copy out everything registered since `mark`: the activities
-    /// (each label row without its prefix), their stages and the edges
-    /// declared among them. `outside` is the one earlier activity those
-    /// edges may also start from; its dependents are recorded in
-    /// declaration order in place of the edges.
-    ///
-    /// # Panics
-    /// Panics if an edge declared since the mark leaves the run, or
-    /// enters it from anywhere but `outside`, or if the run has taken in
-    /// the activities since the mark.
-    pub fn copy_since(&self, mark: Mark, outside: Option<ActivityId>) -> Fragment {
-        let first = mark.activities as usize;
-        let taken_in = self.graph.dependent_ends.len();
-        assert!(
-            first >= taken_in && mark.edges <= self.edges.len(),
-            "the run has taken in the activities since the mark"
-        );
-        let rows = &self.activities[first..];
-        // Nothing since the mark is indexed: its stages are all fresh,
-        // and before the run starts a row's window is all of its stages.
-        let graph_stages = self.graph.stages.len();
-        let stage_base = rows
-            .first()
-            .map_or(graph_stages + self.fresh.stages.len(), |r| {
-                r.next_stage as usize
-            });
-        let stages = &self.fresh.stages[stage_base - graph_stages..];
-        let labels = self.fresh.labels[first - taken_in..].iter();
-        let mut frag = Fragment {
-            rows: Vec::with_capacity(rows.len()),
-            stages: stages.to_vec(),
-            labels: labels.map(|l| l.under(Prefix::NONE)).collect(),
-            templates: self.names.templates().to_vec(),
-            edges: Vec::with_capacity(self.edges.len() - mark.edges),
-            gated: outside.map(|_| Vec::new()),
-            resources: stages.iter().map(|s| s.resource.0 + 1).max().unwrap_or(0),
-        };
-        frag.rows.extend(rows.iter().map(|r| FragmentRow {
-            release: r.release,
-            stage_end: r.stage_end - stage_base as u32,
-            deps: r.deps_remaining,
-        }));
-        for &(before, after) in &self.edges[mark.edges..] {
-            let after = after.0.checked_sub(mark.activities);
-            let after = after.expect("an edge declared since the mark leaves the run");
-            match before.0.checked_sub(mark.activities) {
-                Some(before) => frag.edges.push((before, after)),
-                None => {
-                    assert_eq!(Some(before), outside, "an edge enters the run");
-                    frag.rows[after as usize].deps -= 1;
-                    frag.gated.as_mut().expect("outside is set").push(after);
-                }
-            }
-        }
-        frag
-    }
-
-    /// Append a copied-out run with every label under `prefix`; returns
-    /// the id of its first activity. With a `gate`, the activities that
-    /// waited for the outside activity when the run was copied out wait
-    /// for `gate`, the edges declared in the recorded order; without one
-    /// they wait for nothing outside the run. Each arena is reserved
-    /// once.
-    ///
-    /// # Panics
-    /// Panics if a stage names a resource this simulation lacks, or if
-    /// `gate` is given and the fragment is not [`Fragment::gateable`].
-    pub fn append(
-        &mut self,
-        frag: &Fragment,
-        prefix: &str,
-        gate: Option<ActivityId>,
-    ) -> ActivityId {
-        assert!(
-            frag.resources <= self.resources.len(),
-            "fragment under `{prefix}` references an unknown resource"
-        );
-        let prefix = self.names.prefix(prefix);
-        // The rows hold `u32` offsets: check where the arenas will end.
-        let stage_base = self.graph.stages.len() + self.fresh.stages.len();
-        index32(self.activities.len() + frag.rows.len(), "activities");
-        index32(stage_base + frag.stages.len(), "stages");
-        let base = self.activities.len() as u32;
-        let stage_base = stage_base as u32;
-        self.fresh.stages.extend_from_slice(&frag.stages);
-        let mut next_stage = stage_base;
-        self.activities.extend(frag.rows.iter().map(|r| {
-            let stage_end = stage_base + r.stage_end;
-            let state = ActivityState::new(r.release, next_stage, stage_end, r.deps);
-            next_stage = stage_end;
-            state
-        }));
-        let labels = &mut self.fresh.labels;
-        (self.names).take_in(&frag.labels, &frag.templates, prefix, labels);
-        let at = |offset: u32| ActivityId(base + offset);
-        let gated = frag.gated.as_deref();
-        (self.edges).reserve(frag.edges.len() + gated.map_or(0, <[u32]>::len));
-        let edges = frag.edges.iter().map(|&(b, a)| (at(b), at(a)));
-        self.edges.extend(edges);
-        if let Some(gate) = gate {
-            for &a in gated.expect("fragment was copied out ungated") {
-                self.add_dep(gate, at(a));
-            }
-        }
-        ActivityId(base)
     }
 
     /// Keep the first `len` activities and drop the rest, with their
@@ -585,7 +412,7 @@ impl Simulation {
 
     /// Index what was registered since the run last moved, then return a
     /// copy of the paused run that shares its graph (stages, labels,
-    /// dependents): resume either, and append to either — indexing into
+    /// dependents): resume either, and register on either — indexing into
     /// a shared graph copies it first. Indexing first is what keeps the
     /// copy from needing a graph of its own to run.
     ///
@@ -717,7 +544,7 @@ impl Simulation {
     /// run's start, before anything was observed.
     fn seed_new(&mut self) {
         let first = self.seeded as usize;
-        // `activity()` and `append()` checked that the count fits.
+        // `activity()` checked that the count fits.
         self.seeded = self.activities.len() as u32;
         let max_ready = self.engine_stats.max_ready_set;
         let mut seeds = 0;
@@ -1630,31 +1457,6 @@ mod tests {
         }
     }
 
-    /// Two jobs on one machine, each behind its own start gate or none,
-    /// lowered (`frag == None`) or appended.
-    fn two_jobs(gates: [Option<u64>; 2], frag: Option<&Fragment>) -> (RunReport, Option<Fragment>) {
-        let mut sim = Simulation::with_policy(SharePolicy::FairShare);
-        sim.enable_trace();
-        let r = ["r0", "r1"].map(|name| sim.add_resource(name, bw(50.0)));
-        let mut copied = None;
-        for (prefix, gate) in ["j0.", "job1."].into_iter().zip(gates) {
-            let start = Label::new(sim.prefix(prefix), sim.template("start"), [0, 0]);
-            let gate = gate.map(|t| sim.activity(start, SimTime::from_nanos(t), &[]));
-            match frag {
-                Some(frag) => {
-                    let first = sim.append(frag, prefix, gate);
-                    assert_eq!(first.index() + 4, sim.activity_count());
-                }
-                None => {
-                    let mark = sim.mark();
-                    lower_job(&mut sim, r, prefix, gate);
-                    copied = Some(sim.copy_since(mark, gate));
-                }
-            }
-        }
-        (sim.run().unwrap(), copied)
-    }
-
     /// Two runs are the same run: labels, start and finish times, service
     /// records, resource accounting and every engine counter.
     fn same(a: &RunReport, b: &RunReport) {
@@ -1669,32 +1471,6 @@ mod tests {
         assert_eq!(a.resource_usages(), b.resource_usages());
         assert_eq!(a.engine_stats(), b.engine_stats());
         assert_eq!(a.engine_profile(), b.engine_profile());
-    }
-
-    #[test]
-    fn an_appended_fragment_runs_as_the_lowering_it_was_copied_from() {
-        // Copied out behind a gate (the second job's copy is the one
-        // returned), appended behind every mix of gates and none.
-        let (_, gated) = two_jobs([None, Some(7)], None);
-        let gated = gated.expect("lowered, so copied");
-        assert!(gated.gateable());
-        for gates in [
-            [Some(7), Some(90)],
-            [None, Some(7)],
-            [Some(1), None],
-            [None, None],
-        ] {
-            let (lowered, _) = two_jobs(gates, None);
-            let (appended, _) = two_jobs(gates, Some(&gated));
-            same(&lowered, &appended);
-        }
-        // Copied out with no gate: appended with none.
-        let (lowered, ungated) = two_jobs([Some(7), None], None);
-        let ungated = ungated.expect("lowered, so copied");
-        assert!(!ungated.gateable());
-        let (appended, _) = two_jobs([None, None], Some(&ungated));
-        same(&two_jobs([None, None], None).0, &appended);
-        assert_eq!(lowered.label(ActivityId(8)), "job1.join");
     }
 
     /// When the first resident's message leaves `r0` (a 100-byte stage at
@@ -1727,22 +1503,15 @@ mod tests {
         (sim, r)
     }
 
-    /// Append the newcomer behind a start gate released at `at`.
-    fn newcomer(sim: &mut Simulation, frag: &Fragment, prefix: &str, at: SimTime) {
+    /// Register the newcomer behind a start gate released at `at`.
+    fn newcomer(sim: &mut Simulation, r: [ResourceId; 2], prefix: &str, at: SimTime) {
         let start = Label::new(sim.prefix(prefix), sim.template("start"), [0, 0]);
         let gate = sim.activity(start, at, &[]);
-        sim.append(frag, prefix, Some(gate));
+        lower_job(sim, r, prefix, Some(gate));
     }
 
     #[test]
     fn a_resumed_run_matches_the_full_run() {
-        let frag = {
-            let (mut sim, r) = residents(SharePolicy::Fifo, false);
-            let gate = sim.activity("new.start", SimTime::ZERO, &[]);
-            let mark = sim.mark();
-            lower_job(&mut sim, r, "new.", Some(gate));
-            sim.copy_since(mark, Some(gate))
-        };
         for policy in [SharePolicy::Fifo, SharePolicy::FairShare] {
             for windows in [false, true] {
                 // Every instant an event of the residents fires at, the
@@ -1762,25 +1531,25 @@ mod tests {
                 instants.dedup();
                 for at in instants {
                     let full = {
-                        let (mut sim, _) = residents(policy, windows);
-                        newcomer(&mut sim, &frag, "new.", at);
+                        let (mut sim, r) = residents(policy, windows);
+                        newcomer(&mut sim, r, "new.", at);
                         sim.run().unwrap()
                     };
                     // Paused at the newcomer's arrival, then appended to.
-                    let (mut paused, _) = residents(policy, windows);
+                    let (mut paused, r) = residents(policy, windows);
                     paused.run_until(at);
                     let mut copy = paused.fork();
-                    newcomer(&mut paused, &frag, "new.", at);
+                    newcomer(&mut paused, r, "new.", at);
                     same(&full, &paused.run().unwrap());
                     // The copy takes another newcomer first, drops it
                     // unseeded, and takes the newcomer after all — in two
                     // steps, pausing at the newcomer's arrival once more.
                     let dropped = copy.activity_count();
-                    newcomer(&mut copy, &frag, "other.", at + SimDuration::from_nanos(1));
+                    newcomer(&mut copy, r, "other.", at + SimDuration::from_nanos(1));
                     let mut copy = copy.fork();
                     copy.truncate(dropped);
                     copy.run_until(at);
-                    newcomer(&mut copy, &frag, "new.", at);
+                    newcomer(&mut copy, r, "new.", at);
                     same(&full, &copy.run().unwrap());
                 }
             }
@@ -1790,24 +1559,17 @@ mod tests {
     /// The ledger's resource checks are `debug_assert!`s: in a debug
     /// build every pause and the end of every run audit each resource's
     /// capacity and bytes, under both engines, through a pause, a fork
-    /// of the paused run and an append to each copy.
+    /// of the paused run and a newcomer registered on each copy.
     #[cfg(debug_assertions)]
     #[test]
     fn a_ledger_checked_run_through_pause_fork_and_append() {
-        let frag = {
-            let (mut sim, r) = residents(SharePolicy::Fifo, false);
-            let gate = sim.activity("new.start", SimTime::ZERO, &[]);
-            let mark = sim.mark();
-            lower_job(&mut sim, r, "new.", Some(gate));
-            sim.copy_since(mark, Some(gate))
-        };
         for policy in [SharePolicy::Fifo, SharePolicy::FairShare] {
-            let (mut sim, _) = residents(policy, true);
+            let (mut sim, r) = residents(policy, true);
             // Paused mid-run: stages in service, queued and left.
             sim.run_until(TIE);
             let mut copy = sim.fork();
             for (sim, prefix) in [(&mut sim, "a."), (&mut copy, "b.")] {
-                newcomer(sim, &frag, prefix, TIE);
+                newcomer(sim, r, prefix, TIE);
                 sim.run_until(TIE + SimDuration::from_secs(1));
             }
             let (a, b) = (sim.run().unwrap(), copy.run().unwrap());
@@ -1834,49 +1596,6 @@ mod tests {
         sim.run_until(TIE);
         sim.activity("early", SimTime::from_nanos(1), &[]);
         sim.run_until(TIE);
-    }
-
-    #[test]
-    fn an_empty_run_copies_out_and_appends_as_nothing() {
-        let mut sim = Simulation::new();
-        let r = sim.add_resource("r", bw(100.0));
-        sim.activity("a", SimTime::ZERO, &[on(r, 100)]);
-        let frag = sim.copy_since(sim.mark(), None);
-        assert_eq!(sim.append(&frag, "x.", None).index(), 1);
-        assert_eq!(sim.run().unwrap().activity_count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "copied out ungated")]
-    fn an_ungated_fragment_takes_no_gate() {
-        let mut sim = Simulation::new();
-        let mark = sim.mark();
-        let gate = sim.activity("a", SimTime::ZERO, &[]);
-        let frag = sim.copy_since(mark, None);
-        sim.append(&frag, "", Some(gate));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown resource")]
-    fn a_fragment_needs_its_resources() {
-        let mut sim = Simulation::new();
-        let r = sim.add_resource("r", bw(100.0));
-        let mark = sim.mark();
-        sim.activity("a", SimTime::ZERO, &[on(r, 100)]);
-        let frag = sim.copy_since(mark, None);
-        Simulation::new().append(&frag, "", None);
-    }
-
-    #[test]
-    #[should_panic(expected = "an edge enters the run")]
-    fn a_run_hangs_on_one_outside_activity_at_most() {
-        let mut sim = Simulation::new();
-        let [before, gate] = ["before", "gate"].map(|l| sim.activity(l, SimTime::ZERO, &[]));
-        let mark = sim.mark();
-        let a = sim.activity("a", SimTime::ZERO, &[]);
-        sim.add_dep(gate, a);
-        sim.add_dep(before, a);
-        sim.copy_since(mark, Some(gate));
     }
 
     #[test]

@@ -53,14 +53,6 @@ impl Label {
     pub(crate) fn template(self) -> usize {
         self.body as usize
     }
-
-    /// The same label under another prefix.
-    pub(crate) fn under(self, prefix: Prefix) -> Label {
-        Label {
-            prefix: prefix.0,
-            ..self
-        }
-    }
 }
 
 /// A label argument: an index the caller counts in `usize` (a rank, a
@@ -172,34 +164,6 @@ impl Names {
         let class = |t| tail(t).rsplit_once('.').map(|(_, class)| class);
         self.templates.iter().map(|&t| class(t)).collect()
     }
-
-    /// Append copied-out `rows` to `out` under `prefix`: each template
-    /// of `templates` (the copied table's) is interned here.
-    pub(crate) fn take_in(
-        &mut self,
-        rows: &[Label],
-        templates: &[&'static str],
-        prefix: Prefix,
-        out: &mut Vec<Label>,
-    ) {
-        // A simulation built like the copied one holds its templates
-        // under the same handles: then nothing is mapped.
-        let same = self.templates.starts_with(templates);
-        let tpls: Vec<u32> = match same {
-            true => Vec::new(),
-            false => templates.iter().map(|t| self.template(t).0).collect(),
-        };
-        out.reserve(rows.len());
-        out.extend(rows.iter().map(|l| {
-            let body = if same { l.body } else { tpls[l.body as usize] };
-            Label { body, ..*l }.under(prefix)
-        }));
-    }
-
-    /// The template table, in handle order.
-    pub(crate) fn templates(&self) -> &[&'static str] {
-        &self.templates
-    }
 }
 
 /// A label with the table it reads through: `Display` renders it.
@@ -260,29 +224,9 @@ mod tests {
         let rows =
             ["nœud3.mémoire→ost7", "", "nœud3.mémoire→ost7"].map(|l| l.into_label(&mut names));
         assert_eq!(rows[0], rows[2]);
-        assert_eq!(names.templates(), ["nœud3.mémoire→ost7", ""]);
+        assert_eq!(names.templates, ["nœud3.mémoire→ost7", ""]);
         let shown = rows.map(|l| names.show(l).to_string());
         assert_eq!(shown, ["nœud3.mémoire→ost7", "", "nœud3.mémoire→ost7"]);
         assert_eq!(names.fixed_classes(), [Some("mémoire→ost7"), None]);
-    }
-
-    #[test]
-    fn copied_out_rows_come_back_under_a_new_prefix() {
-        use crate::{ActivityId, Bandwidth, SimTime, Simulation};
-        let mut from = Simulation::new();
-        let mark = from.mark();
-        let (tpl, j0) = (from.template("c{}.r{}.io"), from.prefix("j0."));
-        from.activity("free", SimTime::ZERO, &[]);
-        from.activity(Label::new(j0, tpl, [1, 2]), SimTime::ZERO, &[]);
-        from.activity("free", SimTime::ZERO, &[]);
-        let frag = from.copy_since(mark, None);
-        // Another simulation, with a template of its own first.
-        let mut to = Simulation::new();
-        to.add_resource("x", Bandwidth::bytes_per_sec(1.0));
-        let first = to.append(&frag, "j5.", None);
-        let run = to.run().unwrap();
-        let shown = [0, 1, 2].map(|i| run.label(ActivityId(i).based_at(first)));
-        assert_eq!(shown, ["j5.free", "j5.c1.r2.io", "j5.free"]);
-        assert_eq!(run.resource_name(crate::ResourceId(0)), "x");
     }
 }

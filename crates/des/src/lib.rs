@@ -44,6 +44,13 @@
 //! * Pending events wait in a queue that keys each instant once; the
 //!   events due at an instant form a first-in-first-out run behind its
 //!   key.
+//! * A run may stop short: [`Simulation::run_until`] pauses it at an
+//!   instant, [`Simulation::fork`] copies the paused run (the copy shares
+//!   its graph and keeps every activity id), activities registered after
+//!   the pause are taken in when the run moves on, and
+//!   [`Simulation::truncate`] drops a tail the run has not seeded. A
+//!   resumed run simulates byte for byte as the run that held every
+//!   activity from its start.
 //!
 //! ## Example
 //!
@@ -80,8 +87,7 @@ pub mod time;
 
 pub use activity::{ActivityId, Stage};
 pub use engine::{
-    resource_class, EngineProfile, EngineStats, Fragment, Mark, RunReport, ServiceRecord, SimError,
-    Simulation,
+    resource_class, EngineProfile, EngineStats, RunReport, ServiceRecord, SimError, Simulation,
 };
 pub use label::{arg, fill, IntoLabel, Label, Prefix, Tpl};
 pub use resource::{Bandwidth, ResourceId, ResourceUsage, ServiceWindow, SharePolicy};

@@ -329,6 +329,10 @@ job b arrival=250us prio=3 ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K stra
             ("machine small:8x2", "at least one job"),
             ("machine tiny\njob a", "must be testbed|exascale"),
             (
+                "machine small:1000000000000x2\njob a",
+                "at most 1000000x1000",
+            ),
+            (
                 "machine small:8x2\nmachine testbed\njob a",
                 "duplicate machine",
             ),
