@@ -6,18 +6,20 @@
 //! for their shared runs are exact and repeat, so they are the gates;
 //! the wall-clock split of a commit is printed beside them
 //! (`--nocapture`) — the table `docs/scheduling.md` quotes under "The
-//! cost of a commit".
+//! cost of a commit" — and so is what the commit-order model costs in
+//! fidelity and what one stream-long run would hold instead.
 //!
 //! Compiled only with the counting allocator:
 //! `cargo test --release -p mcio-bench --features count-alloc --test sched_alloc_budget -- --nocapture`.
 //! One test in the file, so nothing else allocates while it counts.
 #![cfg(feature = "count-alloc")]
 
-use mcio_core::{AdaptivePolicy, Observe};
+use mcio_core::{JobOutcome, Observe};
 use mcio_prof::alloc::snapshot;
 use mcio_prof::Prof;
 use mcio_sched::scheduler::run_schedule_with;
 use mcio_sched::{run_schedule, JobTrace, Policy, SchedConfig};
+use std::collections::HashMap;
 use std::time::Instant;
 
 #[test]
@@ -35,15 +37,16 @@ fn a_commit_resumes_its_residents() {
     println!("{allocs} allocations over the two replays");
     let activities = schedules.each_ref().map(|s| s.engine.activities);
     assert_eq!(activities, [90_962, 1_454_491], "activities simulated");
-    // Measured: 572,489 with every job a resumed run does not hold
-    // lowered afresh (553,065 when the session also copied each job's
-    // activities out and appended the copy at the next commit, 602,387
-    // with a machine built at every commit, 1,006,471 with a name and a
-    // queue per resource and a few vectors per round slot). With every
+    // Measured: 468,973 with each job's baseline simulated once (572,489
+    // when a commit simulated the baseline of every placement it had not
+    // seen, 553,065 when the session also copied each job's activities
+    // out and appended the copy at the next commit, 602,387 with a
+    // machine built at every commit, 1,006,471 with a name and a queue
+    // per resource and a few vectors per round slot). With every
     // resident lowered again at every commit and no run resumed it was
     // 4,140,578, of which 3,174,662 were that lowering.
     assert!(
-        allocs <= 650_000,
+        allocs <= 510_000,
         "{allocs} allocations over the two replays"
     );
     // Every shared run reports all its events; the process fired those
@@ -67,17 +70,47 @@ fn a_commit_resumes_its_residents() {
     // from there on, and copies it at the arrival (`fork`). What is left
     // of the graph build is lowering, start gates and, for a commit that
     // resumes nothing, the machine.
+    //
+    // Beside it, per policy, what one live run per stream would change.
+    // A commit re-simulates its residents, and a resident's span there
+    // is not the `run_ns` it committed with (its last commit as the
+    // newcomer): the largest and the summed gap, over every resident of
+    // every commit. And the activities a commit's shared run holds at
+    // most, against what one stream-long run would hold by the end —
+    // every job's activities (read off the commits: a shared run holds
+    // its tenants' activities and a start gate for each that arrives
+    // after zero) plus one start gate each — which each fork of it
+    // would copy.
     println!("policy    wall_ms  lower_ms  fork_ms  des_run_ms  rest_ms  events_run");
+    let mut model = Vec::new();
     for policy in policies {
         let prof = Prof::enabled();
         let cfg = cfg(policy);
+        let mut committed: HashMap<String, u64> = HashMap::new();
+        let mut own: HashMap<String, u64> = HashMap::new();
+        let (mut gap_max, mut gap_total, mut commit_acts) = (0u64, 0u64, 0u64);
+        let span = |o: &JobOutcome| (o.end_ns - o.start_ns).max(1);
         let started = Instant::now();
-        let s = run_schedule_with(&trace, &cfg, None, &mut |session, tenants, obs| {
+        let s = run_schedule_with(&trace, &cfg, None, &mut |session, tenants, solo, obs| {
             let obs = Observe {
                 prof: Some(&prof),
                 ..obs
             };
-            session.run(tenants, None, AdaptivePolicy::Off, obs)
+            let report = session.run(tenants, solo, obs);
+            let (newcomer, residents) = tenants.split_last().expect("a commit places a newcomer");
+            for (resident, outcome) in residents.iter().zip(&report.jobs) {
+                let gap = span(outcome).abs_diff(committed[&resident.label]);
+                gap_max = gap_max.max(gap);
+                gap_total += gap;
+            }
+            let last = report.jobs.last().expect("one outcome per tenant");
+            committed.insert(newcomer.label.clone(), span(last));
+            let gates = tenants.iter().filter(|t| !t.start.is_zero()).count() as u64;
+            let held: u64 = residents.iter().map(|t| own[&t.label]).sum();
+            let acts = report.engine.activities - gates - held;
+            assert_eq!(*own.entry(newcomer.label.clone()).or_insert(acts), acts);
+            commit_acts = commit_acts.max(report.engine.activities);
+            report
         });
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let phases = prof.phases();
@@ -95,6 +128,16 @@ fn a_commit_resumes_its_residents() {
             policy.label(),
             ms(build.exclusive_ns),
             s.engine.events_fired - s.events_resumed,
+        );
+        assert_eq!(own.len(), trace.jobs.len(), "every job was a newcomer");
+        let stream_acts = own.values().sum::<u64>() + own.len() as u64;
+        model.push((policy, gap_max, gap_total, commit_acts, stream_acts));
+    }
+    println!("policy    resident_gap_max_ns  resident_gap_total_ns  commit_acts_max  stream_acts");
+    for (policy, gap_max, gap_total, commit_acts, stream_acts) in model {
+        println!(
+            "{:<8} {gap_max:20} {gap_total:22} {commit_acts:16} {stream_acts:12}",
+            policy.label()
         );
     }
 }

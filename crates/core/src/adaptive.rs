@@ -26,9 +26,10 @@
 //!    past the window exit when the probe says waiting is cheaper than
 //!    crawling (`plan_deferrals`).
 //!
-//! `control` is the one step a solo job and a tenant share: clean
-//! run, severity, band check, then the caller's re-tune and re-place,
-//! then deferral.
+//! `control` is the one step a solo job and a tenant share: severity
+//! over the caller's clean run, band check, then the caller's re-tune
+//! and re-place, then deferral. A tenant's clean run is also its solo
+//! baseline, so `run_multitenant` simulates it once for both.
 //!
 //! The controller runs between rounds *of the probe pass*: like the
 //! failover transform in [`crate::exec_faults`], decisions come from a
@@ -44,7 +45,7 @@ use crate::marks::{self, Mark};
 use crate::plan::{CollectivePlan, GroupPlan};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::{ProcessMap, Rank};
-use mcio_des::{SharePolicy, SimDuration, SimTime};
+use mcio_des::{SharePolicy, SimTime};
 use mcio_faults::FaultSpec;
 
 /// How eagerly the controller re-plans. The knob trades reaction speed
@@ -186,27 +187,25 @@ pub(crate) fn clean_run(spec: &ClusterSpec, job: Solo<'_>) -> SimRun {
     simulate_inner(plan, map, spec, pipeline, exchange, obs, None, Vec::new())
 }
 
-/// One job's controller step, solo or tenant: run `job` clean for its
-/// nominal timeline, read the [`severity`] over that horizon and,
-/// beyond the policy's dead band, let `replan` mark the job's re-tune
-/// and re-placement at that severity before every round the probe
-/// windows `probed` condemn to crawling through a degraded OST window
-/// is deferred past it. A `tenant` re-bases "nominal" by its
-/// [`contention_stretch`]; a solo job's scale is 1. Returns the
-/// severity and the clean run's elapsed time (a tenant's solo
-/// baseline).
+/// One job's controller step, solo or tenant: read the [`severity`]
+/// over the horizon of the job's `clean` run (its nominal timeline,
+/// [`clean_run`]) and, beyond the policy's dead band, let `replan` mark
+/// the job's re-tune and re-placement at that severity before every
+/// round the probe windows `probed` condemn to crawling through a
+/// degraded OST window is deferred past it. A `tenant` re-bases
+/// "nominal" by its [`contention_stretch`]; a solo job's scale is 1.
+/// Returns the severity.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn control(
     policy: AdaptivePolicy,
     fspec: &FaultSpec,
     spec: &ClusterSpec,
-    job: Solo<'_>,
+    clean: &SimRun,
     probed: &[RoundWindow],
     tenant: bool,
     marks: &mut Vec<Mark>,
     replan: impl FnOnce(&mut Vec<Mark>, f64),
-) -> (f64, SimDuration) {
-    let clean = clean_run(spec, job);
+) -> f64 {
     let nosts = spec.io_servers;
     let severity = severity(fspec, nosts, clean.report.elapsed.as_nanos());
     if severity > policy.dead_band() {
@@ -222,7 +221,7 @@ pub(crate) fn control(
             }
         }
     }
-    (severity, clean.report.elapsed)
+    severity
 }
 
 /// One deferral decision: hold round `round` of `group` behind a gate

@@ -52,7 +52,7 @@
 //! produce byte-identical traces and reports.
 
 use crate::adaptive::{
-    contended_budget, control, controller_acts, observed_granularity, AdaptiveOutcome,
+    clean_run, contended_budget, control, controller_acts, observed_granularity, AdaptiveOutcome,
     AdaptivePolicy,
 };
 use crate::config::Strategy;
@@ -69,6 +69,7 @@ use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::{NodeId, ProcessMap, Rank};
 use mcio_des::{SimDuration, SimTime};
 use mcio_faults::FaultSpec;
+use mcio_pfs::extent::clip_sorted;
 use mcio_pfs::{Extent, Rw};
 
 /// Fixed failure-detection + re-coordination latency charged before the
@@ -197,7 +198,7 @@ pub fn simulate_adaptive(
     }
     let mut severity = 0.0;
     if adaptive {
-        let job = (plan, map, pipeline, exchange, obs.engine);
+        let clean = clean_run(spec, (plan, map, pipeline, exchange, obs.engine));
         let replan = |marks: &mut Vec<Mark>, severity: f64| {
             // (1) Re-tune the observed round granularity. The tuned
             // group size caps how coarse adaptively re-split rounds may
@@ -223,8 +224,8 @@ pub fn simulate_adaptive(
             }
         };
         // (3) Deferral past degraded OST windows, after the replan.
-        (severity, _) = control(
-            policy, fspec, spec, job, &windows, false, &mut marks, replan,
+        severity = control(
+            policy, fspec, spec, &clean, &windows, false, &mut marks, replan,
         );
     }
     // The baseline has no re-rounding path: a shock reaches it through
@@ -532,11 +533,12 @@ fn split_oversized(g: &mut GroupPlan, r: usize, agg: Rank, limit: u64, rw: Rw) -
             .step_by(limit as usize)
             .map(|off| Extent::new(off, limit.min(end - off)))
             .collect();
-        // Chunk 0 shrinks the op in place.
+        // Chunk 0 shrinks the op in place. An op's extents are a sorted
+        // run (the planners cut them with `clip_sorted` too).
         g.rounds[r].ios[i] = IoOp {
             agg,
             window: chunks[0],
-            extents: clip_extents(&io.extents, &chunks[0]),
+            extents: clip_sorted(&io.extents, &chunks[0]),
         };
         // Later chunks each get their own appended round; the messages
         // carrying bytes of this window move their pieces with them. A
@@ -565,18 +567,13 @@ fn split_oversized(g: &mut GroupPlan, r: usize, agg: Rank, limit: u64, rw: Rw) -
                 ios: vec![IoOp {
                     agg,
                     window: *chunk,
-                    extents: clip_extents(&io.extents, chunk),
+                    extents: clip_sorted(&io.extents, chunk),
                 }],
             });
             appended.push(g.rounds.len() - 1);
         }
     }
     appended
-}
-
-/// The pieces of `extents` inside `window`, clipped at its boundaries.
-fn clip_extents(extents: &[Extent], window: &Extent) -> Vec<Extent> {
-    extents.iter().filter_map(|e| e.intersect(window)).collect()
 }
 
 #[cfg(test)]

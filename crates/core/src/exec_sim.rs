@@ -423,9 +423,12 @@ pub(crate) struct Executed<'a> {
     /// Events the run took over from the paused run it resumed instead
     /// of firing them itself (0 for a run from the start).
     pub events_resumed: u64,
-    jobs: &'a [ExecJob<'a>],
-    faults: Option<&'a FaultSpec>,
-    obs: Observe<'a>,
+    /// The jobs the run executed, marks included.
+    pub jobs: &'a [ExecJob<'a>],
+    /// The machine-level fault plan the run armed.
+    pub faults: Option<&'a FaultSpec>,
+    /// What the run was asked to capture.
+    pub obs: Observe<'a>,
     des: mcio_des::RunReport,
     pfs: Pfs,
     lowered: Vec<Lowered>,

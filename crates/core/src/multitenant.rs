@@ -25,7 +25,8 @@
 //! Interference metrics per job:
 //! * **slowdown** — the job's span on the shared machine divided by
 //!   its elapsed time when simulated alone on the same nodes (the *solo
-//!   baseline*, memoised per [`TenantSession`]);
+//!   baseline*, [`TenantJob::baseline`]; a [`TenantSession`]'s caller
+//!   hands it in);
 //! * **OST busy-overlap** — the fraction of the job's OST service time
 //!   during which at least one *other* job was also being served by
 //!   some OST (how much of its storage work was contended).
@@ -33,7 +34,7 @@
 use crate::adaptive::{clean_run, control, controller_acts, AdaptiveOutcome, AdaptivePolicy};
 use crate::config::Strategy;
 use crate::exec_sim::{
-    execute, record_run, Carried, Elapsed, Exchange, ExecJob, Observe, Paused, Pipeline,
+    execute, record_run, Carried, Elapsed, Exchange, ExecJob, Executed, Observe, Paused, Pipeline,
     RoundWindow, TimingReport,
 };
 use crate::marks;
@@ -44,8 +45,7 @@ use mcio_des::{SharePolicy, SimDuration};
 use mcio_faults::FaultSpec;
 use mcio_obs::catalogue::PID_TENANTS;
 use mcio_obs::intervals::{intersect_len, merge_intervals, shared_intervals, total_len};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// One job of a multi-tenant run: a fully planned collective plus its
 /// placement on the shared machine and its arrival time.
@@ -54,8 +54,8 @@ pub struct TenantJob {
     /// Job name (trace lanes, metric labels, reports).
     pub label: String,
     /// The planned collective (pure data; any strategy). Shared, so
-    /// placing one planned job many times never copies the plan, and
-    /// its address identifies it in a [`TenantSession`]'s memo.
+    /// placing one planned job many times never copies the plan, and a
+    /// [`TenantSession`] knows a job of its latest run by the `Arc`.
     pub plan: Arc<CollectivePlan>,
     /// The job's process placement over its *local* nodes
     /// `0..map.nnodes()`; shifted onto the shared machine by
@@ -114,6 +114,16 @@ impl TenantJob {
         self.exchange = exchange;
         self
     }
+
+    /// The job's solo baseline: its elapsed time alone on its nodes of
+    /// `spec`'s machine under `engine`, fault-free (the baseline
+    /// isolates *tenancy*). On a machine whose nodes all run at one
+    /// rate it is the same at every node offset.
+    pub fn baseline(&self, spec: &ClusterSpec, engine: SharePolicy) -> SimDuration {
+        let map = self.map.with_node_offset(self.node_offset);
+        let solo = (&*self.plan, &map, self.pipeline, self.exchange, engine);
+        clean_run(spec, solo).report.elapsed
+    }
 }
 
 /// Outcome of one job of a multi-tenant run.
@@ -168,79 +178,53 @@ impl MultiTenantReport {
     }
 }
 
-/// A placed job: every input of what the job lowers to; the machine is
-/// fixed per session. `plan` is the address of the job's `Arc`'d plan —
-/// the entry keeps a clone of that `Arc`, so the address cannot be
-/// reused while the entry lives. `start` is absent on purpose: a job
-/// alone runs from zero, and a resumed run compares starts beside the
-/// key.
-#[derive(PartialEq, Eq, Hash)]
-struct PlacedKey {
-    plan: usize,
-    map: ProcessMap,
-    node_offset: usize,
-    pipeline: Pipeline,
-    exchange: Exchange,
+/// Whether `a` and `b` are one job placed the same way at the same
+/// start: every input of what a job lowers to (the machine is fixed per
+/// session) and its arrival. Plans compare by `Arc` identity — two jobs
+/// match only when they share the planned collective, not merely an
+/// equal one.
+fn placed_alike(a: &TenantJob, b: &TenantJob) -> bool {
+    Arc::ptr_eq(&a.plan, &b.plan)
+        && a.map == b.map
+        && a.node_offset == b.node_offset
+        && a.start == b.start
+        && a.pipeline == b.pipeline
+        && a.exchange == b.exchange
 }
 
-impl PlacedKey {
-    fn of(job: &TenantJob) -> Self {
-        PlacedKey {
-            plan: Arc::as_ptr(&job.plan) as usize,
-            map: job.map.clone(),
-            node_offset: job.node_offset,
-            pipeline: job.pipeline,
-            exchange: job.exchange,
-        }
-    }
-}
-
-/// Every input of a solo baseline's result: the placed job and the
-/// engine its activities run under.
-type SoloKey = (PlacedKey, SharePolicy);
-
-/// A sequence of multi-tenant runs on one machine that shares their
-/// solo baselines and, from one run to the next, the shared run paused
-/// before its last job.
+/// A sequence of fault-free multi-tenant runs on one machine that
+/// carries, from one run to the next, the shared run paused before its
+/// last job.
 ///
-/// A job's baseline — the fault-free elapsed time of the job alone on
-/// its nodes — depends only on its plan, process map, node offset,
-/// pipeline, exchange and the engine, so the session simulates it once
-/// per distinct combination and answers repeats from a memo of one
-/// [`SimDuration`] each. Plans are keyed by the address of
-/// [`TenantJob::plan`]: two jobs share an entry only when they share
-/// the `Arc` *and* every other input.
+/// A run pauses its shared simulation at its last job's start and keeps
+/// it, with each job's round-slot shape: nothing before that instant
+/// depends on the last job. The next run resumes it when its jobs begin
+/// with the same jobs, placed the same way at the same starts under the
+/// same engine — all of them, or all but the last — and every job it
+/// adds starts no earlier than the pause; it then lowers only the jobs
+/// the paused run does not hold and simulates only from the pause on.
+/// Any other run lowers every job. Only the latest run is held, and a
+/// run with a registry attached neither resumes nor pauses. A caller
+/// that re-runs a growing resident set (the batch scheduler) therefore
+/// pays, per run that resumes, the newcomer's lowering and the part of
+/// the shared simulation the newcomer can change.
 ///
-/// A run with no fault plan, no registry and the controller off pauses
-/// its shared simulation at its last job's start and keeps a copy,
-/// with each job's round-slot shape: nothing before that instant depends
-/// on the last job. The next run resumes the copy when its jobs begin
-/// with the same placed jobs at the same starts under the same engine —
-/// all of them, or all but the last — and every job it adds starts no
-/// earlier than the pause; it then lowers only the jobs the copy does
-/// not hold and simulates only from the pause on. Any other run lowers
-/// every job. Only the latest run is held. A caller that re-runs a
-/// growing resident set (the batch scheduler) therefore pays, per run
-/// that resumes, the newcomer's lowering and the part of the shared
-/// simulation the newcomer can change; [`run_multitenant`] is a run on
-/// a fresh session that keeps nothing.
+/// The session simulates no job alone: every run is handed its jobs'
+/// solo baselines ([`TenantJob::baseline`]), which a caller placing one
+/// job many times on a machine of uniform nodes takes once. Fault plans
+/// and the closed-loop controller go through [`run_multitenant`].
 pub struct TenantSession<'a> {
     spec: &'a ClusterSpec,
-    solo: HashMap<SoloKey, (Arc<CollectivePlan>, SimDuration)>,
-    /// What the latest run left to the next, when it kept anything. A
-    /// paused run's PFS keeps scratch in cells, so this sits behind a
-    /// lock for the session to stay `Sync` (callers fan baselines out
-    /// over `&self`); `run` holds `&mut self` and never takes the lock.
-    latest: Mutex<Option<Latest>>,
+    /// What the latest run left to the next, when it kept anything.
+    latest: Option<Latest>,
     /// Shared-run events resumed rather than fired, over every run.
     events_resumed: u64,
 }
 
-/// A session's latest run, kept for the next: every job in job order,
-/// with its key, the `Arc` the key holds the address of and its start,
+/// A session's latest run, kept for the next: every job in job order
 /// and the shared run paused at the last job's start.
 struct Latest {
-    jobs: Vec<(PlacedKey, Arc<CollectivePlan>, SimDuration)>,
+    jobs: Vec<TenantJob>,
     paused: Paused,
 }
 
@@ -249,276 +233,54 @@ impl<'a> TenantSession<'a> {
     pub fn new(spec: &'a ClusterSpec) -> Self {
         TenantSession {
             spec,
-            solo: HashMap::new(),
-            latest: Mutex::new(None),
+            latest: None,
             events_resumed: 0,
         }
     }
 
-    /// What the latest run left to the next.
-    fn latest(&mut self) -> &mut Option<Latest> {
-        self.latest
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// [`run_multitenant`] on this session's machine and memo: controller
-    /// gates, then the shared executor, then the tenant metrics and lanes.
+    /// [`run_multitenant`] with no fault plan and the controller off,
+    /// taking `solo[i]` as job `i`'s solo baseline instead of simulating
+    /// it, and resuming the session's latest run where it can. The
+    /// report is that call's when every `solo[i]` is job `i`'s
+    /// [`TenantJob::baseline`] under `obs.engine`.
+    ///
+    /// # Panics
+    /// Panics if `jobs` is empty, `solo` does not hold one baseline per
+    /// job, or any job's partition exceeds the machine's node count.
     pub fn run(
         &mut self,
         jobs: &[TenantJob],
-        faults: Option<&FaultSpec>,
-        policy: AdaptivePolicy,
+        solo: &[SimDuration],
         obs: Observe<'_>,
     ) -> MultiTenantReport {
-        self.run_carrying(jobs, faults, policy, obs, true)
-    }
-
-    /// [`TenantSession::run`]; with `carry` false the run neither reads
-    /// nor leaves anything for a later one, as for a session dropped
-    /// straight after it.
-    fn run_carrying(
-        &mut self,
-        jobs: &[TenantJob],
-        faults: Option<&FaultSpec>,
-        policy: AdaptivePolicy,
-        obs: Observe<'_>,
-        carry: bool,
-    ) -> MultiTenantReport {
-        let spec = self.spec;
-        assert!(
-            !jobs.is_empty(),
-            "a multi-tenant run needs at least one job"
-        );
-        let multi = jobs.len() > 1;
-        let acts = |strategy| controller_acts(policy, faults, strategy);
-
-        let maps: Vec<ProcessMap> = jobs
-            .iter()
-            .map(|job| job.map.with_node_offset(job.node_offset))
-            .collect();
-        let mut exec_jobs: Vec<ExecJob<'_>> = jobs
-            .iter()
-            .zip(&maps)
-            .enumerate()
-            .map(|(ji, (job, map))| ExecJob {
-                plan: &job.plan,
-                map,
-                pipeline: job.pipeline,
-                exchange: job.exchange,
-                start: job.start,
-                prefix: if multi {
-                    format!("j{ji}.")
-                } else {
-                    String::new()
-                },
-                label: Some(&job.label),
-                elapsed: Elapsed::Span,
-                marks: Vec::new(),
-            })
-            .collect();
-        let mut severities = vec![0.0; jobs.len()];
-
-        // Closed-loop deferral. When any job's controller will act, the
-        // whole shared, degraded machine is run once without gates to learn
-        // where every round actually lands under contention; each such
-        // job's solo clean run says how long a round takes at nominal rate.
-        // Rounds the comparison condemns to crawling through a degraded OST
-        // window are held behind a release gate in the shared DES. The probe
-        // ignores the gates it motivates — a mistimed gate only costs idle
-        // time, never correctness.
-        if jobs.iter().any(|j| acts(j.plan.strategy)) {
-            let fspec = faults.expect("the controller acts only on a fault plan");
-            let shared_probe = probe_shared_windows(spec, &exec_jobs, fspec, obs.engine);
-            for (ji, job) in (jobs.iter().enumerate()).filter(|(_, j)| acts(j.plan.strategy)) {
-                let ExecJob { map, marks, .. } = &mut exec_jobs[ji];
-                let solo = (&*job.plan, &**map, job.pipeline, job.exchange, obs.engine);
-                let probed = &shared_probe[ji];
-                let (severity, clean) =
-                    control(policy, fspec, spec, solo, probed, true, marks, |_, _| {});
-                // The clean run *is* this job's solo baseline.
-                self.seed_solo(job, obs.engine, clean);
-                severities[ji] = severity;
-            }
-        }
-
+        assert_eq!(solo.len(), jobs.len(), "one solo baseline per job");
+        let maps = placed_maps(jobs);
+        let exec_jobs = exec_jobs(jobs, &maps);
         // The shared run up to the latest run's pause is the same when
-        // nothing but the jobs shapes it and this run begins with the
-        // latest run's jobs, placed the same way at the same starts.
-        let latest = self.latest().take();
-        let pause = carry && faults.is_none() && obs.registry.is_none() && policy.is_off();
-        let keys: Option<Vec<PlacedKey>> = pause.then(|| jobs.iter().map(PlacedKey::of).collect());
-        let resume = keys.as_ref().zip(latest).and_then(|(keys, latest)| {
-            let held = (keys.iter().zip(jobs).zip(&latest.jobs))
-                .take_while(|((key, job), (held, _, start))| *key == held && job.start == *start)
+        // this run begins with the latest run's jobs, placed the same way
+        // at the same starts. A registry is filled as jobs are lowered,
+        // so a run with one lowers every job and keeps nothing.
+        let carry = obs.registry.is_none();
+        let resume = self.latest.take().filter(|_| carry).and_then(|latest| {
+            let held = (latest.jobs.iter().zip(jobs))
+                .take_while(|(held, job)| placed_alike(held, job))
                 .count();
             (latest.paused)
                 .resumes(held, &exec_jobs, &obs)
                 .then_some((latest.paused, held))
         });
-        let carried = Carried { resume, pause };
-        let mut ex = execute(spec, &exec_jobs, faults, obs, carried);
+        let carried = Carried {
+            resume,
+            pause: carry,
+        };
+        let ex = execute(self.spec, &exec_jobs, None, obs, carried);
         self.events_resumed += ex.events_resumed;
-        let makespan = ex.makespan;
-
-        // Per-job outcome: span, solo baseline, and how much of the job's
-        // OST service time overlapped some other job's.
-        let merged_ost: Vec<Vec<(u64, u64)>> =
-            ex.ost_service().into_iter().map(merge_intervals).collect();
-        let shared_ost = shared_intervals(&merged_ost);
-        let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
-        for (ji, (job, run)) in jobs.iter().zip(&ex.runs).enumerate() {
-            let (adaptive, ..) = marks::tally(&exec_jobs[ji].marks, policy, severities[ji]);
-            let span = run.report.elapsed;
-            let solo_elapsed = self.solo_elapsed(job, obs.engine);
-            let slowdown = if solo_elapsed.is_zero() {
-                1.0
-            } else {
-                span.as_secs_f64() / solo_elapsed.as_secs_f64()
-            };
-            // A job meets the others exactly where it meets the
-            // intervals two or more jobs share.
-            let own = total_len(&merged_ost[ji]);
-            let ost_overlap = if own == 0 {
-                0.0
-            } else {
-                intersect_len(&merged_ost[ji], &shared_ost) as f64 / own as f64
-            };
-            outcomes.push(JobOutcome {
-                label: job.label.clone(),
-                strategy: job.plan.strategy,
-                report: run.report.clone(),
-                start_ns: job.start.as_nanos(),
-                end_ns: run.end_ns,
-                solo_elapsed,
-                slowdown,
-                ost_overlap,
-                adaptive,
-            });
-        }
-
-        if let Some(reg) = obs.registry {
-            for (job, outcome) in jobs.iter().zip(&outcomes) {
-                job.plan.record_into(reg);
-                record_run(
-                    reg,
-                    job.plan.strategy.label(),
-                    multi.then_some(job.label.as_str()),
-                    &outcome.report,
-                );
-            }
-            let none: [(&str, &str); 0] = [];
-            reg.set_gauge("tenant.jobs", &none, jobs.len() as f64);
-            reg.set_gauge("tenant.makespan_ns", &none, makespan.as_nanos() as f64);
-            for outcome in &outcomes {
-                let labels = [
-                    ("job", outcome.label.as_str()),
-                    ("strategy", outcome.strategy.label()),
-                ];
-                reg.set_gauge("tenant.slowdown", &labels, outcome.slowdown);
-                reg.set_gauge("tenant.ost_overlap_frac", &labels, outcome.ost_overlap);
-                reg.set_gauge(
-                    "tenant.solo_elapsed_ns",
-                    &labels,
-                    outcome.solo_elapsed.as_nanos() as f64,
-                );
-            }
-            // adaptive.* appears only for jobs the controller actually
-            // handled, so Off (and all-static) runs keep their documents
-            // byte-identical.
-            for outcome in outcomes.iter().filter(|o| acts(o.strategy)) {
-                let labels = [
-                    ("job", outcome.label.as_str()),
-                    ("strategy", outcome.strategy.label()),
-                    ("policy", policy.label()),
-                ];
-                reg.set_gauge("adaptive.severity", &labels, outcome.adaptive.severity);
-                reg.inc(
-                    "adaptive.deferrals",
-                    &labels,
-                    outcome.adaptive.deferrals as u64,
-                );
-            }
-        }
-
-        let trace = ex.trace_json(|tc| {
-            if multi {
-                tc.name_lane(PID_TENANTS);
-                for (ji, outcome) in outcomes.iter().enumerate() {
-                    let label = outcome.label.as_str();
-                    tc.name_thread(PID_TENANTS, ji as u64, format_args!("j{ji} {label}"));
-                    let args = [
-                        ("job", tc.sym(label)),
-                        ("strategy", tc.sym(outcome.strategy.label())),
-                        ("slowdown", tc.sym(format_args!("{:.6}", outcome.slowdown))),
-                        (
-                            "ost_overlap",
-                            tc.sym(format_args!("{:.6}", outcome.ost_overlap)),
-                        ),
-                    ];
-                    tc.span_with_args(
-                        format_args!("j{ji}.window"),
-                        "tenant",
-                        PID_TENANTS,
-                        ji as u64,
-                        outcome.start_ns,
-                        outcome.end_ns - outcome.start_ns,
-                        &args,
-                    );
-                }
-            }
+        let (report, paused) = tenant_report(jobs, ex, solo, AdaptivePolicy::Off, &[]);
+        self.latest = paused.map(|paused| Latest {
+            jobs: jobs.to_vec(),
+            paused,
         });
-
-        let engine = std::mem::take(&mut ex.engine);
-        *self.latest() = keys.zip(ex.into_carried()).map(|(keys, paused)| {
-            let jobs = (keys.into_iter().zip(jobs))
-                .map(|(key, job)| (key, Arc::clone(&job.plan), job.start));
-            Latest {
-                jobs: jobs.collect(),
-                paused,
-            }
-        });
-        MultiTenantReport {
-            jobs: outcomes,
-            makespan,
-            trace,
-            engine,
-        }
-    }
-
-    /// The job's solo baseline under `engine`: simulated on first use,
-    /// answered from the memo afterwards.
-    fn solo_elapsed(&mut self, job: &TenantJob, engine: SharePolicy) -> SimDuration {
-        if let Some(&(_, elapsed)) = self.solo.get(&(PlacedKey::of(job), engine)) {
-            return elapsed;
-        }
-        let elapsed = self.simulate_solo(job, engine);
-        self.seed_solo(job, engine, elapsed);
-        elapsed
-    }
-
-    /// Simulate the job's solo baseline without consulting or filling
-    /// the memo: the same job, alone, on the same nodes of the same
-    /// machine, fault-free (the baseline isolates *tenancy*). Takes
-    /// `&self` so callers can fan baselines across threads and then
-    /// [`seed_solo`](Self::seed_solo) the results in a fixed order.
-    pub fn simulate_solo(&self, job: &TenantJob, engine: SharePolicy) -> SimDuration {
-        let map = job.map.with_node_offset(job.node_offset);
-        let solo = (&*job.plan, &map, job.pipeline, job.exchange, engine);
-        clean_run(self.spec, solo).report.elapsed
-    }
-
-    /// Record `elapsed` as the job's solo baseline under `engine`. It
-    /// must be what [`simulate_solo`](Self::simulate_solo) returned for
-    /// the same job and engine.
-    pub fn seed_solo(&mut self, job: &TenantJob, engine: SharePolicy, elapsed: SimDuration) {
-        let entry = (Arc::clone(&job.plan), elapsed);
-        self.solo.insert((PlacedKey::of(job), engine), entry);
-    }
-
-    /// Solo baselines simulated so far (memo entries; hits add none).
-    pub fn baseline_sims(&self) -> u64 {
-        self.solo.len() as u64
+        report
     }
 
     /// Shared-run events the session's runs took over from a paused run
@@ -528,6 +290,176 @@ impl<'a> TenantSession<'a> {
     pub fn events_resumed(&self) -> u64 {
         self.events_resumed
     }
+}
+
+/// Every job's process map, shifted onto the machine at its node offset.
+fn placed_maps(jobs: &[TenantJob]) -> Vec<ProcessMap> {
+    assert!(
+        !jobs.is_empty(),
+        "a multi-tenant run needs at least one job"
+    );
+    (jobs.iter())
+        .map(|job| job.map.with_node_offset(job.node_offset))
+        .collect()
+}
+
+/// The jobs as the executor runs them on their placed `maps`: labels
+/// prefixed `j{n}.` among several tenants, unprefixed for one.
+fn exec_jobs<'a>(jobs: &'a [TenantJob], maps: &'a [ProcessMap]) -> Vec<ExecJob<'a>> {
+    let multi = jobs.len() > 1;
+    (jobs.iter().zip(maps).enumerate())
+        .map(|(ji, (job, map))| ExecJob {
+            plan: &job.plan,
+            map,
+            pipeline: job.pipeline,
+            exchange: job.exchange,
+            start: job.start,
+            prefix: if multi {
+                format!("j{ji}.")
+            } else {
+                String::new()
+            },
+            label: Some(&job.label),
+            elapsed: Elapsed::Span,
+            marks: Vec::new(),
+        })
+        .collect()
+}
+
+/// The tenant view of a finished shared run of `jobs`: each job's span,
+/// its slowdown against its baseline `solo[ji]`, how much of its OST
+/// service time overlapped another job's and what the controller did
+/// (`severities[ji]`; empty when the controller acted on no job), then
+/// the tenant metrics and the per-job window lanes. Also hands back the
+/// run paused for the next, when it paused.
+fn tenant_report(
+    jobs: &[TenantJob],
+    mut ex: Executed<'_>,
+    solo: &[SimDuration],
+    policy: AdaptivePolicy,
+    severities: &[f64],
+) -> (MultiTenantReport, Option<Paused>) {
+    let multi = jobs.len() > 1;
+    let acts = |strategy| controller_acts(policy, ex.faults, strategy);
+    let makespan = ex.makespan;
+
+    // Per-job outcome: span, solo baseline, and how much of the job's
+    // OST service time overlapped some other job's.
+    let merged_ost: Vec<Vec<(u64, u64)>> =
+        ex.ost_service().into_iter().map(merge_intervals).collect();
+    let shared_ost = shared_intervals(&merged_ost);
+    let mut outcomes: Vec<JobOutcome> = Vec::with_capacity(jobs.len());
+    for (ji, (job, run)) in jobs.iter().zip(&ex.runs).enumerate() {
+        let severity = severities.get(ji).copied().unwrap_or(0.0);
+        let (adaptive, ..) = marks::tally(&ex.jobs[ji].marks, policy, severity);
+        let span = run.report.elapsed;
+        let solo_elapsed = solo[ji];
+        let slowdown = if solo_elapsed.is_zero() {
+            1.0
+        } else {
+            span.as_secs_f64() / solo_elapsed.as_secs_f64()
+        };
+        // A job meets the others exactly where it meets the
+        // intervals two or more jobs share.
+        let own = total_len(&merged_ost[ji]);
+        let ost_overlap = if own == 0 {
+            0.0
+        } else {
+            intersect_len(&merged_ost[ji], &shared_ost) as f64 / own as f64
+        };
+        outcomes.push(JobOutcome {
+            label: job.label.clone(),
+            strategy: job.plan.strategy,
+            report: run.report.clone(),
+            start_ns: job.start.as_nanos(),
+            end_ns: run.end_ns,
+            solo_elapsed,
+            slowdown,
+            ost_overlap,
+            adaptive,
+        });
+    }
+
+    if let Some(reg) = ex.obs.registry {
+        for (job, outcome) in jobs.iter().zip(&outcomes) {
+            job.plan.record_into(reg);
+            record_run(
+                reg,
+                job.plan.strategy.label(),
+                multi.then_some(job.label.as_str()),
+                &outcome.report,
+            );
+        }
+        let none: [(&str, &str); 0] = [];
+        reg.set_gauge("tenant.jobs", &none, jobs.len() as f64);
+        reg.set_gauge("tenant.makespan_ns", &none, makespan.as_nanos() as f64);
+        for outcome in &outcomes {
+            let labels = [
+                ("job", outcome.label.as_str()),
+                ("strategy", outcome.strategy.label()),
+            ];
+            reg.set_gauge("tenant.slowdown", &labels, outcome.slowdown);
+            reg.set_gauge("tenant.ost_overlap_frac", &labels, outcome.ost_overlap);
+            reg.set_gauge(
+                "tenant.solo_elapsed_ns",
+                &labels,
+                outcome.solo_elapsed.as_nanos() as f64,
+            );
+        }
+        // adaptive.* appears only for jobs the controller actually
+        // handled, so Off (and all-static) runs keep their documents
+        // byte-identical.
+        for outcome in outcomes.iter().filter(|o| acts(o.strategy)) {
+            let labels = [
+                ("job", outcome.label.as_str()),
+                ("strategy", outcome.strategy.label()),
+                ("policy", policy.label()),
+            ];
+            reg.set_gauge("adaptive.severity", &labels, outcome.adaptive.severity);
+            reg.inc(
+                "adaptive.deferrals",
+                &labels,
+                outcome.adaptive.deferrals as u64,
+            );
+        }
+    }
+
+    let trace = ex.trace_json(|tc| {
+        if multi {
+            tc.name_lane(PID_TENANTS);
+            for (ji, outcome) in outcomes.iter().enumerate() {
+                let label = outcome.label.as_str();
+                tc.name_thread(PID_TENANTS, ji as u64, format_args!("j{ji} {label}"));
+                let args = [
+                    ("job", tc.sym(label)),
+                    ("strategy", tc.sym(outcome.strategy.label())),
+                    ("slowdown", tc.sym(format_args!("{:.6}", outcome.slowdown))),
+                    (
+                        "ost_overlap",
+                        tc.sym(format_args!("{:.6}", outcome.ost_overlap)),
+                    ),
+                ];
+                tc.span_with_args(
+                    format_args!("j{ji}.window"),
+                    "tenant",
+                    PID_TENANTS,
+                    ji as u64,
+                    outcome.start_ns,
+                    outcome.end_ns - outcome.start_ns,
+                    &args,
+                );
+            }
+        }
+    });
+
+    let engine = std::mem::take(&mut ex.engine);
+    let report = MultiTenantReport {
+        jobs: outcomes,
+        makespan,
+        trace,
+        engine,
+    };
+    (report, ex.into_carried())
 }
 
 /// Run `jobs` concurrently on one shared machine.
@@ -542,22 +474,24 @@ impl<'a> TenantSession<'a> {
 /// shock) go through [`simulate_faulted`](crate::simulate_faulted)
 /// instead, which re-plans a single job.
 ///
+/// Every job is first simulated alone on its nodes, fault-free: that
+/// clean run is its solo baseline ([`TenantJob::baseline`]).
+///
 /// Any `policy` but [`AdaptivePolicy::Off`] enables the closed-loop
 /// controller for the MC-CIO jobs of the run. On a shared machine the
 /// controller's lever is *deferral*: a probe of the whole shared,
 /// degraded run (`probe_shared_windows`) decides which of each MC job's
 /// rounds should wait out a degraded OST window instead of crawling
 /// through it, and those rounds are release-gated in the shared DES.
-/// The job's solo clean run supplies the nominal round durations the
+/// The job's clean run supplies the nominal round durations the
 /// defer-vs-crawl comparison needs. Structural re-planning (crash
 /// failover, shock demotion) stays a per-job concern via
 /// [`simulate_adaptive`](crate::simulate_adaptive), as structural
 /// faults do. Two-phase jobs and [`AdaptivePolicy::Off`] take the
 /// static path byte-for-byte.
 ///
-/// Runs on a fresh [`TenantSession`] that lowers every job and keeps
-/// nothing for a later run; hold a session instead when a run begins
-/// with the jobs of the run before, at the same starts.
+/// Keeps nothing for a later run; a [`TenantSession`] carries a paused
+/// run from one fault-free run to the next.
 ///
 /// # Panics
 /// Panics if `jobs` is empty or any job's partition
@@ -569,7 +503,50 @@ pub fn run_multitenant(
     policy: AdaptivePolicy,
     obs: Observe<'_>,
 ) -> MultiTenantReport {
-    TenantSession::new(spec).run_carrying(jobs, faults, policy, obs, false)
+    let maps = placed_maps(jobs);
+    let mut exec_jobs = exec_jobs(jobs, &maps);
+    let acts = |job: &TenantJob| controller_acts(policy, faults, job.plan.strategy);
+
+    // Closed-loop deferral. When any job's controller will act, the
+    // whole shared, degraded machine is run once without gates to learn
+    // where every round actually lands under contention; each such
+    // job's clean run says how long a round takes at nominal rate.
+    // Rounds the comparison condemns to crawling through a degraded OST
+    // window are held behind a release gate in the shared DES. The probe
+    // ignores the gates it motivates — a mistimed gate only costs idle
+    // time, never correctness.
+    let probe = jobs.iter().any(acts).then(|| {
+        let fspec = faults.expect("the controller acts only on a fault plan");
+        (
+            fspec,
+            probe_shared_windows(spec, &exec_jobs, fspec, obs.engine),
+        )
+    });
+    let mut severities = vec![0.0; jobs.len()];
+    let mut solo = Vec::with_capacity(jobs.len());
+    for (ji, (job, map)) in jobs.iter().zip(&maps).enumerate() {
+        let clean = clean_run(
+            spec,
+            (&job.plan, map, job.pipeline, job.exchange, obs.engine),
+        );
+        if let Some((fspec, probed)) = probe.as_ref().filter(|_| acts(job)) {
+            let marks = &mut exec_jobs[ji].marks;
+            severities[ji] = control(
+                policy,
+                fspec,
+                spec,
+                &clean,
+                &probed[ji],
+                true,
+                marks,
+                |_, _| {},
+            );
+        }
+        solo.push(clean.report.elapsed);
+    }
+
+    let ex = execute(spec, &exec_jobs, faults, obs, Carried::default());
+    tenant_report(jobs, ex, &solo, policy, &severities).0
 }
 
 /// Probe pass of the closed-loop multi-tenant controller: execute the

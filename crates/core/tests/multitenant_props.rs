@@ -12,10 +12,12 @@
 //! * a seeded multi-tenant run replays deterministically, trace bytes
 //!   included;
 //! * a `TenantSession` that has already answered other runs returns
-//!   exactly what a fresh `run_multitenant` call returns — neither the
-//!   solo memo nor the paused run it resumes ever changes a result, only
-//!   how often a job is simulated alone and how much of a shared run is
-//!   simulated again.
+//!   exactly what a fresh `run_multitenant` call returns — the paused
+//!   run it resumes never changes a result, only how much of a shared
+//!   run is simulated again;
+//! * a job's solo baseline is the same at every node offset of a machine
+//!   whose nodes all run at one rate (what lets the scheduler take it
+//!   once per job), and not on a partition with a straggler.
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
@@ -26,7 +28,6 @@ use mcio_core::{
     TenantSession,
 };
 use mcio_des::{SharePolicy, SimDuration};
-use mcio_faults::FaultSpec;
 use mcio_obs::export::to_json;
 use mcio_obs::Registry;
 use mcio_pfs::SparseFile;
@@ -40,12 +41,8 @@ const KIB: u64 = 1024;
 enum Mode {
     Traced,
     Untraced,
-    /// A fault plan on the shared PFS.
-    Faulted,
     /// A metrics registry.
     Registry,
-    /// The fault plan and the closed-loop controller.
-    Controlled,
 }
 
 /// The access shapes of the differential suite (see `diff_props.rs`).
@@ -283,13 +280,12 @@ proptest! {
     /// another index among the tenants (`j2.` → `j0.` → no prefix when
     /// it is alone) and twice in one run, under both engines, traced
     /// and not; the pool holds write and read plans under global and
-    /// per-group sync. The solo memo is hit, missed and asked for
-    /// near-identical keys, and a run resumes the paused run of the one
-    /// before when it begins with its jobs at the same starts, else
-    /// lowers every job afresh; the whole report (solo baselines,
-    /// slowdowns, overlaps, trace bytes) must still match. A run with a
-    /// fault plan, a registry or the controller on neither pauses nor
-    /// resumes, and must match too, registry rows included.
+    /// per-group sync. A run resumes the paused run of the one before
+    /// when it begins with its jobs at the same starts, else lowers
+    /// every job afresh; handed each job's baseline, the whole report
+    /// (solo baselines, slowdowns, overlaps, trace bytes) must still
+    /// match. A run with a registry neither pauses nor resumes, and must
+    /// match too, registry rows included.
     #[test]
     fn warm_session_matches_fresh_runs(
         placed in prop::collection::vec(
@@ -304,7 +300,7 @@ proptest! {
                 ),
                 prop::sample::select(vec![
                     Mode::Traced, Mode::Traced, Mode::Traced, Mode::Untraced, Mode::Untraced,
-                    Mode::Faulted, Mode::Registry, Mode::Controlled,
+                    Mode::Registry,
                 ]),
             ),
             5,
@@ -337,11 +333,6 @@ proptest! {
             [pool[0].0.sync, pool[1].0.sync],
             [SyncMode::PerGroup, SyncMode::Global]
         );
-        let faults = FaultSpec::parse(
-            "seed 42\nost_slow(0, 3.0, 0ns..2ms)\nreq_transient_fail(0.2, 7)\n",
-        )
-        .expect("fault plan parses");
-
         let mut session = TenantSession::new(&cluster);
         for (ri, (picks, mode)) in runs.iter().enumerate() {
             let jobs: Vec<TenantJob> = picks
@@ -363,11 +354,8 @@ proptest! {
             } else {
                 SharePolicy::Fifo
             };
-            let faults = matches!(mode, Mode::Faulted | Mode::Controlled).then_some(&faults);
-            let policy = match mode {
-                Mode::Controlled => AdaptivePolicy::Aggressive,
-                _ => AdaptivePolicy::Off,
-            };
+            let solo: Vec<SimDuration> =
+                jobs.iter().map(|job| job.baseline(&cluster, engine)).collect();
             let registries = [Registry::shared(), Registry::shared()];
             let obs = |reg| Observe {
                 trace: *mode != Mode::Untraced,
@@ -375,8 +363,10 @@ proptest! {
                 engine,
                 ..Observe::default()
             };
-            let warm = session.run(&jobs, faults, policy, obs(&registries[0]));
-            let fresh = run_multitenant(&jobs, &cluster, faults, policy, obs(&registries[1]));
+            let warm = session.run(&jobs, &solo, obs(&registries[0]));
+            let fresh = run_multitenant(
+                &jobs, &cluster, None, AdaptivePolicy::Off, obs(&registries[1]),
+            );
             prop_assert_eq!(&warm, &fresh, "run {} diverged on a warm session", ri);
             let [warm, fresh] = registries.map(|reg| to_json(&reg.snapshot()));
             prop_assert_eq!(warm, fresh, "run {} recorded other metrics on a warm session", ri);
@@ -416,63 +406,61 @@ fn a_run_without_the_first_job_lowers_every_job_afresh() {
         trace: true,
         ..Observe::default()
     };
+    let solo: Vec<SimDuration> = (jobs.iter())
+        .map(|job| job.baseline(&cluster, SharePolicy::Fifo))
+        .collect();
     let mut session = TenantSession::new(&cluster);
-    session.run(&jobs, None, AdaptivePolicy::Off, traced);
+    session.run(&jobs, &solo, traced);
     let rest = &jobs[1..];
-    let warm = session.run(rest, None, AdaptivePolicy::Off, traced);
+    let warm = session.run(rest, &solo[1..], traced);
     assert_eq!(session.events_resumed(), 0, "no run resumed");
     let fresh = run_multitenant(rest, &cluster, None, AdaptivePolicy::Off, traced);
     assert!(warm.trace.is_some());
     assert_eq!(warm, fresh, "report and trace bytes");
 }
 
-/// Sharing a plan is not sharing a baseline: the memo key also carries
-/// the placement and the execution mode.
+/// A job alone takes as long on any partition of a machine whose nodes
+/// all run at one rate, under either engine: the fact that lets the
+/// scheduler simulate each job's baseline once, at offset 0, and hand
+/// it to every commit that places the job. A straggler node breaks it.
 #[test]
-fn shared_plan_at_other_offset_or_pipeline_is_its_own_memo_entry() {
+fn a_baseline_is_the_same_at_every_offset_of_uniform_nodes() {
     let nranks = 8usize;
     let bs = 32 * KIB;
-    let req = build_request(Shape::Strided, nranks, bs, 3, 0);
     let map = ProcessMap::block_ppn(nranks, 2);
-    let mem = ProcMemory::uniform(nranks, 4 * bs);
+    let mem = ProcMemory::normal(nranks, 4 * bs, 0.3, 7);
     let cfg = CollectiveConfig::with_buffer(4 * bs);
-    // Node 5 is a straggler, so the two placements really differ.
-    let cluster = ClusterSpec::small(8, 2).with_straggler(5, 0.25);
-    let plan = Arc::new(plan_for(Strategy::MemoryConscious, &req, &map, &mem, &cfg));
-    let at = |offset: usize, pipeline: Pipeline| {
-        TenantJob::new("j", Arc::clone(&plan), map.clone())
-            .node_offset(offset)
-            .pipeline(pipeline)
-    };
-    let jobs = [
-        at(0, Pipeline::Serial),
-        at(4, Pipeline::Serial),
-        at(0, Pipeline::DoubleBuffered),
-    ];
-
-    let mut session = TenantSession::new(&cluster);
-    let report = session.run(&jobs, None, AdaptivePolicy::Off, Observe::default());
-    assert_eq!(session.baseline_sims(), 3, "three keys, three baselines");
-    for (job, outcome) in jobs.iter().zip(&report.jobs) {
-        let alone = run_multitenant(
-            std::slice::from_ref(job),
-            &cluster,
-            None,
-            AdaptivePolicy::Off,
-            Observe::default(),
-        );
-        assert_eq!(outcome.solo_elapsed, alone.jobs[0].report.elapsed);
+    let uniform = ClusterSpec::small(12, 2);
+    let offsets = 0..=uniform.nodes - map.nnodes();
+    for (strategy, shape, rw) in [
+        (Strategy::MemoryConscious, Shape::Strided, Rw::Write),
+        (Strategy::TwoPhase, Shape::Nested, Rw::Read),
+    ] {
+        let req = build_rw_request(rw, shape, nranks, bs, 3, 0);
+        let plan = Arc::new(plan_for(strategy, &req, &map, &mem, &cfg));
+        for pipeline in [Pipeline::Serial, Pipeline::DoubleBuffered] {
+            let at = |offset: usize| {
+                TenantJob::new("j", Arc::clone(&plan), map.clone())
+                    .node_offset(offset)
+                    .pipeline(pipeline)
+            };
+            for engine in [SharePolicy::Fifo, SharePolicy::FairShare] {
+                let base = at(0).baseline(&uniform, engine);
+                for offset in offsets.clone() {
+                    let here = at(offset).baseline(&uniform, engine);
+                    assert_eq!(
+                        here, base,
+                        "{strategy:?} {pipeline:?} {engine:?} at {offset}"
+                    );
+                }
+                // Node 5 at quarter speed: the partitions holding it are
+                // slower alone.
+                let straggler = uniform.clone().with_straggler(5, 0.25);
+                let clear = at(8).baseline(&straggler, engine);
+                assert_eq!(clear, base, "a partition without the straggler");
+                let slow = at(4).baseline(&straggler, engine);
+                assert!(slow > base, "{strategy:?} {engine:?}: {slow:?} vs {base:?}");
+            }
+        }
     }
-    assert_ne!(
-        report.jobs[0].solo_elapsed, report.jobs[1].solo_elapsed,
-        "the straggler partition is slower alone"
-    );
-
-    // The same three again are all hits; a copy of the plan is a new
-    // identity and is simulated again.
-    session.run(&jobs, None, AdaptivePolicy::Off, Observe::default());
-    assert_eq!(session.baseline_sims(), 3);
-    let copy = TenantJob::new("copy", CollectivePlan::clone(&plan), map.clone());
-    session.run(&[copy], None, AdaptivePolicy::Off, Observe::default());
-    assert_eq!(session.baseline_sims(), 4);
 }

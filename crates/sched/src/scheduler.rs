@@ -7,10 +7,10 @@
 //! **committing**: it re-simulates the resident jobs plus the newcomer
 //! in one shared fabric+PFS DES (a [`TenantSession`] run), each
 //! resident restarted at its real dispatch time, and takes the
-//! newcomer's span from that run. The session holds every solo
-//! baseline the stream has needed so far, so a commit costs that one
-//! shared simulation plus a baseline only for a `(job, node offset)`
-//! placement it has not seen. Only the *newcomer's* runtime is
+//! newcomer's span from that run. Every job's solo baseline is
+//! simulated once, before the loop, and handed to each commit that
+//! places it, so a commit costs that one shared simulation and nothing
+//! else. Only the *newcomer's* runtime is
 //! adopted; every resident keeps the end time fixed at its own commit.
 //! That is the model's fidelity boundary — a newcomer slows itself
 //! down through contention but does not retroactively stretch jobs
@@ -27,7 +27,7 @@
 use crate::policy::{priority_key, Policy};
 use crate::trace::{build_tenant, JobTrace};
 use mcio_core::exec_sim::Observe;
-use mcio_core::{AdaptivePolicy, MultiTenantReport, TenantJob, TenantSession};
+use mcio_core::{MultiTenantReport, TenantJob, TenantSession};
 use mcio_des::{EngineProfile, SimDuration};
 use mcio_obs::catalogue::PID_SCHED;
 use mcio_obs::{Registry, Trace};
@@ -167,10 +167,6 @@ pub struct Schedule {
     /// Shared commit simulations run, rejected backfill probes and
     /// admission deferrals included. Not part of `mcio.schedule.v1`.
     pub commits: u64,
-    /// Solo baselines actually simulated (the session's memo misses):
-    /// one per distinct `(job, node offset)` the stream placed.
-    /// Not part of `mcio.schedule.v1`.
-    pub baseline_sims: u64,
     /// The engine counters of every commit simulation, folded
     /// ([`EngineProfile::merge`]): machine-independent work the stream
     /// cost, every event of every shared run counted. Not part of
@@ -257,11 +253,17 @@ struct Commit {
     ost_overlap: f64,
 }
 
-/// How a commit's tenant set is simulated: on the stream's session in
-/// [`run_schedule`], on a fresh one per commit in the reference path.
+/// How a commit's tenant set is simulated, given each tenant's solo
+/// baseline: on the stream's session in [`run_schedule`], on a fresh
+/// one per commit in the reference path.
 #[doc(hidden)]
-pub type CommitFn<'a> =
-    dyn FnMut(&mut TenantSession<'_>, &[TenantJob], Observe<'_>) -> MultiTenantReport + 'a;
+#[rustfmt::skip]
+pub type CommitFn<'a> = dyn FnMut(
+    &mut TenantSession<'_>,
+    &[TenantJob],
+    &[SimDuration],
+    Observe<'_>,
+) -> MultiTenantReport + 'a;
 
 struct Loop<'a> {
     trace: &'a JobTrace,
@@ -271,7 +273,8 @@ struct Loop<'a> {
     commits: u64,
     engine: EngineProfile,
     templates: Vec<TenantJob>,
-    solo_ns: Vec<u64>,
+    /// Every job's solo baseline, in trace order.
+    solo: Vec<SimDuration>,
     free: Vec<bool>,
     pending: Vec<usize>,
     running: Vec<Running>,
@@ -296,24 +299,20 @@ impl Loop<'_> {
             .min()
             .unwrap_or(now)
             .min(now);
-        let mut tenants: Vec<TenantJob> = Vec::with_capacity(self.running.len() + 1);
-        for r in &self.running {
-            tenants.push(
-                self.templates[r.idx]
-                    .clone()
-                    .node_offset(r.node_offset)
-                    .start(SimDuration::from_nanos(r.dispatch_ns - t0)),
-            );
-        }
-        tenants.push(
-            self.templates[new_idx]
-                .clone()
-                .node_offset(new_offset)
-                .start(SimDuration::from_nanos(now - t0)),
-        );
+        let placed = (self.running.iter())
+            .map(|r| (r.idx, r.node_offset, r.dispatch_ns))
+            .chain([(new_idx, new_offset, now)]);
+        let (tenants, solo): (Vec<TenantJob>, Vec<SimDuration>) = placed
+            .map(|(idx, offset, at)| {
+                let start = SimDuration::from_nanos(at - t0);
+                let tenant = self.templates[idx].clone().node_offset(offset).start(start);
+                (tenant, self.solo[idx])
+            })
+            .unzip();
         let report = (self.commit)(
             &mut self.session,
             &tenants,
+            &solo,
             Observe {
                 engine: self.trace.engine,
                 ..Observe::default()
@@ -360,7 +359,7 @@ impl Loop<'_> {
         });
         self.dispatch_order.push(idx);
         let arrival_ns = job.arrival.as_nanos();
-        let solo_ns = self.solo_ns[idx];
+        let solo_ns = self.solo[idx].as_nanos().max(1);
         self.results[idx] = Some(JobResult {
             name: job.name.clone(),
             arrival_ns,
@@ -447,7 +446,7 @@ impl Loop<'_> {
             // Contention only stretches a job, so `solo` is a lower
             // bound on the committed span — skip the simulation when
             // even the best case overruns the reservation.
-            if now + self.solo_ns[cand] > t_r {
+            if now + self.solo[cand].as_nanos().max(1) > t_r {
                 continue;
             }
             let commit = self.commit_run(cand, offset, now);
@@ -472,7 +471,7 @@ impl Loop<'_> {
     }
 }
 
-/// Percentile by nearest rank over an unsorted sample.
+/// Percentile by nearest rank over an ascending sample.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
     let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
@@ -488,15 +487,16 @@ pub fn run_schedule(
     cfg: &SchedConfig,
     registry: Option<&Arc<Registry>>,
 ) -> Schedule {
-    run_schedule_with(trace, cfg, registry, &mut |session, tenants, obs| {
-        session.run(tenants, None, AdaptivePolicy::Off, obs)
+    run_schedule_with(trace, cfg, registry, &mut |session, tenants, solo, obs| {
+        session.run(tenants, solo, obs)
     })
 }
 
 /// [`run_schedule`] with the simulation of each commit's tenant set
-/// supplied by the caller, who is handed the stream's session. A test
-/// seam: the property suite commits on a fresh session each time and
-/// requires the same bytes; it selects nothing a user can reach.
+/// supplied by the caller, who is handed the stream's session and the
+/// tenants' solo baselines. A test seam: the property suite commits on
+/// a fresh session each time and requires the same bytes; it selects
+/// nothing a user can reach.
 #[doc(hidden)]
 pub fn run_schedule_with<'a>(
     trace: &'a JobTrace,
@@ -508,31 +508,35 @@ pub fn run_schedule_with<'a>(
     assert!(n > 0, "trace has at least one job (parser-enforced)");
 
     // Plan every job and simulate its solo baseline in parallel — the
-    // only concurrency in the scheduler — then seed the session's memo
-    // in index order, so worker count can never reorder anything.
-    let mut session = TenantSession::new(&trace.machine);
-    let prepared = mcio_sweep::run_indexed(cfg.jobs, n, |i| {
-        let template = build_tenant(&trace.jobs[i], i);
-        let solo = session.simulate_solo(&template, trace.engine);
-        (template, solo)
-    });
-    let mut templates: Vec<TenantJob> = Vec::with_capacity(n);
-    let mut solo_ns: Vec<u64> = Vec::with_capacity(n);
-    for (template, solo) in prepared {
-        session.seed_solo(&template, trace.engine, solo);
-        solo_ns.push(solo.as_nanos().max(1));
-        templates.push(template);
-    }
+    // only concurrency in the scheduler — collected in index order, so
+    // worker count can never reorder anything. A baseline is taken once,
+    // at node offset 0, and stands for every placement the stream gives
+    // the job: every node of a machine a job trace can name runs at one
+    // rate (`ClusterSpec::parse_compact` sets no `node_scale`), so a job
+    // alone takes as long on any partition.
+    let machine = &trace.machine;
+    debug_assert!(
+        (0..machine.nodes).all(|node| machine.scale_of(node) == machine.scale_of(0)),
+        "a job's baseline stands for every placement only on uniform nodes"
+    );
+    let (templates, solo): (Vec<TenantJob>, Vec<SimDuration>) =
+        mcio_sweep::run_indexed(cfg.jobs, n, |i| {
+            let template = build_tenant(&trace.jobs[i], i);
+            let solo = template.baseline(machine, trace.engine);
+            (template, solo)
+        })
+        .into_iter()
+        .unzip();
 
     let mut lp = Loop {
         trace,
         cfg,
-        session,
+        session: TenantSession::new(machine),
         commit,
         commits: 0,
         engine: EngineProfile::default(),
         templates,
-        solo_ns,
+        solo,
         free: vec![true; trace.machine.nodes],
         pending: Vec::new(),
         running: Vec::new(),
@@ -664,7 +668,6 @@ pub fn run_schedule_with<'a>(
         reg.inc("sched.backfills", labels, lp.backfills);
         reg.inc("sched.admission_deferrals", labels, lp.admission_deferrals);
         reg.inc("sched.commits", labels, lp.commits);
-        reg.inc("sched.baseline_sims", labels, lp.session.baseline_sims());
         reg.set_gauge("sched.makespan_ns", labels, makespan_ns as f64);
         reg.max_gauge("sched.queue_depth_max", labels, max_queue_depth as f64);
         for j in &jobs {
@@ -690,7 +693,6 @@ pub fn run_schedule_with<'a>(
         dispatch_order: lp.dispatch_order,
         reservations: lp.reservations,
         commits: lp.commits,
-        baseline_sims: lp.session.baseline_sims(),
         engine: lp.engine,
         events_resumed: lp.session.events_resumed(),
         trace: chrome,
@@ -827,11 +829,9 @@ mod tests {
             let c = snap.counters.iter().find(|c| c.name == name);
             c.unwrap_or_else(|| panic!("{name} recorded")).value
         };
-        // Three FCFS commits, each placing its job at offset 0, where
-        // the prepare pass had already baselined it.
-        assert_eq!((s.commits, s.baseline_sims), (3, 3));
+        // Three FCFS commits, one per job.
+        assert_eq!(s.commits, 3);
         assert_eq!(counter("sched.commits"), s.commits);
-        assert_eq!(counter("sched.baseline_sims"), s.baseline_sims);
         let dispatched = snap
             .counters
             .iter()

@@ -14,15 +14,15 @@
 //! * the seeded trace generator replays byte-identically;
 //! * the rendered document is byte-identical at `--jobs 1` vs
 //!   `--jobs 8` (the precompute fan-out cannot leak into the output);
-//! * the stream-long solo memo, kept lowerings and resumed shared runs
-//!   change no byte: committing every tenant set on a fresh session
-//!   yields the same schedule and the same engine counters.
+//! * the per-job baselines and resumed shared runs change no byte:
+//!   committing every tenant set on a fresh session, which simulates
+//!   every baseline at its placement, yields the same schedule and the
+//!   same engine counters.
 
 use mcio_core::{run_multitenant, AdaptivePolicy};
 use mcio_sched::scheduler::run_schedule_with;
 use mcio_sched::{render_schedule, run_schedule, JobTrace, Policy, SchedConfig};
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 
 const MACHINE: &str = "small:8x2";
 
@@ -134,9 +134,10 @@ proptest! {
     }
 
     /// `synthetic(seed, n)` is the `n`-job prefix of the seed's stream.
-    /// On every prefix the session-long memo must be invisible: the
-    /// reference commits each tenant set through `run_multitenant`,
-    /// i.e. on a fresh session that re-simulates every baseline.
+    /// On every prefix the stream's session and its once-per-job
+    /// baselines must be invisible: the reference commits each tenant
+    /// set through `run_multitenant`, i.e. on a fresh session that
+    /// simulates every baseline at its placement.
     #[test]
     fn memoised_commits_match_a_fresh_session_per_commit(
         seed in any::<u64>(),
@@ -147,7 +148,7 @@ proptest! {
         for policy in Policy::ALL {
             let cfg = SchedConfig { policy, admission, ..SchedConfig::default() };
             let memoised = run_schedule(&trace, &cfg, None);
-            let reference = run_schedule_with(&trace, &cfg, None, &mut |_, tenants, obs| {
+            let reference = run_schedule_with(&trace, &cfg, None, &mut |_, tenants, _, obs| {
                 run_multitenant(tenants, &trace.machine, None, AdaptivePolicy::Off, obs)
             });
             prop_assert_eq!(
@@ -164,43 +165,35 @@ proptest! {
     }
 }
 
-/// One commit, one simulation: on the bundled stream the baselines
-/// actually simulated are exactly the distinct `(job, node offset)`
-/// placements the stream produced — every repeat was a memo hit. The
-/// placements are counted independently, from the tenant sets the
-/// commits were handed (plus each job's offset-0 prepare baseline).
+/// One commit, one simulation: on the bundled stream the commits, the
+/// tenants they were handed and the shared runs' activities and events
+/// are pinned per policy.
 #[test]
-fn bundled_stream_simulates_one_baseline_per_distinct_placement() {
+fn bundled_stream_commits_one_shared_run_each() {
     let trace = JobTrace::bundled();
-    // (policy, commits, baselines, tenants over all commits,
-    // activities and events fired over all commits); the counts move
-    // only when the simulated schedule itself does
-    // (`BENCH_scheduler_suite.json`). The third column is what a fresh
-    // session per commit would have baselined instead. The last two were
-    // read off the commit before the session kept its residents'
+    // (policy, commits, tenants over all commits, activities and events
+    // fired over all commits); the counts move only when the simulated
+    // schedule itself does (`BENCH_scheduler_suite.json`). The last two
+    // were read off the commit before the session kept its residents'
     // lowerings: an appended lowering is the same activities and makes
     // the same events as a fresh one.
-    for (policy, commits, baselines, per_commit, activities, events_fired) in [
-        (Policy::Fcfs, 202, 375, 1_302, 90_962, 196_892),
-        (Policy::Backfill, 540, 679, 2_767, 1_454_491, 2_947_741),
+    for (policy, commits, per_commit, activities, events_fired) in [
+        (Policy::Fcfs, 202, 1_302, 90_962, 196_892),
+        (Policy::Backfill, 540, 2_767, 1_454_491, 2_947_741),
     ] {
-        let mut placements: BTreeSet<(String, usize)> =
-            trace.jobs.iter().map(|j| (j.name.clone(), 0)).collect();
         let mut tenant_sims = 0u64;
-        let s = run_schedule_with(&trace, &cfg(policy), None, &mut |session, tenants, obs| {
-            tenant_sims += tenants.len() as u64;
-            placements.extend(tenants.iter().map(|t| (t.label.clone(), t.node_offset)));
-            session.run(tenants, None, AdaptivePolicy::Off, obs)
-        });
-        assert_eq!(
-            s.baseline_sims,
-            placements.len() as u64,
-            "{}",
-            policy.label()
+        let s = run_schedule_with(
+            &trace,
+            &cfg(policy),
+            None,
+            &mut |session, tenants, solo, obs| {
+                tenant_sims += tenants.len() as u64;
+                session.run(tenants, solo, obs)
+            },
         );
         assert_eq!(
-            (s.commits, s.baseline_sims, tenant_sims),
-            (commits, baselines, per_commit),
+            (s.commits, tenant_sims),
+            (commits, per_commit),
             "{}",
             policy.label()
         );
