@@ -329,6 +329,10 @@ job b ranks=8 ppn=2 node_offset=4 start=250us per_proc=256K segments=2 buffer=25
                 "machine small:8x2\njob a workload=checkpoint per_proc=0",
                 "needs a positive per_proc",
             ),
+            (
+                "machine small:8x2\njob a workload=collperf scale=4 buffer=256",
+                "line 2: a request of 536870912 bytes over a buffer of 256 bytes",
+            ),
         ] {
             let err = MtSpec::parse(text).expect_err(text);
             assert!(

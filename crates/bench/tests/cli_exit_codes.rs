@@ -838,6 +838,38 @@ fn schedule_malformed_trace_exits_1_with_one_line_error() {
     assert!(!err.contains("panicked"), "{err}");
 }
 
+/// A job of more than 2^20 aggregation rounds is refused before it is
+/// planned: the trace below used to run past a 30 s timeout.
+#[test]
+fn schedule_of_a_million_one_byte_rounds_exits_1_with_one_line_error() {
+    let path = tmp("sched_rounds.jobtrace");
+    let job = "machine small:4x2\njob a ranks=8 ppn=2 segments=1 buffer=1\n";
+    std::fs::write(&path, job).unwrap();
+    let out = run(&["schedule", "--trace", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr(&out);
+    assert!(
+        err.contains("16777216 bytes over a buffer of 1 bytes"),
+        "{err}"
+    );
+    assert_eq!(err.trim().lines().count(), 1, "one-line error, got: {err}");
+}
+
+/// `run` refuses the same job as a usage error.
+#[test]
+fn run_of_a_million_one_byte_rounds_exits_2_with_one_line_error() {
+    let args = "run --ranks 8 --ppn 2 --per-proc 2M --segments 1 --buffer 1 --machine small";
+    let out = run(&args.split_whitespace().collect::<Vec<_>>());
+    assert_eq!(out.status.code(), Some(2));
+    let err = stderr(&out);
+    assert!(
+        err.contains("16777216 bytes over a buffer of 1 bytes"),
+        "{err}"
+    );
+    assert_eq!(err.trim().lines().count(), 1, "one-line error, got: {err}");
+}
+
 #[test]
 fn schedule_unwritable_out_exits_1_without_panic() {
     let path = tmp("sched_tiny.jobtrace");

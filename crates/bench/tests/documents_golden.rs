@@ -157,7 +157,7 @@ fn multitenant_document_and_its_tenant_attribution() {
 }
 
 const MT_TRACE: TracePin = (58_379, 0x0bd4_5d42_5bd5_57e3);
-const SCHED_TRACE: TracePin = (3_089, 0x8154_5569_cd2a_371b);
+const SCHED_TRACE: TracePin = (3_224, 0x59bb_cbe6_6f81_b41a);
 const REPLAN_TRACE: TracePin = (70_579, 0xa307_2109_a53e_d168);
 
 #[test]

@@ -29,7 +29,8 @@ use crate::plan::{CollectivePlan, Round, SyncMode};
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::{Fabric, NodeId, ProcessMap, Rank};
 use mcio_des::{
-    arg, ActivityId, Label, Prefix, SharePolicy, SimDuration, SimTime, Simulation, Tpl,
+    arg, ActivityId, Label, Prefix, ResourceId, ServiceWindow, SharePolicy, SimDuration, SimTime,
+    Simulation, Tpl,
 };
 use mcio_faults::FaultSpec;
 use mcio_obs::catalogue::PID_ROUNDS;
@@ -286,7 +287,7 @@ pub(crate) fn simulate_inner(
         elapsed: Elapsed::Makespan,
         marks,
     }];
-    let mut ex = execute(spec, &job, faults, obs, Carried::default());
+    let mut ex = execute(spec, &job, faults, obs, None);
     let trace = ex.trace_json(|_| {});
     let JobRun {
         report, windows, ..
@@ -347,56 +348,54 @@ impl Shape {
     }
 }
 
-/// A session's shared run paused at its last job's start, kept to be
-/// resumed by the session's next run: every event before that instant
-/// has fired — none of them depends on the last job — and the last job
-/// is registered but not yet seeded, so a run that does not place it
-/// drops it (DESIGN.md §10, "Pausing a run and resuming it").
-pub(crate) struct Paused {
-    sim: Simulation,
-    fabric: Fabric,
-    pfs: Pfs,
-    /// Every job as the run lowered it, in job order: a fork keeps the
-    /// activity ids, so the shapes hold for a resumed run as they are.
-    jobs: Vec<Lowered>,
-    /// The instant the run is paused at, the last job's start.
-    at: SimDuration,
-    engine: SharePolicy,
-    /// Whether the run keeps service records.
-    records: bool,
+/// One interval of service a job held on one resource of the machine: a
+/// DES service record, and whether the resource is an OST. A stream's
+/// ledger keeps them for its committed jobs (DESIGN.md §11, "The ledger
+/// of committed service").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Held {
+    pub resource: ResourceId,
+    pub ost: bool,
+    pub start_ns: u64,
+    pub end_ns: u64,
 }
 
-impl Paused {
-    /// Whether a run of `jobs` observed as `obs` can resume this run,
-    /// taking its first `held` jobs as they are — the caller vouches
-    /// that those are placed as this run placed them, at the same
-    /// starts. The rest are appended after the pause, so none may start
-    /// before it; and only the last job, never seeded, may be dropped.
-    pub(crate) fn resumes(&self, held: usize, jobs: &[ExecJob<'_>], obs: &Observe<'_>) -> bool {
-        let n = self.jobs.len();
-        (held == n || (held + 1 == n && jobs.len() > held))
-            && self.engine == obs.engine
-            && self.records == keeps_records(jobs, obs)
-            // The label prefixes: `j{n}.` among several tenants, none alone.
-            && (n > 1) == (jobs.len() > 1)
-            && jobs[held..].iter().all(|job| job.start >= self.at)
+/// Slow every resource `held` names by the service held there: where
+/// `k` intervals cover an instant on a resource of capacity `c`, a job
+/// of this run progresses at `min(1, c / (k + 1))` of the nominal rate.
+/// The windows go in the way [`Pfs::apply_faults`] installs an OST's.
+fn install_held(sim: &mut Simulation, held: &[Held]) {
+    let mut edges: Vec<(ResourceId, u64, i64)> = (held.iter())
+        .flat_map(|h| [(h.resource, h.start_ns, 1), (h.resource, h.end_ns, -1)])
+        .collect();
+    edges.sort_unstable();
+    for edges in edges.chunk_by(|a, b| a.0 == b.0) {
+        let resource = edges[0].0;
+        let capacity = sim.capacity(resource) as f64;
+        let mut windows: Vec<ServiceWindow> = Vec::new();
+        let (mut k, mut i) = (0, 0);
+        while i < edges.len() {
+            let t = edges[i].1;
+            while edges.get(i).is_some_and(|e| e.1 == t) {
+                k += edges[i].2;
+                i += 1;
+            }
+            let Some(&(_, next, _)) = edges.get(i) else {
+                break;
+            };
+            let rate = (capacity / (k + 1) as f64).min(1.0);
+            if rate < 1.0 {
+                let (start, end) = (SimTime::from_nanos(t), SimTime::from_nanos(next));
+                match windows.last_mut() {
+                    Some(w) if w.end == start && w.rate == rate => w.end = end,
+                    _ => windows.push(ServiceWindow { start, end, rate }),
+                }
+            }
+        }
+        if !windows.is_empty() {
+            sim.set_service_windows(resource, windows);
+        }
     }
-}
-
-/// What a session carries from its latest run into [`execute`]: the
-/// paused run if this one resumes it, holding the first that many jobs,
-/// and whether this run pauses for the next one. The default carries
-/// nothing either way: a run that stands alone.
-#[derive(Default)]
-pub(crate) struct Carried {
-    pub resume: Option<(Paused, usize)>,
-    pub pause: bool,
-}
-
-/// Whether a run keeps the DES service records: for the trace, and to
-/// tell several jobs' OST service apart.
-fn keeps_records(jobs: &[ExecJob<'_>], obs: &Observe<'_>) -> bool {
-    obs.trace || jobs.len() > 1
 }
 
 /// One job as lowered into the shared simulation.
@@ -420,9 +419,6 @@ pub(crate) struct Executed<'a> {
     /// Deterministic engine counters of the one shared DES run (what
     /// every job's report carries a copy of).
     pub engine: mcio_des::EngineProfile,
-    /// Events the run took over from the paused run it resumed instead
-    /// of firing them itself (0 for a run from the start).
-    pub events_resumed: u64,
     /// The jobs the run executed, marks included.
     pub jobs: &'a [ExecJob<'a>],
     /// The machine-level fault plan the run armed.
@@ -432,7 +428,6 @@ pub(crate) struct Executed<'a> {
     des: mcio_des::RunReport,
     pfs: Pfs,
     lowered: Vec<Lowered>,
-    paused: Option<Paused>,
 }
 
 /// The executor: lower `jobs` into one DES over one fabric and one PFS
@@ -442,16 +437,13 @@ pub(crate) struct Executed<'a> {
 /// job arriving at zero, a multi-tenant run is several, a fault or
 /// controller transform is the `marks` it hands each job, and `faults`
 /// arms the machine-level injection (OST windows, transient request
-/// failures) on the shared PFS. Service records are kept when the
-/// trace is wanted or when there is more than one job to tell apart.
+/// failures) on the shared PFS.
 ///
-/// A run that stands alone carries nothing in ([`Carried::default`]).
-/// A session's run pauses before its last job, at that job's start, and
-/// hands back a copy of the paused run ([`Executed::into_carried`]);
-/// the session's next run may pass it in to resume, in place of a new
-/// machine and the jobs it holds, and lowers every other job through
-/// [`Lowering::lower_plan`] as ever. The caller vouches that such a run
-/// has no fault plan, no registry and no marks.
+/// `held` is the service other jobs hold on the machine — a stream's
+/// ledger, for a job probed against it: it slows this run's resources
+/// ([`install_held`]) and the run keeps its service records for the
+/// ledger ([`Executed::held`]). Records are kept too when the trace is
+/// wanted or when there is more than one job to tell apart.
 ///
 /// # Panics
 /// Panics if a job's process map needs more nodes than the machine has.
@@ -460,62 +452,31 @@ pub(crate) fn execute<'a>(
     jobs: &'a [ExecJob<'a>],
     faults: Option<&'a FaultSpec>,
     obs: Observe<'a>,
-    carried: Carried,
+    held: Option<&[Held]>,
 ) -> Executed<'a> {
-    let Carried { resume, pause } = carried;
     debug_assert!(
-        !pause
-            || (faults.is_none()
-                && obs.registry.is_none()
-                && jobs.iter().all(|job| job.marks.is_empty()))
+        held.is_none() || faults.is_none(),
+        "held service replaces OST windows"
     );
-    let mut build_scope = obs.prof.map(|p| p.scope("build-activity-graph"));
-    let (mut sim, fabric, pfs, mut lowered, events_resumed) = match resume {
-        Some((paused, held)) => {
-            let Paused {
-                mut sim,
-                fabric,
-                pfs,
-                jobs: mut lowered,
-                ..
-            } = paused;
-            // The jobs past the held ones were never seeded.
-            if let Some(dropped) = lowered.get(held) {
-                sim.truncate(dropped.acts.start);
-            }
-            lowered.truncate(held);
-            lowered.reserve(jobs.len() - held);
-            let events = sim.events_fired();
-            (sim, fabric, pfs, lowered, events)
-        }
-        None => {
-            let mut sim = Simulation::with_policy(obs.engine);
-            if keeps_records(jobs, &obs) {
-                sim.enable_trace();
-            }
-            let fabric = Fabric::build(&mut sim, spec);
-            let mut pfs = Pfs::build(&mut sim, spec);
-            if let Some(reg) = obs.registry {
-                pfs.set_registry(Arc::clone(reg));
-            }
-            if let Some(fspec) = faults {
-                pfs.apply_faults(&mut sim, fspec);
-            }
-            (sim, fabric, pfs, Vec::with_capacity(jobs.len()), 0)
-        }
-    };
+    let build_scope = obs.prof.map(|p| p.scope("build-activity-graph"));
+    let mut sim = Simulation::with_policy(obs.engine);
+    if obs.trace || jobs.len() > 1 || held.is_some() {
+        sim.enable_trace();
+    }
+    let fabric = Fabric::build(&mut sim, spec);
+    let mut pfs = Pfs::build(&mut sim, spec);
+    if let Some(reg) = obs.registry {
+        pfs.set_registry(Arc::clone(reg));
+    }
+    if let Some(fspec) = faults {
+        pfs.apply_faults(&mut sim, fspec);
+    }
+    if let Some(held) = held {
+        install_held(&mut sim, held);
+    }
 
-    for (ji, job) in jobs.iter().enumerate().skip(lowered.len()) {
-        // A session's run pauses at its last job's start with every other
-        // job in: what happens before that instant does not depend on the
-        // last job, so the session's next run may resume from here.
-        if pause && ji + 1 == jobs.len() {
-            drop(build_scope.take());
-            let _run_scope = obs.prof.map(|p| p.scope("des-run"));
-            sim.run_until(SimTime::ZERO + job.start);
-            drop(_run_scope);
-            build_scope = obs.prof.map(|p| p.scope("build-activity-graph"));
-        }
+    let mut lowered = Vec::with_capacity(jobs.len());
+    for job in jobs {
         assert!(
             job.map.nnodes() <= fabric.nnodes(),
             "{}process map uses {} nodes but the machine has {}",
@@ -541,21 +502,6 @@ pub(crate) fn execute<'a>(
             acts: act_lo..sim.activity_count(),
         });
     }
-    // The session keeps a copy of the paused run; the last job goes into
-    // it unseeded, and the two share the activity graph. The jobs' shapes
-    // join the copy when the run is done with them.
-    let paused = pause.then(|| {
-        let _fork_scope = obs.prof.map(|p| p.scope("fork"));
-        Paused {
-            sim: sim.fork(),
-            fabric: fabric.clone(),
-            pfs: pfs.clone(),
-            jobs: Vec::new(),
-            at: jobs.last().map_or(SimDuration::ZERO, |job| job.start),
-            engine: obs.engine,
-            records: keeps_records(jobs, &obs),
-        }
-    });
     drop(build_scope);
 
     let run_scope = obs.prof.map(|p| p.scope("des-run"));
@@ -635,21 +581,26 @@ pub(crate) fn execute<'a>(
         faults,
         obs,
         engine,
-        events_resumed,
         des,
         pfs,
         lowered,
-        paused,
     }
 }
 
 impl Executed<'_> {
-    /// The run paused before its last job, holding every job's shape, for
-    /// the next run of the session that asked it to pause (`None` for a
-    /// run that stands alone).
-    pub(crate) fn into_carried(self) -> Option<Paused> {
-        let jobs = self.lowered;
-        self.paused.map(|paused| Paused { jobs, ..paused })
+    /// Every service interval the run recorded that took time, in
+    /// record order (empty when no service records were kept).
+    pub(crate) fn held(&self) -> Vec<Held> {
+        let records = self.des.trace().unwrap_or(&[]);
+        (records.iter())
+            .map(|r| Held {
+                resource: r.resource,
+                ost: self.pfs.ost_of(r.resource).is_some(),
+                start_ns: r.start.saturating_since(SimTime::ZERO).as_nanos(),
+                end_ns: r.end.saturating_since(SimTime::ZERO).as_nanos(),
+            })
+            .filter(|h| h.end_ns > h.start_ns)
+            .collect()
     }
 
     /// Per-job OST service intervals `(start_ns, end_ns)`: every service

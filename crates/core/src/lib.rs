@@ -61,7 +61,7 @@ pub use exec_sim::{
     simulate, simulate_observed, Exchange, Observe, Pipeline, RoundPhase, RunMetrics, TimingReport,
 };
 pub use memory::ProcMemory;
-pub use multitenant::{run_multitenant, JobOutcome, MultiTenantReport, TenantJob, TenantSession};
+pub use multitenant::{run_multitenant, JobOutcome, Ledger, MultiTenantReport, Probe, TenantJob};
 pub use placement::PlacementDiag;
 pub use plan::{
     AggregatorAssignment, CollectivePlan, GroupPlan, IoOp, Message, PlanDiag, Round, SyncMode,

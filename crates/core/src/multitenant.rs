@@ -25,23 +25,26 @@
 //! Interference metrics per job:
 //! * **slowdown** — the job's span on the shared machine divided by
 //!   its elapsed time when simulated alone on the same nodes (the *solo
-//!   baseline*, [`TenantJob::baseline`]; a [`TenantSession`]'s caller
-//!   hands it in);
+//!   baseline*, [`TenantJob::baseline`]);
 //! * **OST busy-overlap** — the fraction of the job's OST service time
 //!   during which at least one *other* job was also being served by
 //!   some OST (how much of its storage work was contended).
+//!
+//! A job stream that commits one job at a time (the batch scheduler)
+//! runs each newcomer alone against a [`Ledger`] of the service the jobs
+//! it committed before hold, instead of simulating them again.
 
 use crate::adaptive::{clean_run, control, controller_acts, AdaptiveOutcome, AdaptivePolicy};
 use crate::config::Strategy;
 use crate::exec_sim::{
-    execute, record_run, Carried, Elapsed, Exchange, ExecJob, Executed, Observe, Paused, Pipeline,
+    execute, record_run, Elapsed, Exchange, ExecJob, Executed, Held, Observe, Pipeline,
     RoundWindow, TimingReport,
 };
 use crate::marks;
 use crate::plan::CollectivePlan;
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_des::{SharePolicy, SimDuration};
+use mcio_des::{EngineProfile, SharePolicy, SimDuration};
 use mcio_faults::FaultSpec;
 use mcio_obs::catalogue::PID_TENANTS;
 use mcio_obs::intervals::{intersect_len, merge_intervals, shared_intervals, total_len};
@@ -54,8 +57,7 @@ pub struct TenantJob {
     /// Job name (trace lanes, metric labels, reports).
     pub label: String,
     /// The planned collective (pure data; any strategy). Shared, so
-    /// placing one planned job many times never copies the plan, and a
-    /// [`TenantSession`] knows a job of its latest run by the `Arc`.
+    /// placing one planned job many times never copies the plan.
     pub plan: Arc<CollectivePlan>,
     /// The job's process placement over its *local* nodes
     /// `0..map.nnodes()`; shifted onto the shared machine by
@@ -167,7 +169,7 @@ pub struct MultiTenantReport {
     pub trace: Option<String>,
     /// Deterministic engine counters of the one shared DES run (the
     /// `mcio.prof.v1` cell a multi-tenant run contributes).
-    pub engine: mcio_des::EngineProfile,
+    pub engine: EngineProfile,
 }
 
 impl MultiTenantReport {
@@ -178,117 +180,98 @@ impl MultiTenantReport {
     }
 }
 
-/// Whether `a` and `b` are one job placed the same way at the same
-/// start: every input of what a job lowers to (the machine is fixed per
-/// session) and its arrival. Plans compare by `Arc` identity — two jobs
-/// match only when they share the planned collective, not merely an
-/// equal one.
-fn placed_alike(a: &TenantJob, b: &TenantJob) -> bool {
-    Arc::ptr_eq(&a.plan, &b.plan)
-        && a.map == b.map
-        && a.node_offset == b.node_offset
-        && a.start == b.start
-        && a.pipeline == b.pipeline
-        && a.exchange == b.exchange
-}
-
-/// A sequence of fault-free multi-tenant runs on one machine that
-/// carries, from one run to the next, the shared run paused before its
-/// last job.
+/// The service a job stream's committed jobs hold on one machine: every
+/// DES service record (resource, start, end) each committed job's run
+/// left, in absolute stream time.
 ///
-/// A run pauses its shared simulation at its last job's start and keeps
-/// it, with each job's round-slot shape: nothing before that instant
-/// depends on the last job. The next run resumes it when its jobs begin
-/// with the same jobs, placed the same way at the same starts under the
-/// same engine — all of them, or all but the last — and every job it
-/// adds starts no earlier than the pause; it then lowers only the jobs
-/// the paused run does not hold and simulates only from the pause on.
-/// Any other run lowers every job. Only the latest run is held, and a
-/// run with a registry attached neither resumes nor pauses. A caller
-/// that re-runs a growing resident set (the batch scheduler) therefore
-/// pays, per run that resumes, the newcomer's lowering and the part of
-/// the shared simulation the newcomer can change.
-///
-/// The session simulates no job alone: every run is handed its jobs'
-/// solo baselines ([`TenantJob::baseline`]), which a caller placing one
-/// job many times on a machine of uniform nodes takes once. Fault plans
-/// and the closed-loop controller go through [`run_multitenant`].
-pub struct TenantSession<'a> {
+/// A newcomer is [`probe`](Ledger::probe)d alone, on a fresh machine
+/// whose every resource is slowed where the ledger holds service there:
+/// where `k` held records cover an instant on a resource of capacity
+/// `c`, the newcomer's stages progress at `min(1, c / (k + 1))` of the
+/// nominal rate. Committing the probe adds its records; a job already
+/// committed is never simulated again, so a later arrival never
+/// stretches it (DESIGN.md §11). A probe costs the newcomer's lowering
+/// and events only, and a probe on an empty ledger is the job's
+/// [`TenantJob::baseline`].
+#[derive(Debug, Clone)]
+pub struct Ledger<'a> {
     spec: &'a ClusterSpec,
-    /// What the latest run left to the next, when it kept anything.
-    latest: Option<Latest>,
-    /// Shared-run events resumed rather than fired, over every run.
-    events_resumed: u64,
+    engine: SharePolicy,
+    held: Vec<Held>,
 }
 
-/// A session's latest run, kept for the next: every job in job order
-/// and the shared run paused at the last job's start.
-struct Latest {
-    jobs: Vec<TenantJob>,
-    paused: Paused,
+/// What one job does when committed to a [`Ledger`] at its start.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Probe {
+    /// The job's span: arrival to the end of its last round slot.
+    pub span: SimDuration,
+    /// Fraction of the job's OST service time during which a committed
+    /// job was also being served by some OST, in `[0, 1]`.
+    pub ost_overlap: f64,
+    /// Deterministic engine counters of the job's run.
+    pub engine: EngineProfile,
+    /// The job's arrival, nanoseconds.
+    start_ns: u64,
+    /// The job's service records.
+    held: Vec<Held>,
 }
 
-impl<'a> TenantSession<'a> {
-    /// An empty session on `spec`.
-    pub fn new(spec: &'a ClusterSpec) -> Self {
-        TenantSession {
+impl<'a> Ledger<'a> {
+    /// An empty ledger on `spec`'s machine, every resource serving under
+    /// `engine`.
+    pub fn new(spec: &'a ClusterSpec, engine: SharePolicy) -> Self {
+        Ledger {
             spec,
-            latest: None,
-            events_resumed: 0,
+            engine,
+            held: Vec::new(),
         }
     }
 
-    /// [`run_multitenant`] with no fault plan and the controller off,
-    /// taking `solo[i]` as job `i`'s solo baseline instead of simulating
-    /// it, and resuming the session's latest run where it can. The
-    /// report is that call's when every `solo[i]` is job `i`'s
-    /// [`TenantJob::baseline`] under `obs.engine`.
+    /// Simulate `job` alone from its start, slowed by the service the
+    /// ledger holds from then on. The ledger does not change.
     ///
     /// # Panics
-    /// Panics if `jobs` is empty, `solo` does not hold one baseline per
-    /// job, or any job's partition exceeds the machine's node count.
-    pub fn run(
-        &mut self,
-        jobs: &[TenantJob],
-        solo: &[SimDuration],
-        obs: Observe<'_>,
-    ) -> MultiTenantReport {
-        assert_eq!(solo.len(), jobs.len(), "one solo baseline per job");
+    /// Panics if the job's partition exceeds the machine's node count.
+    pub fn probe(&self, job: &TenantJob) -> Probe {
+        let start_ns = job.start.as_nanos();
+        let held: Vec<Held> = (self.held.iter())
+            .filter(|h| h.end_ns > start_ns)
+            .copied()
+            .collect();
+        let jobs = std::slice::from_ref(job);
         let maps = placed_maps(jobs);
         let exec_jobs = exec_jobs(jobs, &maps);
-        // The shared run up to the latest run's pause is the same when
-        // this run begins with the latest run's jobs, placed the same way
-        // at the same starts. A registry is filled as jobs are lowered,
-        // so a run with one lowers every job and keeps nothing.
-        let carry = obs.registry.is_none();
-        let resume = self.latest.take().filter(|_| carry).and_then(|latest| {
-            let held = (latest.jobs.iter().zip(jobs))
-                .take_while(|(held, job)| placed_alike(held, job))
-                .count();
-            (latest.paused)
-                .resumes(held, &exec_jobs, &obs)
-                .then_some((latest.paused, held))
-        });
-        let carried = Carried {
-            resume,
-            pause: carry,
+        let obs = Observe {
+            engine: self.engine,
+            ..Observe::default()
         };
-        let ex = execute(self.spec, &exec_jobs, None, obs, carried);
-        self.events_resumed += ex.events_resumed;
-        let (report, paused) = tenant_report(jobs, ex, solo, AdaptivePolicy::Off, &[]);
-        self.latest = paused.map(|paused| Latest {
-            jobs: jobs.to_vec(),
-            paused,
-        });
-        report
+        let mut ex = execute(self.spec, &exec_jobs, None, obs, Some(&held));
+        let own = ex.held();
+        let ost = |held: &[Held]| {
+            let ost = held.iter().filter(|h| h.ost);
+            merge_intervals(ost.map(|h| (h.start_ns, h.end_ns)).collect())
+        };
+        let (mine, others) = (ost(&own), ost(&held));
+        let busy = total_len(&mine);
+        let ost_overlap = if busy == 0 {
+            0.0
+        } else {
+            intersect_len(&mine, &others) as f64 / busy as f64
+        };
+        Probe {
+            span: ex.runs[0].report.elapsed,
+            ost_overlap,
+            engine: std::mem::take(&mut ex.engine),
+            start_ns,
+            held: own,
+        }
     }
 
-    /// Shared-run events the session's runs took over from a paused run
-    /// instead of firing, summed over its runs so far. The reports count
-    /// every event of every shared run (`engine.events_fired`); the
-    /// difference is what this process simulated.
-    pub fn events_resumed(&self) -> u64 {
-        self.events_resumed
+    /// Commit a probe of this ledger: its job's service joins the
+    /// ledger, and every record that ended by the job's start leaves it.
+    pub fn commit(&mut self, probe: Probe) {
+        self.held.retain(|h| h.end_ns > probe.start_ns);
+        self.held.extend(probe.held);
     }
 }
 
@@ -330,15 +313,14 @@ fn exec_jobs<'a>(jobs: &'a [TenantJob], maps: &'a [ProcessMap]) -> Vec<ExecJob<'
 /// its slowdown against its baseline `solo[ji]`, how much of its OST
 /// service time overlapped another job's and what the controller did
 /// (`severities[ji]`; empty when the controller acted on no job), then
-/// the tenant metrics and the per-job window lanes. Also hands back the
-/// run paused for the next, when it paused.
+/// the tenant metrics and the per-job window lanes.
 fn tenant_report(
     jobs: &[TenantJob],
     mut ex: Executed<'_>,
     solo: &[SimDuration],
     policy: AdaptivePolicy,
     severities: &[f64],
-) -> (MultiTenantReport, Option<Paused>) {
+) -> MultiTenantReport {
     let multi = jobs.len() > 1;
     let acts = |strategy| controller_acts(policy, ex.faults, strategy);
     let makespan = ex.makespan;
@@ -452,14 +434,12 @@ fn tenant_report(
         }
     });
 
-    let engine = std::mem::take(&mut ex.engine);
-    let report = MultiTenantReport {
+    MultiTenantReport {
         jobs: outcomes,
         makespan,
         trace,
-        engine,
-    };
-    (report, ex.into_carried())
+        engine: std::mem::take(&mut ex.engine),
+    }
 }
 
 /// Run `jobs` concurrently on one shared machine.
@@ -489,9 +469,6 @@ fn tenant_report(
 /// [`simulate_adaptive`](crate::simulate_adaptive), as structural
 /// faults do. Two-phase jobs and [`AdaptivePolicy::Off`] take the
 /// static path byte-for-byte.
-///
-/// Keeps nothing for a later run; a [`TenantSession`] carries a paused
-/// run from one fault-free run to the next.
 ///
 /// # Panics
 /// Panics if `jobs` is empty or any job's partition
@@ -545,8 +522,8 @@ pub fn run_multitenant(
         solo.push(clean.report.elapsed);
     }
 
-    let ex = execute(spec, &exec_jobs, faults, obs, Carried::default());
-    tenant_report(jobs, ex, &solo, policy, &severities).0
+    let ex = execute(spec, &exec_jobs, faults, obs, None);
+    tenant_report(jobs, ex, &solo, policy, &severities)
 }
 
 /// Probe pass of the closed-loop multi-tenant controller: execute the
@@ -566,6 +543,6 @@ fn probe_shared_windows(
         engine,
         ..Observe::default()
     };
-    let probe = execute(spec, jobs, Some(faults), unobserved, Carried::default());
+    let probe = execute(spec, jobs, Some(faults), unobserved, None);
     probe.runs.into_iter().map(|run| run.windows).collect()
 }

@@ -11,39 +11,27 @@
 //!   their solo run delivers (tenancy perturbs *time*, never *data*);
 //! * a seeded multi-tenant run replays deterministically, trace bytes
 //!   included;
-//! * a `TenantSession` that has already answered other runs returns
-//!   exactly what a fresh `run_multitenant` call returns — the paused
-//!   run it resumes never changes a result, only how much of a shared
-//!   run is simulated again;
+//! * a job's probe against a `Ledger` of committed service never ends
+//!   before its baseline, and a probe nobody commits changes nothing;
 //! * a job's solo baseline is the same at every node offset of a machine
 //!   whose nodes all run at one rate (what lets the scheduler take it
-//!   once per job), and not on a partition with a straggler.
+//!   once per job), and not on a partition with a straggler; a probe on
+//!   an empty ledger is that baseline at every offset and start.
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
 use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
 use mcio_core::{
     exec_fn, mcio, run_multitenant, simulate_observed, twophase, AdaptivePolicy, CollectiveConfig,
-    CollectivePlan, CollectiveRequest, Extent, ProcMemory, Rw, Strategy, SyncMode, TenantJob,
-    TenantSession,
+    CollectivePlan, CollectiveRequest, Extent, Ledger, ProcMemory, Rw, Strategy, SyncMode,
+    TenantJob,
 };
 use mcio_des::{SharePolicy, SimDuration};
-use mcio_obs::export::to_json;
-use mcio_obs::Registry;
 use mcio_pfs::SparseFile;
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const KIB: u64 = 1024;
-
-/// What a run of the warm-session property is handed besides its jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Traced,
-    Untraced,
-    /// A metrics registry.
-    Registry,
-}
 
 /// The access shapes of the differential suite (see `diff_props.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,37 +261,19 @@ proptest! {
         prop_assert_eq!(&a.trace, &b.trace, "trace bytes must replay identically");
     }
 
-    /// A warm session ≡ a fresh call. Five runs draw tenants from three
-    /// placed jobs — a plan of the pool at an offset, a pipeline and an
-    /// exchange shape — so the same placed job comes back at another
-    /// start (behind a start gate after none and the reverse), at
-    /// another index among the tenants (`j2.` → `j0.` → no prefix when
-    /// it is alone) and twice in one run, under both engines, traced
-    /// and not; the pool holds write and read plans under global and
-    /// per-group sync. A run resumes the paused run of the one before
-    /// when it begins with its jobs at the same starts, else lowers
-    /// every job afresh; handed each job's baseline, the whole report
-    /// (solo baselines, slowdowns, overlaps, trace bytes) must still
-    /// match. A run with a registry neither pauses nor resumes, and must
-    /// match too, registry rows included.
+    /// Committed service only slows a newcomer. Jobs drawn from a pool
+    /// of write and read plans under global and per-group sync, placed
+    /// on overlapping partitions at staggered starts with either
+    /// pipeline, are probed and committed one after another under
+    /// either engine: the first probe is its job's baseline, no probe
+    /// ends before its baseline, and a second ledger that also probes
+    /// (and drops) the next job before every commit probes and commits
+    /// exactly what the first one does.
     #[test]
-    fn warm_session_matches_fresh_runs(
+    fn committed_service_only_slows_a_newcomer(
         placed in prop::collection::vec(
-            (0usize..4, 0usize..3, any::<bool>(), any::<bool>()),
-            3,
-        ),
-        runs in prop::collection::vec(
-            (
-                prop::collection::vec(
-                    (0usize..3, prop::sample::select(vec![0u64, 120, 400])),
-                    1..5,
-                ),
-                prop::sample::select(vec![
-                    Mode::Traced, Mode::Traced, Mode::Traced, Mode::Untraced, Mode::Untraced,
-                    Mode::Registry,
-                ]),
-            ),
-            5,
+            (0usize..4, 0usize..3, prop::sample::select(vec![0u64, 40, 400]), any::<bool>()),
+            2..6,
         ),
         fair in any::<bool>(),
         seed in 0u64..1000,
@@ -333,96 +303,44 @@ proptest! {
             [pool[0].0.sync, pool[1].0.sync],
             [SyncMode::PerGroup, SyncMode::Global]
         );
-        let mut session = TenantSession::new(&cluster);
-        for (ri, (picks, mode)) in runs.iter().enumerate() {
-            let jobs: Vec<TenantJob> = picks
-                .iter()
-                .enumerate()
-                .map(|(ji, &(which, start_us))| {
-                    let (pi, slot, double, two_level) = placed[which];
-                    let (plan, map) = &pool[pi];
-                    TenantJob::new(format!("job{ji}"), Arc::clone(plan), map.clone())
-                        .node_offset(slot * nnodes)
-                        .start(SimDuration::from_micros(start_us))
-                        .pipeline(if double { Pipeline::DoubleBuffered } else { Pipeline::Serial })
-                        .exchange(if two_level { Exchange::TwoLevel } else { Exchange::Direct })
-                })
-                .collect();
-            // Alternate engines so one plan is baselined under both.
-            let engine = if fair ^ (ri % 2 == 1) {
-                SharePolicy::FairShare
-            } else {
-                SharePolicy::Fifo
-            };
-            let solo: Vec<SimDuration> =
-                jobs.iter().map(|job| job.baseline(&cluster, engine)).collect();
-            let registries = [Registry::shared(), Registry::shared()];
-            let obs = |reg| Observe {
-                trace: *mode != Mode::Untraced,
-                registry: (*mode == Mode::Registry).then_some(reg),
-                engine,
-                ..Observe::default()
-            };
-            let warm = session.run(&jobs, &solo, obs(&registries[0]));
-            let fresh = run_multitenant(
-                &jobs, &cluster, None, AdaptivePolicy::Off, obs(&registries[1]),
-            );
-            prop_assert_eq!(&warm, &fresh, "run {} diverged on a warm session", ri);
-            let [warm, fresh] = registries.map(|reg| to_json(&reg.snapshot()));
-            prop_assert_eq!(warm, fresh, "run {} recorded other metrics on a warm session", ri);
+        let engine = if fair { SharePolicy::FairShare } else { SharePolicy::Fifo };
+        let mut start_us = 0;
+        let jobs: Vec<TenantJob> = (placed.iter().enumerate())
+            .map(|(ji, &(pi, slot, gap_us, double))| {
+                start_us += gap_us;
+                let (plan, map) = &pool[pi];
+                TenantJob::new(format!("job{ji}"), Arc::clone(plan), map.clone())
+                    .node_offset(slot * nnodes)
+                    .start(SimDuration::from_micros(start_us))
+                    .pipeline(if double { Pipeline::DoubleBuffered } else { Pipeline::Serial })
+            })
+            .collect();
+        let mut ledger = Ledger::new(&cluster, engine);
+        let mut probed = Ledger::new(&cluster, engine);
+        for (ji, job) in jobs.iter().enumerate() {
+            let probe = ledger.probe(job);
+            let base = job.baseline(&cluster, engine);
+            if ji == 0 {
+                prop_assert_eq!(probe.span, base, "an empty ledger");
+                prop_assert_eq!(probe.ost_overlap, 0.0);
+            }
+            prop_assert!(probe.span >= base, "job {}: {:?} < {:?}", ji, probe.span, base);
+            if let Some(next) = jobs.get(ji + 1) {
+                let _rejected = probed.probe(&next.clone().start(job.start));
+            }
+            prop_assert_eq!(&probed.probe(job), &probe);
+            ledger.commit(probe.clone());
+            probed.commit(probe);
         }
     }
-}
-
-/// A run that drops the latest run's first job resumes nothing — that
-/// job is part of the residents' history — so it lowers every job
-/// afresh, including the two it shares with the latest run, and must
-/// equal a fresh call, report and trace bytes.
-#[test]
-fn a_run_without_the_first_job_lowers_every_job_afresh() {
-    let nranks = 8usize;
-    let ppn = 2usize;
-    let bs = 32 * KIB;
-    let cluster = ClusterSpec::small(8, 2);
-    let map = ProcessMap::block_ppn(nranks, ppn);
-    let mem = ProcMemory::uniform(nranks, 4 * bs);
-    let cfg = CollectiveConfig::with_buffer(4 * bs);
-    let strategies = [
-        Strategy::MemoryConscious,
-        Strategy::TwoPhase,
-        Strategy::MemoryConscious,
-    ];
-    let jobs: Vec<TenantJob> = (strategies.into_iter().enumerate())
-        .map(|(ji, strategy)| {
-            let base = ji as u64 * 64 * 1024 * KIB;
-            let req = build_request(Shape::Strided, nranks, bs, 3, base);
-            let plan = plan_for(strategy, &req, &map, &mem, &cfg);
-            TenantJob::new(format!("job{ji}"), plan, map.clone())
-                .node_offset(2 * ji)
-                .start(SimDuration::from_micros(120 * ji as u64))
-        })
-        .collect();
-    let traced = Observe {
-        trace: true,
-        ..Observe::default()
-    };
-    let solo: Vec<SimDuration> = (jobs.iter())
-        .map(|job| job.baseline(&cluster, SharePolicy::Fifo))
-        .collect();
-    let mut session = TenantSession::new(&cluster);
-    session.run(&jobs, &solo, traced);
-    let rest = &jobs[1..];
-    let warm = session.run(rest, &solo[1..], traced);
-    assert_eq!(session.events_resumed(), 0, "no run resumed");
-    let fresh = run_multitenant(rest, &cluster, None, AdaptivePolicy::Off, traced);
-    assert!(warm.trace.is_some());
-    assert_eq!(warm, fresh, "report and trace bytes");
 }
 
 /// A job alone takes as long on any partition of a machine whose nodes
 /// all run at one rate, under either engine: the fact that lets the
 /// scheduler simulate each job's baseline once, at offset 0, and hand
-/// it to every commit that places the job. A straggler node breaks it.
+/// it to every commit that places the job. A probe on an empty ledger
+/// is that baseline at every offset and start. A straggler node breaks
+/// it.
 #[test]
 fn a_baseline_is_the_same_at_every_offset_of_uniform_nodes() {
     let nranks = 8usize;
@@ -446,12 +364,20 @@ fn a_baseline_is_the_same_at_every_offset_of_uniform_nodes() {
             };
             for engine in [SharePolicy::Fifo, SharePolicy::FairShare] {
                 let base = at(0).baseline(&uniform, engine);
+                let empty = Ledger::new(&uniform, engine);
                 for offset in offsets.clone() {
                     let here = at(offset).baseline(&uniform, engine);
                     assert_eq!(
                         here, base,
                         "{strategy:?} {pipeline:?} {engine:?} at {offset}"
                     );
+                    for start in [0, 1, 120_000, 1_654_454_484] {
+                        let probe = empty.probe(&at(offset).start(SimDuration::from_nanos(start)));
+                        assert_eq!(
+                            probe.span, base,
+                            "{strategy:?} {pipeline:?} {engine:?} at {offset}, start {start}"
+                        );
+                    }
                 }
                 // Node 5 at quarter speed: the partitions holding it are
                 // slower alone.

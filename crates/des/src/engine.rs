@@ -1,6 +1,6 @@
 //! The event-driven engine: builds an activity DAG over resources, then
 //! runs it to completion, producing a [`RunReport`]. A run may pause at
-//! an instant, be copied, take more activities and resume.
+//! an instant, take more activities and resume.
 
 use crate::activity::{ActivityId, ActivityState, Stage};
 use crate::label::{IntoLabel, Label, Names, Prefix, Tpl};
@@ -84,8 +84,8 @@ fn row(ends: &[u32], i: usize) -> Range<usize> {
 
 /// What a simulation registers once and a run only reads: every stage,
 /// every label and the dependents of every activity the run has
-/// indexed. A run and the copies [`Simulation::fork`] makes of it share
-/// one; indexing into a shared graph copies it first.
+/// indexed. A run and its clones share one; indexing into a shared
+/// graph copies it first.
 #[derive(Debug, Clone, Default)]
 struct Graph {
     stages: Vec<Stage>,
@@ -123,9 +123,8 @@ fn move_onto<T>(to: &mut Vec<T>, from: &mut Vec<T>) {
 /// Add resources and activities, wire dependencies with
 /// [`Simulation::add_dep`], then call [`Simulation::run`]. A run may
 /// also stop short: [`Simulation::run_until`] pauses it at an instant,
-/// [`Simulation::fork`] copies the paused run, and activities registered
-/// on either are taken in when it moves on (DESIGN.md §10, "Pausing a
-/// run and resuming it").
+/// and activities registered then are taken in when it moves on
+/// (DESIGN.md §10, "Pausing a run and resuming it").
 #[derive(Debug, Clone, Default)]
 pub struct Simulation {
     resources: ResourceTable,
@@ -135,9 +134,8 @@ pub struct Simulation {
     names: Names,
     /// The activity graph, in flat arenas: one row per activity, then
     /// every stage back to back (a row owns a window of it), one label
-    /// row per activity and the dependents CSR — in the [`Graph`] the
-    /// run's forks share up to the activities the run has indexed, in
-    /// [`Fresh`] after them.
+    /// row per activity and the dependents CSR — in the [`Graph`] up to
+    /// the activities the run has indexed, in [`Fresh`] after them.
     activities: Vec<ActivityState>,
     graph: Arc<Graph>,
     fresh: Fresh,
@@ -259,10 +257,16 @@ impl Simulation {
         self.resources.add(name, bw, capacity)
     }
 
-    /// Install fault-injection service windows on a resource: while a
-    /// window is active the resource progresses at `window.rate` of its
-    /// nominal speed (0 = stall). Replaces any previous set for that
-    /// resource. Must be called before `run`.
+    /// The parallel service slots of a resource.
+    pub fn capacity(&self, rid: ResourceId) -> usize {
+        self.resources.capacity(rid)
+    }
+
+    /// Install service windows on a resource (injected faults, or the
+    /// service other jobs already hold there): while a window is active
+    /// the resource progresses at `window.rate` of its nominal speed
+    /// (0 = stall). Replaces any previous set for that resource. Must be
+    /// called before `run`.
     pub fn set_service_windows(&mut self, rid: ResourceId, windows: Vec<crate::ServiceWindow>) {
         self.resources.set_service_windows(rid, windows);
     }
@@ -337,52 +341,6 @@ impl Simulation {
         self.activities.len()
     }
 
-    /// Keep the first `len` activities and drop the rest, with their
-    /// stages, labels, dependents and edges: a tail registered since the
-    /// run last moved (or indexed by [`Simulation::fork`]), which it has
-    /// not seeded.
-    ///
-    /// # Panics
-    /// Panics if the run has seeded an activity of the tail, or if an
-    /// activity kept waits for one dropped.
-    pub fn truncate(&mut self, len: usize) {
-        if len >= self.activities.len() {
-            return;
-        }
-        assert!(
-            len >= self.seeded as usize,
-            "activity {len} is seeded: the run has taken it in"
-        );
-        let stage_start = self.activities[len].next_stage as usize;
-        self.activities.truncate(len);
-        let kept_waits = |&(before, after): &(ActivityId, ActivityId)| {
-            assert!(
-                before.index() < len || after.index() >= len,
-                "activity {after:?} waits for {before:?}, which is dropped"
-            );
-            after.index() < len
-        };
-        self.edges.retain(kept_waits);
-        let taken_in = self.graph.dependent_ends.len();
-        if len >= taken_in {
-            self.fresh.labels.truncate(len - taken_in);
-            (self.fresh.stages).truncate(stage_start - self.graph.stages.len());
-            return;
-        }
-        self.fresh.labels.clear();
-        self.fresh.stages.clear();
-        let graph = Arc::make_mut(&mut self.graph);
-        graph.stages.truncate(stage_start);
-        graph.labels.truncate(len);
-        let start = row(&graph.dependent_ends, len).start;
-        assert!(
-            graph.dependents[start..].iter().all(|a| a.index() >= len),
-            "an activity kept waits for one dropped"
-        );
-        graph.dependents.truncate(start);
-        graph.dependent_ends.truncate(len);
-    }
-
     /// Fire every event before `t` and pause there: nothing at or after
     /// `t` has fired, and the clock, the pending events, the resources'
     /// queues, active sets and virtual clocks, the service records and
@@ -408,24 +366,6 @@ impl Simulation {
         }
         self.paused_at = t;
         self.check_ledger();
-    }
-
-    /// Index what was registered since the run last moved, then return a
-    /// copy of the paused run that shares its graph (stages, labels,
-    /// dependents): resume either, and register on either — indexing into
-    /// a shared graph copies it first. Indexing first is what keeps the
-    /// copy from needing a graph of its own to run.
-    ///
-    /// Activities registered since the pause are indexed but not seeded:
-    /// either copy may still [`Simulation::truncate`] them.
-    pub fn fork(&mut self) -> Simulation {
-        self.index_new();
-        self.clone()
-    }
-
-    /// Events the run has fired so far.
-    pub fn events_fired(&self) -> u64 {
-        self.engine_stats.events_processed
     }
 
     /// Schedule `ev` at `t` behind everything scheduled there so far.
@@ -1538,19 +1478,8 @@ mod tests {
                     // Paused at the newcomer's arrival, then appended to.
                     let (mut paused, r) = residents(policy, windows);
                     paused.run_until(at);
-                    let mut copy = paused.fork();
                     newcomer(&mut paused, r, "new.", at);
                     same(&full, &paused.run().unwrap());
-                    // The copy takes another newcomer first, drops it
-                    // unseeded, and takes the newcomer after all — in two
-                    // steps, pausing at the newcomer's arrival once more.
-                    let dropped = copy.activity_count();
-                    newcomer(&mut copy, r, "other.", at + SimDuration::from_nanos(1));
-                    let mut copy = copy.fork();
-                    copy.truncate(dropped);
-                    copy.run_until(at);
-                    newcomer(&mut copy, r, "new.", at);
-                    same(&full, &copy.run().unwrap());
                 }
             }
         }
@@ -1558,22 +1487,24 @@ mod tests {
 
     /// The ledger's resource checks are `debug_assert!`s: in a debug
     /// build every pause and the end of every run audit each resource's
-    /// capacity and bytes, under both engines, through a pause, a fork
-    /// of the paused run and a newcomer registered on each copy.
+    /// capacity and bytes, under both engines, through a pause, a
+    /// newcomer registered there and a second pause.
     #[cfg(debug_assertions)]
     #[test]
-    fn a_ledger_checked_run_through_pause_fork_and_append() {
+    fn a_ledger_checked_run_through_pause_and_append() {
         for policy in [SharePolicy::Fifo, SharePolicy::FairShare] {
+            let full = {
+                let (mut sim, r) = residents(policy, true);
+                newcomer(&mut sim, r, "a.", TIE);
+                sim.run().unwrap()
+            };
             let (mut sim, r) = residents(policy, true);
             // Paused mid-run: stages in service, queued and left.
             sim.run_until(TIE);
-            let mut copy = sim.fork();
-            for (sim, prefix) in [(&mut sim, "a."), (&mut copy, "b.")] {
-                newcomer(sim, r, prefix, TIE);
-                sim.run_until(TIE + SimDuration::from_secs(1));
-            }
-            let (a, b) = (sim.run().unwrap(), copy.run().unwrap());
-            assert_eq!(a.resource_usages(), b.resource_usages());
+            newcomer(&mut sim, r, "a.", TIE);
+            sim.run_until(TIE + SimDuration::from_secs(1));
+            let a = sim.run().unwrap();
+            assert_eq!(a.resource_usages(), full.resource_usages());
             let served: u64 = a.resource_usages().iter().map(|u| u.bytes_served).sum();
             // Three jobs of three 100-byte stages, and the tie.
             assert_eq!(served, 3 * 300 + 50, "{policy:?}");

@@ -112,9 +112,10 @@ impl Bandwidth {
 }
 
 /// A time window during which a resource serves at a fraction of its
-/// nominal rate — the fault-injection hook. `rate` is the progress
-/// multiplier: `0.5` means half speed, `0.0` a full stall. Outside all
-/// windows the resource serves at rate 1.
+/// nominal rate — an injected fault, or the share other jobs' committed
+/// service leaves. `rate` is the progress multiplier: `0.5` means half
+/// speed, `0.0` a full stall. Outside all windows the resource serves
+/// at rate 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceWindow {
     /// Window start (inclusive).
@@ -321,6 +322,11 @@ impl ResourceTable {
             hist.merge(waited);
         }
         hist
+    }
+
+    /// A resource's parallel service slots.
+    pub(crate) fn capacity(&self, r: ResourceId) -> usize {
+        self.rows[r.0].capacity
     }
 
     /// Install service perturbation windows (fault injection). Windows

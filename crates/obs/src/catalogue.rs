@@ -123,7 +123,7 @@ pub const METRICS: &[Metric] = &[
     m("run.round.io_ns",             Histogram, "ns",          "Per-round file-access phase duration"),
     m("sched.admission_deferrals",   Counter,   "count",       "Dispatches deferred by interference budgets"),
     m("sched.backfills",             Counter,   "count",       "Dispatches that jumped a blocked head"),
-    m("sched.commits",               Counter,   "count",       "Shared commit simulations, rejected probes included"),
+    m("sched.commits",               Counter,   "count",       "Commit probes simulated, rejected probes included"),
     m("sched.dispatches",            Counter,   "count",       "Jobs dispatched by the scheduler"),
     m("sched.makespan_ns",           Gauge,     "ns",          "Completion of the last scheduled job"),
     m("sched.queue_depth_max",       Gauge,     "jobs",        "Peak pending-queue depth"),

@@ -1,5 +1,5 @@
 //! Trace-driven job-stream scheduling: the batch/queue tier above
-//! [`mcio_core::run_multitenant`].
+//! [`mcio_core`]'s shared-machine executor.
 //!
 //! The paper tunes one collective job; a production machine runs a
 //! *stream* of them. This crate replays job arrivals from a
@@ -15,12 +15,12 @@
 //!   buys rank ([`policy::AGING_QUANTUM_NS`] nanoseconds of age per
 //!   priority level), so no job starves.
 //!
-//! Each dispatch *commits* the job by re-simulating the resident jobs
-//! plus the newcomer in one shared DES ([`scheduler`]), so the
-//! newcomer's runtime reflects live OST/NIC contention. Optional
-//! admission control reads the `tenant.slowdown` /
-//! `tenant.ost_overlap_frac` gauges of that very simulation and defers
-//! dispatch while predicted interference exceeds a budget.
+//! Each dispatch *commits* the job by simulating the newcomer alone
+//! against a [`mcio_core::Ledger`] of the service the running jobs
+//! committed ([`scheduler`]), so the newcomer's runtime reflects their
+//! OST/NIC/memory-bus contention. Optional admission control reads the
+//! newcomer's predicted slowdown and OST overlap off that probe and
+//! defers dispatch while predicted interference exceeds a budget.
 //!
 //! Everything is deterministic: the event loop is sequential virtual
 //! time, the only parallelism is the index-ordered solo-baseline

@@ -4,19 +4,19 @@
 //!
 //! Dispatching a job onto a busy machine must answer *how long will it
 //! run next to the current residents?* — the scheduler answers by
-//! **committing**: it re-simulates the resident jobs plus the newcomer
-//! in one shared fabric+PFS DES (a [`TenantSession`] run), each
-//! resident restarted at its real dispatch time, and takes the
-//! newcomer's span from that run. Every job's solo baseline is
-//! simulated once, before the loop, and handed to each commit that
-//! places it, so a commit costs that one shared simulation and nothing
-//! else. Only the *newcomer's* runtime is
-//! adopted; every resident keeps the end time fixed at its own commit.
-//! That is the model's fidelity boundary — a newcomer slows itself
-//! down through contention but does not retroactively stretch jobs
-//! already running — and what makes the loop deterministic and
-//! policy-comparable: a job's committed runtime depends only on the
-//! dispatch decisions made before it, never on later ones.
+//! **committing**: it simulates the newcomer alone, from its dispatch,
+//! against the stream's [`Ledger`] — the service every resident's own
+//! commit left on the machine's resources, which slows the newcomer
+//! where it shares a resource with them — and records the newcomer's
+//! service there. Every job's solo baseline is simulated once, before
+//! the loop. A commit costs the newcomer's own simulation and nothing
+//! else: a resident is never simulated again, and keeps the end time
+//! fixed at its own commit. That is the model's fidelity boundary — a
+//! newcomer slows itself down through contention but does not
+//! retroactively stretch jobs already running — and what makes the loop
+//! deterministic and policy-comparable: a job's committed runtime
+//! depends only on the dispatch decisions made before it, never on
+//! later ones.
 //!
 //! Placement is contiguous first-fit (lowest offset wins). The virtual
 //! clock only ever advances to the next arrival or completion, and
@@ -26,8 +26,7 @@
 
 use crate::policy::{priority_key, Policy};
 use crate::trace::{build_tenant, JobTrace};
-use mcio_core::exec_sim::Observe;
-use mcio_core::{MultiTenantReport, TenantJob, TenantSession};
+use mcio_core::{Ledger, Probe, TenantJob};
 use mcio_des::{EngineProfile, SimDuration};
 use mcio_obs::catalogue::PID_SCHED;
 use mcio_obs::{Registry, Trace};
@@ -35,7 +34,7 @@ use std::cmp::Reverse;
 use std::sync::Arc;
 
 /// Admission budget on the newcomer's predicted slowdown (its span in
-/// the commit simulation over its solo span).
+/// the commit's probe over its solo span).
 pub const ADMISSION_SLOWDOWN_BUDGET: f64 = 4.0;
 
 /// Admission budget on the newcomer's predicted OST busy-overlap
@@ -47,7 +46,7 @@ pub const ADMISSION_OVERLAP_BUDGET: f64 = 0.75;
 pub struct SchedConfig {
     /// Dispatch policy.
     pub policy: Policy,
-    /// Defer dispatch while the commit simulation predicts interference
+    /// Defer dispatch while the commit's probe predicts interference
     /// above [`ADMISSION_SLOWDOWN_BUDGET`] / [`ADMISSION_OVERLAP_BUDGET`].
     pub admission: bool,
     /// Worker threads for the solo-baseline precompute (the event loop
@@ -164,19 +163,13 @@ pub struct Schedule {
     pub dispatch_order: Vec<usize>,
     /// Backfill audit records (empty unless the policy is backfill).
     pub reservations: Vec<Reservation>,
-    /// Shared commit simulations run, rejected backfill probes and
-    /// admission deferrals included. Not part of `mcio.schedule.v1`.
+    /// Commit probes simulated, rejected backfill probes and admission
+    /// deferrals included. Not part of `mcio.schedule.v1`.
     pub commits: u64,
-    /// The engine counters of every commit simulation, folded
+    /// The engine counters of every commit probe, folded
     /// ([`EngineProfile::merge`]): machine-independent work the stream
-    /// cost, every event of every shared run counted. Not part of
-    /// `mcio.schedule.v1`.
+    /// cost. Not part of `mcio.schedule.v1`.
     pub engine: EngineProfile,
-    /// Events of the commit simulations resumed from the stream's
-    /// session instead of fired ([`TenantSession::events_resumed`]):
-    /// `engine.events_fired` less this is what the process simulated.
-    /// Not part of `mcio.schedule.v1`.
-    pub events_resumed: u64,
     /// Chrome-trace JSON of the pid-6 scheduler lanes, when requested.
     pub trace: Option<String>,
 }
@@ -184,10 +177,8 @@ pub struct Schedule {
 /// A dispatched job still holding nodes.
 #[derive(Debug, Clone, Copy)]
 struct Running {
-    idx: usize,
     node_offset: usize,
     nodes: usize,
-    dispatch_ns: u64,
     end_ns: u64,
 }
 
@@ -246,30 +237,19 @@ fn reserved_start(free: &[bool], running: &[Running], need: usize, now: u64) -> 
         .max(now)
 }
 
-/// What one speculative commit simulation predicted for the newcomer.
+/// What one speculative commit predicted for the newcomer, and the
+/// probe a dispatch commits to the ledger.
 struct Commit {
     run_ns: u64,
     slowdown: f64,
-    ost_overlap: f64,
+    probe: Probe,
 }
-
-/// How a commit's tenant set is simulated, given each tenant's solo
-/// baseline: on the stream's session in [`run_schedule`], on a fresh
-/// one per commit in the reference path.
-#[doc(hidden)]
-#[rustfmt::skip]
-pub type CommitFn<'a> = dyn FnMut(
-    &mut TenantSession<'_>,
-    &[TenantJob],
-    &[SimDuration],
-    Observe<'_>,
-) -> MultiTenantReport + 'a;
 
 struct Loop<'a> {
     trace: &'a JobTrace,
     cfg: &'a SchedConfig,
-    session: TenantSession<'a>,
-    commit: &'a mut CommitFn<'a>,
+    /// The service every dispatched job committed.
+    ledger: Ledger<'a>,
     commits: u64,
     engine: EngineProfile,
     templates: Vec<TenantJob>,
@@ -288,42 +268,23 @@ struct Loop<'a> {
 }
 
 impl Loop<'_> {
-    /// Re-simulate residents + newcomer in one shared DES and read the
-    /// newcomer's span and interference prediction off its outcome.
-    fn commit_run(&mut self, new_idx: usize, new_offset: usize, now: u64) -> Commit {
+    /// Probe the newcomer at `now` on its partition against the ledger
+    /// and read its span and interference prediction off the probe.
+    fn commit_run(&mut self, idx: usize, offset: usize, now: u64) -> Commit {
         self.commits += 1;
-        let t0 = self
-            .running
-            .iter()
-            .map(|r| r.dispatch_ns)
-            .min()
-            .unwrap_or(now)
-            .min(now);
-        let placed = (self.running.iter())
-            .map(|r| (r.idx, r.node_offset, r.dispatch_ns))
-            .chain([(new_idx, new_offset, now)]);
-        let (tenants, solo): (Vec<TenantJob>, Vec<SimDuration>) = placed
-            .map(|(idx, offset, at)| {
-                let start = SimDuration::from_nanos(at - t0);
-                let tenant = self.templates[idx].clone().node_offset(offset).start(start);
-                (tenant, self.solo[idx])
-            })
-            .unzip();
-        let report = (self.commit)(
-            &mut self.session,
-            &tenants,
-            &solo,
-            Observe {
-                engine: self.trace.engine,
-                ..Observe::default()
-            },
-        );
-        self.engine.merge(&report.engine);
-        let outcome = report.jobs.last().expect("newcomer is last");
+        let start = SimDuration::from_nanos(now);
+        let job = self.templates[idx].clone().node_offset(offset).start(start);
+        let probe = self.ledger.probe(&job);
+        self.engine.merge(&probe.engine);
+        let solo = self.solo[idx];
         Commit {
-            run_ns: (outcome.end_ns - outcome.start_ns).max(1),
-            slowdown: outcome.slowdown,
-            ost_overlap: outcome.ost_overlap,
+            run_ns: probe.span.as_nanos().max(1),
+            slowdown: if solo.is_zero() {
+                1.0
+            } else {
+                probe.span.as_secs_f64() / solo.as_secs_f64()
+            },
+            probe,
         }
     }
 
@@ -334,7 +295,7 @@ impl Loop<'_> {
         !self.cfg.admission
             || self.running.is_empty()
             || (c.slowdown <= ADMISSION_SLOWDOWN_BUDGET
-                && c.ost_overlap <= ADMISSION_OVERLAP_BUDGET)
+                && c.probe.ost_overlap <= ADMISSION_OVERLAP_BUDGET)
     }
 
     fn allocate(&mut self, offset: usize, nodes: usize, value: bool) {
@@ -350,11 +311,10 @@ impl Loop<'_> {
         let nodes = job.desc.nodes();
         self.allocate(offset, nodes, false);
         let end_ns = now + commit.run_ns;
+        self.ledger.commit(commit.probe);
         self.running.push(Running {
-            idx,
             node_offset: offset,
             nodes,
-            dispatch_ns: now,
             end_ns,
         });
         self.dispatch_order.push(idx);
@@ -380,7 +340,8 @@ impl Loop<'_> {
     fn defer(&mut self, idx: usize, now: u64, c: &Commit) {
         self.admission_deferrals += 1;
         self.deferrals[idx] += 1;
-        self.defer_log.push((now, idx, c.slowdown, c.ost_overlap));
+        self.defer_log
+            .push((now, idx, c.slowdown, c.probe.ost_overlap));
     }
 
     /// Dispatch what the policy lets start at `now`. The queue's head —
@@ -487,23 +448,6 @@ pub fn run_schedule(
     cfg: &SchedConfig,
     registry: Option<&Arc<Registry>>,
 ) -> Schedule {
-    run_schedule_with(trace, cfg, registry, &mut |session, tenants, solo, obs| {
-        session.run(tenants, solo, obs)
-    })
-}
-
-/// [`run_schedule`] with the simulation of each commit's tenant set
-/// supplied by the caller, who is handed the stream's session and the
-/// tenants' solo baselines. A test seam: the property suite commits on
-/// a fresh session each time and requires the same bytes; it selects
-/// nothing a user can reach.
-#[doc(hidden)]
-pub fn run_schedule_with<'a>(
-    trace: &'a JobTrace,
-    cfg: &'a SchedConfig,
-    registry: Option<&Arc<Registry>>,
-    commit: &'a mut CommitFn<'a>,
-) -> Schedule {
     let n = trace.jobs.len();
     assert!(n > 0, "trace has at least one job (parser-enforced)");
 
@@ -513,7 +457,7 @@ pub fn run_schedule_with<'a>(
     // at node offset 0, and stands for every placement the stream gives
     // the job: every node of a machine a job trace can name runs at one
     // rate (`ClusterSpec::parse_compact` sets no `node_scale`), so a job
-    // alone takes as long on any partition.
+    // alone takes as long on any partition, and at any start.
     let machine = &trace.machine;
     debug_assert!(
         (0..machine.nodes).all(|node| machine.scale_of(node) == machine.scale_of(0)),
@@ -531,8 +475,7 @@ pub fn run_schedule_with<'a>(
     let mut lp = Loop {
         trace,
         cfg,
-        session: TenantSession::new(machine),
-        commit,
+        ledger: Ledger::new(machine, trace.engine),
         commits: 0,
         engine: EngineProfile::default(),
         templates,
@@ -694,7 +637,6 @@ pub fn run_schedule_with<'a>(
         reservations: lp.reservations,
         commits: lp.commits,
         engine: lp.engine,
-        events_resumed: lp.session.events_resumed(),
         trace: chrome,
     }
 }

@@ -353,9 +353,19 @@ job b arrival=250us prio=3 ranks=8 ppn=2 per_proc=64K segments=1 buffer=64K stra
                 "machine small:8x2\njob a buffer=0",
                 "buffer must be positive",
             ),
+            // u64::MAX ranks move more bytes than a million rounds hold;
+            // with no bytes they reach the host check.
             (
                 "machine small:8x2\njob a ranks=18446744073709551615 ppn=18446744073709551615",
+                "more than 1048576 rounds",
+            ),
+            (
+                "machine small:8x2\njob a ranks=18446744073709551615 ppn=18446744073709551615 per_proc=0",
                 "hosts at most 16",
+            ),
+            (
+                "machine small:4x2\njob a ranks=8 ppn=2 segments=1 buffer=1",
+                "a request of 16777216 bytes over a buffer of 1 bytes",
             ),
             (
                 "machine small:8x2\njob a ranks=17 ppn=4",

@@ -14,14 +14,17 @@
 //! * the seeded trace generator replays byte-identically;
 //! * the rendered document is byte-identical at `--jobs 1` vs
 //!   `--jobs 8` (the precompute fan-out cannot leak into the output);
-//! * the per-job baselines and resumed shared runs change no byte:
-//!   committing every tenant set on a fresh session, which simulates
-//!   every baseline at its placement, yields the same schedule and the
-//!   same engine counters.
+//! * a probe nobody commits changes nothing: committing only the
+//!   dispatches, in dispatch order, to a fresh ledger reproduces every
+//!   job's committed runtime, whatever the rejected backfill probes
+//!   and admission deferrals in between;
+//! * a commit simulates its newcomer alone: the bundled stream's
+//!   probes, activities and events are pinned.
 
-use mcio_core::{run_multitenant, AdaptivePolicy};
-use mcio_sched::scheduler::run_schedule_with;
-use mcio_sched::{render_schedule, run_schedule, JobTrace, Policy, SchedConfig};
+use mcio_core::Ledger;
+use mcio_des::SimDuration;
+use mcio_sched::trace::build_tenant;
+use mcio_sched::{render_schedule, run_schedule, JobTrace, Policy, SchedConfig, Schedule};
 use proptest::prelude::*;
 
 const MACHINE: &str = "small:8x2";
@@ -35,6 +38,24 @@ fn cfg(policy: Policy) -> SchedConfig {
         policy,
         ..SchedConfig::default()
     }
+}
+
+/// Commit `s`'s dispatches alone, in dispatch order, to a fresh ledger
+/// of `trace`'s machine, and return each job's span there, in trace
+/// order.
+fn replayed_runs(trace: &JobTrace, s: &Schedule) -> Vec<u64> {
+    let mut ledger = Ledger::new(&trace.machine, trace.engine);
+    let mut runs = vec![0; trace.jobs.len()];
+    for &idx in &s.dispatch_order {
+        let j = &s.jobs[idx];
+        let job = build_tenant(&trace.jobs[idx], idx)
+            .node_offset(j.node_offset)
+            .start(SimDuration::from_nanos(j.dispatch_ns));
+        let probe = ledger.probe(&job);
+        runs[idx] = probe.span.as_nanos().max(1);
+        ledger.commit(probe);
+    }
+    runs
 }
 
 proptest! {
@@ -133,76 +154,47 @@ proptest! {
         }
     }
 
-    /// `synthetic(seed, n)` is the `n`-job prefix of the seed's stream.
-    /// On every prefix the stream's session and its once-per-job
-    /// baselines must be invisible: the reference commits each tenant
-    /// set through `run_multitenant`, i.e. on a fresh session that
-    /// simulates every baseline at its placement.
+    /// What a schedule commits depends on its dispatches alone: the
+    /// probes the loop threw away (a backfill candidate past the
+    /// reservation, a deferred dispatch) left the ledger as it was.
     #[test]
-    fn memoised_commits_match_a_fresh_session_per_commit(
+    fn rejected_probes_change_no_committed_run(
         seed in any::<u64>(),
         n in 2usize..8,
         admission in any::<bool>(),
     ) {
         let trace = stream(seed, n);
         for policy in Policy::ALL {
-            let cfg = SchedConfig { policy, admission, ..SchedConfig::default() };
-            let memoised = run_schedule(&trace, &cfg, None);
-            let reference = run_schedule_with(&trace, &cfg, None, &mut |_, tenants, _, obs| {
-                run_multitenant(tenants, &trace.machine, None, AdaptivePolicy::Off, obs)
-            });
-            prop_assert_eq!(
-                render_schedule(&memoised),
-                render_schedule(&reference),
-                "policy {}", policy.label()
-            );
-            prop_assert_eq!(&memoised.events, &reference.events);
-            prop_assert_eq!(&memoised.reservations, &reference.reservations);
-            prop_assert_eq!(memoised.commits, reference.commits);
-            // A resumed commit reports every event of the full run.
-            prop_assert_eq!(&memoised.engine, &reference.engine);
+            let s = run_schedule(&trace, &SchedConfig { policy, admission, ..SchedConfig::default() }, None);
+            let committed: Vec<u64> = s.jobs.iter().map(|j| j.run_ns).collect();
+            prop_assert_eq!(replayed_runs(&trace, &s), committed, "policy {}", policy.label());
         }
     }
 }
 
-/// One commit, one simulation: on the bundled stream the commits, the
-/// tenants they were handed and the shared runs' activities and events
-/// are pinned per policy.
+/// One commit, one newcomer simulated alone: on the bundled stream the
+/// probes (rejected ones included) and the activities and events they
+/// simulated are pinned per policy. They move only when the simulated
+/// schedule itself does (`BENCH_scheduler_suite.json`).
 #[test]
-fn bundled_stream_commits_one_shared_run_each() {
+fn bundled_stream_probes_each_newcomer_alone() {
     let trace = JobTrace::bundled();
-    // (policy, commits, tenants over all commits, activities and events
-    // fired over all commits); the counts move only when the simulated
-    // schedule itself does (`BENCH_scheduler_suite.json`). The last two
-    // were read off the commit before the session kept its residents'
-    // lowerings: an appended lowering is the same activities and makes
-    // the same events as a fresh one.
-    for (policy, commits, per_commit, activities, events_fired) in [
-        (Policy::Fcfs, 202, 1_302, 90_962, 196_892),
-        (Policy::Backfill, 540, 2_767, 1_454_491, 2_947_741),
+    // (policy, probes, activities and events fired over all probes).
+    for (policy, commits, activities, events_fired) in [
+        (Policy::Fcfs, 202, 17_764, 37_894),
+        (Policy::Backfill, 514, 38_668, 83_134),
     ] {
-        let mut tenant_sims = 0u64;
-        let s = run_schedule_with(
-            &trace,
-            &cfg(policy),
-            None,
-            &mut |session, tenants, solo, obs| {
-                tenant_sims += tenants.len() as u64;
-                session.run(tenants, solo, obs)
-            },
-        );
+        let s = run_schedule(&trace, &cfg(policy), None);
         assert_eq!(
-            (s.commits, tenant_sims),
-            (commits, per_commit),
+            (s.commits, s.engine.activities, s.engine.events_fired),
+            (commits, activities, events_fired),
             "{}",
             policy.label()
         );
-        assert_eq!(
-            (s.engine.activities, s.engine.events_fired),
-            (activities, events_fired),
-            "{}",
-            policy.label()
-        );
+        // Backfill threw 312 probes away; the runs are those of the
+        // 202 it committed.
+        let committed: Vec<u64> = s.jobs.iter().map(|j| j.run_ns).collect();
+        assert_eq!(replayed_runs(&trace, &s), committed, "{}", policy.label());
     }
 }
 

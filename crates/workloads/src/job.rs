@@ -34,6 +34,11 @@ use mcio_core::{
 use std::fmt;
 use std::str::FromStr;
 
+/// Most aggregation rounds a job may ask for: its request's bytes over
+/// its buffer. Past it a job is millions of tiny rounds — minutes of
+/// planning and simulation for a schedule of milliseconds.
+const MAX_ROUNDS: u128 = 1 << 20;
+
 /// Workload shape of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
@@ -234,7 +239,32 @@ impl JobDesc {
         if self.workload == Workload::Checkpoint && self.per_proc == 0 {
             return Err("a checkpoint workload needs a positive per_proc".to_string());
         }
+        let bytes = self.request_bytes();
+        if bytes > MAX_ROUNDS * u128::from(self.buffer) {
+            return Err(format!(
+                "a request of {bytes} bytes over a buffer of {} bytes is more than \
+                 {MAX_ROUNDS} rounds",
+                self.buffer
+            ));
+        }
         Ok(())
+    }
+
+    /// The bytes the job's request moves, read off the knobs without
+    /// building it: exact for IOR and coll_perf (whose blocks tile the
+    /// array), `per_proc` per rank for a checkpoint (its records average
+    /// that).
+    fn request_bytes(&self) -> u128 {
+        let ranks = self.ranks as u128;
+        match self.workload {
+            Workload::Ior => {
+                let segments = self.segments.max(1);
+                ranks * u128::from(self.per_proc / segments * segments)
+            }
+            // The array does not depend on the process grid.
+            Workload::CollPerf => u128::from(CollPerf::paper(1, self.scale).file_bytes()),
+            Workload::Checkpoint => ranks * u128::from(self.per_proc),
+        }
     }
 
     /// The job's machine-node demand.
@@ -363,6 +393,30 @@ mod tests {
             assert_eq!(back.set(k, v), Ok(true), "{word}");
         }
         assert_eq!(back, job);
+    }
+
+    #[test]
+    fn a_request_of_more_than_a_million_rounds_is_rejected() {
+        let job = |words: &str| {
+            let mut job = JobDesc::default();
+            for word in words.split_whitespace() {
+                let (k, v) = word.split_once('=').unwrap();
+                assert_eq!(job.set(k, v), Ok(true), "{word}");
+            }
+            job.validate()
+        };
+        let err = job("ranks=8 ppn=2 segments=1 buffer=1").unwrap_err();
+        assert!(
+            err.contains("16777216 bytes") && err.contains("buffer of 1 bytes"),
+            "{err}"
+        );
+        job("ranks=8 ppn=2 per_proc=64K segments=1 buffer=1").expect("2^19 rounds");
+        job("ranks=1 ppn=1 per_proc=1M segments=1 buffer=1").expect("2^20 rounds");
+        job("ranks=1 ppn=1 per_proc=1048577 segments=1 buffer=1").unwrap_err();
+        // A 512³ array of 4-byte elements is 2^29 bytes, at any rank count.
+        job("workload=collperf ranks=8 scale=4 buffer=512").expect("2^20 rounds");
+        job("workload=collperf ranks=8 scale=4 buffer=511").unwrap_err();
+        job("workload=checkpoint ranks=8 per_proc=2M buffer=8").unwrap_err();
     }
 
     #[test]
