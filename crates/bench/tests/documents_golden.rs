@@ -4,9 +4,11 @@
 //! Each fixture under `tests/fixtures/docs/` is the exact output of the
 //! command its test runs, over inputs that are committed next to it
 //! (`analyze_trace.json`, `overlap.mtspec`, `sched_small.jobtrace`,
-//! `docs/degraded.faults`). The test re-runs the command and compares
-//! byte for byte, so a change to a document's layout, key order, float
-//! precision or escaping shows up as a readable diff. Regenerate a
+//! `docs/degraded.faults`; the fair-engine schedule reads
+//! `sched_small.jobtrace` with an `engine fair` line after `machine`).
+//! The test re-runs the command and compares byte for byte, so a
+//! change to a document's layout, key order, float precision or
+//! escaping shows up as a readable diff. Regenerate a
 //! fixture by running the same command (from `crates/bench`, with `$T`
 //! a scratch directory) when the change is intentional:
 //!
@@ -18,6 +20,8 @@
 //! mcio_cli schedule --trace $F/sched_small.jobtrace --policy backfill --admission \
 //!     --chrome $T/sched.trace --metrics $D/schedule_metrics.json > $D/schedule.json
 //! mcio_cli analyze --trace $T/sched.trace --report json > $D/analyze_schedule.json
+//! sed -e '/^machine/a engine fair' $F/sched_small.jobtrace > $T/fair.jobtrace
+//! mcio_cli schedule --trace $T/fair.jobtrace --policy backfill --admission > $D/schedule_fair.json
 //! mcio_cli sweep --ranks 4 --ppn 2 --out $D/sweep.json
 //! mcio_cli run $TINY --metrics $D/metrics.json --metrics-format json --prof $T/prof.json
 //! mcio_cli run $TINY --metrics $D/metrics.csv --metrics-format csv
@@ -194,6 +198,36 @@ fn schedule_document_its_metrics_and_its_sched_section() {
     assert_trace_pin("sched.trace", &chrome, SCHED_TRACE);
     assert_golden("analyze_schedule.json", &analyze_json(&chrome));
     std::fs::remove_file(&chrome).ok();
+}
+
+/// The same stream on a fair-share machine: every commit probes the
+/// newcomer against the ledger's service windows under processor
+/// sharing, the engine no other golden drives through the scheduler.
+#[test]
+fn schedule_document_under_the_fair_engine() {
+    let text = std::fs::read_to_string(fixture("sched_small.jobtrace")).expect("fixture exists");
+    let fair: String = (text.lines())
+        .map(|line| match line.starts_with("machine") {
+            true => format!("{line}\nengine fair\n"),
+            false => format!("{line}\n"),
+        })
+        .collect();
+    assert!(
+        fair.contains("\nengine fair\n"),
+        "the fixture names its machine"
+    );
+    let trace = tmp("fair.jobtrace");
+    std::fs::write(&trace, fair).expect("write the fair trace");
+    let doc = cli(&[
+        "schedule",
+        "--trace",
+        &trace,
+        "--policy",
+        "backfill",
+        "--admission",
+    ]);
+    std::fs::remove_file(&trace).ok();
+    assert_golden("schedule_fair.json", &doc);
 }
 
 #[test]

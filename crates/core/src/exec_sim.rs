@@ -349,53 +349,22 @@ impl Shape {
 }
 
 /// One interval of service a job held on one resource of the machine: a
-/// DES service record, and whether the resource is an OST. A stream's
-/// ledger keeps them for its committed jobs (DESIGN.md §11, "The ledger
-/// of committed service").
+/// DES service record, whether the resource is an OST and how many
+/// service slots it has. A stream's ledger folds them into service
+/// windows for its committed jobs (DESIGN.md §11, "The ledger of
+/// committed service").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Held {
+pub struct Held {
+    /// The resource that served.
     pub resource: ResourceId,
+    /// Whether the resource is an OST.
     pub ost: bool,
+    /// The resource's parallel service slots.
+    pub capacity: usize,
+    /// Service start, nanoseconds of absolute stream time.
     pub start_ns: u64,
+    /// Service end (exclusive), nanoseconds of absolute stream time.
     pub end_ns: u64,
-}
-
-/// Slow every resource `held` names by the service held there: where
-/// `k` intervals cover an instant on a resource of capacity `c`, a job
-/// of this run progresses at `min(1, c / (k + 1))` of the nominal rate.
-/// The windows go in the way [`Pfs::apply_faults`] installs an OST's.
-fn install_held(sim: &mut Simulation, held: &[Held]) {
-    let mut edges: Vec<(ResourceId, u64, i64)> = (held.iter())
-        .flat_map(|h| [(h.resource, h.start_ns, 1), (h.resource, h.end_ns, -1)])
-        .collect();
-    edges.sort_unstable();
-    for edges in edges.chunk_by(|a, b| a.0 == b.0) {
-        let resource = edges[0].0;
-        let capacity = sim.capacity(resource) as f64;
-        let mut windows: Vec<ServiceWindow> = Vec::new();
-        let (mut k, mut i) = (0, 0);
-        while i < edges.len() {
-            let t = edges[i].1;
-            while edges.get(i).is_some_and(|e| e.1 == t) {
-                k += edges[i].2;
-                i += 1;
-            }
-            let Some(&(_, next, _)) = edges.get(i) else {
-                break;
-            };
-            let rate = (capacity / (k + 1) as f64).min(1.0);
-            if rate < 1.0 {
-                let (start, end) = (SimTime::from_nanos(t), SimTime::from_nanos(next));
-                match windows.last_mut() {
-                    Some(w) if w.end == start && w.rate == rate => w.end = end,
-                    _ => windows.push(ServiceWindow { start, end, rate }),
-                }
-            }
-        }
-        if !windows.is_empty() {
-            sim.set_service_windows(resource, windows);
-        }
-    }
 }
 
 /// One job as lowered into the shared simulation.
@@ -440,10 +409,12 @@ pub(crate) struct Executed<'a> {
 /// failures) on the shared PFS.
 ///
 /// `held` is the service other jobs hold on the machine — a stream's
-/// ledger, for a job probed against it: it slows this run's resources
-/// ([`install_held`]) and the run keeps its service records for the
-/// ledger ([`Executed::held`]). Records are kept too when the trace is
-/// wanted or when there is more than one job to tell apart.
+/// ledger, for a job probed against it: each named resource serves
+/// through its [`ServiceWindow`]s, installed the way
+/// [`Pfs::apply_faults`] installs an OST's, and the run keeps its
+/// service records for the ledger ([`Executed::held`]). Records are
+/// kept too when the trace is wanted or when there is more than one job
+/// to tell apart.
 ///
 /// # Panics
 /// Panics if a job's process map needs more nodes than the machine has.
@@ -452,7 +423,7 @@ pub(crate) fn execute<'a>(
     jobs: &'a [ExecJob<'a>],
     faults: Option<&'a FaultSpec>,
     obs: Observe<'a>,
-    held: Option<&[Held]>,
+    held: Option<&[(ResourceId, &[ServiceWindow])]>,
 ) -> Executed<'a> {
     debug_assert!(
         held.is_none() || faults.is_none(),
@@ -471,8 +442,8 @@ pub(crate) fn execute<'a>(
     if let Some(fspec) = faults {
         pfs.apply_faults(&mut sim, fspec);
     }
-    if let Some(held) = held {
-        install_held(&mut sim, held);
+    for &(resource, windows) in held.unwrap_or_default() {
+        sim.set_service_windows(resource, windows.to_vec());
     }
 
     let mut lowered = Vec::with_capacity(jobs.len());
@@ -596,6 +567,7 @@ impl Executed<'_> {
             .map(|r| Held {
                 resource: r.resource,
                 ost: self.pfs.ost_of(r.resource).is_some(),
+                capacity: self.des.capacity(r.resource),
                 start_ns: r.start.saturating_since(SimTime::ZERO).as_nanos(),
                 end_ns: r.end.saturating_since(SimTime::ZERO).as_nanos(),
             })

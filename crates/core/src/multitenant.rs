@@ -44,10 +44,12 @@ use crate::marks;
 use crate::plan::CollectivePlan;
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_des::{EngineProfile, SharePolicy, SimDuration};
+use mcio_des::{EngineProfile, ResourceId, ServiceWindow, SharePolicy, SimDuration, SimTime};
 use mcio_faults::FaultSpec;
 use mcio_obs::catalogue::PID_TENANTS;
 use mcio_obs::intervals::{intersect_len, merge_intervals, shared_intervals, total_len};
+use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One job of a multi-tenant run: a fully planned collective plus its
@@ -180,24 +182,48 @@ impl MultiTenantReport {
     }
 }
 
-/// The service a job stream's committed jobs hold on one machine: every
-/// DES service record (resource, start, end) each committed job's run
-/// left, in absolute stream time.
+/// The service a job stream's committed jobs hold on one machine, folded
+/// at each commit into what a probe reads: for every resource whose
+/// held service has not ended, the edges of its held intervals and the
+/// [`ServiceWindow`]s they leave, and the union of the OSTs' busy
+/// intervals.
 ///
 /// A newcomer is [`probe`](Ledger::probe)d alone, on a fresh machine
-/// whose every resource is slowed where the ledger holds service there:
-/// where `k` held records cover an instant on a resource of capacity
-/// `c`, the newcomer's stages progress at `min(1, c / (k + 1))` of the
-/// nominal rate. Committing the probe adds its records; a job already
-/// committed is never simulated again, so a later arrival never
-/// stretches it (DESIGN.md §11). A probe costs the newcomer's lowering
-/// and events only, and a probe on an empty ledger is the job's
+/// whose every resource serves through those windows: where `k` held
+/// intervals cover an instant on a resource of capacity `c`, the
+/// newcomer's stages progress at `min(1, c / (k + 1))` of the nominal
+/// rate. Committing the probe adds its records; a job already committed
+/// is never simulated again, so a later arrival never stretches it
+/// (DESIGN.md §11). A probe costs the newcomer's lowering and events
+/// only, and a probe on an empty ledger is the job's
 /// [`TenantJob::baseline`].
 #[derive(Debug, Clone)]
 pub struct Ledger<'a> {
     spec: &'a ClusterSpec,
     engine: SharePolicy,
-    held: Vec<Held>,
+    /// The resources with held service left, ascending.
+    rows: Vec<Row>,
+    /// The rows' held-interval edges `(instant, +open | −closed)`, row
+    /// after row, each row's sorted.
+    edges: Vec<(u64, i64)>,
+    /// What each row's edges leave a newcomer ([`windows_of`]), row
+    /// after row.
+    windows: Vec<ServiceWindow>,
+    /// The committed OSTs' busy union: sorted, disjoint, touching
+    /// intervals fused.
+    ost_busy: Vec<(u64, u64)>,
+    /// The latest commit instant, nanoseconds: no probe starts before it.
+    committed_ns: u64,
+}
+
+/// One resource of a [`Ledger`] and where its edges and windows lie.
+/// The intervals open at the last commit instant enter its edges as one
+/// edge `(instant, open)`; those that had ended by then are gone.
+#[derive(Debug, Clone)]
+struct Row {
+    resource: ResourceId,
+    edges: Range<usize>,
+    windows: Range<usize>,
 }
 
 /// What one job does when committed to a [`Ledger`] at its start.
@@ -214,6 +240,8 @@ pub struct Probe {
     start_ns: u64,
     /// The job's service records.
     held: Vec<Held>,
+    /// The job's OST busy union, sorted and disjoint.
+    ost_busy: Vec<(u64, u64)>,
 }
 
 impl<'a> Ledger<'a> {
@@ -223,56 +251,219 @@ impl<'a> Ledger<'a> {
         Ledger {
             spec,
             engine,
-            held: Vec::new(),
+            rows: Vec::new(),
+            edges: Vec::new(),
+            windows: Vec::new(),
+            ost_busy: Vec::new(),
+            committed_ns: 0,
         }
     }
 
     /// Simulate `job` alone from its start, slowed by the service the
     /// ledger holds from then on. The ledger does not change.
     ///
+    /// The job starts at or after the ledger's last commit instant (a
+    /// stream commits in time order): what a commit folds away ended by
+    /// then, so it cannot slow an instant the job runs at. Debug builds
+    /// assert it.
+    ///
     /// # Panics
     /// Panics if the job's partition exceeds the machine's node count.
     pub fn probe(&self, job: &TenantJob) -> Probe {
-        let start_ns = job.start.as_nanos();
-        let held: Vec<Held> = (self.held.iter())
-            .filter(|h| h.end_ns > start_ns)
-            .copied()
-            .collect();
+        let start = SimTime::ZERO + job.start;
+        debug_assert!(
+            start.as_nanos() >= self.committed_ns,
+            "a probe at {start:?} starts before the last commit at {} ns",
+            self.committed_ns
+        );
+        let windows = self.windows_from(start);
+        Probe::against(self.spec, self.engine, job, &windows, &self.ost_busy)
+    }
+
+    /// Each row's windows from the first one that ends after `start`,
+    /// for the rows that have one.
+    fn windows_from(&self, start: SimTime) -> Vec<(ResourceId, &[ServiceWindow])> {
+        (self.rows.iter())
+            .filter_map(|row| {
+                let windows = &self.windows[row.windows.clone()];
+                let ahead = &windows[windows.partition_point(|w| w.end <= start)..];
+                (!ahead.is_empty()).then_some((row.resource, ahead))
+            })
+            .collect()
+    }
+
+    /// Commit a probe of this ledger: its job's service joins the
+    /// ledger, and what ended by the job's start leaves it. Only the
+    /// resources the job served on get their windows derived again;
+    /// every other row keeps its windows while any of its service is
+    /// left. One pass over the rows, merging the job's edges in.
+    pub fn commit(&mut self, probe: Probe) {
+        let at = probe.start_ns;
+        self.committed_ns = at;
+        let mut held = probe.held;
+        held.sort_unstable_by_key(|h| h.resource);
+        let mut fresh = held.chunk_by(|a, b| a.resource == b.resource).peekable();
+        let mut kept = self.rows.iter().peekable();
+        let mut rows = Vec::with_capacity(self.rows.len());
+        let mut edges = Vec::with_capacity(self.edges.len() + 2 * held.len());
+        let mut windows = Vec::with_capacity(self.windows.len());
+        let mut job_edges = Vec::new();
+        loop {
+            // The next resource of either side, a kept row and the
+            // job's records on it paired.
+            let order = match (kept.peek(), fresh.peek()) {
+                (Some(row), Some(records)) => row.resource.cmp(&records[0].resource),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
+            };
+            let row = kept.next_if(|_| order.is_le());
+            let records = fresh.next_if(|_| order.is_ge());
+            let old = row.map_or(&[][..], |row| &self.edges[row.edges.clone()]);
+            let (e0, w0) = (edges.len(), windows.len());
+            // No probe reads a window before `at`: the intervals open
+            // then enter as one edge, those ended leave.
+            let ended = old.partition_point(|e| e.0 <= at);
+            let open: i64 = old[..ended].iter().map(|e| e.1).sum();
+            if open > 0 {
+                edges.push((at, open));
+            }
+            let resource = if let Some(records) = records {
+                // The job's edges all lie at or after `at`; a resource
+                // serves its records mostly one after another, so they
+                // come close to sorted.
+                job_edges.clear();
+                job_edges.extend(
+                    records
+                        .iter()
+                        .flat_map(|h| [(h.start_ns, 1), (h.end_ns, -1)]),
+                );
+                job_edges.sort_unstable();
+                edges.extend(merged(
+                    old[ended..].iter().copied(),
+                    job_edges.iter().copied(),
+                ));
+                windows_of(records[0].capacity, &edges[e0..], &mut windows);
+                records[0].resource
+            } else {
+                let row = row.expect("a row or edges on a resource");
+                if ended == old.len() {
+                    continue;
+                }
+                edges.extend_from_slice(&old[ended..]);
+                let kept = &self.windows[row.windows.clone()];
+                let ahead = kept.partition_point(|w| w.end.as_nanos() <= at);
+                windows.extend_from_slice(&kept[ahead..]);
+                row.resource
+            };
+            rows.push(Row {
+                resource,
+                edges: e0..edges.len(),
+                windows: w0..windows.len(),
+            });
+        }
+        (self.rows, self.edges, self.windows) = (rows, edges, windows);
+        let live = self.ost_busy.iter().copied().filter(|&(_, end)| end > at);
+        let mut ost_busy: Vec<(u64, u64)> = Vec::with_capacity(self.ost_busy.len());
+        for (start, end) in merged(live, probe.ost_busy.into_iter()) {
+            match ost_busy.last_mut() {
+                Some((_, last)) if start <= *last => *last = (*last).max(end),
+                _ => ost_busy.push((start, end)),
+            }
+        }
+        self.ost_busy = ost_busy;
+    }
+}
+
+impl Probe {
+    /// Simulate `job` alone on `spec`'s machine under `engine`, each
+    /// resource `windows` names serving through its windows, and measure
+    /// its OST service against `ost_busy` (sorted, disjoint) — what
+    /// [`Ledger::probe`] runs with the ledger's folded service.
+    ///
+    /// # Panics
+    /// Panics if the job's partition exceeds the machine's node count.
+    pub fn against(
+        spec: &ClusterSpec,
+        engine: SharePolicy,
+        job: &TenantJob,
+        windows: &[(ResourceId, &[ServiceWindow])],
+        ost_busy: &[(u64, u64)],
+    ) -> Probe {
         let jobs = std::slice::from_ref(job);
         let maps = placed_maps(jobs);
         let exec_jobs = exec_jobs(jobs, &maps);
         let obs = Observe {
-            engine: self.engine,
+            engine,
             ..Observe::default()
         };
-        let mut ex = execute(self.spec, &exec_jobs, None, obs, Some(&held));
-        let own = ex.held();
-        let ost = |held: &[Held]| {
-            let ost = held.iter().filter(|h| h.ost);
-            merge_intervals(ost.map(|h| (h.start_ns, h.end_ns)).collect())
-        };
-        let (mine, others) = (ost(&own), ost(&held));
+        let mut ex = execute(spec, &exec_jobs, None, obs, Some(windows));
+        let held = ex.held();
+        let ost = held.iter().filter(|h| h.ost);
+        let mine = merge_intervals(ost.map(|h| (h.start_ns, h.end_ns)).collect());
         let busy = total_len(&mine);
         let ost_overlap = if busy == 0 {
             0.0
         } else {
-            intersect_len(&mine, &others) as f64 / busy as f64
+            intersect_len(&mine, ost_busy) as f64 / busy as f64
         };
         Probe {
             span: ex.runs[0].report.elapsed,
             ost_overlap,
             engine: std::mem::take(&mut ex.engine),
-            start_ns,
-            held: own,
+            start_ns: job.start.as_nanos(),
+            held,
+            ost_busy: mine,
         }
     }
 
-    /// Commit a probe of this ledger: its job's service joins the
-    /// ledger, and every record that ended by the job's start leaves it.
-    pub fn commit(&mut self, probe: Probe) {
-        self.held.retain(|h| h.end_ns > probe.start_ns);
-        self.held.extend(probe.held);
+    /// The job's service records, in record order.
+    pub fn held(&self) -> &[Held] {
+        &self.held
     }
+}
+
+/// Append to `windows` what held intervals leave a newcomer on a
+/// resource of `capacity` slots, from their sorted `edges`
+/// `(instant, +open | −closed)`: where `k` of them cover an instant, it
+/// progresses at `min(1, capacity / (k + 1))` of the nominal rate. The
+/// windows are sorted, disjoint and the longest runs of one rate below
+/// 1; instants at rate 1 get none.
+fn windows_of(capacity: usize, edges: &[(u64, i64)], windows: &mut Vec<ServiceWindow>) {
+    let first = windows.len();
+    let capacity = capacity as f64;
+    let (mut k, mut i) = (0, 0);
+    while i < edges.len() {
+        let t = edges[i].0;
+        while edges.get(i).is_some_and(|e| e.0 == t) {
+            k += edges[i].1;
+            i += 1;
+        }
+        let Some(&(next, _)) = edges.get(i) else {
+            break;
+        };
+        let rate = (capacity / (k + 1) as f64).min(1.0);
+        if rate < 1.0 {
+            let (start, end) = (SimTime::from_nanos(t), SimTime::from_nanos(next));
+            match windows[first..].last_mut() {
+                Some(w) if w.end == start && w.rate == rate => w.end = end,
+                _ => windows.push(ServiceWindow { start, end, rate }),
+            }
+        }
+    }
+}
+
+/// The items of two sorted sequences, in order: one linear merge.
+fn merged<T: Ord>(
+    a: impl Iterator<Item = T>,
+    b: impl Iterator<Item = T>,
+) -> impl Iterator<Item = T> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if x > y => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
 }
 
 /// Every job's process map, shifted onto the machine at its node offset.
@@ -545,4 +736,87 @@ fn probe_shared_windows(
     };
     let probe = execute(spec, jobs, Some(faults), unobserved, None);
     probe.runs.into_iter().map(|run| run.windows).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcio_des::{Bandwidth, Simulation};
+
+    fn windows(capacity: usize, intervals: &[(u64, u64)]) -> Vec<(u64, u64, f64)> {
+        let mut edges: Vec<(u64, i64)> = (intervals.iter())
+            .flat_map(|&(start, end)| [(start, 1), (end, -1)])
+            .collect();
+        edges.sort_unstable();
+        let mut out = vec![ServiceWindow {
+            start: SimTime::ZERO,
+            end: SimTime::from_nanos(1),
+            rate: 0.25,
+        }];
+        windows_of(capacity, &edges, &mut out);
+        assert_eq!(out[0].rate, 0.25, "what the vector held stays");
+        (out[1..].iter())
+            .map(|w| (w.start.as_nanos(), w.end.as_nanos(), w.rate))
+            .collect()
+    }
+
+    #[test]
+    fn windows_of_touching_nested_and_two_slot_intervals() {
+        // Touching intervals keep one interval held throughout: one
+        // window, fused across the instant where one hands over.
+        assert_eq!(windows(1, &[(0, 10), (10, 30)]), [(0, 30, 0.5)]);
+        // Nested: the inner interval adds a slower window in between.
+        assert_eq!(
+            windows(1, &[(0, 30), (10, 20)]),
+            [(0, 10, 0.5), (10, 20, 1.0 / 3.0), (20, 30, 0.5)]
+        );
+        // Two slots: one held interval leaves the newcomer the other
+        // slot, two leave it two thirds of one; a gap gets no window.
+        assert_eq!(
+            windows(2, &[(0, 30), (10, 20), (40, 50)]),
+            [(10, 20, 2.0 / 3.0)]
+        );
+        assert_eq!(windows(1, &[]), []);
+    }
+
+    /// A ledger holding `held` records committed at instant 0.
+    fn ledger_of<'a>(spec: &'a ClusterSpec, held: Vec<Held>) -> Ledger<'a> {
+        let mut ledger = Ledger::new(spec, SharePolicy::Fifo);
+        ledger.commit(Probe {
+            span: SimDuration::ZERO,
+            ost_overlap: 0.0,
+            engine: EngineProfile::default(),
+            start_ns: 0,
+            held,
+            ost_busy: Vec::new(),
+        });
+        ledger
+    }
+
+    #[test]
+    fn an_interval_ending_at_a_probe_start_slows_nothing_there() {
+        let mut sim = Simulation::new();
+        let bw = Bandwidth::bytes_per_sec(1e9);
+        let (r0, r1) = (sim.add_resource("r0", bw), sim.add_resource("r1", bw));
+        let held = |resource, start_ns, end_ns| Held {
+            resource,
+            ost: false,
+            capacity: 1,
+            start_ns,
+            end_ns,
+        };
+        let spec = ClusterSpec::small(2, 2);
+        let ledger = ledger_of(&spec, vec![held(r1, 50, 200), held(r0, 0, 100)]);
+        let at = |ns| {
+            (ledger.windows_from(SimTime::from_nanos(ns)).into_iter())
+                .map(|(r, w)| (r, w.len()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(at(0), [(r0, 1), (r1, 1)]);
+        assert_eq!(at(99), [(r0, 1), (r1, 1)]);
+        // `r0`'s only window ends at 100: a probe from there on runs on
+        // it at full rate, and `r1`'s window still covers the instant.
+        assert_eq!(at(100), [(r1, 1)]);
+        assert_eq!(at(200), []);
+    }
 }

@@ -13,6 +13,9 @@
 //!   included;
 //! * a job's probe against a `Ledger` of committed service never ends
 //!   before its baseline, and a probe nobody commits changes nothing;
+//! * the ledger's service, folded at each commit, probes exactly as the
+//!   per-probe derivation from every committed record did, and a probe
+//!   before the last commit is refused (debug builds);
 //! * a job's solo baseline is the same at every node offset of a machine
 //!   whose nodes all run at one rate (what lets the scheduler take it
 //!   once per job), and not on a partition with a straggler; a probe on
@@ -20,13 +23,14 @@
 
 use mcio_cluster::spec::ClusterSpec;
 use mcio_cluster::ProcessMap;
-use mcio_core::exec_sim::{Exchange, Observe, Pipeline};
+use mcio_core::exec_sim::{Exchange, Held, Observe, Pipeline};
 use mcio_core::{
     exec_fn, mcio, run_multitenant, simulate_observed, twophase, AdaptivePolicy, CollectiveConfig,
-    CollectivePlan, CollectiveRequest, Extent, Ledger, ProcMemory, Rw, Strategy, SyncMode,
+    CollectivePlan, CollectiveRequest, Extent, Ledger, Probe, ProcMemory, Rw, Strategy, SyncMode,
     TenantJob,
 };
-use mcio_des::{SharePolicy, SimDuration};
+use mcio_des::{ResourceId, ServiceWindow, SharePolicy, SimDuration, SimTime};
+use mcio_obs::intervals::merge_intervals;
 use mcio_pfs::SparseFile;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -271,50 +275,12 @@ proptest! {
     /// exactly what the first one does.
     #[test]
     fn committed_service_only_slows_a_newcomer(
-        placed in prop::collection::vec(
-            (0usize..4, 0usize..3, prop::sample::select(vec![0u64, 40, 400]), any::<bool>()),
-            2..6,
-        ),
+        placed in placements(),
         fair in any::<bool>(),
         seed in 0u64..1000,
     ) {
-        let nranks = 8usize;
-        let ppn = 2usize;
-        let bs = 32 * KIB;
-        let nnodes = nranks / ppn;
-        let cluster = ClusterSpec::small(3 * nnodes, 2);
-        let pool: Vec<(Arc<CollectivePlan>, ProcessMap)> = [
-            (Strategy::MemoryConscious, Shape::Strided, Rw::Write),
-            (Strategy::TwoPhase, Shape::Contiguous, Rw::Write),
-            (Strategy::MemoryConscious, Shape::Nested, Rw::Read),
-            (Strategy::TwoPhase, Shape::Strided, Rw::Read),
-        ]
-        .into_iter()
-        .zip(0u64..)
-        .map(|((strategy, shape, rw), pi)| {
-            let req = build_rw_request(rw, shape, nranks, bs, 3, pi * 64 * 1024 * KIB);
-            let map = ProcessMap::block_ppn(nranks, ppn);
-            let mem = ProcMemory::normal(nranks, 4 * bs, 0.3, seed + pi);
-            let cfg = CollectiveConfig::with_buffer(4 * bs);
-            (plan_for(strategy, &req, &map, &mem, &cfg).into(), map)
-        })
-        .collect();
-        prop_assert_eq!(
-            [pool[0].0.sync, pool[1].0.sync],
-            [SyncMode::PerGroup, SyncMode::Global]
-        );
+        let (cluster, jobs) = stream(&placed, seed);
         let engine = if fair { SharePolicy::FairShare } else { SharePolicy::Fifo };
-        let mut start_us = 0;
-        let jobs: Vec<TenantJob> = (placed.iter().enumerate())
-            .map(|(ji, &(pi, slot, gap_us, double))| {
-                start_us += gap_us;
-                let (plan, map) = &pool[pi];
-                TenantJob::new(format!("job{ji}"), Arc::clone(plan), map.clone())
-                    .node_offset(slot * nnodes)
-                    .start(SimDuration::from_micros(start_us))
-                    .pipeline(if double { Pipeline::DoubleBuffered } else { Pipeline::Serial })
-            })
-            .collect();
         let mut ledger = Ledger::new(&cluster, engine);
         let mut probed = Ledger::new(&cluster, engine);
         for (ji, job) in jobs.iter().enumerate() {
@@ -333,6 +299,171 @@ proptest! {
             probed.commit(probe);
         }
     }
+
+    /// The folded ledger probes as the record filter it replaced did.
+    /// Every probe of a random stream under either engine — each job at
+    /// its start, and before every commit the next job probed and
+    /// dropped at a later instant — is [`reference_probe`]'s run
+    /// against every record committed so far: span, OST overlap,
+    /// engine counters and service records alike.
+    #[test]
+    fn the_folded_ledger_probes_as_the_record_filter_did(
+        placed in placements(),
+        later in prop::collection::vec(
+            prop::sample::select(vec![0u64, 1, 20_000, 150_000, 900_000, 4_000_000]),
+            6,
+        ),
+        fair in any::<bool>(),
+        seed in 0u64..1000,
+    ) {
+        let (cluster, jobs) = stream(&placed, seed);
+        let engine = if fair { SharePolicy::FairShare } else { SharePolicy::Fifo };
+        let mut ledger = Ledger::new(&cluster, engine);
+        let mut records: Vec<Held> = Vec::new();
+        for (ji, job) in jobs.iter().enumerate() {
+            let probe = ledger.probe(job);
+            let oracle = reference_probe(&cluster, engine, job, &records);
+            prop_assert_eq!(&probe, &oracle, "job {} at its start", ji);
+            if let Some(next) = jobs.get(ji + 1) {
+                let at = job.start + SimDuration::from_nanos(later[ji]);
+                let next = next.clone().start(at);
+                let oracle = reference_probe(&cluster, engine, &next, &records);
+                prop_assert_eq!(
+                    &ledger.probe(&next), &oracle,
+                    "job {} probed at {:?} before job {} commits", ji + 1, at, ji
+                );
+            }
+            records.extend_from_slice(probe.held());
+            ledger.commit(probe);
+        }
+    }
+}
+
+/// Where a stream places its jobs: pool entry, partition slot, gap
+/// after the previous arrival (microseconds) and double buffering.
+fn placements() -> impl proptest::strategy::Strategy<Value = Vec<(usize, usize, u64, bool)>> {
+    prop::collection::vec(
+        (
+            0usize..4,
+            0usize..3,
+            prop::sample::select(vec![0u64, 40, 400]),
+            any::<bool>(),
+        ),
+        2..6,
+    )
+}
+
+/// A stream of jobs `placed` on three 4-node partitions of a 12-node
+/// machine (jobs may share one), drawn from a pool of write and read
+/// plans under global and per-group sync.
+fn stream(placed: &[(usize, usize, u64, bool)], seed: u64) -> (ClusterSpec, Vec<TenantJob>) {
+    let nranks = 8usize;
+    let ppn = 2usize;
+    let bs = 32 * KIB;
+    let nnodes = nranks / ppn;
+    let pool: Vec<(Arc<CollectivePlan>, ProcessMap)> = [
+        (Strategy::MemoryConscious, Shape::Strided, Rw::Write),
+        (Strategy::TwoPhase, Shape::Contiguous, Rw::Write),
+        (Strategy::MemoryConscious, Shape::Nested, Rw::Read),
+        (Strategy::TwoPhase, Shape::Strided, Rw::Read),
+    ]
+    .into_iter()
+    .zip(0u64..)
+    .map(|((strategy, shape, rw), pi)| {
+        let req = build_rw_request(rw, shape, nranks, bs, 3, pi * 64 * 1024 * KIB);
+        let map = ProcessMap::block_ppn(nranks, ppn);
+        let mem = ProcMemory::normal(nranks, 4 * bs, 0.3, seed + pi);
+        let cfg = CollectiveConfig::with_buffer(4 * bs);
+        (plan_for(strategy, &req, &map, &mem, &cfg).into(), map)
+    })
+    .collect();
+    assert_eq!(
+        [pool[0].0.sync, pool[1].0.sync],
+        [SyncMode::PerGroup, SyncMode::Global]
+    );
+    let mut start_us = 0;
+    let jobs = (placed.iter().enumerate())
+        .map(|(ji, &(pi, slot, gap_us, double))| {
+            start_us += gap_us;
+            let (plan, map) = &pool[pi];
+            TenantJob::new(format!("job{ji}"), Arc::clone(plan), map.clone())
+                .node_offset(slot * nnodes)
+                .start(SimDuration::from_micros(start_us))
+                .pipeline(if double {
+                    Pipeline::DoubleBuffered
+                } else {
+                    Pipeline::Serial
+                })
+        })
+        .collect();
+    (ClusterSpec::small(3 * nnodes, 2), jobs)
+}
+
+/// `job` probed against the committed `records` as the ledger did
+/// before it folded them at commit: every record not ended by the
+/// job's start, one edge sweep per resource into [`ServiceWindow`]s,
+/// and the merged union of the OST records.
+fn reference_probe(
+    cluster: &ClusterSpec,
+    engine: SharePolicy,
+    job: &TenantJob,
+    records: &[Held],
+) -> Probe {
+    let start_ns = job.start.as_nanos();
+    let held: Vec<Held> = (records.iter())
+        .filter(|h| h.end_ns > start_ns)
+        .copied()
+        .collect();
+    let mut edges: Vec<(ResourceId, u64, i64, usize)> = (held.iter())
+        .flat_map(|h| {
+            [(h.start_ns, 1), (h.end_ns, -1)].map(|(t, d)| (h.resource, t, d, h.capacity))
+        })
+        .collect();
+    edges.sort_unstable();
+    let mut service: Vec<(ResourceId, Vec<ServiceWindow>)> = Vec::new();
+    for edges in edges.chunk_by(|a, b| a.0 == b.0) {
+        let capacity = edges[0].3 as f64;
+        let mut windows: Vec<ServiceWindow> = Vec::new();
+        let (mut k, mut i) = (0, 0);
+        while i < edges.len() {
+            let t = edges[i].1;
+            while edges.get(i).is_some_and(|e| e.1 == t) {
+                k += edges[i].2;
+                i += 1;
+            }
+            let Some(&(_, next, _, _)) = edges.get(i) else {
+                break;
+            };
+            let rate = (capacity / (k + 1) as f64).min(1.0);
+            if rate < 1.0 {
+                let (start, end) = (SimTime::from_nanos(t), SimTime::from_nanos(next));
+                match windows.last_mut() {
+                    Some(w) if w.end == start && w.rate == rate => w.end = end,
+                    _ => windows.push(ServiceWindow { start, end, rate }),
+                }
+            }
+        }
+        if !windows.is_empty() {
+            service.push((edges[0].0, windows));
+        }
+    }
+    let ost = held.iter().filter(|h| h.ost);
+    let ost_busy = merge_intervals(ost.map(|h| (h.start_ns, h.end_ns)).collect());
+    let windows: Vec<(ResourceId, &[ServiceWindow])> =
+        service.iter().map(|(r, w)| (*r, &w[..])).collect();
+    Probe::against(cluster, engine, job, &windows, &ost_busy)
+}
+
+/// A probe may not start before the ledger's last commit: what the
+/// commit folded away could have slowed it.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "starts before the last commit")]
+fn a_probe_before_the_last_commit_is_refused() {
+    let (cluster, jobs) = stream(&[(0, 0, 400, false), (1, 1, 0, false)], 7);
+    let mut ledger = Ledger::new(&cluster, SharePolicy::Fifo);
+    ledger.commit(ledger.probe(&jobs[0]));
+    ledger.probe(&jobs[1].clone().start(SimDuration::from_micros(399)));
 }
 
 /// A job alone takes as long on any partition of a machine whose nodes

@@ -257,11 +257,6 @@ impl Simulation {
         self.resources.add(name, bw, capacity)
     }
 
-    /// The parallel service slots of a resource.
-    pub fn capacity(&self, rid: ResourceId) -> usize {
-        self.resources.capacity(rid)
-    }
-
     /// Install service windows on a resource (injected faults, or the
     /// service other jobs already hold there): while a window is active
     /// the resource progresses at `window.rate` of its nominal speed
@@ -828,6 +823,11 @@ impl RunReport {
         write!(out, "{}", self.names.show(self.resources.name(r)))
             .expect("a String takes any write");
         out
+    }
+
+    /// A resource's parallel service slots.
+    pub fn capacity(&self, r: ResourceId) -> usize {
+        self.resources.capacity(r)
     }
 
     /// Usage accounting for a resource.
