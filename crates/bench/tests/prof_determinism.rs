@@ -154,7 +154,7 @@ fn run_prof_sidecar_pretty_prints_and_names_the_cell() {
     assert!(report.cells[0].engine.events_fired > 0);
     assert!(
         !report.cells[0].engine.class_max_queue.is_empty(),
-        "per-class queue depths recorded"
+        "per-class queue peaks recorded"
     );
 
     let pretty = run(&["prof", prof_doc.to_str().unwrap(), "--top", "3"]);

@@ -108,7 +108,7 @@ pub struct TimingReport {
     /// Number of DES activities (diagnostic).
     pub activities: usize,
     /// Deterministic engine-side counters of the run (events, heap and
-    /// ready-set high-water marks, per-class queue depths) — the
+    /// ready-set high-water marks, per-class queue peaks) — the
     /// `deterministic` payload of the `mcio.prof.v1` sidecar. In a
     /// multi-tenant run this is machine-wide, like the busy maxima.
     pub engine: mcio_des::EngineProfile,
@@ -443,7 +443,7 @@ pub(crate) fn execute<'a>(
         pfs.apply_faults(&mut sim, fspec);
     }
     for &(resource, windows) in held.unwrap_or_default() {
-        sim.set_service_windows(resource, windows.to_vec());
+        sim.set_service_windows(resource, windows);
     }
 
     let mut lowered = Vec::with_capacity(jobs.len());

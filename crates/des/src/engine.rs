@@ -1,6 +1,5 @@
 //! The event-driven engine: builds an activity DAG over resources, then
-//! runs it to completion, producing a [`RunReport`]. A run may pause at
-//! an instant, take more activities and resume.
+//! runs it to completion, producing a [`RunReport`].
 
 use crate::activity::{ActivityId, ActivityState, Stage};
 use crate::label::{IntoLabel, Label, Names, Prefix, Tpl};
@@ -11,7 +10,6 @@ use mcio_obs::catalogue::PID_RESOURCES;
 use mcio_obs::{Histogram, Registry, Span, Sym, Trace};
 use std::fmt::{self, Write as _};
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Errors a simulation run can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,49 +80,25 @@ fn row(ends: &[u32], i: usize) -> Range<usize> {
     start as usize..ends[i] as usize
 }
 
-/// What a simulation registers once and a run only reads: every stage,
-/// every label and the dependents of every activity the run has
-/// indexed. A run and its clones share one; indexing into a shared
-/// graph copies it first.
+/// What a simulation registers and a run only reads: every stage,
+/// every label and the dependents of every activity.
 #[derive(Debug, Clone, Default)]
 struct Graph {
     stages: Vec<Stage>,
-    /// One label row per indexed activity.
+    /// One label row per activity.
     labels: Vec<Label>,
-    /// The edges as a CSR: the dependents of activity `a` are row `a` of
-    /// `dependents` under `dependent_ends`, in declaration order. Rows
-    /// exist for the activities the run has indexed, which are the first
-    /// `dependent_ends.len()`.
+    /// The edges as a CSR, built once when the run starts: the
+    /// dependents of activity `a` are row `a` of `dependents` under
+    /// `dependent_ends`, in declaration order.
     dependents: Vec<ActivityId>,
     dependent_ends: Vec<u32>,
-}
-
-/// The stages and labels of the activities registered since the run
-/// last indexed, owned by the simulation alone: registering pushes here
-/// and never touches the shared [`Graph`], which takes them in when the
-/// run indexes (DESIGN.md §10, "Registering touches no shared count").
-#[derive(Debug, Clone, Default)]
-struct Fresh {
-    stages: Vec<Stage>,
-    labels: Vec<Label>,
-}
-
-/// Move `from` onto the end of `to`: by swapping when `to` is empty.
-fn move_onto<T>(to: &mut Vec<T>, from: &mut Vec<T>) {
-    if to.is_empty() {
-        std::mem::swap(to, from);
-    } else {
-        to.append(from);
-    }
 }
 
 /// A discrete-event simulation under construction.
 ///
 /// Add resources and activities, wire dependencies with
-/// [`Simulation::add_dep`], then call [`Simulation::run`]. A run may
-/// also stop short: [`Simulation::run_until`] pauses it at an instant,
-/// and activities registered then are taken in when it moves on
-/// (DESIGN.md §10, "Pausing a run and resuming it").
+/// [`Simulation::add_dep`], then call [`Simulation::run`], which
+/// consumes the simulation and runs the graph once, to the end.
 #[derive(Debug, Clone, Default)]
 pub struct Simulation {
     resources: ResourceTable,
@@ -134,25 +108,12 @@ pub struct Simulation {
     names: Names,
     /// The activity graph, in flat arenas: one row per activity, then
     /// every stage back to back (a row owns a window of it), one label
-    /// row per activity and the dependents CSR — in the [`Graph`] up to
-    /// the activities the run has indexed, in [`Fresh`] after them.
+    /// row per activity and the dependents CSR.
     activities: Vec<ActivityState>,
-    graph: Arc<Graph>,
-    fresh: Fresh,
-    /// Every dependency edge `(before, after)` declared since the run
-    /// last indexed, in declaration order.
+    graph: Graph,
+    /// Every dependency edge `(before, after)`, in declaration order,
+    /// until the run indexes them.
     edges: Vec<(ActivityId, ActivityId)>,
-    /// Activities below this id are seeded: each that waited for
-    /// nothing had its `Ready` pushed.
-    seeded: u32,
-    /// The instant the run is paused at: every event before it has
-    /// fired and none at or after it. Zero until the run first pauses.
-    paused_at: SimTime,
-    /// The queue depth observed at each event so far, as a count per
-    /// depth: a seed taken in after a pause raises every depth already
-    /// observed, which a histogram's buckets cannot follow. `run()`
-    /// folds it into the histogram at the end.
-    depths: Vec<u64>,
     /// Pending events in `(time, sequence)` order, and the clock: the
     /// instant the run loop is at. Entries carry the slot generation
     /// they were pushed with, so cancelled (re-generated) slots are
@@ -189,9 +150,8 @@ pub struct EngineStats {
     /// Events scheduled and then retracted before firing. The FIFO
     /// engine never cancels (always 0); fair-share resources re-predict
     /// their single next-completion event on every arrival/departure,
-    /// cancelling the stale prediction. At every pause
-    /// `events_scheduled == events_processed + events_cancelled +
-    /// pending`, and nothing is pending at the end of a run.
+    /// cancelling the stale prediction. At the end of a run
+    /// `events_scheduled == events_processed + events_cancelled`.
     pub events_cancelled: u64,
     /// High-water mark of pending events. Cancelled entries stay where
     /// they were queued (lazily skipped on pop), so stale entries are
@@ -262,7 +222,7 @@ impl Simulation {
     /// the resource progresses at `window.rate` of its nominal speed
     /// (0 = stall). Replaces any previous set for that resource. Must be
     /// called before `run`.
-    pub fn set_service_windows(&mut self, rid: ResourceId, windows: Vec<crate::ServiceWindow>) {
+    pub fn set_service_windows(&mut self, rid: ResourceId, windows: &[crate::ServiceWindow]) {
         self.resources.set_service_windows(rid, windows);
     }
 
@@ -270,7 +230,7 @@ impl Simulation {
     /// interned as a template first), `stages` are copied onto the end of
     /// the stage arena, and the activity does not start before `release`
     /// even if all its dependencies are satisfied. Nothing is allocated
-    /// or formatted per activity, and no shared count is touched.
+    /// or formatted per activity.
     /// Panics if any stage names an unknown resource.
     pub fn activity(
         &mut self,
@@ -288,11 +248,10 @@ impl Simulation {
             );
         }
         let id = ActivityId(index32(self.activities.len(), "activities"));
-        let base = self.graph.stages.len();
-        let next_stage = index32(base + self.fresh.stages.len(), "stages");
-        self.fresh.stages.extend_from_slice(stages);
-        self.fresh.labels.push(label);
-        let stage_end = index32(base + self.fresh.stages.len(), "stages");
+        let next_stage = index32(self.graph.stages.len(), "stages");
+        self.graph.stages.extend_from_slice(stages);
+        self.graph.labels.push(label);
+        let stage_end = index32(self.graph.stages.len(), "stages");
         self.activities
             .push(ActivityState::new(release, next_stage, stage_end));
         id
@@ -304,28 +263,19 @@ impl Simulation {
     /// their way up to it, copying as they go.
     pub fn reserve(&mut self, activities: usize, stages: usize) {
         self.activities.reserve(activities);
-        self.fresh.labels.reserve(activities);
-        self.fresh.stages.reserve(stages);
+        self.graph.labels.reserve(activities);
+        self.graph.stages.reserve(stages);
         self.edges.reserve(activities);
     }
 
     /// Declare that `after` cannot start until `before` has completed.
     /// When `before` completes, its dependents are released in the order
     /// their edges were declared.
-    ///
-    /// # Panics
-    /// Panics if either end is an activity the run has already taken in
-    /// (one registered before it last started or paused).
     pub fn add_dep(&mut self, before: ActivityId, after: ActivityId) {
         assert_ne!(before, after, "activity cannot depend on itself");
         assert!(
             before.index() < self.activities.len(),
             "dependency on unknown activity {before:?}"
-        );
-        let taken_in = self.graph.dependent_ends.len();
-        assert!(
-            before.index() >= taken_in && after.index() >= taken_in,
-            "an edge {before:?} -> {after:?} touches an activity of the run before it paused"
         );
         self.edges.push((before, after));
         self.activities[after.index()].deps_remaining += 1;
@@ -336,51 +286,17 @@ impl Simulation {
         self.activities.len()
     }
 
-    /// Fire every event before `t` and pause there: nothing at or after
-    /// `t` has fired, and the clock, the pending events, the resources'
-    /// queues, active sets and virtual clocks, the service records and
-    /// the engine counters are kept as they stand. Activities registered
-    /// since the run last moved are taken in first; the run goes on from
-    /// here with another `run_until` or [`Simulation::run`], and takes
-    /// in what was appended in between.
-    ///
-    /// # Panics
-    /// Panics if `t` is before an earlier pause, or if an activity taken
-    /// in waits for nothing and is released before the pause it was
-    /// appended at: a run that held it from the start would have started
-    /// it already.
-    pub fn run_until(&mut self, t: SimTime) {
-        assert!(
-            t >= self.paused_at,
-            "a run paused at {:?} cannot pause earlier, at {t:?}",
-            self.paused_at
-        );
-        self.take_in();
-        if let Some(last) = t.as_nanos().checked_sub(1) {
-            self.fire_through(SimTime::from_nanos(last));
-        }
-        self.paused_at = t;
-        self.check_ledger();
-    }
-
-    /// Schedule `ev` at `t` behind everything scheduled there so far.
-    /// Returns the slot handle `(index, generation)` that
-    /// [`Simulation::cancel_event`] accepts.
+    /// Schedule `ev` at `t` behind everything scheduled there so far, in
+    /// a slot of the pool. Returns the slot handle `(index, generation)`
+    /// that [`Simulation::cancel_event`] accepts.
     fn push_event(&mut self, t: SimTime, ev: Event) -> EventHandle {
-        let handle = self.slot(ev);
-        self.queue.push(t, handle);
-        handle
-    }
-
-    /// Count `ev` as scheduled and give it a slot of the pool.
-    fn slot(&mut self, ev: Event) -> EventHandle {
         self.engine_stats.events_scheduled += 1;
         if matches!(ev, Event::Ready(_)) {
             self.pending_ready += 1;
             self.engine_stats.max_ready_set =
                 self.engine_stats.max_ready_set.max(self.pending_ready);
         }
-        match self.free_slots.pop() {
+        let handle = match self.free_slots.pop() {
             Some(idx) => {
                 let gen = self.events[idx as usize].1.wrapping_add(1);
                 self.events[idx as usize] = (ev, gen);
@@ -392,7 +308,9 @@ impl Simulation {
                 self.events.push((ev, 0));
                 (idx, 0)
             }
-        }
+        };
+        self.queue.push(t, handle);
+        handle
     }
 
     /// Retract a scheduled event before it fires. The queue entry stays
@@ -407,20 +325,17 @@ impl Simulation {
         self.engine_stats.events_cancelled += 1;
     }
 
-    /// Run the simulation to completion: the run from its start, or from
-    /// where it paused with whatever was appended since.
+    /// Run the simulation to completion, once: queue the seeds, index
+    /// the edges, then fire every event in `(time, sequence)` order.
     ///
     /// Consumes the simulation; returns a [`RunReport`] with per-activity
     /// timings and per-resource usage, or [`SimError::Deadlock`] if the
     /// dependency graph prevented some activity from ever running.
     pub fn run(mut self) -> Result<RunReport, SimError> {
-        self.take_in();
-        self.fire_through(SimTime::MAX);
+        self.seed();
+        self.index();
+        self.fire();
         self.check_ledger();
-        let hist = &mut self.engine_stats.queue_depth;
-        for (depth, &n) in self.depths.iter().enumerate().filter(|(_, &n)| n > 0) {
-            hist.observe_n(depth as u64, n);
-        }
 
         // An activity still waiting for a dependency never ran (a cycle
         // or a missing release). Every other one finished: its
@@ -439,19 +354,13 @@ impl Simulation {
             return Err(SimError::Deadlock { stuck });
         }
 
-        // `self` is consumed: the activity table, the graph and the
-        // resource table move into the report. A report reads only the
-        // labels, so a graph no paused copy shares drops the rest now.
-        let mut graph = self.graph;
-        if let Some(graph) = Arc::get_mut(&mut graph) {
-            graph.stages = Vec::new();
-            graph.dependents = Vec::new();
-            graph.dependent_ends = Vec::new();
-        }
+        // `self` is consumed: the activity table, the labels and the
+        // resource table move into the report, and the stages and the
+        // CSR, which a report never reads, are dropped here.
         Ok(RunReport {
             makespan,
             activities: self.activities,
-            graph,
+            labels: self.graph.labels,
             names: self.names,
             resources: self.resources,
             trace: self.trace,
@@ -459,118 +368,64 @@ impl Simulation {
         })
     }
 
-    /// Index, then seed, everything registered since the run last moved.
-    fn take_in(&mut self) {
-        self.index_new();
-        self.seed_new();
-    }
-
-    /// Queue a `Ready` for every activity registered since the run last
-    /// moved that waits for nothing, in id order, under its id as the
-    /// sequence number.
-    ///
-    /// A run that held these activities from its start would have queued
-    /// their seeds before its first event, and each would have stayed
-    /// pending until its release, at or after the pause (checked). So
-    /// each was pending at every event the run has already fired and at
-    /// every `Ready` it has already counted: the depth observed at each
-    /// of those, both high-water marks and the `depths` counts all rise
-    /// by one per seed, which is also exactly right for the seeds of a
-    /// run's start, before anything was observed.
-    fn seed_new(&mut self) {
-        let first = self.seeded as usize;
-        // `activity()` checked that the count fits.
-        self.seeded = self.activities.len() as u32;
-        let max_ready = self.engine_stats.max_ready_set;
-        let mut seeds = 0;
-        for i in first..self.activities.len() {
+    /// Queue a `Ready` for every activity that waits for nothing, in id
+    /// order, before the first event: the seeds take the lowest sequence
+    /// numbers, so at any instant they pop in id order ahead of every
+    /// event scheduled while running.
+    fn seed(&mut self) {
+        for i in 0..self.activities.len() {
             let state = self.activities[i];
-            if state.deps_remaining > 0 {
-                continue;
+            if state.deps_remaining == 0 {
+                self.push_event(state.release, Event::Ready(ActivityId(i as u32)));
             }
-            assert!(
-                state.release >= self.paused_at,
-                "activity `{}` waits for nothing and is released at {:?}, \
-                 before the pause it was appended at, {:?}",
-                self.names.show(self.graph.labels[i]),
-                state.release,
-                self.paused_at
-            );
-            let handle = self.slot(Event::Ready(ActivityId(i as u32)));
-            self.queue.seed(state.release, i as u64, handle);
-            seeds += 1;
         }
-        self.engine_stats.max_ready_set = max_ready + seeds;
-        if self.engine_stats.events_processed > 0 {
-            self.engine_stats.max_queue_depth += seeds;
-        }
-        self.depths.splice(0..0, std::iter::repeat_n(0, seeds));
     }
 
-    /// The engine's ledger, checked at every pause and at the end of a
-    /// run: the clock never passed a pending event (nor, paused, the
-    /// pause), every event scheduled has fired, been cancelled or is
-    /// still pending — a pending event holds a slot of the pool — and
-    /// every resource balances ([`Simulation::check_resources`]).
+    /// The engine's ledger, checked at the end of a run: every event
+    /// scheduled has fired or been cancelled, so none holds a slot of
+    /// the pool, and every resource balances
+    /// ([`Simulation::check_resources`]).
     fn check_ledger(&self) {
         let stats = &self.engine_stats;
-        let pending = (self.events.len() - self.free_slots.len()) as u64;
+        debug_assert_eq!(
+            self.free_slots.len(),
+            self.events.len(),
+            "an event is pending after the run"
+        );
         debug_assert_eq!(
             stats.events_scheduled,
-            stats.events_processed + stats.events_cancelled + pending,
+            stats.events_processed + stats.events_cancelled,
             "the event ledger does not balance"
-        );
-        let floor = self.queue.now().max(self.paused_at);
-        debug_assert!(
-            (self.queue.first_instant()).is_none_or(|t| t >= floor),
-            "an event is pending before the clock or the pause"
         );
         if cfg!(debug_assertions) {
             self.check_resources();
         }
     }
 
-    /// Every resource's capacity and byte ledger, from the activities'
-    /// stage pointers and the pending events alone: the FIFO jobs in
-    /// service are those with a pending `StageServed`, never more than
-    /// the resource's capacity, and the bytes a resource counted as
-    /// served are those of the stages that left it plus those of the
-    /// jobs it serves (FIFO) or shares (fair) now — at the end of a run,
-    /// the stages that left it alone.
+    /// Every resource's capacity and byte ledger at the end of a run,
+    /// from the activities' stage pointers alone: no job is in service
+    /// anywhere, and the bytes a resource counted as served are those of
+    /// the stages that left it.
     fn check_resources(&self) {
         let n = self.resources.len();
-        let (mut bytes, mut serving) = (vec![0u64; n], vec![0usize; n]);
-        let stages = &self.graph.stages;
+        let mut bytes = vec![0u64; n];
         let mut start = 0;
         for a in &self.activities {
-            for s in &stages[start..a.next_stage as usize] {
+            for s in &self.graph.stages[start..a.next_stage as usize] {
                 bytes[s.resource.0] += s.bytes;
             }
             start = a.stage_end as usize;
         }
-        let mut free = vec![false; self.events.len()];
-        for &idx in &self.free_slots {
-            free[idx as usize] = true;
-        }
-        let live = self.events.iter().zip(free).filter(|(_, free)| !free);
-        for (&(ev, _), _) in live {
-            if let Event::StageServed(a) = ev {
-                let s = stages[self.activities[a.index()].next_stage as usize];
-                bytes[s.resource.0] += s.bytes;
-                serving[s.resource.0] += 1;
-            }
-        }
-        self.resources.audit(&bytes, &serving);
+        self.resources.audit(&bytes, &vec![0; n]);
     }
 
-    /// The run loop: fire every pending event at or before `last`, in
-    /// `(time, sequence)` order. The loop only reads the graph, so it
-    /// holds a handle of its own for the handlers to borrow, apart from
-    /// `self`.
-    fn fire_through(&mut self, last: SimTime) {
-        let shared = Arc::clone(&self.graph);
-        let graph: &Graph = &shared;
-        while let Some((idx, gen)) = self.queue.pop(last) {
+    /// The run loop: fire every pending event in `(time, sequence)`
+    /// order. The loop only reads the graph, so it takes the graph out of
+    /// `self` for the handlers to borrow apart from the state they
+    /// change, and puts it back when the queue is empty.
+    fn fire(&mut self) {
+        let graph = std::mem::take(&mut self.graph);
+        while let Some((idx, gen)) = self.queue.pop() {
             let (ev, live) = self.events[idx as usize];
             if live != gen {
                 // Cancelled (counted when retracted); skip lazily. The
@@ -585,22 +440,19 @@ impl Simulation {
             self.engine_stats.events_processed += 1;
             let depth = self.queue.len();
             self.engine_stats.max_queue_depth = self.engine_stats.max_queue_depth.max(depth);
-            if self.depths.len() <= depth {
-                self.depths.resize(depth + 1, 0);
-            }
-            self.depths[depth] += 1;
+            self.engine_stats.queue_depth.observe(depth as u64);
             match ev {
                 Event::Ready(a) => {
                     let state = &mut self.activities[a.index()];
                     debug_assert_eq!(state.started, ActivityState::NOT_YET);
                     state.started = now;
                     self.pending_ready -= 1;
-                    self.advance(graph, a, now);
+                    self.advance(&graph, a, now);
                 }
                 Event::EnterStage(a) => {
                     // Either enqueue the next stage or, if the latency we
                     // just waited out followed the final stage, complete.
-                    self.advance(graph, a, now);
+                    self.advance(&graph, a, now);
                 }
                 Event::StageServed(a) => {
                     // Free the server and start the next queued job, if any.
@@ -618,7 +470,7 @@ impl Simulation {
                         self.push_event(done, Event::StageServed(next_job.activity));
                     }
                     // This activity leaves the stage; honor post-latency.
-                    self.leave_stage(graph, a, now);
+                    self.leave_stage(&graph, a, now);
                 }
                 Event::FairComplete(rid) => {
                     // This event *was* the resource's pending prediction;
@@ -631,50 +483,42 @@ impl Simulation {
                     // The active set shrank: re-predict the resource's
                     // next completion before moving the activity on.
                     self.reschedule_fair(rid, now);
-                    self.leave_stage(graph, job.activity, now);
+                    self.leave_stage(&graph, job.activity, now);
                 }
             }
         }
+        self.graph = graph;
     }
 
-    /// Append the CSR rows `complete` walks for the activities registered
-    /// since the run last indexed, and move their stages and labels into
-    /// the graph. Every edge declared since starts at one of them
-    /// (`add_dep` checks), so their rows go after the others. A counting
-    /// sort by predecessor, filled in declaration order, is stable: each
-    /// row lists its dependents exactly as `add_dep` declared them, which
-    /// is the order their `Ready` events are sequenced in.
-    fn index_new(&mut self) {
-        let first = self.graph.dependent_ends.len();
-        if first == self.activities.len() {
-            debug_assert!(self.edges.is_empty(), "an edge of an activity taken in");
-            return;
-        }
+    /// Build the CSR rows `complete` walks from the declared edges. A
+    /// counting sort by predecessor, filled in declaration order, is
+    /// stable: each row lists its dependents exactly as `add_dep`
+    /// declared them, which is the order their `Ready` events are
+    /// sequenced in.
+    fn index(&mut self) {
         let edges = std::mem::take(&mut self.edges);
-        let graph = Arc::make_mut(&mut self.graph);
-        move_onto(&mut graph.stages, &mut self.fresh.stages);
-        move_onto(&mut graph.labels, &mut self.fresh.labels);
         // The offsets below count edges in `u32`.
-        index32(graph.dependents.len() + edges.len(), "dependency edges");
+        index32(edges.len(), "dependency edges");
         // Per-row counts, then their exclusive prefix sum (row starts);
         // the fill below advances each start to its row's end.
-        graph.dependent_ends.resize(self.activities.len(), 0);
-        let ends = &mut graph.dependent_ends[first..];
+        let mut ends = vec![0u32; self.activities.len()];
         for (before, _) in &edges {
-            ends[before.index() - first] += 1;
+            ends[before.index()] += 1;
         }
-        let mut total = graph.dependents.len() as u32;
+        let mut total = 0;
         for end in ends.iter_mut() {
             let count = *end;
             *end = total;
             total += count;
         }
-        (graph.dependents).resize(total as usize, ActivityId(0));
+        let mut dependents = vec![ActivityId(0); total as usize];
         for &(before, after) in &edges {
-            let slot = &mut ends[before.index() - first];
-            graph.dependents[*slot as usize] = after;
+            let slot = &mut ends[before.index()];
+            dependents[*slot as usize] = after;
             *slot += 1;
         }
+        self.graph.dependents = dependents;
+        self.graph.dependent_ends = ends;
     }
 
     /// Move activity `a` forward from its current stage pointer: either
@@ -776,8 +620,8 @@ impl Simulation {
 pub struct RunReport {
     makespan: SimTime,
     activities: Vec<ActivityState>,
-    /// The run's graph; a report reads its labels.
-    graph: Arc<Graph>,
+    /// One label row per activity.
+    labels: Vec<Label>,
     /// What the label rows and resource names read through.
     names: Names,
     resources: ResourceTable,
@@ -808,7 +652,7 @@ impl RunReport {
 
     /// Label of an activity, rendered from its row.
     pub fn label(&self, a: ActivityId) -> String {
-        self.names.show(self.graph.labels[a.index()]).to_string()
+        self.names.show(self.labels[a.index()]).to_string()
     }
 
     /// The name a resource was registered with, e.g. `"node3.membus"`,
@@ -1018,9 +862,8 @@ impl RunReport {
             let tid = rec.resource.index();
             let args = out.args.len() as u32;
             let a = rec.activity.index();
-            let name = *labels[a].get_or_insert_with(|| {
-                out.sym(format_args!("{}", names.show(self.graph.labels[a])))
-            });
+            let name = *labels[a]
+                .get_or_insert_with(|| out.sym(format_args!("{}", names.show(self.labels[a]))));
             let span = Span {
                 name,
                 cat: lanes[tid].expect("a lane per served resource"),
@@ -1065,8 +908,8 @@ pub struct EngineProfile {
 
 impl EngineProfile {
     /// Fold another run's profile into this one: counts and populations
-    /// sum, high-water marks take the maximum, per-class queue depths
-    /// take the per-class maximum. Folding is commutative, so a total
+    /// sum, high-water marks take the maximum, per-class queue depth
+    /// takes the per-class maximum. Folding is commutative, so a total
     /// over cells is identical no matter what order the cells finished
     /// in — the property the sweep determinism guarantee relies on.
     pub fn merge(&mut self, other: &EngineProfile) {
@@ -1301,7 +1144,7 @@ mod tests {
                 end,
                 rate: 0.0,
             };
-            sim.set_service_windows(r, vec![stall]);
+            sim.set_service_windows(r, &[stall]);
             let stalled = sim.activity("stalled", SimTime::ZERO, &[on(r, 100)]);
             let after = sim.activity("after", SimTime::ZERO, &[]);
             sim.add_dep(stalled, after);
@@ -1373,160 +1216,48 @@ mod tests {
         sim.add_dep(stranger, a);
     }
 
-    /// A job-shaped run under `prefix`: a two-stage transfer and a
-    /// stageless source feeding a join, the first two behind `gate` when
-    /// there is one, edges interleaved as a lowering declares them.
-    fn lower_job(sim: &mut Simulation, r: [ResourceId; 2], prefix: &str, gate: Option<ActivityId>) {
-        let stages = [r[0], r[1]].map(|resource| Stage {
-            resource,
-            bytes: 100,
-            overhead: SimDuration::from_nanos(3),
-            latency_after: SimDuration::from_nanos(5),
-        });
-        let p = sim.prefix(prefix);
-        let [msg, src, io, join] = ["msg{}", "src", "io", "join"].map(|t| sim.template(t));
-        let msg = sim.activity(Label::new(p, msg, [7, 0]), SimTime::ZERO, &stages);
-        gate.into_iter().for_each(|g| sim.add_dep(g, msg));
-        let src = sim.activity(Label::new(p, src, [0, 0]), SimTime::from_nanos(40), &[]);
-        let io = sim.activity(Label::new(p, io, [0, 0]), SimTime::ZERO, &stages[1..]);
-        sim.add_dep(msg, io);
-        gate.into_iter().for_each(|g| sim.add_dep(g, src));
-        let join = sim.activity(Label::new(p, join, [0, 0]), SimTime::ZERO, &[]);
-        for before in [io, src, msg] {
-            sim.add_dep(before, join);
-        }
-    }
-
-    /// Two runs are the same run: labels, start and finish times, service
-    /// records, resource accounting and every engine counter.
-    fn same(a: &RunReport, b: &RunReport) {
-        assert_eq!(a.activity_count(), b.activity_count());
-        for i in 0..a.activity_count() as u32 {
-            let id = ActivityId(i);
-            assert_eq!(a.label(id), b.label(id));
-            assert_eq!(a.start_time(id), b.start_time(id), "{}", a.label(id));
-            assert_eq!(a.finish_time(id), b.finish_time(id), "{}", a.label(id));
-        }
-        assert_eq!(a.trace(), b.trace());
-        assert_eq!(a.resource_usages(), b.resource_usages());
-        assert_eq!(a.engine_stats(), b.engine_stats());
-        assert_eq!(a.engine_profile(), b.engine_profile());
-    }
-
-    /// When the first resident's message leaves `r0` (a 100-byte stage at
-    /// 50 B/s behind a 3 ns overhead): the instant of a run-time event.
-    const TIE: SimTime = SimTime::from_nanos(2_000_000_003);
-
-    /// The residents of a resumed run on `r`: a job arriving at zero, a
-    /// job behind a start gate at one second, and a lone activity
-    /// released at [`TIE`] — a seed tied with a run-time event.
-    fn residents(policy: SharePolicy, windows: bool) -> (Simulation, [ResourceId; 2]) {
-        let mut sim = Simulation::with_policy(policy);
-        sim.enable_trace();
-        let r = ["r0", "r1"].map(|name| sim.add_resource(name, bw(50.0)));
-        if windows {
-            let (start, end) = (
-                SimTime::from_nanos(1_000_000_000),
-                SimTime::from_nanos(3_500_000_000),
-            );
-            let slow = crate::ServiceWindow {
-                start,
-                end,
-                rate: 0.5,
-            };
-            sim.set_service_windows(r[1], vec![slow]);
-        }
-        lower_job(&mut sim, r, "j0.", None);
-        let gate = sim.activity("j1.start", SimTime::from_nanos(1_000_000_000), &[]);
-        lower_job(&mut sim, r, "j1.", Some(gate));
-        sim.activity("tie", TIE, &[on(r[1], 50)]);
-        (sim, r)
-    }
-
-    /// Register the newcomer behind a start gate released at `at`.
-    fn newcomer(sim: &mut Simulation, r: [ResourceId; 2], prefix: &str, at: SimTime) {
-        let start = Label::new(sim.prefix(prefix), sim.template("start"), [0, 0]);
-        let gate = sim.activity(start, at, &[]);
-        lower_job(sim, r, prefix, Some(gate));
-    }
-
     #[test]
-    fn a_resumed_run_matches_the_full_run() {
+    fn a_seed_released_with_a_run_time_event_goes_first() {
+        // At 1 s `x` leaves `q` (an event scheduled while running) and
+        // `s`, which waits for nothing, is released (a seed): both go to
+        // `r`. Seeds are sequenced ahead of every run-time event at
+        // their instant, so `s` reaches `r` first. Under FIFO that
+        // shows in the finish times; under fair sharing the two share
+        // `r` in either order, and the order shows in the trace.
+        let at = |ms: u64| SimTime::from_nanos(ms * 1_000_000);
         for policy in [SharePolicy::Fifo, SharePolicy::FairShare] {
-            for windows in [false, true] {
-                // Every instant an event of the residents fires at, the
-                // pause before the first and the tie included.
-                let alone = residents(policy, windows).0.run().unwrap();
-                let mut instants = vec![SimTime::ZERO, TIE];
-                for rec in alone.trace().unwrap() {
-                    instants.extend([rec.start, rec.end]);
-                }
-                for i in 0..alone.activity_count() as u32 {
-                    instants.extend([
-                        alone.start_time(ActivityId(i)),
-                        alone.finish_time(ActivityId(i)),
-                    ]);
-                }
-                instants.sort_unstable();
-                instants.dedup();
-                for at in instants {
-                    let full = {
-                        let (mut sim, r) = residents(policy, windows);
-                        newcomer(&mut sim, r, "new.", at);
-                        sim.run().unwrap()
-                    };
-                    // Paused at the newcomer's arrival, then appended to.
-                    let (mut paused, r) = residents(policy, windows);
-                    paused.run_until(at);
-                    newcomer(&mut paused, r, "new.", at);
-                    same(&full, &paused.run().unwrap());
-                }
+            let mut sim = Simulation::with_policy(policy);
+            sim.enable_trace();
+            let [q, r] = ["q", "r"].map(|name| sim.add_resource(name, bw(100.0)));
+            let x = sim.activity("x", SimTime::ZERO, &[on(q, 100), on(r, 100)]);
+            let s = sim.activity("s", at(1_000), &[on(r, 50)]);
+            let rep = sim.run().unwrap();
+            let finished = [s, x].map(|a| rep.finish_time(a));
+            let served: Vec<_> = (rep.trace().unwrap().iter())
+                .map(|rec| (rec.activity, rec.resource))
+                .collect();
+            assert_eq!(served, [(x, q), (s, r), (x, r)], "{policy:?}");
+            // Fair sharing re-predicts `r`'s completion once, when `x`
+            // joins `s` there.
+            let (finished_at, cancelled) = match policy {
+                SharePolicy::Fifo => ([1_500, 2_500], 0),
+                SharePolicy::FairShare => ([2_000, 2_500], 1),
+            };
+            assert_eq!(finished, finished_at.map(at), "{policy:?}");
+            let mut queue_depth = Histogram::new();
+            for depth in [1, 1, 1, 0, 0] {
+                queue_depth.observe(depth);
             }
-        }
-    }
-
-    /// The ledger's resource checks are `debug_assert!`s: in a debug
-    /// build every pause and the end of every run audit each resource's
-    /// capacity and bytes, under both engines, through a pause, a
-    /// newcomer registered there and a second pause.
-    #[cfg(debug_assertions)]
-    #[test]
-    fn a_ledger_checked_run_through_pause_and_append() {
-        for policy in [SharePolicy::Fifo, SharePolicy::FairShare] {
-            let full = {
-                let (mut sim, r) = residents(policy, true);
-                newcomer(&mut sim, r, "a.", TIE);
-                sim.run().unwrap()
+            let expected = EngineStats {
+                events_processed: 5,
+                events_scheduled: 5 + cancelled,
+                events_cancelled: cancelled,
+                max_queue_depth: 1,
+                max_ready_set: 2,
+                queue_depth,
             };
-            let (mut sim, r) = residents(policy, true);
-            // Paused mid-run: stages in service, queued and left.
-            sim.run_until(TIE);
-            newcomer(&mut sim, r, "a.", TIE);
-            sim.run_until(TIE + SimDuration::from_secs(1));
-            let a = sim.run().unwrap();
-            assert_eq!(a.resource_usages(), full.resource_usages());
-            let served: u64 = a.resource_usages().iter().map(|u| u.bytes_served).sum();
-            // Three jobs of three 100-byte stages, and the tie.
-            assert_eq!(served, 3 * 300 + 50, "{policy:?}");
+            assert_eq!(rep.engine_stats(), &expected, "{policy:?}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "before it paused")]
-    fn an_appended_edge_from_a_paused_activity_panics() {
-        let (mut sim, _) = residents(SharePolicy::Fifo, false);
-        sim.run_until(TIE);
-        let late = sim.activity("late", TIE, &[]);
-        sim.add_dep(ActivityId(0), late);
-    }
-
-    #[test]
-    #[should_panic(expected = "before the pause it was appended at")]
-    fn an_activity_appended_ready_before_the_pause_panics() {
-        let (mut sim, _) = residents(SharePolicy::Fifo, false);
-        sim.run_until(TIE);
-        sim.activity("early", SimTime::from_nanos(1), &[]);
-        sim.run_until(TIE);
     }
 
     #[test]

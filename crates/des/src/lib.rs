@@ -44,13 +44,9 @@
 //! * Pending events wait in a queue that keys each instant once; the
 //!   events due at an instant form a first-in-first-out run behind its
 //!   key.
-//! * A run may stop short: [`Simulation::run_until`] pauses it at an
-//!   instant, [`Simulation::fork`] copies the paused run (the copy shares
-//!   its graph and keeps every activity id), activities registered after
-//!   the pause are taken in when the run moves on, and
-//!   [`Simulation::truncate`] drops a tail the run has not seeded. A
-//!   resumed run simulates byte for byte as the run that held every
-//!   activity from its start.
+//! * A graph is registered, then run once: [`Simulation::run`] consumes
+//!   the simulation, queues every activity that waits for nothing in id
+//!   order before the first event, and fires events to the end.
 //!
 //! ## Example
 //!

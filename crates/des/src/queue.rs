@@ -10,11 +10,11 @@
 //! its key, so a run with no ties costs what a plain heap does.
 //!
 //! The order is the heap's. Keys `(time, sequence)` are unique, so any
-//! correct queue pops the same sequence. Events pushed while running
-//! take rising sequence numbers, so each joins the end of its instant's
-//! run. Seeds — pushed between runs, sequenced by activity id, below
-//! every run-time number — each get a key of their own, which sorts them
-//! ahead of the run-time events at their instant.
+//! correct queue pops the same sequence. Every push takes the next
+//! sequence number, so each joins the end of its instant's run. A run's
+//! seeds are pushed before its first event, in activity-id order, so
+//! they take the lowest numbers and pop in id order ahead of the events
+//! scheduled while running at their instant.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -23,11 +23,6 @@ use std::collections::{BinaryHeap, VecDeque};
 /// What the queue orders: an opaque pair, the engine's event slot and
 /// its generation.
 pub(crate) type Item = (u32, u32);
-
-/// The sequence bit of every run-time event. A seed is sequenced by its
-/// activity id alone, so it sorts ahead of every run-time event at its
-/// instant, wherever it was pushed.
-pub(crate) const RUN_TIME: u64 = 1 << 63;
 
 /// `Key::slot` of a key that heads a run: its `gen` is the run's index.
 const RUN: u32 = u32::MAX;
@@ -52,12 +47,12 @@ pub(crate) struct EventQueue {
     /// Runs of events due at one later instant each, in order; pooled.
     runs: Vec<VecDeque<Item>>,
     free_runs: Vec<u32>,
-    /// Where the latest run-time key of an instant is, by instant hash:
+    /// Where the latest key of an instant is, by instant hash:
     /// `(instant, run index)` or `(instant, RUN)` for a lone event. An
     /// entry for an instant after `now` is live — nothing there has
     /// popped — and any other is stale.
     cache: [(SimTime, u32); CACHE],
-    /// Counter of run-time pushes (below [`RUN_TIME`]).
+    /// Counter of pushes: the next sequence number.
     next_seq: u64,
     /// Pending events, cancelled ones included.
     len: usize,
@@ -90,14 +85,6 @@ impl EventQueue {
         self.len
     }
 
-    /// The earliest instant with a pending event.
-    pub(crate) fn first_instant(&self) -> Option<SimTime> {
-        match self.lane.is_empty() {
-            false => Some(self.now),
-            true => self.heap.peek().map(|Reverse(key)| key.0),
-        }
-    }
-
     /// Queue `item` at `t` behind everything pushed at `t` so far.
     pub(crate) fn push(&mut self, t: SimTime, item: Item) {
         debug_assert!(t >= self.now, "an event scheduled in the past");
@@ -106,7 +93,7 @@ impl EventQueue {
             self.lane.push_back(item);
             return;
         }
-        let seq = RUN_TIME | self.next_seq;
+        let seq = self.next_seq;
         self.next_seq += 1;
         let slot = &mut self.cache[cache_slot(t)];
         if slot.0 != t {
@@ -131,31 +118,15 @@ impl EventQueue {
         }
     }
 
-    /// Queue a seed, sequenced `id`, at `t`: ahead of every run-time
-    /// event there. At `now` it joins the lane, which holds only seeds
-    /// while nothing at `now` has popped — the only time a seed comes
-    /// in at `now`.
-    pub(crate) fn seed(&mut self, t: SimTime, id: u64, item: Item) {
-        debug_assert!(id < RUN_TIME && t >= self.now);
-        debug_assert!(item.0 != RUN, "the run marker is not a slot");
-        self.len += 1;
-        if t == self.now {
-            self.lane.push_back(item);
-        } else {
-            self.heap.push(Reverse((t, id, item.0, item.1)));
-        }
-    }
-
-    /// The next event at or before `last`, the clock moved to its
-    /// instant; `None` when nothing that early is pending. Reaching an
-    /// instant moves every key of it into the lane, in key order.
-    pub(crate) fn pop(&mut self, last: SimTime) -> Option<Item> {
+    /// The next event, the clock moved to its instant; `None` when
+    /// nothing is pending. Reaching an instant moves every key of it into
+    /// the lane, in key order.
+    pub(crate) fn pop(&mut self) -> Option<Item> {
         if let Some(item) = self.lane.pop_front() {
             self.len -= 1;
             return Some(item);
         }
-        let Reverse(key) = *self.heap.peek().filter(|Reverse(key)| key.0 <= last)?;
-        self.heap.pop();
+        let Reverse(key) = self.heap.pop()?;
         debug_assert!(key.0 > self.now, "a key at or before the clock");
         self.now = key.0;
         self.len -= 1;
@@ -203,31 +174,24 @@ mod tests {
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
-    /// What a harness step does to the queue and its model. Delays and
-    /// offsets are drawn raw and taken modulo the case's spread.
+    /// What a harness step does to the queue and its model. Delays are
+    /// drawn raw and taken modulo the case's spread.
     #[derive(Debug, Clone)]
     enum Op {
-        /// A run-time push, `delay` after the clock.
+        /// A push, `delay` after the clock.
         Push(u64),
-        /// One pop with no horizon.
+        /// One pop.
         Pop,
         /// Cancel the `n`-th pending live event (modulo their count).
         Cancel(usize),
-        /// Pop everything before `now + 1 + ahead`, then seed one event
-        /// at each offset from there.
-        Pause(u64, Vec<u64>),
-        /// Copy both: the original drains to the end, the copy goes on.
-        Fork,
     }
 
     /// Draw an op: `kind` picks it, pushes and pops most often.
-    fn op((kind, n, seeds): (u8, u64, Vec<u64>)) -> Op {
+    fn op((kind, n): (u8, u64)) -> Op {
         match kind {
             0..=5 => Op::Push(n),
             6..=9 => Op::Pop,
-            10 => Op::Cancel(n as usize),
-            11 => Op::Pause(n, seeds),
-            _ => Op::Fork,
+            _ => Op::Cancel(n as usize),
         }
     }
 
@@ -235,7 +199,7 @@ mod tests {
     /// slot pool both are fed from: a cancelled event's slot is recycled
     /// at once with a new generation, and a popped stale entry is
     /// skipped.
-    #[derive(Clone, Default)]
+    #[derive(Default)]
     struct Harness {
         /// Instants are at most this far apart: a spread of a few ties
         /// nearly every event, a wide one almost none.
@@ -244,14 +208,13 @@ mod tests {
         model: BinaryHeap<Reverse<(SimTime, u64, u32, u32)>>,
         model_now: SimTime,
         next_seq: u64,
-        next_seed: u64,
         gens: Vec<u32>,
         free: Vec<u32>,
         live: Vec<Item>,
     }
 
     impl Harness {
-        fn slot(&mut self) -> Item {
+        fn push(&mut self, t: SimTime) {
             let item = match self.free.pop() {
                 Some(s) => (s, self.gens[s as usize]),
                 None => {
@@ -260,24 +223,9 @@ mod tests {
                 }
             };
             self.live.push(item);
-            item
-        }
-
-        fn push(&mut self, delay: u64) {
-            let t = SimTime::from_nanos(self.queue.now().as_nanos() + delay % self.spread);
-            let item = self.slot();
             self.queue.push(t, item);
-            self.model
-                .push(Reverse((t, RUN_TIME | self.next_seq, item.0, item.1)));
+            self.model.push(Reverse((t, self.next_seq, item.0, item.1)));
             self.next_seq += 1;
-        }
-
-        fn seed(&mut self, t: SimTime) {
-            let item = self.slot();
-            self.queue.seed(t, self.next_seed, item);
-            self.model
-                .push(Reverse((t, self.next_seed, item.0, item.1)));
-            self.next_seed += 1;
         }
 
         fn cancel(&mut self, n: usize) {
@@ -289,18 +237,13 @@ mod tests {
             self.free.push(slot);
         }
 
-        /// Pop from both at or before `last`; false when neither has
-        /// anything that early.
-        fn pop(&mut self, last: SimTime) -> Result<bool, TestCaseError> {
-            let expected = (self.model.peek())
-                .filter(|Reverse(k)| k.0 <= last)
-                .map(|Reverse(k)| *k);
-            let got = self.queue.pop(last);
-            prop_assert_eq!(got, expected.map(|k| (k.2, k.3)));
+        /// Pop from both; false when neither has anything pending.
+        fn pop(&mut self) -> Result<bool, TestCaseError> {
+            let expected = self.model.pop().map(|Reverse(k)| k);
+            prop_assert_eq!(self.queue.pop(), expected.map(|k| (k.2, k.3)));
             let Some((t, _, slot, gen)) = expected else {
                 return Ok(false);
             };
-            self.model.pop();
             prop_assert!(t >= self.model_now);
             self.model_now = t;
             prop_assert_eq!(self.queue.now(), t);
@@ -317,24 +260,15 @@ mod tests {
         fn run(mut self, ops: &[Op]) -> Result<(), TestCaseError> {
             for op in ops {
                 match op {
-                    Op::Push(delay) => self.push(*delay),
-                    Op::Pop => drop(self.pop(SimTime::MAX)?),
+                    Op::Push(delay) => {
+                        let t = self.queue.now().as_nanos() + delay % self.spread;
+                        self.push(SimTime::from_nanos(t));
+                    }
+                    Op::Pop => drop(self.pop()?),
                     Op::Cancel(n) => self.cancel(*n),
-                    Op::Pause(ahead, seeds) => {
-                        let at = self.queue.now().as_nanos() + 1 + ahead % self.spread;
-                        while self.pop(SimTime::from_nanos(at - 1))? {}
-                        for offset in seeds {
-                            self.seed(SimTime::from_nanos(at + offset % self.spread));
-                        }
-                    }
-                    Op::Fork => {
-                        let copy = self.clone();
-                        self.run(&[])?;
-                        self = copy;
-                    }
                 }
             }
-            while self.pop(SimTime::MAX)? {}
+            while self.pop()? {}
             prop_assert_eq!(self.queue.len(), 0);
             Ok(())
         }
@@ -347,10 +281,7 @@ mod tests {
         fn pops_in_reference_heap_order(
             tied in any::<bool>(),
             start in prop::collection::vec(0..4u64, 0..8),
-            ops in prop::collection::vec(
-                (0..13u8, any::<u64>(), prop::collection::vec(any::<u64>(), 0..6)).prop_map(op),
-                0..160,
-            ),
+            ops in prop::collection::vec((0..11u8, any::<u64>()).prop_map(op), 0..160),
         ) {
             let spread = if tied { 4 } else { 1 << 40 };
             let mut h = Harness {
@@ -359,7 +290,7 @@ mod tests {
             };
             // The seeds of a run's start, the first at the clock.
             for offset in start {
-                h.seed(SimTime::from_nanos(offset));
+                h.push(SimTime::from_nanos(offset));
             }
             h.run(&ops)?;
         }
@@ -373,9 +304,7 @@ mod tests {
         }
         // Per instant: the lone first event inline, then one run.
         assert_eq!((q.heap.len(), q.len()), (6, 1000));
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop(SimTime::MAX))
-            .map(|i| i.0)
-            .collect();
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop()).map(|i| i.0).collect();
         let expected: Vec<u32> = (0..3).flat_map(|r| (r..1000).step_by(3)).collect();
         assert_eq!(order, expected);
     }

@@ -230,8 +230,11 @@ pub(crate) struct ResourceTable {
     free_queues: Vec<u32>,
     fair: Vec<FairState>,
     free_fair: Vec<u32>,
-    /// Injected service perturbations, each sorted by start.
-    windows: Vec<Vec<ServiceWindow>>,
+    /// Every installed service window, one resource's set after
+    /// another, each set sorted by start.
+    windows: Vec<ServiceWindow>,
+    /// The range of `windows` a resource with windows reads.
+    window_sets: Vec<(u32, u32)>,
     /// Every queueing delay that was not zero, per resource that had one
     /// (ns); the zeros are the rest of its `jobs_served`.
     waits: Vec<Histogram>,
@@ -329,19 +332,23 @@ impl ResourceTable {
         self.rows[r.0].capacity
     }
 
-    /// Install service perturbation windows (fault injection). Windows
-    /// are kept sorted by start; overlapping windows apply in that order
-    /// (each segment of time is governed by the first window covering
-    /// it). Replaces any previously installed set.
-    pub(crate) fn set_service_windows(&mut self, r: ResourceId, mut windows: Vec<ServiceWindow>) {
-        windows.retain(|w| w.end > w.start);
-        windows.sort_by_key(|w| (w.start, w.end));
+    /// Install service perturbation windows (fault injection), copied
+    /// onto the end of the window arena. Windows are kept sorted by
+    /// start; overlapping windows apply in that order (each segment of
+    /// time is governed by the first window covering it). Replaces any
+    /// previously installed set, which stays in the arena unread.
+    pub(crate) fn set_service_windows(&mut self, r: ResourceId, windows: &[ServiceWindow]) {
+        let start = self.windows.len();
+        (self.windows).extend(windows.iter().filter(|w| w.end > w.start));
+        self.windows[start..].sort_by_key(|w| (w.start, w.end));
+        // The end fits, so the start before it does.
+        let set = (start as u32, index32(self.windows.len(), "service windows"));
         let row = &mut self.rows[r.0];
         if row.windows == NONE {
-            row.windows = index32(self.windows.len(), "resources with service windows");
-            self.windows.push(windows);
+            row.windows = index32(self.window_sets.len(), "resources with service windows");
+            self.window_sets.push(set);
         } else {
-            self.windows[row.windows as usize] = windows;
+            self.window_sets[row.windows as usize] = set;
         }
     }
 
@@ -349,7 +356,10 @@ impl ResourceTable {
     fn windows(&self, r: ResourceId) -> &[ServiceWindow] {
         match self.rows[r.0].windows {
             NONE => &[],
-            w => &self.windows[w as usize],
+            w => {
+                let (start, end) = self.window_sets[w as usize];
+                &self.windows[start as usize..end as usize]
+            }
         }
     }
 
@@ -711,9 +721,9 @@ mod tests {
         (table, r)
     }
 
-    fn window(start: u64, end: u64, rate: f64) -> Vec<ServiceWindow> {
+    fn window(start: u64, end: u64, rate: f64) -> [ServiceWindow; 1] {
         let (start, end) = (SimTime::from_nanos(start), SimTime::from_nanos(end));
-        vec![ServiceWindow { start, end, rate }]
+        [ServiceWindow { start, end, rate }]
     }
 
     #[test]
@@ -820,7 +830,7 @@ mod tests {
         // 100 B/s server, 100-byte job ⇒ nominally 1 s. A half-rate
         // window covering the whole job doubles it.
         let (mut t, r) = one(100.0, 1);
-        t.set_service_windows(r, window(0, u64::MAX, 0.5));
+        t.set_service_windows(r, &window(0, u64::MAX, 0.5));
         let done = t.enqueue(r, SimTime::ZERO, job(100)).unwrap();
         assert_eq!(done, SimTime::ZERO + SimDuration::from_secs(2));
         assert_eq!(t.usage(r).busy_time, SimDuration::from_secs(2));
@@ -832,7 +842,7 @@ mod tests {
         // second does half the work, then nothing until 2.5 s, then the
         // remaining half second ⇒ done at 3 s.
         let (mut t, r) = one(100.0, 1);
-        t.set_service_windows(r, window(500_000_000, 2_500_000_000, 0.0));
+        t.set_service_windows(r, &window(500_000_000, 2_500_000_000, 0.0));
         let done = t.enqueue(r, SimTime::ZERO, job(100)).unwrap();
         assert_eq!(done, SimTime::from_nanos(3_000_000_000));
     }
@@ -840,7 +850,7 @@ mod tests {
     #[test]
     fn job_outside_windows_is_unperturbed() {
         let (mut t, r) = one(100.0, 1);
-        t.set_service_windows(r, window(10, 20, 0.0));
+        t.set_service_windows(r, &window(10, 20, 0.0));
         // Starting after the window ends: exact nominal completion.
         let start = SimTime::from_nanos(1_000_000_000);
         let done = t.enqueue(r, start, job(100)).unwrap();
@@ -850,7 +860,7 @@ mod tests {
     #[test]
     fn empty_and_reversed_windows_are_dropped() {
         let (mut t, r) = one(100.0, 1);
-        t.set_service_windows(r, window(20, 20, 0.0));
+        t.set_service_windows(r, &window(20, 20, 0.0));
         let done = t.enqueue(r, SimTime::ZERO, job(100)).unwrap();
         assert_eq!(done, SimTime::ZERO + SimDuration::from_secs(1));
     }
@@ -861,7 +871,7 @@ mod tests {
         // complete at t+0 even when admitted inside a full stall window
         // (previously it was pushed to the window's end).
         let (mut t, r) = one(100.0, 1);
-        t.set_service_windows(r, window(0, 10_000_000_000, 0.0));
+        t.set_service_windows(r, &window(0, 10_000_000_000, 0.0));
         let start = SimTime::from_nanos(1_000);
         let done = t.enqueue(r, start, job(0)).unwrap();
         assert_eq!(done, start);
@@ -873,7 +883,7 @@ mod tests {
         // job's last byte lands exactly at the stall boundary, so it
         // completes at 1 s, not at the stall's end.
         let (mut t, r) = one(100.0, 1);
-        t.set_service_windows(r, window(1_000_000_000, 5_000_000_000, 0.0));
+        t.set_service_windows(r, &window(1_000_000_000, 5_000_000_000, 0.0));
         let done = t.enqueue(r, SimTime::ZERO, job(100)).unwrap();
         assert_eq!(done, SimTime::from_nanos(1_000_000_000));
     }
@@ -981,7 +991,7 @@ mod tests {
         // Two 100-byte transfers on 100 B/s under a half-rate window:
         // effective 25 B/s each ⇒ 4 s.
         let (mut f, r) = one(100.0, 1);
-        f.set_service_windows(r, window(0, u64::MAX, 0.5));
+        f.set_service_windows(r, &window(0, u64::MAX, 0.5));
         f.fair_arrive(r, SimTime::ZERO, job(100), None);
         f.fair_arrive(r, SimTime::ZERO, job(100), None);
         assert_eq!(
@@ -993,7 +1003,7 @@ mod tests {
     #[test]
     fn fair_zero_demand_completes_at_admission() {
         let (mut f, r) = one(100.0, 1);
-        f.set_service_windows(r, window(0, u64::MAX, 0.0));
+        f.set_service_windows(r, &window(0, u64::MAX, 0.0));
         let t = SimTime::from_nanos(42);
         f.fair_arrive(r, t, job(0), None);
         assert_eq!(f.fair_next_completion(r), Some(t));

@@ -359,7 +359,7 @@ fn fair_share_under_ost_slow_window_pins() {
     let r = sim.add_resource("ost0", bw(100.0));
     sim.set_service_windows(
         r,
-        vec![ServiceWindow {
+        &[ServiceWindow {
             start: SimTime::ZERO,
             end: secs(100),
             rate: 0.5,
@@ -384,7 +384,7 @@ fn fair_share_under_ost_stall_window_pins() {
     let r = sim.add_resource("ost0", bw(100.0));
     sim.set_service_windows(
         r,
-        vec![ServiceWindow {
+        &[ServiceWindow {
             start: secs(1),
             end: secs(2),
             rate: 0.0,
@@ -409,7 +409,7 @@ fn fair_share_stall_with_late_arrival_pins() {
     let r = sim.add_resource("ost0", bw(100.0));
     sim.set_service_windows(
         r,
-        vec![ServiceWindow {
+        &[ServiceWindow {
             start: SimTime::from_nanos(500_000_000),
             end: SimTime::from_nanos(1_500_000_000),
             rate: 0.0,
@@ -455,7 +455,7 @@ fn single_transfer_window_walk_is_engine_invariant() {
         let run = |policy| {
             let mut sim = Simulation::with_policy(policy);
             let r = sim.add_resource("ost0", bw(100.0));
-            sim.set_service_windows(r, windows.clone());
+            sim.set_service_windows(r, &windows);
             let a = sim.activity("a", SimTime::ZERO, &[stage(r, 150, SimDuration::ZERO)]);
             let rep = sim.run().unwrap();
             rep.finish_time(a)
@@ -478,7 +478,7 @@ fn zero_service_stage_completes_at_admission_even_in_a_stall() {
         let r = sim.add_resource("ost0", bw(100.0));
         sim.set_service_windows(
             r,
-            vec![ServiceWindow {
+            &[ServiceWindow {
                 start: SimTime::ZERO,
                 end: secs(10),
                 rate: 0.0,

@@ -52,23 +52,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Record `n` observations of `value`: the same histogram as `n`
-    /// calls of [`Histogram::observe`].
-    pub fn observe_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let idx = Self::bucket_index(value);
-        if self.counts.len() <= idx {
-            self.counts.resize(idx + 1, 0);
-        }
-        self.counts[idx] += n;
-        self.count += n;
-        self.sum += value as u128 * n as u128;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
     /// Bucket index a value falls into.
     fn bucket_index(value: u64) -> usize {
         match value {
@@ -208,20 +191,6 @@ mod tests {
         assert_eq!(h.count(), 8);
         assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(1024));
-    }
-
-    #[test]
-    fn observing_n_times_at_once_is_observing_n_times() {
-        let (mut once, mut each) = (Histogram::new(), Histogram::new());
-        for (v, n) in [(5, 3), (0, 2), (1024, 1), (7, 0)] {
-            once.observe_n(v, n);
-            (0..n).for_each(|_| each.observe(v));
-        }
-        assert_eq!(once, each);
-        assert_eq!(
-            (once.count(), once.min(), once.max()),
-            (6, Some(0), Some(1024))
-        );
     }
 
     #[test]

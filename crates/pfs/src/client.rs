@@ -209,7 +209,7 @@ impl Pfs {
         for (i, &rid) in self.osts.iter().enumerate() {
             let windows = spec.ost_windows(i);
             if !windows.is_empty() {
-                sim.set_service_windows(rid, windows);
+                sim.set_service_windows(rid, &windows);
             }
         }
         if let Some((p, _)) = spec.transient() {

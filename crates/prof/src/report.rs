@@ -251,12 +251,12 @@ impl ProfReport {
             t.resources,
         ));
         if !t.class_max_queue.is_empty() {
-            let depths: Vec<String> = t
+            let classes: Vec<String> = t
                 .class_max_queue
                 .iter()
                 .map(|(c, d)| format!("{c} {d}"))
                 .collect();
-            out.push_str(&format!("class max queue: {}\n", depths.join(", ")));
+            out.push_str(&format!("class max queue: {}\n", classes.join(", ")));
         }
         out.push_str(&format!(
             "host: wall {:.3} ms, {:.0} events/sec{}\n",
